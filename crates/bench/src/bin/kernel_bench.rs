@@ -71,24 +71,101 @@ fn random_matrix(rows: usize, cols: usize, seed: u64) -> Matrix {
     m
 }
 
-/// Median-free timing: warm twice, then the mean over `iters` runs.
+/// Warm twice, then the median of `iters` individually timed runs: one
+/// stall of the shared host moves a mean by whole multiples (a 20 us
+/// kernel, a 5 ms stall) and a median not at all.
 fn time_ns(iters: usize, mut f: impl FnMut()) -> f64 {
     f();
     f();
-    let t0 = Instant::now();
-    for _ in 0..iters {
-        f();
+    let mut ns: Vec<f64> = (0..iters.max(1))
+        .map(|_| {
+            let t0 = Instant::now();
+            f();
+            t0.elapsed().as_secs_f64() * 1e9
+        })
+        .collect();
+    ns.sort_by(f64::total_cmp);
+    ns[ns.len() / 2]
+}
+
+/// GFLOP/s of independent multiply and add dependency chains held in
+/// registers, in the 1:1 mix a GEMM tier issues: the arithmetic ceiling
+/// its kernels can approach on this host. `Fma` contracts each pair into
+/// one op; the other tiers are measured with the separate `vmulps` and
+/// `vaddps` the bit-identical kernels issue. `None` where the host lacks
+/// the instructions.
+fn madd_peak_gflops(tier: KernelDispatch) -> Option<f64> {
+    #[cfg(target_arch = "x86_64")]
+    {
+        use std::arch::x86_64::*;
+        const CHAINS: usize = 7; // of each kind: 14 of the 16 registers
+        const ROUNDS: usize = 400_000;
+
+        // mul chains hold at 1.0 (x = 1.0), add chains count up to ROUNDS
+        // (exact in f32): no denormals, no infinities. The fused chains
+        // (x = 0.5, y = 1.0) converge to 2.0.
+        #[target_feature(enable = "avx2")]
+        fn rounded() -> usize {
+            let x = _mm256_set1_ps(std::hint::black_box(1.0));
+            let mut mul = [x; CHAINS];
+            let mut add = [_mm256_setzero_ps(); CHAINS];
+            for _ in 0..ROUNDS {
+                for (m, a) in mul.iter_mut().zip(add.iter_mut()) {
+                    *m = _mm256_mul_ps(*m, x);
+                    *a = _mm256_add_ps(*a, x);
+                }
+            }
+            std::hint::black_box((mul, add));
+            CHAINS * ROUNDS * 16 // one mul and one add on each of 8 lanes
+        }
+        #[target_feature(enable = "avx2", enable = "fma")]
+        fn fused() -> usize {
+            let x = _mm256_set1_ps(std::hint::black_box(0.5));
+            let y = _mm256_set1_ps(std::hint::black_box(1.0));
+            let mut acc = [_mm256_setzero_ps(); 2 * CHAINS];
+            for _ in 0..ROUNDS {
+                for a in acc.iter_mut() {
+                    *a = _mm256_fmadd_ps(*a, x, y);
+                }
+            }
+            std::hint::black_box(acc);
+            2 * CHAINS * ROUNDS * 16
+        }
+
+        if !KernelDispatch::Avx2.supported() || !tier.supported() {
+            return None;
+        }
+        let run: fn() -> usize = if tier == KernelDispatch::Fma {
+            // SAFETY: `tier.supported()` verified AVX2 + FMA above.
+            || unsafe { fused() }
+        } else {
+            // SAFETY: AVX2 support verified above.
+            || unsafe { rounded() }
+        };
+        (0..5)
+            .map(|_| {
+                let t0 = Instant::now();
+                let flops = run();
+                flops as f64 / t0.elapsed().as_secs_f64() / 1e9
+            })
+            .reduce(f64::max)
     }
-    t0.elapsed().as_secs_f64() * 1e9 / iters as f64
+    #[cfg(not(target_arch = "x86_64"))]
+    {
+        let _ = tier;
+        None
+    }
 }
 
 struct Emitter {
     json: PathBuf,
+    iters: usize,
 }
 
 impl Emitter {
-    /// One measured row: `rate` is GFLOP/s for the GEMM family, GB/s for
-    /// the gather/scatter family (`unit` labels which).
+    /// One measured row: `rate` is GFLOP/s for the GEMM family (with the
+    /// host's multiply-add `peak` measured beside it), GB/s for the
+    /// gather/scatter family (`unit` labels which).
     #[allow(clippy::too_many_arguments)]
     fn row(
         &self,
@@ -99,10 +176,14 @@ impl Emitter {
         ns: f64,
         rate: f64,
         unit: &str,
+        peak: Option<f64>,
     ) {
+        let of_peak = peak.map_or(String::new(), |p| {
+            format!("  {:>5.1}% of peak", 100.0 * rate / p)
+        });
         println!(
-            "  {kernel:<22} {:<6} {shape:<20} {ns:>12.0} ns  {rate:>8.2} {unit}",
-            dispatch.name()
+            "  {kernel:<22} {:<6} {shape:<20} {ns:>12.0} ns  {rate:>8.2} {unit}{of_peak}",
+            dispatch.name(),
         );
         let mut row = json::JsonRow::new();
         row.str_field("kind", "kernel")
@@ -114,9 +195,33 @@ impl Emitter {
             .bool_field("fast", fast_mode())
             .f64_field("ns_per_iter", ns)
             .f64_field(if unit == "GFLOP/s" { "gflops" } else { "gbps" }, rate);
+        if let Some(peak) = peak {
+            row.f64_field("peak_frac", rate / peak);
+        }
         if let Err(e) = json::append_row(&self.json, &row) {
             eprintln!("[kernel_bench] cannot write {}: {e}", self.json.display());
         }
+    }
+
+    /// Times one GEMM product (`flops` per call) on every tier and emits
+    /// its rows. The multiply-add peak is measured right before each
+    /// timing: this host's clock sits on plateaus 1.2-1.5x apart that last
+    /// seconds, so a peak taken once at start-up would misstate
+    /// `peak_frac` for most rows.
+    fn gemm_rows(
+        &self,
+        kernel: &str,
+        shape: &str,
+        dim: usize,
+        flops: f64,
+        run: &mut dyn FnMut(KernelDispatch),
+    ) -> Vec<(KernelDispatch, f64)> {
+        tier_ns(&mut |d| {
+            let peak = madd_peak_gflops(d);
+            let ns = time_ns(self.iters, || run(d));
+            self.row(kernel, d, shape, dim, ns, flops / ns, "GFLOP/s", peak);
+            ns
+        })
     }
 }
 
@@ -128,15 +233,15 @@ fn tier_ns(f: &mut dyn FnMut(KernelDispatch) -> f64) -> Vec<(KernelDispatch, f64
         .collect()
 }
 
-fn lookup_ns(rows: &[(KernelDispatch, f64)], want: KernelDispatch) -> Option<f64> {
-    rows.iter().find(|(d, _)| *d == want).map(|&(_, ns)| ns)
+fn lookup(rows: &[(KernelDispatch, f64)], want: KernelDispatch) -> Option<f64> {
+    rows.iter().find(|(d, _)| *d == want).map(|&(_, v)| v)
 }
 
 /// Prints the CI grep anchor and returns the AVX2-vs-scalar speedup (None
 /// when the host has no AVX2 tier).
 fn ratio_line(name: &str, rows: &[(KernelDispatch, f64)]) -> Option<f64> {
-    let scalar = lookup_ns(rows, KernelDispatch::Scalar)?;
-    let simd = lookup_ns(rows, KernelDispatch::Avx2)?;
+    let scalar = lookup(rows, KernelDispatch::Scalar)?;
+    let simd = lookup(rows, KernelDispatch::Avx2)?;
     let ratio = scalar / simd.max(1.0);
     println!("KERNEL {name} simd/scalar ratio {ratio:.2}");
     Some(ratio)
@@ -157,20 +262,31 @@ fn main() {
         tcast_pool::default_parallelism(),
         args.json.display()
     );
+    for &d in &tiers {
+        if let Some(p) = madd_peak_gflops(d) {
+            println!("multiply-add peak {:<6} {p:>8.2} GFLOP/s", d.name());
+        }
+    }
     let emit = Emitter {
         json: args.json.clone(),
+        iters: args.iters,
     };
     let fast = fast_mode();
 
     // --- GEMM family: the MLP layer shapes of the step bench (batch x ---
-    // dense stack) plus a ragged shape exercising every vector tail.
+    // dense stack), a ragged shape exercising every tile tail, and the
+    // repo benchmark's layers as (batch, in, out): RM3's 2560x512 layer at
+    // its training batch, RM1's 256x128 layer at a training and at a
+    // serving batch.
     let batch = if fast { 256 } else { 2048 };
-    let gemm_shapes: Vec<(usize, usize, usize)> = vec![
+    let layer_shapes = [(64, 2560, 512), (512, 256, 128), (16, 256, 128)];
+    let mut gemm_shapes: Vec<(usize, usize, usize)> = vec![
         (batch, 13, 64), // bottom MLP entry layer
         (batch, 64, 64), // bottom MLP hidden layer
         (batch, 64, 32), // top MLP hidden layer
         (251, 67, 121),  // ragged: nothing divides 8
     ];
+    gemm_shapes.extend(layer_shapes);
     println!("\nGEMM (c = a*b), {} iters:", args.iters);
     let mut gemm_ratio = None;
     for &(m, k, n) in &gemm_shapes {
@@ -178,16 +294,10 @@ fn main() {
         let b = random_matrix(k, n, 2);
         let mut c = Matrix::zeros(m, n);
         let shape = format!("{m}x{k}x{n}");
-        let rows = tier_ns(&mut |d| {
-            time_ns(args.iters, || {
-                c.zero_into(m, n);
-                a.matmul_into_with(&b, &mut c, d).unwrap();
-            })
+        let flops = 2.0 * (m * k * n) as f64;
+        let rows = emit.gemm_rows("gemm", &shape, n, flops, &mut |d| {
+            a.matmul_into_with(&b, &mut c, d).unwrap();
         });
-        for &(d, ns) in &rows {
-            let gflops = 2.0 * (m * k * n) as f64 / ns;
-            emit.row("gemm", d, &shape, n, ns, gflops, "GFLOP/s");
-        }
         // Gate on the biggest regular layer, not the ragged tail shape.
         if (m, k, n) == (batch, 64, 64) {
             gemm_ratio = ratio_line("gemm", &rows);
@@ -195,8 +305,10 @@ fn main() {
     }
 
     // gemm_at (a^T * b, the weight-gradient shape) and gemm_bt (a * b^T,
-    // the input-gradient shape) on the hidden layer plus a ragged shape.
-    let at_shapes: Vec<(usize, usize, usize)> = vec![(batch, 64, 64), (251, 67, 121)];
+    // the input-gradient shape) on the hidden layer, a ragged shape and
+    // the benchmark layers (both loops read a tuple as batch, in, out).
+    let mut at_shapes: Vec<(usize, usize, usize)> = vec![(batch, 64, 64), (251, 67, 121)];
+    at_shapes.extend(layer_shapes);
     println!("\nGEMM variants (a^T*b and a*b^T), {} iters:", args.iters);
     for &(r, m, n) in &at_shapes {
         // a: r x m, b: r x n -> a^T b: m x n.
@@ -204,16 +316,10 @@ fn main() {
         let b = random_matrix(r, n, 4);
         let mut c = Matrix::zeros(m, n);
         let shape = format!("{r}x{m}^T*{r}x{n}");
-        let rows = tier_ns(&mut |d| {
-            time_ns(args.iters, || {
-                c.zero_into(m, n);
-                a.matmul_at_into_with(&b, &mut c, d).unwrap();
-            })
+        let flops = 2.0 * (r * m * n) as f64;
+        emit.gemm_rows("gemm_at", &shape, n, flops, &mut |d| {
+            a.matmul_at_into_with(&b, &mut c, d).unwrap();
         });
-        for &(d, ns) in &rows {
-            let gflops = 2.0 * (r * m * n) as f64 / ns;
-            emit.row("gemm_at", d, &shape, n, ns, gflops, "GFLOP/s");
-        }
     }
     for &(m, n, k) in &at_shapes {
         // a: m x k, b: n x k -> a b^T: m x n.
@@ -221,16 +327,10 @@ fn main() {
         let b = random_matrix(n, k, 6);
         let mut c = Matrix::zeros(m, n);
         let shape = format!("{m}x{k}*{n}x{k}^T");
-        let rows = tier_ns(&mut |d| {
-            time_ns(args.iters, || {
-                c.zero_into(m, n);
-                a.matmul_bt_into_with(&b, &mut c, d).unwrap();
-            })
+        let flops = 2.0 * (m * k * n) as f64;
+        emit.gemm_rows("gemm_bt", &shape, n, flops, &mut |d| {
+            a.matmul_bt_into_with(&b, &mut c, d).unwrap();
         });
-        for &(d, ns) in &rows {
-            let gflops = 2.0 * (m * k * n) as f64 / ns;
-            emit.row("gemm_bt", d, &shape, n, ns, gflops, "GFLOP/s");
-        }
     }
 
     // --- Gather/scatter family: the embedding data plane. These go ------
@@ -271,7 +371,16 @@ fn main() {
             ns
         });
         for &(d, ns) in &rows {
-            emit.row("gather_reduce", d, &shape, dim, ns, bytes / ns, "GB/s");
+            emit.row(
+                "gather_reduce",
+                d,
+                &shape,
+                dim,
+                ns,
+                bytes / ns,
+                "GB/s",
+                None,
+            );
         }
         if dim == 64 {
             gather_ratio = ratio_line("gather_reduce", &rows);
@@ -300,6 +409,7 @@ fn main() {
                 ns,
                 bytes / ns,
                 "GB/s",
+                None,
             );
         }
     }
@@ -329,7 +439,16 @@ fn main() {
             ns
         });
         for &(d, ns) in &rows {
-            emit.row("scatter_adagrad", d, &shape, dim, ns, bytes / ns, "GB/s");
+            emit.row(
+                "scatter_adagrad",
+                d,
+                &shape,
+                dim,
+                ns,
+                bytes / ns,
+                "GB/s",
+                None,
+            );
         }
         if dim == 64 {
             scatter_ratio = ratio_line("scatter_adagrad", &rows);

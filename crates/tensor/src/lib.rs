@@ -5,7 +5,7 @@
 //! *dense* multi-layer perceptrons (bottom MLP over continuous features, top
 //! MLP over the feature-interaction output; see Fig. 1 of the paper). The
 //! paper runs the dense side on a GPU through cuDNN/cuBLAS; this crate is the
-//! from-scratch Rust substitute: a row-major [`Matrix`] with a blocked GEMM,
+//! from-scratch Rust substitute: a row-major [`Matrix`] with a register-tiled GEMM,
 //! differentiable [`Linear`]/[`Mlp`] layers, binary-cross-entropy loss and
 //! the DLRM feature-interaction operator.
 //!
@@ -47,7 +47,7 @@ pub use loss::{
 };
 pub use matrix::Matrix;
 pub use mlp::{Activation, Mlp, MlpInferenceScratch};
-pub use ops::{relu, relu_backward, relu_backward_in_place, relu_into, sigmoid, sigmoid_backward};
+pub use ops::{relu, relu_backward, relu_backward_in_place, sigmoid, sigmoid_backward};
 pub use parallel::{matmul_parallel, matmul_parallel_in};
 pub use simd::KernelDispatch;
 pub use tcast_pool::{Exec, Pool};

@@ -3,6 +3,7 @@
 use crate::error::ShapeError;
 use crate::init::xavier_uniform;
 use crate::matrix::Matrix;
+use crate::ops::bias_relu_epilogue;
 use tcast_pool::Exec;
 
 /// Minimum output elements per task before a pooled GEMM pays off; below
@@ -124,14 +125,16 @@ impl Linear {
     /// Returns a [`ShapeError`] if `x.cols() != in_dim`.
     pub fn forward(&mut self, x: &Matrix) -> Result<Matrix, ShapeError> {
         let mut y = Matrix::default();
-        self.forward_into(x, &mut y, Exec::Serial)?;
+        self.forward_into(x, &mut y, None, Exec::Serial)?;
         Ok(y)
     }
 
     /// [`Linear::forward`] writing into `out` (reusing its allocation) and
     /// caching `x` into a reused buffer — the zero-allocation steady-state
-    /// form. With [`Exec::Pooled`], the GEMM is row-partitioned across the
-    /// pool; results are bit-identical either way.
+    /// form. With `relu_out`, the same pass that adds the bias also writes
+    /// `relu(out)` there (the hidden-layer epilogue). With
+    /// [`Exec::Pooled`], the GEMM is row-partitioned across the pool;
+    /// results are bit-identical either way.
     ///
     /// # Errors
     ///
@@ -140,10 +143,10 @@ impl Linear {
         &mut self,
         x: &Matrix,
         out: &mut Matrix,
+        relu_out: Option<&mut Matrix>,
         exec: Exec<'_>,
     ) -> Result<(), ShapeError> {
-        matmul_exec(x, &self.weight, out, exec)?;
-        out.add_row_vector(&self.bias)?;
+        self.forward_inference_into(x, out, relu_out, exec)?;
         match &mut self.cached_input {
             Some(buf) => buf.copy_from(x),
             none => *none = Some(x.clone()),
@@ -157,14 +160,15 @@ impl Linear {
     ///
     /// Returns a [`ShapeError`] if `x.cols() != in_dim`.
     pub fn forward_inference(&self, x: &Matrix) -> Result<Matrix, ShapeError> {
-        let mut y = x.matmul(&self.weight)?;
-        y.add_row_vector(&self.bias)?;
+        let mut y = Matrix::default();
+        self.forward_inference_into(x, &mut y, None, Exec::Serial)?;
         Ok(y)
     }
 
     /// [`Linear::forward_inference`] writing into `out` (reusing its
-    /// allocation), with the GEMM pooled when `exec` provides a pool —
-    /// the zero-allocation serving form. Unlike [`Linear::forward_into`]
+    /// allocation) and, with `relu_out`, `relu(out)` there in the same
+    /// pass, with the GEMM pooled when `exec` provides a pool — the
+    /// zero-allocation serving form. Unlike [`Linear::forward_into`]
     /// it takes `&self` and caches nothing, so a frozen model can be
     /// scored from scratch buffers the *caller* owns (the serve engine
     /// shares one model between scoring and checkpointing this way).
@@ -177,10 +181,12 @@ impl Linear {
         &self,
         x: &Matrix,
         out: &mut Matrix,
+        relu_out: Option<&mut Matrix>,
         exec: Exec<'_>,
     ) -> Result<(), ShapeError> {
         matmul_exec(x, &self.weight, out, exec)?;
-        out.add_row_vector(&self.bias)
+        bias_relu_epilogue(out, &self.bias, relu_out);
+        Ok(())
     }
 
     /// Backward pass. Given `dy = dL/dy`, computes and caches
@@ -291,7 +297,6 @@ fn matmul_exec(a: &Matrix, b: &Matrix, out: &mut Matrix, exec: Exec<'_>) -> Resu
             if a.cols() != b.rows() {
                 return Err(ShapeError::new("matmul", a.shape(), b.shape()));
             }
-            out.zero_into(a.rows(), b.cols());
             crate::parallel::matmul_pooled_unchecked(pool, a, b, out, exec.threads());
             Ok(())
         }
@@ -300,7 +305,7 @@ fn matmul_exec(a: &Matrix, b: &Matrix, out: &mut Matrix, exec: Exec<'_>) -> Resu
 }
 
 /// `a * b^T` into `out`, row-partitioned on the pool when worthwhile.
-/// Bit-identical to [`Matrix::matmul_bt_into`] (same per-row dot kernel).
+/// Bit-identical to [`Matrix::matmul_bt_into`] (same kernel per row band).
 fn matmul_bt_exec(
     a: &Matrix,
     b: &Matrix,
@@ -312,28 +317,7 @@ fn matmul_bt_exec(
             if a.cols() != b.cols() {
                 return Err(ShapeError::new("matmul_bt", a.shape(), b.shape()));
             }
-            let (m, k, n) = (a.rows(), a.cols(), b.rows());
-            out.zero_into(m, n);
-            let threads = exec.threads().min(m.max(1));
-            let per = m.div_ceil(threads);
-            let a_data = a.as_slice();
-            let b_data = b.as_slice();
-            let buf = out.as_mut_slice();
-            pool.scope(|scope| {
-                let mut rest = buf;
-                for t in 0..threads {
-                    let lo = t * per;
-                    let hi = ((t + 1) * per).min(m);
-                    if lo >= hi {
-                        break;
-                    }
-                    let (band, tail) = rest.split_at_mut((hi - lo) * n);
-                    rest = tail;
-                    let a_band = &a_data[lo * k..hi * k];
-                    scope
-                        .spawn(move || crate::parallel::bt_band_kernel(a_band, b_data, band, k, n));
-                }
-            });
+            crate::parallel::matmul_bt_pooled_unchecked(pool, a, b, out, exec.threads());
             Ok(())
         }
         _ => a.matmul_bt_into(b, out),

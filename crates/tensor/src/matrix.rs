@@ -1,5 +1,5 @@
 //! Row-major `f32` matrix with the handful of operations DLRM training
-//! needs: blocked GEMM (plain, A-transposed, B-transposed), elementwise
+//! needs: register-tiled GEMM (plain, A-transposed, B-transposed), elementwise
 //! arithmetic, row access and reductions.
 
 use crate::error::ShapeError;
@@ -50,6 +50,16 @@ impl Matrix {
     /// the start of each kernel instead of freshly allocated.
     pub fn zero_into(&mut self, rows: usize, cols: usize) {
         self.data.clear();
+        self.data.resize(rows * cols, 0.0);
+        self.rows = rows;
+        self.cols = cols;
+    }
+
+    /// Reshapes this matrix to `rows x cols` **without** clearing it: the
+    /// contents are unspecified (stale values or zeros) and the caller
+    /// overwrites every element. Saves [`Matrix::zero_into`]'s sweep for
+    /// kernels that store rather than accumulate.
+    pub(crate) fn reshape_for_overwrite(&mut self, rows: usize, cols: usize) {
         self.data.resize(rows * cols, 0.0);
         self.rows = rows;
         self.cols = cols;
@@ -192,7 +202,7 @@ impl Matrix {
         out
     }
 
-    /// Matrix product `self * rhs` using a cache-blocked kernel.
+    /// Matrix product `self * rhs` (the register-tiled [`simd::gemm_nn`]).
     ///
     /// # Errors
     ///
@@ -230,8 +240,8 @@ impl Matrix {
             return Err(ShapeError::new("matmul", self.shape(), rhs.shape()));
         }
         let (m, k, n) = (self.rows, self.cols, rhs.cols);
-        out.zero_into(m, n);
-        simd::gemm(kernel, &self.data, &rhs.data, &mut out.data, m, k, n);
+        out.reshape_for_overwrite(m, n);
+        simd::gemm_nn(kernel, &self.data, &rhs.data, &mut out.data, m, k, n);
         Ok(())
     }
 
@@ -273,10 +283,9 @@ impl Matrix {
             return Err(ShapeError::new("matmul_at", self.shape(), rhs.shape()));
         }
         let (m, k, n) = (self.cols, self.rows, rhs.cols);
-        out.zero_into(m, n);
-        // out[i][j] = sum_r self[r][i] * rhs[r][j]; `r` outermost so both
-        // operands stream sequentially.
-        simd::gemm_at(kernel, &self.data, &rhs.data, &mut out.data, k, m, n);
+        out.reshape_for_overwrite(m, n);
+        // out[i][j] = sum_r self[r][i] * rhs[r][j], `r` ascending.
+        simd::gemm_tn(kernel, &self.data, &rhs.data, &mut out.data, k, m, n);
         Ok(())
     }
 
@@ -317,9 +326,9 @@ impl Matrix {
         if self.cols != rhs.cols {
             return Err(ShapeError::new("matmul_bt", self.shape(), rhs.shape()));
         }
-        let (k, n) = (self.cols, rhs.rows);
-        out.zero_into(self.rows, n);
-        simd::dot_band(kernel, &self.data, &rhs.data, &mut out.data, k, n);
+        let (m, k, n) = (self.rows, self.cols, rhs.rows);
+        out.reshape_for_overwrite(m, n);
+        simd::gemm_nt(kernel, &self.data, &rhs.data, &mut out.data, m, k, n);
         Ok(())
     }
 

@@ -3,7 +3,7 @@
 use crate::error::ShapeError;
 use crate::linear::Linear;
 use crate::matrix::Matrix;
-use crate::ops::{relu, relu_backward, relu_backward_in_place, relu_into};
+use crate::ops::{relu, relu_backward, relu_backward_in_place};
 use tcast_pool::Exec;
 
 /// Hidden-layer activation for [`Mlp`].
@@ -182,10 +182,12 @@ impl Mlp {
             let (before, at) = step_hidden.split_at_mut(i);
             let input = if i == 0 { x } else { &before[i - 1] };
             let z = &mut cached_pre_activations[i];
-            layers[i].forward_into(input, z, exec)?;
             match activation {
-                Activation::Relu => relu_into(z, &mut at[0]),
-                Activation::Identity => at[0].copy_from(z),
+                Activation::Relu => layers[i].forward_into(input, z, Some(&mut at[0]), exec)?,
+                Activation::Identity => {
+                    layers[i].forward_into(input, z, None, exec)?;
+                    at[0].copy_from(z);
+                }
             }
         }
         let input = if hidden == 0 {
@@ -193,7 +195,7 @@ impl Mlp {
         } else {
             &step_hidden[hidden - 1]
         };
-        layers[hidden].forward_into(input, out, exec)
+        layers[hidden].forward_into(input, out, None, exec)
     }
 
     /// Inference-only forward pass writing into `out` through
@@ -223,10 +225,14 @@ impl Mlp {
             // this layer's (mutable) buffer never alias.
             let (before, at) = scratch.act.split_at_mut(i);
             let input = if i == 0 { x } else { &before[i - 1] };
-            self.layers[i].forward_inference_into(input, &mut scratch.pre, exec)?;
+            let layer = &self.layers[i];
             match self.activation {
-                Activation::Relu => relu_into(&scratch.pre, &mut at[0]),
-                Activation::Identity => at[0].copy_from(&scratch.pre),
+                Activation::Relu => {
+                    layer.forward_inference_into(input, &mut scratch.pre, Some(&mut at[0]), exec)?
+                }
+                Activation::Identity => {
+                    layer.forward_inference_into(input, &mut at[0], None, exec)?
+                }
             }
         }
         let input = if hidden == 0 {
@@ -234,7 +240,7 @@ impl Mlp {
         } else {
             &scratch.act[hidden - 1]
         };
-        self.layers[hidden].forward_inference_into(input, out, exec)
+        self.layers[hidden].forward_inference_into(input, out, None, exec)
     }
 
     /// Inference-only forward pass (no caching, `&self`).

@@ -15,13 +15,26 @@ pub fn relu(x: &Matrix) -> Matrix {
     x.map(|v| if v > 0.0 { v } else { 0.0 })
 }
 
-/// [`relu`] writing into `out` (reshaped in place, reusing its
-/// allocation). Bit-identical to [`relu`], including on NaN and `-0.0`
-/// inputs (both map to `+0.0`).
-pub fn relu_into(x: &Matrix, out: &mut Matrix) {
-    out.copy_from(x);
-    for v in out.as_mut_slice() {
-        *v = if *v > 0.0 { *v } else { 0.0 };
+/// The forward epilogue of a dense layer in one pass over its output:
+/// `z += bias` on every row and, when `relu_out` is given, `relu_out =
+/// relu(z)` (reshaped in place, reusing its allocation). Bit-identical to
+/// [`Matrix::add_row_vector`] followed by [`relu`], including on NaN and
+/// `-0.0` pre-activations (both map to `+0.0`).
+pub(crate) fn bias_relu_epilogue(z: &mut Matrix, bias: &[f32], relu_out: Option<&mut Matrix>) {
+    let cols = z.cols();
+    assert_eq!(bias.len(), cols, "bias length matches the layer width");
+    let Some(h) = relu_out else {
+        z.add_row_vector(bias).expect("length asserted above");
+        return;
+    };
+    h.reshape_for_overwrite(z.rows(), cols);
+    let z_rows = z.as_mut_slice().chunks_exact_mut(cols.max(1));
+    let h_rows = h.as_mut_slice().chunks_exact_mut(cols.max(1));
+    for (z_row, h_row) in z_rows.zip(h_rows) {
+        for ((v, a), &b) in z_row.iter_mut().zip(h_row).zip(bias) {
+            *v += b;
+            *a = if *v > 0.0 { *v } else { 0.0 };
+        }
     }
 }
 
@@ -116,16 +129,39 @@ mod tests {
     #[test]
     fn in_place_forms_match_allocating_forms_on_nan_and_negative_zero() {
         let x = Matrix::from_rows(&[&[f32::NAN, -0.0, 0.0, -1.0, 2.0]]).unwrap();
-        let mut out = Matrix::default();
-        relu_into(&x, &mut out);
-        assert_eq!(relu(&x).as_slice(), out.as_slice());
-        assert!(out.as_slice().iter().all(|v| v.is_finite()));
 
         let dy = Matrix::filled(1, 5, 3.0);
         let expect = relu_backward(&dy, &x).unwrap();
         let mut grad = dy.clone();
         relu_backward_in_place(&mut grad, &x).unwrap();
         assert_eq!(expect.as_slice(), grad.as_slice());
+    }
+
+    #[test]
+    fn fused_epilogue_matches_bias_then_relu_on_nan_and_negative_zero() {
+        // Pre-activations that land on NaN, -0.0, +0.0, negative, positive.
+        let acc = Matrix::from_rows(&[
+            &[f32::NAN, -0.5, 0.0, -1.0, 2.0],
+            &[1.0, -0.0, 0.5, f32::NAN, -3.0],
+        ])
+        .unwrap();
+        let bias = [0.0, 0.5, -0.0, 0.25, -1.0];
+        let mut want_z = acc.clone();
+        want_z.add_row_vector(&bias).unwrap();
+        let want_h = relu(&want_z);
+
+        let mut z = acc.clone();
+        let mut h = Matrix::filled(7, 3, f32::NAN); // stale shape and contents
+        bias_relu_epilogue(&mut z, &bias, Some(&mut h));
+        let bits = |m: &Matrix| m.as_slice().iter().map(|v| v.to_bits()).collect::<Vec<_>>();
+        assert_eq!(bits(&want_z), bits(&z));
+        assert_eq!(bits(&want_h), bits(&h));
+        assert_eq!(h.shape(), (2, 5));
+        assert!(h.as_slice().iter().all(|v| v.is_finite()));
+
+        let mut z = acc.clone();
+        bias_relu_epilogue(&mut z, &bias, None);
+        assert_eq!(bits(&want_z), bits(&z));
     }
 
     #[test]

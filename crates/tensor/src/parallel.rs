@@ -4,18 +4,21 @@
 //! multi-core hosts (the paper's CPU baseline is similarly multi-threaded
 //! MKL).
 //!
-//! Prior to `tcast-pool`, every call paid OS-thread spawn/join through
-//! `std::thread::scope`; all entry points now dispatch onto long-lived
-//! workers and perform zero thread spawns per invocation.
+//! There is no pooled kernel: each row band runs the serial register-tiled
+//! kernel of [`crate::simd`] with `m = band rows`, and no output's
+//! operation order depends on `m`, so pooled == serial bit for bit. All
+//! entry points dispatch onto the long-lived `tcast-pool` workers and
+//! perform zero thread spawns per invocation.
 
 use crate::error::ShapeError;
 use crate::matrix::Matrix;
+use crate::simd;
 use tcast_pool::Pool;
 
 /// `lhs * rhs` with the output rows partitioned across `threads` tasks on
 /// the process-wide [`tcast_pool::global`] pool. Exact same result as
-/// [`Matrix::matmul`] (identical per-row inner kernel, disjoint output
-/// bands).
+/// [`Matrix::matmul`] (the same register-tiled kernel on each disjoint
+/// row band).
 ///
 /// # Errors
 ///
@@ -38,14 +41,13 @@ pub fn matmul_parallel_in(
     if lhs.cols() != rhs.rows() {
         return Err(ShapeError::new("matmul_parallel", lhs.shape(), rhs.shape()));
     }
-    let mut out = Matrix::zeros(lhs.rows(), rhs.cols());
+    let mut out = Matrix::default();
     matmul_pooled_unchecked(pool, lhs, rhs, &mut out, threads);
     Ok(out)
 }
 
-/// Pooled matmul writing into a pre-shaped output (shapes already
-/// validated by the caller). `out` must be `lhs.rows() x rhs.cols()` and
-/// zeroed.
+/// Pooled `lhs * rhs` into `out` (reshaped in place, every element
+/// overwritten); the caller has validated `lhs.cols() == rhs.rows()`.
 pub(crate) fn matmul_pooled_unchecked(
     pool: &Pool,
     lhs: &Matrix,
@@ -53,57 +55,68 @@ pub(crate) fn matmul_pooled_unchecked(
     out: &mut Matrix,
     threads: usize,
 ) {
-    let (m, k, n) = (lhs.rows(), lhs.cols(), rhs.cols());
-    let threads = threads.max(1).min(m.max(1));
-    if m == 0 || n == 0 || k == 0 {
-        return;
-    }
-    let lhs_data = lhs.as_slice();
-    let rhs_data = rhs.as_slice();
-    let buf = out.as_mut_slice();
-    let kernel = crate::simd::dispatch();
-    if threads <= 1 {
-        band_kernel(kernel, lhs_data, rhs_data, buf, k, n);
-        return;
-    }
-    let rows_per = m.div_ceil(threads);
-    pool.scope(|scope| {
-        let mut rest = buf;
-        for t in 0..threads {
-            let lo = t * rows_per;
-            let hi = ((t + 1) * rows_per).min(m);
-            if lo >= hi {
-                break;
-            }
-            let (band, tail) = rest.split_at_mut((hi - lo) * n);
-            rest = tail;
-            let lhs_band = &lhs_data[lo * k..hi * k];
-            scope.spawn(move || band_kernel(kernel, lhs_band, rhs_data, band, k, n));
-        }
+    let (k, n) = (lhs.cols(), rhs.cols());
+    let kernel = simd::dispatch();
+    let rhs = rhs.as_slice();
+    for_each_row_band(pool, threads, lhs, out, n, |lhs_band, band, rows| {
+        simd::gemm_nn(kernel, lhs_band, rhs, band, rows, k, n);
     });
 }
 
-/// The shared `a * b^T` per-band kernel: one [`crate::simd::dot`] per
-/// output element. Both [`Matrix::matmul_bt_into`] (full band) and the
-/// pooled row-partitioned path run exactly this loop, so serial and
-/// pooled results are bit-identical by construction — on every kernel
-/// tier, since the tier is resolved once and shared by all bands.
-pub(crate) fn bt_band_kernel(a_band: &[f32], b_data: &[f32], band: &mut [f32], k: usize, n: usize) {
-    crate::simd::dot_band(crate::simd::dispatch(), a_band, b_data, band, k, n);
+/// Pooled `lhs * rhs^T` into `out` (reshaped in place, every element
+/// overwritten); the caller has validated `lhs.cols() == rhs.cols()`.
+pub(crate) fn matmul_bt_pooled_unchecked(
+    pool: &Pool,
+    lhs: &Matrix,
+    rhs: &Matrix,
+    out: &mut Matrix,
+    threads: usize,
+) {
+    let (k, n) = (lhs.cols(), rhs.rows());
+    let kernel = simd::dispatch();
+    let rhs = rhs.as_slice();
+    for_each_row_band(pool, threads, lhs, out, n, |lhs_band, band, rows| {
+        simd::gemm_nt(kernel, lhs_band, rhs, band, rows, k, n);
+    });
 }
 
-/// The shared per-band kernel: stream rhs rows, accumulate into the band.
-/// Accumulation over `k` is in ascending order for every output element,
-/// matching the serial blocked GEMM bit-for-bit on every kernel tier.
-fn band_kernel(
-    kernel: crate::simd::KernelDispatch,
-    lhs_band: &[f32],
-    rhs_data: &[f32],
-    band: &mut [f32],
-    k: usize,
+/// Shapes `out` to `lhs.rows() x n`, splits the rows of both into at most
+/// `threads` matching contiguous bands and runs `kernel(lhs_band,
+/// out_band, band_rows)` on each: inline for a single band, on the pool
+/// otherwise. The serial
+/// matmuls run the very same kernels with `m = all rows`, and no kernel's
+/// per-element operation order depends on `m`, so serial and pooled
+/// results are bit-identical by construction — on every kernel tier,
+/// since the tier is resolved once and shared by all bands.
+fn for_each_row_band(
+    pool: &Pool,
+    threads: usize,
+    lhs: &Matrix,
+    out: &mut Matrix,
     n: usize,
+    kernel: impl Fn(&[f32], &mut [f32], usize) + Sync,
 ) {
-    crate::simd::gemm_band(kernel, lhs_band, rhs_data, band, k, n);
+    let (m, k) = (lhs.rows(), lhs.cols());
+    out.reshape_for_overwrite(m, n);
+    let threads = threads.max(1).min(m.max(1));
+    let rows_per = m.div_ceil(threads);
+    let lhs = lhs.as_slice();
+    let out = out.as_mut_slice();
+    if threads == 1 {
+        kernel(lhs, out, m);
+        return;
+    }
+    let kernel = &kernel;
+    pool.scope(|scope| {
+        let mut rest = out;
+        for lo in (0..m).step_by(rows_per) {
+            let rows = rows_per.min(m - lo);
+            let (band, tail) = rest.split_at_mut(rows * n);
+            rest = tail;
+            let lhs_band = &lhs[lo * k..(lo + rows) * k];
+            scope.spawn(move || kernel(lhs_band, band, rows));
+        }
+    });
 }
 
 #[cfg(test)]

@@ -33,16 +33,60 @@
 //! acc_{l+4}`); the scalar kernel performs the identical fold, which is
 //! what makes `matmul_bt` bit-identical across tiers despite being a
 //! reduction.
+//!
+//! # The GEMM family
+//!
+//! The three products an MLP layer needs — `NN` ([`gemm_nn`], forward
+//! `C = A B`), `TN` ([`gemm_tn`], weight gradient `C = A^T B`) and `NT`
+//! ([`gemm_nt`], input gradient `C = A B^T`) — are plain loops on the
+//! scalar tier (the oracle) and register-tiled on the SIMD tiers, whose
+//! kernels are one macro body instantiated twice, differing only in the
+//! multiply-add op. Tiling changes *where* an output lives while it is
+//! being summed, never *what* is summed in which order:
+//!
+//! * `NN` and `TN` share one kernel (`A` is addressed through a row and a
+//!   `k` stride). A tile keeps 4 rows x 16 columns of `C` in registers
+//!   and, for `kk` ascending, adds `a[i][kk] * b[kk][j]` to each — the
+//!   oracle's `c[i][j] += a[i][kk] * b[kk][j]` sequence starting from
+//!   `+0.0`, vectorized across `j` only. `avx2` multiplies then adds (two
+//!   roundings, like the oracle); `fma` contracts.
+//! * The reduction is blocked by `GEMM_KC` steps: between blocks the
+//!   accumulators are stored to `C` and loaded back, which changes when an
+//!   element is revisited, not the order of its additions (an `f32` store
+//!   and load is exact).
+//! * Each 16-column panel of `B` is first copied into a contiguous,
+//!   zero-padded stack buffer, so a tile streams it from L1 whatever the
+//!   row stride, and the last `n % 16` columns run the same full-width
+//!   tile (on a staging copy of `C` whose dead lanes are dropped). Row
+//!   tails (`m % 4`) run the same tile body with fewer rows. Copies move
+//!   bits; neither touches the arithmetic.
+//! * `NT` keeps each output's own 8-lane partial sums, the fold above and
+//!   the scalar `k % 8` tail — one [`dot`], exactly — and merely holds a
+//!   2 x 4 block of outputs in flight; the `m % 2` / `n % 4` tails call
+//!   [`dot`] itself.
+//!
+//! No output's operation sequence depends on `m`, so the pooled matmuls
+//! simply run the same kernel on each row band: serial == pooled holds by
+//! construction on every tier. The tile and block sizes are compile-time
+//! constants picked on the repo benchmark's shapes (`BENCH_kernel.json`
+//! carries the per-shape rates against this host's multiply-add peak);
+//! nothing about them is tunable at run time.
 
 use std::sync::atomic::{AtomicU8, Ordering};
 use std::sync::OnceLock;
 
-/// Block edge (in elements) for the cache-blocked GEMM kernels.
-///
-/// 64x64 f32 tiles are 16 KiB per operand tile, comfortably inside L1/L2
-/// on any machine this runs on. All tiers share the same blocking so the
-/// per-element accumulation order is tier-independent.
-pub const GEMM_BLOCK: usize = 64;
+/// Register tile of the `C = A B` kernels (`NN` and `TN`): `GEMM_MR` rows
+/// by `GEMM_NR` columns (two 8-lane vectors), i.e. eight accumulators, two
+/// `B` vectors and one broadcast of `A` in the sixteen `ymm` registers.
+const GEMM_MR: usize = 4;
+const GEMM_NR: usize = 16;
+/// Reduction steps a tile takes between loading and storing its `C`
+/// accumulators.
+const GEMM_KC: usize = 256;
+/// Outputs of `C = A B^T` kept in flight: `NT_MR` rows of `A` against
+/// `NT_NR` rows of `B`, eight independent 8-lane dot accumulators.
+const NT_MR: usize = 2;
+const NT_NR: usize = 4;
 
 /// Environment variable selecting the kernel tier (`scalar` | `avx2` |
 /// `fma` | `auto`).
@@ -271,97 +315,44 @@ fn dot_scalar(a: &[f32], b: &[f32]) -> f32 {
     sum
 }
 
-/// The blocked-GEMM driver, shared verbatim by all tiers (only the inner
-/// row-axpy differs): identical blocking means identical per-element
-/// accumulation order, which is the bit-identity argument.
+/// The plain-loop `C = A B` oracle. `A[i][kk]` lives at
+/// `a[i * a_rs + kk * a_ks]`, so one body serves both the row-major
+/// (`NN`) and the transposed (`TN`) left operand.
 ///
 /// Note there is deliberately *no* `aik == 0.0` skip: skipping defeats
 /// vectorization, and because every accumulator starts at `+0.0` and
 /// round-to-nearest never produces `-0.0` from a sum of non-`-0.0`
 /// addends, adding the `aik * b` products of a zero `aik` is bit-identical
 /// to skipping them for all finite inputs (and for NaN/Inf inputs the
-/// no-skip form is the IEEE-propagating one every tier now shares).
-macro_rules! gemm_driver {
-    ($a:ident, $b:ident, $c:ident, $m:ident, $k:ident, $n:ident, $axpy:ident) => {
-        for i0 in (0..$m).step_by(GEMM_BLOCK) {
-            let i1 = (i0 + GEMM_BLOCK).min($m);
-            for k0 in (0..$k).step_by(GEMM_BLOCK) {
-                let k1 = (k0 + GEMM_BLOCK).min($k);
-                for j0 in (0..$n).step_by(GEMM_BLOCK) {
-                    let j1 = (j0 + GEMM_BLOCK).min($n);
-                    for i in i0..i1 {
-                        let c_row = &mut $c[i * $n..(i + 1) * $n];
-                        for kk in k0..k1 {
-                            let aik = $a[i * $k + kk];
-                            let b_row = &$b[kk * $n..(kk + 1) * $n];
-                            $axpy(&mut c_row[j0..j1], &b_row[j0..j1], aik);
-                        }
-                    }
-                }
-            }
+/// no-skip form is the IEEE-propagating one every tier shares).
+#[allow(clippy::too_many_arguments)]
+fn gemm_scalar(
+    a: &[f32],
+    a_rs: usize,
+    a_ks: usize,
+    b: &[f32],
+    c: &mut [f32],
+    m: usize,
+    k: usize,
+    n: usize,
+) {
+    for i in 0..m {
+        let c_row = &mut c[i * n..(i + 1) * n];
+        c_row.fill(0.0);
+        for kk in 0..k {
+            axpy_scalar(c_row, &b[kk * n..(kk + 1) * n], a[i * a_rs + kk * a_ks]);
         }
-    };
+    }
 }
 
-/// The `A^T * B` driver: `r` outermost so both operands stream
-/// sequentially; one row-axpy per `(r, i)`.
-macro_rules! gemm_at_driver {
-    ($a:ident, $b:ident, $c:ident, $k:ident, $m:ident, $n:ident, $axpy:ident) => {
-        for r in 0..$k {
-            let a_row = &$a[r * $m..(r + 1) * $m];
-            let b_row = &$b[r * $n..(r + 1) * $n];
-            for (i, &av) in a_row.iter().enumerate() {
-                $axpy(&mut $c[i * $n..(i + 1) * $n], b_row, av);
-            }
+/// The plain-loop `C = A B^T` oracle: one [`dot_scalar`] per output.
+fn gemm_nt_scalar(a: &[f32], b: &[f32], c: &mut [f32], m: usize, k: usize, n: usize) {
+    for i in 0..m {
+        let a_row = &a[i * k..(i + 1) * k];
+        for j in 0..n {
+            c[i * n + j] = dot_scalar(a_row, &b[j * k..(j + 1) * k]);
         }
-    };
-}
-
-/// The unblocked band driver used by the pooled row-partitioned matmul:
-/// per output element the `k` order is ascending, exactly like
-/// [`gemm_driver`], so serial-blocked and pooled-banded stay
-/// bit-identical.
-macro_rules! gemm_band_driver {
-    ($lhs:ident, $rhs:ident, $band:ident, $k:ident, $n:ident, $axpy:ident) => {
-        let rows = $lhs.len() / $k.max(1);
-        for i in 0..rows {
-            let a_row = &$lhs[i * $k..(i + 1) * $k];
-            let c_row = &mut $band[i * $n..(i + 1) * $n];
-            for (kk, &av) in a_row.iter().enumerate() {
-                $axpy(c_row, &$rhs[kk * $n..(kk + 1) * $n], av);
-            }
-        }
-    };
-}
-
-/// The `A * B^T` band driver: one dot per output element.
-macro_rules! dot_band_driver {
-    ($a_band:ident, $b_data:ident, $band:ident, $k:ident, $n:ident, $dot:ident) => {
-        let rows = $a_band.len() / $k.max(1);
-        for i in 0..rows {
-            let a_row = &$a_band[i * $k..(i + 1) * $k];
-            let o = &mut $band[i * $n..(i + 1) * $n];
-            for (j, oj) in o.iter_mut().enumerate() {
-                *oj = $dot(a_row, &$b_data[j * $k..(j + 1) * $k]);
-            }
-        }
-    };
-}
-
-fn gemm_scalar(a: &[f32], b: &[f32], c: &mut [f32], m: usize, k: usize, n: usize) {
-    gemm_driver!(a, b, c, m, k, n, axpy_scalar);
-}
-
-fn gemm_at_scalar(a: &[f32], b: &[f32], c: &mut [f32], k: usize, m: usize, n: usize) {
-    gemm_at_driver!(a, b, c, k, m, n, axpy_scalar);
-}
-
-fn gemm_band_scalar(lhs: &[f32], rhs: &[f32], band: &mut [f32], k: usize, n: usize) {
-    gemm_band_driver!(lhs, rhs, band, k, n, axpy_scalar);
-}
-
-fn dot_band_scalar(a_band: &[f32], b_data: &[f32], band: &mut [f32], k: usize, n: usize) {
-    dot_band_driver!(a_band, b_data, band, k, n, dot_scalar);
+    }
 }
 
 // ---------------------------------------------------------------------------
@@ -370,7 +361,7 @@ fn dot_band_scalar(a_band: &[f32], b_data: &[f32], band: &mut [f32], k: usize, n
 
 #[cfg(target_arch = "x86_64")]
 mod x86 {
-    use super::GEMM_BLOCK;
+    use super::{GEMM_KC, GEMM_MR, GEMM_NR, NT_MR, NT_NR};
     use std::arch::x86_64::*;
 
     #[target_feature(enable = "avx2")]
@@ -498,45 +489,295 @@ mod x86 {
         sum
     }
 
-    #[target_feature(enable = "avx2")]
-    pub fn gemm(a: &[f32], b: &[f32], c: &mut [f32], m: usize, k: usize, n: usize) {
-        gemm_driver!(a, b, c, m, k, n, axpy);
+    /// `acc + a * b` as two correctly-rounded operations — what the scalar
+    /// oracle's `c += a * b` does — on 8 lanes (`ps`) or one float (`ss`),
+    /// so the `avx2` tier stays bit-identical to it.
+    macro_rules! madd_rounded {
+        (ps $acc:expr, $a:expr, $b:expr) => {
+            _mm256_add_ps($acc, _mm256_mul_ps($a, $b))
+        };
+        (ss $acc:expr, $a:expr, $b:expr) => {
+            $acc + $a * $b
+        };
     }
 
-    #[target_feature(enable = "avx2", enable = "fma")]
-    pub fn gemm_fma(a: &[f32], b: &[f32], c: &mut [f32], m: usize, k: usize, n: usize) {
-        gemm_driver!(a, b, c, m, k, n, axpy_fma);
+    /// `acc + a * b` contracted into one rounding (`fma` tier).
+    macro_rules! madd_fused {
+        (ps $acc:expr, $a:expr, $b:expr) => {
+            _mm256_fmadd_ps($a, $b, $acc)
+        };
+        (ss $acc:expr, $a:expr, $b:expr) => {
+            $a.mul_add($b, $acc)
+        };
     }
 
-    #[target_feature(enable = "avx2")]
-    pub fn gemm_at(a: &[f32], b: &[f32], c: &mut [f32], k: usize, m: usize, n: usize) {
-        gemm_at_driver!(a, b, c, k, m, n, axpy);
+    /// One tier's GEMM kernels. The two instantiations share this body
+    /// verbatim and differ only in the multiply-add op `$madd` and in the
+    /// `$dot` helper (built on the same op) the `NT` tails fall back to.
+    macro_rules! gemm_tier {
+        ($tier:ident, $madd:ident, $dot:ident, $($feat:literal),+) => {
+            pub mod $tier {
+                use super::*;
+
+                /// One `R x GEMM_NR` register tile of `C = A B` over `kc`
+                /// reduction steps against a `B` panel of row stride `ldb`: the
+                /// accumulators start from `+0.0` (`first`) or from `C`,
+                /// take one multiply-add per `kk` in ascending order, and
+                /// are stored back once.
+                ///
+                /// # Safety
+                ///
+                /// For every `r < R` and `kk < kc`, `a + r * a_rs + kk *
+                /// a_ks` must be readable, `b + kk * ldb` readable for
+                /// `GEMM_NR` floats, and `c + r * ldc` readable and writable
+                /// for `GEMM_NR` floats.
+                #[target_feature($(enable = $feat),+)]
+                #[inline]
+                #[allow(clippy::too_many_arguments)]
+                unsafe fn tile<const R: usize>(
+                    a: *const f32,
+                    a_rs: usize,
+                    a_ks: usize,
+                    b: *const f32,
+                    ldb: usize,
+                    c: *mut f32,
+                    ldc: usize,
+                    kc: usize,
+                    first: bool,
+                ) {
+                    let mut acc = [[_mm256_setzero_ps(); 2]; R];
+                    if !first {
+                        for r in 0..R {
+                            // SAFETY: `c + r * ldc` holds GEMM_NR = 16
+                            // floats (caller contract).
+                            unsafe {
+                                acc[r][0] = _mm256_loadu_ps(c.add(r * ldc));
+                                acc[r][1] = _mm256_loadu_ps(c.add(r * ldc + 8));
+                            }
+                        }
+                    }
+                    for kk in 0..kc {
+                        // SAFETY: `b + kk * ldb` holds 16 floats and every
+                        // `a` element addressed is readable (caller
+                        // contract).
+                        unsafe {
+                            let b0 = _mm256_loadu_ps(b.add(kk * ldb));
+                            let b1 = _mm256_loadu_ps(b.add(kk * ldb + 8));
+                            for r in 0..R {
+                                let av = _mm256_broadcast_ss(&*a.add(r * a_rs + kk * a_ks));
+                                acc[r][0] = $madd!(ps acc[r][0], av, b0);
+                                acc[r][1] = $madd!(ps acc[r][1], av, b1);
+                            }
+                        }
+                    }
+                    for r in 0..R {
+                        // SAFETY: as for the loads above.
+                        unsafe {
+                            _mm256_storeu_ps(c.add(r * ldc), acc[r][0]);
+                            _mm256_storeu_ps(c.add(r * ldc + 8), acc[r][1]);
+                        }
+                    }
+                }
+
+                /// `C = A B` with `A[i][kk]` at `a[i * a_rs + kk * a_ks]`
+                /// (the scalar oracle's layout convention); every output
+                /// is overwritten.
+                #[target_feature($(enable = $feat),+)]
+                #[allow(clippy::too_many_arguments)]
+                pub fn gemm(
+                    a: &[f32],
+                    a_rs: usize,
+                    a_ks: usize,
+                    b: &[f32],
+                    c: &mut [f32],
+                    m: usize,
+                    k: usize,
+                    n: usize,
+                ) {
+                    assert!(b.len() >= k * n && c.len() >= m * n);
+                    if m == 0 || n == 0 {
+                        return;
+                    }
+                    if k == 0 {
+                        c[..m * n].fill(0.0);
+                        return;
+                    }
+                    assert!(a.len() > (m - 1) * a_rs + (k - 1) * a_ks);
+                    // One `kc x GEMM_NR` panel of `B`, copied contiguous so
+                    // that every row tile streams it from L1 whatever `n`
+                    // strides `B` by, and zero-padded past column `n` so
+                    // that the last panel is a full-width one too: its
+                    // tiles run on `edge`, a staging copy of their `C`
+                    // rows, whose dead lanes are never copied back. A
+                    // full-width panel that a single row tile reads is
+                    // read in place: copying it could not pay.
+                    let mut panel = [0.0f32; GEMM_KC * GEMM_NR];
+                    let mut edge = [0.0f32; GEMM_MR * GEMM_NR];
+                    for k0 in (0..k).step_by(GEMM_KC) {
+                        let kc = GEMM_KC.min(k - k0);
+                        let first = k0 == 0;
+                        for j0 in (0..n).step_by(GEMM_NR) {
+                            let cols = GEMM_NR.min(n - j0);
+                            let staged = cols < GEMM_NR;
+                            let packed = staged || m > GEMM_MR;
+                            if packed {
+                                let rows = panel.chunks_exact_mut(GEMM_NR);
+                                for (kk, dst) in rows.take(kc).enumerate() {
+                                    let src = &b[(k0 + kk) * n + j0..][..cols];
+                                    if staged {
+                                        dst[..cols].copy_from_slice(src);
+                                        dst[cols..].fill(0.0);
+                                    } else {
+                                        dst.copy_from_slice(src);
+                                    }
+                                }
+                            }
+                            for i0 in (0..m).step_by(GEMM_MR) {
+                                let rows = GEMM_MR.min(m - i0);
+                                if staged && !first {
+                                    for r in 0..rows {
+                                        let c_row = &c[(i0 + r) * n + j0..][..cols];
+                                        edge[r * GEMM_NR..][..cols].copy_from_slice(c_row);
+                                    }
+                                }
+                                // SAFETY: rows `i0..i0 + rows` (<= m) and
+                                // reduction steps `k0..k0 + kc` (<= k) are
+                                // inside `a` by the assert above. The `B`
+                                // panel is `panel` (GEMM_KC >= kc rows of
+                                // GEMM_NR) or rows `k0..k0 + kc`, columns
+                                // `j0..j0 + GEMM_NR` (<= n: not staged) of
+                                // `b`; the output is `edge` (GEMM_MR >= rows
+                                // rows of GEMM_NR) or rows `i0..i0 + rows`
+                                // of the same columns of `c`.
+                                unsafe {
+                                    let at = a.as_ptr().add(i0 * a_rs + k0 * a_ks);
+                                    let (bt, ldb) = if packed {
+                                        (panel.as_ptr(), GEMM_NR)
+                                    } else {
+                                        (b.as_ptr().add(k0 * n + j0), n)
+                                    };
+                                    let (ct, ldc) = if staged {
+                                        (edge.as_mut_ptr(), GEMM_NR)
+                                    } else {
+                                        (c.as_mut_ptr().add(i0 * n + j0), n)
+                                    };
+                                    match rows {
+                                        1 => tile::<1>(at, a_rs, a_ks, bt, ldb, ct, ldc, kc, first),
+                                        2 => tile::<2>(at, a_rs, a_ks, bt, ldb, ct, ldc, kc, first),
+                                        3 => tile::<3>(at, a_rs, a_ks, bt, ldb, ct, ldc, kc, first),
+                                        _ => tile::<GEMM_MR>(
+                                            at, a_rs, a_ks, bt, ldb, ct, ldc, kc, first,
+                                        ),
+                                    }
+                                }
+                                if staged {
+                                    for r in 0..rows {
+                                        let c_row = &mut c[(i0 + r) * n + j0..][..cols];
+                                        c_row.copy_from_slice(&edge[r * GEMM_NR..][..cols]);
+                                    }
+                                }
+                            }
+                        }
+                    }
+                }
+
+                /// `RA x RB` outputs of `C = A B^T` in flight: each keeps
+                /// its own 8-lane partial sums over the `k / 8` full
+                /// chunks, folds them with [`hreduce`] and finishes the
+                /// `k % 8` tail in scalar — the exact sequence of one
+                /// `$dot` call.
+                ///
+                /// # Safety
+                ///
+                /// `a` must be readable for `RA` rows and `b` for `RB`
+                /// rows of `k` floats each; `c + r * ldc` must be writable
+                /// for `RB` floats for every `r < RA`.
+                #[target_feature($(enable = $feat),+)]
+                #[inline]
+                #[allow(clippy::assign_op_pattern)] // `sum = $madd!(..)`: one form for both ops
+                unsafe fn tile_nt<const RA: usize, const RB: usize>(
+                    a: *const f32,
+                    b: *const f32,
+                    k: usize,
+                    c: *mut f32,
+                    ldc: usize,
+                ) {
+                    let mut acc = [[_mm256_setzero_ps(); RB]; RA];
+                    let full = k - k % 8;
+                    let mut kk = 0;
+                    while kk < full {
+                        // SAFETY: `kk + 8 <= k` bounds every 8-lane load
+                        // inside its row (caller contract).
+                        unsafe {
+                            let mut av = [_mm256_setzero_ps(); RA];
+                            for r in 0..RA {
+                                av[r] = _mm256_loadu_ps(a.add(r * k + kk));
+                            }
+                            for j in 0..RB {
+                                let bv = _mm256_loadu_ps(b.add(j * k + kk));
+                                for r in 0..RA {
+                                    acc[r][j] = $madd!(ps acc[r][j], av[r], bv);
+                                }
+                            }
+                        }
+                        kk += 8;
+                    }
+                    for r in 0..RA {
+                        for j in 0..RB {
+                            let mut sum = hreduce(acc[r][j]);
+                            for t in full..k {
+                                // SAFETY: `t < k` is inside both rows.
+                                let (x, y) = unsafe { (*a.add(r * k + t), *b.add(j * k + t)) };
+                                sum = $madd!(ss sum, x, y);
+                            }
+                            // SAFETY: `c + r * ldc + j` is writable (caller
+                            // contract).
+                            unsafe { *c.add(r * ldc + j) = sum };
+                        }
+                    }
+                }
+
+                /// `C = A B^T` for row-major `a` (`m x k`) and `b`
+                /// (`n x k`); every output is overwritten.
+                #[target_feature($(enable = $feat),+)]
+                pub fn gemm_nt(a: &[f32], b: &[f32], c: &mut [f32], m: usize, k: usize, n: usize) {
+                    assert!(a.len() >= m * k && b.len() >= n * k && c.len() >= m * n);
+                    // Without one full 8-lane chunk there is nothing to tile.
+                    let m_tiled = if k < 8 { 0 } else { m - m % NT_MR };
+                    let n_tiled = n - n % NT_NR;
+                    let (ap, bp, cp) = (a.as_ptr(), b.as_ptr(), c.as_mut_ptr());
+                    for j0 in (0..n_tiled).step_by(NT_NR) {
+                        for i0 in (0..m_tiled).step_by(NT_MR) {
+                            // SAFETY: rows `i0..i0 + NT_MR` (<= m) of `a`
+                            // and `c`, rows `j0..j0 + NT_NR` (<= n) of `b`
+                            // are inside the operands by the assert above.
+                            unsafe {
+                                tile_nt::<NT_MR, NT_NR>(
+                                    ap.add(i0 * k),
+                                    bp.add(j0 * k),
+                                    k,
+                                    cp.add(i0 * n + j0),
+                                    n,
+                                );
+                            }
+                        }
+                    }
+                    // Tails: the last `m % NT_MR` rows over all columns,
+                    // then the last `n % NT_NR` columns of the tiled rows.
+                    for i in 0..m {
+                        let a_row = &a[i * k..(i + 1) * k];
+                        let j_from = if i < m_tiled { n_tiled } else { 0 };
+                        for j in j_from..n {
+                            c[i * n + j] = $dot(a_row, &b[j * k..(j + 1) * k]);
+                        }
+                    }
+                }
+            }
+        };
     }
 
-    #[target_feature(enable = "avx2", enable = "fma")]
-    pub fn gemm_at_fma(a: &[f32], b: &[f32], c: &mut [f32], k: usize, m: usize, n: usize) {
-        gemm_at_driver!(a, b, c, k, m, n, axpy_fma);
-    }
-
-    #[target_feature(enable = "avx2")]
-    pub fn gemm_band(lhs: &[f32], rhs: &[f32], band: &mut [f32], k: usize, n: usize) {
-        gemm_band_driver!(lhs, rhs, band, k, n, axpy);
-    }
-
-    #[target_feature(enable = "avx2", enable = "fma")]
-    pub fn gemm_band_fma(lhs: &[f32], rhs: &[f32], band: &mut [f32], k: usize, n: usize) {
-        gemm_band_driver!(lhs, rhs, band, k, n, axpy_fma);
-    }
-
-    #[target_feature(enable = "avx2")]
-    pub fn dot_band(a_band: &[f32], b_data: &[f32], band: &mut [f32], k: usize, n: usize) {
-        dot_band_driver!(a_band, b_data, band, k, n, dot);
-    }
-
-    #[target_feature(enable = "avx2", enable = "fma")]
-    pub fn dot_band_fma(a_band: &[f32], b_data: &[f32], band: &mut [f32], k: usize, n: usize) {
-        dot_band_driver!(a_band, b_data, band, k, n, dot_fma);
-    }
+    gemm_tier!(avx2, madd_rounded, dot, "avx2");
+    gemm_tier!(fma, madd_fused, dot_fma, "avx2", "fma");
 }
 
 // ---------------------------------------------------------------------------
@@ -605,8 +846,20 @@ pub fn dot(d: KernelDispatch, a: &[f32], b: &[f32]) -> f32 {
     dot_scalar(a, b)
 }
 
-/// Cache-blocked `C += A * B` for row-major operands (`C` pre-zeroed).
-pub fn gemm(d: KernelDispatch, a: &[f32], b: &[f32], c: &mut [f32], m: usize, k: usize, n: usize) {
+/// `C = A B` with `A[i][kk]` at `a[i * a_rs + kk * a_ks]`: the shared
+/// body of [`gemm_nn`] and [`gemm_tn`].
+#[allow(clippy::too_many_arguments)]
+fn gemm_strided(
+    d: KernelDispatch,
+    a: &[f32],
+    a_rs: usize,
+    a_ks: usize,
+    b: &[f32],
+    c: &mut [f32],
+    m: usize,
+    k: usize,
+    n: usize,
+) {
     debug_assert_eq!(a.len(), m * k);
     debug_assert_eq!(b.len(), k * n);
     debug_assert_eq!(c.len(), m * n);
@@ -614,22 +867,38 @@ pub fn gemm(d: KernelDispatch, a: &[f32], b: &[f32], c: &mut [f32], m: usize, k:
     {
         if d == KernelDispatch::Fma && fma_ok() {
             // SAFETY: AVX2+FMA support verified on the line above.
-            unsafe { x86::gemm_fma(a, b, c, m, k, n) };
+            unsafe { x86::fma::gemm(a, a_rs, a_ks, b, c, m, k, n) };
             return;
         }
         if d != KernelDispatch::Scalar && avx2_ok() {
             // SAFETY: AVX2 support verified on the line above.
-            unsafe { x86::gemm(a, b, c, m, k, n) };
+            unsafe { x86::avx2::gemm(a, a_rs, a_ks, b, c, m, k, n) };
             return;
         }
     }
     let _ = d;
-    gemm_scalar(a, b, c, m, k, n);
+    gemm_scalar(a, a_rs, a_ks, b, c, m, k, n);
 }
 
-/// `C += A^T * B` where `a` is `k x m` row-major (`C` pre-zeroed): the
-/// backprop weight gradient without materializing the transpose.
-pub fn gemm_at(
+/// `C = A B` for row-major `a` (`m x k`), `b` (`k x n`) and `c`
+/// (`m x n`); every output is overwritten. Also the row-band kernel of
+/// the pooled matmul: a band is simply a smaller `m`.
+pub fn gemm_nn(
+    d: KernelDispatch,
+    a: &[f32],
+    b: &[f32],
+    c: &mut [f32],
+    m: usize,
+    k: usize,
+    n: usize,
+) {
+    gemm_strided(d, a, k, 1, b, c, m, k, n);
+}
+
+/// `C = A^T B` where `a` is `k x m` row-major: the backprop weight
+/// gradient without materializing the transpose. Every output is
+/// overwritten.
+pub fn gemm_tn(
     d: KernelDispatch,
     a: &[f32],
     b: &[f32],
@@ -638,79 +907,39 @@ pub fn gemm_at(
     m: usize,
     n: usize,
 ) {
-    debug_assert_eq!(a.len(), k * m);
-    debug_assert_eq!(b.len(), k * n);
+    gemm_strided(d, a, 1, m, b, c, m, k, n);
+}
+
+/// `C = A B^T` for row-major `a` (`m x k`) and `b` (`n x k`): the backprop
+/// input gradient. Every output is one [`dot`] (bit for bit) and is
+/// overwritten; also the row-band kernel of the pooled `matmul_bt`.
+pub fn gemm_nt(
+    d: KernelDispatch,
+    a: &[f32],
+    b: &[f32],
+    c: &mut [f32],
+    m: usize,
+    k: usize,
+    n: usize,
+) {
+    debug_assert_eq!(a.len(), m * k);
+    debug_assert_eq!(b.len(), n * k);
     debug_assert_eq!(c.len(), m * n);
     #[cfg(target_arch = "x86_64")]
     {
         if d == KernelDispatch::Fma && fma_ok() {
             // SAFETY: AVX2+FMA support verified on the line above.
-            unsafe { x86::gemm_at_fma(a, b, c, k, m, n) };
+            unsafe { x86::fma::gemm_nt(a, b, c, m, k, n) };
             return;
         }
         if d != KernelDispatch::Scalar && avx2_ok() {
             // SAFETY: AVX2 support verified on the line above.
-            unsafe { x86::gemm_at(a, b, c, k, m, n) };
+            unsafe { x86::avx2::gemm_nt(a, b, c, m, k, n) };
             return;
         }
     }
     let _ = d;
-    gemm_at_scalar(a, b, c, k, m, n);
-}
-
-/// The row-band `C += A_band * B` kernel behind the pooled matmul:
-/// bit-identical to [`gemm`] per output element (same ascending-`k`
-/// accumulation), on every tier.
-pub fn gemm_band(
-    d: KernelDispatch,
-    lhs: &[f32],
-    rhs: &[f32],
-    band: &mut [f32],
-    k: usize,
-    n: usize,
-) {
-    #[cfg(target_arch = "x86_64")]
-    {
-        if d == KernelDispatch::Fma && fma_ok() {
-            // SAFETY: AVX2+FMA support verified on the line above.
-            unsafe { x86::gemm_band_fma(lhs, rhs, band, k, n) };
-            return;
-        }
-        if d != KernelDispatch::Scalar && avx2_ok() {
-            // SAFETY: AVX2 support verified on the line above.
-            unsafe { x86::gemm_band(lhs, rhs, band, k, n) };
-            return;
-        }
-    }
-    let _ = d;
-    gemm_band_scalar(lhs, rhs, band, k, n);
-}
-
-/// The `A_band * B^T` band kernel behind `matmul_bt`: one [`dot`] per
-/// output element.
-pub fn dot_band(
-    d: KernelDispatch,
-    a_band: &[f32],
-    b_data: &[f32],
-    band: &mut [f32],
-    k: usize,
-    n: usize,
-) {
-    #[cfg(target_arch = "x86_64")]
-    {
-        if d == KernelDispatch::Fma && fma_ok() {
-            // SAFETY: AVX2+FMA support verified on the line above.
-            unsafe { x86::dot_band_fma(a_band, b_data, band, k, n) };
-            return;
-        }
-        if d != KernelDispatch::Scalar && avx2_ok() {
-            // SAFETY: AVX2 support verified on the line above.
-            unsafe { x86::dot_band(a_band, b_data, band, k, n) };
-            return;
-        }
-    }
-    let _ = d;
-    dot_band_scalar(a_band, b_data, band, k, n);
+    gemm_nt_scalar(a, b, c, m, k, n);
 }
 
 #[cfg(test)]

@@ -17,13 +17,21 @@ use tensor_casting::embedding::{
     optim::{Adagrad, Adam},
     scatter_apply, simd as opt_simd, EmbeddingTable, IndexArray,
 };
-use tensor_casting::tensor::{simd, Exec, KernelDispatch, Matrix, SplitMix64};
+use tensor_casting::tensor::{simd, Exec, KernelDispatch, Linear, Matrix, Pool, SplitMix64};
 
 /// Fills a buffer with mostly-normal values plus the adversarial cases —
 /// NaN, `-0.0`, and denormals — that a bit-identity claim must survive.
 fn fill_special(rng: &mut SplitMix64, out: &mut [f32]) {
+    fill_special_one_in(rng, out, 4);
+}
+
+/// [`fill_special`] with each adversarial value drawn once per
+/// `4 * one_in` elements: a long reduction wants them rare enough that
+/// most outputs stay finite (a NaN output compares equal whatever the
+/// order of the finite terms around it).
+fn fill_special_one_in(rng: &mut SplitMix64, out: &mut [f32], one_in: u64) {
     for v in out.iter_mut() {
-        *v = match rng.next_below(16) {
+        *v = match rng.next_below(4 * one_in) {
             0 => f32::NAN,
             1 => -0.0,
             2 => 1.0e-40,
@@ -33,9 +41,10 @@ fn fill_special(rng: &mut SplitMix64, out: &mut [f32]) {
     }
 }
 
-fn special_matrix(rows: usize, cols: usize, rng: &mut SplitMix64) -> Matrix {
+/// A matrix of a product whose reduction runs over `k` terms.
+fn reduction_matrix(rows: usize, cols: usize, k: usize, rng: &mut SplitMix64) -> Matrix {
     let mut m = Matrix::zeros(rows, cols);
-    fill_special(rng, m.as_mut_slice());
+    fill_special_one_in(rng, m.as_mut_slice(), (k as u64).max(4));
     m
 }
 
@@ -76,6 +85,128 @@ fn non_scalar_tiers() -> Vec<KernelDispatch> {
         .collect()
 }
 
+/// All three GEMM entry points on one `m x k x n` shape: the AVX2 tier is
+/// bit-identical to scalar; FMA stays within contraction tolerance.
+fn check_gemm_tiers(m: usize, k: usize, n: usize, seed: u64) -> Result<(), String> {
+    let mut rng = SplitMix64::new(seed);
+    let a = reduction_matrix(m, k, k, &mut rng);
+    let b = reduction_matrix(k, n, k, &mut rng);
+    let at_lhs = reduction_matrix(k, m, k, &mut rng); // at_lhs^T * b_at: m x n
+    let b_at = reduction_matrix(k, n, k, &mut rng);
+    let bt_rhs = reduction_matrix(n, k, k, &mut rng); // a * bt_rhs^T: m x n
+
+    let mut want = Matrix::zeros(m, n);
+    let mut want_at = Matrix::zeros(m, n);
+    let mut want_bt = Matrix::zeros(m, n);
+    a.matmul_into_with(&b, &mut want, KernelDispatch::Scalar)
+        .unwrap();
+    at_lhs
+        .matmul_at_into_with(&b_at, &mut want_at, KernelDispatch::Scalar)
+        .unwrap();
+    a.matmul_bt_into_with(&bt_rhs, &mut want_bt, KernelDispatch::Scalar)
+        .unwrap();
+
+    // Stale contents: every product must overwrite, not accumulate.
+    let mut got = Matrix::filled(m, n, f32::NAN);
+    for tier in non_scalar_tiers() {
+        for (name, want, run) in [
+            ("matmul", &want, 0usize),
+            ("matmul_at", &want_at, 1),
+            ("matmul_bt", &want_bt, 2),
+        ] {
+            match run {
+                0 => a.matmul_into_with(&b, &mut got, tier).unwrap(),
+                1 => at_lhs.matmul_at_into_with(&b_at, &mut got, tier).unwrap(),
+                _ => a.matmul_bt_into_with(&bt_rhs, &mut got, tier).unwrap(),
+            }
+            let bad = if tier == KernelDispatch::Fma {
+                first_fma_mismatch(want.as_slice(), got.as_slice())
+            } else {
+                first_bit_mismatch(want.as_slice(), got.as_slice())
+            };
+            if bad.is_some() {
+                return Err(format!(
+                    "{name} {} vs scalar diverged at {bad:?} (m={m} k={k} n={n})",
+                    tier.name()
+                ));
+            }
+        }
+    }
+    Ok(())
+}
+
+/// The shapes that straddle every tail of the register-tiled kernels: row
+/// tails of the 4-row `NN`/`TN` tile and the 2-row `NT` tile, column tails
+/// of the 16-wide panel and the 4-wide `NT` tile (down to the `out_dim =
+/// 1` logit layer), the 8-lane dot chunk, and the 256-step K block — plus
+/// the repo benchmark's own layer shapes.
+#[test]
+fn gemm_tiers_match_scalar_on_tile_boundaries() {
+    let ms = [1, 2, 3, 4, 5, 6, 7, 8, 9, 63, 64, 65];
+    let ns = [1, 7, 8, 15, 16, 17, 33, 100];
+    let ks = [1, 7, 8, 9, 127, 128, 129, 255, 256, 257, 300, 513];
+    let mut seed = 0x7115;
+    for &m in &ms {
+        for &n in &ns {
+            for &k in &ks {
+                seed += 1;
+                check_gemm_tiers(m, k, n, seed).unwrap();
+            }
+        }
+    }
+    for (m, k, n) in [(64, 2560, 512), (64, 13, 2560), (16, 119, 256), (10, 64, 1)] {
+        check_gemm_tiers(m, k, n, seed + m as u64).unwrap();
+    }
+}
+
+/// Row bands are not multiples of any tile: a pooled product must still
+/// be bit-identical to the serial one (invariant: serial == pooled), for
+/// the forward `x W` (`NN`) and the input gradient `dy W^T` (`NT`), with
+/// the reduction crossing chunk and K-block boundaries.
+#[test]
+fn pooled_gemm_matches_serial_on_uneven_bands() {
+    let pool = Pool::new(3);
+    let m = 37;
+    for k in [1, 7, 8, 9, 127, 128, 129, 257, 300] {
+        let mut rng = SplitMix64::new(0xBA4D + k as u64);
+        // forward reduces over the layer's inputs, backward over its outputs.
+        for (in_dim, out_dim) in [(k, 33), (21, k)] {
+            let weight = reduction_matrix(in_dim, out_dim, k, &mut rng);
+            let bias = special_vec(out_dim, &mut rng);
+            let x = reduction_matrix(m, in_dim, k, &mut rng);
+            let dy = reduction_matrix(m, out_dim, k, &mut rng);
+            let mut layer = Linear::from_parameters(weight, bias).unwrap();
+
+            let (mut y_serial, mut dx_serial) = (Matrix::default(), Matrix::default());
+            layer
+                .forward_into(&x, &mut y_serial, None, Exec::Serial)
+                .unwrap();
+            layer
+                .backward_into(&dy, &mut dx_serial, Exec::Serial)
+                .unwrap();
+            for threads in [2, 3, 8] {
+                let exec = Exec::Pooled {
+                    pool: &pool,
+                    threads,
+                };
+                let (mut y, mut dx) = (Matrix::default(), Matrix::default());
+                layer.forward_into(&x, &mut y, None, exec).unwrap();
+                layer.backward_into(&dy, &mut dx, exec).unwrap();
+                let bad = first_bit_mismatch(y_serial.as_slice(), y.as_slice());
+                assert!(
+                    bad.is_none(),
+                    "NN {in_dim}x{out_dim} threads={threads}: {bad:?}"
+                );
+                let bad = first_bit_mismatch(dx_serial.as_slice(), dx.as_slice());
+                assert!(
+                    bad.is_none(),
+                    "NT {in_dim}x{out_dim} threads={threads}: {bad:?}"
+                );
+            }
+        }
+    }
+}
+
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(24))]
 
@@ -88,48 +219,8 @@ proptest! {
         n in 1usize..67,
         seed in any::<u64>(),
     ) {
-        let mut rng = SplitMix64::new(seed);
-        let a = special_matrix(m, k, &mut rng);
-        let b = special_matrix(k, n, &mut rng);
-        let at_lhs = special_matrix(k, m, &mut rng); // at_lhs^T * b_at: m x n
-        let b_at = special_matrix(k, n, &mut rng);
-        let bt_rhs = special_matrix(n, k, &mut rng); // a * bt_rhs^T: m x n
-
-        let mut want = Matrix::zeros(m, n);
-        let mut want_at = Matrix::zeros(m, n);
-        let mut want_bt = Matrix::zeros(m, n);
-        a.matmul_into_with(&b, &mut want, KernelDispatch::Scalar).unwrap();
-        at_lhs.matmul_at_into_with(&b_at, &mut want_at, KernelDispatch::Scalar).unwrap();
-        a.matmul_bt_into_with(&bt_rhs, &mut want_bt, KernelDispatch::Scalar).unwrap();
-
-        let mut got = Matrix::zeros(m, n);
-        for tier in non_scalar_tiers() {
-            for (name, want, run) in [
-                ("matmul", &want, 0usize),
-                ("matmul_at", &want_at, 1),
-                ("matmul_bt", &want_bt, 2),
-            ] {
-                match run {
-                    0 => a.matmul_into_with(&b, &mut got, tier).unwrap(),
-                    1 => at_lhs.matmul_at_into_with(&b_at, &mut got, tier).unwrap(),
-                    _ => a.matmul_bt_into_with(&bt_rhs, &mut got, tier).unwrap(),
-                }
-                if tier == KernelDispatch::Fma {
-                    let bad = first_fma_mismatch(want.as_slice(), got.as_slice());
-                    prop_assert!(
-                        bad.is_none(),
-                        "{name} fma vs scalar diverged at {bad:?} (m={m} k={k} n={n})"
-                    );
-                } else {
-                    let bad = first_bit_mismatch(want.as_slice(), got.as_slice());
-                    prop_assert!(
-                        bad.is_none(),
-                        "{name} {} vs scalar bit mismatch at {bad:?} (m={m} k={k} n={n})",
-                        tier.name()
-                    );
-                }
-            }
-        }
+        let checked = check_gemm_tiers(m, k, n, seed);
+        prop_assert!(checked.is_ok(), "{}", checked.unwrap_err());
     }
 
     /// The gather/axpy vector kernels: `add_assign` has no contracted
