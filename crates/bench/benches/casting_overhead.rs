@@ -1,10 +1,9 @@
-//! Bench: the casting stage itself (Algorithm 2) — comparison sort vs
-//! counting sort (the DESIGN.md sort ablation) vs the pool-parallel
-//! MSB-partitioned sort, against the baseline's in-path coalesce sort.
+//! Bench: the casting stage itself (Algorithm 2) against the sort it
+//! shares with the baseline's in-path coalesce.
 
 use std::hint::black_box;
 use tcast_bench::harness::BenchGroup;
-use tcast_core::{tensor_casting, tensor_casting_counting, tensor_casting_parallel};
+use tcast_core::tensor_casting;
 use tcast_datasets::{Popularity, TableWorkload};
 
 fn main() {
@@ -22,12 +21,6 @@ fn main() {
 
         group.bench(&format!("comparison_sort/{name}"), || {
             tensor_casting(black_box(&index))
-        });
-        group.bench(&format!("counting_sort/{name}"), || {
-            tensor_casting_counting(black_box(&index))
-        });
-        group.bench(&format!("parallel4/{name}"), || {
-            tensor_casting_parallel(black_box(&index), 4)
         });
         group.bench(&format!("sorted_by_src_only/{name}"), || {
             black_box(&index).sorted_by_src()

@@ -7,9 +7,9 @@
 use std::hint::black_box;
 use tcast_bench::harness::BenchGroup;
 use tcast_datasets::{Popularity, TableWorkload};
-use tcast_embedding::{
-    gather, gather_reduce, gather_reduce_parallel, reduce_by_dst, EmbeddingTable,
-};
+use tcast_embedding::{gather, gather_reduce, gather_reduce_into, reduce_by_dst, EmbeddingTable};
+use tcast_pool::{Exec, Pool};
+use tcast_tensor::Matrix;
 
 fn main() {
     let dim = 64;
@@ -21,6 +21,8 @@ fn main() {
         },
         10,
     );
+    let pool = Pool::new(4);
+    let mut pooled = Matrix::default();
     let mut group = BenchGroup::new("gather_reduce");
     for batch in [512usize, 2048] {
         let index = workload.generator(7).next_batch(batch);
@@ -35,7 +37,8 @@ fn main() {
             reduce_by_dst(&g, &index).unwrap()
         });
         group.bench(&format!("parallel4/{batch}"), || {
-            gather_reduce_parallel(black_box(&table), black_box(&index), 4).unwrap()
+            let exec = Exec::pooled(&pool);
+            gather_reduce_into(black_box(&table), black_box(&index), &mut pooled, exec).unwrap()
         });
     }
     group.finish();

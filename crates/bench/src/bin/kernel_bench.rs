@@ -17,7 +17,7 @@
 //! ```
 //!
 //! `FAST=1` shrinks shapes and iteration counts for smoke runs. The
-//! "KERNEL <name> simd/scalar ratio" lines are CI's grep anchors.
+//! `KERNEL <name> simd/scalar ratio` lines are CI's grep anchors.
 //!
 //! Full-size runs on multi-core hosts gate the dispatch layer's reason to
 //! exist: AVX2 GEMM must reach at least 2x scalar and AVX2 gather-reduce
@@ -29,9 +29,9 @@ use std::path::PathBuf;
 use std::time::Instant;
 
 use tcast_bench::{banner, fast_mode, json};
-use tcast_core::{casted_gather_reduce_into, tensor_casting, CoalescedScratch};
+use tcast_core::{casted_gather_reduce_into, tensor_casting};
 use tcast_embedding::{
-    gather_reduce_into, optim::Adagrad, scatter_apply, EmbeddingTable, IndexArray,
+    gather_reduce_into, optim::Adagrad, scatter_apply, CoalescedScratch, EmbeddingTable, IndexArray,
 };
 use tcast_pool::Exec;
 use tcast_tensor::{simd, KernelDispatch, Matrix, SplitMix64};

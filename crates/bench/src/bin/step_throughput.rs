@@ -170,7 +170,7 @@ fn measure_sharded(
 }
 
 /// One definition of the Fig. 9b metric: delegate to
-/// [`PipelineStats::hidden_fraction`].
+/// [`tcast_core::PipelineStats::hidden_fraction`].
 fn hidden_fraction(exposed: Duration, casting: Duration) -> f64 {
     tcast_core::PipelineStats {
         casting_time: casting,

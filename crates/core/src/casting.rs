@@ -37,54 +37,10 @@ pub fn tensor_casting(index: &IndexArray) -> CastedIndexArray {
     build_casted(&sorted_src, sorted_dst, index.num_outputs())
 }
 
-/// Variant of [`tensor_casting`] that sorts with a counting sort over the
-/// `src` id range instead of a comparison sort.
-///
-/// When the table's *touched* id range is dense (the common case for hot
-/// recommendation tables), counting sort is O(n + range) and typically
-/// faster; the result is identical. This is the sort-algorithm ablation
-/// called out in DESIGN.md. Falls back to [`tensor_casting`] when the id
-/// range exceeds `4 * n` (sparse touch pattern).
-pub fn tensor_casting_counting(index: &IndexArray) -> CastedIndexArray {
-    let n = index.len();
-    let Some(max_src) = index.max_src() else {
-        return tensor_casting(index);
-    };
-    let range = max_src as usize + 1;
-    if range > 4 * n.max(1) {
-        return tensor_casting(index);
-    }
-    // Counting sort by src, stable by construction.
-    let mut counts = vec![0u32; range + 1];
-    for &s in index.src() {
-        counts[s as usize + 1] += 1;
-    }
-    for i in 0..range {
-        counts[i + 1] += counts[i];
-    }
-    let mut sorted_src = vec![0u32; n];
-    let mut sorted_dst = vec![0u32; n];
-    let mut cursor = counts;
-    for (&s, &d) in index.src().iter().zip(index.dst().iter()) {
-        let at = cursor[s as usize] as usize;
-        sorted_src[at] = s;
-        sorted_dst[at] = d;
-        cursor[s as usize] += 1;
-    }
-    build_casted(&sorted_src, sorted_dst, index.num_outputs())
-}
-
 /// Steps 2-3 of Algorithm 2 over pre-sorted pairs, fused into one pass:
 /// each new `src` run starts a fresh output row (the adjacent-difference
 /// scan and its cumulative sum collapse into the `current` counter).
-///
-/// Shared with the parallel casting path, which produces the same sorted
-/// pair order by other means.
-pub(crate) fn build_casted(
-    sorted_src: &[u32],
-    sorted_dst: Vec<u32>,
-    num_outputs: usize,
-) -> CastedIndexArray {
+fn build_casted(sorted_src: &[u32], sorted_dst: Vec<u32>, num_outputs: usize) -> CastedIndexArray {
     let n = sorted_src.len();
     let mut reduce_dst = Vec::with_capacity(n);
     let mut unique_rows = Vec::new();
@@ -117,21 +73,6 @@ mod tests {
         assert_eq!(c.reduce_dst(), &[0, 1, 2, 2, 3]);
         assert_eq!(c.unique_rows(), &[0, 1, 2, 4]);
         assert_eq!(c.num_gradient_rows(), 2);
-    }
-
-    #[test]
-    fn counting_variant_matches_comparison_sort() {
-        let c1 = tensor_casting(&fig8_index());
-        let c2 = tensor_casting_counting(&fig8_index());
-        assert_eq!(c1, c2);
-    }
-
-    #[test]
-    fn counting_variant_on_sparse_range_falls_back() {
-        // max_src >> 4n triggers the comparison-sort fallback; results must
-        // still be identical.
-        let idx = IndexArray::from_pairs(vec![1_000_000, 5, 1_000_000], vec![0, 1, 2], 3).unwrap();
-        assert_eq!(tensor_casting(&idx), tensor_casting_counting(&idx));
     }
 
     #[test]

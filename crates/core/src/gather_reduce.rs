@@ -17,13 +17,16 @@
 
 use crate::casted_index::CastedIndexArray;
 use crate::casting::tensor_casting;
-use tcast_embedding::{CoalescedGradients, EmbeddingError, IndexArray};
-use tcast_pool::{Exec, Pool};
+use tcast_embedding::{
+    accumulate_rows, CoalescedGradients, CoalescedScratch, EmbeddingError, IndexArray,
+};
+use tcast_pool::Exec;
 use tcast_tensor::Matrix;
 
 /// The fused casted gather-reduce (Algorithm 3's `GatherReduce`): gathers
 /// row `gather_src[i]` of the `B x D` gradient table and reduces it into
-/// coalesced row `reduce_dst[i]`.
+/// coalesced row `reduce_dst[i]`. Allocating form of
+/// [`casted_gather_reduce_into`].
 ///
 /// Returns the same [`CoalescedGradients`] the baseline
 /// `gradient_expand_coalesce` produces.
@@ -36,100 +39,20 @@ pub fn casted_gather_reduce(
     grads: &Matrix,
     casted: &CastedIndexArray,
 ) -> Result<CoalescedGradients, EmbeddingError> {
-    if grads.rows() != casted.num_gradient_rows() {
-        return Err(EmbeddingError::LengthMismatch {
-            expected: casted.num_gradient_rows(),
-            found: grads.rows(),
-        });
-    }
-    let dim = grads.cols();
-    let mut out = Matrix::zeros(casted.num_unique(), dim);
-    let kernel = tcast_tensor::simd::dispatch();
-    let gather_src = casted.gather_src();
-    for (i, (&src, &dst)) in gather_src
-        .iter()
-        .zip(casted.reduce_dst().iter())
-        .enumerate()
-    {
-        if let Some(&next) = gather_src.get(i + 1) {
-            tcast_tensor::simd::prefetch(grads.row(next as usize));
-        }
-        let row = grads.row(src as usize);
-        let acc = out.row_mut(dst as usize);
-        tcast_tensor::simd::add_assign(kernel, acc, row);
-    }
-    CoalescedGradients::new(casted.unique_rows().to_vec(), out)
-}
-
-/// Parallel variant of [`casted_gather_reduce`] on the shared
-/// [`tcast_pool::global`] pool.
-///
-/// Because `reduce_dst` is non-decreasing, the lookups split into
-/// contiguous chunks at output-row boundaries: each task owns a disjoint
-/// band of coalesced rows, making the parallelization race-free — the same
-/// structure the NMP cores exploit per rank. Per output row the
-/// accumulation order matches the serial kernel, so results are
-/// bit-identical.
-///
-/// # Errors
-///
-/// Returns [`EmbeddingError::LengthMismatch`] if `grads.rows()` differs
-/// from `casted.num_gradient_rows()`.
-pub fn casted_gather_reduce_parallel(
-    grads: &Matrix,
-    casted: &CastedIndexArray,
-    threads: usize,
-) -> Result<CoalescedGradients, EmbeddingError> {
-    casted_gather_reduce_parallel_in(tcast_pool::global(), grads, casted, threads)
-}
-
-/// [`casted_gather_reduce_parallel`] on an explicit pool.
-///
-/// # Errors
-///
-/// Returns [`EmbeddingError::LengthMismatch`] if `grads.rows()` differs
-/// from `casted.num_gradient_rows()`.
-pub fn casted_gather_reduce_parallel_in(
-    pool: &Pool,
-    grads: &Matrix,
-    casted: &CastedIndexArray,
-    threads: usize,
-) -> Result<CoalescedGradients, EmbeddingError> {
-    let mut scratch = CoalescedScratch::default();
-    casted_gather_reduce_into(grads, casted, &mut scratch, Exec::Pooled { pool, threads })?;
-    let CoalescedScratch { rows, grads, .. } = scratch;
-    CoalescedGradients::new(rows, grads)
-}
-
-/// Reusable output + bookkeeping buffers for [`casted_gather_reduce_into`].
-///
-/// Holding one of these per table across training steps is what makes the
-/// casted backward allocation-free in steady state: `rows`, `grads` and
-/// the `row_start` offset table all retain their capacity between steps.
-#[derive(Debug, Clone)]
-pub struct CoalescedScratch {
-    /// Touched (unique, ascending) table rows — matches
-    /// [`CoalescedGradients::rows`].
-    pub rows: Vec<u32>,
-    /// One coalesced gradient row per entry of `rows`.
-    pub grads: Matrix,
-    /// Start offset (in lookup space) of every output row; scratch for
-    /// the band partitioning.
-    row_start: Vec<usize>,
-}
-
-impl Default for CoalescedScratch {
-    fn default() -> Self {
-        Self {
-            rows: Vec::new(),
-            grads: Matrix::zeros(0, 0),
-            row_start: Vec::new(),
-        }
-    }
+    let mut out = CoalescedScratch::default();
+    casted_gather_reduce_into(grads, casted, &mut out, Exec::Serial)?;
+    CoalescedGradients::new(out.rows, out.grads)
 }
 
 /// [`casted_gather_reduce`] writing into reusable buffers, serially or on
-/// a pool ([`Exec`]). Bit-identical to the allocating serial kernel.
+/// a pool ([`Exec`]).
+///
+/// This *is* the forward primitive: [`accumulate_rows`] — the kernel
+/// behind `gather_reduce_into` — run over the gradient table instead of
+/// the embedding table (Section IV-C's "same datapath"). Pooled execution
+/// bands the coalesced rows, the same structure the NMP cores exploit per
+/// rank; per output row the accumulation order is the serial one, so
+/// results are bit-identical for any `Exec`.
 ///
 /// # Errors
 ///
@@ -147,80 +70,16 @@ pub fn casted_gather_reduce_into(
             found: grads.rows(),
         });
     }
-    let dim = grads.cols();
-    let unique = casted.num_unique();
     out.rows.clear();
     out.rows.extend_from_slice(casted.unique_rows());
-    out.grads.zero_into(unique, dim);
-    if unique == 0 {
-        return Ok(());
-    }
-    let reduce_dst = casted.reduce_dst();
-    let gather_src = casted.gather_src();
-    let threads = exec.threads().min(unique);
-
-    let (pool, threads) = match exec.pool() {
-        Some(pool) if threads > 1 => (pool, threads),
-        _ => {
-            // Serial: the exact Algorithm 3 loop.
-            let kernel = tcast_tensor::simd::dispatch();
-            for (i, (&src, &dst)) in gather_src.iter().zip(reduce_dst.iter()).enumerate() {
-                if let Some(&next) = gather_src.get(i + 1) {
-                    tcast_tensor::simd::prefetch(grads.row(next as usize));
-                }
-                let row = grads.row(src as usize);
-                let acc = out.grads.row_mut(dst as usize);
-                tcast_tensor::simd::add_assign(kernel, acc, row);
-            }
-            return Ok(());
-        }
-    };
-
-    // Start offset (in lookup space) of every output row.
-    let row_start = &mut out.row_start;
-    row_start.clear();
-    row_start.resize(unique + 1, 0);
-    row_start[unique] = reduce_dst.len();
-    let mut prev = 0usize;
-    for (i, &d) in reduce_dst.iter().enumerate() {
-        let d = d as usize;
-        for slot in row_start.iter_mut().take(d + 1).skip(prev + 1) {
-            *slot = i;
-        }
-        if d > prev {
-            prev = d;
-        }
-    }
-
-    let per = unique.div_ceil(threads);
-    let buf = out.grads.as_mut_slice();
-    let kernel = tcast_tensor::simd::dispatch();
-    pool.scope(|scope| {
-        let mut rest = buf;
-        for t in 0..threads {
-            let ulo = t * per;
-            let uhi = ((t + 1) * per).min(unique);
-            if ulo >= uhi {
-                break;
-            }
-            let (band, tail) = rest.split_at_mut((uhi - ulo) * dim);
-            rest = tail;
-            let row_start = &*row_start;
-            scope.spawn(move || {
-                for u in ulo..uhi {
-                    let acc = &mut band[(u - ulo) * dim..(u - ulo + 1) * dim];
-                    let run = &gather_src[row_start[u]..row_start[u + 1]];
-                    for (j, &src) in run.iter().enumerate() {
-                        if let Some(&next) = run.get(j + 1) {
-                            tcast_tensor::simd::prefetch(grads.row(next as usize));
-                        }
-                        let row = grads.row(src as usize);
-                        tcast_tensor::simd::add_assign(kernel, acc, row);
-                    }
-                }
-            });
-        }
-    });
+    out.grads.zero_into(casted.num_unique(), grads.cols());
+    accumulate_rows(
+        grads.as_slice(),
+        casted.gather_src(),
+        casted.reduce_dst(),
+        &mut out.grads,
+        exec,
+    );
     Ok(())
 }
 
@@ -307,34 +166,10 @@ mod tests {
     }
 
     #[test]
-    fn parallel_matches_serial() {
-        let mut rng = SplitMix64::new(7);
-        let samples: Vec<Vec<u32>> = (0..128)
-            .map(|_| (0..6).map(|_| rng.next_below(50) as u32).collect())
-            .collect();
-        let index = IndexArray::from_samples(&samples).unwrap();
-        let mut grads = Matrix::zeros(128, 8);
-        for v in grads.as_mut_slice() {
-            *v = rng.next_range(-1.0, 1.0);
-        }
-        let casted = tensor_casting(&index);
-        let serial = casted_gather_reduce(&grads, &casted).unwrap();
-        for threads in [1, 2, 5, 16] {
-            let par = casted_gather_reduce_parallel(&grads, &casted, threads).unwrap();
-            assert_eq!(serial.rows(), par.rows());
-            assert!(
-                serial.max_abs_diff(&par).unwrap() < 1e-5,
-                "threads={threads}"
-            );
-        }
-    }
-
-    #[test]
     fn rejects_wrong_gradient_rows() {
         let casted = tensor_casting(&fig_index());
         let wrong = Matrix::zeros(3, 2);
         assert!(casted_gather_reduce(&wrong, &casted).is_err());
-        assert!(casted_gather_reduce_parallel(&wrong, &casted, 2).is_err());
     }
 
     #[test]
@@ -344,7 +179,5 @@ mod tests {
         let grads = Matrix::zeros(0, 4);
         let c = casted_gather_reduce(&grads, &casted).unwrap();
         assert!(c.is_empty());
-        let cp = casted_gather_reduce_parallel(&grads, &casted, 4).unwrap();
-        assert!(cp.is_empty());
     }
 }

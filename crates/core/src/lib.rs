@@ -65,19 +65,14 @@ mod equivalence;
 mod fault;
 mod fused;
 mod gather_reduce;
-mod parallel_casting;
 mod runtime;
 
 pub use cache::CastingCache;
 pub use casted_forward::{casted_embedding_forward, casted_embedding_forward_into};
 pub use casted_index::CastedIndexArray;
-pub use casting::{tensor_casting, tensor_casting_counting};
+pub use casting::tensor_casting;
 pub use equivalence::verify_equivalence;
 pub use fault::{FaultPlan, FaultyWrite};
 pub use fused::fused_casted_backward;
-pub use gather_reduce::{
-    casted_backward, casted_gather_reduce, casted_gather_reduce_into,
-    casted_gather_reduce_parallel, casted_gather_reduce_parallel_in, CoalescedScratch,
-};
-pub use parallel_casting::{tensor_casting_parallel, tensor_casting_parallel_in};
+pub use gather_reduce::{casted_backward, casted_gather_reduce, casted_gather_reduce_into};
 pub use runtime::{CastingPipeline, JobTicket, PipelineStats, DEFAULT_INFLIGHT_CAP};

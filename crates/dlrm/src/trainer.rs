@@ -8,15 +8,13 @@ use std::time::{Duration, Instant};
 use crate::config::DlrmConfig;
 use crate::metrics::{evaluate_ctr, CtrMetrics};
 use crate::model::Dlrm;
-use tcast_core::{
-    casted_gather_reduce_into, CastingPipeline, CoalescedScratch, JobTicket, PipelineStats,
-};
+use tcast_core::{casted_gather_reduce_into, CastingPipeline, JobTicket, PipelineStats};
 use tcast_datasets::CtrBatch;
 use tcast_embedding::{
     gradient_coalesce_into, gradient_expand_into,
     optim::{Adagrad, Adam, Momentum, RmsProp, Sgd, SplittableOptimizer},
-    scatter_apply_per_shard, scatter_apply_sharded, CoalesceScratch, EmbeddingError, IndexArray,
-    ShardMap, ShardSpec, ShardedOptimizer,
+    scatter_apply_sharded, CoalescedScratch, EmbeddingError, IndexArray, ShardMap, ShardSpec,
+    ShardedOptimizer,
 };
 use tcast_pool::{Exec, Pool};
 use tcast_tensor::{bce_with_logits, bce_with_logits_backward_into, Matrix};
@@ -158,6 +156,17 @@ pub enum Execution {
     Pooled(Arc<Pool>),
 }
 
+impl Execution {
+    /// The borrowed [`Exec`] the kernels take: serial, or pooled over all
+    /// of the pool's workers.
+    pub fn as_exec(&self) -> Exec<'_> {
+        match self {
+            Execution::Serial => Exec::Serial,
+            Execution::Pooled(pool) => Exec::pooled(pool),
+        }
+    }
+}
+
 impl std::fmt::Debug for Execution {
     fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
         match self {
@@ -177,13 +186,14 @@ struct StepScratch {
     logits: Matrix,
     dlogits: Matrix,
     dpooled: Vec<Matrix>,
+    /// The backward pass's coalesced gradients, laid out by
+    /// `Trainer::part_offsets`: what the scatter consumes, whichever
+    /// backward mode filled it.
     coalesced: Vec<CoalescedScratch>,
     /// Baseline mode's per-table `n x D` expand intermediates — still
     /// materialized every step (that cost is the paper's subject), but
     /// recycled instead of re-allocated.
     expanded: Vec<Matrix>,
-    /// Baseline mode's per-table coalesce outputs + argsort scratch.
-    baseline: Vec<CoalesceScratch>,
 }
 
 /// A training step whose casting has been submitted but whose
@@ -228,11 +238,14 @@ pub struct Trainer {
     /// Per-table shard maps shipped with every casting job when sharded
     /// (`None` when every table has one shard: plain jobs, no routing).
     shard_plan: Option<Arc<[ShardMap]>>,
-    /// `shard_offsets[t]..shard_offsets[t + 1]` indexes table `t`'s
-    /// per-shard casted arrays / coalesced scratch slots. Tables can have
-    /// *fewer* shards than requested (small tables), so this is a prefix
-    /// sum, not `t * shards`.
-    shard_offsets: Vec<usize>,
+    /// `part_offsets[t]..part_offsets[t + 1]` indexes table `t`'s
+    /// coalesced-gradient slots in the step scratch. Casted mode has one
+    /// per shard (shard-local rows; the same range indexes the job's
+    /// per-shard casted arrays) — tables can have *fewer* shards than
+    /// requested (small tables), so this is a prefix sum, not
+    /// `t * shards`. Baseline mode coalesces each table once, globally
+    /// keyed: one slot per table.
+    part_offsets: Vec<usize>,
     steps: u64,
     execution: Execution,
     scratch: StepScratch,
@@ -328,12 +341,16 @@ impl Trainer {
             BackwardMode::Casted => Some(CastingPipeline::new()),
             BackwardMode::Baseline => None,
         };
-        let mut shard_offsets = Vec::with_capacity(model.num_tables() + 1);
-        shard_offsets.push(0usize);
+        let mut part_offsets = Vec::with_capacity(model.num_tables() + 1);
+        part_offsets.push(0usize);
         for t in 0..model.num_tables() {
-            shard_offsets.push(shard_offsets[t] + model.shard_map(t).num_shards());
+            let parts = match mode {
+                BackwardMode::Casted => model.shard_map(t).num_shards(),
+                BackwardMode::Baseline => 1,
+            };
+            part_offsets.push(part_offsets[t] + parts);
         }
-        let sharded = shard_offsets[model.num_tables()] > model.num_tables();
+        let sharded = (0..model.num_tables()).any(|t| model.shard_map(t).num_shards() > 1);
         let shard_plan: Option<Arc<[ShardMap]>> = sharded.then(|| {
             (0..model.num_tables())
                 .map(|t| model.shard_map(t).clone())
@@ -351,7 +368,7 @@ impl Trainer {
             optimizer,
             table_optimizers,
             shard_plan,
-            shard_offsets,
+            part_offsets,
             steps: 0,
             execution,
             scratch: StepScratch::default(),
@@ -531,12 +548,27 @@ impl Trainer {
     fn run_step(
         &mut self,
         batch: &CtrBatch,
-        ticket: Option<JobTicket>,
+        mut ticket: Option<JobTicket>,
     ) -> Result<StepReport, EmbeddingError> {
-        let exec = match &self.execution {
-            Execution::Serial => Exec::Serial,
-            Execution::Pooled(pool) => Exec::pooled(pool.as_ref()),
-        };
+        let report = self.run_step_phases(batch, &mut ticket);
+        // A step that failed before its casted backward (bad id, wrong
+        // table count, label mismatch) still owns its casting job: drain
+        // it, or the result sits in the pipeline forever and every later
+        // collect counts as out of order.
+        if let (Some(orphan), Some(pipeline)) = (ticket, self.pipeline.as_mut()) {
+            pipeline.collect(orphan);
+        }
+        report
+    }
+
+    /// [`Trainer::run_step`]'s phases; takes `ticket` when the casted
+    /// backward collects it.
+    fn run_step_phases(
+        &mut self,
+        batch: &CtrBatch,
+        ticket: &mut Option<JobTicket>,
+    ) -> Result<StepReport, EmbeddingError> {
+        let exec = self.execution.as_exec();
 
         // FWD (Gather).
         let t0 = Instant::now();
@@ -579,18 +611,18 @@ impl Trainer {
                 let tables = batch.indices.len();
                 self.scratch.expanded.resize_with(tables, Matrix::default);
                 self.scratch
-                    .baseline
-                    .resize_with(tables, CoalesceScratch::default);
+                    .coalesced
+                    .resize_with(tables, CoalescedScratch::default);
                 for ((idx, grads), (expanded, coalesced)) in
                     batch.indices.iter().zip(self.scratch.dpooled.iter()).zip(
                         self.scratch
                             .expanded
                             .iter_mut()
-                            .zip(self.scratch.baseline.iter_mut()),
+                            .zip(self.scratch.coalesced.iter_mut()),
                     )
                 {
                     gradient_expand_into(grads, idx, expanded)?;
-                    gradient_coalesce_into(expanded, idx, coalesced)?;
+                    gradient_coalesce_into(expanded, idx, coalesced, exec)?;
                 }
             }
             BackwardMode::Casted => {
@@ -598,7 +630,7 @@ impl Trainer {
                     .pipeline
                     .as_mut()
                     .expect("casted mode has a pipeline")
-                    .collect_timed(ticket.expect("ticket issued"));
+                    .collect_timed(ticket.take().expect("ticket issued"));
                 exposed_cast_wait = exposed;
                 // One casted array per (table, shard) pair, shard-major
                 // within table (one per table when unsharded). Each
@@ -607,21 +639,19 @@ impl Trainer {
                 // independently of its siblings.
                 assert_eq!(
                     casted.len(),
-                    *self.shard_offsets.last().expect("offsets non-empty"),
+                    *self.part_offsets.last().expect("offsets non-empty"),
                     "casting job shape disagrees with the shard plan"
                 );
                 self.scratch
                     .coalesced
                     .resize_with(casted.len(), CoalescedScratch::default);
                 for t in 0..self.model.num_tables() {
-                    let off = self.shard_offsets[t];
-                    let n = self.shard_offsets[t + 1] - off;
                     let grads = &self.scratch.dpooled[t];
-                    for s in 0..n {
+                    for part in self.part_offsets[t]..self.part_offsets[t + 1] {
                         casted_gather_reduce_into(
                             grads,
-                            &casted[off + s],
-                            &mut self.scratch.coalesced[off + s],
+                            &casted[part],
+                            &mut self.scratch.coalesced[part],
                             exec,
                         )?;
                     }
@@ -630,42 +660,22 @@ impl Trainer {
         }
         let bwd_embedding = t0.elapsed();
 
-        // BWD (Scatter): sparse optimizer update per table. Coalesced
-        // rows are unique, so under Execution::Pooled the scatter runs
-        // concurrently over disjoint table slices + optimizer state —
-        // row bands within the slab when unsharded, one task per shard
-        // when sharded — bit-identical to the serial scatter either way.
+        // BWD (Scatter): sparse optimizer update per table, straight from
+        // the coalesced slots either backward mode filled (casted mode's
+        // are already shard-local, so no global merge is ever
+        // materialized). Coalesced rows are unique, so under
+        // Execution::Pooled the scatter runs concurrently over disjoint
+        // table slices + optimizer state — row bands within the slab
+        // when unsharded, one task per shard when sharded —
+        // bit-identical to the serial scatter either way.
         let t0 = Instant::now();
-        match self.mode {
-            BackwardMode::Baseline => {
-                for (i, c) in self.scratch.baseline.iter().enumerate() {
-                    scatter_apply_sharded(
-                        self.model.table_mut(i),
-                        &c.rows,
-                        &c.grads,
-                        &mut self.table_optimizers[i],
-                        exec,
-                    )?;
-                }
-            }
-            BackwardMode::Casted => {
-                // Sharded: each shard's coalesced rows are already
-                // shard-local, so the scatter consumes them in place —
-                // no global merge is ever materialized.
-                let coalesced = &self.scratch.coalesced;
-                for t in 0..self.model.num_tables() {
-                    let off = self.shard_offsets[t];
-                    scatter_apply_per_shard(
-                        self.model.table_mut(t),
-                        &mut self.table_optimizers[t],
-                        |s| {
-                            let c = &coalesced[off + s];
-                            (c.rows.as_slice(), &c.grads)
-                        },
-                        exec,
-                    )?;
-                }
-            }
+        for t in 0..self.model.num_tables() {
+            scatter_apply_sharded(
+                self.model.table_mut(t),
+                &mut self.table_optimizers[t],
+                &self.scratch.coalesced[self.part_offsets[t]..self.part_offsets[t + 1]],
+                exec,
+            )?;
         }
         let bwd_scatter = t0.elapsed();
 

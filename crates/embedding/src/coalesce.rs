@@ -10,6 +10,7 @@
 use crate::error::EmbeddingError;
 use crate::expand::gradient_expand;
 use crate::index::IndexArray;
+use tcast_pool::Exec;
 use tcast_tensor::Matrix;
 
 /// The output of gradient coalescing: one gradient row per *unique* `src`
@@ -89,7 +90,8 @@ impl CoalescedGradients {
 ///
 /// Step A is the `ArgSort(src)` of the paper (implemented as a stable
 /// sort-by-key returning the permutation); Step B is the sequential
-/// accumulation over the sorted order.
+/// accumulation over the sorted order. Allocating form of
+/// [`gradient_coalesce_into`].
 ///
 /// # Errors
 ///
@@ -99,37 +101,43 @@ pub fn gradient_coalesce(
     expanded: &Matrix,
     index: &IndexArray,
 ) -> Result<CoalescedGradients, EmbeddingError> {
-    let mut scratch = CoalesceScratch::default();
-    gradient_coalesce_into(expanded, index, &mut scratch)?;
-    let CoalesceScratch { rows, grads, .. } = scratch;
-    CoalescedGradients::new(rows, grads)
+    let mut scratch = CoalescedScratch::default();
+    gradient_coalesce_into(expanded, index, &mut scratch, Exec::Serial)?;
+    CoalescedGradients::new(scratch.rows, scratch.grads)
 }
 
-/// Reusable buffers for [`gradient_coalesce_into`]: the argsort
-/// permutation plus the coalesced `(rows, grads)` output. Holding one per
-/// table across training steps makes the *baseline* backward's coalesce
-/// stage allocation-free in steady state (mirroring the casted path's
-/// `CoalescedScratch` in `tcast-core`).
+/// Reusable coalesced `(rows, grads)` output buffers — what either
+/// backward path hands to the scatter: [`gradient_coalesce_into`]
+/// (baseline) and `tcast-core`'s `casted_gather_reduce_into` (casted) both
+/// fill one. Holding one per table (per shard, when the casting pipeline
+/// routes by shard) across training steps is what makes the backward
+/// allocation-free in steady state: every buffer retains its capacity.
 #[derive(Debug, Clone, Default)]
-pub struct CoalesceScratch {
+pub struct CoalescedScratch {
     /// Touched (unique, ascending) table rows — matches
     /// [`CoalescedGradients::rows`].
     pub rows: Vec<u32>,
     /// One accumulated gradient row per entry of `rows` — matches
     /// [`CoalescedGradients::grads`].
     pub grads: Matrix,
-    /// Packed `(src, position)` sort keys (Step A's argsort scratch).
+    /// Packed `(src, position)` sort keys (Algorithm 1 Step A's argsort
+    /// scratch; unused by the casted path, whose sort ran in the casting
+    /// stage).
     keys: Vec<u64>,
 }
 
 /// [`gradient_coalesce`] into caller-owned scratch, reusing every buffer
-/// whose capacity suffices.
+/// whose capacity suffices, serially or on a pool ([`Exec`]).
 ///
-/// The argsort runs as an *unstable* sort over packed `(src, position)`
-/// keys — positions are distinct, so the order is total and exactly
-/// reproduces the stable sort-by-`src` the allocating path uses (std's
-/// stable sort allocates its merge buffer; the packed unstable sort does
-/// not). Results are bit-identical.
+/// The argsort (Step A) runs on the calling thread as an *unstable* sort
+/// over packed `(src, position)` keys — positions are distinct, so the
+/// order is total and exactly the stable sort-by-`src`, without the merge
+/// buffer std's stable sort allocates. Step B then splits at unique-`src`
+/// run boundaries: each pool task owns a contiguous band of output rows
+/// and runs the serial accumulation over that band's runs, so pooled ==
+/// serial bit for bit (serial is the one-band case of the same function).
+/// This is the tuned, parallel coalesce the paper's Section V methodology
+/// gives its baseline.
 ///
 /// # Errors
 ///
@@ -138,7 +146,8 @@ pub struct CoalesceScratch {
 pub fn gradient_coalesce_into(
     expanded: &Matrix,
     index: &IndexArray,
-    scratch: &mut CoalesceScratch,
+    scratch: &mut CoalescedScratch,
+    exec: Exec<'_>,
 ) -> Result<(), EmbeddingError> {
     if expanded.rows() != index.len() {
         return Err(EmbeddingError::LengthMismatch {
@@ -147,54 +156,84 @@ pub fn gradient_coalesce_into(
         });
     }
     let dim = expanded.cols();
+    let CoalescedScratch { rows, grads, keys } = scratch;
 
     // Step A: argsort the src array (stable via the packed position).
-    let src = index.src();
-    scratch.keys.clear();
-    scratch.keys.extend(
-        src.iter()
+    keys.clear();
+    keys.extend(
+        index
+            .src()
+            .iter()
             .enumerate()
             .map(|(pos, &s)| ((s as u64) << 32) | pos as u64),
     );
-    scratch.keys.sort_unstable();
+    keys.sort_unstable();
 
-    // Step B: accumulate coalescable gradients. The unique-src count is
-    // read off the sorted keys (unique_src_count() would clone + re-sort,
-    // an allocation this hot path cannot afford).
-    let unique = if scratch.keys.is_empty() {
-        0
-    } else {
-        1 + scratch
-            .keys
-            .windows(2)
-            .filter(|w| (w[0] >> 32) != (w[1] >> 32))
-            .count()
-    };
-    scratch.rows.clear();
-    scratch.grads.zero_into(unique, dim);
-    let mut out_i = usize::MAX; // "i <- -1" in the paper's pseudocode
+    // The unique rows are read off the sorted keys (unique_src_count()
+    // would clone + re-sort, an allocation this hot path cannot afford).
+    rows.clear();
+    for &key in keys.iter() {
+        let src = (key >> 32) as u32;
+        if rows.last() != Some(&src) {
+            rows.push(src);
+        }
+    }
+    let unique = rows.len();
+    grads.zero_into(unique, dim);
+
+    // Step B: accumulate coalescable gradients, one band of output rows
+    // per task.
     let kernel = tcast_tensor::simd::dispatch();
+    let bands = exec.threads().min(unique);
+    match exec.pool() {
+        Some(pool) if bands > 1 && dim > 0 => {
+            let (keys, rows) = (&*keys, &*rows);
+            let per = unique.div_ceil(bands);
+            // Where output row `u`'s run starts in the sorted keys.
+            let run_start = |u: usize| match rows.get(u) {
+                Some(&src) => keys.partition_point(|&key| (key >> 32) < src as u64),
+                None => keys.len(),
+            };
+            pool.scope(|scope| {
+                for (b, band) in grads.as_mut_slice().chunks_mut(per * dim).enumerate() {
+                    let runs = &keys[run_start(b * per)..run_start((b + 1) * per)];
+                    scope.spawn(move || accumulate_runs(kernel, expanded, runs, dim, band));
+                }
+            });
+        }
+        _ => accumulate_runs(kernel, expanded, keys, dim, grads.as_mut_slice()),
+    }
+    Ok(())
+}
+
+/// Algorithm 1 Step B over `keys` — sorted packed `(src, position)` keys
+/// beginning at a run boundary — into `band`, one output row per distinct
+/// `src`: the first gradient of a run is copied, the rest accumulate in
+/// pair order.
+fn accumulate_runs(
+    kernel: tcast_tensor::KernelDispatch,
+    expanded: &Matrix,
+    keys: &[u64],
+    dim: usize,
+    band: &mut [f32],
+) {
+    let mut out_i = usize::MAX; // "i <- -1" in the paper's pseudocode
     let mut prev: Option<u32> = None;
-    for (i, &key) in scratch.keys.iter().enumerate() {
+    for (i, &key) in keys.iter().enumerate() {
         let curr = (key >> 32) as u32;
         let pos = (key & 0xFFFF_FFFF) as usize;
-        if let Some(&next) = scratch.keys.get(i + 1) {
+        if let Some(&next) = keys.get(i + 1) {
             tcast_tensor::simd::prefetch(expanded.row((next & 0xFFFF_FFFF) as usize));
         }
         if prev != Some(curr) {
             out_i = out_i.wrapping_add(1);
-            scratch.rows.push(curr);
-            scratch
-                .grads
-                .row_mut(out_i)
-                .copy_from_slice(expanded.row(pos));
+            band[out_i * dim..(out_i + 1) * dim].copy_from_slice(expanded.row(pos));
         } else {
-            let acc = scratch.grads.row_mut(out_i);
+            let acc = &mut band[out_i * dim..(out_i + 1) * dim];
             tcast_tensor::simd::add_assign(kernel, acc, expanded.row(pos));
         }
         prev = Some(curr);
     }
-    Ok(())
 }
 
 /// Baseline two-step backward path: expand then coalesce, returning the
@@ -239,10 +278,10 @@ mod tests {
         let grads = Matrix::from_rows(&[&[1.0, 0.5], &[2.0, -0.25]]).unwrap();
         let expanded = gradient_expand(&grads, &index).unwrap();
         let fresh = gradient_coalesce(&expanded, &index).unwrap();
-        let mut scratch = CoalesceScratch::default();
+        let mut scratch = CoalescedScratch::default();
         // Two passes through the SAME scratch: the second starts dirty.
         for _ in 0..2 {
-            gradient_coalesce_into(&expanded, &index, &mut scratch).unwrap();
+            gradient_coalesce_into(&expanded, &index, &mut scratch, Exec::Serial).unwrap();
             assert_eq!(scratch.rows.as_slice(), fresh.rows());
             assert_eq!(scratch.grads.as_slice(), fresh.grads().as_slice());
         }
@@ -263,8 +302,8 @@ mod tests {
         }
         let expanded = gradient_expand(&grads, &index).unwrap();
         let fresh = gradient_coalesce(&expanded, &index).unwrap();
-        let mut scratch = CoalesceScratch::default();
-        gradient_coalesce_into(&expanded, &index, &mut scratch).unwrap();
+        let mut scratch = CoalescedScratch::default();
+        gradient_coalesce_into(&expanded, &index, &mut scratch, Exec::Serial).unwrap();
         assert_eq!(scratch.grads.as_slice(), fresh.grads().as_slice());
     }
 

@@ -56,37 +56,79 @@ pub fn gather_reduce_into(
     exec: Exec<'_>,
 ) -> Result<(), EmbeddingError> {
     index.validate_against_rows(table.rows())?;
-    let outputs = index.num_outputs();
-    let dim = table.dim();
-    out.zero_into(outputs, dim);
-    if outputs == 0 {
-        return Ok(());
-    }
-    match exec.pool() {
-        Some(pool) if exec.threads() > 1 && outputs > 1 => {
-            crate::parallel::gather_reduce_pooled_unchecked(
-                pool,
-                table,
-                index,
-                out,
-                exec.threads(),
-            );
-        }
-        _ => {
-            let kernel = tcast_tensor::simd::dispatch();
-            let srcs = index.src();
-            let dsts = index.dst();
-            for (i, (&src, &dst)) in srcs.iter().zip(dsts.iter()).enumerate() {
-                if let Some(&next) = srcs.get(i + 1) {
-                    tcast_tensor::simd::prefetch(table.row(next as usize));
-                }
-                let row = table.row(src as usize);
-                let acc = out.row_mut(dst as usize);
-                tcast_tensor::simd::add_assign(kernel, acc, row);
-            }
-        }
-    }
+    out.zero_into(index.num_outputs(), table.dim());
+    accumulate_rows(table.as_slice(), index.src(), index.dst(), out, exec);
     Ok(())
+}
+
+/// The tensor gather-reduce datapath over any row-major source:
+/// `out[dst[i]] += rows[src[i]]` for every lookup `i`, in lookup order,
+/// where `rows` holds vectors of width `out.cols()`. Forward propagation
+/// runs it over an embedding table ([`gather_reduce_into`]); the casted
+/// backward runs it over the gradient table (`tcast-core`'s
+/// `casted_gather_reduce_into`) — one kernel, which is the paper's point.
+///
+/// Under a pooled [`Exec`] the output rows split into contiguous bands,
+/// one task each; every band runs the serial kernel over the whole lookup
+/// stream and keeps the pairs whose `dst` it owns, so no two tasks write
+/// the same output row and each output row still accumulates in lookup
+/// order. Serial is the one-band case of the same function, which makes
+/// pooled == serial bit for bit by construction.
+///
+/// `out` must already be shaped and hold the values to accumulate onto
+/// (zeros for a plain gather-reduce).
+///
+/// # Panics
+///
+/// Panics if `src` and `dst` differ in length or a `src` row lies outside
+/// `rows`. Every `dst` must be an output row of `out` (both index-array
+/// types guarantee it; checked in debug builds).
+pub fn accumulate_rows(rows: &[f32], src: &[u32], dst: &[u32], out: &mut Matrix, exec: Exec<'_>) {
+    assert_eq!(src.len(), dst.len(), "one dst per src");
+    let (outputs, dim) = (out.rows(), out.cols());
+    debug_assert!(dst.iter().all(|&d| (d as usize) < outputs));
+    let kernel = tcast_tensor::simd::dispatch();
+    let bands = exec.threads().min(outputs);
+    match exec.pool() {
+        Some(pool) if bands > 1 && dim > 0 => {
+            let per = outputs.div_ceil(bands);
+            pool.scope(|scope| {
+                for (b, band) in out.as_mut_slice().chunks_mut(per * dim).enumerate() {
+                    scope
+                        .spawn(move || accumulate_band(kernel, rows, dim, src, dst, b * per, band));
+                }
+            });
+        }
+        _ => accumulate_band(kernel, rows, dim, src, dst, 0, out.as_mut_slice()),
+    }
+}
+
+/// The one accumulate loop: `band[dst[i] - base] += rows[src[i]]` for the
+/// lookups whose `dst` falls inside `band` (output rows `base..`), with
+/// the next lookup's row prefetched under the current add.
+fn accumulate_band(
+    kernel: tcast_tensor::KernelDispatch,
+    rows: &[f32],
+    dim: usize,
+    src: &[u32],
+    dst: &[u32],
+    base: usize,
+    band: &mut [f32],
+) {
+    let row = |r: u32| &rows[r as usize * dim..(r as usize + 1) * dim];
+    for (i, (&s, &d)) in src.iter().zip(dst.iter()).enumerate() {
+        // Skip the pairs another band owns.
+        let Some(local) = (d as usize).checked_sub(base) else {
+            continue;
+        };
+        let Some(acc) = band.get_mut(local * dim..(local + 1) * dim) else {
+            continue;
+        };
+        if let Some(&next) = src.get(i + 1) {
+            tcast_tensor::simd::prefetch(row(next));
+        }
+        tcast_tensor::simd::add_assign(kernel, acc, row(s));
+    }
 }
 
 /// Unfused gather: materializes every looked-up row as an `n x dim`

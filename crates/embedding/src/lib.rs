@@ -11,12 +11,23 @@
 //!   `src`;
 //! * **gradient scatter** (backward, Fig. 2b step 3) — apply the coalesced
 //!   gradients to the table through a sparse [`optim::SparseOptimizer`]
-//!   (SGD / momentum / Adagrad Eq. 2 / RMSprop Eq. 1 / Adam). Coalesced
-//!   rows are unique, so the scatter is band-parallelizable: every
-//!   optimizer's state is splittable at row boundaries
-//!   ([`optim::SplittableOptimizer`]) and [`scatter_apply_parallel`]
-//!   updates disjoint table/state bands on the `tcast-pool`,
-//!   bit-identically to the serial scatter.
+//!   (SGD / momentum / Adagrad Eq. 2 / RMSprop Eq. 1 / Adam).
+//!
+//! # One implementation per primitive
+//!
+//! Each primitive has exactly one implementation, its `_into` form, which
+//! writes into caller-owned buffers and takes a `tcast_pool::Exec`
+//! saying where to run: [`gather_reduce_into`],
+//! [`gradient_coalesce_into`], [`scatter_apply_sharded`]
+//! ([`gradient_expand_into`] is a plain copy loop and always serial).
+//! Serial execution is the one-band case and an unsharded table the
+//! one-shard case *of the same function*, so the results are bit-identical
+//! whatever the `Exec` and shard count — by construction, not by a second
+//! kernel that happens to agree. The allocating forms ([`gather_reduce`],
+//! [`gradient_coalesce`], [`gradient_expand`]) are thin wrappers for
+//! tests, examples and the model crates; [`scatter_apply`] is the serial
+//! reference scatter. The `(src, dst)` accumulate loop itself lives once,
+//! behind [`accumulate_rows`], and also serves the casted backward.
 //!
 //! The *casted* backward path (Algorithms 2-3) lives in the `tcast-core`
 //! crate; this crate deliberately contains only what existing ML frameworks
@@ -50,37 +61,27 @@
 //! # }
 //! ```
 
-mod bag;
 mod coalesce;
 mod error;
 mod expand;
 mod gather;
 mod index;
 pub mod optim;
-mod parallel;
 mod scatter;
 mod sharding;
 pub mod simd;
 mod table;
 pub mod traffic;
 
-pub use bag::EmbeddingBagCollection;
 pub use coalesce::{
-    gradient_coalesce, gradient_coalesce_into, gradient_expand_coalesce, CoalesceScratch,
-    CoalescedGradients,
+    gradient_coalesce, gradient_coalesce_into, gradient_expand_coalesce, CoalescedGradients,
+    CoalescedScratch,
 };
 pub use error::EmbeddingError;
 pub use expand::{gradient_expand, gradient_expand_into};
-pub use gather::{gather, gather_reduce, gather_reduce_into, reduce_by_dst};
+pub use gather::{accumulate_rows, gather, gather_reduce, gather_reduce_into, reduce_by_dst};
 pub use index::IndexArray;
 pub use optim::ShardedOptimizer;
-pub use parallel::{
-    gather_reduce_parallel, gather_reduce_parallel_in, gradient_coalesce_parallel,
-    gradient_coalesce_parallel_in,
-};
-pub use scatter::{
-    scatter_apply, scatter_apply_dense, scatter_apply_parallel, scatter_apply_per_shard,
-    scatter_apply_sharded,
-};
-pub use sharding::{RouteScratch, ShardMap, ShardSpec, ShardedGatherScratch, ShardedTable};
+pub use scatter::{scatter_apply, scatter_apply_sharded};
+pub use sharding::{RouteScratch, ShardMap, ShardSpec};
 pub use table::EmbeddingTable;

@@ -18,7 +18,7 @@
 //! rehash), so state lives in a dense, lazily-grown [`RowState`] band
 //! store instead: one contiguous `width`-strided slab, splittable at
 //! arbitrary row boundaries with `split_at_mut`. [`SplittableOptimizer`]
-//! exposes that split, and `scatter_apply_parallel` consumes it.
+//! exposes that split, and [`crate::scatter_apply_sharded`] consumes it.
 //!
 //! [`ShardedOptimizer`] goes one step further — from bands *within* one
 //! slab to state you can *place*: one optimizer instance (and thus one
@@ -70,7 +70,7 @@ pub trait StateShard: Send {
 ///
 /// Gradient coalescing guarantees each table row appears at most once per
 /// scatter, so shards over disjoint row ranges never alias state — each
-/// band of `scatter_apply_parallel` updates its table slice and its state
+/// band of [`crate::scatter_apply_sharded`] updates its table slice and its state
 /// shard with no synchronization.
 pub trait SplittableOptimizer: SparseOptimizer + Send {
     /// Splits the optimizer state at the row `fence` (ascending,
@@ -918,20 +918,6 @@ impl ShardedOptimizer {
     /// Panics when `s` is out of range.
     pub fn shard(&self, s: usize) -> &dyn SplittableOptimizer {
         self.shards[s].as_ref()
-    }
-
-    /// Mutable access to one shard's optimizer (rows are shard-local).
-    ///
-    /// # Panics
-    ///
-    /// Panics when `s` is out of range.
-    pub fn shard_mut(&mut self, s: usize) -> &mut dyn SplittableOptimizer {
-        self.shards[s].as_mut()
-    }
-
-    /// All shard optimizers, for concurrent per-shard scatters.
-    pub fn shards_mut(&mut self) -> &mut [Box<dyn SplittableOptimizer>] {
-        &mut self.shards
     }
 
     /// The map and the shard optimizers together (split borrow), for

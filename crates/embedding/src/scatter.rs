@@ -4,16 +4,23 @@
 //! Scatter is the dual of gather — the paper stresses (Section IV-C) that
 //! both run over "the same datapath, just in the opposite directions",
 //! which is what lets one NMP core design serve the whole training loop.
+//!
+//! Two entry points: [`scatter_apply`], the serial reference every other
+//! scatter in the workspace (this one, the NMP pool's, the fused casted
+//! backward) is tested against, and [`scatter_apply_sharded`], the one the
+//! trainer runs — any [`Exec`], any shard count, either backward path's
+//! output, bit-identical to the reference.
 
-use crate::coalesce::CoalescedGradients;
+use crate::coalesce::{CoalescedGradients, CoalescedScratch};
 use crate::error::EmbeddingError;
-use crate::optim::{ShardedOptimizer, SparseOptimizer, SplittableOptimizer};
+use crate::optim::{ShardedOptimizer, SparseOptimizer};
 use crate::table::EmbeddingTable;
 use tcast_pool::Exec;
 use tcast_tensor::Matrix;
 
 /// Applies coalesced gradients to the table: for every `(row, grad)` pair,
-/// `table[row] <- optimizer(table[row], grad)`.
+/// `table[row] <- optimizer(table[row], grad)`, serially through any
+/// [`SparseOptimizer`]. The reference scatter (see the module docs).
 ///
 /// # Errors
 ///
@@ -47,390 +54,192 @@ pub fn scatter_apply(
     Ok(())
 }
 
-/// Scatter for a raw `(row-ids, gradient-matrix)` pairing — the
-/// **production casted scatter path**: `Trainer::step` feeds it the
-/// `CoalescedScratch` arrays the fused casted gather-reduce fills, so no
-/// `CoalescedGradients` wrapper is materialized on the hot path.
+/// The production scatter: applies coalesced gradients to a table whose
+/// optimizer state is placed by a [`ShardedOptimizer`], serially or on a
+/// pool ([`Exec`]) — **bit-identical** to [`scatter_apply`] through one
+/// unsharded optimizer for every shard count, band count and `Exec`.
 ///
-/// # Caller contract
+/// `parts` is what the backward pass left in its [`CoalescedScratch`]
+/// buffers, in one of two shapes:
 ///
-/// For stateful optimizers the rows **must already be coalesced** —
-/// unique, with each row's gradients pre-accumulated (sorted order is not
-/// required here, but both producers emit ascending rows). Passing
-/// duplicate rows applies the optimizer's nonlinear state update once per
-/// duplicate instead of once per coalesced sum, which diverges (the
-/// paper's Section II-B argument; demonstrated in
-/// `uncoalesced_scatter_diverges_for_stateful_optimizers`). This function
-/// cannot check uniqueness cheaply and does not try; the parallel form
-/// [`scatter_apply_parallel`] does enforce the ordering contract.
+/// * **one** array keyed by *global* row id — the baseline path's
+///   `gradient_coalesce_into` output, or either path on an unsharded
+///   table (with one shard, global and shard-local ids coincide);
+/// * **one array per shard**, keyed by *shard-local* row id — the casted
+///   path's per-shard `casted_gather_reduce_into` outputs (the casting
+///   pipeline routed the indices per shard, so no global merge is ever
+///   materialized).
 ///
-/// # Errors
-///
-/// Returns [`EmbeddingError::LengthMismatch`] if `rows.len()` differs from
-/// `grads.rows()`, [`EmbeddingError::DimMismatch`] on width mismatch, or
-/// [`EmbeddingError::SrcOutOfBounds`] if a row id exceeds the table.
-pub fn scatter_apply_dense(
-    table: &mut EmbeddingTable,
-    rows: &[u32],
-    grads: &Matrix,
-    optimizer: &mut dyn SparseOptimizer,
-) -> Result<(), EmbeddingError> {
-    if rows.len() != grads.rows() {
-        return Err(EmbeddingError::LengthMismatch {
-            expected: rows.len(),
-            found: grads.rows(),
-        });
-    }
-    if grads.cols() != table.dim() {
-        return Err(EmbeddingError::DimMismatch {
-            expected: table.dim(),
-            found: grads.cols(),
-        });
-    }
-    if let Some(&bad) = rows.iter().find(|&&r| r as usize >= table.rows()) {
-        return Err(EmbeddingError::SrcOutOfBounds {
-            src: bad,
-            rows: table.rows(),
-        });
-    }
-    for (i, &row) in rows.iter().enumerate() {
-        optimizer.update_row(row, table.row_mut(row as usize), grads.row(i));
-    }
-    Ok(())
-}
-
-/// Band-parallel optimizer scatter, **bit-identical** to the serial
-/// scatter.
-///
-/// Coalescing guarantees each table row appears exactly once in `rows`
-/// (strictly ascending — enforced here), so partitioning the
-/// `(rows, grads)` arrays into contiguous equal-count bands yields bands
-/// that touch **disjoint table rows and disjoint optimizer state**: each
-/// band updates its `split_at_mut` table slice plus its
-/// [`SplittableOptimizer`] state shard on a `tcast-pool` scope with no
-/// synchronization. This is the scatter-side dual of the banded casted
-/// gather-reduce — the same row-disjointness RecNMP/MP-Rec exploit to
-/// spread sparse updates across parallel units — and it closes the
-/// paper's Section IV-C "same datapath, opposite direction" loop: with it,
-/// every phase of embedding backward runs on the pool.
-///
-/// Per row, the shard applies exactly the serial optimizer update (same
-/// operations, same order), so tables *and* optimizer state match the
-/// serial scatter bit-for-bit regardless of band count.
-///
-/// With [`Exec::Serial`] (or a single effective band) this degrades to
-/// the serial loop of [`scatter_apply_dense`].
+/// Coalescing guarantees each table row appears exactly once (rows are
+/// strictly ascending — enforced here), so any partition of the rows
+/// touches **disjoint table rows and disjoint optimizer state**. With one
+/// shard, the rows split into equal-count bands, each updating its
+/// `split_at_mut` table slice plus its [`crate::optim::SplittableOptimizer`] state band;
+/// with more, each shard updates its slice of the table through its own
+/// optimizer shard (a global-keyed array is cut at the shard fences with
+/// `partition_point`, zero-copy). Every task runs the same per-row loop
+/// the serial path runs — the scatter-side dual of the banded
+/// gather-reduce, and the row-disjointness RecNMP/MP-Rec exploit to
+/// spread sparse updates across parallel units. The serial path
+/// allocates nothing.
 ///
 /// # Errors
 ///
-/// Returns [`EmbeddingError::LengthMismatch`] if `rows.len()` differs
-/// from `grads.rows()`, [`EmbeddingError::DimMismatch`] on width
-/// mismatch, [`EmbeddingError::SrcOutOfBounds`] if a row id exceeds the
-/// table, or [`EmbeddingError::InvalidIndex`] if `rows` is not strictly
-/// ascending (i.e. not coalesced).
-pub fn scatter_apply_parallel(
-    table: &mut EmbeddingTable,
-    rows: &[u32],
-    grads: &Matrix,
-    optimizer: &mut dyn SplittableOptimizer,
-    exec: Exec<'_>,
-) -> Result<(), EmbeddingError> {
-    if rows.len() != grads.rows() {
-        return Err(EmbeddingError::LengthMismatch {
-            expected: rows.len(),
-            found: grads.rows(),
-        });
-    }
-    if grads.cols() != table.dim() {
-        return Err(EmbeddingError::DimMismatch {
-            expected: table.dim(),
-            found: grads.cols(),
-        });
-    }
-    if !rows.windows(2).all(|w| w[0] < w[1]) {
-        return Err(EmbeddingError::InvalidIndex(
-            "scatter_apply_parallel requires coalesced rows (strictly ascending, unique)".into(),
-        ));
-    }
-    // Ascending order just verified: the last row is the maximum, so it
-    // alone bounds-checks the whole array (no second O(n) pass).
-    if let Some(&last) = rows.last() {
-        if last as usize >= table.rows() {
-            return Err(EmbeddingError::SrcOutOfBounds {
-                src: last,
-                rows: table.rows(),
-            });
-        }
-    }
-
-    let n = rows.len();
-    let bands = exec.threads().min(n);
-    let (pool, bands) = match exec.pool() {
-        Some(pool) if bands > 1 => (pool, bands),
-        _ => {
-            for (i, &row) in rows.iter().enumerate() {
-                optimizer.update_row(row, table.row_mut(row as usize), grads.row(i));
-            }
-            return Ok(());
-        }
-    };
-
-    // Equal-count bands over the coalesced lookups; the row-id fence is
-    // each band's first row id, closed just past the last touched row so
-    // dense optimizer state is only grown to the touched prefix (a
-    // scatter touching low ids on a huge table must not allocate
-    // table-sized state). Strictly ascending rows make the fence strictly
-    // ascending too.
-    let dim = table.dim();
-    let per = n.div_ceil(bands);
-    let bands = n.div_ceil(per);
-    let mut fence = Vec::with_capacity(bands + 1);
-    fence.push(0u32);
-    for b in 1..bands {
-        fence.push(rows[b * per]);
-    }
-    fence.push(rows[n - 1].saturating_add(1));
-
-    let shards = optimizer.split_by_rows(&fence, dim);
-    pool.scope(|scope| {
-        let mut table_rest = table.as_mut_slice();
-        for (b, mut shard) in shards.into_iter().enumerate() {
-            let lo = b * per;
-            let hi = ((b + 1) * per).min(n);
-            let band_lo = fence[b] as usize;
-            let band_hi = fence[b + 1] as usize;
-            let (band, tail) = table_rest.split_at_mut((band_hi - band_lo) * dim);
-            table_rest = tail;
-            let band_rows = &rows[lo..hi];
-            scope.spawn(move || {
-                for (k, &row) in band_rows.iter().enumerate() {
-                    let at = (row as usize - band_lo) * dim;
-                    shard.update_row(row, &mut band[at..at + dim], grads.row(lo + k));
-                }
-            });
-        }
-    });
-    Ok(())
-}
-
-/// Shard-concurrent scatter of **global-keyed** coalesced gradients into a
-/// single table slab whose optimizer state lives in per-shard
-/// [`ShardedOptimizer`] slabs — the production **baseline**-mode scatter
-/// when the model is sharded.
-///
-/// With one shard this delegates to the band-parallel
-/// [`scatter_apply_parallel`] (today's unsharded path, unchanged). With
-/// more, the ascending `rows` are split at the shard fences
-/// (`partition_point`, zero-copy) and each shard updates its
-/// `split_at_mut` slice of the table through its own optimizer shard, one
-/// pool task per shard. Per-row updates touch disjoint rows and disjoint
-/// state, and each row sees exactly the serial update — so the result is
-/// **bit-identical** to the unsharded serial scatter for any shard count,
-/// serial or pooled.
-///
-/// # Errors
-///
-/// The validations of [`scatter_apply_parallel`], plus
 /// [`EmbeddingError::InvalidIndex`] if the optimizer's
-/// [`crate::sharding::ShardMap`] does not cover exactly `table.rows()`.
+/// [`crate::sharding::ShardMap`] does not cover exactly `table.rows()`,
+/// if `parts` holds neither one array nor one per shard, or if an array's
+/// rows are not strictly ascending (i.e. not coalesced);
+/// [`EmbeddingError::LengthMismatch`] if an array's `rows` and `grads`
+/// disagree; [`EmbeddingError::DimMismatch`] on a gradient width other
+/// than the table's (checked for non-empty arrays);
+/// [`EmbeddingError::SrcOutOfBounds`] (with the **global** row id) if a
+/// row falls outside the table or its shard.
 pub fn scatter_apply_sharded(
     table: &mut EmbeddingTable,
-    rows: &[u32],
-    grads: &Matrix,
     optimizer: &mut ShardedOptimizer,
+    parts: &[CoalescedScratch],
     exec: Exec<'_>,
 ) -> Result<(), EmbeddingError> {
-    if optimizer.map().rows() != table.rows() {
-        return Err(EmbeddingError::InvalidIndex(format!(
-            "shard map covers {} rows but the table has {}",
-            optimizer.map().rows(),
-            table.rows()
-        )));
-    }
-    if optimizer.num_shards() == 1 {
-        return scatter_apply_parallel(table, rows, grads, optimizer.shard_mut(0), exec);
-    }
-    if rows.len() != grads.rows() {
-        return Err(EmbeddingError::LengthMismatch {
-            expected: rows.len(),
-            found: grads.rows(),
-        });
-    }
-    if grads.cols() != table.dim() {
-        return Err(EmbeddingError::DimMismatch {
-            expected: table.dim(),
-            found: grads.cols(),
-        });
-    }
-    if !rows.windows(2).all(|w| w[0] < w[1]) {
-        return Err(EmbeddingError::InvalidIndex(
-            "scatter_apply_sharded requires coalesced rows (strictly ascending, unique)".into(),
-        ));
-    }
-    if let Some(&last) = rows.last() {
-        if last as usize >= table.rows() {
-            return Err(EmbeddingError::SrcOutOfBounds {
-                src: last,
-                rows: table.rows(),
-            });
-        }
-    }
-
-    let pool = match exec.pool() {
-        Some(pool) if exec.threads() > 1 => pool,
-        _ => {
-            // Serial: route each global row through its owning shard's
-            // local state (an O(1) divide per row, no allocation).
-            for (i, &row) in rows.iter().enumerate() {
-                optimizer.update_row(row, table.row_mut(row as usize), grads.row(i));
-            }
-            return Ok(());
-        }
-    };
-
+    let table_rows = table.rows();
     let dim = table.dim();
     let (map, opts) = optimizer.parts_mut();
-    pool.scope(|scope| {
-        let mut table_rest = table.as_mut_slice();
-        let mut row_lo = 0usize;
-        for (s, opt) in opts.iter_mut().enumerate() {
-            let base = map.shard_base(s);
-            let end = map.shard_end(s);
-            let (slab, tail) = table_rest.split_at_mut((end - base) * dim);
-            table_rest = tail;
-            let row_hi = row_lo + rows[row_lo..].partition_point(|&r| (r as usize) < end);
-            let shard_rows = &rows[row_lo..row_hi];
-            let grad_lo = row_lo;
-            row_lo = row_hi;
-            if shard_rows.is_empty() {
-                continue;
-            }
-            scope.spawn(move || {
-                for (k, &row) in shard_rows.iter().enumerate() {
-                    let local = row as usize - base;
-                    opt.update_row(
-                        local as u32,
-                        &mut slab[local * dim..(local + 1) * dim],
-                        grads.row(grad_lo + k),
-                    );
-                }
-            });
-        }
-    });
-    Ok(())
-}
-
-/// Shard-concurrent scatter of **shard-local** coalesced gradients — the
-/// production **casted**-mode scatter when the model is sharded: the
-/// casting pipeline already routed each job's indices per shard, so the
-/// per-shard casted gather-reduce emits per-shard `(local rows, grads)`
-/// pairs and no global merge is ever materialized.
-///
-/// `parts(s)` returns shard `s`'s coalesced gradients keyed by
-/// **shard-local** ascending row ids (it may be called more than once per
-/// shard). With one shard this delegates to [`scatter_apply_parallel`];
-/// with more, one pool task per shard updates its table slice through its
-/// own optimizer shard. Bit-identical to the unsharded scatter for the
-/// same reasons as [`scatter_apply_sharded`], and allocation-free.
-///
-/// # Errors
-///
-/// [`EmbeddingError::InvalidIndex`] if the shard map does not cover the
-/// table or a shard's rows are not strictly ascending;
-/// [`EmbeddingError::LengthMismatch`] / [`EmbeddingError::DimMismatch`]
-/// if a shard's rows and gradient matrix disagree (width is only checked
-/// for non-empty shards); [`EmbeddingError::SrcOutOfBounds`] (with the
-/// **global** row id) if a local row falls outside its shard.
-pub fn scatter_apply_per_shard<'a>(
-    table: &mut EmbeddingTable,
-    optimizer: &mut ShardedOptimizer,
-    parts: impl Fn(usize) -> (&'a [u32], &'a Matrix),
-    exec: Exec<'_>,
-) -> Result<(), EmbeddingError> {
-    if optimizer.map().rows() != table.rows() {
+    if map.rows() != table_rows {
         return Err(EmbeddingError::InvalidIndex(format!(
-            "shard map covers {} rows but the table has {}",
-            optimizer.map().rows(),
-            table.rows()
+            "shard map covers {} rows but the table has {table_rows}",
+            map.rows()
         )));
     }
-    if optimizer.num_shards() == 1 {
-        let (rows, grads) = parts(0);
-        return scatter_apply_parallel(table, rows, grads, optimizer.shard_mut(0), exec);
+    let global = parts.len() == 1;
+    if !global && parts.len() != opts.len() {
+        return Err(EmbeddingError::InvalidIndex(format!(
+            "scatter needs one global-keyed array or one per shard ({}), got {}",
+            opts.len(),
+            parts.len()
+        )));
     }
-    let dim = table.dim();
-    for s in 0..optimizer.num_shards() {
-        let (rows_s, grads_s) = parts(s);
-        if rows_s.len() != grads_s.rows() {
+    for (s, part) in parts.iter().enumerate() {
+        let (base, span) = if global {
+            (0, table_rows)
+        } else {
+            (map.shard_base(s), map.shard_rows(s))
+        };
+        if part.rows.len() != part.grads.rows() {
             return Err(EmbeddingError::LengthMismatch {
-                expected: rows_s.len(),
-                found: grads_s.rows(),
+                expected: part.rows.len(),
+                found: part.grads.rows(),
             });
         }
-        if rows_s.is_empty() {
+        // Ascending order makes the last row the maximum, so it alone
+        // bounds-checks the whole array.
+        let Some(&last) = part.rows.last() else {
             continue;
-        }
-        if grads_s.cols() != dim {
+        };
+        if part.grads.cols() != dim {
             return Err(EmbeddingError::DimMismatch {
                 expected: dim,
-                found: grads_s.cols(),
+                found: part.grads.cols(),
             });
         }
-        if !rows_s.windows(2).all(|w| w[0] < w[1]) {
+        if !part.rows.windows(2).all(|w| w[0] < w[1]) {
             return Err(EmbeddingError::InvalidIndex(
-                "scatter_apply_per_shard requires coalesced local rows (strictly ascending)".into(),
+                "scatter requires coalesced rows (strictly ascending, unique)".into(),
             ));
         }
-        let base = optimizer.map().shard_base(s);
-        let span = optimizer.map().shard_rows(s);
-        let last = *rows_s.last().expect("non-empty");
         if last as usize >= span {
             return Err(EmbeddingError::SrcOutOfBounds {
                 src: base as u32 + last,
-                rows: table.rows(),
+                rows: table_rows,
             });
         }
     }
-
-    let (map, opts) = optimizer.parts_mut();
-    let pool = match exec.pool() {
-        Some(pool) if exec.threads() > 1 => pool,
-        _ => {
-            for (s, opt) in opts.iter_mut().enumerate() {
-                let base = map.shard_base(s);
-                let (rows_s, grads_s) = parts(s);
-                for (k, &local) in rows_s.iter().enumerate() {
-                    opt.update_row(local, table.row_mut(base + local as usize), grads_s.row(k));
-                }
-            }
+    if let [opt] = opts {
+        // One shard: equal-count row bands within the slab.
+        let CoalescedScratch { rows, grads, .. } = &parts[0];
+        let n = rows.len();
+        let bands = exec.threads().min(n);
+        let Some(pool) = exec.pool().filter(|_| bands > 1) else {
+            let update = |r, p: &mut [f32], g: &[f32]| opt.update_row(r, p, g);
+            update_rows(update, table.as_mut_slice(), 0, 0, rows, grads, 0);
             return Ok(());
-        }
-    };
-
-    pool.scope(|scope| {
+        };
+        // The row-id fence is each band's first row id, closed just past
+        // the last touched row so dense optimizer state is only grown to
+        // the touched prefix (a scatter touching low ids on a huge table
+        // must not allocate table-sized state). Strictly ascending rows
+        // make the fence strictly ascending too.
+        let per = n.div_ceil(bands);
+        let mut fence = Vec::with_capacity(bands + 1);
+        fence.push(0u32);
+        fence.extend(rows.chunks(per).skip(1).map(|band| band[0]));
+        fence.push(rows[n - 1].saturating_add(1));
         let mut table_rest = table.as_mut_slice();
-        for (s, opt) in opts.iter_mut().enumerate() {
-            let base = map.shard_base(s);
-            let end = map.shard_end(s);
-            let (slab, tail) = table_rest.split_at_mut((end - base) * dim);
-            table_rest = tail;
-            let (rows_s, grads_s) = parts(s);
-            if rows_s.is_empty() {
-                continue;
+        let shards = opt.split_by_rows(&fence, dim);
+        pool.scope(|scope| {
+            for (b, mut shard) in shards.into_iter().enumerate() {
+                let (band, tail) = std::mem::take(&mut table_rest)
+                    .split_at_mut((fence[b + 1] - fence[b]) as usize * dim);
+                table_rest = tail;
+                let band_rows = &rows[b * per..((b + 1) * per).min(n)];
+                let first = fence[b];
+                scope.spawn(move || {
+                    let update = |r, p: &mut [f32], g: &[f32]| shard.update_row(r, p, g);
+                    update_rows(update, band, first, 0, band_rows, grads, b * per);
+                });
             }
-            scope.spawn(move || {
-                for (k, &local) in rows_s.iter().enumerate() {
-                    let local = local as usize;
-                    opt.update_row(
-                        local as u32,
-                        &mut slab[local * dim..(local + 1) * dim],
-                        grads_s.row(k),
-                    );
-                }
-            });
-        }
+        });
+        return Ok(());
+    }
+
+    // Several shards: one task per shard, each on its slice of the table
+    // and its own optimizer shard, keyed by shard-local row id.
+    let mut table_rest = table.as_mut_slice();
+    let mut cursor = 0usize; // into the global-keyed array
+    let tasks = opts.iter_mut().enumerate().filter_map(|(s, opt)| {
+        let (base, end) = (map.shard_base(s), map.shard_end(s));
+        let (slab, tail) = std::mem::take(&mut table_rest).split_at_mut((end - base) * dim);
+        table_rest = tail;
+        let (rows, grads, grad_lo, key_base) = if global {
+            let rows = &parts[0].rows;
+            let lo = cursor;
+            cursor += rows[lo..].partition_point(|&r| (r as usize) < end);
+            (&rows[lo..cursor], &parts[0].grads, lo, base as u32)
+        } else {
+            (parts[s].rows.as_slice(), &parts[s].grads, 0, 0)
+        };
+        (!rows.is_empty()).then_some(move || {
+            let update = |r, p: &mut [f32], g: &[f32]| opt.update_row(r, p, g);
+            update_rows(update, slab, key_base, key_base, rows, grads, grad_lo);
+        })
     });
+    match exec.pool().filter(|_| exec.threads() > 1) {
+        Some(pool) => pool.scope(|scope| tasks.for_each(|task| scope.spawn(task))),
+        None => tasks.for_each(|mut task| task()),
+    }
     Ok(())
+}
+
+/// The one scatter loop: for each `k`, applies gradient row `grad_lo + k`
+/// to table row `rows[k]` through `update`. `slab` holds the table rows
+/// from id `slab_first` on (in the id space of `rows`), and the optimizer
+/// state is keyed by `row - key_base` (a shard's local id).
+fn update_rows(
+    mut update: impl FnMut(u32, &mut [f32], &[f32]),
+    slab: &mut [f32],
+    slab_first: u32,
+    key_base: u32,
+    rows: &[u32],
+    grads: &Matrix,
+    grad_lo: usize,
+) {
+    let dim = grads.cols();
+    for (k, &row) in rows.iter().enumerate() {
+        let at = (row - slab_first) as usize * dim;
+        update(
+            row - key_base,
+            &mut slab[at..at + dim],
+            grads.row(grad_lo + k),
+        );
+    }
 }
 
 #[cfg(test)]
@@ -439,15 +248,31 @@ mod tests {
     use crate::coalesce::gradient_expand_coalesce;
     use crate::index::IndexArray;
     use crate::optim::{Adagrad, Sgd};
+    use crate::sharding::ShardMap;
+    use tcast_pool::Pool;
+
+    fn coalesced(rows: &[u32], grads: Matrix) -> CoalescedGradients {
+        CoalescedGradients::new(rows.to_vec(), grads).unwrap()
+    }
+
+    fn part(rows: &[u32], grads: Matrix) -> CoalescedScratch {
+        let mut part = CoalescedScratch::default();
+        part.rows.extend_from_slice(rows);
+        part.grads = grads;
+        part
+    }
+
+    fn sgd_shards(rows: usize, shards: usize) -> ShardedOptimizer {
+        ShardedOptimizer::new(ShardMap::new(rows, shards), || Box::new(Sgd::new(1.0)) as _)
+    }
 
     #[test]
     fn scatter_updates_only_touched_rows() {
         let mut table = EmbeddingTable::zeros(6, 2);
-        let c = CoalescedGradients::new(
-            vec![1, 4],
+        let c = coalesced(
+            &[1, 4],
             Matrix::from_rows(&[&[1.0, 1.0], &[2.0, 2.0]]).unwrap(),
-        )
-        .unwrap();
+        );
         scatter_apply(&mut table, &c, &mut Sgd::new(1.0)).unwrap();
         assert_eq!(table.row(1), &[-1.0, -1.0]);
         assert_eq!(table.row(4), &[-2.0, -2.0]);
@@ -459,9 +284,9 @@ mod tests {
     #[test]
     fn scatter_validates_bounds_and_dims() {
         let mut table = EmbeddingTable::zeros(3, 2);
-        let too_wide = CoalescedGradients::new(vec![0], Matrix::zeros(1, 3)).unwrap();
+        let too_wide = coalesced(&[0], Matrix::zeros(1, 3));
         assert!(scatter_apply(&mut table, &too_wide, &mut Sgd::new(1.0)).is_err());
-        let oob = CoalescedGradients::new(vec![3], Matrix::zeros(1, 2)).unwrap();
+        let oob = coalesced(&[3], Matrix::zeros(1, 2));
         assert!(scatter_apply(&mut table, &oob, &mut Sgd::new(1.0)).is_err());
     }
 
@@ -481,28 +306,29 @@ mod tests {
         assert_eq!(table.row(4), &[-0.5]);
     }
 
+    /// Row 2's two unit gradients applied one after the other (uncoalesced)
+    /// and as their coalesced sum.
+    fn duplicate_vs_coalesced(
+        mk: impl Fn() -> Box<dyn SparseOptimizer>,
+    ) -> (EmbeddingTable, EmbeddingTable) {
+        let one = coalesced(&[2], Matrix::from_rows(&[&[1.0]]).unwrap());
+        let mut sequential = EmbeddingTable::zeros(3, 1);
+        let mut opt = mk();
+        scatter_apply(&mut sequential, &one, opt.as_mut()).unwrap();
+        scatter_apply(&mut sequential, &one, opt.as_mut()).unwrap();
+        let sum = coalesced(&[2], Matrix::from_rows(&[&[2.0]]).unwrap());
+        let mut together = EmbeddingTable::zeros(3, 1);
+        scatter_apply(&mut together, &sum, mk().as_mut()).unwrap();
+        (sequential, together)
+    }
+
     #[test]
     fn uncoalesced_scatter_diverges_for_stateful_optimizers() {
         // The Section II-B argument: applying duplicate gradients
         // sequentially through Adagrad is NOT the same as coalescing first,
         // because the accumulator update is nonlinear in G.
-        let rows_dup = vec![2u32, 2u32];
-        let grads_dup = Matrix::from_rows(&[&[1.0], &[1.0]]).unwrap();
-
-        let mut table_seq = EmbeddingTable::zeros(3, 1);
-        scatter_apply_dense(
-            &mut table_seq,
-            &rows_dup,
-            &grads_dup,
-            &mut Adagrad::new(0.1, 0.0),
-        )
-        .unwrap();
-
-        let mut table_coal = EmbeddingTable::zeros(3, 1);
-        let c = CoalescedGradients::new(vec![2], Matrix::from_rows(&[&[2.0]]).unwrap()).unwrap();
-        scatter_apply(&mut table_coal, &c, &mut Adagrad::new(0.1, 0.0)).unwrap();
-
-        let diff = table_seq.max_abs_diff(&table_coal).unwrap();
+        let (seq, coal) = duplicate_vs_coalesced(|| Box::new(Adagrad::new(0.1, 0.0)));
+        let diff = seq.max_abs_diff(&coal).unwrap();
         assert!(
             diff > 1e-3,
             "sequential duplicate updates should differ from coalesced (diff={diff})"
@@ -513,343 +339,102 @@ mod tests {
     fn uncoalesced_scatter_is_fine_for_plain_sgd() {
         // For linear SGD the two are identical — which is why the paper
         // notes frameworks coalesce anyway, to support *all* optimizers.
-        let rows_dup = vec![2u32, 2u32];
-        let grads_dup = Matrix::from_rows(&[&[1.0], &[1.0]]).unwrap();
-        let mut a = EmbeddingTable::zeros(3, 1);
-        scatter_apply_dense(&mut a, &rows_dup, &grads_dup, &mut Sgd::new(0.1)).unwrap();
-        let mut b = EmbeddingTable::zeros(3, 1);
-        let c = CoalescedGradients::new(vec![2], Matrix::from_rows(&[&[2.0]]).unwrap()).unwrap();
-        scatter_apply(&mut b, &c, &mut Sgd::new(0.1)).unwrap();
-        assert!(a.max_abs_diff(&b).unwrap() < 1e-6);
+        let (seq, coal) = duplicate_vs_coalesced(|| Box::new(Sgd::new(0.1)));
+        assert!(seq.max_abs_diff(&coal).unwrap() < 1e-6);
+    }
+
+    // Bit-identity of `scatter_apply_sharded` against `scatter_apply`, for
+    // every optimizer x Exec x shard count x part shape, lives in
+    // `tests/scatter_parallel.rs`; these cover what it rejects.
+
+    #[test]
+    fn empty_and_single_row_scatters() {
+        let pool = Pool::new(2);
+        let exec = Exec::pooled(&pool);
+        let mut table = EmbeddingTable::seeded(10, 2, 3);
+        let before = table.clone();
+        let mut opt = sgd_shards(10, 1);
+        scatter_apply_sharded(
+            &mut table,
+            &mut opt,
+            &[part(&[], Matrix::zeros(0, 2))],
+            exec,
+        )
+        .unwrap();
+        scatter_apply_sharded(&mut table, &mut opt, &[CoalescedScratch::default()], exec).unwrap();
+        assert_eq!(table.as_slice(), before.as_slice());
+        let one = part(&[7], Matrix::from_rows(&[&[1.0, 1.0]]).unwrap());
+        scatter_apply_sharded(&mut table, &mut opt, &[one], exec).unwrap();
+        assert_eq!(table.row(7)[0], before.row(7)[0] - 1.0);
     }
 
     #[test]
-    fn scatter_dense_validates_lengths() {
-        let mut table = EmbeddingTable::zeros(3, 1);
-        let grads = Matrix::zeros(2, 1);
-        assert!(scatter_apply_dense(&mut table, &[0], &grads, &mut Sgd::new(0.1)).is_err());
+    fn rejects_uncoalesced_rows() {
+        let pool = Pool::new(2);
+        let mut table = EmbeddingTable::zeros(10, 1);
+        for shards in [1, 2] {
+            let mut opt = sgd_shards(10, shards);
+            for rows in [[3u32, 3], [5, 2]] {
+                for exec in [Exec::Serial, Exec::pooled(&pool)] {
+                    let parts = [part(&rows, Matrix::zeros(2, 1))];
+                    let err =
+                        scatter_apply_sharded(&mut table, &mut opt, &parts, exec).unwrap_err();
+                    assert!(matches!(err, EmbeddingError::InvalidIndex(_)), "{err:?}");
+                }
+            }
+        }
     }
 
-    mod parallel {
-        use super::*;
-        use crate::optim::{Adam, Momentum, RmsProp, SplittableOptimizer};
-        use tcast_pool::Pool;
-        use tcast_tensor::SplitMix64;
-
-        type OptimizerMaker = Box<dyn Fn() -> Box<dyn SplittableOptimizer>>;
-
-        fn makers() -> Vec<(&'static str, OptimizerMaker)> {
-            vec![
-                ("sgd", Box::new(|| Box::new(Sgd::new(0.1)) as _)),
-                (
-                    "momentum",
-                    Box::new(|| Box::new(Momentum::new(0.1, 0.9)) as _),
-                ),
-                (
-                    "adagrad",
-                    Box::new(|| Box::new(Adagrad::new(0.1, 1e-8)) as _),
-                ),
-                (
-                    "rmsprop",
-                    Box::new(|| Box::new(RmsProp::new(0.1, 0.9, 1e-8)) as _),
-                ),
-                (
-                    "adam",
-                    Box::new(|| Box::new(Adam::new(0.01, 0.9, 0.999, 1e-8)) as _),
-                ),
-            ]
-        }
-
-        /// Random coalesced workload: unique ascending rows + gradients.
-        fn workload(seed: u64, table_rows: u32, count: usize, dim: usize) -> (Vec<u32>, Matrix) {
-            let mut rng = SplitMix64::new(seed);
-            let mut rows: Vec<u32> = (0..count.min(table_rows as usize))
-                .map(|_| rng.next_below(table_rows as u64) as u32)
-                .collect();
-            rows.sort_unstable();
-            rows.dedup();
-            let mut grads = Matrix::zeros(rows.len(), dim);
-            for v in grads.as_mut_slice() {
-                *v = rng.next_range(-1.0, 1.0);
-            }
-            (rows, grads)
-        }
-
-        #[test]
-        fn parallel_is_bit_identical_for_every_optimizer_and_band_count() {
-            let pool = Pool::new(4);
-            for (name, mk) in &makers() {
-                for threads in [2usize, 3, 8, 64] {
-                    let mut serial_table = EmbeddingTable::seeded(97, 4, 5);
-                    let mut pooled_table = serial_table.clone();
-                    let mut serial_opt = mk();
-                    let mut pooled_opt = mk();
-                    // Several scatters so stateful optimizers accumulate:
-                    // a state divergence would surface in later steps.
-                    for step in 0..4 {
-                        let (rows, grads) = workload(100 * step + threads as u64, 97, 60, 4);
-                        scatter_apply_dense(&mut serial_table, &rows, &grads, serial_opt.as_mut())
-                            .unwrap();
-                        scatter_apply_parallel(
-                            &mut pooled_table,
-                            &rows,
-                            &grads,
-                            pooled_opt.as_mut(),
-                            Exec::Pooled {
-                                pool: &pool,
-                                threads,
-                            },
-                        )
-                        .unwrap();
-                    }
-                    assert_eq!(
-                        serial_table.as_slice(),
-                        pooled_table.as_slice(),
-                        "{name} with {threads} bands diverged"
-                    );
-                }
+    #[test]
+    fn validates_bounds_and_shapes() {
+        let pool = Pool::new(2);
+        let mut table = EmbeddingTable::zeros(4, 2);
+        for shards in [1, 2] {
+            let mut opt = sgd_shards(4, shards);
+            for exec in [Exec::Serial, Exec::pooled(&pool)] {
+                let mut scatter = |rows: &[u32], grads: Matrix| {
+                    scatter_apply_sharded(&mut table, &mut opt, &[part(rows, grads)], exec)
+                        .unwrap_err()
+                };
+                // Row id beyond the table.
+                let err = scatter(&[4], Matrix::zeros(1, 2));
+                assert!(matches!(
+                    err,
+                    EmbeddingError::SrcOutOfBounds { src: 4, rows: 4 }
+                ));
+                // Gradient width mismatch.
+                let err = scatter(&[0], Matrix::zeros(1, 3));
+                assert!(matches!(err, EmbeddingError::DimMismatch { .. }));
+                // Row count mismatch.
+                let err = scatter(&[0], Matrix::zeros(2, 2));
+                assert!(matches!(err, EmbeddingError::LengthMismatch { .. }));
             }
         }
+    }
 
-        #[test]
-        fn serial_exec_degrades_to_dense_scatter() {
-            let (rows, grads) = workload(9, 50, 30, 3);
-            let mut a = EmbeddingTable::seeded(50, 3, 1);
-            let mut b = a.clone();
-            scatter_apply_dense(&mut a, &rows, &grads, &mut Adagrad::new(0.1, 1e-8)).unwrap();
-            scatter_apply_parallel(
-                &mut b,
-                &rows,
-                &grads,
-                &mut Adagrad::new(0.1, 1e-8),
-                Exec::Serial,
-            )
-            .unwrap();
-            assert_eq!(a.as_slice(), b.as_slice());
-        }
-
-        #[test]
-        fn empty_and_single_row_scatters() {
-            let pool = Pool::new(2);
-            let exec = Exec::pooled(&pool);
-            let mut table = EmbeddingTable::seeded(10, 2, 3);
-            let before = table.clone();
-            scatter_apply_parallel(
-                &mut table,
-                &[],
-                &Matrix::zeros(0, 2),
-                &mut Sgd::new(0.1),
-                exec,
-            )
-            .unwrap();
-            assert_eq!(table.as_slice(), before.as_slice());
-            let grads = Matrix::from_rows(&[&[1.0, 1.0]]).unwrap();
-            scatter_apply_parallel(&mut table, &[7], &grads, &mut Sgd::new(1.0), exec).unwrap();
-            assert_eq!(table.row(7)[0], before.row(7)[0] - 1.0);
-        }
-
-        #[test]
-        fn rejects_uncoalesced_rows() {
-            let pool = Pool::new(2);
-            let mut table = EmbeddingTable::zeros(10, 1);
-            let grads = Matrix::zeros(2, 1);
-            for rows in [[3u32, 3], [5, 2]] {
-                let err = scatter_apply_parallel(
-                    &mut table,
-                    &rows,
-                    &grads,
-                    &mut Sgd::new(0.1),
-                    Exec::pooled(&pool),
-                )
-                .unwrap_err();
-                assert!(matches!(err, EmbeddingError::InvalidIndex(_)), "{err:?}");
-            }
-        }
-
-        #[test]
-        fn validates_bounds_and_shapes() {
-            let pool = Pool::new(2);
-            let exec = Exec::pooled(&pool);
-            let mut table = EmbeddingTable::zeros(4, 2);
-            let mut sgd = Sgd::new(0.1);
-            // Row id beyond the table.
+    #[test]
+    fn validates_map_and_part_count() {
+        let mut table = EmbeddingTable::zeros(10, 2);
+        let row0 = || part(&[0], Matrix::zeros(1, 2));
+        // Map that does not cover the table.
+        let err = scatter_apply_sharded(&mut table, &mut sgd_shards(8, 2), &[row0()], Exec::Serial)
+            .unwrap_err();
+        assert!(matches!(err, EmbeddingError::InvalidIndex(_)), "{err:?}");
+        // Neither one array nor one per shard.
+        let mut opt = sgd_shards(10, 3);
+        for parts in [vec![], vec![row0(), row0()]] {
             let err =
-                scatter_apply_parallel(&mut table, &[4], &Matrix::zeros(1, 2), &mut sgd, exec)
-                    .unwrap_err();
-            assert!(matches!(err, EmbeddingError::SrcOutOfBounds { .. }));
-            // Gradient width mismatch.
-            let err =
-                scatter_apply_parallel(&mut table, &[0], &Matrix::zeros(1, 3), &mut sgd, exec)
-                    .unwrap_err();
-            assert!(matches!(err, EmbeddingError::DimMismatch { .. }));
-            // Row count mismatch.
-            let err =
-                scatter_apply_parallel(&mut table, &[0], &Matrix::zeros(2, 2), &mut sgd, exec)
-                    .unwrap_err();
-            assert!(matches!(err, EmbeddingError::LengthMismatch { .. }));
+                scatter_apply_sharded(&mut table, &mut opt, &parts, Exec::Serial).unwrap_err();
+            assert!(matches!(err, EmbeddingError::InvalidIndex(_)), "{err:?}");
         }
-
-        mod sharded {
-            use super::*;
-            use crate::optim::ShardedOptimizer;
-            use crate::sharding::ShardMap;
-
-            /// Splits a global ascending coalesced workload into per-shard
-            /// local `(rows, grads)` pairs, the shape the casted sharded
-            /// path produces.
-            fn split_local(
-                map: &ShardMap,
-                rows: &[u32],
-                grads: &Matrix,
-            ) -> Vec<(Vec<u32>, Matrix)> {
-                let mut out = Vec::new();
-                let mut lo = 0usize;
-                for s in 0..map.num_shards() {
-                    let base = map.shard_base(s) as u32;
-                    let end = map.shard_end(s);
-                    let hi = lo + rows[lo..].partition_point(|&r| (r as usize) < end);
-                    let local: Vec<u32> = rows[lo..hi].iter().map(|&r| r - base).collect();
-                    let mut g = Matrix::zeros(hi - lo, grads.cols());
-                    for (k, i) in (lo..hi).enumerate() {
-                        g.row_mut(k).copy_from_slice(grads.row(i));
-                    }
-                    out.push((local, g));
-                    lo = hi;
-                }
-                out
-            }
-
-            #[test]
-            fn sharded_slab_scatter_is_bit_identical() {
-                let pool = Pool::new(4);
-                for (name, mk) in &makers() {
-                    for shards in [1usize, 2, 3, 7] {
-                        for pooled in [false, true] {
-                            let mut reference = EmbeddingTable::seeded(97, 4, 5);
-                            let mut sharded = reference.clone();
-                            let mut ref_opt = mk();
-                            let mut sh_opt =
-                                ShardedOptimizer::new(ShardMap::new(97, shards), || mk());
-                            for step in 0..4u64 {
-                                let (rows, grads) = workload(31 * step + shards as u64, 97, 60, 4);
-                                scatter_apply_dense(
-                                    &mut reference,
-                                    &rows,
-                                    &grads,
-                                    ref_opt.as_mut(),
-                                )
-                                .unwrap();
-                                let exec = if pooled {
-                                    Exec::pooled(&pool)
-                                } else {
-                                    Exec::Serial
-                                };
-                                scatter_apply_sharded(
-                                    &mut sharded,
-                                    &rows,
-                                    &grads,
-                                    &mut sh_opt,
-                                    exec,
-                                )
-                                .unwrap();
-                            }
-                            assert_eq!(
-                                reference.as_slice(),
-                                sharded.as_slice(),
-                                "{name} diverged at {shards} shards (pooled={pooled})"
-                            );
-                        }
-                    }
-                }
-            }
-
-            #[test]
-            fn per_shard_local_scatter_is_bit_identical() {
-                let pool = Pool::new(4);
-                for (name, mk) in &makers() {
-                    for shards in [1usize, 2, 3, 7] {
-                        for pooled in [false, true] {
-                            let map = ShardMap::new(83, shards);
-                            let mut reference = EmbeddingTable::seeded(83, 3, 11);
-                            let mut sharded = reference.clone();
-                            let mut ref_opt = mk();
-                            let mut sh_opt = ShardedOptimizer::new(map.clone(), || mk());
-                            for step in 0..4u64 {
-                                let (rows, grads) = workload(77 * step + shards as u64, 83, 50, 3);
-                                scatter_apply_dense(
-                                    &mut reference,
-                                    &rows,
-                                    &grads,
-                                    ref_opt.as_mut(),
-                                )
-                                .unwrap();
-                                let local = split_local(&map, &rows, &grads);
-                                let exec = if pooled {
-                                    Exec::pooled(&pool)
-                                } else {
-                                    Exec::Serial
-                                };
-                                scatter_apply_per_shard(
-                                    &mut sharded,
-                                    &mut sh_opt,
-                                    |s| (local[s].0.as_slice(), &local[s].1),
-                                    exec,
-                                )
-                                .unwrap();
-                            }
-                            assert_eq!(
-                                reference.as_slice(),
-                                sharded.as_slice(),
-                                "{name} diverged at {shards} shards (pooled={pooled})"
-                            );
-                        }
-                    }
-                }
-            }
-
-            #[test]
-            fn sharded_scatter_validates_map_and_rows() {
-                let mut table = EmbeddingTable::zeros(10, 2);
-                // Map that does not cover the table.
-                let mut wrong =
-                    ShardedOptimizer::new(ShardMap::new(8, 2), || Box::new(Sgd::new(0.1)) as _);
-                let err = scatter_apply_sharded(
-                    &mut table,
-                    &[0],
-                    &Matrix::zeros(1, 2),
-                    &mut wrong,
-                    Exec::Serial,
-                )
-                .unwrap_err();
-                assert!(matches!(err, EmbeddingError::InvalidIndex(_)), "{err:?}");
-
-                let mut opt =
-                    ShardedOptimizer::new(ShardMap::new(10, 2), || Box::new(Sgd::new(0.1)) as _);
-                // Unsorted global rows.
-                let err = scatter_apply_sharded(
-                    &mut table,
-                    &[4, 2],
-                    &Matrix::zeros(2, 2),
-                    &mut opt,
-                    Exec::Serial,
-                )
-                .unwrap_err();
-                assert!(matches!(err, EmbeddingError::InvalidIndex(_)), "{err:?}");
-                // Local row beyond its shard (shard 0 spans 5 rows).
-                let rows = [vec![5u32], vec![]];
-                let grads = [Matrix::zeros(1, 2), Matrix::zeros(0, 2)];
-                let err = scatter_apply_per_shard(
-                    &mut table,
-                    &mut opt,
-                    |s| (rows[s].as_slice(), &grads[s]),
-                    Exec::Serial,
-                )
-                .unwrap_err();
-                assert!(
-                    matches!(err, EmbeddingError::SrcOutOfBounds { .. }),
-                    "{err:?}"
-                );
-            }
-        }
+        // Local row beyond its shard (shard 0 of 2 spans 5 rows): reported
+        // with its global id.
+        let mut opt = sgd_shards(10, 2);
+        let parts = [row0(), part(&[5], Matrix::zeros(1, 2))];
+        let err = scatter_apply_sharded(&mut table, &mut opt, &parts, Exec::Serial).unwrap_err();
+        assert!(
+            matches!(err, EmbeddingError::SrcOutOfBounds { src: 10, rows: 10 }),
+            "{err:?}"
+        );
     }
 }

@@ -4,28 +4,24 @@
 //! tens of GB to TBs, forcing them off-accelerator into pooled/host
 //! memory — Facebook's Zion and Baidu's AIBox shard them across a memory
 //! pool. This module models that placement: [`ShardMap`] is the pure
-//! placement plan (contiguous row ranges, O(1) row → shard routing),
-//! [`ShardedTable`] materializes one table slab per shard, and
+//! placement plan (contiguous row ranges, O(1) row → shard routing) and
 //! [`RouteScratch`] makes the per-batch routing allocation-free so the
-//! plan can sit on the training hot path.
+//! plan can sit on the training hot path. Tables stay single slabs; what
+//! the plan places is the optimizer state
+//! ([`crate::optim::ShardedOptimizer`]), the casting jobs (routed per
+//! shard) and the scatter's tasks ([`crate::scatter_apply_sharded`]).
 //!
 //! # Bit-identity
 //!
-//! Every sharded kernel here is **bit-identical** to its single-table
-//! counterpart, not merely close: the forward merge replays lookups in
-//! original pair order (f32 accumulation order is the invariant, since
-//! float addition is not associative), and the scatter applies the exact
-//! per-row update sequence of the unsharded path. `sharded == unsharded`
-//! is the workspace-wide invariant 8, property-tested in
-//! `tests/sharded_equivalence.rs`.
+//! Sharding is placement, never arithmetic: routing keeps each shard's
+//! lookups in original pair order (f32 accumulation order is the
+//! invariant, since float addition is not associative), and the scatter
+//! applies the exact per-row update sequence of the unsharded path.
+//! `sharded == unsharded` is the workspace-wide invariant 8,
+//! property-tested in `tests/sharded_equivalence.rs`.
 
-use crate::coalesce::CoalescedGradients;
 use crate::error::EmbeddingError;
 use crate::index::IndexArray;
-use crate::optim::{ShardedOptimizer, SparseOptimizer};
-use crate::table::EmbeddingTable;
-use tcast_pool::Exec;
-use tcast_tensor::Matrix;
 
 /// How many row-range shards a table (or a whole model) should be split
 /// into. `ShardSpec::default()` is one shard — today's unsharded layout.
@@ -135,11 +131,6 @@ impl ShardMap {
     /// Panics when `s` is out of range.
     pub fn shard_rows(&self, s: usize) -> usize {
         self.shard_end(s) - self.shard_base(s)
-    }
-
-    /// Which shard holds an in-range global row (unchecked division).
-    fn shard_of(&self, row: u32) -> usize {
-        row as usize / self.span
     }
 
     /// Which shard holds global row `row`, plus the local row id.
@@ -253,316 +244,10 @@ impl RouteScratch {
     }
 }
 
-/// Reusable buffers for [`ShardedTable::gather_reduce_into`]: routing
-/// scratch plus one staged lookup matrix and merge cursor per shard.
-#[derive(Debug, Default)]
-pub struct ShardedGatherScratch {
-    route: RouteScratch,
-    staged: Vec<Matrix>,
-    cursors: Vec<usize>,
-}
-
-/// An embedding table split into contiguous row-range shards, one slab
-/// per shard (the cross-node placement; the in-slab view used by the
-/// trainer keeps one slab and shares the same [`ShardMap`]).
-#[derive(Debug, Clone)]
-pub struct ShardedTable {
-    shards: Vec<EmbeddingTable>,
-    map: ShardMap,
-    dim: usize,
-}
-
-impl ShardedTable {
-    /// Splits `table` into `num_shards` near-equal contiguous row ranges,
-    /// copying each shard's row range as one bulk slice.
-    ///
-    /// # Panics
-    ///
-    /// Panics if `num_shards == 0`.
-    pub fn from_table(table: &EmbeddingTable, num_shards: usize) -> Self {
-        let map = ShardMap::new(table.rows(), num_shards);
-        let dim = table.dim();
-        let shards = (0..map.num_shards())
-            .map(|s| {
-                let (lo, hi) = (map.shard_base(s), map.shard_end(s));
-                EmbeddingTable::from_vec(
-                    hi - lo,
-                    dim,
-                    table.as_slice()[lo * dim..hi * dim].to_vec(),
-                )
-                .expect("shard data sized by construction")
-            })
-            .collect();
-        Self { shards, map, dim }
-    }
-
-    /// Number of shards.
-    pub fn num_shards(&self) -> usize {
-        self.shards.len()
-    }
-
-    /// Total rows across shards.
-    pub fn rows(&self) -> usize {
-        self.map.rows()
-    }
-
-    /// Embedding dimension.
-    pub fn dim(&self) -> usize {
-        self.dim
-    }
-
-    /// The placement plan shared by all per-shard kernels.
-    pub fn map(&self) -> &ShardMap {
-        &self.map
-    }
-
-    /// Immutable access to one shard.
-    ///
-    /// # Panics
-    ///
-    /// Panics when `i` is out of range.
-    pub fn shard(&self, i: usize) -> &EmbeddingTable {
-        &self.shards[i]
-    }
-
-    /// Which shard holds global row `row`, plus the local row id.
-    ///
-    /// # Errors
-    ///
-    /// Returns [`EmbeddingError::SrcOutOfBounds`] for rows past the end.
-    pub fn locate(&self, row: u32) -> Result<(usize, u32), EmbeddingError> {
-        self.map.locate(row)
-    }
-
-    /// Splits a global index array into per-shard local index arrays
-    /// (each keeping the full `num_outputs` so partial outputs align).
-    /// Allocating convenience for [`ShardMap::route_into`].
-    ///
-    /// # Errors
-    ///
-    /// Returns [`EmbeddingError::SrcOutOfBounds`] on out-of-range rows.
-    pub fn route(&self, index: &IndexArray) -> Result<Vec<IndexArray>, EmbeddingError> {
-        self.map.route(index)
-    }
-
-    /// Fused gather-reduce across all shards, **bit-identical** to the
-    /// single-table [`crate::gather::gather_reduce`]. Allocating
-    /// convenience for [`ShardedTable::gather_reduce_into`].
-    ///
-    /// # Errors
-    ///
-    /// Returns [`EmbeddingError::SrcOutOfBounds`] on out-of-range rows.
-    pub fn gather_reduce(&self, index: &IndexArray) -> Result<Matrix, EmbeddingError> {
-        let mut out = Matrix::default();
-        let mut scratch = ShardedGatherScratch::default();
-        self.gather_reduce_into(index, &mut out, &mut scratch, Exec::Serial)?;
-        Ok(out)
-    }
-
-    /// Fused gather-reduce across all shards, writing into `out` and
-    /// reusing `scratch` (allocation-free once warm).
-    ///
-    /// Each shard first stages the rows it owns, in routed (= original
-    /// relative) order — independently per shard, so with a pooled
-    /// [`Exec`] the shards gather concurrently. The merge then replays
-    /// the lookups in **original pair order**, pulling each staged row
-    /// from its shard's cursor. Every output slot therefore accumulates
-    /// exactly the addends of the unsharded serial kernel in exactly its
-    /// order, making the result bit-identical for any shard count — this
-    /// is the offsets-table cross-shard merge (f32 addition is not
-    /// associative, so the order *is* the invariant).
-    ///
-    /// # Errors
-    ///
-    /// Returns [`EmbeddingError::SrcOutOfBounds`] on out-of-range rows.
-    pub fn gather_reduce_into(
-        &self,
-        index: &IndexArray,
-        out: &mut Matrix,
-        scratch: &mut ShardedGatherScratch,
-        exec: Exec<'_>,
-    ) -> Result<(), EmbeddingError> {
-        self.map.route_into(index, &mut scratch.route)?;
-        let n = self.map.num_shards();
-        scratch.staged.resize_with(n, Matrix::default);
-        scratch.cursors.clear();
-        scratch.cursors.resize(n, 0);
-
-        let dim = self.dim;
-        let routed = scratch.route.routed();
-        let stage = |shard: &EmbeddingTable, local: &IndexArray, staged: &mut Matrix| {
-            staged.zero_into(local.len(), dim);
-            for (i, (src, _)) in local.iter().enumerate() {
-                staged.row_mut(i).copy_from_slice(shard.row(src as usize));
-            }
-        };
-        match exec.pool() {
-            Some(pool) if exec.threads() > 1 && n > 1 => pool.scope(|scope| {
-                for ((shard, local), staged) in self
-                    .shards
-                    .iter()
-                    .zip(routed.iter())
-                    .zip(scratch.staged.iter_mut())
-                {
-                    scope.spawn(move || stage(shard, local, staged));
-                }
-            }),
-            _ => {
-                for ((shard, local), staged) in self
-                    .shards
-                    .iter()
-                    .zip(routed.iter())
-                    .zip(scratch.staged.iter_mut())
-                {
-                    stage(shard, local, staged);
-                }
-            }
-        }
-
-        out.zero_into(index.num_outputs(), dim);
-        for (src, dst) in index.iter() {
-            let s = self.map.shard_of(src);
-            let staged_row = scratch.staged[s].row(scratch.cursors[s]);
-            scratch.cursors[s] += 1;
-            let acc = out.row_mut(dst as usize);
-            for (a, &v) in acc.iter_mut().zip(staged_row.iter()) {
-                *a += v;
-            }
-        }
-        Ok(())
-    }
-
-    /// Scatters coalesced gradients through one **shared** optimizer:
-    /// each update routes to the owning shard and applies with the
-    /// shard-local row id. Correct for stateless optimizers (SGD); for
-    /// stateful ones the shared state aliases equal local ids across
-    /// shards — use [`ShardedTable::scatter_apply_sharded`] with
-    /// per-shard state slabs instead.
-    ///
-    /// # Errors
-    ///
-    /// Returns [`EmbeddingError`] on out-of-range rows or dimension
-    /// mismatches.
-    pub fn scatter_apply(
-        &mut self,
-        coalesced: &CoalescedGradients,
-        optimizer: &mut dyn SparseOptimizer,
-    ) -> Result<(), EmbeddingError> {
-        if coalesced.grads().cols() != self.dim {
-            return Err(EmbeddingError::DimMismatch {
-                expected: self.dim,
-                found: coalesced.grads().cols(),
-            });
-        }
-        for (i, &row) in coalesced.rows().iter().enumerate() {
-            let (s, local) = self.locate(row)?;
-            optimizer.update_row(
-                local,
-                self.shards[s].row_mut(local as usize),
-                coalesced.grads().row(i),
-            );
-        }
-        Ok(())
-    }
-
-    /// Scatters coalesced gradients through per-shard optimizer state —
-    /// the production sharded update. Coalesced rows are ascending, so
-    /// each shard's updates form one contiguous run; shards update their
-    /// own slab and their own [`ShardedOptimizer`] state shard, serially
-    /// or concurrently on a pooled [`Exec`]. Bit-identical to the
-    /// unsharded serial scatter either way (per row, the exact same
-    /// update against the exact same state values).
-    ///
-    /// # Errors
-    ///
-    /// Returns [`EmbeddingError::LengthMismatch`] if the optimizer's
-    /// shard plan disagrees with this table, or the scatter validation
-    /// errors of [`crate::scatter_apply_parallel`].
-    pub fn scatter_apply_sharded(
-        &mut self,
-        coalesced: &CoalescedGradients,
-        optimizer: &mut ShardedOptimizer,
-        exec: Exec<'_>,
-    ) -> Result<(), EmbeddingError> {
-        if optimizer.map() != &self.map {
-            return Err(EmbeddingError::InvalidIndex(
-                "sharded scatter requires the optimizer and table to share one shard map".into(),
-            ));
-        }
-        if coalesced.grads().cols() != self.dim {
-            return Err(EmbeddingError::DimMismatch {
-                expected: self.dim,
-                found: coalesced.grads().cols(),
-            });
-        }
-        let rows = coalesced.rows();
-        let grads = coalesced.grads();
-        if let Some(&last) = rows.last() {
-            if last as usize >= self.map.rows() {
-                return Err(EmbeddingError::SrcOutOfBounds {
-                    src: last,
-                    rows: self.map.rows(),
-                });
-            }
-        }
-        let (map, opts) = optimizer.parts_mut();
-        match exec.pool() {
-            Some(pool) if exec.threads() > 1 && self.shards.len() > 1 => pool.scope(|scope| {
-                let mut rest = rows;
-                let mut grad_lo = 0usize;
-                for ((s, shard), opt) in self.shards.iter_mut().enumerate().zip(opts.iter_mut()) {
-                    let end = map.shard_end(s);
-                    let cut = rest.partition_point(|&r| (r as usize) < end);
-                    let (shard_rows, tail) = rest.split_at(cut);
-                    rest = tail;
-                    let lo = grad_lo;
-                    grad_lo += cut;
-                    if shard_rows.is_empty() {
-                        continue;
-                    }
-                    let base = map.shard_base(s) as u32;
-                    scope.spawn(move || {
-                        for (k, &row) in shard_rows.iter().enumerate() {
-                            let local = row - base;
-                            opt.update_row(local, shard.row_mut(local as usize), grads.row(lo + k));
-                        }
-                    });
-                }
-            }),
-            _ => {
-                for (i, &row) in rows.iter().enumerate() {
-                    let (s, local) = map.locate(row)?;
-                    opts[s].update_row(local, self.shards[s].row_mut(local as usize), grads.row(i));
-                }
-            }
-        }
-        Ok(())
-    }
-
-    /// Reassembles the full table (verification helper).
-    pub fn to_table(&self) -> EmbeddingTable {
-        let mut data = Vec::with_capacity(self.rows() * self.dim);
-        for shard in &self.shards {
-            data.extend_from_slice(shard.as_slice());
-        }
-        EmbeddingTable::from_vec(self.rows(), self.dim, data)
-            .expect("shards concatenate to the original shape")
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::coalesce::gradient_expand_coalesce;
-    use crate::gather::gather_reduce;
-    use crate::optim::{Adam, Sgd, SplittableOptimizer};
-    use crate::scatter::{scatter_apply, scatter_apply_dense};
-    use tcast_pool::Pool;
     use tcast_tensor::SplitMix64;
-
-    fn table() -> EmbeddingTable {
-        EmbeddingTable::seeded(100, 8, 7)
-    }
 
     fn index() -> IndexArray {
         let mut rng = SplitMix64::new(5);
@@ -573,24 +258,14 @@ mod tests {
     }
 
     #[test]
-    fn sharding_roundtrips() {
-        let t = table();
-        for shards in [1, 2, 3, 7] {
-            let sharded = ShardedTable::from_table(&t, shards);
-            assert_eq!(sharded.rows(), 100);
-            assert_eq!(sharded.to_table().max_abs_diff(&t).unwrap(), 0.0);
-        }
-    }
-
-    #[test]
     fn locate_routes_rows_correctly() {
-        let sharded = ShardedTable::from_table(&table(), 3);
+        let map = ShardMap::new(100, 3);
         // 100 rows over 3 shards: 34/34/32.
-        assert_eq!(sharded.locate(0).unwrap(), (0, 0));
-        assert_eq!(sharded.locate(33).unwrap(), (0, 33));
-        assert_eq!(sharded.locate(34).unwrap(), (1, 0));
-        assert_eq!(sharded.locate(99).unwrap(), (2, 31));
-        assert!(sharded.locate(100).is_err());
+        assert_eq!(map.locate(0).unwrap(), (0, 0));
+        assert_eq!(map.locate(33).unwrap(), (0, 33));
+        assert_eq!(map.locate(34).unwrap(), (1, 0));
+        assert_eq!(map.locate(99).unwrap(), (2, 31));
+        assert!(map.locate(100).is_err());
     }
 
     #[test]
@@ -660,107 +335,16 @@ mod tests {
     }
 
     #[test]
-    fn sharded_gather_is_bit_identical_to_single_table() {
-        let t = table();
-        let idx = index();
-        let reference = gather_reduce(&t, &idx).unwrap();
-        let pool = Pool::new(3);
-        for shards in [1, 2, 3, 5, 7] {
-            let sharded = ShardedTable::from_table(&t, shards);
-            let pooled = sharded.gather_reduce(&idx).unwrap();
-            assert_eq!(
-                pooled.as_slice(),
-                reference.as_slice(),
-                "serial shards={shards}"
-            );
-            let mut out = Matrix::default();
-            let mut scratch = ShardedGatherScratch::default();
-            sharded
-                .gather_reduce_into(&idx, &mut out, &mut scratch, Exec::pooled(&pool))
-                .unwrap();
-            assert_eq!(
-                out.as_slice(),
-                reference.as_slice(),
-                "pooled shards={shards}"
-            );
-        }
-    }
-
-    #[test]
-    fn sharded_scatter_matches_single_table() {
-        let t = table();
-        let idx = index();
-        let grads = Matrix::filled(16, 8, 0.25);
-        let coalesced = gradient_expand_coalesce(&grads, &idx).unwrap();
-
-        let mut reference = t.clone();
-        scatter_apply(&mut reference, &coalesced, &mut Sgd::new(0.1)).unwrap();
-
-        let mut sharded = ShardedTable::from_table(&t, 4);
-        sharded
-            .scatter_apply(&coalesced, &mut Sgd::new(0.1))
-            .unwrap();
-        assert!(sharded.to_table().max_abs_diff(&reference).unwrap() < 1e-6);
-    }
-
-    #[test]
-    fn sharded_stateful_scatter_is_bit_identical() {
-        let t = table();
-        let pool = Pool::new(4);
-        let mk = || Box::new(Adam::new(0.01, 0.9, 0.999, 1e-8)) as Box<dyn SplittableOptimizer>;
-        for shards in [1, 2, 3, 7] {
-            for exec_pooled in [false, true] {
-                let mut reference = t.clone();
-                let mut ref_opt = mk();
-                let mut sharded = ShardedTable::from_table(&t, shards);
-                let mut opt = ShardedOptimizer::new(sharded.map().clone(), mk);
-                // Several steps so per-shard state (moments, step counts)
-                // accumulates; any aliasing would diverge bit patterns.
-                for step in 0..3 {
-                    let mut rng = SplitMix64::new(step);
-                    let samples: Vec<Vec<u32>> = (0..8)
-                        .map(|_| (0..4).map(|_| rng.next_below(100) as u32).collect())
-                        .collect();
-                    let idx = IndexArray::from_samples(&samples).unwrap();
-                    let upstream = Matrix::filled(8, 8, 0.5 - step as f32 * 0.2);
-                    let coalesced = gradient_expand_coalesce(&upstream, &idx).unwrap();
-                    scatter_apply_dense(
-                        &mut reference,
-                        coalesced.rows(),
-                        coalesced.grads(),
-                        ref_opt.as_mut(),
-                    )
-                    .unwrap();
-                    let exec = if exec_pooled {
-                        Exec::pooled(&pool)
-                    } else {
-                        Exec::Serial
-                    };
-                    sharded
-                        .scatter_apply_sharded(&coalesced, &mut opt, exec)
-                        .unwrap();
-                }
-                assert_eq!(
-                    sharded.to_table().as_slice(),
-                    reference.as_slice(),
-                    "shards={shards} pooled={exec_pooled}"
-                );
-            }
-        }
-    }
-
-    #[test]
     fn more_shards_than_rows() {
-        let t = EmbeddingTable::seeded(3, 4, 1);
-        let sharded = ShardedTable::from_table(&t, 10);
-        assert_eq!(sharded.num_shards(), 3); // one row each
-        assert_eq!(sharded.to_table().max_abs_diff(&t).unwrap(), 0.0);
+        let map = ShardMap::new(3, 10);
+        assert_eq!(map.num_shards(), 3); // one row each
+        assert_eq!((map.shard_base(2), map.shard_end(2)), (2, 3));
     }
 
     #[test]
     #[should_panic(expected = "at least one shard")]
     fn zero_shards_panics() {
-        ShardedTable::from_table(&table(), 0);
+        ShardMap::new(100, 0);
     }
 
     #[test]
@@ -785,9 +369,8 @@ mod tests {
 
     #[test]
     fn route_preserves_lookup_counts() {
-        let sharded = ShardedTable::from_table(&table(), 3);
         let idx = index();
-        let routed = sharded.route(&idx).unwrap();
+        let routed = ShardMap::new(100, 3).route(&idx).unwrap();
         let total: usize = routed.iter().map(IndexArray::len).sum();
         assert_eq!(total, idx.len());
         for r in &routed {

@@ -1,14 +1,14 @@
 //! Persistent work-sharing thread pool for the Tensor Casting workspace.
 //!
-//! Before this crate existed, every parallel kernel in the repository
-//! (`matmul_parallel`, the parallel gather/coalesce primitives, the casted
-//! gather-reduce, the parallel casting transform) paid OS-thread
-//! spawn/join on **every call** through `std::thread::scope`. At realistic
-//! mini-batch sizes the spawn cost rivals the kernel itself, which is
-//! exactly the scheduling overhead the paper's co-design removes from the
-//! embedding-backward critical path. [`Pool`] fixes the host-side
-//! analogue: workers are spawned once and live for the process, and each
-//! kernel invocation only enqueues closures and waits on a latch.
+//! Spawning and joining OS threads on every kernel call
+//! (`std::thread::scope`) costs as much as the kernel itself at realistic
+//! mini-batch sizes — exactly the scheduling overhead the paper's
+//! co-design removes from the embedding-backward critical path. [`Pool`]
+//! is the host-side analogue: workers are spawned once and live as long as
+//! the pool, and each kernel invocation only enqueues closures and waits
+//! on a latch. Kernels never reach for a pool themselves: the caller owns
+//! one and passes it down inside an [`Exec`], the value that says where a
+//! kernel runs (serial, or split over so many tasks of this pool).
 //!
 //! # Scoped execution
 //!
@@ -44,18 +44,12 @@
 //! progress, even on a pool with a single worker — the blocked thread
 //! drains the inner scope's tasks on its own stack.
 //!
-//! # The process-wide pool
-//!
-//! [`global`] returns a lazily-created pool sized to
-//! `std::thread::available_parallelism`. The legacy `*_parallel(..,
-//! threads)` kernel entry points all route through it, which is what makes
-//! a steady-state training step perform **zero** thread spawns.
 
 use std::collections::VecDeque;
 use std::mem;
 use std::panic::{catch_unwind, resume_unwind, AssertUnwindSafe};
 use std::sync::atomic::{AtomicBool, AtomicUsize, Ordering};
-use std::sync::{Arc, Condvar, Mutex, OnceLock};
+use std::sync::{Arc, Condvar, Mutex};
 
 /// A type-erased queued task. Lifetimes are erased on enqueue;
 /// [`Pool::scope`] guarantees every task completes before the borrows it
@@ -296,14 +290,6 @@ pub fn default_parallelism() -> usize {
         .unwrap_or(1)
 }
 
-/// The process-wide shared pool, created on first use with
-/// [`default_parallelism`] workers. All `*_parallel(.., threads)` kernel
-/// wrappers run here, so repeated kernel calls never spawn threads.
-pub fn global() -> &'static Pool {
-    static GLOBAL: OnceLock<Pool> = OnceLock::new();
-    GLOBAL.get_or_init(Pool::with_default_parallelism)
-}
-
 /// How a kernel should execute: serially on the calling thread, or
 /// split into `threads` tasks on a [`Pool`].
 ///
@@ -495,14 +481,6 @@ mod tests {
         let pool = Pool::new(0);
         assert_eq!(pool.threads(), 1);
         pool.scope(|s| s.spawn(|| {}));
-    }
-
-    #[test]
-    fn global_pool_is_shared_and_sized() {
-        let a = global() as *const Pool;
-        let b = global() as *const Pool;
-        assert_eq!(a, b);
-        assert_eq!(global().threads(), default_parallelism());
     }
 
     #[test]

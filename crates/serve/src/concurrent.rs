@@ -1,6 +1,6 @@
 //! True concurrent train-and-serve over epoch-versioned model snapshots.
 //!
-//! [`serve_online`] is the *interleaved oracle*: one thread time-slices
+//! [`crate::serve_online`] is the *interleaved oracle*: one thread time-slices
 //! between update steps and fused batches, so serving always scores the
 //! newest model and staleness-in-versions is identically zero. A
 //! production recommender instead trains and serves *simultaneously*

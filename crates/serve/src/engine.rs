@@ -36,7 +36,6 @@ use crate::request::Query;
 use tcast_core::{casted_embedding_forward_into, CastingCache};
 use tcast_dlrm::{Dlrm, Execution, InferenceScratch};
 use tcast_embedding::EmbeddingError;
-use tcast_pool::Exec;
 use tcast_tensor::Matrix;
 
 /// Default per-table casting-cache capacity (entries, i.e. distinct hot
@@ -213,10 +212,7 @@ impl ServeEngine {
             ));
         }
 
-        let exec = match &self.execution {
-            Execution::Serial => Exec::Serial,
-            Execution::Pooled(pool) => Exec::pooled(pool.as_ref()),
-        };
+        let exec = self.execution.as_exec();
         let dim = model.config().embedding_dim;
 
         // Pass 2: fuse dense features.

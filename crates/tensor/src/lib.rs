@@ -48,6 +48,5 @@ pub use loss::{
 pub use matrix::Matrix;
 pub use mlp::{Activation, Mlp, MlpInferenceScratch};
 pub use ops::{relu, relu_backward, relu_backward_in_place, sigmoid, sigmoid_backward};
-pub use parallel::{matmul_parallel, matmul_parallel_in};
 pub use simd::KernelDispatch;
 pub use tcast_pool::{Exec, Pool};

@@ -1,50 +1,19 @@
-//! Multi-threaded GEMM: row-partitioned matrix multiply over the shared
-//! persistent pool. The DLRM trainer's MLP phases use this to keep the
-//! dense side from distorting the embedding-phase measurements on
-//! multi-core hosts (the paper's CPU baseline is similarly multi-threaded
-//! MKL).
+//! Multi-threaded GEMM: row-partitioned matrix multiply over a
+//! caller-supplied persistent pool (the `Exec::Pooled` arm of the matmul
+//! entry points in [`crate::linear`]). The DLRM trainer's MLP phases use
+//! this to keep the dense side from distorting the embedding-phase
+//! measurements on multi-core hosts (the paper's CPU baseline is similarly
+//! multi-threaded MKL).
 //!
 //! There is no pooled kernel: each row band runs the serial register-tiled
 //! kernel of [`crate::simd`] with `m = band rows`, and no output's
-//! operation order depends on `m`, so pooled == serial bit for bit. All
-//! entry points dispatch onto the long-lived `tcast-pool` workers and
-//! perform zero thread spawns per invocation.
+//! operation order depends on `m`, so pooled == serial bit for bit. The
+//! bands run on the long-lived `tcast-pool` workers: zero thread spawns
+//! per invocation.
 
-use crate::error::ShapeError;
 use crate::matrix::Matrix;
 use crate::simd;
 use tcast_pool::Pool;
-
-/// `lhs * rhs` with the output rows partitioned across `threads` tasks on
-/// the process-wide [`tcast_pool::global`] pool. Exact same result as
-/// [`Matrix::matmul`] (the same register-tiled kernel on each disjoint
-/// row band).
-///
-/// # Errors
-///
-/// Returns a [`ShapeError`] unless `lhs.cols() == rhs.rows()`.
-pub fn matmul_parallel(lhs: &Matrix, rhs: &Matrix, threads: usize) -> Result<Matrix, ShapeError> {
-    matmul_parallel_in(tcast_pool::global(), lhs, rhs, threads)
-}
-
-/// [`matmul_parallel`] on an explicit pool.
-///
-/// # Errors
-///
-/// Returns a [`ShapeError`] unless `lhs.cols() == rhs.rows()`.
-pub fn matmul_parallel_in(
-    pool: &Pool,
-    lhs: &Matrix,
-    rhs: &Matrix,
-    threads: usize,
-) -> Result<Matrix, ShapeError> {
-    if lhs.cols() != rhs.rows() {
-        return Err(ShapeError::new("matmul_parallel", lhs.shape(), rhs.shape()));
-    }
-    let mut out = Matrix::default();
-    matmul_pooled_unchecked(pool, lhs, rhs, &mut out, threads);
-    Ok(out)
-}
 
 /// Pooled `lhs * rhs` into `out` (reshaped in place, every element
 /// overwritten); the caller has validated `lhs.cols() == rhs.rows()`.
@@ -134,70 +103,29 @@ mod tests {
     }
 
     #[test]
-    fn matches_serial_matmul() {
-        let a = random_matrix(37, 23, 1);
-        let b = random_matrix(23, 41, 2);
-        let serial = a.matmul(&b).unwrap();
-        for threads in [1, 2, 4, 9] {
-            let par = matmul_parallel(&a, &b, threads).unwrap();
-            assert!(
-                serial.max_abs_diff(&par).unwrap() < 1e-5,
-                "threads={threads}"
-            );
-        }
-    }
-
-    #[test]
-    fn bit_identical_to_serial() {
+    fn pooled_products_are_bit_identical_to_serial() {
         // Same accumulation order per output element => exact equality,
-        // not tolerance equality.
-        let a = random_matrix(29, 17, 5);
-        let b = random_matrix(17, 31, 6);
-        let serial = a.matmul(&b).unwrap();
-        for threads in [2, 3, 8] {
-            let par = matmul_parallel(&a, &b, threads).unwrap();
-            assert_eq!(serial.as_slice(), par.as_slice(), "threads={threads}");
-        }
-    }
-
-    #[test]
-    fn explicit_pool_matches_global() {
+        // not tolerance equality. Shapes: ragged, fewer rows than threads,
+        // no rows at all.
         let pool = Pool::new(3);
-        let a = random_matrix(12, 9, 7);
-        let b = random_matrix(9, 14, 8);
-        let via_pool = matmul_parallel_in(&pool, &a, &b, 3).unwrap();
-        let via_global = matmul_parallel(&a, &b, 3).unwrap();
-        assert_eq!(via_pool.as_slice(), via_global.as_slice());
-    }
-
-    #[test]
-    fn more_threads_than_rows_is_fine() {
-        let a = random_matrix(3, 8, 3);
-        let b = random_matrix(8, 5, 4);
-        let par = matmul_parallel(&a, &b, 64).unwrap();
-        assert!(a.matmul(&b).unwrap().max_abs_diff(&par).unwrap() < 1e-6);
-    }
-
-    #[test]
-    fn shape_mismatch_rejected() {
-        let a = Matrix::zeros(2, 3);
-        let b = Matrix::zeros(4, 2);
-        assert!(matmul_parallel(&a, &b, 2).is_err());
-    }
-
-    #[test]
-    fn empty_operands() {
-        let a = Matrix::zeros(0, 4);
-        let b = Matrix::zeros(4, 4);
-        let out = matmul_parallel(&a, &b, 4).unwrap();
-        assert_eq!(out.shape(), (0, 4));
-    }
-
-    #[test]
-    fn identity_passthrough() {
-        let a = random_matrix(16, 16, 7);
-        let id = Matrix::identity(16);
-        let par = matmul_parallel(&a, &id, 3).unwrap();
-        assert!(a.max_abs_diff(&par).unwrap() < 1e-6);
+        for (m, k, n) in [(37, 23, 41), (29, 17, 31), (3, 8, 5), (0, 4, 4)] {
+            let a = random_matrix(m, k, 1);
+            let b = random_matrix(k, n, 2);
+            let bt = random_matrix(n, k, 3);
+            let serial = a.matmul(&b).unwrap();
+            let serial_bt = a.matmul_bt(&bt).unwrap();
+            for threads in [1, 2, 3, 8, 64] {
+                let mut out = Matrix::default();
+                matmul_pooled_unchecked(&pool, &a, &b, &mut out, threads);
+                assert_eq!(out.shape(), (m, n));
+                assert_eq!(serial.as_slice(), out.as_slice(), "{m}x{k}x{n} / {threads}");
+                matmul_bt_pooled_unchecked(&pool, &a, &bt, &mut out, threads);
+                assert_eq!(
+                    serial_bt.as_slice(),
+                    out.as_slice(),
+                    "{m}x{k}x{n} / {threads}"
+                );
+            }
+        }
     }
 }

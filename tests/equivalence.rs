@@ -3,18 +3,21 @@
 //! kernels, the casting pipeline, the NMP pool, and full DLRM training.
 
 use proptest::prelude::*;
+use std::sync::OnceLock;
 use tensor_casting::core::{
-    casted_gather_reduce, tensor_casting, tensor_casting_counting, CastingPipeline,
+    casted_gather_reduce, casted_gather_reduce_into, fused_casted_backward, tensor_casting,
+    CastingPipeline,
 };
 use tensor_casting::datasets::{DatasetPreset, SyntheticCtr, TableWorkload};
 use tensor_casting::dlrm::{BackwardMode, DlrmConfig, Trainer};
 use tensor_casting::embedding::{
+    gather_reduce, gather_reduce_into, gradient_coalesce_into, gradient_expand,
     gradient_expand_coalesce,
     optim::{Adagrad, Momentum, RmsProp, Sgd, SparseOptimizer},
-    scatter_apply, EmbeddingTable, IndexArray,
+    scatter_apply, CoalescedScratch, EmbeddingTable, IndexArray,
 };
 use tensor_casting::nmp::{NmpPool, PoolConfig};
-use tensor_casting::tensor::{Matrix, SplitMix64};
+use tensor_casting::tensor::{Exec, Matrix, Pool, SplitMix64};
 
 fn random_workload(seed: u64, batch: usize, pooling: usize, rows: u32) -> (IndexArray, Matrix) {
     let mut rng = SplitMix64::new(seed);
@@ -53,12 +56,149 @@ fn host_paths_agree_on_dataset_driven_workloads() {
     }
 }
 
+fn bits(values: &[f32]) -> Vec<u32> {
+    values.iter().map(|v| v.to_bits()).collect()
+}
+
+/// The invariant behind `Exec`: every sparse primitive that takes one —
+/// forward gather-reduce, the baseline coalesce (Algorithm 1), the casted
+/// gather-reduce (Algorithm 3) — returns the **same bits** serially and
+/// on a pool, for any band count, into fresh or dirty buffers. Also pins
+/// the three backward paths to each other on the same input: baseline ==
+/// casted == fused-into-the-table.
+fn check_serial_equals_pooled(index: &IndexArray, table_rows: usize, dim: usize, seed: u64) {
+    static POOL: OnceLock<Pool> = OnceLock::new();
+    let pool = POOL.get_or_init(|| Pool::new(4));
+    let what = format!(
+        "{} lookups -> {} outputs, {table_rows} rows x {dim}, seed {seed}",
+        index.len(),
+        index.num_outputs()
+    );
+
+    let table = EmbeddingTable::seeded(table_rows, dim, seed);
+    let mut rng = SplitMix64::new(seed ^ 0x5EED);
+    let mut grads = Matrix::zeros(index.num_outputs(), dim);
+    for v in grads.as_mut_slice() {
+        *v = rng.next_range(-1.0, 1.0);
+    }
+    let expanded = gradient_expand(&grads, index).unwrap();
+    let casted = tensor_casting(index);
+
+    // The serial references, through the allocating wrappers.
+    let pooled_rows = gather_reduce(&table, index).unwrap();
+    let baseline = gradient_expand_coalesce(&grads, index).unwrap();
+    let via_casting = casted_gather_reduce(&grads, &casted).unwrap();
+    assert_eq!(baseline.rows(), via_casting.rows(), "{what}");
+    assert_eq!(
+        bits(baseline.grads().as_slice()),
+        bits(via_casting.grads().as_slice()),
+        "baseline vs casted backward: {what}"
+    );
+    let mut plain = table.clone();
+    scatter_apply(&mut plain, &baseline, &mut Sgd::new(0.1)).unwrap();
+    let mut fused = table.clone();
+    fused_casted_backward(&mut fused, &grads, &casted, &mut Sgd::new(0.1)).unwrap();
+    assert_eq!(
+        bits(plain.as_slice()),
+        bits(fused.as_slice()),
+        "fused backward: {what}"
+    );
+
+    // One set of buffers for the whole sweep: every call after the first
+    // starts from dirty scratch.
+    let mut out = Matrix::default();
+    let mut coalesced = CoalescedScratch::default();
+    let mut casted_out = CoalescedScratch::default();
+    let execs = [1usize, 2, 3, 8]
+        .map(|threads| Exec::Pooled { pool, threads })
+        .into_iter()
+        .chain([Exec::Serial]);
+    for exec in execs {
+        let what = format!("{what}, {exec:?}");
+        gather_reduce_into(&table, index, &mut out, exec).unwrap();
+        assert_eq!(
+            out.shape(),
+            (index.num_outputs(), dim),
+            "gather-reduce: {what}"
+        );
+        assert_eq!(
+            bits(out.as_slice()),
+            bits(pooled_rows.as_slice()),
+            "gather-reduce: {what}"
+        );
+
+        gradient_coalesce_into(&expanded, index, &mut coalesced, exec).unwrap();
+        assert_eq!(coalesced.rows, baseline.rows(), "coalesce: {what}");
+        assert_eq!(
+            bits(coalesced.grads.as_slice()),
+            bits(baseline.grads().as_slice()),
+            "coalesce: {what}"
+        );
+
+        casted_gather_reduce_into(&grads, &casted, &mut casted_out, exec).unwrap();
+        assert_eq!(
+            casted_out.rows,
+            baseline.rows(),
+            "casted gather-reduce: {what}"
+        );
+        assert_eq!(
+            bits(casted_out.grads.as_slice()),
+            bits(baseline.grads().as_slice()),
+            "casted gather-reduce: {what}"
+        );
+    }
+}
+
 #[test]
-fn counting_sort_casting_is_equivalent_end_to_end() {
-    let (index, grads) = random_workload(11, 128, 6, 500);
-    let a = casted_gather_reduce(&grads, &tensor_casting(&index)).unwrap();
-    let b = casted_gather_reduce(&grads, &tensor_casting_counting(&index)).unwrap();
-    assert_eq!(a.grads().as_slice(), b.grads().as_slice());
+fn serial_equals_pooled_on_edge_workloads() {
+    let pairs =
+        |src: Vec<u32>, dst: Vec<u32>, outputs| IndexArray::from_pairs(src, dst, outputs).unwrap();
+    let workloads = [
+        // Every lookup hits one of 3 rows (long unique runs, more bands
+        // than coalesced rows), with `dst` out of order.
+        pairs(
+            (0..300).map(|i| i % 3).collect(),
+            (0..300).map(|i| i % 10).collect(),
+            10,
+        ),
+        // All-unique srcs, descending: one-lookup runs, nothing to coalesce.
+        pairs(
+            (0..64).rev().collect(),
+            (0..64).map(|i| i / 4).collect(),
+            16,
+        ),
+        // No lookups at all, with and without output slots.
+        pairs(vec![], vec![], 0),
+        pairs(vec![], vec![], 5),
+        // A single output row, and fewer outputs than any band count > 2.
+        IndexArray::from_samples(&[(0..40).map(|i| (i * 7) % 50).collect()]).unwrap(),
+        IndexArray::from_samples(&[vec![3, 3, 9], vec![9, 1, 3]]).unwrap(),
+        // A slot no lookup reduces into stays zero.
+        pairs(vec![1, 4, 1], vec![0, 3, 3], 4),
+    ];
+    for (i, index) in workloads.iter().enumerate() {
+        for dim in [1, 4, 37] {
+            check_serial_equals_pooled(index, 64, dim, i as u64);
+        }
+    }
+}
+
+#[test]
+fn serial_equals_pooled_under_randomized_load() {
+    let mut rng = SplitMix64::new(2);
+    for trial in 0..10 {
+        let rows = 100 + rng.next_below(2000);
+        let batch = 8 + rng.next_below(120) as usize;
+        let dim = 1 + rng.next_below(48) as usize;
+        let samples: Vec<Vec<u32>> = (0..batch)
+            .map(|_| {
+                let pooling = 1 + rng.next_below(7) as usize;
+                (0..pooling).map(|_| rng.next_below(rows) as u32).collect()
+            })
+            .collect();
+        let index = IndexArray::from_samples(&samples).unwrap();
+        check_serial_equals_pooled(&index, rows as usize, dim, trial);
+    }
 }
 
 #[test]

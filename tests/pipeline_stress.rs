@@ -1,4 +1,4 @@
-//! Stress tests for the casting pipeline and the parallel kernels under
+//! Stress tests for the casting pipeline and the pooled kernels under
 //! sustained, randomized multi-iteration load — failure-injection style
 //! coverage for the concurrency machinery. Includes the drop/shutdown
 //! ordering contract: dropping a `TrainLoop` or a `PrefetchSource`
@@ -7,19 +7,13 @@
 
 use std::sync::Arc;
 use std::time::{Duration, Instant};
-use tensor_casting::core::{
-    casted_gather_reduce, casted_gather_reduce_parallel, fused_casted_backward, tensor_casting,
-    tensor_casting_parallel, CastingPipeline,
-};
+use tensor_casting::core::{tensor_casting, CastingPipeline};
 use tensor_casting::datasets::{
     BatchSource, CtrBatch, PrefetchSource, SyntheticCtr, SyntheticSource,
 };
 use tensor_casting::dlrm::{BackwardMode, DlrmConfig, TrainLoop, Trainer};
-use tensor_casting::embedding::{
-    gather_reduce, gather_reduce_parallel, gradient_coalesce_parallel, gradient_expand,
-    gradient_expand_coalesce, optim::Sgd, scatter_apply, EmbeddingTable, IndexArray, ShardedTable,
-};
-use tensor_casting::tensor::{matmul_parallel, Matrix, SplitMix64};
+use tensor_casting::embedding::IndexArray;
+use tensor_casting::tensor::{Exec, Linear, Matrix, Pool, SplitMix64};
 
 fn random_index(rng: &mut SplitMix64, batch: usize, pooling_max: usize, rows: u64) -> IndexArray {
     let samples: Vec<Vec<u32>> = (0..batch)
@@ -57,74 +51,41 @@ fn pipeline_sustains_many_out_of_order_iterations() {
 }
 
 #[test]
-fn all_kernel_variants_agree_under_randomized_load() {
-    let mut rng = SplitMix64::new(2);
-    for trial in 0..10 {
-        let rows = 100 + rng.next_below(2000);
-        let batch = 8 + rng.next_below(120) as usize;
-        let dim = 1 + rng.next_below(48) as usize;
-        let index = random_index(&mut rng, batch, 7, rows);
-        let table = EmbeddingTable::seeded(rows as usize, dim, trial);
-        let mut grads = Matrix::zeros(batch, dim);
-        for v in grads.as_mut_slice() {
-            *v = rng.next_range(-1.0, 1.0);
-        }
-
-        // Forward variants.
-        let fwd = gather_reduce(&table, &index).unwrap();
-        let fwd_par = gather_reduce_parallel(&table, &index, 4).unwrap();
-        assert!(fwd.max_abs_diff(&fwd_par).unwrap() < 1e-5, "trial {trial}");
-
-        // Backward variants: serial, parallel coalesce, casted (serial,
-        // parallel kernel, parallel casting), sharded scatter, fused.
-        let baseline = gradient_expand_coalesce(&grads, &index).unwrap();
-        let expanded = gradient_expand(&grads, &index).unwrap();
-        let par_coalesce = gradient_coalesce_parallel(&expanded, &index, 3).unwrap();
-        assert_eq!(baseline.rows(), par_coalesce.rows());
-        assert!(baseline.max_abs_diff(&par_coalesce).unwrap() < 1e-5);
-
-        let casted = tensor_casting(&index);
-        let casted_par = tensor_casting_parallel(&index, 4);
-        assert_eq!(casted, casted_par, "trial {trial}");
-        let c1 = casted_gather_reduce(&grads, &casted).unwrap();
-        let c2 = casted_gather_reduce_parallel(&grads, &casted, 5).unwrap();
-        assert_eq!(baseline.grads().as_slice(), c1.grads().as_slice());
-        assert!(c1.max_abs_diff(&c2).unwrap() < 1e-5);
-
-        // Full update: plain scatter vs sharded scatter vs fused backward.
-        let mut t_plain = table.clone();
-        scatter_apply(&mut t_plain, &baseline, &mut Sgd::new(0.1)).unwrap();
-
-        let mut t_sharded = ShardedTable::from_table(&table, 3);
-        t_sharded
-            .scatter_apply(&baseline, &mut Sgd::new(0.1))
-            .unwrap();
-        assert!(t_sharded.to_table().max_abs_diff(&t_plain).unwrap() < 1e-6);
-
-        let mut t_fused = table.clone();
-        fused_casted_backward(&mut t_fused, &grads, &casted, &mut Sgd::new(0.1)).unwrap();
-        assert_eq!(t_fused.max_abs_diff(&t_plain).unwrap(), 0.0);
-    }
-}
-
-#[test]
 fn parallel_matmul_stress() {
+    // Both pooled products (forward `x * W`, backward `dy * W^T`) under
+    // random shapes and band counts, against the serial ones bit for bit.
+    let pool = Pool::new(4);
     let mut rng = SplitMix64::new(3);
-    for _ in 0..6 {
-        let m = 1 + rng.next_below(60) as usize;
-        let k = 1 + rng.next_below(60) as usize;
-        let n = 1 + rng.next_below(60) as usize;
-        let mut a = Matrix::zeros(m, k);
-        let mut b = Matrix::zeros(k, n);
-        for v in a.as_mut_slice() {
+    let mut random = |rows: usize, cols: usize| {
+        let mut m = Matrix::zeros(rows, cols);
+        for v in m.as_mut_slice() {
             *v = rng.next_range(-1.0, 1.0);
         }
-        for v in b.as_mut_slice() {
-            *v = rng.next_range(-1.0, 1.0);
+        m
+    };
+    for trial in 0..6 {
+        let m = 8 + trial * 11; // the pooled path engages from 8 rows
+        let (k, n) = (1 + trial * 13, 60 - trial * 9);
+        let mut layer = Linear::from_parameters(random(k, n), vec![0.0; n]).unwrap();
+        let (x, dy) = (random(m, k), random(m, n));
+        let (mut y, mut dx) = (Matrix::default(), Matrix::default());
+        layer.forward_into(&x, &mut y, None, Exec::Serial).unwrap();
+        layer.backward_into(&dy, &mut dx, Exec::Serial).unwrap();
+        for threads in [2, 3, 5, 8] {
+            let exec = Exec::Pooled {
+                pool: &pool,
+                threads,
+            };
+            let (mut y_pooled, mut dx_pooled) = (Matrix::default(), Matrix::default());
+            layer.forward_into(&x, &mut y_pooled, None, exec).unwrap();
+            layer.backward_into(&dy, &mut dx_pooled, exec).unwrap();
+            assert_eq!(y.as_slice(), y_pooled.as_slice(), "{m}x{k}x{n} / {threads}");
+            assert_eq!(
+                dx.as_slice(),
+                dx_pooled.as_slice(),
+                "{m}x{k}x{n} / {threads}"
+            );
         }
-        let serial = a.matmul(&b).unwrap();
-        let par = matmul_parallel(&a, &b, 1 + rng.next_below(8) as usize).unwrap();
-        assert!(serial.max_abs_diff(&par).unwrap() < 1e-4);
     }
 }
 

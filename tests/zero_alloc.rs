@@ -25,14 +25,13 @@ use tensor_casting::datasets::{
     SyntheticSource, TableWorkload,
 };
 
-use tensor_casting::core::{
-    casted_gather_reduce_into, tensor_casting, CastingPipeline, CoalescedScratch,
-};
+use tensor_casting::core::{casted_gather_reduce_into, tensor_casting, CastingPipeline};
+use tensor_casting::dlrm::{BackwardMode, DlrmConfig, Trainer};
 use tensor_casting::embedding::{
     gather_reduce_into, gradient_coalesce_into, gradient_expand_into,
-    optim::{Adagrad, Adam, Sgd, SparseOptimizer, SplittableOptimizer},
-    scatter_apply_dense, scatter_apply_per_shard, scatter_apply_sharded, CoalesceScratch,
-    EmbeddingTable, IndexArray, RouteScratch, ShardMap, ShardedOptimizer,
+    optim::{Adagrad, Adam, Sgd, SplittableOptimizer},
+    scatter_apply_sharded, CoalescedScratch, EmbeddingTable, IndexArray, RouteScratch, ShardMap,
+    ShardedOptimizer,
 };
 use tensor_casting::tensor::{
     bce_with_logits, bce_with_logits_backward_into, Activation, Exec, FeatureInteraction, Matrix,
@@ -89,6 +88,12 @@ fn random_matrix(rows: usize, cols: usize, seed: u64) -> Matrix {
     m
 }
 
+/// Optimizer state for an unsharded 500-row table: the one-shard case of
+/// the production scatter's `ShardedOptimizer`.
+fn unsharded<O: SplittableOptimizer + 'static>(build: impl Fn() -> O) -> ShardedOptimizer {
+    ShardedOptimizer::new(ShardMap::new(500, 1), || Box::new(build()) as _)
+}
+
 #[test]
 fn steady_state_hot_path_performs_zero_allocations() {
     let batch = 64;
@@ -108,15 +113,16 @@ fn steady_state_hot_path_performs_zero_allocations() {
 
     let mut pooled = Matrix::default();
     let mut coalesced = CoalescedScratch::default();
-    let mut sgd = Sgd::new(0.01);
+    let mut sgd = unsharded(|| Sgd::new(0.01));
 
     let embedding_step = |pooled: &mut Matrix,
                           coalesced: &mut CoalescedScratch,
                           table: &mut EmbeddingTable,
-                          sgd: &mut Sgd| {
+                          sgd: &mut ShardedOptimizer| {
         gather_reduce_into(table, &index, pooled, Exec::Serial).unwrap();
         casted_gather_reduce_into(&upstream, &casted, coalesced, Exec::Serial).unwrap();
-        scatter_apply_dense(table, &coalesced.rows, &coalesced.grads, sgd).unwrap();
+        let parts = std::slice::from_ref(&*coalesced);
+        scatter_apply_sharded(table, sgd, parts, Exec::Serial).unwrap();
     };
 
     // Warm-up: size every buffer to its high-water mark.
@@ -141,17 +147,18 @@ fn steady_state_hot_path_performs_zero_allocations() {
     // (src, pos) keys, so not even the stable sort's merge buffer is
     // allocated.
     let mut base_table = EmbeddingTable::seeded(500, dim, 9);
-    let mut base_sgd = Sgd::new(0.01);
+    let mut base_sgd = unsharded(|| Sgd::new(0.01));
     let mut expanded = Matrix::default();
-    let mut base_coalesced = CoalesceScratch::default();
+    let mut base_coalesced = CoalescedScratch::default();
 
     let baseline_step = |expanded: &mut Matrix,
-                         coalesced: &mut CoalesceScratch,
+                         coalesced: &mut CoalescedScratch,
                          table: &mut EmbeddingTable,
-                         sgd: &mut Sgd| {
+                         sgd: &mut ShardedOptimizer| {
         gradient_expand_into(&upstream, &index, expanded).unwrap();
-        gradient_coalesce_into(expanded, &index, coalesced).unwrap();
-        scatter_apply_dense(table, &coalesced.rows, &coalesced.grads, sgd).unwrap();
+        gradient_coalesce_into(expanded, &index, coalesced, Exec::Serial).unwrap();
+        let parts = std::slice::from_ref(&*coalesced);
+        scatter_apply_sharded(table, sgd, parts, Exec::Serial).unwrap();
     };
 
     baseline_step(
@@ -187,21 +194,23 @@ fn steady_state_hot_path_performs_zero_allocations() {
     // touches; once the warm-up covers the batch's hottest row, further
     // scatters (including Adam's per-row step counts) allocate nothing.
     let mut ada_table = EmbeddingTable::seeded(500, dim, 11);
-    let mut ada = Adagrad::new(0.01, 1e-8);
+    let mut ada = unsharded(|| Adagrad::new(0.01, 1e-8));
     let mut adam_table = EmbeddingTable::seeded(500, dim, 12);
-    let mut adam = Adam::new(0.001, 0.9, 0.999, 1e-8);
+    let mut adam = unsharded(|| Adam::new(0.001, 0.9, 0.999, 1e-8));
 
-    let stateful_scatter = |table: &mut EmbeddingTable, opt: &mut dyn SparseOptimizer| {
-        scatter_apply_dense(table, &coalesced.rows, &coalesced.grads, opt).unwrap();
-    };
+    let stateful_scatter =
+        |coalesced: &CoalescedScratch, table: &mut EmbeddingTable, opt: &mut ShardedOptimizer| {
+            let parts = std::slice::from_ref(coalesced);
+            scatter_apply_sharded(table, opt, parts, Exec::Serial).unwrap();
+        };
 
-    stateful_scatter(&mut ada_table, &mut ada);
-    stateful_scatter(&mut adam_table, &mut adam);
+    stateful_scatter(&coalesced, &mut ada_table, &mut ada);
+    stateful_scatter(&coalesced, &mut adam_table, &mut adam);
 
     let before = allocations();
     for _ in 0..10 {
-        stateful_scatter(&mut ada_table, &mut ada);
-        stateful_scatter(&mut adam_table, &mut adam);
+        stateful_scatter(&coalesced, &mut ada_table, &mut ada);
+        stateful_scatter(&coalesced, &mut adam_table, &mut adam);
     }
     assert_eq!(
         allocations() - before,
@@ -239,7 +248,8 @@ fn steady_state_hot_path_performs_zero_allocations() {
         Box::new(Adagrad::new(0.01, 1e-8)) as Box<dyn SplittableOptimizer>
     });
     let sharded_scatter = |table: &mut EmbeddingTable, opt: &mut ShardedOptimizer| {
-        scatter_apply_sharded(table, &coalesced.rows, &coalesced.grads, opt, Exec::Serial).unwrap();
+        let parts = std::slice::from_ref(&coalesced);
+        scatter_apply_sharded(table, opt, parts, Exec::Serial).unwrap();
     };
     sharded_scatter(&mut sh_table, &mut sh_opt);
     sharded_scatter(&mut sh_table, &mut sh_opt);
@@ -271,14 +281,7 @@ fn steady_state_hot_path_performs_zero_allocations() {
             casted_gather_reduce_into(&upstream, casted, &mut shard_scratch[s], Exec::Serial)
                 .unwrap();
         }
-        let scratch = &shard_scratch;
-        scatter_apply_per_shard(
-            table,
-            opt,
-            |s| (scratch[s].rows.as_slice(), &scratch[s].grads),
-            Exec::Serial,
-        )
-        .unwrap();
+        scatter_apply_sharded(table, opt, &shard_scratch, Exec::Serial).unwrap();
     };
     sharded_casted_step(&mut cast_table, &mut cast_opt);
     sharded_casted_step(&mut cast_table, &mut cast_opt);
@@ -334,6 +337,65 @@ fn steady_state_hot_path_performs_zero_allocations() {
         "submit allocations must not scale with table count \
          (narrow {narrow_allocs}, wide {wide_allocs}): is submit cloning index arrays?"
     );
+
+    // ---- A failed casted step gives its casting job back ---------------
+    // `Trainer::step` submits the batch's casting job before forward
+    // propagation; a step that then fails in forward (here: an embedding
+    // id past its table) must still drain that job. If it did not, the
+    // orphaned result would pin the pipeline's collect watermark and
+    // every later step would book its ticket in the out-of-order set — a
+    // growing heap set, forever, for a caller who handles the `Err` and
+    // keeps training. So `good, BAD, good x 32` must end bit-equal
+    // (losses and weights) to the same 33 good steps without the bad
+    // one, and its 32 steps after the error must allocate like any other
+    // 32 steps. (One batch throughout, so the first step already sizes
+    // every scratch buffer to its high-water mark.)
+    let cfg = DlrmConfig::tiny();
+    let good = SyntheticCtr::new(cfg.table_workloads(), cfg.dense_features, 71).next_batch(32);
+    let bad = {
+        let mut indices = good.indices.to_vec();
+        let past_the_table = cfg.table_workloads()[0].rows() as u32;
+        indices[0] = IndexArray::from_samples(&vec![vec![past_the_table]; 32]).unwrap();
+        CtrBatch {
+            indices: indices.into(),
+            ..good.clone()
+        }
+    };
+    let mut clean = Trainer::new(cfg.clone(), BackwardMode::Casted, 5).unwrap();
+    let clean_losses: Vec<u32> = (0..33)
+        .map(|_| clean.step(&good).unwrap().loss.to_bits())
+        .collect();
+
+    let mut survivor = Trainer::new(cfg.clone(), BackwardMode::Casted, 5).unwrap();
+    let mut survivor_losses = Vec::with_capacity(33);
+    survivor_losses.push(survivor.step(&good).unwrap().loss.to_bits());
+    assert!(
+        survivor.step(&bad).is_err(),
+        "the bad batch must be rejected"
+    );
+    assert_eq!(survivor.steps(), 1, "a failed step does not count");
+    let before = allocations();
+    for _ in 0..32 {
+        survivor_losses.push(survivor.step(&good).unwrap().loss.to_bits());
+    }
+    // What any 32 casted steps cost the training thread: the std-mpsc job
+    // channel allocates a block per 31 sends (at most two here), and the
+    // pipeline's ready-map may see its first insert. The orphaned ticket
+    // added the out-of-order set's growth on top: five more.
+    let after_error = allocations() - before;
+    assert!(
+        after_error <= 3,
+        "32 steps after a failed step allocated {after_error} times on the training thread: \
+         did the failed step orphan its casting ticket?"
+    );
+    assert_eq!(survivor_losses, clean_losses);
+    for t in 0..clean.model().num_tables() {
+        assert_eq!(
+            survivor.model().table(t).as_slice(),
+            clean.model().table(t).as_slice(),
+            "table {t} diverged after the failed step"
+        );
+    }
 
     // ---- MLP forward + loss + backward + update -----------------------
     let mut mlp = Mlp::new(dim, &[32, 16, 1], Activation::Relu, 3).unwrap();
@@ -630,15 +692,8 @@ fn steady_state_hot_path_performs_zero_allocations() {
         let before = allocations();
         for _ in 0..5 {
             embedding_step(&mut pooled, &mut coalesced, &mut table, &mut sgd);
-            scatter_apply_dense(&mut ada_table, &coalesced.rows, &coalesced.grads, &mut ada)
-                .unwrap();
-            scatter_apply_dense(
-                &mut adam_table,
-                &coalesced.rows,
-                &coalesced.grads,
-                &mut adam,
-            )
-            .unwrap();
+            stateful_scatter(&coalesced, &mut ada_table, &mut ada);
+            stateful_scatter(&coalesced, &mut adam_table, &mut adam);
             a.matmul_into_with(&b, &mut gemm_out, tier).unwrap();
             a.matmul_at_into_with(&at_rhs, &mut at_out, tier).unwrap();
             a.matmul_bt_into_with(&bt, &mut bt_out, tier).unwrap();
