@@ -17,7 +17,17 @@
 //! ```
 //!
 //! `FAST=1` shrinks shapes and iteration counts for smoke runs. The
-//! `KERNEL <name> simd/scalar ratio` lines are CI's grep anchors.
+//! `KERNEL <name> simd/scalar ratio` and `KERNEL <name> cold` lines are
+//! CI's grep anchors.
+//!
+//! The gather/scatter family is measured twice. The *warm* rows repeat one
+//! batch over a 100k-row table: everything is L3-resident after the first
+//! call, so they show the kernels' instruction cost. The *cold* rows are
+//! the regime the paper is about: a table four times the L3 (1 GB; a
+//! 16 MB table under `FAST`, still past the L2) and a fresh batch of rows
+//! on every call, so each row touched is a DRAM miss — each row carries
+//! `peak_frac`, its DRAM traffic rate against a bare random-row read
+//! measured on the same table right before it.
 //!
 //! Full-size runs on multi-core hosts gate the dispatch layer's reason to
 //! exist: AVX2 GEMM must reach at least 2x scalar and AVX2 gather-reduce
@@ -29,9 +39,14 @@ use std::path::PathBuf;
 use std::time::Instant;
 
 use tcast_bench::{banner, fast_mode, json};
-use tcast_core::{casted_gather_reduce_into, tensor_casting};
+use tcast_core::{
+    blocked_casted_backward, casted_gather_reduce_into, tensor_casting, CastedIndexArray,
+};
 use tcast_embedding::{
-    gather_reduce_into, optim::Adagrad, scatter_apply, CoalescedScratch, EmbeddingTable, IndexArray,
+    gather_reduce_into,
+    optim::{Adagrad, Sgd, SplittableOptimizer},
+    scatter_apply, scatter_apply_sharded, BlockScratch, CoalescedScratch, EmbeddingTable,
+    IndexArray, ShardMap, ShardedOptimizer,
 };
 use tcast_pool::Exec;
 use tcast_tensor::{simd, KernelDispatch, Matrix, SplitMix64};
@@ -75,17 +90,108 @@ fn random_matrix(rows: usize, cols: usize, seed: u64) -> Matrix {
 /// stall of the shared host moves a mean by whole multiples (a 20 us
 /// kernel, a 5 ms stall) and a median not at all.
 fn time_ns(iters: usize, mut f: impl FnMut()) -> f64 {
-    f();
-    f();
-    let mut ns: Vec<f64> = (0..iters.max(1))
+    time_ns_fresh(iters, || (), |&()| f())
+}
+
+/// [`time_ns`] for a kernel that must not see the same input twice: every
+/// call (warm-ups included) gets a fresh input from `next`, built outside
+/// the clock.
+fn time_ns_fresh<B>(iters: usize, mut next: impl FnMut() -> B, mut f: impl FnMut(&B)) -> f64 {
+    let mut ns: Vec<f64> = (0..iters.max(1) + 2)
         .map(|_| {
+            let input = next();
             let t0 = Instant::now();
-            f();
+            f(&input);
             t0.elapsed().as_secs_f64() * 1e9
         })
+        .skip(2)
         .collect();
     ns.sort_by(f64::total_cmp);
     ns[ns.len() / 2]
+}
+
+/// The rows of a table in one shuffled order, handed out a batch at a
+/// time: no row comes back until every other row has been handed out, so
+/// by then it has long left the cache.
+struct ColdRows {
+    order: Vec<u32>,
+    cursor: usize,
+}
+
+/// One cold call's inputs, all over the same `lookups` distinct rows.
+struct ColdBatch {
+    /// `batch` samples of `pooling` lookups, in shuffled order.
+    index: IndexArray,
+    /// The same lookups, cast (what the casting pipeline would deliver).
+    casted: CastedIndexArray,
+    /// The rows ascending, with one gradient row each: a coalesced
+    /// gradient as the baseline backward hands it to the scatter.
+    coalesced: CoalescedScratch,
+}
+
+impl ColdRows {
+    fn new(rows: usize, seed: u64) -> Self {
+        let mut rng = SplitMix64::new(seed);
+        let mut order: Vec<u32> = (0..rows as u32).collect();
+        for i in (1..order.len()).rev() {
+            order.swap(i, rng.next_below(i as u64 + 1) as usize);
+        }
+        Self { order, cursor: 0 }
+    }
+
+    /// The next `n` rows of the order (wrapping to its start).
+    fn take(&mut self, n: usize) -> &[u32] {
+        if self.cursor + n > self.order.len() {
+            self.cursor = 0;
+        }
+        self.cursor += n;
+        &self.order[self.cursor - n..self.cursor]
+    }
+
+    fn batch(&mut self, batch: usize, pooling: usize, grads: &Matrix) -> ColdBatch {
+        let rows = self.take(batch * pooling);
+        let samples: Vec<Vec<u32>> = rows.chunks(pooling).map(<[u32]>::to_vec).collect();
+        let index = IndexArray::from_samples(&samples).unwrap();
+        let casted = tensor_casting(&index);
+        let mut coalesced = CoalescedScratch::default();
+        coalesced.rows.extend_from_slice(casted.unique_rows());
+        coalesced.grads = grads.clone();
+        ColdBatch {
+            index,
+            casted,
+            coalesced,
+        }
+    }
+}
+
+/// GB/s of reading `lookups` fresh random rows of `table` and doing nothing
+/// with them: every cache line of a row is loaded once (one lane of it
+/// summed), rows are prefetched well past the kernels' own window, nothing
+/// is stored. What this host's memory system delivers to a row-granular
+/// random read — the ceiling the cold rows' `peak_frac` is taken against.
+fn random_row_read_gbps(
+    table: &EmbeddingTable,
+    cold: &mut ColdRows,
+    lookups: usize,
+    iters: usize,
+) -> f64 {
+    const AHEAD: usize = 4 * simd::PREFETCH_WINDOW;
+    const LINE: usize = 64 / std::mem::size_of::<f32>();
+    let ns = time_ns_fresh(
+        iters,
+        || cold.take(lookups).to_vec(),
+        |rows| {
+            let mut sum = 0.0f32;
+            for (k, &row) in rows.iter().enumerate() {
+                if let Some(&ahead) = rows.get(k + AHEAD) {
+                    simd::prefetch(table.row(ahead as usize));
+                }
+                sum += table.row(row as usize).iter().step_by(LINE).sum::<f32>();
+            }
+            std::hint::black_box(sum);
+        },
+    );
+    (lookups * table.dim() * 4) as f64 / ns
 }
 
 /// GFLOP/s of independent multiply and add dependency chains held in
@@ -454,6 +560,100 @@ fn main() {
             scatter_ratio = ratio_line("scatter_adagrad", &rows);
         }
     }
+
+    // --- Cold rows: the same kernels where every row is a DRAM miss. -----
+    // `bytes` is what has to cross the memory bus per call: the table
+    // (and optimizer-state) rows read, plus the same again written back
+    // by a scatter (so a scatter's `peak_frac`, taken against a read-only
+    // reference, can approach 2); outputs, gradients and indices are
+    // cache-resident or streamed and not counted.
+    let cold_dim = 64;
+    let cold_table_rows = if fast { 64 * 1024 } else { 4 * 1024 * 1024 };
+    println!(
+        "\ncold gather/scatter ({lookups} distinct rows a call, never repeated, over {} MB), \
+         {} iters:",
+        (cold_table_rows * cold_dim * 4) >> 20,
+        args.iters
+    );
+    let mut cold_table = EmbeddingTable::seeded(cold_table_rows, cold_dim, 19);
+    let mut cold = ColdRows::new(cold_table_rows, 23);
+    let upstream = random_matrix(batch, cold_dim, 29);
+    let coalesced_grads = random_matrix(lookups, cold_dim, 31);
+    let shape = format!("r{cold_table_rows} b{batch} p{pooling} d{cold_dim}");
+    let row_bytes = (lookups * cold_dim * 4) as f64;
+    let unsharded = |opt: Box<dyn SplittableOptimizer>| {
+        let mut opt = Some(opt);
+        ShardedOptimizer::new(ShardMap::new(cold_table_rows, 1), || opt.take().unwrap())
+    };
+    // Adagrad's state slab is grown (and its pages first touched) here,
+    // not under the clock: one zero-gradient update of every row.
+    let mut adagrad = unsharded(Box::new(Adagrad::new(0.01, 1e-8)));
+    {
+        let mut all = CoalescedScratch::default();
+        all.rows.extend(0..cold_table_rows as u32);
+        all.grads = Matrix::zeros(cold_table_rows, cold_dim);
+        scatter_apply_sharded(&mut cold_table, &mut adagrad, &[all], Exec::Serial).unwrap();
+    }
+    let mut sgd = unsharded(Box::new(Sgd::new(0.01)));
+    let mut blocks = BlockScratch::default();
+    let mut out = Matrix::zeros(batch, cold_dim);
+
+    let mut cold_kernel =
+        |name: &str, bytes: f64, kernel: &mut dyn FnMut(&mut EmbeddingTable, &ColdBatch)| {
+            let peak = random_row_read_gbps(&cold_table, &mut cold, lookups, args.iters);
+            let rows = tier_ns(&mut |d| {
+                simd::force(Some(d));
+                let ns = time_ns_fresh(
+                    args.iters,
+                    || cold.batch(batch, pooling, &coalesced_grads),
+                    |b| kernel(&mut cold_table, b),
+                );
+                simd::force(None);
+                ns
+            });
+            for &(d, ns) in &rows {
+                let kernel = format!("{name}_cold");
+                emit.row(
+                    &kernel,
+                    d,
+                    &shape,
+                    cold_dim,
+                    ns,
+                    bytes / ns,
+                    "GB/s",
+                    Some(peak),
+                );
+            }
+            if let Some(ns) = lookup(&rows, KernelDispatch::detect()) {
+                println!(
+                    "KERNEL {name} cold {:.2} GB/s, {:.2} of the random-row read's {peak:.2} GB/s",
+                    bytes / ns,
+                    bytes / ns / peak
+                );
+            }
+        };
+    cold_kernel("gather_reduce", row_bytes, &mut |table, b| {
+        gather_reduce_into(table, &b.index, &mut out, Exec::Serial).unwrap();
+    });
+    cold_kernel("scatter_sgd", 2.0 * row_bytes, &mut |table, b| {
+        let parts = std::slice::from_ref(&b.coalesced);
+        scatter_apply_sharded(table, &mut sgd, parts, Exec::Serial).unwrap();
+    });
+    cold_kernel("scatter_adagrad", 4.0 * row_bytes, &mut |table, b| {
+        let parts = std::slice::from_ref(&b.coalesced);
+        scatter_apply_sharded(table, &mut adagrad, parts, Exec::Serial).unwrap();
+    });
+    // Gather-reduce out of the (cache-resident) upstream gradients and
+    // SGD scatter, a block of coalesced rows at a time.
+    cold_kernel(
+        "blocked_casted_backward",
+        2.0 * row_bytes,
+        &mut |table, b| {
+            let parts = std::slice::from_ref(&b.casted);
+            blocked_casted_backward(table, &mut sgd, &upstream, parts, &mut blocks, Exec::Serial)
+                .unwrap();
+        },
+    );
 
     // --- Gates: full-size multi-core runs only. The SIMD win is --------
     // per-core, but 1-core containers throttle too unpredictably to

@@ -30,6 +30,7 @@
 
 use crate::casted_index::CastedIndexArray;
 use tcast_embedding::{EmbeddingError, EmbeddingTable};
+use tcast_tensor::simd::{prefetch, PREFETCH_WINDOW};
 use tcast_tensor::Matrix;
 
 /// Pools embeddings through a casted index array: output row
@@ -85,8 +86,8 @@ pub fn casted_embedding_forward_into(
     let unique_rows = casted.unique_rows();
     let mut i = 0usize;
     for (u, &row) in unique_rows.iter().enumerate() {
-        if let Some(&next) = unique_rows.get(u + 1) {
-            tcast_tensor::simd::prefetch(table.row(next as usize));
+        if let Some(&ahead) = unique_rows.get(u + PREFETCH_WINDOW) {
+            prefetch(table.row(ahead as usize));
         }
         let trow = table.row(row as usize);
         // reduce_dst is non-decreasing: the outputs looking up `row` are

@@ -1,6 +1,6 @@
 //! The casted index array — the output of Algorithm 2.
 
-use tcast_embedding::EmbeddingError;
+use tcast_embedding::{CastedLookups, EmbeddingError};
 
 /// The "T.Casted" `(src, dst)` index array of Fig. 7, plus the metadata the
 /// scatter step needs.
@@ -126,6 +126,20 @@ impl CastedIndexArray {
     /// Number of coalesced output rows `U`.
     pub fn num_unique(&self) -> usize {
         self.unique_rows.len()
+    }
+}
+
+impl CastedLookups for CastedIndexArray {
+    fn gather_src(&self) -> &[u32] {
+        &self.gather_src
+    }
+
+    fn reduce_dst(&self) -> &[u32] {
+        &self.reduce_dst
+    }
+
+    fn unique_rows(&self) -> &[u32] {
+        &self.unique_rows
     }
 }
 

@@ -1,86 +1,76 @@
-//! Fully-fused backward: casted gather-reduce and the optimizer scatter
-//! in a single pass.
+//! The fused embedding backward: casted gather-reduce and optimizer
+//! scatter as one row-blocked pass over a table.
 //!
 //! The paper keeps the casted gather-reduce and the scatter as two
 //! operators (Fig. 9b shows them back-to-back) because framework
 //! optimizer APIs consume an explicit coalesced-gradient tensor. But once
-//! both run on the same engine, nothing forces the coalesced gradients to
-//! be materialized at all: each coalesced row can be accumulated in
-//! registers and applied to its table row immediately, saving one `U x D`
-//! write plus one `U x D` read. This module implements that
-//! further-fused variant as a natural *extension* of the paper's design
-//! (ablated in `benches/` and `tcast_system::ablation`).
+//! both run on the same engine, nothing forces the whole `U x D` coalesced
+//! gradient to be materialized between them: it can be produced a block of
+//! rows at a time and consumed while the block is still in cache, which
+//! saves one `U x D` write plus one `U x D` read of memory traffic. This
+//! is that further-fused variant — a natural *extension* of the paper's
+//! design (modelled in `tcast_system::ablation`) and what the trainer's
+//! casted mode runs.
 
 use crate::casted_index::CastedIndexArray;
-use tcast_embedding::{optim::SparseOptimizer, EmbeddingError, EmbeddingTable};
+use tcast_embedding::{
+    scatter_apply_casted, BlockScratch, CastedBackwardTimings, EmbeddingError, EmbeddingTable,
+    ShardedOptimizer,
+};
+use tcast_pool::Exec;
 use tcast_tensor::Matrix;
 
-/// Runs the whole embedding backward in one fused pass: for every
-/// coalesced output row, gather-and-reduce its gradient rows from the
-/// `B x D` gradient table into an accumulator, then immediately apply the
-/// optimizer update to the embedding table row.
+/// Coalesced-gradient bytes one block holds. The block is written by the
+/// gather-reduce and read back by the scatter, so it has to outlive one
+/// pass through the table rows it updates in a 1-2 MB L2; 64 KB measured
+/// the same on the repo benchmark, and a few hundred rows is already
+/// enough to amortize a block's two binary searches and clock reads.
+const BLOCK_BYTES: usize = 256 * 1024;
+
+/// Runs one table's whole casted backward: for each block of coalesced
+/// rows, gather-and-reduce its gradient rows out of the `B x D` `upstream`
+/// gradient table (Algorithm 3's loop), then immediately apply the
+/// optimizer update to those embedding-table rows.
 ///
-/// Produces exactly the same final table state as
-/// [`crate::casted_gather_reduce`] followed by
-/// `tcast_embedding::scatter_apply` (asserted in tests), while touching
-/// the coalesced gradients only in on-chip/register state.
+/// `parts` is the table's casted index arrays as the casting pipeline
+/// delivers them: one keyed by global row id, or one per shard of
+/// `optimizer`'s map keyed by shard-local id. Serially or on a pool, for
+/// any shard count, the table and the optimizer state end **bit-identical**
+/// to [`crate::casted_gather_reduce_into`] per part followed by
+/// `tcast_embedding::scatter_apply_sharded` — the same two loops run, only
+/// the coalesced gradient between them is a block, not the whole array.
+///
+/// Every check runs before the first table write, so on an error the table
+/// and the optimizer state are exactly as they were.
 ///
 /// # Errors
 ///
-/// Returns an error when `grads` does not match the casted array's
-/// gradient-table shape, when a unique row exceeds the table, or on a
-/// dimension mismatch.
-pub fn fused_casted_backward(
+/// [`EmbeddingError::LengthMismatch`] if `upstream.rows()` differs from a
+/// part's `num_gradient_rows()`; otherwise the scatter's errors
+/// ([`EmbeddingError::DimMismatch`] on a gradient width other than the
+/// table's, [`EmbeddingError::SrcOutOfBounds`] on a unique row outside the
+/// table or its shard, [`EmbeddingError::InvalidIndex`] on a part count
+/// that fits neither shape).
+pub fn blocked_casted_backward(
     table: &mut EmbeddingTable,
-    grads: &Matrix,
-    casted: &CastedIndexArray,
-    optimizer: &mut dyn SparseOptimizer,
-) -> Result<(), EmbeddingError> {
-    if grads.rows() != casted.num_gradient_rows() {
-        return Err(EmbeddingError::LengthMismatch {
-            expected: casted.num_gradient_rows(),
-            found: grads.rows(),
-        });
-    }
-    if grads.cols() != table.dim() {
-        return Err(EmbeddingError::DimMismatch {
-            expected: table.dim(),
-            found: grads.cols(),
-        });
-    }
-    if let Some(&bad) = casted
-        .unique_rows()
+    optimizer: &mut ShardedOptimizer,
+    upstream: &Matrix,
+    parts: &[CastedIndexArray],
+    scratch: &mut BlockScratch,
+    exec: Exec<'_>,
+) -> Result<CastedBackwardTimings, EmbeddingError> {
+    if let Some(part) = parts
         .iter()
-        .find(|&&r| r as usize >= table.rows())
+        .find(|part| part.num_gradient_rows() != upstream.rows())
     {
-        return Err(EmbeddingError::SrcOutOfBounds {
-            src: bad,
-            rows: table.rows(),
+        return Err(EmbeddingError::LengthMismatch {
+            expected: part.num_gradient_rows(),
+            found: upstream.rows(),
         });
     }
-
-    let dim = table.dim();
-    let gather_src = casted.gather_src();
-    let reduce_dst = casted.reduce_dst();
-    let kernel = tcast_tensor::simd::dispatch();
-    let mut acc = vec![0.0f32; dim];
-    let mut i = 0usize;
-    let n = gather_src.len();
-    for (u, &row) in casted.unique_rows().iter().enumerate() {
-        acc.fill(0.0);
-        // reduce_dst is non-decreasing: the lookups of coalesced row `u`
-        // are the contiguous run with reduce_dst == u.
-        while i < n && reduce_dst[i] as usize == u {
-            if let Some(&next) = gather_src.get(i + 1) {
-                tcast_tensor::simd::prefetch(grads.row(next as usize));
-            }
-            let g = grads.row(gather_src[i] as usize);
-            tcast_tensor::simd::add_assign(kernel, &mut acc, g);
-            i += 1;
-        }
-        optimizer.update_row(row, table.row_mut(row as usize), &acc);
-    }
-    Ok(())
+    let row_bytes = std::mem::size_of::<f32>() * table.dim();
+    let block_rows = (BLOCK_BYTES / row_bytes.max(1)).max(1);
+    scatter_apply_casted(table, optimizer, upstream, parts, block_rows, scratch, exec)
 }
 
 #[cfg(test)]
@@ -89,8 +79,8 @@ mod tests {
     use crate::casting::tensor_casting;
     use crate::gather_reduce::casted_gather_reduce;
     use tcast_embedding::{
-        optim::{Adagrad, Sgd},
-        scatter_apply, IndexArray,
+        optim::{Adagrad, Sgd, SplittableOptimizer},
+        scatter_apply, IndexArray, ShardMap,
     };
     use tcast_tensor::SplitMix64;
 
@@ -108,17 +98,47 @@ mod tests {
         (table, index, grads)
     }
 
+    fn unsharded<O: SplittableOptimizer + 'static>(
+        rows: usize,
+        build: impl Fn() -> O,
+    ) -> ShardedOptimizer {
+        ShardedOptimizer::new(ShardMap::new(rows, 1), || Box::new(build()) as _)
+    }
+
+    fn fused(
+        table: &mut EmbeddingTable,
+        optimizer: &mut ShardedOptimizer,
+        grads: &Matrix,
+        casted: CastedIndexArray,
+    ) -> Result<CastedBackwardTimings, EmbeddingError> {
+        blocked_casted_backward(
+            table,
+            optimizer,
+            grads,
+            &[casted],
+            &mut BlockScratch::default(),
+            Exec::Serial,
+        )
+    }
+
+    fn state(optimizer: &ShardedOptimizer) -> Vec<u8> {
+        let mut bytes = Vec::new();
+        optimizer.save_state(&mut bytes);
+        bytes
+    }
+
     #[test]
     fn fused_equals_two_step_with_sgd() {
         let (table, index, grads) = workload(1);
         let casted = tensor_casting(&index);
 
-        let mut fused_table = table.clone();
-        fused_casted_backward(&mut fused_table, &grads, &casted, &mut Sgd::new(0.1)).unwrap();
-
         let mut two_step_table = table.clone();
         let coalesced = casted_gather_reduce(&grads, &casted).unwrap();
         scatter_apply(&mut two_step_table, &coalesced, &mut Sgd::new(0.1)).unwrap();
+
+        let mut fused_table = table.clone();
+        let mut opt = unsharded(300, || Sgd::new(0.1));
+        fused(&mut fused_table, &mut opt, &grads, casted).unwrap();
 
         assert_eq!(fused_table.max_abs_diff(&two_step_table).unwrap(), 0.0);
     }
@@ -128,23 +148,19 @@ mod tests {
         let (table, index, grads) = workload(2);
         let casted = tensor_casting(&index);
 
-        let mut fused_table = table.clone();
-        fused_casted_backward(
-            &mut fused_table,
-            &grads,
-            &casted,
-            &mut Adagrad::new(0.1, 1e-8),
-        )
-        .unwrap();
-
+        // Two steps each, so the second runs on the first one's state.
         let mut two_step_table = table.clone();
+        let mut two_step_opt = Adagrad::new(0.1, 1e-8);
         let coalesced = casted_gather_reduce(&grads, &casted).unwrap();
-        scatter_apply(
-            &mut two_step_table,
-            &coalesced,
-            &mut Adagrad::new(0.1, 1e-8),
-        )
-        .unwrap();
+        for _ in 0..2 {
+            scatter_apply(&mut two_step_table, &coalesced, &mut two_step_opt).unwrap();
+        }
+
+        let mut fused_table = table.clone();
+        let mut opt = unsharded(300, || Adagrad::new(0.1, 1e-8));
+        for _ in 0..2 {
+            fused(&mut fused_table, &mut opt, &grads, casted.clone()).unwrap();
+        }
 
         assert_eq!(fused_table.max_abs_diff(&two_step_table).unwrap(), 0.0);
     }
@@ -153,14 +169,23 @@ mod tests {
     fn fused_validates_shapes() {
         let (mut table, index, grads) = workload(3);
         let casted = tensor_casting(&index);
+        let mut opt = unsharded(300, || Sgd::new(0.1));
         let wrong_rows = Matrix::zeros(grads.rows() + 1, 8);
-        assert!(
-            fused_casted_backward(&mut table, &wrong_rows, &casted, &mut Sgd::new(0.1)).is_err()
-        );
+        assert!(matches!(
+            fused(&mut table, &mut opt, &wrong_rows, casted.clone()),
+            Err(EmbeddingError::LengthMismatch {
+                expected: 48,
+                found: 49
+            })
+        ));
         let wrong_dim = Matrix::zeros(grads.rows(), 4);
-        assert!(
-            fused_casted_backward(&mut table, &wrong_dim, &casted, &mut Sgd::new(0.1)).is_err()
-        );
+        assert!(matches!(
+            fused(&mut table, &mut opt, &wrong_dim, casted),
+            Err(EmbeddingError::DimMismatch {
+                expected: 8,
+                found: 4
+            })
+        ));
     }
 
     #[test]
@@ -169,8 +194,9 @@ mod tests {
         let casted = tensor_casting(&index);
         let mut small_table = EmbeddingTable::zeros(5, 4);
         let grads = Matrix::zeros(1, 4);
+        let mut opt = unsharded(5, || Sgd::new(0.1));
         assert!(matches!(
-            fused_casted_backward(&mut small_table, &grads, &casted, &mut Sgd::new(0.1)),
+            fused(&mut small_table, &mut opt, &grads, casted),
             Err(EmbeddingError::SrcOutOfBounds { src: 5, rows: 5 })
         ));
     }
@@ -182,7 +208,127 @@ mod tests {
         let mut table = EmbeddingTable::seeded(10, 4, 9);
         let before = table.clone();
         let grads = Matrix::zeros(0, 4);
-        fused_casted_backward(&mut table, &grads, &casted, &mut Sgd::new(0.5)).unwrap();
+        let mut opt = unsharded(10, || Sgd::new(0.5));
+        fused(&mut table, &mut opt, &grads, casted).unwrap();
         assert_eq!(table.max_abs_diff(&before).unwrap(), 0.0);
+    }
+
+    /// The blocked loop interleaves accumulating and writing, so a fault
+    /// found half-way would leave a half-updated table: every fault must
+    /// be found before the first write. Each bad input sits in the *last*
+    /// shard's part, behind valid parts that would already have been
+    /// applied; the table and the (stateful) optimizer must come back bit
+    /// for bit, on every `Exec`.
+    #[test]
+    fn a_rejected_backward_leaves_table_and_optimizer_state_untouched() {
+        let pool = tcast_pool::Pool::new(3);
+        let (table, index, grads) = workload(4);
+        let map = ShardMap::new(300, 3);
+        let good: Vec<CastedIndexArray> = map
+            .route(&index)
+            .unwrap()
+            .iter()
+            .map(tensor_casting)
+            .collect();
+        let last = good.last().unwrap();
+        let with_last = |part: CastedIndexArray| {
+            let mut parts = good.clone();
+            *parts.last_mut().unwrap() = part;
+            parts
+        };
+        // A unique row past the last shard (local ids; shard 2 spans 100).
+        let mut beyond = last.unique_rows().to_vec();
+        *beyond.last_mut().unwrap() = 100;
+        let out_of_range = CastedIndexArray::new(
+            last.gather_src().to_vec(),
+            last.reduce_dst().to_vec(),
+            beyond,
+            last.num_gradient_rows(),
+        )
+        .unwrap();
+        // A part cast for a different batch size.
+        let other_batch = CastedIndexArray::new(
+            last.gather_src().to_vec(),
+            last.reduce_dst().to_vec(),
+            last.unique_rows().to_vec(),
+            last.num_gradient_rows() + 1,
+        )
+        .unwrap();
+        let narrow = Matrix::zeros(grads.rows(), 4);
+
+        type Check = fn(&EmbeddingError) -> bool;
+        let cases: [(&str, Vec<CastedIndexArray>, &Matrix, Check); 4] = [
+            (
+                "unique row out of range",
+                with_last(out_of_range),
+                &grads,
+                |e| {
+                    matches!(
+                        e,
+                        EmbeddingError::SrcOutOfBounds {
+                            src: 300,
+                            rows: 300
+                        }
+                    )
+                },
+            ),
+            (
+                "upstream of another batch",
+                with_last(other_batch),
+                &grads,
+                |e| {
+                    matches!(
+                        e,
+                        EmbeddingError::LengthMismatch {
+                            expected: 49,
+                            found: 48
+                        }
+                    )
+                },
+            ),
+            ("gradient of the wrong width", good.clone(), &narrow, |e| {
+                matches!(
+                    e,
+                    EmbeddingError::DimMismatch {
+                        expected: 8,
+                        found: 4
+                    }
+                )
+            }),
+            (
+                "neither one part nor one per shard",
+                good[..2].to_vec(),
+                &grads,
+                |e| matches!(e, EmbeddingError::InvalidIndex(_)),
+            ),
+        ];
+
+        for exec in [Exec::Serial, Exec::pooled(&pool)] {
+            let mut trained = table.clone();
+            let mut opt =
+                ShardedOptimizer::new(map.clone(), || Box::new(Adagrad::new(0.1, 1e-8)) as _);
+            let mut scratch = BlockScratch::default();
+            // One good step first: there is optimizer state to corrupt.
+            blocked_casted_backward(&mut trained, &mut opt, &grads, &good, &mut scratch, exec)
+                .unwrap();
+            let table_before: Vec<u32> = trained.as_slice().iter().map(|v| v.to_bits()).collect();
+            let state_before = state(&opt);
+            for (what, parts, upstream, expected) in &cases {
+                let err = blocked_casted_backward(
+                    &mut trained,
+                    &mut opt,
+                    upstream,
+                    parts,
+                    &mut scratch,
+                    exec,
+                )
+                .expect_err(what);
+                assert!(expected(&err), "{what} under {exec:?}: {err:?}");
+                let table_after: Vec<u32> =
+                    trained.as_slice().iter().map(|v| v.to_bits()).collect();
+                assert_eq!(table_after, table_before, "{what} under {exec:?}: table");
+                assert_eq!(state(&opt), state_before, "{what} under {exec:?}: state");
+            }
+        }
     }
 }

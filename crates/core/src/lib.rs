@@ -73,6 +73,6 @@ pub use casted_index::CastedIndexArray;
 pub use casting::tensor_casting;
 pub use equivalence::verify_equivalence;
 pub use fault::{FaultPlan, FaultyWrite};
-pub use fused::fused_casted_backward;
+pub use fused::blocked_casted_backward;
 pub use gather_reduce::{casted_backward, casted_gather_reduce, casted_gather_reduce_into};
 pub use runtime::{CastingPipeline, JobTicket, PipelineStats, DEFAULT_INFLIGHT_CAP};

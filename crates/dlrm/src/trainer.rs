@@ -8,13 +8,13 @@ use std::time::{Duration, Instant};
 use crate::config::DlrmConfig;
 use crate::metrics::{evaluate_ctr, CtrMetrics};
 use crate::model::Dlrm;
-use tcast_core::{casted_gather_reduce_into, CastingPipeline, JobTicket, PipelineStats};
+use tcast_core::{blocked_casted_backward, CastingPipeline, JobTicket, PipelineStats};
 use tcast_datasets::CtrBatch;
 use tcast_embedding::{
     gradient_coalesce_into, gradient_expand_into,
     optim::{Adagrad, Adam, Momentum, RmsProp, Sgd, SplittableOptimizer},
-    scatter_apply_sharded, CoalescedScratch, EmbeddingError, IndexArray, ShardMap, ShardSpec,
-    ShardedOptimizer,
+    scatter_apply_sharded, BlockScratch, CoalescedScratch, EmbeddingError, IndexArray, ShardMap,
+    ShardSpec, ShardedOptimizer,
 };
 use tcast_pool::{Exec, Pool};
 use tcast_tensor::{bce_with_logits, bce_with_logits_backward_into, Matrix};
@@ -24,8 +24,9 @@ use tcast_tensor::{bce_with_logits, bce_with_logits_backward_into, Matrix};
 pub enum BackwardMode {
     /// Gradient expand → coalesce (Algorithm 1) → scatter.
     Baseline,
-    /// Tensor Casting: pipeline-precomputed casted arrays + fused casted
-    /// gather-reduce (Algorithms 2-3) → scatter.
+    /// Tensor Casting: pipeline-precomputed casted arrays + casted
+    /// gather-reduce (Algorithms 2-3) → scatter, fused a block of coalesced
+    /// rows at a time (`tcast_core::blocked_casted_backward`).
     Casted,
 }
 
@@ -39,9 +40,11 @@ pub struct PhaseTimings {
     /// Top/bottom MLP + interaction backward.
     pub bwd_dnn: Duration,
     /// Baseline: expand + coalesce. Casted: exposed wait for the casted
-    /// arrays + the fused casted gather-reduce.
+    /// arrays + the casted gather-reduce — the accumulate half of every
+    /// block of the blocked casted backward, summed.
     pub bwd_embedding: Duration,
-    /// Scatter / optimizer update of the tables.
+    /// Scatter / optimizer update of the tables (casted: the update half
+    /// of every block, summed).
     pub bwd_scatter: Duration,
 }
 
@@ -186,14 +189,16 @@ struct StepScratch {
     logits: Matrix,
     dlogits: Matrix,
     dpooled: Vec<Matrix>,
-    /// The backward pass's coalesced gradients, laid out by
-    /// `Trainer::part_offsets`: what the scatter consumes, whichever
-    /// backward mode filled it.
+    /// Baseline mode's per-table coalesced gradients (globally keyed):
+    /// what its scatter consumes.
     coalesced: Vec<CoalescedScratch>,
     /// Baseline mode's per-table `n x D` expand intermediates — still
     /// materialized every step (that cost is the paper's subject), but
     /// recycled instead of re-allocated.
     expanded: Vec<Matrix>,
+    /// Casted mode's coalesced-gradient blocks: all that is ever
+    /// materialized of the coalesced gradient, shared by every table.
+    blocks: BlockScratch,
 }
 
 /// A training step whose casting has been submitted but whose
@@ -238,13 +243,10 @@ pub struct Trainer {
     /// Per-table shard maps shipped with every casting job when sharded
     /// (`None` when every table has one shard: plain jobs, no routing).
     shard_plan: Option<Arc<[ShardMap]>>,
-    /// `part_offsets[t]..part_offsets[t + 1]` indexes table `t`'s
-    /// coalesced-gradient slots in the step scratch. Casted mode has one
-    /// per shard (shard-local rows; the same range indexes the job's
-    /// per-shard casted arrays) — tables can have *fewer* shards than
-    /// requested (small tables), so this is a prefix sum, not
-    /// `t * shards`. Baseline mode coalesces each table once, globally
-    /// keyed: one slot per table.
+    /// `part_offsets[t]..part_offsets[t + 1]` indexes table `t`'s casted
+    /// arrays in a casting job's result: one per shard (shard-local rows).
+    /// Tables can have *fewer* shards than requested (small tables), so
+    /// this is a prefix sum, not `t * shards`.
     part_offsets: Vec<usize>,
     steps: u64,
     execution: Execution,
@@ -344,11 +346,7 @@ impl Trainer {
         let mut part_offsets = Vec::with_capacity(model.num_tables() + 1);
         part_offsets.push(0usize);
         for t in 0..model.num_tables() {
-            let parts = match mode {
-                BackwardMode::Casted => model.shard_map(t).num_shards(),
-                BackwardMode::Baseline => 1,
-            };
-            part_offsets.push(part_offsets[t] + parts);
+            part_offsets.push(part_offsets[t] + model.shard_map(t).num_shards());
         }
         let sharded = (0..model.num_tables()).any(|t| model.shard_map(t).num_shards() > 1);
         let shard_plan: Option<Arc<[ShardMap]>> = sharded.then(|| {
@@ -599,15 +597,17 @@ impl Trainer {
         self.model.apply_dense_update(self.lr);
         let bwd_dnn = t0.elapsed();
 
-        // BWD (embedding): baseline expand-coalesce or casted gather-reduce.
+        // BWD (embedding + scatter): baseline expand-coalesce then scatter,
+        // or the blocked casted backward, which does both per table.
         let t0 = Instant::now();
         let mut exposed_cast_wait = Duration::ZERO;
-        match self.mode {
+        let (bwd_embedding, bwd_scatter) = match self.mode {
             BackwardMode::Baseline => {
                 // The baseline deliberately pays Algorithm 1's full cost —
-                // materialized n x D expand, sort, accumulate — each step,
-                // but through recycled scratch: steady-state baseline
-                // training no longer re-allocates the expand intermediate.
+                // materialized n x D expand, sort, accumulate, and a whole
+                // coalesced gradient handed to the scatter — each step, but
+                // through recycled scratch: steady-state baseline training
+                // does not re-allocate its intermediates.
                 let tables = batch.indices.len();
                 self.scratch.expanded.resize_with(tables, Matrix::default);
                 self.scratch
@@ -624,6 +624,21 @@ impl Trainer {
                     gradient_expand_into(grads, idx, expanded)?;
                     gradient_coalesce_into(expanded, idx, coalesced, exec)?;
                 }
+                let bwd_embedding = t0.elapsed();
+
+                // Coalesced rows are unique, so under Execution::Pooled the
+                // scatter runs concurrently over disjoint table slices +
+                // optimizer state, bit-identical to the serial scatter.
+                let t0 = Instant::now();
+                for (t, coalesced) in self.scratch.coalesced.iter().enumerate() {
+                    scatter_apply_sharded(
+                        self.model.table_mut(t),
+                        &mut self.table_optimizers[t],
+                        std::slice::from_ref(coalesced),
+                        exec,
+                    )?;
+                }
+                (bwd_embedding, t0.elapsed())
             }
             BackwardMode::Casted => {
                 let (casted, exposed) = self
@@ -633,51 +648,34 @@ impl Trainer {
                     .collect_timed(ticket.take().expect("ticket issued"));
                 exposed_cast_wait = exposed;
                 // One casted array per (table, shard) pair, shard-major
-                // within table (one per table when unsharded). Each
-                // shard's gather-reduce reads the SAME upstream dpooled
-                // matrix — routed dst ids stay global — and runs
-                // independently of its siblings.
+                // within table (one per table when unsharded), already
+                // keyed by shard-local row: no global merge is ever
+                // materialized.
                 assert_eq!(
                     casted.len(),
                     *self.part_offsets.last().expect("offsets non-empty"),
                     "casting job shape disagrees with the shard plan"
                 );
-                self.scratch
-                    .coalesced
-                    .resize_with(casted.len(), CoalescedScratch::default);
+                // Per table, gather-reduce and scatter alternate a block of
+                // coalesced rows at a time; each call reports how its time
+                // divided between the two, which is what the two phases sum.
+                let mut bwd_embedding = t0.elapsed();
+                let mut bwd_scatter = Duration::ZERO;
                 for t in 0..self.model.num_tables() {
-                    let grads = &self.scratch.dpooled[t];
-                    for part in self.part_offsets[t]..self.part_offsets[t + 1] {
-                        casted_gather_reduce_into(
-                            grads,
-                            &casted[part],
-                            &mut self.scratch.coalesced[part],
-                            exec,
-                        )?;
-                    }
+                    let halves = blocked_casted_backward(
+                        self.model.table_mut(t),
+                        &mut self.table_optimizers[t],
+                        &self.scratch.dpooled[t],
+                        &casted[self.part_offsets[t]..self.part_offsets[t + 1]],
+                        &mut self.scratch.blocks,
+                        exec,
+                    )?;
+                    bwd_embedding += halves.gather_reduce;
+                    bwd_scatter += halves.scatter;
                 }
+                (bwd_embedding, bwd_scatter)
             }
-        }
-        let bwd_embedding = t0.elapsed();
-
-        // BWD (Scatter): sparse optimizer update per table, straight from
-        // the coalesced slots either backward mode filled (casted mode's
-        // are already shard-local, so no global merge is ever
-        // materialized). Coalesced rows are unique, so under
-        // Execution::Pooled the scatter runs concurrently over disjoint
-        // table slices + optimizer state — row bands within the slab
-        // when unsharded, one task per shard when sharded —
-        // bit-identical to the serial scatter either way.
-        let t0 = Instant::now();
-        for t in 0..self.model.num_tables() {
-            scatter_apply_sharded(
-                self.model.table_mut(t),
-                &mut self.table_optimizers[t],
-                &self.scratch.coalesced[self.part_offsets[t]..self.part_offsets[t + 1]],
-                exec,
-            )?;
-        }
-        let bwd_scatter = t0.elapsed();
+        };
 
         self.steps += 1;
         Ok(StepReport {

@@ -11,6 +11,7 @@ use crate::error::EmbeddingError;
 use crate::expand::gradient_expand;
 use crate::index::IndexArray;
 use tcast_pool::Exec;
+use tcast_tensor::simd::{prefetch, PREFETCH_WINDOW};
 use tcast_tensor::Matrix;
 
 /// The output of gradient coalescing: one gradient row per *unique* `src`
@@ -222,8 +223,8 @@ fn accumulate_runs(
     for (i, &key) in keys.iter().enumerate() {
         let curr = (key >> 32) as u32;
         let pos = (key & 0xFFFF_FFFF) as usize;
-        if let Some(&next) = keys.get(i + 1) {
-            tcast_tensor::simd::prefetch(expanded.row((next & 0xFFFF_FFFF) as usize));
+        if let Some(&ahead) = keys.get(i + PREFETCH_WINDOW) {
+            prefetch(expanded.row((ahead & 0xFFFF_FFFF) as usize));
         }
         if prev != Some(curr) {
             out_i = out_i.wrapping_add(1);

@@ -5,6 +5,7 @@ use crate::error::EmbeddingError;
 use crate::index::IndexArray;
 use crate::table::EmbeddingTable;
 use tcast_pool::Exec;
+use tcast_tensor::simd::{add_assign, prefetch, KernelDispatch, PREFETCH_WINDOW};
 use tcast_tensor::Matrix;
 
 /// Fused tensor gather-reduce: for every `(src, dst)` pair, accumulate
@@ -105,9 +106,12 @@ pub fn accumulate_rows(rows: &[f32], src: &[u32], dst: &[u32], out: &mut Matrix,
 
 /// The one accumulate loop: `band[dst[i] - base] += rows[src[i]]` for the
 /// lookups whose `dst` falls inside `band` (output rows `base..`), with
-/// the next lookup's row prefetched under the current add.
-fn accumulate_band(
-    kernel: tcast_tensor::KernelDispatch,
+/// the rows [`PREFETCH_WINDOW`] lookups ahead prefetched under the current
+/// add. The tier is chosen here, once per band; the scalar loop is the
+/// oracle and the AVX2 one adds the same rows to each lane in the same
+/// order.
+pub(crate) fn accumulate_band(
+    kernel: KernelDispatch,
     rows: &[f32],
     dim: usize,
     src: &[u32],
@@ -115,19 +119,54 @@ fn accumulate_band(
     base: usize,
     band: &mut [f32],
 ) {
+    #[cfg(target_arch = "x86_64")]
+    if kernel != KernelDispatch::Scalar && KernelDispatch::Avx2.supported() {
+        // SAFETY: AVX2 support verified on the line above.
+        unsafe { accumulate_band_avx2(rows, dim, src, dst, base, band) };
+        return;
+    }
+    let _ = kernel;
     let row = |r: u32| &rows[r as usize * dim..(r as usize + 1) * dim];
     for (i, (&s, &d)) in src.iter().zip(dst.iter()).enumerate() {
-        // Skip the pairs another band owns.
-        let Some(local) = (d as usize).checked_sub(base) else {
+        let Some(acc) = owned_row(band, dim, base, d) else {
             continue;
         };
-        let Some(acc) = band.get_mut(local * dim..(local + 1) * dim) else {
-            continue;
-        };
-        if let Some(&next) = src.get(i + 1) {
-            tcast_tensor::simd::prefetch(row(next));
+        if let Some(&ahead) = src.get(i + PREFETCH_WINDOW) {
+            prefetch(row(ahead));
         }
-        tcast_tensor::simd::add_assign(kernel, acc, row(s));
+        add_assign(KernelDispatch::Scalar, acc, row(s));
+    }
+}
+
+/// Output row `d` of a band that starts at output row `base`, or `None`
+/// for a row another band owns (the pairs to skip).
+#[inline(always)]
+fn owned_row(band: &mut [f32], dim: usize, base: usize, d: u32) -> Option<&mut [f32]> {
+    let local = (d as usize).checked_sub(base)?;
+    band.get_mut(local * dim..(local + 1) * dim)
+}
+
+/// [`accumulate_band`] on the AVX2 tier: the stream is walked a run of
+/// equal `dst` at a time, and a run's output row is loaded and stored once
+/// ([`crate::simd::x86::accumulate_run`]) instead of once per lookup.
+#[cfg(target_arch = "x86_64")]
+#[target_feature(enable = "avx2")]
+fn accumulate_band_avx2(
+    rows: &[f32],
+    dim: usize,
+    src: &[u32],
+    dst: &[u32],
+    base: usize,
+    band: &mut [f32],
+) {
+    let mut i = 0;
+    while i < dst.len() {
+        let d = dst[i];
+        let run = i..i + dst[i..].iter().take_while(|&&next| next == d).count();
+        i = run.end;
+        if let Some(acc) = owned_row(band, dim, base, d) {
+            crate::simd::x86::accumulate_run(acc, rows, src, run);
+        }
     }
 }
 

@@ -82,6 +82,9 @@ pub use expand::{gradient_expand, gradient_expand_into};
 pub use gather::{accumulate_rows, gather, gather_reduce, gather_reduce_into, reduce_by_dst};
 pub use index::IndexArray;
 pub use optim::ShardedOptimizer;
-pub use scatter::{scatter_apply, scatter_apply_sharded};
+pub use scatter::{
+    scatter_apply, scatter_apply_casted, scatter_apply_sharded, BlockScratch,
+    CastedBackwardTimings, CastedLookups,
+};
 pub use sharding::{RouteScratch, ShardMap, ShardSpec};
 pub use table::EmbeddingTable;

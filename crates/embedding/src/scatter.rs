@@ -5,17 +5,27 @@
 //! both run over "the same datapath, just in the opposite directions",
 //! which is what lets one NMP core design serve the whole training loop.
 //!
-//! Two entry points: [`scatter_apply`], the serial reference every other
-//! scatter in the workspace (this one, the NMP pool's, the fused casted
-//! backward) is tested against, and [`scatter_apply_sharded`], the one the
-//! trainer runs — any [`Exec`], any shard count, either backward path's
-//! output, bit-identical to the reference.
+//! Three entry points: [`scatter_apply`], the serial reference every other
+//! scatter in the workspace (these, the NMP pool's) is tested against, and
+//! the two the trainer runs — any [`Exec`], any shard count, bit-identical
+//! to the reference: [`scatter_apply_sharded`] applies a materialized
+//! coalesced gradient (the baseline backward's), and
+//! [`scatter_apply_casted`] produces the coalesced gradient from the casted
+//! lookup stream a block of rows at a time as it applies it (the casted
+//! backward's). Both are the same validation, the same split into tasks and
+//! the same per-row loop; they differ in where a task's gradient rows come
+//! from.
+
+use std::sync::atomic::{AtomicU64, Ordering};
+use std::time::{Duration, Instant};
 
 use crate::coalesce::{CoalescedGradients, CoalescedScratch};
 use crate::error::EmbeddingError;
+use crate::gather::accumulate_band;
 use crate::optim::{ShardedOptimizer, SparseOptimizer};
 use crate::table::EmbeddingTable;
 use tcast_pool::Exec;
+use tcast_tensor::simd::{prefetch, PREFETCH_WINDOW};
 use tcast_tensor::Matrix;
 
 /// Applies coalesced gradients to the table: for every `(row, grad)` pair,
@@ -65,10 +75,9 @@ pub fn scatter_apply(
 /// * **one** array keyed by *global* row id — the baseline path's
 ///   `gradient_coalesce_into` output, or either path on an unsharded
 ///   table (with one shard, global and shard-local ids coincide);
-/// * **one array per shard**, keyed by *shard-local* row id — the casted
-///   path's per-shard `casted_gather_reduce_into` outputs (the casting
-///   pipeline routed the indices per shard, so no global merge is ever
-///   materialized).
+/// * **one array per shard**, keyed by *shard-local* row id — per-shard
+///   `casted_gather_reduce_into` outputs (the casting pipeline routed the
+///   indices per shard, so no global merge is ever materialized).
 ///
 /// Coalescing guarantees each table row appears exactly once (rows are
 /// strictly ascending — enforced here), so any partition of the rows
@@ -100,6 +109,186 @@ pub fn scatter_apply_sharded(
     parts: &[CoalescedScratch],
     exec: Exec<'_>,
 ) -> Result<(), EmbeddingError> {
+    let part = |p: usize| {
+        let CoalescedScratch { rows, grads, .. } = &parts[p];
+        (rows.as_slice(), Grads::Coalesced(grads))
+    };
+    scatter_parts(table, optimizer, parts.len(), part, &mut [], exec)
+}
+
+/// One casted index array, as [`scatter_apply_casted`] reads it
+/// (`tcast-core`'s `CastedIndexArray`, which this crate cannot name).
+///
+/// `gather_src` and `reduce_dst` have one entry per lookup; `reduce_dst`
+/// is non-decreasing and indexes `unique_rows`.
+pub trait CastedLookups {
+    /// Per lookup, the upstream gradient row to gather.
+    fn gather_src(&self) -> &[u32];
+    /// Per lookup, the coalesced row (an index into
+    /// [`CastedLookups::unique_rows`]) to reduce it into.
+    fn reduce_dst(&self) -> &[u32];
+    /// The table row each coalesced row updates, ascending.
+    fn unique_rows(&self) -> &[u32];
+}
+
+/// Reusable block buffers of [`scatter_apply_casted`], one per concurrent
+/// task; each keeps its capacity, so the warm serial path allocates
+/// nothing.
+#[derive(Debug, Default)]
+pub struct BlockScratch {
+    blocks: Vec<Vec<f32>>,
+}
+
+/// How one [`scatter_apply_casted`] call's wall-clock time divides between
+/// accumulating the coalesced gradient blocks and applying them.
+#[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
+pub struct CastedBackwardTimings {
+    /// The casted gather-reduce half (Algorithm 3).
+    pub gather_reduce: Duration,
+    /// The optimizer-update half.
+    pub scatter: Duration,
+}
+
+/// The casted backward and its scatter as one row-blocked pass: what
+/// `casted_gather_reduce_into` followed by [`scatter_apply_sharded`]
+/// computes — **bit for bit**, table and optimizer state, for every
+/// `block_rows`, shard count and `Exec` — without ever holding a part's
+/// whole coalesced gradient.
+///
+/// Each task of the scatter (the same tasks [`scatter_apply_sharded`]
+/// runs: equal-count row bands of an unsharded table, one task per shard
+/// otherwise) walks its unique rows `block_rows` at a time. The lookups
+/// that reduce into a block are one contiguous piece of the stream
+/// (`reduce_dst` is non-decreasing), so the block's gradient is
+/// accumulated by the gather-reduce loop into a `block_rows x dim` buffer
+/// and at once applied by the scatter loop — both loops unchanged, the
+/// buffer still in cache when the second reads it. That removes the
+/// `U x D` write and read between the two operators (the paper's Section
+/// IV-A traffic argument, taken one step further).
+///
+/// `parts` is one casted array keyed by global row id, or one per shard
+/// keyed by shard-local id (see [`scatter_apply_sharded`]); every part
+/// gathers from the same `upstream` gradient table. Everything is
+/// validated before the first table row is written: on any error the
+/// table and the optimizer state are untouched.
+///
+/// # Errors
+///
+/// As [`scatter_apply_sharded`], with `upstream`'s width as the gradient
+/// width.
+///
+/// # Panics
+///
+/// Panics if `block_rows` is zero, if a part's `gather_src` and
+/// `reduce_dst` differ in length, or if a `gather_src` row lies outside
+/// `upstream`.
+pub fn scatter_apply_casted<P: CastedLookups>(
+    table: &mut EmbeddingTable,
+    optimizer: &mut ShardedOptimizer,
+    upstream: &Matrix,
+    parts: &[P],
+    block_rows: usize,
+    scratch: &mut BlockScratch,
+    exec: Exec<'_>,
+) -> Result<CastedBackwardTimings, EmbeddingError> {
+    assert!(block_rows > 0, "a block holds at least one row");
+    let started = Instant::now();
+    let clock = HalfClock::default();
+    let part = |p: usize| {
+        let part = &parts[p];
+        let (src, dst) = (part.gather_src(), part.reduce_dst());
+        assert_eq!(src.len(), dst.len(), "one reduce_dst per gather_src");
+        let grads = Grads::Casted {
+            upstream,
+            src,
+            dst,
+            block_rows,
+            clock: &clock,
+        };
+        (part.unique_rows(), grads)
+    };
+    // No scatter runs more tasks than this. Only ever grown: tables of
+    // different shard counts share one scratch.
+    let tasks = exec.threads().max(optimizer.num_shards());
+    if scratch.blocks.len() < tasks {
+        scratch.blocks.resize_with(tasks, Vec::new);
+    }
+    scatter_parts(
+        table,
+        optimizer,
+        parts.len(),
+        part,
+        &mut scratch.blocks,
+        exec,
+    )?;
+    Ok(clock.split(started.elapsed()))
+}
+
+/// Where a scatter reads one part's gradients from.
+#[derive(Clone, Copy)]
+enum Grads<'a> {
+    /// Materialized: one coalesced row per entry of the part's `rows`.
+    Coalesced(&'a Matrix),
+    /// The casted lookup stream that sums `upstream` rows into them,
+    /// accumulated `block_rows` coalesced rows at a time.
+    Casted {
+        upstream: &'a Matrix,
+        src: &'a [u32],
+        dst: &'a [u32],
+        block_rows: usize,
+        clock: &'a HalfClock,
+    },
+}
+
+impl Grads<'_> {
+    /// `(gradient rows, gradient width)` a part of `rows` rows must have.
+    fn shape(&self, rows: usize) -> (usize, usize) {
+        match self {
+            Grads::Coalesced(grads) => grads.shape(),
+            Grads::Casted { upstream, .. } => (rows, upstream.cols()),
+        }
+    }
+}
+
+/// Time the tasks of one blocked backward spent in each half, summed over
+/// tasks (a statistic: relaxed adds, read after the tasks have joined).
+#[derive(Default)]
+struct HalfClock {
+    accumulate_ns: AtomicU64,
+    update_ns: AtomicU64,
+}
+
+impl HalfClock {
+    /// Divides `wall` in the ratio of the two sums: exact when one task
+    /// ran, and still wall-clock time when several ran side by side.
+    fn split(&self, wall: Duration) -> CastedBackwardTimings {
+        let accumulate = self.accumulate_ns.load(Ordering::Relaxed) as f64;
+        let update = self.update_ns.load(Ordering::Relaxed) as f64;
+        let gather_reduce = if accumulate > 0.0 {
+            wall.mul_f64(accumulate / (accumulate + update))
+        } else {
+            Duration::ZERO
+        };
+        CastedBackwardTimings {
+            gather_reduce,
+            scatter: wall - gather_reduce,
+        }
+    }
+}
+
+/// The scatter behind both entry points: validates every part, then cuts
+/// the work into tasks over disjoint table rows and optimizer state and
+/// runs them under `exec`. `part(p)` is part `p`'s ascending row ids and
+/// its gradients; `blocks` holds a buffer per task when the gradients are
+/// [`Grads::Casted`].
+fn scatter_parts<'a>(
+    table: &mut EmbeddingTable,
+    optimizer: &mut ShardedOptimizer,
+    num_parts: usize,
+    part: impl Fn(usize) -> (&'a [u32], Grads<'a>),
+    blocks: &mut [Vec<f32>],
+    exec: Exec<'_>,
+) -> Result<(), EmbeddingError> {
     let table_rows = table.rows();
     let dim = table.dim();
     let (map, opts) = optimizer.parts_mut();
@@ -109,38 +298,39 @@ pub fn scatter_apply_sharded(
             map.rows()
         )));
     }
-    let global = parts.len() == 1;
-    if !global && parts.len() != opts.len() {
+    let global = num_parts == 1;
+    if !global && num_parts != opts.len() {
         return Err(EmbeddingError::InvalidIndex(format!(
-            "scatter needs one global-keyed array or one per shard ({}), got {}",
+            "scatter needs one global-keyed array or one per shard ({}), got {num_parts}",
             opts.len(),
-            parts.len()
         )));
     }
-    for (s, part) in parts.iter().enumerate() {
+    for s in 0..num_parts {
         let (base, span) = if global {
             (0, table_rows)
         } else {
             (map.shard_base(s), map.shard_rows(s))
         };
-        if part.rows.len() != part.grads.rows() {
+        let (rows, grads) = part(s);
+        let (grad_rows, grad_dim) = grads.shape(rows.len());
+        if rows.len() != grad_rows {
             return Err(EmbeddingError::LengthMismatch {
-                expected: part.rows.len(),
-                found: part.grads.rows(),
+                expected: rows.len(),
+                found: grad_rows,
             });
         }
         // Ascending order makes the last row the maximum, so it alone
         // bounds-checks the whole array.
-        let Some(&last) = part.rows.last() else {
+        let Some(&last) = rows.last() else {
             continue;
         };
-        if part.grads.cols() != dim {
+        if grad_dim != dim {
             return Err(EmbeddingError::DimMismatch {
                 expected: dim,
-                found: part.grads.cols(),
+                found: grad_dim,
             });
         }
-        if !part.rows.windows(2).all(|w| w[0] < w[1]) {
+        if !rows.windows(2).all(|w| w[0] < w[1]) {
             return Err(EmbeddingError::InvalidIndex(
                 "scatter requires coalesced rows (strictly ascending, unique)".into(),
             ));
@@ -152,14 +342,20 @@ pub fn scatter_apply_sharded(
             });
         }
     }
+    let mut blocks = blocks.iter_mut();
     if let [opt] = opts {
         // One shard: equal-count row bands within the slab.
-        let CoalescedScratch { rows, grads, .. } = &parts[0];
+        let (rows, grads) = part(0);
         let n = rows.len();
         let bands = exec.threads().min(n);
         let Some(pool) = exec.pool().filter(|_| bands > 1) else {
             let update = |r, p: &mut [f32], g: &[f32]| opt.update_row(r, p, g);
-            update_rows(update, table.as_mut_slice(), 0, 0, rows, grads, 0);
+            let slab = Slab {
+                params: table.as_mut_slice(),
+                first: 0,
+                key_base: 0,
+            };
+            run_task(update, slab, rows, 0, grads, blocks.next());
             return Ok(());
         };
         // The row-id fence is each band's first row id, closed just past
@@ -176,14 +372,19 @@ pub fn scatter_apply_sharded(
         let shards = opt.split_by_rows(&fence, dim);
         pool.scope(|scope| {
             for (b, mut shard) in shards.into_iter().enumerate() {
-                let (band, tail) = std::mem::take(&mut table_rest)
+                let (params, tail) = std::mem::take(&mut table_rest)
                     .split_at_mut((fence[b + 1] - fence[b]) as usize * dim);
                 table_rest = tail;
                 let band_rows = &rows[b * per..((b + 1) * per).min(n)];
-                let first = fence[b];
+                let slab = Slab {
+                    params,
+                    first: fence[b],
+                    key_base: 0,
+                };
+                let block = blocks.next();
                 scope.spawn(move || {
                     let update = |r, p: &mut [f32], g: &[f32]| shard.update_row(r, p, g);
-                    update_rows(update, band, first, 0, band_rows, grads, b * per);
+                    run_task(update, slab, band_rows, b * per, grads, block);
                 });
             }
         });
@@ -196,48 +397,132 @@ pub fn scatter_apply_sharded(
     let mut cursor = 0usize; // into the global-keyed array
     let tasks = opts.iter_mut().enumerate().filter_map(|(s, opt)| {
         let (base, end) = (map.shard_base(s), map.shard_end(s));
-        let (slab, tail) = std::mem::take(&mut table_rest).split_at_mut((end - base) * dim);
+        let (params, tail) = std::mem::take(&mut table_rest).split_at_mut((end - base) * dim);
         table_rest = tail;
-        let (rows, grads, grad_lo, key_base) = if global {
-            let rows = &parts[0].rows;
+        let block = blocks.next();
+        let ((rows, grads), lo, key_base) = if global {
+            let (rows, grads) = part(0);
             let lo = cursor;
             cursor += rows[lo..].partition_point(|&r| (r as usize) < end);
-            (&rows[lo..cursor], &parts[0].grads, lo, base as u32)
+            ((&rows[lo..cursor], grads), lo, base as u32)
         } else {
-            (parts[s].rows.as_slice(), &parts[s].grads, 0, 0)
+            (part(s), 0, 0)
+        };
+        let slab = Slab {
+            params,
+            first: key_base,
+            key_base,
         };
         (!rows.is_empty()).then_some(move || {
             let update = |r, p: &mut [f32], g: &[f32]| opt.update_row(r, p, g);
-            update_rows(update, slab, key_base, key_base, rows, grads, grad_lo);
+            run_task(update, slab, rows, lo, grads, block);
         })
     });
     match exec.pool().filter(|_| exec.threads() > 1) {
         Some(pool) => pool.scope(|scope| tasks.for_each(|task| scope.spawn(task))),
-        None => tasks.for_each(|mut task| task()),
+        None => tasks.for_each(|task| task()),
     }
     Ok(())
 }
 
-/// The one scatter loop: for each `k`, applies gradient row `grad_lo + k`
-/// to table row `rows[k]` through `update`. `slab` holds the table rows
-/// from id `slab_first` on (in the id space of `rows`), and the optimizer
+/// The table rows one scatter task owns: `params` holds the rows from id
+/// `first` on (in the id space of the part's row ids), and the optimizer
 /// state is keyed by `row - key_base` (a shard's local id).
-fn update_rows(
-    mut update: impl FnMut(u32, &mut [f32], &[f32]),
-    slab: &mut [f32],
-    slab_first: u32,
+struct Slab<'t> {
+    params: &'t mut [f32],
+    first: u32,
     key_base: u32,
+}
+
+/// One scatter task: updates `rows` — a part's row ids from index `lo` on
+/// — in `slab` through `update`. Materialized gradients are applied in one
+/// go; a casted stream is cut into blocks of coalesced rows, each
+/// accumulated into `block` by the gather-reduce loop and applied from it
+/// while it is still in cache.
+fn run_task(
+    mut update: impl FnMut(u32, &mut [f32], &[f32]),
+    mut slab: Slab<'_>,
     rows: &[u32],
-    grads: &Matrix,
-    grad_lo: usize,
+    lo: usize,
+    grads: Grads<'_>,
+    block: Option<&mut Vec<f32>>,
 ) {
-    let dim = grads.cols();
+    match grads {
+        Grads::Coalesced(grads) => {
+            let dim = grads.cols();
+            update_rows(
+                &mut update,
+                &mut slab,
+                rows,
+                &grads.as_slice()[lo * dim..],
+                dim,
+            );
+        }
+        Grads::Casted {
+            upstream,
+            src,
+            dst,
+            block_rows,
+            clock,
+        } => {
+            let block = block.expect("a casted scatter brings a block buffer per task");
+            let dim = upstream.cols();
+            let kernel = tcast_tensor::simd::dispatch();
+            let (mut accumulate, mut apply) = (Duration::ZERO, Duration::ZERO);
+            // `dst` is non-decreasing: the lookups of coalesced rows
+            // `first..first + n` are one contiguous piece of the stream.
+            let mut from = dst.partition_point(|&d| (d as usize) < lo);
+            for (b, block_ids) in rows.chunks(block_rows).enumerate() {
+                let first = lo + b * block_rows;
+                let to =
+                    from + dst[from..].partition_point(|&d| (d as usize) < first + block_ids.len());
+                let t0 = Instant::now();
+                block.clear();
+                block.resize(block_ids.len() * dim, 0.0);
+                accumulate_band(
+                    kernel,
+                    upstream.as_slice(),
+                    dim,
+                    &src[from..to],
+                    &dst[from..to],
+                    first,
+                    block,
+                );
+                let t1 = Instant::now();
+                update_rows(&mut update, &mut slab, block_ids, block, dim);
+                accumulate += t1 - t0;
+                apply += t1.elapsed();
+                from = to;
+            }
+            let ns = |d: Duration| d.as_nanos() as u64;
+            clock
+                .accumulate_ns
+                .fetch_add(ns(accumulate), Ordering::Relaxed);
+            clock.update_ns.fetch_add(ns(apply), Ordering::Relaxed);
+        }
+    }
+}
+
+/// The one scatter loop: for each `k`, applies row `k` of `grads` (rows
+/// of width `dim`) to table row `rows[k]` of `slab` through `update`, with
+/// the table rows [`PREFETCH_WINDOW`] updates ahead prefetched under the
+/// current one.
+fn update_rows(
+    update: &mut impl FnMut(u32, &mut [f32], &[f32]),
+    slab: &mut Slab<'_>,
+    rows: &[u32],
+    grads: &[f32],
+    dim: usize,
+) {
+    let at = |row: u32| (row - slab.first) as usize * dim;
     for (k, &row) in rows.iter().enumerate() {
-        let at = (row - slab_first) as usize * dim;
+        if let Some(&ahead) = rows.get(k + PREFETCH_WINDOW) {
+            prefetch(&slab.params[at(ahead)..at(ahead) + dim]);
+        }
         update(
-            row - key_base,
-            &mut slab[at..at + dim],
-            grads.row(grad_lo + k),
+            row - slab.key_base,
+            &mut slab.params[at(row)..at(row) + dim],
+            &grads[k * dim..(k + 1) * dim],
         );
     }
 }

@@ -1,5 +1,6 @@
-//! Runtime-dispatched per-row optimizer kernels (x86-64 AVX2 with the
-//! scalar loop as the bit-exact oracle).
+//! Runtime-dispatched per-row optimizer kernels, and the gather-reduce's
+//! per-run accumulate (x86-64 AVX2 with the scalar loop as the bit-exact
+//! oracle).
 //!
 //! The optimizer scatter is the write half of the embedding data plane:
 //! after coalescing, every touched table row gets exactly one
@@ -21,6 +22,11 @@
 //!
 //! Scalar bias-correction work (Adam's `powi(t)`) stays per-row scalar in
 //! `optim.rs`; only the lane-parallel part lives here.
+//!
+//! The read half has one kernel here, `x86::accumulate_run`: the AVX2 form
+//! of the gather-reduce's inner loop (`gather.rs` holds the loop and its
+//! scalar oracle), under the same rule — lanes are independent and each
+//! adds the same rows in the same order, only in registers.
 
 pub use tcast_tensor::simd::{dispatch, force, KernelDispatch};
 
@@ -111,9 +117,97 @@ fn adam_scalar(h: AdamRow, m: &mut [f32], v: &mut [f32], param: &mut [f32], grad
 // ---------------------------------------------------------------------------
 
 #[cfg(target_arch = "x86_64")]
-mod x86 {
+pub(crate) mod x86 {
     use super::AdamRow;
     use std::arch::x86_64::*;
+    use tcast_tensor::simd::{add_assign, prefetch, KernelDispatch, PREFETCH_WINDOW};
+
+    /// One run of the gather-reduce: `acc += rows[src[k]]` for `k` in
+    /// `run`, in order, where every lookup of the run reduces into the
+    /// same output row `acc` (of `acc.len()` lanes, the width of a row of
+    /// `rows`). The output row stays in registers — up to 64 lanes at a
+    /// time — from the first lookup of the run to the last and is stored
+    /// once; each lane still adds the run's rows one after the other in
+    /// lookup order, so the result is the scalar loop's bit for bit. The
+    /// first pass over the run prefetches the rows [`PREFETCH_WINDOW`]
+    /// lookups ahead in `src` (past the end of the run: the next runs'
+    /// rows).
+    ///
+    /// # Panics
+    ///
+    /// Panics if `run` is not a range of `src` or a row lies outside `rows`.
+    #[target_feature(enable = "avx2")]
+    #[inline]
+    pub fn accumulate_run(acc: &mut [f32], rows: &[f32], src: &[u32], run: std::ops::Range<usize>) {
+        let dim = acc.len();
+        // Widest pieces first: a 64-wide row is one pass over the run, a
+        // narrower or ragged one at most three and the scalar tail.
+        let mut j = 0;
+        while j + 64 <= dim {
+            accumulate_lanes::<8>(acc, rows, src, run.clone(), j);
+            j += 64;
+        }
+        if j + 32 <= dim {
+            accumulate_lanes::<4>(acc, rows, src, run.clone(), j);
+            j += 32;
+        }
+        if j + 16 <= dim {
+            accumulate_lanes::<2>(acc, rows, src, run.clone(), j);
+            j += 16;
+        }
+        if j + 8 <= dim {
+            accumulate_lanes::<1>(acc, rows, src, run.clone(), j);
+            j += 8;
+        }
+        if j < dim {
+            // The sub-8-lane tail runs the scalar tier's own add.
+            for k in run {
+                let row = row_ahead(rows, dim, src, k, j == 0);
+                add_assign(KernelDispatch::Scalar, &mut acc[j..], &row[j..]);
+            }
+        }
+    }
+
+    /// Lanes `j..j + 8 * N` of [`accumulate_run`], in `N` registers.
+    #[target_feature(enable = "avx2")]
+    #[inline]
+    fn accumulate_lanes<const N: usize>(
+        acc: &mut [f32],
+        rows: &[f32],
+        src: &[u32],
+        run: std::ops::Range<usize>,
+        j: usize,
+    ) {
+        let dim = acc.len();
+        assert!(j + 8 * N <= dim);
+        let mut lanes = [_mm256_setzero_ps(); N];
+        for (l, a) in lanes.iter_mut().enumerate() {
+            // SAFETY: j + 8 * N <= acc.len() (asserted) bounds every load.
+            *a = unsafe { _mm256_loadu_ps(acc.as_ptr().add(j + 8 * l)) };
+        }
+        for k in run {
+            let row = row_ahead(rows, dim, src, k, j == 0);
+            for (l, a) in lanes.iter_mut().enumerate() {
+                // SAFETY: `row` has `dim` lanes and j + 8 * N <= dim.
+                *a = _mm256_add_ps(*a, unsafe { _mm256_loadu_ps(row.as_ptr().add(j + 8 * l)) });
+            }
+        }
+        for (l, a) in lanes.iter().enumerate() {
+            // SAFETY: j + 8 * N <= acc.len() (asserted) bounds every store.
+            unsafe { _mm256_storeu_ps(acc.as_mut_ptr().add(j + 8 * l), *a) };
+        }
+    }
+
+    /// Row `src[k]` of `rows`; on the run's first pass (`first`) also
+    /// prefetches the row [`PREFETCH_WINDOW`] lookups further on.
+    #[inline(always)]
+    fn row_ahead<'r>(rows: &'r [f32], dim: usize, src: &[u32], k: usize, first: bool) -> &'r [f32] {
+        let row = |s: u32| &rows[s as usize * dim..(s as usize + 1) * dim];
+        if let Some(&ahead) = src.get(k + PREFETCH_WINDOW).filter(|_| first) {
+            prefetch(row(ahead));
+        }
+        row(src[k])
+    }
 
     #[target_feature(enable = "avx2")]
     pub fn sgd(lr: f32, param: &mut [f32], grad: &[f32]) {

@@ -8,7 +8,7 @@
 //! 2. **Optimizer state traffic** — how stateful optimizers
 //!    (Adagrad/RMSprop, 8 B of accumulator traffic per element) inflate
 //!    the scatter phase on every design point;
-//! 3. **Fused backward** — the `tcast_core::fused_casted_backward`
+//! 3. **Fused backward** — the `tcast_core::blocked_casted_backward`
 //!    extension that folds the scatter into the casted gather-reduce,
 //!    eliminating the materialized `U x D` coalesced tensor.
 

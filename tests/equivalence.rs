@@ -5,7 +5,7 @@
 use proptest::prelude::*;
 use std::sync::OnceLock;
 use tensor_casting::core::{
-    casted_gather_reduce, casted_gather_reduce_into, fused_casted_backward, tensor_casting,
+    blocked_casted_backward, casted_gather_reduce, casted_gather_reduce_into, tensor_casting,
     CastingPipeline,
 };
 use tensor_casting::datasets::{DatasetPreset, SyntheticCtr, TableWorkload};
@@ -14,7 +14,8 @@ use tensor_casting::embedding::{
     gather_reduce, gather_reduce_into, gradient_coalesce_into, gradient_expand,
     gradient_expand_coalesce,
     optim::{Adagrad, Momentum, RmsProp, Sgd, SparseOptimizer},
-    scatter_apply, CoalescedScratch, EmbeddingTable, IndexArray,
+    scatter_apply, scatter_apply_casted, BlockScratch, CoalescedScratch, EmbeddingTable,
+    IndexArray, ShardMap, ShardedOptimizer,
 };
 use tensor_casting::nmp::{NmpPool, PoolConfig};
 use tensor_casting::tensor::{Exec, Matrix, Pool, SplitMix64};
@@ -65,7 +66,7 @@ fn bits(values: &[f32]) -> Vec<u32> {
 /// gather-reduce (Algorithm 3) — returns the **same bits** serially and
 /// on a pool, for any band count, into fresh or dirty buffers. Also pins
 /// the three backward paths to each other on the same input: baseline ==
-/// casted == fused-into-the-table.
+/// casted == fused-into-the-table, the last one for every block size.
 fn check_serial_equals_pooled(index: &IndexArray, table_rows: usize, dim: usize, seed: u64) {
     static POOL: OnceLock<Pool> = OnceLock::new();
     let pool = POOL.get_or_init(|| Pool::new(4));
@@ -96,13 +97,9 @@ fn check_serial_equals_pooled(index: &IndexArray, table_rows: usize, dim: usize,
     );
     let mut plain = table.clone();
     scatter_apply(&mut plain, &baseline, &mut Sgd::new(0.1)).unwrap();
-    let mut fused = table.clone();
-    fused_casted_backward(&mut fused, &grads, &casted, &mut Sgd::new(0.1)).unwrap();
-    assert_eq!(
-        bits(plain.as_slice()),
-        bits(fused.as_slice()),
-        "fused backward: {what}"
-    );
+    let sgd = || ShardedOptimizer::new(ShardMap::new(table_rows, 1), || Box::new(Sgd::new(0.1)));
+    let parts = std::slice::from_ref(&casted);
+    let mut blocks = BlockScratch::default();
 
     // One set of buffers for the whole sweep: every call after the first
     // starts from dirty scratch.
@@ -146,6 +143,34 @@ fn check_serial_equals_pooled(index: &IndexArray, table_rows: usize, dim: usize,
             bits(baseline.grads().as_slice()),
             "casted gather-reduce: {what}"
         );
+
+        // The fused backward never holds more than a block of that
+        // gradient: a row, a few, or (past every unique row) all of it.
+        let mut fused = table.clone();
+        blocked_casted_backward(&mut fused, &mut sgd(), &grads, parts, &mut blocks, exec).unwrap();
+        assert_eq!(
+            bits(fused.as_slice()),
+            bits(plain.as_slice()),
+            "fused backward: {what}"
+        );
+        for block_rows in [1, 3, 64, table_rows + 1] {
+            let mut fused = table.clone();
+            scatter_apply_casted(
+                &mut fused,
+                &mut sgd(),
+                &grads,
+                parts,
+                block_rows,
+                &mut blocks,
+                exec,
+            )
+            .unwrap();
+            assert_eq!(
+                bits(fused.as_slice()),
+                bits(plain.as_slice()),
+                "fused backward in blocks of {block_rows}: {what}"
+            );
+        }
     }
 }
 

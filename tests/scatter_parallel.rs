@@ -10,13 +10,19 @@
 //! grads)` arrays — contiguous row bands, or the shard map's fences —
 //! gives each task a disjoint table slice and disjoint optimizer state,
 //! and the per-row update math is exactly the serial optimizer's.
+//!
+//! The second half holds the scatter the casted trainer runs,
+//! `scatter_apply_casted` (the row-blocked casted backward), to the two
+//! operators it fuses — `casted_gather_reduce_into` then
+//! `scatter_apply_sharded` — over the same matrix plus the block size.
 
 use proptest::prelude::*;
 use std::sync::OnceLock;
+use tensor_casting::core::{casted_gather_reduce_into, tensor_casting, CastedIndexArray};
 use tensor_casting::embedding::{
     optim::{Adagrad, Adam, Momentum, RmsProp, Sgd, SparseOptimizer, SplittableOptimizer},
-    scatter_apply, scatter_apply_sharded, CoalescedGradients, CoalescedScratch, EmbeddingError,
-    EmbeddingTable, ShardMap, ShardedOptimizer,
+    scatter_apply, scatter_apply_casted, scatter_apply_sharded, BlockScratch, CoalescedGradients,
+    CoalescedScratch, EmbeddingError, EmbeddingTable, IndexArray, ShardMap, ShardedOptimizer,
 };
 use tensor_casting::tensor::{Exec, Matrix, Pool, SplitMix64};
 
@@ -166,8 +172,147 @@ fn parallel_scatter_is_bit_identical_on_edge_workloads() {
     }
 }
 
+/// Two blocked casted backwards of `index` through every optimizer,
+/// against the two operators run one after the other (serially, through
+/// whole coalesced arrays), under block sizes {1, 3, 64, every row} x
+/// shard counts {1, 2, 3, 7} x `Exec::{Serial, Pooled 2, Pooled 3}`. The
+/// second step runs on the first one's optimizer state, and one block
+/// scratch serves a whole sweep, so every call after the first starts
+/// from dirty buffers.
+fn check_blocked_backward(
+    table_rows: usize,
+    dim: usize,
+    index: &IndexArray,
+    seed: u64,
+) -> Result<(), String> {
+    let mut rng = SplitMix64::new(seed);
+    let steps: Vec<Matrix> = (0..2)
+        .map(|_| {
+            let mut upstream = Matrix::zeros(index.num_outputs(), dim);
+            for v in upstream.as_mut_slice() {
+                *v = rng.next_range(-1.0, 1.0);
+            }
+            upstream
+        })
+        .collect();
+    let execs = [2usize, 3]
+        .map(|threads| Exec::Pooled {
+            pool: pool(),
+            threads,
+        })
+        .into_iter()
+        .chain([Exec::Serial]);
+
+    for shards in [1usize, 2, 3, 7] {
+        let map = ShardMap::new(table_rows, shards);
+        // What the casting pipeline delivers: one casted array per shard,
+        // keyed by shard-local row (some of them empty).
+        let parts: Vec<CastedIndexArray> = map
+            .route(index)
+            .map_err(|e| e.to_string())?
+            .iter()
+            .map(tensor_casting)
+            .collect();
+        let mut blocks = BlockScratch::default();
+        for i in 0..OPTIMIZERS {
+            let mut reference = EmbeddingTable::seeded(table_rows, dim, 1);
+            let mut reference_opt = ShardedOptimizer::new(map.clone(), || optimizer(i));
+            let mut coalesced = vec![CoalescedScratch::default(); parts.len()];
+            for upstream in &steps {
+                for (part, out) in parts.iter().zip(coalesced.iter_mut()) {
+                    casted_gather_reduce_into(upstream, part, out, Exec::Serial).unwrap();
+                }
+                scatter_apply_sharded(&mut reference, &mut reference_opt, &coalesced, Exec::Serial)
+                    .unwrap();
+            }
+            let reference_state = probe_state(&mut reference_opt, table_rows, dim);
+
+            for exec in execs.clone() {
+                for block_rows in [1, 3, 64, table_rows.max(1)] {
+                    let mut table = EmbeddingTable::seeded(table_rows, dim, 1);
+                    let mut opt = ShardedOptimizer::new(map.clone(), || optimizer(i));
+                    for upstream in &steps {
+                        scatter_apply_casted(
+                            &mut table,
+                            &mut opt,
+                            upstream,
+                            &parts,
+                            block_rows,
+                            &mut blocks,
+                            exec,
+                        )
+                        .unwrap();
+                    }
+                    let what = format!(
+                        "{} over {} lookups into {table_rows}x{dim}, blocks of {block_rows}, \
+                         {exec:?}, {} shards",
+                        opt.name(),
+                        index.len(),
+                        map.num_shards(),
+                    );
+                    if bits(table.as_slice()) != bits(reference.as_slice()) {
+                        return Err(format!("table diverged: {what}"));
+                    }
+                    if probe_state(&mut opt, table_rows, dim) != reference_state {
+                        return Err(format!("optimizer state diverged: {what}"));
+                    }
+                }
+            }
+        }
+    }
+    Ok(())
+}
+
+#[test]
+fn blocked_casted_backward_is_bit_identical_on_edge_workloads() {
+    let table_rows = 97;
+    let pairs =
+        |src: Vec<u32>, dst: Vec<u32>, outputs| IndexArray::from_pairs(src, dst, outputs).unwrap();
+    let workloads = [
+        // No lookups: every part is empty, with and without upstream rows.
+        pairs(vec![], vec![], 0),
+        pairs(vec![], vec![], 4),
+        // One lookup: a single-row part in one shard, empty parts elsewhere.
+        pairs(vec![41], vec![0], 1),
+        // One hot row looked up by every sample: a single unique row whose
+        // run is the whole stream.
+        pairs(vec![96; 80], (0..80).collect(), 80),
+        // The rows on either side of the 3-shard fences.
+        IndexArray::from_samples(&[vec![32, 33, 65, 66], vec![33, 65]]).unwrap(),
+        // Every row of the table, twice over, in descending order: more
+        // unique rows than any block size but the last.
+        pairs(
+            (0..2 * table_rows as u32).rev().map(|i| i / 2).collect(),
+            (0..2 * table_rows as u32).map(|i| i % 8).collect(),
+            8,
+        ),
+    ];
+    for (i, index) in workloads.iter().enumerate() {
+        for dim in [1, 4] {
+            check_blocked_backward(table_rows, dim, index, i as u64).unwrap();
+        }
+    }
+}
+
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(16))]
+
+    /// Random lookup streams: up to 24 samples of 1-6 lookups, so parts
+    /// range from empty through single-row to a few blocks.
+    #[test]
+    fn blocked_casted_backward_is_bit_identical_to_the_two_operators(
+        case in (1u32..200).prop_flat_map(|rows| (
+            Just(rows),
+            proptest::collection::vec(proptest::collection::vec(0..rows, 1..7), 1..25),
+        )),
+        dim in 1usize..10,
+        seed in any::<u64>(),
+    ) {
+        let (table_rows, samples) = case;
+        let index = IndexArray::from_samples(&samples).unwrap();
+        let checked = check_blocked_backward(table_rows as usize, dim, &index, seed);
+        prop_assert!(checked.is_ok(), "{}", checked.unwrap_err());
+    }
 
     /// Random coalesced workloads, including the empty and single-row
     /// ones (raw_rows may collapse to 0 or 1 unique rows after dedup).

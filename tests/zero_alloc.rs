@@ -25,13 +25,15 @@ use tensor_casting::datasets::{
     SyntheticSource, TableWorkload,
 };
 
-use tensor_casting::core::{casted_gather_reduce_into, tensor_casting, CastingPipeline};
+use tensor_casting::core::{
+    blocked_casted_backward, casted_gather_reduce_into, tensor_casting, CastingPipeline,
+};
 use tensor_casting::dlrm::{BackwardMode, DlrmConfig, Trainer};
 use tensor_casting::embedding::{
     gather_reduce_into, gradient_coalesce_into, gradient_expand_into,
     optim::{Adagrad, Adam, Sgd, SplittableOptimizer},
-    scatter_apply_sharded, CoalescedScratch, EmbeddingTable, IndexArray, RouteScratch, ShardMap,
-    ShardedOptimizer,
+    scatter_apply_sharded, BlockScratch, CoalescedScratch, EmbeddingTable, IndexArray,
+    RouteScratch, ShardMap, ShardedOptimizer,
 };
 use tensor_casting::tensor::{
     bce_with_logits, bce_with_logits_backward_into, Activation, Exec, FeatureInteraction, Matrix,
@@ -112,32 +114,40 @@ fn steady_state_hot_path_performs_zero_allocations() {
     let upstream = random_matrix(batch, dim, 2);
 
     let mut pooled = Matrix::default();
-    let mut coalesced = CoalescedScratch::default();
+    let mut blocks = BlockScratch::default();
     let mut sgd = unsharded(|| Sgd::new(0.01));
 
+    // What a casted training step runs per table: the forward
+    // gather-reduce, then the blocked casted backward (gather-reduce and
+    // scatter a block of coalesced rows at a time, through one reused
+    // block buffer).
     let embedding_step = |pooled: &mut Matrix,
-                          coalesced: &mut CoalescedScratch,
+                          blocks: &mut BlockScratch,
                           table: &mut EmbeddingTable,
                           sgd: &mut ShardedOptimizer| {
         gather_reduce_into(table, &index, pooled, Exec::Serial).unwrap();
-        casted_gather_reduce_into(&upstream, &casted, coalesced, Exec::Serial).unwrap();
-        let parts = std::slice::from_ref(&*coalesced);
-        scatter_apply_sharded(table, sgd, parts, Exec::Serial).unwrap();
+        let parts = std::slice::from_ref(&casted);
+        blocked_casted_backward(table, sgd, &upstream, parts, blocks, Exec::Serial).unwrap();
     };
 
     // Warm-up: size every buffer to its high-water mark.
-    embedding_step(&mut pooled, &mut coalesced, &mut table, &mut sgd);
-    embedding_step(&mut pooled, &mut coalesced, &mut table, &mut sgd);
+    embedding_step(&mut pooled, &mut blocks, &mut table, &mut sgd);
+    embedding_step(&mut pooled, &mut blocks, &mut table, &mut sgd);
 
     let before = allocations();
     for _ in 0..10 {
-        embedding_step(&mut pooled, &mut coalesced, &mut table, &mut sgd);
+        embedding_step(&mut pooled, &mut blocks, &mut table, &mut sgd);
     }
     assert_eq!(
         allocations() - before,
         0,
-        "embedding gather/casted-backward/scatter steady state must not allocate"
+        "embedding gather/blocked-casted-backward steady state must not allocate"
     );
+
+    // The whole coalesced gradient of the same batch, for the scatters
+    // below that take one as input.
+    let mut coalesced = CoalescedScratch::default();
+    casted_gather_reduce_into(&upstream, &casted, &mut coalesced, Exec::Serial).unwrap();
 
     // ---- Baseline expand-coalesce through recycled scratch ------------
     // The baseline backward still materializes its n x D expand and runs
@@ -263,25 +273,21 @@ fn steady_state_hot_path_performs_zero_allocations() {
         "warm sharded slab scatter must not allocate"
     );
 
-    // Casted-shaped sharded backward: per-shard casted gather-reduce
-    // into per-shard coalesce scratch, then the per-shard local scatter
-    // (the routed/casted arrays are pipeline products, fixed inputs
-    // here just like `casted` above).
+    // Casted-shaped sharded backward: the blocked casted backward over
+    // one casted array per shard, each shard's blocks through its own
+    // reused buffer (the routed/casted arrays are pipeline products,
+    // fixed inputs here just like `casted` above).
     let routed = map.route(&index).unwrap();
     let casted_shards: Vec<_> = routed.iter().map(tensor_casting).collect();
-    let mut shard_scratch: Vec<CoalescedScratch> = (0..map.num_shards())
-        .map(|_| CoalescedScratch::default())
-        .collect();
+    let mut shard_blocks = BlockScratch::default();
     let mut cast_table = EmbeddingTable::seeded(500, dim, 14);
     let mut cast_opt = ShardedOptimizer::new(map.clone(), || {
         Box::new(Adam::new(0.001, 0.9, 0.999, 1e-8)) as Box<dyn SplittableOptimizer>
     });
     let mut sharded_casted_step = |table: &mut EmbeddingTable, opt: &mut ShardedOptimizer| {
-        for (s, casted) in casted_shards.iter().enumerate() {
-            casted_gather_reduce_into(&upstream, casted, &mut shard_scratch[s], Exec::Serial)
-                .unwrap();
-        }
-        scatter_apply_sharded(table, opt, &shard_scratch, Exec::Serial).unwrap();
+        let blocks = &mut shard_blocks;
+        blocked_casted_backward(table, opt, &upstream, &casted_shards, blocks, Exec::Serial)
+            .unwrap();
     };
     sharded_casted_step(&mut cast_table, &mut cast_opt);
     sharded_casted_step(&mut cast_table, &mut cast_opt);
@@ -686,12 +692,12 @@ fn steady_state_hot_path_performs_zero_allocations() {
         simd::force(Some(tier));
         // Warm under this tier (the first forced dispatch resolves the
         // feature-detection caches, which must not count either way).
-        embedding_step(&mut pooled, &mut coalesced, &mut table, &mut sgd);
+        embedding_step(&mut pooled, &mut blocks, &mut table, &mut sgd);
         a.matmul_into_with(&b, &mut gemm_out, tier).unwrap();
 
         let before = allocations();
         for _ in 0..5 {
-            embedding_step(&mut pooled, &mut coalesced, &mut table, &mut sgd);
+            embedding_step(&mut pooled, &mut blocks, &mut table, &mut sgd);
             stateful_scatter(&coalesced, &mut ada_table, &mut ada);
             stateful_scatter(&coalesced, &mut adam_table, &mut adam);
             a.matmul_into_with(&b, &mut gemm_out, tier).unwrap();
