@@ -28,6 +28,14 @@
 //! Because depth only decides *when* casting jobs are submitted, the
 //! adaptation is observation-only: any depth trajectory trains
 //! bit-identically.
+//!
+//! Holding the next batch also lets the loop overlap its **forward
+//! gather**: every completion is handed the step queued behind it, and
+//! [`Trainer::complete_step`] gathers that step's table `i` on a
+//! background thread as soon as its own scatter of table `i` has returned
+//! — the same bits the next step's in-step gather would read, a scatter
+//! phase earlier. Nothing selects this: it happens whenever a successor is
+//! queued (depth >= 1), and [`StepReport::gathered_ahead`] says so.
 
 use std::collections::VecDeque;
 use std::path::{Path, PathBuf};
@@ -577,6 +585,7 @@ impl TrainLoop {
             "{} steps still in flight: call finish() first",
             self.queue.len()
         );
+        self.trainer.drop_gather_ahead();
         &mut self.trainer
     }
 
@@ -644,7 +653,9 @@ impl TrainLoop {
     fn complete_front(&mut self) -> Result<(StepReport, Arc<CtrBatch>), EmbeddingError> {
         let step = self.queue.pop_front().expect("queue non-empty");
         let batch = Arc::clone(step.batch());
-        let report = self.trainer.complete_step(step)?;
+        // The step queued behind this one (none at depth 0 or at the end of
+        // a drain) has its forward gather run behind this one's scatter.
+        let report = self.trainer.complete_step(step, self.queue.front())?;
         // Close the control loop: every completed step's measured
         // exposed wait feeds the controller (a no-op under Fixed).
         self.controller.observe(report.exposed_cast_wait);

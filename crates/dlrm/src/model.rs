@@ -166,10 +166,17 @@ impl Dlrm {
         &self.tables[i]
     }
 
-    /// Mutable access to an embedding table (used by the trainer's
-    /// scatter phase).
+    /// Mutable access to an embedding table (checkpoint restore, weight
+    /// surgery).
     pub fn table_mut(&mut self, i: usize) -> &mut EmbeddingTable {
         &mut self.tables[i]
+    }
+
+    /// Mutable access to every embedding table at once: the trainer's
+    /// scatter phase, which updates table `i + 1` while table `i`, already
+    /// updated, is read for the next step's gather.
+    pub fn tables_mut(&mut self) -> &mut [EmbeddingTable] {
+        &mut self.tables
     }
 
     /// Number of embedding tables.

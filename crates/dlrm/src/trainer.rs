@@ -2,19 +2,20 @@
 //! with per-phase wall-clock timings (the repository's Fig. 4/12
 //! real-system measurement harness).
 
+use std::sync::atomic::{AtomicBool, Ordering};
 use std::sync::Arc;
 use std::time::{Duration, Instant};
 
 use crate::config::DlrmConfig;
 use crate::metrics::{evaluate_ctr, CtrMetrics};
 use crate::model::Dlrm;
-use tcast_core::{blocked_casted_backward, CastingPipeline, JobTicket, PipelineStats};
+use tcast_core::{blocked_casted_backward, CastingPipeline, FaultPlan, JobTicket, PipelineStats};
 use tcast_datasets::CtrBatch;
 use tcast_embedding::{
-    gradient_coalesce_into, gradient_expand_into,
+    gather_reduce_into, gradient_coalesce_into, gradient_expand_into,
     optim::{Adagrad, Adam, Momentum, RmsProp, Sgd, SplittableOptimizer},
-    scatter_apply_sharded, BlockScratch, CoalescedScratch, EmbeddingError, IndexArray, ShardMap,
-    ShardSpec, ShardedOptimizer,
+    scatter_apply_sharded, BlockScratch, CoalescedScratch, EmbeddingError, EmbeddingTable,
+    IndexArray, ShardMap, ShardSpec, ShardedOptimizer,
 };
 use tcast_pool::{Exec, Pool};
 use tcast_tensor::{bce_with_logits, bce_with_logits_backward_into, Matrix};
@@ -33,7 +34,11 @@ pub enum BackwardMode {
 /// Wall-clock time of each training phase, one mini-batch.
 #[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
 pub struct PhaseTimings {
-    /// Embedding gather-reduce (forward).
+    /// Embedding gather-reduce (forward), as far as the step waited for
+    /// it: the in-step gather, or ~0 when the step adopted a gather run
+    /// ahead for it; plus whatever this step's own completion spent,
+    /// after its last scatter returned, finishing the *next* step's
+    /// gather-ahead (see [`Trainer::complete_step`]).
     pub fwd_gather: Duration,
     /// Bottom MLP + interaction + top MLP (forward).
     pub fwd_dnn: Duration,
@@ -91,6 +96,11 @@ pub struct StepReport {
     /// fully hidden — the per-step Fig. 9b metric the cross-batch driver
     /// collapses by looking ahead.
     pub exposed_cast_wait: Duration,
+    /// Tables whose forward gather this step adopted from the previous
+    /// completion's gather-ahead instead of running it in-step: the table
+    /// count when [`Trainer::complete_step`] was handed this step as the
+    /// previous one's successor, 0 otherwise.
+    pub gathered_ahead: usize,
 }
 
 /// Which optimizer updates the embedding tables.
@@ -152,10 +162,13 @@ impl EmbeddingOptimizer {
 /// throughput runs pooled, and trajectories still match exactly.
 #[derive(Clone, Default)]
 pub enum Execution {
-    /// Everything on the calling thread.
+    /// Every kernel runs unsplit. Casting (casted mode) and the
+    /// gather-ahead of a step completed with a successor still run on the
+    /// trainer's own background threads.
     #[default]
     Serial,
-    /// Hot kernels split across the given persistent pool.
+    /// Hot kernels split across the given persistent pool, which also
+    /// runs the gather-ahead tasks.
     Pooled(Arc<Pool>),
 }
 
@@ -186,6 +199,9 @@ impl std::fmt::Debug for Execution {
 #[derive(Debug, Default)]
 struct StepScratch {
     pooled: Vec<Matrix>,
+    /// The spare `pooled` set a completion's gather-ahead fills for the
+    /// next step, which adopts it by swapping it with `pooled`.
+    pooled_ahead: Vec<Matrix>,
     logits: Matrix,
     dlogits: Matrix,
     dpooled: Vec<Matrix>,
@@ -251,7 +267,20 @@ pub struct Trainer {
     steps: u64,
     execution: Execution,
     scratch: StepScratch,
+    /// What `scratch.pooled_ahead` holds: the forward gather of this batch
+    /// (the share keeps its address from being reused) against the tables
+    /// as they stood at this step count. Every step takes it, and every
+    /// other door to the table bits drops it.
+    ahead: Option<(Arc<CtrBatch>, u64)>,
+    /// The one-worker pool gather-ahead tasks run on under
+    /// [`Execution::Serial`], started by the first completion that has a
+    /// successor ([`Execution::Pooled`] runs them on its own pool).
+    lane: Option<Pool>,
+    fault: Option<FaultPlan>,
 }
+
+/// The [`FaultPlan`] site every gather-ahead task passes once.
+pub const GATHER_AHEAD_FAULT_SITE: &str = "trainer.gather_ahead";
 
 impl std::fmt::Debug for Trainer {
     fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
@@ -265,6 +294,26 @@ impl std::fmt::Debug for Trainer {
             )
             .finish()
     }
+}
+
+/// One step's per-table backward: `update(t, table)` for every table in
+/// order, each followed by `after(t, table)` with the table shared for as
+/// long as the slice was borrowed — which is what lets a scoped task keep
+/// reading table `t` while `update` writes table `t + 1`. Returns when the
+/// last update returned.
+///
+/// On an error the tables before the failing one stay updated, as in any
+/// failed step.
+fn update_tables<'env>(
+    tables: &'env mut [EmbeddingTable],
+    mut update: impl FnMut(usize, &mut EmbeddingTable) -> Result<(), EmbeddingError>,
+    mut after: impl FnMut(usize, &'env EmbeddingTable),
+) -> Result<Instant, EmbeddingError> {
+    for (t, table) in tables.iter_mut().enumerate() {
+        update(t, table)?;
+        after(t, table);
+    }
+    Ok(Instant::now())
 }
 
 impl Trainer {
@@ -370,7 +419,19 @@ impl Trainer {
             steps: 0,
             execution,
             scratch: StepScratch::default(),
+            ahead: None,
+            lane: None,
+            fault: None,
         })
+    }
+
+    /// Arms deterministic fault injection: every gather-ahead task hits
+    /// [`GATHER_AHEAD_FAULT_SITE`] on `plan` once before gathering, and an
+    /// armed occurrence panics the task — the handle for proving that a
+    /// crash on the lane resurfaces on the training thread
+    /// (`tests/pipelined_training.rs`).
+    pub fn set_fault_plan(&mut self, plan: FaultPlan) {
+        self.fault = Some(plan);
     }
 
     /// Sets the (shared) learning rate. Defaults to 0.05.
@@ -432,7 +493,15 @@ impl Trainer {
     /// Mutable model access for checkpoint restore (crate-internal: the
     /// staged [`crate::checkpoint::TrainCheckpoint`] is the public door).
     pub(crate) fn model_mut(&mut self) -> &mut Dlrm {
+        self.drop_gather_ahead();
         &mut self.model
+    }
+
+    /// Forgets a gather run ahead for a step not yet completed; that step
+    /// then gathers in-step. For every path that can change table bits
+    /// between two completions.
+    pub(crate) fn drop_gather_ahead(&mut self) {
+        self.ahead = None;
     }
 
     /// Steps taken so far.
@@ -475,6 +544,7 @@ impl Trainer {
     pub(crate) fn install_restored(&mut self, optimizers: Vec<ShardedOptimizer>, steps: u64) {
         self.table_optimizers = optimizers;
         self.steps = steps;
+        self.drop_gather_ahead();
     }
 
     /// Runs one training step and reports loss + phase timings.
@@ -495,7 +565,7 @@ impl Trainer {
     /// Returns an error on shape/index inconsistencies in the batch.
     pub fn step(&mut self, batch: &CtrBatch) -> Result<StepReport, EmbeddingError> {
         let ticket = self.submit_casting(&batch.indices);
-        self.run_step(batch, ticket)
+        self.run_step(batch, ticket, None)
     }
 
     /// Begins a training step: submits the batch's index arrays to the
@@ -520,12 +590,33 @@ impl Trainer {
     /// whatever casting latency was not hidden (reported per step in
     /// [`StepReport::exposed_cast_wait`]).
     ///
+    /// `next` is the step begun right after this one, if there is one.
+    /// Its forward gather of table `i` reads only its own indices and
+    /// table `i` as this step's scatter leaves it, and tables are
+    /// disjoint — so as each table's scatter returns, that table's gather
+    /// for `next` starts on a background thread while this thread scatters
+    /// the following table, reading exactly the bits the in-step gather
+    /// would read later. Completing `next` then adopts the result
+    /// ([`StepReport::gathered_ahead`]) if it is still current: same batch
+    /// share, same step count, tables untouched in between. A gather-ahead
+    /// that fails (a bad id in `next`) is discarded and `next` reports the
+    /// error from its own in-step gather. Any `next` trains bit-identically
+    /// to `None`.
+    ///
     /// # Errors
     ///
     /// Returns an error on shape/index inconsistencies in the batch.
-    pub fn complete_step(&mut self, step: InFlightStep) -> Result<StepReport, EmbeddingError> {
+    ///
+    /// # Panics
+    ///
+    /// Resumes a panic of a gather-ahead task on this thread.
+    pub fn complete_step(
+        &mut self,
+        step: InFlightStep,
+        next: Option<&InFlightStep>,
+    ) -> Result<StepReport, EmbeddingError> {
         let InFlightStep { batch, ticket } = step;
-        self.run_step(&batch, ticket)
+        self.run_step(&batch, ticket, next.map(InFlightStep::batch))
     }
 
     fn submit_casting(&mut self, indices: &Arc<[IndexArray]>) -> Option<JobTicket> {
@@ -547,8 +638,9 @@ impl Trainer {
         &mut self,
         batch: &CtrBatch,
         mut ticket: Option<JobTicket>,
+        next: Option<&Arc<CtrBatch>>,
     ) -> Result<StepReport, EmbeddingError> {
-        let report = self.run_step_phases(batch, &mut ticket);
+        let report = self.run_step_phases(batch, &mut ticket, next);
         // A step that failed before its casted backward (bad id, wrong
         // table count, label mismatch) still owns its casting job: drain
         // it, or the result sits in the pipeline forever and every later
@@ -565,14 +657,32 @@ impl Trainer {
         &mut self,
         batch: &CtrBatch,
         ticket: &mut Option<JobTicket>,
+        next: Option<&Arc<CtrBatch>>,
     ) -> Result<StepReport, EmbeddingError> {
         let exec = self.execution.as_exec();
 
-        // FWD (Gather).
+        // FWD (Gather): adopt the gather the previous completion ran ahead
+        // for this very batch against the tables as they are now, or
+        // gather in-step. Taken either way, so a held gather never
+        // outlives the next table write.
         let t0 = Instant::now();
-        self.model
-            .embedding_forward_into(&batch.indices, &mut self.scratch.pooled, exec)?;
-        let fwd_gather = t0.elapsed();
+        let gathered_ahead = match self.ahead.take() {
+            Some((held, steps))
+                if std::ptr::eq(Arc::as_ptr(&held), batch) && steps == self.steps =>
+            {
+                std::mem::swap(&mut self.scratch.pooled, &mut self.scratch.pooled_ahead);
+                self.scratch.pooled.len()
+            }
+            _ => {
+                self.model.embedding_forward_into(
+                    &batch.indices,
+                    &mut self.scratch.pooled,
+                    exec,
+                )?;
+                0
+            }
+        };
+        let mut fwd_gather = t0.elapsed();
 
         // FWD (DNN) + loss.
         let t0 = Instant::now();
@@ -597,87 +707,141 @@ impl Trainer {
         self.model.apply_dense_update(self.lr);
         let bwd_dnn = t0.elapsed();
 
-        // BWD (embedding + scatter): baseline expand-coalesce then scatter,
-        // or the blocked casted backward, which does both per table.
+        // BWD (embedding + scatter), table by table. Baseline: expand →
+        // coalesce → scatter; casted: the blocked casted backward, which
+        // alternates gather-reduce and scatter a block of coalesced rows at
+        // a time. Either way each table's call reports how its time divided
+        // between the two phases, and table `t` is final for this step the
+        // moment its call returns.
         let t0 = Instant::now();
         let mut exposed_cast_wait = Duration::ZERO;
-        let (bwd_embedding, bwd_scatter) = match self.mode {
-            BackwardMode::Baseline => {
+        let casted = self.pipeline.as_mut().map(|pipeline| {
+            let (casted, exposed) = pipeline.collect_timed(ticket.take().expect("ticket issued"));
+            exposed_cast_wait = exposed;
+            // One casted array per (table, shard) pair, shard-major
+            // within table (one per table when unsharded), already
+            // keyed by shard-local row: no global merge is ever
+            // materialized.
+            assert_eq!(
+                casted.len(),
+                *self.part_offsets.last().expect("offsets non-empty"),
+                "casting job shape disagrees with the shard plan"
+            );
+            casted
+        });
+        let mut bwd_embedding = t0.elapsed();
+        let mut bwd_scatter = Duration::ZERO;
+
+        let Self {
+            model,
+            table_optimizers,
+            part_offsets,
+            scratch,
+            lane,
+            fault,
+            ..
+        } = self;
+        let StepScratch {
+            dpooled,
+            coalesced,
+            expanded,
+            blocks,
+            pooled_ahead,
+            ..
+        } = scratch;
+        let tables = model.tables_mut();
+        if casted.is_none() {
+            expanded.resize_with(tables.len(), Matrix::default);
+            coalesced.resize_with(tables.len(), CoalescedScratch::default);
+        }
+        let update = |t: usize, table: &mut EmbeddingTable| match &casted {
+            None => {
                 // The baseline deliberately pays Algorithm 1's full cost —
                 // materialized n x D expand, sort, accumulate, and a whole
                 // coalesced gradient handed to the scatter — each step, but
                 // through recycled scratch: steady-state baseline training
                 // does not re-allocate its intermediates.
-                let tables = batch.indices.len();
-                self.scratch.expanded.resize_with(tables, Matrix::default);
-                self.scratch
-                    .coalesced
-                    .resize_with(tables, CoalescedScratch::default);
-                for ((idx, grads), (expanded, coalesced)) in
-                    batch.indices.iter().zip(self.scratch.dpooled.iter()).zip(
-                        self.scratch
-                            .expanded
-                            .iter_mut()
-                            .zip(self.scratch.coalesced.iter_mut()),
-                    )
-                {
-                    gradient_expand_into(grads, idx, expanded)?;
-                    gradient_coalesce_into(expanded, idx, coalesced, exec)?;
-                }
-                let bwd_embedding = t0.elapsed();
-
+                let t0 = Instant::now();
+                let idx = &batch.indices[t];
+                gradient_expand_into(&dpooled[t], idx, &mut expanded[t])?;
+                gradient_coalesce_into(&expanded[t], idx, &mut coalesced[t], exec)?;
                 // Coalesced rows are unique, so under Execution::Pooled the
                 // scatter runs concurrently over disjoint table slices +
                 // optimizer state, bit-identical to the serial scatter.
-                let t0 = Instant::now();
-                for (t, coalesced) in self.scratch.coalesced.iter().enumerate() {
-                    scatter_apply_sharded(
-                        self.model.table_mut(t),
-                        &mut self.table_optimizers[t],
-                        std::slice::from_ref(coalesced),
-                        exec,
-                    )?;
-                }
-                (bwd_embedding, t0.elapsed())
+                let t1 = Instant::now();
+                scatter_apply_sharded(
+                    table,
+                    &mut table_optimizers[t],
+                    std::slice::from_ref(&coalesced[t]),
+                    exec,
+                )?;
+                bwd_embedding += t1 - t0;
+                bwd_scatter += t1.elapsed();
+                Ok(())
             }
-            BackwardMode::Casted => {
-                let (casted, exposed) = self
-                    .pipeline
-                    .as_mut()
-                    .expect("casted mode has a pipeline")
-                    .collect_timed(ticket.take().expect("ticket issued"));
-                exposed_cast_wait = exposed;
-                // One casted array per (table, shard) pair, shard-major
-                // within table (one per table when unsharded), already
-                // keyed by shard-local row: no global merge is ever
-                // materialized.
-                assert_eq!(
-                    casted.len(),
-                    *self.part_offsets.last().expect("offsets non-empty"),
-                    "casting job shape disagrees with the shard plan"
-                );
-                // Per table, gather-reduce and scatter alternate a block of
-                // coalesced rows at a time; each call reports how its time
-                // divided between the two, which is what the two phases sum.
-                let mut bwd_embedding = t0.elapsed();
-                let mut bwd_scatter = Duration::ZERO;
-                for t in 0..self.model.num_tables() {
-                    let halves = blocked_casted_backward(
-                        self.model.table_mut(t),
-                        &mut self.table_optimizers[t],
-                        &self.scratch.dpooled[t],
-                        &casted[self.part_offsets[t]..self.part_offsets[t + 1]],
-                        &mut self.scratch.blocks,
-                        exec,
-                    )?;
-                    bwd_embedding += halves.gather_reduce;
-                    bwd_scatter += halves.scatter;
-                }
-                (bwd_embedding, bwd_scatter)
+            Some(casted) => {
+                let halves = blocked_casted_backward(
+                    table,
+                    &mut table_optimizers[t],
+                    &dpooled[t],
+                    &casted[part_offsets[t]..part_offsets[t + 1]],
+                    blocks,
+                    exec,
+                )?;
+                bwd_embedding += halves.gather_reduce;
+                bwd_scatter += halves.scatter;
+                Ok(())
+            }
+        };
+        // A successor with the wrong table count gets no gather-ahead: its
+        // own step reports that.
+        let next = next.filter(|next| next.indices.len() == tables.len());
+        let held = match next {
+            None => {
+                update_tables(tables, update, |_, _| {})?;
+                None
+            }
+            Some(next) => {
+                // Gather-ahead: the moment table `t`'s update returns, its
+                // rows are final for this step, so `next`'s gather of it
+                // may run — on the lane, beside the update of table `t+1`.
+                let lane: &Pool = match exec.pool() {
+                    Some(pool) => pool,
+                    None => lane.get_or_insert_with(|| Pool::new(1)),
+                };
+                pooled_ahead.resize_with(tables.len(), Matrix::default);
+                let mut outs = pooled_ahead.iter_mut();
+                let failed = AtomicBool::new(false);
+                let (fault, failed) = (fault.as_ref(), &failed);
+                let scattered = lane.scope(|scope| {
+                    update_tables(tables, update, |t, table| {
+                        let (idx, out) = (&next.indices[t], outs.next().expect("one per table"));
+                        scope.spawn(move || {
+                            if let Some(plan) = fault {
+                                assert!(
+                                    !plan.should_fail(GATHER_AHEAD_FAULT_SITE),
+                                    "injected fault at {GATHER_AHEAD_FAULT_SITE}"
+                                );
+                            }
+                            if gather_reduce_into(table, idx, out, Exec::Serial).is_err() {
+                                failed.store(true, Ordering::Relaxed);
+                            }
+                        });
+                    })
+                })?;
+                // The scope closed with every task done (this thread ran
+                // the ones the lane had not reached): what that took past
+                // the last scatter is gather time this step waited for.
+                fwd_gather += scattered.elapsed();
+                // A gather that tripped over `next` is not held: `next`
+                // reports the error from its own step. (`Relaxed`: the
+                // scope's join ordered the tasks' stores before this load.)
+                (!failed.load(Ordering::Relaxed)).then(|| Arc::clone(next))
             }
         };
 
         self.steps += 1;
+        self.ahead = held.map(|next| (next, self.steps));
         Ok(StepReport {
             loss,
             timings: PhaseTimings {
@@ -688,6 +852,7 @@ impl Trainer {
                 bwd_scatter,
             },
             exposed_cast_wait,
+            gathered_ahead,
         })
     }
 
@@ -805,6 +970,48 @@ mod tests {
                         .unwrap(),
                     0.0,
                     "{mode:?} table {i} diverged"
+                );
+            }
+        }
+    }
+
+    #[test]
+    fn a_step_failing_mid_backward_joins_its_gather_ahead_and_adopts_nothing() {
+        // Table 1's optimizer is planned for the wrong row count: table 0's
+        // update succeeds and spawns its gather-ahead, table 1's fails.
+        // With a successor or without, the failed step must leave the same
+        // bits behind, and the successor must gather in-step.
+        for mode in [BackwardMode::Baseline, BackwardMode::Casted] {
+            let run = |lookahead: bool| {
+                let mut t = Trainer::new(DlrmConfig::tiny(), mode, 1).unwrap();
+                let mut stream = data(2);
+                let first = t.begin_step(Arc::new(stream.next_batch(16)));
+                let second = t.begin_step(Arc::new(stream.next_batch(16)));
+                t.table_optimizers[1] =
+                    ShardedOptimizer::new(ShardMap::new(7, 1), || t.optimizer.build(t.lr));
+                let err = t
+                    .complete_step(first, lookahead.then_some(&second))
+                    .unwrap_err();
+                assert!(matches!(err, EmbeddingError::InvalidIndex(_)), "{err}");
+                assert_eq!(t.lane.is_some(), lookahead, "{mode:?}");
+                assert!(
+                    t.ahead.is_none(),
+                    "{mode:?}: a failed step left a gather held"
+                );
+                assert_eq!(t.steps(), 0);
+                t.table_optimizers[1] = t.fresh_table_optimizer(1);
+                let report = t.complete_step(second, None).unwrap();
+                assert_eq!(report.gathered_ahead, 0, "{mode:?}");
+                (report.loss.to_bits(), t)
+            };
+            let (plain_loss, plain) = run(false);
+            let (ahead_loss, ahead) = run(true);
+            assert_eq!(ahead_loss, plain_loss, "{mode:?}");
+            for i in 0..plain.model().num_tables() {
+                assert_eq!(
+                    plain.model().table(i).as_slice(),
+                    ahead.model().table(i).as_slice(),
+                    "{mode:?} table {i}"
                 );
             }
         }

@@ -169,6 +169,13 @@ impl Pool {
 impl Drop for Pool {
     fn drop(&mut self) {
         self.shared.shutdown.store(true, Ordering::Release);
+        // Serialize with a worker that read `shutdown == false` under the
+        // queue lock and is about to wait: once this lock is ours, that
+        // worker is inside `wait` (and hears the notify) or has yet to
+        // take the lock (and will read `true`). Without it the wake-up
+        // can be lost and the join below never returns. A poisoned lock
+        // serializes just as well.
+        drop(self.shared.queue.lock());
         self.shared.activity.notify_all();
         for worker in self.workers.drain(..) {
             let _ = worker.join();

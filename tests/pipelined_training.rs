@@ -19,13 +19,15 @@
 use proptest::prelude::*;
 use std::sync::Arc;
 use std::time::Duration;
+use tensor_casting::core::FaultPlan;
 use tensor_casting::datasets::{
-    BatchSource, PrefetchSource, SyntheticCtr, SyntheticSource, TraceReplaySource,
+    BatchSource, CtrBatch, PrefetchSource, SyntheticCtr, SyntheticSource, TraceReplaySource,
 };
 use tensor_casting::dlrm::{
     AdaptiveDepth, BackwardMode, DepthController, DepthPolicy, DlrmConfig, EmbeddingOptimizer,
-    TrainLoop, Trainer,
+    Execution, ShardSpec, StepReport, TableConfig, TrainLoop, Trainer, GATHER_AHEAD_FAULT_SITE,
 };
+use tensor_casting::embedding::{EmbeddingError, IndexArray};
 
 const OPTIMIZERS: [EmbeddingOptimizer; 5] = [
     EmbeddingOptimizer::Sgd,
@@ -490,4 +492,400 @@ fn buffer_recycling_does_not_change_the_trajectory() {
         &hoarding.into_trainer(),
         "recycling vs hoarding",
     );
+}
+
+// ------------------------------------------------------------ gather-ahead
+//
+// A completion that has a successor runs the successor's forward gather
+// behind its own scatter, table by table (`Trainer::complete_step`). The
+// suites below hold that schedule to the plain `Trainer::step` loop bit for
+// bit, and — through `StepReport::gathered_ahead` — to actually running.
+
+/// Tables so small that every step rewrites every row of every table:
+/// each bag of step t+1 reads rows step t's scatter wrote, so a gather
+/// that ran early, late or on a stale table cannot produce the same bits.
+fn hazard_config() -> DlrmConfig {
+    DlrmConfig {
+        tables: [(7, 3), (5, 2), (9, 4)]
+            .into_iter()
+            .map(|(rows, pooling)| TableConfig {
+                rows,
+                pooling,
+                zipf_exponent: 0.0,
+            })
+            .collect(),
+        ..DlrmConfig::tiny()
+    }
+}
+
+fn hazard_batches(seed: u64, steps: usize, batch: usize) -> Vec<Arc<CtrBatch>> {
+    let cfg = hazard_config();
+    let mut data = SyntheticCtr::new(cfg.table_workloads(), cfg.dense_features, seed);
+    (0..steps)
+        .map(|_| Arc::new(data.next_batch(batch)))
+        .collect()
+}
+
+/// Everything a trajectory leaves behind, as bits: per-step losses and
+/// every table. Optimizer state is read through its only door — how the
+/// slabs behind it were grown, banded or sharded is not part of it: one
+/// more plain `step` on a probe batch, whose loss joins `losses`, pushes
+/// every row's accumulators into the table bits (the hazard tables are
+/// small enough that the probe touches every row).
+#[derive(Debug, PartialEq)]
+struct Trajectory {
+    losses: Vec<u32>,
+    tables: Vec<Vec<u32>>,
+}
+
+fn trajectory(losses: &[f32], mut trainer: Trainer) -> Trajectory {
+    let probe = hazard_batches(1234, 1, 64).remove(0);
+    let probe_loss = trainer.step(&probe).unwrap().loss;
+    Trajectory {
+        losses: losses
+            .iter()
+            .chain([&probe_loss])
+            .map(|l| l.to_bits())
+            .collect(),
+        tables: (0..trainer.model().num_tables())
+            .map(|t| {
+                let table = trainer.model().table(t);
+                table.as_slice().iter().map(|v| v.to_bits()).collect()
+            })
+            .collect(),
+    }
+}
+
+/// Checks every completion's `gathered_ahead` against what the queue says
+/// it must be: all tables when the previous completion left this step
+/// queued behind it, none otherwise.
+struct AheadCheck {
+    tables: usize,
+    expect_adoption: bool,
+    adopted: usize,
+    losses: Vec<f32>,
+}
+
+impl AheadCheck {
+    fn new(tables: usize) -> Self {
+        Self {
+            tables,
+            expect_adoption: false,
+            adopted: 0,
+            losses: Vec::new(),
+        }
+    }
+
+    /// One completion; `left_in_flight` is the queue length right after it.
+    fn completed(&mut self, report: &StepReport, left_in_flight: usize, context: &str) {
+        let want = if self.expect_adoption { self.tables } else { 0 };
+        assert_eq!(
+            report.gathered_ahead,
+            want,
+            "{context}: step {} adopted {} tables",
+            self.losses.len(),
+            report.gathered_ahead
+        );
+        self.adopted += usize::from(report.gathered_ahead > 0);
+        self.expect_adoption = left_in_flight > 0;
+        self.losses.push(report.loss);
+    }
+
+    /// The completions of one `finish` / `complete_excess` call.
+    fn drained(&mut self, done: &[(StepReport, Arc<CtrBatch>)], lp: &TrainLoop, context: &str) {
+        for (i, (report, _)) in done.iter().enumerate() {
+            self.completed(report, lp.in_flight() + done.len() - 1 - i, context);
+        }
+    }
+}
+
+/// Pushes `batches` through `lp` the way `TrainLoop::run` does, draining
+/// the queue once mid-stream (as a checkpoint boundary would), and checks
+/// every completion's `gathered_ahead`.
+fn drive_checked(lp: &mut TrainLoop, batches: &[Arc<CtrBatch>], context: &str) -> AheadCheck {
+    let mut check = AheadCheck::new(lp.trainer().model().num_tables());
+    for (i, batch) in batches.iter().enumerate() {
+        if let Some((report, _)) = lp.push(Arc::clone(batch)).unwrap() {
+            check.completed(&report, lp.in_flight(), context);
+        }
+        let excess = lp.complete_excess().unwrap();
+        check.drained(&excess, lp, context);
+        if i == batches.len() / 2 {
+            let done = lp.finish().unwrap();
+            check.drained(&done, lp, context);
+        }
+    }
+    let done = lp.finish().unwrap();
+    check.drained(&done, lp, context);
+    assert_eq!(check.losses.len(), batches.len(), "{context}");
+    check
+}
+
+/// THE gather-ahead property, exhaustively: `TrainLoop` at depths
+/// {0, 1, 2, 4} and under an adaptive policy, over serial and pooled
+/// execution, both backward modes, sharded and not, all five optimizers,
+/// on the hazard stream — losses, tables and optimizer state end
+/// bit-equal to the serial, unsharded `Trainer::step` loop, and every
+/// step that was queued behind its predecessor adopted its gather.
+#[test]
+fn gather_ahead_matrix_is_bit_identical_to_the_step_loop() {
+    let (steps, batch) = (9, 16);
+    let batches = hazard_batches(5, steps, batch);
+    let pools = [2, 3].map(|n| Arc::new(tensor_casting::tensor::Pool::new(n)));
+    let executions = [
+        Execution::Serial,
+        Execution::Pooled(Arc::clone(&pools[0])),
+        Execution::Pooled(Arc::clone(&pools[1])),
+    ];
+    // Any nonzero exposed wait deepens, any hidden window halves: in casted
+    // mode the depth moves while the stream runs (baseline never waits, so
+    // it stays at the minimum).
+    let adaptive = DepthPolicy::Adaptive(AdaptiveDepth {
+        min: 1,
+        max: 4,
+        window: 1,
+        target_exposed_ns: 0,
+        decrease_after: 1,
+        floor_decay_after: 1,
+    });
+    let policies = [
+        DepthPolicy::Fixed(0),
+        DepthPolicy::Fixed(1),
+        DepthPolicy::Fixed(2),
+        DepthPolicy::Fixed(4),
+        adaptive,
+    ];
+    for mode in [BackwardMode::Baseline, BackwardMode::Casted] {
+        for opt in OPTIMIZERS {
+            let mut reference = Trainer::with_optimizer(hazard_config(), mode, opt, 77).unwrap();
+            let losses: Vec<f32> = batches
+                .iter()
+                .map(|b| reference.step(b).unwrap().loss)
+                .collect();
+            let want = trajectory(&losses, reference);
+            for execution in &executions {
+                for shards in [1, 3] {
+                    for policy in policies {
+                        let context =
+                            format!("{mode:?} {opt:?} {execution:?} x{shards} {policy:?}");
+                        let trainer = Trainer::with_sharding(
+                            hazard_config(),
+                            mode,
+                            opt,
+                            execution.clone(),
+                            ShardSpec::new(shards),
+                            77,
+                        )
+                        .unwrap();
+                        let mut lp = TrainLoop::with_policy(trainer, policy);
+                        let check = drive_checked(&mut lp, &batches, &context);
+                        match policy {
+                            DepthPolicy::Fixed(0) => assert_eq!(check.adopted, 0, "{context}"),
+                            // Every step but the first of the stream and
+                            // the first after the mid-stream drain.
+                            DepthPolicy::Fixed(_) => {
+                                assert_eq!(check.adopted, steps - 2, "{context}");
+                            }
+                            DepthPolicy::Adaptive(_) => assert!(check.adopted > 0, "{context}"),
+                        }
+                        let got = trajectory(&check.losses, lp.into_trainer());
+                        assert!(got == want, "{context}: diverged from the step loop");
+                    }
+                }
+            }
+        }
+    }
+}
+
+/// The benchmark's batch ring hands the loop the same `Arc` every 16th
+/// step; the limit case is a one-batch ring. The gather held for "this
+/// batch" is keyed by the step count too, so each step adopts the gather
+/// made after its predecessor's scatter and never an older one.
+#[test]
+fn one_batch_ring_stays_bit_identical() {
+    let batch = hazard_batches(11, 1, 16).remove(0);
+    let steps = 8;
+    for mode in [BackwardMode::Baseline, BackwardMode::Casted] {
+        let opt = EmbeddingOptimizer::Adagrad { eps: 1e-8 };
+        let mut reference = Trainer::with_optimizer(hazard_config(), mode, opt, 3).unwrap();
+        let losses: Vec<f32> = (0..steps)
+            .map(|_| reference.step(&batch).unwrap().loss)
+            .collect();
+        let want = trajectory(&losses, reference);
+        for depth in [1, 2] {
+            let context = format!("{mode:?} depth {depth}");
+            let trainer = Trainer::with_optimizer(hazard_config(), mode, opt, 3).unwrap();
+            let mut lp = TrainLoop::new(trainer, depth);
+            let ring = vec![Arc::clone(&batch); steps];
+            let check = drive_checked(&mut lp, &ring, &context);
+            assert_eq!(check.adopted, steps - 2, "{context}");
+            let got = trajectory(&check.losses, lp.into_trainer());
+            assert!(got == want, "{context}: diverged from the step loop");
+        }
+    }
+}
+
+/// `good` with one of its parts made hostile.
+fn hostile_batches(good: &CtrBatch) -> Vec<(&'static str, CtrBatch)> {
+    let cfg = hazard_config();
+    let with_indices = |indices: Vec<IndexArray>| CtrBatch {
+        indices: indices.into(),
+        ..good.clone()
+    };
+    let mut out_of_range = good.indices.to_vec();
+    let past_the_table = cfg.tables[1].rows as u32;
+    out_of_range[1] =
+        IndexArray::from_samples(&vec![vec![0, past_the_table]; good.batch_size()]).unwrap();
+    let mut ragged = good.indices.to_vec();
+    ragged[2] = IndexArray::from_samples(&vec![vec![1]; good.batch_size() / 2]).unwrap();
+    vec![
+        ("out-of-range id", with_indices(out_of_range)),
+        (
+            "wrong table count",
+            with_indices(good.indices[..2].to_vec()),
+        ),
+        ("ragged index array", with_indices(ragged)),
+    ]
+}
+
+/// A hostile batch queued behind a good step: the good step completes
+/// with the bits it would have had with no lookahead, the gather-ahead
+/// that tripped over the bad batch is dropped without a trace, and the bad
+/// step fails with the very error the plain `step` loop reports — after
+/// which valid steps continue bit-identically.
+#[test]
+fn hostile_successor_fails_in_its_own_step_with_the_same_error() {
+    let good = hazard_batches(21, 5, 16);
+    for (kind, bad) in hostile_batches(&good[2]) {
+        let mut stream: Vec<Arc<CtrBatch>> = good.clone();
+        stream[2] = Arc::new(bad);
+        for mode in [BackwardMode::Baseline, BackwardMode::Casted] {
+            let opt = EmbeddingOptimizer::Momentum { mu: 0.9 };
+            let mut reference = Trainer::with_optimizer(hazard_config(), mode, opt, 9).unwrap();
+            let want: Vec<Result<u32, EmbeddingError>> = stream
+                .iter()
+                .map(|b| reference.step(b).map(|r| r.loss.to_bits()))
+                .collect();
+            assert!(want[2].is_err(), "{kind}: the reference must reject it");
+            assert_eq!(want.iter().filter(|r| r.is_err()).count(), 1, "{kind}");
+            let end = trajectory(&[], reference);
+
+            for depth in [1, 2] {
+                let context = format!("{kind} {mode:?} depth {depth}");
+                let trainer = Trainer::with_optimizer(hazard_config(), mode, opt, 9).unwrap();
+                let mut lp = TrainLoop::new(trainer, depth);
+                let mut got = Vec::new();
+                for batch in &stream {
+                    match lp.push(Arc::clone(batch)) {
+                        Ok(Some((report, _))) => got.push(Ok(report.loss.to_bits())),
+                        Ok(None) => {}
+                        Err(e) => got.push(Err(e)),
+                    }
+                }
+                while lp.in_flight() > 0 {
+                    match lp.finish() {
+                        Ok(done) => got.extend(done.iter().map(|(r, _)| Ok(r.loss.to_bits()))),
+                        Err(e) => got.push(Err(e)),
+                    }
+                }
+                assert_eq!(got, want, "{context}");
+                let trainer = lp.into_trainer();
+                assert_eq!(
+                    trainer.steps(),
+                    4,
+                    "{context}: a failed step does not count"
+                );
+                if let Some(stats) = trainer.pipeline_stats() {
+                    assert_eq!(stats.jobs_completed, 5, "{context}: ticket not drained");
+                }
+                assert!(
+                    trajectory(&[], trainer) == end,
+                    "{context}: tables or optimizer state diverged"
+                );
+            }
+        }
+    }
+}
+
+/// A panic on the gather-ahead lane resurfaces on the training thread, out
+/// of the completion that spawned the task, and the loop still drains.
+#[test]
+fn lane_panic_resurfaces_on_the_training_thread() {
+    use std::panic::{catch_unwind, AssertUnwindSafe};
+    let pool = Arc::new(tensor_casting::tensor::Pool::new(2));
+    for execution in [Execution::Serial, Execution::Pooled(pool)] {
+        let batches = hazard_batches(31, 4, 16);
+        let mut trainer = Trainer::with_execution(
+            hazard_config(),
+            BackwardMode::Casted,
+            EmbeddingOptimizer::Sgd,
+            execution.clone(),
+            1,
+        )
+        .unwrap();
+        let plan = FaultPlan::new();
+        plan.arm(GATHER_AHEAD_FAULT_SITE, 4); // step 1's gather-ahead, table 1
+        trainer.set_fault_plan(plan.clone());
+        let mut lp = TrainLoop::new(trainer, 1);
+        assert!(lp.push(Arc::clone(&batches[0])).unwrap().is_none());
+        let (first, _) = lp.push(Arc::clone(&batches[1])).unwrap().unwrap();
+        assert_eq!(first.gathered_ahead, 0);
+        let panic = catch_unwind(AssertUnwindSafe(|| lp.push(Arc::clone(&batches[2]))))
+            .expect_err("the lane's panic must reach the training thread");
+        let message = panic
+            .downcast_ref::<String>()
+            .cloned()
+            .unwrap_or_else(|| "<non-string panic>".into());
+        assert!(
+            message.contains(GATHER_AHEAD_FAULT_SITE),
+            "{execution:?}: unexpected panic: {message}"
+        );
+        assert_eq!(plan.fired(), vec![(GATHER_AHEAD_FAULT_SITE.to_string(), 4)]);
+        // Nothing was adopted from the scope that panicked, the lane is
+        // still alive, and the queue drains instead of hanging.
+        let rest = lp.finish().unwrap();
+        assert_eq!(rest.len(), 1, "{execution:?}");
+        assert_eq!(rest[0].0.gathered_ahead, 0, "{execution:?}");
+        assert!(rest[0].0.loss.is_finite());
+    }
+}
+
+/// The held gather dies with the table bits it read: restoring a
+/// checkpoint between two completions — one that even carries the step
+/// count the gather was keyed on — makes the next step gather in-step from
+/// the restored tables.
+#[test]
+fn checkpoint_restore_between_completions_drops_the_held_gather() {
+    use tensor_casting::dlrm::checkpoint::{read_train_checkpoint, save_train_checkpoint};
+    let batches = hazard_batches(41, 2, 16);
+    let mk = |seed| {
+        Trainer::with_optimizer(
+            hazard_config(),
+            BackwardMode::Casted,
+            EmbeddingOptimizer::Sgd,
+            seed,
+        )
+        .unwrap()
+    };
+    // One step of a differently seeded model: other table bits, steps == 1.
+    let mut donor = mk(99);
+    donor.step(&batches[1]).unwrap();
+    let mut bytes = Vec::new();
+    save_train_checkpoint(&mut bytes, &donor, None, None).unwrap();
+    let ckpt = read_train_checkpoint(&mut bytes.as_slice()).unwrap();
+
+    let mut reference = mk(1);
+    ckpt.restore_into(&mut reference).unwrap();
+    let want = reference.step(&batches[1]).unwrap();
+
+    let mut trainer = mk(1);
+    let first = trainer.begin_step(Arc::clone(&batches[0]));
+    let second = trainer.begin_step(Arc::clone(&batches[1]));
+    trainer.complete_step(first, Some(&second)).unwrap();
+    assert_eq!(trainer.steps(), 1);
+    ckpt.restore_into(&mut trainer).unwrap();
+    let got = trainer.complete_step(second, None).unwrap();
+    assert_eq!(got.gathered_ahead, 0, "a stale gather was adopted");
+    assert_eq!(got.loss.to_bits(), want.loss.to_bits());
+    assert!(trajectory(&[], trainer) == trajectory(&[], reference));
 }
