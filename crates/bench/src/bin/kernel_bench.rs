@@ -1,7 +1,8 @@
 //! Per-kernel throughput: scalar vs runtime-dispatched SIMD tiers.
 //!
-//! Where `step_throughput` measures the end-to-end training step, this
-//! binary isolates the individual hot kernels behind
+//! Where the repo benchmark (`benchmark/`) measures the end-to-end
+//! training step and served query, this binary isolates the individual
+//! hot kernels behind
 //! [`tcast_tensor::simd::KernelDispatch`] and reports GFLOP/s (GEMM
 //! family) and GB/s (gather/scatter family) for **every tier the host
 //! supports**, on the bench suite's shapes: the MLP layer sizes, the
@@ -44,12 +45,17 @@ use tcast_core::{
 };
 use tcast_embedding::{
     gather_reduce_into,
-    optim::{Adagrad, Sgd, SplittableOptimizer},
+    optim::{RowOptimizer, UpdateRule},
     scatter_apply, scatter_apply_sharded, BlockScratch, CoalescedScratch, EmbeddingTable,
     IndexArray, ShardMap, ShardedOptimizer,
 };
 use tcast_pool::Exec;
 use tcast_tensor::{simd, KernelDispatch, Matrix, SplitMix64};
+
+const ADAGRAD: UpdateRule = UpdateRule::Adagrad {
+    lr: 0.01,
+    eps: 1e-8,
+};
 
 struct Args {
     iters: usize,
@@ -536,7 +542,7 @@ fn main() {
         let bytes = (unique * dim * 20) as f64;
         let rows = tier_ns(&mut |d| {
             let mut table = EmbeddingTable::seeded(table_rows, dim, 17);
-            let mut opt = Adagrad::new(0.01, 1e-8);
+            let mut opt = RowOptimizer::new(ADAGRAD);
             simd::force(Some(d));
             let ns = time_ns(args.iters, || {
                 scatter_apply(&mut table, &coalesced, &mut opt).unwrap();
@@ -581,20 +587,17 @@ fn main() {
     let coalesced_grads = random_matrix(lookups, cold_dim, 31);
     let shape = format!("r{cold_table_rows} b{batch} p{pooling} d{cold_dim}");
     let row_bytes = (lookups * cold_dim * 4) as f64;
-    let unsharded = |opt: Box<dyn SplittableOptimizer>| {
-        let mut opt = Some(opt);
-        ShardedOptimizer::new(ShardMap::new(cold_table_rows, 1), || opt.take().unwrap())
-    };
+    let unsharded = |rule| ShardedOptimizer::new(ShardMap::new(cold_table_rows, 1), rule);
     // Adagrad's state slab is grown (and its pages first touched) here,
     // not under the clock: one zero-gradient update of every row.
-    let mut adagrad = unsharded(Box::new(Adagrad::new(0.01, 1e-8)));
+    let mut adagrad = unsharded(ADAGRAD);
     {
         let mut all = CoalescedScratch::default();
         all.rows.extend(0..cold_table_rows as u32);
         all.grads = Matrix::zeros(cold_table_rows, cold_dim);
         scatter_apply_sharded(&mut cold_table, &mut adagrad, &[all], Exec::Serial).unwrap();
     }
-    let mut sgd = unsharded(Box::new(Sgd::new(0.01)));
+    let mut sgd = unsharded(UpdateRule::Sgd { lr: 0.01 });
     let mut blocks = BlockScratch::default();
     let mut out = Matrix::zeros(batch, cold_dim);
 

@@ -3,9 +3,8 @@
 //!
 //! With `--json [PATH]` (default `BENCH_repro.json`), the sink path is
 //! exported as `TCAST_BENCH_JSON` to every child, so any binary using
-//! `tcast_bench::json` (the micro-benches, `step_throughput`, and any
-//! figure binary that opts in) appends machine-readable rows to one
-//! shared JSON-lines file.
+//! `tcast_bench::json` (the micro-benches and any figure binary that
+//! opts in) appends machine-readable rows to one shared JSON-lines file.
 
 use std::process::Command;
 
@@ -26,7 +25,7 @@ const BINS: [&str; 12] = [
     "fig17_dim_sweep",
 ];
 
-const EXTRA_BINS: [&str; 2] = ["sweep_link", "step_throughput"];
+const EXTRA_BINS: [&str; 1] = ["sweep_link"];
 
 fn parse_json_sink() -> Option<String> {
     let mut args = std::env::args().skip(1).peekable();

@@ -7,7 +7,7 @@
 //! * `repro_all --json [PATH]` exports `TCAST_BENCH_JSON` to its children
 //!   so each figure binary (and any [`crate::harness::BenchGroup`])
 //!   appends rows to one shared sink;
-//! * `step_throughput` writes `BENCH_step.json` directly.
+//! * `kernel_bench` writes `BENCH_kernel.json` directly.
 //!
 //! No serde: rows are built with [`JsonRow`], a tiny escaping writer.
 

@@ -79,7 +79,7 @@ mod tests {
     use crate::casting::tensor_casting;
     use crate::gather_reduce::casted_gather_reduce;
     use tcast_embedding::{
-        optim::{Adagrad, Sgd, SplittableOptimizer},
+        optim::{RowOptimizer, UpdateRule},
         scatter_apply, IndexArray, ShardMap,
     };
     use tcast_tensor::SplitMix64;
@@ -98,11 +98,10 @@ mod tests {
         (table, index, grads)
     }
 
-    fn unsharded<O: SplittableOptimizer + 'static>(
-        rows: usize,
-        build: impl Fn() -> O,
-    ) -> ShardedOptimizer {
-        ShardedOptimizer::new(ShardMap::new(rows, 1), || Box::new(build()) as _)
+    const ADAGRAD: UpdateRule = UpdateRule::Adagrad { lr: 0.1, eps: 1e-8 };
+
+    fn unsharded(rows: usize, rule: UpdateRule) -> ShardedOptimizer {
+        ShardedOptimizer::new(ShardMap::new(rows, 1), rule)
     }
 
     fn fused(
@@ -134,10 +133,15 @@ mod tests {
 
         let mut two_step_table = table.clone();
         let coalesced = casted_gather_reduce(&grads, &casted).unwrap();
-        scatter_apply(&mut two_step_table, &coalesced, &mut Sgd::new(0.1)).unwrap();
+        scatter_apply(
+            &mut two_step_table,
+            &coalesced,
+            &mut RowOptimizer::new(UpdateRule::Sgd { lr: 0.1 }),
+        )
+        .unwrap();
 
         let mut fused_table = table.clone();
-        let mut opt = unsharded(300, || Sgd::new(0.1));
+        let mut opt = unsharded(300, UpdateRule::Sgd { lr: 0.1 });
         fused(&mut fused_table, &mut opt, &grads, casted).unwrap();
 
         assert_eq!(fused_table.max_abs_diff(&two_step_table).unwrap(), 0.0);
@@ -150,14 +154,14 @@ mod tests {
 
         // Two steps each, so the second runs on the first one's state.
         let mut two_step_table = table.clone();
-        let mut two_step_opt = Adagrad::new(0.1, 1e-8);
+        let mut two_step_opt = RowOptimizer::new(ADAGRAD);
         let coalesced = casted_gather_reduce(&grads, &casted).unwrap();
         for _ in 0..2 {
             scatter_apply(&mut two_step_table, &coalesced, &mut two_step_opt).unwrap();
         }
 
         let mut fused_table = table.clone();
-        let mut opt = unsharded(300, || Adagrad::new(0.1, 1e-8));
+        let mut opt = unsharded(300, ADAGRAD);
         for _ in 0..2 {
             fused(&mut fused_table, &mut opt, &grads, casted.clone()).unwrap();
         }
@@ -169,7 +173,7 @@ mod tests {
     fn fused_validates_shapes() {
         let (mut table, index, grads) = workload(3);
         let casted = tensor_casting(&index);
-        let mut opt = unsharded(300, || Sgd::new(0.1));
+        let mut opt = unsharded(300, UpdateRule::Sgd { lr: 0.1 });
         let wrong_rows = Matrix::zeros(grads.rows() + 1, 8);
         assert!(matches!(
             fused(&mut table, &mut opt, &wrong_rows, casted.clone()),
@@ -194,7 +198,7 @@ mod tests {
         let casted = tensor_casting(&index);
         let mut small_table = EmbeddingTable::zeros(5, 4);
         let grads = Matrix::zeros(1, 4);
-        let mut opt = unsharded(5, || Sgd::new(0.1));
+        let mut opt = unsharded(5, UpdateRule::Sgd { lr: 0.1 });
         assert!(matches!(
             fused(&mut small_table, &mut opt, &grads, casted),
             Err(EmbeddingError::SrcOutOfBounds { src: 5, rows: 5 })
@@ -208,7 +212,7 @@ mod tests {
         let mut table = EmbeddingTable::seeded(10, 4, 9);
         let before = table.clone();
         let grads = Matrix::zeros(0, 4);
-        let mut opt = unsharded(10, || Sgd::new(0.5));
+        let mut opt = unsharded(10, UpdateRule::Sgd { lr: 0.5 });
         fused(&mut table, &mut opt, &grads, casted).unwrap();
         assert_eq!(table.max_abs_diff(&before).unwrap(), 0.0);
     }
@@ -305,8 +309,7 @@ mod tests {
 
         for exec in [Exec::Serial, Exec::pooled(&pool)] {
             let mut trained = table.clone();
-            let mut opt =
-                ShardedOptimizer::new(map.clone(), || Box::new(Adagrad::new(0.1, 1e-8)) as _);
+            let mut opt = ShardedOptimizer::new(map.clone(), ADAGRAD);
             let mut scratch = BlockScratch::default();
             // One good step first: there is optimizer state to corrupt.
             blocked_casted_backward(&mut trained, &mut opt, &grads, &good, &mut scratch, exec)

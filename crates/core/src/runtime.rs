@@ -83,10 +83,10 @@ struct JobResult {
 }
 
 /// The uncompleted-job gauge plus the worker-death flag, shared between
-/// submitters (who block on the cap) and workers (who drain it).
+/// submitters (who block on the cap) and the worker (who drains it).
 struct Gauge {
     count: usize,
-    /// A worker thread panicked. Every blocked or future submit/collect
+    /// The worker thread panicked. Every blocked or future submit/collect
     /// must panic instead of waiting for progress that can never come.
     dead: bool,
 }
@@ -132,12 +132,12 @@ impl Drop for WorkerExitGuard {
 pub struct CastingPipeline {
     tx: Option<Sender<Job>>,
     rx: Receiver<JobResult>,
-    workers: Vec<std::thread::JoinHandle<()>>,
-    /// Uncompleted-job gauge shared with the workers; `submit` blocks on
+    worker: Option<std::thread::JoinHandle<()>>,
+    /// Uncompleted-job gauge shared with the worker; `submit` blocks on
     /// the condvar while the gauge sits at `inflight_cap`.
     in_flight: SharedGauge,
     inflight_cap: usize,
-    /// Optional fault-injection hook the workers consult once per job.
+    /// Optional fault-injection hook the worker consults once per job.
     fault: Arc<Mutex<Option<(FaultPlan, String)>>>,
     ready: HashMap<u64, Vec<CastedIndexArray>>,
     /// Lowest ticket id not yet collected: everything below it is
@@ -156,39 +156,22 @@ impl CastingPipeline {
     /// Spawns the casting worker thread with the
     /// [`DEFAULT_INFLIGHT_CAP`].
     pub fn new() -> Self {
-        Self::with_workers(1)
+        Self::with_inflight_cap(DEFAULT_INFLIGHT_CAP)
     }
 
-    /// Spawns `workers` casting worker threads sharing one job queue —
-    /// the host-side analogue of widening the GPU casting kernel. Jobs
-    /// complete out of order under load; [`CastingPipeline::collect`]
-    /// reorders transparently.
-    ///
-    /// # Panics
-    ///
-    /// Panics if `workers == 0`.
-    pub fn with_workers(workers: usize) -> Self {
-        Self::with_inflight_cap(workers, DEFAULT_INFLIGHT_CAP)
-    }
-
-    /// [`CastingPipeline::with_workers`] with an explicit bound on
-    /// *uncompleted* jobs (submitted but not yet cast). When the bound is
-    /// reached, [`CastingPipeline::submit`] blocks until a worker drains a
-    /// job — backpressure instead of unbounded job-queue growth. Worker
+    /// [`CastingPipeline::new`] with an explicit bound on *uncompleted*
+    /// jobs (submitted but not yet cast). When the bound is reached,
+    /// [`CastingPipeline::submit`] blocks until the worker drains a job —
+    /// backpressure instead of unbounded job-queue growth. Worker
     /// progress alone releases the block (no collect required), so a
     /// submit-only caller cannot deadlock itself.
     ///
     /// # Panics
     ///
-    /// Panics if `workers == 0` or `cap == 0`.
-    pub fn with_inflight_cap(workers: usize, cap: usize) -> Self {
-        assert!(workers > 0, "need at least one casting worker");
+    /// Panics if `cap == 0`.
+    pub fn with_inflight_cap(cap: usize) -> Self {
         assert!(cap > 0, "need a nonzero in-flight cap");
-        // std::sync::mpsc receivers are single-consumer; the worker side
-        // shares one behind a mutex (each worker holds the lock only while
-        // blocked in recv, releasing it as soon as a job arrives).
         let (job_tx, job_rx) = channel::<Job>();
-        let job_rx = Arc::new(Mutex::new(job_rx));
         let (res_tx, res_rx) = channel::<JobResult>();
         let stats = Arc::new(Mutex::new(PipelineStats::default()));
         let in_flight: SharedGauge = Arc::new((
@@ -199,31 +182,20 @@ impl CastingPipeline {
             Condvar::new(),
         ));
         let fault: Arc<Mutex<Option<(FaultPlan, String)>>> = Arc::new(Mutex::new(None));
-        let mut handles = Vec::with_capacity(workers);
-        for w in 0..workers {
-            let job_rx = Arc::clone(&job_rx);
-            let res_tx = res_tx.clone();
+        let worker = {
             let worker_stats = Arc::clone(&stats);
             let worker_gauge = Arc::clone(&in_flight);
             let worker_fault = Arc::clone(&fault);
-            let handle = std::thread::Builder::new()
-                .name(format!("tcast-casting-{w}"))
+            std::thread::Builder::new()
+                .name("tcast-casting-0".into())
                 .spawn(move || {
                     let _guard = WorkerExitGuard(Arc::clone(&worker_gauge));
                     // Routing scratch for sharded jobs, reused across the
                     // worker's whole life: steady-state sharded casting
                     // allocates nothing for routing.
                     let mut route_scratch = RouteScratch::new();
-                    loop {
-                        let job = {
-                            let rx = job_rx
-                                .lock()
-                                .unwrap_or_else(|poisoned| poisoned.into_inner());
-                            rx.recv()
-                        };
-                        let Ok(job) = job else {
-                            break; // pipeline dropped the sender
-                        };
+                    // Ends when the pipeline drops the job sender.
+                    for job in job_rx {
                         if let Some((plan, site)) = worker_fault
                             .lock()
                             .unwrap_or_else(|poisoned| poisoned.into_inner())
@@ -266,13 +238,12 @@ impl CastingPipeline {
                         }
                     }
                 })
-                .expect("spawn casting worker");
-            handles.push(handle);
-        }
+                .expect("spawn casting worker")
+        };
         Self {
             tx: Some(job_tx),
             rx: res_rx,
-            workers: handles,
+            worker: Some(worker),
             in_flight,
             inflight_cap: cap,
             fault,
@@ -309,7 +280,7 @@ impl CastingPipeline {
     /// allocation the casted hot path used to make.
     ///
     /// If the number of uncompleted jobs has reached the in-flight cap,
-    /// this call **blocks** until a worker drains one (backpressure); the
+    /// this call **blocks** until the worker drains one (backpressure); the
     /// time spent blocked is recorded in
     /// [`PipelineStats::backpressure_wait`].
     pub fn submit(&mut self, indices: impl Into<Arc<[IndexArray]>>) -> JobTicket {
@@ -393,12 +364,12 @@ impl CastingPipeline {
         JobTicket(id)
     }
 
-    /// Number of submitted jobs not yet cast by a worker.
+    /// Number of submitted jobs not yet cast by the worker.
     pub fn in_flight(&self) -> usize {
         lock_gauge(&self.in_flight).count
     }
 
-    /// Whether a worker thread has died (panicked); a dead pipeline fails
+    /// Whether the worker thread has died (panicked); a dead pipeline fails
     /// every subsequent `submit`/`collect` with a panic instead of
     /// hanging.
     pub fn worker_died(&self) -> bool {
@@ -463,9 +434,9 @@ impl CastingPipeline {
         let start = Instant::now();
         loop {
             // A worker that panicked mid-job can never deliver this
-            // result; surviving workers keep the channel open, so a plain
-            // recv would hang. Poll the death flag between bounded waits
-            // — a message still wakes the recv immediately.
+            // result: poll the death flag between bounded waits rather
+            // than trust a plain recv to notice — a message still wakes
+            // the recv immediately.
             assert!(
                 !self.worker_died(),
                 "casting worker died; job {} can never complete",
@@ -522,9 +493,9 @@ impl std::fmt::Debug for CastingPipeline {
 
 impl Drop for CastingPipeline {
     fn drop(&mut self) {
-        // Close the job channel so the workers exit, then join them.
+        // Close the job channel so the worker exits, then join it.
         self.tx.take();
-        for worker in self.workers.drain(..) {
+        if let Some(worker) = self.worker.take() {
             let _ = worker.join();
         }
     }
@@ -772,7 +743,7 @@ mod tests {
         // With cap 1, the second submit cannot return before the first
         // job has been *cast* (not collected!) — deterministic evidence
         // that the cap back-pressures the submitter instead of queueing.
-        let mut p = CastingPipeline::with_inflight_cap(1, 1);
+        let mut p = CastingPipeline::with_inflight_cap(1);
         assert_eq!(p.inflight_cap(), 1);
         let ta = p.submit(random_indices(2, 13));
         let tb = p.submit(random_indices(2, 14));
@@ -785,7 +756,7 @@ mod tests {
 
     #[test]
     fn max_in_flight_never_exceeds_the_cap() {
-        let mut p = CastingPipeline::with_inflight_cap(1, 3);
+        let mut p = CastingPipeline::with_inflight_cap(3);
         let tickets: Vec<_> = (0..12)
             .map(|i| p.submit(random_indices(1, 300 + i)))
             .collect();
@@ -805,30 +776,7 @@ mod tests {
     #[test]
     #[should_panic(expected = "nonzero in-flight cap")]
     fn zero_inflight_cap_rejected() {
-        CastingPipeline::with_inflight_cap(1, 0);
-    }
-
-    #[test]
-    fn multi_worker_pipeline_is_correct_under_load() {
-        let mut p = CastingPipeline::with_workers(4);
-        let jobs: Vec<(Vec<IndexArray>, _)> = (0..12)
-            .map(|i| {
-                let indices = random_indices(2, 200 + i);
-                let ticket = p.submit(indices.clone());
-                (indices, ticket)
-            })
-            .collect();
-        for (indices, ticket) in jobs {
-            let expected: Vec<_> = indices.iter().map(tensor_casting).collect();
-            assert_eq!(p.collect(ticket), expected);
-        }
-        assert_eq!(p.stats().jobs_completed, 12);
-    }
-
-    #[test]
-    #[should_panic(expected = "at least one casting worker")]
-    fn zero_workers_rejected() {
-        CastingPipeline::with_workers(0);
+        CastingPipeline::with_inflight_cap(0);
     }
 
     #[test]
@@ -859,7 +807,7 @@ mod tests {
         // in-flight slot, so with cap 1 the next submit used to block on
         // the gauge condvar forever. The exit guard must wake and fail
         // it.
-        let mut p = CastingPipeline::with_inflight_cap(1, 1);
+        let mut p = CastingPipeline::with_inflight_cap(1);
         let plan = FaultPlan::new();
         plan.arm("cast", 0);
         p.set_fault_plan(plan, "cast");

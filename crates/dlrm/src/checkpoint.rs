@@ -354,7 +354,10 @@ impl TrainCheckpoint {
         let tr = self.trainer.as_ref().ok_or_else(|| {
             CheckpointError::Format("missing TRNR section (model-only checkpoint)".into())
         })?;
-        let name = trainer.table_optimizers().first().map_or("", |o| o.name());
+        let name = trainer
+            .table_optimizers()
+            .first()
+            .map_or("", |o| o.rule().name());
         if optim.name != name {
             return Err(CheckpointError::Shape(format!(
                 "checkpoint optimizer {:?}, trainer {name:?}",
@@ -475,7 +478,7 @@ fn model_payload(model: &Dlrm) -> Vec<u8> {
 fn optim_payload(trainer: &Trainer) -> Vec<u8> {
     let mut out = Vec::new();
     let optimizers = trainer.table_optimizers();
-    let name = optimizers.first().map_or("", |o| o.name());
+    let name = optimizers.first().map_or("", |o| o.rule().name());
     put_u32(&mut out, name.len() as u32);
     out.extend_from_slice(name.as_bytes());
     put_u32(&mut out, optimizers.len() as u32);

@@ -12,8 +12,7 @@ use crate::model::Dlrm;
 use tcast_core::{blocked_casted_backward, CastingPipeline, FaultPlan, JobTicket, PipelineStats};
 use tcast_datasets::CtrBatch;
 use tcast_embedding::{
-    gather_reduce_into, gradient_coalesce_into, gradient_expand_into,
-    optim::{Adagrad, Adam, Momentum, RmsProp, Sgd, SplittableOptimizer},
+    gather_reduce_into, gradient_coalesce_into, gradient_expand_into, optim::UpdateRule,
     scatter_apply_sharded, BlockScratch, CoalescedScratch, EmbeddingError, EmbeddingTable,
     IndexArray, ShardMap, ShardSpec, ShardedOptimizer,
 };
@@ -141,15 +140,19 @@ pub enum EmbeddingOptimizer {
 }
 
 impl EmbeddingOptimizer {
-    pub(crate) fn build(&self, lr: f32) -> Box<dyn SplittableOptimizer> {
+    /// The update rule this configuration names, at learning rate `lr`.
+    pub(crate) fn build(&self, lr: f32) -> UpdateRule {
         match *self {
-            EmbeddingOptimizer::Sgd => Box::new(Sgd::new(lr)),
-            EmbeddingOptimizer::Momentum { mu } => Box::new(Momentum::new(lr, mu)),
-            EmbeddingOptimizer::Adagrad { eps } => Box::new(Adagrad::new(lr, eps)),
-            EmbeddingOptimizer::RmsProp { gamma, eps } => Box::new(RmsProp::new(lr, gamma, eps)),
-            EmbeddingOptimizer::Adam { beta1, beta2, eps } => {
-                Box::new(Adam::new(lr, beta1, beta2, eps))
-            }
+            EmbeddingOptimizer::Sgd => UpdateRule::Sgd { lr },
+            EmbeddingOptimizer::Momentum { mu } => UpdateRule::Momentum { lr, mu },
+            EmbeddingOptimizer::Adagrad { eps } => UpdateRule::Adagrad { lr, eps },
+            EmbeddingOptimizer::RmsProp { gamma, eps } => UpdateRule::RmsProp { lr, gamma, eps },
+            EmbeddingOptimizer::Adam { beta1, beta2, eps } => UpdateRule::Adam {
+                lr,
+                beta1,
+                beta2,
+                eps,
+            },
         }
     }
 }
@@ -290,7 +293,7 @@ impl std::fmt::Debug for Trainer {
             .field("steps", &self.steps)
             .field(
                 "optimizer",
-                &self.table_optimizers.first().map(|o| o.name()),
+                &self.table_optimizers.first().map(|o| o.rule().name()),
             )
             .finish()
     }
@@ -405,7 +408,7 @@ impl Trainer {
                 .into()
         });
         let table_optimizers = (0..model.num_tables())
-            .map(|t| ShardedOptimizer::new(model.shard_map(t).clone(), || optimizer.build(lr)))
+            .map(|t| ShardedOptimizer::new(model.shard_map(t).clone(), optimizer.build(lr)))
             .collect();
         Ok(Self {
             model,
@@ -449,7 +452,7 @@ impl Trainer {
         self.lr = lr;
         self.table_optimizers = (0..self.model.num_tables())
             .map(|t| {
-                ShardedOptimizer::new(self.model.shard_map(t).clone(), || self.optimizer.build(lr))
+                ShardedOptimizer::new(self.model.shard_map(t).clone(), self.optimizer.build(lr))
             })
             .collect();
     }
@@ -482,7 +485,7 @@ impl Trainer {
             self.pipeline.is_some(),
             "baseline mode has no casting pipeline"
         );
-        self.pipeline = Some(CastingPipeline::with_inflight_cap(1, cap));
+        self.pipeline = Some(CastingPipeline::with_inflight_cap(cap));
     }
 
     /// Immutable model access.
@@ -533,9 +536,10 @@ impl Trainer {
     /// path decodes saved state into (same map, same hyperparameters,
     /// empty slabs).
     pub(crate) fn fresh_table_optimizer(&self, t: usize) -> ShardedOptimizer {
-        ShardedOptimizer::new(self.model.shard_map(t).clone(), || {
-            self.optimizer.build(self.lr)
-        })
+        ShardedOptimizer::new(
+            self.model.shard_map(t).clone(),
+            self.optimizer.build(self.lr),
+        )
     }
 
     /// Installs checkpoint-restored per-table optimizers and the saved
@@ -988,7 +992,7 @@ mod tests {
                 let first = t.begin_step(Arc::new(stream.next_batch(16)));
                 let second = t.begin_step(Arc::new(stream.next_batch(16)));
                 t.table_optimizers[1] =
-                    ShardedOptimizer::new(ShardMap::new(7, 1), || t.optimizer.build(t.lr));
+                    ShardedOptimizer::new(ShardMap::new(7, 1), t.optimizer.build(t.lr));
                 let err = t
                     .complete_step(first, lookahead.then_some(&second))
                     .unwrap_err();

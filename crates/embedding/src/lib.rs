@@ -10,8 +10,11 @@
 //!   argsort the `src` indices, then accumulate gradients that share a
 //!   `src`;
 //! * **gradient scatter** (backward, Fig. 2b step 3) — apply the coalesced
-//!   gradients to the table through a sparse [`optim::SparseOptimizer`]
-//!   (SGD / momentum / Adagrad Eq. 2 / RMSprop Eq. 1 / Adam).
+//!   gradients to the table through the sparse row optimizer: an
+//!   [`optim::UpdateRule`] (SGD / momentum / Adagrad Eq. 2 / RMSprop
+//!   Eq. 1 / Adam) and the per-row state it builds up, an
+//!   [`optim::RowOptimizer`], placed per row-range shard by a
+//!   [`ShardedOptimizer`].
 //!
 //! # One implementation per primitive
 //!
@@ -44,7 +47,7 @@
 //! ```
 //! use tcast_embedding::{EmbeddingTable, IndexArray, gather_reduce,
 //!                       gradient_expand, gradient_coalesce, scatter_apply,
-//!                       optim::Sgd};
+//!                       optim::{RowOptimizer, UpdateRule}};
 //! use tcast_tensor::Matrix;
 //!
 //! # fn main() -> Result<(), tcast_embedding::EmbeddingError> {
@@ -56,7 +59,8 @@
 //! let upstream = Matrix::filled(2, 8, 0.1);          // dL/d(pooled)
 //! let expanded = gradient_expand(&upstream, &index)?; // 5 x 8
 //! let coalesced = gradient_coalesce(&expanded, &index)?; // 4 unique rows
-//! scatter_apply(&mut table, &coalesced, &mut Sgd::new(0.01))?;
+//! let mut sgd = RowOptimizer::new(UpdateRule::Sgd { lr: 0.01 });
+//! scatter_apply(&mut table, &coalesced, &mut sgd)?;
 //! # Ok(())
 //! # }
 //! ```

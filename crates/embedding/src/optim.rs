@@ -1,34 +1,49 @@
-//! Sparse optimizers for embedding rows.
+//! The sparse row optimizer of the embedding tables.
 //!
 //! Section II-B of the paper explains *why* gradient coalescing exists at
 //! all: optimizers like RMSprop (Eq. 1) and Adagrad (Eq. 2) need the
 //! (potentially multiple) gradients of a parameter accumulated into a
 //! single value `G_i` before the update, because their state update is a
-//! nonlinear function of `G_i`. These implementations keep per-row state
-//! touching only rows that actually receive gradients — the sparse
-//! update pattern of embedding training.
+//! nonlinear function of `G_i`. Every such optimizer is the same thing — a
+//! per-row function of the coalesced gradient and a few `f32` planes of
+//! per-row state — so there is one optimizer type here:
+//!
+//! * [`UpdateRule`] is the function: a `Copy` enum of the five rules with
+//!   their hyperparameters. It alone knows what differs between them — how
+//!   many state planes a rule keeps, whether it counts steps per row, its
+//!   name, its state traffic and which `simd::*_row` kernel it runs. The
+//!   kernel is chosen once a scatter task (`with_update`), not once a row.
+//! * [`RowOptimizer`] is the state: one [`RowState`] slab per plane plus
+//!   the per-row step counts, touching only rows that actually receive
+//!   gradients — the sparse update pattern of embedding training. Growth,
+//!   splitting and the checkpoint format are written over planes and step
+//!   counts, never per rule.
 //!
 //! # Splittable state
 //!
 //! Coalescing has a second payoff the paper's Section IV-C datapath
 //! argument relies on: after coalescing, every table row appears **at most
-//! once** per scatter, so the optimizer update of disjoint row ranges is
+//! once** per scatter, so the update of disjoint row ranges is
 //! embarrassingly parallel — *if* the state store can hand out disjoint
 //! mutable views. A `HashMap<u32, Vec<f32>>` cannot (concurrent inserts
-//! rehash), so state lives in a dense, lazily-grown [`RowState`] band
-//! store instead: one contiguous `width`-strided slab, splittable at
-//! arbitrary row boundaries with `split_at_mut`. [`SplittableOptimizer`]
-//! exposes that split, and [`crate::scatter_apply_sharded`] consumes it.
+//! rehash), so state lives in a dense, lazily-grown [`RowState`] slab:
+//! `width`-strided and contiguous, splittable at arbitrary row boundaries
+//! with `split_at_mut`. [`RowOptimizer::split_by_rows`] hands out the
+//! resulting [`RowOptimizerBand`]s, and [`crate::scatter_apply_sharded`]
+//! runs one pool task on each. That row-disjointness is a property of the
+//! state store, not of any rule, which is why it is stated once.
 //!
 //! [`ShardedOptimizer`] goes one step further — from bands *within* one
-//! slab to state you can *place*: one optimizer instance (and thus one
-//! [`RowState`] slab) per row-range shard of a [`ShardMap`], with a
-//! canonical global-keyed checkpoint blob so shard counts can change
-//! between save and restore.
+//! slab to state you can *place*: one [`RowOptimizer`] (and thus one set of
+//! slabs) per row-range shard of a [`ShardMap`], with a canonical
+//! global-keyed checkpoint blob so shard counts can change between save
+//! and restore.
 
 use crate::sharding::ShardMap;
+use crate::simd;
 
-/// A sparse, row-granular optimizer.
+/// A sparse, row-granular optimizer: the interface of the reference
+/// [`crate::scatter_apply`] and of the NMP pool model's oracle.
 ///
 /// `update_row` applies one training-step update for a single embedding
 /// row given its *coalesced* gradient. Implementations may keep per-row
@@ -40,86 +55,6 @@ pub trait SparseOptimizer {
     ///
     /// Implementations may panic if `param.len() != grad.len()`.
     fn update_row(&mut self, row: u32, param: &mut [f32], grad: &[f32]);
-
-    /// Human-readable optimizer name (for logs and experiment output).
-    fn name(&self) -> &'static str;
-
-    /// Bytes of optimizer state read+written per updated element, used by
-    /// the analytic traffic model (0 for plain SGD, 8 for one f32
-    /// accumulator read+write, ...).
-    fn state_bytes_per_element(&self) -> usize {
-        0
-    }
-}
-
-/// A row-disjoint mutable shard of a splittable optimizer's state — one
-/// band of the parallel scatter.
-///
-/// A shard updates rows exactly as the owning optimizer's
-/// [`SparseOptimizer::update_row`] would (same operations, same order per
-/// row), which is what makes the band-parallel scatter bit-identical to
-/// the serial one. Callers must only pass rows inside the band the shard
-/// was split for.
-pub trait StateShard: Send {
-    /// Applies the update for `row`; `row` must lie in this shard's band.
-    fn update_row(&mut self, row: u32, param: &mut [f32], grad: &[f32]);
-}
-
-/// A [`SparseOptimizer`] whose per-row state splits at row-range
-/// boundaries into independently-updatable shards.
-///
-/// Gradient coalescing guarantees each table row appears at most once per
-/// scatter, so shards over disjoint row ranges never alias state — each
-/// band of [`crate::scatter_apply_sharded`] updates its table slice and its state
-/// shard with no synchronization.
-pub trait SplittableOptimizer: SparseOptimizer + Send {
-    /// Splits the optimizer state at the row `fence` (ascending,
-    /// `fence.len() >= 2`): shard `i` owns rows `[fence[i], fence[i+1])`.
-    ///
-    /// `dim` is the embedding width of the rows about to be updated;
-    /// state is pre-grown to cover `fence.last()` rows here, on the
-    /// calling thread, so shard updates never grow (and never allocate).
-    ///
-    /// # Panics
-    ///
-    /// Panics if the fence is not ascending, has fewer than two entries,
-    /// or `dim` conflicts with the width of already-live state.
-    fn split_by_rows<'s>(&'s mut self, fence: &[u32], dim: usize) -> Vec<Box<dyn StateShard + 's>>;
-
-    /// Appends the optimizer's *mutable* per-row state (slabs, step
-    /// counts — not hyperparameters) to `out`, for checkpointing. The
-    /// full slab is captured, including allocated-but-untouched rows, so
-    /// a restore reproduces the exact allocation state and subsequent
-    /// growth behaves identically to the uninterrupted run.
-    fn save_state(&self, out: &mut Vec<u8>);
-
-    /// Restores state written by [`SplittableOptimizer::save_state`] into
-    /// this optimizer (which must have been built with the same
-    /// hyperparameters).
-    ///
-    /// # Errors
-    ///
-    /// Returns a description of the first inconsistency if `bytes` is
-    /// truncated, malformed, or has trailing garbage; the optimizer's
-    /// state is unspecified after an error.
-    fn load_state(&mut self, bytes: &[u8]) -> Result<(), String>;
-
-    /// The optimizer's dense per-row state planes, in the exact order
-    /// [`SplittableOptimizer::save_state`] serializes them, plus the
-    /// per-row step counts (Adam) if any. This is what makes state
-    /// *placeable*: [`ShardedOptimizer`] merges the planes of row-range
-    /// shards into one global-keyed blob (and re-splits on load), so a
-    /// checkpoint written at N shards restores at M. Stateless
-    /// optimizers return the default empty planes.
-    fn state_planes(&self) -> (Vec<&RowState>, Option<&[u32]>) {
-        (Vec::new(), None)
-    }
-
-    /// Mutable form of [`SplittableOptimizer::state_planes`], used when
-    /// re-splitting a global state blob into per-shard slabs.
-    fn state_planes_mut(&mut self) -> (Vec<&mut RowState>, Option<&mut Vec<u32>>) {
-        (Vec::new(), None)
-    }
 }
 
 /// Little-endian cursor over checkpoint bytes; every read is
@@ -156,6 +91,36 @@ impl<'a> StateReader<'a> {
         Ok(u64::from_le_bytes(b.try_into().expect("8 bytes")))
     }
 
+    /// One serialized state plane, its touched flags checked to be 0 or 1.
+    fn plane(&mut self) -> Result<PlaneBytes<'a>, String> {
+        let width = self.u64()? as usize;
+        let rows = self.u64()? as usize;
+        let slab_bytes = rows
+            .checked_mul(width)
+            .and_then(|e| e.checked_mul(4))
+            .ok_or_else(|| "optimizer state slab size overflows".to_string())?;
+        let slab = self.take(slab_bytes)?;
+        let touched = self.take(rows)?;
+        if let Some(&bad) = touched.iter().find(|&&b| b > 1) {
+            return Err(format!("optimizer touched flag has invalid value {bad}"));
+        }
+        Ok(PlaneBytes {
+            width,
+            slab,
+            touched,
+        })
+    }
+
+    /// The serialized per-row step counts: a length, then that many `u32`s
+    /// (returned as their bytes).
+    fn step_counts(&mut self) -> Result<&'a [u8], String> {
+        let len = self.u64()? as usize;
+        self.take(
+            len.checked_mul(4)
+                .ok_or_else(|| "optimizer step-count length overflows".to_string())?,
+        )
+    }
+
     fn finish(self) -> Result<(), String> {
         if self.pos != self.bytes.len() {
             return Err(format!(
@@ -167,8 +132,37 @@ impl<'a> StateReader<'a> {
     }
 }
 
+/// A state plane as serialized: `touched.len()` rows of `width`
+/// little-endian `f32`s in `slab`, then one 0/1 flag per row.
+struct PlaneBytes<'a> {
+    width: usize,
+    slab: &'a [u8],
+    touched: &'a [u8],
+}
+
+impl PlaneBytes<'_> {
+    /// Rows `[lo, end)` of the plane as a live slab.
+    fn rows(&self, lo: usize, end: usize) -> RowState {
+        RowState {
+            width: self.width,
+            data: f32s(&self.slab[lo * self.width * 4..end * self.width * 4]).collect(),
+            touched: self.touched[lo..end].iter().map(|&b| b == 1).collect(),
+        }
+    }
+}
+
 fn put_u64(out: &mut Vec<u8>, v: u64) {
     out.extend_from_slice(&v.to_le_bytes());
+}
+
+fn f32s(raw: &[u8]) -> impl Iterator<Item = f32> + '_ {
+    raw.chunks_exact(4)
+        .map(|c| f32::from_le_bytes(c.try_into().expect("4 bytes")))
+}
+
+fn u32s(raw: &[u8]) -> impl Iterator<Item = u32> + '_ {
+    raw.chunks_exact(4)
+        .map(|c| u32::from_le_bytes(c.try_into().expect("4 bytes")))
 }
 
 impl RowState {
@@ -184,36 +178,31 @@ impl RowState {
 
     /// Reads back what [`RowState::save_into`] wrote.
     fn load_from(&mut self, r: &mut StateReader<'_>) -> Result<(), String> {
-        let width = r.u64()? as usize;
-        let rows = r.u64()? as usize;
-        let elems = rows
-            .checked_mul(width)
-            .and_then(|e| e.checked_mul(4).map(|_| e))
-            .ok_or_else(|| "optimizer state slab size overflows".to_string())?;
-        let raw = r.take(elems * 4)?;
-        let mut data = Vec::with_capacity(elems);
-        for c in raw.chunks_exact(4) {
-            data.push(f32::from_le_bytes(c.try_into().expect("4 bytes")));
-        }
-        let flags = r.take(rows)?;
-        if let Some(&bad) = flags.iter().find(|&&b| b > 1) {
-            return Err(format!("optimizer touched flag has invalid value {bad}"));
-        }
-        self.width = width;
-        self.data = data;
-        self.touched = flags.iter().map(|&b| b == 1).collect();
+        let plane = r.plane()?;
+        *self = plane.rows(0, plane.touched.len());
         Ok(())
     }
 }
 
-/// Asserts the [`SplittableOptimizer::split_by_rows`] fence contract:
-/// at least two entries, ascending.
-fn validate_fence(fence: &[u32]) {
-    assert!(fence.len() >= 2, "state fence needs >= 2 entries");
-    assert!(
-        fence.windows(2).all(|w| w[0] <= w[1]),
-        "state fence must be ascending"
-    );
+/// The length a lazily-grown per-row array of `len` entries grows to when
+/// `row` lies beyond it: at least doubled, so growth is amortized O(1) and
+/// stops once the live rows are covered.
+fn grown_len(len: usize, row: u32) -> usize {
+    (row as usize + 1).max(len * 2)
+}
+
+/// The state rows of one table row: `row_of` each plane, the unused slots
+/// empty.
+fn state_rows<'s, P>(
+    planes: &'s mut [P],
+    mut row_of: impl FnMut(&'s mut P) -> &'s mut [f32],
+) -> [&'s mut [f32]; 2] {
+    match planes {
+        [] => [&mut [], &mut []],
+        [a] => [row_of(a), &mut []],
+        [a, b] => [row_of(a), row_of(b)],
+        _ => unreachable!("a rule keeps at most two planes"),
+    }
 }
 
 /// Dense, lazily-grown per-row optimizer state: `width` `f32` slots per
@@ -221,9 +210,9 @@ fn validate_fence(fence: &[u32]) {
 ///
 /// Growth is geometric, so serial lazy growth (a new hottest row) is
 /// amortized O(1) and stops entirely once the live row set is covered —
-/// preserving the workspace's zero-allocation steady state. Unlike the
-/// `HashMap` store it replaces, the slab splits into disjoint row bands
-/// (`split_at_mut`) for the parallel scatter.
+/// preserving the workspace's zero-allocation steady state. The slab
+/// splits into disjoint row bands (`split_at_mut`) for the parallel
+/// scatter.
 #[derive(Debug, Clone, Default)]
 pub struct RowState {
     width: usize,
@@ -231,7 +220,7 @@ pub struct RowState {
     touched: Vec<bool>,
 }
 
-/// One row band of a [`RowState`], produced by [`RowState::split`].
+/// One row band of a [`RowState`].
 #[derive(Debug)]
 struct RowStateBand<'a> {
     base: u32,
@@ -253,20 +242,12 @@ impl RowState {
         self.touched.len()
     }
 
-    /// Grows (geometrically) so `row` is addressable without allocation
-    /// on subsequent touches.
-    fn grow_for(&mut self, row: u32) {
-        let needed = row as usize + 1;
-        if needed > self.rows() {
-            let target = needed.max(self.rows() * 2);
-            self.data.resize(target * self.width, 0.0);
-            self.touched.resize(target, false);
-        }
-    }
-
-    /// Grows to exactly cover `rows` rows (no geometric overshoot — used
-    /// by the parallel split, where the table size is known).
-    fn grow_exact(&mut self, rows: usize) {
+    /// Grows to cover `rows` rows (never shrinks). Out of line: a scatter
+    /// gets here a handful of times in a run, from a loop that must stay
+    /// small.
+    #[cold]
+    #[inline(never)]
+    fn grow_to(&mut self, rows: usize) {
         if rows > self.rows() {
             self.data.resize(rows * self.width, 0.0);
             self.touched.resize(rows, false);
@@ -274,8 +255,12 @@ impl RowState {
     }
 
     /// Mutable state of `row` (zeros on first touch), marking it live.
+    /// Grows geometrically, so `row` is addressable without allocation on
+    /// subsequent touches.
     fn row_mut(&mut self, row: u32) -> &mut [f32] {
-        self.grow_for(row);
+        if row as usize >= self.rows() {
+            self.grow_to(grown_len(self.rows(), row));
+        }
         self.touched[row as usize] = true;
         let w = self.width;
         &mut self.data[row as usize * w..(row as usize + 1) * w]
@@ -286,36 +271,34 @@ impl RowState {
         self.touched.iter().filter(|&&t| t).count()
     }
 
-    /// Splits the slab at `fence` into one band per window; band `i`
-    /// covers rows `[fence[i], fence[i+1])`. State below `fence[0]` and
-    /// above `fence.last()` is not handed out.
-    fn split<'s>(&'s mut self, fence: &[u32], width: usize) -> Vec<RowStateBand<'s>> {
-        validate_fence(fence);
+    /// The slab from row `first` on as one band, the slab grown to `end`
+    /// rows — exactly: the scatter knows the last row it will touch.
+    fn tail(&mut self, first: usize, end: usize, width: usize) -> RowStateBand<'_> {
         self.set_width(width);
-        self.grow_exact(*fence.last().expect("non-empty fence") as usize);
-        let w = self.width;
-        let skip = fence[0] as usize;
-        let mut data = &mut self.data[skip * w..];
-        let mut touched = &mut self.touched[skip..];
-        let mut bands = Vec::with_capacity(fence.len() - 1);
-        for pair in fence.windows(2) {
-            let rows = (pair[1] - pair[0]) as usize;
-            let (band_data, rest_data) = data.split_at_mut(rows * w);
-            let (band_touched, rest_touched) = touched.split_at_mut(rows);
-            data = rest_data;
-            touched = rest_touched;
-            bands.push(RowStateBand {
-                base: pair[0],
-                width: w,
-                data: band_data,
-                touched: band_touched,
-            });
+        self.grow_to(end);
+        RowStateBand {
+            base: first as u32,
+            width,
+            data: &mut self.data[first * width..],
+            touched: &mut self.touched[first..],
         }
-        bands
     }
 }
 
-impl RowStateBand<'_> {
+impl<'a> RowStateBand<'a> {
+    /// Cuts the band's first `rows` rows off as a band of their own.
+    fn split_off_front(&mut self, rows: usize) -> RowStateBand<'a> {
+        let within = "a fence inside the band";
+        let front = RowStateBand {
+            base: self.base,
+            width: self.width,
+            data: self.data.split_off_mut(..rows * self.width).expect(within),
+            touched: self.touched.split_off_mut(..rows).expect(within),
+        };
+        self.base += rows as u32;
+        front
+    }
+
     /// Mutable state of `row` (which must lie in this band), marking it
     /// live.
     fn row_mut(&mut self, row: u32) -> &mut [f32] {
@@ -325,573 +308,386 @@ impl RowStateBand<'_> {
     }
 }
 
-/// Plain stochastic gradient descent: `W <- W - lr * G`.
-#[derive(Debug, Clone, PartialEq)]
-pub struct Sgd {
-    lr: f32,
+/// The per-row update function: which optimizer, with its hyperparameters.
+///
+/// A rule is a value, not a type: a [`RowOptimizer`] carries one next to
+/// its state, and every shard and band of a table runs the same one.
+#[derive(Debug, Clone, Copy, PartialEq)]
+pub enum UpdateRule {
+    /// Plain stochastic gradient descent: `W <- W - lr * G`.
+    Sgd {
+        /// Learning rate.
+        lr: f32,
+    },
+    /// SGD with (heavy-ball) momentum: `V <- mu*V + G; W <- W - lr*V`.
+    Momentum {
+        /// Learning rate.
+        lr: f32,
+        /// Momentum coefficient.
+        mu: f32,
+    },
+    /// Adagrad (the paper's Eq. 2):
+    /// `A <- A + G^2; W <- W - lr * G / sqrt(eps + A)`.
+    Adagrad {
+        /// Learning rate.
+        lr: f32,
+        /// Numerical-stability term.
+        eps: f32,
+    },
+    /// RMSprop (the paper's Eq. 1):
+    /// `A <- gamma*A + (1-gamma)*G^2; W <- W - lr * G / sqrt(eps + A)`.
+    RmsProp {
+        /// Learning rate.
+        lr: f32,
+        /// Accumulator decay.
+        gamma: f32,
+        /// Numerical-stability term.
+        eps: f32,
+    },
+    /// Adam with sparse (lazy) per-row moments: `M <- b1*M + (1-b1)*G;
+    /// V <- b2*V + (1-b2)*G^2; W <- W - lr * Mhat / (sqrt(Vhat) + eps)`
+    /// with per-row bias-correction step counts (rows update at different
+    /// rates in sparse training, so a global step count would over-correct
+    /// cold rows).
+    Adam {
+        /// Learning rate.
+        lr: f32,
+        /// First-moment decay.
+        beta1: f32,
+        /// Second-moment decay.
+        beta2: f32,
+        /// Numerical-stability term.
+        eps: f32,
+    },
 }
 
-impl Sgd {
-    /// Creates SGD with learning rate `lr`.
-    pub fn new(lr: f32) -> Self {
-        Self { lr }
-    }
-
-    /// The configured learning rate.
-    pub fn learning_rate(&self) -> f32 {
-        self.lr
-    }
-}
-
-fn sgd_step(lr: f32, param: &mut [f32], grad: &[f32]) {
-    assert_eq!(param.len(), grad.len(), "row/grad width mismatch");
-    crate::simd::sgd_row(crate::simd::dispatch(), lr, param, grad);
-}
-
-impl SparseOptimizer for Sgd {
-    fn update_row(&mut self, _row: u32, param: &mut [f32], grad: &[f32]) {
-        sgd_step(self.lr, param, grad);
-    }
-
-    fn name(&self) -> &'static str {
-        "sgd"
-    }
-}
-
-struct SgdShard {
-    lr: f32,
-}
-
-impl StateShard for SgdShard {
-    fn update_row(&mut self, _row: u32, param: &mut [f32], grad: &[f32]) {
-        sgd_step(self.lr, param, grad);
-    }
-}
-
-impl SplittableOptimizer for Sgd {
-    fn split_by_rows<'s>(
-        &'s mut self,
-        fence: &[u32],
-        _dim: usize,
-    ) -> Vec<Box<dyn StateShard + 's>> {
-        // Stateless, but the fence contract is validated like every other
-        // optimizer so callers get consistent panics.
-        validate_fence(fence);
-        let lr = self.lr;
-        (0..fence.len() - 1)
-            .map(|_| Box::new(SgdShard { lr }) as Box<dyn StateShard>)
-            .collect()
-    }
-
-    fn save_state(&self, _out: &mut Vec<u8>) {
-        // SGD is stateless; an empty payload round-trips.
-    }
-
-    fn load_state(&mut self, bytes: &[u8]) -> Result<(), String> {
-        StateReader::new(bytes).finish()
-    }
-}
-
-/// SGD with (heavy-ball) momentum: `V <- mu*V + G; W <- W - lr*V`.
-#[derive(Debug, Clone)]
-pub struct Momentum {
-    lr: f32,
-    mu: f32,
-    velocity: RowState,
-}
-
-impl Momentum {
-    /// Creates momentum SGD with learning rate `lr` and momentum `mu`.
-    pub fn new(lr: f32, mu: f32) -> Self {
-        Self {
-            lr,
-            mu,
-            velocity: RowState::default(),
+impl UpdateRule {
+    /// Number of `f32` state planes the rule keeps per table element.
+    pub fn planes(self) -> usize {
+        match self {
+            UpdateRule::Sgd { .. } => 0,
+            UpdateRule::Momentum { .. }
+            | UpdateRule::Adagrad { .. }
+            | UpdateRule::RmsProp { .. } => 1,
+            UpdateRule::Adam { .. } => 2,
         }
     }
 
-    /// Number of rows with live momentum state.
-    pub fn tracked_rows(&self) -> usize {
-        self.velocity.tracked_rows()
-    }
-}
-
-fn momentum_step(lr: f32, mu: f32, v: &mut [f32], param: &mut [f32], grad: &[f32]) {
-    assert_eq!(param.len(), grad.len(), "row/grad width mismatch");
-    crate::simd::momentum_row(crate::simd::dispatch(), lr, mu, v, param, grad);
-}
-
-impl SparseOptimizer for Momentum {
-    fn update_row(&mut self, row: u32, param: &mut [f32], grad: &[f32]) {
-        self.velocity.set_width(param.len());
-        momentum_step(self.lr, self.mu, self.velocity.row_mut(row), param, grad);
+    /// Whether the rule keeps a step count per row.
+    pub fn counts_steps(self) -> bool {
+        matches!(self, UpdateRule::Adam { .. })
     }
 
-    fn name(&self) -> &'static str {
-        "momentum"
-    }
-
-    fn state_bytes_per_element(&self) -> usize {
-        8 // one f32 velocity read + write
-    }
-}
-
-struct MomentumShard<'a> {
-    lr: f32,
-    mu: f32,
-    velocity: RowStateBand<'a>,
-}
-
-impl StateShard for MomentumShard<'_> {
-    fn update_row(&mut self, row: u32, param: &mut [f32], grad: &[f32]) {
-        momentum_step(self.lr, self.mu, self.velocity.row_mut(row), param, grad);
-    }
-}
-
-impl SplittableOptimizer for Momentum {
-    fn split_by_rows<'s>(&'s mut self, fence: &[u32], dim: usize) -> Vec<Box<dyn StateShard + 's>> {
-        let (lr, mu) = (self.lr, self.mu);
-        self.velocity
-            .split(fence, dim)
-            .into_iter()
-            .map(|velocity| Box::new(MomentumShard { lr, mu, velocity }) as Box<dyn StateShard>)
-            .collect()
-    }
-
-    fn save_state(&self, out: &mut Vec<u8>) {
-        self.velocity.save_into(out);
-    }
-
-    fn load_state(&mut self, bytes: &[u8]) -> Result<(), String> {
-        let mut r = StateReader::new(bytes);
-        self.velocity.load_from(&mut r)?;
-        r.finish()
-    }
-
-    fn state_planes(&self) -> (Vec<&RowState>, Option<&[u32]>) {
-        (vec![&self.velocity], None)
-    }
-
-    fn state_planes_mut(&mut self) -> (Vec<&mut RowState>, Option<&mut Vec<u32>>) {
-        (vec![&mut self.velocity], None)
-    }
-}
-
-/// Adagrad (the paper's Eq. 2): `A <- A + G^2; W <- W - lr * G / sqrt(eps + A)`.
-#[derive(Debug, Clone)]
-pub struct Adagrad {
-    lr: f32,
-    eps: f32,
-    accum: RowState,
-}
-
-impl Adagrad {
-    /// Creates Adagrad with learning rate `lr` and stabilizer `eps`.
-    pub fn new(lr: f32, eps: f32) -> Self {
-        Self {
-            lr,
-            eps,
-            accum: RowState::default(),
+    /// Human-readable rule name (for logs, experiment output and the
+    /// checkpoint's optimizer check).
+    pub fn name(self) -> &'static str {
+        match self {
+            UpdateRule::Sgd { .. } => "sgd",
+            UpdateRule::Momentum { .. } => "momentum",
+            UpdateRule::Adagrad { .. } => "adagrad",
+            UpdateRule::RmsProp { .. } => "rmsprop",
+            UpdateRule::Adam { .. } => "adam",
         }
     }
 
-    /// Number of rows with live accumulator state.
-    pub fn tracked_rows(&self) -> usize {
-        self.accum.tracked_rows()
-    }
-}
-
-fn adagrad_step(lr: f32, eps: f32, a: &mut [f32], param: &mut [f32], grad: &[f32]) {
-    assert_eq!(param.len(), grad.len(), "row/grad width mismatch");
-    crate::simd::adagrad_row(crate::simd::dispatch(), lr, eps, a, param, grad);
-}
-
-impl SparseOptimizer for Adagrad {
-    fn update_row(&mut self, row: u32, param: &mut [f32], grad: &[f32]) {
-        self.accum.set_width(param.len());
-        adagrad_step(self.lr, self.eps, self.accum.row_mut(row), param, grad);
+    /// Bytes of optimizer state read+written per updated element, used by
+    /// the analytic traffic model: each plane is one `f32` read and one
+    /// written.
+    pub fn state_bytes_per_element(self) -> usize {
+        8 * self.planes()
     }
 
-    fn name(&self) -> &'static str {
-        "adagrad"
-    }
-
-    fn state_bytes_per_element(&self) -> usize {
-        8
-    }
-}
-
-struct AdagradShard<'a> {
-    lr: f32,
-    eps: f32,
-    accum: RowStateBand<'a>,
-}
-
-impl StateShard for AdagradShard<'_> {
-    fn update_row(&mut self, row: u32, param: &mut [f32], grad: &[f32]) {
-        adagrad_step(self.lr, self.eps, self.accum.row_mut(row), param, grad);
-    }
-}
-
-impl SplittableOptimizer for Adagrad {
-    fn split_by_rows<'s>(&'s mut self, fence: &[u32], dim: usize) -> Vec<Box<dyn StateShard + 's>> {
-        let (lr, eps) = (self.lr, self.eps);
-        self.accum
-            .split(fence, dim)
-            .into_iter()
-            .map(|accum| Box::new(AdagradShard { lr, eps, accum }) as Box<dyn StateShard>)
-            .collect()
-    }
-
-    fn save_state(&self, out: &mut Vec<u8>) {
-        self.accum.save_into(out);
-    }
-
-    fn load_state(&mut self, bytes: &[u8]) -> Result<(), String> {
-        let mut r = StateReader::new(bytes);
-        self.accum.load_from(&mut r)?;
-        r.finish()
-    }
-
-    fn state_planes(&self) -> (Vec<&RowState>, Option<&[u32]>) {
-        (vec![&self.accum], None)
-    }
-
-    fn state_planes_mut(&mut self) -> (Vec<&mut RowState>, Option<&mut Vec<u32>>) {
-        (vec![&mut self.accum], None)
-    }
-}
-
-/// RMSprop (the paper's Eq. 1):
-/// `A <- gamma*A + (1-gamma)*G^2; W <- W - lr * G / sqrt(eps + A)`.
-#[derive(Debug, Clone)]
-pub struct RmsProp {
-    lr: f32,
-    gamma: f32,
-    eps: f32,
-    accum: RowState,
-}
-
-impl RmsProp {
-    /// Creates RMSprop with learning rate `lr`, decay `gamma` and
-    /// stabilizer `eps`.
-    pub fn new(lr: f32, gamma: f32, eps: f32) -> Self {
-        Self {
-            lr,
-            gamma,
-            eps,
-            accum: RowState::default(),
-        }
-    }
-
-    /// Number of rows with live accumulator state.
-    pub fn tracked_rows(&self) -> usize {
-        self.accum.tracked_rows()
-    }
-}
-
-fn rmsprop_step(lr: f32, gamma: f32, eps: f32, a: &mut [f32], param: &mut [f32], grad: &[f32]) {
-    assert_eq!(param.len(), grad.len(), "row/grad width mismatch");
-    crate::simd::rmsprop_row(crate::simd::dispatch(), lr, gamma, eps, a, param, grad);
-}
-
-impl SparseOptimizer for RmsProp {
-    fn update_row(&mut self, row: u32, param: &mut [f32], grad: &[f32]) {
-        self.accum.set_width(param.len());
-        rmsprop_step(
-            self.lr,
-            self.gamma,
-            self.eps,
-            self.accum.row_mut(row),
-            param,
-            grad,
-        );
-    }
-
-    fn name(&self) -> &'static str {
-        "rmsprop"
-    }
-
-    fn state_bytes_per_element(&self) -> usize {
-        8
-    }
-}
-
-struct RmsPropShard<'a> {
-    lr: f32,
-    gamma: f32,
-    eps: f32,
-    accum: RowStateBand<'a>,
-}
-
-impl StateShard for RmsPropShard<'_> {
-    fn update_row(&mut self, row: u32, param: &mut [f32], grad: &[f32]) {
-        rmsprop_step(
-            self.lr,
-            self.gamma,
-            self.eps,
-            self.accum.row_mut(row),
-            param,
-            grad,
-        );
-    }
-}
-
-impl SplittableOptimizer for RmsProp {
-    fn split_by_rows<'s>(&'s mut self, fence: &[u32], dim: usize) -> Vec<Box<dyn StateShard + 's>> {
-        let (lr, gamma, eps) = (self.lr, self.gamma, self.eps);
-        self.accum
-            .split(fence, dim)
-            .into_iter()
-            .map(|accum| {
-                Box::new(RmsPropShard {
+    /// Runs `task` with this rule's one-row update over `state`. The rule
+    /// is matched here, once a task, and each arm's update holds only its
+    /// own kernel, so a row of the scatter loop costs one indirect call
+    /// into a function as small as a dedicated optimizer type's would be.
+    fn with_update<S: RowStates, R>(
+        self,
+        state: &mut S,
+        task: impl FnOnce(&mut RowUpdate<'_>) -> R,
+    ) -> R {
+        let kernel = simd::dispatch();
+        match self {
+            UpdateRule::Sgd { lr } => run(task, |_, param, grad| {
+                simd::sgd_row(kernel, lr, param, grad);
+            }),
+            UpdateRule::Momentum { lr, mu } => run(task, |row, param, grad| {
+                let [v, _] = state.planes_at(row, param.len());
+                simd::momentum_row(kernel, lr, mu, v, param, grad);
+            }),
+            UpdateRule::Adagrad { lr, eps } => run(task, |row, param, grad| {
+                let [a, _] = state.planes_at(row, param.len());
+                simd::adagrad_row(kernel, lr, eps, a, param, grad);
+            }),
+            UpdateRule::RmsProp { lr, gamma, eps } => run(task, |row, param, grad| {
+                let [a, _] = state.planes_at(row, param.len());
+                simd::rmsprop_row(kernel, lr, gamma, eps, a, param, grad);
+            }),
+            UpdateRule::Adam {
+                lr,
+                beta1,
+                beta2,
+                eps,
+            } => run(task, |row, param, grad| {
+                let t = state.step_at(row);
+                *t += 1;
+                let adam = simd::AdamRow {
                     lr,
-                    gamma,
+                    beta1,
+                    beta2,
                     eps,
-                    accum,
-                }) as Box<dyn StateShard>
+                    bc1: 1.0 - beta1.powi(*t as i32),
+                    bc2: 1.0 - beta2.powi(*t as i32),
+                };
+                let [m, v] = state.planes_at(row, param.len());
+                simd::adam_row(kernel, adam, m, v, param, grad);
+            }),
+        }
+    }
+}
+
+/// The update of one row by its coalesced gradient, as a scatter task
+/// holds it: `(row, param, grad)`.
+///
+/// # Panics
+///
+/// Panics if `param.len() != grad.len()`.
+pub type RowUpdate<'u> = dyn FnMut(u32, &mut [f32], &[f32]) + 'u;
+
+/// Runs `task` with `update` behind the width check every rule shares.
+fn run<R>(
+    task: impl FnOnce(&mut RowUpdate<'_>) -> R,
+    mut update: impl FnMut(u32, &mut [f32], &[f32]),
+) -> R {
+    task(&mut |row, param, grad| {
+        assert_eq!(param.len(), grad.len(), "row/grad width mismatch");
+        update(row, param, grad);
+    })
+}
+
+/// Where a rule's update finds the state of one row: in an optimizer's
+/// own slabs, grown to the row on demand ([`RowOptimizer`]), or in one
+/// pre-grown band of them ([`RowOptimizerBand`]).
+trait RowStates {
+    /// The row's slice of each state plane, the unused slots empty.
+    fn planes_at(&mut self, row: u32, dim: usize) -> [&mut [f32]; 2];
+    /// The row's step count, for a rule that keeps one.
+    fn step_at(&mut self, row: u32) -> &mut u32;
+}
+
+/// An [`UpdateRule`] and the per-row state it has built up: one
+/// [`RowState`] slab per plane of the rule, plus per-row step counts when
+/// the rule keeps them.
+///
+/// Rows are keyed by the id [`SparseOptimizer::update_row`] is called
+/// with; state grows lazily (geometrically) to the highest row updated.
+#[derive(Debug, Clone)]
+pub struct RowOptimizer {
+    rule: UpdateRule,
+    planes: Vec<RowState>,
+    steps: Vec<u32>,
+}
+
+/// The state of one row band of a [`RowOptimizer`], produced by
+/// [`RowOptimizer::split_by_rows`] — one task of the pooled scatter.
+///
+/// A band updates rows exactly as its optimizer's
+/// [`SparseOptimizer::update_row`] would (same operations, same order per
+/// row), which is what makes the band-parallel scatter bit-identical to
+/// the serial one.
+#[derive(Debug)]
+pub struct RowOptimizerBand<'a> {
+    rule: UpdateRule,
+    base: u32,
+    planes: Vec<RowStateBand<'a>>,
+    steps: &'a mut [u32],
+}
+
+impl RowOptimizer {
+    /// A fresh optimizer (no row updated yet) running `rule`.
+    pub fn new(rule: UpdateRule) -> Self {
+        Self {
+            rule,
+            planes: vec![RowState::default(); rule.planes()],
+            steps: Vec::new(),
+        }
+    }
+
+    /// Number of rows with live state (always 0 for a stateless rule).
+    pub fn tracked_rows(&self) -> usize {
+        self.planes.first().map_or(0, RowState::tracked_rows)
+    }
+
+    /// Splits the state at the row `fence` (ascending,
+    /// `fence.len() >= 2`): band `i` owns rows `[fence[i], fence[i+1])`,
+    /// and state outside the fence is not handed out. `dim` is the
+    /// embedding width of the rows about to be updated; state is pre-grown
+    /// to cover `fence.last()` rows here, on the calling thread, so band
+    /// updates never grow (and never allocate).
+    ///
+    /// # Panics
+    ///
+    /// Panics if the fence is not ascending, has fewer than two entries,
+    /// or `dim` conflicts with the width of already-live state.
+    pub fn split_by_rows(&mut self, fence: &[u32], dim: usize) -> Vec<RowOptimizerBand<'_>> {
+        assert!(fence.len() >= 2, "state fence needs >= 2 entries");
+        assert!(
+            fence.windows(2).all(|w| w[0] <= w[1]),
+            "state fence must be ascending"
+        );
+        let rule = self.rule;
+        let (first, end) = (fence[0] as usize, fence[fence.len() - 1] as usize);
+        if rule.counts_steps() && end > self.steps.len() {
+            self.steps.resize(end, 0);
+        }
+        // Empty for a rule that counts no steps: every band then gets none.
+        let mut steps = self.steps.get_mut(first..).unwrap_or_default();
+        let mut tails: Vec<_> = self
+            .planes
+            .iter_mut()
+            .map(|plane| plane.tail(first, end, dim))
+            .collect();
+        fence
+            .windows(2)
+            .map(|pair| {
+                let rows = (pair[1] - pair[0]) as usize;
+                RowOptimizerBand {
+                    rule,
+                    base: pair[0],
+                    planes: tails
+                        .iter_mut()
+                        .map(|tail| tail.split_off_front(rows))
+                        .collect(),
+                    steps: steps
+                        .split_off_mut(..rows.min(steps.len()))
+                        .unwrap_or_default(),
+                }
             })
             .collect()
     }
 
-    fn save_state(&self, out: &mut Vec<u8>) {
-        self.accum.save_into(out);
+    /// Appends the *mutable* per-row state (slabs, step counts — not the
+    /// rule) to `out`, for checkpointing. The full slab is captured,
+    /// including allocated-but-untouched rows, so a restore reproduces the
+    /// exact allocation state and subsequent growth behaves identically
+    /// to the uninterrupted run. A stateless rule writes nothing.
+    pub fn save_state(&self, out: &mut Vec<u8>) {
+        for plane in &self.planes {
+            plane.save_into(out);
+        }
+        if self.rule.counts_steps() {
+            put_u64(out, self.steps.len() as u64);
+            for &t in &self.steps {
+                out.extend_from_slice(&t.to_le_bytes());
+            }
+        }
     }
 
-    fn load_state(&mut self, bytes: &[u8]) -> Result<(), String> {
+    /// Restores state written by [`RowOptimizer::save_state`] into this
+    /// optimizer (which must run the same rule).
+    ///
+    /// # Errors
+    ///
+    /// Returns a description of the first inconsistency if `bytes` is
+    /// truncated, malformed, or has trailing garbage; the optimizer's
+    /// state is unspecified after an error.
+    pub fn load_state(&mut self, bytes: &[u8]) -> Result<(), String> {
         let mut r = StateReader::new(bytes);
-        self.accum.load_from(&mut r)?;
+        for plane in &mut self.planes {
+            plane.load_from(&mut r)?;
+        }
+        if self.rule.counts_steps() {
+            self.steps = u32s(r.step_counts()?).collect();
+        }
         r.finish()
     }
+}
 
-    fn state_planes(&self) -> (Vec<&RowState>, Option<&[u32]>) {
-        (vec![&self.accum], None)
-    }
-
-    fn state_planes_mut(&mut self) -> (Vec<&mut RowState>, Option<&mut Vec<u32>>) {
-        (vec![&mut self.accum], None)
+impl RowOptimizer {
+    /// Runs `task` — one scatter task, or any run of updates — with this
+    /// optimizer's one-row update.
+    pub fn with_update<R>(&mut self, task: impl FnOnce(&mut RowUpdate<'_>) -> R) -> R {
+        self.rule.with_update(self, task)
     }
 }
 
-/// Adam with sparse (lazy) per-row moments: `M <- b1*M + (1-b1)*G;
-/// V <- b2*V + (1-b2)*G^2; W <- W - lr * Mhat / (sqrt(Vhat) + eps)` with
-/// per-row bias-correction step counts (rows update at different rates
-/// in sparse training, so a global step count would over-correct cold
-/// rows).
-#[derive(Debug, Clone)]
-pub struct Adam {
-    lr: f32,
-    beta1: f32,
-    beta2: f32,
-    eps: f32,
-    m: RowState,
-    v: RowState,
-    t: Vec<u32>,
-}
+impl RowStates for RowOptimizer {
+    fn planes_at(&mut self, row: u32, dim: usize) -> [&mut [f32]; 2] {
+        state_rows(&mut self.planes, |plane| {
+            plane.set_width(dim);
+            plane.row_mut(row)
+        })
+    }
 
-impl Adam {
-    /// Creates Adam with the given hyperparameters.
-    pub fn new(lr: f32, beta1: f32, beta2: f32, eps: f32) -> Self {
-        Self {
-            lr,
-            beta1,
-            beta2,
-            eps,
-            m: RowState::default(),
-            v: RowState::default(),
-            t: Vec::new(),
+    fn step_at(&mut self, row: u32) -> &mut u32 {
+        if row as usize >= self.steps.len() {
+            grow_steps(&mut self.steps, row);
         }
-    }
-
-    /// Number of rows with live moment state.
-    pub fn tracked_rows(&self) -> usize {
-        self.t.iter().filter(|&&t| t > 0).count()
+        &mut self.steps[row as usize]
     }
 }
 
-#[derive(Debug, Clone, Copy)]
-struct AdamHyper {
-    lr: f32,
-    beta1: f32,
-    beta2: f32,
-    eps: f32,
+/// Grows per-row step counts (geometrically) to hold `row`; out of line
+/// for the reason [`RowState::grow_to`] is.
+#[cold]
+#[inline(never)]
+fn grow_steps(steps: &mut Vec<u32>, row: u32) {
+    steps.resize(grown_len(steps.len(), row), 0);
 }
 
-fn adam_step(
-    h: AdamHyper,
-    m: &mut [f32],
-    v: &mut [f32],
-    t: &mut u32,
-    param: &mut [f32],
-    grad: &[f32],
-) {
-    assert_eq!(param.len(), grad.len(), "row/grad width mismatch");
-    *t += 1;
-    let row = crate::simd::AdamRow {
-        lr: h.lr,
-        beta1: h.beta1,
-        beta2: h.beta2,
-        eps: h.eps,
-        bc1: 1.0 - h.beta1.powi(*t as i32),
-        bc2: 1.0 - h.beta2.powi(*t as i32),
-    };
-    crate::simd::adam_row(crate::simd::dispatch(), row, m, v, param, grad);
-}
-
-impl Adam {
-    fn hyper(&self) -> AdamHyper {
-        AdamHyper {
-            lr: self.lr,
-            beta1: self.beta1,
-            beta2: self.beta2,
-            eps: self.eps,
-        }
-    }
-}
-
-impl SparseOptimizer for Adam {
+impl SparseOptimizer for RowOptimizer {
     fn update_row(&mut self, row: u32, param: &mut [f32], grad: &[f32]) {
-        self.m.set_width(param.len());
-        self.v.set_width(param.len());
-        if row as usize >= self.t.len() {
-            let target = (row as usize + 1).max(self.t.len() * 2);
-            self.t.resize(target, 0);
-        }
-        let h = self.hyper();
-        adam_step(
-            h,
-            self.m.row_mut(row),
-            self.v.row_mut(row),
-            &mut self.t[row as usize],
-            param,
-            grad,
-        );
-    }
-
-    fn name(&self) -> &'static str {
-        "adam"
-    }
-
-    fn state_bytes_per_element(&self) -> usize {
-        16 // two f32 moments, read + write each
+        self.with_update(|update| update(row, param, grad));
     }
 }
 
-struct AdamShard<'a> {
-    h: AdamHyper,
-    m: RowStateBand<'a>,
-    v: RowStateBand<'a>,
-    base: u32,
-    t: &'a mut [u32],
-}
-
-impl StateShard for AdamShard<'_> {
-    fn update_row(&mut self, row: u32, param: &mut [f32], grad: &[f32]) {
-        let local = (row - self.base) as usize;
-        adam_step(
-            self.h,
-            self.m.row_mut(row),
-            self.v.row_mut(row),
-            &mut self.t[local],
-            param,
-            grad,
-        );
+impl RowOptimizerBand<'_> {
+    /// Runs `task` with this band's one-row update; every row it is
+    /// called with must lie in the band.
+    pub fn with_update<R>(&mut self, task: impl FnOnce(&mut RowUpdate<'_>) -> R) -> R {
+        self.rule.with_update(self, task)
     }
 }
 
-impl SplittableOptimizer for Adam {
-    fn split_by_rows<'s>(&'s mut self, fence: &[u32], dim: usize) -> Vec<Box<dyn StateShard + 's>> {
-        let h = self.hyper();
-        let last = *fence.last().expect("non-empty fence") as usize;
-        if last > self.t.len() {
-            self.t.resize(last, 0);
-        }
-        let m_bands = self.m.split(fence, dim);
-        let v_bands = self.v.split(fence, dim);
-        let mut t_rest = &mut self.t[fence[0] as usize..];
-        let mut shards: Vec<Box<dyn StateShard>> = Vec::with_capacity(fence.len() - 1);
-        for ((pair, m), v) in fence.windows(2).zip(m_bands).zip(v_bands) {
-            let (t_band, tail) = t_rest.split_at_mut((pair[1] - pair[0]) as usize);
-            t_rest = tail;
-            shards.push(Box::new(AdamShard {
-                h,
-                m,
-                v,
-                base: pair[0],
-                t: t_band,
-            }));
-        }
-        shards
+impl RowStates for RowOptimizerBand<'_> {
+    fn planes_at(&mut self, row: u32, _dim: usize) -> [&mut [f32]; 2] {
+        state_rows(&mut self.planes, |plane| plane.row_mut(row))
     }
 
-    fn save_state(&self, out: &mut Vec<u8>) {
-        self.m.save_into(out);
-        self.v.save_into(out);
-        put_u64(out, self.t.len() as u64);
-        for &t in &self.t {
-            out.extend_from_slice(&t.to_le_bytes());
-        }
-    }
-
-    fn load_state(&mut self, bytes: &[u8]) -> Result<(), String> {
-        let mut r = StateReader::new(bytes);
-        self.m.load_from(&mut r)?;
-        self.v.load_from(&mut r)?;
-        let len = r.u64()? as usize;
-        let raw = r.take(
-            len.checked_mul(4)
-                .ok_or_else(|| "optimizer step-count length overflows".to_string())?,
-        )?;
-        self.t = raw
-            .chunks_exact(4)
-            .map(|c| u32::from_le_bytes(c.try_into().expect("4 bytes")))
-            .collect();
-        r.finish()
-    }
-
-    fn state_planes(&self) -> (Vec<&RowState>, Option<&[u32]>) {
-        (vec![&self.m, &self.v], Some(&self.t))
-    }
-
-    fn state_planes_mut(&mut self) -> (Vec<&mut RowState>, Option<&mut Vec<u32>>) {
-        (vec![&mut self.m, &mut self.v], Some(&mut self.t))
+    fn step_at(&mut self, row: u32) -> &mut u32 {
+        &mut self.steps[(row - self.base) as usize]
     }
 }
 
-/// One optimizer per row-range shard of a table: state you can *place*.
+/// One [`RowOptimizer`] per row-range shard of a table: state you can
+/// *place*.
 ///
-/// Where [`SplittableOptimizer::split_by_rows`] hands out temporary bands
-/// within one slab (for a single parallel scatter), `ShardedOptimizer`
-/// keeps the state permanently split: shard `s` owns a shard-local slab
-/// keyed by local row ids, so each shard's scatter touches only its own
-/// state — the placement a pooled-memory deployment needs.
+/// Where [`RowOptimizer::split_by_rows`] hands out temporary bands within
+/// one slab (for a single parallel scatter), `ShardedOptimizer` keeps the
+/// state permanently split: shard `s` owns a shard-local slab keyed by
+/// local row ids, so each shard's scatter touches only its own state —
+/// the placement a pooled-memory deployment needs. Every shard is built
+/// from the one [`UpdateRule`] the table trains with.
 ///
 /// # Checkpoint portability
 ///
 /// [`ShardedOptimizer::save_state`] always emits the **canonical
 /// global-keyed blob** — byte-compatible with what a single unsharded
-/// optimizer saves (a 1-shard save is a literal passthrough). With more
-/// shards, the per-shard [`RowState`] planes are merged row-by-row into
-/// global keying on save and re-split by the current [`ShardMap`] on
+/// [`RowOptimizer`] saves (a 1-shard save is a literal passthrough). With
+/// more shards, the per-shard [`RowState`] planes are merged row-by-row
+/// into global keying on save and re-split by the current [`ShardMap`] on
 /// load. A checkpoint written at N shards therefore restores at M shards
 /// (any N, M ≥ 1) with bit-identical subsequent training.
+#[derive(Debug, Clone)]
 pub struct ShardedOptimizer {
     map: ShardMap,
-    shards: Vec<Box<dyn SplittableOptimizer>>,
+    shards: Vec<RowOptimizer>,
 }
 
 impl ShardedOptimizer {
-    /// Builds one optimizer instance per shard of `map` via `build`
-    /// (every instance must be the same optimizer with the same
-    /// hyperparameters).
-    pub fn new(map: ShardMap, mut build: impl FnMut() -> Box<dyn SplittableOptimizer>) -> Self {
-        let shards: Vec<Box<dyn SplittableOptimizer>> =
-            (0..map.num_shards()).map(|_| build()).collect();
-        let name = shards[0].name();
-        assert!(
-            shards.iter().all(|s| s.name() == name),
-            "all shards must run the same optimizer"
-        );
+    /// A fresh optimizer running `rule` on every shard of `map`.
+    pub fn new(map: ShardMap, rule: UpdateRule) -> Self {
+        let shards = vec![RowOptimizer::new(rule); map.num_shards()];
         Self { map, shards }
     }
 
@@ -900,30 +696,36 @@ impl ShardedOptimizer {
         self.shards.len()
     }
 
-    /// The shared optimizer name (e.g. `"adam"`), without needing the
-    /// [`SparseOptimizer`] trait in scope.
-    pub fn name(&self) -> &'static str {
-        self.shards[0].name()
-    }
-
-    /// The placement plan this state is split by.
-    pub fn map(&self) -> &ShardMap {
-        &self.map
-    }
-
-    /// Immutable access to one shard's optimizer.
-    ///
-    /// # Panics
-    ///
-    /// Panics when `s` is out of range.
-    pub fn shard(&self, s: usize) -> &dyn SplittableOptimizer {
-        self.shards[s].as_ref()
+    /// The rule every shard runs.
+    pub fn rule(&self) -> UpdateRule {
+        self.shards[0].rule
     }
 
     /// The map and the shard optimizers together (split borrow), for
     /// scatter kernels that walk both.
-    pub fn parts_mut(&mut self) -> (&ShardMap, &mut [Box<dyn SplittableOptimizer>]) {
+    pub fn parts_mut(&mut self) -> (&ShardMap, &mut [RowOptimizer]) {
         (&self.map, &mut self.shards)
+    }
+
+    /// One past the highest global row any shard backs, given each
+    /// shard's backed local row count. Growth may overshoot a shard's
+    /// span; the overshoot is all-zero by construction and not part of
+    /// the canonical blob, so counts are clamped to the span.
+    fn extent(&self, backed: impl Fn(&RowOptimizer) -> usize) -> usize {
+        self.shards
+            .iter()
+            .enumerate()
+            .filter(|(_, shard)| backed(shard) > 0)
+            .map(|(s, shard)| self.map.shard_base(s) + backed(shard).min(self.map.shard_rows(s)))
+            .max()
+            .unwrap_or(0)
+    }
+
+    /// The shard and shard-local id of global row `r` below an
+    /// [`ShardedOptimizer::extent`].
+    fn locate(&self, r: usize) -> (&RowOptimizer, usize) {
+        let (s, local) = self.map.locate(r as u32).expect("extent within the map");
+        (&self.shards[s], local as usize)
     }
 
     /// Appends the canonical global-keyed state blob (see the type-level
@@ -931,36 +733,23 @@ impl ShardedOptimizer {
     /// unchanged; an N-shard save merges the per-shard planes into global
     /// row keying, zero-filling rows no shard has touched.
     pub fn save_state(&self, out: &mut Vec<u8>) {
-        if self.shards.len() == 1 {
-            self.shards[0].save_state(out);
-            return;
+        if let [only] = self.shards.as_slice() {
+            return only.save_state(out);
         }
-        let per_shard: Vec<(Vec<&RowState>, Option<&[u32]>)> =
-            self.shards.iter().map(|s| s.state_planes()).collect();
-        // Rows a shard's plane actually backs, clamped to the shard's
-        // span (geometric growth may overshoot it; the overshoot is
-        // all-zero by construction and not part of the canonical blob).
-        let clamped = |s: usize, rows: usize| rows.min(self.map.shard_rows(s));
-        let planes = per_shard[0].0.len();
-        for p in 0..planes {
-            let width = per_shard
+        let rule = self.rule();
+        for p in 0..rule.planes() {
+            let width = self
+                .shards
                 .iter()
-                .map(|(pl, _)| pl[p].width)
+                .map(|shard| shard.planes[p].width)
                 .find(|&w| w != 0)
                 .unwrap_or(0);
-            let extent = per_shard
-                .iter()
-                .enumerate()
-                .filter(|(_, (pl, _))| pl[p].rows() > 0)
-                .map(|(s, (pl, _))| self.map.shard_base(s) + clamped(s, pl[p].rows()))
-                .max()
-                .unwrap_or(0);
+            let extent = self.extent(|shard| shard.planes[p].rows());
             put_u64(out, width as u64);
             put_u64(out, extent as u64);
             for r in 0..extent {
-                let (s, local) = self.map.locate(r as u32).expect("extent within the map");
-                let plane = &per_shard[s].0[p];
-                let local = local as usize;
+                let (shard, local) = self.locate(r);
+                let plane = &shard.planes[p];
                 if width > 0 && plane.width == width && local < plane.rows() {
                     for &v in &plane.data[local * width..(local + 1) * width] {
                         out.extend_from_slice(&v.to_le_bytes());
@@ -971,27 +760,18 @@ impl ShardedOptimizer {
                 }
             }
             for r in 0..extent {
-                let (s, local) = self.map.locate(r as u32).expect("extent within the map");
-                let plane = &per_shard[s].0[p];
-                let touched = (local as usize) < plane.rows() && plane.touched[local as usize];
-                out.push(touched as u8);
+                let (shard, local) = self.locate(r);
+                let plane = &shard.planes[p];
+                out.push((local < plane.rows() && plane.touched[local]) as u8);
             }
         }
-        if per_shard[0].1.is_some() {
-            let extent = per_shard
-                .iter()
-                .enumerate()
-                .filter_map(|(s, (_, t))| t.as_ref().map(|t| (s, t.len())))
-                .filter(|&(_, len)| len > 0)
-                .map(|(s, len)| self.map.shard_base(s) + clamped(s, len))
-                .max()
-                .unwrap_or(0);
+        if rule.counts_steps() {
+            let extent = self.extent(|shard| shard.steps.len());
             put_u64(out, extent as u64);
             for r in 0..extent {
-                let (s, local) = self.map.locate(r as u32).expect("extent within the map");
-                let t = per_shard[s].1.expect("all shards share the optimizer type");
-                let v = t.get(local as usize).copied().unwrap_or(0);
-                out.extend_from_slice(&v.to_le_bytes());
+                let (shard, local) = self.locate(r);
+                let t = shard.steps.get(local).copied().unwrap_or(0);
+                out.extend_from_slice(&t.to_le_bytes());
             }
         }
     }
@@ -1006,67 +786,35 @@ impl ShardedOptimizer {
     /// truncated, malformed, or has trailing garbage; the state is
     /// unspecified after an error.
     pub fn load_state(&mut self, bytes: &[u8]) -> Result<(), String> {
-        if self.shards.len() == 1 {
-            return self.shards[0].load_state(bytes);
+        if let [only] = self.shards.as_mut_slice() {
+            return only.load_state(bytes);
         }
+        let rule = self.rule();
+        let map = &self.map;
+        // The global rows `[lo, end)` of a blob of `extent` rows that
+        // shard `s` holds.
+        let held = |s: usize, extent: usize| {
+            let end = map.shard_end(s).min(extent);
+            (map.shard_base(s).min(end), end)
+        };
         let mut r = StateReader::new(bytes);
-        let planes = self.shards[0].state_planes().0.len();
-        let has_counts = self.shards[0].state_planes().1.is_some();
-        for p in 0..planes {
-            let width = r.u64()? as usize;
-            let extent = r.u64()? as usize;
-            let bytes_len = extent
-                .checked_mul(width)
-                .and_then(|e| e.checked_mul(4))
-                .ok_or_else(|| "optimizer state slab size overflows".to_string())?;
-            let raw = r.take(bytes_len)?;
-            let flags = r.take(extent)?;
-            if let Some(&bad) = flags.iter().find(|&&b| b > 1) {
-                return Err(format!("optimizer touched flag has invalid value {bad}"));
-            }
-            for s in 0..self.shards.len() {
-                let base = self.map.shard_base(s);
-                let end = self.map.shard_end(s).min(extent);
-                let lo = base.min(end);
-                let (mut planes_mut, _) = self.shards[s].state_planes_mut();
-                let plane = planes_mut
-                    .drain(..)
-                    .nth(p)
-                    .expect("all shards share the optimizer type");
-                if width == 0 || end <= lo {
-                    *plane = RowState::default();
-                    continue;
-                }
-                plane.width = width;
-                plane.data.clear();
-                plane.data.extend(
-                    raw[lo * width * 4..end * width * 4]
-                        .chunks_exact(4)
-                        .map(|c| f32::from_le_bytes(c.try_into().expect("4 bytes"))),
-                );
-                plane.touched.clear();
-                plane.touched.extend(flags[lo..end].iter().map(|&b| b == 1));
+        for p in 0..rule.planes() {
+            let plane = r.plane()?;
+            for (s, shard) in self.shards.iter_mut().enumerate() {
+                let (lo, end) = held(s, plane.touched.len());
+                shard.planes[p] = if plane.width == 0 || end <= lo {
+                    RowState::default()
+                } else {
+                    plane.rows(lo, end)
+                };
             }
         }
-        if has_counts {
-            let extent = r.u64()? as usize;
-            let raw = r.take(
-                extent
-                    .checked_mul(4)
-                    .ok_or_else(|| "optimizer step-count length overflows".to_string())?,
-            )?;
-            for s in 0..self.shards.len() {
-                let base = self.map.shard_base(s);
-                let end = self.map.shard_end(s).min(extent);
-                let lo = base.min(end);
-                let (_, counts) = self.shards[s].state_planes_mut();
-                let t = counts.expect("all shards share the optimizer type");
-                t.clear();
-                t.extend(
-                    raw[lo * 4..end * 4]
-                        .chunks_exact(4)
-                        .map(|c| u32::from_le_bytes(c.try_into().expect("4 bytes"))),
-                );
+        if rule.counts_steps() {
+            let raw = r.step_counts()?;
+            for (s, shard) in self.shards.iter_mut().enumerate() {
+                let (lo, end) = held(s, raw.len() / 4);
+                shard.steps.clear();
+                shard.steps.extend(u32s(&raw[lo * 4..end * 4]));
             }
         }
         r.finish()
@@ -1085,39 +833,76 @@ impl SparseOptimizer for ShardedOptimizer {
         let (s, local) = self.map.locate(row).expect("row inside the shard map");
         self.shards[s].update_row(local, param, grad);
     }
-
-    fn name(&self) -> &'static str {
-        self.shards[0].name()
-    }
-
-    fn state_bytes_per_element(&self) -> usize {
-        self.shards[0].state_bytes_per_element()
-    }
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::coalesce::CoalescedScratch;
+    use crate::scatter::scatter_apply_sharded;
+    use crate::table::EmbeddingTable;
+    use tcast_pool::{Exec, Pool};
+    use tcast_tensor::{Matrix, SplitMix64};
+
+    /// One of each rule.
+    const RULES: [UpdateRule; 5] = [
+        UpdateRule::Sgd { lr: 0.1 },
+        UpdateRule::Momentum { lr: 0.1, mu: 0.9 },
+        UpdateRule::Adagrad { lr: 0.1, eps: 1e-8 },
+        UpdateRule::RmsProp {
+            lr: 0.1,
+            gamma: 0.9,
+            eps: 1e-8,
+        },
+        UpdateRule::Adam {
+            lr: 0.01,
+            beta1: 0.9,
+            beta2: 0.999,
+            eps: 1e-8,
+        },
+    ];
+
+    /// Row `r`'s gradient in update pass `pass`.
+    fn grad(r: u32, dim: usize, pass: usize) -> Vec<f32> {
+        (0..dim)
+            .map(|c| (r + c as u32) as f32 * 0.1 + pass as f32)
+            .collect()
+    }
+
+    /// One update pass over `rows`.
+    fn step(opt: &mut dyn SparseOptimizer, rows: &[u32], params: &mut [Vec<f32>], pass: usize) {
+        for (param, &r) in params.iter_mut().zip(rows) {
+            let grad = grad(r, param.len(), pass);
+            opt.update_row(r, param, &grad);
+        }
+    }
+
+    fn initial_params(rows: &[u32], dim: usize) -> Vec<Vec<f32>> {
+        rows.iter().map(|&r| vec![r as f32; dim]).collect()
+    }
+
+    fn bits(params: &[Vec<f32>]) -> Vec<u32> {
+        params.iter().flatten().map(|v| v.to_bits()).collect()
+    }
 
     #[test]
     fn sgd_moves_against_gradient() {
-        let mut opt = Sgd::new(0.1);
+        let mut opt = RowOptimizer::new(UpdateRule::Sgd { lr: 0.1 });
         let mut p = vec![1.0, -1.0];
         opt.update_row(0, &mut p, &[1.0, -1.0]);
         assert_eq!(p, vec![0.9, -0.9]);
-        assert_eq!(opt.name(), "sgd");
-        assert_eq!(opt.state_bytes_per_element(), 0);
+        assert_eq!(opt.tracked_rows(), 0);
     }
 
     #[test]
     #[should_panic(expected = "width mismatch")]
     fn sgd_rejects_width_mismatch() {
-        Sgd::new(0.1).update_row(0, &mut [0.0], &[1.0, 2.0]);
+        RowOptimizer::new(UpdateRule::Sgd { lr: 0.1 }).update_row(0, &mut [0.0], &[1.0, 2.0]);
     }
 
     #[test]
     fn momentum_accumulates_velocity() {
-        let mut opt = Momentum::new(1.0, 0.5);
+        let mut opt = RowOptimizer::new(UpdateRule::Momentum { lr: 1.0, mu: 0.5 });
         let mut p = vec![0.0];
         opt.update_row(0, &mut p, &[1.0]); // v=1, p=-1
         opt.update_row(0, &mut p, &[1.0]); // v=1.5, p=-2.5
@@ -1127,7 +912,7 @@ mod tests {
 
     #[test]
     fn momentum_state_is_per_row() {
-        let mut opt = Momentum::new(1.0, 0.9);
+        let mut opt = RowOptimizer::new(UpdateRule::Momentum { lr: 1.0, mu: 0.9 });
         let mut p0 = vec![0.0];
         let mut p1 = vec![0.0];
         opt.update_row(0, &mut p0, &[1.0]);
@@ -1139,7 +924,7 @@ mod tests {
     #[test]
     fn adagrad_matches_eq2_by_hand() {
         // A1 = 0 + G^2 = 4; W1 = 1 - lr*G/sqrt(eps+A1) = 1 - 0.1*2/2.
-        let mut opt = Adagrad::new(0.1, 0.0);
+        let mut opt = RowOptimizer::new(UpdateRule::Adagrad { lr: 0.1, eps: 0.0 });
         let mut p = vec![1.0];
         opt.update_row(3, &mut p, &[2.0]);
         assert!((p[0] - 0.9).abs() < 1e-6);
@@ -1150,7 +935,7 @@ mod tests {
 
     #[test]
     fn adagrad_shrinks_effective_lr_over_time() {
-        let mut opt = Adagrad::new(0.1, 1e-8);
+        let mut opt = RowOptimizer::new(UpdateRule::Adagrad { lr: 0.1, eps: 1e-8 });
         let mut p = vec![0.0];
         let mut deltas = Vec::new();
         for _ in 0..5 {
@@ -1166,7 +951,11 @@ mod tests {
     #[test]
     fn rmsprop_matches_eq1_by_hand() {
         // gamma=0.5: A1 = 0.5*0 + 0.5*G^2 = 2; W1 = -lr*G/sqrt(A1).
-        let mut opt = RmsProp::new(0.1, 0.5, 0.0);
+        let mut opt = RowOptimizer::new(UpdateRule::RmsProp {
+            lr: 0.1,
+            gamma: 0.5,
+            eps: 0.0,
+        });
         let mut p = vec![0.0];
         opt.update_row(0, &mut p, &[2.0]);
         assert!((p[0] + 0.1 * 2.0 / 2.0f32.sqrt()).abs() < 1e-6);
@@ -1174,9 +963,26 @@ mod tests {
 
     #[test]
     fn stateful_optimizers_report_state_traffic() {
-        assert_eq!(Momentum::new(0.1, 0.9).state_bytes_per_element(), 8);
-        assert_eq!(Adagrad::new(0.1, 1e-8).state_bytes_per_element(), 8);
-        assert_eq!(RmsProp::new(0.1, 0.9, 1e-8).state_bytes_per_element(), 8);
+        let traffic = RULES.map(|rule| (rule.name(), rule.state_bytes_per_element()));
+        assert_eq!(
+            traffic,
+            [
+                ("sgd", 0),
+                ("momentum", 8),
+                ("adagrad", 8),
+                ("rmsprop", 8),
+                ("adam", 16)
+            ]
+        );
+    }
+
+    fn adam_with_tiny_eps() -> RowOptimizer {
+        RowOptimizer::new(UpdateRule::Adam {
+            lr: 0.01,
+            beta1: 0.9,
+            beta2: 0.999,
+            eps: 1e-12,
+        })
     }
 
     #[test]
@@ -1184,7 +990,7 @@ mod tests {
         // With bias correction, the first step is ~lr regardless of the
         // gradient magnitude (for eps -> 0).
         for g in [0.1f32, 10.0] {
-            let mut opt = Adam::new(0.01, 0.9, 0.999, 1e-12);
+            let mut opt = adam_with_tiny_eps();
             let mut p = vec![0.0];
             opt.update_row(0, &mut p, &[g]);
             assert!((p[0] + 0.01).abs() < 1e-4, "g={g}: step {}", p[0]);
@@ -1195,7 +1001,7 @@ mod tests {
     fn adam_bias_correction_is_per_row() {
         // A cold row's first update must not be shrunk by other rows'
         // step counts.
-        let mut opt = Adam::new(0.01, 0.9, 0.999, 1e-12);
+        let mut opt = adam_with_tiny_eps();
         let mut hot = vec![0.0];
         for _ in 0..10 {
             opt.update_row(0, &mut hot, &[1.0]);
@@ -1208,13 +1014,11 @@ mod tests {
 
     #[test]
     fn trait_objects_are_usable() {
-        let mut opts: Vec<Box<dyn SparseOptimizer>> = vec![
-            Box::new(Sgd::new(0.1)),
-            Box::new(Momentum::new(0.1, 0.9)),
-            Box::new(Adagrad::new(0.1, 1e-8)),
-            Box::new(RmsProp::new(0.1, 0.9, 1e-8)),
-            Box::new(Adam::new(0.1, 0.9, 0.999, 1e-8)),
-        ];
+        // The reference scatter takes any rule as a `dyn SparseOptimizer`.
+        let mut opts: Vec<Box<dyn SparseOptimizer>> = RULES
+            .iter()
+            .map(|&rule| Box::new(RowOptimizer::new(rule)) as _)
+            .collect();
         let mut p = vec![1.0, 1.0];
         for opt in opts.iter_mut() {
             opt.update_row(0, &mut p, &[0.5, 0.5]);
@@ -1222,76 +1026,58 @@ mod tests {
         assert!(p[0] < 1.0);
     }
 
-    #[test]
-    fn splittable_trait_objects_upcast_to_sparse() {
-        // The trainer stores Box<dyn SplittableOptimizer> and hands the
-        // serial paths a &mut dyn SparseOptimizer via upcasting.
-        let mut boxed: Box<dyn SplittableOptimizer> = Box::new(Adagrad::new(0.1, 1e-8));
-        let opt: &mut dyn SparseOptimizer = boxed.as_mut();
-        let mut p = vec![1.0];
-        opt.update_row(0, &mut p, &[2.0]);
-        assert!(p[0] < 1.0);
-    }
-
-    /// Shard updates must be bit-identical to whole-optimizer updates.
+    /// Band updates must be bit-identical to whole-optimizer updates.
     #[test]
     fn shards_match_serial_updates_exactly() {
-        let make: Vec<Box<dyn Fn() -> Box<dyn SplittableOptimizer>>> = vec![
-            Box::new(|| Box::new(Sgd::new(0.1))),
-            Box::new(|| Box::new(Momentum::new(0.1, 0.9))),
-            Box::new(|| Box::new(Adagrad::new(0.1, 1e-8))),
-            Box::new(|| Box::new(RmsProp::new(0.1, 0.9, 1e-8))),
-            Box::new(|| Box::new(Adam::new(0.01, 0.9, 0.999, 1e-8))),
-        ];
         let rows: Vec<u32> = vec![0, 3, 4, 9, 17];
         let dim = 3;
-        for mk in &make {
-            let mut serial = mk();
-            let mut split = mk();
-            let mut params_a: Vec<Vec<f32>> = rows.iter().map(|&r| vec![r as f32; dim]).collect();
+        // Fences that cut the row set unevenly.
+        let fence = [0u32, 4, 10, 32];
+        for rule in RULES {
+            let mut serial = RowOptimizer::new(rule);
+            let mut split = RowOptimizer::new(rule);
+            let mut params_a = initial_params(&rows, dim);
             let mut params_b = params_a.clone();
-            // Two passes so stateful optimizers exercise non-zero state.
+            // Two passes so stateful rules exercise non-zero state.
             for pass in 0..2 {
-                let grads: Vec<Vec<f32>> = rows
-                    .iter()
-                    .map(|&r| {
-                        (0..dim)
-                            .map(|c| (r as f32 + c as f32) * 0.1 + pass as f32)
-                            .collect()
-                    })
-                    .collect();
-                for (i, &r) in rows.iter().enumerate() {
-                    serial.update_row(r, &mut params_a[i], &grads[i]);
-                }
-                // Split at fences that cut the row set unevenly.
-                let fence = [0u32, 4, 10, 32];
-                let mut shards = split.split_by_rows(&fence, dim);
+                step(&mut serial, &rows, &mut params_a, pass);
+                let mut bands = split.split_by_rows(&fence, dim);
                 for (i, &r) in rows.iter().enumerate() {
                     let band = fence[1..].iter().position(|&f| r < f).unwrap();
-                    shards[band].update_row(r, &mut params_b[i], &grads[i]);
+                    let grad = grad(r, dim, pass);
+                    bands[band].with_update(|update| update(r, &mut params_b[i], &grad));
                 }
-                drop(shards);
             }
-            assert_eq!(params_a, params_b, "{} diverged", mk().name());
+            assert_eq!(bits(&params_a), bits(&params_b), "{} diverged", rule.name());
+            assert_eq!(serial.tracked_rows(), split.tracked_rows());
         }
     }
 
     #[test]
-    fn every_optimizer_rejects_a_descending_fence() {
-        let mut opts: Vec<Box<dyn SplittableOptimizer>> = vec![
-            Box::new(Sgd::new(0.1)),
-            Box::new(Momentum::new(0.1, 0.9)),
-            Box::new(Adagrad::new(0.1, 1e-8)),
-            Box::new(RmsProp::new(0.1, 0.9, 1e-8)),
-            Box::new(Adam::new(0.1, 0.9, 0.999, 1e-8)),
+    fn every_rule_rejects_a_malformed_fence_with_the_fence_message() {
+        let malformed: [(&[u32], &str); 3] = [
+            (&[], "state fence needs >= 2 entries"),
+            (&[3], "state fence needs >= 2 entries"),
+            (&[4, 0], "state fence must be ascending"),
         ];
-        for opt in opts.iter_mut() {
-            let name = opt.name();
-            let panicked = std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| {
-                opt.split_by_rows(&[4, 0], 2);
-            }))
-            .is_err();
-            assert!(panicked, "{name} accepted a descending fence");
+        for rule in RULES {
+            for (fence, expected) in malformed {
+                let mut opt = RowOptimizer::new(rule);
+                let panic = std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| {
+                    opt.split_by_rows(fence, 2);
+                }))
+                .expect_err("a malformed fence must panic");
+                let message = panic
+                    .downcast_ref::<&str>()
+                    .map(|m| m.to_string())
+                    .or_else(|| panic.downcast_ref::<String>().cloned())
+                    .unwrap_or_default();
+                assert!(
+                    message.contains(expected),
+                    "{} on fence {fence:?}: panicked with {message:?}",
+                    rule.name()
+                );
+            }
         }
     }
 
@@ -1300,66 +1086,47 @@ mod tests {
         // Save mid-trajectory, load into a fresh optimizer, continue both:
         // the continued updates must match bit-for-bit (the checkpoint
         // resume invariant at the optimizer layer).
-        let make: Vec<Box<dyn Fn() -> Box<dyn SplittableOptimizer>>> = vec![
-            Box::new(|| Box::new(Sgd::new(0.1))),
-            Box::new(|| Box::new(Momentum::new(0.1, 0.9))),
-            Box::new(|| Box::new(Adagrad::new(0.1, 1e-8))),
-            Box::new(|| Box::new(RmsProp::new(0.1, 0.9, 1e-8))),
-            Box::new(|| Box::new(Adam::new(0.01, 0.9, 0.999, 1e-8))),
-        ];
         let rows: Vec<u32> = vec![0, 3, 9, 17];
-        let dim = 3;
-        for mk in &make {
-            let mut original = mk();
-            let mut params_a: Vec<Vec<f32>> = rows.iter().map(|&r| vec![r as f32; dim]).collect();
-            for (i, &r) in rows.iter().enumerate() {
-                let grad: Vec<f32> = (0..dim).map(|c| (r + c as u32) as f32 * 0.1).collect();
-                original.update_row(r, &mut params_a[i], &grad);
-            }
+        for rule in RULES {
+            let mut original = RowOptimizer::new(rule);
+            let mut params_a = initial_params(&rows, 3);
+            step(&mut original, &rows, &mut params_a, 0);
             let mut saved = Vec::new();
             original.save_state(&mut saved);
-            let mut restored = mk();
+            let mut restored = RowOptimizer::new(rule);
             restored.load_state(&saved).expect("valid state loads");
             let mut params_b = params_a.clone();
-            for (i, &r) in rows.iter().enumerate() {
-                let grad: Vec<f32> = (0..dim).map(|c| (r + c as u32) as f32 * 0.2).collect();
-                original.update_row(r, &mut params_a[i], &grad);
-                restored.update_row(r, &mut params_b[i], &grad);
-            }
-            let bits = |ps: &[Vec<f32>]| -> Vec<Vec<u32>> {
-                ps.iter()
-                    .map(|p| p.iter().map(|v| v.to_bits()).collect())
-                    .collect()
-            };
+            step(&mut original, &rows, &mut params_a, 1);
+            step(&mut restored, &rows, &mut params_b, 1);
             assert_eq!(
                 bits(&params_a),
                 bits(&params_b),
                 "{} diverged after restore",
-                mk().name()
+                rule.name()
             );
         }
     }
 
     #[test]
     fn load_state_rejects_truncation_and_trailing_garbage() {
-        let mut opt = Adam::new(0.01, 0.9, 0.999, 1e-8);
-        let mut p = vec![0.0, 0.0];
-        opt.update_row(5, &mut p, &[1.0, 2.0]);
-        let mut saved = Vec::new();
-        opt.save_state(&mut saved);
-        // Every truncation point is a clean error, never a panic.
-        for cut in 0..saved.len() {
-            let mut fresh = Adam::new(0.01, 0.9, 0.999, 1e-8);
-            assert!(
-                fresh.load_state(&saved[..cut]).is_err(),
-                "truncation at byte {cut} accepted"
-            );
+        for rule in RULES {
+            let mut opt = RowOptimizer::new(rule);
+            let mut p = vec![0.0, 0.0];
+            opt.update_row(5, &mut p, &[1.0, 2.0]);
+            let mut saved = Vec::new();
+            opt.save_state(&mut saved);
+            // Every truncation point is a clean error, never a panic.
+            for cut in 0..saved.len() {
+                assert!(
+                    RowOptimizer::new(rule).load_state(&saved[..cut]).is_err(),
+                    "{}: truncation at byte {cut} accepted",
+                    rule.name()
+                );
+            }
+            saved.push(0);
+            let err = RowOptimizer::new(rule).load_state(&saved).unwrap_err();
+            assert!(err.contains("trailing"), "unexpected error: {err}");
         }
-        let mut trailing = saved.clone();
-        trailing.push(0);
-        let mut fresh = Adam::new(0.01, 0.9, 0.999, 1e-8);
-        let err = fresh.load_state(&trailing).unwrap_err();
-        assert!(err.contains("trailing"), "unexpected error: {err}");
     }
 
     #[test]
@@ -1374,46 +1141,28 @@ mod tests {
         assert_eq!(s.tracked_rows(), 2);
     }
 
-    fn all_optimizers() -> Vec<Box<dyn Fn() -> Box<dyn SplittableOptimizer>>> {
-        vec![
-            Box::new(|| Box::new(Sgd::new(0.1))),
-            Box::new(|| Box::new(Momentum::new(0.1, 0.9))),
-            Box::new(|| Box::new(Adagrad::new(0.1, 1e-8))),
-            Box::new(|| Box::new(RmsProp::new(0.1, 0.9, 1e-8))),
-            Box::new(|| Box::new(Adam::new(0.01, 0.9, 0.999, 1e-8))),
-        ]
-    }
-
     /// Global-keyed updates through the sharded state must match a single
-    /// unsharded optimizer bit-for-bit, for every optimizer and shard count.
+    /// unsharded optimizer bit-for-bit, for every rule and shard count.
     #[test]
     fn sharded_optimizer_matches_global_updates() {
-        use crate::sharding::ShardMap;
-        let rows_total = 34usize;
         let rows: Vec<u32> = vec![0, 3, 11, 12, 17, 22, 23, 33];
-        let dim = 3;
-        for mk in &all_optimizers() {
+        for rule in RULES {
             for shards in [1usize, 2, 3, 7] {
-                let mut global = mk();
-                let mut sharded = ShardedOptimizer::new(ShardMap::new(rows_total, shards), || mk());
-                assert_eq!(sharded.name(), global.name());
-                let mut params_a: Vec<Vec<f32>> =
-                    rows.iter().map(|&r| vec![r as f32; dim]).collect();
+                let mut global = RowOptimizer::new(rule);
+                let mut sharded = ShardedOptimizer::new(ShardMap::new(34, shards), rule);
+                assert_eq!(sharded.rule(), rule);
+                let mut params_a = initial_params(&rows, 3);
                 let mut params_b = params_a.clone();
                 for pass in 0..3 {
-                    for (i, &r) in rows.iter().enumerate() {
-                        let grad: Vec<f32> = (0..dim)
-                            .map(|c| (r + c as u32) as f32 * 0.1 + pass as f32)
-                            .collect();
-                        global.update_row(r, &mut params_a[i], &grad);
-                        sharded.update_row(r, &mut params_b[i], &grad);
-                    }
+                    step(&mut global, &rows, &mut params_a, pass);
+                    step(&mut sharded, &rows, &mut params_b, pass);
                 }
-                let (a, b): (Vec<u32>, Vec<u32>) = (
-                    params_a.iter().flatten().map(|v| v.to_bits()).collect(),
-                    params_b.iter().flatten().map(|v| v.to_bits()).collect(),
+                assert_eq!(
+                    bits(&params_a),
+                    bits(&params_b),
+                    "{} diverged at {shards} shards",
+                    rule.name()
                 );
-                assert_eq!(a, b, "{} diverged at {shards} shards", global.name());
             }
         }
     }
@@ -1423,34 +1172,23 @@ mod tests {
     /// also byte-identical to the plain optimizer's save format.
     #[test]
     fn sharded_state_is_portable_across_shard_counts() {
-        use crate::sharding::ShardMap;
         let rows_total = 23usize;
         let rows: Vec<u32> = vec![0, 6, 7, 11, 12, 21, 22];
-        let dim = 2;
-        for mk in &all_optimizers() {
+        for rule in RULES {
             // Reference trajectory on a plain global optimizer.
-            let mut global = mk();
-            let mut params: Vec<Vec<f32>> = rows.iter().map(|&r| vec![r as f32; dim]).collect();
-            let step = |opt: &mut dyn SparseOptimizer, params: &mut [Vec<f32>], pass: usize| {
-                for (i, &r) in rows.iter().enumerate() {
-                    let grad: Vec<f32> = (0..dim)
-                        .map(|c| (r + c as u32) as f32 * 0.1 + pass as f32)
-                        .collect();
-                    opt.update_row(r, &mut params[i], &grad);
-                }
-            };
-            step(global.as_mut(), &mut params, 0);
-            step(global.as_mut(), &mut params, 1);
+            let mut global = RowOptimizer::new(rule);
+            let mut params = initial_params(&rows, 2);
+            step(&mut global, &rows, &mut params, 0);
+            step(&mut global, &rows, &mut params, 1);
             let mut global_blob = Vec::new();
             global.save_state(&mut global_blob);
 
             for n in [1usize, 2, 3, 7] {
                 // Replay the same two passes through N shards and save.
-                let mut at_n = ShardedOptimizer::new(ShardMap::new(rows_total, n), || mk());
-                let mut params_n: Vec<Vec<f32>> =
-                    rows.iter().map(|&r| vec![r as f32; dim]).collect();
-                step(&mut at_n, &mut params_n, 0);
-                step(&mut at_n, &mut params_n, 1);
+                let mut at_n = ShardedOptimizer::new(ShardMap::new(rows_total, n), rule);
+                let mut params_n = initial_params(&rows, 2);
+                step(&mut at_n, &rows, &mut params_n, 0);
+                step(&mut at_n, &rows, &mut params_n, 1);
                 let mut blob = Vec::new();
                 at_n.save_state(&mut blob);
                 if n == 1 {
@@ -1458,26 +1196,27 @@ mod tests {
                         blob,
                         global_blob,
                         "{}: 1-shard save is not a byte passthrough",
-                        at_n.name()
+                        rule.name()
                     );
                 }
                 for m in [1usize, 2, 3, 7] {
-                    let mut at_m = ShardedOptimizer::new(ShardMap::new(rows_total, m), || mk());
+                    let mut at_m = ShardedOptimizer::new(ShardMap::new(rows_total, m), rule);
                     at_m.load_state(&blob).expect("canonical blob loads");
+                    let mut resaved = RowOptimizer::new(rule);
+                    resaved.load_state(&blob).unwrap_or_else(|e| {
+                        panic!("{}: global load of {n}-shard blob: {e}", rule.name())
+                    });
                     // Continue both for one more pass and compare bits.
                     let mut cont_ref = params_n.clone();
                     let mut cont_new = params_n.clone();
-                    let mut resaved = mk();
-                    resaved.load_state(&blob).unwrap_or_else(|e| {
-                        panic!("{}: global load of {n}-shard blob: {e}", at_m.name())
-                    });
-                    step(resaved.as_mut(), &mut cont_ref, 2);
-                    step(&mut at_m, &mut cont_new, 2);
-                    let (a, b): (Vec<u32>, Vec<u32>) = (
-                        cont_ref.iter().flatten().map(|v| v.to_bits()).collect(),
-                        cont_new.iter().flatten().map(|v| v.to_bits()).collect(),
+                    step(&mut resaved, &rows, &mut cont_ref, 2);
+                    step(&mut at_m, &rows, &mut cont_new, 2);
+                    assert_eq!(
+                        bits(&cont_ref),
+                        bits(&cont_new),
+                        "{}: {n}->{m} shard restore diverged",
+                        rule.name()
                     );
-                    assert_eq!(a, b, "{}: {n}->{m} shard restore diverged", at_m.name());
                 }
             }
         }
@@ -1485,30 +1224,78 @@ mod tests {
 
     #[test]
     fn sharded_load_rejects_truncation_and_trailing_garbage() {
-        use crate::sharding::ShardMap;
-        let mut at_n = ShardedOptimizer::new(ShardMap::new(20, 3), || {
-            Box::new(Adam::new(0.01, 0.9, 0.999, 1e-8))
-        });
-        let mut p = vec![0.0, 0.0];
-        at_n.update_row(5, &mut p, &[1.0, 2.0]);
-        at_n.update_row(13, &mut p, &[0.5, -1.0]);
-        let mut saved = Vec::new();
-        at_n.save_state(&mut saved);
-        for cut in 0..saved.len() {
-            let mut fresh = ShardedOptimizer::new(ShardMap::new(20, 2), || {
-                Box::new(Adam::new(0.01, 0.9, 0.999, 1e-8))
-            });
-            assert!(
-                fresh.load_state(&saved[..cut]).is_err(),
-                "truncation at byte {cut} accepted"
-            );
+        for rule in RULES {
+            let mut at_n = ShardedOptimizer::new(ShardMap::new(20, 3), rule);
+            let mut p = vec![0.0, 0.0];
+            at_n.update_row(5, &mut p, &[1.0, 2.0]);
+            at_n.update_row(13, &mut p, &[0.5, -1.0]);
+            let mut saved = Vec::new();
+            at_n.save_state(&mut saved);
+            let fresh = || ShardedOptimizer::new(ShardMap::new(20, 2), rule);
+            for cut in 0..saved.len() {
+                assert!(
+                    fresh().load_state(&saved[..cut]).is_err(),
+                    "{}: truncation at byte {cut} accepted",
+                    rule.name()
+                );
+            }
+            saved.push(0);
+            let err = fresh().load_state(&saved).unwrap_err();
+            assert!(err.contains("trailing"), "unexpected error: {err}");
         }
-        let mut trailing = saved.clone();
-        trailing.push(0);
-        let mut fresh = ShardedOptimizer::new(ShardMap::new(20, 2), || {
-            Box::new(Adam::new(0.01, 0.9, 0.999, 1e-8))
-        });
-        let err = fresh.load_state(&trailing).unwrap_err();
-        assert!(err.contains("trailing"), "unexpected error: {err}");
+    }
+
+    /// FNV-1a, as a checksum of a state blob.
+    fn fnv1a(bytes: &[u8]) -> u64 {
+        bytes.iter().fold(0xcbf2_9ce4_8422_2325, |h, &b| {
+            (h ^ u64::from(b)).wrapping_mul(0x0100_0000_01b3)
+        })
+    }
+
+    /// Six seeded scatters into a 97 x 5 table through `opt`, then the
+    /// checksum of the state it saves.
+    fn optm_checksum(mut opt: ShardedOptimizer, exec: Exec<'_>) -> u64 {
+        let (rows, dim) = (97usize, 5usize);
+        let mut table = EmbeddingTable::seeded(rows, dim, 11);
+        let mut rng = SplitMix64::new(0x0097_4d5f);
+        for _ in 0..6 {
+            let mut part = CoalescedScratch::default();
+            part.rows
+                .extend((0..rows as u32).filter(|_| rng.next_below(3) == 0));
+            let n = part.rows.len();
+            let grads = (0..n * dim).map(|_| rng.next_range(-1.0, 1.0)).collect();
+            part.grads = Matrix::from_vec(n, dim, grads).unwrap();
+            scatter_apply_sharded(&mut table, &mut opt, &[part], exec).unwrap();
+        }
+        let mut blob = Vec::new();
+        opt.save_state(&mut blob);
+        fnv1a(&blob)
+    }
+
+    /// The `OPTM` checkpoint payload of every rule, byte for byte, as the
+    /// commit before the optimizers became one type wrote it: after a
+    /// serial scatter sequence, a 3-band pooled one and a 4-shard one.
+    /// Saving and loading with one build cannot notice a format change;
+    /// these constants can.
+    #[test]
+    fn optm_state_bytes_are_stable() {
+        const PINNED: [[u64; 3]; 5] = [
+            [0xcbf29ce484222325, 0xcbf29ce484222325, 0xcbf29ce484222325],
+            [0x17cb6d34f6b38502, 0xa81b09b42e6d37b1, 0xa81b09b42e6d37b1],
+            [0xf0b83b94f31d2f46, 0x11646e9eadb28a65, 0x11646e9eadb28a65],
+            [0x1fbe7dd210508682, 0x8bae82fd71926445, 0x8bae82fd71926445],
+            [0x2f889d2cc02fef25, 0x8ba202cf63b42c12, 0x8ba202cf63b42c12],
+        ];
+        let pool = Pool::new(3);
+        for (rule, pinned) in RULES.into_iter().zip(PINNED) {
+            let unsharded = || ShardedOptimizer::new(ShardMap::new(97, 1), rule);
+            let four_shards = ShardedOptimizer::new(ShardMap::new(97, 4), rule);
+            let checksums = [
+                optm_checksum(unsharded(), Exec::Serial),
+                optm_checksum(unsharded(), Exec::pooled(&pool)),
+                optm_checksum(four_shards, Exec::Serial),
+            ];
+            assert_eq!(checksums, pinned, "{} state bytes moved", rule.name());
+        }
     }
 }

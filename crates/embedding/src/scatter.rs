@@ -22,7 +22,7 @@ use std::time::{Duration, Instant};
 use crate::coalesce::{CoalescedGradients, CoalescedScratch};
 use crate::error::EmbeddingError;
 use crate::gather::accumulate_band;
-use crate::optim::{ShardedOptimizer, SparseOptimizer};
+use crate::optim::{RowUpdate, ShardedOptimizer, SparseOptimizer};
 use crate::table::EmbeddingTable;
 use tcast_pool::Exec;
 use tcast_tensor::simd::{prefetch, PREFETCH_WINDOW};
@@ -83,7 +83,7 @@ pub fn scatter_apply(
 /// strictly ascending — enforced here), so any partition of the rows
 /// touches **disjoint table rows and disjoint optimizer state**. With one
 /// shard, the rows split into equal-count bands, each updating its
-/// `split_at_mut` table slice plus its [`crate::optim::SplittableOptimizer`] state band;
+/// `split_at_mut` table slice plus its [`crate::optim::RowOptimizerBand`] state band;
 /// with more, each shard updates its slice of the table through its own
 /// optimizer shard (a global-keyed array is cut at the shard fences with
 /// `partition_point`, zero-copy). Every task runs the same per-row loop
@@ -349,13 +349,12 @@ fn scatter_parts<'a>(
         let n = rows.len();
         let bands = exec.threads().min(n);
         let Some(pool) = exec.pool().filter(|_| bands > 1) else {
-            let update = |r, p: &mut [f32], g: &[f32]| opt.update_row(r, p, g);
             let slab = Slab {
                 params: table.as_mut_slice(),
                 first: 0,
                 key_base: 0,
             };
-            run_task(update, slab, rows, 0, grads, blocks.next());
+            opt.with_update(|update| run_task(update, slab, rows, 0, grads, blocks.next()));
             return Ok(());
         };
         // The row-id fence is each band's first row id, closed just past
@@ -369,9 +368,9 @@ fn scatter_parts<'a>(
         fence.extend(rows.chunks(per).skip(1).map(|band| band[0]));
         fence.push(rows[n - 1].saturating_add(1));
         let mut table_rest = table.as_mut_slice();
-        let shards = opt.split_by_rows(&fence, dim);
+        let state_bands = opt.split_by_rows(&fence, dim);
         pool.scope(|scope| {
-            for (b, mut shard) in shards.into_iter().enumerate() {
+            for (b, mut state) in state_bands.into_iter().enumerate() {
                 let (params, tail) = std::mem::take(&mut table_rest)
                     .split_at_mut((fence[b + 1] - fence[b]) as usize * dim);
                 table_rest = tail;
@@ -383,8 +382,9 @@ fn scatter_parts<'a>(
                 };
                 let block = blocks.next();
                 scope.spawn(move || {
-                    let update = |r, p: &mut [f32], g: &[f32]| shard.update_row(r, p, g);
-                    run_task(update, slab, band_rows, b * per, grads, block);
+                    state.with_update(|update| {
+                        run_task(update, slab, band_rows, b * per, grads, block)
+                    });
                 });
             }
         });
@@ -414,8 +414,7 @@ fn scatter_parts<'a>(
             key_base,
         };
         (!rows.is_empty()).then_some(move || {
-            let update = |r, p: &mut [f32], g: &[f32]| opt.update_row(r, p, g);
-            run_task(update, slab, rows, lo, grads, block);
+            opt.with_update(|update| run_task(update, slab, rows, lo, grads, block));
         })
     });
     match exec.pool().filter(|_| exec.threads() > 1) {
@@ -440,7 +439,7 @@ struct Slab<'t> {
 /// accumulated into `block` by the gather-reduce loop and applied from it
 /// while it is still in cache.
 fn run_task(
-    mut update: impl FnMut(u32, &mut [f32], &[f32]),
+    update: &mut RowUpdate<'_>,
     mut slab: Slab<'_>,
     rows: &[u32],
     lo: usize,
@@ -450,13 +449,7 @@ fn run_task(
     match grads {
         Grads::Coalesced(grads) => {
             let dim = grads.cols();
-            update_rows(
-                &mut update,
-                &mut slab,
-                rows,
-                &grads.as_slice()[lo * dim..],
-                dim,
-            );
+            update_rows(update, &mut slab, rows, &grads.as_slice()[lo * dim..], dim);
         }
         Grads::Casted {
             upstream,
@@ -489,7 +482,7 @@ fn run_task(
                     block,
                 );
                 let t1 = Instant::now();
-                update_rows(&mut update, &mut slab, block_ids, block, dim);
+                update_rows(update, &mut slab, block_ids, block, dim);
                 accumulate += t1 - t0;
                 apply += t1.elapsed();
                 from = to;
@@ -508,7 +501,7 @@ fn run_task(
 /// the table rows [`PREFETCH_WINDOW`] updates ahead prefetched under the
 /// current one.
 fn update_rows(
-    update: &mut impl FnMut(u32, &mut [f32], &[f32]),
+    update: &mut RowUpdate<'_>,
     slab: &mut Slab<'_>,
     rows: &[u32],
     grads: &[f32],
@@ -532,7 +525,7 @@ mod tests {
     use super::*;
     use crate::coalesce::gradient_expand_coalesce;
     use crate::index::IndexArray;
-    use crate::optim::{Adagrad, Sgd};
+    use crate::optim::{RowOptimizer, UpdateRule};
     use crate::sharding::ShardMap;
     use tcast_pool::Pool;
 
@@ -547,8 +540,12 @@ mod tests {
         part
     }
 
+    fn sgd(lr: f32) -> RowOptimizer {
+        RowOptimizer::new(UpdateRule::Sgd { lr })
+    }
+
     fn sgd_shards(rows: usize, shards: usize) -> ShardedOptimizer {
-        ShardedOptimizer::new(ShardMap::new(rows, shards), || Box::new(Sgd::new(1.0)) as _)
+        ShardedOptimizer::new(ShardMap::new(rows, shards), UpdateRule::Sgd { lr: 1.0 })
     }
 
     #[test]
@@ -558,7 +555,7 @@ mod tests {
             &[1, 4],
             Matrix::from_rows(&[&[1.0, 1.0], &[2.0, 2.0]]).unwrap(),
         );
-        scatter_apply(&mut table, &c, &mut Sgd::new(1.0)).unwrap();
+        scatter_apply(&mut table, &c, &mut sgd(1.0)).unwrap();
         assert_eq!(table.row(1), &[-1.0, -1.0]);
         assert_eq!(table.row(4), &[-2.0, -2.0]);
         for r in [0usize, 2, 3, 5] {
@@ -570,9 +567,9 @@ mod tests {
     fn scatter_validates_bounds_and_dims() {
         let mut table = EmbeddingTable::zeros(3, 2);
         let too_wide = coalesced(&[0], Matrix::zeros(1, 3));
-        assert!(scatter_apply(&mut table, &too_wide, &mut Sgd::new(1.0)).is_err());
+        assert!(scatter_apply(&mut table, &too_wide, &mut sgd(1.0)).is_err());
         let oob = coalesced(&[3], Matrix::zeros(1, 2));
-        assert!(scatter_apply(&mut table, &oob, &mut Sgd::new(1.0)).is_err());
+        assert!(scatter_apply(&mut table, &oob, &mut sgd(1.0)).is_err());
     }
 
     #[test]
@@ -583,7 +580,7 @@ mod tests {
         let upstream = Matrix::from_rows(&[&[1.0], &[2.0]]).unwrap();
         let mut table = EmbeddingTable::zeros(6, 1);
         let c = gradient_expand_coalesce(&upstream, &index).unwrap();
-        scatter_apply(&mut table, &c, &mut Sgd::new(0.5)).unwrap();
+        scatter_apply(&mut table, &c, &mut sgd(0.5)).unwrap();
         assert_eq!(table.row(0), &[-1.0]); // G[1]*0.5
         assert_eq!(table.row(1), &[-0.5]); // G[0]*0.5
         assert_eq!(table.row(2), &[-1.5]); // (G[0]+G[1])*0.5
@@ -593,17 +590,15 @@ mod tests {
 
     /// Row 2's two unit gradients applied one after the other (uncoalesced)
     /// and as their coalesced sum.
-    fn duplicate_vs_coalesced(
-        mk: impl Fn() -> Box<dyn SparseOptimizer>,
-    ) -> (EmbeddingTable, EmbeddingTable) {
+    fn duplicate_vs_coalesced(rule: UpdateRule) -> (EmbeddingTable, EmbeddingTable) {
         let one = coalesced(&[2], Matrix::from_rows(&[&[1.0]]).unwrap());
         let mut sequential = EmbeddingTable::zeros(3, 1);
-        let mut opt = mk();
-        scatter_apply(&mut sequential, &one, opt.as_mut()).unwrap();
-        scatter_apply(&mut sequential, &one, opt.as_mut()).unwrap();
+        let mut opt = RowOptimizer::new(rule);
+        scatter_apply(&mut sequential, &one, &mut opt).unwrap();
+        scatter_apply(&mut sequential, &one, &mut opt).unwrap();
         let sum = coalesced(&[2], Matrix::from_rows(&[&[2.0]]).unwrap());
         let mut together = EmbeddingTable::zeros(3, 1);
-        scatter_apply(&mut together, &sum, mk().as_mut()).unwrap();
+        scatter_apply(&mut together, &sum, &mut RowOptimizer::new(rule)).unwrap();
         (sequential, together)
     }
 
@@ -612,7 +607,7 @@ mod tests {
         // The Section II-B argument: applying duplicate gradients
         // sequentially through Adagrad is NOT the same as coalescing first,
         // because the accumulator update is nonlinear in G.
-        let (seq, coal) = duplicate_vs_coalesced(|| Box::new(Adagrad::new(0.1, 0.0)));
+        let (seq, coal) = duplicate_vs_coalesced(UpdateRule::Adagrad { lr: 0.1, eps: 0.0 });
         let diff = seq.max_abs_diff(&coal).unwrap();
         assert!(
             diff > 1e-3,
@@ -624,7 +619,7 @@ mod tests {
     fn uncoalesced_scatter_is_fine_for_plain_sgd() {
         // For linear SGD the two are identical — which is why the paper
         // notes frameworks coalesce anyway, to support *all* optimizers.
-        let (seq, coal) = duplicate_vs_coalesced(|| Box::new(Sgd::new(0.1)));
+        let (seq, coal) = duplicate_vs_coalesced(UpdateRule::Sgd { lr: 0.1 });
         assert!(seq.max_abs_diff(&coal).unwrap() < 1e-6);
     }
 

@@ -7,7 +7,7 @@
 //! `update_row`, which walks the row lane-wise. These kernels vectorize
 //! that walk across `dim` while keeping the per-element operation
 //! sequence exactly the scalar one, so the AVX2 tier is **bit-identical**
-//! for all five [`crate::optim::SplittableOptimizer`]s:
+//! for all five [`crate::optim::UpdateRule`]s:
 //!
 //! * every lane is independent (no reduction, so no reassociation), and
 //! * `vmulps`/`vaddps`/`vsubps`/`vdivps`/`vsqrtps` are correctly rounded,

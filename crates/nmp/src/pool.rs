@@ -465,7 +465,11 @@ impl NmpPool {
 mod tests {
     use super::*;
     use tcast_core::tensor_casting;
-    use tcast_embedding::{gather_reduce, gradient_expand_coalesce, optim::Sgd, scatter_apply};
+    use tcast_embedding::{
+        gather_reduce, gradient_expand_coalesce,
+        optim::{RowOptimizer, UpdateRule},
+        scatter_apply,
+    };
     use tcast_tensor::SplitMix64;
 
     fn workload(
@@ -528,7 +532,12 @@ mod tests {
         let h = pool.load_table(&table).unwrap();
         let coalesced = gradient_expand_coalesce(&grads, &index).unwrap();
         pool.scatter_sgd(h, &coalesced, 0.05, false).unwrap();
-        scatter_apply(&mut table, &coalesced, &mut Sgd::new(0.05)).unwrap();
+        scatter_apply(
+            &mut table,
+            &coalesced,
+            &mut RowOptimizer::new(UpdateRule::Sgd { lr: 0.05 }),
+        )
+        .unwrap();
         let back = pool.read_table(h).unwrap();
         assert!(back.max_abs_diff(&table).unwrap() < 1e-6);
     }
@@ -559,7 +568,12 @@ mod tests {
 
         // Host path: baseline expand-coalesce + scatter.
         let baseline = gradient_expand_coalesce(&grads, &index).unwrap();
-        scatter_apply(&mut host_table, &baseline, &mut Sgd::new(0.1)).unwrap();
+        scatter_apply(
+            &mut host_table,
+            &baseline,
+            &mut RowOptimizer::new(UpdateRule::Sgd { lr: 0.1 }),
+        )
+        .unwrap();
 
         let back = pool.read_table(h).unwrap();
         assert!(back.max_abs_diff(&host_table).unwrap() < 1e-5);

@@ -153,7 +153,8 @@ pub struct OnlineReport {
     /// is the full cost of generating each training batch; wrapping the
     /// source in a `PrefetchSource` moves generation onto a background
     /// producer that overlaps both serving and update slots, collapsing
-    /// this to ~0 (`serve_throughput` records both).
+    /// this to ~0 (the repo benchmark reports it as
+    /// `serve.gen_ms_per_update`).
     pub gen_ns: u64,
     /// Per-batch model staleness, in *update steps behind*: how many
     /// serving batches were scored at each staleness level is what the

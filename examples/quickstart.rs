@@ -7,7 +7,9 @@
 
 use tensor_casting::core::{casted_gather_reduce, tensor_casting, verify_equivalence};
 use tensor_casting::embedding::{
-    gather_reduce, gradient_expand_coalesce, optim::Sgd, scatter_apply, EmbeddingTable, IndexArray,
+    gather_reduce, gradient_expand_coalesce,
+    optim::{RowOptimizer, UpdateRule},
+    scatter_apply, EmbeddingTable, IndexArray,
 };
 use tensor_casting::tensor::Matrix;
 
@@ -55,7 +57,11 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
     println!("max |diff| = {}", verify_equivalence(&grads, &index)?);
 
     // Scatter the coalesced gradients back into the table (SGD).
-    scatter_apply(&mut table, &fused, &mut Sgd::new(0.1))?;
+    scatter_apply(
+        &mut table,
+        &fused,
+        &mut RowOptimizer::new(UpdateRule::Sgd { lr: 0.1 }),
+    )?;
     println!(
         "\nrow E[2] after update (received G[0]+G[1]): {:?}",
         table.row(2)

@@ -13,7 +13,7 @@ use tensor_casting::dlrm::{BackwardMode, DlrmConfig, Trainer};
 use tensor_casting::embedding::{
     gather_reduce, gather_reduce_into, gradient_coalesce_into, gradient_expand,
     gradient_expand_coalesce,
-    optim::{Adagrad, Momentum, RmsProp, Sgd, SparseOptimizer},
+    optim::{RowOptimizer, UpdateRule},
     scatter_apply, scatter_apply_casted, BlockScratch, CoalescedScratch, EmbeddingTable,
     IndexArray, ShardMap, ShardedOptimizer,
 };
@@ -96,8 +96,13 @@ fn check_serial_equals_pooled(index: &IndexArray, table_rows: usize, dim: usize,
         "baseline vs casted backward: {what}"
     );
     let mut plain = table.clone();
-    scatter_apply(&mut plain, &baseline, &mut Sgd::new(0.1)).unwrap();
-    let sgd = || ShardedOptimizer::new(ShardMap::new(table_rows, 1), || Box::new(Sgd::new(0.1)));
+    scatter_apply(
+        &mut plain,
+        &baseline,
+        &mut RowOptimizer::new(UpdateRule::Sgd { lr: 0.1 }),
+    )
+    .unwrap();
+    let sgd = || ShardedOptimizer::new(ShardMap::new(table_rows, 1), UpdateRule::Sgd { lr: 0.1 });
     let parts = std::slice::from_ref(&casted);
     let mut blocks = BlockScratch::default();
 
@@ -246,7 +251,12 @@ fn nmp_pool_matches_host_for_the_whole_training_step() {
     // Host reference: baseline backward + SGD scatter.
     let mut host_table = table.clone();
     let coalesced = gradient_expand_coalesce(&grads_widened(&grads, 24), &index).unwrap();
-    scatter_apply(&mut host_table, &coalesced, &mut Sgd::new(0.2)).unwrap();
+    scatter_apply(
+        &mut host_table,
+        &coalesced,
+        &mut RowOptimizer::new(UpdateRule::Sgd { lr: 0.2 }),
+    )
+    .unwrap();
 
     // Pool: casted backward + scatter from pool-resident gradients.
     let mut pool = NmpPool::new(PoolConfig::small(4));
@@ -307,19 +317,29 @@ fn equivalence_holds_for_every_optimizer() {
         }
         g
     };
-    let opts: Vec<Box<dyn Fn() -> Box<dyn SparseOptimizer>>> = vec![
-        Box::new(|| Box::new(Sgd::new(0.1))),
-        Box::new(|| Box::new(Momentum::new(0.1, 0.9))),
-        Box::new(|| Box::new(Adagrad::new(0.1, 1e-8))),
-        Box::new(|| Box::new(RmsProp::new(0.1, 0.9, 1e-8))),
+    let rules = [
+        UpdateRule::Sgd { lr: 0.1 },
+        UpdateRule::Momentum { lr: 0.1, mu: 0.9 },
+        UpdateRule::Adagrad { lr: 0.1, eps: 1e-8 },
+        UpdateRule::RmsProp {
+            lr: 0.1,
+            gamma: 0.9,
+            eps: 1e-8,
+        },
+        UpdateRule::Adam {
+            lr: 0.01,
+            beta1: 0.9,
+            beta2: 0.999,
+            eps: 1e-8,
+        },
     ];
-    for make_opt in &opts {
+    for rule in rules {
         let mut t1 = EmbeddingTable::seeded(250, 8, 1);
         let mut t2 = t1.clone();
         let baseline = gradient_expand_coalesce(&grads, &index).unwrap();
         let casted = casted_gather_reduce(&grads, &tensor_casting(&index)).unwrap();
-        scatter_apply(&mut t1, &baseline, make_opt().as_mut()).unwrap();
-        scatter_apply(&mut t2, &casted, make_opt().as_mut()).unwrap();
+        scatter_apply(&mut t1, &baseline, &mut RowOptimizer::new(rule)).unwrap();
+        scatter_apply(&mut t2, &casted, &mut RowOptimizer::new(rule)).unwrap();
         assert_eq!(t1.max_abs_diff(&t2).unwrap(), 0.0);
     }
 }

@@ -5,7 +5,9 @@
 use tensor_casting::core::tensor_casting;
 use tensor_casting::datasets::{DatasetPreset, TableWorkload};
 use tensor_casting::embedding::{
-    gather_reduce, gradient_expand_coalesce, optim::Sgd, scatter_apply, EmbeddingTable,
+    gather_reduce, gradient_expand_coalesce,
+    optim::{RowOptimizer, UpdateRule},
+    scatter_apply, EmbeddingTable,
 };
 use tensor_casting::nmp::{LinkModel, NmpPool, PoolConfig};
 use tensor_casting::tensor::{Matrix, SplitMix64};
@@ -47,7 +49,12 @@ fn multi_table_multi_iteration_training_on_pool_matches_host() {
             let (coalesced, _) = pool.casted_gather_reduce(handle, &g, &casted).unwrap();
             pool.scatter_sgd(handle, &coalesced, 0.05, true).unwrap();
             let host_coalesced = gradient_expand_coalesce(&g, &index).unwrap();
-            scatter_apply(host, &host_coalesced, &mut Sgd::new(0.05)).unwrap();
+            scatter_apply(
+                host,
+                &host_coalesced,
+                &mut RowOptimizer::new(UpdateRule::Sgd { lr: 0.05 }),
+            )
+            .unwrap();
             let back = pool.read_table(handle).unwrap();
             assert!(
                 back.max_abs_diff(host).unwrap() < 1e-4,

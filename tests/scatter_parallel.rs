@@ -20,7 +20,7 @@ use proptest::prelude::*;
 use std::sync::OnceLock;
 use tensor_casting::core::{casted_gather_reduce_into, tensor_casting, CastedIndexArray};
 use tensor_casting::embedding::{
-    optim::{Adagrad, Adam, Momentum, RmsProp, Sgd, SparseOptimizer, SplittableOptimizer},
+    optim::{RowOptimizer, SparseOptimizer, UpdateRule},
     scatter_apply, scatter_apply_casted, scatter_apply_sharded, BlockScratch, CoalescedGradients,
     CoalescedScratch, EmbeddingError, EmbeddingTable, IndexArray, ShardMap, ShardedOptimizer,
 };
@@ -31,17 +31,22 @@ fn pool() -> &'static Pool {
     POOL.get_or_init(|| Pool::new(4))
 }
 
-const OPTIMIZERS: usize = 5;
-
-fn optimizer(i: usize) -> Box<dyn SplittableOptimizer> {
-    match i {
-        0 => Box::new(Sgd::new(0.1)),
-        1 => Box::new(Momentum::new(0.1, 0.9)),
-        2 => Box::new(Adagrad::new(0.1, 1e-8)),
-        3 => Box::new(RmsProp::new(0.1, 0.9, 1e-8)),
-        _ => Box::new(Adam::new(0.01, 0.9, 0.999, 1e-8)),
-    }
-}
+const RULES: [UpdateRule; 5] = [
+    UpdateRule::Sgd { lr: 0.1 },
+    UpdateRule::Momentum { lr: 0.1, mu: 0.9 },
+    UpdateRule::Adagrad { lr: 0.1, eps: 1e-8 },
+    UpdateRule::RmsProp {
+        lr: 0.1,
+        gamma: 0.9,
+        eps: 1e-8,
+    },
+    UpdateRule::Adam {
+        lr: 0.01,
+        beta1: 0.9,
+        beta2: 0.999,
+        eps: 1e-8,
+    },
+];
 
 fn part(rows: &[u32], grads: Matrix) -> CoalescedScratch {
     let mut part = CoalescedScratch::default();
@@ -113,20 +118,20 @@ fn check_scatter(table_rows: usize, dim: usize, rows: &[u32], seed: u64) -> Resu
         .into_iter()
         .chain([Exec::Serial]);
 
-    for i in 0..OPTIMIZERS {
+    for rule in RULES {
         let mut reference = EmbeddingTable::seeded(table_rows, dim, 1);
-        let mut reference_opt = optimizer(i);
+        let mut reference_opt = RowOptimizer::new(rule);
         for grads in &steps {
             let coalesced = CoalescedGradients::new(rows.to_vec(), grads.clone()).unwrap();
-            scatter_apply(&mut reference, &coalesced, reference_opt.as_mut()).unwrap();
+            scatter_apply(&mut reference, &coalesced, &mut reference_opt).unwrap();
         }
-        let reference_state = probe_state(reference_opt.as_mut(), table_rows, dim);
+        let reference_state = probe_state(&mut reference_opt, table_rows, dim);
 
         for exec in execs.clone() {
             for (shards, local) in [(1, false), (3, false), (3, true)] {
                 let map = ShardMap::new(table_rows, shards);
                 let mut table = EmbeddingTable::seeded(table_rows, dim, 1);
-                let mut opt = ShardedOptimizer::new(map.clone(), || optimizer(i));
+                let mut opt = ShardedOptimizer::new(map.clone(), rule);
                 for grads in &steps {
                     let parts = if local {
                         split_local(&map, rows, grads)
@@ -137,7 +142,7 @@ fn check_scatter(table_rows: usize, dim: usize, rows: &[u32], seed: u64) -> Resu
                 }
                 let what = format!(
                     "{} over {} rows of {table_rows}x{dim}, {exec:?}, {shards} shards, {}",
-                    opt.name(),
+                    rule.name(),
                     rows.len(),
                     if local { "shard-local" } else { "global-keyed" },
                 );
@@ -214,9 +219,9 @@ fn check_blocked_backward(
             .map(tensor_casting)
             .collect();
         let mut blocks = BlockScratch::default();
-        for i in 0..OPTIMIZERS {
+        for rule in RULES {
             let mut reference = EmbeddingTable::seeded(table_rows, dim, 1);
-            let mut reference_opt = ShardedOptimizer::new(map.clone(), || optimizer(i));
+            let mut reference_opt = ShardedOptimizer::new(map.clone(), rule);
             let mut coalesced = vec![CoalescedScratch::default(); parts.len()];
             for upstream in &steps {
                 for (part, out) in parts.iter().zip(coalesced.iter_mut()) {
@@ -230,7 +235,7 @@ fn check_blocked_backward(
             for exec in execs.clone() {
                 for block_rows in [1, 3, 64, table_rows.max(1)] {
                     let mut table = EmbeddingTable::seeded(table_rows, dim, 1);
-                    let mut opt = ShardedOptimizer::new(map.clone(), || optimizer(i));
+                    let mut opt = ShardedOptimizer::new(map.clone(), rule);
                     for upstream in &steps {
                         scatter_apply_casted(
                             &mut table,
@@ -246,7 +251,7 @@ fn check_blocked_backward(
                     let what = format!(
                         "{} over {} lookups into {table_rows}x{dim}, blocks of {block_rows}, \
                          {exec:?}, {} shards",
-                        opt.name(),
+                        rule.name(),
                         index.len(),
                         map.num_shards(),
                     );
@@ -340,7 +345,7 @@ proptest! {
     ) {
         let rows = if swap { vec![row + 1, row] } else { vec![row, row] };
         let mut table = EmbeddingTable::zeros(64, 2);
-        let mut opt = ShardedOptimizer::new(ShardMap::new(64, shards), || optimizer(0));
+        let mut opt = ShardedOptimizer::new(ShardMap::new(64, shards), RULES[0]);
         let err = scatter_apply_sharded(
             &mut table,
             &mut opt,

@@ -14,7 +14,7 @@ use tensor_casting::datasets::SyntheticCtr;
 use tensor_casting::dlrm::{checkpoint::save_checkpoint, BackwardMode, DlrmConfig, Trainer};
 use tensor_casting::embedding::{
     accumulate_rows, gather_reduce_into,
-    optim::{Adagrad, Adam},
+    optim::{RowOptimizer, UpdateRule},
     scatter_apply, simd as opt_simd, EmbeddingTable, IndexArray,
 };
 use tensor_casting::tensor::{simd, Exec, KernelDispatch, Linear, Matrix, Pool, SplitMix64};
@@ -389,13 +389,18 @@ fn forced_dispatch_is_trajectory_bit_identical() {
         let coalesced = casted_gather_reduce(&grads, &casted).unwrap();
         let mut ada_table = table.clone();
         let mut adam_table = table.clone();
-        scatter_apply(&mut ada_table, &coalesced, &mut Adagrad::new(0.05, 1e-8)).unwrap();
-        scatter_apply(
-            &mut adam_table,
-            &coalesced,
-            &mut Adam::new(0.01, 0.9, 0.999, 1e-8),
-        )
-        .unwrap();
+        let adagrad = UpdateRule::Adagrad {
+            lr: 0.05,
+            eps: 1e-8,
+        };
+        let adam = UpdateRule::Adam {
+            lr: 0.01,
+            beta1: 0.9,
+            beta2: 0.999,
+            eps: 1e-8,
+        };
+        scatter_apply(&mut ada_table, &coalesced, &mut RowOptimizer::new(adagrad)).unwrap();
+        scatter_apply(&mut adam_table, &coalesced, &mut RowOptimizer::new(adam)).unwrap();
         simd::force(None);
         (pooled, coalesced, ada_table, adam_table)
     };

@@ -30,8 +30,7 @@ use tensor_casting::core::{
 };
 use tensor_casting::dlrm::{BackwardMode, DlrmConfig, Trainer};
 use tensor_casting::embedding::{
-    gather_reduce_into, gradient_coalesce_into, gradient_expand_into,
-    optim::{Adagrad, Adam, Sgd, SplittableOptimizer},
+    gather_reduce_into, gradient_coalesce_into, gradient_expand_into, optim::UpdateRule,
     scatter_apply_sharded, BlockScratch, CoalescedScratch, EmbeddingTable, IndexArray,
     RouteScratch, ShardMap, ShardedOptimizer,
 };
@@ -92,9 +91,21 @@ fn random_matrix(rows: usize, cols: usize, seed: u64) -> Matrix {
 
 /// Optimizer state for an unsharded 500-row table: the one-shard case of
 /// the production scatter's `ShardedOptimizer`.
-fn unsharded<O: SplittableOptimizer + 'static>(build: impl Fn() -> O) -> ShardedOptimizer {
-    ShardedOptimizer::new(ShardMap::new(500, 1), || Box::new(build()) as _)
+fn unsharded(rule: UpdateRule) -> ShardedOptimizer {
+    ShardedOptimizer::new(ShardMap::new(500, 1), rule)
 }
+
+const SGD: UpdateRule = UpdateRule::Sgd { lr: 0.01 };
+const ADAGRAD: UpdateRule = UpdateRule::Adagrad {
+    lr: 0.01,
+    eps: 1e-8,
+};
+const ADAM: UpdateRule = UpdateRule::Adam {
+    lr: 0.001,
+    beta1: 0.9,
+    beta2: 0.999,
+    eps: 1e-8,
+};
 
 #[test]
 fn steady_state_hot_path_performs_zero_allocations() {
@@ -115,7 +126,7 @@ fn steady_state_hot_path_performs_zero_allocations() {
 
     let mut pooled = Matrix::default();
     let mut blocks = BlockScratch::default();
-    let mut sgd = unsharded(|| Sgd::new(0.01));
+    let mut sgd = unsharded(SGD);
 
     // What a casted training step runs per table: the forward
     // gather-reduce, then the blocked casted backward (gather-reduce and
@@ -157,7 +168,7 @@ fn steady_state_hot_path_performs_zero_allocations() {
     // (src, pos) keys, so not even the stable sort's merge buffer is
     // allocated.
     let mut base_table = EmbeddingTable::seeded(500, dim, 9);
-    let mut base_sgd = unsharded(|| Sgd::new(0.01));
+    let mut base_sgd = unsharded(SGD);
     let mut expanded = Matrix::default();
     let mut base_coalesced = CoalescedScratch::default();
 
@@ -204,9 +215,9 @@ fn steady_state_hot_path_performs_zero_allocations() {
     // touches; once the warm-up covers the batch's hottest row, further
     // scatters (including Adam's per-row step counts) allocate nothing.
     let mut ada_table = EmbeddingTable::seeded(500, dim, 11);
-    let mut ada = unsharded(|| Adagrad::new(0.01, 1e-8));
+    let mut ada = unsharded(ADAGRAD);
     let mut adam_table = EmbeddingTable::seeded(500, dim, 12);
-    let mut adam = unsharded(|| Adam::new(0.001, 0.9, 0.999, 1e-8));
+    let mut adam = unsharded(ADAM);
 
     let stateful_scatter =
         |coalesced: &CoalescedScratch, table: &mut EmbeddingTable, opt: &mut ShardedOptimizer| {
@@ -254,9 +265,7 @@ fn steady_state_hot_path_performs_zero_allocations() {
     // Baseline-shaped sharded scatter: globally coalesced rows split at
     // shard fences into per-shard RowState slabs.
     let mut sh_table = EmbeddingTable::seeded(500, dim, 13);
-    let mut sh_opt = ShardedOptimizer::new(map.clone(), || {
-        Box::new(Adagrad::new(0.01, 1e-8)) as Box<dyn SplittableOptimizer>
-    });
+    let mut sh_opt = ShardedOptimizer::new(map.clone(), ADAGRAD);
     let sharded_scatter = |table: &mut EmbeddingTable, opt: &mut ShardedOptimizer| {
         let parts = std::slice::from_ref(&coalesced);
         scatter_apply_sharded(table, opt, parts, Exec::Serial).unwrap();
@@ -281,9 +290,7 @@ fn steady_state_hot_path_performs_zero_allocations() {
     let casted_shards: Vec<_> = routed.iter().map(tensor_casting).collect();
     let mut shard_blocks = BlockScratch::default();
     let mut cast_table = EmbeddingTable::seeded(500, dim, 14);
-    let mut cast_opt = ShardedOptimizer::new(map.clone(), || {
-        Box::new(Adam::new(0.001, 0.9, 0.999, 1e-8)) as Box<dyn SplittableOptimizer>
-    });
+    let mut cast_opt = ShardedOptimizer::new(map.clone(), ADAM);
     let mut sharded_casted_step = |table: &mut EmbeddingTable, opt: &mut ShardedOptimizer| {
         let blocks = &mut shard_blocks;
         blocked_casted_backward(table, opt, &upstream, &casted_shards, blocks, Exec::Serial)
