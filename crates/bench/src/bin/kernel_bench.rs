@@ -18,8 +18,18 @@
 //! ```
 //!
 //! `FAST=1` shrinks shapes and iteration counts for smoke runs. The
-//! `KERNEL <name> simd/scalar ratio` and `KERNEL <name> cold` lines are
-//! CI's grep anchors.
+//! `KERNEL <name> simd/scalar ratio`, `KERNEL <name> cold` and `KERNEL
+//! linear_bwd lane/serial ratio` lines are CI's grep anchors.
+//!
+//! The `linear_fwd` / `linear_bwd` / `mlp_step` rows time a whole dense
+//! layer (and a whole MLP training step) of the repo benchmark's two
+//! models under the two schedules a serial trainer gives them: `exec`
+//! `serial`, everything on the calling thread, and `lane`, the
+//! [`Exec::Pooled`] over a one-worker pool with two bands that
+//! `Trainer` hands its dense phases, the calling thread being the second
+//! pair of hands. Their `peak_frac` is taken against **twice** the
+//! one-core multiply-add peak — the ceiling of the two cores — for both
+//! schedules, so the two rows of a pair read on one scale.
 //!
 //! The gather/scatter family is measured twice. The *warm* rows repeat one
 //! batch over a 100k-row table: everything is L3-resident after the first
@@ -37,7 +47,7 @@
 //! unpredictably to gate on).
 
 use std::path::PathBuf;
-use std::time::Instant;
+use std::time::{Duration, Instant};
 
 use tcast_bench::{banner, fast_mode, json};
 use tcast_core::{
@@ -49,8 +59,8 @@ use tcast_embedding::{
     scatter_apply, scatter_apply_sharded, BlockScratch, CoalescedScratch, EmbeddingTable,
     IndexArray, ShardMap, ShardedOptimizer,
 };
-use tcast_pool::Exec;
-use tcast_tensor::{simd, KernelDispatch, Matrix, SplitMix64};
+use tcast_pool::{Exec, Pool};
+use tcast_tensor::{simd, Activation, KernelDispatch, Linear, Matrix, Mlp, SplitMix64};
 
 const ADAGRAD: UpdateRule = UpdateRule::Adagrad {
     lr: 0.01,
@@ -114,6 +124,66 @@ fn time_ns_fresh<B>(iters: usize, mut next: impl FnMut() -> B, mut f: impl FnMut
         .collect();
     ns.sort_by(f64::total_cmp);
     ns[ns.len() / 2]
+}
+
+/// Timed calls in one block of [`time_serial_and_lane_ns`].
+const EXEC_BLOCK: usize = 6;
+
+/// Median ns of `f(Exec::Serial)` and of `f(lane)` over `iters` timed calls
+/// each, taken in alternating blocks of [`EXEC_BLOCK`] calls: this host's
+/// clock sits on plateaus that outlast a loop, so two whole loops would
+/// compare two plateaus, while inside a lane block the worker is used
+/// back to back and stays polling, as it does through a training step.
+/// The first call of every block is warm-up and not counted.
+fn time_serial_and_lane_ns(iters: usize, lane: &Pool, mut f: impl FnMut(Exec<'_>)) -> [f64; 2] {
+    let execs = [
+        Exec::Serial,
+        Exec::Pooled {
+            pool: lane,
+            threads: 2,
+        },
+    ];
+    let mut ns = [Vec::new(), Vec::new()];
+    while ns[1].len() < iters.max(1) {
+        for (exec, ns) in execs.iter().zip(ns.iter_mut()) {
+            for call in 0..=EXEC_BLOCK {
+                let t0 = Instant::now();
+                f(*exec);
+                if call > 0 {
+                    ns.push(t0.elapsed().as_secs_f64() * 1e9);
+                }
+            }
+        }
+    }
+    ns.map(|mut ns| {
+        ns.sort_by(f64::total_cmp);
+        ns[ns.len() / 2]
+    })
+}
+
+/// Keeps the calling thread and the lane's worker both busy for `wall`, in
+/// 2 ms slices. On the host these rows are committed from, a worker woken
+/// after the process has run single-threaded for seconds starts on its
+/// waker's vCPU and the guest leaves the two threads there for a second or
+/// two, however busy they are (`/proc/thread-self/stat` shows one CPU for
+/// both; a split GEMM then reads 1.0-1.2x the *serial* time). Once spread
+/// they stay spread. A training loop is past that after its first seconds;
+/// the single-threaded sections before the dense-layer rows put this
+/// process back at the start.
+fn warm_both_cores(lane: &Pool, wall: Duration) {
+    let spin = || {
+        let t0 = Instant::now();
+        while t0.elapsed() < Duration::from_millis(2) {
+            std::hint::spin_loop();
+        }
+    };
+    let t0 = Instant::now();
+    while t0.elapsed() < wall {
+        lane.scope(|s| {
+            s.spawn(spin);
+            spin();
+        });
+    }
 }
 
 /// The rows of a table in one shuffled order, handed out a batch at a
@@ -290,18 +360,39 @@ impl Emitter {
         unit: &str,
         peak: Option<f64>,
     ) {
+        self.exec_row(kernel, dispatch, None, shape, dim, ns, rate, unit, peak);
+    }
+
+    /// [`Emitter::row`] with the schedule the row ran under (`exec`:
+    /// `serial` | `lane`) for the dense-layer rows.
+    #[allow(clippy::too_many_arguments)]
+    fn exec_row(
+        &self,
+        kernel: &str,
+        dispatch: KernelDispatch,
+        exec: Option<&str>,
+        shape: &str,
+        dim: usize,
+        ns: f64,
+        rate: f64,
+        unit: &str,
+        peak: Option<f64>,
+    ) {
         let of_peak = peak.map_or(String::new(), |p| {
             format!("  {:>5.1}% of peak", 100.0 * rate / p)
         });
         println!(
             "  {kernel:<22} {:<6} {shape:<20} {ns:>12.0} ns  {rate:>8.2} {unit}{of_peak}",
-            dispatch.name(),
+            exec.unwrap_or(dispatch.name()),
         );
         let mut row = json::JsonRow::new();
         row.str_field("kind", "kernel")
             .str_field("kernel", kernel)
-            .str_field("dispatch", dispatch.name())
-            .str_field("shape", shape)
+            .str_field("dispatch", dispatch.name());
+        if let Some(exec) = exec {
+            row.str_field("exec", exec);
+        }
+        row.str_field("shape", shape)
             .u64_field("dim", dim as u64)
             .u64_field("cores", tcast_pool::default_parallelism() as u64)
             .bool_field("fast", fast_mode())
@@ -313,6 +404,38 @@ impl Emitter {
         if let Err(e) = json::append_row(&self.json, &row) {
             eprintln!("[kernel_bench] cannot write {}: {e}", self.json.display());
         }
+    }
+
+    /// Times one dense-layer operation (`flops` per call) serially and on
+    /// the lane, on the auto-detected tier, and emits the two rows against
+    /// the two-core multiply-add peak. Returns serial ns over lane ns.
+    fn lane_rows(
+        &self,
+        kernel: &str,
+        shape: &str,
+        dim: usize,
+        flops: f64,
+        lane: &Pool,
+        run: impl FnMut(Exec<'_>),
+    ) -> f64 {
+        let tier = KernelDispatch::detect();
+        let peak = madd_peak_gflops(tier).map(|p| 2.0 * p);
+        let [serial, on_lane] = time_serial_and_lane_ns(self.iters, lane, run);
+        for (exec, ns) in [("serial", serial), ("lane", on_lane)] {
+            let rate = flops / ns;
+            self.exec_row(
+                kernel,
+                tier,
+                Some(exec),
+                shape,
+                dim,
+                ns,
+                rate,
+                "GFLOP/s",
+                peak,
+            );
+        }
+        serial / on_lane.max(1.0)
     }
 
     /// Times one GEMM product (`flops` per call) on every tier and emits
@@ -442,6 +565,46 @@ fn main() {
         let flops = 2.0 * (m * k * n) as f64;
         emit.gemm_rows("gemm_bt", &shape, n, flops, &mut |d| {
             a.matmul_bt_into_with(&b, &mut c, d).unwrap();
+        });
+    }
+
+    // --- Dense layers as the trainer runs them: a whole layer's forward --
+    // (GEMM + bias + ReLU), its backward (`dW` beside `dX`) and a whole MLP
+    // step, serially and on the lane, for RM3's 2560x512 layer and bottom
+    // stack at batch 64 and RM1's 256x128 layer and bottom stack at 512.
+    println!(
+        "\ndense layers, serial vs lane (% of the two-core peak), {} iters:",
+        args.iters
+    );
+    let lane = Pool::new(1);
+    warm_both_cores(&lane, Duration::from_secs(3));
+    let stacks: [(usize, [usize; 3]); 2] = [(64, [2560, 512, 64]), (512, [256, 128, 64])];
+    for (m, widths) in stacks {
+        let (k, n) = (widths[0], widths[1]);
+        let mut layer = Linear::new(k, n, 41);
+        let (x, dy) = (random_matrix(m, k, 43), random_matrix(m, n, 47));
+        let (mut y, mut act, mut dx) = (Matrix::default(), Matrix::default(), Matrix::default());
+        let shape = format!("{m}x{k}x{n}");
+        let flops = 2.0 * (m * k * n) as f64;
+        emit.lane_rows("linear_fwd", &shape, n, flops, &lane, |exec| {
+            layer
+                .forward_inference_into(&x, &mut y, Some(&mut act), exec)
+                .unwrap();
+        });
+        let ratio = emit.lane_rows("linear_bwd", &shape, n, 2.0 * flops, &lane, |exec| {
+            layer.backward_into(&x, &dy, &mut dx, exec).unwrap();
+        });
+        println!("KERNEL linear_bwd lane/serial ratio {ratio:.2} ({shape})");
+
+        let mut mlp = Mlp::new(13, &widths, Activation::Relu, 53).unwrap();
+        let (x, dy) = (random_matrix(m, 13, 59), random_matrix(m, widths[2], 61));
+        let shape = format!("{m}x13-{}-{}-{}", widths[0], widths[1], widths[2]);
+        // forward, `dW` and `dX` of every layer
+        let flops = 3.0 * mlp.forward_flops(m) as f64;
+        emit.lane_rows("mlp_step", &shape, widths[2], flops, &lane, |exec| {
+            mlp.forward_into(&x, &mut y, exec).unwrap();
+            mlp.backward_into(&dy, &mut dx, exec).unwrap();
+            mlp.apply_update(1e-6);
         });
     }
 

@@ -53,5 +53,5 @@ pub use model::{Dlrm, InferenceScratch};
 pub use tcast_embedding::ShardSpec;
 pub use trainer::{
     BackwardMode, EmbeddingOptimizer, Execution, InFlightStep, PhaseTimings, StepReport, Trainer,
-    GATHER_AHEAD_FAULT_SITE,
+    DENSE_GEMM_FAULT_SITE, GATHER_AHEAD_FAULT_SITE,
 };

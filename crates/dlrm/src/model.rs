@@ -290,6 +290,14 @@ impl Dlrm {
         Ok(())
     }
 
+    /// Whether either MLP has a layer whose GEMMs at `batch` rows a
+    /// multi-threaded [`Exec`] would split (see
+    /// [`tcast_tensor::Linear::splits_at`]): when not, the dense phases
+    /// run on the calling thread whatever `Exec` they are handed.
+    pub fn dense_splits_at(&self, batch: usize) -> bool {
+        self.bottom.splits_at(batch) || self.top.splits_at(batch)
+    }
+
     /// [`Dlrm::dense_forward`] writing the logits into a reused buffer —
     /// the zero-allocation steady-state form. Bit-identical results.
     ///

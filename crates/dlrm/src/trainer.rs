@@ -165,9 +165,13 @@ impl EmbeddingOptimizer {
 /// throughput runs pooled, and trajectories still match exactly.
 #[derive(Clone, Default)]
 pub enum Execution {
-    /// Every kernel runs unsplit. Casting (casted mode) and the
-    /// gather-ahead of a step completed with a successor still run on the
-    /// trainer's own background threads.
+    /// No caller-supplied pool: the embedding kernels run unsplit on the
+    /// training thread. The trainer still owns background threads of its
+    /// own — the casting worker (casted mode) and a one-worker *lane*,
+    /// started when first needed, which gathers ahead for a step completed
+    /// with a successor and takes half of every dense GEMM large enough to
+    /// split (`dW` beside `dX`, forward row bands), the training thread
+    /// taking the other half.
     #[default]
     Serial,
     /// Hot kernels split across the given persistent pool, which also
@@ -275,15 +279,24 @@ pub struct Trainer {
     /// as they stood at this step count. Every step takes it, and every
     /// other door to the table bits drops it.
     ahead: Option<(Arc<CtrBatch>, u64)>,
-    /// The one-worker pool gather-ahead tasks run on under
-    /// [`Execution::Serial`], started by the first completion that has a
-    /// successor ([`Execution::Pooled`] runs them on its own pool).
+    /// The one-worker pool a trainer under [`Execution::Serial`] shares
+    /// its step with ([`Execution::Pooled`] uses its own pool for both
+    /// jobs): gather-ahead tasks run on it beside the scatter, and the
+    /// dense phases split their large GEMMs between it and the training
+    /// thread. Started by the first step that needs it — a completion with
+    /// a successor, or a batch at which [`Dlrm::dense_splits_at`] holds —
+    /// so a small model trained step by step never has one.
     lane: Option<Pool>,
     fault: Option<FaultPlan>,
 }
 
 /// The [`FaultPlan`] site every gather-ahead task passes once.
 pub const GATHER_AHEAD_FAULT_SITE: &str = "trainer.gather_ahead";
+
+/// The [`FaultPlan`] site a step passes once before its dense backward,
+/// when that backward will split a GEMM: an armed occurrence makes the
+/// first band task of the phase panic.
+pub const DENSE_GEMM_FAULT_SITE: &str = "trainer.dense_gemm";
 
 impl std::fmt::Debug for Trainer {
     fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
@@ -319,6 +332,36 @@ fn update_tables<'env>(
     Ok(Instant::now())
 }
 
+/// A casting backlog ([`CastingPipeline::backlog`]) from which the casting
+/// worker counts as the owner of the second core for the coming dense
+/// phase: measured on the 2-vCPU host, GEMM bands that share a core with a
+/// casting job of several milliseconds finish no sooner than unsplit GEMMs
+/// and slow the cast and the scatter behind them, while a job of a few
+/// hundred microseconds is over before the first band is.
+const CASTER_OWNS_CORE: Duration = Duration::from_millis(1);
+
+/// The [`Exec`] one dense phase runs under. With a caller's pool: that
+/// pool. Without one the phase is still a two-thread computation wherever
+/// the trainer has a second thread to give: when a GEMM of it `splits` and
+/// the casting worker is not busy on the other core, the lane (started
+/// here if need be) takes half of every such GEMM and the training thread,
+/// helping in the scope, the other half.
+fn dense_exec<'a>(
+    exec: Exec<'a>,
+    splits: bool,
+    pipeline: Option<&CastingPipeline>,
+    lane: &'a mut Option<Pool>,
+) -> Exec<'a> {
+    let caster_busy = || pipeline.is_some_and(|p| p.backlog() >= CASTER_OWNS_CORE);
+    match exec {
+        Exec::Serial if splits && !caster_busy() => Exec::Pooled {
+            pool: lane.get_or_insert_with(|| Pool::new(1)),
+            threads: 2,
+        },
+        exec => exec,
+    }
+}
+
 impl Trainer {
     /// Builds a trainer over a fresh model.
     ///
@@ -348,7 +391,8 @@ impl Trainer {
     /// execution mode. [`Execution::Pooled`] runs the hot kernels
     /// (gather-reduce, MLP GEMMs, casted gather-reduce, and the
     /// band-parallel optimizer scatter) on the given persistent pool;
-    /// trajectories are bit-identical to serial.
+    /// [`Execution::Serial`] still splits its large MLP GEMMs with the
+    /// trainer's own lane. Trajectories are bit-identical either way.
     ///
     /// # Errors
     ///
@@ -429,9 +473,11 @@ impl Trainer {
     }
 
     /// Arms deterministic fault injection: every gather-ahead task hits
-    /// [`GATHER_AHEAD_FAULT_SITE`] on `plan` once before gathering, and an
-    /// armed occurrence panics the task — the handle for proving that a
-    /// crash on the lane resurfaces on the training thread
+    /// [`GATHER_AHEAD_FAULT_SITE`] on `plan` once before gathering, every
+    /// step whose dense backward splits a GEMM hits
+    /// [`DENSE_GEMM_FAULT_SITE`] once before it, and an armed occurrence
+    /// panics the task (the first band of that backward) — the handle for
+    /// proving that a crash on the lane resurfaces on the training thread
     /// (`tests/pipelined_training.rs`).
     pub fn set_fault_plan(&mut self, plan: FaultPlan) {
         self.fault = Some(plan);
@@ -690,11 +736,13 @@ impl Trainer {
 
         // FWD (DNN) + loss.
         let t0 = Instant::now();
+        let splits = self.model.dense_splits_at(batch.dense.rows());
+        let fwd_exec = dense_exec(exec, splits, self.pipeline.as_ref(), &mut self.lane);
         self.model.dense_forward_into(
             &batch.dense,
             &self.scratch.pooled,
             &mut self.scratch.logits,
-            exec,
+            fwd_exec,
         )?;
         let loss = bce_with_logits(&self.scratch.logits, &batch.labels)?;
         bce_with_logits_backward_into(
@@ -706,8 +754,17 @@ impl Trainer {
 
         // BWD (DNN).
         let t0 = Instant::now();
-        self.model
-            .dense_backward_into(&self.scratch.dlogits, &mut self.scratch.dpooled, exec)?;
+        let bwd_exec = dense_exec(exec, splits, self.pipeline.as_ref(), &mut self.lane);
+        if let (true, Some(plan), Some(pool)) = (splits, &self.fault, bwd_exec.pool()) {
+            if plan.should_fail(DENSE_GEMM_FAULT_SITE) {
+                pool.poison_next_task();
+            }
+        }
+        self.model.dense_backward_into(
+            &self.scratch.dlogits,
+            &mut self.scratch.dpooled,
+            bwd_exec,
+        )?;
         self.model.apply_dense_update(self.lr);
         let bwd_dnn = t0.elapsed();
 
@@ -1019,6 +1076,58 @@ mod tests {
                 );
             }
         }
+    }
+
+    #[test]
+    fn dense_phases_take_the_lane_only_when_it_pays_and_the_core_is_free() {
+        let splits_on_lane = |exec: Exec<'_>| matches!(exec, Exec::Pooled { threads: 2, .. });
+        // Nothing to split: serial, and no lane is started for it.
+        let mut lane = None;
+        assert!(matches!(
+            dense_exec(Exec::Serial, false, None, &mut lane),
+            Exec::Serial
+        ));
+        assert!(lane.is_none());
+        // A caller's pool is passed through as it is.
+        let pool = Pool::new(3);
+        let pooled = dense_exec(Exec::pooled(&pool), true, None, &mut lane);
+        assert_eq!(pooled.threads(), 3);
+        assert!(lane.is_none());
+        // Baseline mode has no casting worker: the lane it is.
+        assert!(splits_on_lane(dense_exec(
+            Exec::Serial,
+            true,
+            None,
+            &mut lane
+        )));
+        assert!(lane.take().is_some());
+
+        // Casted mode: a job of 300k lookups takes the worker milliseconds,
+        // this thread microseconds to ask — while one is in flight the
+        // worker owns the other core, before and after it the lane does.
+        let mut rng = tcast_tensor::SplitMix64::new(5);
+        let samples: Vec<Vec<u32>> = (0..3_000)
+            .map(|_| (0..100).map(|_| rng.next_below(50_000) as u32).collect())
+            .collect();
+        let job: Arc<[IndexArray]> = vec![IndexArray::from_samples(&samples).unwrap()].into();
+        let mut pipeline = CastingPipeline::new();
+        let ticket = pipeline.submit(Arc::clone(&job));
+        pipeline.collect(ticket);
+        assert_eq!(pipeline.backlog(), Duration::ZERO);
+        let ticket = pipeline.submit(job);
+        assert!(pipeline.backlog() >= CASTER_OWNS_CORE);
+        assert!(matches!(
+            dense_exec(Exec::Serial, true, Some(&pipeline), &mut lane),
+            Exec::Serial
+        ));
+        assert!(lane.is_none());
+        pipeline.collect(ticket);
+        assert!(splits_on_lane(dense_exec(
+            Exec::Serial,
+            true,
+            Some(&pipeline),
+            &mut lane
+        )));
     }
 
     #[test]

@@ -44,34 +44,108 @@
 //! progress, even on a pool with a single worker — the blocked thread
 //! drains the inner scope's tasks on its own stack.
 //!
+//! # How workers wait
+//!
+//! A worker with nothing to do parks on a condvar, and waking a parked
+//! thread is the expensive part of handing it work: on the 2-vCPU host
+//! this workspace is measured on, the kernel places a thread woken by
+//! `notify_all` on the *waker's* vCPU, where it preempts the thread that
+//! was about to run the other half of the work. A scope of two 200 us
+//! halves took 404 us against a parked worker and 213 us against one that
+//! was already looking at the queue. So a worker that has just run a task
+//! does not park at once: for a few milliseconds (`WORKER_POLL`) it polls
+//! a lock-free count of queued tasks, and a task pushed in that window
+//! starts without any wake-up. Back-to-back scopes (the layers of an MLP,
+//! the steps of a training loop) find their helper hot; a pool left alone
+//! goes quiet when the window closes.
+//!
+//! The polling loop is `spin_loop` with a `yield_now` every few dozen
+//! probes. The yield is what keeps polling polite: a runnable thread that
+//! shares the poller's vCPU (the caller of a scope woken there by the
+//! worker's own completion notify, a casting worker beside the trainer's
+//! lane) gets the core at the next yield instead of waiting out a
+//! scheduler quantum.
+//!
 
 use std::collections::VecDeque;
 use std::mem;
 use std::panic::{catch_unwind, resume_unwind, AssertUnwindSafe};
 use std::sync::atomic::{AtomicBool, AtomicUsize, Ordering};
-use std::sync::{Arc, Condvar, Mutex};
+use std::sync::{Arc, Condvar, Mutex, MutexGuard};
+use std::time::{Duration, Instant};
 
 /// A type-erased queued task. Lifetimes are erased on enqueue;
 /// [`Pool::scope`] guarantees every task completes before the borrows it
 /// captures go out of scope.
 type Task = Box<dyn FnOnce() + Send + 'static>;
 
+/// How long a worker that has just run a task keeps polling for the next
+/// one before it parks on the condvar (see the module docs): long enough
+/// to span the serial stretch between two kernels of one training step,
+/// short enough that an idle pool costs nothing.
+const WORKER_POLL: Duration = Duration::from_millis(3);
+
+/// Probes of the queued count between two `yield_now` calls (and two
+/// looks at the clock) while a worker polls.
+const PROBES_PER_YIELD: u32 = 64;
+
 struct Shared {
     queue: Mutex<VecDeque<Task>>,
+    /// `queue.len()`, stored under the queue lock after every push and
+    /// pop, so a polling worker can watch for work without taking it.
+    queued: AtomicUsize,
     /// Signalled when a task is pushed, when a scope's last task
     /// completes, and on shutdown.
     activity: Condvar,
     shutdown: AtomicBool,
+    /// Fault injection: set by [`Pool::poison_next_task`], taken by the
+    /// next spawn.
+    poison_next: AtomicBool,
 }
 
 impl Shared {
-    /// Pushes a task and wakes one sleeper (worker or helping waiter).
+    fn lock(&self) -> MutexGuard<'_, VecDeque<Task>> {
+        self.queue.lock().expect("pool queue poisoned")
+    }
+
+    /// Queues a task without waking anyone: a polling worker sees the
+    /// count move, a parked one does not.
+    fn enqueue(&self, task: Task) {
+        let mut queue = self.lock();
+        queue.push_back(task);
+        self.queued.store(queue.len(), Ordering::Release);
+    }
+
+    /// Pushes a task and wakes every sleeper (parked workers and helping
+    /// waiters share one condvar).
     fn push(&self, task: Task) {
-        self.queue
-            .lock()
-            .expect("pool queue poisoned")
-            .push_back(task);
+        self.enqueue(task);
         self.activity.notify_all();
+    }
+
+    /// Pops the oldest task of the locked queue.
+    fn pop(&self, queue: &mut VecDeque<Task>) -> Option<Task> {
+        let task = queue.pop_front()?;
+        self.queued.store(queue.len(), Ordering::Release);
+        Some(task)
+    }
+
+    /// Polls until a task is queued or the pool shuts down (`true`), or
+    /// `deadline` passes (`false`).
+    fn poll(&self, deadline: Instant) -> bool {
+        loop {
+            for _ in 0..PROBES_PER_YIELD {
+                if self.queued.load(Ordering::Acquire) > 0 || self.shutdown.load(Ordering::Acquire)
+                {
+                    return true;
+                }
+                std::hint::spin_loop();
+            }
+            if Instant::now() >= deadline {
+                return false;
+            }
+            std::thread::yield_now();
+        }
     }
 }
 
@@ -92,8 +166,10 @@ impl Pool {
         let threads = threads.max(1);
         let shared = Arc::new(Shared {
             queue: Mutex::new(VecDeque::new()),
+            queued: AtomicUsize::new(0),
             activity: Condvar::new(),
             shutdown: AtomicBool::new(false),
+            poison_next: AtomicBool::new(false),
         });
         let workers = (0..threads)
             .map(|i| {
@@ -120,6 +196,17 @@ impl Pool {
     /// Number of worker threads.
     pub fn threads(&self) -> usize {
         self.threads
+    }
+
+    /// Fault injection for robustness tests: the next task spawned on this
+    /// pool panics when it starts instead of running, exactly as a crash
+    /// inside the task would — its scope still joins every sibling and
+    /// then resumes the panic on the thread that opened it. Callers that
+    /// own a pool privately (the trainer's lane) arm it from their own
+    /// fault plan.
+    #[doc(hidden)]
+    pub fn poison_next_task(&self) {
+        self.shared.poison_next.store(true, Ordering::Relaxed);
     }
 
     /// Runs `f` with a [`Scope`] on which tasks borrowing from the
@@ -192,22 +279,33 @@ impl std::fmt::Debug for Pool {
 }
 
 fn worker_loop(shared: &Shared) {
+    // While `Some`, the worker ran a task less than `WORKER_POLL` ago and
+    // polls instead of parking.
+    let mut hot_until: Option<Instant> = None;
     loop {
+        let polled = hot_until.is_some_and(|deadline| shared.poll(deadline));
+        if !polled {
+            hot_until = None;
+        }
         let task = {
-            let mut queue = shared.queue.lock().expect("pool queue poisoned");
+            let mut queue = shared.lock();
             loop {
-                if let Some(task) = queue.pop_front() {
+                if let Some(task) = shared.pop(&mut queue) {
                     break Some(task);
                 }
                 if shared.shutdown.load(Ordering::Acquire) {
+                    return;
+                }
+                if polled {
+                    // Another thread took what the poll saw: poll on.
                     break None;
                 }
                 queue = shared.activity.wait(queue).expect("pool queue poisoned");
             }
         };
-        match task {
-            Some(task) => task(),
-            None => return,
+        if let Some(task) = task {
+            task();
+            hot_until = Some(Instant::now() + WORKER_POLL);
         }
     }
 }
@@ -237,7 +335,16 @@ impl<'pool, 'env> Scope<'pool, 'env> {
         self.state.pending.fetch_add(1, Ordering::SeqCst);
         let state = Arc::clone(&self.state);
         let shared = Arc::clone(&self.pool.shared);
+        // A plain load first, so an unarmed pool pays no read-modify-write
+        // per spawn. `Relaxed`: armed and taken by the spawning thread, or
+        // ordered by whatever handed that thread the pool.
+        let poisoned = shared.poison_next.load(Ordering::Relaxed)
+            && shared.poison_next.swap(false, Ordering::Relaxed);
         let task: Box<dyn FnOnce() + Send + 'env> = Box::new(move || {
+            let f = move || {
+                assert!(!poisoned, "injected fault: poisoned pool task");
+                f();
+            };
             if let Err(panic) = catch_unwind(AssertUnwindSafe(f)) {
                 let mut slot = state.panic.lock().expect("scope panic slot poisoned");
                 slot.get_or_insert(panic);
@@ -246,7 +353,7 @@ impl<'pool, 'env> Scope<'pool, 'env> {
             // Serialize with a waiter that just observed pending > 0 and
             // is about to block: taking the queue lock before notifying
             // guarantees the wake-up is not lost.
-            drop(shared.queue.lock().expect("pool queue poisoned"));
+            drop(shared.lock());
             shared.activity.notify_all();
         });
         // SAFETY: the closure only borrows data living at least for
@@ -266,15 +373,15 @@ impl<'pool, 'env> Scope<'pool, 'env> {
     /// queued tasks (from any scope) while waiting.
     fn wait_help(&self) {
         let shared = &self.pool.shared;
-        let mut queue = shared.queue.lock().expect("pool queue poisoned");
+        let mut queue = shared.lock();
         loop {
             if self.state.pending.load(Ordering::SeqCst) == 0 {
                 return;
             }
-            if let Some(task) = queue.pop_front() {
+            if let Some(task) = shared.pop(&mut queue) {
                 drop(queue);
                 task();
-                queue = shared.queue.lock().expect("pool queue poisoned");
+                queue = shared.lock();
                 continue;
             }
             queue = shared.activity.wait(queue).expect("pool queue poisoned");
@@ -484,6 +591,28 @@ mod tests {
     }
 
     #[test]
+    fn a_poisoned_task_panics_once_and_its_siblings_still_run() {
+        let pool = Pool::new(2);
+        pool.poison_next_task();
+        let ran = AtomicU64::new(0);
+        let spawn_three = || {
+            pool.scope(|s| {
+                for _ in 0..3 {
+                    s.spawn(|| {
+                        ran.fetch_add(1, Ordering::SeqCst);
+                    });
+                }
+            });
+        };
+        let panic = std::panic::catch_unwind(AssertUnwindSafe(spawn_three)).unwrap_err();
+        let message = panic.downcast_ref::<&str>().expect("a str panic");
+        assert!(message.contains("poisoned pool task"), "{message}");
+        assert_eq!(ran.load(Ordering::SeqCst), 2);
+        spawn_three(); // one shot: the next scope is clean
+        assert_eq!(ran.load(Ordering::SeqCst), 5);
+    }
+
+    #[test]
     fn zero_threads_clamps_to_one() {
         let pool = Pool::new(0);
         assert_eq!(pool.threads(), 1);
@@ -502,8 +631,72 @@ mod tests {
 
     #[test]
     fn drop_joins_workers() {
-        let pool = Pool::new(2);
-        pool.scope(|s| s.spawn(|| {}));
-        drop(pool); // must not hang
+        // Dropped right after a scope, so the worker that ran the task is
+        // polling, not parked: it must see `shutdown` from the poll.
+        for _ in 0..8 {
+            let pool = Pool::new(2);
+            pool.scope(|s| s.spawn(|| {}));
+            drop(pool); // must not hang
+        }
+    }
+
+    #[test]
+    fn a_task_queued_while_the_worker_polls_starts_without_a_wake() {
+        // `enqueue` notifies no one, so only a worker that is polling can
+        // start the task; a parked one leaves it queued until the flush
+        // below. A worker polls for `WORKER_POLL` after a task, so the
+        // enqueue right behind a scope whose task the worker ran (the
+        // closure does not return, and this thread does not help, until
+        // it started there) lands in that window unless this thread loses
+        // the CPU in between: hence the attempts.
+        let pool = Pool::new(1);
+        let (tx, rx) = std::sync::mpsc::channel();
+        let started_unwoken = (0..20).any(|_| {
+            pool.scope(|s| {
+                let tx = tx.clone();
+                s.spawn(move || tx.send(()).expect("receiver alive"));
+                rx.recv().expect("the worker starts the task");
+            });
+            let tx = tx.clone();
+            pool.shared
+                .enqueue(Box::new(move || tx.send(()).expect("receiver alive")));
+            let polled = rx.recv_timeout(Duration::from_millis(100)).is_ok();
+            if !polled {
+                pool.shared.activity.notify_all();
+                rx.recv().expect("the woken worker runs the task");
+            }
+            polled
+        });
+        assert!(started_unwoken, "no attempt found the worker polling");
+    }
+
+    #[test]
+    fn queued_count_returns_to_zero_when_the_caller_runs_the_tasks() {
+        // The only worker is held inside a task until the caller has run
+        // every other task of the scope itself.
+        let pool = Pool::new(1);
+        let caller = std::thread::current().id();
+        let (started_tx, started_rx) = std::sync::mpsc::channel();
+        let (release_tx, release_rx) = std::sync::mpsc::channel();
+        let on_caller = AtomicU64::new(0);
+        pool.scope(|s| {
+            s.spawn(move || {
+                started_tx.send(()).expect("scope alive");
+                release_rx.recv().expect("released by the last task");
+            });
+            started_rx.recv().expect("the worker starts the holder");
+            for _ in 0..5 {
+                s.spawn(|| {
+                    if std::thread::current().id() == caller {
+                        on_caller.fetch_add(1, Ordering::SeqCst);
+                    }
+                });
+            }
+            s.spawn(move || release_tx.send(()).expect("holder alive"));
+            assert_eq!(pool.shared.queued.load(Ordering::SeqCst), 6);
+        });
+        assert_eq!(on_caller.load(Ordering::SeqCst), 5);
+        assert_eq!(pool.shared.queued.load(Ordering::SeqCst), 0);
+        assert!(pool.shared.lock().is_empty());
     }
 }

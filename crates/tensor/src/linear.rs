@@ -4,11 +4,8 @@ use crate::error::ShapeError;
 use crate::init::xavier_uniform;
 use crate::matrix::Matrix;
 use crate::ops::bias_relu_epilogue;
+use crate::parallel;
 use tcast_pool::Exec;
-
-/// Minimum output elements per task before a pooled GEMM pays off; below
-/// this the serial kernel runs even under [`Exec::Pooled`].
-const POOLED_GEMM_MIN_ROWS: usize = 8;
 
 /// A fully-connected (dense) layer `y = x W + b`.
 ///
@@ -16,6 +13,16 @@ const POOLED_GEMM_MIN_ROWS: usize = 8;
 /// The layer caches its input during [`Linear::forward`] so that
 /// [`Linear::backward`] can produce weight/bias gradients, and stores those
 /// gradients until [`Linear::apply_update`] folds them into the parameters.
+/// The step path ([`Linear::forward_inference_into`] +
+/// [`Linear::backward_into`]) caches nothing: the caller, which holds the
+/// activation anyway, lends it back to the backward pass.
+///
+/// Under a multi-threaded [`Exec`] a layer whose products reach the
+/// multiply-add floor of the `parallel` module splits them into row bands
+/// (forward) and runs `dW` beside `dX` (backward); a smaller layer runs on
+/// the calling thread as if the `Exec` were serial. Either way every
+/// output element keeps its accumulation order: the bits do not depend on
+/// the `Exec`.
 ///
 /// This mirrors how the paper's GPU-side "DNN fwd/bwd" phases are structured:
 /// forward produces activations, backward produces `dW` (GEMM of transposed
@@ -118,40 +125,27 @@ impl Linear {
         self.bias.copy_from_slice(&src.bias);
     }
 
-    /// Forward pass: `y = x W + b`. Caches `x` for the backward pass.
+    /// Forward pass: `y = x W + b`. Caches `x` for [`Linear::backward`].
     ///
     /// # Errors
     ///
     /// Returns a [`ShapeError`] if `x.cols() != in_dim`.
     pub fn forward(&mut self, x: &Matrix) -> Result<Matrix, ShapeError> {
         let mut y = Matrix::default();
-        self.forward_into(x, &mut y, None, Exec::Serial)?;
-        Ok(y)
-    }
-
-    /// [`Linear::forward`] writing into `out` (reusing its allocation) and
-    /// caching `x` into a reused buffer — the zero-allocation steady-state
-    /// form. With `relu_out`, the same pass that adds the bias also writes
-    /// `relu(out)` there (the hidden-layer epilogue). With
-    /// [`Exec::Pooled`], the GEMM is row-partitioned across the pool;
-    /// results are bit-identical either way.
-    ///
-    /// # Errors
-    ///
-    /// Returns a [`ShapeError`] if `x.cols() != in_dim`.
-    pub fn forward_into(
-        &mut self,
-        x: &Matrix,
-        out: &mut Matrix,
-        relu_out: Option<&mut Matrix>,
-        exec: Exec<'_>,
-    ) -> Result<(), ShapeError> {
-        self.forward_inference_into(x, out, relu_out, exec)?;
+        self.forward_inference_into(x, &mut y, None, Exec::Serial)?;
         match &mut self.cached_input {
             Some(buf) => buf.copy_from(x),
             none => *none = Some(x.clone()),
         }
-        Ok(())
+        Ok(y)
+    }
+
+    /// Whether this layer's products at `batch` rows reach the
+    /// multiply-add floor above which a multi-threaded [`Exec`] splits
+    /// them — what a caller that starts its pool lazily asks before it
+    /// builds the `Exec`.
+    pub fn splits_at(&self, batch: usize) -> bool {
+        parallel::splits(batch, self.in_dim(), self.out_dim())
     }
 
     /// Stateless forward pass (no caching); used for inference/evaluation.
@@ -167,12 +161,14 @@ impl Linear {
 
     /// [`Linear::forward_inference`] writing into `out` (reusing its
     /// allocation) and, with `relu_out`, `relu(out)` there in the same
-    /// pass, with the GEMM pooled when `exec` provides a pool — the
-    /// zero-allocation serving form. Unlike [`Linear::forward_into`]
-    /// it takes `&self` and caches nothing, so a frozen model can be
-    /// scored from scratch buffers the *caller* owns (the serve engine
-    /// shares one model between scoring and checkpointing this way).
-    /// Bit-identical to both forward forms.
+    /// pass (the hidden-layer epilogue) — the zero-allocation form of both
+    /// the training step and serving. It takes `&self` and caches nothing,
+    /// so a frozen model can be scored from scratch buffers the *caller*
+    /// owns (the serve engine shares one model between scoring and
+    /// checkpointing this way), and a training step keeps `x` itself for
+    /// [`Linear::backward_into`]. With a multi-threaded `exec` a product
+    /// at or above the floor is cut into row bands on its pool.
+    /// Bit-identical to [`Linear::forward`] under every `exec`.
     ///
     /// # Errors
     ///
@@ -184,48 +180,71 @@ impl Linear {
         relu_out: Option<&mut Matrix>,
         exec: Exec<'_>,
     ) -> Result<(), ShapeError> {
-        matmul_exec(x, &self.weight, out, exec)?;
+        if x.cols() != self.in_dim() {
+            return Err(ShapeError::new("matmul", x.shape(), self.weight.shape()));
+        }
+        parallel::matmul_unchecked(exec, x, &self.weight, out);
         bias_relu_epilogue(out, &self.bias, relu_out);
         Ok(())
     }
 
     /// Backward pass. Given `dy = dL/dy`, computes and caches
-    /// `dW = x^T dy`, `db = sum_rows(dy)`, and returns `dx = dy W^T`.
+    /// `dW = x^T dy`, `db = sum_rows(dy)`, and returns `dx = dy W^T`, for
+    /// the `x` the last [`Linear::forward`] cached.
     ///
     /// # Errors
     ///
     /// Returns a [`ShapeError`] if no forward pass preceded this call or the
     /// gradient shape is inconsistent with the cached input.
     pub fn backward(&mut self, dy: &Matrix) -> Result<Matrix, ShapeError> {
+        let x = self
+            .cached_input
+            .take()
+            .ok_or_else(|| ShapeError::new("backward_without_forward", (0, 0), dy.shape()))?;
         let mut dx = Matrix::default();
-        self.backward_into(dy, &mut dx, Exec::Serial)?;
-        Ok(dx)
+        let result = self.backward_into(&x, dy, &mut dx, Exec::Serial);
+        self.cached_input = Some(x);
+        result.map(|()| dx)
     }
 
-    /// [`Linear::backward`] writing `dx` into a reused buffer, recycling
-    /// the gradient buffers retired by the last [`Linear::apply_update`].
-    /// With [`Exec::Pooled`], `dx = dy W^T` is row-partitioned across the
-    /// pool; results are bit-identical either way.
+    /// The backward pass of the step path: `x` is the input the forward
+    /// pass of this step saw (the caller kept it), `dx` a reused buffer,
+    /// and the gradient buffers are the ones the last
+    /// [`Linear::apply_update`] retired. Every shape is checked before a
+    /// buffer is touched, so a rejected call costs the next one nothing.
+    /// Then `dW = x^T dy` and `dx = dy W^T` run inline, or — under a
+    /// multi-threaded `exec`, at or above the floor — as the bands of
+    /// **one** scope on its pool, `dW` beside `dx`. Bit-identical to
+    /// [`Linear::backward`] under every `exec`.
     ///
     /// # Errors
     ///
-    /// Returns a [`ShapeError`] if no forward pass preceded this call or the
-    /// gradient shape is inconsistent with the cached input.
+    /// Returns a [`ShapeError`] if `x` is not `batch x in_dim` or `dy` not
+    /// `batch x out_dim` for one `batch`.
     pub fn backward_into(
         &mut self,
+        x: &Matrix,
         dy: &Matrix,
         dx: &mut Matrix,
         exec: Exec<'_>,
     ) -> Result<(), ShapeError> {
-        let x = self
-            .cached_input
-            .as_ref()
-            .ok_or_else(|| ShapeError::new("backward_without_forward", (0, 0), dy.shape()))?;
+        if x.cols() != self.in_dim() {
+            return Err(ShapeError::new("matmul", x.shape(), self.weight.shape()));
+        }
+        if x.rows() != dy.rows() {
+            return Err(ShapeError::new("matmul_at", x.shape(), dy.shape()));
+        }
+        if dy.cols() != self.out_dim() {
+            return Err(ShapeError::new(
+                "matmul_bt",
+                dy.shape(),
+                self.weight.shape(),
+            ));
+        }
         let mut grad_w = self.spare_grad_weight.take().unwrap_or_default();
-        x.matmul_at_into(dy, &mut grad_w)?;
         let mut grad_b = self.spare_grad_bias.take().unwrap_or_default();
         dy.sum_rows_into(&mut grad_b);
-        matmul_bt_exec(dy, &self.weight, dx, exec)?;
+        parallel::backward_unchecked(exec, x, dy, &self.weight, &mut grad_w, dx);
         self.grad_weight = Some(grad_w);
         self.grad_bias = Some(grad_b);
         Ok(())
@@ -289,41 +308,6 @@ impl Linear {
     }
 }
 
-/// `a * b` into `out`, pooled when `exec` provides a pool and the batch is
-/// worth splitting. Bit-identical to [`Matrix::matmul_into`].
-fn matmul_exec(a: &Matrix, b: &Matrix, out: &mut Matrix, exec: Exec<'_>) -> Result<(), ShapeError> {
-    match exec.pool() {
-        Some(pool) if exec.threads() > 1 && a.rows() >= POOLED_GEMM_MIN_ROWS => {
-            if a.cols() != b.rows() {
-                return Err(ShapeError::new("matmul", a.shape(), b.shape()));
-            }
-            crate::parallel::matmul_pooled_unchecked(pool, a, b, out, exec.threads());
-            Ok(())
-        }
-        _ => a.matmul_into(b, out),
-    }
-}
-
-/// `a * b^T` into `out`, row-partitioned on the pool when worthwhile.
-/// Bit-identical to [`Matrix::matmul_bt_into`] (same kernel per row band).
-fn matmul_bt_exec(
-    a: &Matrix,
-    b: &Matrix,
-    out: &mut Matrix,
-    exec: Exec<'_>,
-) -> Result<(), ShapeError> {
-    match exec.pool() {
-        Some(pool) if exec.threads() > 1 && a.rows() >= POOLED_GEMM_MIN_ROWS => {
-            if a.cols() != b.cols() {
-                return Err(ShapeError::new("matmul_bt", a.shape(), b.shape()));
-            }
-            crate::parallel::matmul_bt_pooled_unchecked(pool, a, b, out, exec.threads());
-            Ok(())
-        }
-        _ => a.matmul_bt_into(b, out),
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -341,6 +325,38 @@ mod tests {
     fn from_parameters_validates_bias() {
         let w = Matrix::zeros(2, 3);
         assert!(Linear::from_parameters(w, vec![0.0; 2]).is_err());
+    }
+
+    #[test]
+    fn a_rejected_backward_keeps_the_recycled_gradient_buffers() {
+        // Regression: the spares were taken before the shapes were
+        // checked, so one bad `dy` made the next good step allocate both
+        // gradient buffers again.
+        let mut layer = Linear::new(5, 3, 9);
+        let x = Matrix::filled(4, 5, 0.5);
+        let dy = Matrix::filled(4, 3, 1.0);
+        let mut dx = Matrix::default();
+        layer.backward_into(&x, &dy, &mut dx, Exec::Serial).unwrap();
+        let buffers = |l: &Linear| {
+            (
+                l.grad_weight().unwrap().as_slice().as_ptr(),
+                l.grad_bias().unwrap().as_ptr(),
+            )
+        };
+        let first = buffers(&layer);
+        layer.apply_update(0.1);
+        for (bad_x, bad_dy) in [
+            (&x, Matrix::zeros(4, 2)),                   // dy against the weight
+            (&x, Matrix::zeros(3, 3)),                   // dy against the input
+            (&Matrix::zeros(4, 6), Matrix::zeros(4, 3)), // input against the weight
+        ] {
+            assert!(layer
+                .backward_into(bad_x, &bad_dy, &mut dx, Exec::Serial)
+                .is_err());
+            assert!(layer.grad_weight().is_none());
+        }
+        layer.backward_into(&x, &dy, &mut dx, Exec::Serial).unwrap();
+        assert_eq!(buffers(&layer), first);
     }
 
     #[test]

@@ -285,7 +285,7 @@ impl Matrix {
         let (m, k, n) = (self.cols, self.rows, rhs.cols);
         out.reshape_for_overwrite(m, n);
         // out[i][j] = sum_r self[r][i] * rhs[r][j], `r` ascending.
-        simd::gemm_tn(kernel, &self.data, &rhs.data, &mut out.data, k, m, n);
+        simd::gemm_tn(kernel, &self.data, m, &rhs.data, &mut out.data, k, m, n);
         Ok(())
     }
 

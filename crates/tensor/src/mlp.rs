@@ -42,10 +42,15 @@ pub struct Mlp {
     activation: Activation,
     // Pre-activation outputs of each hidden layer, saved for backprop.
     cached_pre_activations: Vec<Matrix>,
-    // Reusable buffers for the zero-allocation step path: post-activation
-    // outputs per hidden layer, and two ping-pong gradient buffers.
+    // Reusable buffers for the zero-allocation step path: a copy of the
+    // input and the post-activation output of each hidden layer — the `x`
+    // every layer's backward borrows — and two ping-pong gradient buffers.
+    step_input: Matrix,
     step_hidden: Vec<Matrix>,
     step_grad: [Matrix; 2],
+    // Which forward ran last: `forward_into` (the step buffers above are
+    // current) or `forward` (the layers' own input caches are).
+    stepped: bool,
 }
 
 impl Mlp {
@@ -74,8 +79,10 @@ impl Mlp {
             layers,
             activation,
             cached_pre_activations: Vec::new(),
+            step_input: Matrix::default(),
             step_hidden: Vec::new(),
             step_grad: [Matrix::default(), Matrix::default()],
+            stepped: false,
         })
     }
 
@@ -130,6 +137,7 @@ impl Mlp {
     ///
     /// Returns a [`ShapeError`] on input-dimension mismatch.
     pub fn forward(&mut self, x: &Matrix) -> Result<Matrix, ShapeError> {
+        self.stepped = false;
         self.cached_pre_activations.clear();
         let mut h = x.clone();
         let n = self.layers.len();
@@ -148,10 +156,20 @@ impl Mlp {
         Ok(h)
     }
 
+    /// Whether any layer's products at `batch` rows reach the
+    /// multiply-add floor above which a multi-threaded [`Exec`] splits
+    /// them (see [`Linear::splits_at`]).
+    pub fn splits_at(&self, batch: usize) -> bool {
+        self.layers.iter().any(|layer| layer.splits_at(batch))
+    }
+
     /// [`Mlp::forward`] writing into `out` and reusing every intermediate
-    /// buffer (pre-activations, hidden activations, cached layer inputs):
-    /// the zero-allocation steady-state form. With [`Exec::Pooled`] the
-    /// layer GEMMs run on the pool. Bit-identical to [`Mlp::forward`].
+    /// buffer (pre-activations, hidden activations, a copy of `x`): the
+    /// zero-allocation steady-state form, to be followed by
+    /// [`Mlp::backward_into`]. The layers cache nothing; each one's
+    /// backward borrows its input from these buffers. With a
+    /// multi-threaded `exec` the layers at or above the floor split their
+    /// GEMMs on its pool. Bit-identical to [`Mlp::forward`].
     ///
     /// # Errors
     ///
@@ -164,10 +182,12 @@ impl Mlp {
     ) -> Result<(), ShapeError> {
         let n = self.layers.len();
         let hidden = n - 1;
+        self.stepped = false;
         // Lazily size the per-hidden-layer buffers (first call only).
         self.cached_pre_activations
             .resize_with(hidden, Matrix::default);
         self.step_hidden.resize_with(hidden, Matrix::default);
+        self.step_input.copy_from(x);
 
         let Self {
             layers,
@@ -183,9 +203,11 @@ impl Mlp {
             let input = if i == 0 { x } else { &before[i - 1] };
             let z = &mut cached_pre_activations[i];
             match activation {
-                Activation::Relu => layers[i].forward_into(input, z, Some(&mut at[0]), exec)?,
+                Activation::Relu => {
+                    layers[i].forward_inference_into(input, z, Some(&mut at[0]), exec)?
+                }
                 Activation::Identity => {
-                    layers[i].forward_into(input, z, None, exec)?;
+                    layers[i].forward_inference_into(input, z, None, exec)?;
                     at[0].copy_from(z);
                 }
             }
@@ -195,13 +217,15 @@ impl Mlp {
         } else {
             &step_hidden[hidden - 1]
         };
-        layers[hidden].forward_into(input, out, None, exec)
+        layers[hidden].forward_inference_into(input, out, None, exec)?;
+        self.stepped = true;
+        Ok(())
     }
 
     /// Inference-only forward pass writing into `out` through
     /// caller-owned scratch — the zero-allocation serving form. Takes
     /// `&self` and mutates no model state (unlike [`Mlp::forward_into`],
-    /// which caches pre-activations for backprop), so one frozen model
+    /// which keeps activations for backprop), so one frozen model
     /// can be scored concurrently with checkpointing, and the serve
     /// engine's scratch lives with the engine, not the model.
     /// Bit-identical to [`Mlp::forward`], [`Mlp::forward_into`] and
@@ -270,8 +294,12 @@ impl Mlp {
     ///
     /// # Errors
     ///
-    /// Returns a [`ShapeError`] if no forward pass preceded this call.
+    /// Returns a [`ShapeError`] unless [`Mlp::forward`] was the last
+    /// forward pass.
     pub fn backward(&mut self, dy: &Matrix) -> Result<Matrix, ShapeError> {
+        if self.stepped {
+            return Err(no_matching_forward(dy));
+        }
         let n = self.layers.len();
         let mut grad = dy.clone();
         for i in (0..n).rev() {
@@ -287,58 +315,52 @@ impl Mlp {
         Ok(grad)
     }
 
-    /// [`Mlp::backward`] writing `dL/d(input)` into `dx` and reusing the
-    /// two internal ping-pong gradient buffers. Bit-identical to
-    /// [`Mlp::backward`]; with [`Exec::Pooled`] the GEMMs run on the pool.
+    /// [`Mlp::backward`] for the step path: writes `dL/d(input)` into
+    /// `dx`, reuses the two internal ping-pong gradient buffers, and lends
+    /// each layer the input [`Mlp::forward_into`] kept for it.
+    /// Bit-identical to [`Mlp::backward`]; with a multi-threaded `exec`
+    /// the layers at or above the floor run `dW` beside `dX` on its pool.
     ///
     /// # Errors
     ///
-    /// Returns a [`ShapeError`] if no forward pass preceded this call.
+    /// Returns a [`ShapeError`] unless [`Mlp::forward_into`] was the last
+    /// forward pass, or if `dy` disagrees with its output.
     pub fn backward_into(
         &mut self,
         dy: &Matrix,
         dx: &mut Matrix,
         exec: Exec<'_>,
     ) -> Result<(), ShapeError> {
+        if !self.stepped {
+            return Err(no_matching_forward(dy));
+        }
         let n = self.layers.len();
         let Self {
             layers,
             activation,
             cached_pre_activations,
+            step_input,
+            step_hidden,
             step_grad,
             ..
         } = self;
-        let [buf_a, buf_b] = step_grad;
-        // The running gradient ping-pongs dy -> a -> b -> a -> ... -> dx.
-        let mut src_in_a = false;
-        let mut src_is_dy = true;
+        // The running gradient goes dy -> cur -> next -> cur -> ... -> dx.
+        let [cur, next] = step_grad;
+        let (mut cur, mut next) = (cur, next);
         for i in (0..n).rev() {
-            let into_dx = i == 0;
-            match (src_is_dy, src_in_a, into_dx) {
-                (true, _, true) => layers[i].backward_into(dy, dx, exec)?,
-                (true, _, false) => {
-                    layers[i].backward_into(dy, buf_a, exec)?;
-                    src_in_a = true;
-                }
-                (false, true, true) => layers[i].backward_into(&*buf_a, dx, exec)?,
-                (false, true, false) => {
-                    layers[i].backward_into(&*buf_a, buf_b, exec)?;
-                    src_in_a = false;
-                }
-                (false, false, true) => layers[i].backward_into(&*buf_b, dx, exec)?,
-                (false, false, false) => {
-                    layers[i].backward_into(&*buf_b, buf_a, exec)?;
-                    src_in_a = true;
-                }
-            }
-            src_is_dy = false;
+            let x = if i == 0 {
+                &*step_input
+            } else {
+                &step_hidden[i - 1]
+            };
+            let grad = if i + 1 == n { dy } else { &*cur };
+            let into = if i == 0 { &mut *dx } else { &mut *next };
+            layers[i].backward_into(x, grad, into, exec)?;
             if i > 0 {
-                let z = &cached_pre_activations[i - 1];
-                let grad: &mut Matrix = if src_in_a { buf_a } else { buf_b };
-                match activation {
-                    Activation::Relu => relu_backward_in_place(grad, z)?,
-                    Activation::Identity => {}
+                if let Activation::Relu = activation {
+                    relu_backward_in_place(next, &cached_pre_activations[i - 1])?;
                 }
+                std::mem::swap(&mut cur, &mut next);
             }
         }
         Ok(())
@@ -361,9 +383,16 @@ impl Mlp {
     }
 }
 
+/// The error of a backward pass whose own kind of forward pass did not
+/// run last.
+fn no_matching_forward(dy: &Matrix) -> ShapeError {
+    ShapeError::new("backward_without_forward", (0, 0), dy.shape())
+}
+
 #[cfg(test)]
 mod tests {
     use super::*;
+    use tcast_pool::Pool;
 
     #[test]
     fn rejects_empty_widths() {
@@ -422,6 +451,99 @@ mod tests {
             .unwrap();
         let expect = mlp.forward_inference(&x).unwrap();
         assert_eq!(out.as_slice(), expect.as_slice());
+    }
+
+    /// Everything one training step leaves behind, as bits.
+    fn step_bits(mlp: &mut Mlp, x: &Matrix, dy: &Matrix, exec: Exec<'_>) -> Vec<Vec<u32>> {
+        let bits = |v: &[f32]| v.iter().map(|f| f.to_bits()).collect::<Vec<u32>>();
+        let (mut y, mut dx) = (Matrix::default(), Matrix::default());
+        mlp.forward_into(x, &mut y, exec).unwrap();
+        mlp.backward_into(dy, &mut dx, exec).unwrap();
+        mlp.apply_update(0.05);
+        let mut out = vec![bits(y.as_slice()), bits(dx.as_slice())];
+        for layer in mlp.layers() {
+            out.push(bits(layer.weight().as_slice()));
+            out.push(bits(layer.bias()));
+        }
+        out
+    }
+
+    #[test]
+    fn a_step_leaves_the_same_bits_under_every_exec() {
+        // serial == lane (one worker, the caller the second pair of hands)
+        // == pooled, through forward, backward and update, for stacks with
+        // layers on both sides of the split floor: a `k = 13` first layer
+        // above it feeding an `n = 1` logit layer below it at an odd batch;
+        // a square layer that reaches the floor at one row, at batches of
+        // one and two (fewer rows than the pool has bands); and an
+        // all-small stack. The allocating reference path agrees too.
+        let lane = Pool::new(1);
+        let pool = Pool::new(3);
+        let cases: [(usize, &[usize], usize); 4] = [
+            (13, &[2048, 1], 161),
+            (8, &[2048, 2048, 1], 1),
+            (8, &[2048, 2048, 1], 2),
+            (13, &[32, 16, 1], 37),
+        ];
+        for (input, widths, batch) in cases {
+            let fresh = Mlp::new(input, widths, Activation::Relu, 5).unwrap();
+            assert_eq!(fresh.splits_at(batch), widths[0] > 32);
+            let mut rng = crate::init::SplitMix64::new(batch as u64);
+            let mut random = |rows, cols| {
+                let mut m = Matrix::zeros(rows, cols);
+                m.as_mut_slice()
+                    .iter_mut()
+                    .for_each(|v| *v = rng.next_range(-1.0, 1.0));
+                m
+            };
+            let (x, dy) = (random(batch, input), random(batch, 1));
+
+            let mut reference = fresh.clone();
+            reference.forward(&x).unwrap();
+            reference.backward(&dy).unwrap();
+            reference.apply_update(0.05);
+
+            let serial = step_bits(&mut fresh.clone(), &x, &dy, Exec::Serial);
+            let execs = [
+                Exec::Pooled {
+                    pool: &lane,
+                    threads: 2,
+                },
+                Exec::pooled(&pool),
+            ];
+            for exec in execs {
+                let split = step_bits(&mut fresh.clone(), &x, &dy, exec);
+                assert!(split == serial, "{widths:?} x {batch} under {exec:?}");
+            }
+            for (layer, pair) in reference.layers().iter().zip(serial[2..].chunks(2)) {
+                let weight: Vec<u32> = layer
+                    .weight()
+                    .as_slice()
+                    .iter()
+                    .map(|f| f.to_bits())
+                    .collect();
+                assert!(weight == pair[0], "{widths:?} x {batch} vs the reference");
+            }
+        }
+    }
+
+    #[test]
+    fn each_backward_wants_its_own_forward() {
+        let mut mlp = Mlp::new(3, &[4, 1], Activation::Relu, 1).unwrap();
+        let x = Matrix::filled(2, 3, 0.5);
+        let dy = Matrix::filled(2, 1, 1.0);
+        let (mut y, mut dx) = (Matrix::default(), Matrix::default());
+        assert!(mlp.backward_into(&dy, &mut dx, Exec::Serial).is_err());
+        mlp.forward(&x).unwrap();
+        assert!(mlp.backward_into(&dy, &mut dx, Exec::Serial).is_err());
+        mlp.backward(&dy).unwrap();
+        mlp.forward_into(&x, &mut y, Exec::Serial).unwrap();
+        assert!(mlp.backward(&dy).is_err());
+        mlp.backward_into(&dy, &mut dx, Exec::Serial).unwrap();
+        // A `dy` that disagrees with the forward's batch is a shape error.
+        assert!(mlp
+            .backward_into(&Matrix::zeros(3, 1), &mut dx, Exec::Serial)
+            .is_err());
     }
 
     #[test]

@@ -878,7 +878,7 @@ fn gemm_strided(
     k: usize,
     n: usize,
 ) {
-    debug_assert_eq!(a.len(), m * k);
+    debug_assert!(m == 0 || k == 0 || a.len() > (m - 1) * a_rs + (k - 1) * a_ks);
     debug_assert_eq!(b.len(), k * n);
     debug_assert_eq!(c.len(), m * n);
     #[cfg(target_arch = "x86_64")]
@@ -913,19 +913,24 @@ pub fn gemm_nn(
     gemm_strided(d, a, k, 1, b, c, m, k, n);
 }
 
-/// `C = A^T B` where `a` is `k x m` row-major: the backprop weight
-/// gradient without materializing the transpose. Every output is
+/// `C = A^T B` where `A[kk][i]` lives at `a[kk * lda + i]`: the backprop
+/// weight gradient without materializing the transpose. `lda == m` is a
+/// whole `k x m` row-major `a`; a band of `m` output rows starting at row
+/// `lo` of a wider product passes `&a[lo..]` and the full row length as
+/// `lda` (the row-band kernel of the split backward). Every output is
 /// overwritten.
+#[allow(clippy::too_many_arguments)]
 pub fn gemm_tn(
     d: KernelDispatch,
     a: &[f32],
+    lda: usize,
     b: &[f32],
     c: &mut [f32],
     k: usize,
     m: usize,
     n: usize,
 ) {
-    gemm_strided(d, a, 1, m, b, c, m, k, n);
+    gemm_strided(d, a, 1, lda, b, c, m, k, n);
 }
 
 /// `C = A B^T` for row-major `a` (`m x k`) and `b` (`n x k`): the backprop

@@ -52,8 +52,10 @@ fn pipeline_sustains_many_out_of_order_iterations() {
 
 #[test]
 fn parallel_matmul_stress() {
-    // Both pooled products (forward `x * W`, backward `dy * W^T`) under
-    // random shapes and band counts, against the serial ones bit for bit.
+    // All three products of a layer (forward `x W`, backward `x^T dy`
+    // beside `dy W^T`) under random shapes and band counts, against the
+    // serial ones bit for bit. The first shape sits under the split floor
+    // (a pooled `Exec` must run it inline), the rest just above it.
     let pool = Pool::new(4);
     let mut rng = SplitMix64::new(3);
     let mut random = |rows: usize, cols: usize| {
@@ -63,27 +65,41 @@ fn parallel_matmul_stress() {
         }
         m
     };
-    for trial in 0..6 {
-        let m = 8 + trial * 11; // the pooled path engages from 8 rows
-        let (k, n) = (1 + trial * 13, 60 - trial * 9);
+    for trial in 0..5 {
+        let m = 8 + trial * 11;
+        let (k, n) = match trial {
+            0 => (53, 60),
+            _ => (
+                1 + trial * 131,
+                (4usize << 20).div_ceil(m * (1 + trial * 131)) + trial,
+            ),
+        };
         let mut layer = Linear::from_parameters(random(k, n), vec![0.0; n]).unwrap();
+        assert_eq!(layer.splits_at(m), trial > 0, "{m}x{k}x{n}");
         let (x, dy) = (random(m, k), random(m, n));
         let (mut y, mut dx) = (Matrix::default(), Matrix::default());
-        layer.forward_into(&x, &mut y, None, Exec::Serial).unwrap();
-        layer.backward_into(&dy, &mut dx, Exec::Serial).unwrap();
-        for threads in [2, 3, 5, 8] {
+        layer
+            .forward_inference_into(&x, &mut y, None, Exec::Serial)
+            .unwrap();
+        layer.backward_into(&x, &dy, &mut dx, Exec::Serial).unwrap();
+        let dw = layer.grad_weight().unwrap().clone();
+        for threads in [2, 3, 8] {
             let exec = Exec::Pooled {
                 pool: &pool,
                 threads,
             };
             let (mut y_pooled, mut dx_pooled) = (Matrix::default(), Matrix::default());
-            layer.forward_into(&x, &mut y_pooled, None, exec).unwrap();
-            layer.backward_into(&dy, &mut dx_pooled, exec).unwrap();
-            assert_eq!(y.as_slice(), y_pooled.as_slice(), "{m}x{k}x{n} / {threads}");
+            layer
+                .forward_inference_into(&x, &mut y_pooled, None, exec)
+                .unwrap();
+            layer.backward_into(&x, &dy, &mut dx_pooled, exec).unwrap();
+            let context = format!("{m}x{k}x{n} / {threads}");
+            assert_eq!(y.as_slice(), y_pooled.as_slice(), "{context}");
+            assert_eq!(dx.as_slice(), dx_pooled.as_slice(), "{context}");
             assert_eq!(
-                dx.as_slice(),
-                dx_pooled.as_slice(),
-                "{m}x{k}x{n} / {threads}"
+                dw.as_slice(),
+                layer.grad_weight().unwrap().as_slice(),
+                "{context}"
             );
         }
     }

@@ -25,7 +25,8 @@ use tensor_casting::datasets::{
 };
 use tensor_casting::dlrm::{
     AdaptiveDepth, BackwardMode, DepthController, DepthPolicy, DlrmConfig, EmbeddingOptimizer,
-    Execution, ShardSpec, StepReport, TableConfig, TrainLoop, Trainer, GATHER_AHEAD_FAULT_SITE,
+    Execution, ShardSpec, StepReport, TableConfig, TrainLoop, Trainer, DENSE_GEMM_FAULT_SITE,
+    GATHER_AHEAD_FAULT_SITE,
 };
 use tensor_casting::embedding::{EmbeddingError, IndexArray};
 
@@ -888,4 +889,115 @@ fn checkpoint_restore_between_completions_drops_the_held_gather() {
     assert_eq!(got.gathered_ahead, 0, "a stale gather was adopted");
     assert_eq!(got.loss.to_bits(), want.loss.to_bits());
     assert!(trajectory(&[], trainer) == trajectory(&[], reference));
+}
+
+// ---------------------------------------------------------------------
+// Two-core dense phases: a trainer without a pool still hands its lane
+// half of every GEMM large enough to split. The hazard model with a
+// bottom MLP whose middle layer reaches the split floor at batch 16.
+
+fn wide_config() -> DlrmConfig {
+    DlrmConfig {
+        bottom_mlp: vec![512, 512, 16],
+        ..hazard_config()
+    }
+}
+
+/// The per-step loss bits and the checkpoint bytes three schedules leave
+/// behind — `Trainer::step` (dense phases split with the lane), a depth-2
+/// `TrainLoop` (the lane also gathers ahead) and a three-worker pool (three
+/// bands a GEMM) — are the same, in both backward modes.
+#[test]
+fn split_dense_phases_train_bit_identically_through_every_schedule() {
+    use tensor_casting::dlrm::checkpoint::save_train_checkpoint;
+    let batches = hazard_batches(51, 4, 16);
+    let checkpoint = |trainer: &Trainer| {
+        let mut bytes = Vec::new();
+        save_train_checkpoint(&mut bytes, trainer, None, None).unwrap();
+        bytes
+    };
+    for mode in [BackwardMode::Baseline, BackwardMode::Casted] {
+        // SGD: a stateful optimizer's checkpoint also records how its
+        // slabs grew, which a banded scatter is free to do differently.
+        let mk = |execution| {
+            let optimizer = EmbeddingOptimizer::Sgd;
+            Trainer::with_execution(wide_config(), mode, optimizer, execution, 7).unwrap()
+        };
+        let mut stepped = mk(Execution::Serial);
+        assert!(stepped.model().dense_splits_at(16));
+        let want: Vec<u32> = batches
+            .iter()
+            .map(|b| stepped.step(b).unwrap().loss.to_bits())
+            .collect();
+        let want_bytes = checkpoint(&stepped);
+
+        let pool = Arc::new(tensor_casting::tensor::Pool::new(3));
+        for execution in [Execution::Serial, Execution::Pooled(pool)] {
+            let context = format!("{mode:?} {execution:?}");
+            let mut lp = TrainLoop::new(mk(execution), 2);
+            let check = drive_checked(&mut lp, &batches, &context);
+            assert!(check.adopted > 0, "{context}: nothing gathered ahead");
+            let got: Vec<u32> = check.losses.iter().map(|l| l.to_bits()).collect();
+            assert_eq!(got, want, "{context}");
+            assert!(checkpoint(lp.trainer()) == want_bytes, "{context}");
+        }
+    }
+}
+
+/// A panic in a GEMM band of the dense backward resurfaces on the training
+/// thread out of the step that spawned it — from the trainer's own lane as
+/// from a caller's pool — and the trainer then takes the same steps as one
+/// that never saw it.
+#[test]
+fn dense_gemm_panic_resurfaces_and_the_next_step_runs() {
+    use std::panic::{catch_unwind, AssertUnwindSafe};
+    let batches = hazard_batches(61, 3, 16);
+    let pool = Arc::new(tensor_casting::tensor::Pool::new(2));
+    for execution in [Execution::Serial, Execution::Pooled(pool)] {
+        let mk = || {
+            let optimizer = EmbeddingOptimizer::Sgd;
+            Trainer::with_execution(
+                wide_config(),
+                BackwardMode::Casted,
+                optimizer,
+                execution.clone(),
+                3,
+            )
+            .unwrap()
+        };
+        let mut clean = mk();
+        let want: Vec<u32> = batches
+            .iter()
+            .map(|b| clean.step(b).unwrap().loss.to_bits())
+            .collect();
+
+        let mut trainer = mk();
+        let plan = FaultPlan::new();
+        plan.arm(DENSE_GEMM_FAULT_SITE, 1);
+        trainer.set_fault_plan(plan.clone());
+        assert_eq!(trainer.step(&batches[0]).unwrap().loss.to_bits(), want[0]);
+        let panic = catch_unwind(AssertUnwindSafe(|| trainer.step(&batches[1])))
+            .expect_err("the band's panic must reach the training thread");
+        let message = panic
+            .downcast_ref::<&str>()
+            .copied()
+            .unwrap_or("<not a str>");
+        assert!(
+            message.contains("poisoned pool task"),
+            "{execution:?}: {message}"
+        );
+        assert_eq!(plan.fired(), vec![(DENSE_GEMM_FAULT_SITE.to_string(), 1)]);
+        // The step that panicked changed no parameter (the dense update
+        // comes after the backward) and counted for nothing: taken again,
+        // it and its successor match the clean run bit for bit.
+        assert_eq!(trainer.steps(), 1, "{execution:?}");
+        for (batch, want) in batches[1..].iter().zip(&want[1..]) {
+            let got = trainer.step(batch).unwrap().loss.to_bits();
+            assert_eq!(got, *want, "{execution:?}");
+        }
+        assert!(
+            trajectory(&[], trainer) == trajectory(&[], clean),
+            "{execution:?}"
+        );
+    }
 }

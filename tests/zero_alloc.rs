@@ -36,7 +36,7 @@ use tensor_casting::embedding::{
 };
 use tensor_casting::tensor::{
     bce_with_logits, bce_with_logits_backward_into, Activation, Exec, FeatureInteraction, Matrix,
-    Mlp, SplitMix64,
+    Mlp, Pool, SplitMix64,
 };
 
 struct CountingAllocator;
@@ -418,26 +418,98 @@ fn steady_state_hot_path_performs_zero_allocations() {
     let mut dlogits = Matrix::default();
     let mut dx = Matrix::default();
 
-    let mlp_step = |mlp: &mut Mlp, logits: &mut Matrix, dlogits: &mut Matrix, dx: &mut Matrix| {
-        mlp.forward_into(&x, logits, Exec::Serial).unwrap();
+    let mlp_step = |mlp: &mut Mlp,
+                    x: &Matrix,
+                    exec: Exec<'_>,
+                    logits: &mut Matrix,
+                    dlogits: &mut Matrix,
+                    dx: &mut Matrix| {
+        mlp.forward_into(x, logits, exec).unwrap();
         let loss = bce_with_logits(logits, &labels).unwrap();
         assert!(loss.is_finite());
         bce_with_logits_backward_into(logits, &labels, dlogits).unwrap();
-        mlp.backward_into(dlogits, dx, Exec::Serial).unwrap();
+        mlp.backward_into(dlogits, dx, exec).unwrap();
         mlp.apply_update(0.05);
     };
 
-    mlp_step(&mut mlp, &mut logits, &mut dlogits, &mut dx);
-    mlp_step(&mut mlp, &mut logits, &mut dlogits, &mut dx);
+    // Serially, and under the `Exec` a serial trainer hands its dense
+    // phases (a one-worker lane, two bands): every product of this stack
+    // is under the split floor, so the lane is never touched and the step
+    // allocates as little as the serial one.
+    let lane = Pool::new(1);
+    let lane_exec = Exec::Pooled {
+        pool: &lane,
+        threads: 2,
+    };
+    for exec in [Exec::Serial, lane_exec] {
+        mlp_step(&mut mlp, &x, exec, &mut logits, &mut dlogits, &mut dx);
+        mlp_step(&mut mlp, &x, exec, &mut logits, &mut dlogits, &mut dx);
 
-    let before = allocations();
-    for _ in 0..10 {
-        mlp_step(&mut mlp, &mut logits, &mut dlogits, &mut dx);
+        let before = allocations();
+        for _ in 0..10 {
+            mlp_step(&mut mlp, &x, exec, &mut logits, &mut dlogits, &mut dx);
+        }
+        assert_eq!(
+            allocations() - before,
+            0,
+            "MLP forward/loss/backward/update steady state must not allocate ({exec:?})"
+        );
     }
+
+    // A rejected backward (a `dy` of the wrong batch) leaves the recycled
+    // gradient buffers where they were: the next good step allocates
+    // nothing.
+    let before = allocations();
+    assert!(mlp
+        .backward_into(&Matrix::default(), &mut dx, Exec::Serial)
+        .is_err());
+    mlp_step(
+        &mut mlp,
+        &x,
+        Exec::Serial,
+        &mut logits,
+        &mut dlogits,
+        &mut dx,
+    );
     assert_eq!(
         allocations() - before,
         0,
-        "MLP forward/loss/backward/update steady state must not allocate"
+        "a step after a rejected backward allocated: were the spare gradient buffers dropped?"
+    );
+
+    // A stack whose first layer sits exactly on the floor at this batch
+    // does split on the lane, and what that costs the calling thread is
+    // bounded: per scope its shared state and one boxed task per band —
+    // two forward bands, two of `dX` and two of `dW` in the one backward
+    // scope. Everything else is recycled as before.
+    let mut wide = Mlp::new(256, &[256, 1], Activation::Relu, 3).unwrap();
+    assert!(wide.splits_at(batch));
+    let wide_x = random_matrix(batch, 256, 4);
+    for _ in 0..2 {
+        mlp_step(
+            &mut wide,
+            &wide_x,
+            lane_exec,
+            &mut logits,
+            &mut dlogits,
+            &mut dx,
+        );
+    }
+    let before = allocations();
+    for _ in 0..4 {
+        mlp_step(
+            &mut wide,
+            &wide_x,
+            lane_exec,
+            &mut logits,
+            &mut dlogits,
+            &mut dx,
+        );
+    }
+    let split_allocs = allocations() - before;
+    assert!(
+        split_allocs <= 4 * ((1 + 2) + (1 + 4)),
+        "4 split MLP steps allocated {split_allocs} times on the calling thread"
     );
 
     // ---- Feature interaction (dot) forward + backward -----------------
