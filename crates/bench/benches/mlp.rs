@@ -1,10 +1,9 @@
-//! Bench: the dense MLP substrate (forward and backward) at
-//! DLRM-relevant layer shapes, on both the allocating and the
-//! zero-allocation step paths.
+//! Bench: the dense MLP substrate — one training step's forward and
+//! backward — at DLRM-relevant layer shapes.
 
 use std::hint::black_box;
 use tcast_bench::harness::BenchGroup;
-use tcast_tensor::{Activation, Exec, Matrix, Mlp};
+use tcast_tensor::{Activation, Exec, Matrix, Mlp, MlpInferenceScratch};
 
 fn main() {
     let mut group = BenchGroup::new("mlp");
@@ -22,22 +21,14 @@ fn main() {
                 *v = (i as f32 * 0.1).sin();
             }
             group.throughput_elements(flops);
-            group.bench(&format!("{name}/forward/{batch}"), || {
-                mlp.forward(black_box(&x)).unwrap()
-            });
-            let y = mlp.forward(&x).unwrap();
-            let dy = Matrix::filled(y.rows(), y.cols(), 1.0);
-            group.bench(&format!("{name}/fwd_bwd/{batch}"), || {
-                mlp.forward(black_box(&x)).unwrap();
-                mlp.backward(black_box(&dy)).unwrap()
-            });
-            // Zero-allocation step path (the trainer's hot path).
+            let dy = Matrix::filled(batch, mlp.output_dim(), 1.0);
+            let mut scratch = MlpInferenceScratch::default();
             let mut out = Matrix::default();
             let mut dx = Matrix::default();
             group.bench(&format!("{name}/fwd_bwd_into/{batch}"), || {
-                mlp.forward_into(black_box(&x), &mut out, Exec::Serial)
+                mlp.forward_into(black_box(&x), &mut scratch, &mut out, Exec::Serial)
                     .unwrap();
-                mlp.backward_into(black_box(&dy), &mut dx, Exec::Serial)
+                mlp.backward_into(&x, &mut scratch, black_box(&dy), &mut dx, Exec::Serial)
                     .unwrap();
             });
         }

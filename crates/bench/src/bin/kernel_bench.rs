@@ -60,7 +60,9 @@ use tcast_embedding::{
     IndexArray, ShardMap, ShardedOptimizer,
 };
 use tcast_pool::{Exec, Pool};
-use tcast_tensor::{simd, Activation, KernelDispatch, Linear, Matrix, Mlp, SplitMix64};
+use tcast_tensor::{
+    simd, Activation, KernelDispatch, Linear, Matrix, Mlp, MlpInferenceScratch, SplitMix64,
+};
 
 const ADAGRAD: UpdateRule = UpdateRule::Adagrad {
     lr: 0.01,
@@ -588,7 +590,7 @@ fn main() {
         let flops = 2.0 * (m * k * n) as f64;
         emit.lane_rows("linear_fwd", &shape, n, flops, &lane, |exec| {
             layer
-                .forward_inference_into(&x, &mut y, Some(&mut act), exec)
+                .forward_into(&x, &mut y, Some(&mut act), exec)
                 .unwrap();
         });
         let ratio = emit.lane_rows("linear_bwd", &shape, n, 2.0 * flops, &lane, |exec| {
@@ -601,9 +603,11 @@ fn main() {
         let shape = format!("{m}x13-{}-{}-{}", widths[0], widths[1], widths[2]);
         // forward, `dW` and `dX` of every layer
         let flops = 3.0 * mlp.forward_flops(m) as f64;
+        let mut scratch = MlpInferenceScratch::default();
         emit.lane_rows("mlp_step", &shape, widths[2], flops, &lane, |exec| {
-            mlp.forward_into(&x, &mut y, exec).unwrap();
-            mlp.backward_into(&dy, &mut dx, exec).unwrap();
+            mlp.forward_into(&x, &mut scratch, &mut y, exec).unwrap();
+            mlp.backward_into(&x, &mut scratch, &dy, &mut dx, exec)
+                .unwrap();
             mlp.apply_update(1e-6);
         });
     }

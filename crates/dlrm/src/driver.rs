@@ -365,7 +365,7 @@ impl DepthController {
         self.window_steps = 0;
         if mean_ns > a.target_exposed_ns {
             // Congestion: casting is exposed at this depth. If we just
-            // stepped down, the shallower depth is proven too shallow —
+            // came down a depth, the shallower depth is proven too shallow —
             // pin the floor where we climb back to.
             if self.trialing {
                 self.floor = (self.depth + 1).min(a.max);

@@ -2,17 +2,22 @@
 
 use crate::config::DlrmConfig;
 use tcast_embedding::{
-    gather_reduce, gather_reduce_into, EmbeddingError, EmbeddingTable, IndexArray, ShardMap,
-    ShardSpec,
+    gather_reduce_into, EmbeddingError, EmbeddingTable, IndexArray, ShardMap, ShardSpec,
 };
 use tcast_pool::Exec;
-use tcast_tensor::{Activation, FeatureInteraction, Matrix, Mlp, MlpInferenceScratch, ShapeError};
+use tcast_tensor::{
+    interaction_output_dim, Activation, FeatureInteraction, Matrix, Mlp, MlpInferenceScratch,
+    ShapeError,
+};
 
 /// A DLRM model instance: bottom MLP, embedding tables, feature
 /// interaction, top MLP.
 ///
-/// `forward`/`backward` handle the dense parts and the embedding
-/// *forward*; the embedding *backward* (the subject of the paper) is
+/// The model owns weights and pending MLP gradients, never an activation:
+/// its one dense forward, [`Dlrm::dense_infer_into`], takes `&self` and
+/// writes into an [`InferenceScratch`] the caller owns, and
+/// [`Dlrm::dense_backward_into`] reads the activations back out of that
+/// scratch. The embedding *backward* (the subject of the paper) is
 /// orchestrated by the [`crate::Trainer`], which owns the choice between
 /// the baseline and casted paths.
 ///
@@ -33,29 +38,21 @@ pub struct Dlrm {
     tables: Vec<EmbeddingTable>,
     shard_spec: ShardSpec,
     maps: Vec<ShardMap>,
-    scratch: DenseScratch,
 }
 
-/// Reusable intermediates of the dense step path; every buffer is
-/// `zero_into`-recycled each step, so the steady-state dense forward and
-/// backward allocate nothing.
-#[derive(Debug, Default)]
-struct DenseScratch {
-    bottom_out: Matrix,
-    interaction_out: Matrix,
-    dz: Matrix,
-    ddense: Matrix,
-    dinput_sink: Matrix,
-}
-
-/// Caller-owned reusable buffers for the `&self` inference path
-/// ([`Dlrm::predict_into`] / [`Dlrm::dense_infer_into`]).
+/// Caller-owned reusable buffers of one pass through the model's dense
+/// stack — the scratch of a training step and of a served batch alike
+/// (callers outside the workspace import it under this name, so it keeps
+/// it).
 ///
-/// Unlike the training scratch (which lives inside the model because
-/// backward consumes cached forward state), inference touches no model
-/// state at all — so the buffers live with the *caller*, and any number
-/// of serving engines can score one shared frozen model, each through
-/// its own scratch.
+/// [`Dlrm::dense_infer_into`] reads the pooled embeddings out of it and
+/// leaves every activation in it; a training step then hands the same
+/// scratch to [`Dlrm::dense_backward_into`], which borrows those
+/// activations and uses the gradient-side buffers (untouched, and never
+/// sized, by a caller that only scores). The model itself holds no
+/// activation, so any number of serving engines and a trainer can share
+/// one `&Dlrm`, each through its own scratch; every buffer is recycled,
+/// so the steady-state dense forward and backward allocate nothing.
 #[derive(Debug, Default)]
 pub struct InferenceScratch {
     pooled: Vec<Matrix>,
@@ -63,14 +60,19 @@ pub struct InferenceScratch {
     interaction_out: Matrix,
     bottom_mlp: MlpInferenceScratch,
     top_mlp: MlpInferenceScratch,
+    // Gradient side: d(interaction output), d(bottom output), and the
+    // gradient w.r.t. the dense features, which nothing consumes.
+    dz: Matrix,
+    ddense: Matrix,
+    dinput_sink: Matrix,
 }
 
 impl InferenceScratch {
     /// The per-table pooled-embedding buffers [`Dlrm::dense_infer_into`]
     /// consumes. [`Dlrm::predict_into`] fills them via the plain
-    /// gather-reduce; a serving engine writes them directly (e.g. through
-    /// the casted forward fast path) before calling
-    /// [`Dlrm::dense_infer_into`].
+    /// gather-reduce, as a training step does; a serving engine writes
+    /// them directly (e.g. through the casted forward fast path) before
+    /// calling [`Dlrm::dense_infer_into`].
     pub fn pooled_mut(&mut self) -> &mut Vec<Matrix> {
         &mut self.pooled
     }
@@ -109,11 +111,11 @@ impl Dlrm {
             seed,
         )
         .map_err(EmbeddingError::from)?;
-        let m = config.tables.len() + 1;
-        let interaction_dim = match config.interaction {
-            tcast_tensor::InteractionKind::Dot => config.embedding_dim + m * (m - 1) / 2,
-            tcast_tensor::InteractionKind::Concat => config.embedding_dim * m,
-        };
+        let interaction_dim = interaction_output_dim(
+            config.interaction,
+            config.tables.len(),
+            config.embedding_dim,
+        );
         let top = Mlp::new(
             interaction_dim,
             &config.top_mlp,
@@ -142,7 +144,6 @@ impl Dlrm {
             tables,
             shard_spec: spec,
             maps,
-            scratch: DenseScratch::default(),
         })
     }
 
@@ -210,9 +211,9 @@ impl Dlrm {
     /// snapshot publication (`tcast-snapshot`): the trainer's live model
     /// is captured into a recycled buffer model between steps, so serving
     /// engines can read a frozen copy while training mutates the
-    /// original. Scratch, cached activations and shard plans are *not*
-    /// copied — the receiving model keeps its own (weights fully
-    /// determine inference, and sharding is placement, not state).
+    /// original. Shard plans are *not* copied — the receiving model
+    /// keeps its own (weights fully determine inference, and sharding is
+    /// placement, not state).
     ///
     /// # Panics
     ///
@@ -239,28 +240,9 @@ impl Dlrm {
             + self.config.embedding_parameters()
     }
 
-    /// Embedding forward: per-table fused gather-reduce.
-    ///
-    /// # Errors
-    ///
-    /// Returns an error if index arrays are out of range or their count
-    /// differs from the table count.
-    pub fn embedding_forward(&self, indices: &[IndexArray]) -> Result<Vec<Matrix>, EmbeddingError> {
-        if indices.len() != self.tables.len() {
-            return Err(EmbeddingError::LengthMismatch {
-                expected: self.tables.len(),
-                found: indices.len(),
-            });
-        }
-        self.tables
-            .iter()
-            .zip(indices.iter())
-            .map(|(t, idx)| gather_reduce(t, idx))
-            .collect()
-    }
-
-    /// [`Dlrm::embedding_forward`] writing into per-table reused buffers
-    /// (`pooled` is resized to the table count), serially or on a pool.
+    /// Embedding forward: the fused gather-reduce of every table, written
+    /// into per-table reused buffers (`pooled` is resized to the table
+    /// count), serially or on a pool.
     ///
     /// # Errors
     ///
@@ -298,91 +280,13 @@ impl Dlrm {
         self.bottom.splits_at(batch) || self.top.splits_at(batch)
     }
 
-    /// [`Dlrm::dense_forward`] writing the logits into a reused buffer —
-    /// the zero-allocation steady-state form. Bit-identical results.
-    ///
-    /// # Errors
-    ///
-    /// Returns a [`ShapeError`] on dimension mismatches.
-    pub fn dense_forward_into(
-        &mut self,
-        dense: &Matrix,
-        pooled: &[Matrix],
-        logits: &mut Matrix,
-        exec: Exec<'_>,
-    ) -> Result<(), ShapeError> {
-        let Self {
-            bottom,
-            top,
-            interaction,
-            scratch,
-            ..
-        } = self;
-        bottom.forward_into(dense, &mut scratch.bottom_out, exec)?;
-        interaction.forward_into(&scratch.bottom_out, pooled, &mut scratch.interaction_out)?;
-        top.forward_into(&scratch.interaction_out, logits, exec)
-    }
-
-    /// [`Dlrm::dense_backward`] writing the per-table pooled-embedding
-    /// gradients into reused buffers. Bit-identical results.
-    ///
-    /// # Errors
-    ///
-    /// Returns a [`ShapeError`] if no step forward preceded this call.
-    pub fn dense_backward_into(
-        &mut self,
-        dlogits: &Matrix,
-        dpooled: &mut Vec<Matrix>,
-        exec: Exec<'_>,
-    ) -> Result<(), ShapeError> {
-        let Self {
-            bottom,
-            top,
-            interaction,
-            scratch,
-            ..
-        } = self;
-        top.backward_into(dlogits, &mut scratch.dz, exec)?;
-        interaction.backward_into(&scratch.dz, &mut scratch.ddense, dpooled)?;
-        bottom.backward_into(&scratch.ddense, &mut scratch.dinput_sink, exec)
-    }
-
-    /// Dense forward: bottom MLP, interaction, top MLP; returns logits.
-    ///
-    /// # Errors
-    ///
-    /// Returns a [`ShapeError`] on dimension mismatches.
-    pub fn dense_forward(
-        &mut self,
-        dense: &Matrix,
-        pooled: &[Matrix],
-    ) -> Result<Matrix, ShapeError> {
-        let bottom_out = self.bottom.forward(dense)?;
-        let z = self.interaction.forward(&bottom_out, pooled)?;
-        self.top.forward(&z)
-    }
-
-    /// Dense backward: from `d(logits)` to the gradient of each pooled
-    /// embedding (the tensors the embedding backward consumes), leaving
-    /// MLP gradients cached inside the layers.
-    ///
-    /// # Errors
-    ///
-    /// Returns a [`ShapeError`] if no forward pass preceded this call.
-    pub fn dense_backward(&mut self, dlogits: &Matrix) -> Result<Vec<Matrix>, ShapeError> {
-        let dz = self.top.backward(dlogits)?;
-        let (ddense, dpooled) = self.interaction.backward(&dz)?;
-        self.bottom.backward(&ddense)?;
-        Ok(dpooled)
-    }
-
     /// Applies cached MLP gradients with SGD.
     pub fn apply_dense_update(&mut self, lr: f32) {
         self.bottom.apply_update(lr);
         self.top.apply_update(lr);
     }
 
-    /// Inference: logits for a batch (no caching).
+    /// Inference: logits for a batch.
     ///
     /// # Errors
     ///
@@ -420,12 +324,12 @@ impl Dlrm {
             .map_err(EmbeddingError::from)
     }
 
-    /// The dense half of inference — bottom MLP, interaction, top MLP —
+    /// The model's one dense forward — bottom MLP, interaction, top MLP —
     /// over pooled embeddings already written into `scratch`'s
     /// [`InferenceScratch::pooled_mut`] buffers (one `batch x dim` matrix
     /// per table). `&self`: no model state is read back or written, so a
-    /// frozen model can serve many engines concurrently. Bit-identical to
-    /// the training forward pass.
+    /// frozen model can serve many engines concurrently, and a training
+    /// step calls this same function with a scratch its trainer owns.
     ///
     /// # Errors
     ///
@@ -444,19 +348,59 @@ impl Dlrm {
             interaction_out,
             bottom_mlp,
             top_mlp,
+            ..
         } = scratch;
         self.bottom
-            .forward_inference_into(dense, bottom_mlp, bottom_out, exec)?;
+            .forward_into(dense, bottom_mlp, bottom_out, exec)?;
         self.interaction
-            .forward_inference_into(bottom_out, pooled, interaction_out)?;
+            .forward_into(bottom_out, pooled, interaction_out)?;
         self.top
-            .forward_inference_into(interaction_out, top_mlp, logits, exec)
+            .forward_into(interaction_out, top_mlp, logits, exec)
+    }
+
+    /// Dense backward: from `d(logits)` to the gradient of each pooled
+    /// embedding (`dpooled`, resized and reused — the tensors the
+    /// embedding backward consumes), leaving MLP gradients inside the
+    /// layers. `dense` and `scratch` are the ones this step's
+    /// [`Dlrm::dense_infer_into`] ran over: the bottom output, the pooled
+    /// embeddings, the interaction output and both MLPs' activations are
+    /// read back out of `scratch`.
+    ///
+    /// # Errors
+    ///
+    /// Returns a [`ShapeError`] if `dense`, `scratch` and `dlogits` are
+    /// not those of one pass through this model.
+    pub fn dense_backward_into(
+        &mut self,
+        dense: &Matrix,
+        scratch: &mut InferenceScratch,
+        dlogits: &Matrix,
+        dpooled: &mut Vec<Matrix>,
+        exec: Exec<'_>,
+    ) -> Result<(), ShapeError> {
+        let InferenceScratch {
+            pooled,
+            bottom_out,
+            interaction_out,
+            bottom_mlp,
+            top_mlp,
+            dz,
+            ddense,
+            dinput_sink,
+        } = scratch;
+        self.top
+            .backward_into(interaction_out, top_mlp, dlogits, dz, exec)?;
+        self.interaction
+            .backward_into(bottom_out, pooled, dz, ddense, dpooled)?;
+        self.bottom
+            .backward_into(dense, bottom_mlp, ddense, dinput_sink, exec)
     }
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::{BackwardMode, Trainer};
     use tcast_datasets::SyntheticCtr;
 
     fn model() -> Dlrm {
@@ -468,6 +412,20 @@ mod tests {
         SyntheticCtr::new(cfg.table_workloads(), cfg.dense_features, 3).next_batch(n)
     }
 
+    /// The embedding and dense forward of `b`, as a step runs them.
+    fn run_forward(
+        m: &Dlrm,
+        b: &tcast_datasets::CtrBatch,
+        scratch: &mut InferenceScratch,
+    ) -> Matrix {
+        let mut logits = Matrix::default();
+        m.embedding_forward_into(&b.indices, scratch.pooled_mut(), Exec::Serial)
+            .unwrap();
+        m.dense_infer_into(&b.dense, scratch, &mut logits, Exec::Serial)
+            .unwrap();
+        logits
+    }
+
     #[test]
     fn construction_validates_config() {
         let mut bad = DlrmConfig::tiny();
@@ -477,12 +435,12 @@ mod tests {
 
     #[test]
     fn forward_shapes() {
-        let mut m = model();
-        let b = batch(16);
-        let pooled = m.embedding_forward(&b.indices).unwrap();
-        assert_eq!(pooled.len(), 2);
-        assert_eq!(pooled[0].shape(), (16, 16));
-        let logits = m.dense_forward(&b.dense, &pooled).unwrap();
+        let m = model();
+        let mut scratch = InferenceScratch::default();
+        let logits = run_forward(&m, &batch(16), &mut scratch);
+        assert_eq!(scratch.pooled.len(), 2);
+        assert_eq!(scratch.pooled[0].shape(), (16, 16));
+        assert_eq!(scratch.interaction_out.cols(), m.top().input_dim());
         assert_eq!(logits.shape(), (16, 1));
     }
 
@@ -490,32 +448,31 @@ mod tests {
     fn backward_produces_per_table_gradients() {
         let mut m = model();
         let b = batch(8);
-        let pooled = m.embedding_forward(&b.indices).unwrap();
-        let logits = m.dense_forward(&b.dense, &pooled).unwrap();
+        let mut scratch = InferenceScratch::default();
+        run_forward(&m, &b, &mut scratch);
         let dlogits = Matrix::filled(8, 1, 0.1);
-        let _ = logits;
-        let dpooled = m.dense_backward(&dlogits).unwrap();
+        let mut dpooled = Vec::new();
+        m.dense_backward_into(&b.dense, &mut scratch, &dlogits, &mut dpooled, Exec::Serial)
+            .unwrap();
         assert_eq!(dpooled.len(), 2);
         assert_eq!(dpooled[0].shape(), (8, 16));
         // Gradients should not be all-zero.
         assert!(dpooled[0].frobenius_norm() > 0.0);
+        // A scratch whose last forward saw another batch is an error.
+        run_forward(&m, &batch(4), &mut scratch);
+        assert!(m
+            .dense_backward_into(&b.dense, &mut scratch, &dlogits, &mut dpooled, Exec::Serial)
+            .is_err());
     }
 
     #[test]
     fn wrong_index_count_rejected() {
         let m = model();
         let b = batch(4);
-        assert!(m.embedding_forward(&b.indices[..1]).is_err());
-    }
-
-    #[test]
-    fn predict_matches_training_forward() {
-        let mut m = model();
-        let b = batch(4);
-        let pooled = m.embedding_forward(&b.indices).unwrap();
-        let train_logits = m.dense_forward(&b.dense, &pooled).unwrap();
-        let infer_logits = m.predict(&b.dense, &b.indices).unwrap();
-        assert!(train_logits.max_abs_diff(&infer_logits).unwrap() < 1e-6);
+        let mut pooled = Vec::new();
+        assert!(m
+            .embedding_forward_into(&b.indices[..1], &mut pooled, Exec::Serial)
+            .is_err());
     }
 
     #[test]
@@ -541,16 +498,19 @@ mod tests {
 
     #[test]
     fn predict_into_matches_training_forward_bit_exactly() {
-        // The serving path and the training forward share every kernel
-        // (same GEMM, same interaction op order), so their logits are
-        // bit-identical — the foundation of the checkpoint -> serve
+        // Serving and the training step run one dense forward, so the loss
+        // a step reports is the loss of the logits `predict` scores just
+        // before it — the foundation of the checkpoint -> serve
         // equivalence test.
-        let mut m = model();
-        let b = batch(8);
-        let pooled = m.embedding_forward(&b.indices).unwrap();
-        let train = m.dense_forward(&b.dense, &pooled).unwrap();
-        let infer = m.predict(&b.dense, &b.indices).unwrap();
-        assert_eq!(train.as_slice(), infer.as_slice());
+        for mode in [BackwardMode::Baseline, BackwardMode::Casted] {
+            let mut trainer = Trainer::new(DlrmConfig::tiny(), mode, 7).unwrap();
+            for n in [8, 5] {
+                let b = batch(n);
+                let served = trainer.evaluate(&b).unwrap();
+                let trained = trainer.step(&b).unwrap().loss;
+                assert_eq!(served.to_bits(), trained.to_bits(), "{mode:?}");
+            }
+        }
     }
 
     #[test]

@@ -8,7 +8,7 @@ use std::time::{Duration, Instant};
 
 use crate::config::DlrmConfig;
 use crate::metrics::{evaluate_ctr, CtrMetrics};
-use crate::model::Dlrm;
+use crate::model::{Dlrm, InferenceScratch};
 use tcast_core::{blocked_casted_backward, CastingPipeline, FaultPlan, JobTicket, PipelineStats};
 use tcast_datasets::CtrBatch;
 use tcast_embedding::{
@@ -205,9 +205,12 @@ impl std::fmt::Debug for Execution {
 /// `zero_into`-recycled.
 #[derive(Debug, Default)]
 struct StepScratch {
-    pooled: Vec<Matrix>,
+    /// The dense stack's buffers: this step's pooled embeddings
+    /// ([`InferenceScratch::pooled_mut`]), every activation its forward
+    /// leaves and its backward borrows, and the dense gradients.
+    dense: InferenceScratch,
     /// The spare `pooled` set a completion's gather-ahead fills for the
-    /// next step, which adopts it by swapping it with `pooled`.
+    /// next step, which adopts it by swapping it with `dense`'s.
     pooled_ahead: Vec<Matrix>,
     logits: Matrix,
     dlogits: Matrix,
@@ -276,8 +279,9 @@ pub struct Trainer {
     scratch: StepScratch,
     /// What `scratch.pooled_ahead` holds: the forward gather of this batch
     /// (the share keeps its address from being reused) against the tables
-    /// as they stood at this step count. Every step takes it, and every
-    /// other door to the table bits drops it.
+    /// as they stood at this step count. Every step that runs takes it (a
+    /// 0-row batch is refused first: nothing moved), and every other door
+    /// to the table bits drops it.
     ahead: Option<(Arc<CtrBatch>, u64)>,
     /// The one-worker pool a trainer under [`Execution::Serial`] shares
     /// its step with ([`Execution::Pooled`] uses its own pool for both
@@ -612,7 +616,8 @@ impl Trainer {
     ///
     /// # Errors
     ///
-    /// Returns an error on shape/index inconsistencies in the batch.
+    /// Returns an error on shape/index inconsistencies in the batch, or if
+    /// it has no rows; a failed step does not count.
     pub fn step(&mut self, batch: &CtrBatch) -> Result<StepReport, EmbeddingError> {
         let ticket = self.submit_casting(&batch.indices);
         self.run_step(batch, ticket, None)
@@ -709,6 +714,13 @@ impl Trainer {
         ticket: &mut Option<JobTicket>,
         next: Option<&Arc<CtrBatch>>,
     ) -> Result<StepReport, EmbeddingError> {
+        if batch.dense.rows() == 0 {
+            // Nothing to average a loss or a gradient over; refused before
+            // any model or optimizer state is read or written.
+            return Err(EmbeddingError::InvalidIndex(
+                "empty batch: a training step needs at least one sample".into(),
+            ));
+        }
         let exec = self.execution.as_exec();
 
         // FWD (Gather): adopt the gather the previous completion ran ahead
@@ -716,19 +728,17 @@ impl Trainer {
         // gather in-step. Taken either way, so a held gather never
         // outlives the next table write.
         let t0 = Instant::now();
+        let pooled = self.scratch.dense.pooled_mut();
         let gathered_ahead = match self.ahead.take() {
             Some((held, steps))
                 if std::ptr::eq(Arc::as_ptr(&held), batch) && steps == self.steps =>
             {
-                std::mem::swap(&mut self.scratch.pooled, &mut self.scratch.pooled_ahead);
-                self.scratch.pooled.len()
+                std::mem::swap(pooled, &mut self.scratch.pooled_ahead);
+                pooled.len()
             }
             _ => {
-                self.model.embedding_forward_into(
-                    &batch.indices,
-                    &mut self.scratch.pooled,
-                    exec,
-                )?;
+                self.model
+                    .embedding_forward_into(&batch.indices, pooled, exec)?;
                 0
             }
         };
@@ -738,9 +748,9 @@ impl Trainer {
         let t0 = Instant::now();
         let splits = self.model.dense_splits_at(batch.dense.rows());
         let fwd_exec = dense_exec(exec, splits, self.pipeline.as_ref(), &mut self.lane);
-        self.model.dense_forward_into(
+        self.model.dense_infer_into(
             &batch.dense,
-            &self.scratch.pooled,
+            &mut self.scratch.dense,
             &mut self.scratch.logits,
             fwd_exec,
         )?;
@@ -761,6 +771,8 @@ impl Trainer {
             }
         }
         self.model.dense_backward_into(
+            &batch.dense,
+            &mut self.scratch.dense,
             &self.scratch.dlogits,
             &mut self.scratch.dpooled,
             bwd_exec,

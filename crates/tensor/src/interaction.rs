@@ -44,29 +44,19 @@ pub fn interaction_output_dim(kind: InteractionKind, num_tables: usize, dim: usi
 
 /// Differentiable feature-interaction operator.
 ///
-/// Caches its inputs during [`FeatureInteraction::forward`] so that
-/// [`FeatureInteraction::backward`] can route gradients back to the dense
-/// vector and to each pooled embedding (which is where the embedding-layer
-/// backpropagation — the subject of the paper — begins).
+/// Stateless: the forward pass writes into the caller's buffer and the
+/// backward pass is handed the same inputs again, routing gradients back
+/// to the dense vector and to each pooled embedding (which is where the
+/// embedding-layer backpropagation — the subject of the paper — begins).
 #[derive(Debug, Clone, Default)]
 pub struct FeatureInteraction {
     kind: InteractionKind,
-    cached: Option<Vec<Matrix>>,
-    // Reusable input copies for the zero-allocation step path
-    // ([`FeatureInteraction::forward_into`] / `backward_into`).
-    step_cache: Vec<Matrix>,
-    step_cache_live: bool,
 }
 
 impl FeatureInteraction {
     /// Creates the operator.
     pub fn new(kind: InteractionKind) -> Self {
-        Self {
-            kind,
-            cached: None,
-            step_cache: Vec::new(),
-            step_cache_live: false,
-        }
+        Self { kind }
     }
 
     /// The configured interaction kind.
@@ -74,166 +64,53 @@ impl FeatureInteraction {
         self.kind
     }
 
-    /// Forward pass. `dense` is the bottom-MLP output (`batch x dim`);
+    /// Checks what both directions require of their inputs — one batch,
+    /// and for [`InteractionKind::Dot`] one width — and returns the width
+    /// of the output.
+    fn output_width(&self, dense: &Matrix, embeddings: &[Matrix]) -> Result<usize, ShapeError> {
+        for e in embeddings {
+            if e.rows() != dense.rows() {
+                return Err(ShapeError::new(
+                    "interaction_batch",
+                    dense.shape(),
+                    e.shape(),
+                ));
+            }
+            if self.kind == InteractionKind::Dot && e.cols() != dense.cols() {
+                return Err(ShapeError::new("interaction_dim", dense.shape(), e.shape()));
+            }
+        }
+        let m = embeddings.len() + 1;
+        Ok(dense.cols()
+            + match self.kind {
+                InteractionKind::Concat => embeddings.iter().map(Matrix::cols).sum(),
+                InteractionKind::Dot => m * (m - 1) / 2,
+            })
+    }
+
+    /// Forward pass writing into `out` (reshaped in place, reusing its
+    /// allocation). `dense` is the bottom-MLP output (`batch x dim`);
     /// `embeddings` are the pooled per-table outputs (each `batch x dim`).
+    /// The one forward of training and serving.
     ///
     /// # Errors
     ///
     /// Returns a [`ShapeError`] if any operand disagrees on `batch`/`dim`
     /// (for [`InteractionKind::Dot`], all vectors must share `dim`).
-    pub fn forward(&mut self, dense: &Matrix, embeddings: &[Matrix]) -> Result<Matrix, ShapeError> {
-        for e in embeddings {
-            if e.rows() != dense.rows() {
-                return Err(ShapeError::new(
-                    "interaction_batch",
-                    dense.shape(),
-                    e.shape(),
-                ));
-            }
-            if self.kind == InteractionKind::Dot && e.cols() != dense.cols() {
-                return Err(ShapeError::new("interaction_dim", dense.shape(), e.shape()));
-            }
-        }
-        let mut inputs = Vec::with_capacity(embeddings.len() + 1);
-        inputs.push(dense.clone());
-        inputs.extend(embeddings.iter().cloned());
-
-        let out = match self.kind {
-            InteractionKind::Concat => {
-                let refs: Vec<&Matrix> = inputs.iter().collect();
-                Matrix::hconcat(&refs)?
-            }
-            InteractionKind::Dot => {
-                let batch = dense.rows();
-                let dim = dense.cols();
-                let m = inputs.len();
-                let pairs = m * (m - 1) / 2;
-                let mut out = Matrix::zeros(batch, dim + pairs);
-                for b in 0..batch {
-                    let row = out.row_mut(b);
-                    row[..dim].copy_from_slice(dense.row(b));
-                    let mut p = dim;
-                    for i in 0..m {
-                        for j in (i + 1)..m {
-                            let vi = inputs[i].row(b);
-                            let vj = inputs[j].row(b);
-                            row[p] = vi.iter().zip(vj.iter()).map(|(a, c)| a * c).sum();
-                            p += 1;
-                        }
-                    }
-                }
-                out
-            }
-        };
-        self.cached = Some(inputs);
-        Ok(out)
-    }
-
-    /// [`FeatureInteraction::forward`] writing into `out` and caching the
-    /// inputs into reused buffers — the zero-allocation steady-state form.
-    /// Bit-identical to the allocating pass.
-    ///
-    /// # Errors
-    ///
-    /// Returns a [`ShapeError`] if any operand disagrees on `batch`/`dim`.
     pub fn forward_into(
-        &mut self,
-        dense: &Matrix,
-        embeddings: &[Matrix],
-        out: &mut Matrix,
-    ) -> Result<(), ShapeError> {
-        for e in embeddings {
-            if e.rows() != dense.rows() {
-                return Err(ShapeError::new(
-                    "interaction_batch",
-                    dense.shape(),
-                    e.shape(),
-                ));
-            }
-            if self.kind == InteractionKind::Dot && e.cols() != dense.cols() {
-                return Err(ShapeError::new("interaction_dim", dense.shape(), e.shape()));
-            }
-        }
-        let m = embeddings.len() + 1;
-        self.step_cache.resize_with(m, Matrix::default);
-        self.step_cache[0].copy_from(dense);
-        for (buf, e) in self.step_cache[1..].iter_mut().zip(embeddings.iter()) {
-            buf.copy_from(e);
-        }
-
-        match self.kind {
-            InteractionKind::Concat => {
-                let batch = dense.rows();
-                let total: usize = self.step_cache.iter().map(Matrix::cols).sum();
-                out.zero_into(batch, total);
-                for b in 0..batch {
-                    let row = out.row_mut(b);
-                    let mut offset = 0;
-                    for part in &self.step_cache {
-                        row[offset..offset + part.cols()].copy_from_slice(part.row(b));
-                        offset += part.cols();
-                    }
-                }
-            }
-            InteractionKind::Dot => {
-                let batch = dense.rows();
-                let dim = dense.cols();
-                let pairs = m * (m - 1) / 2;
-                out.zero_into(batch, dim + pairs);
-                let inputs = &self.step_cache;
-                for b in 0..batch {
-                    let row = out.row_mut(b);
-                    row[..dim].copy_from_slice(inputs[0].row(b));
-                    let mut p = dim;
-                    for i in 0..m {
-                        for j in (i + 1)..m {
-                            let vi = inputs[i].row(b);
-                            let vj = inputs[j].row(b);
-                            row[p] = vi.iter().zip(vj.iter()).map(|(a, c)| a * c).sum();
-                            p += 1;
-                        }
-                    }
-                }
-            }
-        }
-        self.step_cache_live = true;
-        Ok(())
-    }
-
-    /// Inference-only forward pass writing into `out`: no input caching
-    /// (`&self`), no buffer copies — the zero-allocation serving form.
-    /// Bit-identical to [`FeatureInteraction::forward`] and
-    /// [`FeatureInteraction::forward_into`] (same per-row op order).
-    ///
-    /// # Errors
-    ///
-    /// Returns a [`ShapeError`] if any operand disagrees on `batch`/`dim`.
-    pub fn forward_inference_into(
         &self,
         dense: &Matrix,
         embeddings: &[Matrix],
         out: &mut Matrix,
     ) -> Result<(), ShapeError> {
-        for e in embeddings {
-            if e.rows() != dense.rows() {
-                return Err(ShapeError::new(
-                    "interaction_batch",
-                    dense.shape(),
-                    e.shape(),
-                ));
-            }
-            if self.kind == InteractionKind::Dot && e.cols() != dense.cols() {
-                return Err(ShapeError::new("interaction_dim", dense.shape(), e.shape()));
-            }
-        }
+        let width = self.output_width(dense, embeddings)?;
         // Virtual input list [dense, emb_0, ..], without materializing it.
         let m = embeddings.len() + 1;
         let input = |i: usize| if i == 0 { dense } else { &embeddings[i - 1] };
-        let batch = dense.rows();
+        let (batch, dim) = dense.shape();
+        out.zero_into(batch, width);
         match self.kind {
             InteractionKind::Concat => {
-                let total: usize = (0..m).map(|i| input(i).cols()).sum();
-                out.zero_into(batch, total);
                 for b in 0..batch {
                     let row = out.row_mut(b);
                     let mut offset = 0;
@@ -245,9 +122,6 @@ impl FeatureInteraction {
                 }
             }
             InteractionKind::Dot => {
-                let dim = dense.cols();
-                let pairs = m * (m - 1) / 2;
-                out.zero_into(batch, dim + pairs);
                 for b in 0..batch {
                     let row = out.row_mut(b);
                     row[..dim].copy_from_slice(dense.row(b));
@@ -266,49 +140,43 @@ impl FeatureInteraction {
         Ok(())
     }
 
-    /// [`FeatureInteraction::backward`] writing the dense gradient into
-    /// `ddense` and the per-table gradients into `dpooled` (resized and
-    /// reused). Consumes the cache of the last
-    /// [`FeatureInteraction::forward_into`].
+    /// Backward pass: splits `dout` into the gradient w.r.t. the dense
+    /// vector (`ddense`) and w.r.t. each pooled embedding (`dpooled`, one
+    /// per table; resized and reused). `dense` and `embeddings` are the
+    /// inputs the forward pass of this step saw — the caller still holds
+    /// them. Every shape is checked against `dout` before a buffer is
+    /// touched.
     ///
     /// # Errors
     ///
-    /// Returns a [`ShapeError`] if no step forward preceded this call or
-    /// the gradient width is inconsistent.
+    /// Returns a [`ShapeError`] if the inputs disagree with one another or
+    /// with the shape of `dout`.
     pub fn backward_into(
-        &mut self,
+        &self,
+        dense: &Matrix,
+        embeddings: &[Matrix],
         dout: &Matrix,
         ddense: &mut Matrix,
         dpooled: &mut Vec<Matrix>,
     ) -> Result<(), ShapeError> {
-        if !self.step_cache_live {
+        let width = self.output_width(dense, embeddings)?;
+        let m = embeddings.len() + 1;
+        let input = |i: usize| if i == 0 { dense } else { &embeddings[i - 1] };
+        let (batch, dim) = dense.shape();
+        if dout.shape() != (batch, width) {
             return Err(ShapeError::new(
-                "interaction_backward_without_forward",
-                (0, 0),
+                "interaction_backward",
+                (batch, width),
                 dout.shape(),
             ));
         }
-        self.step_cache_live = false;
-        let inputs = &self.step_cache;
-        let m = inputs.len();
-        let batch = inputs[0].rows();
-        let dim = inputs[0].cols();
         dpooled.resize_with(m - 1, Matrix::default);
-
+        ddense.zero_into(batch, dim);
+        for (buf, src) in dpooled.iter_mut().zip(embeddings) {
+            buf.zero_into(batch, src.cols());
+        }
         match self.kind {
             InteractionKind::Concat => {
-                let total: usize = inputs.iter().map(Matrix::cols).sum();
-                if dout.cols() != total || dout.rows() != batch {
-                    return Err(ShapeError::new(
-                        "interaction_backward",
-                        (batch, total),
-                        dout.shape(),
-                    ));
-                }
-                ddense.zero_into(batch, dim);
-                for (buf, src) in dpooled.iter_mut().zip(inputs[1..].iter()) {
-                    buf.zero_into(batch, src.cols());
-                }
                 for b in 0..batch {
                     let drow = dout.row(b);
                     ddense.row_mut(b).copy_from_slice(&drow[..dim]);
@@ -321,24 +189,12 @@ impl FeatureInteraction {
                 }
             }
             InteractionKind::Dot => {
-                let pairs = m * (m - 1) / 2;
-                if dout.cols() != dim + pairs || dout.rows() != batch {
-                    return Err(ShapeError::new(
-                        "interaction_backward",
-                        (batch, dim + pairs),
-                        dout.shape(),
-                    ));
-                }
-                ddense.zero_into(batch, dim);
-                for buf in dpooled.iter_mut() {
-                    buf.zero_into(batch, dim);
-                }
                 for b in 0..batch {
                     let drow = dout.row(b);
                     // Dense passthrough part.
                     ddense.row_mut(b).copy_from_slice(&drow[..dim]);
                     // Pair part: dz_ij flows to both v_i and v_j. The
-                    // cached inputs and the gradient buffers are separate
+                    // inputs and the gradient buffers are separate
                     // storage, so no row copies are needed.
                     let mut p = dim;
                     for i in 0..m {
@@ -355,7 +211,7 @@ impl FeatureInteraction {
                                     &mut dpooled[i - 1]
                                 };
                                 for (o, &vjv) in
-                                    gi.row_mut(b).iter_mut().zip(inputs[j].row(b).iter())
+                                    gi.row_mut(b).iter_mut().zip(input(j).row(b).iter())
                                 {
                                     *o += g * vjv;
                                 }
@@ -363,7 +219,7 @@ impl FeatureInteraction {
                             {
                                 let gj = &mut dpooled[j - 1]; // j >= 1 always
                                 for (o, &viv) in
-                                    gj.row_mut(b).iter_mut().zip(inputs[i].row(b).iter())
+                                    gj.row_mut(b).iter_mut().zip(input(i).row(b).iter())
                                 {
                                     *o += g * viv;
                                 }
@@ -374,71 +230,6 @@ impl FeatureInteraction {
             }
         }
         Ok(())
-    }
-
-    /// Backward pass: splits `dout` into the gradient w.r.t. the dense
-    /// vector (first element of the returned pair) and the gradients
-    /// w.r.t. each pooled embedding (second element, one per table).
-    ///
-    /// # Errors
-    ///
-    /// Returns a [`ShapeError`] if no forward pass preceded this call or the
-    /// gradient width is inconsistent.
-    pub fn backward(&mut self, dout: &Matrix) -> Result<(Matrix, Vec<Matrix>), ShapeError> {
-        let inputs = self.cached.take().ok_or_else(|| {
-            ShapeError::new("interaction_backward_without_forward", (0, 0), dout.shape())
-        })?;
-        let m = inputs.len();
-        let batch = inputs[0].rows();
-        let dim = inputs[0].cols();
-
-        match self.kind {
-            InteractionKind::Concat => {
-                let widths: Vec<usize> = inputs.iter().map(Matrix::cols).collect();
-                let mut parts = dout.hsplit(&widths)?;
-                let dense_grad = parts.remove(0);
-                Ok((dense_grad, parts))
-            }
-            InteractionKind::Dot => {
-                let pairs = m * (m - 1) / 2;
-                if dout.cols() != dim + pairs || dout.rows() != batch {
-                    return Err(ShapeError::new(
-                        "interaction_backward",
-                        (batch, dim + pairs),
-                        dout.shape(),
-                    ));
-                }
-                let mut grads: Vec<Matrix> = (0..m).map(|_| Matrix::zeros(batch, dim)).collect();
-                for b in 0..batch {
-                    let drow = dout.row(b);
-                    // Dense passthrough part.
-                    grads[0].row_mut(b).copy_from_slice(&drow[..dim]);
-                    // Pair part: dz_ij flows to both v_i and v_j.
-                    let mut p = dim;
-                    for i in 0..m {
-                        for j in (i + 1)..m {
-                            let g = drow[p];
-                            p += 1;
-                            if g == 0.0 {
-                                continue;
-                            }
-                            // Copy rows out to appease the borrow checker;
-                            // dim is small (<= a few hundred floats).
-                            let vi: Vec<f32> = inputs[i].row(b).to_vec();
-                            let vj: Vec<f32> = inputs[j].row(b).to_vec();
-                            for (gi, &vjv) in grads[i].row_mut(b).iter_mut().zip(vj.iter()) {
-                                *gi += g * vjv;
-                            }
-                            for (gj, &viv) in grads[j].row_mut(b).iter_mut().zip(vi.iter()) {
-                                *gj += g * viv;
-                            }
-                        }
-                    }
-                }
-                let dense_grad = grads.remove(0);
-                Ok((dense_grad, grads))
-            }
-        }
     }
 }
 
@@ -454,29 +245,22 @@ mod tests {
         m
     }
 
+    fn output(kind: InteractionKind, dense: &Matrix, embeddings: &[Matrix]) -> Matrix {
+        let mut out = Matrix::default();
+        FeatureInteraction::new(kind)
+            .forward_into(dense, embeddings, &mut out)
+            .unwrap();
+        out
+    }
+
     #[test]
     fn output_dims() {
         assert_eq!(interaction_output_dim(InteractionKind::Concat, 3, 8), 32);
         assert_eq!(interaction_output_dim(InteractionKind::Dot, 3, 8), 8 + 6);
-    }
-
-    #[test]
-    fn inference_into_is_bit_identical_to_forward() {
-        for kind in [InteractionKind::Dot, InteractionKind::Concat] {
-            let dense = mk(4, 6, 0.0);
-            let e0 = mk(4, 6, 3.0);
-            let e1 = mk(4, 6, 9.0);
-            let mut op = FeatureInteraction::new(kind);
-            let expect = op.forward(&dense, &[e0.clone(), e1.clone()]).unwrap();
-            let frozen = FeatureInteraction::new(kind);
-            let mut out = Matrix::default();
-            // Twice: the second pass reuses the sized buffer.
-            for _ in 0..2 {
-                frozen
-                    .forward_inference_into(&dense, &[e0.clone(), e1.clone()], &mut out)
-                    .unwrap();
-                assert_eq!(out.as_slice(), expect.as_slice(), "{kind:?}");
-            }
+        for kind in [InteractionKind::Concat, InteractionKind::Dot] {
+            let embeddings = [mk(2, 8, 1.0), mk(2, 8, 2.0), mk(2, 8, 3.0)];
+            let out = output(kind, &mk(2, 8, 0.0), &embeddings);
+            assert_eq!(out.cols(), interaction_output_dim(kind, 3, 8), "{kind:?}");
         }
     }
 
@@ -484,19 +268,18 @@ mod tests {
     fn concat_forward_layout() {
         let dense = mk(2, 3, 0.0);
         let e = mk(2, 3, 5.0);
-        let mut op = FeatureInteraction::new(InteractionKind::Concat);
-        let out = op.forward(&dense, std::slice::from_ref(&e)).unwrap();
+        let out = output(InteractionKind::Concat, &dense, std::slice::from_ref(&e));
         assert_eq!(out.shape(), (2, 6));
         assert_eq!(&out.row(0)[..3], dense.row(0));
         assert_eq!(&out.row(0)[3..], e.row(0));
+        assert_eq!(out, Matrix::hconcat(&[&dense, &e]).unwrap());
     }
 
     #[test]
     fn dot_forward_values() {
         let dense = Matrix::from_rows(&[&[1.0, 2.0]]).unwrap();
         let e = Matrix::from_rows(&[&[3.0, 4.0]]).unwrap();
-        let mut op = FeatureInteraction::new(InteractionKind::Dot);
-        let out = op.forward(&dense, &[e]).unwrap();
+        let out = output(InteractionKind::Dot, &dense, &[e]);
         // [dense..., dot(dense, e)] = [1, 2, 11]
         assert_eq!(out.row(0), &[1.0, 2.0, 11.0]);
     }
@@ -505,35 +288,64 @@ mod tests {
     fn batch_mismatch_rejected() {
         let dense = Matrix::zeros(2, 4);
         let e = Matrix::zeros(3, 4);
-        let mut op = FeatureInteraction::new(InteractionKind::Dot);
-        assert!(op.forward(&dense, &[e]).is_err());
+        let op = FeatureInteraction::new(InteractionKind::Dot);
+        assert!(op
+            .forward_into(&dense, &[e], &mut Matrix::default())
+            .is_err());
     }
 
     #[test]
     fn dim_mismatch_rejected_for_dot_only() {
         let dense = Matrix::zeros(2, 4);
-        let e = Matrix::zeros(2, 3);
-        let mut dot = FeatureInteraction::new(InteractionKind::Dot);
-        assert!(dot.forward(&dense, std::slice::from_ref(&e)).is_err());
-        let mut cat = FeatureInteraction::new(InteractionKind::Concat);
-        assert!(cat.forward(&dense, &[e]).is_ok());
+        let e = [Matrix::zeros(2, 3)];
+        let mut out = Matrix::default();
+        let dot = FeatureInteraction::new(InteractionKind::Dot);
+        assert!(dot.forward_into(&dense, &e, &mut out).is_err());
+        let cat = FeatureInteraction::new(InteractionKind::Concat);
+        assert!(cat.forward_into(&dense, &e, &mut out).is_ok());
     }
 
     #[test]
-    fn backward_without_forward_errors() {
-        let mut op = FeatureInteraction::new(InteractionKind::Dot);
-        assert!(op.backward(&Matrix::zeros(1, 3)).is_err());
+    fn a_rejected_backward_keeps_the_gradient_buffers() {
+        // Inputs that are not the ones `dout` came from — a wrong `dout`
+        // width or batch, an `embeddings` slice of the wrong length, an
+        // embedding of another batch — are a shape error found before a
+        // gradient buffer is resized or written.
+        for kind in [InteractionKind::Dot, InteractionKind::Concat] {
+            let op = FeatureInteraction::new(kind);
+            let dense = mk(2, 4, 0.3);
+            let embeddings = [mk(2, 4, 1.7), mk(2, 4, 2.9)];
+            let dout = mk(2, output(kind, &dense, &embeddings).cols(), 9.0);
+            let (mut ddense, mut dpooled) = (Matrix::default(), Vec::new());
+            op.backward_into(&dense, &embeddings, &dout, &mut ddense, &mut dpooled)
+                .unwrap();
+            let want = (ddense.clone(), dpooled.clone());
+            let narrow = mk(2, dout.cols() - 1, 9.0);
+            let short = mk(1, dout.cols(), 9.0);
+            let other_batch = [mk(2, 4, 1.7), mk(3, 4, 2.9)];
+            for (bad_embeddings, bad_dout) in [
+                (&embeddings[..], &narrow),
+                (&embeddings[..], &short),
+                (&embeddings[..1], &dout),
+                (&other_batch[..], &dout),
+            ] {
+                assert!(op
+                    .backward_into(&dense, bad_embeddings, bad_dout, &mut ddense, &mut dpooled)
+                    .is_err());
+                assert_eq!((&ddense, &dpooled), (&want.0, &want.1), "{kind:?}");
+            }
+        }
     }
 
     #[test]
     fn concat_backward_splits_gradient() {
         let dense = mk(2, 3, 0.0);
-        let e0 = mk(2, 2, 1.0);
-        let e1 = mk(2, 4, 2.0);
-        let mut op = FeatureInteraction::new(InteractionKind::Concat);
-        let out = op.forward(&dense, &[e0, e1]).unwrap();
-        let dout = mk(2, out.cols(), 9.0);
-        let (dd, de) = op.backward(&dout).unwrap();
+        let embeddings = [mk(2, 2, 1.0), mk(2, 4, 2.0)];
+        let op = FeatureInteraction::new(InteractionKind::Concat);
+        let dout = mk(2, 3 + 2 + 4, 9.0);
+        let (mut dd, mut de) = (Matrix::default(), Vec::new());
+        op.backward_into(&dense, &embeddings, &dout, &mut dd, &mut de)
+            .unwrap();
         assert_eq!(dd.shape(), (2, 3));
         assert_eq!(de.len(), 2);
         assert_eq!(de[0].shape(), (2, 2));
@@ -541,6 +353,8 @@ mod tests {
         // Gradient is a pure split of dout.
         assert_eq!(&dout.row(0)[..3], dd.row(0));
         assert_eq!(&dout.row(0)[3..5], de[0].row(0));
+        let split = dout.hsplit(&[3, 2, 4]).unwrap();
+        assert_eq!((&dd, &de[..]), (&split[0], &split[1..]));
     }
 
     #[test]
@@ -548,15 +362,15 @@ mod tests {
         let dense = mk(2, 4, 0.3);
         let e0 = mk(2, 4, 1.7);
         let e1 = mk(2, 4, 2.9);
-        let mut op = FeatureInteraction::new(InteractionKind::Dot);
-        let out = op.forward(&dense, &[e0.clone(), e1.clone()]).unwrap();
-        let dout = Matrix::filled(out.rows(), out.cols(), 1.0);
-        let (dd, de) = op.backward(&dout).unwrap();
-
         let loss = |dense: &Matrix, e0: &Matrix, e1: &Matrix| -> f32 {
-            let mut op = FeatureInteraction::new(InteractionKind::Dot);
-            op.forward(dense, &[e0.clone(), e1.clone()]).unwrap().sum()
+            output(InteractionKind::Dot, dense, &[e0.clone(), e1.clone()]).sum()
         };
+        let dout = Matrix::filled(2, 4 + 3, 1.0);
+        let (mut dd, mut de) = (Matrix::default(), Vec::new());
+        FeatureInteraction::new(InteractionKind::Dot)
+            .backward_into(&dense, &[e0.clone(), e1.clone()], &dout, &mut dd, &mut de)
+            .unwrap();
+
         let eps = 1e-3f32;
         for r in 0..2 {
             for c in 0..4 {

@@ -9,19 +9,31 @@
 //! differentiable [`Linear`]/[`Mlp`] layers, binary-cross-entropy loss and
 //! the DLRM feature-interaction operator.
 //!
+//! Every layer has **one** forward and **one** backward. The forward takes
+//! `&self` and writes into buffers the caller owns, so training and
+//! serving run the same function over one shared model; the backward is
+//! handed the activations that forward left with the caller. Layers own
+//! parameters and pending gradients, never an activation.
+//!
 //! Everything is `f32`, matching the paper's training precision.
 //!
 //! # Example
 //!
 //! ```
-//! use tcast_tensor::{Matrix, Mlp, Activation};
+//! use tcast_tensor::{Activation, Exec, Matrix, Mlp, MlpInferenceScratch};
 //!
 //! # fn main() -> Result<(), tcast_tensor::ShapeError> {
 //! // A 2-layer MLP: 8 -> 16 -> 1, ReLU hidden, linear output.
 //! let mut mlp = Mlp::new(8, &[16, 1], Activation::Relu, 42)?;
 //! let x = Matrix::zeros(4, 8); // batch of 4
-//! let y = mlp.forward(&x)?;
+//! let (mut scratch, mut y) = (MlpInferenceScratch::default(), Matrix::default());
+//! mlp.forward_into(&x, &mut scratch, &mut y, Exec::Serial)?;
 //! assert_eq!((y.rows(), y.cols()), (4, 1));
+//!
+//! // One SGD step: the backward borrows `x` and the scratch back.
+//! let (dy, mut dx) = (Matrix::filled(4, 1, 0.25), Matrix::default());
+//! mlp.backward_into(&x, &mut scratch, &dy, &mut dx, Exec::Serial)?;
+//! mlp.apply_update(0.05);
 //! # Ok(())
 //! # }
 //! ```

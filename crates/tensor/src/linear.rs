@@ -1,4 +1,5 @@
-//! A fully-connected layer with cached activations and gradients.
+//! A fully-connected layer: parameters, their gradients, and the two
+//! GEMM phases of a training step.
 
 use crate::error::ShapeError;
 use crate::init::xavier_uniform;
@@ -10,12 +11,11 @@ use tcast_pool::Exec;
 /// A fully-connected (dense) layer `y = x W + b`.
 ///
 /// `W` is `in_dim x out_dim`; inputs are batched row-wise (`batch x in_dim`).
-/// The layer caches its input during [`Linear::forward`] so that
-/// [`Linear::backward`] can produce weight/bias gradients, and stores those
-/// gradients until [`Linear::apply_update`] folds them into the parameters.
-/// The step path ([`Linear::forward_inference_into`] +
-/// [`Linear::backward_into`]) caches nothing: the caller, which holds the
-/// activation anyway, lends it back to the backward pass.
+/// The layer owns its parameters and, between [`Linear::backward_into`] and
+/// [`Linear::apply_update`], their gradients — never an activation: the
+/// forward pass is `&self` and writes into the caller's buffers, and the
+/// caller lends the input back to the backward pass. Training and serving
+/// therefore run the same forward.
 ///
 /// Under a multi-threaded [`Exec`] a layer whose products reach the
 /// multiply-add floor of the `parallel` module splits them into row bands
@@ -31,7 +31,6 @@ use tcast_pool::Exec;
 pub struct Linear {
     weight: Matrix,
     bias: Vec<f32>,
-    cached_input: Option<Matrix>,
     grad_weight: Option<Matrix>,
     grad_bias: Option<Vec<f32>>,
     // Retired gradient buffers recycled by the next backward pass, so the
@@ -46,7 +45,6 @@ impl Linear {
         Self {
             weight: xavier_uniform(in_dim, out_dim, seed),
             bias: vec![0.0; out_dim],
-            cached_input: None,
             grad_weight: None,
             grad_bias: None,
             spare_grad_weight: None,
@@ -70,7 +68,6 @@ impl Linear {
         Ok(Self {
             weight,
             bias,
-            cached_input: None,
             grad_weight: None,
             grad_bias: None,
             spare_grad_weight: None,
@@ -108,9 +105,9 @@ impl Linear {
     /// primitive: publishing an epoch-versioned model copy every K steps
     /// must not allocate in steady state, so the copy writes through the
     /// existing weight/bias slabs instead of [`Linear::set_parameters`]'
-    /// buffer replacement. Cached activations and gradients are *not*
-    /// copied — a parameter copy captures what the layer computes, not
-    /// what it was computing.
+    /// buffer replacement. Pending gradients are *not* copied — a
+    /// parameter copy captures what the layer computes, not what it was
+    /// computing.
     ///
     /// # Panics
     ///
@@ -125,21 +122,6 @@ impl Linear {
         self.bias.copy_from_slice(&src.bias);
     }
 
-    /// Forward pass: `y = x W + b`. Caches `x` for [`Linear::backward`].
-    ///
-    /// # Errors
-    ///
-    /// Returns a [`ShapeError`] if `x.cols() != in_dim`.
-    pub fn forward(&mut self, x: &Matrix) -> Result<Matrix, ShapeError> {
-        let mut y = Matrix::default();
-        self.forward_inference_into(x, &mut y, None, Exec::Serial)?;
-        match &mut self.cached_input {
-            Some(buf) => buf.copy_from(x),
-            none => *none = Some(x.clone()),
-        }
-        Ok(y)
-    }
-
     /// Whether this layer's products at `batch` rows reach the
     /// multiply-add floor above which a multi-threaded [`Exec`] splits
     /// them — what a caller that starts its pool lazily asks before it
@@ -148,32 +130,19 @@ impl Linear {
         parallel::splits(batch, self.in_dim(), self.out_dim())
     }
 
-    /// Stateless forward pass (no caching); used for inference/evaluation.
-    ///
-    /// # Errors
-    ///
-    /// Returns a [`ShapeError`] if `x.cols() != in_dim`.
-    pub fn forward_inference(&self, x: &Matrix) -> Result<Matrix, ShapeError> {
-        let mut y = Matrix::default();
-        self.forward_inference_into(x, &mut y, None, Exec::Serial)?;
-        Ok(y)
-    }
-
-    /// [`Linear::forward_inference`] writing into `out` (reusing its
-    /// allocation) and, with `relu_out`, `relu(out)` there in the same
-    /// pass (the hidden-layer epilogue) — the zero-allocation form of both
-    /// the training step and serving. It takes `&self` and caches nothing,
-    /// so a frozen model can be scored from scratch buffers the *caller*
-    /// owns (the serve engine shares one model between scoring and
-    /// checkpointing this way), and a training step keeps `x` itself for
+    /// Forward pass `out = x W + b` and, with `relu_out`, `relu(out)`
+    /// there in the same pass (the hidden-layer epilogue), both written
+    /// into the caller's buffers (reusing their allocations). `&self`:
+    /// nothing is kept, so any number of callers can run one layer, each
+    /// through its own buffers, and a training step keeps `x` itself for
     /// [`Linear::backward_into`]. With a multi-threaded `exec` a product
-    /// at or above the floor is cut into row bands on its pool.
-    /// Bit-identical to [`Linear::forward`] under every `exec`.
+    /// at or above the floor is cut into row bands on its pool; the bits
+    /// are the same under every `exec`.
     ///
     /// # Errors
     ///
     /// Returns a [`ShapeError`] if `x.cols() != in_dim`.
-    pub fn forward_inference_into(
+    pub fn forward_into(
         &self,
         x: &Matrix,
         out: &mut Matrix,
@@ -188,34 +157,15 @@ impl Linear {
         Ok(())
     }
 
-    /// Backward pass. Given `dy = dL/dy`, computes and caches
-    /// `dW = x^T dy`, `db = sum_rows(dy)`, and returns `dx = dy W^T`, for
-    /// the `x` the last [`Linear::forward`] cached.
-    ///
-    /// # Errors
-    ///
-    /// Returns a [`ShapeError`] if no forward pass preceded this call or the
-    /// gradient shape is inconsistent with the cached input.
-    pub fn backward(&mut self, dy: &Matrix) -> Result<Matrix, ShapeError> {
-        let x = self
-            .cached_input
-            .take()
-            .ok_or_else(|| ShapeError::new("backward_without_forward", (0, 0), dy.shape()))?;
-        let mut dx = Matrix::default();
-        let result = self.backward_into(&x, dy, &mut dx, Exec::Serial);
-        self.cached_input = Some(x);
-        result.map(|()| dx)
-    }
-
-    /// The backward pass of the step path: `x` is the input the forward
-    /// pass of this step saw (the caller kept it), `dx` a reused buffer,
-    /// and the gradient buffers are the ones the last
+    /// Backward pass: given `dy = dL/dy` and the `x` this step's forward
+    /// pass saw (the caller kept it), stores `dW = x^T dy` and
+    /// `db = sum_rows(dy)` in the layer and writes `dx = dy W^T` into a
+    /// reused buffer; the gradient buffers are the ones the last
     /// [`Linear::apply_update`] retired. Every shape is checked before a
     /// buffer is touched, so a rejected call costs the next one nothing.
-    /// Then `dW = x^T dy` and `dx = dy W^T` run inline, or — under a
-    /// multi-threaded `exec`, at or above the floor — as the bands of
-    /// **one** scope on its pool, `dW` beside `dx`. Bit-identical to
-    /// [`Linear::backward`] under every `exec`.
+    /// `dW` and `dx` run inline, or — under a multi-threaded `exec`, at or
+    /// above the floor — as the bands of **one** scope on its pool, `dW`
+    /// beside `dx`; the bits are the same under every `exec`.
     ///
     /// # Errors
     ///
@@ -312,13 +262,26 @@ impl Linear {
 mod tests {
     use super::*;
 
+    fn output(layer: &Linear, x: &Matrix) -> Matrix {
+        let mut y = Matrix::default();
+        layer.forward_into(x, &mut y, None, Exec::Serial).unwrap();
+        y
+    }
+
     #[test]
     fn forward_applies_weight_and_bias() {
         let w = Matrix::from_rows(&[&[1.0, 0.0], &[0.0, 2.0]]).unwrap();
-        let mut layer = Linear::from_parameters(w, vec![10.0, 20.0]).unwrap();
+        let layer = Linear::from_parameters(w, vec![10.0, -20.0]).unwrap();
         let x = Matrix::from_rows(&[&[1.0, 1.0]]).unwrap();
-        let y = layer.forward(&x).unwrap();
-        assert_eq!(y.row(0), &[11.0, 22.0]);
+        let (mut y, mut h) = (Matrix::default(), Matrix::default());
+        layer
+            .forward_into(&x, &mut y, Some(&mut h), Exec::Serial)
+            .unwrap();
+        assert_eq!(y.row(0), &[11.0, -18.0]);
+        assert_eq!(h.row(0), &[11.0, 0.0]);
+        assert!(layer
+            .forward_into(&Matrix::zeros(1, 3), &mut y, None, Exec::Serial)
+            .is_err());
     }
 
     #[test]
@@ -360,38 +323,30 @@ mod tests {
     }
 
     #[test]
-    fn backward_requires_forward() {
-        let mut layer = Linear::new(2, 2, 1);
-        assert!(layer.backward(&Matrix::zeros(1, 2)).is_err());
-    }
-
-    #[test]
     fn gradients_match_finite_differences() {
         let mut layer = Linear::new(3, 2, 42);
         let x = Matrix::from_rows(&[&[0.5, -0.25, 1.0], &[-1.0, 0.75, 0.1]]).unwrap();
 
         // Scalar loss L = sum(y); dL/dy = ones.
-        let y = layer.forward(&x).unwrap();
+        let y = output(&layer, &x);
         let dy = Matrix::filled(y.rows(), y.cols(), 1.0);
-        let dx = layer.backward(&dy).unwrap();
+        let mut dx = Matrix::default();
+        layer.backward_into(&x, &dy, &mut dx, Exec::Serial).unwrap();
         let gw = layer.grad_weight().unwrap().clone();
         let gb = layer.grad_bias().unwrap().to_vec();
 
         let eps = 1e-2f32;
-        let loss = |l: &Linear, x: &Matrix| -> f32 { l.forward_inference(x).unwrap().sum() };
+        let loss = |l: &Linear, x: &Matrix| -> f32 { output(l, x).sum() };
 
         // Weight gradient check.
         for r in 0..3 {
             for c in 0..2 {
-                let mut lp = layer.clone();
-                let mut wp = lp.weight().clone();
-                wp[(r, c)] += eps;
-                lp = Linear::from_parameters(wp, lp.bias().to_vec()).unwrap();
-                let mut lm = layer.clone();
-                let mut wm = lm.weight().clone();
-                wm[(r, c)] -= eps;
-                lm = Linear::from_parameters(wm, lm.bias().to_vec()).unwrap();
-                let num = (loss(&lp, &x) - loss(&lm, &x)) / (2.0 * eps);
+                let nudged = |by: f32| {
+                    let mut w = layer.weight().clone();
+                    w[(r, c)] += by;
+                    Linear::from_parameters(w, layer.bias().to_vec()).unwrap()
+                };
+                let num = (loss(&nudged(eps), &x) - loss(&nudged(-eps), &x)) / (2.0 * eps);
                 assert!(
                     (gw[(r, c)] - num).abs() < 1e-2,
                     "dW[{r}][{c}] analytic {} vs numeric {num}",
@@ -424,9 +379,9 @@ mod tests {
         let mut layer = Linear::new(2, 1, 3);
         let before = layer.weight().clone();
         let x = Matrix::filled(4, 2, 1.0);
-        let y = layer.forward(&x).unwrap();
-        let dy = Matrix::filled(y.rows(), y.cols(), 1.0);
-        layer.backward(&dy).unwrap();
+        let dy = Matrix::filled(4, 1, 1.0);
+        let mut dx = Matrix::default();
+        layer.backward_into(&x, &dy, &mut dx, Exec::Serial).unwrap();
         layer.apply_update(0.1);
         let after = layer.weight();
         // dW = x^T dy = 4.0 for each entry; W should decrease by 0.4.

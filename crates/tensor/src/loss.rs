@@ -5,13 +5,30 @@ use crate::error::ShapeError;
 use crate::matrix::Matrix;
 use crate::ops::sigmoid_scalar;
 
+/// The element count a mean loss (or its gradient) divides by, once both
+/// operands agree on a shape that has elements: the mean of zero elements
+/// is an error, not `0/0 = NaN`.
+fn mean_divisor(op: &'static str, a: &Matrix, b: &Matrix) -> Result<f32, ShapeError> {
+    if a.shape() != b.shape() {
+        return Err(ShapeError::new(op, a.shape(), b.shape()));
+    }
+    if a.is_empty() {
+        return Err(ShapeError::new(
+            "mean_of_zero_elements",
+            a.shape(),
+            b.shape(),
+        ));
+    }
+    Ok(a.len() as f32)
+}
+
 /// Mean binary-cross-entropy between logits and `{0,1}` targets, computed
 /// in the numerically-stable fused form
 /// `max(z,0) - z*t + ln(1 + e^{-|z|})`.
 ///
 /// # Errors
 ///
-/// Returns a [`ShapeError`] if the shapes differ.
+/// Returns a [`ShapeError`] if the shapes differ or have no elements.
 ///
 /// ```
 /// use tcast_tensor::{Matrix, bce_with_logits};
@@ -22,14 +39,7 @@ use crate::ops::sigmoid_scalar;
 /// assert!(bce_with_logits(&logits, &targets).unwrap() < 1e-3);
 /// ```
 pub fn bce_with_logits(logits: &Matrix, targets: &Matrix) -> Result<f32, ShapeError> {
-    if logits.shape() != targets.shape() {
-        return Err(ShapeError::new(
-            "bce_with_logits",
-            logits.shape(),
-            targets.shape(),
-        ));
-    }
-    let n = logits.len() as f32;
+    let n = mean_divisor("bce_with_logits", logits, targets)?;
     let mut total = 0.0f32;
     for (&z, &t) in logits.as_slice().iter().zip(targets.as_slice().iter()) {
         total += z.max(0.0) - z * t + (1.0 + (-z.abs()).exp()).ln();
@@ -42,7 +52,7 @@ pub fn bce_with_logits(logits: &Matrix, targets: &Matrix) -> Result<f32, ShapeEr
 ///
 /// # Errors
 ///
-/// Returns a [`ShapeError`] if the shapes differ.
+/// Returns a [`ShapeError`] if the shapes differ or have no elements.
 pub fn bce_with_logits_backward(logits: &Matrix, targets: &Matrix) -> Result<Matrix, ShapeError> {
     let mut out = Matrix::default();
     bce_with_logits_backward_into(logits, targets, &mut out)?;
@@ -54,20 +64,13 @@ pub fn bce_with_logits_backward(logits: &Matrix, targets: &Matrix) -> Result<Mat
 ///
 /// # Errors
 ///
-/// Returns a [`ShapeError`] if the shapes differ.
+/// Returns a [`ShapeError`] if the shapes differ or have no elements.
 pub fn bce_with_logits_backward_into(
     logits: &Matrix,
     targets: &Matrix,
     out: &mut Matrix,
 ) -> Result<(), ShapeError> {
-    if logits.shape() != targets.shape() {
-        return Err(ShapeError::new(
-            "bce_with_logits_backward",
-            logits.shape(),
-            targets.shape(),
-        ));
-    }
-    let n = logits.len() as f32;
+    let n = mean_divisor("bce_with_logits_backward", logits, targets)?;
     out.zero_into(logits.rows(), logits.cols());
     for (o, (&z, &t)) in out
         .as_mut_slice()
@@ -83,12 +86,9 @@ pub fn bce_with_logits_backward_into(
 ///
 /// # Errors
 ///
-/// Returns a [`ShapeError`] if the shapes differ.
+/// Returns a [`ShapeError`] if the shapes differ or have no elements.
 pub fn mse(pred: &Matrix, target: &Matrix) -> Result<f32, ShapeError> {
-    if pred.shape() != target.shape() {
-        return Err(ShapeError::new("mse", pred.shape(), target.shape()));
-    }
-    let n = pred.len() as f32;
+    let n = mean_divisor("mse", pred, target)?;
     Ok(pred
         .as_slice()
         .iter()
@@ -102,16 +102,9 @@ pub fn mse(pred: &Matrix, target: &Matrix) -> Result<f32, ShapeError> {
 ///
 /// # Errors
 ///
-/// Returns a [`ShapeError`] if the shapes differ.
+/// Returns a [`ShapeError`] if the shapes differ or have no elements.
 pub fn mse_backward(pred: &Matrix, target: &Matrix) -> Result<Matrix, ShapeError> {
-    if pred.shape() != target.shape() {
-        return Err(ShapeError::new(
-            "mse_backward",
-            pred.shape(),
-            target.shape(),
-        ));
-    }
-    let n = pred.len() as f32;
+    let n = mean_divisor("mse_backward", pred, target)?;
     let data: Vec<f32> = pred
         .as_slice()
         .iter()
@@ -125,7 +118,7 @@ pub fn mse_backward(pred: &Matrix, target: &Matrix) -> Result<Matrix, ShapeError
 ///
 /// # Errors
 ///
-/// Returns a [`ShapeError`] if the shapes differ.
+/// Returns a [`ShapeError`] if the shapes differ or have no elements.
 pub fn mse_with_grad(pred: &Matrix, target: &Matrix) -> Result<(f32, Matrix), ShapeError> {
     Ok((mse(pred, target)?, mse_backward(pred, target)?))
 }
@@ -214,5 +207,17 @@ mod tests {
         assert!(bce_with_logits_backward(&a, &b).is_err());
         assert!(mse(&a, &b).is_err());
         assert!(mse_backward(&a, &b).is_err());
+    }
+
+    #[test]
+    fn the_mean_of_zero_elements_is_an_error_not_nan() {
+        let empty = Matrix::zeros(0, 1);
+        let mut out = Matrix::filled(2, 1, 7.0);
+        let err = bce_with_logits(&empty, &empty).unwrap_err();
+        assert_eq!(err.op(), "mean_of_zero_elements");
+        assert!(bce_with_logits_backward_into(&empty, &empty, &mut out).is_err());
+        assert_eq!(out, Matrix::filled(2, 1, 7.0));
+        assert!(mse(&empty, &empty).is_err());
+        assert!(mse_backward(&empty, &empty).is_err());
     }
 }

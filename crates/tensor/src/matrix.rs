@@ -495,8 +495,8 @@ impl Matrix {
 
     /// Splits the matrix column-wise into chunks of the given widths.
     ///
-    /// The inverse of [`Matrix::hconcat`]; used to route the interaction
-    /// gradient back to its inputs.
+    /// The inverse of [`Matrix::hconcat`]; the pair is the allocating
+    /// reference the concat interaction is tested against.
     ///
     /// # Errors
     ///

@@ -3,7 +3,7 @@
 use crate::error::ShapeError;
 use crate::linear::Linear;
 use crate::matrix::Matrix;
-use crate::ops::{relu, relu_backward, relu_backward_in_place};
+use crate::ops::relu_backward_in_place;
 use tcast_pool::Exec;
 
 /// Hidden-layer activation for [`Mlp`].
@@ -16,15 +16,19 @@ pub enum Activation {
     Identity,
 }
 
-/// Caller-owned reusable buffers for [`Mlp::forward_inference_into`]:
-/// one pre-activation buffer shared by every layer plus one
-/// post-activation buffer per hidden layer (sized lazily on first use).
-/// Keeping these outside the [`Mlp`] lets a `&self` model serve many
-/// engines, each with its own scratch.
+/// Caller-owned buffers of one pass through an [`Mlp`], sized lazily on
+/// first use and recycled afterwards: one pre-activation buffer shared by
+/// every layer, the post-activation output of each hidden layer — what
+/// [`Mlp::forward_into`] leaves behind and [`Mlp::backward_into`] borrows
+/// — and the two buffers the running gradient ping-pongs between. The
+/// model keeps no activation, so one `&self` model serves any number of
+/// callers, each through a scratch of its own: a trainer's step and a
+/// serving engine's batch alike.
 #[derive(Debug, Default)]
 pub struct MlpInferenceScratch {
     pre: Matrix,
     act: Vec<Matrix>,
+    grad: [Matrix; 2],
 }
 
 /// A stack of [`Linear`] layers with a shared hidden activation.
@@ -40,17 +44,6 @@ pub struct MlpInferenceScratch {
 pub struct Mlp {
     layers: Vec<Linear>,
     activation: Activation,
-    // Pre-activation outputs of each hidden layer, saved for backprop.
-    cached_pre_activations: Vec<Matrix>,
-    // Reusable buffers for the zero-allocation step path: a copy of the
-    // input and the post-activation output of each hidden layer — the `x`
-    // every layer's backward borrows — and two ping-pong gradient buffers.
-    step_input: Matrix,
-    step_hidden: Vec<Matrix>,
-    step_grad: [Matrix; 2],
-    // Which forward ran last: `forward_into` (the step buffers above are
-    // current) or `forward` (the layers' own input caches are).
-    stepped: bool,
 }
 
 impl Mlp {
@@ -75,15 +68,7 @@ impl Mlp {
             layers.push(Linear::new(in_dim, w, seed.wrapping_add(i as u64 * 7919)));
             in_dim = w;
         }
-        Ok(Self {
-            layers,
-            activation,
-            cached_pre_activations: Vec::new(),
-            step_input: Matrix::default(),
-            step_hidden: Vec::new(),
-            step_grad: [Matrix::default(), Matrix::default()],
-            stepped: false,
-        })
+        Ok(Self { layers, activation })
     }
 
     /// Input dimensionality.
@@ -130,32 +115,6 @@ impl Mlp {
         }
     }
 
-    /// Forward pass over a `batch x input_dim` matrix, caching
-    /// pre-activations for [`Mlp::backward`].
-    ///
-    /// # Errors
-    ///
-    /// Returns a [`ShapeError`] on input-dimension mismatch.
-    pub fn forward(&mut self, x: &Matrix) -> Result<Matrix, ShapeError> {
-        self.stepped = false;
-        self.cached_pre_activations.clear();
-        let mut h = x.clone();
-        let n = self.layers.len();
-        for (i, layer) in self.layers.iter_mut().enumerate() {
-            let z = layer.forward(&h)?;
-            if i + 1 < n {
-                h = match self.activation {
-                    Activation::Relu => relu(&z),
-                    Activation::Identity => z.clone(),
-                };
-                self.cached_pre_activations.push(z);
-            } else {
-                h = z;
-            }
-        }
-        Ok(h)
-    }
-
     /// Whether any layer's products at `batch` rows reach the
     /// multiply-add floor above which a multi-threaded [`Exec`] splits
     /// them (see [`Linear::splits_at`]).
@@ -163,86 +122,26 @@ impl Mlp {
         self.layers.iter().any(|layer| layer.splits_at(batch))
     }
 
-    /// [`Mlp::forward`] writing into `out` and reusing every intermediate
-    /// buffer (pre-activations, hidden activations, a copy of `x`): the
-    /// zero-allocation steady-state form, to be followed by
-    /// [`Mlp::backward_into`]. The layers cache nothing; each one's
-    /// backward borrows its input from these buffers. With a
-    /// multi-threaded `exec` the layers at or above the floor split their
-    /// GEMMs on its pool. Bit-identical to [`Mlp::forward`].
+    /// Forward pass over a `batch x input_dim` matrix, writing the output
+    /// into `out` and every hidden activation into `scratch` (all buffers
+    /// reused: no allocation in steady state). Takes `&self` and mutates
+    /// no model state: the training step and a serving engine call this
+    /// one function, a step then handing the same `x` and `scratch` to
+    /// [`Mlp::backward_into`]. With a multi-threaded `exec` the layers at
+    /// or above the floor split their GEMMs on its pool; the bits are the
+    /// same under every `exec`.
     ///
     /// # Errors
     ///
     /// Returns a [`ShapeError`] on input-dimension mismatch.
     pub fn forward_into(
-        &mut self,
-        x: &Matrix,
-        out: &mut Matrix,
-        exec: Exec<'_>,
-    ) -> Result<(), ShapeError> {
-        let n = self.layers.len();
-        let hidden = n - 1;
-        self.stepped = false;
-        // Lazily size the per-hidden-layer buffers (first call only).
-        self.cached_pre_activations
-            .resize_with(hidden, Matrix::default);
-        self.step_hidden.resize_with(hidden, Matrix::default);
-        self.step_input.copy_from(x);
-
-        let Self {
-            layers,
-            activation,
-            cached_pre_activations,
-            step_hidden,
-            ..
-        } = self;
-        for i in 0..hidden {
-            // Split the buffer list so the previous layer's (immutable)
-            // output and this layer's (mutable) output never alias.
-            let (before, at) = step_hidden.split_at_mut(i);
-            let input = if i == 0 { x } else { &before[i - 1] };
-            let z = &mut cached_pre_activations[i];
-            match activation {
-                Activation::Relu => {
-                    layers[i].forward_inference_into(input, z, Some(&mut at[0]), exec)?
-                }
-                Activation::Identity => {
-                    layers[i].forward_inference_into(input, z, None, exec)?;
-                    at[0].copy_from(z);
-                }
-            }
-        }
-        let input = if hidden == 0 {
-            x
-        } else {
-            &step_hidden[hidden - 1]
-        };
-        layers[hidden].forward_inference_into(input, out, None, exec)?;
-        self.stepped = true;
-        Ok(())
-    }
-
-    /// Inference-only forward pass writing into `out` through
-    /// caller-owned scratch — the zero-allocation serving form. Takes
-    /// `&self` and mutates no model state (unlike [`Mlp::forward_into`],
-    /// which keeps activations for backprop), so one frozen model
-    /// can be scored concurrently with checkpointing, and the serve
-    /// engine's scratch lives with the engine, not the model.
-    /// Bit-identical to [`Mlp::forward`], [`Mlp::forward_into`] and
-    /// [`Mlp::forward_inference`].
-    ///
-    /// # Errors
-    ///
-    /// Returns a [`ShapeError`] on input-dimension mismatch.
-    pub fn forward_inference_into(
         &self,
         x: &Matrix,
         scratch: &mut MlpInferenceScratch,
         out: &mut Matrix,
         exec: Exec<'_>,
     ) -> Result<(), ShapeError> {
-        let n = self.layers.len();
-        let hidden = n - 1;
+        let hidden = self.layers.len() - 1;
         scratch.act.resize_with(hidden, Matrix::default);
         for i in 0..hidden {
             // Split so the previous layer's (immutable) activation and
@@ -252,11 +151,9 @@ impl Mlp {
             let layer = &self.layers[i];
             match self.activation {
                 Activation::Relu => {
-                    layer.forward_inference_into(input, &mut scratch.pre, Some(&mut at[0]), exec)?
+                    layer.forward_into(input, &mut scratch.pre, Some(&mut at[0]), exec)?
                 }
-                Activation::Identity => {
-                    layer.forward_inference_into(input, &mut at[0], None, exec)?
-                }
+                Activation::Identity => layer.forward_into(input, &mut at[0], None, exec)?,
             }
         }
         let input = if hidden == 0 {
@@ -264,101 +161,59 @@ impl Mlp {
         } else {
             &scratch.act[hidden - 1]
         };
-        self.layers[hidden].forward_inference_into(input, out, None, exec)
+        self.layers[hidden].forward_into(input, out, None, exec)
     }
 
-    /// Inference-only forward pass (no caching, `&self`).
+    /// Backward pass: takes `dL/d(output)`, writes `dL/d(input)` into `dx`
+    /// and leaves per-layer gradients inside each [`Linear`]. `x` and
+    /// `scratch` are the ones the forward pass of this step ran over:
+    /// layer `i` borrows its input from them, and ReLU masks the running
+    /// gradient by that same activation (`relu(z) > 0` exactly where
+    /// `z > 0`, so no pre-activation is kept). A scratch no forward pass
+    /// filled for this model at `dy`'s batch size is a [`ShapeError`],
+    /// found before any gradient buffer is touched. With a multi-threaded
+    /// `exec` the layers at or above the floor run `dW` beside `dX` on its
+    /// pool; the bits are the same under every `exec`.
     ///
     /// # Errors
     ///
-    /// Returns a [`ShapeError`] on input-dimension mismatch.
-    pub fn forward_inference(&self, x: &Matrix) -> Result<Matrix, ShapeError> {
-        let mut h = x.clone();
-        let n = self.layers.len();
-        for (i, layer) in self.layers.iter().enumerate() {
-            let z = layer.forward_inference(&h)?;
-            h = if i + 1 < n {
-                match self.activation {
-                    Activation::Relu => relu(&z),
-                    Activation::Identity => z,
-                }
-            } else {
-                z
-            };
-        }
-        Ok(h)
-    }
-
-    /// Backward pass. Takes `dL/d(output)` and returns `dL/d(input)`,
-    /// leaving per-layer gradients cached inside each [`Linear`].
-    ///
-    /// # Errors
-    ///
-    /// Returns a [`ShapeError`] unless [`Mlp::forward`] was the last
-    /// forward pass.
-    pub fn backward(&mut self, dy: &Matrix) -> Result<Matrix, ShapeError> {
-        if self.stepped {
-            return Err(no_matching_forward(dy));
-        }
-        let n = self.layers.len();
-        let mut grad = dy.clone();
-        for i in (0..n).rev() {
-            grad = self.layers[i].backward(&grad)?;
-            if i > 0 {
-                let z = &self.cached_pre_activations[i - 1];
-                grad = match self.activation {
-                    Activation::Relu => relu_backward(&grad, z)?,
-                    Activation::Identity => grad,
-                };
-            }
-        }
-        Ok(grad)
-    }
-
-    /// [`Mlp::backward`] for the step path: writes `dL/d(input)` into
-    /// `dx`, reuses the two internal ping-pong gradient buffers, and lends
-    /// each layer the input [`Mlp::forward_into`] kept for it.
-    /// Bit-identical to [`Mlp::backward`]; with a multi-threaded `exec`
-    /// the layers at or above the floor run `dW` beside `dX` on its pool.
-    ///
-    /// # Errors
-    ///
-    /// Returns a [`ShapeError`] unless [`Mlp::forward_into`] was the last
-    /// forward pass, or if `dy` disagrees with its output.
+    /// Returns a [`ShapeError`] if `x`, `scratch` and `dy` are not those
+    /// of one pass through this model.
     pub fn backward_into(
         &mut self,
+        x: &Matrix,
+        scratch: &mut MlpInferenceScratch,
         dy: &Matrix,
         dx: &mut Matrix,
         exec: Exec<'_>,
     ) -> Result<(), ShapeError> {
-        if !self.stepped {
-            return Err(no_matching_forward(dy));
-        }
         let n = self.layers.len();
-        let Self {
-            layers,
-            activation,
-            cached_pre_activations,
-            step_input,
-            step_hidden,
-            step_grad,
-            ..
-        } = self;
+        let batch = dy.rows();
+        let MlpInferenceScratch { act, grad, .. } = scratch;
+        // The top layer checks `dy` before it touches a buffer; what only
+        // a lower layer would trip over is checked here.
+        if x.shape() != (batch, self.input_dim()) {
+            let expected = (batch, self.input_dim());
+            return Err(ShapeError::new("mlp_backward_input", expected, x.shape()));
+        }
+        for (i, layer) in self.layers[..n - 1].iter().enumerate() {
+            let expected = (batch, layer.out_dim());
+            let found = act.get(i).map_or((0, 0), Matrix::shape);
+            if found != expected {
+                return Err(ShapeError::new("mlp_backward_scratch", expected, found));
+            }
+        }
         // The running gradient goes dy -> cur -> next -> cur -> ... -> dx.
-        let [cur, next] = step_grad;
+        let [cur, next] = grad;
         let (mut cur, mut next) = (cur, next);
         for i in (0..n).rev() {
-            let x = if i == 0 {
-                &*step_input
-            } else {
-                &step_hidden[i - 1]
-            };
+            let input = if i == 0 { x } else { &act[i - 1] };
             let grad = if i + 1 == n { dy } else { &*cur };
             let into = if i == 0 { &mut *dx } else { &mut *next };
-            layers[i].backward_into(x, grad, into, exec)?;
+            self.layers[i].backward_into(input, grad, into, exec)?;
             if i > 0 {
-                if let Activation::Relu = activation {
-                    relu_backward_in_place(next, &cached_pre_activations[i - 1])?;
+                if let Activation::Relu = self.activation {
+                    relu_backward_in_place(next, &act[i - 1])?;
                 }
                 std::mem::swap(&mut cur, &mut next);
             }
@@ -383,16 +238,63 @@ impl Mlp {
     }
 }
 
-/// The error of a backward pass whose own kind of forward pass did not
-/// run last.
-fn no_matching_forward(dy: &Matrix) -> ShapeError {
-    ShapeError::new("backward_without_forward", (0, 0), dy.shape())
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::ops::{relu, relu_backward};
     use tcast_pool::Pool;
+
+    fn bits(v: &[f32]) -> Vec<u32> {
+        v.iter().map(|f| f.to_bits()).collect()
+    }
+
+    fn output(mlp: &Mlp, x: &Matrix) -> Matrix {
+        let mut y = Matrix::default();
+        mlp.forward_into(x, &mut MlpInferenceScratch::default(), &mut y, Exec::Serial)
+            .unwrap();
+        y
+    }
+
+    /// One SGD step composed from the unfused primitives, masking ReLU by
+    /// the *pre*-activation: the second opinion on the fused epilogue and
+    /// on the activation mask of [`Mlp::backward_into`]. Returns the
+    /// output, `dx`, and every layer's updated `(weight, bias)`.
+    fn reference_step(mlp: &Mlp, x: &Matrix, dy: &Matrix, lr: f32) -> Vec<Vec<u32>> {
+        let n = mlp.depth();
+        let (mut inputs, mut pre) = (vec![x.clone()], Vec::new());
+        for (i, layer) in mlp.layers().iter().enumerate() {
+            let mut z = inputs[i].matmul(layer.weight()).unwrap();
+            z.add_row_vector(layer.bias()).unwrap();
+            inputs.push(if i + 1 < n { relu(&z) } else { z.clone() });
+            pre.push(z);
+        }
+        let mut out = vec![bits(inputs[n].as_slice())];
+        let mut grad = dy.clone();
+        let mut updated = Vec::new();
+        for (i, layer) in mlp.layers().iter().enumerate().rev() {
+            let mut weight = layer.weight().clone();
+            let dw = inputs[i].matmul_at(&grad).unwrap();
+            weight.add_scaled(&dw, -lr).unwrap();
+            let db = grad.sum_rows();
+            let bias: Vec<f32> = layer
+                .bias()
+                .iter()
+                .zip(&db)
+                .map(|(b, g)| b - lr * g)
+                .collect();
+            updated.push((bits(weight.as_slice()), bits(&bias)));
+            grad = grad.matmul_bt(layer.weight()).unwrap();
+            if i > 0 {
+                grad = relu_backward(&grad, &pre[i - 1]).unwrap();
+            }
+        }
+        out.push(bits(grad.as_slice()));
+        for (weight, bias) in updated.into_iter().rev() {
+            out.push(weight);
+            out.push(bias);
+        }
+        out
+    }
 
     #[test]
     fn rejects_empty_widths() {
@@ -401,64 +303,34 @@ mod tests {
 
     #[test]
     fn shapes_flow_through() {
-        let mut mlp = Mlp::new(8, &[16, 4, 2], Activation::Relu, 1).unwrap();
+        let mlp = Mlp::new(8, &[16, 4, 2], Activation::Relu, 1).unwrap();
         assert_eq!(mlp.depth(), 3);
         assert_eq!(mlp.input_dim(), 8);
         assert_eq!(mlp.output_dim(), 2);
-        let y = mlp.forward(&Matrix::zeros(5, 8)).unwrap();
-        assert_eq!(y.shape(), (5, 2));
-    }
-
-    #[test]
-    fn forward_and_inference_agree() {
-        let mut mlp = Mlp::new(6, &[12, 3], Activation::Relu, 9).unwrap();
-        let mut x = Matrix::zeros(4, 6);
-        for (i, v) in x.as_mut_slice().iter_mut().enumerate() {
-            *v = (i as f32 * 0.13).sin();
-        }
-        let y1 = mlp.forward(&x).unwrap();
-        let y2 = mlp.forward_inference(&x).unwrap();
-        assert!(y1.max_abs_diff(&y2).unwrap() < 1e-6);
-    }
-
-    #[test]
-    fn inference_into_is_bit_identical_to_every_forward_form() {
-        let mut mlp = Mlp::new(6, &[12, 7, 1], Activation::Relu, 31).unwrap();
-        let mut x = Matrix::zeros(5, 6);
-        for (i, v) in x.as_mut_slice().iter_mut().enumerate() {
-            *v = (i as f32 * 0.29).cos();
-        }
-        let trained = mlp.forward(&x).unwrap();
-        let alloc = mlp.forward_inference(&x).unwrap();
-        let mut scratch = MlpInferenceScratch::default();
-        let mut out = Matrix::default();
-        // Twice: the second pass runs entirely through recycled buffers.
-        for _ in 0..2 {
-            mlp.forward_inference_into(&x, &mut scratch, &mut out, Exec::Serial)
-                .unwrap();
-            assert_eq!(out.as_slice(), trained.as_slice());
-            assert_eq!(out.as_slice(), alloc.as_slice());
-        }
+        assert_eq!(output(&mlp, &Matrix::zeros(5, 8)).shape(), (5, 2));
+        let (mut scratch, mut y) = (MlpInferenceScratch::default(), Matrix::default());
+        assert!(mlp
+            .forward_into(&Matrix::zeros(5, 7), &mut scratch, &mut y, Exec::Serial)
+            .is_err());
     }
 
     #[test]
     fn inference_into_handles_single_layer_stacks() {
         let mlp = Mlp::new(4, &[2], Activation::Relu, 3).unwrap();
         let x = Matrix::from_rows(&[&[0.1, -0.4, 0.7, 0.2]]).unwrap();
-        let mut scratch = MlpInferenceScratch::default();
-        let mut out = Matrix::default();
-        mlp.forward_inference_into(&x, &mut scratch, &mut out, Exec::Serial)
-            .unwrap();
-        let expect = mlp.forward_inference(&x).unwrap();
-        assert_eq!(out.as_slice(), expect.as_slice());
+        let layer = &mlp.layers()[0];
+        let mut expect = x.matmul(layer.weight()).unwrap();
+        expect.add_row_vector(layer.bias()).unwrap();
+        assert_eq!(output(&mlp, &x).as_slice(), expect.as_slice());
     }
 
     /// Everything one training step leaves behind, as bits.
     fn step_bits(mlp: &mut Mlp, x: &Matrix, dy: &Matrix, exec: Exec<'_>) -> Vec<Vec<u32>> {
-        let bits = |v: &[f32]| v.iter().map(|f| f.to_bits()).collect::<Vec<u32>>();
+        let mut scratch = MlpInferenceScratch::default();
         let (mut y, mut dx) = (Matrix::default(), Matrix::default());
-        mlp.forward_into(x, &mut y, exec).unwrap();
-        mlp.backward_into(dy, &mut dx, exec).unwrap();
+        mlp.forward_into(x, &mut scratch, &mut y, exec).unwrap();
+        mlp.backward_into(x, &mut scratch, dy, &mut dx, exec)
+            .unwrap();
         mlp.apply_update(0.05);
         let mut out = vec![bits(y.as_slice()), bits(dx.as_slice())];
         for layer in mlp.layers() {
@@ -476,7 +348,8 @@ mod tests {
         // above it feeding an `n = 1` logit layer below it at an odd batch;
         // a square layer that reaches the floor at one row, at batches of
         // one and two (fewer rows than the pool has bands); and an
-        // all-small stack. The allocating reference path agrees too.
+        // all-small stack. The step composed from unfused primitives, which
+        // masks ReLU by the pre-activation, agrees too.
         let lane = Pool::new(1);
         let pool = Pool::new(3);
         let cases: [(usize, &[usize], usize); 4] = [
@@ -498,11 +371,6 @@ mod tests {
             };
             let (x, dy) = (random(batch, input), random(batch, 1));
 
-            let mut reference = fresh.clone();
-            reference.forward(&x).unwrap();
-            reference.backward(&dy).unwrap();
-            reference.apply_update(0.05);
-
             let serial = step_bits(&mut fresh.clone(), &x, &dy, Exec::Serial);
             let execs = [
                 Exec::Pooled {
@@ -515,44 +383,71 @@ mod tests {
                 let split = step_bits(&mut fresh.clone(), &x, &dy, exec);
                 assert!(split == serial, "{widths:?} x {batch} under {exec:?}");
             }
-            for (layer, pair) in reference.layers().iter().zip(serial[2..].chunks(2)) {
-                let weight: Vec<u32> = layer
-                    .weight()
-                    .as_slice()
-                    .iter()
-                    .map(|f| f.to_bits())
-                    .collect();
-                assert!(weight == pair[0], "{widths:?} x {batch} vs the reference");
-            }
+            let reference = reference_step(&fresh, &x, &dy, 0.05);
+            assert!(reference == serial, "{widths:?} x {batch} vs the reference");
         }
     }
 
     #[test]
     fn each_backward_wants_its_own_forward() {
-        let mut mlp = Mlp::new(3, &[4, 1], Activation::Relu, 1).unwrap();
+        // A scratch no forward pass filled, one filled at another batch
+        // size, or an `x` that is not the forward's: a shape error, never a
+        // stale read — and found before any layer gave up the gradient
+        // buffers its last update retired.
+        let mut mlp = Mlp::new(3, &[4, 4, 1], Activation::Relu, 1).unwrap();
         let x = Matrix::filled(2, 3, 0.5);
         let dy = Matrix::filled(2, 1, 1.0);
         let (mut y, mut dx) = (Matrix::default(), Matrix::default());
-        assert!(mlp.backward_into(&dy, &mut dx, Exec::Serial).is_err());
-        mlp.forward(&x).unwrap();
-        assert!(mlp.backward_into(&dy, &mut dx, Exec::Serial).is_err());
-        mlp.backward(&dy).unwrap();
-        mlp.forward_into(&x, &mut y, Exec::Serial).unwrap();
-        assert!(mlp.backward(&dy).is_err());
-        mlp.backward_into(&dy, &mut dx, Exec::Serial).unwrap();
-        // A `dy` that disagrees with the forward's batch is a shape error.
-        assert!(mlp
-            .backward_into(&Matrix::zeros(3, 1), &mut dx, Exec::Serial)
-            .is_err());
+        let mut scratch = MlpInferenceScratch::default();
+        mlp.forward_into(&x, &mut scratch, &mut y, Exec::Serial)
+            .unwrap();
+        mlp.backward_into(&x, &mut scratch, &dy, &mut dx, Exec::Serial)
+            .unwrap();
+        let buffers = |mlp: &Mlp| -> Vec<*const f32> {
+            let grads = mlp.layers().iter();
+            grads
+                .map(|l| l.grad_weight().unwrap().as_slice().as_ptr())
+                .collect()
+        };
+        let first = buffers(&mlp);
+        mlp.apply_update(0.1);
+
+        let x3 = Matrix::filled(3, 3, 0.5);
+        let mut other_batch = MlpInferenceScratch::default();
+        mlp.forward_into(&x3, &mut other_batch, &mut y, Exec::Serial)
+            .unwrap();
+        let mut scratches = [MlpInferenceScratch::default(), other_batch, scratch];
+        let (short_dy, wide_dy) = (Matrix::zeros(3, 1), Matrix::zeros(2, 2));
+        for (bad_x, which, bad_dy) in [
+            (&x, 0, &dy),  // a scratch no forward filled
+            (&x, 1, &dy),  // one filled at another batch size
+            (&x3, 2, &dy), // the right scratch, another batch's input
+            (&x, 2, &short_dy),
+            (&x, 2, &wide_dy),
+        ] {
+            let scratch = &mut scratches[which];
+            assert!(mlp
+                .backward_into(bad_x, scratch, bad_dy, &mut dx, Exec::Serial)
+                .is_err());
+            assert!(mlp.layers().iter().all(|l| l.grad_weight().is_none()));
+        }
+        let scratch = &mut scratches[2];
+        mlp.backward_into(&x, scratch, &dy, &mut dx, Exec::Serial)
+            .unwrap();
+        assert_eq!(buffers(&mlp), first);
     }
 
     #[test]
     fn gradient_matches_finite_difference() {
         let mut mlp = Mlp::new(3, &[5, 1], Activation::Relu, 12).unwrap();
         let x = Matrix::from_rows(&[&[0.4, -0.2, 0.9], &[-0.5, 0.3, 0.1]]).unwrap();
-        let y = mlp.forward(&x).unwrap();
+        let mut scratch = MlpInferenceScratch::default();
+        let (mut y, mut dx) = (Matrix::default(), Matrix::default());
+        mlp.forward_into(&x, &mut scratch, &mut y, Exec::Serial)
+            .unwrap();
         let dy = Matrix::filled(y.rows(), y.cols(), 1.0);
-        let dx = mlp.backward(&dy).unwrap();
+        mlp.backward_into(&x, &mut scratch, &dy, &mut dx, Exec::Serial)
+            .unwrap();
 
         let eps = 1e-2f32;
         for r in 0..2 {
@@ -561,9 +456,7 @@ mod tests {
                 xp[(r, c)] += eps;
                 let mut xm = x.clone();
                 xm[(r, c)] -= eps;
-                let num = (mlp.forward_inference(&xp).unwrap().sum()
-                    - mlp.forward_inference(&xm).unwrap().sum())
-                    / (2.0 * eps);
+                let num = (output(&mlp, &xp).sum() - output(&mlp, &xm).sum()) / (2.0 * eps);
                 assert!(
                     (dx[(r, c)] - num).abs() < 2e-2,
                     "dX[{r}][{c}] analytic {} vs numeric {num}",
@@ -578,6 +471,8 @@ mod tests {
         // Fit y = sum(x) with a small MLP; MSE should drop sharply.
         let mut mlp = Mlp::new(4, &[16, 1], Activation::Relu, 77).unwrap();
         let mut rng = crate::init::SplitMix64::new(5);
+        let mut scratch = MlpInferenceScratch::default();
+        let (mut y, mut dx) = (Matrix::default(), Matrix::default());
         let mut first_loss = None;
         let mut last_loss = 0.0;
         for _ in 0..300 {
@@ -587,9 +482,11 @@ mod tests {
             }
             let target: Vec<f32> = x.rows_iter().map(|r| r.iter().sum()).collect();
             let t = Matrix::from_vec(16, 1, target).unwrap();
-            let y = mlp.forward(&x).unwrap();
+            mlp.forward_into(&x, &mut scratch, &mut y, Exec::Serial)
+                .unwrap();
             let (loss, dy) = crate::loss::mse_with_grad(&y, &t).unwrap();
-            mlp.backward(&dy).unwrap();
+            mlp.backward_into(&x, &mut scratch, &dy, &mut dx, Exec::Serial)
+                .unwrap();
             mlp.apply_update(0.05);
             if first_loss.is_none() {
                 first_loss = Some(loss);
@@ -608,11 +505,11 @@ mod tests {
         let x1 = Matrix::from_rows(&[&[1.0, 0.0]]).unwrap();
         let x2 = Matrix::from_rows(&[&[0.0, 1.0]]).unwrap();
         let sum = Matrix::from_rows(&[&[1.0, 1.0]]).unwrap();
-        let y1 = mlp.forward_inference(&x1).unwrap();
-        let y2 = mlp.forward_inference(&x2).unwrap();
-        let ysum = mlp.forward_inference(&sum).unwrap();
+        let y1 = output(&mlp, &x1);
+        let y2 = output(&mlp, &x2);
+        let ysum = output(&mlp, &sum);
         // Linearity up to the (shared) bias: f(a+b) = f(a) + f(b) - f(0).
-        let y0 = mlp.forward_inference(&Matrix::zeros(1, 2)).unwrap();
+        let y0 = output(&mlp, &Matrix::zeros(1, 2));
         let expect = y1.add(&y2).unwrap().sub(&y0).unwrap();
         assert!(ysum.max_abs_diff(&expect).unwrap() < 1e-5);
     }

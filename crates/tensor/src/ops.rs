@@ -59,7 +59,9 @@ pub fn relu_backward(dy: &Matrix, x: &Matrix) -> Result<Matrix, ShapeError> {
 
 /// [`relu_backward`] masking the gradient **in place** (`dy` is both input
 /// and output): `dy[i] = 0` wherever the pre-activation is not `> 0`
-/// (negative, zero, or NaN — the same mask as [`relu_backward`]).
+/// (negative, zero, or NaN — the same mask as [`relu_backward`]). `x` may
+/// equally be the activation `relu(x)`, which is `> 0` at exactly the same
+/// elements — what [`crate::Mlp::backward_into`] passes.
 ///
 /// # Errors
 ///
@@ -134,6 +136,10 @@ mod tests {
         let expect = relu_backward(&dy, &x).unwrap();
         let mut grad = dy.clone();
         relu_backward_in_place(&mut grad, &x).unwrap();
+        assert_eq!(expect.as_slice(), grad.as_slice());
+        // Masking by the activation is masking by the pre-activation.
+        let mut grad = dy.clone();
+        relu_backward_in_place(&mut grad, &relu(&x)).unwrap();
         assert_eq!(expect.as_slice(), grad.as_slice());
     }
 

@@ -78,9 +78,7 @@ fn parallel_matmul_stress() {
         assert_eq!(layer.splits_at(m), trial > 0, "{m}x{k}x{n}");
         let (x, dy) = (random(m, k), random(m, n));
         let (mut y, mut dx) = (Matrix::default(), Matrix::default());
-        layer
-            .forward_inference_into(&x, &mut y, None, Exec::Serial)
-            .unwrap();
+        layer.forward_into(&x, &mut y, None, Exec::Serial).unwrap();
         layer.backward_into(&x, &dy, &mut dx, Exec::Serial).unwrap();
         let dw = layer.grad_weight().unwrap().clone();
         for threads in [2, 3, 8] {
@@ -89,9 +87,7 @@ fn parallel_matmul_stress() {
                 threads,
             };
             let (mut y_pooled, mut dx_pooled) = (Matrix::default(), Matrix::default());
-            layer
-                .forward_inference_into(&x, &mut y_pooled, None, exec)
-                .unwrap();
+            layer.forward_into(&x, &mut y_pooled, None, exec).unwrap();
             layer.backward_into(&x, &dy, &mut dx_pooled, exec).unwrap();
             let context = format!("{m}x{k}x{n} / {threads}");
             assert_eq!(y.as_slice(), y_pooled.as_slice(), "{context}");

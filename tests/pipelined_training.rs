@@ -519,9 +519,13 @@ fn hazard_config() -> DlrmConfig {
     }
 }
 
-fn hazard_batches(seed: u64, steps: usize, batch: usize) -> Vec<Arc<CtrBatch>> {
+fn hazard_stream(seed: u64) -> SyntheticCtr {
     let cfg = hazard_config();
-    let mut data = SyntheticCtr::new(cfg.table_workloads(), cfg.dense_features, seed);
+    SyntheticCtr::new(cfg.table_workloads(), cfg.dense_features, seed)
+}
+
+fn hazard_batches(seed: u64, steps: usize, batch: usize) -> Vec<Arc<CtrBatch>> {
+    let mut data = hazard_stream(seed);
     (0..steps)
         .map(|_| Arc::new(data.next_batch(batch)))
         .collect()
@@ -746,6 +750,9 @@ fn hostile_batches(good: &CtrBatch) -> Vec<(&'static str, CtrBatch)> {
             with_indices(good.indices[..2].to_vec()),
         ),
         ("ragged index array", with_indices(ragged)),
+        // Regression: the mean over zero samples trained on `0/0 = NaN`
+        // and counted as a step.
+        ("empty batch", hazard_stream(0).next_batch(0)),
     ]
 }
 
@@ -753,7 +760,8 @@ fn hostile_batches(good: &CtrBatch) -> Vec<(&'static str, CtrBatch)> {
 /// with the bits it would have had with no lookahead, the gather-ahead
 /// that tripped over the bad batch is dropped without a trace, and the bad
 /// step fails with the very error the plain `step` loop reports — after
-/// which valid steps continue bit-identically.
+/// which valid steps continue bit-identically, to the end state of a run
+/// that never saw the bad batch.
 #[test]
 fn hostile_successor_fails_in_its_own_step_with_the_same_error() {
     let good = hazard_batches(21, 5, 16);
@@ -770,6 +778,14 @@ fn hostile_successor_fails_in_its_own_step_with_the_same_error() {
             assert!(want[2].is_err(), "{kind}: the reference must reject it");
             assert_eq!(want.iter().filter(|r| r.is_err()).count(), 1, "{kind}");
             let end = trajectory(&[], reference);
+            let mut unharmed = Trainer::with_optimizer(hazard_config(), mode, opt, 9).unwrap();
+            for batch in good.iter().take(2).chain(&good[3..]) {
+                unharmed.step(batch).unwrap();
+            }
+            assert!(
+                trajectory(&[], unharmed) == end,
+                "{kind} {mode:?}: the rejected step left a trace"
+            );
 
             for depth in [1, 2] {
                 let context = format!("{kind} {mode:?} depth {depth}");
@@ -805,6 +821,26 @@ fn hostile_successor_fails_in_its_own_step_with_the_same_error() {
                 );
             }
         }
+    }
+}
+
+/// An empty batch is refused before anything is read or written: not even
+/// the gather a completion ran ahead for the step queued behind it is lost.
+#[test]
+fn an_empty_batch_leaves_a_held_gather_ahead_alone() {
+    let batches = hazard_batches(23, 2, 16);
+    let empty = hazard_stream(0).next_batch(0);
+    for mode in [BackwardMode::Baseline, BackwardMode::Casted] {
+        let mut trainer = Trainer::new(hazard_config(), mode, 9).unwrap();
+        let first = trainer.begin_step(Arc::clone(&batches[0]));
+        let second = trainer.begin_step(Arc::clone(&batches[1]));
+        trainer.complete_step(first, Some(&second)).unwrap();
+        let err = trainer.step(&empty).unwrap_err();
+        assert!(matches!(err, EmbeddingError::InvalidIndex(_)), "{err}");
+        assert_eq!(trainer.steps(), 1, "{mode:?}");
+        let report = trainer.complete_step(second, None).unwrap();
+        assert_eq!(report.gathered_ahead, 3, "{mode:?}");
+        assert!(report.loss.is_finite());
     }
 }
 
@@ -923,13 +959,13 @@ fn split_dense_phases_train_bit_identically_through_every_schedule() {
             let optimizer = EmbeddingOptimizer::Sgd;
             Trainer::with_execution(wide_config(), mode, optimizer, execution, 7).unwrap()
         };
-        let mut stepped = mk(Execution::Serial);
-        assert!(stepped.model().dense_splits_at(16));
+        let mut plain = mk(Execution::Serial);
+        assert!(plain.model().dense_splits_at(16));
         let want: Vec<u32> = batches
             .iter()
-            .map(|b| stepped.step(b).unwrap().loss.to_bits())
+            .map(|b| plain.step(b).unwrap().loss.to_bits())
             .collect();
-        let want_bytes = checkpoint(&stepped);
+        let want_bytes = checkpoint(&plain);
 
         let pool = Arc::new(tensor_casting::tensor::Pool::new(3));
         for execution in [Execution::Serial, Execution::Pooled(pool)] {
@@ -999,5 +1035,67 @@ fn dense_gemm_panic_resurfaces_and_the_next_step_runs() {
             trajectory(&[], trainer) == trajectory(&[], clean),
             "{execution:?}"
         );
+    }
+}
+
+/// Eight `Trainer::step` losses and the FNV-1a checksum of the training
+/// checkpoint after them, as the commit before the dense stack became one
+/// path produced them: `DlrmConfig::tiny()` at batch 24 and the wide hazard
+/// model (one layer on the split floor) at batch 16, both backward modes.
+/// Every other test here compares schedules within one build; these
+/// constants compare builds. The same under `TCAST_KERNEL=scalar|avx2`;
+/// `fma` is not a bit-identical tier and is skipped.
+#[test]
+fn step_losses_and_checkpoint_bytes_match_the_pinned_build() {
+    use tensor_casting::dlrm::checkpoint::save_train_checkpoint;
+    type Pinned = ([u32; 8], u64);
+    const TINY_LOSSES: [u32; 8] = [
+        0x3f3eaa49, 0x3f2d12d7, 0x3f31ad57, 0x3f375ae9, 0x3f30f3ed, 0x3f3559c1, 0x3f2facc8,
+        0x3f2fc81f,
+    ];
+    const WIDE_LOSSES: [u32; 8] = [
+        0x3f2e63ee, 0x3f31e0db, 0x3f2e9cd6, 0x3f31b2fa, 0x3f2e6964, 0x3f35ae49, 0x3f2ffe13,
+        0x3f32228d,
+    ];
+    const TINY: [Pinned; 2] = [
+        (TINY_LOSSES, 0x2ee43725514ee0e3),
+        (TINY_LOSSES, 0xc719a8e78e37c818),
+    ];
+    const WIDE: [Pinned; 2] = [
+        (WIDE_LOSSES, 0xc05681e40be60dcb),
+        (WIDE_LOSSES, 0x36312257824610a0),
+    ];
+    if tensor_casting::tensor::simd::dispatch() == tensor_casting::tensor::KernelDispatch::Fma {
+        return; // the tolerance tier rounds differently by design
+    }
+    let mut tiny_stream = stream(77);
+    let tiny: Vec<Arc<CtrBatch>> = (0..8)
+        .map(|_| Arc::new(tiny_stream.next_batch(24)))
+        .collect();
+    let wide = hazard_batches(78, 8, 16);
+    for (config, batches, pinned) in [
+        (DlrmConfig::tiny(), &tiny, TINY),
+        (wide_config(), &wide, WIDE),
+    ] {
+        for (mode, pinned) in [BackwardMode::Baseline, BackwardMode::Casted]
+            .into_iter()
+            .zip(pinned)
+        {
+            let mut trainer = Trainer::new(config.clone(), mode, 13).unwrap();
+            let losses: Vec<u32> = batches
+                .iter()
+                .map(|b| trainer.step(b).unwrap().loss.to_bits())
+                .collect();
+            let mut bytes = Vec::new();
+            save_train_checkpoint(&mut bytes, &trainer, None, None).unwrap();
+            let checksum = bytes.iter().fold(0xcbf2_9ce4_8422_2325u64, |h, &b| {
+                (h ^ u64::from(b)).wrapping_mul(0x0000_0100_0000_01b3)
+            });
+            assert_eq!(
+                (&losses[..], checksum),
+                (&pinned.0[..], pinned.1),
+                "{mode:?}"
+            );
+        }
     }
 }

@@ -188,7 +188,7 @@ fn pooled_gemm_matches_serial_on_uneven_bands() {
 
             let (mut y_serial, mut dx_serial) = (Matrix::default(), Matrix::default());
             layer
-                .forward_inference_into(&x, &mut y_serial, None, Exec::Serial)
+                .forward_into(&x, &mut y_serial, None, Exec::Serial)
                 .unwrap();
             layer
                 .backward_into(&x, &dy, &mut dx_serial, Exec::Serial)
@@ -200,9 +200,7 @@ fn pooled_gemm_matches_serial_on_uneven_bands() {
                     threads,
                 };
                 let (mut y, mut dx) = (Matrix::default(), Matrix::default());
-                layer
-                    .forward_inference_into(&x, &mut y, None, exec)
-                    .unwrap();
+                layer.forward_into(&x, &mut y, None, exec).unwrap();
                 layer.backward_into(&x, &dy, &mut dx, exec).unwrap();
                 let dw = layer.grad_weight().unwrap();
                 for (kind, serial, split) in [

@@ -28,7 +28,7 @@ use tensor_casting::datasets::{
 use tensor_casting::core::{
     blocked_casted_backward, casted_gather_reduce_into, tensor_casting, CastingPipeline,
 };
-use tensor_casting::dlrm::{BackwardMode, DlrmConfig, Trainer};
+use tensor_casting::dlrm::{BackwardMode, DlrmConfig, TableConfig, Trainer};
 use tensor_casting::embedding::{
     gather_reduce_into, gradient_coalesce_into, gradient_expand_into, optim::UpdateRule,
     scatter_apply_sharded, BlockScratch, CoalescedScratch, EmbeddingTable, IndexArray,
@@ -36,7 +36,7 @@ use tensor_casting::embedding::{
 };
 use tensor_casting::tensor::{
     bce_with_logits, bce_with_logits_backward_into, Activation, Exec, FeatureInteraction, Matrix,
-    Mlp, Pool, SplitMix64,
+    Mlp, MlpInferenceScratch, Pool, SplitMix64,
 };
 
 struct CountingAllocator;
@@ -414,21 +414,23 @@ fn steady_state_hot_path_performs_zero_allocations() {
     let mut mlp = Mlp::new(dim, &[32, 16, 1], Activation::Relu, 3).unwrap();
     let x = random_matrix(batch, dim, 4);
     let labels = random_matrix(batch, 1, 5).map(|v| if v > 0.0 { 1.0 } else { 0.0 });
+    let mut scratch = MlpInferenceScratch::default();
     let mut logits = Matrix::default();
     let mut dlogits = Matrix::default();
     let mut dx = Matrix::default();
 
-    let mlp_step = |mlp: &mut Mlp,
-                    x: &Matrix,
-                    exec: Exec<'_>,
-                    logits: &mut Matrix,
-                    dlogits: &mut Matrix,
-                    dx: &mut Matrix| {
-        mlp.forward_into(x, logits, exec).unwrap();
+    let mut mlp_step = |mlp: &mut Mlp,
+                        x: &Matrix,
+                        exec: Exec<'_>,
+                        logits: &mut Matrix,
+                        dlogits: &mut Matrix,
+                        dx: &mut Matrix| {
+        mlp.forward_into(x, &mut scratch, logits, exec).unwrap();
         let loss = bce_with_logits(logits, &labels).unwrap();
         assert!(loss.is_finite());
         bce_with_logits_backward_into(logits, &labels, dlogits).unwrap();
-        mlp.backward_into(dlogits, dx, exec).unwrap();
+        mlp.backward_into(x, &mut scratch, dlogits, dx, exec)
+            .unwrap();
         mlp.apply_update(0.05);
     };
 
@@ -456,12 +458,22 @@ fn steady_state_hot_path_performs_zero_allocations() {
         );
     }
 
-    // A rejected backward (a `dy` of the wrong batch) leaves the recycled
-    // gradient buffers where they were: the next good step allocates
-    // nothing.
+    // A rejected backward (a `dy` of the wrong batch, a scratch no forward
+    // pass filled) leaves the recycled gradient buffers where they were:
+    // the next good step allocates nothing.
     let before = allocations();
+    let mut never_filled = MlpInferenceScratch::default();
     assert!(mlp
-        .backward_into(&Matrix::default(), &mut dx, Exec::Serial)
+        .backward_into(&x, &mut never_filled, &dlogits, &mut dx, Exec::Serial)
+        .is_err());
+    assert!(mlp
+        .backward_into(
+            &x,
+            &mut never_filled,
+            &Matrix::default(),
+            &mut dx,
+            Exec::Serial
+        )
         .is_err());
     mlp_step(
         &mut mlp,
@@ -515,28 +527,26 @@ fn steady_state_hot_path_performs_zero_allocations() {
     // ---- Feature interaction (dot) forward + backward -----------------
     let dense = random_matrix(batch, dim, 6);
     let embeddings = vec![random_matrix(batch, dim, 7), random_matrix(batch, dim, 8)];
-    let mut op = FeatureInteraction::default();
+    let op = FeatureInteraction::default();
     let mut z = Matrix::default();
     let mut dz = Matrix::default();
     let mut ddense = Matrix::default();
     let mut dpooled = Vec::new();
 
-    let interaction_step = |op: &mut FeatureInteraction,
-                            z: &mut Matrix,
-                            dz: &mut Matrix,
-                            ddense: &mut Matrix,
-                            dpooled: &mut Vec<Matrix>| {
-        op.forward_into(&dense, &embeddings, z).unwrap();
-        dz.copy_from(z);
-        op.backward_into(dz, ddense, dpooled).unwrap();
-    };
+    let interaction_step =
+        |z: &mut Matrix, dz: &mut Matrix, ddense: &mut Matrix, dpooled: &mut Vec<Matrix>| {
+            op.forward_into(&dense, &embeddings, z).unwrap();
+            dz.copy_from(z);
+            op.backward_into(&dense, &embeddings, dz, ddense, dpooled)
+                .unwrap();
+        };
 
-    interaction_step(&mut op, &mut z, &mut dz, &mut ddense, &mut dpooled);
-    interaction_step(&mut op, &mut z, &mut dz, &mut ddense, &mut dpooled);
+    interaction_step(&mut z, &mut dz, &mut ddense, &mut dpooled);
+    interaction_step(&mut z, &mut dz, &mut ddense, &mut dpooled);
 
     let before = allocations();
     for _ in 0..10 {
-        interaction_step(&mut op, &mut z, &mut dz, &mut ddense, &mut dpooled);
+        interaction_step(&mut z, &mut dz, &mut ddense, &mut dpooled);
     }
     assert_eq!(
         allocations() - before,
@@ -578,6 +588,47 @@ fn steady_state_hot_path_performs_zero_allocations() {
         0,
         "warm-cache fused serving steady state must not allocate"
     );
+
+    // ---- One model, trained and served ---------------------------------
+    // The `&self` dense forward shares nothing with the step but weights:
+    // the step's activations live in the trainer's scratch, the engine's
+    // in its own. So the trainer's own model, scored through an engine
+    // between two of its steps, reads what `predict` reads, bit for bit
+    // (one lookup a sample, so casted and index pooling order coincide).
+    let shared_cfg = DlrmConfig {
+        tables: vec![
+            TableConfig {
+                rows: 50,
+                pooling: 1,
+                zipf_exponent: 0.0,
+            };
+            2
+        ],
+        ..DlrmConfig::tiny()
+    };
+    let mut shared_data =
+        SyntheticCtr::new(shared_cfg.table_workloads(), shared_cfg.dense_features, 61);
+    let mut shared_workload = tensor_casting::serve::QueryModel::new(
+        &shared_cfg.table_workloads(),
+        shared_cfg.dense_features,
+        4,
+        tensor_casting::serve::CandidateCount::Fixed(3),
+        1.0,
+        43,
+    );
+    let shared_queries: Vec<_> = (0..4).map(|_| shared_workload.draw()).collect();
+    let mut shared = Trainer::new(shared_cfg, BackwardMode::Casted, 33).unwrap();
+    let mut shared_engine = tensor_casting::serve::ServeEngine::with_defaults(shared.model());
+    for _ in 0..2 {
+        shared.step(&shared_data.next_batch(batch)).unwrap();
+        let model = shared.model();
+        let scored = shared_engine.score(model, &shared_queries).unwrap();
+        for (i, q) in shared_queries.iter().enumerate() {
+            let want = model.predict(&q.dense, &q.indices).unwrap();
+            let bits = |v: &[f32]| v.iter().map(|f| f.to_bits()).collect::<Vec<_>>();
+            assert_eq!(bits(scored.scores(i)), bits(want.as_slice()), "query {i}");
+        }
+    }
 
     // ---- Snapshot publication: warm slab copy into recycled buffers ---
     // The concurrent train-and-serve publish path: once the store's
