@@ -57,7 +57,7 @@ use tcast_embedding::{
     gather_reduce_into,
     optim::{RowOptimizer, UpdateRule},
     scatter_apply, scatter_apply_sharded, BlockScratch, CoalescedScratch, EmbeddingTable,
-    IndexArray, ShardMap, ShardedOptimizer,
+    IndexArray, ShardMap,
 };
 use tcast_pool::{Exec, Pool};
 use tcast_tensor::{
@@ -754,17 +754,17 @@ fn main() {
     let coalesced_grads = random_matrix(lookups, cold_dim, 31);
     let shape = format!("r{cold_table_rows} b{batch} p{pooling} d{cold_dim}");
     let row_bytes = (lookups * cold_dim * 4) as f64;
-    let unsharded = |rule| ShardedOptimizer::new(ShardMap::new(cold_table_rows, 1), rule);
+    let map = ShardMap::new(cold_table_rows, 1);
     // Adagrad's state slab is grown (and its pages first touched) here,
     // not under the clock: one zero-gradient update of every row.
-    let mut adagrad = unsharded(ADAGRAD);
+    let mut adagrad = RowOptimizer::new(ADAGRAD);
     {
         let mut all = CoalescedScratch::default();
         all.rows.extend(0..cold_table_rows as u32);
         all.grads = Matrix::zeros(cold_table_rows, cold_dim);
-        scatter_apply_sharded(&mut cold_table, &mut adagrad, &[all], Exec::Serial).unwrap();
+        scatter_apply_sharded(&mut cold_table, &mut adagrad, &map, &all, Exec::Serial).unwrap();
     }
-    let mut sgd = unsharded(UpdateRule::Sgd { lr: 0.01 });
+    let mut sgd = RowOptimizer::new(UpdateRule::Sgd { lr: 0.01 });
     let mut blocks = BlockScratch::default();
     let mut out = Matrix::zeros(batch, cold_dim);
 
@@ -806,12 +806,10 @@ fn main() {
         gather_reduce_into(table, &b.index, &mut out, Exec::Serial).unwrap();
     });
     cold_kernel("scatter_sgd", 2.0 * row_bytes, &mut |table, b| {
-        let parts = std::slice::from_ref(&b.coalesced);
-        scatter_apply_sharded(table, &mut sgd, parts, Exec::Serial).unwrap();
+        scatter_apply_sharded(table, &mut sgd, &map, &b.coalesced, Exec::Serial).unwrap();
     });
     cold_kernel("scatter_adagrad", 4.0 * row_bytes, &mut |table, b| {
-        let parts = std::slice::from_ref(&b.coalesced);
-        scatter_apply_sharded(table, &mut adagrad, parts, Exec::Serial).unwrap();
+        scatter_apply_sharded(table, &mut adagrad, &map, &b.coalesced, Exec::Serial).unwrap();
     });
     // Gather-reduce out of the (cache-resident) upstream gradients and
     // SGD scatter, a block of coalesced rows at a time.
@@ -819,8 +817,8 @@ fn main() {
         "blocked_casted_backward",
         2.0 * row_bytes,
         &mut |table, b| {
-            let parts = std::slice::from_ref(&b.casted);
-            blocked_casted_backward(table, &mut sgd, &upstream, parts, &mut blocks, Exec::Serial)
+            let (opt, blocks) = (&mut sgd, &mut blocks);
+            blocked_casted_backward(table, opt, &map, &upstream, &b.casted, blocks, Exec::Serial)
                 .unwrap();
         },
     );

@@ -14,8 +14,8 @@
 
 use crate::casted_index::CastedIndexArray;
 use tcast_embedding::{
-    scatter_apply_casted, BlockScratch, CastedBackwardTimings, EmbeddingError, EmbeddingTable,
-    ShardedOptimizer,
+    optim::RowOptimizer, scatter_apply_casted, BlockScratch, CastedBackwardTimings, EmbeddingError,
+    EmbeddingTable, ShardMap,
 };
 use tcast_pool::Exec;
 use tcast_tensor::Matrix;
@@ -32,11 +32,11 @@ const BLOCK_BYTES: usize = 256 * 1024;
 /// gradient table (Algorithm 3's loop), then immediately apply the
 /// optimizer update to those embedding-table rows.
 ///
-/// `parts` is the table's casted index arrays as the casting pipeline
-/// delivers them: one keyed by global row id, or one per shard of
-/// `optimizer`'s map keyed by shard-local id. Serially or on a pool, for
-/// any shard count, the table and the optimizer state end **bit-identical**
-/// to [`crate::casted_gather_reduce_into`] per part followed by
+/// `casted` is the table's casted index array as the casting pipeline
+/// delivers it; `map` is the table's shard fence, which a pooled `exec`
+/// cuts its tasks at. Serially or on a pool, for any shard count, the
+/// table and the optimizer state end **bit-identical** to
+/// [`crate::casted_gather_reduce_into`] followed by
 /// `tcast_embedding::scatter_apply_sharded` — the same two loops run, only
 /// the coalesced gradient between them is a block, not the whole array.
 ///
@@ -45,32 +45,32 @@ const BLOCK_BYTES: usize = 256 * 1024;
 ///
 /// # Errors
 ///
-/// [`EmbeddingError::LengthMismatch`] if `upstream.rows()` differs from a
-/// part's `num_gradient_rows()`; otherwise the scatter's errors
+/// [`EmbeddingError::LengthMismatch`] if `upstream.rows()` differs from
+/// `casted.num_gradient_rows()`; otherwise the scatter's errors
 /// ([`EmbeddingError::DimMismatch`] on a gradient width other than the
 /// table's, [`EmbeddingError::SrcOutOfBounds`] on a unique row outside the
-/// table or its shard, [`EmbeddingError::InvalidIndex`] on a part count
-/// that fits neither shape).
+/// table, [`EmbeddingError::InvalidIndex`] on a `map` that does not cover
+/// the table).
 pub fn blocked_casted_backward(
     table: &mut EmbeddingTable,
-    optimizer: &mut ShardedOptimizer,
+    optimizer: &mut RowOptimizer,
+    map: &ShardMap,
     upstream: &Matrix,
-    parts: &[CastedIndexArray],
+    casted: &CastedIndexArray,
     scratch: &mut BlockScratch,
     exec: Exec<'_>,
 ) -> Result<CastedBackwardTimings, EmbeddingError> {
-    if let Some(part) = parts
-        .iter()
-        .find(|part| part.num_gradient_rows() != upstream.rows())
-    {
+    if casted.num_gradient_rows() != upstream.rows() {
         return Err(EmbeddingError::LengthMismatch {
-            expected: part.num_gradient_rows(),
+            expected: casted.num_gradient_rows(),
             found: upstream.rows(),
         });
     }
     let row_bytes = std::mem::size_of::<f32>() * table.dim();
     let block_rows = (BLOCK_BYTES / row_bytes.max(1)).max(1);
-    scatter_apply_casted(table, optimizer, upstream, parts, block_rows, scratch, exec)
+    scatter_apply_casted(
+        table, optimizer, map, upstream, casted, block_rows, scratch, exec,
+    )
 }
 
 #[cfg(test)]
@@ -78,10 +78,7 @@ mod tests {
     use super::*;
     use crate::casting::tensor_casting;
     use crate::gather_reduce::casted_gather_reduce;
-    use tcast_embedding::{
-        optim::{RowOptimizer, UpdateRule},
-        scatter_apply, IndexArray, ShardMap,
-    };
+    use tcast_embedding::{optim::UpdateRule, scatter_apply, IndexArray};
     use tcast_tensor::SplitMix64;
 
     fn workload(seed: u64) -> (EmbeddingTable, IndexArray, Matrix) {
@@ -100,27 +97,24 @@ mod tests {
 
     const ADAGRAD: UpdateRule = UpdateRule::Adagrad { lr: 0.1, eps: 1e-8 };
 
-    fn unsharded(rows: usize, rule: UpdateRule) -> ShardedOptimizer {
-        ShardedOptimizer::new(ShardMap::new(rows, 1), rule)
-    }
-
     fn fused(
         table: &mut EmbeddingTable,
-        optimizer: &mut ShardedOptimizer,
+        optimizer: &mut RowOptimizer,
         grads: &Matrix,
-        casted: CastedIndexArray,
+        casted: &CastedIndexArray,
     ) -> Result<CastedBackwardTimings, EmbeddingError> {
         blocked_casted_backward(
             table,
             optimizer,
+            &ShardMap::new(table.rows(), 1),
             grads,
-            &[casted],
+            casted,
             &mut BlockScratch::default(),
             Exec::Serial,
         )
     }
 
-    fn state(optimizer: &ShardedOptimizer) -> Vec<u8> {
+    fn state(optimizer: &RowOptimizer) -> Vec<u8> {
         let mut bytes = Vec::new();
         optimizer.save_state(&mut bytes);
         bytes
@@ -141,8 +135,8 @@ mod tests {
         .unwrap();
 
         let mut fused_table = table.clone();
-        let mut opt = unsharded(300, UpdateRule::Sgd { lr: 0.1 });
-        fused(&mut fused_table, &mut opt, &grads, casted).unwrap();
+        let mut opt = RowOptimizer::new(UpdateRule::Sgd { lr: 0.1 });
+        fused(&mut fused_table, &mut opt, &grads, &casted).unwrap();
 
         assert_eq!(fused_table.max_abs_diff(&two_step_table).unwrap(), 0.0);
     }
@@ -161,9 +155,9 @@ mod tests {
         }
 
         let mut fused_table = table.clone();
-        let mut opt = unsharded(300, ADAGRAD);
+        let mut opt = RowOptimizer::new(ADAGRAD);
         for _ in 0..2 {
-            fused(&mut fused_table, &mut opt, &grads, casted.clone()).unwrap();
+            fused(&mut fused_table, &mut opt, &grads, &casted).unwrap();
         }
 
         assert_eq!(fused_table.max_abs_diff(&two_step_table).unwrap(), 0.0);
@@ -173,10 +167,10 @@ mod tests {
     fn fused_validates_shapes() {
         let (mut table, index, grads) = workload(3);
         let casted = tensor_casting(&index);
-        let mut opt = unsharded(300, UpdateRule::Sgd { lr: 0.1 });
+        let mut opt = RowOptimizer::new(UpdateRule::Sgd { lr: 0.1 });
         let wrong_rows = Matrix::zeros(grads.rows() + 1, 8);
         assert!(matches!(
-            fused(&mut table, &mut opt, &wrong_rows, casted.clone()),
+            fused(&mut table, &mut opt, &wrong_rows, &casted),
             Err(EmbeddingError::LengthMismatch {
                 expected: 48,
                 found: 49
@@ -184,7 +178,7 @@ mod tests {
         ));
         let wrong_dim = Matrix::zeros(grads.rows(), 4);
         assert!(matches!(
-            fused(&mut table, &mut opt, &wrong_dim, casted),
+            fused(&mut table, &mut opt, &wrong_dim, &casted),
             Err(EmbeddingError::DimMismatch {
                 expected: 8,
                 found: 4
@@ -198,9 +192,9 @@ mod tests {
         let casted = tensor_casting(&index);
         let mut small_table = EmbeddingTable::zeros(5, 4);
         let grads = Matrix::zeros(1, 4);
-        let mut opt = unsharded(5, UpdateRule::Sgd { lr: 0.1 });
+        let mut opt = RowOptimizer::new(UpdateRule::Sgd { lr: 0.1 });
         assert!(matches!(
-            fused(&mut small_table, &mut opt, &grads, casted),
+            fused(&mut small_table, &mut opt, &grads, &casted),
             Err(EmbeddingError::SrcOutOfBounds { src: 5, rows: 5 })
         ));
     }
@@ -212,60 +206,51 @@ mod tests {
         let mut table = EmbeddingTable::seeded(10, 4, 9);
         let before = table.clone();
         let grads = Matrix::zeros(0, 4);
-        let mut opt = unsharded(10, UpdateRule::Sgd { lr: 0.5 });
-        fused(&mut table, &mut opt, &grads, casted).unwrap();
+        let mut opt = RowOptimizer::new(UpdateRule::Sgd { lr: 0.5 });
+        fused(&mut table, &mut opt, &grads, &casted).unwrap();
         assert_eq!(table.max_abs_diff(&before).unwrap(), 0.0);
     }
 
     /// The blocked loop interleaves accumulating and writing, so a fault
     /// found half-way would leave a half-updated table: every fault must
-    /// be found before the first write. Each bad input sits in the *last*
-    /// shard's part, behind valid parts that would already have been
-    /// applied; the table and the (stateful) optimizer must come back bit
-    /// for bit, on every `Exec`.
+    /// be found before the first write. Each bad input sits at the *end*
+    /// of the array, in the last shard, behind rows that would already have
+    /// been applied; the table and the (stateful) optimizer must come back
+    /// bit for bit, on every `Exec`.
     #[test]
     fn a_rejected_backward_leaves_table_and_optimizer_state_untouched() {
         let pool = tcast_pool::Pool::new(3);
         let (table, index, grads) = workload(4);
         let map = ShardMap::new(300, 3);
-        let good: Vec<CastedIndexArray> = map
-            .route(&index)
-            .unwrap()
-            .iter()
-            .map(tensor_casting)
-            .collect();
-        let last = good.last().unwrap();
-        let with_last = |part: CastedIndexArray| {
-            let mut parts = good.clone();
-            *parts.last_mut().unwrap() = part;
-            parts
-        };
-        // A unique row past the last shard (local ids; shard 2 spans 100).
-        let mut beyond = last.unique_rows().to_vec();
-        *beyond.last_mut().unwrap() = 100;
+        let good = tensor_casting(&index);
+        // A unique row past the table.
+        let mut beyond = good.unique_rows().to_vec();
+        *beyond.last_mut().unwrap() = 300;
         let out_of_range = CastedIndexArray::new(
-            last.gather_src().to_vec(),
-            last.reduce_dst().to_vec(),
+            good.gather_src().to_vec(),
+            good.reduce_dst().to_vec(),
             beyond,
-            last.num_gradient_rows(),
+            good.num_gradient_rows(),
         )
         .unwrap();
-        // A part cast for a different batch size.
+        // An array cast for a different batch size.
         let other_batch = CastedIndexArray::new(
-            last.gather_src().to_vec(),
-            last.reduce_dst().to_vec(),
-            last.unique_rows().to_vec(),
-            last.num_gradient_rows() + 1,
+            good.gather_src().to_vec(),
+            good.reduce_dst().to_vec(),
+            good.unique_rows().to_vec(),
+            good.num_gradient_rows() + 1,
         )
         .unwrap();
         let narrow = Matrix::zeros(grads.rows(), 4);
+        let other_table = ShardMap::new(299, 3);
 
         type Check = fn(&EmbeddingError) -> bool;
-        let cases: [(&str, Vec<CastedIndexArray>, &Matrix, Check); 4] = [
+        let cases: [(&str, &CastedIndexArray, &Matrix, &ShardMap, Check); 4] = [
             (
                 "unique row out of range",
-                with_last(out_of_range),
+                &out_of_range,
                 &grads,
+                &map,
                 |e| {
                     matches!(
                         e,
@@ -278,8 +263,9 @@ mod tests {
             ),
             (
                 "upstream of another batch",
-                with_last(other_batch),
+                &other_batch,
                 &grads,
+                &map,
                 |e| {
                     matches!(
                         e,
@@ -290,7 +276,7 @@ mod tests {
                     )
                 },
             ),
-            ("gradient of the wrong width", good.clone(), &narrow, |e| {
+            ("gradient of the wrong width", &good, &narrow, &map, |e| {
                 matches!(
                     e,
                     EmbeddingError::DimMismatch {
@@ -300,28 +286,38 @@ mod tests {
                 )
             }),
             (
-                "neither one part nor one per shard",
-                good[..2].to_vec(),
+                "shard map of another table",
+                &good,
                 &grads,
+                &other_table,
                 |e| matches!(e, EmbeddingError::InvalidIndex(_)),
             ),
         ];
 
         for exec in [Exec::Serial, Exec::pooled(&pool)] {
             let mut trained = table.clone();
-            let mut opt = ShardedOptimizer::new(map.clone(), ADAGRAD);
+            let mut opt = RowOptimizer::new(ADAGRAD);
             let mut scratch = BlockScratch::default();
             // One good step first: there is optimizer state to corrupt.
-            blocked_casted_backward(&mut trained, &mut opt, &grads, &good, &mut scratch, exec)
-                .unwrap();
+            blocked_casted_backward(
+                &mut trained,
+                &mut opt,
+                &map,
+                &grads,
+                &good,
+                &mut scratch,
+                exec,
+            )
+            .unwrap();
             let table_before: Vec<u32> = trained.as_slice().iter().map(|v| v.to_bits()).collect();
             let state_before = state(&opt);
-            for (what, parts, upstream, expected) in &cases {
+            for (what, casted, upstream, map, expected) in &cases {
                 let err = blocked_casted_backward(
                     &mut trained,
                     &mut opt,
+                    map,
                     upstream,
-                    parts,
+                    casted,
                     &mut scratch,
                     exec,
                 )

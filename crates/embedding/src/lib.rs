@@ -12,9 +12,10 @@
 //! * **gradient scatter** (backward, Fig. 2b step 3) — apply the coalesced
 //!   gradients to the table through the sparse row optimizer: an
 //!   [`optim::UpdateRule`] (SGD / momentum / Adagrad Eq. 2 / RMSprop
-//!   Eq. 1 / Adam) and the per-row state it builds up, an
-//!   [`optim::RowOptimizer`], placed per row-range shard by a
-//!   [`ShardedOptimizer`].
+//!   Eq. 1 / Adam) and the per-row state it builds up, one
+//!   [`optim::RowOptimizer`] per table. A [`ShardMap`] fences the table's
+//!   rows into the fixed ranges the tasks of a pooled scatter own; slab,
+//!   state and row ids are the same for every shard count.
 //!
 //! # One implementation per primitive
 //!
@@ -85,10 +86,9 @@ pub use error::EmbeddingError;
 pub use expand::{gradient_expand, gradient_expand_into};
 pub use gather::{accumulate_rows, gather, gather_reduce, gather_reduce_into, reduce_by_dst};
 pub use index::IndexArray;
-pub use optim::ShardedOptimizer;
 pub use scatter::{
     scatter_apply, scatter_apply_casted, scatter_apply_sharded, BlockScratch,
     CastedBackwardTimings, CastedLookups,
 };
-pub use sharding::{RouteScratch, ShardMap, ShardSpec};
+pub use sharding::{ShardMap, ShardSpec};
 pub use table::EmbeddingTable;

@@ -33,13 +33,11 @@
 //! runs one pool task on each. That row-disjointness is a property of the
 //! state store, not of any rule, which is why it is stated once.
 //!
-//! [`ShardedOptimizer`] goes one step further — from bands *within* one
-//! slab to state you can *place*: one [`RowOptimizer`] (and thus one set of
-//! slabs) per row-range shard of a [`ShardMap`], with a canonical
-//! global-keyed checkpoint blob so shard counts can change between save
-//! and restore.
+//! A sharded table ([`crate::sharding::ShardMap`]) keeps the same one slab
+//! under the same row ids: its shards are a fence the scatter hands to
+//! `split_by_rows`. The checkpoint blob ([`RowOptimizer::save_state`]) is
+//! that slab, so state saved under one shard count loads under any other.
 
-use crate::sharding::ShardMap;
 use crate::simd;
 
 /// A sparse, row-granular optimizer: the interface of the reference
@@ -91,26 +89,6 @@ impl<'a> StateReader<'a> {
         Ok(u64::from_le_bytes(b.try_into().expect("8 bytes")))
     }
 
-    /// One serialized state plane, its touched flags checked to be 0 or 1.
-    fn plane(&mut self) -> Result<PlaneBytes<'a>, String> {
-        let width = self.u64()? as usize;
-        let rows = self.u64()? as usize;
-        let slab_bytes = rows
-            .checked_mul(width)
-            .and_then(|e| e.checked_mul(4))
-            .ok_or_else(|| "optimizer state slab size overflows".to_string())?;
-        let slab = self.take(slab_bytes)?;
-        let touched = self.take(rows)?;
-        if let Some(&bad) = touched.iter().find(|&&b| b > 1) {
-            return Err(format!("optimizer touched flag has invalid value {bad}"));
-        }
-        Ok(PlaneBytes {
-            width,
-            slab,
-            touched,
-        })
-    }
-
     /// The serialized per-row step counts: a length, then that many `u32`s
     /// (returned as their bytes).
     fn step_counts(&mut self) -> Result<&'a [u8], String> {
@@ -132,25 +110,6 @@ impl<'a> StateReader<'a> {
     }
 }
 
-/// A state plane as serialized: `touched.len()` rows of `width`
-/// little-endian `f32`s in `slab`, then one 0/1 flag per row.
-struct PlaneBytes<'a> {
-    width: usize,
-    slab: &'a [u8],
-    touched: &'a [u8],
-}
-
-impl PlaneBytes<'_> {
-    /// Rows `[lo, end)` of the plane as a live slab.
-    fn rows(&self, lo: usize, end: usize) -> RowState {
-        RowState {
-            width: self.width,
-            data: f32s(&self.slab[lo * self.width * 4..end * self.width * 4]).collect(),
-            touched: self.touched[lo..end].iter().map(|&b| b == 1).collect(),
-        }
-    }
-}
-
 fn put_u64(out: &mut Vec<u8>, v: u64) {
     out.extend_from_slice(&v.to_le_bytes());
 }
@@ -165,21 +124,48 @@ fn u32s(raw: &[u8]) -> impl Iterator<Item = u32> + '_ {
         .map(|c| u32::from_le_bytes(c.try_into().expect("4 bytes")))
 }
 
+/// Appends `vals` as little-endian bytes: one reservation, then a stack
+/// buffer at a time, which the compiler fills with wide stores.
+fn put_le<const N: usize, T: Copy>(out: &mut Vec<u8>, vals: &[T], le: impl Fn(T) -> [u8; N]) {
+    const CHUNK: usize = 1024;
+    out.reserve(vals.len() * N);
+    let mut buf = [[0u8; N]; CHUNK];
+    for chunk in vals.chunks(CHUNK) {
+        for (bytes, &v) in buf.iter_mut().zip(chunk) {
+            *bytes = le(v);
+        }
+        out.extend_from_slice(buf[..chunk.len()].as_flattened());
+    }
+}
+
 impl RowState {
     /// Appends `width`, row count, the full slab and the touched bitmap.
     fn save_into(&self, out: &mut Vec<u8>) {
         put_u64(out, self.width as u64);
         put_u64(out, self.rows() as u64);
-        for &v in &self.data {
-            out.extend_from_slice(&v.to_le_bytes());
-        }
+        put_le(out, &self.data, f32::to_le_bytes);
         out.extend(self.touched.iter().map(|&t| t as u8));
     }
 
-    /// Reads back what [`RowState::save_into`] wrote.
+    /// Reads back what [`RowState::save_into`] wrote, the touched flags
+    /// checked to be 0 or 1.
     fn load_from(&mut self, r: &mut StateReader<'_>) -> Result<(), String> {
-        let plane = r.plane()?;
-        *self = plane.rows(0, plane.touched.len());
+        let width = r.u64()? as usize;
+        let rows = r.u64()? as usize;
+        let slab_bytes = rows
+            .checked_mul(width)
+            .and_then(|e| e.checked_mul(4))
+            .ok_or_else(|| "optimizer state slab size overflows".to_string())?;
+        let slab = r.take(slab_bytes)?;
+        let touched = r.take(rows)?;
+        if let Some(&bad) = touched.iter().find(|&&b| b > 1) {
+            return Err(format!("optimizer touched flag has invalid value {bad}"));
+        }
+        *self = RowState {
+            width,
+            data: f32s(slab).collect(),
+            touched: touched.iter().map(|&b| b == 1).collect(),
+        };
         Ok(())
     }
 }
@@ -577,9 +563,7 @@ impl RowOptimizer {
         }
         if self.rule.counts_steps() {
             put_u64(out, self.steps.len() as u64);
-            for &t in &self.steps {
-                out.extend_from_slice(&t.to_le_bytes());
-            }
+            put_le(out, &self.steps, u32::to_le_bytes);
         }
     }
 
@@ -659,187 +643,12 @@ impl RowStates for RowOptimizerBand<'_> {
     }
 }
 
-/// One [`RowOptimizer`] per row-range shard of a table: state you can
-/// *place*.
-///
-/// Where [`RowOptimizer::split_by_rows`] hands out temporary bands within
-/// one slab (for a single parallel scatter), `ShardedOptimizer` keeps the
-/// state permanently split: shard `s` owns a shard-local slab keyed by
-/// local row ids, so each shard's scatter touches only its own state —
-/// the placement a pooled-memory deployment needs. Every shard is built
-/// from the one [`UpdateRule`] the table trains with.
-///
-/// # Checkpoint portability
-///
-/// [`ShardedOptimizer::save_state`] always emits the **canonical
-/// global-keyed blob** — byte-compatible with what a single unsharded
-/// [`RowOptimizer`] saves (a 1-shard save is a literal passthrough). With
-/// more shards, the per-shard [`RowState`] planes are merged row-by-row
-/// into global keying on save and re-split by the current [`ShardMap`] on
-/// load. A checkpoint written at N shards therefore restores at M shards
-/// (any N, M ≥ 1) with bit-identical subsequent training.
-#[derive(Debug, Clone)]
-pub struct ShardedOptimizer {
-    map: ShardMap,
-    shards: Vec<RowOptimizer>,
-}
-
-impl ShardedOptimizer {
-    /// A fresh optimizer running `rule` on every shard of `map`.
-    pub fn new(map: ShardMap, rule: UpdateRule) -> Self {
-        let shards = vec![RowOptimizer::new(rule); map.num_shards()];
-        Self { map, shards }
-    }
-
-    /// Number of state shards (== the map's shard count).
-    pub fn num_shards(&self) -> usize {
-        self.shards.len()
-    }
-
-    /// The rule every shard runs.
-    pub fn rule(&self) -> UpdateRule {
-        self.shards[0].rule
-    }
-
-    /// The map and the shard optimizers together (split borrow), for
-    /// scatter kernels that walk both.
-    pub fn parts_mut(&mut self) -> (&ShardMap, &mut [RowOptimizer]) {
-        (&self.map, &mut self.shards)
-    }
-
-    /// One past the highest global row any shard backs, given each
-    /// shard's backed local row count. Growth may overshoot a shard's
-    /// span; the overshoot is all-zero by construction and not part of
-    /// the canonical blob, so counts are clamped to the span.
-    fn extent(&self, backed: impl Fn(&RowOptimizer) -> usize) -> usize {
-        self.shards
-            .iter()
-            .enumerate()
-            .filter(|(_, shard)| backed(shard) > 0)
-            .map(|(s, shard)| self.map.shard_base(s) + backed(shard).min(self.map.shard_rows(s)))
-            .max()
-            .unwrap_or(0)
-    }
-
-    /// The shard and shard-local id of global row `r` below an
-    /// [`ShardedOptimizer::extent`].
-    fn locate(&self, r: usize) -> (&RowOptimizer, usize) {
-        let (s, local) = self.map.locate(r as u32).expect("extent within the map");
-        (&self.shards[s], local as usize)
-    }
-
-    /// Appends the canonical global-keyed state blob (see the type-level
-    /// docs): a 1-shard save passes the inner optimizer's bytes through
-    /// unchanged; an N-shard save merges the per-shard planes into global
-    /// row keying, zero-filling rows no shard has touched.
-    pub fn save_state(&self, out: &mut Vec<u8>) {
-        if let [only] = self.shards.as_slice() {
-            return only.save_state(out);
-        }
-        let rule = self.rule();
-        for p in 0..rule.planes() {
-            let width = self
-                .shards
-                .iter()
-                .map(|shard| shard.planes[p].width)
-                .find(|&w| w != 0)
-                .unwrap_or(0);
-            let extent = self.extent(|shard| shard.planes[p].rows());
-            put_u64(out, width as u64);
-            put_u64(out, extent as u64);
-            for r in 0..extent {
-                let (shard, local) = self.locate(r);
-                let plane = &shard.planes[p];
-                if width > 0 && plane.width == width && local < plane.rows() {
-                    for &v in &plane.data[local * width..(local + 1) * width] {
-                        out.extend_from_slice(&v.to_le_bytes());
-                    }
-                } else {
-                    let at = out.len();
-                    out.resize(at + width * 4, 0u8);
-                }
-            }
-            for r in 0..extent {
-                let (shard, local) = self.locate(r);
-                let plane = &shard.planes[p];
-                out.push((local < plane.rows() && plane.touched[local]) as u8);
-            }
-        }
-        if rule.counts_steps() {
-            let extent = self.extent(|shard| shard.steps.len());
-            put_u64(out, extent as u64);
-            for r in 0..extent {
-                let (shard, local) = self.locate(r);
-                let t = shard.steps.get(local).copied().unwrap_or(0);
-                out.extend_from_slice(&t.to_le_bytes());
-            }
-        }
-    }
-
-    /// Restores a canonical blob written by [`ShardedOptimizer::save_state`]
-    /// under **any** shard count: the global-keyed planes are re-split by
-    /// this optimizer's own map.
-    ///
-    /// # Errors
-    ///
-    /// Returns a description of the first inconsistency if `bytes` is
-    /// truncated, malformed, or has trailing garbage; the state is
-    /// unspecified after an error.
-    pub fn load_state(&mut self, bytes: &[u8]) -> Result<(), String> {
-        if let [only] = self.shards.as_mut_slice() {
-            return only.load_state(bytes);
-        }
-        let rule = self.rule();
-        let map = &self.map;
-        // The global rows `[lo, end)` of a blob of `extent` rows that
-        // shard `s` holds.
-        let held = |s: usize, extent: usize| {
-            let end = map.shard_end(s).min(extent);
-            (map.shard_base(s).min(end), end)
-        };
-        let mut r = StateReader::new(bytes);
-        for p in 0..rule.planes() {
-            let plane = r.plane()?;
-            for (s, shard) in self.shards.iter_mut().enumerate() {
-                let (lo, end) = held(s, plane.touched.len());
-                shard.planes[p] = if plane.width == 0 || end <= lo {
-                    RowState::default()
-                } else {
-                    plane.rows(lo, end)
-                };
-            }
-        }
-        if rule.counts_steps() {
-            let raw = r.step_counts()?;
-            for (s, shard) in self.shards.iter_mut().enumerate() {
-                let (lo, end) = held(s, raw.len() / 4);
-                shard.steps.clear();
-                shard.steps.extend(u32s(&raw[lo * 4..end * 4]));
-            }
-        }
-        r.finish()
-    }
-}
-
-impl SparseOptimizer for ShardedOptimizer {
-    /// Applies the update for **global** row `row` through the owning
-    /// shard's local state — bit-identical to a single global optimizer,
-    /// since per-row state is independent either way.
-    ///
-    /// # Panics
-    ///
-    /// Panics if `row` lies outside the shard map.
-    fn update_row(&mut self, row: u32, param: &mut [f32], grad: &[f32]) {
-        let (s, local) = self.map.locate(row).expect("row inside the shard map");
-        self.shards[s].update_row(local, param, grad);
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
     use crate::coalesce::CoalescedScratch;
     use crate::scatter::scatter_apply_sharded;
+    use crate::sharding::ShardMap;
     use crate::table::EmbeddingTable;
     use tcast_pool::{Exec, Pool};
     use tcast_tensor::{Matrix, SplitMix64};
@@ -1141,106 +950,154 @@ mod tests {
         assert_eq!(s.tracked_rows(), 2);
     }
 
-    /// Global-keyed updates through the sharded state must match a single
-    /// unsharded optimizer bit-for-bit, for every rule and shard count.
+    /// A table whose row `r` starts as `initial_params` has it.
+    fn initial_table(rows: usize, dim: usize) -> EmbeddingTable {
+        let data = (0..rows).flat_map(|r| vec![r as f32; dim]).collect();
+        EmbeddingTable::from_vec(rows, dim, data).unwrap()
+    }
+
+    /// `step`'s update pass over `rows`, through the production scatter
+    /// cut at `map`'s fence.
+    fn scatter_step(
+        opt: &mut RowOptimizer,
+        map: &ShardMap,
+        exec: Exec<'_>,
+        rows: &[u32],
+        table: &mut EmbeddingTable,
+        pass: usize,
+    ) {
+        let dim = table.dim();
+        let mut part = CoalescedScratch::default();
+        part.rows.extend_from_slice(rows);
+        let grads = rows.iter().flat_map(|&r| grad(r, dim, pass)).collect();
+        part.grads = Matrix::from_vec(rows.len(), dim, grads).unwrap();
+        scatter_apply_sharded(table, opt, map, &part, exec).unwrap();
+    }
+
+    fn touched_bits(table: &EmbeddingTable, rows: &[u32]) -> Vec<u32> {
+        rows.iter()
+            .flat_map(|&r| table.row(r as usize))
+            .map(|v| v.to_bits())
+            .collect()
+    }
+
+    /// The one optimizer behind a shard fence must match plain row-by-row
+    /// updates bit-for-bit, for every rule, shard count and `Exec`.
     #[test]
     fn sharded_optimizer_matches_global_updates() {
         let rows: Vec<u32> = vec![0, 3, 11, 12, 17, 22, 23, 33];
+        let pool = Pool::new(3);
         for rule in RULES {
+            let mut global = RowOptimizer::new(rule);
+            let mut params = initial_params(&rows, 3);
+            for pass in 0..3 {
+                step(&mut global, &rows, &mut params, pass);
+            }
             for shards in [1usize, 2, 3, 7] {
-                let mut global = RowOptimizer::new(rule);
-                let mut sharded = ShardedOptimizer::new(ShardMap::new(34, shards), rule);
-                assert_eq!(sharded.rule(), rule);
-                let mut params_a = initial_params(&rows, 3);
-                let mut params_b = params_a.clone();
-                for pass in 0..3 {
-                    step(&mut global, &rows, &mut params_a, pass);
-                    step(&mut sharded, &rows, &mut params_b, pass);
+                for exec in [Exec::Serial, Exec::pooled(&pool)] {
+                    let map = ShardMap::new(34, shards);
+                    let mut fenced = RowOptimizer::new(rule);
+                    let mut table = initial_table(34, 3);
+                    for pass in 0..3 {
+                        scatter_step(&mut fenced, &map, exec, &rows, &mut table, pass);
+                    }
+                    assert_eq!(
+                        bits(&params),
+                        touched_bits(&table, &rows),
+                        "{} diverged at {shards} shards under {exec:?}",
+                        rule.name()
+                    );
+                    assert_eq!(fenced.tracked_rows(), global.tracked_rows());
                 }
-                assert_eq!(
-                    bits(&params_a),
-                    bits(&params_b),
-                    "{} diverged at {shards} shards",
-                    rule.name()
-                );
             }
         }
     }
 
     /// Save at N shards, restore at M shards (including M == 1), continue:
-    /// the continued trajectory must be bit-identical. The 1-shard blob is
-    /// also byte-identical to the plain optimizer's save format.
+    /// the continued trajectory must be bit-identical — and the blob itself
+    /// does not depend on N: under one `Exec` every shard count writes the
+    /// same bytes, the serial ones those of plain row-by-row updates.
     #[test]
     fn sharded_state_is_portable_across_shard_counts() {
         let rows_total = 23usize;
         let rows: Vec<u32> = vec![0, 6, 7, 11, 12, 21, 22];
+        let pool = Pool::new(3);
         for rule in RULES {
-            // Reference trajectory on a plain global optimizer.
+            // Reference trajectory on plain row-by-row updates.
             let mut global = RowOptimizer::new(rule);
             let mut params = initial_params(&rows, 2);
-            step(&mut global, &rows, &mut params, 0);
-            step(&mut global, &rows, &mut params, 1);
             let mut global_blob = Vec::new();
-            global.save_state(&mut global_blob);
-
-            for n in [1usize, 2, 3, 7] {
-                // Replay the same two passes through N shards and save.
-                let mut at_n = ShardedOptimizer::new(ShardMap::new(rows_total, n), rule);
-                let mut params_n = initial_params(&rows, 2);
-                step(&mut at_n, &rows, &mut params_n, 0);
-                step(&mut at_n, &rows, &mut params_n, 1);
-                let mut blob = Vec::new();
-                at_n.save_state(&mut blob);
-                if n == 1 {
-                    assert_eq!(
-                        blob,
-                        global_blob,
-                        "{}: 1-shard save is not a byte passthrough",
-                        rule.name()
-                    );
+            for pass in 0..3 {
+                if pass == 2 {
+                    global.save_state(&mut global_blob);
                 }
-                for m in [1usize, 2, 3, 7] {
-                    let mut at_m = ShardedOptimizer::new(ShardMap::new(rows_total, m), rule);
-                    at_m.load_state(&blob).expect("canonical blob loads");
-                    let mut resaved = RowOptimizer::new(rule);
-                    resaved.load_state(&blob).unwrap_or_else(|e| {
-                        panic!("{}: global load of {n}-shard blob: {e}", rule.name())
-                    });
-                    // Continue both for one more pass and compare bits.
-                    let mut cont_ref = params_n.clone();
-                    let mut cont_new = params_n.clone();
-                    step(&mut resaved, &rows, &mut cont_ref, 2);
-                    step(&mut at_m, &rows, &mut cont_new, 2);
-                    assert_eq!(
-                        bits(&cont_ref),
-                        bits(&cont_new),
-                        "{}: {n}->{m} shard restore diverged",
-                        rule.name()
-                    );
+                step(&mut global, &rows, &mut params, pass);
+            }
+            for exec in [Exec::Serial, Exec::pooled(&pool)] {
+                let mut blobs = Vec::new();
+                for n in [1usize, 2, 3, 7] {
+                    // Replay the first two passes behind an N-shard fence.
+                    let mut at_n = RowOptimizer::new(rule);
+                    let mut table_n = initial_table(rows_total, 2);
+                    let map = ShardMap::new(rows_total, n);
+                    for pass in 0..2 {
+                        scatter_step(&mut at_n, &map, exec, &rows, &mut table_n, pass);
+                    }
+                    let mut blob = Vec::new();
+                    at_n.save_state(&mut blob);
+                    for m in [1usize, 2, 3, 7] {
+                        let mut at_m = RowOptimizer::new(rule);
+                        at_m.load_state(&blob).expect("saved state loads");
+                        let mut table_m = table_n.clone();
+                        let map = ShardMap::new(rows_total, m);
+                        scatter_step(&mut at_m, &map, exec, &rows, &mut table_m, 2);
+                        assert_eq!(
+                            bits(&params),
+                            touched_bits(&table_m, &rows),
+                            "{}: {n}->{m} shard restore diverged under {exec:?}",
+                            rule.name()
+                        );
+                    }
+                    blobs.push(blob);
                 }
+                if exec.pool().is_none() {
+                    blobs.push(global_blob.clone());
+                }
+                assert!(
+                    blobs.windows(2).all(|w| w[0] == w[1]),
+                    "{}: the state bytes depend on the shard count under {exec:?}",
+                    rule.name()
+                );
             }
         }
     }
 
     #[test]
     fn sharded_load_rejects_truncation_and_trailing_garbage() {
+        let pool = Pool::new(2);
         for rule in RULES {
-            let mut at_n = ShardedOptimizer::new(ShardMap::new(20, 3), rule);
-            let mut p = vec![0.0, 0.0];
-            at_n.update_row(5, &mut p, &[1.0, 2.0]);
-            at_n.update_row(13, &mut p, &[0.5, -1.0]);
+            let mut at_n = RowOptimizer::new(rule);
+            let mut table = initial_table(20, 2);
+            let map = ShardMap::new(20, 3);
+            scatter_step(
+                &mut at_n,
+                &map,
+                Exec::pooled(&pool),
+                &[5, 13],
+                &mut table,
+                0,
+            );
             let mut saved = Vec::new();
             at_n.save_state(&mut saved);
-            let fresh = || ShardedOptimizer::new(ShardMap::new(20, 2), rule);
             for cut in 0..saved.len() {
                 assert!(
-                    fresh().load_state(&saved[..cut]).is_err(),
+                    RowOptimizer::new(rule).load_state(&saved[..cut]).is_err(),
                     "{}: truncation at byte {cut} accepted",
                     rule.name()
                 );
             }
             saved.push(0);
-            let err = fresh().load_state(&saved).unwrap_err();
+            let err = RowOptimizer::new(rule).load_state(&saved).unwrap_err();
             assert!(err.contains("trailing"), "unexpected error: {err}");
         }
     }
@@ -1252,10 +1109,11 @@ mod tests {
         })
     }
 
-    /// Six seeded scatters into a 97 x 5 table through `opt`, then the
-    /// checksum of the state it saves.
-    fn optm_checksum(mut opt: ShardedOptimizer, exec: Exec<'_>) -> u64 {
+    /// Six seeded scatters into a 97 x 5 table through a fresh optimizer
+    /// behind `shards` shards, then the checksum of the state it saves.
+    fn optm_checksum(rule: UpdateRule, shards: usize, exec: Exec<'_>) -> u64 {
         let (rows, dim) = (97usize, 5usize);
+        let (mut opt, map) = (RowOptimizer::new(rule), ShardMap::new(rows, shards));
         let mut table = EmbeddingTable::seeded(rows, dim, 11);
         let mut rng = SplitMix64::new(0x0097_4d5f);
         for _ in 0..6 {
@@ -1265,7 +1123,7 @@ mod tests {
             let n = part.rows.len();
             let grads = (0..n * dim).map(|_| rng.next_range(-1.0, 1.0)).collect();
             part.grads = Matrix::from_vec(n, dim, grads).unwrap();
-            scatter_apply_sharded(&mut table, &mut opt, &[part], exec).unwrap();
+            scatter_apply_sharded(&mut table, &mut opt, &map, &part, exec).unwrap();
         }
         let mut blob = Vec::new();
         opt.save_state(&mut blob);
@@ -1274,28 +1132,30 @@ mod tests {
 
     /// The `OPTM` checkpoint payload of every rule, byte for byte, as the
     /// commit before the optimizers became one type wrote it: after a
-    /// serial scatter sequence, a 3-band pooled one and a 4-shard one.
-    /// Saving and loading with one build cannot notice a format change;
-    /// these constants can.
+    /// serial scatter sequence and a 3-band pooled one. Saving and loading
+    /// with one build cannot notice a format change; these constants can.
+    /// A 4-shard fence writes what the unsharded table does under the same
+    /// `Exec`.
     #[test]
     fn optm_state_bytes_are_stable() {
-        const PINNED: [[u64; 3]; 5] = [
-            [0xcbf29ce484222325, 0xcbf29ce484222325, 0xcbf29ce484222325],
-            [0x17cb6d34f6b38502, 0xa81b09b42e6d37b1, 0xa81b09b42e6d37b1],
-            [0xf0b83b94f31d2f46, 0x11646e9eadb28a65, 0x11646e9eadb28a65],
-            [0x1fbe7dd210508682, 0x8bae82fd71926445, 0x8bae82fd71926445],
-            [0x2f889d2cc02fef25, 0x8ba202cf63b42c12, 0x8ba202cf63b42c12],
+        const PINNED: [[u64; 2]; 5] = [
+            [0xcbf29ce484222325, 0xcbf29ce484222325],
+            [0x17cb6d34f6b38502, 0xa81b09b42e6d37b1],
+            [0xf0b83b94f31d2f46, 0x11646e9eadb28a65],
+            [0x1fbe7dd210508682, 0x8bae82fd71926445],
+            [0x2f889d2cc02fef25, 0x8ba202cf63b42c12],
         ];
         let pool = Pool::new(3);
         for (rule, pinned) in RULES.into_iter().zip(PINNED) {
-            let unsharded = || ShardedOptimizer::new(ShardMap::new(97, 1), rule);
-            let four_shards = ShardedOptimizer::new(ShardMap::new(97, 4), rule);
-            let checksums = [
-                optm_checksum(unsharded(), Exec::Serial),
-                optm_checksum(unsharded(), Exec::pooled(&pool)),
-                optm_checksum(four_shards, Exec::Serial),
-            ];
-            assert_eq!(checksums, pinned, "{} state bytes moved", rule.name());
+            for (exec, pinned) in [Exec::Serial, Exec::pooled(&pool)].into_iter().zip(pinned) {
+                let checksums = [1, 4].map(|shards| optm_checksum(rule, shards, exec));
+                assert_eq!(
+                    checksums,
+                    [pinned; 2],
+                    "{} state bytes moved under {exec:?}",
+                    rule.name()
+                );
+            }
         }
     }
 }

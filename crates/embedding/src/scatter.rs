@@ -7,14 +7,14 @@
 //!
 //! Three entry points: [`scatter_apply`], the serial reference every other
 //! scatter in the workspace (these, the NMP pool's) is tested against, and
-//! the two the trainer runs — any [`Exec`], any shard count, bit-identical
+//! the two the trainer runs — any [`Exec`], any [`ShardMap`], bit-identical
 //! to the reference: [`scatter_apply_sharded`] applies a materialized
 //! coalesced gradient (the baseline backward's), and
 //! [`scatter_apply_casted`] produces the coalesced gradient from the casted
 //! lookup stream a block of rows at a time as it applies it (the casted
-//! backward's). Both are the same validation, the same split into tasks and
-//! the same per-row loop; they differ in where a task's gradient rows come
-//! from.
+//! backward's). Both are the same validation, the same cut into tasks at a
+//! row fence and the same per-row loop; they differ in where a task's
+//! gradient rows come from.
 
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::time::{Duration, Instant};
@@ -22,7 +22,8 @@ use std::time::{Duration, Instant};
 use crate::coalesce::{CoalescedGradients, CoalescedScratch};
 use crate::error::EmbeddingError;
 use crate::gather::accumulate_band;
-use crate::optim::{RowUpdate, ShardedOptimizer, SparseOptimizer};
+use crate::optim::{RowOptimizer, RowUpdate, SparseOptimizer};
+use crate::sharding::ShardMap;
 use crate::table::EmbeddingTable;
 use tcast_pool::Exec;
 use tcast_tensor::simd::{prefetch, PREFETCH_WINDOW};
@@ -64,56 +65,44 @@ pub fn scatter_apply(
     Ok(())
 }
 
-/// The production scatter: applies coalesced gradients to a table whose
-/// optimizer state is placed by a [`ShardedOptimizer`], serially or on a
-/// pool ([`Exec`]) — **bit-identical** to [`scatter_apply`] through one
-/// unsharded optimizer for every shard count, band count and `Exec`.
-///
-/// `parts` is what the backward pass left in its [`CoalescedScratch`]
-/// buffers, in one of two shapes:
-///
-/// * **one** array keyed by *global* row id — the baseline path's
-///   `gradient_coalesce_into` output, or either path on an unsharded
-///   table (with one shard, global and shard-local ids coincide);
-/// * **one array per shard**, keyed by *shard-local* row id — per-shard
-///   `casted_gather_reduce_into` outputs (the casting pipeline routed the
-///   indices per shard, so no global merge is ever materialized).
+/// The production scatter: applies one table's coalesced gradient — what
+/// the backward pass left in its [`CoalescedScratch`], keyed by table row —
+/// through the table's optimizer, serially or on a pool ([`Exec`]):
+/// **bit-identical** to [`scatter_apply`] for every `map`, band count and
+/// `Exec`.
 ///
 /// Coalescing guarantees each table row appears exactly once (rows are
-/// strictly ascending — enforced here), so any partition of the rows
-/// touches **disjoint table rows and disjoint optimizer state**. With one
-/// shard, the rows split into equal-count bands, each updating its
-/// `split_at_mut` table slice plus its [`crate::optim::RowOptimizerBand`] state band;
-/// with more, each shard updates its slice of the table through its own
-/// optimizer shard (a global-keyed array is cut at the shard fences with
-/// `partition_point`, zero-copy). Every task runs the same per-row loop
-/// the serial path runs — the scatter-side dual of the banded
-/// gather-reduce, and the row-disjointness RecNMP/MP-Rec exploit to
-/// spread sparse updates across parallel units. The serial path
+/// strictly ascending — enforced here), so any cut of the rows at a fence
+/// of row ids touches **disjoint table rows and disjoint optimizer state**.
+/// A serial scatter is one task. A pooled one cuts at `map`'s shard bounds
+/// when it has more than one shard, and otherwise into equal-count bands
+/// of the rows; either fence is closed just past the last touched row, so
+/// optimizer state never grows beyond the touched prefix. Each task gets
+/// its `split_at_mut` slice of the table, its
+/// [`crate::optim::RowOptimizerBand`] of the state and its piece of `rows`,
+/// and runs the per-row loop the serial path runs — the scatter-side dual
+/// of the banded gather-reduce, and the row-disjointness RecNMP/MP-Rec
+/// exploit to spread sparse updates across parallel units. The serial path
 /// allocates nothing.
 ///
 /// # Errors
 ///
-/// [`EmbeddingError::InvalidIndex`] if the optimizer's
-/// [`crate::sharding::ShardMap`] does not cover exactly `table.rows()`,
-/// if `parts` holds neither one array nor one per shard, or if an array's
-/// rows are not strictly ascending (i.e. not coalesced);
-/// [`EmbeddingError::LengthMismatch`] if an array's `rows` and `grads`
+/// [`EmbeddingError::InvalidIndex`] if `map` does not cover exactly
+/// `table.rows()` or the rows are not strictly ascending (i.e. not
+/// coalesced); [`EmbeddingError::LengthMismatch`] if `rows` and `grads`
 /// disagree; [`EmbeddingError::DimMismatch`] on a gradient width other
-/// than the table's (checked for non-empty arrays);
-/// [`EmbeddingError::SrcOutOfBounds`] (with the **global** row id) if a
-/// row falls outside the table or its shard.
+/// than the table's (checked when there are rows);
+/// [`EmbeddingError::SrcOutOfBounds`] if a row falls outside the table.
 pub fn scatter_apply_sharded(
     table: &mut EmbeddingTable,
-    optimizer: &mut ShardedOptimizer,
-    parts: &[CoalescedScratch],
+    optimizer: &mut RowOptimizer,
+    map: &ShardMap,
+    part: &CoalescedScratch,
     exec: Exec<'_>,
 ) -> Result<(), EmbeddingError> {
-    let part = |p: usize| {
-        let CoalescedScratch { rows, grads, .. } = &parts[p];
-        (rows.as_slice(), Grads::Coalesced(grads))
-    };
-    scatter_parts(table, optimizer, parts.len(), part, &mut [], exec)
+    let CoalescedScratch { rows, grads, .. } = part;
+    let grads = Grads::Coalesced(grads);
+    scatter_parts(table, optimizer, map, rows, grads, &mut [], exec)
 }
 
 /// One casted index array, as [`scatter_apply_casted`] reads it
@@ -152,13 +141,12 @@ pub struct CastedBackwardTimings {
 /// The casted backward and its scatter as one row-blocked pass: what
 /// `casted_gather_reduce_into` followed by [`scatter_apply_sharded`]
 /// computes — **bit for bit**, table and optimizer state, for every
-/// `block_rows`, shard count and `Exec` — without ever holding a part's
-/// whole coalesced gradient.
+/// `block_rows`, `map` and `Exec` — without ever holding the whole
+/// coalesced gradient.
 ///
 /// Each task of the scatter (the same tasks [`scatter_apply_sharded`]
-/// runs: equal-count row bands of an unsharded table, one task per shard
-/// otherwise) walks its unique rows `block_rows` at a time. The lookups
-/// that reduce into a block are one contiguous piece of the stream
+/// cuts) walks its unique rows `block_rows` at a time. The lookups that
+/// reduce into a block are one contiguous piece of the stream
 /// (`reduce_dst` is non-decreasing), so the block's gradient is
 /// accumulated by the gather-reduce loop into a `block_rows x dim` buffer
 /// and at once applied by the scatter loop — both loops unchanged, the
@@ -166,11 +154,10 @@ pub struct CastedBackwardTimings {
 /// `U x D` write and read between the two operators (the paper's Section
 /// IV-A traffic argument, taken one step further).
 ///
-/// `parts` is one casted array keyed by global row id, or one per shard
-/// keyed by shard-local id (see [`scatter_apply_sharded`]); every part
-/// gathers from the same `upstream` gradient table. Everything is
-/// validated before the first table row is written: on any error the
-/// table and the optimizer state are untouched.
+/// `casted` is the table's one casted index array, keyed by table row,
+/// gathering from the `upstream` gradient table. Everything is validated
+/// before the first table row is written: on any error the table and the
+/// optimizer state are untouched.
 ///
 /// # Errors
 ///
@@ -179,14 +166,15 @@ pub struct CastedBackwardTimings {
 ///
 /// # Panics
 ///
-/// Panics if `block_rows` is zero, if a part's `gather_src` and
-/// `reduce_dst` differ in length, or if a `gather_src` row lies outside
-/// `upstream`.
-pub fn scatter_apply_casted<P: CastedLookups>(
+/// Panics if `block_rows` is zero, if `gather_src` and `reduce_dst` differ
+/// in length, or if a `gather_src` row lies outside `upstream`.
+#[allow(clippy::too_many_arguments)]
+pub fn scatter_apply_casted(
     table: &mut EmbeddingTable,
-    optimizer: &mut ShardedOptimizer,
+    optimizer: &mut RowOptimizer,
+    map: &ShardMap,
     upstream: &Matrix,
-    parts: &[P],
+    casted: &impl CastedLookups,
     block_rows: usize,
     scratch: &mut BlockScratch,
     exec: Exec<'_>,
@@ -194,40 +182,38 @@ pub fn scatter_apply_casted<P: CastedLookups>(
     assert!(block_rows > 0, "a block holds at least one row");
     let started = Instant::now();
     let clock = HalfClock::default();
-    let part = |p: usize| {
-        let part = &parts[p];
-        let (src, dst) = (part.gather_src(), part.reduce_dst());
-        assert_eq!(src.len(), dst.len(), "one reduce_dst per gather_src");
-        let grads = Grads::Casted {
-            upstream,
-            src,
-            dst,
-            block_rows,
-            clock: &clock,
-        };
-        (part.unique_rows(), grads)
+    let (src, dst) = (casted.gather_src(), casted.reduce_dst());
+    assert_eq!(src.len(), dst.len(), "one reduce_dst per gather_src");
+    let grads = Grads::Casted {
+        upstream,
+        src,
+        dst,
+        block_rows,
+        clock: &clock,
     };
     // No scatter runs more tasks than this. Only ever grown: tables of
     // different shard counts share one scratch.
-    let tasks = exec.threads().max(optimizer.num_shards());
+    let tasks = exec.threads().max(map.num_shards());
     if scratch.blocks.len() < tasks {
         scratch.blocks.resize_with(tasks, Vec::new);
     }
+    let rows = casted.unique_rows();
     scatter_parts(
         table,
         optimizer,
-        parts.len(),
-        part,
+        map,
+        rows,
+        grads,
         &mut scratch.blocks,
         exec,
     )?;
     Ok(clock.split(started.elapsed()))
 }
 
-/// Where a scatter reads one part's gradients from.
+/// Where a scatter reads its gradients from.
 #[derive(Clone, Copy)]
 enum Grads<'a> {
-    /// Materialized: one coalesced row per entry of the part's `rows`.
+    /// Materialized: one coalesced row per entry of `rows`.
     Coalesced(&'a Matrix),
     /// The casted lookup stream that sums `upstream` rows into them,
     /// accumulated `block_rows` coalesced rows at a time.
@@ -241,7 +227,7 @@ enum Grads<'a> {
 }
 
 impl Grads<'_> {
-    /// `(gradient rows, gradient width)` a part of `rows` rows must have.
+    /// `(gradient rows, gradient width)` of a scatter of `rows` rows.
     fn shape(&self, rows: usize) -> (usize, usize) {
         match self {
             Grads::Coalesced(grads) => grads.shape(),
@@ -276,165 +262,119 @@ impl HalfClock {
     }
 }
 
-/// The scatter behind both entry points: validates every part, then cuts
-/// the work into tasks over disjoint table rows and optimizer state and
-/// runs them under `exec`. `part(p)` is part `p`'s ascending row ids and
-/// its gradients; `blocks` holds a buffer per task when the gradients are
-/// [`Grads::Casted`].
-fn scatter_parts<'a>(
+/// The scatter behind both entry points: validates, then cuts the work
+/// into tasks over disjoint table rows and optimizer state and runs them
+/// under `exec`. `rows` is the ascending row ids to update and `grads`
+/// their gradients; `blocks` holds a buffer per task when the gradients
+/// are [`Grads::Casted`].
+fn scatter_parts(
     table: &mut EmbeddingTable,
-    optimizer: &mut ShardedOptimizer,
-    num_parts: usize,
-    part: impl Fn(usize) -> (&'a [u32], Grads<'a>),
+    optimizer: &mut RowOptimizer,
+    map: &ShardMap,
+    rows: &[u32],
+    grads: Grads<'_>,
     blocks: &mut [Vec<f32>],
     exec: Exec<'_>,
 ) -> Result<(), EmbeddingError> {
     let table_rows = table.rows();
     let dim = table.dim();
-    let (map, opts) = optimizer.parts_mut();
     if map.rows() != table_rows {
         return Err(EmbeddingError::InvalidIndex(format!(
             "shard map covers {} rows but the table has {table_rows}",
             map.rows()
         )));
     }
-    let global = num_parts == 1;
-    if !global && num_parts != opts.len() {
-        return Err(EmbeddingError::InvalidIndex(format!(
-            "scatter needs one global-keyed array or one per shard ({}), got {num_parts}",
-            opts.len(),
-        )));
+    let (grad_rows, grad_dim) = grads.shape(rows.len());
+    if rows.len() != grad_rows {
+        return Err(EmbeddingError::LengthMismatch {
+            expected: rows.len(),
+            found: grad_rows,
+        });
     }
-    for s in 0..num_parts {
-        let (base, span) = if global {
-            (0, table_rows)
-        } else {
-            (map.shard_base(s), map.shard_rows(s))
-        };
-        let (rows, grads) = part(s);
-        let (grad_rows, grad_dim) = grads.shape(rows.len());
-        if rows.len() != grad_rows {
-            return Err(EmbeddingError::LengthMismatch {
-                expected: rows.len(),
-                found: grad_rows,
-            });
-        }
-        // Ascending order makes the last row the maximum, so it alone
-        // bounds-checks the whole array.
-        let Some(&last) = rows.last() else {
-            continue;
-        };
-        if grad_dim != dim {
-            return Err(EmbeddingError::DimMismatch {
-                expected: dim,
-                found: grad_dim,
-            });
-        }
-        if !rows.windows(2).all(|w| w[0] < w[1]) {
-            return Err(EmbeddingError::InvalidIndex(
-                "scatter requires coalesced rows (strictly ascending, unique)".into(),
-            ));
-        }
-        if last as usize >= span {
-            return Err(EmbeddingError::SrcOutOfBounds {
-                src: base as u32 + last,
-                rows: table_rows,
-            });
-        }
+    // Ascending order makes the last row the maximum, so it alone
+    // bounds-checks the whole array.
+    let Some(&last) = rows.last() else {
+        return Ok(());
+    };
+    if grad_dim != dim {
+        return Err(EmbeddingError::DimMismatch {
+            expected: dim,
+            found: grad_dim,
+        });
+    }
+    if !rows.windows(2).all(|w| w[0] < w[1]) {
+        return Err(EmbeddingError::InvalidIndex(
+            "scatter requires coalesced rows (strictly ascending, unique)".into(),
+        ));
+    }
+    if last as usize >= table_rows {
+        return Err(EmbeddingError::SrcOutOfBounds {
+            src: last,
+            rows: table_rows,
+        });
     }
     let mut blocks = blocks.iter_mut();
-    if let [opt] = opts {
-        // One shard: equal-count row bands within the slab.
-        let (rows, grads) = part(0);
-        let n = rows.len();
-        let bands = exec.threads().min(n);
-        let Some(pool) = exec.pool().filter(|_| bands > 1) else {
-            let slab = Slab {
-                params: table.as_mut_slice(),
-                first: 0,
-                key_base: 0,
-            };
-            opt.with_update(|update| run_task(update, slab, rows, 0, grads, blocks.next()));
-            return Ok(());
-        };
-        // The row-id fence is each band's first row id, closed just past
-        // the last touched row so dense optimizer state is only grown to
-        // the touched prefix (a scatter touching low ids on a huge table
-        // must not allocate table-sized state). Strictly ascending rows
-        // make the fence strictly ascending too.
-        let per = n.div_ceil(bands);
-        let mut fence = Vec::with_capacity(bands + 1);
-        fence.push(0u32);
-        fence.extend(rows.chunks(per).skip(1).map(|band| band[0]));
-        fence.push(rows[n - 1].saturating_add(1));
-        let mut table_rest = table.as_mut_slice();
-        let state_bands = opt.split_by_rows(&fence, dim);
-        pool.scope(|scope| {
-            for (b, mut state) in state_bands.into_iter().enumerate() {
-                let (params, tail) = std::mem::take(&mut table_rest)
-                    .split_at_mut((fence[b + 1] - fence[b]) as usize * dim);
-                table_rest = tail;
-                let band_rows = &rows[b * per..((b + 1) * per).min(n)];
-                let slab = Slab {
-                    params,
-                    first: fence[b],
-                    key_base: 0,
-                };
-                let block = blocks.next();
-                scope.spawn(move || {
-                    state.with_update(|update| {
-                        run_task(update, slab, band_rows, b * per, grads, block)
-                    });
-                });
-            }
-        });
-        return Ok(());
-    }
-
-    // Several shards: one task per shard, each on its slice of the table
-    // and its own optimizer shard, keyed by shard-local row id.
-    let mut table_rest = table.as_mut_slice();
-    let mut cursor = 0usize; // into the global-keyed array
-    let tasks = opts.iter_mut().enumerate().filter_map(|(s, opt)| {
-        let (base, end) = (map.shard_base(s), map.shard_end(s));
-        let (params, tail) = std::mem::take(&mut table_rest).split_at_mut((end - base) * dim);
-        table_rest = tail;
-        let block = blocks.next();
-        let ((rows, grads), lo, key_base) = if global {
-            let (rows, grads) = part(0);
-            let lo = cursor;
-            cursor += rows[lo..].partition_point(|&r| (r as usize) < end);
-            ((&rows[lo..cursor], grads), lo, base as u32)
-        } else {
-            (part(s), 0, 0)
-        };
+    let bands = exec.threads().min(rows.len());
+    let Some(pool) = exec.pool().filter(|_| bands > 1) else {
         let slab = Slab {
-            params,
-            first: key_base,
-            key_base,
+            params: table.as_mut_slice(),
+            first: 0,
         };
-        (!rows.is_empty()).then_some(move || {
-            opt.with_update(|update| run_task(update, slab, rows, lo, grads, block));
-        })
-    });
-    match exec.pool().filter(|_| exec.threads() > 1) {
-        Some(pool) => pool.scope(|scope| tasks.for_each(|task| scope.spawn(task))),
-        None => tasks.for_each(|task| task()),
+        optimizer.with_update(|update| run_task(update, slab, rows, 0, grads, blocks.next()));
+        return Ok(());
+    };
+    // The fence of row ids the tasks are cut at: the shard bounds, or each
+    // equal-count band's first row. Closed just past the last touched row,
+    // so dense optimizer state is only grown to the touched prefix (a
+    // scatter touching low ids on a huge table must not allocate
+    // table-sized state).
+    let end = last.saturating_add(1);
+    let shards = map.num_shards();
+    let mut fence = Vec::with_capacity(bands.max(shards) + 1);
+    fence.push(0u32);
+    if shards > 1 {
+        fence.extend((1..shards).map(|s| (map.shard_base(s) as u32).min(end)));
+    } else {
+        let per = rows.len().div_ceil(bands);
+        fence.extend(rows.chunks(per).skip(1).map(|band| band[0]));
     }
+    fence.push(end);
+    let mut table_rest = table.as_mut_slice();
+    let mut lo = 0usize; // into `rows`
+    let state_bands = optimizer.split_by_rows(&fence, dim);
+    pool.scope(|scope| {
+        for (mut state, pair) in state_bands.into_iter().zip(fence.windows(2)) {
+            let (params, tail) =
+                std::mem::take(&mut table_rest).split_at_mut((pair[1] - pair[0]) as usize * dim);
+            table_rest = tail;
+            let first = lo;
+            lo += rows[lo..].partition_point(|&r| r < pair[1]);
+            let band_rows = &rows[first..lo];
+            if band_rows.is_empty() {
+                continue;
+            }
+            let slab = Slab {
+                params,
+                first: pair[0],
+            };
+            let block = blocks.next();
+            scope.spawn(move || {
+                state.with_update(|update| run_task(update, slab, band_rows, first, grads, block));
+            });
+        }
+    });
     Ok(())
 }
 
 /// The table rows one scatter task owns: `params` holds the rows from id
-/// `first` on (in the id space of the part's row ids), and the optimizer
-/// state is keyed by `row - key_base` (a shard's local id).
+/// `first` on.
 struct Slab<'t> {
     params: &'t mut [f32],
     first: u32,
-    key_base: u32,
 }
 
-/// One scatter task: updates `rows` — a part's row ids from index `lo` on
-/// — in `slab` through `update`. Materialized gradients are applied in one
+/// One scatter task: updates `rows` — the scatter's row ids from index `lo`
+/// on — in `slab` through `update`. Materialized gradients are applied in one
 /// go; a casted stream is cut into blocks of coalesced rows, each
 /// accumulated into `block` by the gather-reduce loop and applied from it
 /// while it is still in cache.
@@ -513,7 +453,7 @@ fn update_rows(
             prefetch(&slab.params[at(ahead)..at(ahead) + dim]);
         }
         update(
-            row - slab.key_base,
+            row,
             &mut slab.params[at(row)..at(row) + dim],
             &grads[k * dim..(k + 1) * dim],
         );
@@ -544,8 +484,14 @@ mod tests {
         RowOptimizer::new(UpdateRule::Sgd { lr })
     }
 
-    fn sgd_shards(rows: usize, shards: usize) -> ShardedOptimizer {
-        ShardedOptimizer::new(ShardMap::new(rows, shards), UpdateRule::Sgd { lr: 1.0 })
+    /// The production scatter through a fresh SGD (lr 1) optimizer.
+    fn scatter(
+        table: &mut EmbeddingTable,
+        map: &ShardMap,
+        part: &CoalescedScratch,
+        exec: Exec<'_>,
+    ) -> Result<(), EmbeddingError> {
+        scatter_apply_sharded(table, &mut sgd(1.0), map, part, exec)
     }
 
     #[test]
@@ -624,7 +570,7 @@ mod tests {
     }
 
     // Bit-identity of `scatter_apply_sharded` against `scatter_apply`, for
-    // every optimizer x Exec x shard count x part shape, lives in
+    // every optimizer x Exec x shard count, lives in
     // `tests/scatter_parallel.rs`; these cover what it rejects.
 
     #[test]
@@ -633,18 +579,12 @@ mod tests {
         let exec = Exec::pooled(&pool);
         let mut table = EmbeddingTable::seeded(10, 2, 3);
         let before = table.clone();
-        let mut opt = sgd_shards(10, 1);
-        scatter_apply_sharded(
-            &mut table,
-            &mut opt,
-            &[part(&[], Matrix::zeros(0, 2))],
-            exec,
-        )
-        .unwrap();
-        scatter_apply_sharded(&mut table, &mut opt, &[CoalescedScratch::default()], exec).unwrap();
+        let map = ShardMap::new(10, 1);
+        scatter(&mut table, &map, &part(&[], Matrix::zeros(0, 2)), exec).unwrap();
+        scatter(&mut table, &map, &CoalescedScratch::default(), exec).unwrap();
         assert_eq!(table.as_slice(), before.as_slice());
         let one = part(&[7], Matrix::from_rows(&[&[1.0, 1.0]]).unwrap());
-        scatter_apply_sharded(&mut table, &mut opt, &[one], exec).unwrap();
+        scatter(&mut table, &map, &one, exec).unwrap();
         assert_eq!(table.row(7)[0], before.row(7)[0] - 1.0);
     }
 
@@ -653,12 +593,11 @@ mod tests {
         let pool = Pool::new(2);
         let mut table = EmbeddingTable::zeros(10, 1);
         for shards in [1, 2] {
-            let mut opt = sgd_shards(10, shards);
+            let map = ShardMap::new(10, shards);
             for rows in [[3u32, 3], [5, 2]] {
                 for exec in [Exec::Serial, Exec::pooled(&pool)] {
-                    let parts = [part(&rows, Matrix::zeros(2, 1))];
-                    let err =
-                        scatter_apply_sharded(&mut table, &mut opt, &parts, exec).unwrap_err();
+                    let part = part(&rows, Matrix::zeros(2, 1));
+                    let err = scatter(&mut table, &map, &part, exec).unwrap_err();
                     assert!(matches!(err, EmbeddingError::InvalidIndex(_)), "{err:?}");
                 }
             }
@@ -670,11 +609,10 @@ mod tests {
         let pool = Pool::new(2);
         let mut table = EmbeddingTable::zeros(4, 2);
         for shards in [1, 2] {
-            let mut opt = sgd_shards(4, shards);
+            let map = ShardMap::new(4, shards);
             for exec in [Exec::Serial, Exec::pooled(&pool)] {
                 let mut scatter = |rows: &[u32], grads: Matrix| {
-                    scatter_apply_sharded(&mut table, &mut opt, &[part(rows, grads)], exec)
-                        .unwrap_err()
+                    scatter(&mut table, &map, &part(rows, grads), exec).unwrap_err()
                 };
                 // Row id beyond the table.
                 let err = scatter(&[4], Matrix::zeros(1, 2));
@@ -693,28 +631,72 @@ mod tests {
     }
 
     #[test]
-    fn validates_map_and_part_count() {
+    fn validates_the_map_covers_the_table() {
         let mut table = EmbeddingTable::zeros(10, 2);
-        let row0 = || part(&[0], Matrix::zeros(1, 2));
-        // Map that does not cover the table.
-        let err = scatter_apply_sharded(&mut table, &mut sgd_shards(8, 2), &[row0()], Exec::Serial)
-            .unwrap_err();
-        assert!(matches!(err, EmbeddingError::InvalidIndex(_)), "{err:?}");
-        // Neither one array nor one per shard.
-        let mut opt = sgd_shards(10, 3);
-        for parts in [vec![], vec![row0(), row0()]] {
-            let err =
-                scatter_apply_sharded(&mut table, &mut opt, &parts, Exec::Serial).unwrap_err();
+        let row0 = part(&[0], Matrix::zeros(1, 2));
+        for rows in [8, 11] {
+            let err = scatter(&mut table, &ShardMap::new(rows, 2), &row0, Exec::Serial);
+            let err = err.unwrap_err();
             assert!(matches!(err, EmbeddingError::InvalidIndex(_)), "{err:?}");
         }
-        // Local row beyond its shard (shard 0 of 2 spans 5 rows): reported
-        // with its global id.
-        let mut opt = sgd_shards(10, 2);
-        let parts = [row0(), part(&[5], Matrix::zeros(1, 2))];
-        let err = scatter_apply_sharded(&mut table, &mut opt, &parts, Exec::Serial).unwrap_err();
-        assert!(
-            matches!(err, EmbeddingError::SrcOutOfBounds { src: 10, rows: 10 }),
-            "{err:?}"
-        );
+    }
+
+    /// Rows that all lie in the first shard of a 4-shard map on a large
+    /// table: the casted scatter's state stops at the touched prefix, on
+    /// every `Exec` (the pooled fence closes just past the last row).
+    #[test]
+    fn state_stays_bounded_by_the_touched_prefix() {
+        struct Lookups(Vec<u32>);
+        impl CastedLookups for Lookups {
+            fn gather_src(&self) -> &[u32] {
+                &self.0
+            }
+            fn reduce_dst(&self) -> &[u32] {
+                &self.0
+            }
+            fn unique_rows(&self) -> &[u32] {
+                &self.0
+            }
+        }
+        let (rows, dim, touched) = (1usize << 20, 2usize, 40u32);
+        let map = ShardMap::new(rows, 4);
+        assert!((touched as usize) < map.shard_end(0));
+        let casted = Lookups((0..touched).collect());
+        let upstream = Matrix::filled(touched as usize, dim, 0.5);
+        let pool = Pool::new(3);
+        for exec in [Exec::Serial, Exec::pooled(&pool)] {
+            let mut table = EmbeddingTable::zeros(rows, dim);
+            let mut opt = RowOptimizer::new(UpdateRule::Adam {
+                lr: 0.1,
+                beta1: 0.9,
+                beta2: 0.999,
+                eps: 1e-8,
+            });
+            let mut scratch = BlockScratch::default();
+            for _ in 0..2 {
+                scatter_apply_casted(
+                    &mut table,
+                    &mut opt,
+                    &map,
+                    &upstream,
+                    &casted,
+                    16,
+                    &mut scratch,
+                    exec,
+                )
+                .unwrap();
+            }
+            assert_eq!(opt.tracked_rows(), touched as usize, "{exec:?}");
+            let mut state = Vec::new();
+            opt.save_state(&mut state);
+            // Two planes and the step counts, each at most doubled past
+            // the last touched row.
+            let per_row = 2 * (dim * 4 + 1) + 4;
+            assert!(
+                state.len() <= 2 * touched as usize * per_row + 64,
+                "{exec:?}: {} state bytes for {touched} touched rows",
+                state.len()
+            );
+        }
     }
 }

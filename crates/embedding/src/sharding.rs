@@ -3,25 +3,22 @@
 //! The paper's motivation (Sections I-II) is that embedding tables reach
 //! tens of GB to TBs, forcing them off-accelerator into pooled/host
 //! memory — Facebook's Zion and Baidu's AIBox shard them across a memory
-//! pool. This module models that placement: [`ShardMap`] is the pure
-//! placement plan (contiguous row ranges, O(1) row → shard routing) and
-//! [`RouteScratch`] makes the per-batch routing allocation-free so the
-//! plan can sit on the training hot path. Tables stay single slabs; what
-//! the plan places is the optimizer state
-//! ([`crate::optim::ShardedOptimizer`]), the casting jobs (routed per
-//! shard) and the scatter's tasks ([`crate::scatter_apply_sharded`]).
+//! pool. This module models that placement: a [`ShardMap`] is a set of
+//! fixed fences over a table's rows. Nothing else about a sharded table
+//! differs from an unsharded one — one slab of parameters, one slab of
+//! optimizer state ([`crate::optim::RowOptimizer`]), one casted index
+//! array a step, all keyed by the table's own row ids. What the fences
+//! decide is which row ranges the tasks of a pooled scatter own
+//! ([`crate::scatter_apply_sharded`]): the shards' instead of equal-count
+//! bands of the batch's rows.
 //!
 //! # Bit-identity
 //!
-//! Sharding is placement, never arithmetic: routing keeps each shard's
-//! lookups in original pair order (f32 accumulation order is the
-//! invariant, since float addition is not associative), and the scatter
-//! applies the exact per-row update sequence of the unsharded path.
-//! `sharded == unsharded` is the workspace-wide invariant 8,
-//! property-tested in `tests/sharded_equivalence.rs`.
-
-use crate::error::EmbeddingError;
-use crate::index::IndexArray;
+//! Sharding is placement, never arithmetic: every row's lookups are
+//! accumulated in their original pair order (f32 addition is not
+//! associative) and every row is updated once, by the one task whose
+//! range holds it. `sharded == unsharded` is the workspace-wide invariant
+//! 8, property-tested in `tests/sharded_equivalence.rs`.
 
 /// How many row-range shards a table (or a whole model) should be split
 /// into. `ShardSpec::default()` is one shard — today's unsharded layout.
@@ -58,10 +55,9 @@ impl Default for ShardSpec {
 /// contiguous row ranges.
 ///
 /// Every shard spans exactly `ceil(rows / requested)` rows except the
-/// last (which takes the remainder), so `row → (shard, local)` is a
-/// division, not a search — routing stays O(1) per lookup however many
-/// shards exist. The actual shard count is `ceil(rows / span)`, which can
-/// be lower than requested when the table has fewer rows than shards.
+/// last (which takes the remainder). The actual shard count is
+/// `ceil(rows / span)`, which can be lower than requested when the table
+/// has fewer rows than shards.
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub struct ShardMap {
     rows: usize,
@@ -73,8 +69,7 @@ pub struct ShardMap {
 
 impl ShardMap {
     /// Plans `rows` over `num_shards` near-equal contiguous ranges. A
-    /// zero-row table still gets one (empty) shard so downstream
-    /// per-shard state is never zero-length.
+    /// zero-row table still gets one (empty) shard.
     ///
     /// # Panics
     ///
@@ -105,7 +100,7 @@ impl ShardMap {
         self.rows
     }
 
-    /// First global row of shard `s`.
+    /// First row of shard `s`.
     ///
     /// # Panics
     ///
@@ -115,7 +110,7 @@ impl ShardMap {
         s * self.span
     }
 
-    /// One-past-the-last global row of shard `s`.
+    /// One-past-the-last row of shard `s`.
     ///
     /// # Panics
     ///
@@ -132,206 +127,31 @@ impl ShardMap {
     pub fn shard_rows(&self, s: usize) -> usize {
         self.shard_end(s) - self.shard_base(s)
     }
-
-    /// Which shard holds global row `row`, plus the local row id.
-    ///
-    /// # Errors
-    ///
-    /// Returns [`EmbeddingError::SrcOutOfBounds`] for rows past the end.
-    pub fn locate(&self, row: u32) -> Result<(usize, u32), EmbeddingError> {
-        let r = row as usize;
-        if r >= self.rows {
-            return Err(EmbeddingError::SrcOutOfBounds {
-                src: row,
-                rows: self.rows,
-            });
-        }
-        Ok((r / self.span, (r % self.span) as u32))
-    }
-
-    /// Splits a global index array into per-shard local index arrays,
-    /// reusing `scratch`'s buffers: on the warm path this allocates
-    /// nothing. Each routed array keeps the pairs in their original
-    /// relative order, maps `src` to the shard-local row id, and keeps
-    /// the **original** `dst` and `num_outputs` so per-shard partial
-    /// outputs stay batch-aligned. Read the result via
-    /// [`RouteScratch::routed`].
-    ///
-    /// # Errors
-    ///
-    /// Returns [`EmbeddingError::SrcOutOfBounds`] on out-of-range rows;
-    /// `scratch` is left empty (but keeps its allocations).
-    pub fn route_into(
-        &self,
-        index: &IndexArray,
-        scratch: &mut RouteScratch,
-    ) -> Result<(), EmbeddingError> {
-        let n = self.num_shards();
-        scratch.ensure(n);
-        scratch.active = 0;
-        for s in 0..n {
-            scratch.src[s].clear();
-            scratch.dst[s].clear();
-        }
-        for (src, dst) in index.iter() {
-            let (s, local) = self.locate(src)?;
-            scratch.src[s].push(local);
-            scratch.dst[s].push(dst);
-        }
-        // Swap the staged pairs into the recycled IndexArrays through
-        // `refill`, which re-validates the invariants; the arrays' old
-        // buffers land back in the staging slots for the next call.
-        let RouteScratch {
-            src, dst, routed, ..
-        } = scratch;
-        for s in 0..n {
-            let (stage_src, stage_dst) = (&mut src[s], &mut dst[s]);
-            routed[s].refill(index.num_outputs(), |a, b| {
-                std::mem::swap(a, stage_src);
-                std::mem::swap(b, stage_dst);
-            })?;
-        }
-        scratch.active = n;
-        Ok(())
-    }
-
-    /// Allocating convenience form of [`ShardMap::route_into`] (builds a
-    /// fresh scratch per call — tests and cold paths only).
-    ///
-    /// # Errors
-    ///
-    /// Returns [`EmbeddingError::SrcOutOfBounds`] on out-of-range rows.
-    pub fn route(&self, index: &IndexArray) -> Result<Vec<IndexArray>, EmbeddingError> {
-        let mut scratch = RouteScratch::default();
-        self.route_into(index, &mut scratch)?;
-        scratch.routed.truncate(scratch.active);
-        Ok(scratch.routed)
-    }
-}
-
-/// Reusable buffers for [`ShardMap::route_into`]: per-shard staging pair
-/// vectors plus the routed [`IndexArray`]s themselves. One scratch per
-/// (table, consumer) makes routing allocation-free after warm-up; the
-/// same scratch may be reused across maps with different shard counts.
-#[derive(Debug, Default)]
-pub struct RouteScratch {
-    src: Vec<Vec<u32>>,
-    dst: Vec<Vec<u32>>,
-    routed: Vec<IndexArray>,
-    /// Shards filled by the most recent successful `route_into`.
-    active: usize,
-}
-
-impl RouteScratch {
-    /// An empty scratch (buffers grow on first use).
-    pub fn new() -> Self {
-        Self::default()
-    }
-
-    fn ensure(&mut self, n: usize) {
-        while self.src.len() < n {
-            self.src.push(Vec::new());
-            self.dst.push(Vec::new());
-            self.routed
-                .push(IndexArray::from_pairs(Vec::new(), Vec::new(), 0).expect("empty is valid"));
-        }
-    }
-
-    /// The per-shard index arrays produced by the last successful
-    /// [`ShardMap::route_into`] (empty before any routing).
-    pub fn routed(&self) -> &[IndexArray] {
-        &self.routed[..self.active]
-    }
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
-    use tcast_tensor::SplitMix64;
-
-    fn index() -> IndexArray {
-        let mut rng = SplitMix64::new(5);
-        let samples: Vec<Vec<u32>> = (0..16)
-            .map(|_| (0..4).map(|_| rng.next_below(100) as u32).collect())
-            .collect();
-        IndexArray::from_samples(&samples).unwrap()
-    }
 
     #[test]
-    fn locate_routes_rows_correctly() {
-        let map = ShardMap::new(100, 3);
+    fn shard_bounds_tile_the_rows() {
+        for (rows, requested) in [(100usize, 3usize), (100, 1), (97, 4), (7, 7), (64, 5)] {
+            let map = ShardMap::new(rows, requested);
+            assert!(map.num_shards() <= requested);
+            assert_eq!(map.rows(), rows);
+            // Contiguous, non-empty, first at 0 and last at `rows`.
+            let mut next = 0;
+            for s in 0..map.num_shards() {
+                assert_eq!(map.shard_base(s), next, "{rows}/{requested} shard {s}");
+                assert!(map.shard_rows(s) > 0);
+                next = map.shard_end(s);
+            }
+            assert_eq!(next, rows);
+        }
         // 100 rows over 3 shards: 34/34/32.
-        assert_eq!(map.locate(0).unwrap(), (0, 0));
-        assert_eq!(map.locate(33).unwrap(), (0, 33));
-        assert_eq!(map.locate(34).unwrap(), (1, 0));
-        assert_eq!(map.locate(99).unwrap(), (2, 31));
-        assert!(map.locate(100).is_err());
-    }
-
-    #[test]
-    fn locate_boundary_and_out_of_range_cases() {
-        let map = ShardMap::new(100, 3); // spans 34/34/32
-        for s in 0..map.num_shards() {
-            // First and last row of every shard, including the global
-            // last row, land exactly on the shard's edges.
-            let base = map.shard_base(s) as u32;
-            let last = map.shard_end(s) as u32 - 1;
-            assert_eq!(map.locate(base).unwrap(), (s, 0));
-            assert_eq!(map.locate(last).unwrap(), (s, last - base));
-        }
-        // One past the end and far past the end return the typed error.
-        for bad in [100u32, 101, u32::MAX] {
-            assert_eq!(
-                map.locate(bad),
-                Err(EmbeddingError::SrcOutOfBounds {
-                    src: bad,
-                    rows: 100
-                })
-            );
-        }
-    }
-
-    #[test]
-    fn route_rejects_out_of_range_rows_with_typed_error() {
-        let map = ShardMap::new(10, 2);
-        let idx = IndexArray::from_samples(&[vec![3, 10]]).unwrap();
-        let mut scratch = RouteScratch::default();
-        assert_eq!(
-            map.route_into(&idx, &mut scratch),
-            Err(EmbeddingError::SrcOutOfBounds { src: 10, rows: 10 })
-        );
-        assert!(scratch.routed().is_empty());
-        assert_eq!(
-            map.route(&idx).unwrap_err(),
-            EmbeddingError::SrcOutOfBounds { src: 10, rows: 10 }
-        );
-    }
-
-    #[test]
-    fn route_into_reuses_scratch_and_matches_route() {
         let map = ShardMap::new(100, 3);
-        let mut scratch = RouteScratch::default();
-        for seed in 0..4 {
-            let mut rng = SplitMix64::new(seed);
-            let samples: Vec<Vec<u32>> = (0..8)
-                .map(|_| (0..3).map(|_| rng.next_below(100) as u32).collect())
-                .collect();
-            let idx = IndexArray::from_samples(&samples).unwrap();
-            map.route_into(&idx, &mut scratch).unwrap();
-            assert_eq!(scratch.routed(), map.route(&idx).unwrap().as_slice());
-        }
-    }
-
-    #[test]
-    fn route_scratch_survives_maps_with_different_shard_counts() {
-        let idx = index();
-        let mut scratch = RouteScratch::default();
-        for shards in [7, 2, 3, 1] {
-            let map = ShardMap::new(100, shards);
-            map.route_into(&idx, &mut scratch).unwrap();
-            assert_eq!(scratch.routed().len(), map.num_shards());
-            assert_eq!(scratch.routed(), map.route(&idx).unwrap().as_slice());
-        }
+        let spans: Vec<_> = (0..3).map(|s| map.shard_rows(s)).collect();
+        assert_eq!(spans, [34, 34, 32]);
     }
 
     #[test]
@@ -364,17 +184,5 @@ mod tests {
         let map = ShardMap::new(0, 4);
         assert_eq!(map.num_shards(), 1);
         assert_eq!(map.shard_rows(0), 0);
-        assert!(map.locate(0).is_err());
-    }
-
-    #[test]
-    fn route_preserves_lookup_counts() {
-        let idx = index();
-        let routed = ShardMap::new(100, 3).route(&idx).unwrap();
-        let total: usize = routed.iter().map(IndexArray::len).sum();
-        assert_eq!(total, idx.len());
-        for r in &routed {
-            assert_eq!(r.num_outputs(), idx.num_outputs());
-        }
     }
 }

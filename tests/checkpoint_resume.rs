@@ -391,9 +391,9 @@ fn retention_keeps_the_newest_checkpoints_resumable() {
 
 /// The shard axis of the resume invariant: a checkpoint written by an
 /// N-shard trainer restores bit-identically into an M-shard trainer,
-/// N != M. The `OPTM` section is global-row-keyed (per-shard slabs are
-/// merged on save and re-split by the receiving trainer's shard maps),
-/// so optimizer-state placement is free to change across a crash —
+/// N != M. The `OPTM` section is each table's one state slab, keyed by
+/// table row — the shard count is not in it — so the fence a pooled
+/// backward cuts its tasks at is free to change across a crash:
 /// resharding a training run costs nothing but the restart.
 #[test]
 fn resume_is_bit_identical_across_shard_counts() {

@@ -15,7 +15,7 @@ use tensor_casting::embedding::{
     gradient_expand_coalesce,
     optim::{RowOptimizer, UpdateRule},
     scatter_apply, scatter_apply_casted, BlockScratch, CoalescedScratch, EmbeddingTable,
-    IndexArray, ShardMap, ShardedOptimizer,
+    IndexArray, ShardMap,
 };
 use tensor_casting::nmp::{NmpPool, PoolConfig};
 use tensor_casting::tensor::{Exec, Matrix, Pool, SplitMix64};
@@ -102,8 +102,8 @@ fn check_serial_equals_pooled(index: &IndexArray, table_rows: usize, dim: usize,
         &mut RowOptimizer::new(UpdateRule::Sgd { lr: 0.1 }),
     )
     .unwrap();
-    let sgd = || ShardedOptimizer::new(ShardMap::new(table_rows, 1), UpdateRule::Sgd { lr: 0.1 });
-    let parts = std::slice::from_ref(&casted);
+    let sgd = || RowOptimizer::new(UpdateRule::Sgd { lr: 0.1 });
+    let map = ShardMap::new(table_rows, 1);
     let mut blocks = BlockScratch::default();
 
     // One set of buffers for the whole sweep: every call after the first
@@ -152,7 +152,16 @@ fn check_serial_equals_pooled(index: &IndexArray, table_rows: usize, dim: usize,
         // The fused backward never holds more than a block of that
         // gradient: a row, a few, or (past every unique row) all of it.
         let mut fused = table.clone();
-        blocked_casted_backward(&mut fused, &mut sgd(), &grads, parts, &mut blocks, exec).unwrap();
+        blocked_casted_backward(
+            &mut fused,
+            &mut sgd(),
+            &map,
+            &grads,
+            &casted,
+            &mut blocks,
+            exec,
+        )
+        .unwrap();
         assert_eq!(
             bits(fused.as_slice()),
             bits(plain.as_slice()),
@@ -163,8 +172,9 @@ fn check_serial_equals_pooled(index: &IndexArray, table_rows: usize, dim: usize,
             scatter_apply_casted(
                 &mut fused,
                 &mut sgd(),
+                &map,
                 &grads,
-                parts,
+                &casted,
                 block_rows,
                 &mut blocks,
                 exec,

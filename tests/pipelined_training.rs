@@ -761,10 +761,18 @@ fn hostile_batches(good: &CtrBatch) -> Vec<(&'static str, CtrBatch)> {
 /// that tripped over the bad batch is dropped without a trace, and the bad
 /// step fails with the very error the plain `step` loop reports — after
 /// which valid steps continue bit-identically, to the end state of a run
-/// that never saw the bad batch.
+/// that never saw the bad batch. The same at every shard count, serial and
+/// pooled: a sharded trainer's batches take the unsharded error path.
 #[test]
 fn hostile_successor_fails_in_its_own_step_with_the_same_error() {
     let good = hazard_batches(21, 5, 16);
+    let pool = Arc::new(tensor_casting::tensor::Pool::new(2));
+    let schedules = [Execution::Serial, Execution::Pooled(pool)]
+        .into_iter()
+        .flat_map(|execution| {
+            [(1, 1), (1, 2), (3, 1), (3, 2)]
+                .map(|(shards, depth)| (execution.clone(), shards, depth))
+        });
     for (kind, bad) in hostile_batches(&good[2]) {
         let mut stream: Vec<Arc<CtrBatch>> = good.clone();
         stream[2] = Arc::new(bad);
@@ -787,9 +795,11 @@ fn hostile_successor_fails_in_its_own_step_with_the_same_error() {
                 "{kind} {mode:?}: the rejected step left a trace"
             );
 
-            for depth in [1, 2] {
-                let context = format!("{kind} {mode:?} depth {depth}");
-                let trainer = Trainer::with_optimizer(hazard_config(), mode, opt, 9).unwrap();
+            for (execution, shards, depth) in schedules.clone() {
+                let context = format!("{kind} {mode:?} {execution:?} x{shards} depth {depth}");
+                let spec = ShardSpec::new(shards);
+                let trainer =
+                    Trainer::with_sharding(hazard_config(), mode, opt, execution, spec, 9).unwrap();
                 let mut lp = TrainLoop::new(trainer, depth);
                 let mut got = Vec::new();
                 for batch in &stream {
@@ -1040,11 +1050,13 @@ fn dense_gemm_panic_resurfaces_and_the_next_step_runs() {
 
 /// Eight `Trainer::step` losses and the FNV-1a checksum of the training
 /// checkpoint after them, as the commit before the dense stack became one
-/// path produced them: `DlrmConfig::tiny()` at batch 24 and the wide hazard
-/// model (one layer on the split floor) at batch 16, both backward modes.
-/// Every other test here compares schedules within one build; these
-/// constants compare builds. The same under `TCAST_KERNEL=scalar|avx2`;
-/// `fma` is not a bit-identical tier and is skipped.
+/// path produced them (SGD) and as the commit before a shard became a
+/// fence did at one shard (Adagrad): `DlrmConfig::tiny()` at batch 24 and
+/// the wide hazard model (one layer on the split floor) at batch 16, both
+/// backward modes, at 1 and at 3 shards. Every other test here compares
+/// schedules within one build; these constants compare builds. The same
+/// under `TCAST_KERNEL=scalar|avx2`; `fma` is not a bit-identical tier and
+/// is skipped.
 #[test]
 fn step_losses_and_checkpoint_bytes_match_the_pinned_build() {
     use tensor_casting::dlrm::checkpoint::save_train_checkpoint;
@@ -1065,6 +1077,23 @@ fn step_losses_and_checkpoint_bytes_match_the_pinned_build() {
         (WIDE_LOSSES, 0xc05681e40be60dcb),
         (WIDE_LOSSES, 0x36312257824610a0),
     ];
+    const TINY_ADAGRAD_LOSSES: [u32; 8] = [
+        0x3f3eaa49, 0x3f2c3f1d, 0x3f316295, 0x3f35dc58, 0x3f33d9cd, 0x3f32e0bb, 0x3f2b2b69,
+        0x3f2f2313,
+    ];
+    const WIDE_ADAGRAD_LOSSES: [u32; 8] = [
+        0x3f2e63ee, 0x3f3978e0, 0x3f3626b5, 0x3f360343, 0x3f2efae3, 0x3f332f8f, 0x3f30d1f5,
+        0x3f2cb8c0,
+    ];
+    const TINY_ADAGRAD: [Pinned; 2] = [
+        (TINY_ADAGRAD_LOSSES, 0x6bfd61b470cd6a9d),
+        (TINY_ADAGRAD_LOSSES, 0xcdd2664323ac1e76),
+    ];
+    const WIDE_ADAGRAD: [Pinned; 2] = [
+        (WIDE_ADAGRAD_LOSSES, 0x3f7c3ad143c44ddc),
+        (WIDE_ADAGRAD_LOSSES, 0xf6984c5dcdea77bf),
+    ];
+    let adagrad = EmbeddingOptimizer::Adagrad { eps: 1e-8 };
     if tensor_casting::tensor::simd::dispatch() == tensor_casting::tensor::KernelDispatch::Fma {
         return; // the tolerance tier rounds differently by design
     }
@@ -1073,15 +1102,21 @@ fn step_losses_and_checkpoint_bytes_match_the_pinned_build() {
         .map(|_| Arc::new(tiny_stream.next_batch(24)))
         .collect();
     let wide = hazard_batches(78, 8, 16);
-    for (config, batches, pinned) in [
-        (DlrmConfig::tiny(), &tiny, TINY),
-        (wide_config(), &wide, WIDE),
+    for (config, batches, opt, pinned, shards) in [
+        (DlrmConfig::tiny(), &tiny, EmbeddingOptimizer::Sgd, TINY, 1),
+        (wide_config(), &wide, EmbeddingOptimizer::Sgd, WIDE, 1),
+        (DlrmConfig::tiny(), &tiny, adagrad, TINY_ADAGRAD, 1),
+        (DlrmConfig::tiny(), &tiny, adagrad, TINY_ADAGRAD, 3),
+        (wide_config(), &wide, adagrad, WIDE_ADAGRAD, 1),
+        (wide_config(), &wide, adagrad, WIDE_ADAGRAD, 3),
     ] {
         for (mode, pinned) in [BackwardMode::Baseline, BackwardMode::Casted]
             .into_iter()
             .zip(pinned)
         {
-            let mut trainer = Trainer::new(config.clone(), mode, 13).unwrap();
+            let (serial, spec) = (Execution::Serial, ShardSpec::new(shards));
+            let mut trainer =
+                Trainer::with_sharding(config.clone(), mode, opt, serial, spec, 13).unwrap();
             let losses: Vec<u32> = batches
                 .iter()
                 .map(|b| trainer.step(b).unwrap().loss.to_bits())
@@ -1094,7 +1129,7 @@ fn step_losses_and_checkpoint_bytes_match_the_pinned_build() {
             assert_eq!(
                 (&losses[..], checksum),
                 (&pinned.0[..], pinned.1),
-                "{mode:?}"
+                "{mode:?} {opt:?} x{shards}"
             );
         }
     }

@@ -1,9 +1,8 @@
 //! Property suite for the production scatter, `scatter_apply_sharded`:
-//! for any coalesced workload, every optimizer, every `Exec`, every shard
-//! count and both shapes of its input (one global-keyed array, or one
-//! shard-local array per shard), tables **and optimizer state** must be
-//! bit-identical to the serial reference `scatter_apply` through one
-//! plain optimizer.
+//! for any coalesced workload, every optimizer, every `Exec` and every
+//! shard count, tables **and optimizer state** must be bit-identical to
+//! the serial reference `scatter_apply` through the same kind of
+//! optimizer.
 //!
 //! This is the scatter-side mirror of the casted-backward equivalence
 //! property: coalesced rows are unique, so any split of the `(rows,
@@ -18,11 +17,11 @@
 
 use proptest::prelude::*;
 use std::sync::OnceLock;
-use tensor_casting::core::{casted_gather_reduce_into, tensor_casting, CastedIndexArray};
+use tensor_casting::core::{casted_gather_reduce_into, tensor_casting};
 use tensor_casting::embedding::{
     optim::{RowOptimizer, SparseOptimizer, UpdateRule},
     scatter_apply, scatter_apply_casted, scatter_apply_sharded, BlockScratch, CoalescedGradients,
-    CoalescedScratch, EmbeddingError, EmbeddingTable, IndexArray, ShardMap, ShardedOptimizer,
+    CoalescedScratch, EmbeddingError, EmbeddingTable, IndexArray, ShardMap,
 };
 use tensor_casting::tensor::{Exec, Matrix, Pool, SplitMix64};
 
@@ -55,26 +54,6 @@ fn part(rows: &[u32], grads: Matrix) -> CoalescedScratch {
     part
 }
 
-/// Cuts a global ascending coalesced workload at the shard fences into
-/// per-shard `(local rows, grads)` arrays, the shape the casted sharded
-/// backward produces.
-fn split_local(map: &ShardMap, rows: &[u32], grads: &Matrix) -> Vec<CoalescedScratch> {
-    let mut lo = 0usize;
-    (0..map.num_shards())
-        .map(|s| {
-            let base = map.shard_base(s) as u32;
-            let hi = lo + rows[lo..].partition_point(|&r| (r as usize) < map.shard_end(s));
-            let local: Vec<u32> = rows[lo..hi].iter().map(|&r| r - base).collect();
-            let mut g = Matrix::zeros(hi - lo, grads.cols());
-            for (k, i) in (lo..hi).enumerate() {
-                g.row_mut(k).copy_from_slice(grads.row(i));
-            }
-            lo = hi;
-            part(&local, g)
-        })
-        .collect()
-}
-
 fn bits(values: &[f32]) -> Vec<u32> {
     values.iter().map(|v| v.to_bits()).collect()
 }
@@ -83,8 +62,7 @@ fn bits(values: &[f32]) -> Vec<u32> {
 /// one unit-gradient update of every row of a zero table. The resulting
 /// parameters are a function of each row's accumulators (velocity,
 /// squared-gradient sums, Adam's moments and step count), so equal bits
-/// here mean equal state — however the slabs behind it were grown, banded
-/// or sharded.
+/// here mean equal state — however the slab behind it was grown or banded.
 fn probe_state(opt: &mut dyn SparseOptimizer, table_rows: usize, dim: usize) -> Vec<u32> {
     let mut probe = EmbeddingTable::zeros(table_rows, dim);
     let ones = vec![1.0f32; dim];
@@ -96,7 +74,7 @@ fn probe_state(opt: &mut dyn SparseOptimizer, table_rows: usize, dim: usize) -> 
 
 /// Three scatters of `rows` (coalesced: unique, ascending) through every
 /// optimizer, reference vs. the production entry under the whole
-/// `Exec x shards x key-shape` matrix. Several scatters through the SAME
+/// `Exec x shards` matrix. Several scatters through the SAME
 /// optimizer instances, so a state divergence in step k also corrupts
 /// every table update after it.
 fn check_scatter(table_rows: usize, dim: usize, rows: &[u32], seed: u64) -> Result<(), String> {
@@ -128,23 +106,18 @@ fn check_scatter(table_rows: usize, dim: usize, rows: &[u32], seed: u64) -> Resu
         let reference_state = probe_state(&mut reference_opt, table_rows, dim);
 
         for exec in execs.clone() {
-            for (shards, local) in [(1, false), (3, false), (3, true)] {
+            for shards in [1, 2, 3, 7] {
                 let map = ShardMap::new(table_rows, shards);
                 let mut table = EmbeddingTable::seeded(table_rows, dim, 1);
-                let mut opt = ShardedOptimizer::new(map.clone(), rule);
+                let mut opt = RowOptimizer::new(rule);
                 for grads in &steps {
-                    let parts = if local {
-                        split_local(&map, rows, grads)
-                    } else {
-                        vec![part(rows, grads.clone())]
-                    };
-                    scatter_apply_sharded(&mut table, &mut opt, &parts, exec).unwrap();
+                    let part = part(rows, grads.clone());
+                    scatter_apply_sharded(&mut table, &mut opt, &map, &part, exec).unwrap();
                 }
                 let what = format!(
-                    "{} over {} rows of {table_rows}x{dim}, {exec:?}, {shards} shards, {}",
+                    "{} over {} rows of {table_rows}x{dim}, {exec:?}, {shards} shards",
                     rule.name(),
                     rows.len(),
-                    if local { "shard-local" } else { "global-keyed" },
                 );
                 if bits(table.as_slice()) != bits(reference.as_slice()) {
                     return Err(format!("table diverged: {what}"));
@@ -208,40 +181,39 @@ fn check_blocked_backward(
         .into_iter()
         .chain([Exec::Serial]);
 
+    // What the casting pipeline delivers: the table's one casted array.
+    let casted = tensor_casting(index);
     for shards in [1usize, 2, 3, 7] {
         let map = ShardMap::new(table_rows, shards);
-        // What the casting pipeline delivers: one casted array per shard,
-        // keyed by shard-local row (some of them empty).
-        let parts: Vec<CastedIndexArray> = map
-            .route(index)
-            .map_err(|e| e.to_string())?
-            .iter()
-            .map(tensor_casting)
-            .collect();
         let mut blocks = BlockScratch::default();
         for rule in RULES {
             let mut reference = EmbeddingTable::seeded(table_rows, dim, 1);
-            let mut reference_opt = ShardedOptimizer::new(map.clone(), rule);
-            let mut coalesced = vec![CoalescedScratch::default(); parts.len()];
+            let mut reference_opt = RowOptimizer::new(rule);
+            let mut coalesced = CoalescedScratch::default();
             for upstream in &steps {
-                for (part, out) in parts.iter().zip(coalesced.iter_mut()) {
-                    casted_gather_reduce_into(upstream, part, out, Exec::Serial).unwrap();
-                }
-                scatter_apply_sharded(&mut reference, &mut reference_opt, &coalesced, Exec::Serial)
-                    .unwrap();
+                casted_gather_reduce_into(upstream, &casted, &mut coalesced, Exec::Serial).unwrap();
+                scatter_apply_sharded(
+                    &mut reference,
+                    &mut reference_opt,
+                    &map,
+                    &coalesced,
+                    Exec::Serial,
+                )
+                .unwrap();
             }
             let reference_state = probe_state(&mut reference_opt, table_rows, dim);
 
             for exec in execs.clone() {
                 for block_rows in [1, 3, 64, table_rows.max(1)] {
                     let mut table = EmbeddingTable::seeded(table_rows, dim, 1);
-                    let mut opt = ShardedOptimizer::new(map.clone(), rule);
+                    let mut opt = RowOptimizer::new(rule);
                     for upstream in &steps {
                         scatter_apply_casted(
                             &mut table,
                             &mut opt,
+                            &map,
                             upstream,
-                            &parts,
+                            &casted,
                             block_rows,
                             &mut blocks,
                             exec,
@@ -274,10 +246,10 @@ fn blocked_casted_backward_is_bit_identical_on_edge_workloads() {
     let pairs =
         |src: Vec<u32>, dst: Vec<u32>, outputs| IndexArray::from_pairs(src, dst, outputs).unwrap();
     let workloads = [
-        // No lookups: every part is empty, with and without upstream rows.
+        // No lookups: nothing to update, with and without upstream rows.
         pairs(vec![], vec![], 0),
         pairs(vec![], vec![], 4),
-        // One lookup: a single-row part in one shard, empty parts elsewhere.
+        // One lookup: a single row in one shard, nothing in the others.
         pairs(vec![41], vec![0], 1),
         // One hot row looked up by every sample: a single unique row whose
         // run is the whole stream.
@@ -302,7 +274,7 @@ fn blocked_casted_backward_is_bit_identical_on_edge_workloads() {
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(16))]
 
-    /// Random lookup streams: up to 24 samples of 1-6 lookups, so parts
+    /// Random lookup streams: up to 24 samples of 1-6 lookups, so shards
     /// range from empty through single-row to a few blocks.
     #[test]
     fn blocked_casted_backward_is_bit_identical_to_the_two_operators(
@@ -345,11 +317,11 @@ proptest! {
     ) {
         let rows = if swap { vec![row + 1, row] } else { vec![row, row] };
         let mut table = EmbeddingTable::zeros(64, 2);
-        let mut opt = ShardedOptimizer::new(ShardMap::new(64, shards), RULES[0]);
         let err = scatter_apply_sharded(
             &mut table,
-            &mut opt,
-            &[part(&rows, Matrix::zeros(2, 2))],
+            &mut RowOptimizer::new(RULES[0]),
+            &ShardMap::new(64, shards),
+            &part(&rows, Matrix::zeros(2, 2)),
             Exec::pooled(pool()),
         )
         .unwrap_err();

@@ -1,19 +1,20 @@
 //! The sharding invariant — the sharded data plane's headline property:
-//! **sharded == unsharded**, bit for bit. Sharding a trainer's embedding
-//! state (per-shard optimizer slabs, shard-routed casting jobs,
-//! shard-concurrent scatter) and sharding its batch pipeline
-//! (multi-producer prefetch with a deterministic merge) change placement
-//! and concurrency, never the numbers.
+//! **sharded == unsharded**, bit for bit. A trainer's shard count fences
+//! each table's rows into the fixed ranges its pooled backward's tasks
+//! own, and sharding its batch pipeline (multi-producer prefetch with a
+//! deterministic merge) changes which thread generates a batch; neither
+//! changes the numbers.
 //!
 //! The matrix covers shard counts {1, 2, 3, 7} x every embedding
 //! optimizer x both backward modes, comparing per-step losses and final
 //! table weights against the unsharded serial reference; a pooled
-//! spot-check shows shard-concurrent execution lands on the same bits.
+//! spot-check shows shard-concurrent execution lands on the same bits,
+//! and under one `Execution` the whole training checkpoint — parameters
+//! and optimizer state — is the same bytes at 1 and at 3 shards.
 //! `ShardedPrefetchSource` is held to the same standard against an
 //! inline round-robin merge, for both synthetic and trace-replay shard
-//! sources. Property tests close the routing layer underneath:
-//! `ShardMap::locate`/`route` partition rows exactly and preserve
-//! within-shard pair order on arbitrary inputs.
+//! sources. A property test closes the layer underneath: a `ShardMap`'s
+//! bounds tile the rows exactly.
 
 use proptest::prelude::*;
 use std::sync::Arc;
@@ -21,10 +22,11 @@ use tensor_casting::datasets::{
     BatchSource, Popularity, PrefetchSource, ShardedPrefetchSource, SyntheticCtr, SyntheticSource,
     TableWorkload, TraceReplaySource,
 };
+use tensor_casting::dlrm::checkpoint::save_train_checkpoint;
 use tensor_casting::dlrm::{
     BackwardMode, DlrmConfig, EmbeddingOptimizer, Execution, ShardSpec, Trainer,
 };
-use tensor_casting::embedding::{IndexArray, RouteScratch, ShardMap};
+use tensor_casting::embedding::ShardMap;
 use tensor_casting::tensor::Pool;
 
 const OPTIMIZERS: [EmbeddingOptimizer; 5] = [
@@ -103,9 +105,8 @@ fn sharded_training_matches_unsharded_for_every_optimizer_and_mode() {
     }
 }
 
-/// Shard-concurrent execution (one pool task per shard in scatter, one
-/// routed cast per shard on the pipeline thread) still lands on the
-/// reference bits.
+/// Shard-concurrent execution (one pool task per shard in the scatter)
+/// still lands on the reference bits.
 #[test]
 fn pooled_sharded_training_matches_the_serial_unsharded_reference() {
     let pool = Arc::new(Pool::new(4));
@@ -130,6 +131,41 @@ fn pooled_sharded_training_matches_the_serial_unsharded_reference() {
             let got = trajectory(sharded, 23, 5);
             assert_eq!(got.0, want.0, "{mode:?} {shards} shards pooled: losses");
             assert_eq!(got.1, want.1, "{mode:?} {shards} shards pooled: weights");
+        }
+    }
+}
+
+/// Stronger than "restorable under another shard count": the shard count
+/// is not in the checkpoint at all. For every optimizer, both modes and
+/// both kinds of `Execution`, eight steps at 1 and at 3 shards leave
+/// byte-identical training checkpoints.
+#[test]
+fn checkpoints_are_byte_identical_across_shard_counts() {
+    let pool = Arc::new(Pool::new(4));
+    for execution in [Execution::Serial, Execution::Pooled(pool)] {
+        for opt in OPTIMIZERS {
+            for mode in [BackwardMode::Baseline, BackwardMode::Casted] {
+                let [one, three] = [1, 3].map(|shards| {
+                    let spec = ShardSpec::new(shards);
+                    let mut trainer = Trainer::with_sharding(
+                        DlrmConfig::tiny(),
+                        mode,
+                        opt,
+                        execution.clone(),
+                        spec,
+                        7,
+                    )
+                    .unwrap();
+                    let mut stream = data(42);
+                    for _ in 0..8 {
+                        trainer.step(&stream.next_batch(16)).unwrap();
+                    }
+                    let mut bytes = Vec::new();
+                    save_train_checkpoint(&mut bytes, &trainer, None, None).unwrap();
+                    bytes
+                });
+                assert!(one == three, "{execution:?} {mode:?} {opt:?}");
+            }
         }
     }
 }
@@ -204,76 +240,22 @@ fn one_shard_prefetch_matches_the_single_producer_source() {
     }
 }
 
-/// A pooling-factor-shaped random index array: up to 12 samples of 1-5
-/// lookups each (samples must be non-empty), rows drawn from `0..rows`.
-fn arb_index(rows: u32) -> impl Strategy<Value = IndexArray> {
-    proptest::collection::vec(proptest::collection::vec(0..rows, 1..6), 1..12)
-        .prop_map(|samples| IndexArray::from_samples(&samples).unwrap())
-}
-
-/// `locate` is an exact partition: every in-range row lands in exactly
-/// the shard whose [base, end) covers it, with the right local offset;
-/// out-of-range rows are typed errors.
-fn check_locate_partitions_rows_exactly(rows: usize, shards: usize) {
-    let map = ShardMap::new(rows, shards);
-    assert_eq!(map.rows(), rows);
-    for row in 0..rows as u32 {
-        let (s, local) = map.locate(row).unwrap();
-        assert!(s < map.num_shards());
-        assert_eq!(map.shard_base(s) + local as usize, row as usize);
-        assert!((local as usize) < map.shard_rows(s));
-    }
-    assert!(map.locate(rows as u32).is_err(), "first out-of-range row");
-    assert!(map.locate(u32::MAX).is_err());
-}
-
-/// `route` rewrites each pair into its src's shard — local src, ORIGINAL
-/// dst — preserving within-shard pair order and the original
-/// `num_outputs`; nothing is lost, duplicated, or moved across shards.
-/// `route_into` agrees with `route` exactly.
-fn check_route_is_an_order_preserving_partition(rows: u32, index: &IndexArray, shards: usize) {
-    let map = ShardMap::new(rows as usize, shards);
-    let routed = map.route(index).unwrap();
-    assert_eq!(routed.len(), map.num_shards());
-
-    let mut scratch = RouteScratch::new();
-    map.route_into(index, &mut scratch).unwrap();
-    assert_eq!(scratch.routed(), routed.as_slice());
-
-    let mut reassembled: Vec<Vec<(u32, u32)>> = (0..map.num_shards()).map(|_| Vec::new()).collect();
-    let mut total = 0usize;
-    for (s, shard) in routed.iter().enumerate() {
-        assert_eq!(shard.num_outputs(), index.num_outputs());
-        for (local, dst) in shard.iter() {
-            assert!((local as usize) < map.shard_rows(s), "local src in range");
-            reassembled[s].push((map.shard_base(s) as u32 + local, dst));
-            total += 1;
-        }
-    }
-    assert_eq!(total, index.len(), "no pair lost or duplicated");
-    // Each pair sits in its src's shard, in original relative order.
-    let mut expected: Vec<Vec<(u32, u32)>> = (0..map.num_shards()).map(|_| Vec::new()).collect();
-    for (src, dst) in index.iter() {
-        let (s, _) = map.locate(src).unwrap();
-        expected[s].push((src, dst));
-    }
-    assert_eq!(reassembled, expected);
-}
-
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(64))]
 
+    /// The shards tile `0..rows`: contiguous, non-empty, never more than
+    /// requested, every row in exactly one `[shard_base, shard_end)`.
     #[test]
-    fn locate_partitions_rows_exactly(rows in 1usize..200, shards in 1usize..9) {
-        check_locate_partitions_rows_exactly(rows, shards);
-    }
-
-    #[test]
-    fn route_is_an_order_preserving_partition(
-        case in (1u32..150).prop_flat_map(|r| (Just(r), arb_index(r))),
-        shards in 1usize..9,
-    ) {
-        let (rows, index) = case;
-        check_route_is_an_order_preserving_partition(rows, &index, shards);
+    fn shard_bounds_tile_the_rows(rows in 1usize..200, shards in 1usize..9) {
+        let map = ShardMap::new(rows, shards);
+        prop_assert_eq!(map.rows(), rows);
+        prop_assert!(map.num_shards() <= shards);
+        let mut next = 0;
+        for s in 0..map.num_shards() {
+            prop_assert_eq!(map.shard_base(s), next);
+            prop_assert!(map.shard_rows(s) > 0);
+            next = map.shard_end(s);
+        }
+        prop_assert_eq!(next, rows);
     }
 }

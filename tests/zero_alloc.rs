@@ -30,9 +30,9 @@ use tensor_casting::core::{
 };
 use tensor_casting::dlrm::{BackwardMode, DlrmConfig, TableConfig, Trainer};
 use tensor_casting::embedding::{
-    gather_reduce_into, gradient_coalesce_into, gradient_expand_into, optim::UpdateRule,
-    scatter_apply_sharded, BlockScratch, CoalescedScratch, EmbeddingTable, IndexArray,
-    RouteScratch, ShardMap, ShardedOptimizer,
+    gather_reduce_into, gradient_coalesce_into, gradient_expand_into,
+    optim::{RowOptimizer, UpdateRule},
+    scatter_apply_sharded, BlockScratch, CoalescedScratch, EmbeddingTable, IndexArray, ShardMap,
 };
 use tensor_casting::tensor::{
     bce_with_logits, bce_with_logits_backward_into, Activation, Exec, FeatureInteraction, Matrix,
@@ -89,12 +89,6 @@ fn random_matrix(rows: usize, cols: usize, seed: u64) -> Matrix {
     m
 }
 
-/// Optimizer state for an unsharded 500-row table: the one-shard case of
-/// the production scatter's `ShardedOptimizer`.
-fn unsharded(rule: UpdateRule) -> ShardedOptimizer {
-    ShardedOptimizer::new(ShardMap::new(500, 1), rule)
-}
-
 const SGD: UpdateRule = UpdateRule::Sgd { lr: 0.01 };
 const ADAGRAD: UpdateRule = UpdateRule::Adagrad {
     lr: 0.01,
@@ -126,7 +120,9 @@ fn steady_state_hot_path_performs_zero_allocations() {
 
     let mut pooled = Matrix::default();
     let mut blocks = BlockScratch::default();
-    let mut sgd = unsharded(SGD);
+    let mut sgd = RowOptimizer::new(SGD);
+    // The shard fence of an unsharded 500-row table.
+    let unsharded = ShardMap::new(500, 1);
 
     // What a casted training step runs per table: the forward
     // gather-reduce, then the blocked casted backward (gather-reduce and
@@ -135,10 +131,10 @@ fn steady_state_hot_path_performs_zero_allocations() {
     let embedding_step = |pooled: &mut Matrix,
                           blocks: &mut BlockScratch,
                           table: &mut EmbeddingTable,
-                          sgd: &mut ShardedOptimizer| {
+                          sgd: &mut RowOptimizer| {
         gather_reduce_into(table, &index, pooled, Exec::Serial).unwrap();
-        let parts = std::slice::from_ref(&casted);
-        blocked_casted_backward(table, sgd, &upstream, parts, blocks, Exec::Serial).unwrap();
+        let map = &unsharded;
+        blocked_casted_backward(table, sgd, map, &upstream, &casted, blocks, Exec::Serial).unwrap();
     };
 
     // Warm-up: size every buffer to its high-water mark.
@@ -168,18 +164,17 @@ fn steady_state_hot_path_performs_zero_allocations() {
     // (src, pos) keys, so not even the stable sort's merge buffer is
     // allocated.
     let mut base_table = EmbeddingTable::seeded(500, dim, 9);
-    let mut base_sgd = unsharded(SGD);
+    let mut base_sgd = RowOptimizer::new(SGD);
     let mut expanded = Matrix::default();
     let mut base_coalesced = CoalescedScratch::default();
 
     let baseline_step = |expanded: &mut Matrix,
                          coalesced: &mut CoalescedScratch,
                          table: &mut EmbeddingTable,
-                         sgd: &mut ShardedOptimizer| {
+                         sgd: &mut RowOptimizer| {
         gradient_expand_into(&upstream, &index, expanded).unwrap();
         gradient_coalesce_into(expanded, &index, coalesced, Exec::Serial).unwrap();
-        let parts = std::slice::from_ref(&*coalesced);
-        scatter_apply_sharded(table, sgd, parts, Exec::Serial).unwrap();
+        scatter_apply_sharded(table, sgd, &unsharded, coalesced, Exec::Serial).unwrap();
     };
 
     baseline_step(
@@ -215,14 +210,13 @@ fn steady_state_hot_path_performs_zero_allocations() {
     // touches; once the warm-up covers the batch's hottest row, further
     // scatters (including Adam's per-row step counts) allocate nothing.
     let mut ada_table = EmbeddingTable::seeded(500, dim, 11);
-    let mut ada = unsharded(ADAGRAD);
+    let mut ada = RowOptimizer::new(ADAGRAD);
     let mut adam_table = EmbeddingTable::seeded(500, dim, 12);
-    let mut adam = unsharded(ADAM);
+    let mut adam = RowOptimizer::new(ADAM);
 
     let stateful_scatter =
-        |coalesced: &CoalescedScratch, table: &mut EmbeddingTable, opt: &mut ShardedOptimizer| {
-            let parts = std::slice::from_ref(coalesced);
-            scatter_apply_sharded(table, opt, parts, Exec::Serial).unwrap();
+        |coalesced: &CoalescedScratch, table: &mut EmbeddingTable, opt: &mut RowOptimizer| {
+            scatter_apply_sharded(table, opt, &unsharded, coalesced, Exec::Serial).unwrap();
         };
 
     stateful_scatter(&coalesced, &mut ada_table, &mut ada);
@@ -240,35 +234,17 @@ fn steady_state_hot_path_performs_zero_allocations() {
     );
 
     // ---- Sharded embedding data plane ---------------------------------
-    // The sharded step path adds three stages over the unsharded one:
-    // shard routing (on the casting worker in production, measured here
-    // on the tracked thread), per-shard casted gather-reduce, and the
-    // per-shard slab scatter. Each must be as allocation-free warm as
-    // its unsharded counterpart — sharding is placement, not overhead.
+    // A shard count adds nothing to the step but a fence: the same one
+    // coalesced or casted array, the same one state slab. Each stage must
+    // be as allocation-free warm as its unsharded counterpart — sharding
+    // is placement, not overhead.
     let map = ShardMap::new(500, 3);
 
-    // Routing through a reusable scratch: the ping-pong arrays size to
-    // the index's per-shard high-water marks, then refill in place.
-    let mut route_scratch = RouteScratch::new();
-    map.route_into(&index, &mut route_scratch).unwrap();
-    map.route_into(&index, &mut route_scratch).unwrap();
-    let before = allocations();
-    for _ in 0..10 {
-        map.route_into(&index, &mut route_scratch).unwrap();
-    }
-    assert_eq!(
-        allocations() - before,
-        0,
-        "warm shard routing must not allocate"
-    );
-
-    // Baseline-shaped sharded scatter: globally coalesced rows split at
-    // shard fences into per-shard RowState slabs.
+    // Baseline-shaped sharded scatter of the globally coalesced rows.
     let mut sh_table = EmbeddingTable::seeded(500, dim, 13);
-    let mut sh_opt = ShardedOptimizer::new(map.clone(), ADAGRAD);
-    let sharded_scatter = |table: &mut EmbeddingTable, opt: &mut ShardedOptimizer| {
-        let parts = std::slice::from_ref(&coalesced);
-        scatter_apply_sharded(table, opt, parts, Exec::Serial).unwrap();
+    let mut sh_opt = RowOptimizer::new(ADAGRAD);
+    let sharded_scatter = |table: &mut EmbeddingTable, opt: &mut RowOptimizer| {
+        scatter_apply_sharded(table, opt, &map, &coalesced, Exec::Serial).unwrap();
     };
     sharded_scatter(&mut sh_table, &mut sh_opt);
     sharded_scatter(&mut sh_table, &mut sh_opt);
@@ -283,17 +259,13 @@ fn steady_state_hot_path_performs_zero_allocations() {
     );
 
     // Casted-shaped sharded backward: the blocked casted backward over
-    // one casted array per shard, each shard's blocks through its own
-    // reused buffer (the routed/casted arrays are pipeline products,
-    // fixed inputs here just like `casted` above).
-    let routed = map.route(&index).unwrap();
-    let casted_shards: Vec<_> = routed.iter().map(tensor_casting).collect();
+    // the same casted array the unsharded step takes.
     let mut shard_blocks = BlockScratch::default();
     let mut cast_table = EmbeddingTable::seeded(500, dim, 14);
-    let mut cast_opt = ShardedOptimizer::new(map.clone(), ADAM);
-    let mut sharded_casted_step = |table: &mut EmbeddingTable, opt: &mut ShardedOptimizer| {
+    let mut cast_opt = RowOptimizer::new(ADAM);
+    let mut sharded_casted_step = |table: &mut EmbeddingTable, opt: &mut RowOptimizer| {
         let blocks = &mut shard_blocks;
-        blocked_casted_backward(table, opt, &upstream, &casted_shards, blocks, Exec::Serial)
+        blocked_casted_backward(table, opt, &map, &upstream, &casted, blocks, Exec::Serial)
             .unwrap();
     };
     sharded_casted_step(&mut cast_table, &mut cast_opt);
