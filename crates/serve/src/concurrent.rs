@@ -12,8 +12,10 @@
 //!   `snapshot_every` steps — a slab copy into a recycled buffer, no
 //!   stop-the-world;
 //! * N **serve engines** run on the same [`Pool`] with *no shared
-//!   mutable model state*: each resolves one consistent snapshot per
-//!   fused batch, refreshing only when its held version falls more than
+//!   mutable model state*: each is one snapshot lane of the one serve
+//!   loop on the measured clock (`batch` closed-loop clients at zero
+//!   think time), resolving one consistent snapshot per fused batch and
+//!   refreshing only when its held version falls more than
 //!   `staleness_bound` versions behind the store head;
 //! * the staleness ledger becomes a **freshness SLA**: every batch
 //!   records the version it scored against, how far behind the head
@@ -34,21 +36,26 @@
 //! retained version's exact bytes under a new version
 //! ([`ConcurrentConfig::rollback`]) — engines never pause for either;
 //! they pick the change up at their next refresh.
+//!
+//! [`ModelSnapshot`]: tcast_snapshot::ModelSnapshot
 
 use std::fs::File;
 use std::path::PathBuf;
-use std::sync::{Arc, Mutex};
+use std::sync::Arc;
 use std::time::Instant;
 
 use crate::engine::{ServeEngine, DEFAULT_CACHE_CAPACITY};
-use crate::request::{Query, QueryModel};
+use crate::online::ServeConfig;
+use crate::queue::BatchPolicy;
+use crate::request::{ArrivalProcess, Query, QueryModel};
+use crate::serve_loop::{scoring_only, Clock, Lane, SnapshotSlot, Source};
 use crate::stats::{FreshnessLedger, ServeReport};
 use tcast_datasets::BatchSource;
 use tcast_dlrm::checkpoint::{read_train_checkpoint, CheckpointError};
 use tcast_dlrm::{DriverError, Execution, TrainLoop};
 use tcast_embedding::EmbeddingError;
 use tcast_pool::Pool;
-use tcast_snapshot::{ModelSnapshot, SnapshotError, SnapshotStore};
+use tcast_snapshot::{SnapshotError, SnapshotStore};
 
 /// Publish a checkpoint-restored model mid-traffic (the model-push
 /// drill: serving continues on the old snapshot until engines refresh).
@@ -260,8 +267,9 @@ impl From<EmbeddingError> for ConcurrentError {
 ///
 /// # Panics
 ///
-/// Panics if `workloads` is empty or the config's `batch`,
-/// `snapshot_every` or `queries_per_engine` is zero.
+/// Panics if `workloads` is empty or the config's `batch` or
+/// `snapshot_every` is zero. An engine with `queries_per_engine: 0`
+/// serves nothing and reports empty.
 pub fn serve_concurrent(
     driver: &mut TrainLoop,
     source: &mut (dyn BatchSource + Send),
@@ -273,56 +281,70 @@ pub fn serve_concurrent(
     assert!(!workloads.is_empty(), "need at least one engine workload");
     assert!(config.batch > 0, "batch must be positive");
     assert!(config.snapshot_every > 0, "snapshot_every must be positive");
-    assert!(
-        config.queries_per_engine > 0,
-        "queries_per_engine must be positive"
-    );
-    let engines = workloads.len();
-    let train_slot: Mutex<Option<Result<TrainReport, ConcurrentError>>> = Mutex::new(None);
-    let engine_slots: Vec<Mutex<Option<Result<EngineOutcome, ConcurrentError>>>> =
-        (0..engines).map(|_| Mutex::new(None)).collect();
+    // Engine-paced serving: `batch` closed-loop clients at zero think time
+    // under Fixed { batch } — each fire scores the engine's next `batch`
+    // draws, and a query's latency is its batch's service time.
+    let serving = ServeConfig {
+        queries: config.queries_per_engine,
+        arrivals: ArrivalProcess::ClosedLoop {
+            clients: config.batch,
+            think_ns: 0,
+        },
+        policy: BatchPolicy::Fixed {
+            batch: config.batch,
+        },
+        sla_ns: config.sla_ns,
+        seed: 0,
+        shed_unmeetable: false,
+    };
+    let mut train = None;
+    let mut engines: Vec<Option<EngineResult>> = workloads.iter().map(|_| None).collect();
 
     let t0 = Instant::now();
     pool.scope(|scope| {
-        let train_slot = &train_slot;
-        scope.spawn(move || {
-            let outcome = run_trainer(driver, source, store, config);
-            *train_slot.lock().expect("train slot poisoned") = Some(outcome);
-        });
-        for (i, (workload, slot)) in workloads.iter_mut().zip(&engine_slots).enumerate() {
+        let train = &mut train;
+        scope.spawn(move || *train = Some(run_trainer(driver, source, store, config)));
+        for (i, (workload, slot)) in workloads.iter_mut().zip(&mut engines).enumerate() {
+            let serving = &serving;
             scope.spawn(move || {
-                let outcome = run_engine(i, workload, store, config);
-                *slot.lock().expect("engine slot poisoned") = Some(outcome);
+                let exec = config.execution.clone();
+                let mut engine =
+                    ServeEngine::new(store.latest().model(), DEFAULT_CACHE_CAPACITY, exec);
+                let mut recorded = Vec::new();
+                let record = config.record_batches.then_some((i, &mut recorded));
+                let snapshots = SnapshotSlot::new(store, config.staleness_bound, None, record);
+                let source = Source::Snapshots(snapshots);
+                let mut lane = Lane::serving(&mut engine, workload, source, serving);
+                let started = Instant::now();
+                *slot = Some(match lane.run_alone(Clock::Measured) {
+                    Ok(_) => {
+                        let span_ns = (started.elapsed().as_nanos() as u64).max(1);
+                        let (report, freshness) = lane.into_report(span_ns);
+                        Ok((report, freshness, recorded))
+                    }
+                    Err(e) => Err(ConcurrentError::Score(scoring_only(e))),
+                });
             });
         }
     });
-    let wall_ns = t0.elapsed().as_nanos() as u64;
-
-    let train = train_slot
-        .into_inner()
-        .expect("train slot poisoned")
-        .expect("trainer task always reports")?;
     let mut report = ConcurrentReport {
-        train,
-        wall_ns,
+        train: train.expect("trainer task always reports")?,
+        wall_ns: t0.elapsed().as_nanos() as u64,
         ..Default::default()
     };
-    for slot in engine_slots {
-        let outcome = slot
-            .into_inner()
-            .expect("engine slot poisoned")
-            .expect("engine task always reports")?;
-        if report.per_engine.is_empty() {
-            report.fleet = outcome.report.clone();
-        } else {
-            report.fleet.merge(&outcome.report);
-        }
-        report.freshness.merge(&outcome.freshness);
-        report.per_engine.push(outcome.report);
-        report.recorded.extend(outcome.recorded);
+    for engine in engines {
+        let (serve, freshness, recorded) = engine.expect("engine task always reports")?;
+        report.fleet.merge(&serve);
+        report.freshness.merge(&freshness);
+        report.per_engine.push(serve);
+        report.recorded.extend(recorded);
     }
     Ok(report)
 }
+
+/// What one engine task hands back: its report, its freshness ledger and
+/// its recorded batches.
+type EngineResult = Result<(ServeReport, FreshnessLedger, Vec<ServedBatchRecord>), ConcurrentError>;
 
 /// The trainer side: run K steps, publish, repeat — firing the swap and
 /// rollback drills at their configured versions.
@@ -379,89 +401,6 @@ fn run_trainer(
         }
     }
     Ok(report)
-}
-
-struct EngineOutcome {
-    report: ServeReport,
-    freshness: FreshnessLedger,
-    recorded: Vec<ServedBatchRecord>,
-}
-
-/// One engine's serving loop: engine-paced (no arrival simulation —
-/// wall-clock throughput is the point), one snapshot resolution per
-/// fused batch.
-fn run_engine(
-    index: usize,
-    workload: &mut QueryModel,
-    store: &SnapshotStore,
-    config: &ConcurrentConfig,
-) -> Result<EngineOutcome, ConcurrentError> {
-    let mut held: Arc<ModelSnapshot> = store.latest();
-    let mut engine = ServeEngine::new(
-        held.model(),
-        DEFAULT_CACHE_CAPACITY,
-        config.execution.clone(),
-    );
-    let mut report = ServeReport {
-        sla_ns: config.sla_ns,
-        ..Default::default()
-    };
-    let mut freshness = FreshnessLedger::default();
-    let mut recorded = Vec::new();
-    let mut queries: Vec<Arc<Query>> = Vec::with_capacity(config.batch);
-    let started = Instant::now();
-    let mut remaining = config.queries_per_engine;
-    while remaining > 0 {
-        let n = remaining.min(config.batch);
-        queries.clear();
-        for _ in 0..n {
-            queries.push(workload.draw());
-        }
-        // Resolve: keep the held snapshot while it is within the
-        // staleness bound; otherwise take the head. The whole batch
-        // scores against one consistent version either way.
-        if store.version().saturating_sub(held.version()) > config.staleness_bound {
-            held = store.latest();
-        }
-        let t0 = Instant::now();
-        let scored = engine.score(held.model(), queries.iter())?;
-        let service_ns = t0.elapsed().as_nanos() as u64;
-        report.samples += scored.num_samples() as u64;
-        if config.record_batches {
-            recorded.push(ServedBatchRecord {
-                engine: index,
-                version: held.version(),
-                steps: held.steps(),
-                queries: queries.clone(),
-                scores: scored.fused_logits().as_slice().to_vec(),
-            });
-        }
-        report.batches += 1;
-        report.queries += n as u64;
-        report.service.record(service_ns);
-        // Engine-paced: a query's latency is its batch's service time.
-        for _ in 0..n {
-            report.latency.record(service_ns);
-            // Exclusive deadline: meet iff latency < sla_ns.
-            if service_ns >= config.sla_ns {
-                report.sla_violations += 1;
-            }
-        }
-        report.max_queue_depth = report.max_queue_depth.max(n);
-        freshness.record(
-            held.version(),
-            store.version().saturating_sub(held.version()),
-            held.age_ns(),
-        );
-        remaining -= n;
-    }
-    report.span_ns = (started.elapsed().as_nanos() as u64).max(1);
-    report.cache_hit_rate = engine.cache_hit_rate();
-    Ok(EngineOutcome {
-        report,
-        freshness,
-        recorded,
-    })
 }
 
 #[cfg(test)]
@@ -554,6 +493,29 @@ mod tests {
             // (version 1 = 0 steps, then K per version).
             assert_eq!(rec.steps, (rec.version - 1) * 2);
         }
+    }
+
+    #[test]
+    fn an_engine_with_nothing_to_serve_reports_empty() {
+        let (mut driver, mut source) = driver_and_source();
+        let store = SnapshotStore::new(driver.trainer().model(), 0, 2);
+        let mut workloads = [workload(5)];
+        let pool = Pool::new(1);
+        let config = ConcurrentConfig::new(0, 4, 4, 2);
+        let report = serve_concurrent(
+            &mut driver,
+            &mut source,
+            &store,
+            &mut workloads,
+            &pool,
+            &config,
+        )
+        .unwrap();
+        assert_eq!(report.train.steps, 4, "the trainer still trains");
+        assert_eq!(report.per_engine.len(), 1);
+        assert_eq!(report.fleet.queries, 0);
+        assert_eq!(report.fleet.batches, 0);
+        assert_eq!(report.freshness.batches(), 0);
     }
 
     #[test]

@@ -5,13 +5,14 @@
 //! DeepRecSys's subject is scheduling *across* engines at datacenter
 //! scale: the hard serving problem is not one model's batch size but
 //! what happens to tenant B's p99 when tenant A's traffic spikes 50x.
-//! This module is that layer, built from the single-tenant pieces:
+//! This module is that layer — N lanes of the one serve loop that
+//! [`crate::serve`] runs one lane of:
 //!
 //! * each [`Tenant`] owns a [`SnapshotStore`] (its frozen model, with an
 //!   optional staggered [`PublishCadence`] standing in for a live
 //!   trainer), a [`QueryModel`], an [`AdmissionQueue`] under any
 //!   [`BatchPolicy`], an SLA, and per-tenant unmeetable-deadline
-//!   shedding — the exact machinery of the single-tenant loop;
+//!   shedding;
 //! * arrivals come from [`RateCurve`]s (diurnal days, flash crowds), so
 //!   tenants see genuinely heterogeneous load;
 //! * pool time is shared by [`WfqScheduler`], a *pure* virtual-time
@@ -27,29 +28,25 @@
 //!
 //! # Determinism
 //!
-//! The fleet loop is a discrete-event simulation: arrivals, latencies,
-//! shedding, SLA accounting and WFQ charging all advance a simulated
-//! clock by [`PoolCostModel`] — an affine cost per fused batch — never
-//! by wall time. Every batch is still *really scored* through the
-//! tenant's [`ServeEngine`] (real casting caches, real eviction churn,
-//! bit-real logits; the measured wall time is reported separately), but
-//! scheduling is a pure function of `(tenant specs, seed)`: the same
-//! fleet replays bit-identically, which is what makes cross-tenant
-//! isolation a CI-gateable property instead of a load-test anecdote.
+//! The fleet runs the loop on its *modeled* clock: every batch is really
+//! scored through the tenant's [`ServeEngine`], but the clock advances by
+//! [`PoolCostModel`], never by wall time, so the same fleet replays
+//! bit-identically — cross-tenant isolation is a CI-gateable property
+//! instead of a load-test anecdote.
 //!
 //! [`PublishCadence`]: tcast_snapshot::PublishCadence
+//! [`AdmissionQueue`]: crate::AdmissionQueue
 
-use std::sync::Arc;
 use std::time::Instant;
 
 use crate::engine::ServeEngine;
-use crate::queue::{AdmissionQueue, BatchPolicy, Decision, QueuedQuery};
+use crate::queue::BatchPolicy;
 use crate::request::{QueryModel, RateCurve};
-use crate::stats::{FreshnessLedger, LatencyHistogram, ServeReport};
+use crate::serve_loop::{run, scoring_only, Arrivals, Clock, Lane, SnapshotSlot, Source, Traffic};
+use crate::stats::{FreshnessLedger, ServeReport};
 use tcast_dlrm::{Dlrm, Execution};
 use tcast_embedding::EmbeddingError;
-use tcast_snapshot::{ModelSnapshot, PublishCadence, SnapshotStore};
-use tcast_tensor::SplitMix64;
+use tcast_snapshot::{PublishCadence, SnapshotStore};
 
 /// Fixed-point scale for virtual time (`cost * SCALE / weight` stays
 /// exact for any nanosecond cost and weight that fit in u64).
@@ -301,153 +298,13 @@ impl FleetReport {
     }
 }
 
-/// Per-tenant runtime state inside the fleet loop.
-struct TenantRun<'a> {
-    spec: &'a TenantSpec,
-    store: &'a SnapshotStore,
-    workload: &'a mut QueryModel,
-    queue: AdmissionQueue,
-    engine: ServeEngine,
-    held: Arc<ModelSnapshot>,
-    rng: SplitMix64,
-    /// Next arrival on the simulated clock (`u64::MAX` once all issued).
-    next_arrival_ns: u64,
-    issued: usize,
-    completed: usize,
-    latency: LatencyHistogram,
-    service: LatencyHistogram,
-    violations: u64,
-    samples: u64,
-    batches: u64,
-    freshness: FreshnessLedger,
-    publishes: u64,
-    next_publish_ns: u64,
-    last_publish_ns: u64,
-    shift_pending: Option<PopularityShift>,
-    measured_ns: u64,
-    batch_buf: Vec<QueuedQuery>,
-    shed_buf: Vec<QueuedQuery>,
-}
-
-impl<'a> TenantRun<'a> {
-    fn new(tenant: &'a mut Tenant, config: &FleetConfig) -> Self {
-        let spec = &tenant.spec;
-        let held = tenant.store.latest();
-        let engine = ServeEngine::new(
-            held.model(),
-            config.cache_capacity,
-            config.execution.clone(),
-        );
-        let mut rng = SplitMix64::new(spec.seed);
-        let next_arrival_ns = if spec.queries > 0 {
-            spec.arrivals.next_arrival_after(0, &mut rng)
-        } else {
-            u64::MAX
-        };
-        Self {
-            queue: AdmissionQueue::new(spec.policy.clone()),
-            engine,
-            held,
-            rng,
-            next_arrival_ns,
-            issued: 0,
-            completed: 0,
-            latency: LatencyHistogram::new(),
-            service: LatencyHistogram::new(),
-            violations: 0,
-            samples: 0,
-            batches: 0,
-            freshness: FreshnessLedger::default(),
-            publishes: 0,
-            next_publish_ns: spec.publish.map_or(u64::MAX, |c| c.next_fire_after(0)),
-            last_publish_ns: 0,
-            shift_pending: spec.popularity_shift,
-            measured_ns: 0,
-            batch_buf: Vec::new(),
-            shed_buf: Vec::new(),
-            store: &tenant.store,
-            workload: &mut tenant.workload,
-            spec,
-        }
-    }
-
-    fn done(&self) -> bool {
-        self.completed >= self.spec.queries
-    }
-
-    /// Applies due cadence republishes (at their scheduled times, so
-    /// model-age accounting is exact even when the clock jumps a whole
-    /// batch at once).
-    fn apply_publishes(&mut self, clock_ns: u64) {
-        while self.next_publish_ns <= clock_ns {
-            self.store.republish_head();
-            self.publishes += 1;
-            self.last_publish_ns = self.next_publish_ns;
-            let cadence = self.spec.publish.expect("cadence exists");
-            self.next_publish_ns = cadence.next_fire_after(self.next_publish_ns);
-        }
-    }
-
-    fn apply_shift(&mut self, clock_ns: u64) {
-        if let Some(shift) = self.shift_pending {
-            if shift.at_ns <= clock_ns {
-                self.workload.shift_popularity(shift.rotation);
-                self.shift_pending = None;
-            }
-        }
-    }
-
-    /// Sheds provably unmeetable queries; shed queries complete without
-    /// scoring (the single-tenant convention).
-    fn shed(&mut self, clock_ns: u64) {
-        self.queue
-            .shed_expired_into(clock_ns, self.spec.sla_ns, &mut self.shed_buf);
-        self.completed += self.shed_buf.len();
-    }
-
-    fn into_report(self, span_ns: u64, pool_ns: u64, total_pool_ns: u64) -> TenantReport {
-        TenantReport {
-            name: self.spec.name.clone(),
-            weight: self.spec.weight,
-            serve: ServeReport {
-                queries: self.completed as u64,
-                batches: self.batches,
-                samples: self.samples,
-                latency: self.latency,
-                service: self.service,
-                span_ns,
-                sla_ns: self.spec.sla_ns,
-                sla_violations: self.violations,
-                max_queue_depth: self.queue.max_depth(),
-                cache_hit_rate: self.engine.cache_hit_rate(),
-                shed: self.queue.shed_count(),
-                restores: 0,
-                restore_ns: 0,
-            },
-            freshness: self.freshness,
-            pool_ns,
-            pool_share: if total_pool_ns == 0 {
-                0.0
-            } else {
-                pool_ns as f64 / total_pool_ns as f64
-            },
-            publishes: self.publishes,
-            cache_evictions: self.engine.cache_evictions(),
-            measured_ns: self.measured_ns,
-        }
-    }
-}
-
 /// Runs the fleet to completion (every tenant's `queries` served or
 /// shed) and reports per-tenant and merged outcomes.
 ///
-/// The loop is a discrete-event simulation over one shared pool: at
-/// each step it delivers due arrivals/publishes/shifts, sheds expired
-/// queries, asks every tenant's queue for a decision, and serves *one*
-/// batch — the fireable tenant with the least WFQ virtual time. The
-/// batch is really scored through the tenant's engine; the clock
-/// advances by the [`PoolCostModel`] cost, which is also what the WFQ
-/// scheduler charges. Scores, schedules, latencies and shares are all
+/// Each tenant is one snapshot lane of the one serve loop on the
+/// modeled clock: each step serves *one* batch, the fireable tenant with
+/// the least WFQ virtual time, and charges it the [`PoolCostModel`] cost
+/// the clock advances by. Schedules, latencies and shares are
 /// bit-reproducible for fixed specs.
 ///
 /// # Errors
@@ -468,129 +325,72 @@ pub fn run_fleet(
         "cost model must give batches positive service time"
     );
     let wall_start = Instant::now();
-    let weights: Vec<u64> = tenants.iter().map(|t| t.spec.weight).collect();
-    let mut sched = WfqScheduler::new(&weights);
-    let mut runs: Vec<TenantRun> = tenants
+    let exec = &config.execution;
+    let mut engines: Vec<ServeEngine> = tenants
+        .iter()
+        .map(|t| {
+            ServeEngine::new(
+                t.store.latest().model(),
+                config.cache_capacity,
+                exec.clone(),
+            )
+        })
+        .collect();
+    let (specs, mut lanes): (Vec<&TenantSpec>, Vec<Lane>) = tenants
         .iter_mut()
-        .map(|t| TenantRun::new(t, config))
-        .collect();
-    let mut clock: u64 = 0;
-    let mut fire: Vec<(usize, usize)> = Vec::new();
+        .zip(&mut engines)
+        .map(
+            |(
+                Tenant {
+                    spec,
+                    store,
+                    workload,
+                },
+                engine,
+            )| {
+                let source = Source::Snapshots(SnapshotSlot::new(store, 0, spec.publish, None));
+                let traffic = Traffic::new(Arrivals::Curve(spec.arrivals), spec.queries, spec.seed);
+                let (policy, sla_ns, shed) =
+                    (spec.policy.clone(), spec.sla_ns, spec.shed_unmeetable);
+                let mut lane = Lane::new(engine, workload, source, traffic, policy, sla_ns, shed);
+                lane.shift = spec.popularity_shift;
+                (&*spec, lane)
+            },
+        )
+        .unzip();
+    let weights: Vec<u64> = specs.iter().map(|spec| spec.weight).collect();
+    let mut sched = WfqScheduler::new(&weights);
+    let span_ns = run(&mut lanes, &mut sched, Clock::Modeled(config.cost)).map_err(scoring_only)?;
 
-    while !runs.iter().all(TenantRun::done) {
-        // 1. Deliver everything due at or before `clock`.
-        for i in 0..runs.len() {
-            runs[i].apply_publishes(clock);
-            runs[i].apply_shift(clock);
-            while runs[i].next_arrival_ns <= clock && runs[i].issued < runs[i].spec.queries {
-                let was_empty = runs[i].queue.is_empty();
-                let at = runs[i].next_arrival_ns;
-                let query = runs[i].workload.draw();
-                runs[i].queue.push(query, at);
-                runs[i].issued += 1;
-                runs[i].next_arrival_ns = if runs[i].issued < runs[i].spec.queries {
-                    let run = &mut runs[i];
-                    run.spec.arrivals.next_arrival_after(at, &mut run.rng)
-                } else {
-                    u64::MAX
-                };
-                if was_empty {
-                    // Idle-to-backlogged: catch up to the backlogged
-                    // minimum so idle time never banks WFQ credit.
-                    let floor = (0..runs.len())
-                        .filter(|&j| j != i && !runs[j].queue.is_empty())
-                        .map(|j| sched.vtime(j))
-                        .min();
-                    if let Some(floor) = floor {
-                        sched.raise_to(i, floor);
-                    }
-                }
-            }
-            if runs[i].spec.shed_unmeetable {
-                runs[i].shed(clock);
-            }
-        }
-
-        // 2. Collect decisions; track the earliest future event.
-        fire.clear();
-        let mut next_event = u64::MAX;
-        for (i, run) in runs.iter().enumerate() {
-            let more = run.issued < run.spec.queries;
-            match run.queue.decide(clock, more) {
-                Decision::Fire(n) => fire.push((i, n)),
-                Decision::WaitUntil(t) => next_event = next_event.min(t),
-                Decision::Wait => {}
-            }
-            if more {
-                next_event = next_event.min(run.next_arrival_ns);
-            }
-        }
-        if fire.is_empty() {
-            if next_event == u64::MAX {
-                break; // nothing in flight and nothing due: all done
-            }
-            clock = next_event.max(clock + 1);
-            continue;
-        }
-
-        // 3. Serve one batch: the least-virtual-time fireable tenant.
-        let i = sched
-            .pick(fire.iter().map(|&(i, _)| i))
-            .expect("fire set non-empty");
-        let n = fire
-            .iter()
-            .find(|&&(j, _)| j == i)
-            .expect("picked tenant is fireable")
-            .1;
-        let run = &mut runs[i];
-        run.queue.take_into(n, &mut run.batch_buf);
-        if run.store.version() != run.held.version() {
-            run.held = run.store.latest();
-        }
-        let held = Arc::clone(&run.held);
-        let t0 = Instant::now();
-        let scored = run.engine.score_queued(held.model(), &run.batch_buf)?;
-        let samples = scored.num_samples() as u64;
-        run.measured_ns += t0.elapsed().as_nanos() as u64;
-        let service_ns = config.cost.service_ns(samples);
-        clock += service_ns;
-        sched.charge(i, service_ns);
-        run.batches += 1;
-        run.samples += samples;
-        run.service.record(service_ns);
-        let oldest = run.batch_buf.first().expect("batch non-empty").arrival_ns;
-        run.queue.observe_batch(clock - oldest);
-        for item in &run.batch_buf {
-            let latency = clock - item.arrival_ns;
-            run.latency.record(latency);
-            // Exclusive deadline, same boundary as shed and batcher.
-            if latency >= run.spec.sla_ns {
-                run.violations += 1;
-            }
-        }
-        run.completed += n;
-        run.freshness.record(
-            held.version(),
-            run.store.version().saturating_sub(held.version()),
-            clock.saturating_sub(run.last_publish_ns),
-        );
-    }
-
-    let span_ns = clock;
-    let total_pool_ns = sched.total_charged_ns();
-    let tenant_reports: Vec<TenantReport> = runs
-        .into_iter()
-        .enumerate()
-        .map(|(i, run)| run.into_report(span_ns, sched.charged_ns(i), total_pool_ns))
-        .collect();
+    let total_pool_ns = sched.total_charged_ns().max(1) as f64;
     let mut fleet = ServeReport::default();
     let mut freshness = FreshnessLedger::default();
-    for t in &tenant_reports {
-        fleet.merge(&t.serve);
-        freshness.merge(&t.freshness);
-    }
+    let tenants = specs
+        .into_iter()
+        .zip(lanes)
+        .enumerate()
+        .map(|(i, (spec, lane))| {
+            let (publishes, measured_ns) = (lane.publishes(), lane.measured_ns);
+            let cache_evictions = lane.engine.cache_evictions();
+            let (serve, ledger) = lane.into_report(span_ns);
+            fleet.merge(&serve);
+            freshness.merge(&ledger);
+            let pool_ns = sched.charged_ns(i);
+            TenantReport {
+                name: spec.name.clone(),
+                weight: spec.weight,
+                serve,
+                freshness: ledger,
+                pool_ns,
+                pool_share: pool_ns as f64 / total_pool_ns,
+                publishes,
+                cache_evictions,
+                measured_ns,
+            }
+        })
+        .collect();
     Ok(FleetReport {
-        tenants: tenant_reports,
+        tenants,
         fleet,
         freshness,
         span_ns,

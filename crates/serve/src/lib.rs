@@ -25,20 +25,27 @@
 //!   casted forward;
 //! * [`stats`] — latency histograms (p50/p95/p99), QPS, queue depth and
 //!   SLA-violation accounting;
-//! * [`online`] — the serving loop, including the online-training mode
-//!   that interleaves casted [`Trainer`] update steps with serving,
-//!   tracking model staleness;
-//! * [`concurrent`] — *true* concurrent train-and-serve: the trainer
-//!   publishes epoch-versioned snapshots (`tcast-snapshot`) every K
-//!   steps while N engines score consistent snapshots on separate pool
-//!   workers under a freshness SLA (p99 model age), with hot-swap and
-//!   rollback drills that never pause serving;
-//! * [`fleet`] — the multi-tenant serving fleet: N tenants, each with
-//!   its own model/snapshot store, admission queue, SLA and shedding,
-//!   share one execution pool under a deterministic virtual-time
-//!   weighted-fair scheduler, driven by scenario arrival curves
-//!   (diurnal, flash crowd) and mid-run popularity shifts — the
-//!   cross-tenant isolation layer, with per-tenant and merged rollups.
+//! * one private **serve loop** under three entry-point modules: lanes
+//!   (an admission queue, its arrivals, its model source, its accounting)
+//!   fired one batch at a time by a weighted-fair scheduler, on a
+//!   *measured* clock (service = wall time of scoring) or a *modeled* one
+//!   (a pool cost model), the model frozen, an interleaved trainer, or a
+//!   snapshot store:
+//!   * [`online`] — [`serve`] (one frozen lane) and [`serve_online`] (one
+//!     lane interleaving casted [`Trainer`] update steps, tracking model
+//!     staleness), both on the measured clock;
+//!   * [`concurrent`] — *true* concurrent train-and-serve: the trainer
+//!     publishes epoch-versioned snapshots (`tcast-snapshot`) every K
+//!     steps while N engines — one snapshot lane each, on separate pool
+//!     workers — score consistent snapshots under a freshness SLA (p99
+//!     model age), with hot-swap and rollback drills that never pause
+//!     serving;
+//!   * [`fleet`] — N tenants, one snapshot lane each on the modeled
+//!     clock, with their own model, SLA and shedding, sharing one pool
+//!     under the deterministic virtual-time weighted-fair scheduler,
+//!     driven by scenario arrival curves (diurnal, flash crowd) and
+//!     mid-run popularity shifts — the cross-tenant isolation layer. A
+//!     fleet of one tenant fuses the same batches as [`serve`].
 //!
 //! # The serving invariant
 //!
@@ -99,6 +106,7 @@ pub mod fleet;
 pub mod online;
 pub mod queue;
 pub mod request;
+mod serve_loop;
 pub mod stats;
 
 pub use concurrent::{

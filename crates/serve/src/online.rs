@@ -1,15 +1,8 @@
-//! The serving loop — and the online-training mode that interleaves it
-//! with casted update steps.
-//!
-//! # The clock
-//!
-//! The loop runs a *hybrid* discrete-event simulation: query arrivals
-//! live on a simulated nanosecond clock (so a seeded workload produces
-//! the same arrival schedule on any machine), while service and
-//! training-step durations are measured wall-clock from actually running
-//! the engine/trainer and advance the simulated clock by the measured
-//! amount. Latencies, QPS and SLA accounting therefore reflect real
-//! compute on this host, while the arrival pattern stays reproducible.
+//! The single-model entry points of the one serve loop: [`serve`] runs
+//! one frozen lane and [`serve_online`] one trainer lane, both on the
+//! *measured* clock — arrivals on a simulated nanosecond clock, service
+//! and update-step durations measured from really running the engine and
+//! the trainer (the loop module documents the clock).
 //!
 //! # Online training
 //!
@@ -33,21 +26,17 @@
 //! producer could not stay ahead of — with an update trajectory still
 //! bit-identical (prefetching reorders nothing).
 
-use std::collections::VecDeque;
-use std::fs::File;
 use std::path::PathBuf;
-use std::sync::Arc;
-use std::time::Instant;
 
 use crate::engine::ServeEngine;
-use crate::queue::{AdmissionQueue, BatchPolicy, Decision, QueuedQuery};
-use crate::request::{ArrivalProcess, Query, QueryModel};
-use crate::stats::{FreshnessLedger, LatencyHistogram, ServeReport};
+use crate::queue::BatchPolicy;
+use crate::request::{ArrivalProcess, QueryModel};
+use crate::serve_loop::{scoring_only, Clock, Lane, Source, TrainerSlot};
+use crate::stats::{FreshnessLedger, ServeReport};
 use tcast_datasets::BatchSource;
-use tcast_dlrm::checkpoint::{read_train_checkpoint, CheckpointError};
+use tcast_dlrm::checkpoint::CheckpointError;
 use tcast_dlrm::Trainer;
 use tcast_embedding::EmbeddingError;
-use tcast_tensor::SplitMix64;
 
 /// A serving run's shape: how much traffic, how it arrives, how it is
 /// batched, and the SLA it is accounted against.
@@ -185,7 +174,9 @@ impl OnlineReport {
 }
 
 /// Drives a [`ServeEngine`] over a seeded workload: admission, batching,
-/// scoring, accounting — the inference-only loop.
+/// scoring, accounting — the inference-only loop: one frozen lane on the
+/// measured clock. `span_ns` runs from the first fire to the end of the
+/// run; `queries: 0` returns the empty report.
 ///
 /// # Errors
 ///
@@ -196,17 +187,17 @@ pub fn serve(
     workload: &mut QueryModel,
     config: &ServeConfig,
 ) -> Result<ServeReport, EmbeddingError> {
-    let mut loop_ = ServeLoop::new(engine, workload, config);
-    while !loop_.done() {
-        loop_.tick(model)?;
-    }
-    Ok(loop_.into_report())
+    let mut lane = Lane::serving(engine, workload, Source::Frozen(model), config);
+    let end = lane.run_alone(Clock::Measured).map_err(scoring_only)?;
+    let span_ns = span_from_first_fire(&lane, end);
+    Ok(lane.into_report(span_ns).0)
 }
 
 /// [`serve`] with online training: after every
 /// `online.update_every` fused batches, one casted [`Trainer::step`] on
 /// the next batch from `source`. The served model is always
 /// `trainer.model()` — scoring between updates sees a frozen snapshot.
+/// With `queries: 0` nothing is served and no update step is taken.
 ///
 /// # Errors
 ///
@@ -220,318 +211,18 @@ pub fn serve_online(
     config: &ServeConfig,
     online: OnlineConfig,
 ) -> Result<(ServeReport, OnlineReport), ServeError> {
-    assert!(online.update_every > 0, "update_every must be positive");
-    let mut loop_ = ServeLoop::new(engine, workload, config);
     let mut report = OnlineReport::default();
-    let mut batches_since_update = 0u64;
-    // Freshness bookkeeping on the snapshot schema: the initial model is
-    // version 1, every mutation (update step or hot-restore) publishes
-    // the next version, and interleaved serving always scores the head —
-    // staleness in versions is identically 0.
-    let mut model_version = 1u64;
-    let mut model_published = Instant::now();
-    let mut restore = online.restore;
-    if let Some(hr) = restore.take_if(|hr| hr.at_update == 0) {
-        hot_restore(&mut loop_, trainer, &hr)?;
-        model_version += 1;
-        model_published = Instant::now();
-    }
-    while !loop_.done() {
-        let fired = loop_.tick(trainer.model())?;
-        if fired {
-            report.staleness_batches.push(batches_since_update);
-            report.freshness.record(
-                model_version,
-                0,
-                model_published.elapsed().as_nanos() as u64,
-            );
-            batches_since_update += 1;
-            if batches_since_update >= online.update_every as u64 {
-                let t0 = Instant::now();
-                let batch = source.next_batch().ok_or_else(|| {
-                    EmbeddingError::InvalidIndex("training batch source ended".to_string())
-                })?;
-                let gen = t0.elapsed().as_nanos() as u64;
-                loop_.advance_clock(gen);
-                report.gen_ns += gen;
-                let t0 = Instant::now();
-                let step = trainer.step(&batch)?;
-                let spent = t0.elapsed().as_nanos() as u64;
-                loop_.advance_clock(spent);
-                report.train_ns += spent;
-                report.losses.push(step.loss);
-                report.updates += 1;
-                batches_since_update = 0;
-                model_version += 1;
-                model_published = Instant::now();
-                source.recycle(batch);
-                if let Some(hr) = restore.take_if(|hr| report.updates >= hr.at_update) {
-                    hot_restore(&mut loop_, trainer, &hr)?;
-                    model_version += 1;
-                    model_published = Instant::now();
-                }
-            }
-        }
-    }
-    Ok((loop_.into_report(), report))
+    let slot = TrainerSlot::new(trainer, source, online, &mut report);
+    let mut lane = Lane::serving(engine, workload, Source::Trainer(slot), config);
+    let end = lane.run_alone(Clock::Measured)?;
+    let span_ns = span_from_first_fire(&lane, end);
+    let (serve, freshness) = lane.into_report(span_ns);
+    report.freshness = freshness;
+    Ok((serve, report))
 }
 
-/// Loads `hr.path` into the live trainer while traffic is in flight,
-/// charging the restore's wall-clock cost to the simulated clock.
-fn hot_restore(
-    loop_: &mut ServeLoop<'_>,
-    trainer: &mut Trainer,
-    hr: &HotRestore,
-) -> Result<(), CheckpointError> {
-    let t0 = Instant::now();
-    let ckpt = read_train_checkpoint(&mut File::open(&hr.path)?)?;
-    ckpt.restore_into(trainer)?;
-    let spent = t0.elapsed().as_nanos() as u64;
-    loop_.advance_clock(spent);
-    loop_.restores += 1;
-    loop_.restore_ns += spent;
-    Ok(())
-}
-
-/// The loop's mutable state, one `tick` per scheduling decision.
-struct ServeLoop<'a> {
-    engine: &'a mut ServeEngine,
-    workload: &'a mut QueryModel,
-    queue: AdmissionQueue,
-    rng: SplitMix64,
-    arrivals: ArrivalProcess,
-    /// Arrival times are non-decreasing in generation order, so a FIFO
-    /// holds the schedule (closed-loop completions only ever append
-    /// later times).
-    pending: VecDeque<(u64, Arc<Query>)>,
-    /// Reused buffer the fired batch drains into.
-    fired: Vec<QueuedQuery>,
-    clock_ns: u64,
-    issued: usize,
-    completed: usize,
-    total: usize,
-    sla_ns: u64,
-    shed_unmeetable: bool,
-    /// Reused buffer shed queries drain into.
-    shed_buf: Vec<QueuedQuery>,
-    latency: LatencyHistogram,
-    service: LatencyHistogram,
-    sla_violations: u64,
-    samples: u64,
-    batches: u64,
-    started_ns: u64,
-    restores: u64,
-    restore_ns: u64,
-}
-
-impl<'a> ServeLoop<'a> {
-    fn new(
-        engine: &'a mut ServeEngine,
-        workload: &'a mut QueryModel,
-        config: &ServeConfig,
-    ) -> Self {
-        assert!(config.queries > 0, "must serve at least one query");
-        let mut this = Self {
-            engine,
-            workload,
-            queue: AdmissionQueue::new(config.policy.clone()),
-            rng: SplitMix64::new(config.seed),
-            arrivals: config.arrivals,
-            pending: VecDeque::new(),
-            fired: Vec::new(),
-            clock_ns: 0,
-            issued: 0,
-            completed: 0,
-            total: config.queries,
-            sla_ns: config.sla_ns,
-            shed_unmeetable: config.shed_unmeetable,
-            shed_buf: Vec::new(),
-            latency: LatencyHistogram::new(),
-            service: LatencyHistogram::new(),
-            sla_violations: 0,
-            samples: 0,
-            batches: 0,
-            started_ns: 0,
-            restores: 0,
-            restore_ns: 0,
-        };
-        match this.arrivals {
-            ArrivalProcess::Poisson { .. } => this.schedule_open_arrival(0),
-            ArrivalProcess::ClosedLoop { clients, .. } => {
-                for _ in 0..clients.max(1).min(this.total) {
-                    let q = this.workload.draw();
-                    this.pending.push_back((0, q));
-                    this.issued += 1;
-                }
-            }
-        }
-        this
-    }
-
-    fn done(&self) -> bool {
-        self.completed >= self.total
-    }
-
-    fn advance_clock(&mut self, by_ns: u64) {
-        self.clock_ns += by_ns;
-    }
-
-    fn schedule_open_arrival(&mut self, after_ns: u64) {
-        if self.issued >= self.total {
-            return;
-        }
-        let gap = self.arrivals.next_gap_ns(&mut self.rng);
-        let q = self.workload.draw();
-        self.pending.push_back((after_ns + gap, q));
-        self.issued += 1;
-    }
-
-    /// One scheduling step: admit due arrivals, then either fire a batch
-    /// (returns `true`) or advance the clock to the next event.
-    fn tick(&mut self, model: &tcast_dlrm::Dlrm) -> Result<bool, EmbeddingError> {
-        // Admit everything that has arrived by now.
-        while let Some(&(t, _)) = self.pending.front() {
-            if t > self.clock_ns {
-                break;
-            }
-            let (t, q) = self.pending.pop_front().expect("front exists");
-            self.queue.push(q, t);
-            // Open-loop arrivals replenish themselves; closed-loop
-            // arrivals replenish on completion.
-            if matches!(self.arrivals, ArrivalProcess::Poisson { .. }) {
-                self.schedule_open_arrival(t);
-            }
-        }
-        // Graceful degradation: drop the queries that already cannot
-        // meet the SLA before deciding, so a fired batch spends its
-        // service time only on queries still inside their budget.
-        if self.shed_unmeetable {
-            self.shed_expired();
-            if self.done() {
-                // Shedding finished the run: nothing left to schedule
-                // (and, closed-loop, nothing left to arrive).
-                return Ok(false);
-            }
-        }
-        // "More arrivals" means: can a query still arrive *before* the
-        // next batch fires? Open-loop traffic keeps coming regardless;
-        // closed-loop arrivals are completion-driven, so once `pending`
-        // drains, nothing new can arrive until the queue fires — a
-        // policy that kept waiting for a fuller batch would deadlock
-        // (e.g. Fixed { batch: 8 } with only 2 clients in flight).
-        let more = match self.arrivals {
-            ArrivalProcess::Poisson { .. } => self.issued < self.total || !self.pending.is_empty(),
-            ArrivalProcess::ClosedLoop { .. } => !self.pending.is_empty(),
-        };
-        match self.queue.decide(self.clock_ns, more) {
-            Decision::Fire(n) => {
-                self.fire(model, n)?;
-                Ok(true)
-            }
-            Decision::WaitUntil(t) => {
-                let next_event = self.pending.front().map(|&(at, _)| at.min(t)).unwrap_or(t);
-                self.clock_ns = next_event.max(self.clock_ns + 1);
-                Ok(false)
-            }
-            Decision::Wait => {
-                let at = self
-                    .pending
-                    .front()
-                    .map(|&(at, _)| at)
-                    .expect("idle queue with no future arrivals cannot happen mid-run");
-                self.clock_ns = at.max(self.clock_ns);
-                Ok(false)
-            }
-        }
-    }
-
-    /// Sheds every queued query whose deadline is provably unmeetable at
-    /// the current clock. A shed query *completes* — it counts toward
-    /// the run total and (closed loop) frees its client to issue the
-    /// next query — but is never scored: no latency sample, no SLA
-    /// violation, no engine work.
-    fn shed_expired(&mut self) {
-        let mut shed = std::mem::take(&mut self.shed_buf);
-        self.queue
-            .shed_expired_into(self.clock_ns, self.sla_ns, &mut shed);
-        let n = shed.len();
-        if n > 0 {
-            self.completed += n;
-            if let ArrivalProcess::ClosedLoop { think_ns, .. } = self.arrivals {
-                for _ in 0..n {
-                    if self.issued >= self.total {
-                        break;
-                    }
-                    let q = self.workload.draw();
-                    self.pending.push_back((self.clock_ns + think_ns, q));
-                    self.issued += 1;
-                }
-            }
-        }
-        shed.clear();
-        self.shed_buf = shed;
-    }
-
-    fn fire(&mut self, model: &tcast_dlrm::Dlrm, n: usize) -> Result<(), EmbeddingError> {
-        // Reused fired-batch buffer: no per-batch allocation once it
-        // reaches the largest batch the policy fires.
-        let mut batch = std::mem::take(&mut self.fired);
-        self.queue.take_into(n, &mut batch);
-        if self.completed == 0 {
-            self.started_ns = self.clock_ns;
-        }
-        let t0 = Instant::now();
-        let scored = self.engine.score_queued(model, &batch)?;
-        self.samples += scored.num_samples() as u64;
-        self.batches += 1;
-        let service_ns = t0.elapsed().as_nanos() as u64;
-        self.service.record(service_ns);
-        self.clock_ns += service_ns;
-        let oldest = batch.first().expect("non-empty batch").arrival_ns;
-        self.queue.observe_batch(self.clock_ns - oldest);
-        for item in &batch {
-            let latency = self.clock_ns - item.arrival_ns;
-            self.latency.record(latency);
-            // Exclusive deadline: meet iff latency < sla_ns, matching
-            // the shed and adaptive-batcher boundary.
-            if latency >= self.sla_ns {
-                self.sla_violations += 1;
-            }
-        }
-        self.completed += n;
-        // Closed loop: each completion triggers its client's next query.
-        if let ArrivalProcess::ClosedLoop { think_ns, .. } = self.arrivals {
-            for _ in 0..n {
-                if self.issued >= self.total {
-                    break;
-                }
-                let q = self.workload.draw();
-                self.pending.push_back((self.clock_ns + think_ns, q));
-                self.issued += 1;
-            }
-        }
-        batch.clear(); // drop the query shares now, keep the capacity
-        self.fired = batch;
-        Ok(())
-    }
-
-    fn into_report(self) -> ServeReport {
-        ServeReport {
-            queries: self.completed as u64,
-            batches: self.batches,
-            samples: self.samples,
-            latency: self.latency,
-            service: self.service,
-            span_ns: self.clock_ns.saturating_sub(self.started_ns).max(1),
-            sla_ns: self.sla_ns,
-            sla_violations: self.sla_violations,
-            max_queue_depth: self.queue.max_depth(),
-            cache_hit_rate: self.engine.cache_hit_rate(),
-            shed: self.queue.shed_count(),
-            restores: self.restores,
-            restore_ns: self.restore_ns,
-        }
-    }
+fn span_from_first_fire(lane: &Lane<'_>, end_ns: u64) -> u64 {
+    (end_ns - lane.started_ns.unwrap_or(end_ns)).max(1)
 }
 
 #[cfg(test)]
@@ -588,6 +279,48 @@ mod tests {
         assert_eq!(report.batches, 7);
         assert!(report.qps() > 0.0);
         assert!(report.max_queue_depth >= 4);
+    }
+
+    #[test]
+    fn an_empty_run_is_the_empty_report_not_a_panic() {
+        let m = model();
+        let mut engine = ServeEngine::with_defaults(&m);
+        let empty = config(BatchPolicy::Fixed { batch: 4 }, 0);
+        let report = serve(&mut engine, &m, &mut workload(5), &empty).unwrap();
+        assert_eq!((report.queries, report.batches, report.samples), (0, 0, 0));
+        assert_eq!(report.latency.count(), 0);
+        assert_eq!(engine.batches_scored(), 0);
+
+        let cfg = DlrmConfig::tiny();
+        let mut trainer = Trainer::new(cfg.clone(), BackwardMode::Casted, 17).unwrap();
+        let mut source = SyntheticSource::new(
+            SyntheticCtr::new(cfg.table_workloads(), cfg.dense_features, 2),
+            16,
+        );
+        let closed = ServeConfig {
+            arrivals: ArrivalProcess::ClosedLoop {
+                clients: 4,
+                think_ns: 0,
+            },
+            ..empty
+        };
+        let (report, online) = serve_online(
+            &mut engine,
+            &mut trainer,
+            &mut source,
+            &mut workload(5),
+            &closed,
+            OnlineConfig {
+                update_every: 1,
+                restore: None,
+            },
+        )
+        .unwrap();
+        assert_eq!((report.queries, report.batches), (0, 0));
+        assert_eq!(online.updates, 0, "nothing served, no update step");
+        assert_eq!(trainer.steps(), 0);
+        assert!(online.staleness_batches.is_empty());
+        assert_eq!(online.freshness.batches(), 0);
     }
 
     #[test]

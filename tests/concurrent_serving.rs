@@ -239,3 +239,58 @@ fn freshness_ledger_reflects_published_versions() {
         report.per_engine.iter().map(|r| r.batches).sum::<u64>()
     );
 }
+
+/// Each engine is `batch` closed-loop clients at zero think time: its
+/// recorded batches are consecutive `batch`-sized chunks of its own fresh
+/// draw sequence (a short last chunk), every query's latency is its
+/// batch's service time, and the queue never holds more than `batch`.
+#[test]
+fn concurrent_engines_keep_their_query_stream() {
+    for (queries, batch) in [(10usize, 4usize), (12, 4)] {
+        let trainer = Trainer::new(DlrmConfig::tiny(), BackwardMode::Casted, 17).unwrap();
+        let mut driver = TrainLoop::new(trainer, 2);
+        let mut source = training_source();
+        let store = SnapshotStore::new(driver.trainer().model(), 0, 2);
+        let seeds = [3u64, 11];
+        let mut workloads = seeds.map(workload);
+        let pool = Pool::new(2);
+        let mut config = ConcurrentConfig::new(queries, batch, 4, 2);
+        config.record_batches = true;
+        let report = serve_concurrent(
+            &mut driver,
+            &mut source,
+            &store,
+            &mut workloads,
+            &pool,
+            &config,
+        )
+        .unwrap();
+        for (i, &seed) in seeds.iter().enumerate() {
+            let mut fresh = workload(seed);
+            let drawn: Vec<u64> = (0..queries).map(|_| fresh.draw().id).collect();
+            let expected: Vec<Vec<u64>> = drawn.chunks(batch).map(<[u64]>::to_vec).collect();
+            let served: Vec<Vec<u64>> = report
+                .recorded
+                .iter()
+                .filter(|r| r.engine == i)
+                .map(|r| r.queries.iter().map(|q| q.id).collect())
+                .collect();
+            assert_eq!(
+                served, expected,
+                "engine {i}: {queries} queries, batch {batch}"
+            );
+            let r = &report.per_engine[i];
+            assert!(r.max_queue_depth <= batch);
+            assert_eq!(r.latency.count(), queries as u64);
+            assert_eq!(r.latency.min_ns(), r.service.min_ns());
+            assert_eq!(r.latency.max_ns(), r.service.max_ns());
+            if queries % batch == 0 {
+                // Equal batches: the latency distribution is the service
+                // distribution with every value repeated `batch` times.
+                for q in [0.0, 0.25, 0.5, 0.9, 0.99, 1.0] {
+                    assert_eq!(r.latency.quantile_ns(q), r.service.quantile_ns(q), "q={q}");
+                }
+            }
+        }
+    }
+}

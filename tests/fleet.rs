@@ -7,7 +7,10 @@
 //!    shares converge to their weight ratio.
 //! 3. **Isolation** — a flash crowd on tenant A cannot destroy a quiet
 //!    tenant B's tail: B's p99 and shed rate stay near its solo run.
-//! 4. **Decision-function bounds** — the adaptive batcher's target
+//! 4. **One loop** — `serve` is a fleet of one tenant: the same catalog,
+//!    seed and `Fixed` policy fuse the same batches on either clock; and
+//!    the fleet replays the digest pinned before the loops were unified.
+//! 5. **Decision-function bounds** — the adaptive batcher's target
 //!    never escapes `[1, max_batch]` for arbitrary latency sequences
 //!    (proptest), and `FreshnessLedger::merge` equals the single-ledger
 //!    oracle over concatenated observations (proptest).
@@ -15,9 +18,9 @@
 use proptest::prelude::*;
 use tensor_casting::dlrm::{Dlrm, DlrmConfig};
 use tensor_casting::serve::{
-    run_fleet, AdaptiveBatcher, BatchPolicy, CandidateCount, FleetConfig, FleetReport,
-    FreshnessLedger, PoolCostModel, PopularityShift, PublishCadence, QueryModel, RateCurve, Tenant,
-    TenantSpec,
+    run_fleet, serve, AdaptiveBatcher, ArrivalProcess, BatchPolicy, CandidateCount, FleetConfig,
+    FleetReport, FreshnessLedger, PoolCostModel, PopularityShift, PublishCadence, QueryModel,
+    RateCurve, ServeConfig, ServeEngine, Tenant, TenantSpec,
 };
 
 fn workload(seed: u64, catalog: usize) -> QueryModel {
@@ -118,6 +121,121 @@ fn fleet_replays_bit_identically() {
     assert_eq!(digest(&a), digest(&b));
     assert_eq!(a.fleet.sla_violations, b.fleet.sla_violations);
     assert_eq!(a.freshness.versions, b.freshness.versions);
+}
+
+/// FNV-1a over little-endian words: a stable digest of a version list.
+fn fnv(words: impl IntoIterator<Item = u64>) -> u64 {
+    let mut h = 0xcbf2_9ce4_8422_2325u64;
+    for w in words {
+        for b in w.to_le_bytes() {
+            h ^= u64::from(b);
+            h = h.wrapping_mul(0x0100_0000_01b3);
+        }
+    }
+    h
+}
+
+/// `span_ns`, then per tenant `pool_ns`, batches, shed, violations, p99,
+/// the FNV of `freshness.versions` and cache evictions.
+fn pinned_digest(r: &FleetReport) -> (u64, Vec<[u64; 7]>) {
+    let tenants = r
+        .tenants
+        .iter()
+        .map(|t| {
+            [
+                t.pool_ns,
+                t.serve.batches,
+                t.serve.shed,
+                t.serve.sla_violations,
+                t.serve.latency.p99_ns(),
+                fnv(t.freshness.versions.iter().copied()),
+                t.cache_evictions,
+            ]
+        })
+        .collect();
+    (r.span_ns, tenants)
+}
+
+/// The fleet's clock is modeled, so unifying the serve loops had to
+/// reproduce it exactly: these digests were computed at the commit
+/// before the one loop (55160f2), from its own `run_fleet`.
+#[test]
+fn fleet_replays_the_digest_pinned_before_the_one_loop() {
+    const QUIET_VERSIONS: u64 = 0x9c30_ea23_6cca_3264;
+    let mut duo = vec![
+        tenant(quiet_spec(6_000_000), 31, 24),
+        tenant(flashy_spec(), 32, 24),
+    ];
+    let duo = run_fleet(&mut duo, &fleet_config()).unwrap();
+    assert_eq!(
+        pinned_digest(&duo),
+        (
+            46_075_232,
+            vec![
+                [8_700_000, 54, 0, 0, 1_098_617, QUIET_VERSIONS, 0],
+                [12_150_000, 71, 228, 76, 4_442_321, 0x5c8c_d430_a025_f624, 0],
+            ]
+        )
+    );
+    let mut solo = vec![tenant(quiet_spec(6_000_000), 31, 24)];
+    let solo = run_fleet(&mut solo, &fleet_config()).unwrap();
+    assert_eq!(
+        pinned_digest(&solo),
+        (
+            46_075_232,
+            vec![[8_700_000, 54, 0, 0, 850_000, QUIET_VERSIONS, 0]]
+        )
+    );
+}
+
+/// The ROADMAP's acceptance test for the one loop: `serve` (Poisson
+/// arrivals, measured clock) and a one-tenant fleet (a constant rate
+/// curve, modeled clock; no shedding, cadence or shift) over the same
+/// catalog, seed and `Fixed` policy fuse the same batches — under
+/// `Fixed` the composition depends only on the draw order.
+#[test]
+fn serve_is_a_fleet_of_one() {
+    let (queries, seed, policy) = (37, 8, BatchPolicy::Fixed { batch: 4 });
+    let model = Dlrm::new(DlrmConfig::tiny(), 61).unwrap();
+    let mut engine = ServeEngine::with_defaults(&model);
+    let served = serve(
+        &mut engine,
+        &model,
+        &mut workload(seed, 16),
+        &ServeConfig {
+            queries,
+            arrivals: ArrivalProcess::Poisson { mean_qps: 20_000.0 },
+            policy: policy.clone(),
+            sla_ns: 50_000_000,
+            seed,
+            shed_unmeetable: false,
+        },
+    )
+    .unwrap();
+    let spec = TenantSpec {
+        name: "solo".to_string(),
+        weight: 1,
+        queries,
+        arrivals: RateCurve::Constant { qps: 20_000.0 },
+        policy,
+        sla_ns: 50_000_000,
+        shed_unmeetable: false,
+        seed,
+        publish: None,
+        popularity_shift: None,
+    };
+    let mut fleet = vec![Tenant::new(spec, &model, workload(seed, 16))];
+    let fleet = run_fleet(&mut fleet, &FleetConfig::default()).unwrap();
+    let tenant = &fleet.tenants[0].serve;
+    assert_eq!(served.queries, 37);
+    assert_eq!(served.batches, 10, "nine 4-batches and a drain of 1");
+    assert_eq!(tenant.queries, served.queries);
+    assert_eq!(tenant.batches, served.batches);
+    assert_eq!(tenant.samples, served.samples);
+    assert_eq!(
+        tenant.cache_hit_rate.to_bits(),
+        served.cache_hit_rate.to_bits()
+    );
 }
 
 #[test]
