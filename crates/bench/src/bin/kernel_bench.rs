@@ -18,8 +18,9 @@
 //! ```
 //!
 //! `FAST=1` shrinks shapes and iteration counts for smoke runs. The
-//! `KERNEL <name> simd/scalar ratio`, `KERNEL <name> cold` and `KERNEL
-//! linear_bwd lane/serial ratio` lines are CI's grep anchors.
+//! `KERNEL <name> simd/scalar ratio`, `KERNEL <name> cold`, `KERNEL
+//! linear_bwd lane/serial ratio` and `KERNEL cast` lines are CI's grep
+//! anchors.
 //!
 //! The `linear_fwd` / `linear_bwd` / `mlp_step` rows time a whole dense
 //! layer (and a whole MLP training step) of the repo benchmark's two
@@ -40,6 +41,10 @@
 //! `peak_frac`, its DRAM traffic rate against a bare random-row read
 //! measured on the same table right before it.
 //!
+//! The `cast` rows time the casting stage itself (Algorithm 2,
+//! `tensor_casting`) in ns a lookup, on Zipf batches over a small and a
+//! large id space; the cast is a sort and a scan, so it has no tiers.
+//!
 //! Full-size runs on multi-core hosts gate the dispatch layer's reason to
 //! exist: AVX2 GEMM must reach at least 2x scalar and AVX2 gather-reduce
 //! at least 1.2x scalar (single-core containers report without failing —
@@ -53,11 +58,12 @@ use tcast_bench::{banner, fast_mode, json};
 use tcast_core::{
     blocked_casted_backward, casted_gather_reduce_into, tensor_casting, CastedIndexArray,
 };
+use tcast_datasets::{Popularity, TableWorkload};
 use tcast_embedding::{
     gather_reduce_into,
     optim::{RowOptimizer, UpdateRule},
-    scatter_apply, scatter_apply_sharded, BlockScratch, CoalescedScratch, EmbeddingTable,
-    IndexArray, ShardMap,
+    scatter_apply, scatter_apply_coalesced, BlockScratch, CoalescedScratch, EmbeddingTable,
+    IndexArray,
 };
 use tcast_pool::{Exec, Pool};
 use tcast_tensor::{
@@ -349,7 +355,8 @@ struct Emitter {
 impl Emitter {
     /// One measured row: `rate` is GFLOP/s for the GEMM family (with the
     /// host's multiply-add `peak` measured beside it), GB/s for the
-    /// gather/scatter family (`unit` labels which).
+    /// gather/scatter family and ns a lookup for the cast (`unit` labels
+    /// which).
     #[allow(clippy::too_many_arguments)]
     fn row(
         &self,
@@ -399,7 +406,15 @@ impl Emitter {
             .u64_field("cores", tcast_pool::default_parallelism() as u64)
             .bool_field("fast", fast_mode())
             .f64_field("ns_per_iter", ns)
-            .f64_field(if unit == "GFLOP/s" { "gflops" } else { "gbps" }, rate);
+            .f64_field(
+                match unit {
+                    "GFLOP/s" => "gflops",
+                    "GB/s" => "gbps",
+                    "ns/lookup" => "ns_per_lookup",
+                    other => unreachable!("unit {other}"),
+                },
+                rate,
+            );
         if let Some(peak) = peak {
             row.f64_field("peak_frac", rate / peak);
         }
@@ -734,6 +749,29 @@ fn main() {
         }
     }
 
+    // --- Casting (Algorithm 2): batches of 2048 samples x pooling 10 ----
+    // drawn from a Zipf(1.05) over an id space that fits the caches and
+    // one that does not.
+    println!("\ncast (b2048 p10, Zipf 1.05), {} iters:", args.iters);
+    for rows in [20_000usize, 5_000_000] {
+        let workload = TableWorkload::new(
+            Popularity::Zipf {
+                rows,
+                exponent: 1.05,
+            },
+            10,
+        );
+        let index = workload.generator(5).next_batch(2048);
+        let ns = time_ns(args.iters, || {
+            std::hint::black_box(tensor_casting(&index));
+        });
+        let per_lookup = ns / index.len() as f64;
+        let shape = format!("b2048 p10 r{rows}");
+        let tier = KernelDispatch::detect();
+        emit.row("cast", tier, &shape, 0, ns, per_lookup, "ns/lookup", None);
+        println!("KERNEL cast r{rows} {per_lookup:.1} ns a lookup");
+    }
+
     // --- Cold rows: the same kernels where every row is a DRAM miss. -----
     // `bytes` is what has to cross the memory bus per call: the table
     // (and optimizer-state) rows read, plus the same again written back
@@ -754,7 +792,6 @@ fn main() {
     let coalesced_grads = random_matrix(lookups, cold_dim, 31);
     let shape = format!("r{cold_table_rows} b{batch} p{pooling} d{cold_dim}");
     let row_bytes = (lookups * cold_dim * 4) as f64;
-    let map = ShardMap::new(cold_table_rows, 1);
     // Adagrad's state slab is grown (and its pages first touched) here,
     // not under the clock: one zero-gradient update of every row.
     let mut adagrad = RowOptimizer::new(ADAGRAD);
@@ -762,7 +799,7 @@ fn main() {
         let mut all = CoalescedScratch::default();
         all.rows.extend(0..cold_table_rows as u32);
         all.grads = Matrix::zeros(cold_table_rows, cold_dim);
-        scatter_apply_sharded(&mut cold_table, &mut adagrad, &map, &all, Exec::Serial).unwrap();
+        scatter_apply_coalesced(&mut cold_table, &mut adagrad, &all, Exec::Serial).unwrap();
     }
     let mut sgd = RowOptimizer::new(UpdateRule::Sgd { lr: 0.01 });
     let mut blocks = BlockScratch::default();
@@ -806,10 +843,10 @@ fn main() {
         gather_reduce_into(table, &b.index, &mut out, Exec::Serial).unwrap();
     });
     cold_kernel("scatter_sgd", 2.0 * row_bytes, &mut |table, b| {
-        scatter_apply_sharded(table, &mut sgd, &map, &b.coalesced, Exec::Serial).unwrap();
+        scatter_apply_coalesced(table, &mut sgd, &b.coalesced, Exec::Serial).unwrap();
     });
     cold_kernel("scatter_adagrad", 4.0 * row_bytes, &mut |table, b| {
-        scatter_apply_sharded(table, &mut adagrad, &map, &b.coalesced, Exec::Serial).unwrap();
+        scatter_apply_coalesced(table, &mut adagrad, &b.coalesced, Exec::Serial).unwrap();
     });
     // Gather-reduce out of the (cache-resident) upstream gradients and
     // SGD scatter, a block of coalesced rows at a time.
@@ -818,7 +855,7 @@ fn main() {
         2.0 * row_bytes,
         &mut |table, b| {
             let (opt, blocks) = (&mut sgd, &mut blocks);
-            blocked_casted_backward(table, opt, &map, &upstream, &b.casted, blocks, Exec::Serial)
+            blocked_casted_backward(table, opt, &upstream, &b.casted, blocks, Exec::Serial)
                 .unwrap();
         },
     );

@@ -3,8 +3,8 @@
 //! The workspace builds fully offline, so criterion cannot be a
 //! dependency; this module provides the small slice of it the `benches/`
 //! files need: named groups, per-case median timing with automatic
-//! iteration-count calibration, optional throughput annotation, and
-//! machine-readable output through [`crate::json`] when
+//! iteration-count calibration, optional bytes-per-iteration annotation,
+//! and machine-readable output through [`crate::json`] when
 //! `TCAST_BENCH_JSON` is set.
 //!
 //! Every bench target is built with `harness = false` and drives a
@@ -14,21 +14,12 @@
 //! use tcast_bench::harness::BenchGroup;
 //!
 //! let mut group = BenchGroup::new("example");
-//! group.throughput_elements(1_000);
+//! group.throughput_bytes(1_000);
 //! group.bench("noop", || std::hint::black_box(1 + 1));
 //! group.finish();
 //! ```
 
 use std::time::{Duration, Instant};
-
-/// What one measured number of work-per-iteration means.
-#[derive(Debug, Clone, Copy, PartialEq)]
-enum Throughput {
-    /// Elements processed per iteration.
-    Elements(u64),
-    /// Bytes moved per iteration.
-    Bytes(u64),
-}
 
 /// One finished measurement.
 #[derive(Debug, Clone)]
@@ -48,7 +39,8 @@ pub struct BenchResult {
 #[derive(Debug)]
 pub struct BenchGroup {
     name: String,
-    throughput: Option<Throughput>,
+    /// Bytes moved per iteration, when annotated.
+    bytes: Option<u64>,
     results: Vec<BenchResult>,
     sample_time: Duration,
     samples: usize,
@@ -62,7 +54,7 @@ impl BenchGroup {
         println!("== bench group: {name} ==");
         Self {
             name: name.to_string(),
-            throughput: None,
+            bytes: None,
             results: Vec::new(),
             sample_time: if fast {
                 Duration::from_millis(5)
@@ -73,14 +65,9 @@ impl BenchGroup {
         }
     }
 
-    /// Annotates subsequent cases with elements processed per iteration.
-    pub fn throughput_elements(&mut self, elements: u64) {
-        self.throughput = Some(Throughput::Elements(elements));
-    }
-
     /// Annotates subsequent cases with bytes moved per iteration.
     pub fn throughput_bytes(&mut self, bytes: u64) {
-        self.throughput = Some(Throughput::Bytes(bytes));
+        self.bytes = Some(bytes);
     }
 
     /// Measures `f`, printing the median time per iteration (and
@@ -119,18 +106,12 @@ impl BenchGroup {
         per_iter.sort_by(f64::total_cmp);
         let median_ns = per_iter[per_iter.len() / 2];
 
-        let rate = match self.throughput {
-            Some(Throughput::Elements(n)) => {
-                format!("  {:>10.1} Melem/s", n as f64 / median_ns * 1e3)
-            }
-            Some(Throughput::Bytes(n)) => {
-                format!(
-                    "  {:>10.2} GiB/s",
-                    n as f64 / median_ns * 1e9 / (1u64 << 30) as f64
-                )
-            }
-            None => String::new(),
-        };
+        let rate = self.bytes.map_or_else(String::new, |n| {
+            format!(
+                "  {:>10.2} GiB/s",
+                n as f64 / median_ns * 1e9 / (1u64 << 30) as f64
+            )
+        });
         println!("  {name:<40} {:>12.0} ns/iter{rate}", median_ns);
         self.results.push(BenchResult {
             group: self.name.clone(),

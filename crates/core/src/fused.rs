@@ -15,7 +15,7 @@
 use crate::casted_index::CastedIndexArray;
 use tcast_embedding::{
     optim::RowOptimizer, scatter_apply_casted, BlockScratch, CastedBackwardTimings, EmbeddingError,
-    EmbeddingTable, ShardMap,
+    EmbeddingTable,
 };
 use tcast_pool::Exec;
 use tcast_tensor::Matrix;
@@ -33,12 +33,11 @@ const BLOCK_BYTES: usize = 256 * 1024;
 /// optimizer update to those embedding-table rows.
 ///
 /// `casted` is the table's casted index array as the casting pipeline
-/// delivers it; `map` is the table's shard fence, which a pooled `exec`
-/// cuts its tasks at. Serially or on a pool, for any shard count, the
-/// table and the optimizer state end **bit-identical** to
-/// [`crate::casted_gather_reduce_into`] followed by
-/// `tcast_embedding::scatter_apply_sharded` — the same two loops run, only
-/// the coalesced gradient between them is a block, not the whole array.
+/// delivers it. Serially or on a pool, the table and the optimizer state
+/// end **bit-identical** to [`crate::casted_gather_reduce_into`] followed
+/// by `tcast_embedding::scatter_apply_coalesced` — the same two loops run,
+/// only the coalesced gradient between them is a block, not the whole
+/// array.
 ///
 /// Every check runs before the first table write, so on an error the table
 /// and the optimizer state are exactly as they were.
@@ -49,12 +48,10 @@ const BLOCK_BYTES: usize = 256 * 1024;
 /// `casted.num_gradient_rows()`; otherwise the scatter's errors
 /// ([`EmbeddingError::DimMismatch`] on a gradient width other than the
 /// table's, [`EmbeddingError::SrcOutOfBounds`] on a unique row outside the
-/// table, [`EmbeddingError::InvalidIndex`] on a `map` that does not cover
-/// the table).
+/// table).
 pub fn blocked_casted_backward(
     table: &mut EmbeddingTable,
     optimizer: &mut RowOptimizer,
-    map: &ShardMap,
     upstream: &Matrix,
     casted: &CastedIndexArray,
     scratch: &mut BlockScratch,
@@ -69,7 +66,7 @@ pub fn blocked_casted_backward(
     let row_bytes = std::mem::size_of::<f32>() * table.dim();
     let block_rows = (BLOCK_BYTES / row_bytes.max(1)).max(1);
     scatter_apply_casted(
-        table, optimizer, map, upstream, casted, block_rows, scratch, exec,
+        table, optimizer, upstream, casted, block_rows, scratch, exec,
     )
 }
 
@@ -106,7 +103,6 @@ mod tests {
         blocked_casted_backward(
             table,
             optimizer,
-            &ShardMap::new(table.rows(), 1),
             grads,
             casted,
             &mut BlockScratch::default(),
@@ -214,14 +210,13 @@ mod tests {
     /// The blocked loop interleaves accumulating and writing, so a fault
     /// found half-way would leave a half-updated table: every fault must
     /// be found before the first write. Each bad input sits at the *end*
-    /// of the array, in the last shard, behind rows that would already have
+    /// of the array, in the last band, behind rows that would already have
     /// been applied; the table and the (stateful) optimizer must come back
     /// bit for bit, on every `Exec`.
     #[test]
     fn a_rejected_backward_leaves_table_and_optimizer_state_untouched() {
         let pool = tcast_pool::Pool::new(3);
         let (table, index, grads) = workload(4);
-        let map = ShardMap::new(300, 3);
         let good = tensor_casting(&index);
         // A unique row past the table.
         let mut beyond = good.unique_rows().to_vec();
@@ -242,41 +237,28 @@ mod tests {
         )
         .unwrap();
         let narrow = Matrix::zeros(grads.rows(), 4);
-        let other_table = ShardMap::new(299, 3);
 
         type Check = fn(&EmbeddingError) -> bool;
-        let cases: [(&str, &CastedIndexArray, &Matrix, &ShardMap, Check); 4] = [
-            (
-                "unique row out of range",
-                &out_of_range,
-                &grads,
-                &map,
-                |e| {
-                    matches!(
-                        e,
-                        EmbeddingError::SrcOutOfBounds {
-                            src: 300,
-                            rows: 300
-                        }
-                    )
-                },
-            ),
-            (
-                "upstream of another batch",
-                &other_batch,
-                &grads,
-                &map,
-                |e| {
-                    matches!(
-                        e,
-                        EmbeddingError::LengthMismatch {
-                            expected: 49,
-                            found: 48
-                        }
-                    )
-                },
-            ),
-            ("gradient of the wrong width", &good, &narrow, &map, |e| {
+        let cases: [(&str, &CastedIndexArray, &Matrix, Check); 3] = [
+            ("unique row out of range", &out_of_range, &grads, |e| {
+                matches!(
+                    e,
+                    EmbeddingError::SrcOutOfBounds {
+                        src: 300,
+                        rows: 300
+                    }
+                )
+            }),
+            ("upstream of another batch", &other_batch, &grads, |e| {
+                matches!(
+                    e,
+                    EmbeddingError::LengthMismatch {
+                        expected: 49,
+                        found: 48
+                    }
+                )
+            }),
+            ("gradient of the wrong width", &good, &narrow, |e| {
                 matches!(
                     e,
                     EmbeddingError::DimMismatch {
@@ -285,13 +267,6 @@ mod tests {
                     }
                 )
             }),
-            (
-                "shard map of another table",
-                &good,
-                &grads,
-                &other_table,
-                |e| matches!(e, EmbeddingError::InvalidIndex(_)),
-            ),
         ];
 
         for exec in [Exec::Serial, Exec::pooled(&pool)] {
@@ -299,23 +274,14 @@ mod tests {
             let mut opt = RowOptimizer::new(ADAGRAD);
             let mut scratch = BlockScratch::default();
             // One good step first: there is optimizer state to corrupt.
-            blocked_casted_backward(
-                &mut trained,
-                &mut opt,
-                &map,
-                &grads,
-                &good,
-                &mut scratch,
-                exec,
-            )
-            .unwrap();
+            blocked_casted_backward(&mut trained, &mut opt, &grads, &good, &mut scratch, exec)
+                .unwrap();
             let table_before: Vec<u32> = trained.as_slice().iter().map(|v| v.to_bits()).collect();
             let state_before = state(&opt);
-            for (what, casted, upstream, map, expected) in &cases {
+            for (what, casted, upstream, expected) in &cases {
                 let err = blocked_casted_backward(
                     &mut trained,
                     &mut opt,
-                    map,
                     upstream,
                     casted,
                     &mut scratch,

@@ -34,7 +34,6 @@ mod histogram;
 mod popularity;
 mod prefetch;
 mod presets;
-mod sharded;
 mod source;
 mod synthetic;
 pub mod trace;
@@ -44,7 +43,6 @@ pub use histogram::{CoalesceStats, LookupHistogram};
 pub use popularity::{CdfSampler, Popularity};
 pub use prefetch::{PrefetchSource, PrefetchStats};
 pub use presets::DatasetPreset;
-pub use sharded::ShardedPrefetchSource;
 pub use source::{BatchSource, SourceState, SyntheticSource, TraceReplaySource};
 pub use synthetic::{CtrBatch, SyntheticCtr};
 pub use workload::{TableWorkload, WorkloadGenerator};

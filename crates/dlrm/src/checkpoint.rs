@@ -433,8 +433,7 @@ impl TrainCheckpoint {
         let mut restored = Vec::with_capacity(optim.tables.len());
         for (i, payload) in optim.tables.iter().enumerate() {
             // The payload is the table's one state slab, keyed by table
-            // row: the shard count of the saving trainer is not in it, and
-            // that of the receiving one does not matter to it.
+            // row.
             let mut opt = trainer.fresh_table_optimizer();
             opt.load_state(payload)
                 .map_err(|e| CheckpointError::Format(format!("OPTM: table {i}: {e}")))?;

@@ -50,7 +50,6 @@ pub use driver::{
 };
 pub use metrics::{evaluate_ctr, CtrMetrics};
 pub use model::{Dlrm, InferenceScratch};
-pub use tcast_embedding::ShardSpec;
 pub use trainer::{
     BackwardMode, EmbeddingOptimizer, Execution, InFlightStep, PhaseTimings, StepReport, Trainer,
     DENSE_GEMM_FAULT_SITE, GATHER_AHEAD_FAULT_SITE,

@@ -1,9 +1,7 @@
 //! The DLRM model: Fig. 1's topology over this repository's kernels.
 
 use crate::config::DlrmConfig;
-use tcast_embedding::{
-    gather_reduce_into, EmbeddingError, EmbeddingTable, IndexArray, ShardMap, ShardSpec,
-};
+use tcast_embedding::{gather_reduce_into, EmbeddingError, EmbeddingTable, IndexArray};
 use tcast_pool::Exec;
 use tcast_tensor::{
     interaction_output_dim, Activation, FeatureInteraction, Matrix, Mlp, MlpInferenceScratch,
@@ -20,16 +18,6 @@ use tcast_tensor::{
 /// scratch. The embedding *backward* (the subject of the paper) is
 /// orchestrated by the [`crate::Trainer`], which owns the choice between
 /// the baseline and casted paths.
-///
-/// # Sharding
-///
-/// A [`ShardSpec`] fences every table's **rows** into contiguous range
-/// shards (a [`ShardMap`] per table). A shard is that fence and nothing
-/// else: the table stays one slab, the trainer keeps one slab of optimizer
-/// state and receives one casted index array for it, all keyed by table
-/// row. What the fence decides is which fixed row ranges the tasks of a
-/// pooled embedding backward own — so the forward pass, serving and every
-/// checkpoint section are untouched by the shard count.
 #[derive(Debug)]
 pub struct Dlrm {
     config: DlrmConfig,
@@ -37,8 +25,6 @@ pub struct Dlrm {
     top: Mlp,
     interaction: FeatureInteraction,
     tables: Vec<EmbeddingTable>,
-    shard_spec: ShardSpec,
-    maps: Vec<ShardMap>,
 }
 
 /// Caller-owned reusable buffers of one pass through the model's dense
@@ -87,23 +73,6 @@ impl Dlrm {
     /// Returns [`EmbeddingError::InvalidIndex`] when the configuration is
     /// inconsistent (see [`DlrmConfig::validate`]).
     pub fn new(config: DlrmConfig, seed: u64) -> Result<Self, EmbeddingError> {
-        Self::with_shards(config, seed, ShardSpec::default())
-    }
-
-    /// [`Dlrm::new`] with a row-range sharding plan. `spec` requests the
-    /// shard count per table; a table too small for the full count gets
-    /// fewer (see [`ShardMap::new`]). Weights are seeded identically for
-    /// every spec — sharding never changes the model.
-    ///
-    /// # Errors
-    ///
-    /// Returns [`EmbeddingError::InvalidIndex`] when the configuration is
-    /// inconsistent (see [`DlrmConfig::validate`]).
-    pub fn with_shards(
-        config: DlrmConfig,
-        seed: u64,
-        spec: ShardSpec,
-    ) -> Result<Self, EmbeddingError> {
         config.validate().map_err(EmbeddingError::InvalidIndex)?;
         let bottom = Mlp::new(
             config.dense_features,
@@ -132,30 +101,13 @@ impl Dlrm {
                 EmbeddingTable::seeded(t.rows, config.embedding_dim, seed.wrapping_add(i as u64))
             })
             .collect();
-        let maps = config
-            .tables
-            .iter()
-            .map(|t| ShardMap::new(t.rows, spec.shards()))
-            .collect();
         Ok(Self {
             interaction: FeatureInteraction::new(config.interaction),
             config,
             bottom,
             top,
             tables,
-            shard_spec: spec,
-            maps,
         })
-    }
-
-    /// The sharding plan this model was built with.
-    pub fn shard_spec(&self) -> ShardSpec {
-        self.shard_spec
-    }
-
-    /// Table `i`'s row-range shard map.
-    pub fn shard_map(&self, i: usize) -> &ShardMap {
-        &self.maps[i]
     }
 
     /// The model configuration.
@@ -174,12 +126,11 @@ impl Dlrm {
         &mut self.tables[i]
     }
 
-    /// Mutable access to every embedding table at once, beside their
-    /// shard maps: the trainer's scatter phase, which updates table `i + 1`
-    /// while table `i`, already updated, is read for the next step's
-    /// gather.
-    pub fn tables_mut(&mut self) -> (&mut [EmbeddingTable], &[ShardMap]) {
-        (&mut self.tables, &self.maps)
+    /// Mutable access to every embedding table at once: the trainer's
+    /// scatter phase, which updates table `i + 1` while table `i`, already
+    /// updated, is read for the next step's gather.
+    pub fn tables_mut(&mut self) -> &mut [EmbeddingTable] {
+        &mut self.tables
     }
 
     /// Number of embedding tables.
@@ -213,9 +164,7 @@ impl Dlrm {
     /// snapshot publication (`tcast-snapshot`): the trainer's live model
     /// is captured into a recycled buffer model between steps, so serving
     /// engines can read a frozen copy while training mutates the
-    /// original. Shard plans are *not* copied — the receiving model
-    /// keeps its own (weights fully determine inference, and sharding is
-    /// placement, not state).
+    /// original.
     ///
     /// # Panics
     ///

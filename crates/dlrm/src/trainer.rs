@@ -14,8 +14,8 @@ use tcast_datasets::CtrBatch;
 use tcast_embedding::{
     gather_reduce_into, gradient_coalesce_into, gradient_expand_into,
     optim::{RowOptimizer, UpdateRule},
-    scatter_apply_sharded, BlockScratch, CoalescedScratch, EmbeddingError, EmbeddingTable,
-    IndexArray, ShardSpec,
+    scatter_apply_coalesced, BlockScratch, CoalescedScratch, EmbeddingError, EmbeddingTable,
+    IndexArray,
 };
 use tcast_pool::{Exec, Pool};
 use tcast_tensor::{bce_with_logits, bce_with_logits_backward_into, Matrix};
@@ -264,8 +264,7 @@ pub struct Trainer {
     /// from — kept so [`Trainer::set_learning_rate`] can rebuild them
     /// with the user's hyperparameters intact.
     optimizer: EmbeddingOptimizer,
-    /// One optimizer per table: one slab of state keyed by table row,
-    /// whatever the model's shard maps.
+    /// One optimizer per table: one slab of state keyed by table row.
     table_optimizers: Vec<RowOptimizer>,
     steps: u64,
     execution: Execution,
@@ -285,6 +284,9 @@ pub struct Trainer {
     /// so a small model trained step by step never has one.
     lane: Option<Pool>,
     fault: Option<FaultPlan>,
+    /// Tests only: the table whose embedding backward fails.
+    #[cfg(test)]
+    failing_backward: Option<usize>,
 }
 
 /// The [`FaultPlan`] site every gather-ahead task passes once.
@@ -398,38 +400,8 @@ impl Trainer {
         execution: Execution,
         seed: u64,
     ) -> Result<Self, EmbeddingError> {
-        Self::with_sharding(
-            config,
-            mode,
-            optimizer,
-            execution,
-            ShardSpec::default(),
-            seed,
-        )
-    }
-
-    /// [`Trainer::with_execution`] over a row-range sharded model. A shard
-    /// is a fence over a table's rows: under [`Execution::Pooled`] the
-    /// tasks of each table's embedding backward own the shards' fixed row
-    /// ranges instead of equal-count bands of the batch's rows. Nothing
-    /// else depends on the spec — one slab of parameters, one slab of
-    /// optimizer state and one casted index array per table — so
-    /// **every** spec trains bit-identically (weights and losses) and,
-    /// under the same `Execution`, writes byte-identical checkpoints.
-    ///
-    /// # Errors
-    ///
-    /// Returns an error if the configuration is invalid.
-    pub fn with_sharding(
-        config: DlrmConfig,
-        mode: BackwardMode,
-        optimizer: EmbeddingOptimizer,
-        execution: Execution,
-        shards: ShardSpec,
-        seed: u64,
-    ) -> Result<Self, EmbeddingError> {
         let lr = 0.05;
-        let model = Dlrm::with_shards(config, seed, shards)?;
+        let model = Dlrm::new(config, seed)?;
         let pipeline = match mode {
             BackwardMode::Casted => Some(CastingPipeline::new()),
             BackwardMode::Baseline => None,
@@ -448,6 +420,8 @@ impl Trainer {
             ahead: None,
             lane: None,
             fault: None,
+            #[cfg(test)]
+            failing_backward: None,
         })
     }
 
@@ -491,24 +465,6 @@ impl Trainer {
         self.pipeline.as_ref().map(CastingPipeline::stats)
     }
 
-    /// Replaces the casting pipeline with one bounded to `cap`
-    /// uncompleted jobs: [`Trainer::begin_step`] then blocks (instead of
-    /// queueing) once `cap` casting jobs are in flight. Casted mode only.
-    ///
-    /// # Panics
-    ///
-    /// Panics in baseline mode (no pipeline to bound), if training has
-    /// already started (in-flight tickets would be lost), or if
-    /// `cap == 0`.
-    pub fn set_casting_inflight_cap(&mut self, cap: usize) {
-        assert_eq!(self.steps, 0, "set the in-flight cap before training");
-        assert!(
-            self.pipeline.is_some(),
-            "baseline mode has no casting pipeline"
-        );
-        self.pipeline = Some(CastingPipeline::with_inflight_cap(cap));
-    }
-
     /// Immutable model access.
     pub fn model(&self) -> &Dlrm {
         &self.model
@@ -545,8 +501,7 @@ impl Trainer {
     }
 
     /// The per-table optimizer instances — the checkpoint save path reads
-    /// each one's state blob through [`RowOptimizer::save_state`]: the one
-    /// slab, the same bytes for every sharding plan.
+    /// each one's state blob through [`RowOptimizer::save_state`].
     pub fn table_optimizers(&self) -> &[RowOptimizer] {
         &self.table_optimizers
     }
@@ -756,6 +711,8 @@ impl Trainer {
         let mut bwd_embedding = t0.elapsed();
         let mut bwd_scatter = Duration::ZERO;
 
+        #[cfg(test)]
+        let failing_backward = self.failing_backward;
         let Self {
             model,
             table_optimizers,
@@ -772,7 +729,7 @@ impl Trainer {
             pooled_ahead,
             ..
         } = scratch;
-        let (tables, maps) = model.tables_mut();
+        let tables = model.tables_mut();
         if casted.is_none() {
             expanded.resize_with(tables.len(), Matrix::default);
             coalesced.resize_with(tables.len(), CoalescedScratch::default);
@@ -792,13 +749,7 @@ impl Trainer {
                 // scatter runs concurrently over disjoint table slices +
                 // optimizer state, bit-identical to the serial scatter.
                 let t1 = Instant::now();
-                scatter_apply_sharded(
-                    table,
-                    &mut table_optimizers[t],
-                    &maps[t],
-                    &coalesced[t],
-                    exec,
-                )?;
+                scatter_apply_coalesced(table, &mut table_optimizers[t], &coalesced[t], exec)?;
                 bwd_embedding += t1 - t0;
                 bwd_scatter += t1.elapsed();
                 Ok(())
@@ -807,7 +758,6 @@ impl Trainer {
                 let halves = blocked_casted_backward(
                     table,
                     &mut table_optimizers[t],
-                    &maps[t],
                     &dpooled[t],
                     &casted[t],
                     blocks,
@@ -816,6 +766,18 @@ impl Trainer {
                 bwd_embedding += halves.gather_reduce;
                 bwd_scatter += halves.scatter;
                 Ok(())
+            }
+        };
+        // Tests only: the backward of table `failing_backward` fails before
+        // it writes anything, as a rejected scatter does.
+        #[cfg(test)]
+        let update = {
+            let mut update = update;
+            move |t: usize, table: &mut EmbeddingTable| match failing_backward {
+                Some(failing) if failing == t => Err(EmbeddingError::InvalidIndex(format!(
+                    "injected failure in the backward of table {t}"
+                ))),
+                _ => update(t, table),
             }
         };
         // A successor with the wrong table count gets no gather-ahead: its
@@ -1002,20 +964,16 @@ mod tests {
 
     #[test]
     fn a_step_failing_mid_backward_joins_its_gather_ahead_and_adopts_nothing() {
-        // Table 1 is swapped for one a row longer than its shard map covers
-        // (the forward never notices): table 0's update succeeds and spawns
-        // its gather-ahead, table 1's fails. With a successor or without,
-        // the failed step must leave the same bits behind, and the
-        // successor must gather in-step.
+        // Table 0's update succeeds and spawns its gather-ahead, table 1's
+        // fails. With a successor or without, the failed step must leave
+        // the same bits behind, and the successor must gather in-step.
         for mode in [BackwardMode::Baseline, BackwardMode::Casted] {
             let run = |lookahead: bool| {
                 let mut t = Trainer::new(DlrmConfig::tiny(), mode, 1).unwrap();
                 let mut stream = data(2);
                 let first = t.begin_step(Arc::new(stream.next_batch(16)));
                 let second = t.begin_step(Arc::new(stream.next_batch(16)));
-                let table = t.model.table(1);
-                let longer = EmbeddingTable::seeded(table.rows() + 1, table.dim(), 3);
-                let table = std::mem::replace(t.model.table_mut(1), longer);
+                t.failing_backward = Some(1);
                 let err = t
                     .complete_step(first, lookahead.then_some(&second))
                     .unwrap_err();
@@ -1026,7 +984,7 @@ mod tests {
                     "{mode:?}: a failed step left a gather held"
                 );
                 assert_eq!(t.steps(), 0);
-                *t.model.table_mut(1) = table;
+                t.failing_backward = None;
                 let report = t.complete_step(second, None).unwrap();
                 assert_eq!(report.gathered_ahead, 0, "{mode:?}");
                 (report.loss.to_bits(), t)
@@ -1145,7 +1103,7 @@ mod tests {
     fn every_optimizer_matches_across_modes_and_schedules() {
         // Momentum and Adam join the enum in this PR; all five must keep
         // baseline == casted AND serial == pooled (the pooled scatter
-        // shards stateful optimizer state — a divergence would show here).
+        // splits stateful optimizer state — a divergence would show here).
         let pool = Arc::new(tcast_pool::Pool::new(4));
         let optimizers = [
             EmbeddingOptimizer::Momentum { mu: 0.9 },
@@ -1218,46 +1176,6 @@ mod tests {
                     .unwrap(),
                 0.0
             );
-        }
-    }
-
-    #[test]
-    fn sharded_training_is_bit_identical_to_unsharded() {
-        // The headline sharding invariant at the trainer level: the shard
-        // count changes placement and concurrency, never the trajectory.
-        // (The exhaustive optimizer x mode x shard-count sweep lives in
-        // tests/sharded_equivalence.rs.)
-        let pool = Arc::new(tcast_pool::Pool::new(4));
-        for mode in [BackwardMode::Baseline, BackwardMode::Casted] {
-            let mut reference = Trainer::new(DlrmConfig::tiny(), mode, 31).unwrap();
-            let mut sharded = Trainer::with_sharding(
-                DlrmConfig::tiny(),
-                mode,
-                EmbeddingOptimizer::Sgd,
-                Execution::Pooled(Arc::clone(&pool)),
-                ShardSpec::new(3),
-                31,
-            )
-            .unwrap();
-            assert_eq!(sharded.model().shard_spec().shards(), 3);
-            let mut sa = data(37);
-            let mut sb = data(37);
-            for step in 0..4 {
-                let ra = reference.step(&sa.next_batch(32)).unwrap();
-                let rb = sharded.step(&sb.next_batch(32)).unwrap();
-                assert_eq!(ra.loss, rb.loss, "{mode:?} loss diverged at step {step}");
-            }
-            for i in 0..reference.model().num_tables() {
-                assert_eq!(
-                    reference
-                        .model()
-                        .table(i)
-                        .max_abs_diff(sharded.model().table(i))
-                        .unwrap(),
-                    0.0,
-                    "{mode:?} table {i} diverged"
-                );
-            }
         }
     }
 

@@ -122,20 +122,23 @@ mod tests {
     #[test]
     fn expand_is_dual_of_reduce() {
         // <expand(g), x> == <g, reduce(x)> for all x: adjointness of the
-        // linear maps, checked on a small instance.
-        use crate::gather::reduce_by_dst;
+        // linear maps, checked on a small instance. `reduce` sums the
+        // per-lookup rows of `x` into their output rows.
         let index = IndexArray::from_samples(&[vec![0, 1], vec![2]]).unwrap();
         let g = Matrix::from_rows(&[&[0.5, 1.5], &[-2.0, 0.25]]).unwrap();
         let x = Matrix::from_rows(&[&[1.0, 2.0], &[3.0, 4.0], &[5.0, 6.0]]).unwrap();
+        let mut reduced = Matrix::zeros(index.num_outputs(), x.cols());
+        for (i, (_, dst)) in index.iter().enumerate() {
+            for (acc, &v) in reduced.row_mut(dst as usize).iter_mut().zip(x.row(i)) {
+                *acc += v;
+            }
+        }
         let lhs = gradient_expand(&g, &index)
             .unwrap()
             .hadamard(&x)
             .unwrap()
             .sum();
-        let rhs = g
-            .hadamard(&reduce_by_dst(&x, &index).unwrap())
-            .unwrap()
-            .sum();
+        let rhs = g.hadamard(&reduced).unwrap().sum();
         assert!((lhs - rhs).abs() < 1e-5);
     }
 }

@@ -1,5 +1,5 @@
-//! Forward-propagation primitives: tensor gather and the fused tensor
-//! gather-reduce (Fig. 2a of the paper).
+//! The forward-propagation primitive: the fused tensor gather-reduce
+//! (Fig. 2a of the paper).
 
 use crate::error::EmbeddingError;
 use crate::index::IndexArray;
@@ -170,52 +170,6 @@ fn accumulate_band_avx2(
     }
 }
 
-/// Unfused gather: materializes every looked-up row as an `n x dim`
-/// matrix (one row per `(src, dst)` pair, in pair order).
-///
-/// Kept for the fusion ablation: `reduce_by_dst(gather(...))` computes the
-/// same result as [`gather_reduce`] while moving ~2x the data, which is
-/// exactly why the paper fuses them.
-///
-/// # Errors
-///
-/// Returns [`EmbeddingError::SrcOutOfBounds`] if any `src` exceeds the
-/// table.
-pub fn gather(table: &EmbeddingTable, index: &IndexArray) -> Result<Matrix, EmbeddingError> {
-    index.validate_against_rows(table.rows())?;
-    let dim = table.dim();
-    let mut out = Matrix::zeros(index.len(), dim);
-    for (i, (src, _)) in index.iter().enumerate() {
-        out.row_mut(i).copy_from_slice(table.row(src as usize));
-    }
-    Ok(out)
-}
-
-/// Reduces an `n x dim` gathered matrix into `num_outputs x dim` according
-/// to the index's `dst` slots. Second half of the unfused path.
-///
-/// # Errors
-///
-/// Returns [`EmbeddingError::LengthMismatch`] if `gathered.rows()` does not
-/// equal `index.len()`.
-pub fn reduce_by_dst(gathered: &Matrix, index: &IndexArray) -> Result<Matrix, EmbeddingError> {
-    if gathered.rows() != index.len() {
-        return Err(EmbeddingError::LengthMismatch {
-            expected: index.len(),
-            found: gathered.rows(),
-        });
-    }
-    let dim = gathered.cols();
-    let mut out = Matrix::zeros(index.num_outputs(), dim);
-    for (i, (_, dst)) in index.iter().enumerate() {
-        let acc = out.row_mut(dst as usize);
-        for (a, &v) in acc.iter_mut().zip(gathered.row(i).iter()) {
-            *a += v;
-        }
-    }
-    Ok(out)
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -249,31 +203,6 @@ mod tests {
             gather_reduce(&fig2_table(), &idx),
             Err(EmbeddingError::SrcOutOfBounds { src: 6, rows: 6 })
         ));
-    }
-
-    #[test]
-    fn unfused_path_equals_fused() {
-        let table = fig2_table();
-        let idx = fig2_index();
-        let fused = gather_reduce(&table, &idx).unwrap();
-        let unfused = reduce_by_dst(&gather(&table, &idx).unwrap(), &idx).unwrap();
-        assert!(fused.max_abs_diff(&unfused).unwrap() < 1e-6);
-    }
-
-    #[test]
-    fn gather_preserves_pair_order() {
-        let g = gather(&fig2_table(), &fig2_index()).unwrap();
-        assert_eq!(g.rows(), 5);
-        assert_eq!(g.row(0), &[1.0, 10.0]); // src 1
-        assert_eq!(g.row(2), &[4.0, 40.0]); // src 4
-        assert_eq!(g.row(3), &[0.0, 0.0]); // src 0
-    }
-
-    #[test]
-    fn reduce_by_dst_validates_length() {
-        let idx = fig2_index();
-        let wrong = Matrix::zeros(3, 2);
-        assert!(reduce_by_dst(&wrong, &idx).is_err());
     }
 
     #[test]

@@ -13,21 +13,18 @@
 //!   gradients to the table through the sparse row optimizer: an
 //!   [`optim::UpdateRule`] (SGD / momentum / Adagrad Eq. 2 / RMSprop
 //!   Eq. 1 / Adam) and the per-row state it builds up, one
-//!   [`optim::RowOptimizer`] per table. A [`ShardMap`] fences the table's
-//!   rows into the fixed ranges the tasks of a pooled scatter own; slab,
-//!   state and row ids are the same for every shard count.
+//!   [`optim::RowOptimizer`] per table.
 //!
 //! # One implementation per primitive
 //!
 //! Each primitive has exactly one implementation, its `_into` form, which
 //! writes into caller-owned buffers and takes a `tcast_pool::Exec`
 //! saying where to run: [`gather_reduce_into`],
-//! [`gradient_coalesce_into`], [`scatter_apply_sharded`]
+//! [`gradient_coalesce_into`], [`scatter_apply_coalesced`]
 //! ([`gradient_expand_into`] is a plain copy loop and always serial).
-//! Serial execution is the one-band case and an unsharded table the
-//! one-shard case *of the same function*, so the results are bit-identical
-//! whatever the `Exec` and shard count — by construction, not by a second
-//! kernel that happens to agree. The allocating forms ([`gather_reduce`],
+//! Serial execution is the one-band case *of the same function*, so the
+//! results are bit-identical whatever the `Exec` — by construction, not by
+//! a second kernel that happens to agree. The allocating forms ([`gather_reduce`],
 //! [`gradient_coalesce`], [`gradient_expand`]) are thin wrappers for
 //! tests, examples and the model crates; [`scatter_apply`] is the serial
 //! reference scatter. The `(src, dst)` accumulate loop itself lives once,
@@ -73,7 +70,6 @@ mod gather;
 mod index;
 pub mod optim;
 mod scatter;
-mod sharding;
 pub mod simd;
 mod table;
 pub mod traffic;
@@ -84,11 +80,10 @@ pub use coalesce::{
 };
 pub use error::EmbeddingError;
 pub use expand::{gradient_expand, gradient_expand_into};
-pub use gather::{accumulate_rows, gather, gather_reduce, gather_reduce_into, reduce_by_dst};
+pub use gather::{accumulate_rows, gather_reduce, gather_reduce_into};
 pub use index::IndexArray;
 pub use scatter::{
-    scatter_apply, scatter_apply_casted, scatter_apply_sharded, BlockScratch,
+    scatter_apply, scatter_apply_casted, scatter_apply_coalesced, BlockScratch,
     CastedBackwardTimings, CastedLookups,
 };
-pub use sharding::{ShardMap, ShardSpec};
 pub use table::EmbeddingTable;

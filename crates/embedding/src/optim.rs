@@ -29,31 +29,11 @@
 //! rehash), so state lives in a dense, lazily-grown [`RowState`] slab:
 //! `width`-strided and contiguous, splittable at arbitrary row boundaries
 //! with `split_at_mut`. [`RowOptimizer::split_by_rows`] hands out the
-//! resulting [`RowOptimizerBand`]s, and [`crate::scatter_apply_sharded`]
+//! resulting [`RowOptimizerBand`]s, and [`crate::scatter_apply_coalesced`]
 //! runs one pool task on each. That row-disjointness is a property of the
 //! state store, not of any rule, which is why it is stated once.
-//!
-//! A sharded table ([`crate::sharding::ShardMap`]) keeps the same one slab
-//! under the same row ids: its shards are a fence the scatter hands to
-//! `split_by_rows`. The checkpoint blob ([`RowOptimizer::save_state`]) is
-//! that slab, so state saved under one shard count loads under any other.
 
 use crate::simd;
-
-/// A sparse, row-granular optimizer: the interface of the reference
-/// [`crate::scatter_apply`] and of the NMP pool model's oracle.
-///
-/// `update_row` applies one training-step update for a single embedding
-/// row given its *coalesced* gradient. Implementations may keep per-row
-/// state (momentum/second-moment accumulators) keyed by row id.
-pub trait SparseOptimizer {
-    /// Applies the update `param <- f(param, grad)` for table row `row`.
-    ///
-    /// # Panics
-    ///
-    /// Implementations may panic if `param.len() != grad.len()`.
-    fn update_row(&mut self, row: u32, param: &mut [f32], grad: &[f32]);
-}
 
 /// Little-endian cursor over checkpoint bytes; every read is
 /// bounds-checked so truncated state surfaces as an `Err`, never a panic.
@@ -297,7 +277,7 @@ impl<'a> RowStateBand<'a> {
 /// The per-row update function: which optimizer, with its hyperparameters.
 ///
 /// A rule is a value, not a type: a [`RowOptimizer`] carries one next to
-/// its state, and every shard and band of a table runs the same one.
+/// its state, and every band of a table runs the same one.
 #[derive(Debug, Clone, Copy, PartialEq)]
 pub enum UpdateRule {
     /// Plain stochastic gradient descent: `W <- W - lr * G`.
@@ -465,8 +445,8 @@ trait RowStates {
 /// [`RowState`] slab per plane of the rule, plus per-row step counts when
 /// the rule keeps them.
 ///
-/// Rows are keyed by the id [`SparseOptimizer::update_row`] is called
-/// with; state grows lazily (geometrically) to the highest row updated.
+/// Rows are keyed by table row id; state grows lazily (geometrically) to
+/// the highest row updated.
 #[derive(Debug, Clone)]
 pub struct RowOptimizer {
     rule: UpdateRule,
@@ -478,7 +458,7 @@ pub struct RowOptimizer {
 /// [`RowOptimizer::split_by_rows`] — one task of the pooled scatter.
 ///
 /// A band updates rows exactly as its optimizer's
-/// [`SparseOptimizer::update_row`] would (same operations, same order per
+/// [`RowOptimizer::with_update`] would (same operations, same order per
 /// row), which is what makes the band-parallel scatter bit-identical to
 /// the serial one.
 #[derive(Debug)]
@@ -619,12 +599,6 @@ fn grow_steps(steps: &mut Vec<u32>, row: u32) {
     steps.resize(grown_len(steps.len(), row), 0);
 }
 
-impl SparseOptimizer for RowOptimizer {
-    fn update_row(&mut self, row: u32, param: &mut [f32], grad: &[f32]) {
-        self.with_update(|update| update(row, param, grad));
-    }
-}
-
 impl RowOptimizerBand<'_> {
     /// Runs `task` with this band's one-row update; every row it is
     /// called with must lie in the band.
@@ -647,8 +621,7 @@ impl RowStates for RowOptimizerBand<'_> {
 mod tests {
     use super::*;
     use crate::coalesce::CoalescedScratch;
-    use crate::scatter::scatter_apply_sharded;
-    use crate::sharding::ShardMap;
+    use crate::scatter::scatter_apply_coalesced;
     use crate::table::EmbeddingTable;
     use tcast_pool::{Exec, Pool};
     use tcast_tensor::{Matrix, SplitMix64};
@@ -678,11 +651,16 @@ mod tests {
             .collect()
     }
 
-    /// One update pass over `rows`.
-    fn step(opt: &mut dyn SparseOptimizer, rows: &[u32], params: &mut [Vec<f32>], pass: usize) {
+    /// One row's update by its coalesced gradient.
+    fn update_row(opt: &mut RowOptimizer, row: u32, param: &mut [f32], grad: &[f32]) {
+        opt.with_update(|update| update(row, param, grad));
+    }
+
+    /// One update pass over `rows`, a row at a time.
+    fn step(opt: &mut RowOptimizer, rows: &[u32], params: &mut [Vec<f32>], pass: usize) {
         for (param, &r) in params.iter_mut().zip(rows) {
             let grad = grad(r, param.len(), pass);
-            opt.update_row(r, param, &grad);
+            update_row(opt, r, param, &grad);
         }
     }
 
@@ -698,7 +676,7 @@ mod tests {
     fn sgd_moves_against_gradient() {
         let mut opt = RowOptimizer::new(UpdateRule::Sgd { lr: 0.1 });
         let mut p = vec![1.0, -1.0];
-        opt.update_row(0, &mut p, &[1.0, -1.0]);
+        update_row(&mut opt, 0, &mut p, &[1.0, -1.0]);
         assert_eq!(p, vec![0.9, -0.9]);
         assert_eq!(opt.tracked_rows(), 0);
     }
@@ -706,15 +684,16 @@ mod tests {
     #[test]
     #[should_panic(expected = "width mismatch")]
     fn sgd_rejects_width_mismatch() {
-        RowOptimizer::new(UpdateRule::Sgd { lr: 0.1 }).update_row(0, &mut [0.0], &[1.0, 2.0]);
+        let mut opt = RowOptimizer::new(UpdateRule::Sgd { lr: 0.1 });
+        update_row(&mut opt, 0, &mut [0.0], &[1.0, 2.0]);
     }
 
     #[test]
     fn momentum_accumulates_velocity() {
         let mut opt = RowOptimizer::new(UpdateRule::Momentum { lr: 1.0, mu: 0.5 });
         let mut p = vec![0.0];
-        opt.update_row(0, &mut p, &[1.0]); // v=1, p=-1
-        opt.update_row(0, &mut p, &[1.0]); // v=1.5, p=-2.5
+        update_row(&mut opt, 0, &mut p, &[1.0]); // v=1, p=-1
+        update_row(&mut opt, 0, &mut p, &[1.0]); // v=1.5, p=-2.5
         assert!((p[0] + 2.5).abs() < 1e-6);
         assert_eq!(opt.tracked_rows(), 1);
     }
@@ -724,8 +703,8 @@ mod tests {
         let mut opt = RowOptimizer::new(UpdateRule::Momentum { lr: 1.0, mu: 0.9 });
         let mut p0 = vec![0.0];
         let mut p1 = vec![0.0];
-        opt.update_row(0, &mut p0, &[1.0]);
-        opt.update_row(1, &mut p1, &[1.0]);
+        update_row(&mut opt, 0, &mut p0, &[1.0]);
+        update_row(&mut opt, 1, &mut p1, &[1.0]);
         assert_eq!(opt.tracked_rows(), 2);
         assert_eq!(p0, p1); // fresh state each: same result
     }
@@ -735,10 +714,10 @@ mod tests {
         // A1 = 0 + G^2 = 4; W1 = 1 - lr*G/sqrt(eps+A1) = 1 - 0.1*2/2.
         let mut opt = RowOptimizer::new(UpdateRule::Adagrad { lr: 0.1, eps: 0.0 });
         let mut p = vec![1.0];
-        opt.update_row(3, &mut p, &[2.0]);
+        update_row(&mut opt, 3, &mut p, &[2.0]);
         assert!((p[0] - 0.9).abs() < 1e-6);
         // Second step: A2 = 4 + 1 = 5; W2 = 0.9 - 0.1*1/sqrt(5).
-        opt.update_row(3, &mut p, &[1.0]);
+        update_row(&mut opt, 3, &mut p, &[1.0]);
         assert!((p[0] - (0.9 - 0.1 / 5.0f32.sqrt())).abs() < 1e-6);
     }
 
@@ -749,7 +728,7 @@ mod tests {
         let mut deltas = Vec::new();
         for _ in 0..5 {
             let before = p[0];
-            opt.update_row(0, &mut p, &[1.0]);
+            update_row(&mut opt, 0, &mut p, &[1.0]);
             deltas.push((before - p[0]).abs());
         }
         for w in deltas.windows(2) {
@@ -766,7 +745,7 @@ mod tests {
             eps: 0.0,
         });
         let mut p = vec![0.0];
-        opt.update_row(0, &mut p, &[2.0]);
+        update_row(&mut opt, 0, &mut p, &[2.0]);
         assert!((p[0] + 0.1 * 2.0 / 2.0f32.sqrt()).abs() < 1e-6);
     }
 
@@ -801,7 +780,7 @@ mod tests {
         for g in [0.1f32, 10.0] {
             let mut opt = adam_with_tiny_eps();
             let mut p = vec![0.0];
-            opt.update_row(0, &mut p, &[g]);
+            update_row(&mut opt, 0, &mut p, &[g]);
             assert!((p[0] + 0.01).abs() < 1e-4, "g={g}: step {}", p[0]);
         }
     }
@@ -813,31 +792,17 @@ mod tests {
         let mut opt = adam_with_tiny_eps();
         let mut hot = vec![0.0];
         for _ in 0..10 {
-            opt.update_row(0, &mut hot, &[1.0]);
+            update_row(&mut opt, 0, &mut hot, &[1.0]);
         }
         let mut cold = vec![0.0];
-        opt.update_row(1, &mut cold, &[1.0]);
+        update_row(&mut opt, 1, &mut cold, &[1.0]);
         assert!((cold[0] + 0.01).abs() < 1e-4, "cold first step {}", cold[0]);
         assert_eq!(opt.tracked_rows(), 2);
     }
 
-    #[test]
-    fn trait_objects_are_usable() {
-        // The reference scatter takes any rule as a `dyn SparseOptimizer`.
-        let mut opts: Vec<Box<dyn SparseOptimizer>> = RULES
-            .iter()
-            .map(|&rule| Box::new(RowOptimizer::new(rule)) as _)
-            .collect();
-        let mut p = vec![1.0, 1.0];
-        for opt in opts.iter_mut() {
-            opt.update_row(0, &mut p, &[0.5, 0.5]);
-        }
-        assert!(p[0] < 1.0);
-    }
-
     /// Band updates must be bit-identical to whole-optimizer updates.
     #[test]
-    fn shards_match_serial_updates_exactly() {
+    fn bands_match_serial_updates_exactly() {
         let rows: Vec<u32> = vec![0, 3, 4, 9, 17];
         let dim = 3;
         // Fences that cut the row set unevenly.
@@ -921,7 +886,7 @@ mod tests {
         for rule in RULES {
             let mut opt = RowOptimizer::new(rule);
             let mut p = vec![0.0, 0.0];
-            opt.update_row(5, &mut p, &[1.0, 2.0]);
+            update_row(&mut opt, 5, &mut p, &[1.0, 2.0]);
             let mut saved = Vec::new();
             opt.save_state(&mut saved);
             // Every truncation point is a clean error, never a panic.
@@ -956,11 +921,15 @@ mod tests {
         EmbeddingTable::from_vec(rows, dim, data).unwrap()
     }
 
-    /// `step`'s update pass over `rows`, through the production scatter
-    /// cut at `map`'s fence.
+    /// The serial scatter and pooled ones cut into 1, 2, 3 and 7 bands.
+    fn execs(pool: &Pool) -> impl Iterator<Item = Exec<'_>> + Clone {
+        let pooled = [1usize, 2, 3, 7].map(|threads| Exec::Pooled { pool, threads });
+        [Exec::Serial].into_iter().chain(pooled)
+    }
+
+    /// `step`'s update pass over `rows`, through the production scatter.
     fn scatter_step(
         opt: &mut RowOptimizer,
-        map: &ShardMap,
         exec: Exec<'_>,
         rows: &[u32],
         table: &mut EmbeddingTable,
@@ -971,7 +940,7 @@ mod tests {
         part.rows.extend_from_slice(rows);
         let grads = rows.iter().flat_map(|&r| grad(r, dim, pass)).collect();
         part.grads = Matrix::from_vec(rows.len(), dim, grads).unwrap();
-        scatter_apply_sharded(table, opt, map, &part, exec).unwrap();
+        scatter_apply_coalesced(table, opt, &part, exec).unwrap();
     }
 
     fn touched_bits(table: &EmbeddingTable, rows: &[u32]) -> Vec<u32> {
@@ -981,10 +950,11 @@ mod tests {
             .collect()
     }
 
-    /// The one optimizer behind a shard fence must match plain row-by-row
-    /// updates bit-for-bit, for every rule, shard count and `Exec`.
+    /// The one optimizer, split into the bands of the production scatter,
+    /// must match plain row-by-row updates bit-for-bit, for every rule and
+    /// band count.
     #[test]
-    fn sharded_optimizer_matches_global_updates() {
+    fn banded_optimizer_matches_global_updates() {
         let rows: Vec<u32> = vec![0, 3, 11, 12, 17, 22, 23, 33];
         let pool = Pool::new(3);
         for rule in RULES {
@@ -993,32 +963,30 @@ mod tests {
             for pass in 0..3 {
                 step(&mut global, &rows, &mut params, pass);
             }
-            for shards in [1usize, 2, 3, 7] {
-                for exec in [Exec::Serial, Exec::pooled(&pool)] {
-                    let map = ShardMap::new(34, shards);
-                    let mut fenced = RowOptimizer::new(rule);
-                    let mut table = initial_table(34, 3);
-                    for pass in 0..3 {
-                        scatter_step(&mut fenced, &map, exec, &rows, &mut table, pass);
-                    }
-                    assert_eq!(
-                        bits(&params),
-                        touched_bits(&table, &rows),
-                        "{} diverged at {shards} shards under {exec:?}",
-                        rule.name()
-                    );
-                    assert_eq!(fenced.tracked_rows(), global.tracked_rows());
+            for exec in execs(&pool) {
+                let mut banded = RowOptimizer::new(rule);
+                let mut table = initial_table(34, 3);
+                for pass in 0..3 {
+                    scatter_step(&mut banded, exec, &rows, &mut table, pass);
                 }
+                assert_eq!(
+                    bits(&params),
+                    touched_bits(&table, &rows),
+                    "{} diverged under {exec:?}",
+                    rule.name()
+                );
+                assert_eq!(banded.tracked_rows(), global.tracked_rows());
             }
         }
     }
 
-    /// Save at N shards, restore at M shards (including M == 1), continue:
-    /// the continued trajectory must be bit-identical — and the blob itself
-    /// does not depend on N: under one `Exec` every shard count writes the
-    /// same bytes, the serial ones those of plain row-by-row updates.
+    /// Save after scatters cut into N bands, restore and scatter in M
+    /// (either may be the serial scatter), continue: the continued
+    /// trajectory must be bit-identical. The blob depends only on whether
+    /// the scatters were cut: an uncut one grows state as plain row-by-row
+    /// updates do, a cut one to just past the last touched row.
     #[test]
-    fn sharded_state_is_portable_across_shard_counts() {
+    fn state_is_portable_across_band_counts() {
         let rows_total = 23usize;
         let rows: Vec<u32> = vec![0, 6, 7, 11, 12, 21, 22];
         let pool = Pool::new(3);
@@ -1033,62 +1001,50 @@ mod tests {
                 }
                 step(&mut global, &rows, &mut params, pass);
             }
-            for exec in [Exec::Serial, Exec::pooled(&pool)] {
-                let mut blobs = Vec::new();
-                for n in [1usize, 2, 3, 7] {
-                    // Replay the first two passes behind an N-shard fence.
-                    let mut at_n = RowOptimizer::new(rule);
-                    let mut table_n = initial_table(rows_total, 2);
-                    let map = ShardMap::new(rows_total, n);
-                    for pass in 0..2 {
-                        scatter_step(&mut at_n, &map, exec, &rows, &mut table_n, pass);
-                    }
-                    let mut blob = Vec::new();
-                    at_n.save_state(&mut blob);
-                    for m in [1usize, 2, 3, 7] {
-                        let mut at_m = RowOptimizer::new(rule);
-                        at_m.load_state(&blob).expect("saved state loads");
-                        let mut table_m = table_n.clone();
-                        let map = ShardMap::new(rows_total, m);
-                        scatter_step(&mut at_m, &map, exec, &rows, &mut table_m, 2);
-                        assert_eq!(
-                            bits(&params),
-                            touched_bits(&table_m, &rows),
-                            "{}: {n}->{m} shard restore diverged under {exec:?}",
-                            rule.name()
-                        );
-                    }
-                    blobs.push(blob);
+            let mut cut_blobs = Vec::new();
+            for at_n in execs(&pool) {
+                let mut opt_n = RowOptimizer::new(rule);
+                let mut table_n = initial_table(rows_total, 2);
+                for pass in 0..2 {
+                    scatter_step(&mut opt_n, at_n, &rows, &mut table_n, pass);
                 }
-                if exec.pool().is_none() {
-                    blobs.push(global_blob.clone());
+                let mut blob = Vec::new();
+                opt_n.save_state(&mut blob);
+                for at_m in execs(&pool) {
+                    let mut opt_m = RowOptimizer::new(rule);
+                    opt_m.load_state(&blob).expect("saved state loads");
+                    let mut table_m = table_n.clone();
+                    scatter_step(&mut opt_m, at_m, &rows, &mut table_m, 2);
+                    assert_eq!(
+                        bits(&params),
+                        touched_bits(&table_m, &rows),
+                        "{}: {at_n:?} -> {at_m:?} restore diverged",
+                        rule.name()
+                    );
                 }
-                assert!(
-                    blobs.windows(2).all(|w| w[0] == w[1]),
-                    "{}: the state bytes depend on the shard count under {exec:?}",
-                    rule.name()
-                );
+                if at_n.threads() > 1 {
+                    cut_blobs.push(blob);
+                } else {
+                    assert_eq!(blob, global_blob, "{} under {at_n:?}", rule.name());
+                }
             }
+            assert!(
+                cut_blobs.windows(2).all(|w| w[0] == w[1]),
+                "{}: the state bytes depend on the band count",
+                rule.name()
+            );
         }
     }
 
     #[test]
-    fn sharded_load_rejects_truncation_and_trailing_garbage() {
+    fn banded_load_rejects_truncation_and_trailing_garbage() {
         let pool = Pool::new(2);
         for rule in RULES {
-            let mut at_n = RowOptimizer::new(rule);
+            let mut banded = RowOptimizer::new(rule);
             let mut table = initial_table(20, 2);
-            let map = ShardMap::new(20, 3);
-            scatter_step(
-                &mut at_n,
-                &map,
-                Exec::pooled(&pool),
-                &[5, 13],
-                &mut table,
-                0,
-            );
+            scatter_step(&mut banded, Exec::pooled(&pool), &[5, 13], &mut table, 0);
             let mut saved = Vec::new();
-            at_n.save_state(&mut saved);
+            banded.save_state(&mut saved);
             for cut in 0..saved.len() {
                 assert!(
                     RowOptimizer::new(rule).load_state(&saved[..cut]).is_err(),
@@ -1109,11 +1065,11 @@ mod tests {
         })
     }
 
-    /// Six seeded scatters into a 97 x 5 table through a fresh optimizer
-    /// behind `shards` shards, then the checksum of the state it saves.
-    fn optm_checksum(rule: UpdateRule, shards: usize, exec: Exec<'_>) -> u64 {
+    /// Six seeded scatters into a 97 x 5 table through a fresh optimizer,
+    /// then the checksum of the state it saves.
+    fn optm_checksum(rule: UpdateRule, exec: Exec<'_>) -> u64 {
         let (rows, dim) = (97usize, 5usize);
-        let (mut opt, map) = (RowOptimizer::new(rule), ShardMap::new(rows, shards));
+        let mut opt = RowOptimizer::new(rule);
         let mut table = EmbeddingTable::seeded(rows, dim, 11);
         let mut rng = SplitMix64::new(0x0097_4d5f);
         for _ in 0..6 {
@@ -1123,7 +1079,7 @@ mod tests {
             let n = part.rows.len();
             let grads = (0..n * dim).map(|_| rng.next_range(-1.0, 1.0)).collect();
             part.grads = Matrix::from_vec(n, dim, grads).unwrap();
-            scatter_apply_sharded(&mut table, &mut opt, &map, &part, exec).unwrap();
+            scatter_apply_coalesced(&mut table, &mut opt, &part, exec).unwrap();
         }
         let mut blob = Vec::new();
         opt.save_state(&mut blob);
@@ -1134,8 +1090,6 @@ mod tests {
     /// commit before the optimizers became one type wrote it: after a
     /// serial scatter sequence and a 3-band pooled one. Saving and loading
     /// with one build cannot notice a format change; these constants can.
-    /// A 4-shard fence writes what the unsharded table does under the same
-    /// `Exec`.
     #[test]
     fn optm_state_bytes_are_stable() {
         const PINNED: [[u64; 2]; 5] = [
@@ -1148,10 +1102,9 @@ mod tests {
         let pool = Pool::new(3);
         for (rule, pinned) in RULES.into_iter().zip(PINNED) {
             for (exec, pinned) in [Exec::Serial, Exec::pooled(&pool)].into_iter().zip(pinned) {
-                let checksums = [1, 4].map(|shards| optm_checksum(rule, shards, exec));
                 assert_eq!(
-                    checksums,
-                    [pinned; 2],
+                    optm_checksum(rule, exec),
+                    pinned,
                     "{} state bytes moved under {exec:?}",
                     rule.name()
                 );

@@ -7,14 +7,14 @@
 //!
 //! Three entry points: [`scatter_apply`], the serial reference every other
 //! scatter in the workspace (these, the NMP pool's) is tested against, and
-//! the two the trainer runs — any [`Exec`], any [`ShardMap`], bit-identical
-//! to the reference: [`scatter_apply_sharded`] applies a materialized
-//! coalesced gradient (the baseline backward's), and
-//! [`scatter_apply_casted`] produces the coalesced gradient from the casted
-//! lookup stream a block of rows at a time as it applies it (the casted
-//! backward's). Both are the same validation, the same cut into tasks at a
-//! row fence and the same per-row loop; they differ in where a task's
-//! gradient rows come from.
+//! the two the trainer runs — any [`Exec`], bit-identical to the reference:
+//! [`scatter_apply_coalesced`] applies a materialized coalesced gradient
+//! (the baseline backward's), and [`scatter_apply_casted`] produces the
+//! coalesced gradient from the casted lookup stream a block of rows at a
+//! time as it applies it (the casted backward's). Both are the same
+//! validation, the same cut into tasks — equal-count bands of the touched
+//! rows — and the same per-row loop; they differ in where a task's gradient
+//! rows come from.
 
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::time::{Duration, Instant};
@@ -22,16 +22,15 @@ use std::time::{Duration, Instant};
 use crate::coalesce::{CoalescedGradients, CoalescedScratch};
 use crate::error::EmbeddingError;
 use crate::gather::accumulate_band;
-use crate::optim::{RowOptimizer, RowUpdate, SparseOptimizer};
-use crate::sharding::ShardMap;
+use crate::optim::{RowOptimizer, RowUpdate};
 use crate::table::EmbeddingTable;
 use tcast_pool::Exec;
 use tcast_tensor::simd::{prefetch, PREFETCH_WINDOW};
 use tcast_tensor::Matrix;
 
 /// Applies coalesced gradients to the table: for every `(row, grad)` pair,
-/// `table[row] <- optimizer(table[row], grad)`, serially through any
-/// [`SparseOptimizer`]. The reference scatter (see the module docs).
+/// `table[row] <- optimizer(table[row], grad)`, serially, one row at a
+/// time. The reference scatter (see the module docs).
 ///
 /// # Errors
 ///
@@ -41,7 +40,7 @@ use tcast_tensor::Matrix;
 pub fn scatter_apply(
     table: &mut EmbeddingTable,
     coalesced: &CoalescedGradients,
-    optimizer: &mut dyn SparseOptimizer,
+    optimizer: &mut RowOptimizer,
 ) -> Result<(), EmbeddingError> {
     if coalesced.grads().cols() != table.dim() {
         return Err(EmbeddingError::DimMismatch {
@@ -59,26 +58,26 @@ pub fn scatter_apply(
             rows: table.rows(),
         });
     }
-    for (i, &row) in coalesced.rows().iter().enumerate() {
-        optimizer.update_row(row, table.row_mut(row as usize), coalesced.grads().row(i));
-    }
+    optimizer.with_update(|update| {
+        for (i, &row) in coalesced.rows().iter().enumerate() {
+            update(row, table.row_mut(row as usize), coalesced.grads().row(i));
+        }
+    });
     Ok(())
 }
 
 /// The production scatter: applies one table's coalesced gradient — what
 /// the backward pass left in its [`CoalescedScratch`], keyed by table row —
 /// through the table's optimizer, serially or on a pool ([`Exec`]):
-/// **bit-identical** to [`scatter_apply`] for every `map`, band count and
-/// `Exec`.
+/// **bit-identical** to [`scatter_apply`] for every `Exec`.
 ///
 /// Coalescing guarantees each table row appears exactly once (rows are
 /// strictly ascending — enforced here), so any cut of the rows at a fence
 /// of row ids touches **disjoint table rows and disjoint optimizer state**.
-/// A serial scatter is one task. A pooled one cuts at `map`'s shard bounds
-/// when it has more than one shard, and otherwise into equal-count bands
-/// of the rows; either fence is closed just past the last touched row, so
-/// optimizer state never grows beyond the touched prefix. Each task gets
-/// its `split_at_mut` slice of the table, its
+/// A serial scatter is one task. A pooled one cuts the rows into
+/// `exec.threads()` equal-count bands, the last closed just past the last
+/// touched row, so optimizer state never grows beyond the touched prefix.
+/// Each task gets its `split_at_mut` slice of the table, its
 /// [`crate::optim::RowOptimizerBand`] of the state and its piece of `rows`,
 /// and runs the per-row loop the serial path runs — the scatter-side dual
 /// of the banded gather-reduce, and the row-disjointness RecNMP/MP-Rec
@@ -87,22 +86,20 @@ pub fn scatter_apply(
 ///
 /// # Errors
 ///
-/// [`EmbeddingError::InvalidIndex`] if `map` does not cover exactly
-/// `table.rows()` or the rows are not strictly ascending (i.e. not
-/// coalesced); [`EmbeddingError::LengthMismatch`] if `rows` and `grads`
-/// disagree; [`EmbeddingError::DimMismatch`] on a gradient width other
+/// [`EmbeddingError::InvalidIndex`] if the rows are not strictly ascending
+/// (i.e. not coalesced); [`EmbeddingError::LengthMismatch`] if `rows` and
+/// `grads` disagree; [`EmbeddingError::DimMismatch`] on a gradient width other
 /// than the table's (checked when there are rows);
 /// [`EmbeddingError::SrcOutOfBounds`] if a row falls outside the table.
-pub fn scatter_apply_sharded(
+pub fn scatter_apply_coalesced(
     table: &mut EmbeddingTable,
     optimizer: &mut RowOptimizer,
-    map: &ShardMap,
     part: &CoalescedScratch,
     exec: Exec<'_>,
 ) -> Result<(), EmbeddingError> {
     let CoalescedScratch { rows, grads, .. } = part;
     let grads = Grads::Coalesced(grads);
-    scatter_parts(table, optimizer, map, rows, grads, &mut [], exec)
+    scatter_parts(table, optimizer, rows, grads, &mut [], exec)
 }
 
 /// One casted index array, as [`scatter_apply_casted`] reads it
@@ -139,12 +136,12 @@ pub struct CastedBackwardTimings {
 }
 
 /// The casted backward and its scatter as one row-blocked pass: what
-/// `casted_gather_reduce_into` followed by [`scatter_apply_sharded`]
+/// `casted_gather_reduce_into` followed by [`scatter_apply_coalesced`]
 /// computes — **bit for bit**, table and optimizer state, for every
-/// `block_rows`, `map` and `Exec` — without ever holding the whole
-/// coalesced gradient.
+/// `block_rows` and `Exec` — without ever holding the whole coalesced
+/// gradient.
 ///
-/// Each task of the scatter (the same tasks [`scatter_apply_sharded`]
+/// Each task of the scatter (the same tasks [`scatter_apply_coalesced`]
 /// cuts) walks its unique rows `block_rows` at a time. The lookups that
 /// reduce into a block are one contiguous piece of the stream
 /// (`reduce_dst` is non-decreasing), so the block's gradient is
@@ -161,18 +158,16 @@ pub struct CastedBackwardTimings {
 ///
 /// # Errors
 ///
-/// As [`scatter_apply_sharded`], with `upstream`'s width as the gradient
-/// width.
+/// As [`scatter_apply_coalesced`], with `upstream`'s width as the
+/// gradient width.
 ///
 /// # Panics
 ///
 /// Panics if `block_rows` is zero, if `gather_src` and `reduce_dst` differ
 /// in length, or if a `gather_src` row lies outside `upstream`.
-#[allow(clippy::too_many_arguments)]
 pub fn scatter_apply_casted(
     table: &mut EmbeddingTable,
     optimizer: &mut RowOptimizer,
-    map: &ShardMap,
     upstream: &Matrix,
     casted: &impl CastedLookups,
     block_rows: usize,
@@ -191,22 +186,14 @@ pub fn scatter_apply_casted(
         block_rows,
         clock: &clock,
     };
-    // No scatter runs more tasks than this. Only ever grown: tables of
-    // different shard counts share one scratch.
-    let tasks = exec.threads().max(map.num_shards());
+    // No scatter runs more tasks than this. Only ever grown, so a warm
+    // scratch allocates nothing.
+    let tasks = exec.threads();
     if scratch.blocks.len() < tasks {
         scratch.blocks.resize_with(tasks, Vec::new);
     }
     let rows = casted.unique_rows();
-    scatter_parts(
-        table,
-        optimizer,
-        map,
-        rows,
-        grads,
-        &mut scratch.blocks,
-        exec,
-    )?;
+    scatter_parts(table, optimizer, rows, grads, &mut scratch.blocks, exec)?;
     Ok(clock.split(started.elapsed()))
 }
 
@@ -270,7 +257,6 @@ impl HalfClock {
 fn scatter_parts(
     table: &mut EmbeddingTable,
     optimizer: &mut RowOptimizer,
-    map: &ShardMap,
     rows: &[u32],
     grads: Grads<'_>,
     blocks: &mut [Vec<f32>],
@@ -278,12 +264,6 @@ fn scatter_parts(
 ) -> Result<(), EmbeddingError> {
     let table_rows = table.rows();
     let dim = table.dim();
-    if map.rows() != table_rows {
-        return Err(EmbeddingError::InvalidIndex(format!(
-            "shard map covers {} rows but the table has {table_rows}",
-            map.rows()
-        )));
-    }
     let (grad_rows, grad_dim) = grads.shape(rows.len());
     if rows.len() != grad_rows {
         return Err(EmbeddingError::LengthMismatch {
@@ -323,22 +303,15 @@ fn scatter_parts(
         optimizer.with_update(|update| run_task(update, slab, rows, 0, grads, blocks.next()));
         return Ok(());
     };
-    // The fence of row ids the tasks are cut at: the shard bounds, or each
-    // equal-count band's first row. Closed just past the last touched row,
-    // so dense optimizer state is only grown to the touched prefix (a
-    // scatter touching low ids on a huge table must not allocate
-    // table-sized state).
-    let end = last.saturating_add(1);
-    let shards = map.num_shards();
-    let mut fence = Vec::with_capacity(bands.max(shards) + 1);
+    // The fence of row ids the tasks are cut at: each equal-count band's
+    // first row. Closed just past the last touched row, so dense optimizer
+    // state is only grown to the touched prefix (a scatter touching low ids
+    // on a huge table must not allocate table-sized state).
+    let per = rows.len().div_ceil(bands);
+    let mut fence = Vec::with_capacity(bands + 1);
     fence.push(0u32);
-    if shards > 1 {
-        fence.extend((1..shards).map(|s| (map.shard_base(s) as u32).min(end)));
-    } else {
-        let per = rows.len().div_ceil(bands);
-        fence.extend(rows.chunks(per).skip(1).map(|band| band[0]));
-    }
-    fence.push(end);
+    fence.extend(rows.chunks(per).skip(1).map(|band| band[0]));
+    fence.push(last.saturating_add(1));
     let mut table_rest = table.as_mut_slice();
     let mut lo = 0usize; // into `rows`
     let state_bands = optimizer.split_by_rows(&fence, dim);
@@ -466,7 +439,6 @@ mod tests {
     use crate::coalesce::gradient_expand_coalesce;
     use crate::index::IndexArray;
     use crate::optim::{RowOptimizer, UpdateRule};
-    use crate::sharding::ShardMap;
     use tcast_pool::Pool;
 
     fn coalesced(rows: &[u32], grads: Matrix) -> CoalescedGradients {
@@ -487,11 +459,10 @@ mod tests {
     /// The production scatter through a fresh SGD (lr 1) optimizer.
     fn scatter(
         table: &mut EmbeddingTable,
-        map: &ShardMap,
         part: &CoalescedScratch,
         exec: Exec<'_>,
     ) -> Result<(), EmbeddingError> {
-        scatter_apply_sharded(table, &mut sgd(1.0), map, part, exec)
+        scatter_apply_coalesced(table, &mut sgd(1.0), part, exec)
     }
 
     #[test]
@@ -569,9 +540,9 @@ mod tests {
         assert!(seq.max_abs_diff(&coal).unwrap() < 1e-6);
     }
 
-    // Bit-identity of `scatter_apply_sharded` against `scatter_apply`, for
-    // every optimizer x Exec x shard count, lives in
-    // `tests/scatter_parallel.rs`; these cover what it rejects.
+    // Bit-identity of `scatter_apply_coalesced` against `scatter_apply`,
+    // for every optimizer x Exec, lives in `tests/scatter_parallel.rs`;
+    // these cover what it rejects.
 
     #[test]
     fn empty_and_single_row_scatters() {
@@ -579,12 +550,11 @@ mod tests {
         let exec = Exec::pooled(&pool);
         let mut table = EmbeddingTable::seeded(10, 2, 3);
         let before = table.clone();
-        let map = ShardMap::new(10, 1);
-        scatter(&mut table, &map, &part(&[], Matrix::zeros(0, 2)), exec).unwrap();
-        scatter(&mut table, &map, &CoalescedScratch::default(), exec).unwrap();
+        scatter(&mut table, &part(&[], Matrix::zeros(0, 2)), exec).unwrap();
+        scatter(&mut table, &CoalescedScratch::default(), exec).unwrap();
         assert_eq!(table.as_slice(), before.as_slice());
         let one = part(&[7], Matrix::from_rows(&[&[1.0, 1.0]]).unwrap());
-        scatter(&mut table, &map, &one, exec).unwrap();
+        scatter(&mut table, &one, exec).unwrap();
         assert_eq!(table.row(7)[0], before.row(7)[0] - 1.0);
     }
 
@@ -592,14 +562,11 @@ mod tests {
     fn rejects_uncoalesced_rows() {
         let pool = Pool::new(2);
         let mut table = EmbeddingTable::zeros(10, 1);
-        for shards in [1, 2] {
-            let map = ShardMap::new(10, shards);
-            for rows in [[3u32, 3], [5, 2]] {
-                for exec in [Exec::Serial, Exec::pooled(&pool)] {
-                    let part = part(&rows, Matrix::zeros(2, 1));
-                    let err = scatter(&mut table, &map, &part, exec).unwrap_err();
-                    assert!(matches!(err, EmbeddingError::InvalidIndex(_)), "{err:?}");
-                }
+        for rows in [[3u32, 3], [5, 2]] {
+            for exec in [Exec::Serial, Exec::pooled(&pool)] {
+                let part = part(&rows, Matrix::zeros(2, 1));
+                let err = scatter(&mut table, &part, exec).unwrap_err();
+                assert!(matches!(err, EmbeddingError::InvalidIndex(_)), "{err:?}");
             }
         }
     }
@@ -608,42 +575,28 @@ mod tests {
     fn validates_bounds_and_shapes() {
         let pool = Pool::new(2);
         let mut table = EmbeddingTable::zeros(4, 2);
-        for shards in [1, 2] {
-            let map = ShardMap::new(4, shards);
-            for exec in [Exec::Serial, Exec::pooled(&pool)] {
-                let mut scatter = |rows: &[u32], grads: Matrix| {
-                    scatter(&mut table, &map, &part(rows, grads), exec).unwrap_err()
-                };
-                // Row id beyond the table.
-                let err = scatter(&[4], Matrix::zeros(1, 2));
-                assert!(matches!(
-                    err,
-                    EmbeddingError::SrcOutOfBounds { src: 4, rows: 4 }
-                ));
-                // Gradient width mismatch.
-                let err = scatter(&[0], Matrix::zeros(1, 3));
-                assert!(matches!(err, EmbeddingError::DimMismatch { .. }));
-                // Row count mismatch.
-                let err = scatter(&[0], Matrix::zeros(2, 2));
-                assert!(matches!(err, EmbeddingError::LengthMismatch { .. }));
-            }
+        for exec in [Exec::Serial, Exec::pooled(&pool)] {
+            let mut scatter = |rows: &[u32], grads: Matrix| {
+                scatter(&mut table, &part(rows, grads), exec).unwrap_err()
+            };
+            // Row id beyond the table.
+            let err = scatter(&[4], Matrix::zeros(1, 2));
+            assert!(matches!(
+                err,
+                EmbeddingError::SrcOutOfBounds { src: 4, rows: 4 }
+            ));
+            // Gradient width mismatch.
+            let err = scatter(&[0], Matrix::zeros(1, 3));
+            assert!(matches!(err, EmbeddingError::DimMismatch { .. }));
+            // Row count mismatch.
+            let err = scatter(&[0], Matrix::zeros(2, 2));
+            assert!(matches!(err, EmbeddingError::LengthMismatch { .. }));
         }
     }
 
-    #[test]
-    fn validates_the_map_covers_the_table() {
-        let mut table = EmbeddingTable::zeros(10, 2);
-        let row0 = part(&[0], Matrix::zeros(1, 2));
-        for rows in [8, 11] {
-            let err = scatter(&mut table, &ShardMap::new(rows, 2), &row0, Exec::Serial);
-            let err = err.unwrap_err();
-            assert!(matches!(err, EmbeddingError::InvalidIndex(_)), "{err:?}");
-        }
-    }
-
-    /// Rows that all lie in the first shard of a 4-shard map on a large
-    /// table: the casted scatter's state stops at the touched prefix, on
-    /// every `Exec` (the pooled fence closes just past the last row).
+    /// Rows that all lie in a short prefix of a large table: the casted
+    /// scatter's state stops at the touched prefix, on every `Exec` (the
+    /// pooled fence closes just past the last row).
     #[test]
     fn state_stays_bounded_by_the_touched_prefix() {
         struct Lookups(Vec<u32>);
@@ -659,8 +612,6 @@ mod tests {
             }
         }
         let (rows, dim, touched) = (1usize << 20, 2usize, 40u32);
-        let map = ShardMap::new(rows, 4);
-        assert!((touched as usize) < map.shard_end(0));
         let casted = Lookups((0..touched).collect());
         let upstream = Matrix::filled(touched as usize, dim, 0.5);
         let pool = Pool::new(3);
@@ -677,7 +628,6 @@ mod tests {
                 scatter_apply_casted(
                     &mut table,
                     &mut opt,
-                    &map,
                     &upstream,
                     &casted,
                     16,

@@ -3,8 +3,8 @@
 //!
 //! ROADMAP's "as fast as the hardware allows" requires explicit SIMD, but
 //! the repository's entire correctness story rests on bit-identity
-//! invariants (pooled == serial, sharded == unsharded, fused-batch ==
-//! per-query, resume == uninterrupted). The kernels here are therefore
+//! invariants (pooled == serial, fused-batch == per-query, resume ==
+//! uninterrupted). The kernels here are therefore
 //! designed so that vectorization *cannot* change results:
 //!
 //! * Every kernel vectorizes **across the `j`/`dim` lane axis** and keeps

@@ -15,7 +15,7 @@ use tensor_casting::embedding::{
     gradient_expand_coalesce,
     optim::{RowOptimizer, UpdateRule},
     scatter_apply, scatter_apply_casted, BlockScratch, CoalescedScratch, EmbeddingTable,
-    IndexArray, ShardMap,
+    IndexArray,
 };
 use tensor_casting::nmp::{NmpPool, PoolConfig};
 use tensor_casting::tensor::{Exec, Matrix, Pool, SplitMix64};
@@ -103,7 +103,6 @@ fn check_serial_equals_pooled(index: &IndexArray, table_rows: usize, dim: usize,
     )
     .unwrap();
     let sgd = || RowOptimizer::new(UpdateRule::Sgd { lr: 0.1 });
-    let map = ShardMap::new(table_rows, 1);
     let mut blocks = BlockScratch::default();
 
     // One set of buffers for the whole sweep: every call after the first
@@ -152,16 +151,8 @@ fn check_serial_equals_pooled(index: &IndexArray, table_rows: usize, dim: usize,
         // The fused backward never holds more than a block of that
         // gradient: a row, a few, or (past every unique row) all of it.
         let mut fused = table.clone();
-        blocked_casted_backward(
-            &mut fused,
-            &mut sgd(),
-            &map,
-            &grads,
-            &casted,
-            &mut blocks,
-            exec,
-        )
-        .unwrap();
+        blocked_casted_backward(&mut fused, &mut sgd(), &grads, &casted, &mut blocks, exec)
+            .unwrap();
         assert_eq!(
             bits(fused.as_slice()),
             bits(plain.as_slice()),
@@ -172,7 +163,6 @@ fn check_serial_equals_pooled(index: &IndexArray, table_rows: usize, dim: usize,
             scatter_apply_casted(
                 &mut fused,
                 &mut sgd(),
-                &map,
                 &grads,
                 &casted,
                 block_rows,

@@ -4,10 +4,6 @@
 //! optimizer. Lookahead only moves *when* casting runs (a pure function
 //! of the index arrays), never what the model computes.
 //!
-//! Also covers the pipeline's bounded in-flight cap: a lookahead deeper
-//! than the cap back-pressures `begin_step` (blocks until the casting
-//! worker drains) instead of growing the job queue.
-//!
 //! This file also carries the *prefetch* half of the invariant — a
 //! `PrefetchSource`-wrapped stream (generation on a producer thread,
 //! arbitrary producer/consumer interleaving, cross-thread buffer
@@ -25,7 +21,7 @@ use tensor_casting::datasets::{
 };
 use tensor_casting::dlrm::{
     AdaptiveDepth, BackwardMode, DepthController, DepthPolicy, DlrmConfig, EmbeddingOptimizer,
-    Execution, ShardSpec, StepReport, TableConfig, TrainLoop, Trainer, DENSE_GEMM_FAULT_SITE,
+    Execution, StepReport, TableConfig, TrainLoop, Trainer, DENSE_GEMM_FAULT_SITE,
     GATHER_AHEAD_FAULT_SITE,
 };
 use tensor_casting::embedding::{EmbeddingError, IndexArray};
@@ -155,45 +151,6 @@ fn run_summary_accounts_for_every_casting_job() {
     assert!(summary.exposed_cast_wait <= stats.exposed_wait);
     let hf = summary.hidden_fraction();
     assert!((0.0..=1.0).contains(&hf), "hidden fraction {hf}");
-}
-
-/// The backpressure half of the bounded queue contract: with the cap at
-/// 1, `begin_step` for batch N+1 cannot return before batch N's casting
-/// job has been *drained by the worker* — so a deep lookahead's queue
-/// stays capped instead of growing, which the pipeline's high-water
-/// gauge certifies deterministically.
-#[test]
-fn inflight_cap_blocks_begin_step_instead_of_growing_the_queue() {
-    let mut trainer = Trainer::new(DlrmConfig::tiny(), BackwardMode::Casted, 13).unwrap();
-    trainer.set_casting_inflight_cap(1);
-    let mut driver = TrainLoop::new(trainer, 6); // lookahead >> cap
-    let mut source = SyntheticSource::new(stream(31), 16);
-    for _ in 0..6 {
-        // Every push begins a step; with cap 1 the previous casting job
-        // must complete before this submit returns.
-        driver.push(source.next_batch().unwrap()).unwrap();
-    }
-    let stats = driver.trainer().pipeline_stats().unwrap();
-    assert!(
-        stats.jobs_completed >= 5,
-        "submits overtook the cap: only {} jobs done after 6 begins",
-        stats.jobs_completed
-    );
-    assert_eq!(
-        stats.max_in_flight, 1,
-        "queue grew past the cap: high-water {}",
-        stats.max_in_flight
-    );
-    for (report, _) in driver.finish().unwrap() {
-        assert!(report.loss.is_finite());
-    }
-    // And the capped run still trains correctly: bit-identical to serial.
-    let (want, serial) =
-        serial_losses(BackwardMode::Casted, EmbeddingOptimizer::Sgd, 31, 13, 6, 16);
-    let capped = driver.into_trainer();
-    assert_eq!(capped.steps(), 6);
-    let _ = want;
-    assert_tables_identical(&serial, &capped, "capped lookahead");
 }
 
 /// A `TrainLoop` over a `PrefetchSource`-wrapped stream at `depth`,
@@ -533,7 +490,7 @@ fn hazard_batches(seed: u64, steps: usize, batch: usize) -> Vec<Arc<CtrBatch>> {
 
 /// Everything a trajectory leaves behind, as bits: per-step losses and
 /// every table. Optimizer state is read through its only door — how the
-/// slabs behind it were grown, banded or sharded is not part of it: one
+/// slabs behind it were grown or banded is not part of it: one
 /// more plain `step` on a probe batch, whose loss joins `losses`, pushes
 /// every row's accumulators into the table bits (the hazard tables are
 /// small enough that the probe touches every row).
@@ -628,9 +585,9 @@ fn drive_checked(lp: &mut TrainLoop, batches: &[Arc<CtrBatch>], context: &str) -
 
 /// THE gather-ahead property, exhaustively: `TrainLoop` at depths
 /// {0, 1, 2, 4} and under an adaptive policy, over serial and pooled
-/// execution, both backward modes, sharded and not, all five optimizers,
-/// on the hazard stream — losses, tables and optimizer state end
-/// bit-equal to the serial, unsharded `Trainer::step` loop, and every
+/// execution, both backward modes, all five optimizers, on the hazard
+/// stream — losses, tables and optimizer state end bit-equal to the
+/// serial `Trainer::step` loop, and every
 /// step that was queued behind its predecessor adopted its gather.
 #[test]
 fn gather_ahead_matrix_is_bit_identical_to_the_step_loop() {
@@ -669,33 +626,24 @@ fn gather_ahead_matrix_is_bit_identical_to_the_step_loop() {
                 .collect();
             let want = trajectory(&losses, reference);
             for execution in &executions {
-                for shards in [1, 3] {
-                    for policy in policies {
-                        let context =
-                            format!("{mode:?} {opt:?} {execution:?} x{shards} {policy:?}");
-                        let trainer = Trainer::with_sharding(
-                            hazard_config(),
-                            mode,
-                            opt,
-                            execution.clone(),
-                            ShardSpec::new(shards),
-                            77,
-                        )
-                        .unwrap();
-                        let mut lp = TrainLoop::with_policy(trainer, policy);
-                        let check = drive_checked(&mut lp, &batches, &context);
-                        match policy {
-                            DepthPolicy::Fixed(0) => assert_eq!(check.adopted, 0, "{context}"),
-                            // Every step but the first of the stream and
-                            // the first after the mid-stream drain.
-                            DepthPolicy::Fixed(_) => {
-                                assert_eq!(check.adopted, steps - 2, "{context}");
-                            }
-                            DepthPolicy::Adaptive(_) => assert!(check.adopted > 0, "{context}"),
+                for policy in policies {
+                    let context = format!("{mode:?} {opt:?} {execution:?} {policy:?}");
+                    let trainer =
+                        Trainer::with_execution(hazard_config(), mode, opt, execution.clone(), 77)
+                            .unwrap();
+                    let mut lp = TrainLoop::with_policy(trainer, policy);
+                    let check = drive_checked(&mut lp, &batches, &context);
+                    match policy {
+                        DepthPolicy::Fixed(0) => assert_eq!(check.adopted, 0, "{context}"),
+                        // Every step but the first of the stream and the
+                        // first after the mid-stream drain.
+                        DepthPolicy::Fixed(_) => {
+                            assert_eq!(check.adopted, steps - 2, "{context}");
                         }
-                        let got = trajectory(&check.losses, lp.into_trainer());
-                        assert!(got == want, "{context}: diverged from the step loop");
+                        DepthPolicy::Adaptive(_) => assert!(check.adopted > 0, "{context}"),
                     }
+                    let got = trajectory(&check.losses, lp.into_trainer());
+                    assert!(got == want, "{context}: diverged from the step loop");
                 }
             }
         }
@@ -761,18 +709,15 @@ fn hostile_batches(good: &CtrBatch) -> Vec<(&'static str, CtrBatch)> {
 /// that tripped over the bad batch is dropped without a trace, and the bad
 /// step fails with the very error the plain `step` loop reports — after
 /// which valid steps continue bit-identically, to the end state of a run
-/// that never saw the bad batch. The same at every shard count, serial and
-/// pooled: a sharded trainer's batches take the unsharded error path.
+/// that never saw the bad batch. The same serial and pooled, at depths 1
+/// and 2.
 #[test]
 fn hostile_successor_fails_in_its_own_step_with_the_same_error() {
     let good = hazard_batches(21, 5, 16);
     let pool = Arc::new(tensor_casting::tensor::Pool::new(2));
     let schedules = [Execution::Serial, Execution::Pooled(pool)]
         .into_iter()
-        .flat_map(|execution| {
-            [(1, 1), (1, 2), (3, 1), (3, 2)]
-                .map(|(shards, depth)| (execution.clone(), shards, depth))
-        });
+        .flat_map(|execution| [1, 2].map(|depth| (execution.clone(), depth)));
     for (kind, bad) in hostile_batches(&good[2]) {
         let mut stream: Vec<Arc<CtrBatch>> = good.clone();
         stream[2] = Arc::new(bad);
@@ -795,11 +740,10 @@ fn hostile_successor_fails_in_its_own_step_with_the_same_error() {
                 "{kind} {mode:?}: the rejected step left a trace"
             );
 
-            for (execution, shards, depth) in schedules.clone() {
-                let context = format!("{kind} {mode:?} {execution:?} x{shards} depth {depth}");
-                let spec = ShardSpec::new(shards);
+            for (execution, depth) in schedules.clone() {
+                let context = format!("{kind} {mode:?} {execution:?} depth {depth}");
                 let trainer =
-                    Trainer::with_sharding(hazard_config(), mode, opt, execution, spec, 9).unwrap();
+                    Trainer::with_execution(hazard_config(), mode, opt, execution, 9).unwrap();
                 let mut lp = TrainLoop::new(trainer, depth);
                 let mut got = Vec::new();
                 for batch in &stream {
@@ -1053,7 +997,7 @@ fn dense_gemm_panic_resurfaces_and_the_next_step_runs() {
 /// path produced them (SGD) and as the commit before a shard became a
 /// fence did at one shard (Adagrad): `DlrmConfig::tiny()` at batch 24 and
 /// the wide hazard model (one layer on the split floor) at batch 16, both
-/// backward modes, at 1 and at 3 shards. Every other test here compares
+/// backward modes. Every other test here compares
 /// schedules within one build; these constants compare builds. The same
 /// under `TCAST_KERNEL=scalar|avx2`; `fma` is not a bit-identical tier and
 /// is skipped.
@@ -1102,21 +1046,17 @@ fn step_losses_and_checkpoint_bytes_match_the_pinned_build() {
         .map(|_| Arc::new(tiny_stream.next_batch(24)))
         .collect();
     let wide = hazard_batches(78, 8, 16);
-    for (config, batches, opt, pinned, shards) in [
-        (DlrmConfig::tiny(), &tiny, EmbeddingOptimizer::Sgd, TINY, 1),
-        (wide_config(), &wide, EmbeddingOptimizer::Sgd, WIDE, 1),
-        (DlrmConfig::tiny(), &tiny, adagrad, TINY_ADAGRAD, 1),
-        (DlrmConfig::tiny(), &tiny, adagrad, TINY_ADAGRAD, 3),
-        (wide_config(), &wide, adagrad, WIDE_ADAGRAD, 1),
-        (wide_config(), &wide, adagrad, WIDE_ADAGRAD, 3),
+    for (config, batches, opt, pinned) in [
+        (DlrmConfig::tiny(), &tiny, EmbeddingOptimizer::Sgd, TINY),
+        (wide_config(), &wide, EmbeddingOptimizer::Sgd, WIDE),
+        (DlrmConfig::tiny(), &tiny, adagrad, TINY_ADAGRAD),
+        (wide_config(), &wide, adagrad, WIDE_ADAGRAD),
     ] {
         for (mode, pinned) in [BackwardMode::Baseline, BackwardMode::Casted]
             .into_iter()
             .zip(pinned)
         {
-            let (serial, spec) = (Execution::Serial, ShardSpec::new(shards));
-            let mut trainer =
-                Trainer::with_sharding(config.clone(), mode, opt, serial, spec, 13).unwrap();
+            let mut trainer = Trainer::with_optimizer(config.clone(), mode, opt, 13).unwrap();
             let losses: Vec<u32> = batches
                 .iter()
                 .map(|b| trainer.step(b).unwrap().loss.to_bits())
@@ -1129,7 +1069,7 @@ fn step_losses_and_checkpoint_bytes_match_the_pinned_build() {
             assert_eq!(
                 (&losses[..], checksum),
                 (&pinned.0[..], pinned.1),
-                "{mode:?} {opt:?} x{shards}"
+                "{mode:?} {opt:?}"
             );
         }
     }

@@ -1,27 +1,27 @@
-//! Property suite for the production scatter, `scatter_apply_sharded`:
-//! for any coalesced workload, every optimizer, every `Exec` and every
-//! shard count, tables **and optimizer state** must be bit-identical to
-//! the serial reference `scatter_apply` through the same kind of
-//! optimizer.
+//! Property suite for the production scatter, `scatter_apply_coalesced`:
+//! for any coalesced workload, every optimizer and every `Exec` (serial,
+//! or pooled at any band count), tables **and optimizer state** must be
+//! bit-identical to the serial reference `scatter_apply` through the same
+//! kind of optimizer.
 //!
 //! This is the scatter-side mirror of the casted-backward equivalence
 //! property: coalesced rows are unique, so any split of the `(rows,
-//! grads)` arrays — contiguous row bands, or the shard map's fences —
-//! gives each task a disjoint table slice and disjoint optimizer state,
-//! and the per-row update math is exactly the serial optimizer's.
+//! grads)` arrays into contiguous row bands gives each task a disjoint
+//! table slice and disjoint optimizer state, and the per-row update math
+//! is exactly the serial optimizer's.
 //!
 //! The second half holds the scatter the casted trainer runs,
 //! `scatter_apply_casted` (the row-blocked casted backward), to the two
 //! operators it fuses — `casted_gather_reduce_into` then
-//! `scatter_apply_sharded` — over the same matrix plus the block size.
+//! `scatter_apply_coalesced` — over the same matrix plus the block size.
 
 use proptest::prelude::*;
 use std::sync::OnceLock;
 use tensor_casting::core::{casted_gather_reduce_into, tensor_casting};
 use tensor_casting::embedding::{
-    optim::{RowOptimizer, SparseOptimizer, UpdateRule},
-    scatter_apply, scatter_apply_casted, scatter_apply_sharded, BlockScratch, CoalescedGradients,
-    CoalescedScratch, EmbeddingError, EmbeddingTable, IndexArray, ShardMap,
+    optim::{RowOptimizer, UpdateRule},
+    scatter_apply, scatter_apply_casted, scatter_apply_coalesced, BlockScratch, CoalescedGradients,
+    CoalescedScratch, EmbeddingError, EmbeddingTable, IndexArray,
 };
 use tensor_casting::tensor::{Exec, Matrix, Pool, SplitMix64};
 
@@ -63,18 +63,20 @@ fn bits(values: &[f32]) -> Vec<u32> {
 /// parameters are a function of each row's accumulators (velocity,
 /// squared-gradient sums, Adam's moments and step count), so equal bits
 /// here mean equal state — however the slab behind it was grown or banded.
-fn probe_state(opt: &mut dyn SparseOptimizer, table_rows: usize, dim: usize) -> Vec<u32> {
+fn probe_state(opt: &mut RowOptimizer, table_rows: usize, dim: usize) -> Vec<u32> {
     let mut probe = EmbeddingTable::zeros(table_rows, dim);
     let ones = vec![1.0f32; dim];
-    for row in 0..table_rows {
-        opt.update_row(row as u32, probe.row_mut(row), &ones);
-    }
+    opt.with_update(|update| {
+        for row in 0..table_rows {
+            update(row as u32, probe.row_mut(row), &ones);
+        }
+    });
     bits(probe.as_slice())
 }
 
 /// Three scatters of `rows` (coalesced: unique, ascending) through every
-/// optimizer, reference vs. the production entry under the whole
-/// `Exec x shards` matrix. Several scatters through the SAME
+/// optimizer, reference vs. the production entry under every `Exec`:
+/// serial, and pooled at 1, 2, 3 and 8 bands. Several scatters through the SAME
 /// optimizer instances, so a state divergence in step k also corrupts
 /// every table update after it.
 fn check_scatter(table_rows: usize, dim: usize, rows: &[u32], seed: u64) -> Result<(), String> {
@@ -106,25 +108,22 @@ fn check_scatter(table_rows: usize, dim: usize, rows: &[u32], seed: u64) -> Resu
         let reference_state = probe_state(&mut reference_opt, table_rows, dim);
 
         for exec in execs.clone() {
-            for shards in [1, 2, 3, 7] {
-                let map = ShardMap::new(table_rows, shards);
-                let mut table = EmbeddingTable::seeded(table_rows, dim, 1);
-                let mut opt = RowOptimizer::new(rule);
-                for grads in &steps {
-                    let part = part(rows, grads.clone());
-                    scatter_apply_sharded(&mut table, &mut opt, &map, &part, exec).unwrap();
-                }
-                let what = format!(
-                    "{} over {} rows of {table_rows}x{dim}, {exec:?}, {shards} shards",
-                    rule.name(),
-                    rows.len(),
-                );
-                if bits(table.as_slice()) != bits(reference.as_slice()) {
-                    return Err(format!("table diverged: {what}"));
-                }
-                if probe_state(&mut opt, table_rows, dim) != reference_state {
-                    return Err(format!("optimizer state diverged: {what}"));
-                }
+            let mut table = EmbeddingTable::seeded(table_rows, dim, 1);
+            let mut opt = RowOptimizer::new(rule);
+            for grads in &steps {
+                let part = part(rows, grads.clone());
+                scatter_apply_coalesced(&mut table, &mut opt, &part, exec).unwrap();
+            }
+            let what = format!(
+                "{} over {} rows of {table_rows}x{dim}, {exec:?}",
+                rule.name(),
+                rows.len(),
+            );
+            if bits(table.as_slice()) != bits(reference.as_slice()) {
+                return Err(format!("table diverged: {what}"));
+            }
+            if probe_state(&mut opt, table_rows, dim) != reference_state {
+                return Err(format!("optimizer state diverged: {what}"));
             }
         }
     }
@@ -138,9 +137,9 @@ fn parallel_scatter_is_bit_identical_on_edge_workloads() {
     let workloads: [&[u32]; 6] = [
         &[],               // nothing to apply
         &[41],             // a single row: fewer rows than any band count
-        &[3, 50, 96],      // 3 hot rows, one per shard, last row of the table
-        &[0, 1, 2],        // every row in shard 0: the other shards sit idle
-        &[32, 33, 65, 66], // the rows on either side of the 3-shard fences
+        &[3, 50, 96],      // 3 hot rows, one per band of 3, last row of the table
+        &[0, 1, 2],        // the first rows only: state grows to a short prefix
+        &[32, 33, 65, 66], // 4 rows: uneven bands at 3 and 8 threads
         all.as_slice(),    // every row of the table
     ];
     for (i, rows) in workloads.iter().enumerate() {
@@ -153,7 +152,7 @@ fn parallel_scatter_is_bit_identical_on_edge_workloads() {
 /// Two blocked casted backwards of `index` through every optimizer,
 /// against the two operators run one after the other (serially, through
 /// whole coalesced arrays), under block sizes {1, 3, 64, every row} x
-/// shard counts {1, 2, 3, 7} x `Exec::{Serial, Pooled 2, Pooled 3}`. The
+/// `Exec::{Serial, Pooled 2, Pooled 3, Pooled 7}`. The
 /// second step runs on the first one's optimizer state, and one block
 /// scratch serves a whole sweep, so every call after the first starts
 /// from dirty buffers.
@@ -173,7 +172,7 @@ fn check_blocked_backward(
             upstream
         })
         .collect();
-    let execs = [2usize, 3]
+    let execs = [2usize, 3, 7]
         .map(|threads| Exec::Pooled {
             pool: pool(),
             threads,
@@ -183,56 +182,44 @@ fn check_blocked_backward(
 
     // What the casting pipeline delivers: the table's one casted array.
     let casted = tensor_casting(index);
-    for shards in [1usize, 2, 3, 7] {
-        let map = ShardMap::new(table_rows, shards);
-        let mut blocks = BlockScratch::default();
-        for rule in RULES {
-            let mut reference = EmbeddingTable::seeded(table_rows, dim, 1);
-            let mut reference_opt = RowOptimizer::new(rule);
-            let mut coalesced = CoalescedScratch::default();
-            for upstream in &steps {
-                casted_gather_reduce_into(upstream, &casted, &mut coalesced, Exec::Serial).unwrap();
-                scatter_apply_sharded(
-                    &mut reference,
-                    &mut reference_opt,
-                    &map,
-                    &coalesced,
-                    Exec::Serial,
-                )
+    let mut blocks = BlockScratch::default();
+    for rule in RULES {
+        let mut reference = EmbeddingTable::seeded(table_rows, dim, 1);
+        let mut reference_opt = RowOptimizer::new(rule);
+        let mut coalesced = CoalescedScratch::default();
+        for upstream in &steps {
+            casted_gather_reduce_into(upstream, &casted, &mut coalesced, Exec::Serial).unwrap();
+            scatter_apply_coalesced(&mut reference, &mut reference_opt, &coalesced, Exec::Serial)
                 .unwrap();
-            }
-            let reference_state = probe_state(&mut reference_opt, table_rows, dim);
+        }
+        let reference_state = probe_state(&mut reference_opt, table_rows, dim);
 
-            for exec in execs.clone() {
-                for block_rows in [1, 3, 64, table_rows.max(1)] {
-                    let mut table = EmbeddingTable::seeded(table_rows, dim, 1);
-                    let mut opt = RowOptimizer::new(rule);
-                    for upstream in &steps {
-                        scatter_apply_casted(
-                            &mut table,
-                            &mut opt,
-                            &map,
-                            upstream,
-                            &casted,
-                            block_rows,
-                            &mut blocks,
-                            exec,
-                        )
-                        .unwrap();
-                    }
-                    let what = format!(
-                        "{} over {} lookups into {table_rows}x{dim}, blocks of {block_rows}, \
-                         {exec:?}, {} shards",
-                        rule.name(),
-                        index.len(),
-                        map.num_shards(),
-                    );
-                    if bits(table.as_slice()) != bits(reference.as_slice()) {
-                        return Err(format!("table diverged: {what}"));
-                    }
-                    if probe_state(&mut opt, table_rows, dim) != reference_state {
-                        return Err(format!("optimizer state diverged: {what}"));
-                    }
+        for exec in execs.clone() {
+            for block_rows in [1, 3, 64, table_rows.max(1)] {
+                let mut table = EmbeddingTable::seeded(table_rows, dim, 1);
+                let mut opt = RowOptimizer::new(rule);
+                for upstream in &steps {
+                    scatter_apply_casted(
+                        &mut table,
+                        &mut opt,
+                        upstream,
+                        &casted,
+                        block_rows,
+                        &mut blocks,
+                        exec,
+                    )
+                    .unwrap();
+                }
+                let what = format!(
+                    "{} over {} lookups into {table_rows}x{dim}, blocks of {block_rows}, {exec:?}",
+                    rule.name(),
+                    index.len(),
+                );
+                if bits(table.as_slice()) != bits(reference.as_slice()) {
+                    return Err(format!("table diverged: {what}"));
+                }
+                if probe_state(&mut opt, table_rows, dim) != reference_state {
+                    return Err(format!("optimizer state diverged: {what}"));
                 }
             }
         }
@@ -249,12 +236,12 @@ fn blocked_casted_backward_is_bit_identical_on_edge_workloads() {
         // No lookups: nothing to update, with and without upstream rows.
         pairs(vec![], vec![], 0),
         pairs(vec![], vec![], 4),
-        // One lookup: a single row in one shard, nothing in the others.
+        // One lookup: a single row in one band, nothing in the others.
         pairs(vec![41], vec![0], 1),
         // One hot row looked up by every sample: a single unique row whose
         // run is the whole stream.
         pairs(vec![96; 80], (0..80).collect(), 80),
-        // The rows on either side of the 3-shard fences.
+        // Four rows in two samples: uneven bands at 3 and 7 threads.
         IndexArray::from_samples(&[vec![32, 33, 65, 66], vec![33, 65]]).unwrap(),
         // Every row of the table, twice over, in descending order: more
         // unique rows than any block size but the last.
@@ -274,8 +261,8 @@ fn blocked_casted_backward_is_bit_identical_on_edge_workloads() {
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(16))]
 
-    /// Random lookup streams: up to 24 samples of 1-6 lookups, so shards
-    /// range from empty through single-row to a few blocks.
+    /// Random lookup streams: up to 24 samples of 1-6 lookups, so bands
+    /// range from single-row to a few blocks.
     #[test]
     fn blocked_casted_backward_is_bit_identical_to_the_two_operators(
         case in (1u32..200).prop_flat_map(|rows| (
@@ -308,21 +295,20 @@ proptest! {
     }
 
     /// Uncoalesced inputs (duplicates or disorder) are rejected, never
-    /// silently mis-sharded.
+    /// silently mis-banded.
     #[test]
     fn parallel_scatter_rejects_uncoalesced_rows(
         row in 0u32..50,
         swap in any::<bool>(),
-        shards in 1usize..4,
+        threads in 1usize..4,
     ) {
         let rows = if swap { vec![row + 1, row] } else { vec![row, row] };
         let mut table = EmbeddingTable::zeros(64, 2);
-        let err = scatter_apply_sharded(
+        let err = scatter_apply_coalesced(
             &mut table,
             &mut RowOptimizer::new(RULES[0]),
-            &ShardMap::new(64, shards),
             &part(&rows, Matrix::zeros(2, 2)),
-            Exec::pooled(pool()),
+            Exec::Pooled { pool: pool(), threads },
         )
         .unwrap_err();
         prop_assert!(matches!(err, EmbeddingError::InvalidIndex(_)));

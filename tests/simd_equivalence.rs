@@ -1,5 +1,5 @@
 //! SIMD-tier equivalence suite: every kernel tier must be *bit-identical*
-//! to the scalar oracle (performance invariant 9), except the opt-in FMA
+//! to the scalar oracle (performance invariant 8), except the opt-in FMA
 //! tier, which contracts `a*b + c` and is therefore only tolerance-gated.
 //!
 //! The proptests drive the explicit-dispatch entry points

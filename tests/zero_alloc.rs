@@ -21,8 +21,7 @@ use std::sync::Arc;
 use std::time::{Duration, Instant};
 
 use tensor_casting::datasets::{
-    BatchSource, CtrBatch, Popularity, PrefetchSource, ShardedPrefetchSource, SyntheticCtr,
-    SyntheticSource, TableWorkload,
+    BatchSource, CtrBatch, Popularity, PrefetchSource, SyntheticCtr, SyntheticSource, TableWorkload,
 };
 
 use tensor_casting::core::{
@@ -32,7 +31,7 @@ use tensor_casting::dlrm::{BackwardMode, DlrmConfig, TableConfig, Trainer};
 use tensor_casting::embedding::{
     gather_reduce_into, gradient_coalesce_into, gradient_expand_into,
     optim::{RowOptimizer, UpdateRule},
-    scatter_apply_sharded, BlockScratch, CoalescedScratch, EmbeddingTable, IndexArray, ShardMap,
+    scatter_apply_coalesced, BlockScratch, CoalescedScratch, EmbeddingTable, IndexArray,
 };
 use tensor_casting::tensor::{
     bce_with_logits, bce_with_logits_backward_into, Activation, Exec, FeatureInteraction, Matrix,
@@ -121,8 +120,6 @@ fn steady_state_hot_path_performs_zero_allocations() {
     let mut pooled = Matrix::default();
     let mut blocks = BlockScratch::default();
     let mut sgd = RowOptimizer::new(SGD);
-    // The shard fence of an unsharded 500-row table.
-    let unsharded = ShardMap::new(500, 1);
 
     // What a casted training step runs per table: the forward
     // gather-reduce, then the blocked casted backward (gather-reduce and
@@ -133,8 +130,7 @@ fn steady_state_hot_path_performs_zero_allocations() {
                           table: &mut EmbeddingTable,
                           sgd: &mut RowOptimizer| {
         gather_reduce_into(table, &index, pooled, Exec::Serial).unwrap();
-        let map = &unsharded;
-        blocked_casted_backward(table, sgd, map, &upstream, &casted, blocks, Exec::Serial).unwrap();
+        blocked_casted_backward(table, sgd, &upstream, &casted, blocks, Exec::Serial).unwrap();
     };
 
     // Warm-up: size every buffer to its high-water mark.
@@ -174,7 +170,7 @@ fn steady_state_hot_path_performs_zero_allocations() {
                          sgd: &mut RowOptimizer| {
         gradient_expand_into(&upstream, &index, expanded).unwrap();
         gradient_coalesce_into(expanded, &index, coalesced, Exec::Serial).unwrap();
-        scatter_apply_sharded(table, sgd, &unsharded, coalesced, Exec::Serial).unwrap();
+        scatter_apply_coalesced(table, sgd, coalesced, Exec::Serial).unwrap();
     };
 
     baseline_step(
@@ -216,7 +212,7 @@ fn steady_state_hot_path_performs_zero_allocations() {
 
     let stateful_scatter =
         |coalesced: &CoalescedScratch, table: &mut EmbeddingTable, opt: &mut RowOptimizer| {
-            scatter_apply_sharded(table, opt, &unsharded, coalesced, Exec::Serial).unwrap();
+            scatter_apply_coalesced(table, opt, coalesced, Exec::Serial).unwrap();
         };
 
     stateful_scatter(&coalesced, &mut ada_table, &mut ada);
@@ -231,53 +227,6 @@ fn steady_state_hot_path_performs_zero_allocations() {
         allocations() - before,
         0,
         "stateful-optimizer scatter steady state must not allocate"
-    );
-
-    // ---- Sharded embedding data plane ---------------------------------
-    // A shard count adds nothing to the step but a fence: the same one
-    // coalesced or casted array, the same one state slab. Each stage must
-    // be as allocation-free warm as its unsharded counterpart — sharding
-    // is placement, not overhead.
-    let map = ShardMap::new(500, 3);
-
-    // Baseline-shaped sharded scatter of the globally coalesced rows.
-    let mut sh_table = EmbeddingTable::seeded(500, dim, 13);
-    let mut sh_opt = RowOptimizer::new(ADAGRAD);
-    let sharded_scatter = |table: &mut EmbeddingTable, opt: &mut RowOptimizer| {
-        scatter_apply_sharded(table, opt, &map, &coalesced, Exec::Serial).unwrap();
-    };
-    sharded_scatter(&mut sh_table, &mut sh_opt);
-    sharded_scatter(&mut sh_table, &mut sh_opt);
-    let before = allocations();
-    for _ in 0..10 {
-        sharded_scatter(&mut sh_table, &mut sh_opt);
-    }
-    assert_eq!(
-        allocations() - before,
-        0,
-        "warm sharded slab scatter must not allocate"
-    );
-
-    // Casted-shaped sharded backward: the blocked casted backward over
-    // the same casted array the unsharded step takes.
-    let mut shard_blocks = BlockScratch::default();
-    let mut cast_table = EmbeddingTable::seeded(500, dim, 14);
-    let mut cast_opt = RowOptimizer::new(ADAM);
-    let mut sharded_casted_step = |table: &mut EmbeddingTable, opt: &mut RowOptimizer| {
-        let blocks = &mut shard_blocks;
-        blocked_casted_backward(table, opt, &map, &upstream, &casted, blocks, Exec::Serial)
-            .unwrap();
-    };
-    sharded_casted_step(&mut cast_table, &mut cast_opt);
-    sharded_casted_step(&mut cast_table, &mut cast_opt);
-    let before = allocations();
-    for _ in 0..10 {
-        sharded_casted_step(&mut cast_table, &mut cast_opt);
-    }
-    assert_eq!(
-        allocations() - before,
-        0,
-        "warm sharded casted backward must not allocate"
     );
 
     // ---- Casting-pipeline submit: Arc share, no per-table clone -------
@@ -706,73 +655,6 @@ fn steady_state_hot_path_performs_zero_allocations() {
         stats.max_ready <= capacity,
         "ready-queue high-water {} exceeded the capacity {capacity}",
         stats.max_ready
-    );
-
-    // ---- Sharded prefetch: warm multi-producer checkout/recycle -------
-    // N producers, N bounded queues, one round-robin consumer. The same
-    // contract as the single-producer source, per shard: every producer
-    // opts into tracking, and once each shard's buffer pool is warm a
-    // full round of checkouts and recycles allocates nothing anywhere.
-    let shard_tables = || {
-        vec![
-            TableWorkload::new(
-                Popularity::Zipf {
-                    rows: 500,
-                    exponent: 1.0,
-                },
-                4,
-            ),
-            TableWorkload::new(Popularity::Uniform { rows: 200 }, 2),
-        ]
-    };
-    let shards = 2;
-    let mut sharded_pf = ShardedPrefetchSource::new(
-        (0..shards as u64)
-            .map(|s| {
-                TrackedSource(SyntheticSource::new(
-                    SyntheticCtr::new(shard_tables(), 8, 61 + s),
-                    batch,
-                ))
-            })
-            .collect(),
-        capacity,
-    );
-    // Warm every shard's circulating pool.
-    for _ in 0..12 * shards {
-        let b = sharded_pf.next_batch().expect("endless");
-        sharded_pf.recycle(b);
-    }
-    // Quiesce: every shard's producer has filled its queue to capacity
-    // (ready = produced - delivered) and parked.
-    let quiesce_sharded = |p: &ShardedPrefetchSource<TrackedSource>| {
-        let deadline = Instant::now() + Duration::from_secs(10);
-        loop {
-            let full = (0..shards).all(|s| {
-                let st = p.shard_stats(s);
-                st.produced - st.delivered >= capacity as u64
-            });
-            if full {
-                break;
-            }
-            assert!(
-                Instant::now() < deadline,
-                "a producer never filled its queue"
-            );
-            std::thread::yield_now();
-        }
-    };
-    quiesce_sharded(&sharded_pf);
-
-    let before = allocations();
-    for _ in 0..5 * shards {
-        let b = sharded_pf.next_batch().expect("endless");
-        sharded_pf.recycle(b);
-    }
-    quiesce_sharded(&sharded_pf);
-    assert_eq!(
-        allocations() - before,
-        0,
-        "warm sharded prefetch checkout/recycle steady state must not allocate"
     );
 
     // ---- SIMD kernel tiers ---------------------------------------------
