@@ -19,8 +19,8 @@
 //!
 //! `FAST=1` shrinks shapes and iteration counts for smoke runs. The
 //! `KERNEL <name> simd/scalar ratio`, `KERNEL <name> cold`, `KERNEL
-//! linear_bwd lane/serial ratio` and `KERNEL cast` lines are CI's grep
-//! anchors.
+//! linear_bwd lane/serial ratio`, `KERNEL cast` and `KERNEL cast_into`
+//! lines are CI's grep anchors.
 //!
 //! The `linear_fwd` / `linear_bwd` / `mlp_step` rows time a whole dense
 //! layer (and a whole MLP training step) of the repo benchmark's two
@@ -43,7 +43,10 @@
 //!
 //! The `cast` rows time the casting stage itself (Algorithm 2,
 //! `tensor_casting`) in ns a lookup, on Zipf batches over a small and a
-//! large id space; the cast is a sort and a scan, so it has no tiers.
+//! large id space; the cast is a sort and a scan, so it has no tiers. The
+//! `cast_into` rows time the same batches through `tensor_casting_into`
+//! into a recycled array and sort scratch — what the casting worker and a
+//! full serving cache run.
 //!
 //! Full-size runs on multi-core hosts gate the dispatch layer's reason to
 //! exist: AVX2 GEMM must reach at least 2x scalar and AVX2 gather-reduce
@@ -56,14 +59,15 @@ use std::time::{Duration, Instant};
 
 use tcast_bench::{banner, fast_mode, json};
 use tcast_core::{
-    blocked_casted_backward, casted_gather_reduce_into, tensor_casting, CastedIndexArray,
+    blocked_casted_backward, casted_gather_reduce_into, tensor_casting, tensor_casting_into,
+    CastedIndexArray,
 };
 use tcast_datasets::{Popularity, TableWorkload};
 use tcast_embedding::{
     gather_reduce_into,
     optim::{RowOptimizer, UpdateRule},
     scatter_apply, scatter_apply_coalesced, BlockScratch, CoalescedScratch, EmbeddingTable,
-    IndexArray,
+    IndexArray, RadixScratch,
 };
 use tcast_pool::{Exec, Pool};
 use tcast_tensor::{
@@ -762,14 +766,32 @@ fn main() {
             10,
         );
         let index = workload.generator(5).next_batch(2048);
+        let shape = format!("b2048 p10 r{rows}");
+        let tier = KernelDispatch::detect();
         let ns = time_ns(args.iters, || {
             std::hint::black_box(tensor_casting(&index));
         });
         let per_lookup = ns / index.len() as f64;
-        let shape = format!("b2048 p10 r{rows}");
-        let tier = KernelDispatch::detect();
         emit.row("cast", tier, &shape, 0, ns, per_lookup, "ns/lookup", None);
         println!("KERNEL cast r{rows} {per_lookup:.1} ns a lookup");
+
+        let (mut casted, mut scratch) = (CastedIndexArray::default(), RadixScratch::default());
+        let ns = time_ns(args.iters, || {
+            tensor_casting_into(&index, &mut casted, &mut scratch);
+            std::hint::black_box(&casted);
+        });
+        let per_lookup = ns / index.len() as f64;
+        emit.row(
+            "cast_into",
+            tier,
+            &shape,
+            0,
+            ns,
+            per_lookup,
+            "ns/lookup",
+            None,
+        );
+        println!("KERNEL cast_into r{rows} {per_lookup:.1} ns a lookup");
     }
 
     // --- Cold rows: the same kernels where every row is a DRAM miss. -----

@@ -12,8 +12,8 @@
 use std::collections::HashMap;
 
 use crate::casted_index::CastedIndexArray;
-use crate::casting::tensor_casting;
-use tcast_embedding::IndexArray;
+use crate::casting::tensor_casting_into;
+use tcast_embedding::{IndexArray, RadixScratch};
 
 /// A bounded LRU memo table for casted index arrays.
 ///
@@ -23,6 +23,11 @@ use tcast_embedding::IndexArray;
 /// engine's repeated queries) survives an arbitrary stream of cold
 /// entries passing through, which the old evict-everything policy did
 /// not guarantee.
+///
+/// A miss on a full cache recycles the evicted entry: the new index array
+/// is copied into the victim's buffers ([`IndexArray::refill`]) and cast
+/// into its casted array in place. Once every entry has held an array
+/// this large, misses allocate nothing either.
 ///
 /// ```
 /// use tcast_core::CastingCache;
@@ -40,8 +45,12 @@ use tcast_embedding::IndexArray;
 #[derive(Debug)]
 pub struct CastingCache {
     capacity: usize,
-    entries: HashMap<u64, Vec<Entry>>,
-    len: usize,
+    /// Content hash -> slot of the latest entry with that hash; entries
+    /// sharing a hash chain through [`Entry::next`].
+    heads: HashMap<u64, usize>,
+    /// At most `capacity` entries, in slots that outlive their contents.
+    entries: Vec<Entry>,
+    scratch: RadixScratch,
     /// Monotonic use counter; each access stamps its entry, so the entry
     /// with the smallest stamp is the least recently used.
     clock: u64,
@@ -52,9 +61,12 @@ pub struct CastingCache {
 
 #[derive(Debug)]
 struct Entry {
+    hash: u64,
     index: IndexArray,
     casted: CastedIndexArray,
     last_used: u64,
+    /// The slot of the next entry with the same hash.
+    next: Option<usize>,
 }
 
 impl CastingCache {
@@ -67,8 +79,9 @@ impl CastingCache {
         assert!(capacity > 0, "cache capacity must be positive");
         Self {
             capacity,
-            entries: HashMap::new(),
-            len: 0,
+            heads: HashMap::new(),
+            entries: Vec::new(),
+            scratch: RadixScratch::default(),
             clock: 0,
             hits: 0,
             misses: 0,
@@ -78,12 +91,12 @@ impl CastingCache {
 
     /// Number of cached arrays.
     pub fn len(&self) -> usize {
-        self.len
+        self.entries.len()
     }
 
     /// Whether the cache is empty.
     pub fn is_empty(&self) -> bool {
-        self.len == 0
+        self.entries.is_empty()
     }
 
     /// Cache hits so far.
@@ -112,61 +125,91 @@ impl CastingCache {
 
     /// Returns the casted array for `index`, computing and caching it on
     /// first sight. When the cache is full, a miss evicts the least
-    /// recently used entry.
+    /// recently used entry and casts into its buffers.
     pub fn get_or_cast(&mut self, index: &IndexArray) -> &CastedIndexArray {
-        let key = hash_index(index);
-        self.clock += 1;
-        let stamp = self.clock;
-        // Split-borrow gymnastics: check for a hit first.
-        let hit_pos = self
-            .entries
-            .get(&key)
-            .and_then(|bucket| bucket.iter().position(|e| e.index == *index));
-        if let Some(pos) = hit_pos {
-            self.hits += 1;
-            let entry = &mut self.entries.get_mut(&key).expect("bucket exists")[pos];
-            entry.last_used = stamp;
-            return &entry.casted;
-        }
-        self.misses += 1;
-        if self.len >= self.capacity {
-            self.evict_lru();
-        }
-        let casted = tensor_casting(index);
-        let bucket = self.entries.entry(key).or_default();
-        bucket.push(Entry {
-            index: index.clone(),
-            casted,
-            last_used: stamp,
-        });
-        self.len += 1;
-        &bucket.last().expect("just pushed").casted
+        self.get_or_cast_hashed(index, hash_index(index))
     }
 
-    /// Removes the entry with the oldest `last_used` stamp. O(len) scan:
-    /// eviction happens at most once per miss, and misses already pay an
-    /// O(n log n) casting transform, so recency bookkeeping stays free on
-    /// the hit path where it matters.
-    fn evict_lru(&mut self) {
-        let victim = self
-            .entries
-            .iter()
-            .flat_map(|(&key, bucket)| bucket.iter().map(move |e| (key, e.last_used)))
-            .min_by_key(|&(_, stamp)| stamp);
-        let Some((key, stamp)) = victim else {
-            return;
-        };
-        let bucket = self.entries.get_mut(&key).expect("victim bucket exists");
-        let pos = bucket
-            .iter()
-            .position(|e| e.last_used == stamp)
-            .expect("victim entry exists");
-        bucket.swap_remove(pos);
-        if bucket.is_empty() {
-            self.entries.remove(&key);
+    /// [`CastingCache::get_or_cast`] under a given content hash.
+    fn get_or_cast_hashed(&mut self, index: &IndexArray, hash: u64) -> &CastedIndexArray {
+        self.clock += 1;
+        let mut at = self.heads.get(&hash).copied();
+        while let Some(slot) = at {
+            if self.entries[slot].index == *index {
+                break;
+            }
+            at = self.entries[slot].next;
         }
-        self.len -= 1;
+        let slot = match at {
+            Some(slot) => {
+                self.hits += 1;
+                slot
+            }
+            None => {
+                self.misses += 1;
+                let slot = self.vacant_slot(index);
+                let entry = &mut self.entries[slot];
+                entry.hash = hash;
+                entry.next = self.heads.insert(hash, slot);
+                tensor_casting_into(index, &mut entry.casted, &mut self.scratch);
+                slot
+            }
+        };
+        let entry = &mut self.entries[slot];
+        entry.last_used = self.clock;
+        &entry.casted
+    }
+
+    /// A slot holding a copy of `index`, not yet linked under its hash: a
+    /// new one while the cache fills, then the least recently used
+    /// entry's, evicted. The LRU pick is an O(len) scan — eviction happens
+    /// at most once per miss, and misses already pay a linear-time casting
+    /// transform, so recency bookkeeping stays free on the hit path where
+    /// it matters.
+    fn vacant_slot(&mut self, index: &IndexArray) -> usize {
+        if self.entries.len() < self.capacity {
+            self.entries.push(Entry {
+                hash: 0,
+                index: index.clone(),
+                casted: CastedIndexArray::default(),
+                last_used: 0,
+                next: None,
+            });
+            return self.entries.len() - 1;
+        }
+        let victim = (0..self.entries.len())
+            .min_by_key(|&slot| self.entries[slot].last_used)
+            .expect("a full cache has entries");
+        self.unlink(victim);
         self.evictions += 1;
+        self.entries[victim]
+            .index
+            .refill(index.num_outputs(), |src, dst| {
+                src.extend_from_slice(index.src());
+                dst.extend_from_slice(index.dst());
+            })
+            .expect("a copy of a valid index array is valid");
+        victim
+    }
+
+    /// Takes `slot` off its hash's chain.
+    fn unlink(&mut self, slot: usize) {
+        let (hash, next) = (self.entries[slot].hash, self.entries[slot].next);
+        let head = self.heads[&hash];
+        if head == slot {
+            match next {
+                Some(next) => self.heads.insert(hash, next),
+                None => self.heads.remove(&hash),
+            };
+            return;
+        }
+        let mut at = head;
+        while self.entries[at].next != Some(slot) {
+            at = self.entries[at]
+                .next
+                .expect("an entry is on its hash's chain");
+        }
+        self.entries[at].next = next;
     }
 }
 
@@ -191,6 +234,7 @@ fn hash_index(index: &IndexArray) -> u64 {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::casting::tensor_casting;
 
     fn idx(seed: u32) -> IndexArray {
         IndexArray::from_samples(&[vec![seed, seed + 1], vec![seed + 2]]).unwrap()
@@ -296,6 +340,54 @@ mod tests {
         cache.get_or_cast(&a);
         cache.get_or_cast(&b);
         assert_eq!(cache.misses(), 2);
+    }
+
+    #[test]
+    fn colliding_hashes_chain_and_evict_correctly() {
+        // Every entry under one hash: lookups walk the chain, and an
+        // eviction unlinks its victim wherever it sits on it.
+        let mut cache = CastingCache::new(3);
+        let get = |cache: &mut CastingCache, s| cache.get_or_cast_hashed(&idx(s), 7).clone();
+        for s in [0, 10, 20] {
+            assert_eq!(get(&mut cache, s), tensor_casting(&idx(s)));
+        }
+        // 10 is the oldest once 0 and 20 are refreshed; it sits mid-chain.
+        get(&mut cache, 0);
+        get(&mut cache, 20);
+        assert_eq!(cache.hits(), 2);
+        assert_eq!(get(&mut cache, 30), tensor_casting(&idx(30)));
+        assert_eq!(cache.evictions(), 1);
+        for s in [0, 20, 30] {
+            assert_eq!(get(&mut cache, s), tensor_casting(&idx(s)));
+        }
+        assert_eq!(cache.hits(), 5);
+        assert_eq!(get(&mut cache, 10), tensor_casting(&idx(10)));
+        assert_eq!((cache.misses(), cache.evictions(), cache.len()), (5, 2, 3));
+    }
+
+    #[test]
+    fn a_full_cache_casts_misses_into_the_victims_buffers() {
+        let mut cache = CastingCache::new(2);
+        let buffers = |cache: &CastingCache| -> Vec<*const u32> {
+            let mut ptrs: Vec<_> = cache
+                .entries
+                .iter()
+                .flat_map(|e| [e.index.src().as_ptr(), e.casted.gather_src().as_ptr()])
+                .collect();
+            ptrs.sort();
+            ptrs
+        };
+        cache.get_or_cast(&idx(0));
+        cache.get_or_cast(&idx(10));
+        let full = buffers(&cache);
+        for s in 2..10 {
+            assert_eq!(
+                cache.get_or_cast(&idx(s * 10)),
+                &tensor_casting(&idx(s * 10))
+            );
+        }
+        assert_eq!(cache.evictions(), 8);
+        assert_eq!(buffers(&cache), full);
     }
 
     #[test]

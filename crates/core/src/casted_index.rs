@@ -14,11 +14,13 @@ use tcast_embedding::{CastedLookups, EmbeddingError};
 /// * `unique_rows[j]` — which *embedding-table row* coalesced output `j`
 ///   belongs to (ascending), consumed by the subsequent scatter.
 ///
-/// Invariants (enforced at construction): `gather_src.len() ==
-/// reduce_dst.len()`; `reduce_dst` is non-decreasing starting at 0 with
-/// unit steps; `unique_rows` is strictly increasing with length
-/// `max(reduce_dst)+1`; every `gather_src < num_gradient_rows`.
-#[derive(Debug, Clone, PartialEq, Eq)]
+/// Invariants (enforced at construction, and by the casting pass that
+/// fills a recycled array): `gather_src.len() == reduce_dst.len()`;
+/// `reduce_dst` is non-decreasing starting at 0 with unit steps;
+/// `unique_rows` is strictly increasing with length `max(reduce_dst)+1`;
+/// every `gather_src < num_gradient_rows`. The default is the empty array,
+/// a buffer for [`crate::tensor_casting_into`] to fill.
+#[derive(Debug, Clone, Default, PartialEq, Eq)]
 pub struct CastedIndexArray {
     gather_src: Vec<u32>,
     reduce_dst: Vec<u32>,
@@ -90,6 +92,49 @@ impl CastedIndexArray {
             unique_rows,
             num_gradient_rows,
         })
+    }
+
+    /// Steps 2-4 of Algorithm 2 and every invariant check of
+    /// [`CastedIndexArray::new`] in one pass over `(src, dst)` pairs
+    /// sorted by `src` (packed `src << 32 | dst`), rewriting this array in
+    /// place: the sorted `dst` column is the casted `src`, and each new
+    /// `src` run starts a fresh output row (the adjacent-difference scan and
+    /// its cumulative sum collapse into the length of `unique_rows`).
+    ///
+    /// # Panics
+    ///
+    /// Panics if the pairs are not sorted by `src` or a `dst` is not below
+    /// `num_gradient_rows` — neither can happen to pairs sorted from an
+    /// [`tcast_embedding::IndexArray`].
+    pub(crate) fn fill_from_sorted(&mut self, sorted: &[u64], num_gradient_rows: usize) {
+        let Self {
+            gather_src,
+            reduce_dst,
+            unique_rows,
+            ..
+        } = self;
+        let n = sorted.len();
+        for buf in [&mut *gather_src, &mut *reduce_dst, &mut *unique_rows] {
+            buf.clear();
+            buf.resize(n, 0);
+        }
+        // Branch-free: every pair writes its run's unique row, and only a
+        // new `src` moves the run counter on.
+        let mut valid = true;
+        let mut prev = sorted.first().map_or(0, |&pair| (pair >> 32) as u32);
+        let mut run = 0;
+        for ((&pair, gather), reduce) in sorted.iter().zip(gather_src).zip(reduce_dst) {
+            let (src, dst) = ((pair >> 32) as u32, pair as u32);
+            valid &= src >= prev && (dst as usize) < num_gradient_rows;
+            run += (src != prev) as usize;
+            unique_rows[run] = src;
+            *gather = dst;
+            *reduce = run as u32;
+            prev = src;
+        }
+        unique_rows.truncate(if n == 0 { 0 } else { run + 1 });
+        self.num_gradient_rows = num_gradient_rows;
+        assert!(valid, "casting input violates the casted-array invariants");
     }
 
     /// Per-lookup gradient-table row to gather (the casted `src`).

@@ -14,7 +14,8 @@
 //! * [`tensor_casting`] — **Algorithm 2**: transform the original
 //!   `(src, dst)` index array into the casted `(casted_src, casted_dst)`
 //!   pair via sort-by-key → adjacent-difference scan → cumulative sum
-//!   (Fig. 8);
+//!   (Fig. 8), in linear time ([`tensor_casting_into`] into recycled
+//!   buffers);
 //! * [`casted_gather_reduce`] — **Algorithm 3**: the fused backward
 //!   kernel that gathers gradient rows by `casted_src` and reduces them
 //!   into coalesced rows by `casted_dst`, with no `n x D` intermediate and
@@ -70,7 +71,7 @@ mod runtime;
 pub use cache::CastingCache;
 pub use casted_forward::{casted_embedding_forward, casted_embedding_forward_into};
 pub use casted_index::CastedIndexArray;
-pub use casting::tensor_casting;
+pub use casting::{tensor_casting, tensor_casting_into};
 pub use equivalence::verify_equivalence;
 pub use fault::{FaultPlan, FaultyWrite};
 pub use fused::blocked_casted_backward;

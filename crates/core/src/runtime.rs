@@ -13,7 +13,10 @@
 //! submits the iteration's index arrays *before* starting forward
 //! propagation and collects the casted arrays when backward reaches the
 //! embedding layers; the pipeline records how much of the casting latency
-//! was actually exposed (i.e. how long the collect blocked).
+//! was actually exposed (i.e. how long the collect blocked). Casted arrays
+//! the caller is done with go back through [`CastingPipeline::recycle`],
+//! and the worker casts later jobs into them: in steady state casting
+//! allocates nothing on either thread.
 
 use std::collections::{HashMap, HashSet};
 use std::sync::mpsc::{channel, Receiver, RecvTimeoutError, Sender};
@@ -21,9 +24,9 @@ use std::sync::{Arc, Condvar, Mutex, MutexGuard};
 use std::time::{Duration, Instant};
 
 use crate::casted_index::CastedIndexArray;
-use crate::casting::tensor_casting;
+use crate::casting::tensor_casting_into;
 use crate::fault::FaultPlan;
-use tcast_embedding::IndexArray;
+use tcast_embedding::{IndexArray, RadixScratch};
 
 /// Default bound on uncompleted casting jobs (submitted but not yet cast).
 /// Generous enough that any sane lookahead depth never blocks, small
@@ -89,6 +92,9 @@ struct Gauge {
 
 type SharedGauge = Arc<(Mutex<Gauge>, Condvar)>;
 
+/// Collected jobs' arrays handed back for the worker to cast into.
+type FreeList = Arc<Mutex<Vec<Vec<CastedIndexArray>>>>;
+
 /// Locks the gauge, recovering from poisoning: a panicking worker must
 /// still be able to publish its death, and survivors must still read it.
 fn lock_gauge(gauge: &SharedGauge) -> MutexGuard<'_, Gauge> {
@@ -135,6 +141,8 @@ pub struct CastingPipeline {
     inflight_cap: usize,
     /// Optional fault-injection hook the worker consults once per job.
     fault: Arc<Mutex<Option<(FaultPlan, String)>>>,
+    /// Arrays handed back through [`CastingPipeline::recycle`].
+    free: FreeList,
     ready: HashMap<u64, Vec<CastedIndexArray>>,
     /// Lowest ticket id not yet collected: everything below it is
     /// collected. In-order collection (the trainer's pattern) only moves
@@ -178,14 +186,17 @@ impl CastingPipeline {
             Condvar::new(),
         ));
         let fault: Arc<Mutex<Option<(FaultPlan, String)>>> = Arc::new(Mutex::new(None));
+        let free = FreeList::default();
         let worker = {
             let worker_stats = Arc::clone(&stats);
             let worker_gauge = Arc::clone(&in_flight);
             let worker_fault = Arc::clone(&fault);
+            let worker_free = Arc::clone(&free);
             std::thread::Builder::new()
                 .name("tcast-casting-0".into())
                 .spawn(move || {
                     let _guard = WorkerExitGuard(Arc::clone(&worker_gauge));
+                    let mut scratch = RadixScratch::default();
                     // Ends when the pipeline drops the job sender.
                     for job in job_rx {
                         if let Some((plan, site)) = worker_fault
@@ -199,8 +210,15 @@ impl CastingPipeline {
                             );
                         }
                         let start = Instant::now();
-                        let casted: Vec<CastedIndexArray> =
-                            job.indices.iter().map(tensor_casting).collect();
+                        let mut casted = worker_free
+                            .lock()
+                            .unwrap_or_else(|poisoned| poisoned.into_inner())
+                            .pop()
+                            .unwrap_or_default();
+                        casted.resize_with(job.indices.len(), CastedIndexArray::default);
+                        for (index, out) in job.indices.iter().zip(&mut casted) {
+                            tensor_casting_into(index, out, &mut scratch);
+                        }
                         let elapsed = start.elapsed();
                         {
                             let mut s = worker_stats.lock().expect("pipeline stats poisoned");
@@ -229,6 +247,7 @@ impl CastingPipeline {
             in_flight,
             inflight_cap: cap,
             fault,
+            free,
             ready: HashMap::new(),
             collect_watermark: 0,
             collected_ahead: HashSet::new(),
@@ -414,6 +433,19 @@ impl CastingPipeline {
         }
     }
 
+    /// Hands a collected job's arrays back: the worker casts a later job
+    /// into them, reusing their buffers, instead of allocating — what a
+    /// caller does with each job's arrays once its backward is done, the
+    /// way `tcast-datasets`' `BatchSource::recycle` returns batches.
+    /// Optional: a pipeline that never gets arrays back allocates each
+    /// job's arrays afresh.
+    pub fn recycle(&self, casted: Vec<CastedIndexArray>) {
+        self.free
+            .lock()
+            .unwrap_or_else(|poisoned| poisoned.into_inner())
+            .push(casted);
+    }
+
     /// Returns whether the given job has already finished (non-blocking).
     pub fn is_ready(&mut self, ticket: JobTicket) -> bool {
         while let Ok(result) = self.rx.try_recv() {
@@ -457,6 +489,7 @@ impl Drop for CastingPipeline {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::casting::tensor_casting;
     use crate::gather_reduce::casted_gather_reduce;
     use tcast_embedding::gradient_expand_coalesce;
     use tcast_tensor::{Matrix, SplitMix64};
@@ -607,6 +640,39 @@ mod tests {
         }
         drop(p); // joins the worker, releasing its shares
         assert_eq!(Arc::strong_count(&indices), 1);
+    }
+
+    #[test]
+    fn recycled_arrays_carry_a_later_job() {
+        // The worker casts into arrays handed back, reusing their buffers:
+        // the same allocations come out of the next job, holding its casts.
+        let mut p = CastingPipeline::new();
+        let ticket = p.submit(random_indices(3, 30));
+        let first = p.collect(ticket);
+        let buffers = |casted: &[CastedIndexArray]| -> Vec<[*const u32; 3]> {
+            casted
+                .iter()
+                .map(|c| {
+                    [
+                        c.gather_src().as_ptr(),
+                        c.reduce_dst().as_ptr(),
+                        c.unique_rows().as_ptr(),
+                    ]
+                })
+                .collect()
+        };
+        let recycled = buffers(&first);
+        p.recycle(first);
+        // Fewer tables, same batch size: every table's buffers suffice.
+        let later = random_indices(2, 31);
+        let expected: Vec<_> = later.iter().map(tensor_casting).collect();
+        let ticket = p.submit(later);
+        let second = p.collect(ticket);
+        assert_eq!(second, expected);
+        assert_eq!(buffers(&second), recycled[..2]);
+        // A job with no arrays to recycle allocates its own.
+        let ticket = p.submit(random_indices(1, 32));
+        assert_ne!(buffers(&p.collect(ticket))[0], recycled[0]);
     }
 
     #[test]

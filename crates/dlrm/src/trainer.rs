@@ -9,7 +9,9 @@ use std::time::{Duration, Instant};
 use crate::config::DlrmConfig;
 use crate::metrics::{evaluate_ctr, CtrMetrics};
 use crate::model::{Dlrm, InferenceScratch};
-use tcast_core::{blocked_casted_backward, CastingPipeline, FaultPlan, JobTicket, PipelineStats};
+use tcast_core::{
+    blocked_casted_backward, CastedIndexArray, CastingPipeline, FaultPlan, JobTicket, PipelineStats,
+};
 use tcast_datasets::CtrBatch;
 use tcast_embedding::{
     gather_reduce_into, gradient_coalesce_into, gradient_expand_into,
@@ -334,6 +336,15 @@ fn update_tables<'env>(
 /// casting job of several milliseconds finish no sooner than unsplit GEMMs
 /// and slow the cast and the scatter behind them, while a job of a few
 /// hundred microseconds is over before the first band is.
+///
+/// Set against the 8-9 ms comparison-sort cast. Re-measured on the repo
+/// benchmark's `train_embed` with the linear-time cast (2.7-2.9 ms a
+/// batch), the rule no longer pays: forcing the split read 29.6k / 28.9k /
+/// 23.4k / 22.8k samples/s against 27.6k / 26.7k / 21.4k / 22.6k with the
+/// rule kept (seeds 1-4, interleaved; the host's plateau moved between
+/// seeds 2 and 3), and in two traced pairs `bwd_dnn` 3.60 / 4.23 ms
+/// against 4.62 / 4.65, `fwd_dnn` 2.75 / 2.86 against 2.69 / 2.81, step
+/// p50 16.0 / 17.4 ms against 16.8 / 17.4.
 const CASTER_OWNS_CORE: Duration = Duration::from_millis(1);
 
 /// The [`Exec`] one dense phase runs under. With a caller's pool: that
@@ -610,23 +621,32 @@ impl Trainer {
         mut ticket: Option<JobTicket>,
         next: Option<&Arc<CtrBatch>>,
     ) -> Result<StepReport, EmbeddingError> {
-        let report = self.run_step_phases(batch, &mut ticket, next);
-        // A step that failed before its casted backward (bad id, wrong
-        // table count, label mismatch) still owns its casting job: drain
-        // it, or the result sits in the pipeline forever and every later
-        // collect counts as out of order.
-        if let (Some(orphan), Some(pipeline)) = (ticket, self.pipeline.as_mut()) {
-            pipeline.collect(orphan);
+        let mut casted = None;
+        let report = self.run_step_phases(batch, &mut ticket, &mut casted, next);
+        if let Some(pipeline) = self.pipeline.as_mut() {
+            // A step that failed before its casted backward (bad id, wrong
+            // table count, label mismatch) still owns its casting job:
+            // drain it, or the result sits in the pipeline forever and
+            // every later collect counts as out of order.
+            if let Some(orphan) = ticket {
+                casted = Some(pipeline.collect(orphan));
+            }
+            // Either way the arrays go back for a later job to be cast
+            // into.
+            if let Some(casted) = casted {
+                pipeline.recycle(casted);
+            }
         }
         report
     }
 
     /// [`Trainer::run_step`]'s phases; takes `ticket` when the casted
-    /// backward collects it.
+    /// backward collects it, leaving the collected arrays in `casted`.
     fn run_step_phases(
         &mut self,
         batch: &CtrBatch,
         ticket: &mut Option<JobTicket>,
+        casted: &mut Option<Vec<CastedIndexArray>>,
         next: Option<&Arc<CtrBatch>>,
     ) -> Result<StepReport, EmbeddingError> {
         if batch.dense.rows() == 0 {
@@ -703,11 +723,12 @@ impl Trainer {
         // moment its call returns.
         let t0 = Instant::now();
         let mut exposed_cast_wait = Duration::ZERO;
-        let casted = self.pipeline.as_mut().map(|pipeline| {
+        *casted = self.pipeline.as_mut().map(|pipeline| {
             let (casted, exposed) = pipeline.collect_timed(ticket.take().expect("ticket issued"));
             exposed_cast_wait = exposed;
             casted
         });
+        let casted = casted.as_deref();
         let mut bwd_embedding = t0.elapsed();
         let mut bwd_scatter = Duration::ZERO;
 
@@ -734,7 +755,7 @@ impl Trainer {
             expanded.resize_with(tables.len(), Matrix::default);
             coalesced.resize_with(tables.len(), CoalescedScratch::default);
         }
-        let update = |t: usize, table: &mut EmbeddingTable| match &casted {
+        let update = |t: usize, table: &mut EmbeddingTable| match casted {
             None => {
                 // The baseline deliberately pays Algorithm 1's full cost —
                 // materialized n x D expand, sort, accumulate, and a whole

@@ -10,6 +10,7 @@
 use crate::error::EmbeddingError;
 use crate::expand::gradient_expand;
 use crate::index::IndexArray;
+use crate::radix::{radix_sort_pairs, RadixScratch};
 use tcast_pool::Exec;
 use tcast_tensor::simd::{prefetch, PREFETCH_WINDOW};
 use tcast_tensor::Matrix;
@@ -89,10 +90,9 @@ impl CoalescedGradients {
 /// row per lookup, in pair order) and the index array, sort the lookups by
 /// `src` and accumulate rows sharing a `src`.
 ///
-/// Step A is the `ArgSort(src)` of the paper (implemented as a stable
-/// sort-by-key returning the permutation); Step B is the sequential
-/// accumulation over the sorted order. Allocating form of
-/// [`gradient_coalesce_into`].
+/// Step A is the `ArgSort(src)` of the paper (a stable sort-by-key of the
+/// lookups' positions); Step B is the sequential accumulation over the
+/// sorted order. Allocating form of [`gradient_coalesce_into`].
 ///
 /// # Errors
 ///
@@ -121,22 +121,22 @@ pub struct CoalescedScratch {
     /// One accumulated gradient row per entry of `rows` — matches
     /// [`CoalescedGradients::grads`].
     pub grads: Matrix,
-    /// Packed `(src, position)` sort keys (Algorithm 1 Step A's argsort
-    /// scratch; unused by the casted path, whose sort ran in the casting
-    /// stage).
-    keys: Vec<u64>,
+    /// Algorithm 1 Step A's argsort: the radix sort's buffers, which end
+    /// up holding the `(src, position)` pairs in sorted order. Unused by
+    /// the casted path, whose sort ran in the casting stage.
+    sort: RadixScratch,
 }
 
 /// [`gradient_coalesce`] into caller-owned scratch, reusing every buffer
 /// whose capacity suffices, serially or on a pool ([`Exec`]).
 ///
-/// The argsort (Step A) runs on the calling thread as an *unstable* sort
-/// over packed `(src, position)` keys — positions are distinct, so the
-/// order is total and exactly the stable sort-by-`src`, without the merge
-/// buffer std's stable sort allocates. Step B then splits at unique-`src`
-/// run boundaries: each pool task owns a contiguous band of output rows
-/// and runs the serial accumulation over that band's runs, so pooled ==
-/// serial bit for bit (serial is the one-band case of the same function).
+/// The argsort (Step A) runs on the calling thread as the stable radix
+/// sort of `(src, position)` pairs ([`radix_sort_pairs`]) — the same sort
+/// the casting stage runs, in linear time and through the scratch's
+/// recycled buffers. Step B then splits at unique-`src` run boundaries:
+/// each pool task owns a contiguous band of output rows and runs the
+/// serial accumulation over that band's runs, so pooled == serial bit for
+/// bit (serial is the one-band case of the same function).
 /// This is the tuned, parallel coalesce the paper's Section V methodology
 /// gives its baseline.
 ///
@@ -157,21 +157,13 @@ pub fn gradient_coalesce_into(
         });
     }
     let dim = expanded.cols();
-    let CoalescedScratch { rows, grads, keys } = scratch;
+    let CoalescedScratch { rows, grads, sort } = scratch;
 
-    // Step A: argsort the src array (stable via the packed position).
-    keys.clear();
-    keys.extend(
-        index
-            .src()
-            .iter()
-            .enumerate()
-            .map(|(pos, &s)| ((s as u64) << 32) | pos as u64),
-    );
-    keys.sort_unstable();
+    // Step A: argsort the src array, as packed `(src, position)` keys.
+    let keys = radix_sort_pairs(index.src(), 0..index.len() as u32, sort);
 
     // The unique rows are read off the sorted keys (unique_src_count()
-    // would clone + re-sort, an allocation this hot path cannot afford).
+    // would sort again into fresh buffers).
     rows.clear();
     for &key in keys.iter() {
         let src = (key >> 32) as u32;
@@ -188,7 +180,7 @@ pub fn gradient_coalesce_into(
     let bands = exec.threads().min(unique);
     match exec.pool() {
         Some(pool) if bands > 1 && dim > 0 => {
-            let (keys, rows) = (&*keys, &*rows);
+            let rows = &*rows;
             let per = unique.div_ceil(bands);
             // Where output row `u`'s run starts in the sorted keys.
             let run_start = |u: usize| match rows.get(u) {
@@ -289,10 +281,10 @@ mod tests {
     }
 
     #[test]
-    fn coalesce_into_unstable_argsort_matches_stable_order_on_ties() {
+    fn coalesce_into_argsort_matches_stable_order_on_ties() {
         // Heavy duplication: every lookup hits one of two rows, so the
         // accumulation order (and its float rounding) is only right if
-        // the packed-key sort reproduces the stable order exactly.
+        // the radix sort reproduces the stable order exactly.
         let n = 64;
         let src: Vec<u32> = (0..n).map(|i| (i % 2) as u32).collect();
         let dst: Vec<u32> = (0..n as u32).collect();

@@ -7,6 +7,7 @@
 //! pooling factor for fixed-length pooling).
 
 use crate::error::EmbeddingError;
+use crate::radix::{radix_sort_pairs, RadixScratch};
 
 /// A validated array of `(src, dst)` lookup pairs plus the number of output
 /// (pooled) slots.
@@ -128,12 +129,10 @@ impl IndexArray {
     /// gradient tensor (Fig. 5b) and the number of rows ultimately
     /// scattered.
     pub fn unique_src_count(&self) -> usize {
-        if self.src.is_empty() {
-            return 0;
-        }
-        let mut sorted = self.src.clone();
-        sorted.sort_unstable();
-        1 + sorted.windows(2).filter(|w| w[0] != w[1]).count()
+        let mut scratch = RadixScratch::default();
+        radix_sort_pairs(&self.src, 0..self.src.len() as u32, &mut scratch)
+            .chunk_by(|a, b| a >> 32 == b >> 32)
+            .count()
     }
 
     /// Validates every `src` against a table row count.
@@ -192,18 +191,12 @@ impl IndexArray {
         validity
     }
 
-    /// Sorts the pairs by `src` (stable), returning sorted `(src, dst)`
-    /// vectors. This is the `SortByKey` of Algorithm 2 and the
-    /// argsort-by-`src` of Algorithm 1.
-    ///
-    /// A stable counting-style sort is used when the id range is dense
-    /// enough; otherwise a comparison sort on packed keys. Either way ties
-    /// preserve original pair order, which the coalescing accumulation
-    /// relies on for determinism.
-    pub fn sorted_by_src(&self) -> (Vec<u32>, Vec<u32>) {
-        let n = self.src.len();
-        // Pack (src, position) into u64 so an unstable sort is
-        // nevertheless stable w.r.t. original order.
+    /// The comparison-sort oracle of the radix sort: the pairs sorted by
+    /// `src` (stable), as sorted `(src, dst)` vectors. Packing the position
+    /// under the key makes every key distinct, so an unstable sort of them
+    /// is the stable sort by `src`.
+    #[cfg(test)]
+    pub(crate) fn sorted_by_src(&self) -> (Vec<u32>, Vec<u32>) {
         let mut keys: Vec<u64> = self
             .src
             .iter()
@@ -211,15 +204,9 @@ impl IndexArray {
             .map(|(pos, &s)| ((s as u64) << 32) | pos as u64)
             .collect();
         keys.sort_unstable();
-        let mut sorted_src = Vec::with_capacity(n);
-        let mut sorted_dst = Vec::with_capacity(n);
-        for key in keys {
-            let s = (key >> 32) as u32;
-            let pos = (key & 0xFFFF_FFFF) as usize;
-            sorted_src.push(s);
-            sorted_dst.push(self.dst[pos]);
-        }
-        (sorted_src, sorted_dst)
+        keys.iter()
+            .map(|&key| ((key >> 32) as u32, self.dst[key as u32 as usize]))
+            .unzip()
     }
 }
 

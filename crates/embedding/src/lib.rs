@@ -8,7 +8,8 @@
 //! * **gradient expand** (backward, Fig. 2b step 1) — the dual of reduce;
 //! * **gradient coalesce** (backward, Fig. 2b step 2, Algorithm 1) —
 //!   argsort the `src` indices, then accumulate gradients that share a
-//!   `src`;
+//!   `src`. The argsort is [`radix_sort_pairs`], the stable linear-time
+//!   sort the casted path's Algorithm 2 runs too;
 //! * **gradient scatter** (backward, Fig. 2b step 3) — apply the coalesced
 //!   gradients to the table through the sparse row optimizer: an
 //!   [`optim::UpdateRule`] (SGD / momentum / Adagrad Eq. 2 / RMSprop
@@ -69,6 +70,7 @@ mod expand;
 mod gather;
 mod index;
 pub mod optim;
+mod radix;
 mod scatter;
 pub mod simd;
 mod table;
@@ -82,6 +84,7 @@ pub use error::EmbeddingError;
 pub use expand::{gradient_expand, gradient_expand_into};
 pub use gather::{accumulate_rows, gather_reduce, gather_reduce_into};
 pub use index::IndexArray;
+pub use radix::{radix_sort_pairs, RadixScratch};
 pub use scatter::{
     scatter_apply, scatter_apply_casted, scatter_apply_coalesced, BlockScratch,
     CastedBackwardTimings, CastedLookups,

@@ -140,7 +140,10 @@ pub fn coalesce_accumulate(s: &WorkloadShape) -> Traffic {
 
 /// Index-sorting traffic of Algorithm 1 Step A, modelled as an LSD radix
 /// sort over the 8-byte `(src, position)` keys with `passes` read+write
-/// sweeps (4 passes covers a 32-bit key with 8-bit digits).
+/// sweeps. The kernel both backward paths run
+/// ([`crate::radix_sort_pairs`]) takes its pass count from the largest
+/// id: the id's significant bits in equal digits of at most 11 bits — 2
+/// passes for RM1's 400k rows, 3 for 5M rows or a full 32-bit id space.
 pub fn coalesce_sort(s: &WorkloadShape, passes: u32) -> Traffic {
     let bytes = s.lookups * PAIR_BYTES * passes as u64;
     Traffic::new(bytes, bytes)
@@ -309,6 +312,15 @@ mod tests {
         let s = fig6_random_shape();
         // Index-only work vs row-granular work: > 5x lighter at D=64.
         assert!(coalesce_accumulate(&s).total() > 5 * casting(&s, 4).total());
+    }
+
+    #[test]
+    fn sort_passes_are_the_kernels() {
+        // What the radix kernel makes over RM1's tables and a 5M-row one.
+        assert_eq!(crate::radix::radix_passes(400_000 - 1), 2);
+        assert_eq!(crate::radix::radix_passes(5_000_000 - 1), 3);
+        let s = fig6_random_shape();
+        assert_eq!(coalesce_sort(&s, 2).read_bytes, 2 * s.lookups * PAIR_BYTES);
     }
 
     #[test]

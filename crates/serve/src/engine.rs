@@ -7,8 +7,9 @@
 //!   dense matrix, per-table pooled embeddings, MLP scratch, logits, the
 //!   demux offsets — lives in engine-owned buffers recycled across
 //!   batches (`zero_into`-style). After the first batch sizes them,
-//!   scoring allocates nothing; the only exception is a casting-cache
-//!   *miss*, which allocates its memoized array once.
+//!   scoring allocates nothing — cache misses included once every cache
+//!   is full: a miss then casts into the evicted entry's buffers. Only
+//!   the misses that fill a cache allocate, one memoized array each.
 //! * **Fusion is bit-transparent.** A query's scores are bit-identical
 //!   whether it is scored alone or fused with any other queries: the
 //!   embedding pooling accumulates per output row in the casted

@@ -3,8 +3,9 @@
 //! its high-water mark, the embedding/MLP hot-path kernels perform **no
 //! heap allocation per step** on their serial `_into` paths. That now
 //! includes the *stateful* optimizer scatter (the dense `RowState` store
-//! stops growing once warmed) and the casting-pipeline submit (an
-//! `Arc<[IndexArray]>` refcount bump, not a per-table clone).
+//! stops growing once warmed), the casting-pipeline submit (an
+//! `Arc<[IndexArray]>` refcount bump, not a per-table clone), the cast
+//! itself into recycled arrays, and a full serving cache's misses.
 //!
 //! The whole file is one test function on purpose — the allocation
 //! counter is process-global, and sibling tests running on other threads
@@ -25,13 +26,15 @@ use tensor_casting::datasets::{
 };
 
 use tensor_casting::core::{
-    blocked_casted_backward, casted_gather_reduce_into, tensor_casting, CastingPipeline,
+    blocked_casted_backward, casted_gather_reduce_into, tensor_casting, tensor_casting_into,
+    CastedIndexArray, CastingPipeline,
 };
 use tensor_casting::dlrm::{BackwardMode, DlrmConfig, TableConfig, Trainer};
 use tensor_casting::embedding::{
     gather_reduce_into, gradient_coalesce_into, gradient_expand_into,
     optim::{RowOptimizer, UpdateRule},
     scatter_apply_coalesced, BlockScratch, CoalescedScratch, EmbeddingTable, IndexArray,
+    RadixScratch,
 };
 use tensor_casting::tensor::{
     bce_with_logits, bce_with_logits_backward_into, Activation, Exec, FeatureInteraction, Matrix,
@@ -147,6 +150,29 @@ fn steady_state_hot_path_performs_zero_allocations() {
         "embedding gather/blocked-casted-backward steady state must not allocate"
     );
 
+    // ---- Casting (Algorithm 2) into a recycled array -------------------
+    // What the casting worker and a full serving cache run: the radix
+    // sort ping-pongs through the scratch's buffers and the final pass
+    // rewrites the casted array in place. Warmed by a larger array with
+    // ids up to `u32::MAX` (the most lookups and the most digit passes),
+    // whose stale contents stay behind, a cast allocates nothing and
+    // matches the allocating form bit for bit.
+    let mut recycled = CastedIndexArray::default();
+    let mut cast_scratch = RadixScratch::default();
+    let wide_ids: Vec<u32> = (0..12).map(|j| u32::MAX - j).collect();
+    let wide = IndexArray::from_samples(&vec![wide_ids; batch]).unwrap();
+    tensor_casting_into(&wide, &mut recycled, &mut cast_scratch);
+    let before = allocations();
+    for _ in 0..10 {
+        tensor_casting_into(&index, &mut recycled, &mut cast_scratch);
+    }
+    assert_eq!(
+        allocations() - before,
+        0,
+        "a warm tensor_casting_into must not allocate"
+    );
+    assert_eq!(recycled, casted);
+
     // The whole coalesced gradient of the same batch, for the scatters
     // below that take one as input.
     let mut coalesced = CoalescedScratch::default();
@@ -156,9 +182,8 @@ fn steady_state_hot_path_performs_zero_allocations() {
     // The baseline backward still materializes its n x D expand and runs
     // Algorithm 1's argsort + accumulate every step (that cost is the
     // paper's subject) — but via `_into` forms its steady state touches
-    // only recycled buffers. The argsort is an unstable sort over packed
-    // (src, pos) keys, so not even the stable sort's merge buffer is
-    // allocated.
+    // only recycled buffers. The argsort is the radix sort the cast runs,
+    // through the scratch's own ping-pong buffers.
     let mut base_table = EmbeddingTable::seeded(500, dim, 9);
     let mut base_sgd = RowOptimizer::new(SGD);
     let mut expanded = Matrix::default();
@@ -480,8 +505,9 @@ fn steady_state_hot_path_performs_zero_allocations() {
     // buffers are sized, scoring a batch of hot queries allocates
     // nothing: offsets/dense/pooled/logits recycle, cache hits return
     // borrowed casted arrays, and the dense stack runs through the
-    // caller-owned inference scratch. (A cache *miss* allocates its
-    // memoized array once — that is the cache's point.)
+    // caller-owned inference scratch. (The misses that fill a cache
+    // allocate their memoized arrays, once each; the cold section below
+    // covers misses on a full cache.)
     let serve_cfg = tensor_casting::dlrm::DlrmConfig::tiny();
     let serve_model = tensor_casting::dlrm::Dlrm::new(serve_cfg.clone(), 31).unwrap();
     let mut serve_workload = tensor_casting::serve::QueryModel::new(
@@ -508,6 +534,52 @@ fn steady_state_hot_path_performs_zero_allocations() {
         allocations() - before,
         0,
         "warm-cache fused serving steady state must not allocate"
+    );
+
+    // ---- Serve engine: cold steady state, every query a miss -----------
+    // A cache smaller than the catalog, visited round-robin: LRU evicts
+    // each entry just before its query comes back, so every lookup
+    // misses on a full cache. A miss copies the query's index array into
+    // the victim's buffers and casts into its casted array in place, so
+    // once every entry has held an array this large and the cache's hash
+    // map has cycled through its tombstones, cold scoring allocates
+    // nothing either.
+    let mut cold_workload = tensor_casting::serve::QueryModel::new(
+        &serve_cfg.table_workloads(),
+        serve_cfg.dense_features,
+        24,
+        tensor_casting::serve::CandidateCount::Fixed(3),
+        0.0,
+        47,
+    );
+    let mut cold_queries: Vec<_> = (0..1000).map(|_| cold_workload.draw()).collect();
+    cold_queries.sort_by_key(|q| q.id);
+    cold_queries.dedup_by_key(|q| q.id);
+    assert_eq!(cold_queries.len(), 24, "the whole catalog, once each");
+    let mut cold_engine = tensor_casting::serve::ServeEngine::new(
+        &serve_model,
+        20,
+        tensor_casting::dlrm::Execution::Serial,
+    );
+    for _ in 0..64 {
+        cold_engine.score(&serve_model, &cold_queries).unwrap();
+    }
+    let evictions_before = cold_engine.cache_evictions();
+    let before = allocations();
+    for _ in 0..32 {
+        let scored = cold_engine.score(&serve_model, &cold_queries).unwrap();
+        assert_eq!(scored.num_queries(), 24);
+    }
+    assert_eq!(
+        allocations() - before,
+        0,
+        "cold serving on a full cache must not allocate"
+    );
+    assert_eq!(cold_engine.cache_hit_rate(), 0.0, "every lookup must miss");
+    assert_eq!(
+        cold_engine.cache_evictions() - evictions_before,
+        32 * 24 * serve_model.num_tables() as u64,
+        "every miss must recycle a victim"
     );
 
     // ---- One model, trained and served ---------------------------------
