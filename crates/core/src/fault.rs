@@ -10,8 +10,9 @@
 //!
 //! The plan is cheaply cloneable (`Arc` inside) so one handle can be
 //! held by the test while clones ride into worker threads —
-//! [`CastingPipeline::set_fault_plan`](crate::CastingPipeline::set_fault_plan)
-//! consults it per casting job, and [`FaultyWrite`] wires it into any
+//! after [`CastingPipeline::set_fault_plan`](crate::CastingPipeline::set_fault_plan)
+//! a clone rides with every casting job to the worker, which consults it
+//! once before casting, and [`FaultyWrite`] wires it into any
 //! `io::Write`-based checkpoint path.
 //!
 //! ```

@@ -76,4 +76,4 @@ pub use equivalence::verify_equivalence;
 pub use fault::{FaultPlan, FaultyWrite};
 pub use fused::blocked_casted_backward;
 pub use gather_reduce::{casted_backward, casted_gather_reduce, casted_gather_reduce_into};
-pub use runtime::{CastingPipeline, JobTicket, PipelineStats, DEFAULT_INFLIGHT_CAP};
+pub use runtime::{CastingPipeline, JobTicket, PipelineStats};

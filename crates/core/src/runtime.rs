@@ -17,10 +17,21 @@
 //! the caller is done with go back through [`CastingPipeline::recycle`],
 //! and the worker casts later jobs into them: in steady state casting
 //! allocates nothing on either thread.
+//!
+//! The worker shares only channels and one counter with its caller. Jobs
+//! travel on a bounded channel (a submitter blocks at the in-flight cap),
+//! results come back in submission order with their cast time on an
+//! unbounded one (a caller that never collects cannot block the worker,
+//! so it cannot deadlock itself), recycled arrays go back on a bounded
+//! one, and an atomic counts the jobs not yet cast. A worker that panics
+//! drops its channel ends, which wakes every blocked `submit` and
+//! `collect` into a panic naming the cause.
 
-use std::collections::{HashMap, HashSet};
-use std::sync::mpsc::{channel, Receiver, RecvTimeoutError, Sender};
-use std::sync::{Arc, Condvar, Mutex, MutexGuard};
+use std::collections::HashMap;
+use std::sync::atomic::{AtomicUsize, Ordering};
+use std::sync::mpsc::{channel, sync_channel, Receiver, SyncSender};
+use std::sync::Arc;
+use std::thread::JoinHandle;
 use std::time::{Duration, Instant};
 
 use crate::casted_index::CastedIndexArray;
@@ -28,34 +39,30 @@ use crate::casting::tensor_casting_into;
 use crate::fault::FaultPlan;
 use tcast_embedding::{IndexArray, RadixScratch};
 
-/// Default bound on uncompleted casting jobs (submitted but not yet cast).
+/// Bound on uncompleted casting jobs (submitted but not yet cast).
 /// Generous enough that any sane lookahead depth never blocks, small
 /// enough that a runaway submitter cannot grow the job queue without
 /// bound before the worker catches up.
-pub const DEFAULT_INFLIGHT_CAP: usize = 64;
+const INFLIGHT_CAP: usize = 64;
 
 /// A handle for one submitted casting job (one training iteration's worth
 /// of index arrays, one per embedding table).
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
 pub struct JobTicket(u64);
 
-/// Aggregate pipeline timing statistics.
+/// Aggregate pipeline timing statistics, counted by the caller as it
+/// receives results.
 #[derive(Debug, Clone, Copy, Default, PartialEq)]
 pub struct PipelineStats {
-    /// Jobs completed by the worker.
+    /// Jobs whose casted arrays the caller has received.
     pub jobs_completed: u64,
-    /// Total time the worker spent casting (would-be GPU kernel time).
+    /// Total time the worker spent casting those jobs (would-be GPU
+    /// kernel time).
     pub casting_time: Duration,
     /// Total time callers spent blocked in [`CastingPipeline::collect`] —
     /// the *exposed* casting latency. Zero means casting was fully hidden
     /// under forward propagation, the Fig. 9b ideal.
     pub exposed_wait: Duration,
-    /// High-water mark of uncompleted jobs (submitted, not yet cast).
-    /// Never exceeds the pipeline's in-flight cap: `submit` blocks
-    /// (backpressure) instead of letting the job queue grow.
-    pub max_in_flight: u64,
-    /// Total time submitters spent blocked on the in-flight cap.
-    pub backpressure_wait: Duration,
 }
 
 impl PipelineStats {
@@ -72,49 +79,9 @@ impl PipelineStats {
 }
 
 struct Job {
-    id: u64,
     indices: Arc<[IndexArray]>,
-}
-
-struct JobResult {
-    id: u64,
-    casted: Vec<CastedIndexArray>,
-}
-
-/// The uncompleted-job gauge plus the worker-death flag, shared between
-/// submitters (who block on the cap) and the worker (who drains it).
-struct Gauge {
-    count: usize,
-    /// The worker thread panicked. Every blocked or future submit/collect
-    /// must panic instead of waiting for progress that can never come.
-    dead: bool,
-}
-
-type SharedGauge = Arc<(Mutex<Gauge>, Condvar)>;
-
-/// Collected jobs' arrays handed back for the worker to cast into.
-type FreeList = Arc<Mutex<Vec<Vec<CastedIndexArray>>>>;
-
-/// Locks the gauge, recovering from poisoning: a panicking worker must
-/// still be able to publish its death, and survivors must still read it.
-fn lock_gauge(gauge: &SharedGauge) -> MutexGuard<'_, Gauge> {
-    gauge.0.lock().unwrap_or_else(|e| e.into_inner())
-}
-
-/// Publishes worker death on *every* panic exit path — including a panic
-/// in the casting kernel itself — so a submitter blocked on the in-flight
-/// cap (whose slot the dead worker will never drain) wakes and fails
-/// cleanly instead of hanging.
-struct WorkerExitGuard(SharedGauge);
-
-impl Drop for WorkerExitGuard {
-    fn drop(&mut self) {
-        if std::thread::panicking() {
-            let mut g = lock_gauge(&self.0);
-            g.dead = true;
-            self.0 .1.notify_all();
-        }
-    }
+    /// The fault plan and site this job passes once before casting.
+    fault: Option<(FaultPlan, Arc<str>)>,
 }
 
 /// Asynchronous casting pipeline: submit index arrays early, collect
@@ -132,140 +99,87 @@ impl Drop for WorkerExitGuard {
 /// assert_eq!(casted[0].gather_src(), &[1, 0, 0, 1, 0]);
 /// ```
 pub struct CastingPipeline {
-    tx: Option<Sender<Job>>,
-    rx: Receiver<JobResult>,
-    worker: Option<std::thread::JoinHandle<()>>,
-    /// Uncompleted-job gauge shared with the worker; `submit` blocks on
-    /// the condvar while the gauge sits at `inflight_cap`.
-    in_flight: SharedGauge,
-    inflight_cap: usize,
-    /// Optional fault-injection hook the worker consults once per job.
-    fault: Arc<Mutex<Option<(FaultPlan, String)>>>,
+    /// The job queue's sending end and the worker; taken on drop, which
+    /// closes the queue and joins the worker.
+    worker: Option<(SyncSender<Job>, JoinHandle<()>)>,
+    /// Each job's casted arrays and cast time, in submission order.
+    results: Receiver<(Vec<CastedIndexArray>, Duration)>,
     /// Arrays handed back through [`CastingPipeline::recycle`].
-    free: FreeList,
-    ready: HashMap<u64, Vec<CastedIndexArray>>,
-    /// Lowest ticket id not yet collected: everything below it is
-    /// collected. In-order collection (the trainer's pattern) only moves
-    /// this watermark, so the already-collected guard costs O(1) memory
-    /// over an arbitrarily long training run.
-    collect_watermark: u64,
-    /// Collected ids at or above the watermark (out-of-order collects
-    /// only); drained as the watermark advances past them.
-    collected_ahead: HashSet<u64>,
+    free: SyncSender<Vec<CastedIndexArray>>,
+    /// Jobs submitted but not yet cast; the worker counts them down.
+    in_flight: Arc<AtomicUsize>,
+    fault: Option<(FaultPlan, Arc<str>)>,
     next_id: u64,
-    stats: Arc<Mutex<PipelineStats>>,
+    /// Results taken off the channel: every ticket below this arrived.
+    received: u64,
+    /// Arrived results whose tickets are not collected yet — only ever
+    /// filled by out-of-order collects.
+    parked: HashMap<u64, Vec<CastedIndexArray>>,
+    /// A channel end reported the worker gone.
+    dead: bool,
+    stats: PipelineStats,
 }
 
 impl CastingPipeline {
-    /// Spawns the casting worker thread with the
-    /// [`DEFAULT_INFLIGHT_CAP`].
+    /// Spawns the casting worker thread.
     pub fn new() -> Self {
-        Self::with_inflight_cap(DEFAULT_INFLIGHT_CAP)
-    }
-
-    /// [`CastingPipeline::new`] with an explicit bound on *uncompleted*
-    /// jobs (submitted but not yet cast). When the bound is reached,
-    /// [`CastingPipeline::submit`] blocks until the worker drains a job —
-    /// backpressure instead of unbounded job-queue growth. Worker
-    /// progress alone releases the block (no collect required), so a
-    /// submit-only caller cannot deadlock itself.
-    ///
-    /// # Panics
-    ///
-    /// Panics if `cap == 0`.
-    pub fn with_inflight_cap(cap: usize) -> Self {
-        assert!(cap > 0, "need a nonzero in-flight cap");
-        let (job_tx, job_rx) = channel::<Job>();
-        let (res_tx, res_rx) = channel::<JobResult>();
-        let stats = Arc::new(Mutex::new(PipelineStats::default()));
-        let in_flight: SharedGauge = Arc::new((
-            Mutex::new(Gauge {
-                count: 0,
-                dead: false,
-            }),
-            Condvar::new(),
-        ));
-        let fault: Arc<Mutex<Option<(FaultPlan, String)>>> = Arc::new(Mutex::new(None));
-        let free = FreeList::default();
-        let worker = {
-            let worker_stats = Arc::clone(&stats);
-            let worker_gauge = Arc::clone(&in_flight);
-            let worker_fault = Arc::clone(&fault);
-            let worker_free = Arc::clone(&free);
-            std::thread::Builder::new()
-                .name("tcast-casting-0".into())
-                .spawn(move || {
-                    let _guard = WorkerExitGuard(Arc::clone(&worker_gauge));
-                    let mut scratch = RadixScratch::default();
-                    // Ends when the pipeline drops the job sender.
-                    for job in job_rx {
-                        if let Some((plan, site)) = worker_fault
-                            .lock()
-                            .unwrap_or_else(|poisoned| poisoned.into_inner())
-                            .clone()
-                        {
-                            assert!(
-                                !plan.should_fail(&site),
-                                "injected casting-worker fault at {site}"
-                            );
-                        }
-                        let start = Instant::now();
-                        let mut casted = worker_free
-                            .lock()
-                            .unwrap_or_else(|poisoned| poisoned.into_inner())
-                            .pop()
-                            .unwrap_or_default();
-                        casted.resize_with(job.indices.len(), CastedIndexArray::default);
-                        for (index, out) in job.indices.iter().zip(&mut casted) {
-                            tensor_casting_into(index, out, &mut scratch);
-                        }
-                        let elapsed = start.elapsed();
-                        {
-                            let mut s = worker_stats.lock().expect("pipeline stats poisoned");
-                            s.jobs_completed += 1;
-                            s.casting_time += elapsed;
-                        }
-                        // Drain the in-flight gauge *before* publishing the
-                        // result: a submitter blocked on the cap wakes as soon
-                        // as the casting work is done.
-                        {
-                            let mut g = lock_gauge(&worker_gauge);
-                            g.count -= 1;
-                            worker_gauge.1.notify_one();
-                        }
-                        if res_tx.send(JobResult { id: job.id, casted }).is_err() {
-                            break; // pipeline dropped
-                        }
+        // One job fewer than the cap waits in the queue while the worker
+        // casts another.
+        let (job_tx, jobs) = sync_channel::<Job>(INFLIGHT_CAP - 1);
+        let (results_tx, results) = channel();
+        let (free, free_rx) = sync_channel::<Vec<CastedIndexArray>>(INFLIGHT_CAP);
+        let in_flight = Arc::new(AtomicUsize::new(0));
+        let worker_in_flight = Arc::clone(&in_flight);
+        let worker = std::thread::Builder::new()
+            .name("tcast-casting-0".into())
+            .spawn(move || {
+                let mut scratch = RadixScratch::default();
+                // Ends when the pipeline drops the job sender.
+                for Job { indices, fault } in jobs {
+                    if let Some((plan, site)) = fault {
+                        assert!(
+                            !plan.should_fail(&site),
+                            "injected casting-worker fault at {site}"
+                        );
                     }
-                })
-                .expect("spawn casting worker")
-        };
+                    let start = Instant::now();
+                    let mut casted = free_rx.try_recv().unwrap_or_default();
+                    casted.resize_with(indices.len(), CastedIndexArray::default);
+                    for (index, out) in indices.iter().zip(&mut casted) {
+                        tensor_casting_into(index, out, &mut scratch);
+                    }
+                    let cast_time = start.elapsed();
+                    // A statistic, so `Relaxed`: counted down before the
+                    // send, which orders it before the caller's receive, so
+                    // a caller holding the result reads the job as cast.
+                    worker_in_flight.fetch_sub(1, Ordering::Relaxed);
+                    if results_tx.send((casted, cast_time)).is_err() {
+                        break; // pipeline dropped
+                    }
+                }
+            })
+            .expect("spawn casting worker");
         Self {
-            tx: Some(job_tx),
-            rx: res_rx,
-            worker: Some(worker),
-            in_flight,
-            inflight_cap: cap,
-            fault,
+            worker: Some((job_tx, worker)),
+            results,
             free,
-            ready: HashMap::new(),
-            collect_watermark: 0,
-            collected_ahead: HashSet::new(),
+            in_flight,
+            fault: None,
             next_id: 0,
-            stats,
+            received: 0,
+            parked: HashMap::new(),
+            dead: false,
+            stats: PipelineStats::default(),
         }
     }
 
-    /// Arms deterministic fault injection: every subsequent job hits
-    /// `site` on `plan` once before casting, and an armed occurrence
-    /// panics the worker — the stress suite's handle for proving that a
-    /// mid-pipeline crash surfaces as a clean panic on the training
-    /// thread (never a hang), see `tests/fault_injection.rs`.
-    pub fn set_fault_plan(&self, plan: FaultPlan, site: impl Into<String>) {
-        *self
-            .fault
-            .lock()
-            .unwrap_or_else(|poisoned| poisoned.into_inner()) = Some((plan, site.into()));
+    /// Arms deterministic fault injection: every subsequent job carries
+    /// `plan` and hits `site` on it once before casting, and an armed
+    /// occurrence panics the worker — the stress suite's handle for
+    /// proving that a mid-pipeline crash surfaces as a clean panic on the
+    /// training thread (never a hang), see `tests/fault_injection.rs`.
+    pub fn set_fault_plan(&mut self, plan: FaultPlan, site: impl Into<String>) {
+        self.fault = Some((plan, Arc::from(site.into())));
     }
 
     /// Submits one iteration's index arrays (one per table) for casting.
@@ -280,53 +194,32 @@ impl CastingPipeline {
     /// deep-cloning every table's index arrays — the last steady-state
     /// allocation the casted hot path used to make.
     ///
-    /// If the number of uncompleted jobs has reached the in-flight cap,
-    /// this call **blocks** until the worker drains one (backpressure); the
-    /// time spent blocked is recorded in
-    /// [`PipelineStats::backpressure_wait`].
+    /// If the in-flight cap of uncompleted jobs is reached, this call
+    /// **blocks** until the worker casts one (backpressure). Worker
+    /// progress alone releases it, so a caller that never collects cannot
+    /// deadlock itself.
+    ///
+    /// # Panics
+    ///
+    /// Panics if the worker thread died.
     pub fn submit(&mut self, indices: impl Into<Arc<[IndexArray]>>) -> JobTicket {
-        {
-            let mut g = lock_gauge(&self.in_flight);
-            assert!(!g.dead, "casting worker died; pipeline is unusable");
-            if g.count >= self.inflight_cap {
-                let start = Instant::now();
-                while g.count >= self.inflight_cap {
-                    g = self
-                        .in_flight
-                        .1
-                        .wait(g)
-                        .unwrap_or_else(|poisoned| poisoned.into_inner());
-                    // A dead worker never drains its slot: fail the
-                    // blocked submitter instead of waiting forever.
-                    assert!(!g.dead, "casting worker died; pipeline is unusable");
-                }
-                self.stats
-                    .lock()
-                    .expect("pipeline stats poisoned")
-                    .backpressure_wait += start.elapsed();
-            }
-            g.count += 1;
-            let count = g.count;
-            drop(g);
-            let mut s = self.stats.lock().expect("pipeline stats poisoned");
-            s.max_in_flight = s.max_in_flight.max(count as u64);
+        let job = Job {
+            indices: indices.into(),
+            fault: self.fault.clone(),
+        };
+        let (jobs, _) = self.worker.as_ref().expect("pipeline not shut down");
+        self.in_flight.fetch_add(1, Ordering::Relaxed);
+        if jobs.send(job).is_err() {
+            self.dead = true;
+            panic!("casting worker died; pipeline is unusable");
         }
-        let id = self.next_id;
         self.next_id += 1;
-        self.tx
-            .as_ref()
-            .expect("pipeline not shut down")
-            .send(Job {
-                id,
-                indices: indices.into(),
-            })
-            .expect("casting worker alive");
-        JobTicket(id)
+        JobTicket(self.next_id - 1)
     }
 
     /// Number of submitted jobs not yet cast by the worker.
     pub fn in_flight(&self) -> usize {
-        lock_gauge(&self.in_flight).count
+        self.in_flight.load(Ordering::Relaxed)
     }
 
     /// The casting time the worker still has ahead of it, estimated as the
@@ -334,24 +227,18 @@ impl CastingPipeline {
     /// (zero until one has been). What a caller with work to hand a second
     /// core asks first: a long backlog means the worker is using it.
     pub fn backlog(&self) -> Duration {
-        let stats = self.stats();
-        match (self.in_flight(), stats.jobs_completed) {
+        match (self.in_flight(), self.stats.jobs_completed) {
             (0, _) | (_, 0) => Duration::ZERO,
-            (jobs, done) => stats.casting_time.mul_f64(jobs as f64 / done as f64),
+            (jobs, done) => self.stats.casting_time.mul_f64(jobs as f64 / done as f64),
         }
     }
 
     /// Whether the worker thread has died (panicked); a dead pipeline fails
     /// every subsequent `submit`/`collect` with a panic instead of
-    /// hanging.
+    /// hanging. True from the first `submit` or `collect` that observed
+    /// the death, and once the worker's thread has finished.
     pub fn worker_died(&self) -> bool {
-        lock_gauge(&self.in_flight).dead
-    }
-
-    /// The bound on uncompleted jobs that [`CastingPipeline::submit`]
-    /// enforces by blocking.
-    pub fn inflight_cap(&self) -> usize {
-        self.inflight_cap
+        self.dead || self.worker.as_ref().is_some_and(|(_, w)| w.is_finished())
     }
 
     /// Blocks until the given job's casted arrays are ready and returns
@@ -378,58 +265,33 @@ impl CastingPipeline {
     /// Panics if the ticket was never issued by this pipeline, was already
     /// collected, or the worker thread died.
     pub fn collect_timed(&mut self, ticket: JobTicket) -> (Vec<CastedIndexArray>, Duration) {
-        assert!(ticket.0 < self.next_id, "unknown ticket {ticket:?}");
-        // A collected id is gone from `ready`, so without this guard the
-        // recv loop below would block forever on a result that can never
-        // arrive — the panic the doc promises instead.
-        assert!(
-            ticket.0 >= self.collect_watermark && !self.collected_ahead.contains(&ticket.0),
-            "ticket {ticket:?} already collected"
-        );
-        if ticket.0 == self.collect_watermark {
-            self.collect_watermark += 1;
-            while self.collected_ahead.remove(&self.collect_watermark) {
-                self.collect_watermark += 1;
-            }
-        } else {
-            self.collected_ahead.insert(ticket.0);
-        }
-        // Drain results that already arrived before starting the clock:
-        // a job whose casting finished during earlier work must report
-        // exactly zero exposed wait, not the channel-recv overhead.
-        while let Ok(result) = self.rx.try_recv() {
-            self.ready.insert(result.id, result.casted);
-        }
-        if let Some(casted) = self.ready.remove(&ticket.0) {
+        let JobTicket(id) = ticket;
+        assert!(id < self.next_id, "unknown ticket {ticket:?}");
+        if id < self.received {
+            let casted = self.parked.remove(&id);
+            let casted = casted.unwrap_or_else(|| panic!("ticket {ticket:?} already collected"));
             return (casted, Duration::ZERO);
         }
-        let start = Instant::now();
+        // Jobs are cast in submission order, so the count says whether this
+        // one is: a job cast during earlier work exposes no wait, not even
+        // the receive. (Saturating: a submit that found the worker dead
+        // still counted its job.)
+        let uncast = id >= self.next_id.saturating_sub(self.in_flight() as u64);
+        let start = uncast.then(Instant::now);
         loop {
-            // A worker that panicked mid-job can never deliver this
-            // result: poll the death flag between bounded waits rather
-            // than trust a plain recv to notice — a message still wakes
-            // the recv immediately.
-            assert!(
-                !self.worker_died(),
-                "casting worker died; job {} can never complete",
-                ticket.0
-            );
-            let result = match self.rx.recv_timeout(Duration::from_millis(20)) {
-                Ok(result) => result,
-                Err(RecvTimeoutError::Timeout) => continue,
-                Err(RecvTimeoutError::Disconnected) => {
-                    panic!("casting worker died; job {} can never complete", ticket.0)
-                }
+            let Ok((casted, cast_time)) = self.results.recv() else {
+                self.dead = true;
+                panic!("casting worker died; job {id} can never complete");
             };
-            if result.id == ticket.0 {
-                let exposed = start.elapsed();
-                self.stats
-                    .lock()
-                    .expect("pipeline stats poisoned")
-                    .exposed_wait += exposed;
-                return (result.casted, exposed);
+            self.stats.jobs_completed += 1;
+            self.stats.casting_time += cast_time;
+            self.received += 1;
+            if self.received > id {
+                let exposed = start.map_or(Duration::ZERO, |start| start.elapsed());
+                self.stats.exposed_wait += exposed;
+                return (casted, exposed);
             }
-            self.ready.insert(result.id, result.casted);
+            self.parked.insert(self.received - 1, casted);
         }
     }
 
@@ -438,25 +300,15 @@ impl CastingPipeline {
     /// caller does with each job's arrays once its backward is done, the
     /// way `tcast-datasets`' `BatchSource::recycle` returns batches.
     /// Optional: a pipeline that never gets arrays back allocates each
-    /// job's arrays afresh.
+    /// job's arrays afresh, and arrays beyond the in-flight cap that
+    /// wait to be reused are dropped.
     pub fn recycle(&self, casted: Vec<CastedIndexArray>) {
-        self.free
-            .lock()
-            .unwrap_or_else(|poisoned| poisoned.into_inner())
-            .push(casted);
-    }
-
-    /// Returns whether the given job has already finished (non-blocking).
-    pub fn is_ready(&mut self, ticket: JobTicket) -> bool {
-        while let Ok(result) = self.rx.try_recv() {
-            self.ready.insert(result.id, result.casted);
-        }
-        self.ready.contains_key(&ticket.0)
+        let _ = self.free.try_send(casted);
     }
 
     /// Snapshot of the pipeline's timing statistics.
     pub fn stats(&self) -> PipelineStats {
-        *self.stats.lock().expect("pipeline stats poisoned")
+        self.stats
     }
 }
 
@@ -470,17 +322,16 @@ impl std::fmt::Debug for CastingPipeline {
     fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
         f.debug_struct("CastingPipeline")
             .field("next_id", &self.next_id)
-            .field("buffered", &self.ready.len())
-            .field("stats", &self.stats())
+            .field("parked", &self.parked.len())
+            .field("stats", &self.stats)
             .finish()
     }
 }
 
 impl Drop for CastingPipeline {
     fn drop(&mut self) {
-        // Close the job channel so the worker exits, then join it.
-        self.tx.take();
-        if let Some(worker) = self.worker.take() {
+        if let Some((jobs, worker)) = self.worker.take() {
+            drop(jobs); // ends the worker's loop
             let _ = worker.join();
         }
     }
@@ -560,20 +411,6 @@ mod tests {
     }
 
     #[test]
-    fn is_ready_becomes_true() {
-        let mut p = CastingPipeline::new();
-        let ticket = p.submit(random_indices(1, 4));
-        // Poll until ready (worker is fast; bound the wait).
-        let deadline = Instant::now() + Duration::from_secs(5);
-        while !p.is_ready(ticket) {
-            assert!(Instant::now() < deadline, "worker never finished");
-            std::thread::yield_now();
-        }
-        let casted = p.collect(ticket);
-        assert_eq!(casted.len(), 1);
-    }
-
-    #[test]
     #[should_panic(expected = "unknown ticket")]
     fn collect_unknown_ticket_panics() {
         let mut p = CastingPipeline::new();
@@ -583,8 +420,8 @@ mod tests {
     #[test]
     #[should_panic(expected = "already collected")]
     fn collect_twice_panics_instead_of_hanging() {
-        // Regression: the id is gone from `ready` after the first
-        // collect, so a second collect used to block in recv() forever.
+        // The result already arrived and left: a receive would block
+        // forever on a job that can never come back.
         let mut p = CastingPipeline::new();
         let ticket = p.submit(random_indices(1, 6));
         let _ = p.collect(ticket);
@@ -594,36 +431,35 @@ mod tests {
     #[test]
     #[should_panic(expected = "already collected")]
     fn double_collect_detected_after_out_of_order_collection() {
-        // The watermark only covers in-order collects; ids collected
-        // ahead of it must be remembered until the watermark passes them.
+        // Collecting `tb` first parks `ta`'s result; `tb` itself is gone.
         let mut p = CastingPipeline::new();
         let _ta = p.submit(random_indices(1, 8));
         let tb = p.submit(random_indices(1, 9));
-        let _ = p.collect(tb); // out of order: watermark stays behind
+        let _ = p.collect(tb);
         let _ = p.collect(tb);
     }
 
     #[test]
     fn in_order_collection_keeps_the_guard_set_empty() {
-        // The trainer collects strictly in submission order; the
-        // already-collected guard must then be a watermark bump, not a
-        // per-step set insertion (unbounded growth over a training run).
+        // The trainer collects strictly in submission order: each result is
+        // then the next to arrive and goes straight back, so nothing is
+        // parked over an arbitrarily long training run.
         let mut p = CastingPipeline::new();
         for i in 0..20 {
             let t = p.submit(random_indices(1, 100 + i));
             let _ = p.collect(t);
         }
-        assert_eq!(p.collect_watermark, 20);
-        assert!(p.collected_ahead.is_empty());
-        // Out-of-order collects pass through the set, then drain as the
-        // watermark catches up.
+        assert_eq!(p.received, 20);
+        assert!(p.parked.is_empty());
+        // An out-of-order collect parks the results that arrive ahead of
+        // it until their own collect takes them.
         let ta = p.submit(random_indices(1, 200));
         let tb = p.submit(random_indices(1, 201));
         let _ = p.collect(tb);
-        assert_eq!(p.collected_ahead.len(), 1);
+        assert_eq!(p.parked.len(), 1);
         let _ = p.collect(ta);
-        assert_eq!(p.collect_watermark, 22);
-        assert!(p.collected_ahead.is_empty());
+        assert_eq!(p.received, 22);
+        assert!(p.parked.is_empty());
     }
 
     #[test]
@@ -683,14 +519,12 @@ mod tests {
             jobs_completed: 1,
             casting_time: Duration::from_millis(10),
             exposed_wait: Duration::from_millis(10),
-            ..Default::default()
         };
         assert!(s.hidden_fraction() < 1e-9);
         let s = PipelineStats {
             jobs_completed: 1,
             casting_time: Duration::from_millis(10),
             exposed_wait: Duration::from_millis(5),
-            ..Default::default()
         };
         assert!((s.hidden_fraction() - 0.5).abs() < 1e-9);
     }
@@ -704,11 +538,11 @@ mod tests {
         let (casted, exposed) = p.collect_timed(t);
         assert_eq!(casted.len(), 2);
         assert_eq!(p.stats().exposed_wait, exposed);
-        // A job that is already finished when collected reports zero
-        // exposed wait and adds nothing to the aggregate.
+        // A job that is already cast when collected reports zero exposed
+        // wait and adds nothing to the aggregate.
         let t = p.submit(random_indices(1, 12));
         let deadline = Instant::now() + Duration::from_secs(5);
-        while !p.is_ready(t) {
+        while p.in_flight() > 0 {
             assert!(Instant::now() < deadline, "worker never finished");
             std::thread::yield_now();
         }
@@ -720,43 +554,47 @@ mod tests {
 
     #[test]
     fn inflight_cap_blocks_submit_until_the_worker_drains() {
-        // With cap 1, the second submit cannot return before the first
-        // job has been *cast* (not collected!) — deterministic evidence
-        // that the cap back-pressures the submitter instead of queueing.
-        let mut p = CastingPipeline::with_inflight_cap(1);
-        assert_eq!(p.inflight_cap(), 1);
-        let ta = p.submit(random_indices(2, 13));
-        let tb = p.submit(random_indices(2, 14));
-        assert!(p.stats().jobs_completed >= 1, "submit overtook the cap");
-        let _ = p.collect(ta);
-        let _ = p.collect(tb);
-        assert_eq!(p.stats().jobs_completed, 2);
-        assert_eq!(p.stats().max_in_flight, 1);
-    }
-
-    #[test]
-    fn max_in_flight_never_exceeds_the_cap() {
-        let mut p = CastingPipeline::with_inflight_cap(3);
-        let tickets: Vec<_> = (0..12)
-            .map(|i| p.submit(random_indices(1, 300 + i)))
+        // Twice the cap, never collected: every submit returns on worker
+        // progress alone (results queue without bound, so a caller that
+        // never collects cannot deadlock itself), and none returns while
+        // more than the cap are uncast.
+        let mut p = CastingPipeline::new();
+        let jobs: Vec<_> = (0..2 * INFLIGHT_CAP as u64)
+            .map(|i| {
+                let indices = random_indices(1, 300 + i);
+                let ticket = p.submit(indices.clone());
+                assert!(p.in_flight() <= INFLIGHT_CAP, "cap overrun at job {i}");
+                (indices, ticket)
+            })
             .collect();
-        for t in tickets {
-            let _ = p.collect(t);
+        for (indices, ticket) in jobs {
+            assert_eq!(p.collect(ticket), vec![tensor_casting(&indices[0])]);
         }
-        let stats = p.stats();
-        assert_eq!(stats.jobs_completed, 12);
-        assert!(
-            stats.max_in_flight <= 3,
-            "cap violated: {} in flight",
-            stats.max_in_flight
-        );
+        assert_eq!(p.stats().jobs_completed, 2 * INFLIGHT_CAP as u64);
         assert_eq!(p.in_flight(), 0);
     }
 
     #[test]
-    #[should_panic(expected = "nonzero in-flight cap")]
-    fn zero_inflight_cap_rejected() {
-        CastingPipeline::with_inflight_cap(0);
+    fn max_in_flight_never_exceeds_the_cap() {
+        // A lookahead window wider than the cap, sustained: the oldest job
+        // is collected after each submit, and the uncast count stays
+        // within the cap throughout.
+        let mut p = CastingPipeline::new();
+        let mut window = std::collections::VecDeque::new();
+        for i in 0..4 * INFLIGHT_CAP as u64 {
+            let indices = random_indices(1, 500 + i);
+            window.push_back((p.submit(indices.clone()), indices));
+            assert!(p.in_flight() <= INFLIGHT_CAP, "cap overrun at job {i}");
+            if window.len() > INFLIGHT_CAP + 8 {
+                let (ticket, indices) = window.pop_front().unwrap();
+                assert_eq!(p.collect(ticket), vec![tensor_casting(&indices[0])]);
+            }
+        }
+        for (ticket, indices) in window {
+            assert_eq!(p.collect(ticket), vec![tensor_casting(&indices[0])]);
+        }
+        assert!(p.parked.is_empty());
+        assert_eq!(p.in_flight(), 0);
     }
 
     #[test]
@@ -774,30 +612,32 @@ mod tests {
         p.set_fault_plan(plan.clone(), "cast");
         let t = p.submit(random_indices(1, 52));
         let res = std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| p.collect(t)));
+        // Recorded by the collect itself: the worker may still be
+        // unwinding.
+        assert!(p.worker_died());
         let err = res.expect_err("collect must panic, not hang");
         let msg = err.downcast_ref::<String>().cloned().unwrap_or_default();
         assert!(msg.contains("casting worker died"), "message: {msg}");
-        assert!(p.worker_died());
         assert_eq!(plan.fired(), vec![("cast".to_string(), 0)]);
     }
 
     #[test]
     fn worker_panic_fails_blocked_submitters_instead_of_hanging() {
-        // Regression: a worker that panicked mid-job never drains its
-        // in-flight slot, so with cap 1 the next submit used to block on
-        // the gauge condvar forever. The exit guard must wake and fail
-        // it.
-        let mut p = CastingPipeline::with_inflight_cap(1);
+        // A worker that died on its first job never takes another, so the
+        // job queue fills and a later submit blocks: the worker's dropped
+        // receiver must wake it into a panic naming the cause.
+        let mut p = CastingPipeline::new();
         let plan = FaultPlan::new();
         plan.arm("cast", 0);
         p.set_fault_plan(plan, "cast");
         let res = std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| {
-            let _ = p.submit(random_indices(1, 53));
-            let _ = p.submit(random_indices(1, 54));
-            // With the dead flag unchecked the second submit would hang;
-            // reaching here without panicking means the fault was missed.
+            for i in 0..INFLIGHT_CAP as u64 + 2 {
+                let _ = p.submit(random_indices(1, 53 + i));
+            }
         }));
-        assert!(res.is_err(), "submit after worker death must panic");
+        let err = res.expect_err("submit after worker death must panic");
+        let msg = err.downcast_ref::<&str>().copied().unwrap_or_default();
+        assert!(msg.contains("casting worker died"), "message: {msg}");
         assert!(p.worker_died());
     }
 }

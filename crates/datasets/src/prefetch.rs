@@ -10,32 +10,38 @@
 //! slot. `PrefetchSource` moves that work onto a dedicated producer
 //! thread feeding a bounded ready-queue:
 //!
-//! * **Same stream, any interleaving.** One producer fills a FIFO
-//!   queue, so the delivered checkout order is exactly the wrapped
+//! * **Same stream, any interleaving.** One producer sends down one FIFO
+//!   channel, so the delivered checkout order is exactly the wrapped
 //!   source's order — bit-identical regardless of how producer and
 //!   consumer interleave (and recycling never changes a source's
 //!   stream, by the [`BatchSource`] contract).
-//! * **Bounded queue = backpressure.** The producer blocks once
-//!   `capacity` batches are ready (mirroring the casting pipeline's
-//!   in-flight cap), so a fast producer cannot buffer unboundedly.
+//! * **Bounded queue = backpressure.** Batches travel on a channel of
+//!   `capacity - 1` slots and the producer holds one more while its send
+//!   blocks, so at most `capacity` batches are ever ready (mirroring the
+//!   casting pipeline's in-flight cap) and a fast producer cannot buffer
+//!   unboundedly.
 //! * **Free-list recycling across the thread boundary.** Batches given
-//!   back via [`BatchSource::recycle`] park in a shared free-list the
-//!   producer drains into the wrapped source before each generation, so
-//!   the steady state refills recycled buffers instead of allocating:
-//!   once `capacity + 2` buffers circulate, the free-list can never be
-//!   empty at production time (buffers only move between the ready
-//!   queue, the consumer, and the free-list), and every later batch is
-//!   an in-place refill (enforced in `tests/zero_alloc.rs`).
+//!   back via [`BatchSource::recycle`] travel back on a bounded channel
+//!   the producer drains into the wrapped source before each generation,
+//!   so the steady state refills recycled buffers instead of allocating:
+//!   once `capacity + 2` buffers circulate, the wrapped source's
+//!   free-list can never be empty at production time (buffers only move
+//!   between the ready queue, the consumer, and the free-lists), and
+//!   every later batch is an in-place refill (enforced in
+//!   `tests/zero_alloc.rs`).
 //!
 //! Dropping a `PrefetchSource` (or calling
-//! [`PrefetchSource::into_inner`]) signals shutdown and joins the
+//! [`PrefetchSource::into_inner`]) hangs up the ready queue and joins the
 //! producer; a producer blocked on a full queue wakes immediately, and
-//! one that is mid-generation finishes its batch first.
+//! one that is mid-generation finishes its batch first. A producer that
+//! panics drops its end of the queue, which wakes a waiting consumer into
+//! a panic naming the cause.
 
 use crate::source::{BatchSource, SourceState};
 use crate::synthetic::CtrBatch;
-use std::collections::VecDeque;
-use std::sync::{Arc, Condvar, Mutex, MutexGuard};
+use std::sync::atomic::{AtomicU64, Ordering};
+use std::sync::mpsc::{sync_channel, Receiver, SyncSender, TrySendError};
+use std::sync::Arc;
 use std::thread::JoinHandle;
 use std::time::{Duration, Instant};
 
@@ -51,7 +57,8 @@ pub struct PrefetchStats {
     /// (the producer blocks instead of overfilling).
     pub max_ready: usize,
     /// Total time the producer spent blocked on a full ready-queue
-    /// (backpressure; the consumer is the bottleneck).
+    /// (backpressure; the consumer is the bottleneck), as of the last
+    /// batch delivered: each batch carries the wait that preceded it.
     pub producer_wait: Duration,
     /// Total time the consumer spent blocked on an empty ready-queue —
     /// the *exposed* generation latency, the prefetch analogue of the
@@ -60,59 +67,12 @@ pub struct PrefetchStats {
     pub consumer_wait: Duration,
 }
 
-struct State {
-    /// Each ready batch travels with the wrapped source's stream
-    /// position *after* generating it, so the consumer always knows the
-    /// exact resume point for what it has checked out — the producer's
-    /// run-ahead never leaks into checkpoints.
-    ready: VecDeque<(Arc<CtrBatch>, Option<SourceState>)>,
-    /// The wrapped source's position as of the last batch the consumer
-    /// checked out (initially, its position at construction).
-    consumed_state: Option<SourceState>,
-    free: Vec<Arc<CtrBatch>>,
-    /// The wrapped source returned `None`: the stream is over.
-    exhausted: bool,
-    /// Consumer-side shutdown request (drop / `into_inner`).
-    shutdown: bool,
-    /// The producer thread has exited (set on every exit path,
-    /// including a panic in the wrapped source, so a waiting consumer
-    /// can never deadlock on a dead producer).
-    producer_done: bool,
-    stats: PrefetchStats,
-}
-
-struct Shared {
-    state: Mutex<State>,
-    /// Signals the consumer: a batch arrived / the stream ended.
-    produced: Condvar,
-    /// Signals the producer: queue space opened / shutdown requested.
-    space: Condvar,
-    capacity: usize,
-}
-
-impl Shared {
-    /// Locks the state, recovering from poisoning: the state is plain
-    /// bookkeeping (queues and counters mutated under the lock only),
-    /// so a panicking peer leaves it consistent — and the shutdown path
-    /// must still work after one side has died.
-    fn lock(&self) -> MutexGuard<'_, State> {
-        self.state.lock().unwrap_or_else(|e| e.into_inner())
-    }
-}
-
-/// Ensures `producer_done` is published and sleepers woken on *every*
-/// producer exit — normal return, shutdown, or a panic unwinding out of
-/// the wrapped source.
-struct ProducerExitGuard(Arc<Shared>);
-
-impl Drop for ProducerExitGuard {
-    fn drop(&mut self) {
-        let mut st = self.0.lock();
-        st.producer_done = true;
-        self.0.produced.notify_all();
-        self.0.space.notify_all();
-    }
-}
+/// One generated batch, the wrapped source's stream position *after*
+/// generating it — so the consumer always knows the exact resume point
+/// for what it has checked out, and the producer's run-ahead never leaks
+/// into checkpoints — and the time the producer blocked to send the batch
+/// before it. `None` ends the stream.
+type Ready = Option<(Arc<CtrBatch>, Option<SourceState>, Duration)>;
 
 /// A [`BatchSource`] adapter running the wrapped source on a background
 /// producer thread behind a bounded ready-queue.
@@ -131,52 +91,68 @@ impl Drop for ProducerExitGuard {
 /// assert_eq!(source.stats().delivered, 5);
 /// ```
 pub struct PrefetchSource<S: BatchSource + Send + 'static> {
-    shared: Arc<Shared>,
-    producer: Option<JoinHandle<S>>,
+    /// The ready-queue's receiving end and the producer; taken on
+    /// shutdown.
+    producer: Option<(Receiver<Ready>, JoinHandle<S>)>,
+    /// Recycled batches on their way back to the producer.
+    free: SyncSender<Arc<CtrBatch>>,
+    /// Batches generated, counted by the producer before it sends each.
+    produced: Arc<AtomicU64>,
+    capacity: usize,
+    /// The wrapped source's position as of the last batch the consumer
+    /// checked out (initially, its position at construction).
+    consumed_state: Option<SourceState>,
+    /// The wrapped source returned `None`: the stream is over.
+    exhausted: bool,
+    /// The consumer's counters (`produced` is read from the producer's).
+    stats: PrefetchStats,
 }
 
 impl<S: BatchSource + Send + 'static> PrefetchSource<S> {
     /// Wraps `source`, spawning the producer thread with a ready-queue
     /// bound of `capacity` batches.
     ///
+    /// Capacity 1 hands every batch over in a rendezvous (std's
+    /// zero-capacity channel), whose blocking hand-off may allocate; the
+    /// allocation-free steady state holds from capacity 2.
+    ///
     /// # Panics
     ///
     /// Panics if `capacity == 0`.
     pub fn new(source: S, capacity: usize) -> Self {
         assert!(capacity > 0, "need a nonzero prefetch capacity");
-        let initial_state = source.state();
-        let shared = Arc::new(Shared {
-            state: Mutex::new(State {
-                ready: VecDeque::with_capacity(capacity),
-                consumed_state: initial_state,
-                free: Vec::with_capacity(capacity + 2),
-                exhausted: false,
-                shutdown: false,
-                producer_done: false,
-                stats: PrefetchStats::default(),
-            }),
-            produced: Condvar::new(),
-            space: Condvar::new(),
-            capacity,
-        });
-        let worker_shared = Arc::clone(&shared);
+        let consumed_state = source.state();
+        let (ready_tx, ready) = sync_channel(capacity - 1);
+        let (free, free_rx) = sync_channel(capacity + 2);
+        let produced = Arc::new(AtomicU64::new(0));
+        let counter = Arc::clone(&produced);
         let producer = std::thread::Builder::new()
             .name("tcast-prefetch".to_string())
-            .spawn(move || Self::produce(source, &worker_shared))
+            .spawn(move || Self::produce(source, capacity, &ready_tx, &free_rx, &counter))
             .expect("spawn prefetch producer");
         Self {
-            shared,
-            producer: Some(producer),
+            producer: Some((ready, producer)),
+            free,
+            produced,
+            capacity,
+            consumed_state,
+            exhausted: false,
+            stats: PrefetchStats::default(),
         }
     }
 
-    /// The producer loop: wait for queue space, drain recycled buffers
-    /// into the wrapped source, generate one batch (lock *not* held —
-    /// this is the work being overlapped), publish it. Returns the
-    /// wrapped source so [`PrefetchSource::into_inner`] can hand it
-    /// back.
-    fn produce(mut source: S, shared: &Arc<Shared>) -> S {
-        let _guard = ProducerExitGuard(Arc::clone(shared));
+    /// The producer loop: drain recycled buffers into the wrapped source,
+    /// generate one batch (the work being overlapped), send it — blocking
+    /// while the queue is full. Returns the wrapped source at the end of
+    /// the stream or once the consumer hangs up, so
+    /// [`PrefetchSource::into_inner`] can hand it back.
+    fn produce(
+        mut source: S,
+        capacity: usize,
+        ready: &SyncSender<Ready>,
+        free: &Receiver<Arc<CtrBatch>>,
+        produced: &AtomicU64,
+    ) -> S {
         // Prime the wrapped source's free pool with empty shells (its
         // `*_into` refill path sizes them on first use). With
         // `capacity + 2` buffers circulating from the start, a consumer
@@ -185,91 +161,84 @@ impl<S: BatchSource + Send + 'static> PrefetchSource<S> {
         // warm steady state provably needs no fresh batch allocation.
         // Consumers that hold more batches at once self-stabilize: each
         // miss adds one buffer to the pool, permanently.
-        for _ in 0..shared.capacity + 2 {
+        for _ in 0..capacity + 2 {
             source.recycle(Arc::new(CtrBatch::default()));
         }
-        let mut recycled: Vec<Arc<CtrBatch>> = Vec::new();
+        let mut waited = Duration::ZERO;
         loop {
-            {
-                let mut st = shared.lock();
-                while st.ready.len() >= shared.capacity && !st.shutdown {
-                    let t0 = Instant::now();
-                    st = shared.space.wait(st).unwrap_or_else(|e| e.into_inner());
-                    st.stats.producer_wait += t0.elapsed();
-                }
-                if st.shutdown {
-                    return source;
-                }
-                recycled.append(&mut st.free);
-            }
-            for batch in recycled.drain(..) {
+            for batch in free.try_iter() {
                 source.recycle(batch);
             }
-            let next = source.next_batch();
-            let post_state = source.state();
-            let mut st = shared.lock();
-            match next {
-                Some(batch) => {
-                    st.ready.push_back((batch, post_state));
-                    st.stats.produced += 1;
-                    st.stats.max_ready = st.stats.max_ready.max(st.ready.len());
-                    shared.produced.notify_one();
-                }
-                None => {
-                    st.exhausted = true;
-                    shared.produced.notify_all();
-                    return source;
-                }
-            }
-            if st.shutdown {
+            let Some(batch) = source.next_batch() else {
+                let _ = ready.send(None);
                 return source;
-            }
+            };
+            produced.fetch_add(1, Ordering::Relaxed);
+            waited = match ready.try_send(Some((batch, source.state(), waited))) {
+                Ok(()) => Duration::ZERO,
+                Err(TrySendError::Full(message)) => {
+                    let t0 = Instant::now();
+                    if ready.send(message).is_err() {
+                        return source;
+                    }
+                    t0.elapsed()
+                }
+                Err(TrySendError::Disconnected(_)) => return source,
+            };
         }
     }
 
     /// The ready-queue bound.
     pub fn capacity(&self) -> usize {
-        self.shared.capacity
+        self.capacity
     }
 
-    /// Batches generated and waiting to be checked out.
+    /// Batches generated and waiting to be checked out, including the one
+    /// the producer holds while the queue is full.
     pub fn ready_len(&self) -> usize {
-        self.shared.lock().ready.len()
+        // Read on the consumer's thread, never mid-reception: `delivered`
+        // is exact, and `capacity - 1` queued batches plus the one the
+        // producer holds bound the difference. (`Relaxed` suffices: the
+        // channel orders each count before its batch's reception.)
+        (self.produced.load(Ordering::Relaxed) - self.stats.delivered) as usize
     }
 
     /// Snapshot of the hand-off counters.
     pub fn stats(&self) -> PrefetchStats {
-        self.shared.lock().stats
+        PrefetchStats {
+            produced: self.produced.load(Ordering::Relaxed),
+            max_ready: self.stats.max_ready.max(self.ready_len()),
+            ..self.stats
+        }
     }
 
     /// Shuts the producer down and returns the wrapped source (with its
-    /// own free-list intact). Batches still in the ready-queue or the
-    /// shared free-list are dropped — a source must produce the same
-    /// stream without them, per the [`BatchSource`] contract.
+    /// own free-list intact). Batches still in the ready-queue or on
+    /// their way back to the producer are dropped — a source must produce
+    /// the same stream without them, per the [`BatchSource`] contract.
     ///
     /// # Panics
     ///
     /// Propagates a panic from the producer thread (i.e. from the
     /// wrapped source's `next_batch`/`recycle`).
     pub fn into_inner(mut self) -> S {
-        self.request_shutdown();
-        let handle = self.producer.take().expect("producer not yet joined");
-        match handle.join() {
+        match self.shutdown().expect("producer not yet joined") {
             Ok(source) => source,
             Err(payload) => std::panic::resume_unwind(payload),
         }
     }
 
-    fn request_shutdown(&self) {
-        let mut st = self.shared.lock();
-        st.shutdown = true;
-        self.shared.space.notify_all();
-        self.shared.produced.notify_all();
+    /// Hangs up the ready-queue, which ends the producer's loop at its
+    /// next send, and joins the producer.
+    fn shutdown(&mut self) -> Option<std::thread::Result<S>> {
+        let (ready, producer) = self.producer.take()?;
+        drop(ready);
+        Some(producer.join())
     }
 }
 
 impl<S: BatchSource + Send + 'static> BatchSource for PrefetchSource<S> {
-    /// Pops the oldest prefetched batch, blocking until the producer
+    /// Takes the oldest prefetched batch, blocking until the producer
     /// delivers one (the blocked time is recorded as
     /// [`PrefetchStats::consumer_wait`] — the exposed generation
     /// latency). Returns `None` once the wrapped stream is exhausted
@@ -280,37 +249,37 @@ impl<S: BatchSource + Send + 'static> BatchSource for PrefetchSource<S> {
     /// Panics if the producer thread died without ending the stream
     /// (the wrapped source panicked mid-generation).
     fn next_batch(&mut self) -> Option<Arc<CtrBatch>> {
-        let mut st = self.shared.lock();
-        loop {
-            if let Some((batch, post_state)) = st.ready.pop_front() {
-                st.stats.delivered += 1;
-                st.consumed_state = post_state;
-                self.shared.space.notify_one();
-                return Some(batch);
-            }
-            if st.exhausted {
-                return None;
-            }
-            assert!(
-                !st.producer_done,
-                "prefetch producer died without exhausting the stream"
-            );
-            let t0 = Instant::now();
-            st = self
-                .shared
-                .produced
-                .wait(st)
-                .unwrap_or_else(|e| e.into_inner());
-            st.stats.consumer_wait += t0.elapsed();
+        if self.exhausted {
+            return None;
         }
+        // Between two checkouts the queue only fills: its high-water
+        // mark is what it holds just before one.
+        self.stats.max_ready = self.stats.max_ready.max(self.ready_len());
+        let (ready, _) = self.producer.as_ref().expect("producer not yet joined");
+        let message = ready.try_recv().or_else(|_| {
+            let t0 = Instant::now();
+            let message = ready.recv();
+            self.stats.consumer_wait += t0.elapsed();
+            message
+        });
+        let Some((batch, state, producer_wait)) =
+            message.expect("prefetch producer died without exhausting the stream")
+        else {
+            self.exhausted = true;
+            return None;
+        };
+        self.stats.delivered += 1;
+        self.stats.producer_wait += producer_wait;
+        self.consumed_state = state;
+        Some(batch)
     }
 
-    /// Parks the batch in the shared free-list; the producer drains it
-    /// into the wrapped source before its next generation.
+    /// Sends the batch back to the producer, which drains it into the
+    /// wrapped source before its next generation. Dropped instead when
+    /// `capacity + 2` batches are already on their way back, or the
+    /// producer is gone.
     fn recycle(&mut self, batch: Arc<CtrBatch>) {
-        let mut st = self.shared.lock();
-        st.free.push(batch);
-        self.shared.space.notify_one();
+        let _ = self.free.try_send(batch);
     }
 
     /// The wrapped source's position as of the last batch the *consumer*
@@ -319,7 +288,7 @@ impl<S: BatchSource + Send + 'static> BatchSource for PrefetchSource<S> {
     /// the delivered stream exactly, which is how `TrainLoop` checkpoints
     /// through a prefetched source without draining it.
     fn state(&self) -> Option<SourceState> {
-        self.shared.lock().consumed_state
+        self.consumed_state
     }
 
     fn restore(&mut self, state: &SourceState) {
@@ -333,24 +302,19 @@ impl<S: BatchSource + Send + 'static> BatchSource for PrefetchSource<S> {
 
 impl<S: BatchSource + Send + 'static> Drop for PrefetchSource<S> {
     fn drop(&mut self) {
-        if let Some(handle) = self.producer.take() {
-            self.request_shutdown();
-            // Swallow a producer panic: propagating from drop would
-            // abort. `into_inner` is the propagating path.
-            let _ = handle.join();
-        }
+        // Swallow a producer panic: propagating from drop would abort.
+        // `into_inner` is the propagating path.
+        let _ = self.shutdown();
     }
 }
 
 impl<S: BatchSource + Send + 'static> std::fmt::Debug for PrefetchSource<S> {
     fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
-        let st = self.shared.lock();
         f.debug_struct("PrefetchSource")
-            .field("capacity", &self.shared.capacity)
-            .field("ready", &st.ready.len())
-            .field("free", &st.free.len())
-            .field("exhausted", &st.exhausted)
-            .field("stats", &st.stats)
+            .field("capacity", &self.capacity)
+            .field("ready", &self.ready_len())
+            .field("exhausted", &self.exhausted)
+            .field("stats", &self.stats())
             .finish()
     }
 }
@@ -454,6 +418,28 @@ mod tests {
         let stats = prefetched.stats();
         assert_eq!(stats.produced, 2, "producer overran the bounded queue");
         assert_eq!(stats.max_ready, 2);
+    }
+
+    #[test]
+    fn capacity_one_is_a_rendezvous_holding_one_batch() {
+        // A channel of no slots: the one ready batch is the one the
+        // producer holds in its send until the consumer takes it.
+        let mut inline = SyntheticSource::new(ctr(4), 8);
+        let mut prefetched = PrefetchSource::new(SyntheticSource::new(ctr(4), 8), 1);
+        let deadline = Instant::now() + Duration::from_secs(5);
+        while prefetched.ready_len() < 1 {
+            assert!(Instant::now() < deadline, "producer never made a batch");
+            std::thread::yield_now();
+        }
+        std::thread::sleep(Duration::from_millis(20));
+        assert_eq!(prefetched.stats().produced, 1, "producer ran ahead");
+        for step in 0..6 {
+            let want = inline.next_batch().unwrap();
+            let got = prefetched.next_batch().unwrap();
+            assert_eq!(*got, *want, "diverged at step {step}");
+            assert!(prefetched.stats().max_ready <= 1);
+            prefetched.recycle(got);
+        }
     }
 
     #[test]

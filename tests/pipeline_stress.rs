@@ -129,8 +129,8 @@ impl BatchSource for SlowSource {
 #[test]
 fn dropping_a_prefetch_source_with_a_slow_producer_joins_promptly() {
     // Drop while the producer is almost certainly inside its (slow)
-    // generation: shutdown must let it finish that batch and exit —
-    // no deadlock, no panic, and no unbounded wait.
+    // generation: shutdown must let it finish that batch, find the queue
+    // hung up and exit — no deadlock, no panic, and no unbounded wait.
     let mut source = PrefetchSource::new(
         SlowSource {
             inner: stress_source(5, 8),
@@ -150,10 +150,38 @@ fn dropping_a_prefetch_source_with_a_slow_producer_joins_promptly() {
 }
 
 #[test]
+fn prefetch_counters_hold_on_every_read() {
+    // The counters read at every checkout rather than at a quiescent
+    // point, while the producer races the reads: the ready count and its
+    // high-water mark never exceed the capacity, `delivered` counts every
+    // checkout exactly, and the producer is never more than the capacity
+    // ahead of it.
+    let mut source = PrefetchSource::new(stress_source(13, 4), 2);
+    for step in 1..=2_000u64 {
+        let batch = source.next_batch().expect("endless");
+        source.recycle(batch);
+        let ready = source.ready_len();
+        let stats = source.stats();
+        assert!(ready <= 2, "step {step}: {ready} ready");
+        assert!(
+            stats.max_ready <= 2,
+            "step {step}: high-water {}",
+            stats.max_ready
+        );
+        assert_eq!(stats.delivered, step);
+        assert!(
+            (step..=step + 2).contains(&stats.produced),
+            "step {step}: produced {}",
+            stats.produced
+        );
+    }
+}
+
+#[test]
 fn dropping_a_prefetch_source_with_a_slow_consumer_wakes_the_parked_producer() {
     // The opposite ordering: the consumer never drains, so the producer
-    // fills the bounded queue and parks in its space wait. Drop must
-    // wake it out of the condvar and join.
+    // fills the bounded queue and parks in its send. Drop must hang up
+    // the queue, which wakes it, and join.
     let source = PrefetchSource::new(stress_source(7, 8), 1);
     let deadline = Instant::now() + Duration::from_secs(5);
     while source.ready_len() < 1 {

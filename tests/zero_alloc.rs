@@ -3,8 +3,8 @@
 //! its high-water mark, the embedding/MLP hot-path kernels perform **no
 //! heap allocation per step** on their serial `_into` paths. That now
 //! includes the *stateful* optimizer scatter (the dense `RowState` store
-//! stops growing once warmed), the casting-pipeline submit (an
-//! `Arc<[IndexArray]>` refcount bump, not a per-table clone), the cast
+//! stops growing once warmed), the casting pipeline's hand-off (submit
+//! as an `Arc<[IndexArray]>` refcount bump, collect, recycle), the cast
 //! itself into recycled arrays, and a full serving cache's misses.
 //!
 //! The whole file is one test function on purpose — the allocation
@@ -254,13 +254,21 @@ fn steady_state_hot_path_performs_zero_allocations() {
         "stateful-optimizer scatter steady state must not allocate"
     );
 
-    // ---- Casting-pipeline submit: Arc share, no per-table clone -------
-    // submit() forwards an Arc<[IndexArray]> by refcount bump. If it
-    // still deep-cloned the arrays (the pre-Arc behaviour), the
-    // caller-side allocation count would scale with the number of
-    // tables; with the share it is a small constant (channel node +
-    // ticket bookkeeping), so a wide batch costs the same as a narrow
-    // one.
+    // ---- Casting-pipeline hand-off: submit, collect, recycle ----------
+    // A job goes to the worker on a bounded channel as an
+    // Arc<[IndexArray]> share (a refcount bump however many tables it
+    // has), its arrays come back on the results channel, and they go
+    // back on the bounded free channel for a later job to be cast into.
+    // Once a collect has parked this thread on the results channel — std
+    // allocates a thread's wait context and a channel's waiter slot on
+    // the first blocking receive — the hand-off allocates nothing on the
+    // training thread, for a wide batch as for a narrow one. A job of long
+    // bags (256k lookups, milliseconds of casting) collected at once
+    // parks it.
+    let long_bags = |samples: usize| {
+        let bag: Vec<u32> = (0..8_000).map(|j| j % 100).collect();
+        IndexArray::from_samples(&vec![bag; samples]).unwrap()
+    };
     let make_indices = |tables: usize, seed: u64| -> Arc<[IndexArray]> {
         let mut rng = SplitMix64::new(seed);
         (0..tables)
@@ -276,45 +284,46 @@ fn steady_state_hot_path_performs_zero_allocations() {
     let narrow = make_indices(2, 21);
     let wide = make_indices(10, 22);
     let mut pipeline = CastingPipeline::new();
-    let mut submit_cycles = |indices: &Arc<[IndexArray]>, cycles: usize| -> u64 {
+    let mut hand_off = |indices: &Arc<[IndexArray]>, cycles: usize| -> u64 {
         let before = allocations();
         for _ in 0..cycles {
             let ticket = pipeline.submit(Arc::clone(indices));
-            let _ = pipeline.collect(ticket);
+            let casted = pipeline.collect(ticket);
+            pipeline.recycle(casted);
         }
         allocations() - before
     };
-    // Warm-up: first submissions size the channel blocks.
-    submit_cycles(&narrow, 4);
-    submit_cycles(&wide, 4);
-    let narrow_allocs = submit_cycles(&narrow, 8);
-    let wide_allocs = submit_cycles(&wide, 8);
-    // Slack for amortized channel-block / ticket-set growth; a clone of
-    // the wide batch's 8 extra IndexArrays would add >= 128 allocations.
-    assert!(
-        wide_allocs <= narrow_allocs + 8,
-        "submit allocations must not scale with table count \
-         (narrow {narrow_allocs}, wide {wide_allocs}): is submit cloning index arrays?"
+    hand_off(&vec![long_bags(32)].into(), 1);
+    hand_off(&narrow, 4);
+    hand_off(&wide, 4);
+    let cycle_allocs = hand_off(&narrow, 32) + hand_off(&wide, 32);
+    assert_eq!(
+        cycle_allocs, 0,
+        "64 warm submit/collect/recycle cycles allocated on the training thread: \
+         is submit cloning index arrays, or a channel growing?"
     );
 
     // ---- A failed casted step gives its casting job back ---------------
     // `Trainer::step` submits the batch's casting job before forward
     // propagation; a step that then fails in forward (here: an embedding
     // id past its table) must still drain that job. If it did not, the
-    // orphaned result would pin the pipeline's collect watermark and
-    // every later step would book its ticket in the out-of-order set — a
-    // growing heap set, forever, for a caller who handles the `Err` and
-    // keeps training. So `good, BAD, good x 32` must end bit-equal
+    // orphaned result would arrive ahead of the next step's and stay
+    // parked in the pipeline for good, for a caller who handles the `Err`
+    // and keeps training. So `good, BAD, good x 32` must end bit-equal
     // (losses and weights) to the same 33 good steps without the bad
-    // one, and its 32 steps after the error must allocate like any other
-    // 32 steps. (One batch throughout, so the first step already sizes
-    // every scratch buffer to its high-water mark.)
+    // one, and its 32 steps after the error must allocate nothing on the
+    // training thread, like any warm casted steps. (One batch throughout,
+    // so the first step already sizes every scratch buffer to its
+    // high-water mark. The bad batch's second table carries long bags, so
+    // the collect of its orphan parks on this trainer's results channel
+    // before the count starts.)
     let cfg = DlrmConfig::tiny();
     let good = SyntheticCtr::new(cfg.table_workloads(), cfg.dense_features, 71).next_batch(32);
     let bad = {
         let mut indices = good.indices.to_vec();
         let past_the_table = cfg.table_workloads()[0].rows() as u32;
         indices[0] = IndexArray::from_samples(&vec![vec![past_the_table]; 32]).unwrap();
+        indices[1] = long_bags(32);
         CtrBatch {
             indices: indices.into(),
             ..good.clone()
@@ -337,14 +346,10 @@ fn steady_state_hot_path_performs_zero_allocations() {
     for _ in 0..32 {
         survivor_losses.push(survivor.step(&good).unwrap().loss.to_bits());
     }
-    // What any 32 casted steps cost the training thread: the std-mpsc job
-    // channel allocates a block per 31 sends (at most two here), and the
-    // pipeline's ready-map may see its first insert. The orphaned ticket
-    // added the out-of-order set's growth on top: five more.
     let after_error = allocations() - before;
-    assert!(
-        after_error <= 3,
-        "32 steps after a failed step allocated {after_error} times on the training thread: \
+    assert_eq!(
+        after_error, 0,
+        "32 steps after a failed step allocated on the training thread: \
          did the failed step orphan its casting ticket?"
     );
     assert_eq!(survivor_losses, clean_losses);
@@ -689,8 +694,8 @@ fn steady_state_hot_path_performs_zero_allocations() {
         prefetched.recycle(b);
     }
     // Quiesce: with the consumer idle the producer fills the queue to
-    // capacity and parks *before* generating another batch, so no
-    // producer-side work races the measurement below.
+    // capacity and parks on its send *before* generating another batch,
+    // so no producer-side work races the measurement below.
     let quiesce = |p: &PrefetchSource<TrackedSource>| {
         let deadline = Instant::now() + Duration::from_secs(10);
         while p.ready_len() < capacity {
@@ -698,6 +703,24 @@ fn steady_state_hot_path_performs_zero_allocations() {
             std::thread::yield_now();
         }
     };
+    // ... and let it park there once: std allocates a thread's wait
+    // context and a channel's waiter slot on the first blocking send (a
+    // send that finds room while spinning does not park). A round whose
+    // wait lasts most of the consumer's pause shows a park; each batch
+    // carries the wait before it, so it arrives capacity + 1 checkouts
+    // after the pause.
+    loop {
+        let waited = prefetched.stats().producer_wait;
+        quiesce(&prefetched);
+        std::thread::sleep(Duration::from_millis(5));
+        for _ in 0..=capacity {
+            let b = prefetched.next_batch().expect("endless");
+            prefetched.recycle(b);
+        }
+        if prefetched.stats().producer_wait - waited >= Duration::from_millis(1) {
+            break;
+        }
+    }
     quiesce(&prefetched);
 
     let before = allocations();
