@@ -1,7 +1,7 @@
 //! Crash-safe checkpointing: save and restore *full training state* —
 //! model parameters, per-table optimizer slabs, the trainer's step
-//! counter, the batch source's stream position and the depth
-//! controller — in a self-describing, CRC-checksummed binary format.
+//! counter, the batch source's stream position and the training loop's
+//! lookahead depth — in a self-describing, CRC-checksummed binary format.
 //!
 //! Production recommendation training checkpoints constantly (the
 //! embedding tables *are* the model, and they are expensive to
@@ -21,8 +21,8 @@
 //! `MODL` (model parameters) is always present; a *training* checkpoint
 //! adds `OPTM` (optimizer state) and `TRNR` (step counter, learning
 //! rate, backward mode), and optionally `SRC0` (batch-source resume
-//! state) and `DCTL` (depth-controller snapshot). Everything is
-//! little-endian.
+//! state) and `DCTL` (the `TrainLoop`'s lookahead depth, one `u64`, at
+//! most 1024). Everything is little-endian.
 //!
 //! Loading is staged: the entire file is parsed and checksum-verified
 //! into a [`TrainCheckpoint`] *before* any model or trainer state is
@@ -38,7 +38,6 @@
 //! so a crash at any instant leaves either the old checkpoint set or
 //! the new one, never a half-written file under a valid name.
 
-use crate::driver::DepthControllerState;
 use crate::model::Dlrm;
 use crate::trainer::{BackwardMode, Trainer};
 use std::io::{self, Read, Write};
@@ -53,7 +52,7 @@ const TAG_MODEL: [u8; 4] = *b"MODL";
 const TAG_OPTIM: [u8; 4] = *b"OPTM";
 const TAG_TRAINER: [u8; 4] = *b"TRNR";
 const TAG_SOURCE: [u8; 4] = *b"SRC0";
-const TAG_CONTROLLER: [u8; 4] = *b"DCTL";
+const TAG_DEPTH: [u8; 4] = *b"DCTL";
 
 /// Errors from writing or reading checkpoints.
 #[derive(Debug)]
@@ -320,7 +319,7 @@ pub struct TrainCheckpoint {
     optim: Option<OptimSection>,
     trainer: Option<TrainerSection>,
     source: Option<SourceState>,
-    controller: Option<DepthControllerState>,
+    depth: Option<usize>,
 }
 
 impl TrainCheckpoint {
@@ -342,9 +341,9 @@ impl TrainCheckpoint {
         self.source
     }
 
-    /// The depth controller snapshot, if one was recorded.
-    pub fn controller_state(&self) -> Option<DepthControllerState> {
-        self.controller
+    /// The training loop's lookahead depth, if one was recorded.
+    pub fn depth(&self) -> Option<usize> {
+        self.depth
     }
 
     /// Restores model parameters only, leaving `model` untouched on any
@@ -574,18 +573,6 @@ fn source_payload(state: &SourceState) -> Vec<u8> {
     out
 }
 
-fn controller_payload(state: &DepthControllerState) -> Vec<u8> {
-    let mut out = Vec::new();
-    put_u64(&mut out, state.depth as u64);
-    put_u64(&mut out, state.window_wait_ns);
-    put_u64(&mut out, state.window_steps as u64);
-    put_u64(&mut out, state.hidden_streak as u64);
-    put_u64(&mut out, state.floor as u64);
-    put_u64(&mut out, state.floor_streak as u64);
-    out.push(u8::from(state.trialing));
-    out
-}
-
 /// Serializes model parameters only (a `MODL`-section checkpoint) — the
 /// inference/serving checkpoint form.
 ///
@@ -600,7 +587,7 @@ pub fn save_checkpoint(w: &mut impl Write, model: &Dlrm) -> Result<(), Checkpoin
 
 /// Serializes *full* training state: model parameters, per-table
 /// optimizer slabs, the trainer's step counter, and (optionally) the
-/// batch source's resume state and the depth controller snapshot.
+/// batch source's resume state and the training loop's lookahead depth.
 ///
 /// # Errors
 ///
@@ -609,7 +596,7 @@ pub fn save_train_checkpoint(
     w: &mut impl Write,
     trainer: &Trainer,
     source: Option<&SourceState>,
-    controller: Option<&DepthControllerState>,
+    depth: Option<usize>,
 ) -> Result<(), CheckpointError> {
     w.write_all(MAGIC)?;
     w.write_all(&VERSION.to_le_bytes())?;
@@ -619,8 +606,8 @@ pub fn save_train_checkpoint(
     if let Some(state) = source {
         write_section(w, TAG_SOURCE, &source_payload(state))?;
     }
-    if let Some(state) = controller {
-        write_section(w, TAG_CONTROLLER, &controller_payload(state))?;
+    if let Some(depth) = depth {
+        write_section(w, TAG_DEPTH, &(depth as u64).to_le_bytes())?;
     }
     Ok(())
 }
@@ -731,27 +718,17 @@ fn parse_source(payload: &[u8]) -> Result<SourceState, CheckpointError> {
     Ok(state)
 }
 
-fn parse_controller(payload: &[u8]) -> Result<DepthControllerState, CheckpointError> {
+fn parse_depth(payload: &[u8]) -> Result<usize, CheckpointError> {
     let mut c = Cursor::new(payload, "DCTL");
-    let state = DepthControllerState {
-        depth: c.u64()? as usize,
-        window_wait_ns: c.u64()?,
-        window_steps: c.u64()? as usize,
-        hidden_streak: c.u64()? as usize,
-        floor: c.u64()? as usize,
-        floor_streak: c.u64()? as usize,
-        trialing: match c.u8()? {
-            0 => false,
-            1 => true,
-            other => {
-                return Err(CheckpointError::Format(format!(
-                    "DCTL: invalid trialing flag {other}"
-                )))
-            }
-        },
-    };
+    let depth = c.u64()?;
     c.finish()?;
-    Ok(state)
+    // The resumed loop sizes its queue from this.
+    if depth > 1024 {
+        return Err(CheckpointError::Format(format!(
+            "DCTL: implausible depth {depth}"
+        )));
+    }
+    Ok(depth as usize)
 }
 
 fn tag_name(tag: &[u8; 4]) -> String {
@@ -793,7 +770,7 @@ pub fn read_train_checkpoint(r: &mut impl Read) -> Result<TrainCheckpoint, Check
     let mut optim = None;
     let mut trainer = None;
     let mut source = None;
-    let mut controller = None;
+    let mut depth = None;
     let mut pos = 8;
     while pos < buf.len() {
         if buf.len() - pos < 16 {
@@ -843,8 +820,8 @@ pub fn read_train_checkpoint(r: &mut impl Read) -> Result<TrainCheckpoint, Check
                     return Err(CheckpointError::Format("SRC0: duplicate section".into()));
                 }
             }
-            TAG_CONTROLLER => {
-                if controller.replace(parse_controller(payload)?).is_some() {
+            TAG_DEPTH => {
+                if depth.replace(parse_depth(payload)?).is_some() {
                     return Err(CheckpointError::Format("DCTL: duplicate section".into()));
                 }
             }
@@ -862,7 +839,7 @@ pub fn read_train_checkpoint(r: &mut impl Read) -> Result<TrainCheckpoint, Check
         optim,
         trainer,
         source,
-        controller,
+        depth,
     })
 }
 
@@ -962,12 +939,12 @@ impl CheckpointStore {
         &self,
         trainer: &Trainer,
         source: Option<&SourceState>,
-        controller: Option<&DepthControllerState>,
+        depth: Option<usize>,
     ) -> Result<PathBuf, CheckpointError> {
         let name = format!("ckpt-{:012}.tckp", trainer.steps());
         let tmp = self.dir.join(format!(".{name}.tmp"));
         let path = self.dir.join(&name);
-        let result = self.write_atomic(&tmp, &path, trainer, source, controller);
+        let result = self.write_atomic(&tmp, &path, trainer, source, depth);
         if result.is_err() {
             let _ = std::fs::remove_file(&tmp);
         }
@@ -982,10 +959,10 @@ impl CheckpointStore {
         path: &Path,
         trainer: &Trainer,
         source: Option<&SourceState>,
-        controller: Option<&DepthControllerState>,
+        depth: Option<usize>,
     ) -> Result<(), CheckpointError> {
         let mut bytes = Vec::new();
-        save_train_checkpoint(&mut bytes, trainer, source, controller)?;
+        save_train_checkpoint(&mut bytes, trainer, source, depth)?;
         self.injected("checkpoint.open")?;
         let file = std::fs::File::create(tmp)?;
         let mut writer = match &self.fault {
@@ -1322,19 +1299,39 @@ mod tests {
             rng_state: 0xDEAD_BEEF_CAFE_F00D,
             batches: 42,
         };
-        let ctl = DepthControllerState {
-            depth: 3,
-            window_wait_ns: 1234,
-            window_steps: 2,
-            hidden_streak: 1,
-            floor: 2,
-            floor_streak: 4,
-            trialing: true,
-        };
         let mut buf = Vec::new();
-        save_train_checkpoint(&mut buf, &trainer, Some(&src), Some(&ctl)).unwrap();
+        save_train_checkpoint(&mut buf, &trainer, Some(&src), Some(3)).unwrap();
         let ckpt = read_train_checkpoint(&mut buf.as_slice()).unwrap();
         assert_eq!(ckpt.source_state(), Some(src));
-        assert_eq!(ckpt.controller_state(), Some(ctl));
+        assert_eq!(ckpt.depth(), Some(3));
+    }
+
+    #[test]
+    fn depth_section_holds_one_plausible_depth() {
+        let trainer = trained_trainer(1);
+        let mut plain = Vec::new();
+        save_train_checkpoint(&mut plain, &trainer, None, None).unwrap();
+        let with_payload = |payload: &[u8]| {
+            let mut buf = plain.clone();
+            write_section(&mut buf, TAG_DEPTH, payload).unwrap();
+            read_train_checkpoint(&mut buf.as_slice())
+        };
+
+        assert_eq!(
+            with_payload(&1024u64.to_le_bytes()).unwrap().depth(),
+            Some(1024)
+        );
+        let err = with_payload(&1025u64.to_le_bytes()).unwrap_err();
+        assert!(
+            matches!(&err, CheckpointError::Format(m) if m == "DCTL: implausible depth 1025"),
+            "got {err}"
+        );
+        // The 49-byte payload earlier version-2 checkpoints wrote here (six
+        // u64 counters and a flag byte) is not a depth.
+        let err = with_payload(&[0u8; 49]).unwrap_err();
+        assert!(
+            matches!(&err, CheckpointError::Format(m) if m.contains("DCTL")),
+            "got {err}"
+        );
     }
 }

@@ -18,16 +18,9 @@
 //! `tests/pipelined_training.rs` across both backward modes and all five
 //! optimizers).
 //!
-//! The lookahead depth itself can be *closed-loop*: a
-//! [`DepthController`] under [`DepthPolicy::Adaptive`] reads each
-//! completed step's [`StepReport::exposed_cast_wait`] and hill-climbs
-//! the depth between configured bounds — additive increase while
-//! casting latency stays exposed, multiplicative decrease once it has
-//! been hidden for long enough (the AIMD shape DeepRecSys uses for
-//! SLA-driven batch sizing, applied to the paper's Fig. 9b metric).
-//! Because depth only decides *when* casting jobs are submitted, the
-//! adaptation is observation-only: any depth trajectory trains
-//! bit-identically.
+//! The depth is one number for the life of the loop: [`TrainLoop::new`]
+//! takes it, every checkpoint the loop commits records it (the `DCTL`
+//! section), and [`TrainLoop::resume`] continues at the recorded depth.
 //!
 //! Holding the next batch also lets the loop overlap its **forward
 //! gather**: every completion is handed the step queued behind it, and
@@ -111,10 +104,6 @@ pub struct RunSummary {
     /// producer thread and collapses this to the residual the producer
     /// could not stay ahead of.
     pub batch_wait: Duration,
-    /// Lookahead depth in effect as each step completed — the
-    /// [`DepthController`] trajectory (constant under
-    /// [`DepthPolicy::Fixed`]).
-    pub depths: Vec<usize>,
 }
 
 impl RunSummary {
@@ -132,271 +121,11 @@ impl RunSummary {
         .hidden_fraction()
     }
 
-    /// Mean lookahead depth over the run (0.0 for an empty run).
-    pub fn mean_depth(&self) -> f64 {
-        if self.depths.is_empty() {
-            return 0.0;
-        }
-        self.depths.iter().sum::<usize>() as f64 / self.depths.len() as f64
-    }
-
-    /// Depth in effect when the last step completed.
-    pub fn final_depth(&self) -> usize {
-        self.depths.last().copied().unwrap_or(0)
-    }
-}
-
-/// How a [`TrainLoop`] chooses its lookahead depth.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub enum DepthPolicy {
-    /// A constant depth — exactly the PR-3 driver behaviour
-    /// ([`TrainLoop::new`] is `with_policy(.., Fixed(depth))`).
-    Fixed(usize),
-    /// Closed-loop AIMD between bounds, driven by measured exposed
-    /// casting waits.
-    Adaptive(AdaptiveDepth),
-}
-
-impl DepthPolicy {
-    /// The largest depth this policy can ever select (sizes the
-    /// in-flight queue).
-    fn max_depth(&self) -> usize {
-        match *self {
-            DepthPolicy::Fixed(depth) => depth,
-            DepthPolicy::Adaptive(a) => a.max,
-        }
-    }
-}
-
-/// Knobs of the adaptive depth controller.
-///
-/// The controller aggregates [`StepReport::exposed_cast_wait`] over
-/// `window`-step observation windows. A window whose mean exposed wait
-/// exceeds `target_exposed_ns` is a *congestion* signal — casting is
-/// not hidden, so the lookahead additively deepens by one. After
-/// `decrease_after` consecutive hidden windows the depth halves
-/// (multiplicative decrease) to shed the batches a deeper-than-needed
-/// queue keeps alive; if the shallower depth re-exposes casting within
-/// its first window, the controller climbs back and pins a floor just
-/// above the depth that failed. Each failed trial therefore ratchets
-/// the floor upward — successive halvings probe the knee from *below*
-/// until the floor reaches the shallowest depth that hides casting,
-/// rather than oscillating around it (or locking in a
-/// deeper-than-necessary depth, as pinning the pre-trial depth would).
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub struct AdaptiveDepth {
-    /// Smallest depth the controller may select (and the initial one —
-    /// adaptation is observation-driven, so runs start shallow and
-    /// climb only when measurements say to).
-    pub min: usize,
-    /// Largest depth the controller may select. Keep at or below the
-    /// casting pipeline's in-flight cap; a deeper queue would only
-    /// block in `begin_step`.
-    pub max: usize,
-    /// Steps per observation window.
-    pub window: usize,
-    /// Mean per-step exposed casting wait (nanoseconds) below which a
-    /// window counts as hidden.
-    pub target_exposed_ns: u64,
-    /// Consecutive hidden windows before the controller tries a
-    /// shallower depth.
-    pub decrease_after: usize,
-    /// Consecutive hidden windows spent *pinned at the floor* before
-    /// the floor decays by one, re-enabling a decrease trial. A failed
-    /// trial used to pin the floor forever, so a transient congestion
-    /// burst (a cache-cold phase, a noisy neighbour) locked the
-    /// controller at an unnecessarily deep lookahead for the rest of
-    /// the run; sustained hidden windows are evidence the knee has
-    /// moved back down, and decaying the floor lets the controller
-    /// re-probe it. `0` disables decay (the pre-decay behaviour).
-    pub floor_decay_after: usize,
-}
-
-impl AdaptiveDepth {
-    /// An adaptive policy between `min` and `max` with the default
-    /// cadence: 4-step windows, a 1 us per-step hidden threshold, a
-    /// decrease trial after 4 consecutive hidden windows, and floor
-    /// decay after 16 consecutive hidden windows at the floor.
-    pub fn new(min: usize, max: usize) -> Self {
-        Self {
-            min,
-            max,
-            window: 4,
-            target_exposed_ns: 1_000,
-            decrease_after: 4,
-            floor_decay_after: 16,
-        }
-    }
-}
-
-/// The closed-loop lookahead controller (see [`AdaptiveDepth`] for the
-/// decision rule). Deterministic by construction: decisions are a pure
-/// function of the observed wait sequence — no clocks, no randomness —
-/// so identical measurements reproduce the identical depth trajectory
-/// (property-tested in `tests/pipelined_training.rs`).
-#[derive(Debug, Clone, PartialEq, Eq)]
-pub struct DepthController {
-    policy: DepthPolicy,
-    depth: usize,
-    window_wait: Duration,
-    window_steps: usize,
-    hidden_streak: usize,
-    /// Depth below which a past decrease trial re-exposed casting; the
-    /// controller does not descend below it until it decays.
-    floor: usize,
-    /// Consecutive hidden windows spent pinned at the floor — drives
-    /// [`AdaptiveDepth::floor_decay_after`].
-    floor_streak: usize,
-    /// The previous decision was a decrease trial (so a congested next
-    /// window pins the floor).
-    trialing: bool,
-}
-
-/// A plain-data snapshot of a [`DepthController`]'s mutable state, the
-/// `DCTL` checkpoint section. The policy itself is *not* part of the
-/// snapshot: resuming supplies the policy (it is configuration, not
-/// state) and [`DepthController::restore`] re-validates it.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub struct DepthControllerState {
-    /// Depth in effect.
-    pub depth: usize,
-    /// Exposed wait accumulated in the current observation window.
-    pub window_wait_ns: u64,
-    /// Steps observed in the current window.
-    pub window_steps: usize,
-    /// Consecutive hidden windows.
-    pub hidden_streak: usize,
-    /// The pinned decrease floor.
-    pub floor: usize,
-    /// Consecutive hidden windows spent pinned at the floor.
-    pub floor_streak: usize,
-    /// Whether the last decision was a decrease trial.
-    pub trialing: bool,
-}
-
-impl DepthController {
-    /// Builds a controller; the initial depth is the fixed depth or the
-    /// adaptive minimum.
-    ///
-    /// # Panics
-    ///
-    /// Panics on a degenerate adaptive policy (`min > max` or a zero
-    /// window).
-    pub fn new(policy: DepthPolicy) -> Self {
-        let depth = match policy {
-            DepthPolicy::Fixed(depth) => depth,
-            DepthPolicy::Adaptive(a) => {
-                assert!(a.min <= a.max, "adaptive depth bounds inverted");
-                assert!(a.window > 0, "adaptive window must be positive");
-                a.min
-            }
-        };
-        Self {
-            policy,
-            depth,
-            window_wait: Duration::ZERO,
-            window_steps: 0,
-            hidden_streak: 0,
-            floor: match policy {
-                DepthPolicy::Fixed(d) => d,
-                DepthPolicy::Adaptive(a) => a.min,
-            },
-            floor_streak: 0,
-            trialing: false,
-        }
-    }
-
-    /// The policy this controller runs.
-    pub fn policy(&self) -> DepthPolicy {
-        self.policy
-    }
-
-    /// The depth currently in effect.
-    pub fn depth(&self) -> usize {
-        self.depth
-    }
-
-    /// Snapshots the controller's mutable state for checkpointing.
-    pub fn state(&self) -> DepthControllerState {
-        DepthControllerState {
-            depth: self.depth,
-            window_wait_ns: self.window_wait.as_nanos() as u64,
-            window_steps: self.window_steps,
-            hidden_streak: self.hidden_streak,
-            floor: self.floor,
-            floor_streak: self.floor_streak,
-            trialing: self.trialing,
-        }
-    }
-
-    /// Rebuilds a controller mid-trajectory from a checkpoint snapshot:
-    /// the resumed controller makes exactly the depth decisions the
-    /// saved one would have made.
-    ///
-    /// # Panics
-    ///
-    /// Panics on a degenerate adaptive policy (as
-    /// [`DepthController::new`] does).
-    pub fn restore(policy: DepthPolicy, state: DepthControllerState) -> Self {
-        let mut c = Self::new(policy);
-        c.depth = state.depth;
-        c.window_wait = Duration::from_nanos(state.window_wait_ns);
-        c.window_steps = state.window_steps;
-        c.hidden_streak = state.hidden_streak;
-        c.floor = state.floor;
-        c.floor_streak = state.floor_streak;
-        c.trialing = state.trialing;
-        c
-    }
-
-    /// Feeds one completed step's exposed casting wait; returns the
-    /// depth to use from now on (unchanged until a window boundary).
-    pub fn observe(&mut self, exposed_cast_wait: Duration) -> usize {
-        let DepthPolicy::Adaptive(a) = self.policy else {
-            return self.depth;
-        };
-        self.window_wait += exposed_cast_wait;
-        self.window_steps += 1;
-        if self.window_steps < a.window {
-            return self.depth;
-        }
-        let mean_ns = self.window_wait.as_nanos() as u64 / a.window as u64;
-        self.window_wait = Duration::ZERO;
-        self.window_steps = 0;
-        if mean_ns > a.target_exposed_ns {
-            // Congestion: casting is exposed at this depth. If we just
-            // came down a depth, the shallower depth is proven too shallow —
-            // pin the floor where we climb back to.
-            if self.trialing {
-                self.floor = (self.depth + 1).min(a.max);
-            }
-            self.depth = (self.depth + 1).min(a.max);
-            self.hidden_streak = 0;
-            self.floor_streak = 0;
-        } else {
-            self.hidden_streak += 1;
-            // Floor decay: sustained hidden windows while pinned at the
-            // floor are evidence the knee has moved — lower the floor
-            // one step so the decrease logic below can re-probe it. A
-            // re-exposed trial pins it straight back.
-            if self.depth == self.floor && self.floor > a.min {
-                self.floor_streak += 1;
-                if a.floor_decay_after > 0 && self.floor_streak >= a.floor_decay_after {
-                    self.floor -= 1;
-                    self.floor_streak = 0;
-                }
-            } else {
-                self.floor_streak = 0;
-            }
-            if self.hidden_streak >= a.decrease_after && self.depth > self.floor {
-                self.depth = (self.depth / 2).max(self.floor).max(a.min);
-                self.hidden_streak = 0;
-                self.trialing = true;
-                return self.depth;
-            }
-        }
-        self.trialing = false;
-        self.depth
+    fn record(&mut self, report: &StepReport) {
+        self.steps += 1;
+        self.losses.push(report.loss);
+        self.timings += report.timings;
+        self.exposed_cast_wait += report.exposed_cast_wait;
     }
 }
 
@@ -409,12 +138,6 @@ impl DepthController {
 /// the cost of holding more batches alive. The casting pipeline's own
 /// bounded in-flight cap backstops the queue: a `depth` beyond the cap
 /// blocks in [`Trainer::begin_step`] instead of growing it.
-///
-/// The depth is either pinned ([`TrainLoop::new`] /
-/// [`DepthPolicy::Fixed`]) or driven at run time by the
-/// [`DepthController`] ([`TrainLoop::with_policy`] with
-/// [`DepthPolicy::Adaptive`]), which adapts it to the measured exposed
-/// casting wait.
 ///
 /// # Example
 ///
@@ -438,7 +161,7 @@ impl DepthController {
 #[derive(Debug)]
 pub struct TrainLoop {
     trainer: Trainer,
-    controller: DepthController,
+    depth: usize,
     queue: VecDeque<InFlightStep>,
     checkpoint: Option<CheckpointCadence>,
 }
@@ -456,21 +179,12 @@ struct CheckpointCadence {
 
 impl TrainLoop {
     /// Wraps a trainer into a driver with the given casting lookahead
-    /// depth (0 = serial) — a [`DepthPolicy::Fixed`] driver.
+    /// depth (0 = serial).
     pub fn new(trainer: Trainer, depth: usize) -> Self {
-        Self::with_policy(trainer, DepthPolicy::Fixed(depth))
-    }
-
-    /// Wraps a trainer into a driver whose lookahead depth follows
-    /// `policy`. Under [`DepthPolicy::Adaptive`] every completed step's
-    /// [`StepReport::exposed_cast_wait`] feeds the [`DepthController`],
-    /// which retunes the depth at window boundaries — observation-only,
-    /// so the trajectory stays bit-identical to any fixed depth.
-    pub fn with_policy(trainer: Trainer, policy: DepthPolicy) -> Self {
         Self {
-            queue: VecDeque::with_capacity(policy.max_depth() + 1),
+            queue: VecDeque::with_capacity(depth + 1),
             trainer,
-            controller: DepthController::new(policy),
+            depth,
             checkpoint: None,
         }
     }
@@ -478,7 +192,7 @@ impl TrainLoop {
     /// Enables crash-safe checkpointing: every `every` completed steps,
     /// [`TrainLoop::run`] drains the in-flight queue and commits full
     /// training state (model, optimizer slabs, step counter, batch
-    /// source position, depth controller) to `store`.
+    /// source position, lookahead depth) to `store`.
     ///
     /// Draining at the boundary is trajectory-neutral — completions
     /// happen in the same order with the same inputs, just earlier — so
@@ -511,17 +225,20 @@ impl TrainLoop {
     /// Resumes a killed run: loads the checkpoint at `path`, restores
     /// full training state into `trainer` (which must be freshly built
     /// with the architecture, optimizer and learning rate of the saved
-    /// run), rewinds `source` to the saved stream position, and rebuilds
-    /// the depth controller mid-trajectory under `policy`.
+    /// run), rewinds `source` to the saved stream position, and continues
+    /// at the lookahead depth the checkpoint recorded.
     ///
     /// The returned loop continues the killed run **bit-identically**:
-    /// weights, per-step losses and depth decisions match an
-    /// uninterrupted run step for step.
+    /// weights and per-step losses match an uninterrupted run step for
+    /// step.
     ///
     /// # Errors
     ///
     /// Returns [`CheckpointError`] on unreadable/corrupt checkpoints or
-    /// trainer mismatches.
+    /// trainer mismatches, and [`CheckpointError::Format`] when the
+    /// checkpoint records no depth (one written without a `DCTL` section,
+    /// not by a [`TrainLoop`]) — in every case before `source` is
+    /// rewound.
     ///
     /// # Panics
     ///
@@ -530,35 +247,23 @@ impl TrainLoop {
     pub fn resume(
         path: impl AsRef<Path>,
         mut trainer: Trainer,
-        policy: DepthPolicy,
         source: &mut dyn BatchSource,
     ) -> Result<Self, CheckpointError> {
         let mut file = std::fs::File::open(path)?;
         let ckpt = read_train_checkpoint(&mut file)?;
+        let depth = ckpt.depth().ok_or_else(|| {
+            CheckpointError::Format("missing DCTL section (no lookahead depth to resume at)".into())
+        })?;
         ckpt.restore_into(&mut trainer)?;
         if let Some(state) = ckpt.source_state() {
             source.restore(&state);
         }
-        let controller = match ckpt.controller_state() {
-            Some(state) => DepthController::restore(policy, state),
-            None => DepthController::new(policy),
-        };
-        Ok(Self {
-            queue: VecDeque::with_capacity(policy.max_depth() + 1),
-            trainer,
-            controller,
-            checkpoint: None,
-        })
+        Ok(Self::new(trainer, depth))
     }
 
-    /// The lookahead depth currently in effect.
+    /// The lookahead depth.
     pub fn depth(&self) -> usize {
-        self.controller.depth()
-    }
-
-    /// The depth controller (its policy and current depth).
-    pub fn controller(&self) -> &DepthController {
-        &self.controller
+        self.depth
     }
 
     /// Steps begun but not yet completed.
@@ -594,12 +299,7 @@ impl TrainLoop {
     /// one, returning its report together with its batch (so the caller
     /// can recycle the buffers into a [`BatchSource`] free-list).
     ///
-    /// Completions come back in push order, `depth` pushes behind. An
-    /// adaptive policy may lower the depth mid-stream, leaving more
-    /// than `depth + 1` steps in flight; each push still completes at
-    /// most one step, so the queue drains by one per push — use
-    /// [`TrainLoop::complete_excess`] (as [`TrainLoop::run`] does) to
-    /// drain immediately.
+    /// Completions come back in push order, `depth` pushes behind.
     ///
     /// # Errors
     ///
@@ -611,27 +311,10 @@ impl TrainLoop {
     ) -> Result<Option<(StepReport, Arc<CtrBatch>)>, EmbeddingError> {
         let step = self.trainer.begin_step(batch);
         self.queue.push_back(step);
-        if self.queue.len() > self.controller.depth() {
+        if self.queue.len() > self.depth {
             return self.complete_front().map(Some);
         }
         Ok(None)
-    }
-
-    /// Completes in-flight steps until no more than the current depth
-    /// remain — the drain a mid-stream depth *decrease* calls for.
-    /// Returns the completed reports and batches in order (usually
-    /// empty).
-    ///
-    /// # Errors
-    ///
-    /// Returns an error on shape/index inconsistencies; steps after the
-    /// failing one remain in flight.
-    pub fn complete_excess(&mut self) -> Result<Vec<(StepReport, Arc<CtrBatch>)>, EmbeddingError> {
-        let mut out = Vec::new();
-        while self.queue.len() > self.controller.depth() {
-            out.push(self.complete_front()?);
-        }
-        Ok(out)
     }
 
     /// Completes every in-flight step, returning their reports and
@@ -656,9 +339,6 @@ impl TrainLoop {
         // The step queued behind this one (none at depth 0 or at the end of
         // a drain) has its forward gather run behind this one's scatter.
         let report = self.trainer.complete_step(step, self.queue.front())?;
-        // Close the control loop: every completed step's measured
-        // exposed wait feeds the controller (a no-op under Fixed).
-        self.controller.observe(report.exposed_cast_wait);
         Ok((report, batch))
     }
 
@@ -691,25 +371,19 @@ impl TrainLoop {
                 break;
             };
             if let Some((report, done)) = self.push(batch)? {
-                self.record(&mut summary, &report);
-                source.recycle(done);
-            }
-            // An adaptive depth decrease leaves excess steps in flight;
-            // complete them now so the queue tracks the new depth.
-            for (report, done) in self.complete_excess()? {
-                self.record(&mut summary, &report);
+                summary.record(&report);
                 source.recycle(done);
             }
             if self.checkpoint_due() {
                 for (report, done) in self.finish()? {
-                    self.record(&mut summary, &report);
+                    summary.record(&report);
                     source.recycle(done);
                 }
                 self.commit_checkpoint(source)?;
             }
         }
         for (report, done) in self.finish()? {
-            self.record(&mut summary, &report);
+            summary.record(&report);
             source.recycle(done);
         }
         if self.checkpoint_due() {
@@ -731,30 +405,19 @@ impl TrainLoop {
         })
     }
 
-    /// Drains nothing itself (callers drain first): captures source +
-    /// controller state and commits one checkpoint.
+    /// Drains nothing itself (callers drain first): captures the source
+    /// position and the depth and commits one checkpoint.
     fn commit_checkpoint(&mut self, source: &mut dyn BatchSource) -> Result<(), CheckpointError> {
         debug_assert!(self.queue.is_empty(), "drain before checkpointing");
         let source_state = source.state();
-        let controller_state = self.controller.state();
         if let Some(c) = self.checkpoint.as_mut() {
-            let path = c.store.save(
-                &self.trainer,
-                source_state.as_ref(),
-                Some(&controller_state),
-            )?;
+            let path = c
+                .store
+                .save(&self.trainer, source_state.as_ref(), Some(self.depth))?;
             c.last = Some(path);
             c.last_step = self.trainer.steps();
         }
         Ok(())
-    }
-
-    fn record(&self, summary: &mut RunSummary, report: &StepReport) {
-        summary.steps += 1;
-        summary.losses.push(report.loss);
-        summary.timings += report.timings;
-        summary.exposed_cast_wait += report.exposed_cast_wait;
-        summary.depths.push(self.controller.depth());
     }
 
     fn pipeline_stats_or_default(&self) -> PipelineStats {
@@ -870,158 +533,6 @@ mod tests {
     }
 
     #[test]
-    fn fixed_policy_reports_a_constant_depth_trajectory() {
-        let trainer = Trainer::new(DlrmConfig::tiny(), BackwardMode::Casted, 7).unwrap();
-        let mut driver = TrainLoop::with_policy(trainer, DepthPolicy::Fixed(2));
-        let summary = driver.run(&mut source(3, 8), 5).unwrap();
-        assert_eq!(summary.depths, vec![2; 5]);
-        assert_eq!(summary.mean_depth(), 2.0);
-        assert_eq!(summary.final_depth(), 2);
-    }
-
-    #[test]
-    fn controller_climbs_on_exposed_waits_and_respects_bounds() {
-        let mut c = DepthController::new(DepthPolicy::Adaptive(AdaptiveDepth {
-            min: 1,
-            max: 3,
-            window: 2,
-            target_exposed_ns: 1_000,
-            decrease_after: 2,
-            floor_decay_after: 0,
-        }));
-        assert_eq!(c.depth(), 1);
-        let exposed = Duration::from_micros(50);
-        // Every window congested: +1 per window, clamped at max.
-        for _ in 0..10 {
-            c.observe(exposed);
-        }
-        assert_eq!(c.depth(), 3, "additive increase must stop at max");
-        // Fully hidden: after `decrease_after` windows the depth halves,
-        // never below min.
-        for _ in 0..40 {
-            c.observe(Duration::ZERO);
-        }
-        assert_eq!(c.depth(), 1, "multiplicative decrease must stop at min");
-    }
-
-    #[test]
-    fn controller_pins_a_floor_after_a_failed_decrease_trial() {
-        let a = AdaptiveDepth {
-            min: 0,
-            max: 8,
-            window: 1,
-            target_exposed_ns: 1_000,
-            decrease_after: 2,
-            floor_decay_after: 0,
-        };
-        let mut c = DepthController::new(DepthPolicy::Adaptive(a));
-        let exposed = Duration::from_micros(100);
-        // Simulate a knee at depth 2: exposed below 2, hidden at >= 2.
-        let mut trace = Vec::new();
-        for _ in 0..40 {
-            let wait = if c.depth() >= 2 {
-                Duration::ZERO
-            } else {
-                exposed
-            };
-            trace.push(c.observe(wait));
-        }
-        // The tail must sit at the knee: a decrease trial to 1 exposes
-        // casting, the controller climbs back and pins floor = 2.
-        assert!(
-            trace[20..].iter().all(|&d| d == 2),
-            "controller failed to converge on the knee: {trace:?}"
-        );
-    }
-
-    #[test]
-    fn floor_decays_after_sustained_hidden_windows() {
-        // Same knee-at-2 workload as the pinning test, but the workload
-        // then shifts: casting becomes hidden at *every* depth. With
-        // floor decay enabled the controller must shed the stale floor
-        // and walk back down to min instead of idling pinned at 2.
-        let a = AdaptiveDepth {
-            min: 0,
-            max: 8,
-            window: 1,
-            target_exposed_ns: 1_000,
-            decrease_after: 2,
-            floor_decay_after: 4,
-        };
-        let mut c = DepthController::new(DepthPolicy::Adaptive(a));
-        let exposed = Duration::from_micros(100);
-        // Phase 1: knee at depth 2 — converge and pin the floor there.
-        for _ in 0..40 {
-            let wait = if c.depth() >= 2 {
-                Duration::ZERO
-            } else {
-                exposed
-            };
-            c.observe(wait);
-        }
-        assert_eq!(c.depth(), 2, "must converge on the knee first");
-        // Phase 2: casting now always hidden. Each floor decay needs
-        // `floor_decay_after` hidden windows plus a successful trial.
-        let mut trace = Vec::new();
-        for _ in 0..40 {
-            trace.push(c.observe(Duration::ZERO));
-        }
-        assert_eq!(
-            *trace.last().unwrap(),
-            0,
-            "floor never decayed to min: {trace:?}"
-        );
-
-        // With decay disabled the floor is sticky forever.
-        let mut pinned = DepthController::new(DepthPolicy::Adaptive(AdaptiveDepth {
-            floor_decay_after: 0,
-            ..a
-        }));
-        for _ in 0..40 {
-            let wait = if pinned.depth() >= 2 {
-                Duration::ZERO
-            } else {
-                exposed
-            };
-            pinned.observe(wait);
-        }
-        for _ in 0..80 {
-            pinned.observe(Duration::ZERO);
-        }
-        assert_eq!(pinned.depth(), 2, "disabled decay must keep the floor");
-    }
-
-    #[test]
-    fn controller_state_roundtrips_mid_trajectory() {
-        // Snapshot the controller mid-run, rebuild from the snapshot,
-        // and feed both the same tail: decisions must match bit for bit.
-        let a = AdaptiveDepth {
-            min: 0,
-            max: 6,
-            window: 2,
-            target_exposed_ns: 1_000,
-            decrease_after: 2,
-            floor_decay_after: 3,
-        };
-        let mut c = DepthController::new(DepthPolicy::Adaptive(a));
-        let waits = [900_u64, 5_000, 0, 2_000, 0, 0, 3_000, 0, 0, 0, 0];
-        for &w in &waits[..7] {
-            c.observe(Duration::from_nanos(w));
-        }
-        let snap = c.state();
-        let mut r = DepthController::restore(DepthPolicy::Adaptive(a), snap);
-        assert_eq!(r.depth(), c.depth());
-        for &w in &waits[7..] {
-            assert_eq!(
-                c.observe(Duration::from_nanos(w)),
-                r.observe(Duration::from_nanos(w)),
-                "restored controller diverged"
-            );
-        }
-        assert_eq!(c.state(), r.state());
-    }
-
-    #[test]
     fn run_with_checkpointing_is_trajectory_neutral() {
         // A cadenced run must train bit-identically to an uncadenced
         // one: the drain at each boundary only reorders *when* steps
@@ -1057,39 +568,6 @@ mod tests {
             "unexpected {last:?}"
         );
         std::fs::remove_dir_all(&dir).unwrap();
-    }
-
-    #[test]
-    fn adaptive_depth_decrease_drains_the_queue_mid_run() {
-        // A policy that *starts* deep and collapses once hidden: the
-        // drain path (complete_excess) must keep in_flight <= depth and
-        // the run bit-identical to serial.
-        let a = AdaptiveDepth {
-            min: 0,
-            max: 4,
-            window: 1,
-            target_exposed_ns: u64::MAX, // every window counts as hidden
-            decrease_after: 1,
-            floor_decay_after: 0,
-        };
-        let mk = || Trainer::new(DlrmConfig::tiny(), BackwardMode::Casted, 3).unwrap();
-        let mut adaptive = TrainLoop::with_policy(mk(), DepthPolicy::Adaptive(a));
-        let summary = adaptive.run(&mut source(8, 16), 8).unwrap();
-        assert_eq!(summary.steps, 8);
-        assert_eq!(adaptive.in_flight(), 0);
-        let mut serial = TrainLoop::new(mk(), 0);
-        let serial_summary = serial.run(&mut source(8, 16), 8).unwrap();
-        assert_eq!(summary.losses, serial_summary.losses);
-        // With every window hidden the depth can only fall; it must end
-        // at min and never exceed max.
-        assert!(summary.depths.iter().all(|&d| d <= 4));
-        assert_eq!(summary.final_depth(), 0);
-    }
-
-    #[test]
-    #[should_panic(expected = "bounds inverted")]
-    fn inverted_adaptive_bounds_rejected() {
-        DepthController::new(DepthPolicy::Adaptive(AdaptiveDepth::new(5, 2)));
     }
 
     #[test]

@@ -44,10 +44,7 @@ mod model;
 mod trainer;
 
 pub use config::{DlrmConfig, TableConfig};
-pub use driver::{
-    AdaptiveDepth, DepthController, DepthControllerState, DepthPolicy, DriverError, RunSummary,
-    TrainLoop,
-};
+pub use driver::{DriverError, RunSummary, TrainLoop};
 pub use metrics::{evaluate_ctr, CtrMetrics};
 pub use model::{Dlrm, InferenceScratch};
 pub use trainer::{

@@ -13,9 +13,7 @@
 
 use std::time::Duration;
 use tensor_casting::datasets::{PrefetchSource, SyntheticCtr, SyntheticSource};
-use tensor_casting::dlrm::{
-    AdaptiveDepth, BackwardMode, DepthPolicy, DlrmConfig, PhaseTimings, TrainLoop, Trainer,
-};
+use tensor_casting::dlrm::{BackwardMode, DlrmConfig, PhaseTimings, TrainLoop, Trainer};
 
 const STEPS: usize = 30;
 const BATCH: usize = 256;
@@ -110,16 +108,14 @@ fn lookahead_collapse() -> Result<(), Box<dyn std::error::Error>> {
     Ok(())
 }
 
-/// The closed control loop + background generation: the same
-/// casting-bound run, but the lookahead depth is chosen at run time by
-/// the AIMD `DepthController` from measured exposed waits, and batch
-/// generation moves onto a `PrefetchSource` producer thread. Both are
-/// observation-only — the trajectory matches the inline fixed-depth run
-/// bit for bit.
-fn adaptive_prefetched_run() -> Result<(), Box<dyn std::error::Error>> {
+/// Background generation: the same casting-bound run at depth 2, with
+/// batch generation moved onto a `PrefetchSource` producer thread. The
+/// producer only changes where batches are made — the trajectory matches
+/// the inline run bit for bit.
+fn prefetched_run() -> Result<(), Box<dyn std::error::Error>> {
     const BATCH: usize = 128;
     const STEPS: usize = 120;
-    println!("\n== adaptive lookahead + prefetched generation (batch {BATCH}, {STEPS} steps) ==");
+    println!("\n== depth-2 lookahead + prefetched generation (batch {BATCH}, {STEPS} steps) ==");
     let mut config = DlrmConfig::rm1_scaled(20_000);
     config.embedding_dim = 8;
     config.bottom_mlp = vec![8];
@@ -136,38 +132,32 @@ fn adaptive_prefetched_run() -> Result<(), Box<dyn std::error::Error>> {
         Ok(t)
     };
 
-    // Reference: fixed depth 2, inline generation.
-    let mut fixed = TrainLoop::new(mk_trainer()?, 2);
-    let mut inline_source = mk_source();
-    let fixed_summary = fixed.run(&mut inline_source, STEPS)?;
+    let mut inline = TrainLoop::new(mk_trainer()?, 2);
+    let inline_summary = inline.run(&mut mk_source(), STEPS)?;
 
-    // Adaptive depth over a prefetched source.
-    let policy = DepthPolicy::Adaptive(AdaptiveDepth::new(0, 8));
-    let mut adaptive = TrainLoop::with_policy(mk_trainer()?, policy);
+    let mut prefetched = TrainLoop::new(mk_trainer()?, 2);
     let mut prefetched_source = PrefetchSource::new(mk_source(), 3);
-    let summary = adaptive.run(&mut prefetched_source, STEPS)?;
+    let summary = prefetched.run(&mut prefetched_source, STEPS)?;
     let stats = prefetched_source.stats();
 
     println!(
-        "  fixed depth 2, inline gen:     {:.1}% hidden, gen wait {:>9.2?} total",
-        100.0 * fixed_summary.hidden_fraction(),
-        fixed_summary.batch_wait,
+        "  inline gen:     {:.1}% hidden, gen wait {:>9.2?} total",
+        100.0 * inline_summary.hidden_fraction(),
+        inline_summary.batch_wait,
     );
     println!(
-        "  adaptive (mean depth {:.1}, final {}), prefetched gen: {:.1}% hidden, \
-         gen wait {:>9.2?} total (producer made {} batches, queue high-water {})",
-        summary.mean_depth(),
-        summary.final_depth(),
+        "  prefetched gen: {:.1}% hidden, gen wait {:>9.2?} total \
+         (producer made {} batches, queue high-water {})",
         100.0 * summary.hidden_fraction(),
         summary.batch_wait,
         stats.produced,
         stats.max_ready,
     );
     assert_eq!(
-        summary.losses, fixed_summary.losses,
-        "adaptive depth + prefetch must be bit-identical to the fixed inline run"
+        summary.losses, inline_summary.losses,
+        "prefetched generation must be bit-identical to the inline run"
     );
-    println!("  identical per-step losses ✓ (adaptation and prefetch are observation-only)");
+    println!("  identical per-step losses ✓ (prefetch only moves generation)");
     Ok(())
 }
 
@@ -221,5 +211,5 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
     );
 
     lookahead_collapse()?;
-    adaptive_prefetched_run()
+    prefetched_run()
 }

@@ -1,22 +1,22 @@
 //! The exact-resume invariant — the fault-tolerance subsystem's
 //! headline property: a training run killed after **any** step and
 //! resumed from its crash-safe checkpoint continues **bit-identically**
-//! (per-step losses, final weights, and — under a fixed policy — depth
-//! decisions) to the uninterrupted run.
+//! (per-step losses and final weights, at the saved lookahead depth) to
+//! the uninterrupted run.
 //!
 //! The matrix covers every embedding optimizer, both backward modes,
 //! lookahead depths {0, 2, 4}, and both inline and prefetched batch
 //! sources; a sampled property test fills in the gaps (random kill
 //! points, seeds, and cadences). Checkpoints carry *full* training
 //! state — model weights, optimizer slabs, step counter, batch-source
-//! position, and depth-controller snapshot — so nothing is replayed
+//! position, and lookahead depth — so nothing is replayed
 //! and nothing drifts.
 
 use proptest::prelude::*;
 use tensor_casting::datasets::{BatchSource, PrefetchSource, SyntheticCtr, SyntheticSource};
 use tensor_casting::dlrm::{
-    checkpoint::{read_train_checkpoint, CheckpointStore},
-    AdaptiveDepth, BackwardMode, DepthPolicy, DlrmConfig, EmbeddingOptimizer, TrainLoop, Trainer,
+    checkpoint::{read_train_checkpoint, save_train_checkpoint, CheckpointError, CheckpointStore},
+    BackwardMode, DlrmConfig, EmbeddingOptimizer, TrainLoop, Trainer,
 };
 
 const OPTIMIZERS: [EmbeddingOptimizer; 5] = [
@@ -135,19 +135,20 @@ fn assert_exact_resume(
         inner.restore(&state);
         let mut t = trainer(mode, opt, model_seed);
         ckpt_data.restore_into(&mut t).unwrap();
+        assert_eq!(ckpt_data.depth(), Some(depth), "{context}: depth not saved");
         let mut resumed = TrainLoop::new(t, depth);
         let mut src = PrefetchSource::new(inner, 2);
         let summary = resumed.run(&mut src, steps - kill_at).unwrap();
         (summary.losses, resumed.into_trainer())
     } else {
         let mut src = source(data_seed, batch);
-        let mut resumed = TrainLoop::resume(
-            &ckpt,
-            trainer(mode, opt, model_seed),
-            DepthPolicy::Fixed(depth),
-            &mut src,
-        )
-        .unwrap();
+        let mut resumed =
+            TrainLoop::resume(&ckpt, trainer(mode, opt, model_seed), &mut src).unwrap();
+        assert_eq!(
+            resumed.depth(),
+            depth,
+            "{context}: resumed at another depth"
+        );
         let summary = resumed.run(&mut src, steps - kill_at).unwrap();
         (summary.losses, resumed.into_trainer())
     };
@@ -229,13 +230,7 @@ fn prefetched_save_resumes_through_an_inline_source() {
     drop(pf); // the producer may have generated far past the kill point
 
     let mut inline = source(9, batch);
-    let mut resumed = TrainLoop::resume(
-        &ckpt,
-        trainer(mode, opt, 5),
-        DepthPolicy::Fixed(2),
-        &mut inline,
-    )
-    .unwrap();
+    let mut resumed = TrainLoop::resume(&ckpt, trainer(mode, opt, 5), &mut inline).unwrap();
     let summary = resumed.run(&mut inline, steps - kill_at).unwrap();
 
     let mut joined = loss_bits(&first_summary.losses);
@@ -284,9 +279,7 @@ fn resume_from_every_checkpoint_boundary_reproduces_the_tail() {
     for (i, ckpt) in checkpoints.iter().enumerate() {
         let killed_at = i + 1;
         let mut src = source(17, batch);
-        let mut resumed =
-            TrainLoop::resume(ckpt, trainer(mode, opt, 3), DepthPolicy::Fixed(2), &mut src)
-                .unwrap();
+        let mut resumed = TrainLoop::resume(ckpt, trainer(mode, opt, 3), &mut src).unwrap();
         assert_eq!(resumed.trainer().steps(), killed_at as u64);
         let summary = resumed.run(&mut src, steps - killed_at).unwrap();
         assert_eq!(
@@ -302,49 +295,33 @@ fn resume_from_every_checkpoint_boundary_reproduces_the_tail() {
     }
 }
 
-/// Resuming under an adaptive policy restores the controller
-/// mid-trajectory: the continued run stays within the policy bounds
-/// and — the controller being observation-only — losses and weights
-/// still match the uninterrupted run bit for bit.
+/// A checkpoint that records no lookahead depth (written by
+/// `save_train_checkpoint` with no depth, not by a `TrainLoop`) has no
+/// depth to resume at: `resume` refuses it with a `Format` error naming
+/// `DCTL`, and the source keeps its position.
 #[test]
-fn adaptive_policy_resume_restores_the_controller_mid_trajectory() {
-    let dir = TempDir::new("adaptive");
-    let policy = DepthPolicy::Adaptive(AdaptiveDepth {
-        min: 0,
-        max: 3,
-        window: 2,
-        target_exposed_ns: 1_000,
-        decrease_after: 2,
-        floor_decay_after: 4,
-    });
-    let (steps, kill_at, batch) = (8usize, 4usize, 16);
-    let mk = || trainer(BackwardMode::Casted, EmbeddingOptimizer::Sgd, 13);
+fn resume_refuses_a_checkpoint_without_a_depth() {
+    let dir = TempDir::new("no-depth");
+    std::fs::create_dir_all(&dir.0).unwrap();
+    let path = dir.0.join("ckpt-000000000000.tckp");
+    let mk = || trainer(BackwardMode::Casted, EmbeddingOptimizer::Sgd, 37);
+    let mut advanced = source(41, 16);
+    for _ in 0..3 {
+        advanced.next_batch();
+    }
+    let mut bytes = Vec::new();
+    save_train_checkpoint(&mut bytes, &mk(), advanced.state().as_ref(), None).unwrap();
+    std::fs::write(&path, &bytes).unwrap();
 
-    let mut reference = TrainLoop::with_policy(mk(), policy);
-    let want = reference.run(&mut source(29, batch), steps).unwrap();
-
-    let store = CheckpointStore::new(&dir.0, 1).unwrap();
-    let mut first = TrainLoop::with_policy(mk(), policy).checkpoint_every(kill_at as u64, store);
-    let first_summary = first.run(&mut source(29, batch), kill_at).unwrap();
-    let ckpt = first.last_checkpoint().expect("committed").to_path_buf();
-    drop(first);
-
-    let mut src = source(29, batch);
-    let mut resumed = TrainLoop::resume(&ckpt, mk(), policy, &mut src).unwrap();
-    let summary = resumed.run(&mut src, steps - kill_at).unwrap();
+    let mut src = source(41, 16);
+    let before = src.state();
+    assert_ne!(before, advanced.state());
+    let err = TrainLoop::resume(&path, mk(), &mut src).unwrap_err();
     assert!(
-        summary.depths.iter().all(|&d| d <= 3),
-        "resumed depth left [0, 3]: {:?}",
-        summary.depths
+        matches!(&err, CheckpointError::Format(m) if m.contains("DCTL")),
+        "got {err}"
     );
-
-    let mut joined = loss_bits(&first_summary.losses);
-    joined.extend(loss_bits(&summary.losses));
-    assert_eq!(joined, loss_bits(&want.losses), "adaptive resume diverged");
-    assert_eq!(
-        table_bits(resumed.trainer()),
-        table_bits(reference.trainer())
-    );
+    assert_eq!(src.state(), before, "the source was rewound");
 }
 
 /// Retention prunes old checkpoints but the newest survivors all
@@ -374,7 +351,7 @@ fn retention_keeps_the_newest_checkpoints_resumable() {
         let killed_at = loaded.steps().expect("trainer section") as usize;
         assert!(killed_at == 6 || killed_at == 8, "kept {killed_at}");
         let mut src = source(31, batch);
-        let mut resumed = TrainLoop::resume(ckpt, mk(), DepthPolicy::Fixed(2), &mut src).unwrap();
+        let mut resumed = TrainLoop::resume(ckpt, mk(), &mut src).unwrap();
         let summary = resumed.run(&mut src, steps - killed_at).unwrap();
         assert_eq!(
             loss_bits(&summary.losses),

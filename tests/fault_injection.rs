@@ -33,7 +33,7 @@ use tensor_casting::datasets::{
 };
 use tensor_casting::dlrm::{
     checkpoint::{read_train_checkpoint, CheckpointError, CheckpointStore},
-    BackwardMode, DepthPolicy, DlrmConfig, EmbeddingOptimizer, TrainLoop, Trainer,
+    BackwardMode, DlrmConfig, EmbeddingOptimizer, TrainLoop, Trainer,
 };
 use tensor_casting::embedding::IndexArray;
 
@@ -204,7 +204,7 @@ fn truncation_at_every_byte_boundary_is_clean() {
     let full = read_train_checkpoint(&mut bytes.as_slice()).unwrap();
     assert_eq!(full.steps(), Some(3));
     assert!(full.source_state().is_some());
-    assert!(full.controller_state().is_some());
+    assert_eq!(full.depth(), Some(2));
 
     // Every strict prefix either fails with a clean Format error or —
     // only at an exact section boundary — parses as a valid shorter
@@ -536,6 +536,6 @@ fn resume_from_a_torn_file_is_a_typed_error() {
         7,
     )
     .unwrap();
-    let err = TrainLoop::resume(&path, fresh, DepthPolicy::Fixed(2), &mut src).unwrap_err();
+    let err = TrainLoop::resume(&path, fresh, &mut src).unwrap_err();
     assert!(matches!(err, CheckpointError::Format(_)), "got {err}");
 }

@@ -7,22 +7,17 @@
 //! This file also carries the *prefetch* half of the invariant — a
 //! `PrefetchSource`-wrapped stream (generation on a producer thread,
 //! arbitrary producer/consumer interleaving, cross-thread buffer
-//! recycling) trains bit-identically to the unwrapped source — and the
-//! `DepthController` contract: trajectories are a deterministic pure
-//! function of the observed waits, bounded by the configured min/max,
-//! with the `Fixed` policy reproducing the pinned-depth driver exactly.
+//! recycling) trains bit-identically to the unwrapped source.
 
 use proptest::prelude::*;
 use std::sync::Arc;
-use std::time::Duration;
 use tensor_casting::core::FaultPlan;
 use tensor_casting::datasets::{
     BatchSource, CtrBatch, PrefetchSource, SyntheticCtr, SyntheticSource, TraceReplaySource,
 };
 use tensor_casting::dlrm::{
-    AdaptiveDepth, BackwardMode, DepthController, DepthPolicy, DlrmConfig, EmbeddingOptimizer,
-    Execution, StepReport, TableConfig, TrainLoop, Trainer, DENSE_GEMM_FAULT_SITE,
-    GATHER_AHEAD_FAULT_SITE,
+    BackwardMode, DlrmConfig, EmbeddingOptimizer, Execution, StepReport, TableConfig, TrainLoop,
+    Trainer, DENSE_GEMM_FAULT_SITE, GATHER_AHEAD_FAULT_SITE,
 };
 use tensor_casting::embedding::{EmbeddingError, IndexArray};
 
@@ -264,130 +259,11 @@ fn prefetched_sources_match_unwrapped_at_every_depth_mode_and_optimizer() {
     }
 }
 
-proptest! {
-    #![proptest_config(ProptestConfig::with_cases(24))]
-
-    /// `DepthController` trajectory determinism: the depth sequence is
-    /// a pure function of the policy and the observed waits — two
-    /// controllers fed the same measurements agree step for step, and
-    /// never leave [min, max].
-    #[test]
-    fn depth_controller_trajectories_are_deterministic_and_bounded(
-        min in 0usize..3,
-        span in 0usize..6,
-        window in 1usize..5,
-        target_us in 0u64..50,
-        decrease_after in 1usize..4,
-        floor_decay_after in 0usize..6,
-        wait_seed in any::<u64>(),
-    ) {
-        let policy = DepthPolicy::Adaptive(AdaptiveDepth {
-            min,
-            max: min + span,
-            window,
-            target_exposed_ns: target_us * 1_000,
-            decrease_after,
-            floor_decay_after,
-        });
-        let mut a = DepthController::new(policy);
-        let mut b = DepthController::new(policy);
-        // A deterministic, bursty wait sequence (SplitMix-style hash of
-        // the seed): stretches of exposure and stretches of silence.
-        let mut s = wait_seed;
-        let mut next = || {
-            s = s.wrapping_add(0x9E37_79B9_7F4A_7C15);
-            let mut z = s;
-            z = (z ^ (z >> 30)).wrapping_mul(0xBF58_476D_1CE4_E5B9);
-            z ^ (z >> 31)
-        };
-        for step in 0..200 {
-            let wait = if next() % 4 == 0 {
-                Duration::ZERO
-            } else {
-                Duration::from_nanos(next() % 200_000)
-            };
-            let da = a.observe(wait);
-            let db = b.observe(wait);
-            prop_assert_eq!(da, db, "trajectories diverged at step {}", step);
-            prop_assert!(
-                (min..=min + span).contains(&da),
-                "depth {} left [{}, {}] at step {}", da, min, min + span, step
-            );
-        }
-    }
-}
-
-/// The `Fixed` policy is exactly the pinned-depth driver: same depth
-/// every step, same losses, same weights, and `observe` never moves it.
+/// The prefetch invariant holds under pooled execution too: a pooled
+/// trainer fed a prefetched stream at depth 3 matches the serial inline
+/// depth-0 run bit for bit.
 #[test]
-fn fixed_policy_reproduces_the_pinned_depth_driver() {
-    for depth in [0usize, 2, 3] {
-        let mk = || Trainer::new(DlrmConfig::tiny(), BackwardMode::Casted, 19).unwrap();
-        let mut pinned = TrainLoop::new(mk(), depth);
-        let a = pinned
-            .run(&mut SyntheticSource::new(stream(61), 16), 6)
-            .unwrap();
-        let mut policied = TrainLoop::with_policy(mk(), DepthPolicy::Fixed(depth));
-        let b = policied
-            .run(&mut SyntheticSource::new(stream(61), 16), 6)
-            .unwrap();
-        assert_eq!(a.losses, b.losses, "depth {depth}");
-        assert_eq!(a.depths, vec![depth; 6], "depth {depth}");
-        assert_eq!(b.depths, a.depths, "depth {depth}");
-        assert_tables_identical(
-            &pinned.into_trainer(),
-            &policied.into_trainer(),
-            &format!("fixed policy depth {depth}"),
-        );
-    }
-    // And directly: a fixed controller ignores every observation.
-    let mut c = DepthController::new(DepthPolicy::Fixed(3));
-    for _ in 0..50 {
-        assert_eq!(c.observe(Duration::from_millis(5)), 3);
-    }
-}
-
-/// An adaptive `TrainLoop` run stays within its bounds, converges to a
-/// depth, and — being observation-only — trains bit-identically to the
-/// serial loop.
-#[test]
-fn adaptive_run_is_bounded_and_bit_identical_to_serial() {
-    let policy = DepthPolicy::Adaptive(AdaptiveDepth {
-        min: 1,
-        max: 3,
-        window: 2,
-        target_exposed_ns: 1_000,
-        decrease_after: 2,
-        floor_decay_after: 4,
-    });
-    let trainer = Trainer::new(DlrmConfig::tiny(), BackwardMode::Casted, 23).unwrap();
-    let mut adaptive = TrainLoop::with_policy(trainer, policy);
-    let summary = adaptive
-        .run(&mut SyntheticSource::new(stream(67), 16), 12)
-        .unwrap();
-    assert_eq!(summary.steps, 12);
-    assert!(
-        summary.depths.iter().all(|&d| (1..=3).contains(&d)),
-        "depth left [1, 3]: {:?}",
-        summary.depths
-    );
-    let (want, serial) = serial_losses(
-        BackwardMode::Casted,
-        EmbeddingOptimizer::Sgd,
-        67,
-        23,
-        12,
-        16,
-    );
-    assert_eq!(summary.losses, want);
-    assert_tables_identical(&serial, &adaptive.into_trainer(), "adaptive vs serial");
-}
-
-/// The prefetch + adaptive invariants hold under pooled execution too:
-/// a pooled trainer fed a prefetched stream through an adaptive driver
-/// matches the serial inline fixed-depth run bit for bit.
-#[test]
-fn pooled_prefetched_adaptive_run_matches_serial_inline() {
+fn pooled_prefetched_run_matches_serial_inline() {
     use tensor_casting::dlrm::Execution;
     let pool = Arc::new(tensor_casting::tensor::Pool::new(4));
     let mk = |execution: Execution| {
@@ -404,10 +280,7 @@ fn pooled_prefetched_adaptive_run_matches_serial_inline() {
     let want = serial
         .run(&mut SyntheticSource::new(stream(83), 16), 8)
         .unwrap();
-    let mut pooled = TrainLoop::with_policy(
-        mk(Execution::Pooled(pool)),
-        DepthPolicy::Adaptive(AdaptiveDepth::new(0, 4)),
-    );
+    let mut pooled = TrainLoop::new(mk(Execution::Pooled(pool)), 3);
     let got = pooled
         .run(
             &mut PrefetchSource::new(SyntheticSource::new(stream(83), 16), 2),
@@ -418,7 +291,7 @@ fn pooled_prefetched_adaptive_run_matches_serial_inline() {
     assert_tables_identical(
         &serial.into_trainer(),
         &pooled.into_trainer(),
-        "pooled prefetched adaptive vs serial inline",
+        "pooled prefetched vs serial inline",
     );
 }
 
@@ -553,7 +426,7 @@ impl AheadCheck {
         self.losses.push(report.loss);
     }
 
-    /// The completions of one `finish` / `complete_excess` call.
+    /// The completions of one `finish` call.
     fn drained(&mut self, done: &[(StepReport, Arc<CtrBatch>)], lp: &TrainLoop, context: &str) {
         for (i, (report, _)) in done.iter().enumerate() {
             self.completed(report, lp.in_flight() + done.len() - 1 - i, context);
@@ -570,8 +443,6 @@ fn drive_checked(lp: &mut TrainLoop, batches: &[Arc<CtrBatch>], context: &str) -
         if let Some((report, _)) = lp.push(Arc::clone(batch)).unwrap() {
             check.completed(&report, lp.in_flight(), context);
         }
-        let excess = lp.complete_excess().unwrap();
-        check.drained(&excess, lp, context);
         if i == batches.len() / 2 {
             let done = lp.finish().unwrap();
             check.drained(&done, lp, context);
@@ -584,7 +455,7 @@ fn drive_checked(lp: &mut TrainLoop, batches: &[Arc<CtrBatch>], context: &str) -
 }
 
 /// THE gather-ahead property, exhaustively: `TrainLoop` at depths
-/// {0, 1, 2, 4} and under an adaptive policy, over serial and pooled
+/// {0, 1, 2, 4}, over serial and pooled
 /// execution, both backward modes, all five optimizers, on the hazard
 /// stream — losses, tables and optimizer state end bit-equal to the
 /// serial `Trainer::step` loop, and every
@@ -599,24 +470,6 @@ fn gather_ahead_matrix_is_bit_identical_to_the_step_loop() {
         Execution::Pooled(Arc::clone(&pools[0])),
         Execution::Pooled(Arc::clone(&pools[1])),
     ];
-    // Any nonzero exposed wait deepens, any hidden window halves: in casted
-    // mode the depth moves while the stream runs (baseline never waits, so
-    // it stays at the minimum).
-    let adaptive = DepthPolicy::Adaptive(AdaptiveDepth {
-        min: 1,
-        max: 4,
-        window: 1,
-        target_exposed_ns: 0,
-        decrease_after: 1,
-        floor_decay_after: 1,
-    });
-    let policies = [
-        DepthPolicy::Fixed(0),
-        DepthPolicy::Fixed(1),
-        DepthPolicy::Fixed(2),
-        DepthPolicy::Fixed(4),
-        adaptive,
-    ];
     for mode in [BackwardMode::Baseline, BackwardMode::Casted] {
         for opt in OPTIMIZERS {
             let mut reference = Trainer::with_optimizer(hazard_config(), mode, opt, 77).unwrap();
@@ -626,22 +479,17 @@ fn gather_ahead_matrix_is_bit_identical_to_the_step_loop() {
                 .collect();
             let want = trajectory(&losses, reference);
             for execution in &executions {
-                for policy in policies {
-                    let context = format!("{mode:?} {opt:?} {execution:?} {policy:?}");
+                for depth in [0, 1, 2, 4] {
+                    let context = format!("{mode:?} {opt:?} {execution:?} depth {depth}");
                     let trainer =
                         Trainer::with_execution(hazard_config(), mode, opt, execution.clone(), 77)
                             .unwrap();
-                    let mut lp = TrainLoop::with_policy(trainer, policy);
+                    let mut lp = TrainLoop::new(trainer, depth);
                     let check = drive_checked(&mut lp, &batches, &context);
-                    match policy {
-                        DepthPolicy::Fixed(0) => assert_eq!(check.adopted, 0, "{context}"),
-                        // Every step but the first of the stream and the
-                        // first after the mid-stream drain.
-                        DepthPolicy::Fixed(_) => {
-                            assert_eq!(check.adopted, steps - 2, "{context}");
-                        }
-                        DepthPolicy::Adaptive(_) => assert!(check.adopted > 0, "{context}"),
-                    }
+                    // At depth >= 1, every step but the first of the stream
+                    // and the first after the mid-stream drain.
+                    let adopted = if depth == 0 { 0 } else { steps - 2 };
+                    assert_eq!(check.adopted, adopted, "{context}");
                     let got = trajectory(&check.losses, lp.into_trainer());
                     assert!(got == want, "{context}: diverged from the step loop");
                 }
