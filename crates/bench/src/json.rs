@@ -1,12 +1,11 @@
 //! Minimal JSON-lines emission for machine-readable benchmark tracking.
 //!
-//! Every figure/bench binary can append rows to a `BENCH_*.json` file so
-//! the performance trajectory of the repository is recorded as data, not
+//! The microbenchmarks append rows to a `BENCH_*.json` file so the
+//! performance trajectory of the repository is recorded as data, not
 //! prose. Two entry points:
 //!
-//! * `repro_all --json [PATH]` exports `TCAST_BENCH_JSON` to its children
-//!   so each figure binary (and any [`crate::harness::BenchGroup`])
-//!   appends rows to one shared sink;
+//! * any [`crate::harness::BenchGroup`] appends its rows to the sink
+//!   named by `TCAST_BENCH_JSON`, when that is exported;
 //! * `kernel_bench` writes `BENCH_kernel.json` directly.
 //!
 //! No serde: rows are built with [`JsonRow`], a tiny escaping writer.
@@ -15,12 +14,9 @@ use std::fs::OpenOptions;
 use std::io::Write;
 use std::path::{Path, PathBuf};
 
-/// Environment variable naming the shared JSON-lines sink.
-pub const JSON_ENV: &str = "TCAST_BENCH_JSON";
-
-/// The sink path from [`JSON_ENV`], if exported and non-empty.
+/// The sink path from `TCAST_BENCH_JSON`, if exported and non-empty.
 pub fn sink_from_env() -> Option<PathBuf> {
-    match std::env::var(JSON_ENV) {
+    match std::env::var("TCAST_BENCH_JSON") {
         Ok(path) if !path.is_empty() => Some(PathBuf::from(path)),
         _ => None,
     }

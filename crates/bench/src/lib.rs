@@ -1,86 +1,22 @@
-//! Shared harness code for the figure-regeneration binaries.
+//! Shared code of the kernel microbenchmarks: the `kernel_bench` binary
+//! and the `expand_vs_casted` bench, their timing [`harness`] and the
+//! [`json`] row writer.
 //!
-//! Every binary in `src/bin/` regenerates one table or figure of the
-//! paper (see DESIGN.md's per-experiment index) and prints the same
-//! rows/series the paper reports, normalized the same way. Run them all
-//! with `cargo run -p tcast-bench --release --bin repro_all`.
+//! The paper's tables and figures are regenerated from its hardware
+//! model by the `repro` binary under `repro/`.
 
 pub mod harness;
 pub mod json;
 
-use tcast_system::{Calibration, DesignPoint, RmModel, SystemWorkload};
-
-/// Prints a figure banner.
+/// Prints a section banner.
 pub fn banner(id: &str, caption: &str) {
     println!("================================================================");
     println!("{id}: {caption}");
     println!("================================================================");
 }
 
-/// The default batch sweep of Figs. 12-15.
-pub const DEFAULT_BATCHES: [usize; 4] = [1024, 2048, 4096, 8192];
-
-/// The Fig. 16 large-batch sweep.
-pub const LARGE_BATCHES: [usize; 3] = [8192, 16384, 32768];
-
-/// The Fig. 17 embedding-dimension sweep.
-pub const DIM_SWEEP: [usize; 3] = [32, 128, 256];
-
-/// Builds the standard workload grid `[model x batch]` at `dim`.
-pub fn workload_grid(batches: &[usize], dim: usize) -> Vec<SystemWorkload> {
-    let mut out = Vec::new();
-    for model in RmModel::all() {
-        for &batch in batches {
-            out.push(SystemWorkload::build(model.clone(), batch, dim, 42));
-        }
-    }
-    out
-}
-
-/// Formats a workload's grid label ("RM1 b2048").
-pub fn grid_label(wl: &SystemWorkload) -> String {
-    format!("{} b{}", wl.model.name, wl.batch)
-}
-
-/// Speedup of `design` over `baseline` on `wl`.
-pub fn speedup(
-    wl: &SystemWorkload,
-    baseline: DesignPoint,
-    design: DesignPoint,
-    cal: &Calibration,
-) -> f64 {
-    let b = baseline.evaluate(wl, cal);
-    let d = design.evaluate(wl, cal);
-    b.total_ns / d.total_ns
-}
-
-/// `true` when the `FAST` environment variable requests reduced sweep
-/// sizes (used by `repro_all` smoke runs and CI).
+/// `true` when the `FAST` environment variable requests reduced sizes
+/// (smoke runs and CI).
 pub fn fast_mode() -> bool {
     std::env::var("FAST").map(|v| v != "0").unwrap_or(false)
-}
-
-#[cfg(test)]
-mod tests {
-    use super::*;
-
-    #[test]
-    fn workload_grid_covers_models_and_batches() {
-        let grid = workload_grid(&[1024, 2048], 64);
-        assert_eq!(grid.len(), 8);
-        assert_eq!(grid_label(&grid[0]), "RM1 b1024");
-    }
-
-    #[test]
-    fn speedup_of_design_against_itself_is_one() {
-        let cal = Calibration::default();
-        let wl = SystemWorkload::build(RmModel::rm1(), 1024, 64, 1);
-        let s = speedup(
-            &wl,
-            DesignPoint::BaselineCpuGpu,
-            DesignPoint::BaselineCpuGpu,
-            &cal,
-        );
-        assert!((s - 1.0).abs() < 1e-12);
-    }
 }

@@ -1,9 +1,8 @@
 //! Workload generation for the Tensor Casting reproduction: popularity
-//! models of the paper's four public recommendation datasets, lookup
-//! histograms and coalescing statistics (Fig. 5), and per-table index
-//! generators plus synthetic CTR training data.
+//! models of the paper's four public recommendation datasets, and
+//! per-table index generators plus synthetic CTR training data.
 //!
-//! # Substitution note (see DESIGN.md)
+//! # Substitution note (the paper's Section V datasets)
 //!
 //! The paper drives its locality analysis with Amazon Review (Books),
 //! MovieLens-20M, Alibaba Taobao UserBehavior and Criteo Kaggle. Those
@@ -30,7 +29,6 @@
 //! assert!(index.unique_src_count() < index.len() / 2);
 //! ```
 
-mod histogram;
 mod popularity;
 mod prefetch;
 mod presets;
@@ -39,7 +37,6 @@ mod synthetic;
 pub mod trace;
 mod workload;
 
-pub use histogram::{CoalesceStats, LookupHistogram};
 pub use popularity::{CdfSampler, Popularity};
 pub use prefetch::{PrefetchSource, PrefetchStats};
 pub use presets::DatasetPreset;

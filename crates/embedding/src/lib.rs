@@ -27,7 +27,7 @@
 //! results are bit-identical whatever the `Exec` — by construction, not by
 //! a second kernel that happens to agree. The allocating forms ([`gather_reduce`],
 //! [`gradient_coalesce`], [`gradient_expand`]) are thin wrappers for
-//! tests, examples and the model crates; [`scatter_apply`] is the serial
+//! tests, examples and the `repro/` model crates; [`scatter_apply`] is the serial
 //! reference scatter. The `(src, dst)` accumulate loop itself lives once,
 //! behind [`accumulate_rows`], and also serves the casted backward.
 //!
@@ -35,11 +35,6 @@
 //! crate; this crate deliberately contains only what existing ML frameworks
 //! (PyTorch / TensorFlow) do today, so the two can be benchmarked against
 //! each other.
-//!
-//! [`traffic`] implements the paper's analytic memory-traffic model
-//! (Section III-C, Fig. 6): every primitive's read/write byte counts as a
-//! function of batch size, pooling factor, embedding dimension and the
-//! number of unique indices.
 //!
 //! # Example: one forward/backward step over a single table
 //!
@@ -74,7 +69,6 @@ mod radix;
 mod scatter;
 pub mod simd;
 mod table;
-pub mod traffic;
 
 pub use coalesce::{
     gradient_coalesce, gradient_coalesce_into, gradient_expand_coalesce, CoalescedGradients,

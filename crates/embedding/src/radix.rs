@@ -215,6 +215,14 @@ mod tests {
     }
 
     #[test]
+    fn sort_passes_are_the_kernels() {
+        // What the kernel makes over RM1's 400k-row tables and a 5M-row
+        // one: the pass counts the paper model's sort traffic assumes.
+        assert_eq!(radix_passes(400_000 - 1), 2);
+        assert_eq!(radix_passes(5_000_000 - 1), 3);
+    }
+
+    #[test]
     fn matches_the_comparison_sort_on_ties_and_every_pass_count() {
         let mut scratch = RadixScratch::default();
         let mut state = 0x9E37_79B9_7F4A_7C15u64;

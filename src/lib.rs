@@ -12,21 +12,11 @@
 //!   casting pipeline (Section IV-B).
 //! * [`embedding`] (`tcast-embedding`) — embedding tables and the
 //!   baseline primitives: fused gather-reduce, gradient expand, gradient
-//!   coalesce (Algorithm 1), gradient scatter, sparse optimizers, and the
-//!   analytic memory-traffic model of Fig. 6.
+//!   coalesce (Algorithm 1), gradient scatter and sparse optimizers.
 //! * [`tensor`] (`tcast-tensor`) — the dense MLP substrate (matrices,
 //!   GEMM, losses, DLRM feature interaction).
 //! * [`datasets`] (`tcast-datasets`) — popularity models of the paper's
-//!   four datasets, coalescing statistics (Fig. 5), synthetic CTR data.
-//! * [`dram`] (`tcast-dram`) — a cycle-level DDR4 simulator (the
-//!   Ramulator substitute) measuring effective bandwidth per access
-//!   pattern.
-//! * [`nmp`] (`tcast-nmp`) — the rank-level NMP cores (Fig. 11) and the
-//!   disaggregated pool (Fig. 10 / Table I), functionally and temporally
-//!   modelled.
-//! * [`system`] (`tcast-system`) — the system-level performance/energy
-//!   model behind Figs. 4, 9 and 12-17: design points, timelines,
-//!   speedups, utilization, energy.
+//!   four datasets, synthetic CTR data, batch sources.
 //! * [`dlrm`] (`tcast-dlrm`) — end-to-end DLRM training on the real
 //!   kernels with switchable baseline/casted backward.
 //! * [`serve`] (`tcast-serve`) — SLA-aware batched inference serving:
@@ -38,8 +28,11 @@
 //!   snapshots every K steps; serve engines resolve consistent versions
 //!   with bounded staleness, hot swap and rollback.
 //!
-//! See `examples/` for runnable entry points and `crates/bench/src/bin/`
-//! for the per-figure reproduction harness.
+//! See `examples/` for runnable entry points. The paper's hardware half —
+//! the DDR4 simulator, the rank-NMP tensor pool and the system model
+//! behind its tables and figures — lives under `repro/`, which depends on
+//! these crates; they never depend on it, and this facade does not
+//! re-export it.
 //!
 //! ```
 //! use tensor_casting::core::{tensor_casting, casted_gather_reduce};
@@ -57,10 +50,7 @@
 pub use tcast_core as core;
 pub use tcast_datasets as datasets;
 pub use tcast_dlrm as dlrm;
-pub use tcast_dram as dram;
 pub use tcast_embedding as embedding;
-pub use tcast_nmp as nmp;
 pub use tcast_serve as serve;
 pub use tcast_snapshot as snapshot;
-pub use tcast_system as system;
 pub use tcast_tensor as tensor;

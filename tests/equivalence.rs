@@ -1,6 +1,6 @@
 //! Cross-crate functional-equivalence suite: the paper's central
 //! correctness claim, checked across every layer of the stack — host
-//! kernels, the casting pipeline, the NMP pool, and full DLRM training.
+//! kernels, the casting pipeline, and full DLRM training.
 
 use proptest::prelude::*;
 use std::sync::OnceLock;
@@ -17,7 +17,6 @@ use tensor_casting::embedding::{
     scatter_apply, scatter_apply_casted, BlockScratch, CoalescedScratch, EmbeddingTable,
     IndexArray,
 };
-use tensor_casting::nmp::{NmpPool, PoolConfig};
 use tensor_casting::tensor::{Exec, Matrix, Pool, SplitMix64};
 
 fn random_workload(seed: u64, batch: usize, pooling: usize, rows: u32) -> (IndexArray, Matrix) {
@@ -241,45 +240,6 @@ fn pipeline_results_match_synchronous_casting() {
     let from_pipeline = pipeline.collect(ticket);
     let synchronous: Vec<_> = indices.iter().map(tensor_casting).collect();
     assert_eq!(from_pipeline, synchronous);
-}
-
-#[test]
-fn nmp_pool_matches_host_for_the_whole_training_step() {
-    let (index, grads) = random_workload(31, 64, 5, 400);
-    let table = EmbeddingTable::seeded(400, 24, 9);
-
-    // Host reference: baseline backward + SGD scatter.
-    let mut host_table = table.clone();
-    let coalesced = gradient_expand_coalesce(&grads_widened(&grads, 24), &index).unwrap();
-    scatter_apply(
-        &mut host_table,
-        &coalesced,
-        &mut RowOptimizer::new(UpdateRule::Sgd { lr: 0.2 }),
-    )
-    .unwrap();
-
-    // Pool: casted backward + scatter from pool-resident gradients.
-    let mut pool = NmpPool::new(PoolConfig::small(4));
-    let handle = pool.load_table(&table).unwrap();
-    let casted = tensor_casting(&index);
-    let (pool_coalesced, _) = pool
-        .casted_gather_reduce(handle, &grads_widened(&grads, 24), &casted)
-        .unwrap();
-    pool.scatter_sgd(handle, &pool_coalesced, 0.2, true)
-        .unwrap();
-
-    let back = pool.read_table(handle).unwrap();
-    assert!(back.max_abs_diff(&host_table).unwrap() < 1e-5);
-}
-
-fn grads_widened(grads: &Matrix, dim: usize) -> Matrix {
-    let mut out = Matrix::zeros(grads.rows(), dim);
-    for r in 0..grads.rows() {
-        for c in 0..dim {
-            out.row_mut(r)[c] = grads.row(r)[c % grads.cols()];
-        }
-    }
-    out
 }
 
 #[test]
