@@ -13,8 +13,7 @@
 //!   stop-the-world;
 //! * N **serve engines** run on the same [`Pool`] with *no shared
 //!   mutable model state*: each is one snapshot lane of the one serve
-//!   loop on the measured clock (`batch` closed-loop clients at zero
-//!   think time), resolving one consistent snapshot per fused batch and
+//!   loop (`batch` closed-loop clients at zero think time), resolving one consistent snapshot per fused batch and
 //!   refreshing only when its held version falls more than
 //!   `staleness_bound` versions behind the store head;
 //! * the staleness ledger becomes a **freshness SLA**: every batch
@@ -48,7 +47,7 @@ use crate::engine::{ServeEngine, DEFAULT_CACHE_CAPACITY};
 use crate::online::ServeConfig;
 use crate::queue::BatchPolicy;
 use crate::request::{ArrivalProcess, Query, QueryModel};
-use crate::serve_loop::{scoring_only, Clock, Lane, SnapshotSlot, Source};
+use crate::serve_loop::{scoring_only, Lane, SnapshotSlot, Source};
 use crate::stats::{FreshnessLedger, ServeReport};
 use tcast_datasets::BatchSource;
 use tcast_dlrm::checkpoint::{read_train_checkpoint, CheckpointError};
@@ -312,11 +311,11 @@ pub fn serve_concurrent(
                     ServeEngine::new(store.latest().model(), DEFAULT_CACHE_CAPACITY, exec);
                 let mut recorded = Vec::new();
                 let record = config.record_batches.then_some((i, &mut recorded));
-                let snapshots = SnapshotSlot::new(store, config.staleness_bound, None, record);
+                let snapshots = SnapshotSlot::new(store, config.staleness_bound, record);
                 let source = Source::Snapshots(snapshots);
                 let mut lane = Lane::serving(&mut engine, workload, source, serving);
                 let started = Instant::now();
-                *slot = Some(match lane.run_alone(Clock::Measured) {
+                *slot = Some(match lane.run() {
                     Ok(_) => {
                         let span_ns = (started.elapsed().as_nanos() as u64).max(1);
                         let (report, freshness) = lane.into_report(span_ns);

@@ -169,7 +169,8 @@ impl ServeEngine {
     /// # Errors
     ///
     /// Returns an error when a query disagrees with the model's shape
-    /// (table count, dense width, index range) or the batch is empty.
+    /// (table count, dense width, index range), has no candidates or a
+    /// non-finite dense feature, or the batch is empty.
     pub fn score<'q, I>(
         &mut self,
         model: &Dlrm,
@@ -194,6 +195,21 @@ impl ServeEngine {
                     expected: model.config().dense_features,
                     found: q.dense.cols(),
                 });
+            }
+            // `Query`'s fields are public, so these cross a trust
+            // boundary: a NaN survives the ReLU as a plausible score, and
+            // an empty candidate set scores nothing.
+            if q.candidates() == 0 {
+                return Err(EmbeddingError::InvalidIndex(format!(
+                    "query {} has no candidates",
+                    q.id
+                )));
+            }
+            if !q.dense.as_slice().iter().all(|v| v.is_finite()) {
+                return Err(EmbeddingError::InvalidIndex(format!(
+                    "query {} has a non-finite dense feature",
+                    q.id
+                )));
             }
             for idx in q.indices.iter() {
                 if idx.num_outputs() != q.candidates() {

@@ -25,27 +25,24 @@
 //!   casted forward;
 //! * [`stats`] — latency histograms (p50/p95/p99), QPS, queue depth and
 //!   SLA-violation accounting;
-//! * one private **serve loop** under three entry-point modules: lanes
+//! * one private **serve loop** under two entry-point modules: a lane
 //!   (an admission queue, its arrivals, its model source, its accounting)
-//!   fired one batch at a time by a weighted-fair scheduler, on a
-//!   *measured* clock (service = wall time of scoring) or a *modeled* one
-//!   (a pool cost model), the model frozen, an interleaved trainer, or a
-//!   snapshot store:
+//!   on a clock whose arrivals are simulated and whose service is the
+//!   measured wall time of scoring, the model frozen, an interleaved
+//!   trainer, or a snapshot store:
 //!   * [`online`] — [`serve`] (one frozen lane) and [`serve_online`] (one
 //!     lane interleaving casted [`Trainer`] update steps, tracking model
-//!     staleness), both on the measured clock;
+//!     staleness);
 //!   * [`concurrent`] — *true* concurrent train-and-serve: the trainer
 //!     publishes epoch-versioned snapshots (`tcast-snapshot`) every K
 //!     steps while N engines — one snapshot lane each, on separate pool
 //!     workers — score consistent snapshots under a freshness SLA (p99
 //!     model age), with hot-swap and rollback drills that never pause
-//!     serving;
-//!   * [`fleet`] — N tenants, one snapshot lane each on the modeled
-//!     clock, with their own model, SLA and shedding, sharing one pool
-//!     under the deterministic virtual-time weighted-fair scheduler,
-//!     driven by scenario arrival curves (diurnal, flash crowd) and
-//!     mid-run popularity shifts — the cross-tenant isolation layer. A
-//!     fleet of one tenant fuses the same batches as [`serve`].
+//!     serving.
+//!
+//! A multi-tenant fleet — weighted-fair scheduling of many tenants on a
+//! modeled clock — is a model, not part of the serving path: it lives in
+//! `repro/` and drives this crate through its public API.
 //!
 //! # The serving invariant
 //!
@@ -102,7 +99,6 @@
 
 pub mod concurrent;
 pub mod engine;
-pub mod fleet;
 pub mod online;
 pub mod queue;
 pub mod request;
@@ -114,14 +110,10 @@ pub use concurrent::{
     ServedBatchRecord, TrainReport,
 };
 pub use engine::{ScoredBatch, ServeEngine, DEFAULT_CACHE_CAPACITY};
-pub use fleet::{
-    run_fleet, FleetConfig, FleetReport, PoolCostModel, PopularityShift, Tenant, TenantReport,
-    TenantSpec, WfqScheduler,
-};
 pub use online::{
     serve, serve_online, HotRestore, OnlineConfig, OnlineReport, ServeConfig, ServeError,
 };
 pub use queue::{AdaptiveBatcher, AdmissionQueue, BatchPolicy, Decision, QueuedQuery};
-pub use request::{ArrivalProcess, CandidateCount, Query, QueryModel, RateCurve};
+pub use request::{ArrivalProcess, CandidateCount, Query, QueryModel};
 pub use stats::{FreshnessLedger, LatencyHistogram, ServeReport};
-pub use tcast_snapshot::{ModelSnapshot, PublishCadence, SnapshotError, SnapshotStore};
+pub use tcast_snapshot::{ModelSnapshot, SnapshotError, SnapshotStore};

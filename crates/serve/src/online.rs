@@ -1,8 +1,8 @@
 //! The single-model entry points of the one serve loop: [`serve`] runs
-//! one frozen lane and [`serve_online`] one trainer lane, both on the
-//! *measured* clock — arrivals on a simulated nanosecond clock, service
-//! and update-step durations measured from really running the engine and
-//! the trainer (the loop module documents the clock).
+//! one frozen lane and [`serve_online`] one trainer lane — arrivals on a
+//! simulated nanosecond clock, service and update-step durations measured
+//! from really running the engine and the trainer (the loop module
+//! documents the clock).
 //!
 //! # Online training
 //!
@@ -31,7 +31,7 @@ use std::path::PathBuf;
 use crate::engine::ServeEngine;
 use crate::queue::BatchPolicy;
 use crate::request::{ArrivalProcess, QueryModel};
-use crate::serve_loop::{scoring_only, Clock, Lane, Source, TrainerSlot};
+use crate::serve_loop::{scoring_only, Lane, Source, TrainerSlot};
 use crate::stats::{FreshnessLedger, ServeReport};
 use tcast_datasets::BatchSource;
 use tcast_dlrm::checkpoint::CheckpointError;
@@ -174,8 +174,8 @@ impl OnlineReport {
 }
 
 /// Drives a [`ServeEngine`] over a seeded workload: admission, batching,
-/// scoring, accounting — the inference-only loop: one frozen lane on the
-/// measured clock. `span_ns` runs from the first fire to the end of the
+/// scoring, accounting — the inference-only loop: one frozen lane.
+/// `span_ns` runs from the first fire to the end of the
 /// run; `queries: 0` returns the empty report.
 ///
 /// # Errors
@@ -188,7 +188,7 @@ pub fn serve(
     config: &ServeConfig,
 ) -> Result<ServeReport, EmbeddingError> {
     let mut lane = Lane::serving(engine, workload, Source::Frozen(model), config);
-    let end = lane.run_alone(Clock::Measured).map_err(scoring_only)?;
+    let end = lane.run().map_err(scoring_only)?;
     let span_ns = span_from_first_fire(&lane, end);
     Ok(lane.into_report(span_ns).0)
 }
@@ -214,7 +214,7 @@ pub fn serve_online(
     let mut report = OnlineReport::default();
     let slot = TrainerSlot::new(trainer, source, online, &mut report);
     let mut lane = Lane::serving(engine, workload, Source::Trainer(slot), config);
-    let end = lane.run_alone(Clock::Measured)?;
+    let end = lane.run()?;
     let span_ns = span_from_first_fire(&lane, end);
     let (serve, freshness) = lane.into_report(span_ns);
     report.freshness = freshness;

@@ -126,17 +126,6 @@ pub enum BatchPolicy {
     Adaptive(AdaptiveBatcher),
 }
 
-impl BatchPolicy {
-    /// Short label for reports and benchmark rows.
-    pub fn name(&self) -> &'static str {
-        match self {
-            BatchPolicy::Fixed { .. } => "fixed",
-            BatchPolicy::Deadline { .. } => "deadline",
-            BatchPolicy::Adaptive(_) => "adaptive",
-        }
-    }
-}
-
 /// FIFO admission queue driven by a [`BatchPolicy`].
 #[derive(Debug)]
 pub struct AdmissionQueue {
@@ -210,11 +199,6 @@ impl AdmissionQueue {
         self.shed += out.len() as u64;
     }
 
-    /// The policy (e.g. to read an adaptive batcher's current target).
-    pub fn policy(&self) -> &BatchPolicy {
-        &self.policy
-    }
-
     /// Admits an arrived query.
     pub fn push(&mut self, query: Arc<Query>, arrival_ns: u64) {
         self.queue.push_back(QueuedQuery { query, arrival_ns });
@@ -252,20 +236,9 @@ impl AdmissionQueue {
         }
     }
 
-    /// Removes and returns the oldest `n` queries (the fused batch).
-    ///
-    /// # Panics
-    ///
-    /// Panics if fewer than `n` queries wait.
-    pub fn take(&mut self, n: usize) -> Vec<QueuedQuery> {
-        let mut out = Vec::with_capacity(n);
-        self.take_into(n, &mut out);
-        out
-    }
-
-    /// [`AdmissionQueue::take`] draining into a cleared, caller-owned
-    /// buffer — the serve loop's steady-state form (no per-batch
-    /// allocation once the buffer reaches the largest fired batch).
+    /// Moves the oldest `n` queries (the fused batch) into `out`, cleared
+    /// first: a caller-owned buffer, so no per-batch allocation once it
+    /// reaches the largest fired batch.
     ///
     /// # Panics
     ///
@@ -306,7 +279,8 @@ mod tests {
         assert_eq!(queue.decide(100, true), Decision::Wait);
         queue.push(q(2), 30);
         assert_eq!(queue.decide(100, true), Decision::Fire(3));
-        let taken = queue.take(3);
+        let mut taken = Vec::new();
+        queue.take_into(3, &mut taken);
         assert_eq!(taken.len(), 3);
         assert_eq!(taken[0].query.id, 0, "FIFO order");
         assert!(queue.is_empty());
@@ -391,7 +365,7 @@ mod tests {
         queue.push(q(0), 0);
         // Target starts at 1: fire immediately.
         assert_eq!(queue.decide(0, true), Decision::Fire(1));
-        queue.take(1);
+        queue.take_into(1, &mut Vec::new());
         // Feedback far under SLA: target grows to 2.
         queue.observe_batch(1_000);
         queue.push(q(1), 100);
@@ -474,6 +448,6 @@ mod tests {
     fn take_more_than_queued_panics() {
         let mut queue = AdmissionQueue::new(BatchPolicy::Fixed { batch: 1 });
         queue.push(q(0), 0);
-        queue.take(2);
+        queue.take_into(2, &mut Vec::new());
     }
 }

@@ -220,140 +220,6 @@ impl ArrivalProcess {
     }
 }
 
-/// A time-varying arrival-rate curve — the scenario workloads a
-/// stationary Poisson process cannot express. Arrivals are an
-/// inhomogeneous Poisson process with rate `rate_at(t)`, sampled by
-/// Lewis–Shedler thinning: draw candidate gaps at the curve's peak rate,
-/// accept each candidate with probability `rate_at(t) / peak`. Fully
-/// deterministic given the caller's RNG, so fleet runs replay exactly.
-#[derive(Debug, Clone, Copy, PartialEq)]
-pub enum RateCurve {
-    /// Stationary Poisson at `qps` (the PR-6 arrival model, lifted into
-    /// the curve interface).
-    Constant {
-        /// Mean queries per second.
-        qps: f64,
-    },
-    /// A sinusoidal day: `base_qps * (1 + amplitude * sin(2πt/period))`.
-    /// `amplitude` must sit in `[0, 0.95]` so the rate stays bounded
-    /// away from zero (thinning needs a positive floor to terminate).
-    Diurnal {
-        /// Mean rate over a full period.
-        base_qps: f64,
-        /// Peak-to-mean swing, in `[0, 0.95]`.
-        amplitude: f64,
-        /// One simulated "day" in nanoseconds.
-        period_ns: u64,
-    },
-    /// Quiet traffic at `base_qps` with a rectangular spike to
-    /// `spike_qps` during `[start_ns, start_ns + duration_ns)` — the
-    /// flash crowd that stresses cross-tenant isolation.
-    FlashCrowd {
-        /// Rate outside the spike window.
-        base_qps: f64,
-        /// Rate inside the spike window.
-        spike_qps: f64,
-        /// Spike onset on the simulated clock.
-        start_ns: u64,
-        /// Spike length.
-        duration_ns: u64,
-    },
-}
-
-impl RateCurve {
-    /// Instantaneous rate (queries per second) at clock `now_ns`.
-    pub fn rate_at(&self, now_ns: u64) -> f64 {
-        match *self {
-            RateCurve::Constant { qps } => qps,
-            RateCurve::Diurnal {
-                base_qps,
-                amplitude,
-                period_ns,
-            } => {
-                let phase = (now_ns % period_ns) as f64 / period_ns as f64;
-                base_qps * (1.0 + amplitude * (2.0 * std::f64::consts::PI * phase).sin())
-            }
-            RateCurve::FlashCrowd {
-                base_qps,
-                spike_qps,
-                start_ns,
-                duration_ns,
-            } => {
-                if now_ns >= start_ns && now_ns - start_ns < duration_ns {
-                    spike_qps
-                } else {
-                    base_qps
-                }
-            }
-        }
-    }
-
-    /// The curve's supremum rate (the thinning envelope).
-    pub fn peak_qps(&self) -> f64 {
-        match *self {
-            RateCurve::Constant { qps } => qps,
-            RateCurve::Diurnal {
-                base_qps,
-                amplitude,
-                ..
-            } => base_qps * (1.0 + amplitude),
-            RateCurve::FlashCrowd {
-                base_qps,
-                spike_qps,
-                ..
-            } => base_qps.max(spike_qps),
-        }
-    }
-
-    fn validate(&self) {
-        match *self {
-            RateCurve::Constant { qps } => assert!(qps > 0.0, "qps must be positive"),
-            RateCurve::Diurnal {
-                base_qps,
-                amplitude,
-                period_ns,
-            } => {
-                assert!(base_qps > 0.0, "base_qps must be positive");
-                assert!(
-                    (0.0..=0.95).contains(&amplitude),
-                    "amplitude must be in [0, 0.95]"
-                );
-                assert!(period_ns > 0, "period must be positive");
-            }
-            RateCurve::FlashCrowd {
-                base_qps,
-                spike_qps,
-                ..
-            } => {
-                assert!(base_qps > 0.0, "base_qps must be positive");
-                assert!(spike_qps > 0.0, "spike_qps must be positive");
-            }
-        }
-    }
-
-    /// The next arrival strictly after `now_ns`, via thinning.
-    ///
-    /// # Panics
-    ///
-    /// Panics if the curve's parameters are invalid (non-positive rates,
-    /// diurnal amplitude outside `[0, 0.95]`).
-    pub fn next_arrival_after(&self, now_ns: u64, rng: &mut SplitMix64) -> u64 {
-        self.validate();
-        let peak = self.peak_qps();
-        let mut t = now_ns;
-        loop {
-            let u = f64::from(rng.next_f32()).min(1.0 - 1e-9);
-            // Exponential gap at the envelope rate; at least 1 ns so the
-            // clock always advances.
-            let gap = (((-(1.0 - u).ln()) / peak * 1e9) as u64).max(1);
-            t = t.saturating_add(gap);
-            if f64::from(rng.next_f32()) < self.rate_at(t) / peak {
-                return t;
-            }
-        }
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -492,110 +358,5 @@ mod tests {
         model.shift_popularity(50);
         let back = (0..400).filter(|_| model.draw().id < 10).count();
         assert!(back > 120, "two 50-shifts over 100 wrap home, got {back}");
-    }
-
-    #[test]
-    fn constant_rate_curve_matches_poisson_mean() {
-        let c = RateCurve::Constant { qps: 10_000.0 };
-        let mut rng = SplitMix64::new(9);
-        let (mut t, n) = (0u64, 4000);
-        for _ in 0..n {
-            t = c.next_arrival_after(t, &mut rng);
-        }
-        let mean = t as f64 / n as f64;
-        assert!(
-            (mean - 100_000.0).abs() < 10_000.0,
-            "mean gap {mean} ns, expected ~100000"
-        );
-    }
-
-    #[test]
-    fn flash_crowd_concentrates_arrivals_in_the_window() {
-        let c = RateCurve::FlashCrowd {
-            base_qps: 1_000.0,
-            spike_qps: 100_000.0,
-            start_ns: 10_000_000,
-            duration_ns: 10_000_000,
-        };
-        assert_eq!(c.rate_at(9_999_999), 1_000.0);
-        assert_eq!(c.rate_at(10_000_000), 100_000.0);
-        assert_eq!(c.rate_at(19_999_999), 100_000.0);
-        assert_eq!(c.rate_at(20_000_000), 1_000.0);
-        let mut rng = SplitMix64::new(5);
-        let (mut t, mut inside, mut total) = (0u64, 0usize, 0usize);
-        while t < 30_000_000 {
-            t = c.next_arrival_after(t, &mut rng);
-            total += 1;
-            if (10_000_000..20_000_000).contains(&t) {
-                inside += 1;
-            }
-        }
-        // Expected ~1000 arrivals in the 10 ms spike vs ~20 outside.
-        assert!(total > 500, "total arrivals {total}");
-        assert!(
-            inside as f64 > 0.9 * total as f64,
-            "spike holds {inside}/{total} arrivals"
-        );
-    }
-
-    #[test]
-    fn diurnal_curve_oscillates_and_thinning_tracks_it() {
-        let c = RateCurve::Diurnal {
-            base_qps: 10_000.0,
-            amplitude: 0.9,
-            period_ns: 1_000_000_000,
-        };
-        // Peak at a quarter period, trough at three quarters.
-        assert!((c.rate_at(250_000_000) - 19_000.0).abs() < 1.0);
-        assert!((c.rate_at(750_000_000) - 1_000.0).abs() < 1.0);
-        assert!((c.peak_qps() - 19_000.0).abs() < 1e-9);
-        let mut rng = SplitMix64::new(7);
-        let (mut t, mut first_half, mut second_half) = (0u64, 0usize, 0usize);
-        while t < 1_000_000_000 {
-            t = c.next_arrival_after(t, &mut rng);
-            if t < 500_000_000 {
-                first_half += 1;
-            } else if t < 1_000_000_000 {
-                second_half += 1;
-            }
-        }
-        // sin is positive over the first half-period and negative over
-        // the second, so the busy half must dominate.
-        assert!(
-            first_half > 2 * second_half,
-            "busy half {first_half} vs quiet half {second_half}"
-        );
-    }
-
-    #[test]
-    fn rate_curves_are_deterministic_for_a_fixed_seed() {
-        let c = RateCurve::FlashCrowd {
-            base_qps: 2_000.0,
-            spike_qps: 50_000.0,
-            start_ns: 1_000_000,
-            duration_ns: 2_000_000,
-        };
-        let run = || {
-            let mut rng = SplitMix64::new(42);
-            let mut t = 0u64;
-            (0..200)
-                .map(|_| {
-                    t = c.next_arrival_after(t, &mut rng);
-                    t
-                })
-                .collect::<Vec<u64>>()
-        };
-        assert_eq!(run(), run());
-    }
-
-    #[test]
-    #[should_panic(expected = "amplitude must be in")]
-    fn diurnal_amplitude_above_bound_rejected() {
-        let c = RateCurve::Diurnal {
-            base_qps: 100.0,
-            amplitude: 1.5,
-            period_ns: 1_000,
-        };
-        c.next_arrival_after(0, &mut SplitMix64::new(1));
     }
 }

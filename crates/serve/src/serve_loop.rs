@@ -1,33 +1,22 @@
-//! The one serve loop. [`crate::serve`], [`crate::serve_online`],
-//! [`crate::run_fleet`] and every [`crate::serve_concurrent`] engine only
-//! build lanes, [`run`] them, and shape the result.
+//! The one serve loop. [`crate::serve`], [`crate::serve_online`] and
+//! every [`crate::serve_concurrent`] engine only build a [`Lane`],
+//! [`Lane::run`] it, and shape the result.
 //!
-//! A **lane** is one [`AdmissionQueue`] with its arrivals (Poisson gaps,
-//! a [`RateCurve`] by thinning, or closed-loop clients), its model
-//! [`Source`] (a frozen `&Dlrm`, an interleaved [`Trainer`], or a
-//! [`SnapshotStore`]) and its accounting: shed, fire, latency / SLA /
-//! freshness, and the one [`ServeReport`]. The **scheduler** fires one
-//! batch at a time: the fireable lane with the least [`WfqScheduler`]
-//! virtual time, trivially the only one when there is one lane.
+//! A **lane** is one [`AdmissionQueue`] with its arrivals (Poisson gaps or
+//! closed-loop clients), its model [`Source`] (a frozen `&Dlrm`, an
+//! interleaved [`Trainer`], or a [`SnapshotStore`]) and its accounting:
+//! shed, fire, latency / SLA / freshness, and the one [`ServeReport`].
 //!
 //! # The clock
 //!
 //! Arrivals live on a simulated nanosecond clock, so a seeded workload
 //! has the same arrival schedule on any machine. A fired batch advances
-//! that clock by its service time, which the [`Clock`] defines:
-//!
-//! * **measured** — the wall time of really scoring it; update steps,
-//!   batch generation and hot restores land on the clock the same way,
-//!   and model age is wall age. Latency, QPS and SLA accounting reflect
-//!   real compute on this host while the arrival pattern stays
-//!   reproducible. `serve`, `serve_online` and the concurrent engines.
-//! * **modeled** — the [`PoolCostModel`] price of the batch, which is
-//!   still really scored (its wall time kept in `measured_ns`). The run is
-//!   a pure function of the lanes' specs, model age is simulated, and the
-//!   fleet replays bit-identically.
-//!
-//! Under `Fixed` batching the clock never changes which queries fuse:
-//! batch composition depends only on the draw order.
+//! that clock by the wall time of really scoring it; update steps, batch
+//! generation and hot restores land on the clock the same way, and model
+//! age is wall age. Latency, QPS and SLA accounting reflect real compute
+//! on this host while the arrival pattern stays reproducible. Under
+//! `Fixed` batching the clock never changes which queries fuse: batch
+//! composition depends only on the draw order.
 
 use std::collections::VecDeque;
 use std::fs::File;
@@ -36,40 +25,22 @@ use std::time::Instant;
 
 use crate::concurrent::ServedBatchRecord;
 use crate::engine::ServeEngine;
-use crate::fleet::{PoolCostModel, PopularityShift, WfqScheduler};
 use crate::online::{HotRestore, OnlineConfig, OnlineReport, ServeConfig, ServeError};
-use crate::queue::{AdmissionQueue, BatchPolicy, Decision, QueuedQuery};
-use crate::request::{ArrivalProcess, QueryModel, RateCurve};
+use crate::queue::{AdmissionQueue, Decision, QueuedQuery};
+use crate::request::{ArrivalProcess, QueryModel};
 use crate::stats::{FreshnessLedger, ServeReport};
 use tcast_datasets::BatchSource;
 use tcast_dlrm::checkpoint::{read_train_checkpoint, CheckpointError};
 use tcast_dlrm::{Dlrm, Trainer};
 use tcast_embedding::EmbeddingError;
-use tcast_snapshot::{ModelSnapshot, PublishCadence, SnapshotStore};
+use tcast_snapshot::{ModelSnapshot, SnapshotStore};
 use tcast_tensor::SplitMix64;
 
-/// What a fired batch advances the clock by (see the module docs).
-#[derive(Debug, Clone, Copy)]
-pub(crate) enum Clock {
-    Measured,
-    Modeled(PoolCostModel),
-}
-
-/// How a lane's queries arrive.
-#[derive(Debug, Clone, Copy)]
-pub(crate) enum Arrivals {
-    /// Poisson gaps, or closed-loop clients.
-    Process(ArrivalProcess),
-    /// An inhomogeneous Poisson process, sampled by thinning.
-    Curve(RateCurve),
-}
-
 /// A lane's arrival schedule. A query is drawn from the workload only at
-/// admission, so the draw order is the admission order for every arrival
-/// model, and a popularity shift applies to every query admitted after it.
-pub(crate) struct Traffic {
-    arrivals: Arrivals,
-    closed_loop: bool,
+/// admission, so the draw order is the admission order for either
+/// arrival process.
+struct Traffic {
+    arrivals: ArrivalProcess,
     rng: SplitMix64,
     /// Issued, not yet admitted arrival times, non-decreasing: the next
     /// open-loop arrival, or each thinking closed-loop client's request.
@@ -79,22 +50,20 @@ pub(crate) struct Traffic {
 }
 
 impl Traffic {
-    pub(crate) fn new(arrivals: Arrivals, total: usize, seed: u64) -> Self {
+    fn new(arrivals: ArrivalProcess, total: usize, seed: u64) -> Self {
         let mut this = Self {
             arrivals,
-            closed_loop: false,
             rng: SplitMix64::new(seed),
             pending: VecDeque::new(),
             issued: 0,
             total,
         };
         match arrivals {
-            Arrivals::Process(ArrivalProcess::ClosedLoop { clients, .. }) => {
-                this.closed_loop = true;
+            ArrivalProcess::ClosedLoop { clients, .. } => {
                 this.issued = clients.max(1).min(total);
                 this.pending.resize(this.issued, 0);
             }
-            _ => this.issue(0),
+            ArrivalProcess::Poisson { .. } => this.issue(0),
         }
         this
     }
@@ -104,11 +73,8 @@ impl Traffic {
     fn issue(&mut self, after_ns: u64) {
         if self.issued < self.total {
             self.pending.push_back(match self.arrivals {
-                Arrivals::Process(ArrivalProcess::ClosedLoop { think_ns, .. }) => {
-                    after_ns + think_ns
-                }
-                Arrivals::Process(process) => after_ns + process.next_gap_ns(&mut self.rng),
-                Arrivals::Curve(curve) => curve.next_arrival_after(after_ns, &mut self.rng),
+                ArrivalProcess::ClosedLoop { think_ns, .. } => after_ns + think_ns,
+                process => after_ns + process.next_gap_ns(&mut self.rng),
             });
             self.issued += 1;
         }
@@ -119,7 +85,7 @@ impl Traffic {
     fn pop_due(&mut self, now_ns: u64) -> Option<u64> {
         let at = self.pending.front().copied().filter(|&at| at <= now_ns)?;
         self.pending.pop_front();
-        if !self.closed_loop {
+        if let ArrivalProcess::Poisson { .. } = self.arrivals {
             self.issue(at);
         }
         Some(at)
@@ -127,7 +93,7 @@ impl Traffic {
 
     /// `n` queries completed (scored or shed) at `now_ns`.
     fn complete(&mut self, n: usize, now_ns: u64) {
-        if self.closed_loop {
+        if let ArrivalProcess::ClosedLoop { .. } = self.arrivals {
             (0..n).for_each(|_| self.issue(now_ns));
         }
     }
@@ -141,7 +107,7 @@ pub(crate) enum Source<'a> {
     Snapshots(SnapshotSlot<'a>),
 }
 
-/// The interleaved trainer (measured clock only): after every
+/// The interleaved trainer: after every
 /// `update_every` fired batches, one [`Trainer::step`] on the next batch
 /// from the source. Serving reads the model through `&` only, so the
 /// update trajectory is the offline trainer's.
@@ -236,11 +202,6 @@ pub(crate) struct SnapshotSlot<'a> {
     store: &'a SnapshotStore,
     held: Arc<ModelSnapshot>,
     staleness_bound: u64,
-    /// Republishes the head on this cadence of the lane clock.
-    cadence: Option<PublishCadence>,
-    next_publish_ns: u64,
-    last_publish_ns: u64,
-    publishes: u64,
     /// Every served batch, as engine `.0`, for offline replay.
     record: Option<(usize, &'a mut Vec<ServedBatchRecord>)>,
 }
@@ -249,29 +210,13 @@ impl<'a> SnapshotSlot<'a> {
     pub(crate) fn new(
         store: &'a SnapshotStore,
         staleness_bound: u64,
-        cadence: Option<PublishCadence>,
         record: Option<(usize, &'a mut Vec<ServedBatchRecord>)>,
     ) -> Self {
         Self {
             store,
             held: store.latest(),
             staleness_bound,
-            cadence,
-            next_publish_ns: cadence.map_or(u64::MAX, |c| c.next_fire_after(0)),
-            last_publish_ns: 0,
-            publishes: 0,
             record,
-        }
-    }
-
-    /// Applies due cadence republishes at their scheduled times, so model
-    /// age is exact even when the clock jumps a whole batch at once.
-    fn apply_publishes(&mut self, now_ns: u64) {
-        while let Some(cadence) = self.cadence.filter(|_| self.next_publish_ns <= now_ns) {
-            self.store.republish_head();
-            self.publishes += 1;
-            self.last_publish_ns = self.next_publish_ns;
-            self.next_publish_ns = cadence.next_fire_after(self.next_publish_ns);
         }
     }
 
@@ -285,22 +230,17 @@ impl<'a> SnapshotSlot<'a> {
 
 /// One admission queue, its arrivals, its model source, its accounting.
 pub(crate) struct Lane<'a> {
-    pub(crate) engine: &'a mut ServeEngine,
+    engine: &'a mut ServeEngine,
     workload: &'a mut QueryModel,
     source: Source<'a>,
     traffic: Traffic,
     queue: AdmissionQueue,
     shed_unmeetable: bool,
-    /// Rotates the workload's popularity once the clock reaches it.
-    pub(crate) shift: Option<PopularityShift>,
     /// The counters and histograms, accumulated in place.
     report: ServeReport,
     freshness: FreshnessLedger,
     /// The clock at the first fire.
     pub(crate) started_ns: Option<u64>,
-    /// Wall time inside `score_queued` (the service time only on the
-    /// measured clock).
-    pub(crate) measured_ns: u64,
     /// Reused buffers the fired batch and the shed queries drain into:
     /// no per-batch allocation once they reach their largest size.
     batch: Vec<QueuedQuery>,
@@ -308,35 +248,6 @@ pub(crate) struct Lane<'a> {
 }
 
 impl<'a> Lane<'a> {
-    pub(crate) fn new(
-        engine: &'a mut ServeEngine,
-        workload: &'a mut QueryModel,
-        source: Source<'a>,
-        traffic: Traffic,
-        policy: BatchPolicy,
-        sla_ns: u64,
-        shed_unmeetable: bool,
-    ) -> Self {
-        Self {
-            engine,
-            workload,
-            source,
-            traffic,
-            queue: AdmissionQueue::new(policy),
-            shed_unmeetable,
-            shift: None,
-            report: ServeReport {
-                sla_ns,
-                ..ServeReport::default()
-            },
-            freshness: FreshnessLedger::default(),
-            started_ns: None,
-            measured_ns: 0,
-            batch: Vec::new(),
-            shed_buf: Vec::new(),
-        }
-    }
-
     /// A lane shaped by a [`ServeConfig`].
     pub(crate) fn serving(
         engine: &'a mut ServeEngine,
@@ -344,13 +255,22 @@ impl<'a> Lane<'a> {
         source: Source<'a>,
         config: &ServeConfig,
     ) -> Self {
-        let traffic = Traffic::new(
-            Arrivals::Process(config.arrivals),
-            config.queries,
-            config.seed,
-        );
-        let (policy, sla_ns, shed) = (config.policy.clone(), config.sla_ns, config.shed_unmeetable);
-        Self::new(engine, workload, source, traffic, policy, sla_ns, shed)
+        Self {
+            engine,
+            workload,
+            source,
+            traffic: Traffic::new(config.arrivals, config.queries, config.seed),
+            queue: AdmissionQueue::new(config.policy.clone()),
+            shed_unmeetable: config.shed_unmeetable,
+            report: ServeReport {
+                sla_ns: config.sla_ns,
+                ..ServeReport::default()
+            },
+            freshness: FreshnessLedger::default(),
+            started_ns: None,
+            batch: Vec::new(),
+            shed_buf: Vec::new(),
+        }
     }
 
     /// Every query served or shed: a lane with nothing to serve is done
@@ -359,35 +279,42 @@ impl<'a> Lane<'a> {
         self.report.queries >= self.traffic.total as u64
     }
 
-    /// Runs this lane alone; returns the final clock.
-    pub(crate) fn run_alone(&mut self, clock: Clock) -> Result<u64, ServeError> {
-        let mut sched = WfqScheduler::new(&[1]);
-        run(std::slice::from_mut(self), &mut sched, clock)
-    }
-
-    /// Cadence republishes of a snapshot lane so far.
-    pub(crate) fn publishes(&self) -> u64 {
-        match &self.source {
-            Source::Snapshots(s) => s.publishes,
-            _ => 0,
+    /// Runs the lane until every query is served or shed; returns the
+    /// final clock. Each step admits what has arrived, sheds, and asks
+    /// the queue for a decision: fire a batch, or sleep until the next
+    /// arrival or batching deadline.
+    pub(crate) fn run(&mut self) -> Result<u64, ServeError> {
+        let mut now_ns = 0u64;
+        if self.done() {
+            return Ok(now_ns);
         }
-    }
-
-    /// Delivers what is due by `now_ns` — cadence publishes, the
-    /// popularity shift, arrivals — and reports whether the queue went
-    /// from idle to backlogged.
-    fn deliver(&mut self, now_ns: u64) -> bool {
-        if let Source::Snapshots(s) = &mut self.source {
-            s.apply_publishes(now_ns);
+        if let Source::Trainer(t) = &mut self.source {
+            t.restore_due(&mut now_ns, &mut self.report)?;
         }
-        if let Some(shift) = self.shift.take_if(|s| s.at_ns <= now_ns) {
-            self.workload.shift_popularity(shift.rotation);
+        while !self.done() {
+            while let Some(at) = self.traffic.pop_due(now_ns) {
+                self.queue.push(self.workload.draw(), at);
+            }
+            self.shed_expired(now_ns);
+            // "More arrivals": can a query still arrive before the next
+            // fire? Closed-loop arrivals are completion-driven: once no
+            // client is thinking, a policy waiting for a fuller batch
+            // would deadlock (Fixed { batch: 8 } with 2 clients).
+            let next_arrival = self.traffic.pending.front().copied();
+            let wake_ns = match self.queue.decide(now_ns, next_arrival.is_some()) {
+                Decision::Fire(n) => {
+                    self.fire(n, &mut now_ns)?;
+                    continue;
+                }
+                Decision::WaitUntil(t) => next_arrival.map_or(t, |at| at.min(t)),
+                Decision::Wait => match next_arrival {
+                    Some(at) => at,
+                    None => break, // nothing queued and nothing due: all done
+                },
+            };
+            now_ns = wake_ns.max(now_ns + 1);
         }
-        let was_idle = self.queue.is_empty();
-        while let Some(at) = self.traffic.pop_due(now_ns) {
-            self.queue.push(self.workload.draw(), at);
-        }
-        was_idle && !self.queue.is_empty()
+        Ok(now_ns)
     }
 
     /// Graceful degradation: sheds the queries that already cannot meet
@@ -406,9 +333,9 @@ impl<'a> Lane<'a> {
     }
 
     /// Fires the oldest `n` queries: scores them, advances the clock by
-    /// the service time, accounts them, runs the source's update slot.
-    /// Returns the service time, which the scheduler charges.
-    fn fire(&mut self, n: usize, now_ns: &mut u64, clock: Clock) -> Result<u64, ServeError> {
+    /// the wall time of scoring, accounts them, runs the source's update
+    /// slot.
+    fn fire(&mut self, n: usize, now_ns: &mut u64) -> Result<(), ServeError> {
         self.queue.take_into(n, &mut self.batch);
         self.started_ns.get_or_insert(*now_ns);
         let model = match &mut self.source {
@@ -418,7 +345,7 @@ impl<'a> Lane<'a> {
         };
         let t0 = Instant::now();
         let scored = self.engine.score_queued(model, &self.batch)?;
-        let wall_ns = elapsed_ns(t0);
+        let service_ns = elapsed_ns(t0);
         let samples = scored.num_samples() as u64;
         if let Source::Snapshots(SnapshotSlot {
             held,
@@ -434,12 +361,7 @@ impl<'a> Lane<'a> {
                 scores: scored.fused_logits().as_slice().to_vec(),
             });
         }
-        let service_ns = match clock {
-            Clock::Measured => wall_ns,
-            Clock::Modeled(cost) => cost.service_ns(samples),
-        };
         *now_ns += service_ns;
-        self.measured_ns += wall_ns;
         let r = &mut self.report;
         r.batches += 1;
         r.samples += samples;
@@ -466,15 +388,12 @@ impl<'a> Lane<'a> {
                 t.after_batch(now_ns, &mut self.report)?;
             }
             Source::Snapshots(s) => {
-                let age = match clock {
-                    Clock::Measured => s.held.age_ns(),
-                    Clock::Modeled(_) => now_ns.saturating_sub(s.last_publish_ns),
-                };
                 let behind = s.store.version().saturating_sub(s.held.version());
-                self.freshness.record(s.held.version(), behind, age);
+                self.freshness
+                    .record(s.held.version(), behind, s.held.age_ns());
             }
         }
-        Ok(service_ns)
+        Ok(())
     }
 
     /// The lane's [`ServeReport`], finished with the entry point's own
@@ -489,69 +408,6 @@ impl<'a> Lane<'a> {
     }
 }
 
-/// Runs `lanes` on one clock until every lane has served or shed its
-/// queries; returns the final clock. Each step delivers what is due,
-/// sheds, asks every queue for a decision, and fires *one* batch: the
-/// fireable lane with the least virtual time in `sched`.
-pub(crate) fn run(
-    lanes: &mut [Lane<'_>],
-    sched: &mut WfqScheduler,
-    clock: Clock,
-) -> Result<u64, ServeError> {
-    let mut now_ns = 0u64;
-    for lane in lanes.iter_mut().filter(|lane| !lane.done()) {
-        if let Source::Trainer(t) = &mut lane.source {
-            t.restore_due(&mut now_ns, &mut lane.report)?;
-        }
-    }
-    let mut fire: Vec<(usize, usize)> = Vec::new();
-    while !lanes.iter().all(Lane::done) {
-        for i in 0..lanes.len() {
-            if lanes[i].deliver(now_ns) {
-                // Idle-to-backlogged: catch up to the backlogged minimum
-                // so idle time never banks WFQ credit.
-                let floor = (0..lanes.len())
-                    .filter(|&j| j != i && !lanes[j].queue.is_empty())
-                    .map(|j| sched.vtime(j))
-                    .min();
-                if let Some(floor) = floor {
-                    sched.raise_to(i, floor);
-                }
-            }
-            lanes[i].shed_expired(now_ns);
-        }
-        fire.clear();
-        let mut next_event = u64::MAX;
-        for (i, lane) in lanes.iter().enumerate() {
-            // "More arrivals": can a query still arrive before the next
-            // fire? Closed-loop arrivals are completion-driven: once no
-            // client is thinking, a policy waiting for a fuller batch
-            // would deadlock (Fixed { batch: 8 } with 2 clients).
-            let next_arrival = lane.traffic.pending.front().copied();
-            match lane.queue.decide(now_ns, next_arrival.is_some()) {
-                Decision::Fire(n) => fire.push((i, n)),
-                Decision::WaitUntil(t) => next_event = next_event.min(t),
-                Decision::Wait => {}
-            }
-            next_event = next_event.min(next_arrival.unwrap_or(u64::MAX));
-        }
-        let Some(i) = sched.pick(fire.iter().map(|&(i, _)| i)) else {
-            if next_event == u64::MAX {
-                break; // nothing queued and nothing due: all done
-            }
-            now_ns = next_event.max(now_ns + 1);
-            continue;
-        };
-        let &(_, n) = fire
-            .iter()
-            .find(|&&(j, _)| j == i)
-            .expect("picked lane fires");
-        let service_ns = lanes[i].fire(n, &mut now_ns, clock)?;
-        sched.charge(i, service_ns);
-    }
-    Ok(now_ns)
-}
-
 /// A lane without a trainer can only fail to score.
 pub(crate) fn scoring_only(e: ServeError) -> EmbeddingError {
     match e {
@@ -562,70 +418,4 @@ pub(crate) fn scoring_only(e: ServeError) -> EmbeddingError {
 
 fn elapsed_ns(since: Instant) -> u64 {
     since.elapsed().as_nanos() as u64
-}
-
-#[cfg(test)]
-mod tests {
-    use super::*;
-    use crate::request::CandidateCount;
-    use tcast_dlrm::DlrmConfig;
-
-    fn workload() -> QueryModel {
-        let cfg = DlrmConfig::tiny();
-        let tables = cfg.table_workloads();
-        QueryModel::new(
-            &tables,
-            cfg.dense_features,
-            16,
-            CandidateCount::Fixed(2),
-            1.1,
-            8,
-        )
-    }
-
-    /// `serve`'s lane (Poisson, measured) and a one-tenant fleet's lane
-    /// (constant curve, modeled) fuse the same queries batch for batch,
-    /// in the workload's draw order.
-    #[test]
-    fn serve_and_a_fleet_of_one_fuse_the_same_batches() {
-        let model = Dlrm::new(DlrmConfig::tiny(), 61).unwrap();
-        let store = SnapshotStore::new(&model, 0, 2);
-        let fused = |arrivals: Arrivals, clock: Clock| {
-            let mut engine = ServeEngine::with_defaults(&model);
-            let mut wl = workload();
-            let mut recorded = Vec::new();
-            let slot = SnapshotSlot::new(&store, 0, None, Some((0, &mut recorded)));
-            let traffic = Traffic::new(arrivals, 37, 8);
-            let policy = BatchPolicy::Fixed { batch: 4 };
-            let source = Source::Snapshots(slot);
-            let mut lane = Lane::new(
-                &mut engine,
-                &mut wl,
-                source,
-                traffic,
-                policy,
-                50_000_000,
-                false,
-            );
-            lane.run_alone(clock).unwrap();
-            drop(lane);
-            recorded
-                .iter()
-                .map(|r| r.queries.iter().map(|q| q.id).collect::<Vec<u64>>())
-                .collect::<Vec<_>>()
-        };
-        let served = fused(
-            Arrivals::Process(ArrivalProcess::Poisson { mean_qps: 20_000.0 }),
-            Clock::Measured,
-        );
-        let fleet = fused(
-            Arrivals::Curve(RateCurve::Constant { qps: 20_000.0 }),
-            Clock::Modeled(PoolCostModel::default()),
-        );
-        assert_eq!(served.len(), 10, "nine 4-batches and a drain of 1");
-        assert_eq!(served, fleet);
-        let mut fresh = workload();
-        let drawn: Vec<u64> = (0..37).map(|_| fresh.draw().id).collect();
-        assert_eq!(served.concat(), drawn);
-    }
 }

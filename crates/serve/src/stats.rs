@@ -159,15 +159,6 @@ impl LatencyHistogram {
         self.min = self.min.min(other.min);
         self.max = self.max.max(other.max);
     }
-
-    /// Recorded values above `threshold_ns` — SLA-violation counting via
-    /// buckets would round; this needs exactness, so the caller counts
-    /// violations at record time. Provided here for bucket-level
-    /// estimates in reports.
-    pub fn estimated_above(&self, threshold_ns: u64) -> u64 {
-        let cut = Self::bucket_of(threshold_ns);
-        self.buckets[cut + 1..].iter().sum()
-    }
 }
 
 /// Aggregate result of one serving run.

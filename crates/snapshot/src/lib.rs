@@ -248,8 +248,8 @@ impl SnapshotStore {
 
     /// Re-publishes the current head's exact bytes as a new (monotonic)
     /// version and returns it. This is the heartbeat publish of a
-    /// trainer whose weights have not changed — or of a fleet simulation
-    /// standing in for one: readers observe a fresh version and a reset
+    /// trainer whose weights have not changed — or of a model standing in
+    /// for one: readers observe a fresh version and a reset
     /// model age, and every recycling/pinning invariant of a real
     /// publish holds (the head is pinned by `current` itself during the
     /// copy, so its buffer is never recycled mid-read).
@@ -268,63 +268,6 @@ impl SnapshotStore {
             .iter()
             .map(|s| s.version)
             .collect()
-    }
-
-    /// How many prior versions the store keeps resident.
-    pub fn retain(&self) -> usize {
-        self.inner.lock().expect("snapshot store poisoned").retain
-    }
-}
-
-/// A staggered periodic publish schedule on a simulated clock: fires at
-/// `phase_ns`, `phase_ns + every_ns`, `phase_ns + 2*every_ns`, ... Pure
-/// arithmetic (no clocks, no state), in the decision-function style of
-/// the serve plane's batchers — a fleet of tenants with the same
-/// `every_ns` but distinct phases publishes round-robin instead of in a
-/// thundering herd.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub struct PublishCadence {
-    every_ns: u64,
-    phase_ns: u64,
-}
-
-impl PublishCadence {
-    /// A cadence firing every `every_ns`, offset by `phase_ns` (reduced
-    /// modulo `every_ns`).
-    ///
-    /// # Panics
-    ///
-    /// Panics if `every_ns == 0`.
-    pub fn new(every_ns: u64, phase_ns: u64) -> Self {
-        assert!(every_ns > 0, "cadence period must be positive");
-        Self {
-            every_ns,
-            phase_ns: phase_ns % every_ns,
-        }
-    }
-
-    /// The publish period.
-    pub fn every_ns(&self) -> u64 {
-        self.every_ns
-    }
-
-    /// The stagger offset, in `[0, every_ns)`.
-    pub fn phase_ns(&self) -> u64 {
-        self.phase_ns
-    }
-
-    /// The earliest fire time (the phase itself).
-    pub fn first_fire_ns(&self) -> u64 {
-        self.phase_ns
-    }
-
-    /// The smallest fire time strictly greater than `now_ns`.
-    pub fn next_fire_after(&self, now_ns: u64) -> u64 {
-        if now_ns < self.phase_ns {
-            return self.phase_ns;
-        }
-        let k = (now_ns - self.phase_ns) / self.every_ns + 1;
-        self.phase_ns + k * self.every_ns
     }
 }
 
@@ -457,39 +400,6 @@ mod tests {
         assert_eq!(weight_bits(snap.model()), weight_bits(&m2));
         // The previous head landed in the retained ring as usual.
         assert_eq!(store.retained_versions(), vec![1, 2]);
-    }
-
-    #[test]
-    fn publish_cadence_fires_on_a_staggered_grid() {
-        let c = PublishCadence::new(100, 30);
-        assert_eq!(c.first_fire_ns(), 30);
-        assert_eq!(c.next_fire_after(0), 30);
-        assert_eq!(c.next_fire_after(29), 30);
-        assert_eq!(c.next_fire_after(30), 130, "strictly after");
-        assert_eq!(c.next_fire_after(129), 130);
-        assert_eq!(c.next_fire_after(1_000), 1_030);
-        // Phase reduces modulo the period; zero phase fires at 0 then
-        // every period.
-        assert_eq!(PublishCadence::new(100, 230).phase_ns(), 30);
-        let z = PublishCadence::new(100, 0);
-        assert_eq!(z.first_fire_ns(), 0);
-        assert_eq!(z.next_fire_after(0), 100);
-        // Two tenants, same period, different phases: their fire times
-        // interleave and never collide.
-        let a = PublishCadence::new(100, 0);
-        let b = PublishCadence::new(100, 50);
-        let (mut ta, mut tb) = (a.first_fire_ns(), b.first_fire_ns());
-        for _ in 0..20 {
-            assert_ne!(ta, tb);
-            ta = a.next_fire_after(ta);
-            tb = b.next_fire_after(tb);
-        }
-    }
-
-    #[test]
-    #[should_panic(expected = "period must be positive")]
-    fn zero_cadence_period_rejected() {
-        PublishCadence::new(0, 5);
     }
 
     #[test]

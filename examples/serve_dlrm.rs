@@ -13,16 +13,18 @@
 //! ```sh
 //! cargo run --release --example serve_dlrm
 //! ```
+//!
+//! The multi-tenant fleet model is a `repro` report:
+//! `cargo run --release -p tcast-repro -- fleet`.
 
 use tensor_casting::datasets::{PrefetchSource, SyntheticCtr, SyntheticSource};
 use tensor_casting::dlrm::{
     checkpoint::save_train_checkpoint, BackwardMode, DlrmConfig, TrainLoop, Trainer,
 };
 use tensor_casting::serve::{
-    run_fleet, serve, serve_concurrent, serve_online, AdaptiveBatcher, ArrivalProcess, BatchPolicy,
-    CandidateCount, ConcurrentConfig, FleetConfig, HotSwap, OnlineConfig, PoolCostModel,
-    PopularityShift, PublishCadence, QueryModel, RateCurve, RollbackDrill, ServeConfig,
-    ServeEngine, ServeReport, SnapshotStore, Tenant, TenantSpec,
+    serve, serve_concurrent, serve_online, AdaptiveBatcher, ArrivalProcess, BatchPolicy,
+    CandidateCount, ConcurrentConfig, HotSwap, OnlineConfig, QueryModel, RollbackDrill,
+    ServeConfig, ServeEngine, ServeReport, SnapshotStore,
 };
 use tensor_casting::tensor::Pool;
 
@@ -237,98 +239,6 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
     println!(
         "  (a batch served at version V is bit-identical to the offline trainer at V's \
          step count — see tests/concurrent_serving.rs)"
-    );
-
-    // 5. Multi-tenant fleet: two tenants — a steady one and one hit by
-    // a flash crowd mid-run — each with its own model, snapshot store,
-    // queue and SLA, sharing one pool under the virtual-time
-    // weighted-fair scheduler. Batches really score (real caches, real
-    // logits) while the clock advances by a deterministic cost model,
-    // so the whole scenario replays bit-identically.
-    println!("\nfleet mode (2 tenants, weighted-fair pool sharing, per-tenant SLAs):");
-    let steady = TenantSpec {
-        name: "steady".to_string(),
-        weight: 2,
-        queries: 200,
-        arrivals: RateCurve::Diurnal {
-            base_qps: 3_000.0,
-            amplitude: 0.5,
-            period_ns: 40_000_000,
-        },
-        policy: BatchPolicy::Deadline {
-            max_batch: 8,
-            max_wait_ns: 500_000,
-        },
-        sla_ns: 6_000_000,
-        shed_unmeetable: true,
-        seed: 41,
-        publish: Some(PublishCadence::new(10_000_000, 2_000_000)),
-        popularity_shift: None,
-    };
-    let bursty = TenantSpec {
-        name: "bursty".to_string(),
-        weight: 1,
-        queries: 400,
-        arrivals: RateCurve::FlashCrowd {
-            base_qps: 1_000.0,
-            spike_qps: 60_000.0,
-            start_ns: 5_000_000,
-            duration_ns: 10_000_000,
-        },
-        policy: BatchPolicy::Adaptive(AdaptiveBatcher::new(4_000_000, 16, 400_000)),
-        sla_ns: 4_000_000,
-        shed_unmeetable: true,
-        seed: 43,
-        publish: Some(PublishCadence::new(10_000_000, 7_000_000)),
-        popularity_shift: Some(PopularityShift {
-            at_ns: 10_000_000,
-            rotation: 48,
-        }),
-    };
-    let mut tenants: Vec<Tenant> = [steady, bursty]
-        .into_iter()
-        .map(|spec| {
-            let model = tensor_casting::dlrm::Dlrm::new(config.clone(), 100 + spec.weight)
-                .expect("valid tenant model");
-            let wl = workload(spec.seed);
-            Tenant::new(spec, &model, wl)
-        })
-        .collect();
-    let fleet = run_fleet(
-        &mut tenants,
-        &FleetConfig {
-            cost: PoolCostModel {
-                batch_overhead_ns: 50_000,
-                ns_per_sample: 25_000,
-            },
-            ..FleetConfig::default()
-        },
-    )?;
-    for t in &fleet.tenants {
-        println!(
-            "  tenant {:<7} w{}  {:>8.0} qps  p99 {:>6.2} ms  sla-viol {:>5.1}%  \
-             shed {:>5.1}%  pool share {:>5.1}%  {} snapshot publishes",
-            t.name,
-            t.weight,
-            t.serve.qps(),
-            t.serve.latency.p99_ns() as f64 / 1e6,
-            100.0 * t.serve.sla_violation_rate(),
-            100.0 * t.serve.shed_rate(),
-            100.0 * t.pool_share,
-            t.publishes,
-        );
-    }
-    println!(
-        "  fleet rollup: {} queries in {:.1} simulated ms, model age p99 {:.2} ms \
-         ({} shed fleet-wide)",
-        fleet.fleet.queries,
-        fleet.span_ns as f64 / 1e6,
-        fleet.freshness.p99_model_age_ns() as f64 / 1e6,
-        fleet.fleet.shed,
-    );
-    println!(
-        "  (pool-time shares, tails and shed counts replay bit-identically for these \
-         specs — see tests/fleet.rs)"
     );
     Ok(())
 }

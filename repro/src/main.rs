@@ -1,7 +1,8 @@
 //! `repro`: regenerates the paper's tables and figures from its hardware
-//! model (`tcast-dram`, `tcast-nmp`, `tcast-system`), one subcommand per
-//! report; `repro all` runs every report in order, in this process.
-//! `FAST=1` shrinks the sampled sweeps for a smoke pass.
+//! model (`tcast-dram`, `tcast-nmp`, `tcast-system`), plus the
+//! multi-tenant fleet model's report (`tcast_repro::fleet`), one
+//! subcommand per report; `repro all` runs every report in order, in this
+//! process. `FAST=1` shrinks the sampled sweeps for a smoke pass.
 //!
 //! ```text
 //! repro <report | all>
@@ -25,7 +26,7 @@ mod table1;
 mod table2;
 
 /// Every report, by subcommand name, in the order `repro all` runs them.
-const REPORTS: [(&str, fn()); 16] = [
+const REPORTS: [(&str, fn()); 17] = [
     ("table1", table1::run),
     ("table2", table2::run),
     ("fig04", fig04::run),
@@ -42,6 +43,7 @@ const REPORTS: [(&str, fn()); 16] = [
     ("calibration", calibration::run),
     ("sweep_link", sweep_link::run),
     ("pool_scaling", pool_scaling::run),
+    ("fleet", tcast_repro::fleet::run),
 ];
 
 fn main() {

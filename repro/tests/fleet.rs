@@ -1,4 +1,4 @@
-//! Cross-crate invariants of the multi-tenant serving fleet:
+//! Invariants of the multi-tenant fleet model:
 //!
 //! 1. **Determinism** — a fleet run is a pure function of its specs:
 //!    replaying the same tenants yields bit-identical reports (pool
@@ -7,20 +7,19 @@
 //!    shares converge to their weight ratio.
 //! 3. **Isolation** — a flash crowd on tenant A cannot destroy a quiet
 //!    tenant B's tail: B's p99 and shed rate stay near its solo run.
-//! 4. **One loop** — `serve` is a fleet of one tenant: the same catalog,
-//!    seed and `Fixed` policy fuse the same batches on either clock; and
-//!    the fleet replays the digest pinned before the loops were unified.
-//! 5. **Decision-function bounds** — the adaptive batcher's target
-//!    never escapes `[1, max_batch]` for arbitrary latency sequences
-//!    (proptest), and `FreshnessLedger::merge` equals the single-ledger
-//!    oracle over concatenated observations (proptest).
+//! 4. **Model meets live loop** — the live `serve` and a one-tenant fleet
+//!    fuse the same batches from the same catalog, seed and `Fixed`
+//!    policy; and the fleet replays the digest pinned before the serve
+//!    loops were unified.
 
-use proptest::prelude::*;
-use tensor_casting::dlrm::{Dlrm, DlrmConfig};
-use tensor_casting::serve::{
-    run_fleet, serve, AdaptiveBatcher, ArrivalProcess, BatchPolicy, CandidateCount, FleetConfig,
-    FleetReport, FreshnessLedger, PoolCostModel, PopularityShift, PublishCadence, QueryModel,
-    RateCurve, ServeConfig, ServeEngine, Tenant, TenantSpec,
+use tcast_dlrm::{Dlrm, DlrmConfig};
+use tcast_repro::fleet::{
+    run_fleet, FleetConfig, FleetReport, PoolCostModel, PopularityShift, PublishCadence, RateCurve,
+    Tenant, TenantSpec,
+};
+use tcast_serve::{
+    serve, AdaptiveBatcher, ArrivalProcess, BatchPolicy, CandidateCount, QueryModel, ServeConfig,
+    ServeEngine,
 };
 
 fn workload(seed: u64, catalog: usize) -> QueryModel {
@@ -188,11 +187,11 @@ fn fleet_replays_the_digest_pinned_before_the_one_loop() {
     );
 }
 
-/// The ROADMAP's acceptance test for the one loop: `serve` (Poisson
-/// arrivals, measured clock) and a one-tenant fleet (a constant rate
-/// curve, modeled clock; no shedding, cadence or shift) over the same
-/// catalog, seed and `Fixed` policy fuse the same batches — under
-/// `Fixed` the composition depends only on the draw order.
+/// A live-vs-model cross-check: the live `serve` (Poisson arrivals,
+/// measured clock) and a one-tenant fleet (a constant rate curve, the
+/// modeled clock; no shedding, cadence or shift) over the same catalog,
+/// seed and `Fixed` policy fuse the same batches — under `Fixed` the
+/// composition depends only on the draw order.
 #[test]
 fn serve_is_a_fleet_of_one() {
     let (queries, seed, policy) = (37, 8, BatchPolicy::Fixed { batch: 4 });
@@ -367,56 +366,4 @@ fn popularity_shift_churns_the_casting_cache() {
         steady_t.serve.cache_hit_rate,
         shifted_t.serve.cache_hit_rate
     );
-}
-
-proptest! {
-    #![proptest_config(ProptestConfig::with_cases(16))]
-
-    /// Satellite: the adaptive batcher's target is an enforced invariant
-    /// — any latency sequence keeps `target()` in `[1, max_batch]`.
-    #[test]
-    fn adaptive_batcher_target_stays_in_bounds(
-        sla_us in 1u64..10_000,
-        max_batch in 1usize..64,
-        latencies in collection::vec(0u64..100_000_000, 1..200),
-    ) {
-        let sla_ns = sla_us * 1_000;
-        let mut b = AdaptiveBatcher::new(sla_ns, max_batch, sla_ns / 4 + 1);
-        for lat in latencies {
-            b.observe(lat);
-            prop_assert!(
-                (1..=max_batch).contains(&b.target()),
-                "target {} escaped [1, {}]", b.target(), max_batch
-            );
-        }
-    }
-
-    /// Satellite: merged freshness ledgers report the same p99 model age
-    /// (and staleness stats) as one ledger fed the concatenation —
-    /// mirroring the `LatencyHistogram::merge` oracle.
-    #[test]
-    fn freshness_merge_equals_single_ledger_oracle(
-        left in collection::vec((1u64..50, 0u64..8, 1u64..100_000_000), 0..60),
-        right in collection::vec((1u64..50, 0u64..8, 1u64..100_000_000), 0..60),
-    ) {
-        let mut a = FreshnessLedger::default();
-        let mut b = FreshnessLedger::default();
-        let mut oracle = FreshnessLedger::default();
-        for &(v, s, age) in &left {
-            a.record(v, s, age);
-            oracle.record(v, s, age);
-        }
-        for &(v, s, age) in &right {
-            b.record(v, s, age);
-            oracle.record(v, s, age);
-        }
-        a.merge(&b);
-        prop_assert_eq!(a.batches(), oracle.batches());
-        prop_assert_eq!(a.p99_model_age_ns(), oracle.p99_model_age_ns());
-        prop_assert_eq!(a.max_staleness_versions(), oracle.max_staleness_versions());
-        prop_assert!(
-            (a.mean_staleness_versions() - oracle.mean_staleness_versions()).abs() < 1e-9
-        );
-        prop_assert_eq!(a.versions.len(), oracle.versions.len());
-    }
 }

@@ -9,6 +9,13 @@
 //! 3. **Online training is offline training** — interleaving serving
 //!    with casted update steps leaves the update trajectory bit-identical
 //!    to the offline `Trainer` fed the same batch stream.
+//! 4. **Decision-function bounds** — the adaptive batcher's target
+//!    never escapes `[1, max_batch]` for arbitrary latency sequences
+//!    (proptest), and `FreshnessLedger::merge` equals the single-ledger
+//!    oracle over concatenated observations (proptest).
+//! 5. **The engine is a trust boundary** — a query with a non-finite
+//!    dense feature or no candidates is a typed error naming the query,
+//!    never a plausible score.
 
 use proptest::prelude::*;
 use std::sync::Arc;
@@ -17,10 +24,12 @@ use tensor_casting::dlrm::{
     checkpoint::{load_checkpoint, save_checkpoint},
     BackwardMode, Dlrm, DlrmConfig, Execution, Trainer,
 };
+use tensor_casting::embedding::{EmbeddingError, IndexArray};
 use tensor_casting::serve::{
-    serve_online, ArrivalProcess, BatchPolicy, CandidateCount, OnlineConfig, Query, QueryModel,
-    ServeConfig, ServeEngine,
+    serve_online, AdaptiveBatcher, ArrivalProcess, BatchPolicy, CandidateCount, FreshnessLedger,
+    OnlineConfig, Query, QueryModel, ServeConfig, ServeEngine,
 };
+use tensor_casting::tensor::Matrix;
 
 fn workload(seed: u64, catalog: usize, max_candidates: usize) -> QueryModel {
     let cfg = DlrmConfig::tiny();
@@ -253,4 +262,115 @@ fn staleness_accounting_is_consistent() {
     assert!(online.max_staleness() < 3);
     assert_eq!(online.updates as usize, online.losses.len());
     assert_eq!(trainer.steps(), online.updates);
+}
+
+proptest! {
+    #![proptest_config(ProptestConfig::with_cases(16))]
+
+    /// Invariant 4: the adaptive batcher's target is an enforced
+    /// invariant — any latency sequence keeps `target()` in
+    /// `[1, max_batch]`.
+    #[test]
+    fn adaptive_batcher_target_stays_in_bounds(
+        sla_us in 1u64..10_000,
+        max_batch in 1usize..64,
+        latencies in collection::vec(0u64..100_000_000, 1..200),
+    ) {
+        let sla_ns = sla_us * 1_000;
+        let mut b = AdaptiveBatcher::new(sla_ns, max_batch, sla_ns / 4 + 1);
+        for lat in latencies {
+            b.observe(lat);
+            prop_assert!(
+                (1..=max_batch).contains(&b.target()),
+                "target {} escaped [1, {}]", b.target(), max_batch
+            );
+        }
+    }
+
+    /// Invariant 4: merged freshness ledgers report the same p99 model
+    /// age (and staleness stats) as one ledger fed the concatenation —
+    /// mirroring the `LatencyHistogram::merge` oracle.
+    #[test]
+    fn freshness_merge_equals_single_ledger_oracle(
+        left in collection::vec((1u64..50, 0u64..8, 1u64..100_000_000), 0..60),
+        right in collection::vec((1u64..50, 0u64..8, 1u64..100_000_000), 0..60),
+    ) {
+        let mut a = FreshnessLedger::default();
+        let mut b = FreshnessLedger::default();
+        let mut oracle = FreshnessLedger::default();
+        for &(v, s, age) in &left {
+            a.record(v, s, age);
+            oracle.record(v, s, age);
+        }
+        for &(v, s, age) in &right {
+            b.record(v, s, age);
+            oracle.record(v, s, age);
+        }
+        a.merge(&b);
+        prop_assert_eq!(a.batches(), oracle.batches());
+        prop_assert_eq!(a.p99_model_age_ns(), oracle.p99_model_age_ns());
+        prop_assert_eq!(a.max_staleness_versions(), oracle.max_staleness_versions());
+        prop_assert!(
+            (a.mean_staleness_versions() - oracle.mean_staleness_versions()).abs() < 1e-9
+        );
+        prop_assert_eq!(a.versions.len(), oracle.versions.len());
+    }
+}
+
+/// Expects scoring `batch` to fail with a typed error naming query `id`.
+fn assert_rejects(batch: &[Arc<Query>], id: u64, what: &str) {
+    let model = Dlrm::new(DlrmConfig::tiny(), 1).unwrap();
+    let mut engine = ServeEngine::with_defaults(&model);
+    match engine.score(&model, batch) {
+        Err(EmbeddingError::InvalidIndex(msg)) => {
+            assert!(msg.contains(&format!("query {id} ")), "{msg}");
+            assert!(msg.contains(what), "{msg}");
+        }
+        Err(e) => panic!("expected a rejection naming query {id}, got {e}"),
+        Ok(scored) => panic!(
+            "query {id} must be rejected, scored {:?}",
+            scored.fused_logits().as_slice()
+        ),
+    }
+    assert_eq!(engine.batches_scored(), 0, "nothing is scored");
+}
+
+/// Invariant 5: a non-finite dense feature is rejected, not scored.
+/// Before the check a NaN survived the bottom MLP's ReLU and the batch
+/// scored finite logits.
+#[test]
+fn a_non_finite_dense_feature_is_a_typed_error() {
+    let mut wl = workload(1, 8, 3);
+    let good = wl.draw();
+    for bad_value in [f32::NAN, f32::INFINITY, f32::NEG_INFINITY] {
+        let mut dense = good.dense.clone();
+        dense.as_mut_slice()[0] = bad_value;
+        let bad = Arc::new(Query {
+            id: 4242,
+            dense,
+            indices: Arc::clone(&good.indices),
+        });
+        assert_rejects(&[Arc::clone(&bad)], 4242, "non-finite dense feature");
+        assert_rejects(&[Arc::clone(&good), bad], 4242, "non-finite dense feature");
+    }
+}
+
+/// Invariant 5: a query with zero candidates is rejected, alone or mixed
+/// into a batch. Before the check it was accepted: a mixed batch scored
+/// only the other queries, and alone it was a 0-sample "batch".
+#[test]
+fn a_zero_candidate_query_is_a_typed_error() {
+    let cfg = DlrmConfig::tiny();
+    let mut wl = workload(2, 8, 3);
+    let good = wl.draw();
+    let empty = Arc::new(Query {
+        id: 77,
+        dense: Matrix::zeros(0, cfg.dense_features),
+        indices: (0..cfg.tables.len())
+            .map(|_| IndexArray::from_pairs(Vec::new(), Vec::new(), 0).unwrap())
+            .collect::<Vec<_>>()
+            .into(),
+    });
+    assert_rejects(&[Arc::clone(&empty)], 77, "no candidates");
+    assert_rejects(&[good, empty], 77, "no candidates");
 }
