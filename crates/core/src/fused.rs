@@ -9,8 +9,8 @@
 //! rows at a time and consumed while the block is still in cache, which
 //! saves one `U x D` write plus one `U x D` read of memory traffic. This
 //! is that further-fused variant — a natural *extension* of the paper's
-//! design (modelled by `tcast_system::ablation` in the `repro/`
-//! workspace) and what the trainer's casted mode runs.
+//! design (modelled by `tcast_repro::system::ablation` in the `repro/`
+//! package) and what the trainer's casted mode runs.
 
 use crate::casted_index::CastedIndexArray;
 use tcast_embedding::{

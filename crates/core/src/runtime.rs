@@ -222,17 +222,6 @@ impl CastingPipeline {
         self.in_flight.load(Ordering::Relaxed)
     }
 
-    /// The casting time the worker still has ahead of it, estimated as the
-    /// jobs in flight times the mean duration of the jobs cast so far
-    /// (zero until one has been). What a caller with work to hand a second
-    /// core asks first: a long backlog means the worker is using it.
-    pub fn backlog(&self) -> Duration {
-        match (self.in_flight(), self.stats.jobs_completed) {
-            (0, _) | (_, 0) => Duration::ZERO,
-            (jobs, done) => self.stats.casting_time.mul_f64(jobs as f64 / done as f64),
-        }
-    }
-
     /// Whether the worker thread has died (panicked); a dead pipeline fails
     /// every subsequent `submit`/`collect` with a panic instead of
     /// hanging. True from the first `submit` or `collect` that observed

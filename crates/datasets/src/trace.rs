@@ -126,16 +126,18 @@ pub fn read_trace(r: &mut impl Read) -> Result<Vec<IndexArray>, TraceError> {
     if version != VERSION {
         return Err(TraceError::Format(format!("unsupported version {version}")));
     }
-    let count = read_u32(r)?;
-    let mut out = Vec::with_capacity(count as usize);
+    // Counts come from the file: pre-allocate at most a bounded amount, so
+    // a hostile header fails as truncation instead of aborting the process.
+    let count = read_u32(r)? as usize;
+    let mut out = Vec::with_capacity(count.min(4096));
     for _ in 0..count {
         let outputs = read_u32(r)? as usize;
         let len = read_u32(r)? as usize;
-        let mut src = Vec::with_capacity(len);
+        let mut src = Vec::with_capacity(len.min(4096));
         for _ in 0..len {
             src.push(read_u32(r)?);
         }
-        let mut dst = Vec::with_capacity(len);
+        let mut dst = Vec::with_capacity(len.min(4096));
         for _ in 0..len {
             dst.push(read_u32(r)?);
         }
@@ -230,6 +232,24 @@ mod tests {
             read_trace(&mut buf.as_slice()),
             Err(TraceError::Format(m)) if m.contains("truncated")
         ));
+    }
+
+    #[test]
+    fn hostile_counts_are_truncation_not_an_abort() {
+        let header = |fields: &[u32]| {
+            let mut buf = MAGIC.to_vec();
+            for f in [VERSION].iter().chain(fields) {
+                buf.extend_from_slice(&f.to_le_bytes());
+            }
+            buf
+        };
+        // `u32::MAX` batches, then nothing; one batch of `u32::MAX` lookups.
+        for buf in [header(&[u32::MAX]), header(&[1, 1, u32::MAX])] {
+            assert!(matches!(
+                read_trace(&mut buf.as_slice()),
+                Err(TraceError::Format(m)) if m.contains("truncated")
+            ));
+        }
     }
 
     #[test]

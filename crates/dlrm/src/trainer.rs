@@ -330,38 +330,14 @@ fn update_tables<'env>(
     Ok(Instant::now())
 }
 
-/// A casting backlog ([`CastingPipeline::backlog`]) from which the casting
-/// worker counts as the owner of the second core for the coming dense
-/// phase: measured on the 2-vCPU host, GEMM bands that share a core with a
-/// casting job of several milliseconds finish no sooner than unsplit GEMMs
-/// and slow the cast and the scatter behind them, while a job of a few
-/// hundred microseconds is over before the first band is.
-///
-/// Set against the 8-9 ms comparison-sort cast. Re-measured on the repo
-/// benchmark's `train_embed` with the linear-time cast (2.7-2.9 ms a
-/// batch), the rule no longer pays: forcing the split read 29.6k / 28.9k /
-/// 23.4k / 22.8k samples/s against 27.6k / 26.7k / 21.4k / 22.6k with the
-/// rule kept (seeds 1-4, interleaved; the host's plateau moved between
-/// seeds 2 and 3), and in two traced pairs `bwd_dnn` 3.60 / 4.23 ms
-/// against 4.62 / 4.65, `fwd_dnn` 2.75 / 2.86 against 2.69 / 2.81, step
-/// p50 16.0 / 17.4 ms against 16.8 / 17.4.
-const CASTER_OWNS_CORE: Duration = Duration::from_millis(1);
-
 /// The [`Exec`] one dense phase runs under. With a caller's pool: that
-/// pool. Without one the phase is still a two-thread computation wherever
-/// the trainer has a second thread to give: when a GEMM of it `splits` and
-/// the casting worker is not busy on the other core, the lane (started
-/// here if need be) takes half of every such GEMM and the training thread,
-/// helping in the scope, the other half.
-fn dense_exec<'a>(
-    exec: Exec<'a>,
-    splits: bool,
-    pipeline: Option<&CastingPipeline>,
-    lane: &'a mut Option<Pool>,
-) -> Exec<'a> {
-    let caster_busy = || pipeline.is_some_and(|p| p.backlog() >= CASTER_OWNS_CORE);
+/// pool. Without one the phase is still a two-thread computation: when a
+/// GEMM of it `splits`, the lane (started here if need be) takes half of
+/// every such GEMM and the training thread, helping in the scope, the
+/// other half.
+fn dense_exec<'a>(exec: Exec<'a>, splits: bool, lane: &'a mut Option<Pool>) -> Exec<'a> {
     match exec {
-        Exec::Serial if splits && !caster_busy() => Exec::Pooled {
+        Exec::Serial if splits => Exec::Pooled {
             pool: lane.get_or_insert_with(|| Pool::new(1)),
             threads: 2,
         },
@@ -682,7 +658,7 @@ impl Trainer {
         // FWD (DNN) + loss.
         let t0 = Instant::now();
         let splits = self.model.dense_splits_at(batch.dense.rows());
-        let fwd_exec = dense_exec(exec, splits, self.pipeline.as_ref(), &mut self.lane);
+        let fwd_exec = dense_exec(exec, splits, &mut self.lane);
         self.model.dense_infer_into(
             &batch.dense,
             &mut self.scratch.dense,
@@ -699,7 +675,7 @@ impl Trainer {
 
         // BWD (DNN).
         let t0 = Instant::now();
-        let bwd_exec = dense_exec(exec, splits, self.pipeline.as_ref(), &mut self.lane);
+        let bwd_exec = dense_exec(exec, splits, &mut self.lane);
         if let (true, Some(plan), Some(pool)) = (splits, &self.fault, bwd_exec.pool()) {
             if plan.should_fail(DENSE_GEMM_FAULT_SITE) {
                 pool.poison_next_task();
@@ -1025,54 +1001,24 @@ mod tests {
 
     #[test]
     fn dense_phases_take_the_lane_only_when_it_pays_and_the_core_is_free() {
-        let splits_on_lane = |exec: Exec<'_>| matches!(exec, Exec::Pooled { threads: 2, .. });
         // Nothing to split: serial, and no lane is started for it.
         let mut lane = None;
         assert!(matches!(
-            dense_exec(Exec::Serial, false, None, &mut lane),
+            dense_exec(Exec::Serial, false, &mut lane),
             Exec::Serial
         ));
         assert!(lane.is_none());
         // A caller's pool is passed through as it is.
         let pool = Pool::new(3);
-        let pooled = dense_exec(Exec::pooled(&pool), true, None, &mut lane);
+        let pooled = dense_exec(Exec::pooled(&pool), true, &mut lane);
         assert_eq!(pooled.threads(), 3);
         assert!(lane.is_none());
-        // Baseline mode has no casting worker: the lane it is.
-        assert!(splits_on_lane(dense_exec(
-            Exec::Serial,
-            true,
-            None,
-            &mut lane
-        )));
-        assert!(lane.take().is_some());
-
-        // Casted mode: a job of 300k lookups takes the worker milliseconds,
-        // this thread microseconds to ask — while one is in flight the
-        // worker owns the other core, before and after it the lane does.
-        let mut rng = tcast_tensor::SplitMix64::new(5);
-        let samples: Vec<Vec<u32>> = (0..3_000)
-            .map(|_| (0..100).map(|_| rng.next_below(50_000) as u32).collect())
-            .collect();
-        let job: Arc<[IndexArray]> = vec![IndexArray::from_samples(&samples).unwrap()].into();
-        let mut pipeline = CastingPipeline::new();
-        let ticket = pipeline.submit(Arc::clone(&job));
-        pipeline.collect(ticket);
-        assert_eq!(pipeline.backlog(), Duration::ZERO);
-        let ticket = pipeline.submit(job);
-        assert!(pipeline.backlog() >= CASTER_OWNS_CORE);
+        // A split takes the lane.
         assert!(matches!(
-            dense_exec(Exec::Serial, true, Some(&pipeline), &mut lane),
-            Exec::Serial
+            dense_exec(Exec::Serial, true, &mut lane),
+            Exec::Pooled { threads: 2, .. }
         ));
-        assert!(lane.is_none());
-        pipeline.collect(ticket);
-        assert!(splits_on_lane(dense_exec(
-            Exec::Serial,
-            true,
-            Some(&pipeline),
-            &mut lane
-        )));
+        assert!(lane.is_some());
     }
 
     #[test]

@@ -8,8 +8,8 @@
 //! ```
 
 use tcast_datasets::DatasetPreset;
-use tcast_system::{
-    render_table, Calibration, CoalesceStats, DesignPoint, RmModel, SystemWorkload,
+use tcast_repro::system::{
+    render_table, Calibration, CoalesceStats, DesignPoint, SystemWorkload, RM1,
 };
 
 fn main() {
@@ -37,7 +37,7 @@ fn main() {
     let cal = Calibration::default();
     let mut rows = Vec::new();
     for preset in DatasetPreset::ALL {
-        let wl = SystemWorkload::build_with_dataset(RmModel::rm1(), 2048, 64, preset, 1);
+        let wl = SystemWorkload::build_with_dataset(RM1, 2048, 64, preset, 1);
         let base = DesignPoint::BaselineCpuGpu.evaluate(&wl, &cal);
         let ours_cpu = DesignPoint::OursCpu.evaluate(&wl, &cal);
         let ours_nmp = DesignPoint::OursNmp.evaluate(&wl, &cal);

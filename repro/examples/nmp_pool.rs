@@ -9,7 +9,7 @@
 use tcast_core::tensor_casting;
 use tcast_datasets::{DatasetPreset, TableWorkload};
 use tcast_embedding::{gather_reduce, EmbeddingTable};
-use tcast_nmp::{NmpPool, PoolConfig};
+use tcast_repro::nmp::{NmpPool, PoolConfig};
 use tcast_tensor::{Matrix, SplitMix64};
 
 fn main() -> Result<(), Box<dyn std::error::Error>> {

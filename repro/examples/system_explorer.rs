@@ -9,9 +9,9 @@
 //! ```
 
 use tcast_datasets::DatasetPreset;
-use tcast_system::{
+use tcast_repro::system::{
     build_timeline, energy_joules, render_table, render_timeline, Calibration, DesignPoint,
-    RmModel, SystemWorkload,
+    SystemWorkload, TABLE_II,
 };
 
 fn env(name: &str, default: &str) -> String {
@@ -19,12 +19,11 @@ fn env(name: &str, default: &str) -> String {
 }
 
 fn main() {
-    let model = match env("MODEL", "RM1").to_uppercase().as_str() {
-        "RM2" => RmModel::rm2(),
-        "RM3" => RmModel::rm3(),
-        "RM4" => RmModel::rm4(),
-        _ => RmModel::rm1(),
-    };
+    let name = env("MODEL", "RM1").to_uppercase();
+    let model = TABLE_II
+        .into_iter()
+        .find(|m| m.name == name)
+        .unwrap_or(TABLE_II[0]);
     let batch: usize = env("BATCH", "2048").parse().unwrap_or(2048);
     let dim: usize = env("DIM", "64").parse().unwrap_or(64);
     let dataset = match env("DATASET", "criteo").to_lowercase().as_str() {
@@ -39,7 +38,7 @@ fn main() {
     let wl = SystemWorkload::build_with_dataset(model, batch, dim, dataset, 42);
     println!(
         "workload: {} | batch {} | dim {} | {} locality | {} lookups/table, {} unique\n",
-        wl.model.name,
+        wl.name,
         wl.batch,
         wl.dim,
         wl.dataset.name(),
@@ -57,7 +56,7 @@ fn main() {
             format!("{:.3} ms", e.total_ns / 1e6),
             format!("{:.2}x", base.total_ns / e.total_ns),
             format!("{:.0}%", 100.0 * e.embedding_backward_fraction()),
-            if dp.devices().contains(&tcast_system::Device::Nmp) {
+            if dp.devices().contains(&tcast_repro::system::Device::Nmp) {
                 format!("{:.0}%", 100.0 * e.nmp_utilization())
             } else {
                 "-".into()

@@ -4,7 +4,9 @@
 //! extension.
 
 use tcast_bench::banner;
-use tcast_system::{ablation, render_table, Calibration, DesignPoint, RmModel, SystemWorkload};
+use tcast_repro::system::{
+    ablation, render_table, Calibration, DesignPoint, SystemWorkload, TABLE_II,
+};
 
 pub fn run() {
     let cal = Calibration::default();
@@ -14,8 +16,8 @@ pub fn run() {
         "Casting exposure: value of the Section IV-B overlap runtime",
     );
     let mut rows = Vec::new();
-    for model in RmModel::all() {
-        let wl = SystemWorkload::build(model.clone(), 2048, 64, 42);
+    for model in TABLE_II {
+        let wl = SystemWorkload::build(model, 2048, 64, 42);
         for dp in [DesignPoint::OursCpu, DesignPoint::OursNmp] {
             let e = ablation::casting_exposure(dp, &wl, &cal);
             rows.push(vec![
@@ -44,8 +46,8 @@ pub fn run() {
         "Optimizer state traffic added to the scatter (Adagrad/RMSprop: 8 B/elem)",
     );
     let mut rows = Vec::new();
-    for model in RmModel::all() {
-        let wl = SystemWorkload::build(model.clone(), 2048, 64, 42);
+    for model in TABLE_II {
+        let wl = SystemWorkload::build(model, 2048, 64, 42);
         for dp in [DesignPoint::BaselineCpuGpu, DesignPoint::OursNmp] {
             let base = dp.evaluate(&wl, &cal);
             let extra = ablation::optimizer_state_overhead_ns(dp, &wl, &cal, 8);
@@ -66,8 +68,8 @@ pub fn run() {
         "Fused backward extension: casted gather-reduce + scatter in one pass",
     );
     let mut rows = Vec::new();
-    for model in RmModel::all() {
-        let wl = SystemWorkload::build(model.clone(), 2048, 64, 42);
+    for model in TABLE_II {
+        let wl = SystemWorkload::build(model, 2048, 64, 42);
         let normal = DesignPoint::OursNmp.evaluate(&wl, &cal);
         let fused = ablation::fused_backward_evaluation(&wl, &cal);
         rows.push(vec![

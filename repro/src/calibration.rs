@@ -5,7 +5,7 @@
 //! methodology).
 
 use tcast_bench::{banner, fast_mode};
-use tcast_system::{render_table, Calibration};
+use tcast_repro::system::{render_table, Calibration};
 
 pub fn run() {
     banner(

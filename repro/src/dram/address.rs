@@ -5,7 +5,7 @@
 //! column — a first-order determinant of achievable bandwidth, so three
 //! canonical layouts are provided.
 
-use crate::config::DramConfig;
+use crate::dram::config::DramConfig;
 
 /// Block-id bit layout.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, Default)]
@@ -126,7 +126,7 @@ impl AddressMapping {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::config::DramConfig;
+    use crate::dram::config::DramConfig;
 
     fn cfg() -> DramConfig {
         DramConfig::ddr4_3200().with_channels(2)

@@ -8,12 +8,12 @@
 
 use std::collections::VecDeque;
 
-use crate::address::DecodedAddr;
-use crate::bank::RankState;
-use crate::config::{DramConfig, RowPolicy};
-use crate::request::{AccessType, Request};
-use crate::stats::MemoryStats;
-use crate::timing::TimingParams;
+use crate::dram::address::DecodedAddr;
+use crate::dram::bank::RankState;
+use crate::dram::config::{DramConfig, RowPolicy};
+use crate::dram::request::{AccessType, Request};
+use crate::dram::stats::MemoryStats;
+use crate::dram::timing::TimingParams;
 
 /// DRAM command classes (recorded in the optional trace).
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
@@ -380,7 +380,7 @@ impl Channel {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::address::AddressMapping;
+    use crate::dram::address::AddressMapping;
 
     fn mini_config() -> DramConfig {
         DramConfig::ddr4_3200()

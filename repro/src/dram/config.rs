@@ -1,7 +1,7 @@
 //! Memory-system configuration: geometry, mapping, scheduling policy.
 
-use crate::address::AddressMapping;
-use crate::timing::TimingParams;
+use crate::dram::address::AddressMapping;
+use crate::dram::timing::TimingParams;
 
 /// Row-buffer management policy.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
@@ -106,11 +106,6 @@ impl DramConfig {
             * self.columns
     }
 
-    /// Total capacity in bytes.
-    pub fn capacity_bytes(&self) -> u64 {
-        self.total_blocks() * 64
-    }
-
     /// Aggregate peak bandwidth in GB/s (all channels).
     pub fn peak_bandwidth_gbps(&self) -> f64 {
         let bytes_per_cycle = self.timing.peak_bytes_per_cycle() * self.channels as u64;
@@ -146,7 +141,7 @@ mod tests {
     fn capacity_accounting() {
         let c = DramConfig::ddr4_3200();
         // 1 ch x 1 rank x 16 banks x 65536 rows x 128 blocks x 64 B = 8 GiB.
-        assert_eq!(c.capacity_bytes(), 8 * (1 << 30));
+        assert_eq!(c.total_blocks() * 64, 8 * (1 << 30));
     }
 
     #[test]

@@ -18,12 +18,12 @@
 //! [`MemorySystem::run_trace`] measures the *effective bandwidth* of an
 //! address stream — the quantity Table I reports (">600 GB/s of the
 //! 819.2 GB/s peak") and the calibration input for the system-level cost
-//! model in `tcast-system`.
+//! model in `system`.
 //!
 //! # Example
 //!
 //! ```
-//! use tcast_dram::{DramConfig, MemorySystem, Request, streams};
+//! use tcast_repro::dram::{DramConfig, MemorySystem, Request, streams};
 //!
 //! let config = DramConfig::ddr4_3200(); // one channel: 25.6 GB/s peak
 //! let mut mem = MemorySystem::new(config.clone());

@@ -15,8 +15,8 @@
 //! hits vs misses, streaming vs gather), which is what the evaluation
 //! compares.
 
-use crate::config::DramConfig;
-use crate::stats::MemoryStats;
+use crate::dram::config::DramConfig;
+use crate::dram::stats::MemoryStats;
 
 /// Per-event energy parameters for one rank, in nanojoules.
 #[derive(Debug, Clone, Copy, PartialEq)]
@@ -96,11 +96,11 @@ pub fn dram_energy(stats: &MemoryStats, config: &DramConfig, p: &PowerParams) ->
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::streams;
-    use crate::system::MemorySystem;
-    use crate::AddressMapping;
+    use crate::dram::streams;
+    use crate::dram::system::MemorySystem;
+    use crate::dram::AddressMapping;
 
-    fn run(cfg: DramConfig, trace: Vec<crate::Request>) -> (MemoryStats, DramEnergy) {
+    fn run(cfg: DramConfig, trace: Vec<crate::dram::Request>) -> (MemoryStats, DramEnergy) {
         let mut mem = MemorySystem::new(cfg.clone());
         let stats = mem.run_trace(trace);
         let energy = dram_energy(&stats, &cfg, &PowerParams::default());

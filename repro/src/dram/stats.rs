@@ -1,6 +1,6 @@
 //! Aggregated memory-system statistics.
 
-use crate::config::DramConfig;
+use crate::dram::config::DramConfig;
 
 /// Counters accumulated while servicing a trace.
 #[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
@@ -51,14 +51,6 @@ impl MemoryStats {
         self.row_hits as f64 / total as f64
     }
 
-    /// Mean read latency in nanoseconds.
-    pub fn avg_read_latency_ns(&self, config: &DramConfig) -> f64 {
-        if self.reads == 0 {
-            return 0.0;
-        }
-        self.total_read_latency as f64 / self.reads as f64 * config.timing.tck_ps as f64 * 1e-3
-    }
-
     /// Merges another channel's counters into this one.
     pub fn merge(&mut self, other: &MemoryStats) {
         self.reads += other.reads;
@@ -106,7 +98,6 @@ mod tests {
         let s = MemoryStats::default();
         assert_eq!(s.effective_bandwidth_gbps(&cfg), 0.0);
         assert_eq!(s.row_hit_rate(), 0.0);
-        assert_eq!(s.avg_read_latency_ns(&cfg), 0.0);
     }
 
     #[test]

@@ -6,7 +6,7 @@
 //! `row_bytes/64` consecutive blocks per looked-up row, rows scattered —
 //! which is the pattern the NMP cores actually service.
 
-use crate::request::Request;
+use crate::dram::request::Request;
 
 /// `count` back-to-back sequential 64 B reads starting at block 0.
 pub fn sequential_reads(count: u64) -> Vec<Request> {

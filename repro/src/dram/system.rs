@@ -1,9 +1,9 @@
 //! The top-level memory system: channels + routing + the trace runner.
 
-use crate::channel::{Channel, Command};
-use crate::config::DramConfig;
-use crate::request::Request;
-use crate::stats::MemoryStats;
+use crate::dram::channel::{Channel, Command};
+use crate::dram::config::DramConfig;
+use crate::dram::request::Request;
+use crate::dram::stats::MemoryStats;
 
 /// A multi-channel memory system driven cycle by cycle.
 #[derive(Debug)]
@@ -109,9 +109,9 @@ impl MemorySystem {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::address::AddressMapping;
-    use crate::config::RowPolicy;
-    use crate::streams;
+    use crate::dram::address::AddressMapping;
+    use crate::dram::config::RowPolicy;
+    use crate::dram::streams;
 
     #[test]
     fn sequential_reads_approach_peak_bandwidth() {

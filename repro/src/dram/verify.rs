@@ -1,13 +1,13 @@
 //! Command-trace verification: checks that a recorded command stream
 //! obeys the DDR4 timing protocol.
 //!
-//! The scheduler in [`crate::MemorySystem`] *should* never emit an
+//! The scheduler in [`crate::dram::MemorySystem`] *should* never emit an
 //! illegal command sequence; this module is the independent referee that
 //! proves it, command by command, from the trace alone. The workspace
 //! property tests feed it traces from randomized request streams.
 
-use crate::channel::{Command, CommandKind};
-use crate::timing::TimingParams;
+use crate::dram::channel::{Command, CommandKind};
+use crate::dram::timing::TimingParams;
 use std::collections::VecDeque;
 
 /// A protocol violation found in a command trace.

@@ -3,8 +3,10 @@
 //! with total latency normalized to each model's fastest configuration.
 
 use tcast_bench::banner;
-use tcast_system::sweeps::grid_label;
-use tcast_system::{render_table, Calibration, DesignPoint, PhaseKind, RmModel, SystemWorkload};
+use tcast_repro::system::sweeps::grid_label;
+use tcast_repro::system::{
+    render_table, Calibration, DesignPoint, PhaseKind, SystemWorkload, TABLE_II,
+};
 
 pub fn run() {
     banner(
@@ -26,15 +28,15 @@ pub fn run() {
     headers.push("emb-bwd %");
     headers.push("latency (norm)");
 
-    for model in RmModel::all() {
+    for model in TABLE_II {
         // Normalize to the model's fastest configuration (the paper uses
         // CPU-GPU b1024).
         let fastest = DesignPoint::BaselineCpuGpu
-            .evaluate(&SystemWorkload::build(model.clone(), 1024, 64, 42), &cal)
+            .evaluate(&SystemWorkload::build(model, 1024, 64, 42), &cal)
             .total_ns;
         let mut rows = Vec::new();
         for batch in [1024usize, 2048, 4096] {
-            let wl = SystemWorkload::build(model.clone(), batch, 64, 42);
+            let wl = SystemWorkload::build(model, batch, 64, 42);
             for dp in [DesignPoint::CpuOnly, DesignPoint::BaselineCpuGpu] {
                 let e = dp.evaluate(&wl, &cal);
                 let total = e.serial_sum_ns();

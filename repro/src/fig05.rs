@@ -6,7 +6,7 @@
 
 use tcast_bench::{banner, fast_mode};
 use tcast_datasets::DatasetPreset;
-use tcast_system::{render_table, CoalesceStats, LookupHistogram};
+use tcast_repro::system::{render_table, CoalesceStats, LookupHistogram};
 use tcast_tensor::SplitMix64;
 
 pub fn run() {

@@ -5,8 +5,8 @@
 
 use tcast_bench::{banner, fast_mode};
 use tcast_datasets::DatasetPreset;
-use tcast_system::traffic::{self, WorkloadShape};
-use tcast_system::{render_table, CoalesceStats};
+use tcast_repro::system::traffic::{self, WorkloadShape};
+use tcast_repro::system::{render_table, CoalesceStats};
 
 pub fn run() {
     banner(

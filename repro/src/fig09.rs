@@ -3,14 +3,14 @@
 //! casting stage hidden under forward propagation.
 
 use tcast_bench::banner;
-use tcast_system::{
-    build_timeline, render_timeline, Calibration, DesignPoint, RmModel, SystemWorkload,
+use tcast_repro::system::{
+    build_timeline, render_timeline, Calibration, DesignPoint, SystemWorkload, RM2,
 };
 
 pub fn run() {
     banner("Fig. 9", "Execution timelines (RM2, batch 2048)");
     let cal = Calibration::default();
-    let wl = SystemWorkload::build(RmModel::rm2(), 2048, 64, 42);
+    let wl = SystemWorkload::build(RM2, 2048, 64, 42);
     for dp in [
         DesignPoint::BaselineCpuGpu,
         DesignPoint::OursCpu,

@@ -3,8 +3,8 @@
 //! expand-coalesce operator alone (the paper's right axis: 1.1-9.5x).
 
 use tcast_bench::banner;
-use tcast_system::sweeps::{grid_label, workload_grid, DEFAULT_BATCHES};
-use tcast_system::{render_table, Calibration, DesignPoint, PhaseKind};
+use tcast_repro::system::sweeps::{grid_label, workload_grid, DEFAULT_BATCHES};
+use tcast_repro::system::{render_table, Calibration, DesignPoint, PhaseKind};
 
 pub fn run() {
     banner(

@@ -2,8 +2,8 @@
 //! Baseline(CPU), RM1-4 x batch 1024-8192.
 
 use tcast_bench::banner;
-use tcast_system::sweeps::{grid_label, speedup, workload_grid, DEFAULT_BATCHES};
-use tcast_system::{geometric_mean, render_table, Calibration, DesignPoint};
+use tcast_repro::system::sweeps::{grid_label, speedup, workload_grid, DEFAULT_BATCHES};
+use tcast_repro::system::{geometric_mean, render_table, Calibration, DesignPoint};
 
 pub fn run() {
     banner("Fig. 13", "End-to-end speedup over Baseline(CPU)");

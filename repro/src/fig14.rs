@@ -2,8 +2,8 @@
 //! normalized to Baseline(CPU).
 
 use tcast_bench::banner;
-use tcast_system::sweeps::{grid_label, workload_grid, DEFAULT_BATCHES};
-use tcast_system::{energy_joules, render_table, Calibration, DesignPoint};
+use tcast_repro::system::sweeps::{grid_label, workload_grid, DEFAULT_BATCHES};
+use tcast_repro::system::{energy_joules, render_table, Calibration, DesignPoint};
 
 pub fn run() {
     banner(

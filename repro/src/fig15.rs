@@ -3,8 +3,8 @@
 //! (Ours(NMP)).
 
 use tcast_bench::banner;
-use tcast_system::sweeps::{grid_label, workload_grid, DEFAULT_BATCHES};
-use tcast_system::{render_table, Calibration, DesignPoint};
+use tcast_repro::system::sweeps::{grid_label, workload_grid, DEFAULT_BATCHES};
+use tcast_repro::system::{render_table, Calibration, DesignPoint};
 
 pub fn run() {
     banner(
@@ -27,7 +27,7 @@ pub fn run() {
             format!("{:.1}%", 100.0 * tc),
         ]);
         td_sum = (td_sum.0 + td, td_sum.1 + 1);
-        if wl.model.embedding_intensive {
+        if wl.embedding_intensive {
             tc_emb = (tc_emb.0 + tc, tc_emb.1 + 1);
         } else {
             tc_mlp = (tc_mlp.0 + tc, tc_mlp.1 + 1);

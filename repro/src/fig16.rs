@@ -3,17 +3,17 @@
 //! MLPerf-style recommendation training).
 
 use tcast_bench::banner;
-use tcast_system::sweeps::{batch_sweep, LARGE_BATCHES};
-use tcast_system::{render_table, Calibration, DesignPoint, RmModel};
+use tcast_repro::system::sweeps::{batch_sweep, LARGE_BATCHES};
+use tcast_repro::system::{render_table, Calibration, DesignPoint, TABLE_II};
 
 pub fn run() {
     banner("Fig. 16", "Sensitivity to training batch size (b8K-32K)");
     let cal = Calibration::default();
     let mut rows = Vec::new();
     let mut max_speedup = 0.0f64;
-    for model in RmModel::all() {
-        let cpu = batch_sweep(&model, &LARGE_BATCHES, DesignPoint::OursCpu, &cal);
-        let nmp = batch_sweep(&model, &LARGE_BATCHES, DesignPoint::OursNmp, &cal);
+    for model in TABLE_II {
+        let cpu = batch_sweep(model, &LARGE_BATCHES, DesignPoint::OursCpu, &cal);
+        let nmp = batch_sweep(model, &LARGE_BATCHES, DesignPoint::OursNmp, &cal);
         for ((batch, cpu), (_, nmp)) in cpu.points.iter().zip(&nmp.points) {
             max_speedup = max_speedup.max(*nmp);
             rows.push(vec![

@@ -2,8 +2,8 @@
 //! (32/128/256 alongside the default 64).
 
 use tcast_bench::banner;
-use tcast_system::sweeps::{dim_sweep, DIM_SWEEP};
-use tcast_system::{render_table, Calibration, DesignPoint, RmModel};
+use tcast_repro::system::sweeps::{dim_sweep, DIM_SWEEP};
+use tcast_repro::system::{render_table, Calibration, DesignPoint, TABLE_II};
 
 pub fn run() {
     banner(
@@ -12,9 +12,9 @@ pub fn run() {
     );
     let cal = Calibration::default();
     let mut rows = Vec::new();
-    for model in RmModel::all() {
-        let cpu = dim_sweep(&model, &DIM_SWEEP, DesignPoint::OursCpu, &cal);
-        let nmp = dim_sweep(&model, &DIM_SWEEP, DesignPoint::OursNmp, &cal);
+    for model in TABLE_II {
+        let cpu = dim_sweep(model, &DIM_SWEEP, DesignPoint::OursCpu, &cal);
+        let nmp = dim_sweep(model, &DIM_SWEEP, DesignPoint::OursNmp, &cal);
         for ((dim, cpu), (_, nmp)) in cpu.points.iter().zip(&nmp.points) {
             rows.push(vec![
                 format!("{} {dim}", model.name),

@@ -1,5 +1,9 @@
-//! `tcast-repro`'s library: models that drive the live crates through
-//! their public API and that nothing live depends on. The `repro` binary
-//! prints them as reports next to the paper's hardware model.
+//! `tcast-repro`'s library: the paper's hardware model (`dram`, `nmp`,
+//! `system`) and the multi-tenant serving fleet model (`fleet`). It drives
+//! the live crates through their public API, and nothing live depends on
+//! it. The `repro` binary prints its reports.
 
+pub mod dram;
 pub mod fleet;
+pub mod nmp;
+pub mod system;

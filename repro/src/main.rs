@@ -1,8 +1,8 @@
 //! `repro`: regenerates the paper's tables and figures from its hardware
-//! model (`tcast-dram`, `tcast-nmp`, `tcast-system`), plus the
-//! multi-tenant fleet model's report (`tcast_repro::fleet`), one
-//! subcommand per report; `repro all` runs every report in order, in this
-//! process. `FAST=1` shrinks the sampled sweeps for a smoke pass.
+//! model (`tcast_repro::{dram, nmp, system}`), plus the multi-tenant fleet
+//! model's report (`tcast_repro::fleet`), one subcommand per report;
+//! `repro all` runs every report in order, in this process. `FAST=1`
+//! shrinks the sampled sweeps for a smoke pass.
 //!
 //! ```text
 //! repro <report | all>

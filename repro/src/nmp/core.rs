@@ -9,12 +9,12 @@
 //!   so results are bit-checkable against the host kernels; and
 //! * **temporal** — each instruction is compiled into its 64 B DRAM
 //!   command stream (gather reads, output-drain writes, RMW updates) and
-//!   replayed on the cycle-level `tcast-dram` simulator; the vector ALU
+//!   replayed on the cycle-level `dram` simulator; the vector ALU
 //!   (16 f32 lanes, clocked with the memory bus) is modelled as a
 //!   throughput bound overlapped with the DRAM stream.
 
-use crate::isa::NmpInstruction;
-use tcast_dram::{streams, DramConfig, MemorySystem, Request};
+use crate::dram::{streams, DramConfig, MemorySystem, Request};
+use crate::nmp::isa::NmpInstruction;
 use tcast_embedding::EmbeddingError;
 
 /// Execution report for one instruction on one core.
@@ -300,7 +300,7 @@ impl NmpCore {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use tcast_dram::{AddressMapping, DramConfig};
+    use crate::dram::{AddressMapping, DramConfig};
 
     fn core() -> NmpCore {
         let mut cfg = DramConfig::ddr4_3200().with_mapping(AddressMapping::ColumnFirst);

@@ -10,7 +10,7 @@
 //!   and a local memory controller, modelled functionally (it computes
 //!   real results over real `f32` data) *and* temporally (every
 //!   instruction is compiled to a 64 B DRAM command stream and timed on
-//!   the cycle-level `tcast-dram` simulator).
+//!   the cycle-level `dram` simulator).
 //! * [`NmpPool`] — the disaggregated node: N NMP channels
 //!   (dual-rank DDR4-3200 LRDIMMs, 25.6 GB/s each; 32 channels =
 //!   819.2 GB/s aggregate, Table I). Embedding tables are *sliced
@@ -29,7 +29,7 @@
 //! # Example
 //!
 //! ```
-//! use tcast_nmp::{NmpPool, PoolConfig};
+//! use tcast_repro::nmp::{NmpPool, PoolConfig};
 //! use tcast_embedding::{EmbeddingTable, IndexArray, gather_reduce};
 //!
 //! # fn main() -> Result<(), tcast_embedding::EmbeddingError> {
@@ -52,7 +52,7 @@ mod link;
 mod pool;
 mod utilization;
 
-pub use crate::core::{CoreExec, NmpCore, SLICE_BYTES, SLICE_FLOATS};
+pub use self::core::{CoreExec, NmpCore, SLICE_BYTES, SLICE_FLOATS};
 pub use isa::NmpInstruction;
 pub use link::LinkModel;
 pub use pool::{NmpPool, PoolConfig, PoolExec, TableHandle};

@@ -10,10 +10,10 @@
 //! number of ranks". Different tables round-robin across channel groups,
 //! activating the whole pool when a model has many tables.
 
-use crate::core::{NmpCore, SLICE_FLOATS};
-use crate::isa::NmpInstruction;
+use crate::dram::{AddressMapping, DramConfig};
+use crate::nmp::core::{NmpCore, SLICE_FLOATS};
+use crate::nmp::isa::NmpInstruction;
 use tcast_core::CastedIndexArray;
-use tcast_dram::{AddressMapping, DramConfig};
 use tcast_embedding::{CoalescedGradients, EmbeddingError, EmbeddingTable, IndexArray};
 use tcast_tensor::Matrix;
 
@@ -29,15 +29,6 @@ pub struct PoolConfig {
 }
 
 impl PoolConfig {
-    /// The paper's Table I configuration: 32 channels x 25.6 GB/s =
-    /// 819.2 GB/s aggregate peak.
-    pub fn table_i() -> Self {
-        Self {
-            channels: 32,
-            channel: Self::default_channel(),
-        }
-    }
-
     /// A small pool for unit tests and examples.
     pub fn small(channels: usize) -> Self {
         Self {
@@ -377,55 +368,6 @@ impl NmpPool {
         Ok((coalesced, exec))
     }
 
-    /// Executes gather-reduce over *many* tables, modelling table-level
-    /// parallelism: tables whose channel groups are disjoint run
-    /// concurrently, so the reported wall time is the longest per-channel
-    /// accumulation rather than the sum of per-table times. This is how a
-    /// 40-table model (RM2) keeps all 32 ranks of the Table I pool busy.
-    ///
-    /// Returns per-table pooled outputs and the combined timing.
-    ///
-    /// # Errors
-    ///
-    /// Returns [`EmbeddingError::LengthMismatch`] when `indices` and
-    /// `handles` differ in length, and propagates per-table errors.
-    pub fn gather_reduce_many(
-        &mut self,
-        handles: &[TableHandle],
-        indices: &[IndexArray],
-    ) -> Result<(Vec<Matrix>, PoolExec), EmbeddingError> {
-        if handles.len() != indices.len() {
-            return Err(EmbeddingError::LengthMismatch {
-                expected: handles.len(),
-                found: indices.len(),
-            });
-        }
-        let mut outputs = Vec::with_capacity(handles.len());
-        // Wall time: channels process their tables' work serially, tables
-        // on different channels overlap. Accumulate busy time per channel
-        // and take the maximum.
-        let mut channel_ns = vec![0.0f64; self.config.channels];
-        let mut total_bytes = 0u64;
-        let mut used: std::collections::HashSet<usize> = std::collections::HashSet::new();
-        for (&h, idx) in handles.iter().zip(indices) {
-            let members = self.pooled(h)?.members.clone();
-            let (out, exec) = self.gather_reduce(h, idx)?;
-            outputs.push(out);
-            for &ch in &members {
-                channel_ns[ch] += exec.nanoseconds;
-                used.insert(ch);
-            }
-            total_bytes += exec.dram_bytes;
-        }
-        let exec = PoolExec {
-            nanoseconds: channel_ns.iter().copied().fold(0.0, f64::max),
-            cycles: 0,
-            dram_bytes: total_bytes,
-            channels_used: used.len(),
-        };
-        Ok((outputs, exec))
-    }
-
     fn grad_staging_tables(
         &mut self,
         handle: TableHandle,
@@ -607,63 +549,6 @@ mod tests {
     }
 
     #[test]
-    fn many_tables_overlap_across_groups() {
-        // Two dim-16 tables on a 2-channel pool occupy disjoint channels:
-        // running them "many" takes about as long as the slower one, not
-        // the sum.
-        let mut pool = NmpPool::new(PoolConfig::small(2));
-        let t = EmbeddingTable::seeded(2000, 16, 1);
-        let h0 = pool.load_table(&t).unwrap();
-        let h1 = pool.load_table(&t).unwrap();
-        let mut rng = SplitMix64::new(4);
-        let samples: Vec<Vec<u32>> = (0..64)
-            .map(|_| (0..4).map(|_| rng.next_below(2000) as u32).collect())
-            .collect();
-        let idx = IndexArray::from_samples(&samples).unwrap();
-
-        let (_, solo) = pool.gather_reduce(h0, &idx).unwrap();
-        let (outs, both) = pool
-            .gather_reduce_many(&[h0, h1], &[idx.clone(), idx.clone()])
-            .unwrap();
-        assert_eq!(outs.len(), 2);
-        assert_eq!(both.channels_used, 2);
-        assert!(
-            both.nanoseconds < 1.5 * solo.nanoseconds,
-            "disjoint groups must overlap: {} vs {}",
-            both.nanoseconds,
-            solo.nanoseconds
-        );
-    }
-
-    #[test]
-    fn many_tables_on_one_group_serialize() {
-        // Two tables forced onto the SAME single channel serialize.
-        let mut pool = NmpPool::new(PoolConfig::small(1));
-        let t = EmbeddingTable::seeded(2000, 16, 1);
-        let h0 = pool.load_table(&t).unwrap();
-        let h1 = pool.load_table(&t).unwrap();
-        let mut rng = SplitMix64::new(4);
-        let samples: Vec<Vec<u32>> = (0..64)
-            .map(|_| (0..4).map(|_| rng.next_below(2000) as u32).collect())
-            .collect();
-        let idx = IndexArray::from_samples(&samples).unwrap();
-        let (_, solo) = pool.gather_reduce(h0, &idx).unwrap();
-        let (_, both) = pool
-            .gather_reduce_many(&[h0, h1], &[idx.clone(), idx.clone()])
-            .unwrap();
-        assert!(both.nanoseconds > 1.7 * solo.nanoseconds);
-    }
-
-    #[test]
-    fn gather_reduce_many_validates_lengths() {
-        let mut pool = NmpPool::new(PoolConfig::small(2));
-        let t = EmbeddingTable::seeded(100, 16, 1);
-        let h = pool.load_table(&t).unwrap();
-        let idx = IndexArray::from_samples(&[vec![0]]).unwrap();
-        assert!(pool.gather_reduce_many(&[h], &[idx.clone(), idx]).is_err());
-    }
-
-    #[test]
     fn pool_exec_composition() {
         let a = PoolExec {
             nanoseconds: 10.0,
@@ -692,7 +577,8 @@ mod tests {
 
     #[test]
     fn table_i_peak_bandwidth() {
-        let cfg = PoolConfig::table_i();
+        // Table I: 32 channels x 25.6 GB/s = 819.2 GB/s aggregate peak.
+        let cfg = PoolConfig::small(32);
         assert!((cfg.peak_bandwidth_gbps() - 819.2).abs() < 1.0);
     }
 }

@@ -1,14 +1,14 @@
 //! NMP utilization accounting (Fig. 15): how much of a training
 //! iteration the pool actually spends executing.
 //!
-//! The pool's per-operation [`crate::PoolExec`] reports feed a tracker
+//! The pool's per-operation [`crate::nmp::PoolExec`] reports feed a tracker
 //! that accumulates busy time against a wall-clock window supplied by the
 //! caller (who knows the non-NMP phase durations — DNN, transfers,
 //! exposed casting). The workspace test `utilization_bottom_up.rs`
 //! rebuilds Fig. 15 this way and checks it against the analytic system
 //! model.
 
-use crate::pool::PoolExec;
+use crate::nmp::pool::PoolExec;
 
 /// Accumulates NMP busy time over a measurement window.
 #[derive(Debug, Clone, Copy, Default, PartialEq)]
@@ -36,21 +36,9 @@ impl UtilizationTracker {
         self.window_ns += ns;
     }
 
-    /// Records pool work fully overlapped with an equally long non-pool
-    /// phase (contributes busy time but no extra wall time beyond `ns`).
-    pub fn record_overlapped(&mut self, busy_ns: f64, wall_ns: f64) {
-        self.busy_ns += busy_ns;
-        self.window_ns += wall_ns.max(busy_ns);
-    }
-
     /// Total busy nanoseconds.
     pub fn busy_ns(&self) -> f64 {
         self.busy_ns
-    }
-
-    /// Total window nanoseconds.
-    pub fn window_ns(&self) -> f64 {
-        self.window_ns
     }
 
     /// Busy fraction in `[0, 1]`; 0 for an empty window.
@@ -96,19 +84,5 @@ mod tests {
         t.record_pool_op(&op(30.0));
         t.record_idle(70.0);
         assert!((t.utilization() - 0.3).abs() < 1e-12);
-    }
-
-    #[test]
-    fn overlap_counts_busy_without_double_wall_time() {
-        let mut t = UtilizationTracker::new();
-        // 40 ns of pool work hidden under a 100 ns DNN phase.
-        t.record_overlapped(40.0, 100.0);
-        assert_eq!(t.window_ns(), 100.0);
-        assert!((t.utilization() - 0.4).abs() < 1e-12);
-        // Overlap longer than the cover: wall extends to the busy time.
-        let mut t = UtilizationTracker::new();
-        t.record_overlapped(100.0, 60.0);
-        assert_eq!(t.window_ns(), 100.0);
-        assert!((t.utilization() - 1.0).abs() < 1e-12);
     }
 }

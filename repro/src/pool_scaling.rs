@@ -3,7 +3,7 @@
 //! design knob behind Table I's choice of 32.
 
 use tcast_bench::banner;
-use tcast_system::{render_table, sweeps, Calibration, RmModel};
+use tcast_repro::system::{render_table, sweeps, Calibration, TABLE_II};
 
 pub fn run() {
     banner(
@@ -13,8 +13,8 @@ pub fn run() {
     let cal = Calibration::default();
     let ranks = [4usize, 8, 16, 32, 64, 128];
     let mut rows = Vec::new();
-    for model in RmModel::all() {
-        let series = sweeps::rank_sweep(&model, &ranks, &cal);
+    for model in TABLE_II {
+        let series = sweeps::rank_sweep(model, &ranks, &cal);
         let mut row = vec![model.name.to_string()];
         for (_, v) in &series.points {
             row.push(format!("{v:.2}x"));

@@ -5,7 +5,7 @@
 //! underlying data.
 
 use tcast_bench::banner;
-use tcast_system::{render_table, sweeps, Calibration, RmModel};
+use tcast_repro::system::{render_table, sweeps, Calibration, TABLE_II};
 
 pub fn run() {
     banner(
@@ -14,8 +14,8 @@ pub fn run() {
     );
     let mut rows = Vec::new();
     let cal = Calibration::default();
-    for model in RmModel::all() {
-        let series = sweeps::link_sweep(&model, &[25.0, 50.0, 100.0, 150.0], &cal);
+    for model in TABLE_II {
+        let series = sweeps::link_sweep(model, &[25.0, 50.0, 100.0, 150.0], &cal);
         let mut row = vec![model.name.to_string()];
         for (_, v) in &series.points {
             row.push(format!("{:.1}%", 100.0 * v));

@@ -13,11 +13,11 @@
 //!    extension that folds the scatter into the casted gather-reduce,
 //!    eliminating the materialized `U x D` coalesced tensor.
 
-use crate::calibration::Calibration;
-use crate::design::{DesignPoint, Evaluation};
-use crate::phase::PhaseKind;
-use crate::traffic;
-use crate::workload::SystemWorkload;
+use crate::system::calibration::Calibration;
+use crate::system::design::{DesignPoint, Evaluation};
+use crate::system::phase::PhaseKind;
+use crate::system::traffic;
+use crate::system::workload::SystemWorkload;
 
 /// Result of the casting-exposure ablation.
 #[derive(Debug, Clone, Copy, PartialEq)]
@@ -65,7 +65,7 @@ pub fn optimizer_state_overhead_ns(
     state_bytes_per_elem: u64,
 ) -> f64 {
     let s = wl.table_shape();
-    let t = wl.model.tables as f64;
+    let t = wl.tables() as f64;
     let extra_bytes = (traffic::scatter(&s, state_bytes_per_elem).total()
         - traffic::scatter(&s, 0).total()) as f64
         * t;
@@ -88,7 +88,7 @@ pub fn optimizer_state_overhead_ns(
 pub fn fused_backward_evaluation(wl: &SystemWorkload, cal: &Calibration) -> Evaluation {
     let mut eval = DesignPoint::OursNmp.evaluate(wl, cal);
     let s = wl.table_shape();
-    let t = wl.model.tables as f64;
+    let t = wl.tables() as f64;
     // Savings: the casted gather-reduce no longer writes U rows, and the
     // scatter no longer reads them back.
     let saved_bytes = 2.0 * (s.unique * s.dim * 4) as f64 * t;
@@ -107,10 +107,10 @@ pub fn fused_backward_evaluation(wl: &SystemWorkload, cal: &Calibration) -> Eval
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::workload::RmModel;
+    use crate::system::workload::RM1;
 
     fn wl() -> SystemWorkload {
-        SystemWorkload::build(RmModel::rm1(), 2048, 64, 42)
+        SystemWorkload::build(RM1, 2048, 64, 42)
     }
 
     #[test]

@@ -3,14 +3,14 @@
 //!
 //! Bandwidths and link speeds are the paper's stated system parameters
 //! (Fig. 3, Table I, Section V); efficiency factors are *measured* on the
-//! `tcast-dram` cycle-level simulator (see
+//! `dram` cycle-level simulator (see
 //! [`Calibration::from_dram_sim`]); compute rates and sort throughputs
 //! are documented engineering estimates for the paper's hardware (Xeon
 //! server CPU, V100 GPU with the paper's "heavily tuned" kernels —
 //! Section V reports their tuned sort/accumulate is 5-12x faster than
 //! stock PyTorch, which these numbers reflect).
 
-use tcast_dram::{streams, AddressMapping, DramConfig, MemorySystem};
+use crate::dram::{streams, AddressMapping, DramConfig, MemorySystem};
 
 /// Device parameters consumed by the cost model.
 #[derive(Debug, Clone, PartialEq)]
@@ -45,7 +45,7 @@ pub struct Calibration {
     pub pool_channels: usize,
     /// Per-channel pool bandwidth, GB/s (Table I: 25.6).
     pub pool_channel_gbps: f64,
-    /// Pool efficiency on 64 B-granular gathers (measured on tcast-dram).
+    /// Pool efficiency on 64 B-granular gathers (measured on the `dram` simulator).
     pub pool_gather_eff: f64,
     /// Pool efficiency on read-modify-write scatters (measured).
     pub pool_rmw_eff: f64,

@@ -9,10 +9,10 @@
 //! propagation (only its exposed remainder, if any, delays the
 //! iteration).
 
-use crate::calibration::Calibration;
-use crate::phase::{Device, PhaseCost, PhaseKind};
-use crate::traffic;
-use crate::workload::SystemWorkload;
+use crate::system::calibration::Calibration;
+use crate::system::phase::{Device, PhaseCost, PhaseKind};
+use crate::system::traffic;
+use crate::system::workload::SystemWorkload;
 
 /// The evaluated system configurations of Fig. 12/13.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
@@ -70,7 +70,7 @@ impl DesignPoint {
     /// Costs one training iteration of `wl` under this design point.
     pub fn evaluate(&self, wl: &SystemWorkload, cal: &Calibration) -> Evaluation {
         let c = Cost { cal };
-        let t = wl.model.tables as f64;
+        let t = wl.tables() as f64;
         let s = wl.table_shape();
 
         // Aggregate (all-tables) byte counts from the analytic model.
@@ -84,10 +84,10 @@ impl DesignPoint {
         let mlp_f = wl.mlp_forward_flops();
         let pooled_b = wl.pooled_bytes() as f64;
         let grad_b = pooled_b; // gradients of the pooled activations
-        let dense_b = (wl.batch * wl.model.dense_features * 4) as f64;
+        let dense_b = (wl.batch * wl.config.dense_features * 4) as f64;
         let index_b = wl.index_bytes() as f64;
         // Casted arrays: (casted_src, casted_dst) per lookup + unique ids.
-        let casted_index_b = index_b + (wl.unique_per_table * wl.model.tables * 4) as f64;
+        let casted_index_b = index_b + (wl.unique_per_table * wl.tables() * 4) as f64;
         // Gradient-table staging write inside the pool.
         let staging_b = pooled_b;
 
@@ -162,10 +162,10 @@ impl DesignPoint {
                 );
                 // Coalesced gradients travel to the pool for the scatter.
                 let coalesced_b =
-                    (wl.unique_per_table * wl.model.tables) as f64 * (wl.dim as f64 * 4.0 + 4.0);
+                    (wl.unique_per_table * wl.tables()) as f64 * (wl.dim as f64 * 4.0 + 4.0);
                 push(PhaseKind::BwdScatter, Device::Link, c.link(coalesced_b));
                 // Gradients stream from the link; table rows RMW in-pool.
-                let rmw_b = (2 * wl.unique_per_table * wl.model.tables * wl.dim * 4) as f64;
+                let rmw_b = (2 * wl.unique_per_table * wl.tables() * wl.dim * 4) as f64;
                 push(PhaseKind::BwdScatter, Device::Nmp, c.pool_rmw(rmw_b));
             }
             DesignPoint::OursCpu => {
@@ -410,13 +410,13 @@ impl Cost<'_> {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::workload::RmModel;
+    use crate::system::workload::{PaperModel, RM1, RM2, RM3, RM4, TABLE_II};
 
     fn cal() -> Calibration {
         Calibration::default()
     }
 
-    fn wl(model: RmModel, batch: usize) -> SystemWorkload {
+    fn wl(model: PaperModel, batch: usize) -> SystemWorkload {
         SystemWorkload::build(model, batch, 64, 42)
     }
 
@@ -424,7 +424,7 @@ mod tests {
     fn embedding_backward_dominates_cpu_centric_rm1() {
         // Fig. 4: "backpropagation of embedding layers accounts for
         // approximately 62-92% of end-to-end training time."
-        for model in [RmModel::rm1(), RmModel::rm2()] {
+        for model in [RM1, RM2] {
             let e = DesignPoint::BaselineCpuGpu.evaluate(&wl(model, 2048), &cal());
             let frac = e.embedding_backward_fraction();
             assert!(
@@ -438,9 +438,9 @@ mod tests {
     #[test]
     fn mlp_fraction_small_for_embedding_models_larger_for_mlp_models() {
         // Fig. 4: MLPs are <1% for RM1/2 and ~24% for RM3/4 on CPU-GPU.
-        let rm1 = DesignPoint::BaselineCpuGpu.evaluate(&wl(RmModel::rm1(), 2048), &cal());
+        let rm1 = DesignPoint::BaselineCpuGpu.evaluate(&wl(RM1, 2048), &cal());
         assert!(rm1.mlp_fraction() < 0.08, "RM1 MLP {}", rm1.mlp_fraction());
-        let rm4 = DesignPoint::BaselineCpuGpu.evaluate(&wl(RmModel::rm4(), 2048), &cal());
+        let rm4 = DesignPoint::BaselineCpuGpu.evaluate(&wl(RM4, 2048), &cal());
         assert!(
             (0.10..=0.50).contains(&rm4.mlp_fraction()),
             "RM4 MLP {}",
@@ -451,14 +451,14 @@ mod tests {
 
     #[test]
     fn cpu_only_is_slower_especially_for_mlp_models() {
-        for (model, min_gap) in [(RmModel::rm1(), 1.0), (RmModel::rm4(), 1.5)] {
+        for (model, min_gap) in [(RM1, 1.0), (RM4, 1.5)] {
             let w = wl(model, 2048);
             let cpu = DesignPoint::CpuOnly.evaluate(&w, &cal());
             let gpu = DesignPoint::BaselineCpuGpu.evaluate(&w, &cal());
             assert!(
                 cpu.total_ns > min_gap * gpu.total_ns,
                 "{}: {} vs {}",
-                w.model.name,
+                w.name,
                 cpu.total_ns,
                 gpu.total_ns
             );
@@ -468,16 +468,16 @@ mod tests {
     #[test]
     fn ours_cpu_speedup_in_paper_band() {
         // Section VI-B: 1.2-1.6x at default batches, up to 2.8x larger.
-        for model in RmModel::all() {
+        for model in TABLE_II {
             for batch in [1024, 2048, 4096] {
-                let w = wl(model.clone(), batch);
+                let w = wl(model, batch);
                 let base = DesignPoint::BaselineCpuGpu.evaluate(&w, &cal());
                 let ours = DesignPoint::OursCpu.evaluate(&w, &cal());
                 let s = base.total_ns / ours.total_ns;
                 assert!(
                     (1.05..=3.0).contains(&s),
                     "{} b{batch}: Ours(CPU) speedup {s:.2}",
-                    w.model.name
+                    w.name
                 );
             }
         }
@@ -487,16 +487,16 @@ mod tests {
     fn ours_nmp_speedup_in_paper_band() {
         // Section VI-B: 2.0-15x (avg 6.9x) vs Baseline(CPU).
         let mut speedups = Vec::new();
-        for model in RmModel::all() {
+        for model in TABLE_II {
             for batch in [1024, 2048, 4096, 8192] {
-                let w = wl(model.clone(), batch);
+                let w = wl(model, batch);
                 let base = DesignPoint::BaselineCpuGpu.evaluate(&w, &cal());
                 let ours = DesignPoint::OursNmp.evaluate(&w, &cal());
                 let s = base.total_ns / ours.total_ns;
                 assert!(
                     (1.8..=25.0).contains(&s),
                     "{} b{batch}: Ours(NMP) speedup {s:.2}",
-                    w.model.name
+                    w.name
                 );
                 speedups.push(s);
             }
@@ -514,9 +514,9 @@ mod tests {
         // better than the baseline TensorDIMM-based NMP accelerator,
         // achieving an average 15% speedup."
         let mut ratios = Vec::new();
-        for model in RmModel::all() {
+        for model in TABLE_II {
             for batch in [1024, 2048, 4096, 8192] {
-                let w = wl(model.clone(), batch);
+                let w = wl(model, batch);
                 let nmp = DesignPoint::BaselineNmp.evaluate(&w, &cal());
                 let ours = DesignPoint::OursCpu.evaluate(&w, &cal());
                 ratios.push(nmp.total_ns / ours.total_ns);
@@ -533,7 +533,7 @@ mod tests {
     fn design_point_ordering_is_monotone() {
         // Ours(NMP) <= Ours(CPU) <= Baseline(CPU) in time; Baseline(NMP)
         // beats Baseline(CPU).
-        for model in RmModel::all() {
+        for model in TABLE_II {
             let w = wl(model, 2048);
             let base_cpu = DesignPoint::BaselineCpuGpu.evaluate(&w, &cal()).total_ns;
             let base_nmp = DesignPoint::BaselineNmp.evaluate(&w, &cal()).total_ns;
@@ -550,7 +550,7 @@ mod tests {
         // Section VI-A: "the performance advantage of NMP is so
         // pronounced that the casting stage can sometimes become a new
         // performance bottleneck under our memory-centric system."
-        let w = wl(RmModel::rm1(), 2048);
+        let w = wl(RM1, 2048);
         let ours_cpu = DesignPoint::OursCpu.evaluate(&w, &cal());
         assert!(
             ours_cpu.casting_hidden_ns >= ours_cpu.casting_total_ns * 0.999,
@@ -567,7 +567,7 @@ mod tests {
     fn nmp_utilization_matches_fig15_shape() {
         // Fig. 15: TensorDIMM ~7% average; T.Casting 92% (RM1/2) and 44%
         // (RM3/4) average.
-        let w1 = wl(RmModel::rm1(), 2048);
+        let w1 = wl(RM1, 2048);
         let baseline = DesignPoint::BaselineNmp.evaluate(&w1, &cal());
         assert!(
             baseline.nmp_utilization() < 0.20,
@@ -580,7 +580,7 @@ mod tests {
             "Ours(NMP) RM1 utilization {}",
             ours1.nmp_utilization()
         );
-        let w3 = wl(RmModel::rm3(), 2048);
+        let w3 = wl(RM3, 2048);
         let ours3 = DesignPoint::OursNmp.evaluate(&w3, &cal());
         assert!(
             ours1.nmp_utilization() > ours3.nmp_utilization(),
@@ -594,16 +594,16 @@ mod tests {
     #[test]
     fn backward_operator_speedup_band() {
         // Fig. 12 right axis: 1.1-9.5x for the expand-coalesce operator.
-        for model in RmModel::all() {
+        for model in TABLE_II {
             for batch in [1024, 4096, 8192] {
-                let w = wl(model.clone(), batch);
+                let w = wl(model, batch);
                 let base = DesignPoint::BaselineCpuGpu.evaluate(&w, &cal());
                 let ours = DesignPoint::OursCpu.evaluate(&w, &cal());
                 let s = base.backward_operator_ns() / ours.backward_operator_ns();
                 assert!(
                     (1.0..=12.0).contains(&s),
                     "{} b{batch}: operator speedup {s:.2}",
-                    w.model.name
+                    w.name
                 );
             }
         }
@@ -613,7 +613,7 @@ mod tests {
     fn speedup_grows_with_batch_size() {
         // Fig. 16's qualitative trend for the software-only system.
         let s = |batch| {
-            let w = wl(RmModel::rm1(), batch);
+            let w = wl(RM1, batch);
             DesignPoint::BaselineCpuGpu.evaluate(&w, &cal()).total_ns
                 / DesignPoint::OursCpu.evaluate(&w, &cal()).total_ns
         };
@@ -622,7 +622,7 @@ mod tests {
 
     #[test]
     fn phase_accessors_are_consistent() {
-        let w = wl(RmModel::rm1(), 2048);
+        let w = wl(RM1, 2048);
         let e = DesignPoint::BaselineCpuGpu.evaluate(&w, &cal());
         let by_kind: f64 = [
             PhaseKind::FwdGather,

@@ -6,9 +6,9 @@
 //! and idle power for the rest of the iteration; link transfers carry no
 //! compute power.
 
-use crate::calibration::Calibration;
-use crate::design::Evaluation;
-use crate::phase::Device;
+use crate::system::calibration::Calibration;
+use crate::system::design::Evaluation;
+use crate::system::phase::Device;
 
 /// Energy of one iteration, by device.
 #[derive(Debug, Clone, Copy, PartialEq, Default)]
@@ -55,15 +55,15 @@ pub fn energy_joules(eval: &Evaluation, cal: &Calibration) -> EnergyBreakdown {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::design::DesignPoint;
-    use crate::workload::{RmModel, SystemWorkload};
+    use crate::system::design::DesignPoint;
+    use crate::system::workload::{SystemWorkload, RM1};
 
     fn cal() -> Calibration {
         Calibration::default()
     }
 
     fn wl() -> SystemWorkload {
-        SystemWorkload::build(RmModel::rm1(), 2048, 64, 42)
+        SystemWorkload::build(RM1, 2048, 64, 42)
     }
 
     #[test]

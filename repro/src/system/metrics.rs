@@ -43,7 +43,7 @@ pub fn geometric_mean(values: &[f64]) -> f64 {
 /// Renders a padded plain-text table.
 ///
 /// ```
-/// let t = tcast_system::render_table(
+/// let t = tcast_repro::system::render_table(
 ///     &["model", "speedup"],
 ///     &[vec!["RM1".into(), "2.0".into()]],
 /// );

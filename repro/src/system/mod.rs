@@ -2,13 +2,15 @@
 //! — the machinery behind the paper's evaluation figures.
 //!
 //! The paper's own evaluation combines real-system wall-clock runs with a
-//! Ramulator-backed emulation of the NMP pool (Section V). This crate is
+//! Ramulator-backed emulation of the NMP pool (Section V). This module is
 //! the analogous model, built entirely on this repository's substrates:
 //!
+//! * the four **model architectures** ([`TABLE_II`]) are the live
+//!   trainer's `DlrmConfig::rm{1..4}_scaled`;
 //! * per-primitive byte counts come from the **analytic traffic model**
 //!   ([`traffic`], validated against Fig. 6);
 //! * device bandwidths/efficiencies come from **measured DRAM-simulator
-//!   runs** (`tcast-dram`) and documented constants ([`Calibration`]);
+//!   runs** (`dram`) and documented constants ([`Calibration`]);
 //! * the **coalescing locality** (the unique-index fraction `U/n`) is
 //!   measured by sampling the dataset popularity models of
 //!   `tcast-datasets` ([`CoalesceStats`], [`LookupHistogram`]: Fig. 5);
@@ -20,10 +22,10 @@
 //! # Example: the headline comparison
 //!
 //! ```
-//! use tcast_system::{Calibration, DesignPoint, SystemWorkload, RmModel};
+//! use tcast_repro::system::{Calibration, DesignPoint, SystemWorkload, RM1};
 //!
 //! let cal = Calibration::default();
-//! let wl = SystemWorkload::build(RmModel::rm1(), 2048, 64, 7);
+//! let wl = SystemWorkload::build(RM1, 2048, 64, 7);
 //! let base = DesignPoint::BaselineCpuGpu.evaluate(&wl, &cal);
 //! let ours = DesignPoint::OursNmp.evaluate(&wl, &cal);
 //! let speedup = base.total_ns / ours.total_ns;
@@ -50,7 +52,7 @@ pub use histogram::{CoalesceStats, LookupHistogram};
 pub use metrics::{geometric_mean, render_table, Series};
 pub use phase::{Device, PhaseCost, PhaseKind};
 pub use timeline::{build_timeline, render_timeline, TimelineEvent};
-pub use workload::{RmModel, SystemWorkload};
+pub use workload::{PaperModel, SystemWorkload, RM1, RM2, RM3, RM4, TABLE_II};
 
 // The grid helpers every report shares.
 #[cfg(test)]
@@ -68,7 +70,7 @@ mod tests {
     #[test]
     fn speedup_of_design_against_itself_is_one() {
         let cal = Calibration::default();
-        let wl = SystemWorkload::build(RmModel::rm1(), 1024, 64, 1);
+        let wl = SystemWorkload::build(RM1, 1024, 64, 1);
         let s = speedup(
             &wl,
             DesignPoint::BaselineCpuGpu,

@@ -3,11 +3,11 @@
 //! render it to markdown — so the summary is regenerated mechanically
 //! instead of hand-transcribed from figure output.
 
-use crate::calibration::Calibration;
-use crate::design::DesignPoint;
-use crate::energy::energy_joules;
-use crate::metrics::geometric_mean;
-use crate::workload::{RmModel, SystemWorkload};
+use crate::system::calibration::Calibration;
+use crate::system::design::DesignPoint;
+use crate::system::energy::energy_joules;
+use crate::system::metrics::geometric_mean;
+use crate::system::sweeps::{workload_grid, DEFAULT_BATCHES};
 
 /// One headline result row: a named quantity with its measured value and
 /// the paper's reference band.
@@ -34,12 +34,7 @@ impl EvaluationReport {
     /// Runs the default evaluation grid (RM1-4 x b1024-8192, dim 64,
     /// Criteo-like locality) and summarizes the headline claims.
     pub fn build(cal: &Calibration) -> Self {
-        let mut grid = Vec::new();
-        for model in RmModel::all() {
-            for batch in [1024usize, 2048, 4096, 8192] {
-                grid.push(SystemWorkload::build(model.clone(), batch, 64, 42));
-            }
-        }
+        let grid = workload_grid(&DEFAULT_BATCHES, 64);
 
         let mut sw_speedups = Vec::new();
         let mut hw_speedups = Vec::new();
@@ -54,7 +49,7 @@ impl EvaluationReport {
             let base_nmp = DesignPoint::BaselineNmp.evaluate(wl, cal);
             sw_speedups.push(base.total_ns / ours_cpu.total_ns);
             hw_speedups.push(base.total_ns / ours_nmp.total_ns);
-            if wl.model.embedding_intensive {
+            if wl.embedding_intensive {
                 emb_fracs.push(base.embedding_backward_fraction());
             }
             util_baseline.push(base_nmp.nmp_utilization());

@@ -3,8 +3,8 @@
 //! a rank-scaling sweep validating linear bandwidth amplification.
 
 use tcast_bench::{banner, fast_mode};
-use tcast_dram::{streams, AddressMapping, DramConfig, MemorySystem};
-use tcast_system::render_table;
+use tcast_repro::dram::{streams, AddressMapping, DramConfig, MemorySystem};
+use tcast_repro::system::render_table;
 
 pub fn run() {
     banner("Table I", "Disaggregated memory architecture configuration");

@@ -1,13 +1,14 @@
 //! Table II: recommendation model configurations (RM1-RM4).
 
 use tcast_bench::banner;
-use tcast_system::{render_table, RmModel};
+use tcast_repro::system::{render_table, TABLE_II};
 
 pub fn run() {
     banner("Table II", "Recommendation model configurations");
-    let rows: Vec<Vec<String>> = RmModel::all()
+    let rows: Vec<Vec<String>> = TABLE_II
         .into_iter()
         .map(|m| {
+            let c = m.config();
             let fmt = |v: &[usize]| {
                 v.iter()
                     .map(ToString::to_string)
@@ -16,10 +17,10 @@ pub fn run() {
             };
             vec![
                 m.name.to_string(),
-                m.tables.to_string(),
-                m.pooling.to_string(),
-                fmt(&m.bottom_mlp),
-                fmt(&m.top_mlp),
+                c.tables.len().to_string(),
+                c.tables[0].pooling.to_string(),
+                fmt(&c.bottom_mlp),
+                fmt(&c.top_mlp),
                 if m.embedding_intensive {
                     "embedding".into()
                 } else {

@@ -3,7 +3,7 @@
 //! single-bank pathologies) that the main invariants suite reaches only
 //! probabilistically.
 
-use tcast_dram::{
+use tcast_repro::dram::{
     power, streams, verify, AddressMapping, DramConfig, MemorySystem, Request, RowPolicy,
 };
 

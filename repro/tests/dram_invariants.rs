@@ -1,9 +1,11 @@
 //! Property tests: the FR-FCFS scheduler never emits an illegal DDR4
 //! command sequence, verified from its own command traces by the
-//! independent protocol checker in `tcast_dram::verify`.
+//! independent protocol checker in `tcast_repro::dram::verify`.
 
 use proptest::prelude::*;
-use tcast_dram::{streams, verify, AddressMapping, DramConfig, MemorySystem, Request, RowPolicy};
+use tcast_repro::dram::{
+    streams, verify, AddressMapping, DramConfig, MemorySystem, Request, RowPolicy,
+};
 
 fn run_and_verify(cfg: DramConfig, reqs: Vec<Request>) -> (usize, Vec<String>) {
     let timing = cfg.timing;

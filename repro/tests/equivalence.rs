@@ -10,7 +10,7 @@ use tcast_embedding::{
     optim::{RowOptimizer, UpdateRule},
     scatter_apply, EmbeddingTable, IndexArray,
 };
-use tcast_nmp::{NmpPool, PoolConfig};
+use tcast_repro::nmp::{NmpPool, PoolConfig};
 use tcast_tensor::{Matrix, SplitMix64};
 
 fn random_workload(seed: u64, batch: usize, pooling: usize, rows: u32) -> (IndexArray, Matrix) {

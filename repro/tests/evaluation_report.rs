@@ -2,8 +2,8 @@
 //! report over the full grid and require every headline of the paper's
 //! Section VI evaluation to land in its reproduction band.
 
-use tcast_system::report::EvaluationReport;
-use tcast_system::Calibration;
+use tcast_repro::system::report::EvaluationReport;
+use tcast_repro::system::Calibration;
 
 #[test]
 fn all_headlines_reproduce_with_default_calibration() {

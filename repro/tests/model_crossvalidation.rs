@@ -1,9 +1,9 @@
 //! Cross-validation between the two timing models in this repository:
 //!
-//! * the **analytic** cost model (`tcast-system`): bytes-from-formulas
+//! * the **analytic** cost model (`system`): bytes-from-formulas
 //!   divided by calibrated effective bandwidths — fast, used for the
 //!   figure sweeps;
-//! * the **instruction-level** model (`tcast-nmp` driving `tcast-dram`):
+//! * the **instruction-level** model (`nmp` driving `dram`):
 //!   every 64 B DRAM transaction scheduled on the cycle-level simulator.
 //!
 //! The paper's methodology leans on exactly this consistency (analytic
@@ -14,8 +14,8 @@
 use tcast_core::tensor_casting;
 use tcast_datasets::{DatasetPreset, TableWorkload};
 use tcast_embedding::{gradient_expand_coalesce, EmbeddingTable};
-use tcast_nmp::{NmpPool, PoolConfig};
-use tcast_system::{traffic, Calibration};
+use tcast_repro::nmp::{NmpPool, PoolConfig};
+use tcast_repro::system::{traffic, Calibration};
 use tcast_tensor::{Matrix, SplitMix64};
 
 /// Builds a pool + calibration that describe the SAME hardware: 4

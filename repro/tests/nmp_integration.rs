@@ -9,7 +9,7 @@ use tcast_embedding::{
     optim::{RowOptimizer, UpdateRule},
     scatter_apply, EmbeddingTable,
 };
-use tcast_nmp::{LinkModel, NmpPool, PoolConfig};
+use tcast_repro::nmp::{LinkModel, NmpPool, PoolConfig};
 use tcast_tensor::{Matrix, SplitMix64};
 
 fn grads(batch: usize, dim: usize, seed: u64) -> Matrix {

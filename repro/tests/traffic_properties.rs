@@ -3,7 +3,7 @@
 //! workload shape, not just the measured configurations.
 
 use proptest::prelude::*;
-use tcast_system::traffic::{self, WorkloadShape};
+use tcast_repro::system::traffic::{self, WorkloadShape};
 
 fn shapes() -> impl Strategy<Value = WorkloadShape> {
     // outputs >= 1, lookups >= outputs (every sample gathers >= 1),

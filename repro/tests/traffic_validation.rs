@@ -4,10 +4,10 @@
 
 use tcast_core::tensor_casting;
 use tcast_datasets::{DatasetPreset, TableWorkload};
-use tcast_dram::streams;
 use tcast_embedding::{gradient_expand, gradient_expand_coalesce, EmbeddingTable, IndexArray};
-use tcast_nmp::{NmpPool, PoolConfig};
-use tcast_system::traffic;
+use tcast_repro::dram::streams;
+use tcast_repro::nmp::{NmpPool, PoolConfig};
+use tcast_repro::system::traffic;
 use tcast_tensor::{Matrix, SplitMix64};
 
 fn workload(batch: usize, pooling: usize, rows: usize) -> IndexArray {

@@ -6,8 +6,8 @@
 use tcast_core::tensor_casting;
 use tcast_datasets::{DatasetPreset, TableWorkload};
 use tcast_embedding::{gradient_expand_coalesce, EmbeddingTable};
-use tcast_nmp::{NmpPool, PoolConfig, UtilizationTracker};
-use tcast_system::{Calibration, DesignPoint, PhaseKind, RmModel, SystemWorkload};
+use tcast_repro::nmp::{NmpPool, PoolConfig, UtilizationTracker};
+use tcast_repro::system::{Calibration, DesignPoint, PhaseKind, SystemWorkload, RM1};
 use tcast_tensor::{Matrix, SplitMix64};
 
 /// One scaled-down RM1-like iteration on a 4-channel pool: 2 tables
@@ -29,10 +29,10 @@ fn run_iteration(casted_mode: bool) -> (UtilizationTracker, f64) {
         pool_channels: 4,
         ..Calibration::default()
     };
-    let wl = SystemWorkload::build(RmModel::rm1(), batch, dim, 42);
+    let wl = SystemWorkload::build(RM1, batch, dim, 42);
     let eval = DesignPoint::OursNmp.evaluate(&wl, &cal);
     // Per-table scaling: the analytic model covers 10 tables; we run 2.
-    let scale = tables as f64 / wl.model.tables as f64;
+    let scale = tables as f64 / wl.tables() as f64;
     let dnn_ns = (eval.phase_ns(PhaseKind::FwdDnn) + eval.phase_ns(PhaseKind::BwdDnn)) * scale;
     let exposed_casting_ns = (eval.casting_total_ns - eval.casting_hidden_ns) * scale;
 
