@@ -14,7 +14,7 @@
 //!   throughput bound overlapped with the DRAM stream.
 
 use crate::dram::{streams, DramConfig, MemorySystem, Request};
-use crate::nmp::isa::NmpInstruction;
+use crate::isa::NmpInstruction;
 use tcast_embedding::EmbeddingError;
 
 /// Execution report for one instruction on one core.

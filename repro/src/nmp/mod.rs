@@ -46,14 +46,10 @@
 //! # }
 //! ```
 
-mod core;
-mod isa;
-mod link;
-mod pool;
-mod utilization;
-
-pub use self::core::{CoreExec, NmpCore, SLICE_BYTES, SLICE_FLOATS};
-pub use isa::NmpInstruction;
-pub use link::LinkModel;
-pub use pool::{NmpPool, PoolConfig, PoolExec, TableHandle};
-pub use utilization::UtilizationTracker;
+// The leaf modules are declared at the crate root (see `lib.rs`); this
+// module is their public face.
+pub use crate::core::{CoreExec, NmpCore, SLICE_BYTES, SLICE_FLOATS};
+pub use crate::isa::NmpInstruction;
+pub use crate::link::LinkModel;
+pub use crate::pool::{NmpPool, PoolConfig, PoolExec, TableHandle};
+pub use crate::utilization::UtilizationTracker;

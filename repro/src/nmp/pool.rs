@@ -10,9 +10,9 @@
 //! number of ranks". Different tables round-robin across channel groups,
 //! activating the whole pool when a model has many tables.
 
+use crate::core::{NmpCore, SLICE_FLOATS};
 use crate::dram::{AddressMapping, DramConfig};
-use crate::nmp::core::{NmpCore, SLICE_FLOATS};
-use crate::nmp::isa::NmpInstruction;
+use crate::isa::NmpInstruction;
 use tcast_core::CastedIndexArray;
 use tcast_embedding::{CoalescedGradients, EmbeddingError, EmbeddingTable, IndexArray};
 use tcast_tensor::Matrix;

@@ -8,7 +8,7 @@
 //! rebuilds Fig. 15 this way and checks it against the analytic system
 //! model.
 
-use crate::nmp::pool::PoolExec;
+use crate::pool::PoolExec;
 
 /// Accumulates NMP busy time over a measurement window.
 #[derive(Debug, Clone, Copy, Default, PartialEq)]

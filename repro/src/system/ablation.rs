@@ -13,11 +13,11 @@
 //!    extension that folds the scatter into the casted gather-reduce,
 //!    eliminating the materialized `U x D` coalesced tensor.
 
-use crate::system::calibration::Calibration;
-use crate::system::design::{DesignPoint, Evaluation};
-use crate::system::phase::PhaseKind;
-use crate::system::traffic;
-use crate::system::workload::SystemWorkload;
+use crate::calibration::Calibration;
+use crate::design::{DesignPoint, Evaluation};
+use crate::phase::PhaseKind;
+use crate::traffic;
+use crate::workload::SystemWorkload;
 
 /// Result of the casting-exposure ablation.
 #[derive(Debug, Clone, Copy, PartialEq)]
@@ -107,7 +107,7 @@ pub fn fused_backward_evaluation(wl: &SystemWorkload, cal: &Calibration) -> Eval
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::system::workload::RM1;
+    use crate::workload::RM1;
 
     fn wl() -> SystemWorkload {
         SystemWorkload::build(RM1, 2048, 64, 42)

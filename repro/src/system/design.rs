@@ -9,10 +9,10 @@
 //! propagation (only its exposed remainder, if any, delays the
 //! iteration).
 
-use crate::system::calibration::Calibration;
-use crate::system::phase::{Device, PhaseCost, PhaseKind};
-use crate::system::traffic;
-use crate::system::workload::SystemWorkload;
+use crate::calibration::Calibration;
+use crate::phase::{Device, PhaseCost, PhaseKind};
+use crate::traffic;
+use crate::workload::SystemWorkload;
 
 /// The evaluated system configurations of Fig. 12/13.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
@@ -410,7 +410,7 @@ impl Cost<'_> {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::system::workload::{PaperModel, RM1, RM2, RM3, RM4, TABLE_II};
+    use crate::workload::{PaperModel, RM1, RM2, RM3, RM4, TABLE_II};
 
     fn cal() -> Calibration {
         Calibration::default()

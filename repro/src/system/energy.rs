@@ -6,9 +6,9 @@
 //! and idle power for the rest of the iteration; link transfers carry no
 //! compute power.
 
-use crate::system::calibration::Calibration;
-use crate::system::design::Evaluation;
-use crate::system::phase::Device;
+use crate::calibration::Calibration;
+use crate::design::Evaluation;
+use crate::phase::Device;
 
 /// Energy of one iteration, by device.
 #[derive(Debug, Clone, Copy, PartialEq, Default)]
@@ -55,8 +55,8 @@ pub fn energy_joules(eval: &Evaluation, cal: &Calibration) -> EnergyBreakdown {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::system::design::DesignPoint;
-    use crate::system::workload::{SystemWorkload, RM1};
+    use crate::design::DesignPoint;
+    use crate::workload::{SystemWorkload, RM1};
 
     fn cal() -> Calibration {
         Calibration::default()

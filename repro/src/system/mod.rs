@@ -32,51 +32,14 @@
 //! assert!(speedup > 2.0, "Ours(NMP) must be well ahead, got {speedup:.1}x");
 //! ```
 
-pub mod ablation;
-mod calibration;
-mod design;
-mod energy;
-mod histogram;
-mod metrics;
-mod phase;
-pub mod report;
-pub mod sweeps;
-mod timeline;
-pub mod traffic;
-mod workload;
-
-pub use calibration::Calibration;
-pub use design::{DesignPoint, Evaluation};
-pub use energy::{energy_joules, EnergyBreakdown};
-pub use histogram::{CoalesceStats, LookupHistogram};
-pub use metrics::{geometric_mean, render_table, Series};
-pub use phase::{Device, PhaseCost, PhaseKind};
-pub use timeline::{build_timeline, render_timeline, TimelineEvent};
-pub use workload::{PaperModel, SystemWorkload, RM1, RM2, RM3, RM4, TABLE_II};
-
-// The grid helpers every report shares.
-#[cfg(test)]
-mod tests {
-    use super::sweeps::{grid_label, speedup, workload_grid};
-    use super::*;
-
-    #[test]
-    fn workload_grid_covers_models_and_batches() {
-        let grid = workload_grid(&[1024, 2048], 64);
-        assert_eq!(grid.len(), 8);
-        assert_eq!(grid_label(&grid[0]), "RM1 b1024");
-    }
-
-    #[test]
-    fn speedup_of_design_against_itself_is_one() {
-        let cal = Calibration::default();
-        let wl = SystemWorkload::build(RM1, 1024, 64, 1);
-        let s = speedup(
-            &wl,
-            DesignPoint::BaselineCpuGpu,
-            DesignPoint::BaselineCpuGpu,
-            &cal,
-        );
-        assert!((s - 1.0).abs() < 1e-12);
-    }
-}
+// The leaf modules are declared at the crate root (see `lib.rs`); this
+// module is their public face.
+pub use crate::calibration::Calibration;
+pub use crate::design::{DesignPoint, Evaluation};
+pub use crate::energy::{energy_joules, EnergyBreakdown};
+pub use crate::histogram::{CoalesceStats, LookupHistogram};
+pub use crate::metrics::{geometric_mean, render_table, Series};
+pub use crate::phase::{Device, PhaseCost, PhaseKind};
+pub use crate::timeline::{build_timeline, render_timeline, TimelineEvent};
+pub use crate::workload::{PaperModel, SystemWorkload, RM1, RM2, RM3, RM4, TABLE_II};
+pub use crate::{ablation, report, sweeps, traffic};

@@ -3,11 +3,11 @@
 //! render it to markdown — so the summary is regenerated mechanically
 //! instead of hand-transcribed from figure output.
 
-use crate::system::calibration::Calibration;
-use crate::system::design::DesignPoint;
-use crate::system::energy::energy_joules;
-use crate::system::metrics::geometric_mean;
-use crate::system::sweeps::{workload_grid, DEFAULT_BATCHES};
+use crate::calibration::Calibration;
+use crate::design::DesignPoint;
+use crate::energy::energy_joules;
+use crate::metrics::geometric_mean;
+use crate::sweeps::{workload_grid, DEFAULT_BATCHES};
 
 /// One headline result row: a named quantity with its measured value and
 /// the paper's reference band.

@@ -3,10 +3,10 @@
 //! a pool-scaling study the paper implies but does not plot (Table I's
 //! rank count as a design knob).
 
-use crate::system::calibration::Calibration;
-use crate::system::design::DesignPoint;
-use crate::system::metrics::Series;
-use crate::system::workload::{PaperModel, SystemWorkload, TABLE_II};
+use crate::calibration::Calibration;
+use crate::design::DesignPoint;
+use crate::metrics::Series;
+use crate::workload::{PaperModel, SystemWorkload, TABLE_II};
 
 /// The default batch sweep of Figs. 12-15.
 pub const DEFAULT_BATCHES: [usize; 4] = [1024, 2048, 4096, 8192];
@@ -117,7 +117,7 @@ pub fn rank_sweep(model: PaperModel, ranks: &[usize], cal: &Calibration) -> Seri
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::system::workload::RM1;
+    use crate::workload::RM1;
 
     fn cal() -> Calibration {
         Calibration::default()

@@ -1,9 +1,9 @@
 //! Execution-timeline construction and ASCII rendering (Fig. 9).
 
-use crate::system::calibration::Calibration;
-use crate::system::design::DesignPoint;
-use crate::system::phase::{Device, PhaseKind};
-use crate::system::workload::SystemWorkload;
+use crate::calibration::Calibration;
+use crate::design::DesignPoint;
+use crate::phase::{Device, PhaseKind};
+use crate::workload::SystemWorkload;
 
 /// One scheduled interval on one device.
 #[derive(Debug, Clone, PartialEq)]
@@ -118,7 +118,7 @@ fn phase_char(kind: PhaseKind) -> u8 {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::system::workload::RM1;
+    use crate::workload::RM1;
 
     fn wl() -> SystemWorkload {
         SystemWorkload::build(RM1, 2048, 64, 42)

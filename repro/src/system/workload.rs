@@ -1,8 +1,8 @@
 //! Workload descriptions: the RM1-RM4 model zoo (Table II) lowered into
 //! the quantities the cost model needs.
 
-use crate::system::histogram::CoalesceStats;
-use crate::system::traffic::WorkloadShape;
+use crate::histogram::CoalesceStats;
+use crate::traffic::WorkloadShape;
 use tcast_datasets::DatasetPreset;
 use tcast_dlrm::DlrmConfig;
 
