@@ -19,8 +19,14 @@
 //!
 //! `FAST=1` shrinks shapes and iteration counts for smoke runs. The
 //! `KERNEL <name> simd/scalar ratio`, `KERNEL <name> cold`, `KERNEL
-//! linear_bwd lane/serial ratio`, `KERNEL cast` and `KERNEL cast_into`
-//! lines are CI's grep anchors.
+//! linear_bwd lane/serial ratio`, `KERNEL gemm lanes`, `KERNEL cast` and
+//! `KERNEL cast_into` lines are CI's grep anchors.
+//!
+//! A GEMM-family row's `peak_frac` is read against the multiply-add peak
+//! measured at the register width its kernels run at, named by its `lanes`
+//! field: 16 (`zmm`) for the `NN` / `TN` kernels where the host has
+//! AVX-512F, 8 (`ymm`) otherwise and for `NT` (`gemm_bt`). `KERNEL gemm
+//! lanes <n>` prints the `NN` / `TN` width of the auto-detected tier.
 //!
 //! The `linear_fwd` / `linear_bwd` / `mlp_step` rows time a whole dense
 //! layer (and a whole MLP training step) of the repo benchmark's two
@@ -282,17 +288,42 @@ fn random_row_read_gbps(
     (lookups * table.dim() * 4) as f64 / ns
 }
 
+/// Register width, in `f32` lanes, that tier `tier`'s GEMM kernels run at
+/// on this host, and so the width of the ceiling a GEMM-family row is read
+/// against. `simd`'s dispatch runs the `NN` / `TN` tiles (`nn_tn`: `gemm`,
+/// `gemm_at`, and the `linear_*` / `mlp_step` rows, which are mostly those)
+/// on 16-lane `zmm` registers where the host has AVX-512F, and the `NT`
+/// blocks (`gemm_bt`) on 8-lane `ymm` registers always. Scalar rows keep
+/// the 8-lane ceiling.
+fn gemm_lanes(tier: KernelDispatch, nn_tn: bool) -> usize {
+    #[cfg(target_arch = "x86_64")]
+    if nn_tn && tier != KernelDispatch::Scalar && std::arch::is_x86_feature_detected!("avx512f") {
+        return 16;
+    }
+    let _ = (tier, nn_tn);
+    8
+}
+
+/// The ceiling a row's `peak_frac` is read against: its rate in the row's
+/// unit and, for the GEMM family, the register width (`lanes`) the rate was
+/// measured at.
+#[derive(Clone, Copy)]
+struct Ceiling {
+    rate: f64,
+    lanes: Option<usize>,
+}
+
 /// GFLOP/s of independent multiply and add dependency chains held in
-/// registers, in the 1:1 mix a GEMM tier issues: the arithmetic ceiling
-/// its kernels can approach on this host. `Fma` contracts each pair into
-/// one op; the other tiers are measured with the separate `vmulps` and
-/// `vaddps` the bit-identical kernels issue. `None` where the host lacks
-/// the instructions.
-fn madd_peak_gflops(tier: KernelDispatch) -> Option<f64> {
+/// `lanes`-wide registers (8: `ymm`, 16: `zmm`), in the 1:1 mix a GEMM
+/// tier issues: the arithmetic ceiling its kernels can approach on this
+/// host at that width. `Fma` contracts each pair into one op; the other
+/// tiers are measured with the separate multiply and add the bit-identical
+/// kernels issue. `None` where the host lacks the instructions.
+fn madd_peak(tier: KernelDispatch, lanes: usize) -> Option<Ceiling> {
     #[cfg(target_arch = "x86_64")]
     {
         use std::arch::x86_64::*;
-        const CHAINS: usize = 7; // of each kind: 14 of the 16 registers
+        const CHAINS: usize = 7; // of each kind: 14 of the 16 `ymm` registers
         const ROUNDS: usize = 400_000;
 
         // mul chains hold at 1.0 (x = 1.0), add chains count up to ROUNDS
@@ -325,16 +356,50 @@ fn madd_peak_gflops(tier: KernelDispatch) -> Option<f64> {
             std::hint::black_box(acc);
             2 * CHAINS * ROUNDS * 16
         }
+        #[target_feature(enable = "avx512f")]
+        fn rounded_zmm() -> usize {
+            let x = _mm512_set1_ps(std::hint::black_box(1.0));
+            let mut mul = [x; CHAINS];
+            let mut add = [_mm512_setzero_ps(); CHAINS];
+            for _ in 0..ROUNDS {
+                for (m, a) in mul.iter_mut().zip(add.iter_mut()) {
+                    *m = _mm512_mul_ps(*m, x);
+                    *a = _mm512_add_ps(*a, x);
+                }
+            }
+            std::hint::black_box((mul, add));
+            CHAINS * ROUNDS * 32 // one mul and one add on each of 16 lanes
+        }
+        #[target_feature(enable = "avx512f")]
+        fn fused_zmm() -> usize {
+            let x = _mm512_set1_ps(std::hint::black_box(0.5));
+            let y = _mm512_set1_ps(std::hint::black_box(1.0));
+            let mut acc = [_mm512_setzero_ps(); 2 * CHAINS];
+            for _ in 0..ROUNDS {
+                for a in acc.iter_mut() {
+                    *a = _mm512_fmadd_ps(*a, x, y);
+                }
+            }
+            std::hint::black_box(acc);
+            2 * CHAINS * ROUNDS * 32
+        }
 
-        if !KernelDispatch::Avx2.supported() || !tier.supported() {
+        let zmm = lanes == 16;
+        if !KernelDispatch::Avx2.supported()
+            || !tier.supported()
+            || (zmm && !std::arch::is_x86_feature_detected!("avx512f"))
+        {
             return None;
         }
-        let run: fn() -> usize = if tier == KernelDispatch::Fma {
+        let run: fn() -> usize = match (tier == KernelDispatch::Fma, zmm) {
             // SAFETY: `tier.supported()` verified AVX2 + FMA above.
-            || unsafe { fused() }
-        } else {
+            (true, false) => || unsafe { fused() },
             // SAFETY: AVX2 support verified above.
-            || unsafe { rounded() }
+            (false, false) => || unsafe { rounded() },
+            // SAFETY: AVX-512F support verified above.
+            (true, true) => || unsafe { fused_zmm() },
+            // SAFETY: AVX-512F support verified above.
+            (false, true) => || unsafe { rounded_zmm() },
         };
         (0..5)
             .map(|_| {
@@ -343,10 +408,14 @@ fn madd_peak_gflops(tier: KernelDispatch) -> Option<f64> {
                 flops as f64 / t0.elapsed().as_secs_f64() / 1e9
             })
             .reduce(f64::max)
+            .map(|rate| Ceiling {
+                rate,
+                lanes: Some(lanes),
+            })
     }
     #[cfg(not(target_arch = "x86_64"))]
     {
-        let _ = tier;
+        let _ = (tier, lanes);
         None
     }
 }
@@ -358,9 +427,9 @@ struct Emitter {
 
 impl Emitter {
     /// One measured row: `rate` is GFLOP/s for the GEMM family (with the
-    /// host's multiply-add `peak` measured beside it), GB/s for the
-    /// gather/scatter family and ns a lookup for the cast (`unit` labels
-    /// which).
+    /// host's multiply-add `peak` measured beside it, at the width the row
+    /// runs at), GB/s for the gather/scatter family and ns a lookup for the
+    /// cast (`unit` labels which).
     #[allow(clippy::too_many_arguments)]
     fn row(
         &self,
@@ -371,7 +440,7 @@ impl Emitter {
         ns: f64,
         rate: f64,
         unit: &str,
-        peak: Option<f64>,
+        peak: Option<Ceiling>,
     ) {
         self.exec_row(kernel, dispatch, None, shape, dim, ns, rate, unit, peak);
     }
@@ -389,10 +458,10 @@ impl Emitter {
         ns: f64,
         rate: f64,
         unit: &str,
-        peak: Option<f64>,
+        peak: Option<Ceiling>,
     ) {
         let of_peak = peak.map_or(String::new(), |p| {
-            format!("  {:>5.1}% of peak", 100.0 * rate / p)
+            format!("  {:>5.1}% of peak", 100.0 * rate / p.rate)
         });
         println!(
             "  {kernel:<22} {:<6} {shape:<20} {ns:>12.0} ns  {rate:>8.2} {unit}{of_peak}",
@@ -420,7 +489,10 @@ impl Emitter {
                 rate,
             );
         if let Some(peak) = peak {
-            row.f64_field("peak_frac", rate / peak);
+            row.f64_field("peak_frac", rate / peak.rate);
+            if let Some(lanes) = peak.lanes {
+                row.u64_field("lanes", lanes as u64);
+            }
         }
         if let Err(e) = json::append_row(&self.json, &row) {
             eprintln!("[kernel_bench] cannot write {}: {e}", self.json.display());
@@ -429,7 +501,8 @@ impl Emitter {
 
     /// Times one dense-layer operation (`flops` per call) serially and on
     /// the lane, on the auto-detected tier, and emits the two rows against
-    /// the two-core multiply-add peak. Returns serial ns over lane ns.
+    /// the two-core multiply-add peak at the `NN` / `TN` width. Returns
+    /// serial ns over lane ns.
     fn lane_rows(
         &self,
         kernel: &str,
@@ -440,7 +513,10 @@ impl Emitter {
         run: impl FnMut(Exec<'_>),
     ) -> f64 {
         let tier = KernelDispatch::detect();
-        let peak = madd_peak_gflops(tier).map(|p| 2.0 * p);
+        let peak = madd_peak(tier, gemm_lanes(tier, true)).map(|p| Ceiling {
+            rate: 2.0 * p.rate,
+            ..p
+        });
         let [serial, on_lane] = time_serial_and_lane_ns(self.iters, lane, run);
         for (exec, ns) in [("serial", serial), ("lane", on_lane)] {
             let rate = flops / ns;
@@ -460,20 +536,22 @@ impl Emitter {
     }
 
     /// Times one GEMM product (`flops` per call) on every tier and emits
-    /// its rows. The multiply-add peak is measured right before each
-    /// timing: this host's clock sits on plateaus 1.2-1.5x apart that last
-    /// seconds, so a peak taken once at start-up would misstate
-    /// `peak_frac` for most rows.
+    /// its rows; `nn_tn` says whether the product runs the `NN` / `TN`
+    /// kernel (else `NT`), which sets its width ([`gemm_lanes`]). The
+    /// multiply-add peak is measured right before each timing: this host's
+    /// clock sits on plateaus 1.2-1.5x apart that last seconds, so a peak
+    /// taken once at start-up would misstate `peak_frac` for most rows.
     fn gemm_rows(
         &self,
         kernel: &str,
         shape: &str,
         dim: usize,
         flops: f64,
+        nn_tn: bool,
         run: &mut dyn FnMut(KernelDispatch),
     ) -> Vec<(KernelDispatch, f64)> {
         tier_ns(&mut |d| {
-            let peak = madd_peak_gflops(d);
+            let peak = madd_peak(d, gemm_lanes(d, nn_tn));
             let ns = time_ns(self.iters, || run(d));
             self.row(kernel, d, shape, dim, ns, flops / ns, "GFLOP/s", peak);
             ns
@@ -519,10 +597,25 @@ fn main() {
         args.json.display()
     );
     for &d in &tiers {
-        if let Some(p) = madd_peak_gflops(d) {
-            println!("multiply-add peak {:<6} {p:>8.2} GFLOP/s", d.name());
+        let widths: &[usize] = if gemm_lanes(d, true) == 16 {
+            &[8, 16]
+        } else {
+            &[8]
+        };
+        for &lanes in widths {
+            if let Some(p) = madd_peak(d, lanes) {
+                println!(
+                    "multiply-add peak {:<6} {lanes:>2} lanes {:>8.2} GFLOP/s",
+                    d.name(),
+                    p.rate
+                );
+            }
         }
     }
+    println!(
+        "KERNEL gemm lanes {}",
+        gemm_lanes(KernelDispatch::detect(), true)
+    );
     let emit = Emitter {
         json: args.json.clone(),
         iters: args.iters,
@@ -551,7 +644,7 @@ fn main() {
         let mut c = Matrix::zeros(m, n);
         let shape = format!("{m}x{k}x{n}");
         let flops = 2.0 * (m * k * n) as f64;
-        let rows = emit.gemm_rows("gemm", &shape, n, flops, &mut |d| {
+        let rows = emit.gemm_rows("gemm", &shape, n, flops, true, &mut |d| {
             a.matmul_into_with(&b, &mut c, d).unwrap();
         });
         // Gate on the biggest regular layer, not the ragged tail shape.
@@ -573,7 +666,7 @@ fn main() {
         let mut c = Matrix::zeros(m, n);
         let shape = format!("{r}x{m}^T*{r}x{n}");
         let flops = 2.0 * (r * m * n) as f64;
-        emit.gemm_rows("gemm_at", &shape, n, flops, &mut |d| {
+        emit.gemm_rows("gemm_at", &shape, n, flops, true, &mut |d| {
             a.matmul_at_into_with(&b, &mut c, d).unwrap();
         });
     }
@@ -584,7 +677,7 @@ fn main() {
         let mut c = Matrix::zeros(m, n);
         let shape = format!("{m}x{k}*{n}x{k}^T");
         let flops = 2.0 * (m * k * n) as f64;
-        emit.gemm_rows("gemm_bt", &shape, n, flops, &mut |d| {
+        emit.gemm_rows("gemm_bt", &shape, n, flops, false, &mut |d| {
             a.matmul_bt_into_with(&b, &mut c, d).unwrap();
         });
     }
@@ -850,7 +943,10 @@ fn main() {
                     ns,
                     bytes / ns,
                     "GB/s",
-                    Some(peak),
+                    Some(Ceiling {
+                        rate: peak,
+                        lanes: None,
+                    }),
                 );
             }
             if let Some(ns) = lookup(&rows, KernelDispatch::detect()) {

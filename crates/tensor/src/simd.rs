@@ -1,4 +1,5 @@
-//! Runtime-dispatched SIMD kernels: x86-64 AVX2 (`std::arch`) with a
+//! Runtime-dispatched SIMD kernels: x86-64 AVX2 (`std::arch`), with the
+//! `NN` / `TN` GEMM on AVX-512 registers where the host has them, and a
 //! portable scalar fallback.
 //!
 //! ROADMAP's "as fast as the hardware allows" requires explicit SIMD, but
@@ -45,11 +46,18 @@
 //! being summed, never *what* is summed in which order:
 //!
 //! * `NN` and `TN` share one kernel (`A` is addressed through a row and a
-//!   `k` stride). A tile keeps 4 rows x 16 columns of `C` in registers
-//!   and, for `kk` ascending, adds `a[i][kk] * b[kk][j]` to each — the
-//!   oracle's `c[i][j] += a[i][kk] * b[kk][j]` sequence starting from
-//!   `+0.0`, vectorized across `j` only. `avx2` multiplies then adds (two
-//!   roundings, like the oracle); `fma` contracts.
+//!   `k` stride). A tile keeps up to 8 rows x 16 columns of `C` in
+//!   registers and, for `kk` ascending, adds `a[i][kk] * b[kk][j]` to
+//!   each — the oracle's `c[i][j] += a[i][kk] * b[kk][j]` sequence
+//!   starting from `+0.0`, vectorized across `j` only. `avx2` multiplies
+//!   then adds (two roundings, like the oracle); `fma` contracts.
+//! * The register width is the host's, not the tier's: where AVX-512F is
+//!   present the tile is 8 rows of one 16-lane `zmm` vector, otherwise 4
+//!   rows of two 8-lane `ymm` vectors. A 16-lane `vmulps` then `vaddps` is
+//!   sixteen of the same IEEE operations an 8-lane pair performs, so both
+//!   widths give every output the same bits and the tier is still
+//!   reported as `avx2` (or `fma`). The width is one parameter of the one
+//!   macro body, not a second kernel.
 //! * The reduction is blocked by `GEMM_KC` steps: between blocks the
 //!   accumulators are stored to `C` and loaded back, which changes when an
 //!   element is revisited, not the order of its additions (an `f32` store
@@ -58,12 +66,14 @@
 //!   zero-padded stack buffer, so a tile streams it from L1 whatever the
 //!   row stride, and the last `n % 16` columns run the same full-width
 //!   tile (on a staging copy of `C` whose dead lanes are dropped). Row
-//!   tails (`m % 4`) run the same tile body with fewer rows. Copies move
-//!   bits; neither touches the arithmetic.
+//!   tails (`m % 8`, or `m % 4` on `ymm`) run the same tile body with
+//!   fewer rows. Copies move bits; neither touches the arithmetic.
 //! * `NT` keeps each output's own 8-lane partial sums, the fold above and
 //!   the scalar `k % 8` tail — one [`dot`], exactly — and merely holds a
 //!   2 x 4 block of outputs in flight; the `m % 2` / `n % 4` tails call
-//!   [`dot`] itself.
+//!   [`dot`] itself. It stays on `ymm` registers on every host: carrying
+//!   two outputs' partial sums in the halves of a `zmm` measured no faster
+//!   on the benchmark shapes.
 //!
 //! No output's operation sequence depends on `m`, so the pooled matmuls
 //! simply run the same kernel on each row band: serial == pooled holds by
@@ -75,10 +85,15 @@
 use std::sync::atomic::{AtomicU8, Ordering};
 use std::sync::OnceLock;
 
-/// Register tile of the `C = A B` kernels (`NN` and `TN`): `GEMM_MR` rows
-/// by `GEMM_NR` columns (two 8-lane vectors), i.e. eight accumulators, two
-/// `B` vectors and one broadcast of `A` in the sixteen `ymm` registers.
-const GEMM_MR: usize = 4;
+/// Register tile of the `C = A B` kernels (`NN` and `TN`): up to `MR` rows
+/// by `GEMM_NR` columns. On 8-lane `ymm` registers a tile row is two
+/// vectors, so `GEMM_MR_YMM` rows make eight accumulators, two `B` vectors
+/// and one broadcast of `A` in the sixteen `ymm` registers. On 16-lane
+/// `zmm` registers (AVX-512) a tile row is one vector, so `GEMM_MR_ZMM`
+/// rows make eight accumulators, one `B` vector and one broadcast in ten
+/// of the thirty-two `zmm` registers.
+const GEMM_MR_YMM: usize = 4;
+const GEMM_MR_ZMM: usize = 8;
 const GEMM_NR: usize = 16;
 /// Reduction steps a tile takes between loading and storing its `C`
 /// accumulators.
@@ -172,6 +187,15 @@ fn avx2_ok() -> bool {
 #[inline(always)]
 fn fma_ok() -> bool {
     avx2_ok() && std::arch::is_x86_feature_detected!("fma")
+}
+
+/// Whether the SIMD tiers' `NN` / `TN` GEMM runs on 16-lane `zmm`
+/// registers rather than 8-lane `ymm` ones. Not a tier: both widths
+/// perform the same operations on every output.
+#[cfg(target_arch = "x86_64")]
+#[inline(always)]
+fn zmm_ok() -> bool {
+    std::arch::is_x86_feature_detected!("avx512f")
 }
 
 #[cfg(not(target_arch = "x86_64"))]
@@ -379,7 +403,7 @@ fn gemm_nt_scalar(a: &[f32], b: &[f32], c: &mut [f32], m: usize, k: usize, n: us
 
 #[cfg(target_arch = "x86_64")]
 mod x86 {
-    use super::{GEMM_KC, GEMM_MR, GEMM_NR, NT_MR, NT_NR};
+    use super::{GEMM_KC, GEMM_MR_YMM, GEMM_MR_ZMM, GEMM_NR, NT_MR, NT_NR};
     use std::arch::x86_64::*;
 
     #[target_feature(enable = "avx2")]
@@ -508,11 +532,14 @@ mod x86 {
     }
 
     /// `acc + a * b` as two correctly-rounded operations — what the scalar
-    /// oracle's `c += a * b` does — on 8 lanes (`ps`) or one float (`ss`),
-    /// so the `avx2` tier stays bit-identical to it.
+    /// oracle's `c += a * b` does — on 8 lanes (`ymm`), 16 lanes (`zmm`)
+    /// or one float (`ss`), so the `avx2` tier stays bit-identical to it.
     macro_rules! madd_rounded {
-        (ps $acc:expr, $a:expr, $b:expr) => {
+        (ymm $acc:expr, $a:expr, $b:expr) => {
             _mm256_add_ps($acc, _mm256_mul_ps($a, $b))
+        };
+        (zmm $acc:expr, $a:expr, $b:expr) => {
+            _mm512_add_ps($acc, _mm512_mul_ps($a, $b))
         };
         (ss $acc:expr, $a:expr, $b:expr) => {
             $acc + $a * $b
@@ -521,78 +548,139 @@ mod x86 {
 
     /// `acc + a * b` contracted into one rounding (`fma` tier).
     macro_rules! madd_fused {
-        (ps $acc:expr, $a:expr, $b:expr) => {
+        (ymm $acc:expr, $a:expr, $b:expr) => {
             _mm256_fmadd_ps($a, $b, $acc)
+        };
+        (zmm $acc:expr, $a:expr, $b:expr) => {
+            _mm512_fmadd_ps($a, $b, $acc)
         };
         (ss $acc:expr, $a:expr, $b:expr) => {
             $a.mul_add($b, $acc)
         };
     }
 
-    /// One tier's GEMM kernels. The two instantiations share this body
-    /// verbatim and differ only in the multiply-add op `$madd` and in the
-    /// `$dot` helper (built on the same op) the `NT` tails fall back to.
-    macro_rules! gemm_tier {
-        ($tier:ident, $madd:ident, $dot:ident, $($feat:literal),+) => {
-            pub mod $tier {
+    /// The data movement of one register width (`ymm` | `zmm`): `zero`,
+    /// `load`, `store` and `splat` (the float at a pointer, in every lane).
+    /// None of it rounds.
+    macro_rules! vop {
+        (ymm zero) => {
+            _mm256_setzero_ps()
+        };
+        (ymm load $p:expr) => {
+            _mm256_loadu_ps($p)
+        };
+        (ymm store $p:expr, $v:expr) => {
+            _mm256_storeu_ps($p, $v)
+        };
+        (ymm splat $p:expr) => {
+            _mm256_broadcast_ss(&*$p)
+        };
+        (zmm zero) => {
+            _mm512_setzero_ps()
+        };
+        (zmm load $p:expr) => {
+            _mm512_loadu_ps($p)
+        };
+        (zmm store $p:expr, $v:expr) => {
+            _mm512_storeu_ps($p, $v)
+        };
+        (zmm splat $p:expr) => {
+            _mm512_set1_ps(*$p)
+        };
+    }
+
+    /// One tier's `NN` / `TN` kernel at one register width. The four
+    /// instantiations share this body verbatim: the tier picks the
+    /// multiply-add op `$madd`; the width `$w` (`ymm` | `zmm`, `$lanes`
+    /// floats) picks the data movement and the tile height `$mr`, with
+    /// `$tail` the row counts below it that a row tail can have.
+    macro_rules! gemm_width {
+        (
+            $w:ident, $lanes:literal, $mr:expr, [$($tail:literal),*],
+            $madd:ident, $($feat:literal),+
+        ) => {
+            pub mod $w {
                 use super::*;
 
+                /// Floats a vector holds.
+                const LANES: usize = $lanes;
+                /// Vectors a tile row of `GEMM_NR` columns spans.
+                const NV: usize = GEMM_NR / LANES;
+                /// Rows of the `NN` / `TN` tile.
+                const MR: usize = $mr;
+
                 /// One `R x GEMM_NR` register tile of `C = A B` over `kc`
-                /// reduction steps against a `B` panel of row stride `ldb`: the
-                /// accumulators start from `+0.0` (`first`) or from `C`,
-                /// take one multiply-add per `kk` in ascending order, and
-                /// are stored back once.
+                /// reduction steps against a `B` panel of row stride `ldb`:
+                /// the accumulators start from `+0.0` (`first`) or from
+                /// `C`, take one multiply-add per `kk` in ascending order,
+                /// and are stored back once. `a`, `b` and `c` start at the
+                /// tile's first element of each operand.
                 ///
                 /// # Safety
                 ///
-                /// For every `r < R` and `kk < kc`, `a + r * a_rs + kk *
-                /// a_ks` must be readable, `b + kk * ldb` readable for
-                /// `GEMM_NR` floats, and `c + r * ldc` readable and writable
-                /// for `GEMM_NR` floats.
+                /// `R <= MR` and `0 < kc <= GEMM_KC`; `a` must hold
+                /// `A[r][kk]` at `r * a_rs + kk * a_ks` for every `r < R`
+                /// and `kk < kc`, `b` must hold `GEMM_NR` floats from
+                /// `kk * ldb` and `c` from `r * ldc`. The elements are
+                /// addressed without bounds checks; the spans are
+                /// `debug_assert!`ed.
                 #[target_feature($(enable = $feat),+)]
                 #[inline]
                 #[allow(clippy::too_many_arguments)]
                 unsafe fn tile<const R: usize>(
-                    a: *const f32,
+                    a: &[f32],
                     a_rs: usize,
                     a_ks: usize,
-                    b: *const f32,
+                    b: &[f32],
                     ldb: usize,
-                    c: *mut f32,
+                    c: &mut [f32],
                     ldc: usize,
                     kc: usize,
                     first: bool,
                 ) {
-                    let mut acc = [[_mm256_setzero_ps(); 2]; R];
+                    debug_assert!(0 < R && R <= MR && 0 < kc && kc <= GEMM_KC);
+                    debug_assert!(a.len() > (R - 1) * a_rs + (kc - 1) * a_ks);
+                    debug_assert!(b.len() >= (kc - 1) * ldb + GEMM_NR);
+                    debug_assert!(c.len() >= (R - 1) * ldc + GEMM_NR);
+                    let (a, b, c) = (a.as_ptr(), b.as_ptr(), c.as_mut_ptr());
+                    let mut acc = [[vop!($w zero); NV]; R];
                     if !first {
                         for r in 0..R {
-                            // SAFETY: `c + r * ldc` holds GEMM_NR = 16
-                            // floats (caller contract).
-                            unsafe {
-                                acc[r][0] = _mm256_loadu_ps(c.add(r * ldc));
-                                acc[r][1] = _mm256_loadu_ps(c.add(r * ldc + 8));
+                            for v in 0..NV {
+                                // SAFETY: `c + r * ldc` holds GEMM_NR =
+                                // NV * LANES floats (caller contract).
+                                acc[r][v] = unsafe { vop!($w load c.add(r * ldc + v * LANES)) };
                             }
                         }
                     }
+                    // Row `r` of the tile reads `A` from `a_rows[r]`. Hidden
+                    // from the optimizer, or it rebuilds the `R` addresses
+                    // from one another with `R - 1` integer adds a step,
+                    // which take issue slots from the multiply-adds (the
+                    // `zmm` tile read 7-14% slower on the benchmark shapes).
+                    let a_rows: [*const f32; R] =
+                        std::hint::black_box(std::array::from_fn(|r| a.wrapping_add(r * a_rs)));
                     for kk in 0..kc {
-                        // SAFETY: `b + kk * ldb` holds 16 floats and every
-                        // `a` element addressed is readable (caller
+                        // SAFETY: `b + kk * ldb` holds GEMM_NR floats and
+                        // every `a` element addressed is readable (caller
                         // contract).
                         unsafe {
-                            let b0 = _mm256_loadu_ps(b.add(kk * ldb));
-                            let b1 = _mm256_loadu_ps(b.add(kk * ldb + 8));
+                            let mut bv = [vop!($w zero); NV];
+                            for v in 0..NV {
+                                bv[v] = vop!($w load b.add(kk * ldb + v * LANES));
+                            }
                             for r in 0..R {
-                                let av = _mm256_broadcast_ss(&*a.add(r * a_rs + kk * a_ks));
-                                acc[r][0] = $madd!(ps acc[r][0], av, b0);
-                                acc[r][1] = $madd!(ps acc[r][1], av, b1);
+                                let av = vop!($w splat a_rows[r].add(kk * a_ks));
+                                for v in 0..NV {
+                                    acc[r][v] = $madd!($w acc[r][v], av, bv[v]);
+                                }
                             }
                         }
                     }
                     for r in 0..R {
-                        // SAFETY: as for the loads above.
-                        unsafe {
-                            _mm256_storeu_ps(c.add(r * ldc), acc[r][0]);
-                            _mm256_storeu_ps(c.add(r * ldc + 8), acc[r][1]);
+                        for v in 0..NV {
+                            // SAFETY: as for the loads above.
+                            unsafe { vop!($w store c.add(r * ldc + v * LANES), acc[r][v]) };
                         }
                     }
                 }
@@ -630,14 +718,14 @@ mod x86 {
                     // full-width panel that a single row tile reads is
                     // read in place: copying it could not pay.
                     let mut panel = [0.0f32; GEMM_KC * GEMM_NR];
-                    let mut edge = [0.0f32; GEMM_MR * GEMM_NR];
+                    let mut edge = [0.0f32; MR * GEMM_NR];
                     for k0 in (0..k).step_by(GEMM_KC) {
                         let kc = GEMM_KC.min(k - k0);
                         let first = k0 == 0;
                         for j0 in (0..n).step_by(GEMM_NR) {
                             let cols = GEMM_NR.min(n - j0);
                             let staged = cols < GEMM_NR;
-                            let packed = staged || m > GEMM_MR;
+                            let packed = staged || m > MR;
                             if packed {
                                 let rows = panel.chunks_exact_mut(GEMM_NR);
                                 for (kk, dst) in rows.take(kc).enumerate() {
@@ -650,40 +738,41 @@ mod x86 {
                                     }
                                 }
                             }
-                            for i0 in (0..m).step_by(GEMM_MR) {
-                                let rows = GEMM_MR.min(m - i0);
+                            for i0 in (0..m).step_by(MR) {
+                                let rows = MR.min(m - i0);
                                 if staged && !first {
                                     for r in 0..rows {
                                         let c_row = &c[(i0 + r) * n + j0..][..cols];
                                         edge[r * GEMM_NR..][..cols].copy_from_slice(c_row);
                                     }
                                 }
-                                // SAFETY: rows `i0..i0 + rows` (<= m) and
-                                // reduction steps `k0..k0 + kc` (<= k) are
-                                // inside `a` by the assert above. The `B`
-                                // panel is `panel` (GEMM_KC >= kc rows of
-                                // GEMM_NR) or rows `k0..k0 + kc`, columns
-                                // `j0..j0 + GEMM_NR` (<= n: not staged) of
-                                // `b`; the output is `edge` (GEMM_MR >= rows
-                                // rows of GEMM_NR) or rows `i0..i0 + rows`
-                                // of the same columns of `c`.
+                                let at = &a[i0 * a_rs + k0 * a_ks..];
+                                let (bt, ldb) = if packed {
+                                    (&panel[..], GEMM_NR)
+                                } else {
+                                    (&b[k0 * n + j0..], n)
+                                };
+                                let (ct, ldc) = if staged {
+                                    (&mut edge[..], GEMM_NR)
+                                } else {
+                                    (&mut c[i0 * n + j0..], n)
+                                };
+                                // SAFETY: `rows <= MR`, `0 < kc <= GEMM_KC`.
+                                // Rows `i0..i0 + rows` (<= m) and reduction
+                                // steps `k0..k0 + kc` (<= k) are inside `a`
+                                // by the assert above. The `B` panel is
+                                // `panel` (GEMM_KC >= kc rows of GEMM_NR)
+                                // or rows `k0..k0 + kc`, columns `j0..j0 +
+                                // GEMM_NR` (<= n: not staged) of `b`; the
+                                // output is `edge` (MR >= rows rows of
+                                // GEMM_NR) or rows `i0..i0 + rows` of the
+                                // same columns of `c`.
                                 unsafe {
-                                    let at = a.as_ptr().add(i0 * a_rs + k0 * a_ks);
-                                    let (bt, ldb) = if packed {
-                                        (panel.as_ptr(), GEMM_NR)
-                                    } else {
-                                        (b.as_ptr().add(k0 * n + j0), n)
-                                    };
-                                    let (ct, ldc) = if staged {
-                                        (edge.as_mut_ptr(), GEMM_NR)
-                                    } else {
-                                        (c.as_mut_ptr().add(i0 * n + j0), n)
-                                    };
                                     match rows {
-                                        1 => tile::<1>(at, a_rs, a_ks, bt, ldb, ct, ldc, kc, first),
-                                        2 => tile::<2>(at, a_rs, a_ks, bt, ldb, ct, ldc, kc, first),
-                                        3 => tile::<3>(at, a_rs, a_ks, bt, ldb, ct, ldc, kc, first),
-                                        _ => tile::<GEMM_MR>(
+                                        $($tail => tile::<$tail>(
+                                            at, a_rs, a_ks, bt, ldb, ct, ldc, kc, first,
+                                        ),)*
+                                        _ => tile::<MR>(
                                             at, a_rs, a_ks, bt, ldb, ct, ldc, kc, first,
                                         ),
                                     }
@@ -698,50 +787,61 @@ mod x86 {
                         }
                     }
                 }
+            }
+        };
+    }
 
-                /// `RA x RB` outputs of `C = A B^T` in flight: each keeps
-                /// its own 8-lane partial sums over the `k / 8` full
-                /// chunks, folds them with [`hreduce`] and finishes the
-                /// `k % 8` tail in scalar — the exact sequence of one
-                /// `$dot` call.
+    /// One tier's kernels: `NT` on 8-lane `ymm` registers and `NN` / `TN`
+    /// at both widths. The two instantiations share this body verbatim and
+    /// differ only in the multiply-add op `$madd` and in the `$dot` helper
+    /// (built on the same op) the `NT` tails fall back to.
+    macro_rules! gemm_tier {
+        ($tier:ident, $madd:ident, $dot:ident, $($feat:literal),+) => {
+            pub mod $tier {
+                use super::*;
+
+                /// `NT_MR x NT_NR` outputs of `C = A B^T` in flight: each
+                /// keeps its own 8-lane partial sums over the `k / 8` full
+                /// chunks, folds them with [`hreduce`] and finishes the `k % 8`
+                /// tail in scalar — the exact sequence of one `$dot` call.
+                /// `a`, `b` and `c` start at the block's first row of each
+                /// operand.
                 ///
                 /// # Safety
                 ///
-                /// `a` must be readable for `RA` rows and `b` for `RB`
-                /// rows of `k` floats each; `c + r * ldc` must be writable
-                /// for `RB` floats for every `r < RA`.
+                /// `a` must hold `NT_MR` and `b` `NT_NR` rows of `k`
+                /// floats each, and `c` `NT_NR` floats from `r * ldc` for
+                /// every `r < NT_MR`. The elements are addressed without
+                /// bounds checks; the spans are `debug_assert!`ed.
                 #[target_feature($(enable = $feat),+)]
                 #[inline]
                 #[allow(clippy::assign_op_pattern)] // `sum = $madd!(..)`: one form for both ops
-                unsafe fn tile_nt<const RA: usize, const RB: usize>(
-                    a: *const f32,
-                    b: *const f32,
-                    k: usize,
-                    c: *mut f32,
-                    ldc: usize,
-                ) {
-                    let mut acc = [[_mm256_setzero_ps(); RB]; RA];
+                unsafe fn tile_nt(a: &[f32], b: &[f32], k: usize, c: &mut [f32], ldc: usize) {
+                    debug_assert!(a.len() >= NT_MR * k && b.len() >= NT_NR * k);
+                    debug_assert!(c.len() >= (NT_MR - 1) * ldc + NT_NR);
+                    let (a, b, c) = (a.as_ptr(), b.as_ptr(), c.as_mut_ptr());
+                    let mut acc = [[_mm256_setzero_ps(); NT_NR]; NT_MR];
                     let full = k - k % 8;
                     let mut kk = 0;
                     while kk < full {
                         // SAFETY: `kk + 8 <= k` bounds every 8-lane load
                         // inside its row (caller contract).
                         unsafe {
-                            let mut av = [_mm256_setzero_ps(); RA];
-                            for r in 0..RA {
+                            let mut av = [_mm256_setzero_ps(); NT_MR];
+                            for r in 0..NT_MR {
                                 av[r] = _mm256_loadu_ps(a.add(r * k + kk));
                             }
-                            for j in 0..RB {
+                            for j in 0..NT_NR {
                                 let bv = _mm256_loadu_ps(b.add(j * k + kk));
-                                for r in 0..RA {
-                                    acc[r][j] = $madd!(ps acc[r][j], av[r], bv);
+                                for r in 0..NT_MR {
+                                    acc[r][j] = $madd!(ymm acc[r][j], av[r], bv);
                                 }
                             }
                         }
                         kk += 8;
                     }
-                    for r in 0..RA {
-                        for j in 0..RB {
+                    for r in 0..NT_MR {
+                        for j in 0..NT_NR {
                             let mut sum = hreduce(acc[r][j]);
                             for t in full..k {
                                 // SAFETY: `t < k` is inside both rows.
@@ -763,21 +863,13 @@ mod x86 {
                     // Without one full 8-lane chunk there is nothing to tile.
                     let m_tiled = if k < 8 { 0 } else { m - m % NT_MR };
                     let n_tiled = n - n % NT_NR;
-                    let (ap, bp, cp) = (a.as_ptr(), b.as_ptr(), c.as_mut_ptr());
                     for j0 in (0..n_tiled).step_by(NT_NR) {
                         for i0 in (0..m_tiled).step_by(NT_MR) {
                             // SAFETY: rows `i0..i0 + NT_MR` (<= m) of `a`
                             // and `c`, rows `j0..j0 + NT_NR` (<= n) of `b`
                             // are inside the operands by the assert above.
-                            unsafe {
-                                tile_nt::<NT_MR, NT_NR>(
-                                    ap.add(i0 * k),
-                                    bp.add(j0 * k),
-                                    k,
-                                    cp.add(i0 * n + j0),
-                                    n,
-                                );
-                            }
+                            let (at, bt) = (&a[i0 * k..], &b[j0 * k..]);
+                            unsafe { tile_nt(at, bt, k, &mut c[i0 * n + j0..], n) };
                         }
                     }
                     // Tails: the last `m % NT_MR` rows over all columns,
@@ -790,6 +882,12 @@ mod x86 {
                         }
                     }
                 }
+
+                gemm_width!(ymm, 8, GEMM_MR_YMM, [1, 2, 3], $madd, $($feat),+);
+                gemm_width!(
+                    zmm, 16, GEMM_MR_ZMM, [1, 2, 3, 4, 5, 6, 7],
+                    $madd, $($feat,)+ "avx512f"
+                );
             }
         };
     }
@@ -884,13 +982,23 @@ fn gemm_strided(
     #[cfg(target_arch = "x86_64")]
     {
         if d == KernelDispatch::Fma && fma_ok() {
-            // SAFETY: AVX2+FMA support verified on the line above.
-            unsafe { x86::fma::gemm(a, a_rs, a_ks, b, c, m, k, n) };
+            if zmm_ok() {
+                // SAFETY: AVX2+FMA and AVX-512F support verified above.
+                unsafe { x86::fma::zmm::gemm(a, a_rs, a_ks, b, c, m, k, n) };
+            } else {
+                // SAFETY: AVX2+FMA support verified above.
+                unsafe { x86::fma::ymm::gemm(a, a_rs, a_ks, b, c, m, k, n) };
+            }
             return;
         }
         if d != KernelDispatch::Scalar && avx2_ok() {
-            // SAFETY: AVX2 support verified on the line above.
-            unsafe { x86::avx2::gemm(a, a_rs, a_ks, b, c, m, k, n) };
+            if zmm_ok() {
+                // SAFETY: AVX2 and AVX-512F support verified above.
+                unsafe { x86::avx2::zmm::gemm(a, a_rs, a_ks, b, c, m, k, n) };
+            } else {
+                // SAFETY: AVX2 support verified above.
+                unsafe { x86::avx2::ymm::gemm(a, a_rs, a_ks, b, c, m, k, n) };
+            }
             return;
         }
     }
@@ -1068,5 +1176,143 @@ mod tests {
         prefetch(&[]);
         prefetch(&[1.0; 3]);
         prefetch(&vec![0.5; 1024]);
+    }
+
+    /// Values in `[-2, 2)` with, once per `4 * one_in` draws each, the
+    /// inputs a bit-identity claim must survive: `-0.0`, two denormals and
+    /// either NaN (`nan`) or `+inf` and `-inf`. Rare enough in a long
+    /// reduction that most outputs stay finite. Not both: an input NaN
+    /// meeting a generated one (`inf * 0`) keeps the payload of the first
+    /// operand of the add, and which operand is first is the compiler's
+    /// choice (it commutes adds), so the bits are then the same NaN-ness
+    /// but not the same payload, on every width alike.
+    #[cfg(target_arch = "x86_64")]
+    fn adversarial(n: usize, one_in: u64, nan: bool, seed: u64) -> Vec<f32> {
+        let mut rng = crate::SplitMix64::new(seed);
+        (0..n)
+            .map(|_| match rng.next_below(4 * one_in) {
+                0 if nan => f32::NAN,
+                0 => f32::INFINITY,
+                1 if nan => -1.5,
+                1 => f32::NEG_INFINITY,
+                2 => -0.0,
+                3 => 1.0e-40,
+                4 => -1.0e-41,
+                _ => rng.next_range(-2.0, 2.0),
+            })
+            .collect()
+    }
+
+    /// The `NN` / `TN` kernel of tier `d` at one register width (`lanes`
+    /// 8 or 16), called directly rather than through the dispatcher, which
+    /// runs only the widest the host has. `false` where the host lacks the
+    /// tier or the width.
+    #[cfg(target_arch = "x86_64")]
+    #[allow(clippy::too_many_arguments)]
+    fn gemm_at_width(
+        d: KernelDispatch,
+        lanes: usize,
+        a: &[f32],
+        a_rs: usize,
+        a_ks: usize,
+        b: &[f32],
+        c: &mut [f32],
+        m: usize,
+        k: usize,
+        n: usize,
+    ) -> bool {
+        if !d.supported() || (lanes == 16 && !zmm_ok()) {
+            return false;
+        }
+        // SAFETY: the tier's features (and AVX-512F for 16 lanes) were
+        // verified above.
+        unsafe {
+            match (d, lanes) {
+                (KernelDispatch::Avx2, 8) => x86::avx2::ymm::gemm(a, a_rs, a_ks, b, c, m, k, n),
+                (KernelDispatch::Avx2, 16) => x86::avx2::zmm::gemm(a, a_rs, a_ks, b, c, m, k, n),
+                (KernelDispatch::Fma, 8) => x86::fma::ymm::gemm(a, a_rs, a_ks, b, c, m, k, n),
+                (KernelDispatch::Fma, 16) => x86::fma::zmm::gemm(a, a_rs, a_ks, b, c, m, k, n),
+                _ => unreachable!("no {lanes}-lane {} kernel", d.name()),
+            }
+        }
+        true
+    }
+
+    /// Runs `C = A B` (`A[i][kk]` at `a[i * a_rs + kk * a_ks]`) on both
+    /// SIMD tiers at both widths, on a `C` pre-filled with NaN (every
+    /// output is overwritten), against the scalar oracle: bit for bit on
+    /// `avx2`, within contraction tolerance on `fma`.
+    #[cfg(target_arch = "x86_64")]
+    #[allow(clippy::too_many_arguments)]
+    fn check_widths(a: &[f32], a_rs: usize, a_ks: usize, b: &[f32], m: usize, k: usize, n: usize) {
+        let mut want = vec![0.0f32; m * n];
+        gemm_scalar(a, a_rs, a_ks, b, &mut want, m, k, n);
+        for d in [KernelDispatch::Avx2, KernelDispatch::Fma] {
+            for lanes in [8, 16] {
+                let mut got = vec![f32::NAN; m * n];
+                if !gemm_at_width(d, lanes, a, a_rs, a_ks, b, &mut got, m, k, n) {
+                    continue;
+                }
+                let same = |x: f32, y: f32| match d {
+                    KernelDispatch::Fma if x.is_nan() || y.is_nan() => x.is_nan() && y.is_nan(),
+                    KernelDispatch::Fma if x.is_infinite() || y.is_infinite() => x == y,
+                    KernelDispatch::Fma => (x - y).abs() <= 1e-3 + 1e-4 * x.abs().max(y.abs()),
+                    _ => x.to_bits() == y.to_bits(),
+                };
+                let bad = want.iter().zip(&got).position(|(&x, &y)| !same(x, y));
+                assert!(
+                    bad.is_none(),
+                    "{} {lanes}-lane vs scalar at {bad:?} (m={m} k={k} n={n} a_rs={a_rs} \
+                     a_ks={a_ks}): {:?} vs {:?}",
+                    d.name(),
+                    bad.map(|i| want[i].to_bits()),
+                    bad.map(|i| got[i].to_bits()),
+                );
+            }
+        }
+    }
+
+    /// Every row tail of both tiles (`m` up to two 8-row tiles and one
+    /// more), the column tails of the 16-wide panel (`n = 1` is the logit
+    /// layer) and both sides of the 256-step K block, in the `NN` layout.
+    #[cfg(target_arch = "x86_64")]
+    #[test]
+    fn gemm_nn_widths_match_scalar_on_tile_edges() {
+        let mut seed = 0x16;
+        for k in [1, 255, 256, 257, 513] {
+            for n in [1, 15, 16, 17, 31, 33] {
+                for m in 1..=17 {
+                    seed += 1;
+                    let one_in = (k as u64).max(4);
+                    for nan in [true, false] {
+                        let a = adversarial(m * k, one_in, nan, seed);
+                        let b = adversarial(k * n, one_in, nan, seed ^ 0xb);
+                        check_widths(&a, k, 1, &b, m, k, n);
+                    }
+                }
+            }
+        }
+    }
+
+    /// `TN` row bands as the split backward cuts them: columns `lo..lo + m`
+    /// of a `k x lda` operand with `lda > m`, so `A`'s rows are strided
+    /// past the band.
+    #[cfg(target_arch = "x86_64")]
+    #[test]
+    fn gemm_tn_bands_widths_match_scalar() {
+        let mut seed = 0x7a;
+        for k in [1, 255, 257, 513] {
+            for n in [1, 16, 17, 33] {
+                for (m, lo, lda) in [(1, 0, 2), (7, 3, 13), (8, 8, 16), (9, 0, 17), (16, 5, 40)] {
+                    seed += 1;
+                    let one_in = (k as u64).max(4);
+                    for nan in [true, false] {
+                        let a = adversarial(k * lda, one_in, nan, seed);
+                        let b = adversarial(k * n, one_in, nan, seed ^ 0xb);
+                        check_widths(&a[lo..], 1, lda, &b, m, k, n);
+                    }
+                }
+            }
+        }
     }
 }
