@@ -51,8 +51,8 @@
 //! `tensor_casting`) in ns a lookup, on Zipf batches over a small and a
 //! large id space; the cast is a sort and a scan, so it has no tiers. The
 //! `cast_into` rows time the same batches through `tensor_casting_into`
-//! into a recycled array and sort scratch — what the casting worker and a
-//! full serving cache run.
+//! into a recycled array and sort scratch — what the trainer's cast-ahead
+//! task and a full serving cache run.
 //!
 //! Full-size runs on multi-core hosts gate the dispatch layer's reason to
 //! exist: AVX2 GEMM must reach at least 2x scalar and AVX2 gather-reduce
@@ -216,7 +216,7 @@ struct ColdRows {
 struct ColdBatch {
     /// `batch` samples of `pooling` lookups, in shuffled order.
     index: IndexArray,
-    /// The same lookups, cast (what the casting pipeline would deliver).
+    /// The same lookups, cast (what the trainer's cast-ahead would deliver).
     casted: CastedIndexArray,
     /// The rows ascending, with one gradient row each: a coalesced
     /// gradient as the baseline backward hands it to the scatter.

@@ -101,21 +101,6 @@ pub fn casted_embedding_forward_into(
     Ok(())
 }
 
-/// Allocating form of [`casted_embedding_forward_into`]: returns the
-/// `B x dim` pooled matrix for one casted index array.
-///
-/// # Errors
-///
-/// Returns an error if a unique row exceeds the table.
-pub fn casted_embedding_forward(
-    table: &EmbeddingTable,
-    casted: &CastedIndexArray,
-) -> Result<Matrix, EmbeddingError> {
-    let mut out = Matrix::zeros(casted.num_gradient_rows(), table.dim());
-    casted_embedding_forward_into(table, casted, &mut out, 0)?;
-    Ok(out)
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -140,6 +125,14 @@ mod tests {
         IndexArray::from_samples(&samples).unwrap()
     }
 
+    /// The `B x dim` pooled matrix of one index array, through its cast.
+    fn pooled(table: &EmbeddingTable, index: &IndexArray) -> Matrix {
+        let casted = tensor_casting(index);
+        let mut out = Matrix::zeros(casted.num_gradient_rows(), table.dim());
+        casted_embedding_forward_into(table, &casted, &mut out, 0).unwrap();
+        out
+    }
+
     #[test]
     fn matches_gather_reduce_exactly_on_integer_tables() {
         let mut rng = SplitMix64::new(7);
@@ -147,7 +140,7 @@ mod tests {
             let table = integer_table(rows as usize, 12, 3);
             let index = random_index(&mut rng, batch, pooling, rows);
             let plain = gather_reduce(&table, &index).unwrap();
-            let casted = casted_embedding_forward(&table, &tensor_casting(&index)).unwrap();
+            let casted = pooled(&table, &index);
             assert_eq!(
                 plain.as_slice(),
                 casted.as_slice(),
@@ -162,7 +155,7 @@ mod tests {
         let mut rng = SplitMix64::new(11);
         let index = random_index(&mut rng, 24, 10, 100);
         let plain = gather_reduce(&table, &index).unwrap();
-        let casted = casted_embedding_forward(&table, &tensor_casting(&index)).unwrap();
+        let casted = pooled(&table, &index);
         // Only reassociation separates the two paths.
         assert!(plain.max_abs_diff(&casted).unwrap() < 1e-4);
     }
@@ -177,8 +170,8 @@ mod tests {
         let mut fused = Matrix::zeros(8, 8);
         casted_embedding_forward_into(&table, &tensor_casting(&a), &mut fused, 0).unwrap();
         casted_embedding_forward_into(&table, &tensor_casting(&b), &mut fused, 3).unwrap();
-        let solo_a = casted_embedding_forward(&table, &tensor_casting(&a)).unwrap();
-        let solo_b = casted_embedding_forward(&table, &tensor_casting(&b)).unwrap();
+        let solo_a = pooled(&table, &a);
+        let solo_b = pooled(&table, &b);
         for r in 0..3 {
             assert_eq!(fused.row(r), solo_a.row(r));
         }
@@ -206,9 +199,9 @@ mod tests {
             .chain(b.dst().iter().map(|&d| d + 4))
             .collect();
         let fused_index = IndexArray::from_pairs(src, dst, 7).unwrap();
-        let fused = casted_embedding_forward(&table, &tensor_casting(&fused_index)).unwrap();
-        let solo_a = casted_embedding_forward(&table, &tensor_casting(&a)).unwrap();
-        let solo_b = casted_embedding_forward(&table, &tensor_casting(&b)).unwrap();
+        let fused = pooled(&table, &fused_index);
+        let solo_a = pooled(&table, &a);
+        let solo_b = pooled(&table, &b);
         for r in 0..4 {
             assert_eq!(fused.row(r), solo_a.row(r), "query A row {r}");
         }
@@ -221,7 +214,7 @@ mod tests {
     fn empty_index_is_a_noop() {
         let table = integer_table(5, 4, 1);
         let index = IndexArray::from_pairs(vec![], vec![], 3).unwrap();
-        let out = casted_embedding_forward(&table, &tensor_casting(&index)).unwrap();
+        let out = pooled(&table, &index);
         assert_eq!(out.shape(), (3, 4));
         assert!(out.as_slice().iter().all(|&v| v == 0.0));
     }

@@ -9,11 +9,10 @@
 //! exact error" instead of hoping a race shows up.
 //!
 //! The plan is cheaply cloneable (`Arc` inside) so one handle can be
-//! held by the test while clones ride into worker threads —
-//! after [`CastingPipeline::set_fault_plan`](crate::CastingPipeline::set_fault_plan)
-//! a clone rides with every casting job to the worker, which consults it
-//! once before casting, and [`FaultyWrite`] wires it into any
-//! `io::Write`-based checkpoint path.
+//! held by the test while clones ride into worker threads — the DLRM
+//! trainer's cast-ahead, gather-ahead and dense-GEMM tasks each consult
+//! the plan armed on it once, on whichever thread runs them, and
+//! [`FaultyWrite`] wires it into any `io::Write`-based checkpoint path.
 //!
 //! ```
 //! use tcast_core::FaultPlan;

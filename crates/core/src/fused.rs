@@ -32,8 +32,8 @@ const BLOCK_BYTES: usize = 256 * 1024;
 /// gradient table (Algorithm 3's loop), then immediately apply the
 /// optimizer update to those embedding-table rows.
 ///
-/// `casted` is the table's casted index array as the casting pipeline
-/// delivers it. Serially or on a pool, the table and the optimizer state
+/// `casted` is the table's casted index array as the trainer casts it
+/// ahead of the backward. Serially or on a pool, the table and the optimizer state
 /// end **bit-identical** to [`crate::casted_gather_reduce_into`] followed
 /// by `tcast_embedding::scatter_apply_coalesced` — the same two loops run,
 /// only the coalesced gradient between them is a block, not the whole

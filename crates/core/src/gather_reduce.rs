@@ -87,9 +87,10 @@ pub fn casted_gather_reduce_into(
 /// `T.CASTED_GRAD_GATHER_REDUCE`): run the casting stage then the fused
 /// kernel.
 ///
-/// In the real runtime the casting stage is precomputed during forward
-/// propagation ([`crate::CastingPipeline`]); this synchronous form exists
-/// for tests and for modeling the *exposed*-casting ablation.
+/// In the real runtime the casting stage runs ahead, beside other work
+/// (the DLRM trainer casts the next batch during its dense phases); this
+/// synchronous form exists for tests and for modeling the
+/// *exposed*-casting ablation.
 ///
 /// # Errors
 ///

@@ -20,11 +20,12 @@
 //!   kernel that gathers gradient rows by `casted_src` and reduces them
 //!   into coalesced rows by `casted_dst`, with no `n x D` intermediate and
 //!   no sort on the critical path;
-//! * [`CastingPipeline`] — the software runtime of Section IV-B: casting
-//!   depends only on the index array, which is known *before* forward
-//!   propagation, so a pipeline worker (the paper uses the otherwise-idle
-//!   GPU) precomputes casted arrays concurrently with the forward pass and
-//!   backward consumes them for free.
+//! * [`PipelineStats`] — the accounting of the software runtime of
+//!   Section IV-B: casting depends only on the index array, which is known
+//!   *before* forward propagation, so the casted arrays can be computed
+//!   beside other work (the paper uses the otherwise-idle GPU; the DLRM
+//!   trainer casts the next batch on its lane during the dense phases)
+//!   and backward consumes them for free. This crate spawns no thread.
 //!
 //! # Functional equivalence
 //!
@@ -69,11 +70,11 @@ mod gather_reduce;
 mod runtime;
 
 pub use cache::CastingCache;
-pub use casted_forward::{casted_embedding_forward, casted_embedding_forward_into};
+pub use casted_forward::casted_embedding_forward_into;
 pub use casted_index::CastedIndexArray;
 pub use casting::{tensor_casting, tensor_casting_into};
 pub use equivalence::verify_equivalence;
 pub use fault::{FaultPlan, FaultyWrite};
 pub use fused::blocked_casted_backward;
 pub use gather_reduce::{casted_backward, casted_gather_reduce, casted_gather_reduce_into};
-pub use runtime::{CastingPipeline, JobTicket, PipelineStats};
+pub use runtime::PipelineStats;

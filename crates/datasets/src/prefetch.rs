@@ -1,7 +1,7 @@
 //! Background-prefetched batch generation: a [`PrefetchSource`] wraps
 //! any [`BatchSource`] with a producer thread so batch *generation*
 //! overlaps the consumer's work — the data-side counterpart of the
-//! casting pipeline's Section IV-B overlap.
+//! trainer's Section IV-B cast-ahead overlap.
 //!
 //! The cross-batch `TrainLoop` driver hides *casting* behind training,
 //! but generation itself (dense draws, Zipf index sampling, planted
@@ -17,9 +17,8 @@
 //!   stream, by the [`BatchSource`] contract).
 //! * **Bounded queue = backpressure.** Batches travel on a channel of
 //!   `capacity - 1` slots and the producer holds one more while its send
-//!   blocks, so at most `capacity` batches are ever ready (mirroring the
-//!   casting pipeline's in-flight cap) and a fast producer cannot buffer
-//!   unboundedly.
+//!   blocks, so at most `capacity` batches are ever ready and a fast
+//!   producer cannot buffer unboundedly.
 //! * **Free-list recycling across the thread boundary.** Batches given
 //!   back via [`BatchSource::recycle`] travel back on a bounded channel
 //!   the producer drains into the wrapped source before each generation,
@@ -62,7 +61,7 @@ pub struct PrefetchStats {
     pub producer_wait: Duration,
     /// Total time the consumer spent blocked on an empty ready-queue —
     /// the *exposed* generation latency, the prefetch analogue of the
-    /// casting pipeline's exposed wait. Zero means generation was fully
+    /// trainer's exposed casting wait. Zero means generation was fully
     /// hidden behind the consumer's own work.
     pub consumer_wait: Duration,
 }

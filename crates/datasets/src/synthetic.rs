@@ -19,12 +19,10 @@ pub struct CtrBatch {
     pub dense: Matrix,
     /// Per-table index arrays, each with `batch` outputs.
     ///
-    /// Shared behind an `Arc` so consumers that ship the arrays to
-    /// another thread — the trainer hands every casted step's indices to
-    /// the [`CastingPipeline`] worker — bump a refcount instead of
+    /// Shared behind an `Arc` so consumers that hold the arrays beyond
+    /// the step — a training loop keeps the next batch queued while its
+    /// lane casts and gathers it — bump a refcount instead of
     /// deep-cloning each table's arrays per step.
-    ///
-    /// [`CastingPipeline`]: ../tcast_core/struct.CastingPipeline.html
     pub indices: Arc<[IndexArray]>,
     /// Click labels in {0.0, 1.0}, `batch x 1`.
     pub labels: Matrix,

@@ -1,31 +1,30 @@
-//! The cross-batch pipelined training driver: depth-D casting lookahead
-//! over a streaming [`BatchSource`].
+//! The cross-batch pipelined training driver: a lookahead queue of depth
+//! D over a streaming [`BatchSource`].
 //!
-//! [`Trainer::step`] submits batch N's indices at the top of step N, so
-//! casting can only overlap batch N's *own* forward pass — at small
-//! batches the exposed wait dominates and the pipeline's hidden fraction
-//! sits far from the Fig. 9b ideal. The paper's runtime (Section IV-B)
-//! instead keeps the casting unit busy with *future* mini-batches.
-//! [`TrainLoop`] is that runtime's host-side embodiment: it begins up to
-//! `depth` steps ahead of the one it is completing, so batch N+1..N+D's
-//! casting jobs run on the pipeline worker while batch N trains.
+//! [`Trainer::step`] knows no batch but its own, so it casts batch N's
+//! indices in-step, exposed on the critical path. The paper's runtime
+//! (Section IV-B) instead casts a mini-batch before it trains, hidden
+//! under work that runs anyway. [`TrainLoop`] is that runtime's host-side
+//! embodiment: it begins up to `depth` steps ahead of the one it is
+//! completing, and at depth >= 1 each completion is handed the step
+//! queued behind it, whose cast runs on the trainer's lane beside the
+//! completion's dense phases. Only the next batch is cast ahead; a deeper
+//! queue only holds batches.
 //!
 //! Correctness is structural, not probabilistic: [`Trainer::begin_step`]
-//! touches no model state (casting is a pure function of the index
-//! arrays, which exist before forward starts), and completions run
-//! strictly in submission order — so **any depth produces bit-identical
-//! weights and losses to the serial `step` loop** (property-tested in
-//! `tests/pipelined_training.rs` across both backward modes and all five
-//! optimizers).
+//! touches no model state, casting is a pure function of the index
+//! arrays, and completions run strictly in submission order — so **any
+//! depth produces bit-identical weights and losses to the serial `step`
+//! loop** (property-tested in `tests/pipelined_training.rs` across both
+//! backward modes and all five optimizers).
 //!
 //! The depth is one number for the life of the loop: [`TrainLoop::new`]
 //! takes it, every checkpoint the loop commits records it (the `DCTL`
 //! section), and [`TrainLoop::resume`] continues at the recorded depth.
 //!
 //! Holding the next batch also lets the loop overlap its **forward
-//! gather**: every completion is handed the step queued behind it, and
-//! [`Trainer::complete_step`] gathers that step's table `i` on a
-//! background thread as soon as its own scatter of table `i` has returned
+//! gather**: [`Trainer::complete_step`] gathers the queued step's table
+//! `i` on the lane as soon as its own scatter of table `i` has returned
 //! — the same bits the next step's in-step gather would read, a scatter
 //! phase earlier. Nothing selects this: it happens whenever a successor is
 //! queued (depth >= 1), and [`StepReport::gathered_ahead`] says so.
@@ -91,11 +90,12 @@ pub struct RunSummary {
     pub losses: Vec<f32>,
     /// Summed per-phase wall-clock timings.
     pub timings: PhaseTimings,
-    /// Total time the completed steps blocked waiting for casted arrays
-    /// — the run's exposed casting latency (always zero in baseline
-    /// mode). Lookahead exists to drive this to zero.
+    /// Total casting time the completed steps did not hide — the run's
+    /// exposed casting latency (always zero in baseline mode; the whole
+    /// casting time at depth 0). Lookahead exists to drive this to zero.
     pub exposed_cast_wait: Duration,
-    /// Casting time spent by the pipeline worker during this run.
+    /// Time spent casting during this run, by the cast's own clock,
+    /// whichever thread ran it.
     pub casting_time: Duration,
     /// Total time [`TrainLoop::run`] blocked in the source's
     /// `next_batch` — the run's exposed batch-*generation* latency.
@@ -131,13 +131,11 @@ impl RunSummary {
 
 /// The cross-batch pipelined training driver.
 ///
-/// `depth` is the lookahead: how many *future* batches may have casting
-/// jobs in flight while a step completes. Depth 0 is exactly the serial
-/// `step` loop (begin, then immediately complete); depth 1 is classic
-/// double-buffering; deeper queues give the casting worker more slack at
-/// the cost of holding more batches alive. The casting pipeline's own
-/// bounded in-flight cap backstops the queue: a `depth` beyond the cap
-/// blocks in [`Trainer::begin_step`] instead of growing it.
+/// `depth` is the lookahead: how many *future* batches are queued while
+/// a step completes. Depth 0 is exactly the serial `step` loop (begin,
+/// then immediately complete, casting in-step); at depth >= 1 every
+/// completion casts and gathers one batch ahead, the one queued behind
+/// it. A deeper queue only holds more batches alive; nothing caps it.
 ///
 /// # Example
 ///
@@ -282,8 +280,8 @@ impl TrainLoop {
     ///
     /// # Panics
     ///
-    /// Panics if steps are still in flight: mutating the trainer under
-    /// queued casting jobs would corrupt the pipeline's bookkeeping.
+    /// Panics if steps are still in flight: the queued steps would
+    /// complete against weights they were not queued behind.
     pub fn trainer_mut(&mut self) -> &mut Trainer {
         assert!(
             self.queue.is_empty(),
@@ -294,8 +292,8 @@ impl TrainLoop {
         &mut self.trainer
     }
 
-    /// Feeds one batch into the pipeline: begins its casting job and —
-    /// once more than `depth` steps are in flight — completes the oldest
+    /// Feeds one batch into the loop: begins its step and — once more
+    /// than `depth` steps are in flight — completes the oldest
     /// one, returning its report together with its batch (so the caller
     /// can recycle the buffers into a [`BatchSource`] free-list).
     ///

@@ -9,10 +9,10 @@
 //!
 //! * [`BackwardMode::Baseline`] — gradient expand → coalesce
 //!   (Algorithm 1) → scatter, today's framework path;
-//! * [`BackwardMode::Casted`] — Tensor Casting: casted index arrays are
-//!   precomputed on a pipeline thread *during forward propagation*
-//!   (Section IV-B) and backward runs the fused casted gather-reduce
-//!   (Algorithm 3) → scatter.
+//! * [`BackwardMode::Casted`] — Tensor Casting: the next batch's casted
+//!   index arrays are computed on the trainer's lane *during this step's
+//!   dense phases* (Section IV-B) and backward runs the fused casted
+//!   gather-reduce (Algorithm 3) → scatter.
 //!
 //! The two modes produce *identical* training trajectories (asserted in
 //! tests and in `tests/equivalence.rs` at the workspace root), while the
@@ -49,5 +49,5 @@ pub use metrics::{evaluate_ctr, CtrMetrics};
 pub use model::{Dlrm, InferenceScratch};
 pub use trainer::{
     BackwardMode, EmbeddingOptimizer, Execution, InFlightStep, PhaseTimings, StepReport, Trainer,
-    DENSE_GEMM_FAULT_SITE, GATHER_AHEAD_FAULT_SITE,
+    CAST_AHEAD_FAULT_SITE, DENSE_GEMM_FAULT_SITE, GATHER_AHEAD_FAULT_SITE,
 };

@@ -10,14 +10,14 @@ use crate::config::DlrmConfig;
 use crate::metrics::{evaluate_ctr, CtrMetrics};
 use crate::model::{Dlrm, InferenceScratch};
 use tcast_core::{
-    blocked_casted_backward, CastedIndexArray, CastingPipeline, FaultPlan, JobTicket, PipelineStats,
+    blocked_casted_backward, tensor_casting_into, CastedIndexArray, FaultPlan, PipelineStats,
 };
 use tcast_datasets::CtrBatch;
 use tcast_embedding::{
     gather_reduce_into, gradient_coalesce_into, gradient_expand_into,
     optim::{RowOptimizer, UpdateRule},
     scatter_apply_coalesced, BlockScratch, CoalescedScratch, EmbeddingError, EmbeddingTable,
-    IndexArray,
+    IndexArray, RadixScratch,
 };
 use tcast_pool::{Exec, Pool};
 use tcast_tensor::{bce_with_logits, bce_with_logits_backward_into, Matrix};
@@ -27,7 +27,7 @@ use tcast_tensor::{bce_with_logits, bce_with_logits_backward_into, Matrix};
 pub enum BackwardMode {
     /// Gradient expand → coalesce (Algorithm 1) → scatter.
     Baseline,
-    /// Tensor Casting: pipeline-precomputed casted arrays + casted
+    /// Tensor Casting: casted arrays cast ahead of the backward + casted
     /// gather-reduce (Algorithms 2-3) → scatter, fused a block of coalesced
     /// rows at a time (`tcast_core::blocked_casted_backward`).
     Casted,
@@ -92,11 +92,13 @@ pub struct StepReport {
     pub loss: f32,
     /// Per-phase wall-clock timings.
     pub timings: PhaseTimings,
-    /// How long this step blocked waiting for its casted index arrays
-    /// (a subset of `timings.bwd_embedding`). Always zero in baseline
-    /// mode; zero in casted mode means this step's casting latency was
-    /// fully hidden — the per-step Fig. 9b metric the cross-batch driver
-    /// collapses by looking ahead.
+    /// The casting time this step's training thread did not hide (a
+    /// subset of `timings.bwd_embedding`): its wait, once its dense phases
+    /// ended, for the cast that ran beside them (the whole cast, if it
+    /// ran it then itself), or the whole in-step cast of a step with no
+    /// successor. Always zero in baseline mode; zero in casted mode means
+    /// this step's casting was fully hidden — the per-step Fig. 9b metric
+    /// the cross-batch driver collapses by looking ahead.
     pub exposed_cast_wait: Duration,
     /// Tables whose forward gather this step adopted from the previous
     /// completion's gather-ahead instead of running it in-step: the table
@@ -169,12 +171,12 @@ impl EmbeddingOptimizer {
 #[derive(Clone, Default)]
 pub enum Execution {
     /// No caller-supplied pool: the embedding kernels run unsplit on the
-    /// training thread. The trainer still owns background threads of its
-    /// own — the casting worker (casted mode) and a one-worker *lane*,
-    /// started when first needed, which gathers ahead for a step completed
-    /// with a successor and takes half of every dense GEMM large enough to
-    /// split (`dW` beside `dX`, forward row bands), the training thread
-    /// taking the other half.
+    /// training thread. The trainer still owns one background thread, a
+    /// one-worker *lane* started when first needed: for a step completed
+    /// with a successor it casts ahead (casted mode) and gathers ahead,
+    /// and it takes half of every dense GEMM large enough to split (`dW`
+    /// beside `dX`, forward row bands), the training thread taking the
+    /// other half.
     #[default]
     Serial,
     /// Hot kernels split across the given persistent pool, which also
@@ -230,29 +232,67 @@ struct StepScratch {
     blocks: BlockScratch,
 }
 
-/// A training step whose casting has been submitted but whose
-/// forward/backward has not yet run: the handle returned by
+/// Casted mode's index-array casts, every buffer recycled: once both
+/// sets have seen a batch this large, casting allocates nothing.
+#[derive(Debug, Default)]
+struct Casts {
+    /// This step's casted arrays, one per table.
+    now: Vec<CastedIndexArray>,
+    /// The successor's, cast beside this step's dense phases; the
+    /// successor adopts them by swapping them with `now`.
+    ahead: Vec<CastedIndexArray>,
+    /// The batch `ahead` was cast from (the share keeps its address from
+    /// being reused). Every step that runs takes it, and every path that
+    /// drops a held gather drops it too.
+    ahead_of: Option<Arc<CtrBatch>>,
+    /// The radix sort's buffers, shared by every cast.
+    radix: RadixScratch,
+    stats: PipelineStats,
+}
+
+impl Casts {
+    /// Takes the held casts; whether they were `batch`'s, now in `now`.
+    fn adopt(&mut self, batch: &CtrBatch) -> bool {
+        let held = self.ahead_of.take();
+        let adopted = held.is_some_and(|held| std::ptr::eq(Arc::as_ptr(&held), batch));
+        if adopted {
+            std::mem::swap(&mut self.now, &mut self.ahead);
+        }
+        adopted
+    }
+
+    /// Counts one run of casting: `batches` batches in `time`, of which
+    /// the training thread did not hide `exposed`.
+    fn record(&mut self, batches: u64, time: Duration, exposed: Duration) {
+        self.stats.jobs_completed += batches;
+        self.stats.casting_time += time;
+        self.stats.exposed_wait += exposed;
+    }
+}
+
+/// Casts each of `indices` into `out`, reusing its arrays and `radix`.
+fn cast_into(indices: &[IndexArray], out: &mut Vec<CastedIndexArray>, radix: &mut RadixScratch) {
+    out.resize_with(indices.len(), CastedIndexArray::default);
+    for (index, out) in indices.iter().zip(out) {
+        tensor_casting_into(index, out, radix);
+    }
+}
+
+/// A training step begun but not yet completed: the handle returned by
 /// [`Trainer::begin_step`] and consumed by [`Trainer::complete_step`].
 ///
-/// Holds the batch alive (an `Arc` share, no copy) together with the
-/// casting-pipeline ticket, so a driver can keep several of these in
-/// flight — each one's casting job runs on the pipeline worker while
-/// earlier steps train.
+/// Holds the batch alive (an `Arc` share, no copy), so a driver can keep
+/// several of these queued; the completion of the step before this one
+/// casts it (casted mode) and gathers it ahead.
 #[derive(Debug)]
 pub struct InFlightStep {
     batch: Arc<CtrBatch>,
-    ticket: Option<JobTicket>,
 }
 
 impl InFlightStep {
     /// The batch this step will train on.
     pub fn batch(&self) -> &Arc<CtrBatch> {
         &self.batch
-    }
-
-    /// Whether a casting job is in flight for this step (casted mode).
-    pub fn has_casting_job(&self) -> bool {
-        self.ticket.is_some()
     }
 }
 
@@ -261,7 +301,8 @@ pub struct Trainer {
     model: Dlrm,
     mode: BackwardMode,
     lr: f32,
-    pipeline: Option<CastingPipeline>,
+    /// Casted mode's casts (`None` in baseline mode).
+    casts: Option<Casts>,
     /// The optimizer configuration the per-table instances were built
     /// from — kept so [`Trainer::set_learning_rate`] can rebuild them
     /// with the user's hyperparameters intact.
@@ -278,12 +319,13 @@ pub struct Trainer {
     /// to the table bits drops it.
     ahead: Option<(Arc<CtrBatch>, u64)>,
     /// The one-worker pool a trainer under [`Execution::Serial`] shares
-    /// its step with ([`Execution::Pooled`] uses its own pool for both
-    /// jobs): gather-ahead tasks run on it beside the scatter, and the
-    /// dense phases split their large GEMMs between it and the training
-    /// thread. Started by the first step that needs it — a completion with
-    /// a successor, or a batch at which [`Dlrm::dense_splits_at`] holds —
-    /// so a small model trained step by step never has one.
+    /// its step with ([`Execution::Pooled`] uses its own pool for all of
+    /// this): the cast-ahead task runs on it beside the dense phases,
+    /// gather-ahead tasks beside the scatter, and the dense phases split
+    /// their large GEMMs between it and the training thread. Started by
+    /// the first step that needs it — a completion with a successor, or a
+    /// batch at which [`Dlrm::dense_splits_at`] holds — so a small model
+    /// trained step by step never has one.
     lane: Option<Pool>,
     fault: Option<FaultPlan>,
     /// Tests only: the table whose embedding backward fails.
@@ -293,6 +335,10 @@ pub struct Trainer {
 
 /// The [`FaultPlan`] site every gather-ahead task passes once.
 pub const GATHER_AHEAD_FAULT_SITE: &str = "trainer.gather_ahead";
+
+/// The [`FaultPlan`] site every cast-ahead task passes once, before it
+/// casts.
+pub const CAST_AHEAD_FAULT_SITE: &str = "trainer.cast_ahead";
 
 /// The [`FaultPlan`] site a step passes once before its dense backward,
 /// when that backward will split a GEMM: an armed occurrence makes the
@@ -330,19 +376,53 @@ fn update_tables<'env>(
     Ok(Instant::now())
 }
 
-/// The [`Exec`] one dense phase runs under. With a caller's pool: that
-/// pool. Without one the phase is still a two-thread computation: when a
-/// GEMM of it `splits`, the lane (started here if need be) takes half of
-/// every such GEMM and the training thread, helping in the scope, the
-/// other half.
-fn dense_exec<'a>(exec: Exec<'a>, splits: bool, lane: &'a mut Option<Pool>) -> Exec<'a> {
-    match exec {
-        Exec::Serial if splits => Exec::Pooled {
-            pool: lane.get_or_insert_with(|| Pool::new(1)),
+/// The [`Exec`] the dense phases run under. With a caller's pool: that
+/// pool. Without one they are still a two-thread computation: when a GEMM
+/// of them `splits`, the lane takes half of every such GEMM and the
+/// training thread, helping in the scope, the other half.
+fn dense_exec<'a>(exec: Exec<'a>, splits: bool, lane: Option<&'a Pool>) -> Exec<'a> {
+    match (exec, lane) {
+        (Exec::Serial, Some(lane)) if splits => Exec::Pooled {
+            pool: lane,
             threads: 2,
         },
-        exec => exec,
+        (exec, _) => exec,
     }
+}
+
+/// A step's dense phases: the forward and the loss, then the backward,
+/// which leaves the MLP gradients in the layers (the update is the
+/// caller's). Returns the loss and how long each phase took.
+fn dense_phases(
+    model: &mut Dlrm,
+    batch: &CtrBatch,
+    scratch: &mut StepScratch,
+    exec: Exec<'_>,
+    fault: Option<&FaultPlan>,
+) -> Result<(f32, Duration, Duration), EmbeddingError> {
+    let t0 = Instant::now();
+    model.dense_infer_into(&batch.dense, &mut scratch.dense, &mut scratch.logits, exec)?;
+    let loss = bce_with_logits(&scratch.logits, &batch.labels)?;
+    bce_with_logits_backward_into(&scratch.logits, &batch.labels, &mut scratch.dlogits)?;
+    let fwd_dnn = t0.elapsed();
+    let t0 = Instant::now();
+    if let (true, Some(plan), Some(pool)) = (
+        model.dense_splits_at(batch.dense.rows()),
+        fault,
+        exec.pool(),
+    ) {
+        if plan.should_fail(DENSE_GEMM_FAULT_SITE) {
+            pool.poison_next_task();
+        }
+    }
+    model.dense_backward_into(
+        &batch.dense,
+        &mut scratch.dense,
+        &scratch.dlogits,
+        &mut scratch.dpooled,
+        exec,
+    )?;
+    Ok((loss, fwd_dnn, t0.elapsed()))
 }
 
 impl Trainer {
@@ -389,16 +469,13 @@ impl Trainer {
     ) -> Result<Self, EmbeddingError> {
         let lr = 0.05;
         let model = Dlrm::new(config, seed)?;
-        let pipeline = match mode {
-            BackwardMode::Casted => Some(CastingPipeline::new()),
-            BackwardMode::Baseline => None,
-        };
+        let casts = (mode == BackwardMode::Casted).then(Casts::default);
         let table_optimizers = vec![RowOptimizer::new(optimizer.build(lr)); model.num_tables()];
         Ok(Self {
             model,
             mode,
             lr,
-            pipeline,
+            casts,
             optimizer,
             table_optimizers,
             steps: 0,
@@ -412,9 +489,10 @@ impl Trainer {
         })
     }
 
-    /// Arms deterministic fault injection: every gather-ahead task hits
-    /// [`GATHER_AHEAD_FAULT_SITE`] on `plan` once before gathering, every
-    /// step whose dense backward splits a GEMM hits
+    /// Arms deterministic fault injection: every cast-ahead task hits
+    /// [`CAST_AHEAD_FAULT_SITE`] on `plan` once before casting, every
+    /// gather-ahead task hits [`GATHER_AHEAD_FAULT_SITE`] once before
+    /// gathering, every step whose dense backward splits a GEMM hits
     /// [`DENSE_GEMM_FAULT_SITE`] once before it, and an armed occurrence
     /// panics the task (the first band of that backward) — the handle for
     /// proving that a crash on the lane resurfaces on the training thread
@@ -444,12 +522,12 @@ impl Trainer {
         self.mode
     }
 
-    /// Snapshot of the casting pipeline's timing statistics (`None` in
-    /// baseline mode, which has no pipeline). The exposed-wait /
-    /// hidden-fraction numbers here are the paper's Fig. 9b metric for
-    /// this trainer's whole run so far.
+    /// Snapshot of the trainer's casting statistics (`None` in baseline
+    /// mode, which casts nothing). The exposed-wait / hidden-fraction
+    /// numbers here are the paper's Fig. 9b metric for this trainer's
+    /// whole run so far.
     pub fn pipeline_stats(&self) -> Option<PipelineStats> {
-        self.pipeline.as_ref().map(CastingPipeline::stats)
+        self.casts.as_ref().map(|casts| casts.stats)
     }
 
     /// Immutable model access.
@@ -464,11 +542,14 @@ impl Trainer {
         &mut self.model
     }
 
-    /// Forgets a gather run ahead for a step not yet completed; that step
-    /// then gathers in-step. For every path that can change table bits
-    /// between two completions.
+    /// Forgets the gather and the cast run ahead for a step not yet
+    /// completed; that step then gathers and casts in-step. For every path
+    /// that can change table bits between two completions.
     pub(crate) fn drop_gather_ahead(&mut self) {
         self.ahead = None;
+        if let Some(casts) = self.casts.as_mut() {
+            casts.ahead_of = None;
+        }
     }
 
     /// Steps taken so far.
@@ -510,41 +591,32 @@ impl Trainer {
 
     /// Runs one training step and reports loss + phase timings.
     ///
-    /// In casted mode the index arrays are submitted to the casting
-    /// pipeline *before* forward propagation begins, exactly as the
-    /// Section IV-B runtime ships them to the GPU; the backward phase
-    /// then blocks only on whatever casting latency was not hidden.
+    /// In casted mode a step with no successor casts its index arrays
+    /// in-step, right before its embedding backward, unless the completion
+    /// before it already cast them — so a warm step allocates nothing.
     ///
     /// This is exactly the depth-0 composition of
-    /// [`Trainer::begin_step`] + [`Trainer::complete_step`]: casting can
-    /// only overlap this batch's own forward pass. The
-    /// [`crate::TrainLoop`] driver widens the overlap window across
-    /// batches while producing a bit-identical trajectory.
+    /// [`Trainer::begin_step`] + [`Trainer::complete_step`]. The
+    /// [`crate::TrainLoop`] driver hides the cast by handing each
+    /// completion its successor, and produces a bit-identical trajectory.
     ///
     /// # Errors
     ///
     /// Returns an error on shape/index inconsistencies in the batch, or if
     /// it has no rows; a failed step does not count.
     pub fn step(&mut self, batch: &CtrBatch) -> Result<StepReport, EmbeddingError> {
-        let ticket = self.submit_casting(&batch.indices);
-        self.run_step(batch, ticket, None)
+        self.run_step(batch, None)
     }
 
-    /// Begins a training step: submits the batch's index arrays to the
-    /// casting pipeline (casted mode) and returns a handle holding the
-    /// batch share + ticket. No model state is read or written — casting
-    /// depends only on the indices, which is what makes beginning future
-    /// steps ahead of completing the current one trajectory-preserving.
-    ///
-    /// If the pipeline's bounded in-flight cap is reached, this call
-    /// blocks until the casting worker drains a job (backpressure), so a
-    /// runaway lookahead cannot grow the casting queue without bound.
+    /// Begins a training step: returns a handle holding the batch share.
+    /// No model state is read or written, which is what makes beginning
+    /// future steps ahead of completing the current one
+    /// trajectory-preserving.
     ///
     /// The returned step must be completed by **this** trainer, in the
     /// order it was begun relative to other in-flight steps.
     pub fn begin_step(&mut self, batch: Arc<CtrBatch>) -> InFlightStep {
-        let ticket = self.submit_casting(&batch.indices);
-        InFlightStep { batch, ticket }
+        InFlightStep { batch }
     }
 
     /// Completes a step begun with [`Trainer::begin_step`]: runs
@@ -553,7 +625,13 @@ impl Trainer {
     /// [`StepReport::exposed_cast_wait`]).
     ///
     /// `next` is the step begun right after this one, if there is one.
-    /// Its forward gather of table `i` reads only its own indices and
+    /// Casting depends only on index arrays, so in casted mode the first
+    /// task of a lane scope that spans this step's dense phases casts
+    /// `next` — and this step too, unless the completion before it did.
+    /// `next` adopts those casted arrays, and its own step then does not
+    /// cast.
+    ///
+    /// `next`'s forward gather of table `i` reads only its own indices and
     /// table `i` as this step's scatter leaves it, and tables are
     /// disjoint — so as each table's scatter returns, that table's gather
     /// for `next` starts on a background thread while this thread scatters
@@ -571,22 +649,14 @@ impl Trainer {
     ///
     /// # Panics
     ///
-    /// Resumes a panic of a gather-ahead task on this thread.
+    /// Resumes a panic of a cast-ahead or gather-ahead task on this
+    /// thread.
     pub fn complete_step(
         &mut self,
         step: InFlightStep,
         next: Option<&InFlightStep>,
     ) -> Result<StepReport, EmbeddingError> {
-        let InFlightStep { batch, ticket } = step;
-        self.run_step(&batch, ticket, next.map(InFlightStep::batch))
-    }
-
-    fn submit_casting(&mut self, indices: &Arc<[IndexArray]>) -> Option<JobTicket> {
-        // The batch's index arrays are Arc-shared, so this is a refcount
-        // bump, not a per-table deep clone.
-        self.pipeline
-            .as_mut()
-            .map(|p| p.submit(Arc::clone(indices)))
+        self.run_step(&step.batch, next.map(InFlightStep::batch))
     }
 
     /// The forward/backward/scatter body shared by [`Trainer::step`] and
@@ -594,35 +664,6 @@ impl Trainer {
     fn run_step(
         &mut self,
         batch: &CtrBatch,
-        mut ticket: Option<JobTicket>,
-        next: Option<&Arc<CtrBatch>>,
-    ) -> Result<StepReport, EmbeddingError> {
-        let mut casted = None;
-        let report = self.run_step_phases(batch, &mut ticket, &mut casted, next);
-        if let Some(pipeline) = self.pipeline.as_mut() {
-            // A step that failed before its casted backward (bad id, wrong
-            // table count, label mismatch) still owns its casting job:
-            // drain it, or the result sits in the pipeline forever and
-            // every later collect counts as out of order.
-            if let Some(orphan) = ticket {
-                casted = Some(pipeline.collect(orphan));
-            }
-            // Either way the arrays go back for a later job to be cast
-            // into.
-            if let Some(casted) = casted {
-                pipeline.recycle(casted);
-            }
-        }
-        report
-    }
-
-    /// [`Trainer::run_step`]'s phases; takes `ticket` when the casted
-    /// backward collects it, leaving the collected arrays in `casted`.
-    fn run_step_phases(
-        &mut self,
-        batch: &CtrBatch,
-        ticket: &mut Option<JobTicket>,
-        casted: &mut Option<Vec<CastedIndexArray>>,
         next: Option<&Arc<CtrBatch>>,
     ) -> Result<StepReport, EmbeddingError> {
         if batch.dense.rows() == 0 {
@@ -632,64 +673,109 @@ impl Trainer {
                 "empty batch: a training step needs at least one sample".into(),
             ));
         }
-        let exec = self.execution.as_exec();
+        #[cfg(test)]
+        let failing_backward = self.failing_backward;
+        let Self {
+            model,
+            lr,
+            table_optimizers,
+            steps,
+            execution,
+            scratch,
+            ahead,
+            casts,
+            lane,
+            fault,
+            ..
+        } = self;
+        let exec = execution.as_exec();
+        let fault = fault.as_ref();
+        let splits = model.dense_splits_at(batch.dense.rows());
+        if exec.pool().is_none() && (splits || next.is_some()) {
+            lane.get_or_insert_with(|| Pool::new(1));
+        }
+        // Where this step's lane work runs: the caller's pool, or the lane.
+        let lane = exec.pool().or(lane.as_ref());
 
         // FWD (Gather): adopt the gather the previous completion ran ahead
         // for this very batch against the tables as they are now, or
         // gather in-step. Taken either way, so a held gather never
-        // outlives the next table write.
+        // outlives the next table write; the held casts are taken alike.
+        let cast_held = casts.as_mut().is_some_and(|casts| casts.adopt(batch));
         let t0 = Instant::now();
-        let pooled = self.scratch.dense.pooled_mut();
-        let gathered_ahead = match self.ahead.take() {
-            Some((held, steps))
-                if std::ptr::eq(Arc::as_ptr(&held), batch) && steps == self.steps =>
-            {
-                std::mem::swap(pooled, &mut self.scratch.pooled_ahead);
+        let pooled = scratch.dense.pooled_mut();
+        let gathered_ahead = match ahead.take() {
+            Some((held, at)) if std::ptr::eq(Arc::as_ptr(&held), batch) && at == *steps => {
+                std::mem::swap(pooled, &mut scratch.pooled_ahead);
                 pooled.len()
             }
             _ => {
-                self.model
-                    .embedding_forward_into(&batch.indices, pooled, exec)?;
+                model.embedding_forward_into(&batch.indices, pooled, exec)?;
                 0
             }
         };
         let mut fwd_gather = t0.elapsed();
 
-        // FWD (DNN) + loss.
-        let t0 = Instant::now();
-        let splits = self.model.dense_splits_at(batch.dense.rows());
-        let fwd_exec = dense_exec(exec, splits, &mut self.lane);
-        self.model.dense_infer_into(
-            &batch.dense,
-            &mut self.scratch.dense,
-            &mut self.scratch.logits,
-            fwd_exec,
-        )?;
-        let loss = bce_with_logits(&self.scratch.logits, &batch.labels)?;
-        bce_with_logits_backward_into(
-            &self.scratch.logits,
-            &batch.labels,
-            &mut self.scratch.dlogits,
-        )?;
-        let fwd_dnn = t0.elapsed();
-
-        // BWD (DNN).
-        let t0 = Instant::now();
-        let bwd_exec = dense_exec(exec, splits, &mut self.lane);
-        if let (true, Some(plan), Some(pool)) = (splits, &self.fault, bwd_exec.pool()) {
-            if plan.should_fail(DENSE_GEMM_FAULT_SITE) {
-                pool.poison_next_task();
+        // FWD (DNN) + loss, then BWD (DNN). In casted mode with a
+        // successor the two phases run inside one lane scope whose first
+        // task casts the successor — and this batch, unless an earlier
+        // completion did — so the scope's join is the wait for the cast.
+        let dense = dense_exec(exec, splits, lane);
+        let mut exposed_cast_wait = Duration::ZERO;
+        let (loss, fwd_dnn, mut bwd_dnn) = match (casts.as_mut(), next) {
+            (Some(casts), Some(next)) => {
+                let Casts {
+                    now,
+                    ahead: cast_ahead,
+                    radix,
+                    ..
+                } = casts;
+                let mut cast = None;
+                let (phases, closed) = lane.expect("started for a successor").scope(|scope| {
+                    let cast = &mut cast;
+                    scope.spawn(move || {
+                        if let Some(plan) = fault {
+                            assert!(
+                                !plan.should_fail(CAST_AHEAD_FAULT_SITE),
+                                "injected fault at {CAST_AHEAD_FAULT_SITE}"
+                            );
+                        }
+                        let start = Instant::now();
+                        if !cast_held {
+                            cast_into(&batch.indices, now, radix);
+                        }
+                        cast_into(&next.indices, cast_ahead, radix);
+                        *cast = Some((start, Instant::now()));
+                    });
+                    (
+                        dense_phases(model, batch, scratch, dense, fault),
+                        Instant::now(),
+                    )
+                });
+                let (start, end) = cast.expect("the scope joined its cast");
+                casts.ahead_of = Some(Arc::clone(next));
+                // Not hidden: what the join waited. Helping newest-first in
+                // the dense phases' own scopes, this thread reaches the cast
+                // only here, and runs it whole if the lane never started it.
+                exposed_cast_wait = end.saturating_duration_since(closed);
+                casts.record(1 + u64::from(!cast_held), end - start, exposed_cast_wait);
+                phases?
             }
+            _ => dense_phases(model, batch, scratch, dense, fault)?,
+        };
+        let t0 = Instant::now();
+        model.apply_dense_update(*lr);
+        bwd_dnn += t0.elapsed();
+
+        // A step with no successor casts in-step, unless an earlier
+        // completion already cast this batch.
+        if let Some(casts) = casts.as_mut().filter(|_| next.is_none() && !cast_held) {
+            let start = Instant::now();
+            cast_into(&batch.indices, &mut casts.now, &mut casts.radix);
+            exposed_cast_wait = start.elapsed();
+            casts.record(1, exposed_cast_wait, exposed_cast_wait);
         }
-        self.model.dense_backward_into(
-            &batch.dense,
-            &mut self.scratch.dense,
-            &self.scratch.dlogits,
-            &mut self.scratch.dpooled,
-            bwd_exec,
-        )?;
-        self.model.apply_dense_update(self.lr);
-        let bwd_dnn = t0.elapsed();
+        let casted = casts.as_ref().map(|casts| casts.now.as_slice());
 
         // BWD (embedding + scatter), table by table. Baseline: expand →
         // coalesce → scatter; casted: the blocked casted backward, which
@@ -697,27 +783,8 @@ impl Trainer {
         // a time. Either way each table's call reports how its time divided
         // between the two phases, and table `t` is final for this step the
         // moment its call returns.
-        let t0 = Instant::now();
-        let mut exposed_cast_wait = Duration::ZERO;
-        *casted = self.pipeline.as_mut().map(|pipeline| {
-            let (casted, exposed) = pipeline.collect_timed(ticket.take().expect("ticket issued"));
-            exposed_cast_wait = exposed;
-            casted
-        });
-        let casted = casted.as_deref();
-        let mut bwd_embedding = t0.elapsed();
+        let mut bwd_embedding = exposed_cast_wait;
         let mut bwd_scatter = Duration::ZERO;
-
-        #[cfg(test)]
-        let failing_backward = self.failing_backward;
-        let Self {
-            model,
-            table_optimizers,
-            scratch,
-            lane,
-            fault,
-            ..
-        } = self;
         let StepScratch {
             dpooled,
             coalesced,
@@ -789,14 +856,11 @@ impl Trainer {
                 // Gather-ahead: the moment table `t`'s update returns, its
                 // rows are final for this step, so `next`'s gather of it
                 // may run — on the lane, beside the update of table `t+1`.
-                let lane: &Pool = match exec.pool() {
-                    Some(pool) => pool,
-                    None => lane.get_or_insert_with(|| Pool::new(1)),
-                };
+                let lane = lane.expect("started for a successor");
                 pooled_ahead.resize_with(tables.len(), Matrix::default);
                 let mut outs = pooled_ahead.iter_mut();
                 let failed = AtomicBool::new(false);
-                let (fault, failed) = (fault.as_ref(), &failed);
+                let failed = &failed;
                 let scattered = lane.scope(|scope| {
                     update_tables(tables, update, |t, table| {
                         let (idx, out) = (&next.indices[t], outs.next().expect("one per table"));
@@ -824,8 +888,8 @@ impl Trainer {
             }
         };
 
-        self.steps += 1;
-        self.ahead = held.map(|next| (next, self.steps));
+        *steps += 1;
+        *ahead = held.map(|next| (next, *steps));
         Ok(StepReport {
             loss,
             timings: PhaseTimings {
@@ -1001,24 +1065,28 @@ mod tests {
 
     #[test]
     fn dense_phases_take_the_lane_only_when_it_pays_and_the_core_is_free() {
-        // Nothing to split: serial, and no lane is started for it.
-        let mut lane = None;
-        assert!(matches!(
-            dense_exec(Exec::Serial, false, &mut lane),
-            Exec::Serial
-        ));
-        assert!(lane.is_none());
+        // Nothing to split: serial, lane or not.
+        let lane = Pool::new(1);
+        for lane in [None, Some(&lane)] {
+            assert!(matches!(
+                dense_exec(Exec::Serial, false, lane),
+                Exec::Serial
+            ));
+        }
         // A caller's pool is passed through as it is.
         let pool = Pool::new(3);
-        let pooled = dense_exec(Exec::pooled(&pool), true, &mut lane);
+        let pooled = dense_exec(Exec::pooled(&pool), true, Some(&pool));
         assert_eq!(pooled.threads(), 3);
-        assert!(lane.is_none());
         // A split takes the lane.
         assert!(matches!(
-            dense_exec(Exec::Serial, true, &mut lane),
+            dense_exec(Exec::Serial, true, Some(&lane)),
             Exec::Pooled { threads: 2, .. }
         ));
-        assert!(lane.is_some());
+        // A small model trained step by step never starts a lane.
+        let mut t = Trainer::new(DlrmConfig::tiny(), BackwardMode::Casted, 1).unwrap();
+        assert!(!t.model().dense_splits_at(16));
+        t.step(&data(2).next_batch(16)).unwrap();
+        assert!(t.lane.is_none());
     }
 
     #[test]

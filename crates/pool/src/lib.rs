@@ -44,6 +44,18 @@
 //! progress, even on a pool with a single worker — the blocked thread
 //! drains the inner scope's tasks on its own stack.
 //!
+//! A helping thread takes the *newest* queued task, a worker the oldest:
+//! the tasks a waiter has just spawned are the ones its scope waits for,
+//! while older tasks belong to an enclosing scope and are left to the
+//! workers while they are still busy elsewhere. The DLRM trainer leans on
+//! this with its one-worker lane: the scope that spans a step's dense
+//! phases holds the next batch's cast as its first task, and each split
+//! GEMM inside those phases opens a scope of its own on the same lane.
+//! The training thread helping in a GEMM's scope runs that GEMM's bands,
+//! not the cast, so the cast stays the lane's — even while the lane's
+//! worker is slow to start — and reaches the training thread only if it
+//! is still queued when the outer scope joins.
+//!
 //! # How workers wait
 //!
 //! A worker with nothing to do parks on a condvar, and waking a parked
@@ -62,7 +74,7 @@
 //! The polling loop is `spin_loop` with a `yield_now` every few dozen
 //! probes. The yield is what keeps polling polite: a runnable thread that
 //! shares the poller's vCPU (the caller of a scope woken there by the
-//! worker's own completion notify, a casting worker beside the trainer's
+//! worker's own completion notify, a batch producer beside the trainer's
 //! lane) gets the core at the next yield instead of waiting out a
 //! scheduler quantum.
 //!
@@ -123,9 +135,15 @@ impl Shared {
         self.activity.notify_all();
     }
 
-    /// Pops the oldest task of the locked queue.
-    fn pop(&self, queue: &mut VecDeque<Task>) -> Option<Task> {
-        let task = queue.pop_front()?;
+    /// Pops a task of the locked queue: the oldest for a worker, the
+    /// newest for a thread helping while its scope waits (see the module
+    /// docs).
+    fn pop(&self, queue: &mut VecDeque<Task>, newest: bool) -> Option<Task> {
+        let task = if newest {
+            queue.pop_back()
+        } else {
+            queue.pop_front()
+        }?;
         self.queued.store(queue.len(), Ordering::Release);
         Some(task)
     }
@@ -290,7 +308,7 @@ fn worker_loop(shared: &Shared) {
         let task = {
             let mut queue = shared.lock();
             loop {
-                if let Some(task) = shared.pop(&mut queue) {
+                if let Some(task) = shared.pop(&mut queue, false) {
                     break Some(task);
                 }
                 if shared.shutdown.load(Ordering::Acquire) {
@@ -370,7 +388,7 @@ impl<'pool, 'env> Scope<'pool, 'env> {
     }
 
     /// Blocks until all tasks spawned on this scope completed, running
-    /// queued tasks (from any scope) while waiting.
+    /// queued tasks (from any scope, newest first) while waiting.
     fn wait_help(&self) {
         let shared = &self.pool.shared;
         let mut queue = shared.lock();
@@ -378,7 +396,7 @@ impl<'pool, 'env> Scope<'pool, 'env> {
             if self.state.pending.load(Ordering::SeqCst) == 0 {
                 return;
             }
-            if let Some(task) = shared.pop(&mut queue) {
+            if let Some(task) = shared.pop(&mut queue, true) {
                 drop(queue);
                 task();
                 queue = shared.lock();
@@ -518,6 +536,38 @@ mod tests {
             }
         });
         assert_eq!(total.load(Ordering::SeqCst), 16);
+    }
+
+    #[test]
+    fn a_helping_waiter_runs_its_own_tasks_before_older_ones() {
+        // The one worker is held busy, so the thread waiting on the inner
+        // scope is the only one helping: it runs its own scope's task and
+        // returns, and the enclosing scope's older task stays queued for
+        // the worker.
+        let pool = Pool::new(1);
+        let (started, release) = (AtomicBool::new(false), AtomicBool::new(false));
+        let older_ran = AtomicBool::new(false);
+        let mut older_left_queued = false;
+        pool.scope(|outer| {
+            outer.spawn(|| {
+                started.store(true, Ordering::SeqCst);
+                while !release.load(Ordering::SeqCst) {
+                    std::hint::spin_loop();
+                }
+            });
+            while !started.load(Ordering::SeqCst) {
+                std::hint::spin_loop();
+            }
+            outer.spawn(|| older_ran.store(true, Ordering::SeqCst));
+            pool.scope(|inner| inner.spawn(|| {}));
+            older_left_queued = !older_ran.load(Ordering::SeqCst);
+            release.store(true, Ordering::SeqCst);
+        });
+        assert!(
+            older_left_queued,
+            "the waiter ran the enclosing scope's task"
+        );
+        assert!(older_ran.load(Ordering::SeqCst));
     }
 
     #[test]
@@ -673,7 +723,8 @@ mod tests {
     #[test]
     fn queued_count_returns_to_zero_when_the_caller_runs_the_tasks() {
         // The only worker is held inside a task until the caller has run
-        // every other task of the scope itself.
+        // every other task of the scope itself (newest first, so the
+        // release is queued before the others).
         let pool = Pool::new(1);
         let caller = std::thread::current().id();
         let (started_tx, started_rx) = std::sync::mpsc::channel();
@@ -685,6 +736,7 @@ mod tests {
                 release_rx.recv().expect("released by the last task");
             });
             started_rx.recv().expect("the worker starts the holder");
+            s.spawn(move || release_tx.send(()).expect("holder alive"));
             for _ in 0..5 {
                 s.spawn(|| {
                     if std::thread::current().id() == caller {
@@ -692,7 +744,6 @@ mod tests {
                     }
                 });
             }
-            s.spawn(move || release_tx.send(()).expect("holder alive"));
             assert_eq!(pool.shared.queued.load(Ordering::SeqCst), 6);
         });
         assert_eq!(on_caller.load(Ordering::SeqCst), 5);

@@ -8,8 +8,8 @@
 //!
 //! * [`core`] (`tcast-core`) — the paper's contribution: the Tensor
 //!   Casting index transformation (Algorithm 2), the fused casted
-//!   gradient gather-reduce (Algorithm 3), and the forward-overlap
-//!   casting pipeline (Section IV-B).
+//!   gradient gather-reduce (Algorithm 3), and the accounting of the
+//!   Section IV-B runtime that casts ahead, beside other work.
 //! * [`embedding`] (`tcast-embedding`) — embedding tables and the
 //!   baseline primitives: fused gather-reduce, gradient expand, gradient
 //!   coalesce (Algorithm 1), gradient scatter and sparse optimizers.

@@ -1,12 +1,11 @@
 //! Cross-crate functional-equivalence suite: the paper's central
 //! correctness claim, checked across every layer of the stack — host
-//! kernels, the casting pipeline, and full DLRM training.
+//! kernels, the pooled paths, and full DLRM training.
 
 use proptest::prelude::*;
 use std::sync::OnceLock;
 use tensor_casting::core::{
     blocked_casted_backward, casted_gather_reduce, casted_gather_reduce_into, tensor_casting,
-    CastingPipeline,
 };
 use tensor_casting::datasets::{DatasetPreset, SyntheticCtr, TableWorkload};
 use tensor_casting::dlrm::{BackwardMode, DlrmConfig, Trainer};
@@ -228,18 +227,6 @@ fn serial_equals_pooled_under_randomized_load() {
         let index = IndexArray::from_samples(&samples).unwrap();
         check_serial_equals_pooled(&index, rows as usize, dim, trial);
     }
-}
-
-#[test]
-fn pipeline_results_match_synchronous_casting() {
-    let mut pipeline = CastingPipeline::new();
-    let indices: Vec<IndexArray> = (0..4)
-        .map(|i| random_workload(20 + i, 64, 4, 300).0)
-        .collect();
-    let ticket = pipeline.submit(indices.clone());
-    let from_pipeline = pipeline.collect(ticket);
-    let synchronous: Vec<_> = indices.iter().map(tensor_casting).collect();
-    assert_eq!(from_pipeline, synchronous);
 }
 
 #[test]

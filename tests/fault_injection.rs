@@ -19,23 +19,21 @@
 //!    producer thread fails the consumer with a "producer died" panic
 //!    instead of deadlocking, and both drop orders of
 //!    (`TrainLoop`, dead `PrefetchSource`) join promptly.
-//! 4. **Casting-worker panics** — a worker dying mid-pipeline fails
-//!    pending and future `collect`/`submit` calls with a clean
-//!    "casting worker died" panic, and the dead pipeline drops
-//!    cleanly.
+//! 4. **Cast-ahead panics** — a cast-ahead task dying on the trainer's
+//!    lane resurfaces on the training thread as a panic naming its
+//!    site, at the same occurrence on every run.
 
 use std::panic::{catch_unwind, AssertUnwindSafe};
 use std::sync::Arc;
 use std::time::{Duration, Instant};
-use tensor_casting::core::{tensor_casting, CastingPipeline, FaultPlan};
+use tensor_casting::core::FaultPlan;
 use tensor_casting::datasets::{
     BatchSource, CtrBatch, PrefetchSource, SyntheticCtr, SyntheticSource,
 };
 use tensor_casting::dlrm::{
     checkpoint::{read_train_checkpoint, CheckpointError, CheckpointStore},
-    BackwardMode, DlrmConfig, EmbeddingOptimizer, TrainLoop, Trainer,
+    BackwardMode, DlrmConfig, EmbeddingOptimizer, TrainLoop, Trainer, CAST_AHEAD_FAULT_SITE,
 };
-use tensor_casting::embedding::IndexArray;
 
 struct TempDir(std::path::PathBuf);
 
@@ -393,122 +391,35 @@ fn dead_producer_and_train_loop_drop_cleanly_in_both_orders() {
     }
 }
 
-// --------------------------------------- 4. casting-worker panics
+// ------------------------------------------------ 4. cast-ahead panics
 
-fn index(seed: u64) -> IndexArray {
-    let samples: Vec<Vec<u32>> = (0..8)
-        .map(|i| vec![(seed as u32 + i) % 50, (seed as u32 + 2 * i) % 50])
-        .collect();
-    IndexArray::from_samples(&samples).unwrap()
-}
-
-#[test]
-fn casting_worker_death_fails_collect_and_submit_cleanly() {
-    let mut pipeline = CastingPipeline::new();
-    let plan = FaultPlan::new();
-    plan.arm("cast", 1); // second job kills the worker
-    pipeline.set_fault_plan(plan.clone(), "cast");
-
-    let t0 = pipeline.submit(vec![index(1)]);
-    let t1 = pipeline.submit(vec![index(2)]);
-    // Job 0 completed before the armed occurrence: its result is intact.
-    let casted = pipeline.collect(t0);
-    assert_eq!(casted[0], tensor_casting(&index(1)));
-
-    // Job 1 died with the worker: collect panics cleanly, in bounded
-    // time, instead of waiting for a result that can never arrive.
-    let started = Instant::now();
-    let outcome = catch_unwind(AssertUnwindSafe(|| pipeline.collect(t1)));
-    let payload = outcome.expect_err("collect of the dead job must fail");
-    assert!(
-        panic_message(payload.as_ref()).contains("casting worker died"),
-        "unexpected panic: {}",
-        panic_message(payload.as_ref())
-    );
-    assert!(
-        started.elapsed() < Duration::from_secs(30),
-        "collect took {:?} to observe the death",
-        started.elapsed()
-    );
-    assert!(pipeline.worker_died());
-    assert_eq!(plan.fired(), vec![("cast".to_string(), 1)]);
-
-    // Future submits fail fast too — no job may enter a dead pipeline.
-    let outcome = catch_unwind(AssertUnwindSafe(|| pipeline.submit(vec![index(3)])));
-    assert!(
-        panic_message(outcome.expect_err("submit must fail").as_ref())
-            .contains("casting worker died"),
-        "submit into a dead pipeline must name the cause"
-    );
-
-    let t0 = Instant::now();
-    drop(pipeline);
-    assert!(
-        t0.elapsed() < Duration::from_secs(10),
-        "dropping the dead pipeline took {:?}",
-        t0.elapsed()
-    );
-}
-
-/// A dead pipeline and a healthy prefetch source shut down cleanly in
-/// both drop orders — the two failure domains do not entangle.
-#[test]
-fn dead_pipeline_and_live_prefetch_source_drop_cleanly_in_both_orders() {
-    for pipeline_first in [false, true] {
-        let mut pipeline = CastingPipeline::new();
-        let plan = FaultPlan::new();
-        plan.arm("cast", 0);
-        pipeline.set_fault_plan(plan, "cast");
-        let _ticket = pipeline.submit(vec![index(4)]);
-        // Wait (bounded) for the worker to die so the drop exercises
-        // the dead path, not a race with a live worker.
-        let deadline = Instant::now() + Duration::from_secs(30);
-        while !pipeline.worker_died() {
-            assert!(Instant::now() < deadline, "worker never observed the fault");
-            std::thread::yield_now();
-        }
-        let source = PrefetchSource::new(source(44, 8), 2);
-        let t0 = Instant::now();
-        if pipeline_first {
-            drop(pipeline);
-            drop(source);
-        } else {
-            drop(source);
-            drop(pipeline);
-        }
-        assert!(
-            t0.elapsed() < Duration::from_secs(10),
-            "shutdown (pipeline_first: {pipeline_first}) took {:?}",
-            t0.elapsed()
-        );
-    }
-}
-
-/// Fault plans are reproducible: the same plan spec kills the same job
-/// on every run, so the assertions above are stable, not racy.
+/// Fault plans are reproducible: the same plan spec kills the same cast on
+/// every run, whichever thread runs it, so the assertions above are
+/// stable, not racy. At depth 1 every completion casts the batch queued
+/// behind it: occurrence 2 is the third completion's cast.
 #[test]
 fn fault_plans_reproduce_the_same_failure_every_run() {
     for _ in 0..3 {
-        let mut pipeline = CastingPipeline::new();
         let plan = FaultPlan::new();
-        plan.arm("cast", 2);
-        pipeline.set_fault_plan(plan.clone(), "cast");
-        let tickets: Vec<_> = (0..3).map(|i| pipeline.submit(vec![index(i)])).collect();
-        let mut tickets = tickets.into_iter();
-        // Jobs 0 and 1 always survive; job 2 always dies.
-        assert_eq!(
-            pipeline.collect(tickets.next().unwrap())[0],
-            tensor_casting(&index(0))
+        plan.arm(CAST_AHEAD_FAULT_SITE, 2);
+        let mut trainer = Trainer::new(DlrmConfig::tiny(), BackwardMode::Casted, 1).unwrap();
+        trainer.set_fault_plan(plan.clone());
+        let mut driver = TrainLoop::new(trainer, 1);
+        let mut src = source(55, 16);
+        assert!(driver.push(src.next_batch().unwrap()).unwrap().is_none());
+        // Completions 0 and 1 always survive; completion 2 always dies.
+        for _ in 0..2 {
+            assert!(driver.push(src.next_batch().unwrap()).unwrap().is_some());
+        }
+        let outcome = catch_unwind(AssertUnwindSafe(|| driver.push(src.next_batch().unwrap())));
+        let payload = outcome.expect_err("the third cast must die on every run");
+        assert!(
+            panic_message(payload.as_ref()).contains(CAST_AHEAD_FAULT_SITE),
+            "unexpected panic: {}",
+            panic_message(payload.as_ref())
         );
-        assert_eq!(
-            pipeline.collect(tickets.next().unwrap())[0],
-            tensor_casting(&index(1))
-        );
-        let outcome = catch_unwind(AssertUnwindSafe(|| {
-            pipeline.collect(tickets.next().unwrap())
-        }));
-        assert!(outcome.is_err(), "job 2 must die on every run");
-        assert_eq!(plan.fired(), vec![("cast".to_string(), 2)]);
+        assert_eq!(plan.fired(), vec![(CAST_AHEAD_FAULT_SITE.to_string(), 2)]);
+        assert_eq!(driver.trainer().steps(), 2);
     }
 }
 

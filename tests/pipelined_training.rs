@@ -17,7 +17,7 @@ use tensor_casting::datasets::{
 };
 use tensor_casting::dlrm::{
     BackwardMode, DlrmConfig, EmbeddingOptimizer, Execution, StepReport, TableConfig, TrainLoop,
-    Trainer, DENSE_GEMM_FAULT_SITE, GATHER_AHEAD_FAULT_SITE,
+    Trainer, CAST_AHEAD_FAULT_SITE, DENSE_GEMM_FAULT_SITE, GATHER_AHEAD_FAULT_SITE,
 };
 use tensor_casting::embedding::{EmbeddingError, IndexArray};
 
@@ -130,22 +130,33 @@ fn every_optimizer_and_mode_matches_at_depth_three() {
     }
 }
 
-/// Casted lookahead must never *decrease* the hiding opportunity the
-/// serial loop gets credited with: the run completes with every casting
-/// job accounted for (jobs == steps) and per-ticket exposed waits summed
-/// into the summary.
+/// Every batch is cast exactly once at any depth (jobs == steps), and the
+/// per-step exposed waits sum to the trainer's own account. At depth 0
+/// every step casts in-step, so none of the casting is hidden.
 #[test]
 fn run_summary_accounts_for_every_casting_job() {
-    let trainer = Trainer::new(DlrmConfig::tiny(), BackwardMode::Casted, 9).unwrap();
-    let mut driver = TrainLoop::new(trainer, 2);
-    let mut source = SyntheticSource::new(stream(77), 32);
-    let summary = driver.run(&mut source, 8).unwrap();
-    assert_eq!(summary.steps, 8);
-    let stats = driver.trainer().pipeline_stats().unwrap();
-    assert_eq!(stats.jobs_completed, 8);
-    assert!(summary.exposed_cast_wait <= stats.exposed_wait);
-    let hf = summary.hidden_fraction();
-    assert!((0.0..=1.0).contains(&hf), "hidden fraction {hf}");
+    for depth in [0, 1, 3] {
+        let trainer = Trainer::new(DlrmConfig::tiny(), BackwardMode::Casted, 9).unwrap();
+        let mut driver = TrainLoop::new(trainer, depth);
+        let mut source = SyntheticSource::new(stream(77), 32);
+        let summary = driver.run(&mut source, 8).unwrap();
+        assert_eq!(summary.steps, 8);
+        let stats = driver.trainer().pipeline_stats().unwrap();
+        assert_eq!(stats.jobs_completed, 8, "depth {depth}");
+        assert_eq!(summary.casting_time, stats.casting_time, "depth {depth}");
+        assert_eq!(
+            summary.exposed_cast_wait, stats.exposed_wait,
+            "depth {depth}"
+        );
+        if depth == 0 {
+            assert_eq!(stats.exposed_wait, stats.casting_time);
+        }
+        let hf = summary.hidden_fraction();
+        assert!(
+            (0.0..=1.0).contains(&hf),
+            "depth {depth}: hidden fraction {hf}"
+        );
+    }
 }
 
 /// A `TrainLoop` over a `PrefetchSource`-wrapped stream at `depth`,
@@ -689,10 +700,65 @@ fn lane_panic_resurfaces_on_the_training_thread() {
     }
 }
 
+/// A panic in the cast-ahead task resurfaces on the training thread, out
+/// of the completion whose dense phases it ran beside — from the trainer's
+/// own lane as from a caller's pool — naming its site. That step counts
+/// for nothing and changes no parameter (the dense update waits for the
+/// scope's join), so taken again it and its successors train bit for bit
+/// as a run that never saw the fault.
+#[test]
+fn cast_ahead_panic_resurfaces_and_the_next_step_trains_bit_identically() {
+    use std::panic::{catch_unwind, AssertUnwindSafe};
+    let batches = hazard_batches(71, 3, 16);
+    let pool = Arc::new(tensor_casting::tensor::Pool::new(2));
+    for execution in [Execution::Serial, Execution::Pooled(pool)] {
+        let mk = || {
+            let optimizer = EmbeddingOptimizer::Sgd;
+            let mode = BackwardMode::Casted;
+            Trainer::with_execution(hazard_config(), mode, optimizer, execution.clone(), 5).unwrap()
+        };
+        let mut clean = mk();
+        let want: Vec<u32> = batches
+            .iter()
+            .map(|b| clean.step(b).unwrap().loss.to_bits())
+            .collect();
+
+        let mut trainer = mk();
+        let plan = FaultPlan::new();
+        plan.arm(CAST_AHEAD_FAULT_SITE, 0);
+        trainer.set_fault_plan(plan.clone());
+        let first = trainer.begin_step(Arc::clone(&batches[0]));
+        let second = trainer.begin_step(Arc::clone(&batches[1]));
+        let panic = catch_unwind(AssertUnwindSafe(|| {
+            trainer.complete_step(first, Some(&second))
+        }))
+        .expect_err("the cast's panic must reach the training thread");
+        let message = panic
+            .downcast_ref::<String>()
+            .cloned()
+            .unwrap_or_else(|| "<non-string panic>".into());
+        assert!(
+            message.contains(CAST_AHEAD_FAULT_SITE),
+            "{execution:?}: unexpected panic: {message}"
+        );
+        assert_eq!(plan.fired(), vec![(CAST_AHEAD_FAULT_SITE.to_string(), 0)]);
+        assert_eq!(trainer.steps(), 0, "{execution:?}");
+        for (batch, want) in batches.iter().zip(&want) {
+            let got = trainer.step(batch).unwrap().loss.to_bits();
+            assert_eq!(got, *want, "{execution:?}");
+        }
+        assert!(
+            trajectory(&[], trainer) == trajectory(&[], clean),
+            "{execution:?}"
+        );
+    }
+}
+
 /// The held gather dies with the table bits it read: restoring a
 /// checkpoint between two completions — one that even carries the step
 /// count the gather was keyed on — makes the next step gather in-step from
-/// the restored tables.
+/// the restored tables. The held cast goes with it: that step casts
+/// in-step too.
 #[test]
 fn checkpoint_restore_between_completions_drops_the_held_gather() {
     use tensor_casting::dlrm::checkpoint::{read_train_checkpoint, save_train_checkpoint};
@@ -722,9 +788,17 @@ fn checkpoint_restore_between_completions_drops_the_held_gather() {
     let second = trainer.begin_step(Arc::clone(&batches[1]));
     trainer.complete_step(first, Some(&second)).unwrap();
     assert_eq!(trainer.steps(), 1);
+    let casts = |t: &Trainer| t.pipeline_stats().unwrap().jobs_completed;
+    assert_eq!(
+        casts(&trainer),
+        2,
+        "the completion casts itself and its successor"
+    );
     ckpt.restore_into(&mut trainer).unwrap();
     let got = trainer.complete_step(second, None).unwrap();
     assert_eq!(got.gathered_ahead, 0, "a stale gather was adopted");
+    assert_eq!(casts(&trainer), 3, "the held cast outlived the restore");
+    assert!(got.exposed_cast_wait > std::time::Duration::ZERO);
     assert_eq!(got.loss.to_bits(), want.loss.to_bits());
     assert!(trajectory(&[], trainer) == trajectory(&[], reference));
 }

@@ -180,7 +180,7 @@ fn check_blocked_backward(
         .into_iter()
         .chain([Exec::Serial]);
 
-    // What the casting pipeline delivers: the table's one casted array.
+    // What the trainer casts ahead: the table's one casted array.
     let casted = tensor_casting(index);
     let mut blocks = BlockScratch::default();
     for rule in RULES {

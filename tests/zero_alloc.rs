@@ -3,9 +3,9 @@
 //! its high-water mark, the embedding/MLP hot-path kernels perform **no
 //! heap allocation per step** on their serial `_into` paths. That now
 //! includes the *stateful* optimizer scatter (the dense `RowState` store
-//! stops growing once warmed), the casting pipeline's hand-off (submit
-//! as an `Arc<[IndexArray]>` refcount bump, collect, recycle), the cast
-//! itself into recycled arrays, and a full serving cache's misses.
+//! stops growing once warmed), the cast itself into recycled arrays, a
+//! casted training step's in-step cast, and a full serving cache's
+//! misses.
 //!
 //! The whole file is one test function on purpose — the allocation
 //! counter is process-global, and sibling tests running on other threads
@@ -27,7 +27,7 @@ use tensor_casting::datasets::{
 
 use tensor_casting::core::{
     blocked_casted_backward, casted_gather_reduce_into, tensor_casting, tensor_casting_into,
-    CastedIndexArray, CastingPipeline,
+    CastedIndexArray,
 };
 use tensor_casting::dlrm::{BackwardMode, DlrmConfig, TableConfig, Trainer};
 use tensor_casting::embedding::{
@@ -115,8 +115,8 @@ fn steady_state_hot_path_performs_zero_allocations() {
         .map(|_| (0..6).map(|_| rng.next_below(500) as u32).collect())
         .collect();
     let index = IndexArray::from_samples(&samples).unwrap();
-    // The casted index array is produced by the overlap pipeline in real
-    // training (off the critical path); here it is fixed input.
+    // The casted index array is cast ahead in real training (off the
+    // critical path); here it is fixed input.
     let casted = tensor_casting(&index);
     let upstream = random_matrix(batch, dim, 2);
 
@@ -151,7 +151,7 @@ fn steady_state_hot_path_performs_zero_allocations() {
     );
 
     // ---- Casting (Algorithm 2) into a recycled array -------------------
-    // What the casting worker and a full serving cache run: the radix
+    // What the trainer's casts and a full serving cache run: the radix
     // sort ping-pongs through the scratch's buffers and the final pass
     // rewrites the casted array in place. Warmed by a larger array with
     // ids up to `u32::MAX` (the most lookups and the most digit passes),
@@ -254,76 +254,21 @@ fn steady_state_hot_path_performs_zero_allocations() {
         "stateful-optimizer scatter steady state must not allocate"
     );
 
-    // ---- Casting-pipeline hand-off: submit, collect, recycle ----------
-    // A job goes to the worker on a bounded channel as an
-    // Arc<[IndexArray]> share (a refcount bump however many tables it
-    // has), its arrays come back on the results channel, and they go
-    // back on the bounded free channel for a later job to be cast into.
-    // Once a collect has parked this thread on the results channel — std
-    // allocates a thread's wait context and a channel's waiter slot on
-    // the first blocking receive — the hand-off allocates nothing on the
-    // training thread, for a wide batch as for a narrow one. A job of long
-    // bags (256k lookups, milliseconds of casting) collected at once
-    // parks it.
-    let long_bags = |samples: usize| {
-        let bag: Vec<u32> = (0..8_000).map(|j| j % 100).collect();
-        IndexArray::from_samples(&vec![bag; samples]).unwrap()
-    };
-    let make_indices = |tables: usize, seed: u64| -> Arc<[IndexArray]> {
-        let mut rng = SplitMix64::new(seed);
-        (0..tables)
-            .map(|_| {
-                let samples: Vec<Vec<u32>> = (0..batch)
-                    .map(|_| (0..6).map(|_| rng.next_below(500) as u32).collect())
-                    .collect();
-                IndexArray::from_samples(&samples).unwrap()
-            })
-            .collect::<Vec<_>>()
-            .into()
-    };
-    let narrow = make_indices(2, 21);
-    let wide = make_indices(10, 22);
-    let mut pipeline = CastingPipeline::new();
-    let mut hand_off = |indices: &Arc<[IndexArray]>, cycles: usize| -> u64 {
-        let before = allocations();
-        for _ in 0..cycles {
-            let ticket = pipeline.submit(Arc::clone(indices));
-            let casted = pipeline.collect(ticket);
-            pipeline.recycle(casted);
-        }
-        allocations() - before
-    };
-    hand_off(&vec![long_bags(32)].into(), 1);
-    hand_off(&narrow, 4);
-    hand_off(&wide, 4);
-    let cycle_allocs = hand_off(&narrow, 32) + hand_off(&wide, 32);
-    assert_eq!(
-        cycle_allocs, 0,
-        "64 warm submit/collect/recycle cycles allocated on the training thread: \
-         is submit cloning index arrays, or a channel growing?"
-    );
-
-    // ---- A failed casted step gives its casting job back ---------------
-    // `Trainer::step` submits the batch's casting job before forward
-    // propagation; a step that then fails in forward (here: an embedding
-    // id past its table) must still drain that job. If it did not, the
-    // orphaned result would arrive ahead of the next step's and stay
-    // parked in the pipeline for good, for a caller who handles the `Err`
-    // and keeps training. So `good, BAD, good x 32` must end bit-equal
-    // (losses and weights) to the same 33 good steps without the bad
-    // one, and its 32 steps after the error must allocate nothing on the
-    // training thread, like any warm casted steps. (One batch throughout,
-    // so the first step already sizes every scratch buffer to its
-    // high-water mark. The bad batch's second table carries long bags, so
-    // the collect of its orphan parks on this trainer's results channel
-    // before the count starts.)
+    // ---- A failed casted step leaves the warm steps after it alone -----
+    // `Trainer::step` casts the batch in-step, into the trainer's recycled
+    // arrays, right before its embedding backward; a step that fails
+    // earlier, in forward (here: an embedding id past its table), casts
+    // nothing. So `good, BAD, good x 32` must end bit-equal (losses and
+    // weights) to the same 33 good steps without the bad one, and its 32
+    // steps after the error must allocate nothing on the training thread,
+    // like any warm casted steps. (One batch throughout, so the first
+    // step already sizes every scratch buffer to its high-water mark.)
     let cfg = DlrmConfig::tiny();
     let good = SyntheticCtr::new(cfg.table_workloads(), cfg.dense_features, 71).next_batch(32);
     let bad = {
         let mut indices = good.indices.to_vec();
         let past_the_table = cfg.table_workloads()[0].rows() as u32;
         indices[0] = IndexArray::from_samples(&vec![vec![past_the_table]; 32]).unwrap();
-        indices[1] = long_bags(32);
         CtrBatch {
             indices: indices.into(),
             ..good.clone()
@@ -349,8 +294,7 @@ fn steady_state_hot_path_performs_zero_allocations() {
     let after_error = allocations() - before;
     assert_eq!(
         after_error, 0,
-        "32 steps after a failed step allocated on the training thread: \
-         did the failed step orphan its casting ticket?"
+        "32 steps after a failed step allocated on the training thread"
     );
     assert_eq!(survivor_losses, clean_losses);
     for t in 0..clean.model().num_tables() {
