@@ -18,9 +18,10 @@
 //! ```
 //!
 //! `FAST=1` shrinks shapes and iteration counts for smoke runs. The
-//! `KERNEL <name> simd/scalar ratio`, `KERNEL <name> cold`, `KERNEL
-//! linear_bwd lane/serial ratio`, `KERNEL gemm lanes`, `KERNEL cast` and
-//! `KERNEL cast_into` lines are CI's grep anchors.
+//! `KERNEL <name> simd/scalar ratio` (`interaction`: forward plus
+//! backward), `KERNEL <name> cold`, `KERNEL linear_bwd lane/serial
+//! ratio`, `KERNEL gemm lanes`, `KERNEL cast` and `KERNEL cast_into` lines
+//! are CI's grep anchors.
 //!
 //! A GEMM-family row's `peak_frac` is read against the multiply-add peak
 //! measured at the register width its kernels run at, named by its `lanes`
@@ -37,6 +38,11 @@
 //! pair of hands. Their `peak_frac` is taken against **twice** the
 //! one-core multiply-add peak — the ceiling of the two cores — for both
 //! schedules, so the two rows of a pair read on one scale.
+//!
+//! The `interaction_fwd` / `interaction_bwd` rows time DLRM's `Dot`
+//! feature interaction, forward and backward, at RM1's shape (11 feature
+//! vectors of 64 at batch 512) on every tier, in GFLOP/s of its pair
+//! multiply-adds.
 //!
 //! The gather/scatter family is measured twice. The *warm* rows repeat one
 //! batch over a 100k-row table: everything is L3-resident after the first
@@ -77,7 +83,8 @@ use tcast_embedding::{
 };
 use tcast_pool::{Exec, Pool};
 use tcast_tensor::{
-    simd, Activation, KernelDispatch, Linear, Matrix, Mlp, MlpInferenceScratch, SplitMix64,
+    simd, Activation, FeatureInteraction, InteractionKind, KernelDispatch, Linear, Matrix, Mlp,
+    MlpInferenceScratch, SplitMix64,
 };
 
 const ADAGRAD: UpdateRule = UpdateRule::Adagrad {
@@ -706,7 +713,7 @@ fn main() {
                 .unwrap();
         });
         let ratio = emit.lane_rows("linear_bwd", &shape, n, 2.0 * flops, &lane, |exec| {
-            layer.backward_into(&x, &dy, &mut dx, exec).unwrap();
+            layer.backward_into(&x, &dy, Some(&mut dx), exec).unwrap();
         });
         println!("KERNEL linear_bwd lane/serial ratio {ratio:.2} ({shape})");
 
@@ -718,11 +725,58 @@ fn main() {
         let mut scratch = MlpInferenceScratch::default();
         emit.lane_rows("mlp_step", &shape, widths[2], flops, &lane, |exec| {
             mlp.forward_into(&x, &mut scratch, &mut y, exec).unwrap();
-            mlp.backward_into(&x, &mut scratch, &dy, &mut dx, exec)
+            mlp.backward_into(&x, &mut scratch, &dy, Some(&mut dx), exec)
                 .unwrap();
             mlp.apply_update(1e-6);
         });
     }
+
+    // --- Feature interaction (`Dot`) at RM1's shape: 11 features of 64 ---
+    // (the bottom output and 10 pooled tables) at batch 512, forward and
+    // backward, through the process-wide dispatch pinned per tier. Every
+    // tier runs the same multiply-then-add sequence, so `fma` reads as
+    // `avx2`.
+    let (rows, features, width) = (512, 11, 64);
+    let dense = random_matrix(rows, width, 67);
+    let embeddings: Vec<Matrix> = (0..features as u64 - 1)
+        .map(|t| random_matrix(rows, width, 71 + t))
+        .collect();
+    let op = FeatureInteraction::new(InteractionKind::Dot);
+    let (mut z, mut ddense, mut dpooled) = (Matrix::default(), Matrix::default(), Vec::new());
+    op.forward_into(&dense, &embeddings, &mut z).unwrap();
+    let dz = random_matrix(rows, z.cols(), 73);
+    let shape = format!("b{rows} m{features} d{width}");
+    // One multiply-add a pair and element forward, two backward.
+    let pair_flops = 2.0 * (rows * features * (features - 1) / 2 * width) as f64;
+    println!("\nfeature interaction (dot), {} iters:", args.iters);
+    let mut timed = Vec::new();
+    for (kernel, flops) in [
+        ("interaction_fwd", pair_flops),
+        ("interaction_bwd", 2.0 * pair_flops),
+    ] {
+        let tiers = tier_ns(&mut |d| {
+            simd::force(Some(d));
+            let ns = time_ns(args.iters, || {
+                if kernel == "interaction_fwd" {
+                    op.forward_into(&dense, &embeddings, &mut z).unwrap();
+                } else {
+                    op.backward_into(&dense, &embeddings, &dz, &mut ddense, &mut dpooled)
+                        .unwrap();
+                }
+            });
+            simd::force(None);
+            ns
+        });
+        for &(d, ns) in &tiers {
+            emit.row(kernel, d, &shape, width, ns, flops / ns, "GFLOP/s", None);
+        }
+        timed.push(tiers);
+    }
+    // Forward plus backward.
+    let both: Vec<_> = (timed[0].iter().zip(&timed[1]))
+        .map(|(&(d, fwd), &(_, bwd))| (d, fwd + bwd))
+        .collect();
+    ratio_line("interaction", &both);
 
     // --- Gather/scatter family: the embedding data plane. These go ------
     // through the process-wide dispatch, pinned per tier with

@@ -47,11 +47,11 @@ pub struct InferenceScratch {
     interaction_out: Matrix,
     bottom_mlp: MlpInferenceScratch,
     top_mlp: MlpInferenceScratch,
-    // Gradient side: d(interaction output), d(bottom output), and the
-    // gradient w.r.t. the dense features, which nothing consumes.
+    // Gradient side: d(interaction output) and d(bottom output). The
+    // gradient w.r.t. the dense features is never computed: nothing
+    // consumes it.
     dz: Matrix,
     ddense: Matrix,
-    dinput_sink: Matrix,
 }
 
 impl InferenceScratch {
@@ -337,14 +337,13 @@ impl Dlrm {
             top_mlp,
             dz,
             ddense,
-            dinput_sink,
         } = scratch;
         self.top
-            .backward_into(interaction_out, top_mlp, dlogits, dz, exec)?;
+            .backward_into(interaction_out, top_mlp, dlogits, Some(dz), exec)?;
         self.interaction
             .backward_into(bottom_out, pooled, dz, ddense, dpooled)?;
         self.bottom
-            .backward_into(dense, bottom_mlp, ddense, dinput_sink, exec)
+            .backward_into(dense, bottom_mlp, ddense, None, exec)
     }
 }
 

@@ -2,9 +2,58 @@
 //! stored contiguously exactly as described in Section II-A of the paper
 //! ("stored contiguously within the memory address space as a single
 //! dimensional array").
+//!
+//! A table slab larger than one 2 MB huge page asks Linux for transparent
+//! huge pages (`madvise(MADV_HUGEPAGE)`) before it is first written. Each
+//! random row a gather or scatter touches is a DRAM miss, and on 4 KB
+//! pages most of them also miss the TLB and pay a page walk; a 2 MB page
+//! covers 512 times the rows. The advice changes how pages are backed,
+//! never what they hold, and a host that does not grant it (THP `never`,
+//! another OS) keeps 4 KB pages.
 
 use crate::error::EmbeddingError;
 use tcast_tensor::SplitMix64;
+
+/// Bytes of an x86-64 / arm64 transparent huge page: slabs at most this
+/// large are left on base pages.
+#[cfg(target_os = "linux")]
+const HUGE_PAGE: usize = 2 << 20;
+
+#[cfg(target_os = "linux")]
+extern "C" {
+    // From the C library std already links.
+    fn madvise(addr: *mut std::ffi::c_void, len: usize, advice: i32) -> i32;
+}
+
+/// `madvise`'s transparent-huge-page advice (`asm-generic/mman-common.h`).
+#[cfg(target_os = "linux")]
+const MADV_HUGEPAGE: i32 = 14;
+
+/// A table slab of `len` floats, each `fill()` in order. The allocation
+/// is advised onto huge pages (where that applies: over [`HUGE_PAGE`],
+/// on Linux) *before* the fill first touches it, so its pages fault in
+/// huge rather than waiting for the kernel to collapse them.
+fn slab(len: usize, mut fill: impl FnMut() -> f32) -> Vec<f32> {
+    let mut data = Vec::with_capacity(len);
+    #[cfg(target_os = "linux")]
+    if len * std::mem::size_of::<f32>() > HUGE_PAGE {
+        // `madvise` takes whole base pages: the range is the allocation
+        // shrunk to 4 KB boundaries (the allocator's header usually puts
+        // its start just past one).
+        let (start, bytes) = (data.as_mut_ptr() as usize, len * std::mem::size_of::<f32>());
+        let lo = start.next_multiple_of(4096);
+        let hi = (start + bytes) / 4096 * 4096;
+        debug_assert!(start <= lo && lo < hi && hi <= start + bytes);
+        // SAFETY: `lo..hi` lies inside the allocation `data` owns (the
+        // capacity reserved above). MADV_HUGEPAGE changes only how the
+        // kernel backs those pages, never their contents or their
+        // mapping, so no Rust-visible memory changes; a refusal (THP off,
+        // an older kernel) is harmless and its result is ignored.
+        unsafe { madvise(lo as *mut std::ffi::c_void, hi - lo, MADV_HUGEPAGE) };
+    }
+    data.extend((0..len).map(|_| fill()));
+    data
+}
 
 /// A trainable embedding table.
 ///
@@ -33,7 +82,7 @@ impl EmbeddingTable {
         Self {
             rows,
             dim,
-            data: vec![0.0; rows * dim],
+            data: slab(rows * dim, || 0.0),
         }
     }
 
@@ -43,9 +92,7 @@ impl EmbeddingTable {
     pub fn seeded(rows: usize, dim: usize, seed: u64) -> Self {
         let bound = 1.0 / (dim.max(1) as f32).sqrt();
         let mut rng = SplitMix64::new(seed);
-        let data = (0..rows * dim)
-            .map(|_| rng.next_range(-bound, bound))
-            .collect();
+        let data = slab(rows * dim, || rng.next_range(-bound, bound));
         Self { rows, dim, data }
     }
 
@@ -153,6 +200,26 @@ mod tests {
         assert!(a.as_slice().iter().all(|v| v.abs() <= bound));
         let c = EmbeddingTable::seeded(10, 16, 10);
         assert!(a.max_abs_diff(&c).unwrap() > 0.0);
+    }
+
+    #[test]
+    fn huge_page_slabs_hold_the_same_bits() {
+        // One table under the 2 MB huge page and one over it (2.5 MB): the
+        // values `seeded` always drew, and zeros. Where the pages come
+        // from is the host's business and not asserted.
+        for (rows, dim) in [(1_000, 64), (10_000, 64)] {
+            let bound = 1.0 / 8.0;
+            let mut rng = SplitMix64::new(5);
+            let drawn: Vec<u32> = (0..rows * dim)
+                .map(|_| rng.next_range(-bound, bound).to_bits())
+                .collect();
+            let table = EmbeddingTable::seeded(rows, dim, 5);
+            let bits: Vec<u32> = table.as_slice().iter().map(|v| v.to_bits()).collect();
+            assert!(bits == drawn, "{rows} x {dim}");
+            let zeros = EmbeddingTable::zeros(rows, dim);
+            assert_eq!(zeros.as_slice().len(), rows * dim);
+            assert!(zeros.as_slice().iter().all(|v| v.to_bits() == 0));
+        }
     }
 
     #[test]

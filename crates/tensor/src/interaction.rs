@@ -7,9 +7,17 @@
 //! * [`InteractionKind::Dot`] — pairwise dot products between all feature
 //!   vectors, concatenated after the dense feature vector (DLRM's default
 //!   `--arch-interaction-op=dot`).
+//!
+//! `Dot`'s loops below are the scalar oracle, what
+//! [`KernelDispatch::Scalar`] runs. The SIMD tiers run the kernels of
+//! [`crate::simd`] instead: the forward across whole 8-row blocks of the
+//! batch (the rows past the last block take the loop), the backward one
+//! gradient row at a time. Both keep every output's operations and their
+//! order, so every tier gives the same bits.
 
 use crate::error::ShapeError;
 use crate::matrix::Matrix;
+use crate::simd::{self, KernelDispatch};
 
 /// Which interaction operator to apply.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, Default)]
@@ -103,12 +111,24 @@ impl FeatureInteraction {
         embeddings: &[Matrix],
         out: &mut Matrix,
     ) -> Result<(), ShapeError> {
+        self.forward_on(simd::dispatch(), dense, embeddings, out)
+    }
+
+    /// [`FeatureInteraction::forward_into`] on kernel tier `tier`.
+    fn forward_on(
+        &self,
+        tier: KernelDispatch,
+        dense: &Matrix,
+        embeddings: &[Matrix],
+        out: &mut Matrix,
+    ) -> Result<(), ShapeError> {
         let width = self.output_width(dense, embeddings)?;
         // Virtual input list [dense, emb_0, ..], without materializing it.
         let m = embeddings.len() + 1;
         let input = |i: usize| if i == 0 { dense } else { &embeddings[i - 1] };
         let (batch, dim) = dense.shape();
-        out.zero_into(batch, width);
+        // Every element is written below.
+        out.reshape_for_overwrite(batch, width);
         match self.kind {
             InteractionKind::Concat => {
                 for b in 0..batch {
@@ -122,9 +142,14 @@ impl FeatureInteraction {
                 }
             }
             InteractionKind::Dot => {
+                let slab = |i: usize| input(i).as_slice();
+                let done = simd::pair_dots(tier, slab, m, dim, batch, out.as_mut_slice());
                 for b in 0..batch {
                     let row = out.row_mut(b);
                     row[..dim].copy_from_slice(dense.row(b));
+                    if b < done {
+                        continue;
+                    }
                     let mut p = dim;
                     for i in 0..m {
                         for j in (i + 1)..m {
@@ -159,6 +184,19 @@ impl FeatureInteraction {
         ddense: &mut Matrix,
         dpooled: &mut Vec<Matrix>,
     ) -> Result<(), ShapeError> {
+        self.backward_on(simd::dispatch(), dense, embeddings, dout, ddense, dpooled)
+    }
+
+    /// [`FeatureInteraction::backward_into`] on kernel tier `tier`.
+    fn backward_on(
+        &self,
+        tier: KernelDispatch,
+        dense: &Matrix,
+        embeddings: &[Matrix],
+        dout: &Matrix,
+        ddense: &mut Matrix,
+        dpooled: &mut Vec<Matrix>,
+    ) -> Result<(), ShapeError> {
         let width = self.output_width(dense, embeddings)?;
         let m = embeddings.len() + 1;
         let input = |i: usize| if i == 0 { dense } else { &embeddings[i - 1] };
@@ -171,9 +209,10 @@ impl FeatureInteraction {
             ));
         }
         dpooled.resize_with(m - 1, Matrix::default);
-        ddense.zero_into(batch, dim);
+        // Every element is written below.
+        ddense.reshape_for_overwrite(batch, dim);
         for (buf, src) in dpooled.iter_mut().zip(embeddings) {
-            buf.zero_into(batch, src.cols());
+            buf.reshape_for_overwrite(batch, src.cols());
         }
         match self.kind {
             InteractionKind::Concat => {
@@ -191,8 +230,24 @@ impl FeatureInteraction {
             InteractionKind::Dot => {
                 for b in 0..batch {
                     let drow = dout.row(b);
-                    // Dense passthrough part.
-                    ddense.row_mut(b).copy_from_slice(&drow[..dim]);
+                    let (passthrough, dpairs) = drow.split_at(dim);
+                    // The SIMD tiers: one gradient row at a time, each
+                    // adding its partners in the order the loop below
+                    // adds them to it.
+                    let row = |q: usize| input(q).row(b);
+                    let dense_row = ddense.row_mut(b);
+                    if simd::pair_grads_row(tier, row, m, 0, Some(passthrough), dpairs, dense_row) {
+                        for (f, grad) in dpooled.iter_mut().enumerate() {
+                            let grad = grad.row_mut(b);
+                            simd::pair_grads_row(tier, row, m, f + 1, None, dpairs, grad);
+                        }
+                        continue;
+                    }
+                    // Dense passthrough part; the others start from zero.
+                    ddense.row_mut(b).copy_from_slice(passthrough);
+                    for buf in dpooled.iter_mut() {
+                        buf.row_mut(b).fill(0.0);
+                    }
                     // Pair part: dz_ij flows to both v_i and v_j. The
                     // inputs and the gradient buffers are separate
                     // storage, so no row copies are needed.
@@ -355,6 +410,132 @@ mod tests {
         assert_eq!(&dout.row(0)[3..5], de[0].row(0));
         let split = dout.hsplit(&[3, 2, 4]).unwrap();
         assert_eq!((&dd, &de[..]), (&split[0], &split[1..]));
+    }
+
+    /// The features of one `Dot` interaction (`m` of `batch x dim`) and an
+    /// upstream gradient, holding what a bit-identity claim must survive
+    /// beside values in `[-2, 2)`, `-0.0` and denormals:
+    /// * every third row, feature 0 is `+0.0` and feature 1 negative, so
+    ///   each product of pair `(0, 1)` is `-0.0` and so is its sum, which
+    ///   starts at `-0.0` (a sum started at `+0.0` would read `+0.0`);
+    /// * every fourth row, feature `m - 1` holds `inf` and NaN and every
+    ///   pair it is in has a zero `g`, which must be skipped, not added as
+    ///   `0 * inf`;
+    /// * in the rows after those, the dense passthrough is `-0.0` and
+    ///   every pair of feature 0 has a zero `g`, so its gradient row must
+    ///   stay `-0.0`.
+    fn hostile_dot(batch: usize, m: usize, dim: usize, seed: u64) -> (Vec<Matrix>, Matrix) {
+        let mut rng = crate::SplitMix64::new(seed);
+        let value = |rng: &mut crate::SplitMix64| match rng.next_below(32) {
+            0 => -0.0,
+            1 => 1.0e-40,
+            2 => -1.0e-41,
+            3 => 0.0,
+            _ => rng.next_range(-2.0, 2.0),
+        };
+        let mut features: Vec<Matrix> = (0..m).map(|_| Matrix::zeros(batch, dim)).collect();
+        let pairs = m * (m - 1) / 2;
+        let mut dout = Matrix::zeros(batch, dim + pairs);
+        for b in 0..batch {
+            for (f, x) in features.iter_mut().enumerate() {
+                for v in x.row_mut(b) {
+                    *v = match (b % 3, f) {
+                        (0, 0) => 0.0,
+                        (0, 1) => -rng.next_range(0.5, 2.0),
+                        _ => value(&mut rng),
+                    };
+                }
+            }
+            for v in dout.row_mut(b) {
+                *v = value(&mut rng);
+            }
+            // Pair `p` of `(i, j)`, in the forward's order.
+            let mut p = dim;
+            for i in 0..m {
+                for j in (i + 1)..m {
+                    let zero = if p.is_multiple_of(2) { 0.0 } else { -0.0 };
+                    if (b % 4 == 1 && j == m - 1) || (b % 4 == 2 && i == 0) {
+                        dout[(b, p)] = zero;
+                    }
+                    p += 1;
+                }
+            }
+            if b % 4 == 1 {
+                let last = features[m - 1].row_mut(b);
+                last[0] = f32::INFINITY;
+                last[dim / 2] = f32::NAN;
+                last[dim - 1] = f32::NEG_INFINITY;
+            }
+            if b % 4 == 2 {
+                dout.row_mut(b)[..dim].fill(-0.0);
+            }
+        }
+        (features, dout)
+    }
+
+    fn bits(m: &Matrix) -> Vec<u32> {
+        m.as_slice().iter().map(|v| v.to_bits()).collect()
+    }
+
+    #[test]
+    fn simd_dot_interaction_matches_the_scalar_oracle() {
+        // Rows below, at and past one 8-row block and a full RM1 batch;
+        // one pair, RM1's 11 features (one tile over the whole row) and 41
+        // (the reduction in 18-step blocks; not at 512 rows, which only
+        // repeat the blocks of 17 at 25 times the debug-build cost); whole
+        // and ragged vectors.
+        let op = FeatureInteraction::new(InteractionKind::Dot);
+        let mut seed = 0xD07;
+        for batch in [1, 7, 8, 9, 17, 512] {
+            for m in [2, 11, 41] {
+                if (batch, m) == (512, 41) {
+                    continue;
+                }
+                for dim in [16, 63, 64] {
+                    seed += 1;
+                    let (features, dout) = hostile_dot(batch, m, dim, seed);
+                    let run = |tier| {
+                        let (dense, embeddings) = (&features[0], &features[1..]);
+                        // Stale NaN in every buffer: each element must be
+                        // written.
+                        let width = dim + m * (m - 1) / 2;
+                        let mut out = Matrix::filled(batch, width, f32::NAN);
+                        let mut ddense = Matrix::filled(batch, dim, f32::NAN);
+                        let mut dpooled = vec![ddense.clone(); m - 1];
+                        op.forward_on(tier, dense, embeddings, &mut out).unwrap();
+                        op.backward_on(tier, dense, embeddings, &dout, &mut ddense, &mut dpooled)
+                            .unwrap();
+                        let mut all = vec![bits(&out), bits(&ddense)];
+                        all.extend(dpooled.iter().map(bits));
+                        all
+                    };
+                    let oracle = run(KernelDispatch::Scalar);
+                    // Row 0, pair (0, 1): a sum of `-0.0` products.
+                    assert_eq!(oracle[0][dim], (-0.0f32).to_bits());
+                    for tier in [KernelDispatch::Avx2, KernelDispatch::Fma] {
+                        let got = run(tier);
+                        for (t, (want, got)) in oracle.iter().zip(&got).enumerate() {
+                            // A forward sum meeting both the input NaN and
+                            // one `inf * 0` made keeps the payload of the
+                            // add's first operand, which the compiler picks
+                            // for the oracle (it commutes adds): there the
+                            // NaN-ness is what must agree.
+                            let nan = |x: u32| f32::from_bits(x).is_nan();
+                            let same = |x: u32, y: u32| x == y || (t == 0 && nan(x) && nan(y));
+                            let bad = want.iter().zip(got).position(|(&x, &y)| !same(x, y));
+                            assert!(
+                                bad.is_none(),
+                                "{} batch {batch} m {m} dim {dim}: tensor {t} (0 = output, \
+                                 1 = ddense) differs at {bad:?}: {:x?} vs {:x?}",
+                                tier.name(),
+                                bad.map(|i| want[i]),
+                                bad.map(|i| got[i]),
+                            );
+                        }
+                    }
+                }
+            }
+        }
     }
 
     #[test]

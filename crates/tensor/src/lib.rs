@@ -32,7 +32,7 @@
 //!
 //! // One SGD step: the backward borrows `x` and the scratch back.
 //! let (dy, mut dx) = (Matrix::filled(4, 1, 0.25), Matrix::default());
-//! mlp.backward_into(&x, &mut scratch, &dy, &mut dx, Exec::Serial)?;
+//! mlp.backward_into(&x, &mut scratch, &dy, Some(&mut dx), Exec::Serial)?;
 //! mlp.apply_update(0.05);
 //! # Ok(())
 //! # }

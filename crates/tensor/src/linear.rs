@@ -159,13 +159,15 @@ impl Linear {
 
     /// Backward pass: given `dy = dL/dy` and the `x` this step's forward
     /// pass saw (the caller kept it), stores `dW = x^T dy` and
-    /// `db = sum_rows(dy)` in the layer and writes `dx = dy W^T` into a
-    /// reused buffer; the gradient buffers are the ones the last
-    /// [`Linear::apply_update`] retired. Every shape is checked before a
-    /// buffer is touched, so a rejected call costs the next one nothing.
-    /// `dW` and `dx` run inline, or — under a multi-threaded `exec`, at or
-    /// above the floor — as the bands of **one** scope on its pool, `dW`
-    /// beside `dx`; the bits are the same under every `exec`.
+    /// `db = sum_rows(dy)` in the layer and, unless `dx` is `None` (a
+    /// first layer, whose input gradient nothing consumes), writes
+    /// `dx = dy W^T` into a reused buffer; the gradient buffers are the
+    /// ones the last [`Linear::apply_update`] retired. Every shape is
+    /// checked before a buffer is touched, so a rejected call costs the
+    /// next one nothing. `dW` and `dx` run inline, or — under a
+    /// multi-threaded `exec`, at or above the floor — as the bands of
+    /// **one** scope on its pool, `dW` beside `dx`; the bits are the same
+    /// under every `exec`, with or without `dx`.
     ///
     /// # Errors
     ///
@@ -175,7 +177,7 @@ impl Linear {
         &mut self,
         x: &Matrix,
         dy: &Matrix,
-        dx: &mut Matrix,
+        dx: Option<&mut Matrix>,
         exec: Exec<'_>,
     ) -> Result<(), ShapeError> {
         if x.cols() != self.in_dim() {
@@ -299,7 +301,9 @@ mod tests {
         let x = Matrix::filled(4, 5, 0.5);
         let dy = Matrix::filled(4, 3, 1.0);
         let mut dx = Matrix::default();
-        layer.backward_into(&x, &dy, &mut dx, Exec::Serial).unwrap();
+        layer
+            .backward_into(&x, &dy, Some(&mut dx), Exec::Serial)
+            .unwrap();
         let buffers = |l: &Linear| {
             (
                 l.grad_weight().unwrap().as_slice().as_ptr(),
@@ -314,11 +318,13 @@ mod tests {
             (&Matrix::zeros(4, 6), Matrix::zeros(4, 3)), // input against the weight
         ] {
             assert!(layer
-                .backward_into(bad_x, &bad_dy, &mut dx, Exec::Serial)
+                .backward_into(bad_x, &bad_dy, Some(&mut dx), Exec::Serial)
                 .is_err());
             assert!(layer.grad_weight().is_none());
         }
-        layer.backward_into(&x, &dy, &mut dx, Exec::Serial).unwrap();
+        layer
+            .backward_into(&x, &dy, Some(&mut dx), Exec::Serial)
+            .unwrap();
         assert_eq!(buffers(&layer), first);
     }
 
@@ -331,7 +337,9 @@ mod tests {
         let y = output(&layer, &x);
         let dy = Matrix::filled(y.rows(), y.cols(), 1.0);
         let mut dx = Matrix::default();
-        layer.backward_into(&x, &dy, &mut dx, Exec::Serial).unwrap();
+        layer
+            .backward_into(&x, &dy, Some(&mut dx), Exec::Serial)
+            .unwrap();
         let gw = layer.grad_weight().unwrap().clone();
         let gb = layer.grad_bias().unwrap().to_vec();
 
@@ -381,7 +389,9 @@ mod tests {
         let x = Matrix::filled(4, 2, 1.0);
         let dy = Matrix::filled(4, 1, 1.0);
         let mut dx = Matrix::default();
-        layer.backward_into(&x, &dy, &mut dx, Exec::Serial).unwrap();
+        layer
+            .backward_into(&x, &dy, Some(&mut dx), Exec::Serial)
+            .unwrap();
         layer.apply_update(0.1);
         let after = layer.weight();
         // dW = x^T dy = 4.0 for each entry; W should decrease by 0.4.

@@ -165,7 +165,9 @@ impl Mlp {
     }
 
     /// Backward pass: takes `dL/d(output)`, writes `dL/d(input)` into `dx`
-    /// and leaves per-layer gradients inside each [`Linear`]. `x` and
+    /// (unless it is `None`: a bottom MLP's input gradient, which nothing
+    /// consumes, is then not computed) and leaves per-layer gradients
+    /// inside each [`Linear`]. `x` and
     /// `scratch` are the ones the forward pass of this step ran over:
     /// layer `i` borrows its input from them, and ReLU masks the running
     /// gradient by that same activation (`relu(z) > 0` exactly where
@@ -184,7 +186,7 @@ impl Mlp {
         x: &Matrix,
         scratch: &mut MlpInferenceScratch,
         dy: &Matrix,
-        dx: &mut Matrix,
+        mut dx: Option<&mut Matrix>,
         exec: Exec<'_>,
     ) -> Result<(), ShapeError> {
         let n = self.layers.len();
@@ -209,7 +211,11 @@ impl Mlp {
         for i in (0..n).rev() {
             let input = if i == 0 { x } else { &act[i - 1] };
             let grad = if i + 1 == n { dy } else { &*cur };
-            let into = if i == 0 { &mut *dx } else { &mut *next };
+            let into = if i == 0 {
+                dx.as_deref_mut()
+            } else {
+                Some(&mut *next)
+            };
             self.layers[i].backward_into(input, grad, into, exec)?;
             if i > 0 {
                 if let Activation::Relu = self.activation {
@@ -324,13 +330,20 @@ mod tests {
         assert_eq!(output(&mlp, &x).as_slice(), expect.as_slice());
     }
 
-    /// Everything one training step leaves behind, as bits.
-    fn step_bits(mlp: &mut Mlp, x: &Matrix, dy: &Matrix, exec: Exec<'_>) -> Vec<Vec<u32>> {
+    /// Everything one training step leaves behind, as bits; `dx` empty
+    /// unless `with_dx`.
+    fn step_bits(
+        mlp: &mut Mlp,
+        x: &Matrix,
+        dy: &Matrix,
+        exec: Exec<'_>,
+        with_dx: bool,
+    ) -> Vec<Vec<u32>> {
         let mut scratch = MlpInferenceScratch::default();
         let (mut y, mut dx) = (Matrix::default(), Matrix::default());
         mlp.forward_into(x, &mut scratch, &mut y, exec).unwrap();
-        mlp.backward_into(x, &mut scratch, dy, &mut dx, exec)
-            .unwrap();
+        let into = if with_dx { Some(&mut dx) } else { None };
+        mlp.backward_into(x, &mut scratch, dy, into, exec).unwrap();
         mlp.apply_update(0.05);
         let mut out = vec![bits(y.as_slice()), bits(dx.as_slice())];
         for layer in mlp.layers() {
@@ -343,13 +356,14 @@ mod tests {
     #[test]
     fn a_step_leaves_the_same_bits_under_every_exec() {
         // serial == lane (one worker, the caller the second pair of hands)
-        // == pooled, through forward, backward and update, for stacks with
-        // layers on both sides of the split floor: a `k = 13` first layer
-        // above it feeding an `n = 1` logit layer below it at an odd batch;
-        // a square layer that reaches the floor at one row, at batches of
-        // one and two (fewer rows than the pool has bands); and an
-        // all-small stack. The step composed from unfused primitives, which
-        // masks ReLU by the pre-activation, agrees too.
+        // == pooled, with and without `dx`, through forward, backward and
+        // update, for stacks with layers on both sides of the split floor:
+        // a `k = 13` first layer above it feeding an `n = 1` logit layer
+        // below it at an odd batch; a square layer that reaches the floor
+        // at one row, at batches of one and two (fewer rows than the pool
+        // has bands); and an all-small stack. The step composed from
+        // unfused primitives, which masks ReLU by the pre-activation,
+        // agrees too.
         let lane = Pool::new(1);
         let pool = Pool::new(3);
         let cases: [(usize, &[usize], usize); 4] = [
@@ -371,8 +385,9 @@ mod tests {
             };
             let (x, dy) = (random(batch, input), random(batch, 1));
 
-            let serial = step_bits(&mut fresh.clone(), &x, &dy, Exec::Serial);
+            let serial = step_bits(&mut fresh.clone(), &x, &dy, Exec::Serial, true);
             let execs = [
+                Exec::Serial,
                 Exec::Pooled {
                     pool: &lane,
                     threads: 2,
@@ -380,8 +395,14 @@ mod tests {
                 Exec::pooled(&pool),
             ];
             for exec in execs {
-                let split = step_bits(&mut fresh.clone(), &x, &dy, exec);
+                let split = step_bits(&mut fresh.clone(), &x, &dy, exec, true);
                 assert!(split == serial, "{widths:?} x {batch} under {exec:?}");
+                // Without `dx` the first layer runs `dW` alone: the same
+                // weight bits.
+                let mut no_dx = step_bits(&mut fresh.clone(), &x, &dy, exec, false);
+                assert!(no_dx[1].is_empty(), "{widths:?} x {batch}: dx written");
+                no_dx[1].clone_from(&serial[1]);
+                assert!(no_dx == serial, "{widths:?} x {batch} without dx, {exec:?}");
             }
             let reference = reference_step(&fresh, &x, &dy, 0.05);
             assert!(reference == serial, "{widths:?} x {batch} vs the reference");
@@ -401,7 +422,7 @@ mod tests {
         let mut scratch = MlpInferenceScratch::default();
         mlp.forward_into(&x, &mut scratch, &mut y, Exec::Serial)
             .unwrap();
-        mlp.backward_into(&x, &mut scratch, &dy, &mut dx, Exec::Serial)
+        mlp.backward_into(&x, &mut scratch, &dy, Some(&mut dx), Exec::Serial)
             .unwrap();
         let buffers = |mlp: &Mlp| -> Vec<*const f32> {
             let grads = mlp.layers().iter();
@@ -427,12 +448,12 @@ mod tests {
         ] {
             let scratch = &mut scratches[which];
             assert!(mlp
-                .backward_into(bad_x, scratch, bad_dy, &mut dx, Exec::Serial)
+                .backward_into(bad_x, scratch, bad_dy, Some(&mut dx), Exec::Serial)
                 .is_err());
             assert!(mlp.layers().iter().all(|l| l.grad_weight().is_none()));
         }
         let scratch = &mut scratches[2];
-        mlp.backward_into(&x, scratch, &dy, &mut dx, Exec::Serial)
+        mlp.backward_into(&x, scratch, &dy, Some(&mut dx), Exec::Serial)
             .unwrap();
         assert_eq!(buffers(&mlp), first);
     }
@@ -446,7 +467,7 @@ mod tests {
         mlp.forward_into(&x, &mut scratch, &mut y, Exec::Serial)
             .unwrap();
         let dy = Matrix::filled(y.rows(), y.cols(), 1.0);
-        mlp.backward_into(&x, &mut scratch, &dy, &mut dx, Exec::Serial)
+        mlp.backward_into(&x, &mut scratch, &dy, Some(&mut dx), Exec::Serial)
             .unwrap();
 
         let eps = 1e-2f32;
@@ -485,7 +506,7 @@ mod tests {
             mlp.forward_into(&x, &mut scratch, &mut y, Exec::Serial)
                 .unwrap();
             let (loss, dy) = crate::loss::mse_with_grad(&y, &t).unwrap();
-            mlp.backward_into(&x, &mut scratch, &dy, &mut dx, Exec::Serial)
+            mlp.backward_into(&x, &mut scratch, &dy, Some(&mut dx), Exec::Serial)
                 .unwrap();
             mlp.apply_update(0.05);
             if first_loss.is_none() {

@@ -11,7 +11,8 @@
 //! forward `x W` is cut into `threads` row bands, and the two backward
 //! products `dW = x^T dy` and `dX = dy W^T` share **one** scope, each cut
 //! into `threads` bands, so the queue balances the slower `NT` kernel
-//! against the faster `TN` one instead of waiting for each in turn.
+//! against the faster `TN` one instead of waiting for each in turn. A
+//! layer whose `dX` nothing consumes (a first layer) runs `dW` alone.
 //!
 //! There is no pooled kernel: a band runs the serial register-tiled
 //! kernel of [`crate::simd`] on `m = band rows`, and no output's
@@ -94,11 +95,11 @@ fn matmul_on(on: Option<(&Pool, usize)>, lhs: &Matrix, rhs: &Matrix, out: &mut M
     }
 }
 
-/// Both backward products of a layer: `grad_w = x^T dy` (`TN`) and
-/// `dx = dy weight^T` (`NT`), each reshaped in place with every element
-/// overwritten. Above the floor all their bands — `threads` bands of
-/// `dx`'s rows, `threads` bands of `grad_w`'s — are tasks of one scope.
-/// The caller has validated `x.rows() == dy.rows()`, `x.cols() ==
+/// The backward products of a layer: `grad_w = x^T dy` (`TN`) and, unless
+/// `dx` is `None`, `dx = dy weight^T` (`NT`), each reshaped in place with
+/// every element overwritten. Above the floor all their bands — `threads`
+/// bands of `dx`'s rows, `threads` bands of `grad_w`'s — are tasks of one
+/// scope. The caller has validated `x.rows() == dy.rows()`, `x.cols() ==
 /// weight.rows()` and `dy.cols() == weight.cols()`.
 pub(crate) fn backward_unchecked(
     exec: Exec<'_>,
@@ -106,7 +107,7 @@ pub(crate) fn backward_unchecked(
     dy: &Matrix,
     weight: &Matrix,
     grad_w: &mut Matrix,
-    dx: &mut Matrix,
+    dx: Option<&mut Matrix>,
 ) {
     let on = split(exec, x.rows(), x.cols(), dy.cols());
     backward_on(on, x, dy, weight, grad_w, dx);
@@ -119,11 +120,13 @@ fn backward_on(
     dy: &Matrix,
     weight: &Matrix,
     grad_w: &mut Matrix,
-    dx: &mut Matrix,
+    mut dx: Option<&mut Matrix>,
 ) {
     let (batch, in_dim, out_dim) = (x.rows(), x.cols(), dy.cols());
     grad_w.reshape_for_overwrite(in_dim, out_dim);
-    dx.reshape_for_overwrite(batch, in_dim);
+    if let Some(dx) = dx.as_deref_mut() {
+        dx.reshape_for_overwrite(batch, in_dim);
+    }
     let tier = simd::dispatch();
     let (x, dy, w) = (x.as_slice(), dy.as_slice(), weight.as_slice());
     // grad_w[i][j] = sum_r x[r][i] * dy[r][j], `r` ascending: rows `lo..`
@@ -138,12 +141,16 @@ fn backward_on(
     };
     match on {
         Some((pool, threads)) => pool.scope(|scope| {
-            spawn_row_bands(scope, threads, dx.as_mut_slice(), batch, in_dim, &nt);
+            if let Some(dx) = dx {
+                spawn_row_bands(scope, threads, dx.as_mut_slice(), batch, in_dim, &nt);
+            }
             spawn_row_bands(scope, threads, grad_w.as_mut_slice(), in_dim, out_dim, &tn);
         }),
         None => {
             tn(0, grad_w.as_mut_slice(), in_dim);
-            nt(0, dx.as_mut_slice(), batch);
+            if let Some(dx) = dx {
+                nt(0, dx.as_mut_slice(), batch);
+            }
         }
     }
 }
@@ -200,10 +207,17 @@ mod tests {
                 matmul_on(on, &x, &w, &mut out);
                 assert_eq!(out.shape(), (m, n));
                 assert_eq!(bits(&y), bits(&out), "NN {m}x{k}x{n} / {bands}");
-                backward_on(on, &x, &dy, &w, &mut out_w, &mut out);
+                backward_on(on, &x, &dy, &w, &mut out_w, Some(&mut out));
                 assert_eq!((out_w.shape(), out.shape()), ((k, n), (m, k)));
                 assert_eq!(bits(&grad_w), bits(&out_w), "TN {m}x{k}x{n} / {bands}");
                 assert_eq!(bits(&dx), bits(&out), "NT {m}x{k}x{n} / {bands}");
+                // Without `dx` only the `TN` bands run, on the same bits.
+                backward_on(on, &x, &dy, &w, &mut out_w, None);
+                assert_eq!(
+                    bits(&grad_w),
+                    bits(&out_w),
+                    "TN alone {m}x{k}x{n} / {bands}"
+                );
             }
         }
     }

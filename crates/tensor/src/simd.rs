@@ -81,6 +81,29 @@
 //! constants picked on the repo benchmark's shapes (`BENCH_kernel.json`
 //! carries the per-shape rates against this host's multiply-add peak);
 //! nothing about them is tunable at run time.
+//!
+//! # The `Dot` interaction
+//!
+//! DLRM's pairwise dot products ([`crate::FeatureInteraction`]) have a
+//! strict-order scalar loop as their oracle: each pair's sum starts at
+//! `-0.0` (Rust's `f32` `Sum`) and adds `x_i[k] * x_j[k]` for `k`
+//! ascending. The SIMD tiers run two kernels on 8-lane `ymm` registers,
+//! multiplying then adding on both `avx2` and `fma` (no contraction), so
+//! every tier gives the oracle's bits:
+//!
+//! * the forward vectorizes **across the batch**. Each 8-row block of the
+//!   `m` feature rows is transposed into a stack tile, so lane `r` of a
+//!   vector is batch row `r`. `PAIR_NP` pairs' accumulators are then in
+//!   flight at once, each one pair's own sum in the oracle's order. A tile
+//!   that cannot hold every feature's whole row takes the reduction in
+//!   blocks, storing its partial sums to the output and loading them back
+//!   between blocks, as `GEMM_KC` does. The rows past the last whole block
+//!   run the scalar loop;
+//! * the backward is output-stationary, one gradient row at a time: up to
+//!   64 columns of feature `f`'s gradient stay in registers while
+//!   `g * x_q` is added for every partner `q != f` in ascending order,
+//!   skipping a pair whose `g == 0.0` — the oracle's pair-major loop adds
+//!   them to that row in the same order and skips the same pairs.
 
 use std::sync::atomic::{AtomicU8, Ordering};
 use std::sync::OnceLock;
@@ -102,6 +125,17 @@ const GEMM_KC: usize = 256;
 /// `NT_NR` rows of `B`, eight independent 8-lane dot accumulators.
 const NT_MR: usize = 2;
 const NT_NR: usize = 4;
+/// Batch rows of one `Dot` interaction forward tile, one per `ymm` lane. (An
+/// 8-row `ymm` tile measured faster than a 16-row `zmm` one.)
+const PAIR_ROWS: usize = 8;
+/// Tile rows of the transposed stack tile the `Dot` forward fills: `m`
+/// features by `kc` reduction steps with `m * kc <= PAIR_TILE_KS`, each
+/// tile row `PAIR_ROWS` floats (24 KB). RM1's 11 features of 64 fit whole.
+const PAIR_TILE_KS: usize = 768;
+/// Pair accumulators the `Dot` forward keeps in flight.
+const PAIR_NP: usize = 8;
+/// 8-lane vectors of a gradient row the `Dot` backward keeps in registers.
+const GRAD_NV: usize = 8;
 
 /// Environment variable selecting the kernel tier (`scalar` | `avx2` |
 /// `fma` | `auto`).
@@ -403,7 +437,10 @@ fn gemm_nt_scalar(a: &[f32], b: &[f32], c: &mut [f32], m: usize, k: usize, n: us
 
 #[cfg(target_arch = "x86_64")]
 mod x86 {
-    use super::{GEMM_KC, GEMM_MR_YMM, GEMM_MR_ZMM, GEMM_NR, NT_MR, NT_NR};
+    use super::{
+        GEMM_KC, GEMM_MR_YMM, GEMM_MR_ZMM, GEMM_NR, GRAD_NV, NT_MR, NT_NR, PAIR_NP, PAIR_ROWS,
+        PAIR_TILE_KS,
+    };
     use std::arch::x86_64::*;
 
     #[target_feature(enable = "avx2")]
@@ -894,6 +931,276 @@ mod x86 {
 
     gemm_tier!(avx2, madd_rounded, dot, "avx2");
     gemm_tier!(fma, madd_fused, dot_fma, "avx2", "fma");
+
+    /// Where pair `(i, j)`, `i < j`, of `m` features sits in the `Dot`
+    /// interaction's pair order (`(0, 1), (0, 2), .., (1, 2), ..`).
+    #[inline(always)]
+    fn pair_index(m: usize, i: usize, j: usize) -> usize {
+        i * (2 * m - i - 1) / 2 + (j - i - 1)
+    }
+
+    /// `NP` pair dot products of one `PAIR_ROWS`-row block over `kc`
+    /// reduction steps, one 8-lane accumulator a pair, lane `r` being row
+    /// `r` of the block. Pair `q` multiplies tile rows `ij[q].0 + kk` and
+    /// `ij[q].1 + kk` (its two features' `k` = `k0 + kk`) in that order;
+    /// each accumulator starts from `-0.0` (`first`) or from the partial
+    /// sum stored at `out[r * ldo + q]`, adds the products for `kk`
+    /// ascending, and is stored back there.
+    #[target_feature(enable = "avx2")]
+    #[inline]
+    fn pair_tile<const NP: usize>(
+        tile: &[f32],
+        ij: &[(usize, usize); PAIR_NP],
+        kc: usize,
+        out: &mut [f32],
+        ldo: usize,
+        first: bool,
+    ) {
+        // Each pair's two features: `kc` tile rows of PAIR_ROWS floats.
+        let span = kc * PAIR_ROWS;
+        let rows: [(&[f32], &[f32]); NP] = std::array::from_fn(|q| {
+            let (a, c) = ij[q];
+            (
+                &tile[a * PAIR_ROWS..][..span],
+                &tile[c * PAIR_ROWS..][..span],
+            )
+        });
+        let mut stage = [[-0.0f32; PAIR_ROWS]; NP];
+        if !first {
+            for (q, lanes) in stage.iter_mut().enumerate() {
+                for (r, v) in lanes.iter_mut().enumerate() {
+                    *v = out[r * ldo + q];
+                }
+            }
+        }
+        // SAFETY: `stage[q]` holds PAIR_ROWS = 8 floats.
+        let mut acc: [__m256; NP] =
+            std::array::from_fn(|q| unsafe { _mm256_loadu_ps(stage[q].as_ptr()) });
+        for kk in 0..kc {
+            for (q, &(x, y)) in rows.iter().enumerate() {
+                debug_assert!((kk + 1) * PAIR_ROWS <= x.len().min(y.len()));
+                // SAFETY: `kk < kc`, and `x` and `y` hold `kc` rows of
+                // PAIR_ROWS floats each.
+                let (x, y) = unsafe {
+                    let at = kk * PAIR_ROWS;
+                    (
+                        _mm256_loadu_ps(x.as_ptr().add(at)),
+                        _mm256_loadu_ps(y.as_ptr().add(at)),
+                    )
+                };
+                acc[q] = madd_rounded!(ymm acc[q], x, y);
+            }
+        }
+        for (q, lanes) in stage.iter_mut().enumerate() {
+            // SAFETY: `lanes` holds 8 floats.
+            unsafe { _mm256_storeu_ps(lanes.as_mut_ptr(), acc[q]) };
+            for (r, &v) in lanes.iter().enumerate() {
+                out[r * ldo + q] = v;
+            }
+        }
+    }
+
+    /// Copies the 8 x 8 block of `src` whose row `r` is `src[r * lds..][..8]`
+    /// into `dst[..64]` transposed: column `c` of the block becomes the
+    /// 8 floats from `dst[c * 8]`. Shuffles only: bits move, none change.
+    #[target_feature(enable = "avx2")]
+    #[inline]
+    fn transpose8(src: &[f32], lds: usize, dst: &mut [f32]) {
+        assert!(src.len() >= 7 * lds + 8 && dst.len() >= 64);
+        // SAFETY: rows `r < 8` of 8 floats from `r * lds` are inside `src`
+        // (asserted above).
+        let r: [__m256; 8] =
+            std::array::from_fn(|i| unsafe { _mm256_loadu_ps(src.as_ptr().add(i * lds)) });
+        // Interleave row pairs, then pairs of pairs: `q[c]` holds column
+        // `c` of rows 0-3 in its low half and column `c + 4` in its high
+        // half, `q[c + 4]` the same of rows 4-7.
+        let t: [__m256; 8] = std::array::from_fn(|i| {
+            let (a, b) = (r[i / 2 * 2], r[i / 2 * 2 + 1]);
+            if i % 2 == 0 {
+                _mm256_unpacklo_ps(a, b)
+            } else {
+                _mm256_unpackhi_ps(a, b)
+            }
+        });
+        let q = [
+            _mm256_shuffle_ps::<0x44>(t[0], t[2]),
+            _mm256_shuffle_ps::<0xEE>(t[0], t[2]),
+            _mm256_shuffle_ps::<0x44>(t[1], t[3]),
+            _mm256_shuffle_ps::<0xEE>(t[1], t[3]),
+            _mm256_shuffle_ps::<0x44>(t[4], t[6]),
+            _mm256_shuffle_ps::<0xEE>(t[4], t[6]),
+            _mm256_shuffle_ps::<0x44>(t[5], t[7]),
+            _mm256_shuffle_ps::<0xEE>(t[5], t[7]),
+        ];
+        for c in 0..4 {
+            let lo = _mm256_permute2f128_ps::<0x20>(q[c], q[c + 4]);
+            let hi = _mm256_permute2f128_ps::<0x31>(q[c], q[c + 4]);
+            // SAFETY: `dst` holds 64 floats (asserted above).
+            unsafe {
+                _mm256_storeu_ps(dst.as_mut_ptr().add(c * 8), lo);
+                _mm256_storeu_ps(dst.as_mut_ptr().add((c + 4) * 8), hi);
+            }
+        }
+    }
+
+    /// The pair dot products of every whole `PAIR_ROWS`-row block of the
+    /// `Dot` interaction (see [`super::pair_dots`]); returns the rows
+    /// written.
+    #[target_feature(enable = "avx2")]
+    pub fn pair_dots<'a>(
+        input: impl Fn(usize) -> &'a [f32],
+        m: usize,
+        dim: usize,
+        batch: usize,
+        out: &mut [f32],
+    ) -> usize {
+        let kc_max = (PAIR_TILE_KS / m.max(1)).min(dim);
+        let rows = batch - batch % PAIR_ROWS;
+        if m < 2 || kc_max == 0 || rows == 0 {
+            return 0;
+        }
+        let pairs = m * (m - 1) / 2;
+        let ldo = dim + pairs;
+        let mut tile = [0.0f32; PAIR_TILE_KS * PAIR_ROWS];
+        let mut ij = [(0, 0); PAIR_NP];
+        for b0 in (0..rows).step_by(PAIR_ROWS) {
+            for k0 in (0..dim).step_by(kc_max) {
+                let kc = kc_max.min(dim - k0);
+                // Tile row `f * kc + kk` holds `x_f[b0 + r][k0 + kk]` in
+                // lane `r`: 8 x 8 blocks transposed in registers, then the
+                // `kc % 8` columns past them one by one. A copy: it moves
+                // bits, rounds nothing.
+                let whole = kc - kc % 8;
+                for f in 0..m {
+                    let x = &input(f)[b0 * dim + k0..];
+                    let dst = &mut tile[f * kc * PAIR_ROWS..][..kc * PAIR_ROWS];
+                    for c in (0..whole).step_by(8) {
+                        transpose8(&x[c..], dim, &mut dst[c * PAIR_ROWS..]);
+                    }
+                    for r in 0..PAIR_ROWS {
+                        for kk in whole..kc {
+                            dst[kk * PAIR_ROWS + r] = x[r * dim + kk];
+                        }
+                    }
+                }
+                let (mut i, mut j) = (0, 1);
+                for p0 in (0..pairs).step_by(PAIR_NP) {
+                    let np = PAIR_NP.min(pairs - p0);
+                    for slot in &mut ij[..np] {
+                        *slot = (i * kc, j * kc);
+                        j += 1;
+                        if j == m {
+                            i += 1;
+                            j = i + 1;
+                        }
+                    }
+                    let o = &mut out[b0 * ldo + dim + p0..];
+                    let first = k0 == 0;
+                    match np {
+                        1 => pair_tile::<1>(&tile, &ij, kc, o, ldo, first),
+                        2 => pair_tile::<2>(&tile, &ij, kc, o, ldo, first),
+                        3 => pair_tile::<3>(&tile, &ij, kc, o, ldo, first),
+                        4 => pair_tile::<4>(&tile, &ij, kc, o, ldo, first),
+                        5 => pair_tile::<5>(&tile, &ij, kc, o, ldo, first),
+                        6 => pair_tile::<6>(&tile, &ij, kc, o, ldo, first),
+                        7 => pair_tile::<7>(&tile, &ij, kc, o, ldo, first),
+                        _ => pair_tile::<PAIR_NP>(&tile, &ij, kc, o, ldo, first),
+                    }
+                }
+            }
+        }
+        rows
+    }
+
+    /// `V` vectors of feature `f`'s gradient row, from column `c0`: started
+    /// from `start` (or `+0.0`), `g * x_q` added for every partner `q != f`
+    /// ascending whose `g` is not `0.0`, and stored to `grad`.
+    #[target_feature(enable = "avx2")]
+    #[inline]
+    fn grad_cols<'a, const V: usize>(
+        row: &impl Fn(usize) -> &'a [f32],
+        m: usize,
+        f: usize,
+        dpairs: &[f32],
+        start: Option<&[f32]>,
+        grad: &mut [f32],
+        c0: usize,
+    ) {
+        let mut acc = [_mm256_setzero_ps(); V];
+        if let Some(start) = start {
+            let start = &start[c0..][..V * 8];
+            for v in 0..V {
+                // SAFETY: `start` holds V * 8 floats.
+                acc[v] = unsafe { _mm256_loadu_ps(start.as_ptr().add(v * 8)) };
+            }
+        }
+        for q in (0..m).filter(|&q| q != f) {
+            let g = dpairs[pair_index(m, q.min(f), q.max(f))];
+            if g == 0.0 {
+                continue;
+            }
+            let gv = _mm256_set1_ps(g);
+            let x = &row(q)[c0..][..V * 8];
+            for v in 0..V {
+                debug_assert!((v + 1) * 8 <= x.len());
+                // SAFETY: `x` holds V * 8 floats.
+                let xv = unsafe { _mm256_loadu_ps(x.as_ptr().add(v * 8)) };
+                acc[v] = madd_rounded!(ymm acc[v], gv, xv);
+            }
+        }
+        let grad = &mut grad[..V * 8];
+        for v in 0..V {
+            // SAFETY: `grad` holds V * 8 floats.
+            unsafe { _mm256_storeu_ps(grad.as_mut_ptr().add(v * 8), acc[v]) };
+        }
+    }
+
+    /// Feature `f`'s gradient row of the `Dot` interaction (see
+    /// [`super::pair_grads_row`]).
+    #[target_feature(enable = "avx2")]
+    pub fn pair_grads_row<'a>(
+        row: impl Fn(usize) -> &'a [f32],
+        m: usize,
+        f: usize,
+        start: Option<&[f32]>,
+        dpairs: &[f32],
+        grad: &mut [f32],
+    ) {
+        debug_assert!(f < m);
+        let dim = grad.len();
+        let mut c0 = 0;
+        while dim - c0 >= 8 {
+            let nv = ((dim - c0) / 8).min(GRAD_NV);
+            let (row, cols) = (&row, &mut grad[c0..]);
+            match nv {
+                1 => grad_cols::<1>(row, m, f, dpairs, start, cols, c0),
+                2 => grad_cols::<2>(row, m, f, dpairs, start, cols, c0),
+                3 => grad_cols::<3>(row, m, f, dpairs, start, cols, c0),
+                4 => grad_cols::<4>(row, m, f, dpairs, start, cols, c0),
+                5 => grad_cols::<5>(row, m, f, dpairs, start, cols, c0),
+                6 => grad_cols::<6>(row, m, f, dpairs, start, cols, c0),
+                7 => grad_cols::<7>(row, m, f, dpairs, start, cols, c0),
+                _ => grad_cols::<GRAD_NV>(row, m, f, dpairs, start, cols, c0),
+            }
+            c0 += nv * 8;
+        }
+        if c0 < dim {
+            let tail = &mut grad[c0..];
+            match start {
+                Some(start) => tail.copy_from_slice(&start[c0..dim]),
+                None => tail.fill(0.0),
+            }
+            for q in (0..m).filter(|&q| q != f) {
+                let g = dpairs[pair_index(m, q.min(f), q.max(f))];
+                if g == 0.0 {
+                    continue;
+                }
+                for (o, &x) in grad[c0..].iter_mut().zip(&row(q)[c0..dim]) {
+                    *o += g * x;
+                }
+            }
+        }
+    }
 }
 
 // ---------------------------------------------------------------------------
@@ -1071,6 +1378,57 @@ pub fn gemm_nt(
     }
     let _ = d;
     gemm_nt_scalar(a, b, c, m, k, n);
+}
+
+/// The `Dot` interaction forward's pair dot products, vectorized across
+/// the batch (see the module docs). `input(f)` is feature `f`'s
+/// `batch x dim` rows, `f < m`; `out` is the `batch x (dim + m(m-1)/2)`
+/// interaction output, whose row `b` takes pair `p` at column `dim + p`.
+/// Writes the pairs of the rows of every whole 8-row block and returns
+/// their count, `batch - batch % 8`, where tier `d` runs SIMD on this
+/// host, and 0 (writing nothing) where it does not: the caller's scalar
+/// loop covers the rest, and on the oracle's bits.
+pub(crate) fn pair_dots<'a>(
+    d: KernelDispatch,
+    input: impl Fn(usize) -> &'a [f32],
+    m: usize,
+    dim: usize,
+    batch: usize,
+    out: &mut [f32],
+) -> usize {
+    #[cfg(target_arch = "x86_64")]
+    if d != KernelDispatch::Scalar && avx2_ok() {
+        // SAFETY: AVX2 support verified on the line above.
+        return unsafe { x86::pair_dots(input, m, dim, batch, out) };
+    }
+    let _ = (d, input, m, dim, batch, out);
+    0
+}
+
+/// The `Dot` interaction backward's gradient row of feature `f < m` for
+/// one batch row (see the module docs): `row(q)` is feature `q`'s input
+/// row and `dpairs` the upstream gradient of the row's pairs. The sum
+/// starts from `start` (the dense feature's passthrough) or from `+0.0`
+/// and overwrites `grad`. Returns `false`, writing nothing, where tier
+/// `d` does not run SIMD on this host: the caller's pair-major scalar
+/// loop is the oracle.
+pub(crate) fn pair_grads_row<'a>(
+    d: KernelDispatch,
+    row: impl Fn(usize) -> &'a [f32],
+    m: usize,
+    f: usize,
+    start: Option<&[f32]>,
+    dpairs: &[f32],
+    grad: &mut [f32],
+) -> bool {
+    #[cfg(target_arch = "x86_64")]
+    if d != KernelDispatch::Scalar && avx2_ok() {
+        // SAFETY: AVX2 support verified on the line above.
+        unsafe { x86::pair_grads_row(row, m, f, start, dpairs, grad) };
+        return true;
+    }
+    let _ = (d, row, m, f, start, dpairs, grad);
+    false
 }
 
 #[cfg(test)]

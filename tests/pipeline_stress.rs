@@ -42,7 +42,9 @@ fn parallel_matmul_stress() {
         let (x, dy) = (random(m, k), random(m, n));
         let (mut y, mut dx) = (Matrix::default(), Matrix::default());
         layer.forward_into(&x, &mut y, None, Exec::Serial).unwrap();
-        layer.backward_into(&x, &dy, &mut dx, Exec::Serial).unwrap();
+        layer
+            .backward_into(&x, &dy, Some(&mut dx), Exec::Serial)
+            .unwrap();
         let dw = layer.grad_weight().unwrap().clone();
         for threads in [2, 3, 8] {
             let exec = Exec::Pooled {
@@ -51,7 +53,9 @@ fn parallel_matmul_stress() {
             };
             let (mut y_pooled, mut dx_pooled) = (Matrix::default(), Matrix::default());
             layer.forward_into(&x, &mut y_pooled, None, exec).unwrap();
-            layer.backward_into(&x, &dy, &mut dx_pooled, exec).unwrap();
+            layer
+                .backward_into(&x, &dy, Some(&mut dx_pooled), exec)
+                .unwrap();
             let context = format!("{m}x{k}x{n} / {threads}");
             assert_eq!(y.as_slice(), y_pooled.as_slice(), "{context}");
             assert_eq!(dx.as_slice(), dx_pooled.as_slice(), "{context}");

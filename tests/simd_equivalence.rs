@@ -191,7 +191,7 @@ fn pooled_gemm_matches_serial_on_uneven_bands() {
                 .forward_into(&x, &mut y_serial, None, Exec::Serial)
                 .unwrap();
             layer
-                .backward_into(&x, &dy, &mut dx_serial, Exec::Serial)
+                .backward_into(&x, &dy, Some(&mut dx_serial), Exec::Serial)
                 .unwrap();
             let dw_serial = layer.grad_weight().unwrap().clone();
             for threads in [2, 3, 8] {
@@ -201,7 +201,7 @@ fn pooled_gemm_matches_serial_on_uneven_bands() {
                 };
                 let (mut y, mut dx) = (Matrix::default(), Matrix::default());
                 layer.forward_into(&x, &mut y, None, exec).unwrap();
-                layer.backward_into(&x, &dy, &mut dx, exec).unwrap();
+                layer.backward_into(&x, &dy, Some(&mut dx), exec).unwrap();
                 let dw = layer.grad_weight().unwrap();
                 for (kind, serial, split) in [
                     ("NN", &y_serial, &y),

@@ -324,7 +324,7 @@ fn steady_state_hot_path_performs_zero_allocations() {
         let loss = bce_with_logits(logits, &labels).unwrap();
         assert!(loss.is_finite());
         bce_with_logits_backward_into(logits, &labels, dlogits).unwrap();
-        mlp.backward_into(x, &mut scratch, dlogits, dx, exec)
+        mlp.backward_into(x, &mut scratch, dlogits, Some(dx), exec)
             .unwrap();
         mlp.apply_update(0.05);
     };
@@ -359,14 +359,14 @@ fn steady_state_hot_path_performs_zero_allocations() {
     let before = allocations();
     let mut never_filled = MlpInferenceScratch::default();
     assert!(mlp
-        .backward_into(&x, &mut never_filled, &dlogits, &mut dx, Exec::Serial)
+        .backward_into(&x, &mut never_filled, &dlogits, Some(&mut dx), Exec::Serial)
         .is_err());
     assert!(mlp
         .backward_into(
             &x,
             &mut never_filled,
             &Matrix::default(),
-            &mut dx,
+            Some(&mut dx),
             Exec::Serial
         )
         .is_err());
@@ -420,8 +420,11 @@ fn steady_state_hot_path_performs_zero_allocations() {
     );
 
     // ---- Feature interaction (dot) forward + backward -----------------
-    let dense = random_matrix(batch, dim, 6);
-    let embeddings = vec![random_matrix(batch, dim, 7), random_matrix(batch, dim, 8)];
+    // RM1's shape, 11 features of 64, over whole 8-row blocks and a tail:
+    // the SIMD tiers' stack tile and register rows, and the scalar rows.
+    let (rows, width) = (67, 64);
+    let dense = random_matrix(rows, width, 6);
+    let embeddings: Vec<Matrix> = (0..10).map(|t| random_matrix(rows, width, 7 + t)).collect();
     let op = FeatureInteraction::default();
     let mut z = Matrix::default();
     let mut dz = Matrix::default();
