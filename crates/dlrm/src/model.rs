@@ -293,16 +293,27 @@ impl Dlrm {
         logits: &mut Matrix,
         exec: Exec<'_>,
     ) -> Result<(), ShapeError> {
+        bottom_forward_into(&self.bottom, dense, scratch, exec)?;
+        self.dense_head_infer_into(scratch, logits, exec)
+    }
+
+    /// [`Dlrm::dense_infer_into`] past the bottom MLP: the interaction and
+    /// the top MLP over the bottom output and pooled embeddings already in
+    /// `scratch` — for a training step whose bottom forward ran ahead of
+    /// it.
+    pub(crate) fn dense_head_infer_into(
+        &self,
+        scratch: &mut InferenceScratch,
+        logits: &mut Matrix,
+        exec: Exec<'_>,
+    ) -> Result<(), ShapeError> {
         let InferenceScratch {
             pooled,
             bottom_out,
             interaction_out,
-            bottom_mlp,
             top_mlp,
             ..
         } = scratch;
-        self.bottom
-            .forward_into(dense, bottom_mlp, bottom_out, exec)?;
         self.interaction
             .forward_into(bottom_out, pooled, interaction_out)?;
         self.top
@@ -329,22 +340,71 @@ impl Dlrm {
         dpooled: &mut Vec<Matrix>,
         exec: Exec<'_>,
     ) -> Result<(), ShapeError> {
+        self.dense_head_backward_into(scratch, dlogits, dpooled, exec)?;
+        bottom_backward_into(&mut self.bottom, dense, scratch, exec)
+    }
+
+    /// The head of [`Dlrm::dense_backward_into`]: the top MLP and the
+    /// interaction, which leave `dpooled` (all the embedding backward
+    /// needs) and the bottom output's gradient in `scratch`, for a
+    /// [`bottom_backward_into`] that may run later and elsewhere.
+    pub(crate) fn dense_head_backward_into(
+        &mut self,
+        scratch: &mut InferenceScratch,
+        dlogits: &Matrix,
+        dpooled: &mut Vec<Matrix>,
+        exec: Exec<'_>,
+    ) -> Result<(), ShapeError> {
         let InferenceScratch {
             pooled,
             bottom_out,
             interaction_out,
-            bottom_mlp,
             top_mlp,
             dz,
             ddense,
+            ..
         } = scratch;
         self.top
             .backward_into(interaction_out, top_mlp, dlogits, Some(dz), exec)?;
         self.interaction
-            .backward_into(bottom_out, pooled, dz, ddense, dpooled)?;
-        self.bottom
-            .backward_into(dense, bottom_mlp, ddense, None, exec)
+            .backward_into(bottom_out, pooled, dz, ddense, dpooled)
     }
+
+    /// The bottom MLP and the embedding tables, borrowed apart: the
+    /// bottom MLP's backward and update read nothing the embedding
+    /// backward writes, so a training step runs the two side by side.
+    pub(crate) fn bottom_and_tables_mut(&mut self) -> (&mut Mlp, &mut [EmbeddingTable]) {
+        (&mut self.bottom, &mut self.tables)
+    }
+}
+
+/// The bottom MLP's forward over `dense`, into `scratch`'s bottom output
+/// and activations: the first stage of [`Dlrm::dense_infer_into`].
+pub(crate) fn bottom_forward_into(
+    bottom: &Mlp,
+    dense: &Matrix,
+    scratch: &mut InferenceScratch,
+    exec: Exec<'_>,
+) -> Result<(), ShapeError> {
+    bottom.forward_into(
+        dense,
+        &mut scratch.bottom_mlp,
+        &mut scratch.bottom_out,
+        exec,
+    )
+}
+
+/// The bottom MLP's backward from the gradient
+/// [`Dlrm::dense_head_backward_into`] left in `scratch`, over the
+/// activations of the forward of `dense` that `scratch` holds: the last
+/// stage of [`Dlrm::dense_backward_into`].
+pub(crate) fn bottom_backward_into(
+    bottom: &mut Mlp,
+    dense: &Matrix,
+    scratch: &mut InferenceScratch,
+    exec: Exec<'_>,
+) -> Result<(), ShapeError> {
+    bottom.backward_into(dense, &mut scratch.bottom_mlp, &scratch.ddense, None, exec)
 }
 
 #[cfg(test)]

@@ -8,7 +8,7 @@ use std::time::{Duration, Instant};
 
 use crate::config::DlrmConfig;
 use crate::metrics::{evaluate_ctr, CtrMetrics};
-use crate::model::{Dlrm, InferenceScratch};
+use crate::model::{bottom_backward_into, bottom_forward_into, Dlrm, InferenceScratch};
 use tcast_core::{
     blocked_casted_backward, tensor_casting_into, CastedIndexArray, FaultPlan, PipelineStats,
 };
@@ -20,7 +20,7 @@ use tcast_embedding::{
     IndexArray, RadixScratch,
 };
 use tcast_pool::{Exec, Pool};
-use tcast_tensor::{bce_with_logits, bce_with_logits_backward_into, Matrix};
+use tcast_tensor::{bce_with_logits, bce_with_logits_backward_into, Matrix, Mlp, ShapeError};
 
 /// Which embedding-backward implementation the trainer runs.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
@@ -39,12 +39,17 @@ pub struct PhaseTimings {
     /// Embedding gather-reduce (forward), as far as the step waited for
     /// it: the in-step gather, or ~0 when the step adopted a gather run
     /// ahead for it; plus whatever this step's own completion spent,
-    /// after its last scatter returned, finishing the *next* step's
-    /// gather-ahead (see [`Trainer::complete_step`]).
+    /// after its last scatter returned, finishing the lane's work for the
+    /// *next* step — the bottom-MLP chain and the gather-ahead (see
+    /// [`Trainer::complete_step`]).
     pub fwd_gather: Duration,
-    /// Bottom MLP + interaction + top MLP (forward).
+    /// Bottom MLP + interaction + top MLP (forward) and the loss; without
+    /// the bottom MLP when the step adopted the bottom forward a
+    /// completion ran ahead for it.
     pub fwd_dnn: Duration,
-    /// Top/bottom MLP + interaction backward.
+    /// Top MLP + interaction backward and the top MLP's update; plus the
+    /// bottom MLP's backward and update unless this step's completion has
+    /// a successor, whose lane runs those beside the embedding backward.
     pub bwd_dnn: Duration,
     /// Baseline: expand + coalesce. Casted: exposed wait for the casted
     /// arrays + the casted gather-reduce — the accumulate half of every
@@ -172,11 +177,14 @@ impl EmbeddingOptimizer {
 pub enum Execution {
     /// No caller-supplied pool: the embedding kernels run unsplit on the
     /// training thread. The trainer still owns one background thread, a
-    /// one-worker *lane* started when first needed: for a step completed
-    /// with a successor it casts ahead (casted mode) and gathers ahead,
-    /// and it takes half of every dense GEMM large enough to split (`dW`
-    /// beside `dX`, forward row bands), the training thread taking the
-    /// other half.
+    /// one-worker *lane* started when first needed. It takes half of every
+    /// dense GEMM large enough to split (`dW` beside `dX`, forward row
+    /// bands), the training thread taking the other half. For a step
+    /// completed with a successor it runs, in this order: the successor's
+    /// cast (casted mode), its half of the dense phases' bands, the bottom
+    /// MLP's chain (this step's backward and update, the successor's
+    /// forward) beside the embedding backward, and the successor's
+    /// gathers.
     #[default]
     Serial,
     /// Hot kernels split across the given persistent pool, which also
@@ -312,17 +320,18 @@ pub struct Trainer {
     steps: u64,
     execution: Execution,
     scratch: StepScratch,
-    /// What `scratch.pooled_ahead` holds: the forward gather of this batch
-    /// (the share keeps its address from being reused) against the tables
-    /// as they stood at this step count. Every step that runs takes it (a
-    /// 0-row batch is refused first: nothing moved), and every other door
-    /// to the table bits drops it.
-    ahead: Option<(Arc<CtrBatch>, u64)>,
+    /// What the last completion ran ahead for the step queued behind it.
+    /// Every step that runs takes it (a 0-row batch is refused first:
+    /// nothing moved), and every other door to the table or MLP bits drops
+    /// it.
+    ahead: Option<Ahead>,
     /// The one-worker pool a trainer under [`Execution::Serial`] shares
     /// its step with ([`Execution::Pooled`] uses its own pool for all of
-    /// this): the cast-ahead task runs on it beside the dense phases,
-    /// gather-ahead tasks beside the scatter, and the dense phases split
-    /// their large GEMMs between it and the training thread. Started by
+    /// this). In a completion with a successor its tasks come in this
+    /// order: the cast-ahead, beside the dense phases; its bands of those
+    /// phases' large GEMMs, which it splits with the training thread; the
+    /// bottom-MLP chain, beside the embedding backward; and the
+    /// gather-aheads, each once its table's scatter returned. Started by
     /// the first step that needs it — a completion with a successor, or a
     /// batch at which [`Dlrm::dense_splits_at`] holds — so a small model
     /// trained step by step never has one.
@@ -331,6 +340,23 @@ pub struct Trainer {
     /// Tests only: the table whose embedding backward fails.
     #[cfg(test)]
     failing_backward: Option<usize>,
+    /// Tests only: the lane's bottom-MLP chain panics when it starts.
+    #[cfg(test)]
+    failing_chain: bool,
+}
+
+/// The work a completion ran ahead for its successor: keyed by that batch
+/// (the share keeps its address from being reused) and by the step count
+/// the tables and the bottom MLP stood at.
+#[derive(Debug)]
+struct Ahead {
+    batch: Arc<CtrBatch>,
+    at: u64,
+    /// `scratch.pooled_ahead` holds the batch's forward gather.
+    gathered: bool,
+    /// `scratch.dense` holds the batch's bottom-MLP output and the
+    /// activations its forward left.
+    bottom: bool,
 }
 
 /// The [`FaultPlan`] site every gather-ahead task passes once.
@@ -342,7 +368,11 @@ pub const CAST_AHEAD_FAULT_SITE: &str = "trainer.cast_ahead";
 
 /// The [`FaultPlan`] site a step passes once before its dense backward,
 /// when that backward will split a GEMM: an armed occurrence makes the
-/// first band task of the phase panic.
+/// first band task of the phase panic. Such a step runs its whole dense
+/// backward on the training thread, even one with a successor whose
+/// bottom MLP would otherwise go to the lane, so the panic leaves what a
+/// dense-backward error does: no parameter changed, and the step does not
+/// count.
 pub const DENSE_GEMM_FAULT_SITE: &str = "trainer.dense_gemm";
 
 impl std::fmt::Debug for Trainer {
@@ -392,20 +422,34 @@ fn dense_exec<'a>(exec: Exec<'a>, splits: bool, lane: Option<&'a Pool>) -> Exec<
 
 /// A step's dense phases: the forward and the loss, then the backward,
 /// which leaves the MLP gradients in the layers (the update is the
-/// caller's). Returns the loss and how long each phase took.
+/// caller's). With `bottom_held` the forward starts from the bottom output
+/// a completion ran ahead into `scratch.dense`. With `defer_bottom` the
+/// backward stops after the head (top MLP and interaction) and leaves the
+/// bottom MLP's to the caller — unless the step's dense-GEMM fault fires:
+/// the band it poisons must be this backward's own, before any update.
+/// Returns the loss, how long each phase took, and whether the bottom
+/// backward was left to the caller.
 fn dense_phases(
     model: &mut Dlrm,
     batch: &CtrBatch,
     scratch: &mut StepScratch,
     exec: Exec<'_>,
     fault: Option<&FaultPlan>,
-) -> Result<(f32, Duration, Duration), EmbeddingError> {
+    bottom_held: bool,
+    defer_bottom: bool,
+) -> Result<(f32, Duration, Duration, bool), EmbeddingError> {
     let t0 = Instant::now();
-    model.dense_infer_into(&batch.dense, &mut scratch.dense, &mut scratch.logits, exec)?;
+    let (dense, logits) = (&mut scratch.dense, &mut scratch.logits);
+    if bottom_held {
+        model.dense_head_infer_into(dense, logits, exec)?;
+    } else {
+        model.dense_infer_into(&batch.dense, dense, logits, exec)?;
+    }
     let loss = bce_with_logits(&scratch.logits, &batch.labels)?;
     bce_with_logits_backward_into(&scratch.logits, &batch.labels, &mut scratch.dlogits)?;
     let fwd_dnn = t0.elapsed();
     let t0 = Instant::now();
+    let mut defer_bottom = defer_bottom;
     if let (true, Some(plan), Some(pool)) = (
         model.dense_splits_at(batch.dense.rows()),
         fault,
@@ -413,16 +457,35 @@ fn dense_phases(
     ) {
         if plan.should_fail(DENSE_GEMM_FAULT_SITE) {
             pool.poison_next_task();
+            defer_bottom = false;
         }
     }
-    model.dense_backward_into(
-        &batch.dense,
-        &mut scratch.dense,
-        &scratch.dlogits,
-        &mut scratch.dpooled,
-        exec,
-    )?;
-    Ok((loss, fwd_dnn, t0.elapsed()))
+    let (dense, dpooled) = (&mut scratch.dense, &mut scratch.dpooled);
+    if defer_bottom {
+        model.dense_head_backward_into(dense, &scratch.dlogits, dpooled, exec)?;
+    } else {
+        model.dense_backward_into(&batch.dense, dense, &scratch.dlogits, dpooled, exec)?;
+    }
+    Ok((loss, fwd_dnn, t0.elapsed(), defer_bottom))
+}
+
+/// The bottom MLP's share of a step with a successor, run on the lane
+/// beside the embedding backward: its backward (from the gradient the head
+/// left in `scratch`), its update, and `next`'s bottom forward over the
+/// updated weights into `scratch`, where `next`'s step finds it. Returns
+/// whether that forward succeeded (a successor whose dense features do not
+/// fit gets none: its own step reports the error).
+fn bottom_chain(
+    bottom: &mut Mlp,
+    batch: &CtrBatch,
+    next: &CtrBatch,
+    scratch: &mut InferenceScratch,
+    lr: f32,
+    exec: Exec<'_>,
+) -> Result<bool, ShapeError> {
+    bottom_backward_into(bottom, &batch.dense, scratch, exec)?;
+    bottom.apply_update(lr);
+    Ok(bottom_forward_into(bottom, &next.dense, scratch, exec).is_ok())
 }
 
 impl Trainer {
@@ -486,6 +549,8 @@ impl Trainer {
             fault: None,
             #[cfg(test)]
             failing_backward: None,
+            #[cfg(test)]
+            failing_chain: false,
         })
     }
 
@@ -542,9 +607,10 @@ impl Trainer {
         &mut self.model
     }
 
-    /// Forgets the gather and the cast run ahead for a step not yet
-    /// completed; that step then gathers and casts in-step. For every path
-    /// that can change table bits between two completions.
+    /// Forgets the gather, the bottom-MLP forward and the cast run ahead
+    /// for a step not yet completed; that step then runs them in-step. For
+    /// every path that can change table or MLP bits between two
+    /// completions.
     pub(crate) fn drop_gather_ahead(&mut self) {
         self.ahead = None;
         if let Some(casts) = self.casts.as_mut() {
@@ -593,12 +659,15 @@ impl Trainer {
     ///
     /// In casted mode a step with no successor casts its index arrays
     /// in-step, right before its embedding backward, unless the completion
-    /// before it already cast them — so a warm step allocates nothing.
+    /// before it already cast them — so a warm step allocates nothing. Its
+    /// whole dense backward and update run on this thread, before the
+    /// embedding backward.
     ///
     /// This is exactly the depth-0 composition of
     /// [`Trainer::begin_step`] + [`Trainer::complete_step`]. The
-    /// [`crate::TrainLoop`] driver hides the cast by handing each
-    /// completion its successor, and produces a bit-identical trajectory.
+    /// [`crate::TrainLoop`] driver hides the cast, the gather and the
+    /// bottom MLP by handing each completion its successor, and produces a
+    /// bit-identical trajectory.
     ///
     /// # Errors
     ///
@@ -631,17 +700,29 @@ impl Trainer {
     /// `next` adopts those casted arrays, and its own step then does not
     /// cast.
     ///
+    /// The embedding backward needs only the gradient of the pooled
+    /// embeddings, which the interaction backward leaves; the bottom MLP's
+    /// backward, its update and `next`'s bottom forward (its dense
+    /// features over the updated weights) read nothing the embedding
+    /// backward writes. So with a successor this thread runs the top MLP's
+    /// and the interaction's backward, updates the top MLP and goes on to
+    /// the embedding backward, while that bottom-MLP chain is the first
+    /// task of the lane scope that spans it. The chain's GEMMs split as
+    /// the dense phases' do; this thread takes its share of them once it
+    /// reaches the scope's join.
+    ///
     /// `next`'s forward gather of table `i` reads only its own indices and
     /// table `i` as this step's scatter leaves it, and tables are
     /// disjoint — so as each table's scatter returns, that table's gather
-    /// for `next` starts on a background thread while this thread scatters
-    /// the following table, reading exactly the bits the in-step gather
-    /// would read later. Completing `next` then adopts the result
-    /// ([`StepReport::gathered_ahead`]) if it is still current: same batch
-    /// share, same step count, tables untouched in between. A gather-ahead
-    /// that fails (a bad id in `next`) is discarded and `next` reports the
-    /// error from its own in-step gather. Any `next` trains bit-identically
-    /// to `None`.
+    /// for `next` is queued on the lane behind the chain while this thread
+    /// scatters the following table, reading exactly the bits the in-step
+    /// gather would read later. Completing `next` then adopts the gather
+    /// ([`StepReport::gathered_ahead`]) and the bottom output if they are
+    /// still current: same batch share, same step count, tables and MLPs
+    /// untouched in between. A gather-ahead that fails (a bad id in
+    /// `next`), or a bottom forward that does (dense features of the wrong
+    /// width), is discarded and `next` reports the error from its own
+    /// step. Any `next` trains bit-identically to `None`.
     ///
     /// # Errors
     ///
@@ -649,8 +730,9 @@ impl Trainer {
     ///
     /// # Panics
     ///
-    /// Resumes a panic of a cast-ahead or gather-ahead task on this
-    /// thread.
+    /// Resumes a panic of a lane task (the cast-ahead, a GEMM band, the
+    /// bottom-MLP chain, a gather-ahead) on this thread; the step then
+    /// does not count, and nothing it ran ahead for `next` is held.
     pub fn complete_step(
         &mut self,
         step: InFlightStep,
@@ -675,6 +757,8 @@ impl Trainer {
         }
         #[cfg(test)]
         let failing_backward = self.failing_backward;
+        #[cfg(test)]
+        let failing_chain = self.failing_chain;
         let Self {
             model,
             lr,
@@ -688,6 +772,7 @@ impl Trainer {
             fault,
             ..
         } = self;
+        let lr = *lr;
         let exec = execution.as_exec();
         let fault = fault.as_ref();
         let splits = model.dense_splits_at(batch.dense.rows());
@@ -699,30 +784,50 @@ impl Trainer {
 
         // FWD (Gather): adopt the gather the previous completion ran ahead
         // for this very batch against the tables as they are now, or
-        // gather in-step. Taken either way, so a held gather never
-        // outlives the next table write; the held casts are taken alike.
+        // gather in-step; the bottom-MLP forward it ran ahead alike. Taken
+        // either way, so nothing held outlives the next table or MLP
+        // write; the held casts are taken alike.
         let cast_held = casts.as_mut().is_some_and(|casts| casts.adopt(batch));
+        let held = ahead
+            .take()
+            .filter(|held| std::ptr::eq(Arc::as_ptr(&held.batch), batch) && held.at == *steps);
+        let bottom_held = held.as_ref().is_some_and(|held| held.bottom);
         let t0 = Instant::now();
         let pooled = scratch.dense.pooled_mut();
-        let gathered_ahead = match ahead.take() {
-            Some((held, at)) if std::ptr::eq(Arc::as_ptr(&held), batch) && at == *steps => {
-                std::mem::swap(pooled, &mut scratch.pooled_ahead);
-                pooled.len()
-            }
-            _ => {
-                model.embedding_forward_into(&batch.indices, pooled, exec)?;
-                0
-            }
+        let gathered_ahead = if held.is_some_and(|held| held.gathered) {
+            std::mem::swap(pooled, &mut scratch.pooled_ahead);
+            pooled.len()
+        } else {
+            model.embedding_forward_into(&batch.indices, pooled, exec)?;
+            0
         };
         let mut fwd_gather = t0.elapsed();
 
-        // FWD (DNN) + loss, then BWD (DNN). In casted mode with a
-        // successor the two phases run inside one lane scope whose first
-        // task casts the successor — and this batch, unless an earlier
-        // completion did — so the scope's join is the wait for the cast.
+        // A successor with the wrong table count gets no gather-ahead and
+        // no bottom forward ahead: its own step reports that.
+        let ahead_of = next.filter(|next| next.indices.len() == model.num_tables());
+
+        // FWD (DNN) + loss, then BWD (DNN): with a successor to run ahead
+        // for, only the head's backward; the bottom MLP's waits for the
+        // lane. In casted mode with a successor the two phases run inside
+        // one lane scope whose first task casts the successor — and this
+        // batch, unless an earlier completion did — so the scope's join is
+        // the wait for the cast.
         let dense = dense_exec(exec, splits, lane);
+        let defer_bottom = ahead_of.is_some();
+        let phases = |model: &mut Dlrm, scratch: &mut StepScratch| {
+            dense_phases(
+                model,
+                batch,
+                scratch,
+                dense,
+                fault,
+                bottom_held,
+                defer_bottom,
+            )
+        };
         let mut exposed_cast_wait = Duration::ZERO;
-        let (loss, fwd_dnn, mut bwd_dnn) = match (casts.as_mut(), next) {
+        let (loss, fwd_dnn, mut bwd_dnn, bottom_deferred) = match (casts.as_mut(), next) {
             (Some(casts), Some(next)) => {
                 let Casts {
                     now,
@@ -747,10 +852,7 @@ impl Trainer {
                         cast_into(&next.indices, cast_ahead, radix);
                         *cast = Some((start, Instant::now()));
                     });
-                    (
-                        dense_phases(model, batch, scratch, dense, fault),
-                        Instant::now(),
-                    )
+                    (phases(model, scratch), Instant::now())
                 });
                 let (start, end) = cast.expect("the scope joined its cast");
                 casts.ahead_of = Some(Arc::clone(next));
@@ -761,10 +863,14 @@ impl Trainer {
                 casts.record(1 + u64::from(!cast_held), end - start, exposed_cast_wait);
                 phases?
             }
-            _ => dense_phases(model, batch, scratch, dense, fault)?,
+            _ => phases(model, scratch)?,
         };
         let t0 = Instant::now();
-        model.apply_dense_update(*lr);
+        if bottom_deferred {
+            model.top_mut().apply_update(lr);
+        } else {
+            model.apply_dense_update(lr);
+        }
         bwd_dnn += t0.elapsed();
 
         // A step with no successor casts in-step, unless an earlier
@@ -786,6 +892,7 @@ impl Trainer {
         let mut bwd_embedding = exposed_cast_wait;
         let mut bwd_scatter = Duration::ZERO;
         let StepScratch {
+            dense: dense_scratch,
             dpooled,
             coalesced,
             expanded,
@@ -793,7 +900,7 @@ impl Trainer {
             pooled_ahead,
             ..
         } = scratch;
-        let tables = model.tables_mut();
+        let (bottom, tables) = model.bottom_and_tables_mut();
         if casted.is_none() {
             expanded.resize_with(tables.len(), Matrix::default);
             coalesced.resize_with(tables.len(), CoalescedScratch::default);
@@ -844,24 +951,34 @@ impl Trainer {
                 _ => update(t, table),
             }
         };
-        // A successor with the wrong table count gets no gather-ahead: its
-        // own step reports that.
-        let next = next.filter(|next| next.indices.len() == tables.len());
-        let held = match next {
+        let held = match ahead_of {
             None => {
                 update_tables(tables, update, |_, _| {})?;
                 None
             }
             Some(next) => {
-                // Gather-ahead: the moment table `t`'s update returns, its
-                // rows are final for this step, so `next`'s gather of it
-                // may run — on the lane, beside the update of table `t+1`.
+                // The lane's first task is the bottom MLP's backward, its
+                // update and `next`'s bottom forward: none of it reads what
+                // the embedding backward writes. Then gather-ahead: the
+                // moment table `t`'s update returns, its rows are final for
+                // this step, so `next`'s gather of it may run — on the
+                // lane, beside the update of table `t+1`.
                 let lane = lane.expect("started for a successor");
                 pooled_ahead.resize_with(tables.len(), Matrix::default);
                 let mut outs = pooled_ahead.iter_mut();
                 let failed = AtomicBool::new(false);
                 let failed = &failed;
+                let mut chained = None;
                 let scattered = lane.scope(|scope| {
+                    if bottom_deferred {
+                        let chained = &mut chained;
+                        scope.spawn(move || {
+                            #[cfg(test)]
+                            assert!(!failing_chain, "injected panic in the bottom-MLP chain");
+                            *chained =
+                                Some(bottom_chain(bottom, batch, next, dense_scratch, lr, dense));
+                        });
+                    }
                     update_tables(tables, update, |t, table| {
                         let (idx, out) = (&next.indices[t], outs.next().expect("one per table"));
                         scope.spawn(move || {
@@ -876,20 +993,30 @@ impl Trainer {
                             }
                         });
                     })
-                })?;
+                });
+                // The bottom backward's error first: a step with no
+                // successor meets it before any table update.
+                let bottom_ahead = chained.transpose()?.unwrap_or(false);
                 // The scope closed with every task done (this thread ran
                 // the ones the lane had not reached): what that took past
-                // the last scatter is gather time this step waited for.
-                fwd_gather += scattered.elapsed();
+                // the last scatter — the lane's chain and gathers — is
+                // time this step waited for.
+                fwd_gather += scattered?.elapsed();
                 // A gather that tripped over `next` is not held: `next`
                 // reports the error from its own step. (`Relaxed`: the
                 // scope's join ordered the tasks' stores before this load.)
-                (!failed.load(Ordering::Relaxed)).then(|| Arc::clone(next))
+                let gathered = !failed.load(Ordering::Relaxed);
+                (gathered || bottom_ahead).then(|| (Arc::clone(next), gathered, bottom_ahead))
             }
         };
 
         *steps += 1;
-        *ahead = held.map(|next| (next, *steps));
+        *ahead = held.map(|(batch, gathered, bottom)| Ahead {
+            batch,
+            at: *steps,
+            gathered,
+            bottom,
+        });
         Ok(StepReport {
             loss,
             timings: PhaseTimings {
@@ -1059,6 +1186,106 @@ mod tests {
                     ahead.model().table(i).as_slice(),
                     "{mode:?} table {i}"
                 );
+            }
+        }
+    }
+
+    #[test]
+    fn a_panic_in_the_bottom_chain_resurfaces_and_leaves_nothing_held() {
+        // The chain runs beside the embedding backward, so its panic comes
+        // after the tables and the top MLP were written; the step still
+        // does not count, nothing it ran ahead is held, and the lane goes
+        // on to train the following steps as the plain loop would from the
+        // state the panic left.
+        use crate::checkpoint::{read_train_checkpoint, save_train_checkpoint};
+        use std::panic::{catch_unwind, AssertUnwindSafe};
+        for mode in [BackwardMode::Baseline, BackwardMode::Casted] {
+            let mut t = Trainer::new(DlrmConfig::tiny(), mode, 1).unwrap();
+            let mut stream = data(2);
+            let batches: Vec<Arc<CtrBatch>> =
+                (0..4).map(|_| Arc::new(stream.next_batch(16))).collect();
+            let first = t.begin_step(Arc::clone(&batches[0]));
+            let second = t.begin_step(Arc::clone(&batches[1]));
+            t.failing_chain = true;
+            let panic = catch_unwind(AssertUnwindSafe(|| t.complete_step(first, Some(&second))))
+                .expect_err("the chain's panic must reach the training thread");
+            t.failing_chain = false;
+            let message = panic
+                .downcast_ref::<&str>()
+                .copied()
+                .unwrap_or("<not a str>");
+            assert!(message.contains("bottom-MLP chain"), "{mode:?}: {message}");
+            assert_eq!(t.steps(), 0, "{mode:?}");
+            assert!(
+                t.ahead.is_none(),
+                "{mode:?}: a panicked step left work held"
+            );
+
+            // The plain loop from the state the panic left behind.
+            let mut bytes = Vec::new();
+            save_train_checkpoint(&mut bytes, &t, None, None).unwrap();
+            let mut plain = Trainer::new(DlrmConfig::tiny(), mode, 9).unwrap();
+            read_train_checkpoint(&mut bytes.as_slice())
+                .unwrap()
+                .restore_into(&mut plain)
+                .unwrap();
+            let want: Vec<u32> = batches[1..]
+                .iter()
+                .map(|b| plain.step(b).unwrap().loss.to_bits())
+                .collect();
+
+            let rest: Vec<InFlightStep> = batches[2..]
+                .iter()
+                .map(|b| t.begin_step(Arc::clone(b)))
+                .collect();
+            let mut got = Vec::new();
+            let mut queue = std::iter::once(second).chain(rest).peekable();
+            while let Some(step) = queue.next() {
+                let adopted = !got.is_empty();
+                let report = t.complete_step(step, queue.peek()).unwrap();
+                let tables = if adopted { t.model().num_tables() } else { 0 };
+                assert_eq!(report.gathered_ahead, tables, "{mode:?} step {}", got.len());
+                got.push(report.loss.to_bits());
+            }
+            assert_eq!(got, want, "{mode:?}");
+            assert_eq!(t.steps(), 3, "{mode:?}");
+            for i in 0..t.model().num_tables() {
+                assert_eq!(
+                    t.model().table(i).as_slice(),
+                    plain.model().table(i).as_slice(),
+                    "{mode:?} table {i}"
+                );
+            }
+        }
+    }
+
+    #[test]
+    fn the_bottom_forward_is_held_only_for_a_successor_it_fits() {
+        // Another row count fits: the successor's bottom output is held
+        // beside its gather. Dense features of the wrong width do not: the
+        // gather is held alone, and that step reports the shape error.
+        let mut stream = data(3);
+        let good = Arc::new(stream.next_batch(16));
+        let other_rows = Arc::new(stream.next_batch(5));
+        let mut wide_dense = stream.next_batch(16);
+        wide_dense.dense = Matrix::zeros(16, DlrmConfig::tiny().dense_features + 1);
+        let wide_dense = Arc::new(wide_dense);
+        for mode in [BackwardMode::Baseline, BackwardMode::Casted] {
+            for (next, bottom) in [(&other_rows, true), (&wide_dense, false)] {
+                let mut t = Trainer::new(DlrmConfig::tiny(), mode, 1).unwrap();
+                let first = t.begin_step(Arc::clone(&good));
+                let second = t.begin_step(Arc::clone(next));
+                t.complete_step(first, Some(&second)).unwrap();
+                let held = t.ahead.as_ref().expect("the gather is held");
+                assert!(held.gathered, "{mode:?}");
+                assert_eq!(held.bottom, bottom, "{mode:?}");
+                let served = t.evaluate(next);
+                let got = t.complete_step(second, None);
+                assert_eq!(got.is_ok(), bottom, "{mode:?}");
+                if let (Ok(got), Ok(served)) = (got, served) {
+                    assert_eq!(got.loss.to_bits(), served.to_bits(), "{mode:?}");
+                    assert_eq!(got.gathered_ahead, 2, "{mode:?}");
+                }
             }
         }
     }

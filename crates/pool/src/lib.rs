@@ -54,7 +54,13 @@
 //! The training thread helping in a GEMM's scope runs that GEMM's bands,
 //! not the cast, so the cast stays the lane's — even while the lane's
 //! worker is slow to start — and reaches the training thread only if it
-//! is still queued when the outer scope joins.
+//! is still queued when the outer scope joins. The scope that spans the
+//! step's embedding backward works the same way from the other side: its
+//! first task is the bottom MLP's backward, update and next-batch forward,
+//! whose GEMM scopes the lane's worker helps in while the training thread
+//! scatters, and the next batch's gathers queue behind it; the training
+//! thread reaches that work only at the join, once its last scatter
+//! returned.
 //!
 //! # How workers wait
 //!

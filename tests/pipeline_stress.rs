@@ -68,6 +68,57 @@ fn parallel_matmul_stress() {
     }
 }
 
+/// The lane's bottom-MLP chain (a completion's bottom backward and update
+/// and its successor's bottom forward, beside the embedding backward)
+/// under mixed batch sizes: a bottom MLP whose middle layer sits on the
+/// split floor at 16 rows splits its GEMMs on some batches and not on
+/// others, and a successor's rows differ from its predecessor's. At depths
+/// 1-3, both backward modes, a `TrainLoop` trains the plain step loop's
+/// loss and table bits.
+#[test]
+fn bottom_mlp_chain_matches_the_plain_loop_over_mixed_batch_sizes() {
+    let config = DlrmConfig {
+        bottom_mlp: vec![512, 512, 16],
+        ..DlrmConfig::tiny()
+    };
+    let sizes = [16, 24, 9, 16, 1, 20, 5, 32];
+    let seed = 17;
+    let mut data = SyntheticCtr::new(config.table_workloads(), config.dense_features, seed);
+    let batches: Vec<Arc<CtrBatch>> = sizes
+        .iter()
+        .map(|&n| Arc::new(data.next_batch(n)))
+        .collect();
+    for mode in [BackwardMode::Baseline, BackwardMode::Casted] {
+        let mut plain = Trainer::new(config.clone(), mode, seed).unwrap();
+        let want: Vec<u32> = batches
+            .iter()
+            .map(|b| plain.step(b).unwrap().loss.to_bits())
+            .collect();
+        for depth in 1..=3 {
+            let context = format!("{mode:?} depth {depth}");
+            let trainer = Trainer::new(config.clone(), mode, seed).unwrap();
+            let mut driver = TrainLoop::new(trainer, depth);
+            let mut got = Vec::new();
+            for batch in &batches {
+                if let Some((report, _)) = driver.push(Arc::clone(batch)).unwrap() {
+                    got.push(report.loss.to_bits());
+                }
+            }
+            let rest = driver.finish().unwrap();
+            got.extend(rest.iter().map(|(report, _)| report.loss.to_bits()));
+            assert_eq!(got, want, "{context}");
+            let trainer = driver.into_trainer();
+            for t in 0..config.tables.len() {
+                assert_eq!(
+                    trainer.model().table(t).as_slice(),
+                    plain.model().table(t).as_slice(),
+                    "{context}: table {t}"
+                );
+            }
+        }
+    }
+}
+
 fn stress_source(seed: u64, batch: usize) -> SyntheticSource {
     let cfg = DlrmConfig::tiny();
     SyntheticSource::new(

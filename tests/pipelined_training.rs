@@ -20,6 +20,7 @@ use tensor_casting::dlrm::{
     Trainer, CAST_AHEAD_FAULT_SITE, DENSE_GEMM_FAULT_SITE, GATHER_AHEAD_FAULT_SITE,
 };
 use tensor_casting::embedding::{EmbeddingError, IndexArray};
+use tensor_casting::tensor::Matrix;
 
 const OPTIMIZERS: [EmbeddingOptimizer; 5] = [
     EmbeddingOptimizer::Sgd,
@@ -550,8 +551,15 @@ fn hostile_batches(good: &CtrBatch) -> Vec<(&'static str, CtrBatch)> {
         IndexArray::from_samples(&vec![vec![0, past_the_table]; good.batch_size()]).unwrap();
     let mut ragged = good.indices.to_vec();
     ragged[2] = IndexArray::from_samples(&vec![vec![1]; good.batch_size() / 2]).unwrap();
+    let wide_dense = CtrBatch {
+        dense: Matrix::zeros(good.batch_size(), cfg.dense_features + 1),
+        ..good.clone()
+    };
     vec![
         ("out-of-range id", with_indices(out_of_range)),
+        // Its gathers succeed; the bottom forward a completion runs ahead
+        // for it does not, and must not be adopted.
+        ("wrong dense width", wide_dense),
         (
             "wrong table count",
             with_indices(good.indices[..2].to_vec()),
@@ -754,53 +762,64 @@ fn cast_ahead_panic_resurfaces_and_the_next_step_trains_bit_identically() {
     }
 }
 
-/// The held gather dies with the table bits it read: restoring a
-/// checkpoint between two completions — one that even carries the step
-/// count the gather was keyed on — makes the next step gather in-step from
-/// the restored tables. The held cast goes with it: that step casts
-/// in-step too.
+/// The held gather dies with the table bits it read, and the held bottom
+/// output with the MLP bits it read: restoring a checkpoint between two
+/// completions — one that even carries the step count they were keyed
+/// on — makes the next step gather and run its bottom forward in-step
+/// from the restored model. The held cast goes with them: that step casts
+/// in-step too. The same with a bottom MLP whose GEMMs split.
 #[test]
 fn checkpoint_restore_between_completions_drops_the_held_gather() {
     use tensor_casting::dlrm::checkpoint::{read_train_checkpoint, save_train_checkpoint};
     let batches = hazard_batches(41, 2, 16);
-    let mk = |seed| {
-        Trainer::with_optimizer(
-            hazard_config(),
-            BackwardMode::Casted,
-            EmbeddingOptimizer::Sgd,
-            seed,
-        )
-        .unwrap()
-    };
-    // One step of a differently seeded model: other table bits, steps == 1.
-    let mut donor = mk(99);
-    donor.step(&batches[1]).unwrap();
-    let mut bytes = Vec::new();
-    save_train_checkpoint(&mut bytes, &donor, None, None).unwrap();
-    let ckpt = read_train_checkpoint(&mut bytes.as_slice()).unwrap();
+    for config in [hazard_config(), wide_config()] {
+        let mk = |seed| {
+            Trainer::with_optimizer(
+                config.clone(),
+                BackwardMode::Casted,
+                EmbeddingOptimizer::Sgd,
+                seed,
+            )
+            .unwrap()
+        };
+        // One step of a differently seeded model: other table and MLP
+        // bits, steps == 1.
+        let mut donor = mk(99);
+        donor.step(&batches[1]).unwrap();
+        let mut bytes = Vec::new();
+        save_train_checkpoint(&mut bytes, &donor, None, None).unwrap();
+        let ckpt = read_train_checkpoint(&mut bytes.as_slice()).unwrap();
 
-    let mut reference = mk(1);
-    ckpt.restore_into(&mut reference).unwrap();
-    let want = reference.step(&batches[1]).unwrap();
+        let mut reference = mk(1);
+        ckpt.restore_into(&mut reference).unwrap();
+        let want = reference.step(&batches[1]).unwrap();
 
-    let mut trainer = mk(1);
-    let first = trainer.begin_step(Arc::clone(&batches[0]));
-    let second = trainer.begin_step(Arc::clone(&batches[1]));
-    trainer.complete_step(first, Some(&second)).unwrap();
-    assert_eq!(trainer.steps(), 1);
-    let casts = |t: &Trainer| t.pipeline_stats().unwrap().jobs_completed;
-    assert_eq!(
-        casts(&trainer),
-        2,
-        "the completion casts itself and its successor"
-    );
-    ckpt.restore_into(&mut trainer).unwrap();
-    let got = trainer.complete_step(second, None).unwrap();
-    assert_eq!(got.gathered_ahead, 0, "a stale gather was adopted");
-    assert_eq!(casts(&trainer), 3, "the held cast outlived the restore");
-    assert!(got.exposed_cast_wait > std::time::Duration::ZERO);
-    assert_eq!(got.loss.to_bits(), want.loss.to_bits());
-    assert!(trajectory(&[], trainer) == trajectory(&[], reference));
+        let mut trainer = mk(1);
+        let first = trainer.begin_step(Arc::clone(&batches[0]));
+        let second = trainer.begin_step(Arc::clone(&batches[1]));
+        trainer.complete_step(first, Some(&second)).unwrap();
+        assert_eq!(trainer.steps(), 1);
+        let casts = |t: &Trainer| t.pipeline_stats().unwrap().jobs_completed;
+        assert_eq!(
+            casts(&trainer),
+            2,
+            "the completion casts itself and its successor"
+        );
+        let bottom = |t: &Trainer| t.model().bottom().layers()[0].weight().as_slice().to_vec();
+        let held_against = bottom(&trainer);
+        ckpt.restore_into(&mut trainer).unwrap();
+        assert_ne!(
+            bottom(&trainer),
+            held_against,
+            "the restore moved the bottom MLP"
+        );
+        let got = trainer.complete_step(second, None).unwrap();
+        assert_eq!(got.gathered_ahead, 0, "a stale gather was adopted");
+        assert_eq!(casts(&trainer), 3, "the held cast outlived the restore");
+        assert!(got.exposed_cast_wait > std::time::Duration::ZERO);
+        assert_eq!(got.loss.to_bits(), want.loss.to_bits());
+        assert!(trajectory(&[], trainer) == trajectory(&[], reference));
+    }
 }
 
 // ---------------------------------------------------------------------
@@ -911,6 +930,112 @@ fn dense_gemm_panic_resurfaces_and_the_next_step_runs() {
             trajectory(&[], trainer) == trajectory(&[], clean),
             "{execution:?}"
         );
+    }
+}
+
+/// The same fault on the successor path, where the bottom MLP's backward
+/// would otherwise run on the lane beside the embedding backward: the
+/// wide model's head does not split, so the poisoned band is the bottom
+/// MLP's. The step whose fault fires keeps its whole dense backward on the
+/// training thread, so its panic still comes before any update: it counts
+/// for nothing, holds nothing for its successor, and taken again it and
+/// its successor match the clean run bit for bit.
+#[test]
+fn dense_gemm_panic_on_the_successor_path_changes_nothing() {
+    use std::panic::{catch_unwind, AssertUnwindSafe};
+    let batches = hazard_batches(63, 3, 16);
+    let pool = Arc::new(tensor_casting::tensor::Pool::new(2));
+    for mode in [BackwardMode::Baseline, BackwardMode::Casted] {
+        for execution in [Execution::Serial, Execution::Pooled(Arc::clone(&pool))] {
+            let context = format!("{mode:?} {execution:?}");
+            let mk = || {
+                let optimizer = EmbeddingOptimizer::Sgd;
+                Trainer::with_execution(wide_config(), mode, optimizer, execution.clone(), 3)
+                    .unwrap()
+            };
+            let mut clean = mk();
+            assert!(
+                !clean.model().top().splits_at(16),
+                "the head must not split"
+            );
+            let want: Vec<u32> = batches
+                .iter()
+                .map(|b| clean.step(b).unwrap().loss.to_bits())
+                .collect();
+
+            let mut trainer = mk();
+            let plan = FaultPlan::new();
+            plan.arm(DENSE_GEMM_FAULT_SITE, 1);
+            trainer.set_fault_plan(plan.clone());
+            let begin = |t: &mut Trainer, i: usize| t.begin_step(Arc::clone(&batches[i]));
+            let (first, second, third) = (
+                begin(&mut trainer, 0),
+                begin(&mut trainer, 1),
+                begin(&mut trainer, 2),
+            );
+            let got = trainer.complete_step(first, Some(&second)).unwrap();
+            assert_eq!(got.loss.to_bits(), want[0], "{context}");
+            let panic = catch_unwind(AssertUnwindSafe(|| {
+                trainer.complete_step(second, Some(&third))
+            }))
+            .expect_err("the band's panic must reach the training thread");
+            let message = panic
+                .downcast_ref::<&str>()
+                .copied()
+                .unwrap_or("<not a str>");
+            assert!(
+                message.contains("poisoned pool task"),
+                "{context}: {message}"
+            );
+            assert_eq!(plan.fired(), vec![(DENSE_GEMM_FAULT_SITE.to_string(), 1)]);
+            assert_eq!(trainer.steps(), 1, "{context}");
+            let second = begin(&mut trainer, 1);
+            let got = trainer.complete_step(second, Some(&third)).unwrap();
+            assert_eq!(
+                got.gathered_ahead, 0,
+                "{context}: the panicked step held work"
+            );
+            assert_eq!(got.loss.to_bits(), want[1], "{context}");
+            let got = trainer.complete_step(third, None).unwrap();
+            assert_eq!(got.gathered_ahead, 3, "{context}");
+            assert_eq!(got.loss.to_bits(), want[2], "{context}");
+            assert!(
+                trajectory(&[], trainer) == trajectory(&[], clean),
+                "{context}"
+            );
+        }
+    }
+}
+
+/// A successor with another row count than its predecessor still has its
+/// gather and its bottom forward run ahead, at its own rows, and adopts
+/// both: every queued step adopts, and the losses and tables match the
+/// plain step loop — on a bottom MLP that splits at some of these row
+/// counts and not at others, too.
+#[test]
+fn successors_of_other_row_counts_adopt_and_train_bit_identically() {
+    let rows = [16, 7, 16, 32, 1, 12, 16];
+    let mut data = hazard_stream(67);
+    let batches: Vec<Arc<CtrBatch>> = rows.iter().map(|&n| Arc::new(data.next_batch(n))).collect();
+    for config in [hazard_config(), wide_config()] {
+        for mode in [BackwardMode::Baseline, BackwardMode::Casted] {
+            let opt = EmbeddingOptimizer::Adagrad { eps: 1e-8 };
+            let mut reference = Trainer::with_optimizer(config.clone(), mode, opt, 13).unwrap();
+            let losses: Vec<f32> = batches
+                .iter()
+                .map(|b| reference.step(b).unwrap().loss)
+                .collect();
+            let want = trajectory(&losses, reference);
+            for depth in [1, 2] {
+                let context = format!("{:?} {mode:?} depth {depth}", config.bottom_mlp);
+                let trainer = Trainer::with_optimizer(config.clone(), mode, opt, 13).unwrap();
+                let mut lp = TrainLoop::new(trainer, depth);
+                let check = drive_checked(&mut lp, &batches, &context);
+                assert_eq!(check.adopted, rows.len() - 2, "{context}");
+                let got = trajectory(&check.losses, lp.into_trainer());
+                assert!(got == want, "{context}: diverged from the step loop");
+            }
+        }
     }
 }
 
