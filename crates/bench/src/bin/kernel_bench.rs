@@ -20,8 +20,8 @@
 //! `FAST=1` shrinks shapes and iteration counts for smoke runs. The
 //! `KERNEL <name> simd/scalar ratio` (`interaction`: forward plus
 //! backward), `KERNEL <name> cold`, `KERNEL linear_bwd lane/serial
-//! ratio`, `KERNEL gemm lanes`, `KERNEL cast` and `KERNEL cast_into` lines
-//! are CI's grep anchors.
+//! ratio`, `KERNEL gemm lanes`, `KERNEL cast`, `KERNEL cast_into` and
+//! `KERNEL zipf_sample ns/draw` lines are CI's grep anchors.
 //!
 //! A GEMM-family row's `peak_frac` is read against the multiply-add peak
 //! measured at the register width its kernels run at, named by its `lanes`
@@ -60,6 +60,12 @@
 //! into a recycled array and sort scratch — what the trainer's cast-ahead
 //! task and a full serving cache run.
 //!
+//! The `zipf_sample` rows time one Zipf(1.05) lookup draw
+//! (`CdfSampler::sample_many`, 4096 at a time) in ns, over 10k and 400k
+//! rows, and the `synthetic_batch` row a whole generated RM1 batch (ten
+//! 400k-row tables, batch 512, refilled in place) in ms: the generation
+//! that a streamed training run or an online serving update waits on.
+//!
 //! Full-size runs on multi-core hosts gate the dispatch layer's reason to
 //! exist: AVX2 GEMM must reach at least 2x scalar and AVX2 gather-reduce
 //! at least 1.2x scalar (single-core containers report without failing —
@@ -74,7 +80,7 @@ use tcast_core::{
     blocked_casted_backward, casted_gather_reduce_into, tensor_casting, tensor_casting_into,
     CastedIndexArray,
 };
-use tcast_datasets::{Popularity, TableWorkload};
+use tcast_datasets::{CtrBatch, Popularity, SyntheticCtr, TableWorkload};
 use tcast_embedding::{
     gather_reduce_into,
     optim::{RowOptimizer, UpdateRule},
@@ -491,6 +497,8 @@ impl Emitter {
                     "GFLOP/s" => "gflops",
                     "GB/s" => "gbps",
                     "ns/lookup" => "ns_per_lookup",
+                    "ns/draw" => "ns_per_draw",
+                    "ms/batch" => "ms_per_batch",
                     other => unreachable!("unit {other}"),
                 },
                 rate,
@@ -940,6 +948,64 @@ fn main() {
         );
         println!("KERNEL cast_into r{rows} {per_lookup:.1} ns a lookup");
     }
+
+    // --- Generation: one Zipf(1.05) draw, and a whole RM1 batch --------
+    // (ten 400k-row tables x pooling 80, 13 dense features, batch 512)
+    // refilled in place, as a `BatchSource` free-list refills it.
+    let draws = if fast { 100 * 4096 } else { 1000 * 4096 };
+    println!(
+        "\nzipf_sample ({draws} draws, Zipf 1.05) and synthetic_batch, {} iters:",
+        args.iters
+    );
+    let tier = KernelDispatch::detect();
+    for rows in [10_000usize, 400_000] {
+        let sampler = Popularity::Zipf {
+            rows,
+            exponent: 1.05,
+        }
+        .sampler();
+        let mut rng = SplitMix64::new(37);
+        let ns = time_ns(args.iters, || {
+            for _ in 0..draws / 4096 {
+                std::hint::black_box(sampler.sample_many(4096, &mut rng));
+            }
+        });
+        let per_draw = ns / draws as f64;
+        let shape = format!("r{rows}");
+        emit.row(
+            "zipf_sample",
+            tier,
+            &shape,
+            0,
+            ns,
+            per_draw,
+            "ns/draw",
+            None,
+        );
+        println!("KERNEL zipf_sample ns/draw r{rows} {per_draw:.1}");
+    }
+    let rm1 = TableWorkload::new(
+        Popularity::Zipf {
+            rows: 400_000,
+            exponent: 1.05,
+        },
+        80,
+    );
+    let mut ctr = SyntheticCtr::new(vec![rm1; 10], 13, 41);
+    let mut refill = CtrBatch::default();
+    let ns = time_ns(args.iters, || ctr.next_batch_into(512, &mut refill));
+    let shape = "rm1 b512 r400000";
+    emit.row(
+        "synthetic_batch",
+        tier,
+        shape,
+        0,
+        ns,
+        ns / 1e6,
+        "ms/batch",
+        None,
+    );
+    println!("KERNEL synthetic_batch rm1 b512 {:.2} ms", ns / 1e6);
 
     // --- Cold rows: the same kernels where every row is a DRAM miss. -----
     // `bytes` is what has to cross the memory bus per call: the table

@@ -7,6 +7,7 @@
 //! model trained on this stream can (and in tests, must) beat the
 //! all-zeros predictor.
 
+use crate::popularity::{CdfSampler, Popularity};
 use crate::workload::{TableWorkload, WorkloadGenerator};
 use std::sync::Arc;
 use tcast_embedding::IndexArray;
@@ -58,12 +59,11 @@ pub struct SyntheticCtr {
     /// Per-batch table seeds, drawn before the generators run; buffered
     /// here so the steady-state refill path performs no allocation.
     table_seed_scratch: Vec<u64>,
-    /// One cached generator per table, reseeded each batch. A
-    /// [`WorkloadGenerator`] owns the table's popularity sampler, whose
-    /// construction is O(rows) (a `powf` per row for Zipf CDFs) —
-    /// rebuilding it per batch per table used to dominate generation
-    /// cost *and* allocate, breaking the free-list's allocation-free
-    /// steady state. Reseeding draws the identical stream.
+    /// One cached generator per table, reseeded each batch: a fresh
+    /// generator would rebuild its sampler (two `powf` per row for Zipf
+    /// tables) and allocate, breaking the free-list's allocation-free
+    /// steady state. Reseeding draws the identical stream. Tables with
+    /// equal popularity share one sampler's arrays.
     generators: Vec<WorkloadGenerator>,
     /// Per-sample planted logits and per-sample affinity accumulators,
     /// buffered so the refill path stays allocation-free.
@@ -79,7 +79,22 @@ impl SyntheticCtr {
         let mut rng = SplitMix64::new(seed);
         let dense_weights = (0..dense_dim).map(|_| rng.next_range(-1.0, 1.0)).collect();
         let row_affinity_seeds = (0..tables.len()).map(|_| rng.next_u64()).collect();
-        let generators = tables.iter().map(|t| t.generator(0)).collect();
+        let mut samplers: Vec<(Popularity, CdfSampler)> = Vec::new();
+        let generators = tables
+            .iter()
+            .map(|t| {
+                let pop = t.popularity();
+                let sampler = match samplers.iter().find(|(p, _)| *p == pop) {
+                    Some((_, s)) => s.clone(),
+                    None => {
+                        let s = pop.sampler();
+                        samplers.push((pop, s.clone()));
+                        s
+                    }
+                };
+                WorkloadGenerator::with_sampler(*t, sampler, 0)
+            })
+            .collect();
         Self {
             tables,
             dense_dim,
@@ -229,7 +244,6 @@ fn affinity_of(table_seed: u64, row: u32) -> f32 {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::popularity::Popularity;
 
     fn gen() -> SyntheticCtr {
         let tables = vec![
@@ -243,6 +257,50 @@ mod tests {
             TableWorkload::new(Popularity::Uniform { rows: 200 }, 2),
         ];
         SyntheticCtr::new(tables, 8, 42)
+    }
+
+    /// How many distinct sets of sampler arrays `g`'s tables draw from.
+    fn distinct_samplers(g: &SyntheticCtr) -> usize {
+        let gens = &g.generators;
+        (0..gens.len())
+            .filter(|&i| {
+                !gens[..i]
+                    .iter()
+                    .any(|e| e.sampler().shares_tables_with(gens[i].sampler()))
+            })
+            .count()
+    }
+
+    #[test]
+    fn tables_with_one_popularity_share_one_sampler() {
+        let rm1 = TableWorkload::new(
+            Popularity::Zipf {
+                rows: 1000,
+                exponent: 1.05,
+            },
+            8,
+        );
+        assert_eq!(
+            distinct_samplers(&SyntheticCtr::new(vec![rm1; 10], 4, 1)),
+            1
+        );
+        let shared = TableWorkload::new(
+            Popularity::Zipf {
+                rows: 300,
+                exponent: 0.5,
+            },
+            2,
+        );
+        let mixed = vec![
+            TableWorkload::new(Popularity::Uniform { rows: 50 }, 1),
+            rm1,
+            shared,
+            TableWorkload::new(Popularity::Uniform { rows: 50 }, 4),
+            shared.with_pooling(3),
+            rm1.with_rows(999),
+        ];
+        // Uniform(50), Zipf(1000, 1.05), Zipf(300, 0.5), Zipf(999, 1.05).
+        assert_eq!(distinct_samplers(&SyntheticCtr::new(mixed, 4, 1)), 4);
     }
 
     #[test]

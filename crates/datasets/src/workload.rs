@@ -80,11 +80,25 @@ pub struct WorkloadGenerator {
 impl WorkloadGenerator {
     /// Creates a generator with the given seed.
     pub fn new(spec: TableWorkload, seed: u64) -> Self {
+        Self::with_sampler(spec, spec.popularity().sampler(), seed)
+    }
+
+    /// A generator drawing through an already built `sampler` for
+    /// `spec`'s popularity, so tables with one popularity share one set
+    /// of sampler arrays.
+    pub(crate) fn with_sampler(spec: TableWorkload, sampler: CdfSampler, seed: u64) -> Self {
+        debug_assert_eq!(sampler.rows(), spec.rows());
         Self {
-            sampler: spec.popularity().sampler(),
             spec,
+            sampler,
             rng: SplitMix64::new(seed),
         }
+    }
+
+    /// The popularity sampler this generator draws through.
+    #[cfg(test)]
+    pub(crate) fn sampler(&self) -> &CdfSampler {
+        &self.sampler
     }
 
     /// The underlying workload spec.
@@ -94,11 +108,11 @@ impl WorkloadGenerator {
 
     /// Restarts the generator's RNG at `seed`, keeping the precomputed
     /// popularity sampler. `g.reseed(s)` followed by a batch draws
-    /// exactly what `spec.generator(s)` would draw — but building a
-    /// generator pays the O(rows) CDF precomputation (one `powf` per
-    /// row for Zipf tables), so a per-batch producer such as
-    /// [`crate::SyntheticCtr`] reseeds a cached generator instead of
-    /// constructing a fresh one every batch.
+    /// exactly what `spec.generator(s)` would draw. Building a generator
+    /// builds its sampler (two `powf` per row for Zipf tables) and
+    /// allocates, so a producer that needs a fresh stream per batch or
+    /// per query, such as [`crate::SyntheticCtr`], reseeds one cached
+    /// generator instead.
     pub fn reseed(&mut self, seed: u64) {
         self.rng = SplitMix64::new(seed);
     }
@@ -124,11 +138,9 @@ impl WorkloadGenerator {
         out.refill(batch, |src, dst| {
             src.reserve(batch * pooling);
             dst.reserve(batch * pooling);
+            sampler.sample_into(batch * pooling, rng, src);
             for b in 0..batch {
-                for _ in 0..pooling {
-                    src.push(sampler.sample(rng));
-                    dst.push(b as u32);
-                }
+                dst.extend(std::iter::repeat_n(b as u32, pooling));
             }
         })
         .expect("generated pairs are in range");

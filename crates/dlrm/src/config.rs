@@ -157,10 +157,23 @@ impl DlrmConfig {
     ///
     /// Returns a message when the bottom-MLP output width differs from
     /// the embedding dimension (required by the dot interaction), the
-    /// top MLP does not end in 1, or no tables are configured.
+    /// top MLP does not end in 1, no tables are configured, or a table
+    /// has no rows, a pooling factor of 0 or a NaN Zipf exponent (which
+    /// its workload generator could not draw from).
     pub fn validate(&self) -> Result<(), String> {
         if self.tables.is_empty() {
             return Err("at least one embedding table is required".to_string());
+        }
+        for (i, t) in self.tables.iter().enumerate() {
+            if t.rows == 0 {
+                return Err(format!("table {i} has no rows"));
+            }
+            if t.pooling == 0 {
+                return Err(format!("table {i} has pooling factor 0"));
+            }
+            if t.zipf_exponent.is_nan() {
+                return Err(format!("table {i} has a NaN zipf exponent"));
+            }
         }
         if self.interaction == InteractionKind::Dot
             && self.bottom_mlp.last() != Some(&self.embedding_dim)
@@ -214,6 +227,31 @@ mod tests {
         let mut bad = DlrmConfig::tiny();
         bad.tables.clear();
         assert!(bad.validate().is_err());
+    }
+
+    #[test]
+    fn hostile_tables_are_rejected_before_anything_is_built() {
+        // Each of these used to pass validation and then panic (or, for
+        // NaN, silently draw row 0 every time) once a generator was built.
+        let spoilers: [fn(&mut TableConfig); 3] = [
+            |t| t.rows = 0,
+            |t| t.pooling = 0,
+            |t| t.zipf_exponent = f64::NAN,
+        ];
+        let messages = [
+            "table 1 has no rows",
+            "table 1 has pooling factor 0",
+            "table 1 has a NaN zipf exponent",
+        ];
+        for (spoil, message) in spoilers.into_iter().zip(messages) {
+            let mut bad = DlrmConfig::tiny();
+            spoil(&mut bad.tables[1]);
+            assert_eq!(bad.validate(), Err(message.to_string()));
+            let Err(err) = crate::Trainer::new(bad, crate::BackwardMode::Casted, 1) else {
+                panic!("a hostile table must not build a trainer ({message})");
+            };
+            assert!(err.to_string().contains(message), "{err}");
+        }
     }
 
     #[test]

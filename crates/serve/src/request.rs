@@ -29,7 +29,7 @@
 
 use std::sync::Arc;
 
-use tcast_datasets::{Popularity, TableWorkload};
+use tcast_datasets::{Popularity, TableWorkload, WorkloadGenerator};
 use tcast_embedding::IndexArray;
 use tcast_tensor::{Matrix, SplitMix64};
 
@@ -107,11 +107,14 @@ impl QueryModel {
     /// Builds a catalog of `catalog_size` queries over `tables` with
     /// `dense_features` continuous features, fully determined by `seed`.
     /// `query_skew` is the Zipf exponent of the query popularity
-    /// (`0.0` = every query equally likely).
+    /// (`0.0` = every query equally likely). Each table's popularity
+    /// sampler is built once and its generator reseeded per query, which
+    /// draws what a fresh `generator` per query would.
     ///
     /// # Panics
     ///
-    /// Panics if `catalog_size == 0` or the candidate spec is invalid.
+    /// Panics if `catalog_size == 0`, the candidate spec is invalid, or
+    /// `query_skew` is NaN (see [`Popularity::sampler`]).
     pub fn new(
         tables: &[TableWorkload],
         dense_features: usize,
@@ -122,6 +125,8 @@ impl QueryModel {
     ) -> Self {
         assert!(catalog_size > 0, "catalog must hold at least one query");
         let mut rng = SplitMix64::new(seed);
+        let mut generators: Vec<WorkloadGenerator> =
+            tables.iter().map(|t| t.generator(0)).collect();
         let catalog = (0..catalog_size as u64)
             .map(|id| {
                 let c = candidates.draw(&mut rng);
@@ -129,9 +134,12 @@ impl QueryModel {
                 for v in dense.as_mut_slice() {
                     *v = rng.next_range(-1.0, 1.0);
                 }
-                let indices: Vec<IndexArray> = tables
-                    .iter()
-                    .map(|t| t.generator(rng.next_u64()).next_batch(c))
+                let indices: Vec<IndexArray> = generators
+                    .iter_mut()
+                    .map(|g| {
+                        g.reseed(rng.next_u64());
+                        g.next_batch(c)
+                    })
                     .collect();
                 Arc::new(Query {
                     id,
@@ -358,5 +366,48 @@ mod tests {
         model.shift_popularity(50);
         let back = (0..400).filter(|_| model.draw().id < 10).count();
         assert!(back > 120, "two 50-shifts over 100 wrap home, got {back}");
+    }
+
+    #[test]
+    fn catalog_and_draw_stream_are_pinned() {
+        // FNV-1a over the bits of every catalog query and the ids of the
+        // first 1,000 draws, recorded from the exact `f64` binary-search
+        // sampler the stream was first drawn with. A mismatch means a
+        // draw changed: fix the sampler, do not re-pin the constant.
+        fn fnv(h: &mut u64, x: u32) {
+            for b in x.to_le_bytes() {
+                *h ^= u64::from(b);
+                *h = h.wrapping_mul(0x0000_0100_0000_01b3);
+            }
+        }
+        let mut tables = tables();
+        tables.push(TableWorkload::new(
+            Popularity::Zipf {
+                rows: 10_000,
+                exponent: 1.05,
+            },
+            4,
+        ));
+        let candidates = CandidateCount::Uniform { min: 4, max: 16 };
+        let mut model = QueryModel::new(&tables, 5, 64, candidates, 1.1, 9);
+        let mut h = 0xcbf2_9ce4_8422_2325u64;
+        for id in 0..model.catalog_size() {
+            let q = model.query(id);
+            fnv(&mut h, q.id as u32);
+            for v in q.dense.as_slice() {
+                fnv(&mut h, v.to_bits());
+            }
+            for index in q.indices.iter() {
+                fnv(&mut h, index.num_outputs() as u32);
+                for (src, dst) in index.iter() {
+                    fnv(&mut h, src);
+                    fnv(&mut h, dst);
+                }
+            }
+        }
+        for _ in 0..1_000 {
+            fnv(&mut h, model.draw().id as u32);
+        }
+        assert_eq!(h, 0x4460_7ead_5817_5c91);
     }
 }

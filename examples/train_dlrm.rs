@@ -101,10 +101,10 @@ fn lookahead_collapse() -> Result<(), Box<dyn std::error::Error>> {
 }
 
 /// Background generation: a run at depth 2 over RM1's tables with lean
-/// MLPs (generation-bound), with batch generation moved onto a
-/// `PrefetchSource` producer thread. The
-/// producer only changes where batches are made — the trajectory matches
-/// the inline run bit for bit.
+/// MLPs, so that generating each batch inline is a visible share of the
+/// step, with batch generation moved onto a `PrefetchSource` producer
+/// thread, which keeps its queue full. The producer only changes where
+/// batches are made — the trajectory matches the inline run bit for bit.
 fn prefetched_run() -> Result<(), Box<dyn std::error::Error>> {
     const BATCH: usize = 128;
     const STEPS: usize = 120;
