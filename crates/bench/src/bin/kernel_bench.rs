@@ -89,8 +89,7 @@ use tcast_embedding::{
 };
 use tcast_pool::{Exec, Pool};
 use tcast_tensor::{
-    simd, Activation, FeatureInteraction, InteractionKind, KernelDispatch, Linear, Matrix, Mlp,
-    MlpInferenceScratch, SplitMix64,
+    simd, FeatureInteraction, KernelDispatch, Linear, Matrix, Mlp, MlpInferenceScratch, SplitMix64,
 };
 
 const ADAGRAD: UpdateRule = UpdateRule::Adagrad {
@@ -725,7 +724,7 @@ fn main() {
         });
         println!("KERNEL linear_bwd lane/serial ratio {ratio:.2} ({shape})");
 
-        let mut mlp = Mlp::new(13, &widths, Activation::Relu, 53).unwrap();
+        let mut mlp = Mlp::new(13, &widths, 53).unwrap();
         let (x, dy) = (random_matrix(m, 13, 59), random_matrix(m, widths[2], 61));
         let shape = format!("{m}x13-{}-{}-{}", widths[0], widths[1], widths[2]);
         // forward, `dW` and `dX` of every layer
@@ -749,7 +748,7 @@ fn main() {
     let embeddings: Vec<Matrix> = (0..features as u64 - 1)
         .map(|t| random_matrix(rows, width, 71 + t))
         .collect();
-    let op = FeatureInteraction::new(InteractionKind::Dot);
+    let op = FeatureInteraction;
     let (mut z, mut ddense, mut dpooled) = (Matrix::default(), Matrix::default(), Vec::new());
     op.forward_into(&dense, &embeddings, &mut z).unwrap();
     let dz = random_matrix(rows, z.cols(), 73);

@@ -82,7 +82,7 @@ mod tests {
         ) {
             let index = IndexArray::from_samples(&samples).unwrap();
             let grads = Matrix::filled(samples.len(), 4, 1.0);
-            let scaled = grads.scaled(-3.5);
+            let scaled = grads.map(|v| v * -3.5);
             prop_assert_eq!(verify_equivalence(&grads, &index).unwrap(), 0.0);
             prop_assert_eq!(verify_equivalence(&scaled, &index).unwrap(), 0.0);
         }

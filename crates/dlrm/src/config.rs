@@ -8,7 +8,6 @@
 //! table size.
 
 use tcast_datasets::{Popularity, TableWorkload};
-use tcast_tensor::InteractionKind;
 
 /// One embedding table's configuration.
 #[derive(Debug, Clone, Copy, PartialEq)]
@@ -31,22 +30,21 @@ impl TableConfig {
     }
 }
 
-/// Full DLRM configuration.
+/// Full DLRM configuration: Fig. 1's topology, whose bottom-MLP output
+/// and pooled embeddings meet in DLRM's dot interaction.
 #[derive(Debug, Clone, PartialEq)]
 pub struct DlrmConfig {
     /// Dense (continuous) feature count.
     pub dense_features: usize,
-    /// Embedding dimension (shared across tables, as in DLRM).
+    /// Embedding dimension (shared across tables, as in DLRM; non-zero).
     pub embedding_dim: usize,
     /// Embedding tables.
     pub tables: Vec<TableConfig>,
-    /// Bottom-MLP widths (last must equal `embedding_dim` for the dot
-    /// interaction).
+    /// Bottom-MLP widths, each non-zero; the last must equal
+    /// `embedding_dim`, the width the dot interaction pairs it at.
     pub bottom_mlp: Vec<usize>,
-    /// Top-MLP widths (last must be 1).
+    /// Top-MLP widths, each non-zero; the last must be 1.
     pub top_mlp: Vec<usize>,
-    /// Interaction operator.
-    pub interaction: InteractionKind,
 }
 
 impl DlrmConfig {
@@ -69,7 +67,6 @@ impl DlrmConfig {
             ],
             bottom_mlp: vec![32, 16],
             top_mlp: vec![32, 1],
-            interaction: InteractionKind::Dot,
         }
     }
 
@@ -134,7 +131,6 @@ impl DlrmConfig {
             ],
             bottom_mlp: bottom,
             top_mlp: top,
-            interaction: InteractionKind::Dot,
         }
     }
 
@@ -155,12 +151,16 @@ impl DlrmConfig {
     ///
     /// # Errors
     ///
-    /// Returns a message when the bottom-MLP output width differs from
-    /// the embedding dimension (required by the dot interaction), the
-    /// top MLP does not end in 1, no tables are configured, or a table
+    /// Returns a message when the embedding dimension is 0, the bottom-MLP
+    /// output width differs from it (required by the dot interaction),
+    /// the top MLP does not end in 1, no tables are configured, or a table
     /// has no rows, a pooling factor of 0 or a NaN Zipf exponent (which
-    /// its workload generator could not draw from).
+    /// its workload generator could not draw from). A zero hidden width is
+    /// refused when the model's MLPs are built.
     pub fn validate(&self) -> Result<(), String> {
+        if self.embedding_dim == 0 {
+            return Err("embedding_dim is 0".to_string());
+        }
         if self.tables.is_empty() {
             return Err("at least one embedding table is required".to_string());
         }
@@ -175,9 +175,7 @@ impl DlrmConfig {
                 return Err(format!("table {i} has a NaN zipf exponent"));
             }
         }
-        if self.interaction == InteractionKind::Dot
-            && self.bottom_mlp.last() != Some(&self.embedding_dim)
-        {
+        if self.bottom_mlp.last() != Some(&self.embedding_dim) {
             return Err(format!(
                 "dot interaction requires bottom-MLP output ({}) == embedding dim ({})",
                 self.bottom_mlp.last().copied().unwrap_or(0),
@@ -232,20 +230,26 @@ mod tests {
     #[test]
     fn hostile_tables_are_rejected_before_anything_is_built() {
         // Each of these used to pass validation and then panic (or, for
-        // NaN, silently draw row 0 every time) once a generator was built.
-        let spoilers: [fn(&mut TableConfig); 3] = [
-            |t| t.rows = 0,
-            |t| t.pooling = 0,
-            |t| t.zipf_exponent = f64::NAN,
+        // NaN, silently draw row 0 every time) once a generator was built
+        // or, for a zero-width last layer, on the first step.
+        let spoilers: [fn(&mut DlrmConfig); 4] = [
+            |c| c.tables[1].rows = 0,
+            |c| c.tables[1].pooling = 0,
+            |c| c.tables[1].zipf_exponent = f64::NAN,
+            |c| {
+                c.embedding_dim = 0;
+                c.bottom_mlp = vec![32, 0];
+            },
         ];
         let messages = [
             "table 1 has no rows",
             "table 1 has pooling factor 0",
             "table 1 has a NaN zipf exponent",
+            "embedding_dim is 0",
         ];
         for (spoil, message) in spoilers.into_iter().zip(messages) {
             let mut bad = DlrmConfig::tiny();
-            spoil(&mut bad.tables[1]);
+            spoil(&mut bad);
             assert_eq!(bad.validate(), Err(message.to_string()));
             let Err(err) = crate::Trainer::new(bad, crate::BackwardMode::Casted, 1) else {
                 panic!("a hostile table must not build a trainer ({message})");

@@ -12,10 +12,12 @@
 //!   `snapshot_every` steps — a slab copy into a recycled buffer, no
 //!   stop-the-world;
 //! * N **serve engines** run on the same [`Pool`] with *no shared
-//!   mutable model state*: each is one snapshot lane of the one serve
-//!   loop (`batch` closed-loop clients at zero think time), resolving one consistent snapshot per fused batch and
-//!   refreshing only when its held version falls more than
-//!   `staleness_bound` versions behind the store head;
+//!   mutable model state*, each scoring serially as
+//!   [`ServeEngine::with_defaults`] does: each is one snapshot lane of
+//!   the one serve loop (`batch` closed-loop clients at zero think time),
+//!   resolving one consistent snapshot per fused batch and refreshing
+//!   only when its held version falls more than `staleness_bound`
+//!   versions behind the store head;
 //! * the staleness ledger becomes a **freshness SLA**: every batch
 //!   records the version it scored against, how far behind the head
 //!   that was, and the snapshot's wall-clock age — p99 model age sits
@@ -43,7 +45,7 @@ use std::path::PathBuf;
 use std::sync::Arc;
 use std::time::Instant;
 
-use crate::engine::{ServeEngine, DEFAULT_CACHE_CAPACITY};
+use crate::engine::ServeEngine;
 use crate::online::ServeConfig;
 use crate::queue::BatchPolicy;
 use crate::request::{ArrivalProcess, Query, QueryModel};
@@ -51,7 +53,7 @@ use crate::serve_loop::{scoring_only, Lane, SnapshotSlot, Source};
 use crate::stats::{FreshnessLedger, ServeReport};
 use tcast_datasets::BatchSource;
 use tcast_dlrm::checkpoint::{read_train_checkpoint, CheckpointError};
-use tcast_dlrm::{DriverError, Execution, TrainLoop};
+use tcast_dlrm::{DriverError, TrainLoop};
 use tcast_embedding::EmbeddingError;
 use tcast_pool::Pool;
 use tcast_snapshot::{SnapshotError, SnapshotStore};
@@ -96,9 +98,6 @@ pub struct ConcurrentConfig {
     pub staleness_bound: u64,
     /// Tail-latency target for per-query SLA accounting.
     pub sla_ns: u64,
-    /// Kernel execution for engines (the trainer keeps whatever its
-    /// `TrainLoop` was built with).
-    pub execution: Execution,
     /// Record every served batch (queries, scores, snapshot identity)
     /// for offline replay — the bit-identity proptest's evidence. Off in
     /// steady state: recording allocates per batch.
@@ -126,7 +125,6 @@ impl ConcurrentConfig {
             snapshot_every,
             staleness_bound: 0,
             sla_ns: 50_000_000,
-            execution: Execution::Serial,
             record_batches: false,
             swap: None,
             rollback: None,
@@ -306,9 +304,7 @@ pub fn serve_concurrent(
         for (i, (workload, slot)) in workloads.iter_mut().zip(&mut engines).enumerate() {
             let serving = &serving;
             scope.spawn(move || {
-                let exec = config.execution.clone();
-                let mut engine =
-                    ServeEngine::new(store.latest().model(), DEFAULT_CACHE_CAPACITY, exec);
+                let mut engine = ServeEngine::with_defaults(store.latest().model());
                 let mut recorded = Vec::new();
                 let record = config.record_batches.then_some((i, &mut recorded));
                 let snapshots = SnapshotSlot::new(store, config.staleness_bound, record);

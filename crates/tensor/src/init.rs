@@ -69,16 +69,6 @@ impl SplitMix64 {
         // 128-bit multiply-high trick: unbiased enough for workload gen.
         ((self.next_u64() as u128 * bound as u128) >> 64) as u64
     }
-
-    /// Standard-normal sample via Box-Muller.
-    pub fn next_normal(&mut self) -> f32 {
-        let mut u1 = self.next_f32();
-        if u1 < 1e-10 {
-            u1 = 1e-10;
-        }
-        let u2 = self.next_f32();
-        (-2.0 * u1.ln()).sqrt() * (2.0 * std::f32::consts::PI * u2).cos()
-    }
 }
 
 /// Xavier/Glorot uniform initialization for a `fan_in x fan_out` weight
@@ -98,18 +88,6 @@ pub fn xavier_uniform(fan_in: usize, fan_out: usize, seed: u64) -> Matrix {
     let mut m = Matrix::zeros(fan_in, fan_out);
     for v in m.as_mut_slice() {
         *v = rng.next_range(-bound, bound);
-    }
-    m
-}
-
-/// He/Kaiming normal initialization, suited to ReLU stacks:
-/// `N(0, sqrt(2/fan_in))`.
-pub fn he_normal(fan_in: usize, fan_out: usize, seed: u64) -> Matrix {
-    let std = (2.0 / fan_in as f32).sqrt();
-    let mut rng = SplitMix64::new(seed);
-    let mut m = Matrix::zeros(fan_in, fan_out);
-    for v in m.as_mut_slice() {
-        *v = rng.next_normal() * std;
     }
     m
 }
@@ -169,32 +147,6 @@ mod tests {
         let bound = (6.0f32 / 30.0).sqrt();
         assert!(w1.as_slice().iter().all(|v| v.abs() <= bound));
         // Should not be degenerate.
-        assert!(w1.frobenius_norm() > 0.0);
-    }
-
-    #[test]
-    fn he_normal_has_reasonable_spread() {
-        let w = he_normal(128, 64, 3);
-        let mean: f32 = w.sum() / w.len() as f32;
-        assert!(mean.abs() < 0.05, "mean {mean} too far from 0");
-        let var: f32 = w
-            .as_slice()
-            .iter()
-            .map(|v| (v - mean) * (v - mean))
-            .sum::<f32>()
-            / w.len() as f32;
-        let expected = 2.0 / 128.0;
-        assert!(
-            (var - expected).abs() < expected * 0.5,
-            "var {var} vs expected {expected}"
-        );
-    }
-
-    #[test]
-    fn normal_samples_are_finite() {
-        let mut r = SplitMix64::new(11);
-        for _ in 0..10_000 {
-            assert!(r.next_normal().is_finite());
-        }
+        assert!(w1.as_slice().iter().any(|&v| v != 0.0));
     }
 }

@@ -6,8 +6,9 @@
 //! MLP over the feature-interaction output; see Fig. 1 of the paper). The
 //! paper runs the dense side on a GPU through cuDNN/cuBLAS; this crate is the
 //! from-scratch Rust substitute: a row-major [`Matrix`] with a register-tiled GEMM,
-//! differentiable [`Linear`]/[`Mlp`] layers, binary-cross-entropy loss and
-//! the DLRM feature-interaction operator.
+//! differentiable [`Linear`]/[`Mlp`] layers (ReLU hidden layers), the
+//! binary-cross-entropy loss and DLRM's dot feature interaction — the one
+//! dense stack every model here runs.
 //!
 //! Every layer has **one** forward and **one** backward. The forward takes
 //! `&self` and writes into buffers the caller owns, so training and
@@ -20,11 +21,11 @@
 //! # Example
 //!
 //! ```
-//! use tcast_tensor::{Activation, Exec, Matrix, Mlp, MlpInferenceScratch};
+//! use tcast_tensor::{Exec, Matrix, Mlp, MlpInferenceScratch};
 //!
 //! # fn main() -> Result<(), tcast_tensor::ShapeError> {
 //! // A 2-layer MLP: 8 -> 16 -> 1, ReLU hidden, linear output.
-//! let mut mlp = Mlp::new(8, &[16, 1], Activation::Relu, 42)?;
+//! let mut mlp = Mlp::new(8, &[16, 1], 42)?;
 //! let x = Matrix::zeros(4, 8); // batch of 4
 //! let (mut scratch, mut y) = (MlpInferenceScratch::default(), Matrix::default());
 //! mlp.forward_into(&x, &mut scratch, &mut y, Exec::Serial)?;
@@ -50,15 +51,12 @@ mod parallel;
 pub mod simd;
 
 pub use error::ShapeError;
-pub use init::{he_normal, xavier_uniform, SplitMix64};
-pub use interaction::{interaction_output_dim, FeatureInteraction, InteractionKind};
+pub use init::{xavier_uniform, SplitMix64};
+pub use interaction::{interaction_output_dim, FeatureInteraction};
 pub use linear::Linear;
-pub use loss::{
-    bce_with_logits, bce_with_logits_backward, bce_with_logits_backward_into, mse, mse_backward,
-    mse_with_grad,
-};
+pub use loss::{bce_with_logits, bce_with_logits_backward_into};
 pub use matrix::Matrix;
-pub use mlp::{Activation, Mlp, MlpInferenceScratch};
-pub use ops::{relu, relu_backward, relu_backward_in_place, sigmoid, sigmoid_backward};
+pub use mlp::{Mlp, MlpInferenceScratch};
+pub use ops::{relu, relu_backward, relu_backward_in_place};
 pub use simd::KernelDispatch;
 pub use tcast_pool::{Exec, Pool};

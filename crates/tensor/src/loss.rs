@@ -1,5 +1,5 @@
-//! Training losses: binary cross-entropy over logits (the CTR objective of
-//! DLRM) and mean squared error (used in substrate tests).
+//! The training loss: binary cross-entropy over logits, the CTR objective
+//! of DLRM.
 
 use crate::error::ShapeError;
 use crate::matrix::Matrix;
@@ -47,20 +47,9 @@ pub fn bce_with_logits(logits: &Matrix, targets: &Matrix) -> Result<f32, ShapeEr
     Ok(total / n)
 }
 
-/// Gradient of [`bce_with_logits`] w.r.t. the logits:
-/// `(sigmoid(z) - t) / N`.
-///
-/// # Errors
-///
-/// Returns a [`ShapeError`] if the shapes differ or have no elements.
-pub fn bce_with_logits_backward(logits: &Matrix, targets: &Matrix) -> Result<Matrix, ShapeError> {
-    let mut out = Matrix::default();
-    bce_with_logits_backward_into(logits, targets, &mut out)?;
-    Ok(out)
-}
-
-/// [`bce_with_logits_backward`] writing into `out` (reshaped in place,
-/// reusing its allocation).
+/// Gradient of [`bce_with_logits`] w.r.t. the logits,
+/// `(sigmoid(z) - t) / N`, written into `out` (reshaped in place, reusing
+/// its allocation).
 ///
 /// # Errors
 ///
@@ -82,50 +71,15 @@ pub fn bce_with_logits_backward_into(
     Ok(())
 }
 
-/// Mean squared error `mean((y - t)^2)`.
-///
-/// # Errors
-///
-/// Returns a [`ShapeError`] if the shapes differ or have no elements.
-pub fn mse(pred: &Matrix, target: &Matrix) -> Result<f32, ShapeError> {
-    let n = mean_divisor("mse", pred, target)?;
-    Ok(pred
-        .as_slice()
-        .iter()
-        .zip(target.as_slice().iter())
-        .map(|(&y, &t)| (y - t) * (y - t))
-        .sum::<f32>()
-        / n)
-}
-
-/// Gradient of [`mse`] w.r.t. predictions: `2 (y - t) / N`.
-///
-/// # Errors
-///
-/// Returns a [`ShapeError`] if the shapes differ or have no elements.
-pub fn mse_backward(pred: &Matrix, target: &Matrix) -> Result<Matrix, ShapeError> {
-    let n = mean_divisor("mse_backward", pred, target)?;
-    let data: Vec<f32> = pred
-        .as_slice()
-        .iter()
-        .zip(target.as_slice().iter())
-        .map(|(&y, &t)| 2.0 * (y - t) / n)
-        .collect();
-    Matrix::from_vec(pred.rows(), pred.cols(), data)
-}
-
-/// Convenience: MSE loss and its gradient in one call.
-///
-/// # Errors
-///
-/// Returns a [`ShapeError`] if the shapes differ or have no elements.
-pub fn mse_with_grad(pred: &Matrix, target: &Matrix) -> Result<(f32, Matrix), ShapeError> {
-    Ok((mse(pred, target)?, mse_backward(pred, target)?))
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
+
+    fn bce_grad(logits: &Matrix, targets: &Matrix) -> Matrix {
+        let mut out = Matrix::default();
+        bce_with_logits_backward_into(logits, targets, &mut out).unwrap();
+        out
+    }
 
     #[test]
     fn bce_is_ln2_at_zero_logit() {
@@ -150,7 +104,7 @@ mod tests {
         let loss = bce_with_logits(&z, &t).unwrap();
         assert!(loss.is_finite());
         assert!(loss < 1e-3);
-        let grad = bce_with_logits_backward(&z, &t).unwrap();
+        let grad = bce_grad(&z, &t);
         assert!(grad.as_slice().iter().all(|g| g.is_finite()));
     }
 
@@ -158,7 +112,7 @@ mod tests {
     fn bce_gradient_matches_finite_difference() {
         let z = Matrix::from_rows(&[&[0.3, -1.2], &[2.0, 0.0]]).unwrap();
         let t = Matrix::from_rows(&[&[1.0, 0.0], &[0.0, 1.0]]).unwrap();
-        let g = bce_with_logits_backward(&z, &t).unwrap();
+        let g = bce_grad(&z, &t);
         let eps = 1e-3f32;
         for r in 0..2 {
             for c in 0..2 {
@@ -178,35 +132,11 @@ mod tests {
     }
 
     #[test]
-    fn mse_zero_when_equal() {
-        let a = Matrix::filled(2, 2, 3.0);
-        assert_eq!(mse(&a, &a).unwrap(), 0.0);
-    }
-
-    #[test]
-    fn mse_gradient_matches_finite_difference() {
-        let y = Matrix::from_rows(&[&[0.5, -1.0]]).unwrap();
-        let t = Matrix::from_rows(&[&[1.0, 1.0]]).unwrap();
-        let g = mse_backward(&y, &t).unwrap();
-        let eps = 1e-3f32;
-        for c in 0..2 {
-            let mut yp = y.clone();
-            yp[(0, c)] += eps;
-            let mut ym = y.clone();
-            ym[(0, c)] -= eps;
-            let num = (mse(&yp, &t).unwrap() - mse(&ym, &t).unwrap()) / (2.0 * eps);
-            assert!((g[(0, c)] - num).abs() < 1e-3);
-        }
-    }
-
-    #[test]
     fn shape_mismatch_is_rejected_everywhere() {
         let a = Matrix::zeros(1, 2);
         let b = Matrix::zeros(2, 1);
         assert!(bce_with_logits(&a, &b).is_err());
-        assert!(bce_with_logits_backward(&a, &b).is_err());
-        assert!(mse(&a, &b).is_err());
-        assert!(mse_backward(&a, &b).is_err());
+        assert!(bce_with_logits_backward_into(&a, &b, &mut Matrix::default()).is_err());
     }
 
     #[test]
@@ -217,7 +147,5 @@ mod tests {
         assert_eq!(err.op(), "mean_of_zero_elements");
         assert!(bce_with_logits_backward_into(&empty, &empty, &mut out).is_err());
         assert_eq!(out, Matrix::filled(2, 1, 7.0));
-        assert!(mse(&empty, &empty).is_err());
-        assert!(mse_backward(&empty, &empty).is_err());
     }
 }

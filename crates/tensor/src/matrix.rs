@@ -161,11 +161,6 @@ impl Matrix {
         &mut self.data
     }
 
-    /// Consumes the matrix, returning the backing storage.
-    pub fn into_vec(self) -> Vec<f32> {
-        self.data
-    }
-
     /// Immutable view of row `r`.
     ///
     /// # Panics
@@ -184,11 +179,6 @@ impl Matrix {
     pub fn row_mut(&mut self, r: usize) -> &mut [f32] {
         assert!(r < self.rows, "row index {r} out of bounds ({})", self.rows);
         &mut self.data[r * self.cols..(r + 1) * self.cols]
-    }
-
-    /// Iterator over row slices.
-    pub fn rows_iter(&self) -> impl Iterator<Item = &[f32]> {
-        self.data.chunks_exact(self.cols.max(1))
     }
 
     /// Returns the transpose as a new matrix.
@@ -254,21 +244,12 @@ impl Matrix {
     /// Returns a [`ShapeError`] unless `self.rows() == rhs.rows()`.
     pub fn matmul_at(&self, rhs: &Matrix) -> Result<Matrix, ShapeError> {
         let mut out = Matrix::default();
-        self.matmul_at_into(rhs, &mut out)?;
+        self.matmul_at_into_with(rhs, &mut out, simd::dispatch())?;
         Ok(out)
     }
 
     /// [`Matrix::matmul_at`] writing into `out` (reshaped in place,
-    /// reusing its allocation). Bit-identical to the allocating form.
-    ///
-    /// # Errors
-    ///
-    /// Returns a [`ShapeError`] unless `self.rows() == rhs.rows()`.
-    pub fn matmul_at_into(&self, rhs: &Matrix, out: &mut Matrix) -> Result<(), ShapeError> {
-        self.matmul_at_into_with(rhs, out, simd::dispatch())
-    }
-
-    /// [`Matrix::matmul_at_into`] on an explicit kernel tier.
+    /// reusing its allocation) on an explicit kernel tier.
     ///
     /// # Errors
     ///
@@ -298,21 +279,12 @@ impl Matrix {
     /// Returns a [`ShapeError`] unless `self.cols() == rhs.cols()`.
     pub fn matmul_bt(&self, rhs: &Matrix) -> Result<Matrix, ShapeError> {
         let mut out = Matrix::default();
-        self.matmul_bt_into(rhs, &mut out)?;
+        self.matmul_bt_into_with(rhs, &mut out, simd::dispatch())?;
         Ok(out)
     }
 
     /// [`Matrix::matmul_bt`] writing into `out` (reshaped in place,
-    /// reusing its allocation). Bit-identical to the allocating form.
-    ///
-    /// # Errors
-    ///
-    /// Returns a [`ShapeError`] unless `self.cols() == rhs.cols()`.
-    pub fn matmul_bt_into(&self, rhs: &Matrix, out: &mut Matrix) -> Result<(), ShapeError> {
-        self.matmul_bt_into_with(rhs, out, simd::dispatch())
-    }
-
-    /// [`Matrix::matmul_bt_into`] on an explicit kernel tier.
+    /// reusing its allocation) on an explicit kernel tier.
     ///
     /// # Errors
     ///
@@ -332,31 +304,26 @@ impl Matrix {
         Ok(())
     }
 
-    /// Elementwise sum `self + rhs`.
-    ///
-    /// # Errors
-    ///
-    /// Returns a [`ShapeError`] if the shapes differ.
-    pub fn add(&self, rhs: &Matrix) -> Result<Matrix, ShapeError> {
-        self.zip_with(rhs, "add", |a, b| a + b)
-    }
-
-    /// Elementwise difference `self - rhs`.
-    ///
-    /// # Errors
-    ///
-    /// Returns a [`ShapeError`] if the shapes differ.
-    pub fn sub(&self, rhs: &Matrix) -> Result<Matrix, ShapeError> {
-        self.zip_with(rhs, "sub", |a, b| a - b)
-    }
-
     /// Elementwise product (Hadamard) `self ⊙ rhs`.
     ///
     /// # Errors
     ///
     /// Returns a [`ShapeError`] if the shapes differ.
     pub fn hadamard(&self, rhs: &Matrix) -> Result<Matrix, ShapeError> {
-        self.zip_with(rhs, "hadamard", |a, b| a * b)
+        if self.shape() != rhs.shape() {
+            return Err(ShapeError::new("hadamard", self.shape(), rhs.shape()));
+        }
+        let data = self
+            .data
+            .iter()
+            .zip(&rhs.data)
+            .map(|(a, b)| a * b)
+            .collect();
+        Ok(Matrix {
+            rows: self.rows,
+            cols: self.cols,
+            data,
+        })
     }
 
     /// In-place `self += alpha * rhs` (axpy), the update used by SGD.
@@ -372,16 +339,6 @@ impl Matrix {
             *a += alpha * b;
         }
         Ok(())
-    }
-
-    /// Returns `self` scaled by `alpha`.
-    pub fn scaled(&self, alpha: f32) -> Matrix {
-        let data = self.data.iter().map(|v| v * alpha).collect();
-        Matrix {
-            rows: self.rows,
-            cols: self.cols,
-            data,
-        }
     }
 
     /// Applies `f` to every element, returning a new matrix.
@@ -441,11 +398,6 @@ impl Matrix {
         self.data.iter().sum()
     }
 
-    /// Frobenius norm.
-    pub fn frobenius_norm(&self) -> f32 {
-        self.data.iter().map(|v| v * v).sum::<f32>().sqrt()
-    }
-
     /// Maximum absolute elementwise difference against `rhs`.
     ///
     /// Useful in tests to compare two training trajectories.
@@ -464,62 +416,6 @@ impl Matrix {
             .map(|(a, b)| (a - b).abs())
             .fold(0.0, f32::max))
     }
-
-    /// Horizontally concatenates `parts` (all with equal row counts).
-    ///
-    /// # Errors
-    ///
-    /// Returns a [`ShapeError`] if row counts differ or `parts` is empty.
-    pub fn hconcat(parts: &[&Matrix]) -> Result<Matrix, ShapeError> {
-        let Some(first) = parts.first() else {
-            return Err(ShapeError::new("hconcat", (0, 0), (0, 0)));
-        };
-        let rows = first.rows;
-        let total_cols: usize = parts.iter().map(|p| p.cols).sum();
-        for p in parts {
-            if p.rows != rows {
-                return Err(ShapeError::new("hconcat", (rows, total_cols), p.shape()));
-            }
-        }
-        let mut out = Matrix::zeros(rows, total_cols);
-        for r in 0..rows {
-            let dst = out.row_mut(r);
-            let mut offset = 0;
-            for p in parts {
-                dst[offset..offset + p.cols].copy_from_slice(p.row(r));
-                offset += p.cols;
-            }
-        }
-        Ok(out)
-    }
-
-    /// Splits the matrix column-wise into chunks of the given widths.
-    ///
-    /// The inverse of [`Matrix::hconcat`]; the pair is the allocating
-    /// reference the concat interaction is tested against.
-    ///
-    /// # Errors
-    ///
-    /// Returns a [`ShapeError`] if the widths do not sum to `self.cols()`.
-    pub fn hsplit(&self, widths: &[usize]) -> Result<Vec<Matrix>, ShapeError> {
-        let total: usize = widths.iter().sum();
-        if total != self.cols {
-            return Err(ShapeError::new("hsplit", self.shape(), (1, total)));
-        }
-        let mut out: Vec<Matrix> = widths
-            .iter()
-            .map(|&w| Matrix::zeros(self.rows, w))
-            .collect();
-        for r in 0..self.rows {
-            let src = self.row(r);
-            let mut offset = 0;
-            for (part, &w) in out.iter_mut().zip(widths.iter()) {
-                part.row_mut(r).copy_from_slice(&src[offset..offset + w]);
-                offset += w;
-            }
-        }
-        Ok(out)
-    }
 }
 
 impl std::ops::Index<(usize, usize)> for Matrix {
@@ -533,30 +429,6 @@ impl std::ops::Index<(usize, usize)> for Matrix {
 impl std::ops::IndexMut<(usize, usize)> for Matrix {
     fn index_mut(&mut self, (r, c): (usize, usize)) -> &mut f32 {
         &mut self.data[r * self.cols + c]
-    }
-}
-
-impl Matrix {
-    fn zip_with(
-        &self,
-        rhs: &Matrix,
-        op: &'static str,
-        f: impl Fn(f32, f32) -> f32,
-    ) -> Result<Matrix, ShapeError> {
-        if self.shape() != rhs.shape() {
-            return Err(ShapeError::new(op, self.shape(), rhs.shape()));
-        }
-        let data = self
-            .data
-            .iter()
-            .zip(rhs.data.iter())
-            .map(|(&a, &b)| f(a, b))
-            .collect();
-        Ok(Matrix {
-            rows: self.rows,
-            cols: self.cols,
-            data,
-        })
     }
 }
 
@@ -663,14 +535,6 @@ mod tests {
     }
 
     #[test]
-    fn add_sub_roundtrip() {
-        let a = Matrix::from_rows(&[&[1.0, 2.0], &[3.0, 4.0]]).unwrap();
-        let b = Matrix::from_rows(&[&[0.5, 0.5], &[0.5, 0.5]]).unwrap();
-        let sum = a.add(&b).unwrap();
-        assert_eq!(sum.sub(&b).unwrap(), a);
-    }
-
-    #[test]
     fn add_scaled_is_axpy() {
         let mut a = Matrix::filled(2, 2, 1.0);
         let g = Matrix::filled(2, 2, 2.0);
@@ -694,47 +558,10 @@ mod tests {
     }
 
     #[test]
-    fn hconcat_then_hsplit_roundtrip() {
-        let a = Matrix::from_rows(&[&[1.0, 2.0], &[5.0, 6.0]]).unwrap();
-        let b = Matrix::from_rows(&[&[3.0], &[7.0]]).unwrap();
-        let cat = Matrix::hconcat(&[&a, &b]).unwrap();
-        assert_eq!(cat.shape(), (2, 3));
-        assert_eq!(cat.row(0), &[1.0, 2.0, 3.0]);
-        let parts = cat.hsplit(&[2, 1]).unwrap();
-        assert_eq!(parts[0], a);
-        assert_eq!(parts[1], b);
-    }
-
-    #[test]
-    fn hconcat_rejects_mismatched_rows() {
-        let a = Matrix::zeros(2, 2);
-        let b = Matrix::zeros(3, 2);
-        assert!(Matrix::hconcat(&[&a, &b]).is_err());
-    }
-
-    #[test]
-    fn hsplit_rejects_bad_widths() {
-        let a = Matrix::zeros(2, 5);
-        assert!(a.hsplit(&[2, 2]).is_err());
-    }
-
-    #[test]
-    fn frobenius_norm_matches_hand_value() {
-        let a = Matrix::from_rows(&[&[3.0, 4.0]]).unwrap();
-        assert!((a.frobenius_norm() - 5.0).abs() < 1e-6);
-    }
-
-    #[test]
     fn indexing_reads_and_writes() {
         let mut a = Matrix::zeros(2, 2);
         a[(0, 1)] = 7.0;
         assert_eq!(a[(0, 1)], 7.0);
         assert_eq!(a.as_slice()[1], 7.0);
-    }
-
-    #[test]
-    fn scaled_and_map_agree() {
-        let a = Matrix::from_rows(&[&[1.0, -2.0]]).unwrap();
-        assert_eq!(a.scaled(2.0), a.map(|v| v * 2.0));
     }
 }

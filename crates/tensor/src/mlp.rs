@@ -6,16 +6,6 @@ use crate::matrix::Matrix;
 use crate::ops::relu_backward_in_place;
 use tcast_pool::Exec;
 
-/// Hidden-layer activation for [`Mlp`].
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, Default)]
-pub enum Activation {
-    /// Rectified linear unit (DLRM's default).
-    #[default]
-    Relu,
-    /// No activation (purely linear stack).
-    Identity,
-}
-
 /// Caller-owned buffers of one pass through an [`Mlp`], sized lazily on
 /// first use and recycled afterwards: one pre-activation buffer shared by
 /// every layer, the post-activation output of each hidden layer — what
@@ -31,19 +21,18 @@ pub struct MlpInferenceScratch {
     grad: [Matrix; 2],
 }
 
-/// A stack of [`Linear`] layers with a shared hidden activation.
+/// A stack of [`Linear`] layers with ReLU after every hidden layer.
 ///
-/// The final layer is always linear (no activation): DLRM applies the
+/// The final layer is linear (no activation): DLRM applies the
 /// sigmoid inside the loss ([`crate::bce_with_logits`]) for numerical
 /// stability, matching standard practice.
 ///
 /// Layer sizes follow the paper's notation: the Table II entry
 /// "256-128-64" for a bottom MLP is expressed as
-/// `Mlp::new(input_dim, &[256, 128, 64], ...)`.
+/// `Mlp::new(input_dim, &[256, 128, 64], seed)`.
 #[derive(Debug, Clone)]
 pub struct Mlp {
     layers: Vec<Linear>,
-    activation: Activation,
 }
 
 impl Mlp {
@@ -52,15 +41,15 @@ impl Mlp {
     ///
     /// # Errors
     ///
-    /// Returns a [`ShapeError`] if `widths` is empty.
-    pub fn new(
-        input_dim: usize,
-        widths: &[usize],
-        activation: Activation,
-        seed: u64,
-    ) -> Result<Self, ShapeError> {
-        if widths.is_empty() {
-            return Err(ShapeError::new("mlp_new", (input_dim, 0), (0, 0)));
+    /// Returns a [`ShapeError`] if `widths` is empty or holds a zero
+    /// width.
+    pub fn new(input_dim: usize, widths: &[usize], seed: u64) -> Result<Self, ShapeError> {
+        if widths.is_empty() || widths.contains(&0) {
+            return Err(ShapeError::new(
+                "mlp_new",
+                (input_dim, widths.len()),
+                (0, 0),
+            ));
         }
         let mut layers = Vec::with_capacity(widths.len());
         let mut in_dim = input_dim;
@@ -68,17 +57,12 @@ impl Mlp {
             layers.push(Linear::new(in_dim, w, seed.wrapping_add(i as u64 * 7919)));
             in_dim = w;
         }
-        Ok(Self { layers, activation })
+        Ok(Self { layers })
     }
 
     /// Input dimensionality.
     pub fn input_dim(&self) -> usize {
         self.layers[0].in_dim()
-    }
-
-    /// Output dimensionality.
-    pub fn output_dim(&self) -> usize {
-        self.layers.last().expect("mlp has >= 1 layer").out_dim()
     }
 
     /// Number of layers.
@@ -148,13 +132,7 @@ impl Mlp {
             // this layer's (mutable) buffer never alias.
             let (before, at) = scratch.act.split_at_mut(i);
             let input = if i == 0 { x } else { &before[i - 1] };
-            let layer = &self.layers[i];
-            match self.activation {
-                Activation::Relu => {
-                    layer.forward_into(input, &mut scratch.pre, Some(&mut at[0]), exec)?
-                }
-                Activation::Identity => layer.forward_into(input, &mut at[0], None, exec)?,
-            }
+            self.layers[i].forward_into(input, &mut scratch.pre, Some(&mut at[0]), exec)?;
         }
         let input = if hidden == 0 {
             x
@@ -218,9 +196,7 @@ impl Mlp {
             };
             self.layers[i].backward_into(input, grad, into, exec)?;
             if i > 0 {
-                if let Activation::Relu = self.activation {
-                    relu_backward_in_place(next, &act[i - 1])?;
-                }
+                relu_backward_in_place(next, &act[i - 1])?;
                 std::mem::swap(&mut cur, &mut next);
             }
         }
@@ -304,15 +280,15 @@ mod tests {
 
     #[test]
     fn rejects_empty_widths() {
-        assert!(Mlp::new(4, &[], Activation::Relu, 0).is_err());
+        assert!(Mlp::new(4, &[], 0).is_err());
+        assert!(Mlp::new(4, &[16, 0], 1).is_err());
     }
 
     #[test]
     fn shapes_flow_through() {
-        let mlp = Mlp::new(8, &[16, 4, 2], Activation::Relu, 1).unwrap();
+        let mlp = Mlp::new(8, &[16, 4, 2], 1).unwrap();
         assert_eq!(mlp.depth(), 3);
         assert_eq!(mlp.input_dim(), 8);
-        assert_eq!(mlp.output_dim(), 2);
         assert_eq!(output(&mlp, &Matrix::zeros(5, 8)).shape(), (5, 2));
         let (mut scratch, mut y) = (MlpInferenceScratch::default(), Matrix::default());
         assert!(mlp
@@ -322,7 +298,7 @@ mod tests {
 
     #[test]
     fn inference_into_handles_single_layer_stacks() {
-        let mlp = Mlp::new(4, &[2], Activation::Relu, 3).unwrap();
+        let mlp = Mlp::new(4, &[2], 3).unwrap();
         let x = Matrix::from_rows(&[&[0.1, -0.4, 0.7, 0.2]]).unwrap();
         let layer = &mlp.layers()[0];
         let mut expect = x.matmul(layer.weight()).unwrap();
@@ -373,7 +349,7 @@ mod tests {
             (13, &[32, 16, 1], 37),
         ];
         for (input, widths, batch) in cases {
-            let fresh = Mlp::new(input, widths, Activation::Relu, 5).unwrap();
+            let fresh = Mlp::new(input, widths, 5).unwrap();
             assert_eq!(fresh.splits_at(batch), widths[0] > 32);
             let mut rng = crate::init::SplitMix64::new(batch as u64);
             let mut random = |rows, cols| {
@@ -415,7 +391,7 @@ mod tests {
         // size, or an `x` that is not the forward's: a shape error, never a
         // stale read — and found before any layer gave up the gradient
         // buffers its last update retired.
-        let mut mlp = Mlp::new(3, &[4, 4, 1], Activation::Relu, 1).unwrap();
+        let mut mlp = Mlp::new(3, &[4, 4, 1], 1).unwrap();
         let x = Matrix::filled(2, 3, 0.5);
         let dy = Matrix::filled(2, 1, 1.0);
         let (mut y, mut dx) = (Matrix::default(), Matrix::default());
@@ -460,7 +436,7 @@ mod tests {
 
     #[test]
     fn gradient_matches_finite_difference() {
-        let mut mlp = Mlp::new(3, &[5, 1], Activation::Relu, 12).unwrap();
+        let mut mlp = Mlp::new(3, &[5, 1], 12).unwrap();
         let x = Matrix::from_rows(&[&[0.4, -0.2, 0.9], &[-0.5, 0.3, 0.1]]).unwrap();
         let mut scratch = MlpInferenceScratch::default();
         let (mut y, mut dx) = (Matrix::default(), Matrix::default());
@@ -489,8 +465,9 @@ mod tests {
 
     #[test]
     fn training_reduces_loss_on_regression_task() {
-        // Fit y = sum(x) with a small MLP; MSE should drop sharply.
-        let mut mlp = Mlp::new(4, &[16, 1], Activation::Relu, 77).unwrap();
+        // Fit y = sum(x) with a small MLP; the mean squared error should
+        // drop sharply.
+        let mut mlp = Mlp::new(4, &[16, 1], 77).unwrap();
         let mut rng = crate::init::SplitMix64::new(5);
         let mut scratch = MlpInferenceScratch::default();
         let (mut y, mut dx) = (Matrix::default(), Matrix::default());
@@ -501,11 +478,15 @@ mod tests {
             for v in x.as_mut_slice() {
                 *v = rng.next_range(-1.0, 1.0);
             }
-            let target: Vec<f32> = x.rows_iter().map(|r| r.iter().sum()).collect();
-            let t = Matrix::from_vec(16, 1, target).unwrap();
             mlp.forward_into(&x, &mut scratch, &mut y, Exec::Serial)
                 .unwrap();
-            let (loss, dy) = crate::loss::mse_with_grad(&y, &t).unwrap();
+            let n = y.len() as f32;
+            let (mut loss, mut dy) = (0.0, Matrix::zeros(16, 1));
+            for b in 0..16 {
+                let err = y[(b, 0)] - x.row(b).iter().sum::<f32>();
+                loss += err * err / n;
+                dy[(b, 0)] = 2.0 * err / n;
+            }
             mlp.backward_into(&x, &mut scratch, &dy, Some(&mut dx), Exec::Serial)
                 .unwrap();
             mlp.apply_update(0.05);
@@ -521,23 +502,8 @@ mod tests {
     }
 
     #[test]
-    fn identity_activation_is_linear() {
-        let mlp = Mlp::new(2, &[2, 2], Activation::Identity, 4).unwrap();
-        let x1 = Matrix::from_rows(&[&[1.0, 0.0]]).unwrap();
-        let x2 = Matrix::from_rows(&[&[0.0, 1.0]]).unwrap();
-        let sum = Matrix::from_rows(&[&[1.0, 1.0]]).unwrap();
-        let y1 = output(&mlp, &x1);
-        let y2 = output(&mlp, &x2);
-        let ysum = output(&mlp, &sum);
-        // Linearity up to the (shared) bias: f(a+b) = f(a) + f(b) - f(0).
-        let y0 = output(&mlp, &Matrix::zeros(1, 2));
-        let expect = y1.add(&y2).unwrap().sub(&y0).unwrap();
-        assert!(ysum.max_abs_diff(&expect).unwrap() < 1e-5);
-    }
-
-    #[test]
     fn flops_formula() {
-        let mlp = Mlp::new(10, &[20, 5], Activation::Relu, 0).unwrap();
+        let mlp = Mlp::new(10, &[20, 5], 0).unwrap();
         // 2*(10*20 + 20*5) per sample.
         assert_eq!(mlp.forward_flops(1), 2 * (200 + 100));
         assert_eq!(mlp.forward_flops(8), 8 * 2 * 300);

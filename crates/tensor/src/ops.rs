@@ -76,30 +76,7 @@ pub fn relu_backward_in_place(dy: &mut Matrix, x: &Matrix) -> Result<(), ShapeEr
     Ok(())
 }
 
-/// Numerically-stable logistic sigmoid, elementwise.
-pub fn sigmoid(x: &Matrix) -> Matrix {
-    x.map(sigmoid_scalar)
-}
-
-/// Backward pass of sigmoid: `dx = dy ⊙ s(x)(1 - s(x))` where `s` is the
-/// *forward output* (not the pre-activation).
-///
-/// # Errors
-///
-/// Returns a [`ShapeError`] if `dy` and `s` have different shapes.
-pub fn sigmoid_backward(dy: &Matrix, s: &Matrix) -> Result<Matrix, ShapeError> {
-    if dy.shape() != s.shape() {
-        return Err(ShapeError::new("sigmoid_backward", dy.shape(), s.shape()));
-    }
-    let data: Vec<f32> = dy
-        .as_slice()
-        .iter()
-        .zip(s.as_slice().iter())
-        .map(|(&g, &v)| g * v * (1.0 - v))
-        .collect();
-    Matrix::from_vec(dy.rows(), dy.cols(), data)
-}
-
+/// Numerically-stable logistic sigmoid.
 #[inline]
 pub(crate) fn sigmoid_scalar(v: f32) -> f32 {
     if v >= 0.0 {
@@ -179,35 +156,13 @@ mod tests {
 
     #[test]
     fn sigmoid_symmetry_and_range() {
-        let x = Matrix::from_rows(&[&[-100.0, -1.0, 0.0, 1.0, 100.0]]).unwrap();
-        let s = sigmoid(&x);
-        for &v in s.as_slice() {
+        let s = [-100.0, -1.0, 0.0, 1.0, 100.0].map(sigmoid_scalar);
+        for v in s {
             assert!((0.0..=1.0).contains(&v));
             assert!(v.is_finite());
         }
-        assert!((s[(0, 2)] - 0.5).abs() < 1e-6);
+        assert!((s[2] - 0.5).abs() < 1e-6);
         // s(-x) = 1 - s(x)
-        assert!((s[(0, 1)] + s[(0, 3)] - 1.0).abs() < 1e-6);
-    }
-
-    #[test]
-    fn sigmoid_backward_matches_finite_difference() {
-        let x = Matrix::from_rows(&[&[0.3, -0.7, 1.2]]).unwrap();
-        let s = sigmoid(&x);
-        let dy = Matrix::filled(1, 3, 1.0);
-        let dx = sigmoid_backward(&dy, &s).unwrap();
-        let eps = 1e-3f32;
-        for c in 0..3 {
-            let mut xp = x.clone();
-            xp[(0, c)] += eps;
-            let mut xm = x.clone();
-            xm[(0, c)] -= eps;
-            let num = (sigmoid(&xp)[(0, c)] - sigmoid(&xm)[(0, c)]) / (2.0 * eps);
-            assert!(
-                (dx[(0, c)] - num).abs() < 1e-3,
-                "col {c}: analytic {} vs numeric {num}",
-                dx[(0, c)]
-            );
-        }
+        assert!((s[1] + s[3] - 1.0).abs() < 1e-6);
     }
 }

@@ -902,10 +902,11 @@ mod x86 {
                     let n_tiled = n - n % NT_NR;
                     for j0 in (0..n_tiled).step_by(NT_NR) {
                         for i0 in (0..m_tiled).step_by(NT_MR) {
+                            let (at, bt) = (&a[i0 * k..], &b[j0 * k..]);
                             // SAFETY: rows `i0..i0 + NT_MR` (<= m) of `a`
                             // and `c`, rows `j0..j0 + NT_NR` (<= n) of `b`
-                            // are inside the operands by the assert above.
-                            let (at, bt) = (&a[i0 * k..], &b[j0 * k..]);
+                            // are inside the operands by the assert above,
+                            // and this tier's features are enabled here.
                             unsafe { tile_nt(at, bt, k, &mut c[i0 * n + j0..], n) };
                         }
                     }

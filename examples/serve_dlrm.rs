@@ -199,7 +199,6 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
             snapshot_every: 4,
             staleness_bound: 1,
             sla_ns: SLA_NS,
-            execution: tensor_casting::dlrm::Execution::Serial,
             record_batches: false,
             swap: Some(HotSwap {
                 path: ckpt_path.clone(),

@@ -11,14 +11,12 @@
 //! 4. **Concurrent serving is snapshot-consistent** — a batch served at
 //!    version V scores bit-identically to a stop-the-world oracle: the
 //!    offline trainer advanced to V's step count, scoring the same
-//!    queries. Holds across `Execution::{Serial, Pooled}` engines and
-//!    publish cadences K ∈ {1, 4, 16}.
+//!    queries. Holds across publish cadences K ∈ {1, 4, 16}.
 
 use proptest::prelude::*;
 use std::collections::HashMap;
-use std::sync::Arc;
 use tensor_casting::datasets::{BatchSource, SyntheticCtr, SyntheticSource};
-use tensor_casting::dlrm::{BackwardMode, Dlrm, DlrmConfig, Execution, TrainLoop, Trainer};
+use tensor_casting::dlrm::{BackwardMode, Dlrm, DlrmConfig, TrainLoop, Trainer};
 use tensor_casting::serve::{
     serve_concurrent, CandidateCount, ConcurrentConfig, QueryModel, ServeEngine, SnapshotStore,
 };
@@ -102,12 +100,11 @@ proptest! {
 
     /// Invariant 4, the acceptance-criteria property: every batch a
     /// concurrent run served at version V is bit-identical to the offline
-    /// trainer advanced to V's step count scoring the same queries — for
-    /// serial and pooled engines, across publish cadences K ∈ {1, 4, 16}.
+    /// trainer advanced to V's step count scoring the same queries, across
+    /// publish cadences K ∈ {1, 4, 16}.
     #[test]
     fn concurrent_scores_bit_identical_to_offline_trainer_at_version(
         k_idx in 0usize..3,
-        pooled in any::<bool>(),
         workload_seed in 1u64..500,
     ) {
         let k = [1usize, 4, 16][k_idx];
@@ -121,9 +118,6 @@ proptest! {
         let pool = Pool::new(2);
         let mut config = ConcurrentConfig::new(16, 4, 2 * k, k);
         config.record_batches = true;
-        if pooled {
-            config.execution = Execution::Pooled(Arc::new(Pool::new(2)));
-        }
         let report = serve_concurrent(
             &mut driver, &mut source, &store, &mut workloads, &pool, &config,
         ).unwrap();

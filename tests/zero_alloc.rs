@@ -37,8 +37,8 @@ use tensor_casting::embedding::{
     RadixScratch,
 };
 use tensor_casting::tensor::{
-    bce_with_logits, bce_with_logits_backward_into, Activation, Exec, FeatureInteraction, Matrix,
-    Mlp, MlpInferenceScratch, Pool, SplitMix64,
+    bce_with_logits, bce_with_logits_backward_into, Exec, FeatureInteraction, Matrix, Mlp,
+    MlpInferenceScratch, Pool, SplitMix64,
 };
 
 struct CountingAllocator;
@@ -58,18 +58,26 @@ fn count_here() {
     }
 }
 
+// SAFETY: every method forwards to `System`, a valid allocator, with the
+// caller's arguments unchanged; counting touches no allocation.
 unsafe impl GlobalAlloc for CountingAllocator {
     unsafe fn alloc(&self, layout: Layout) -> *mut u8 {
         count_here();
+        // SAFETY: forwarded unchanged; the caller upholds `alloc`'s
+        // contract (a non-zero-size `layout`) for `System` as for us.
         unsafe { System.alloc(layout) }
     }
 
     unsafe fn dealloc(&self, ptr: *mut u8, layout: Layout) {
+        // SAFETY: every block this allocator hands out came from `System`
+        // with this `layout`, which the caller passes back unchanged.
         unsafe { System.dealloc(ptr, layout) }
     }
 
     unsafe fn realloc(&self, ptr: *mut u8, layout: Layout, new_size: usize) -> *mut u8 {
         count_here();
+        // SAFETY: `ptr` came from `System` with `layout` (as in `dealloc`),
+        // and the caller upholds `realloc`'s contract on `new_size`.
         unsafe { System.realloc(ptr, layout, new_size) }
     }
 }
@@ -306,7 +314,7 @@ fn steady_state_hot_path_performs_zero_allocations() {
     }
 
     // ---- MLP forward + loss + backward + update -----------------------
-    let mut mlp = Mlp::new(dim, &[32, 16, 1], Activation::Relu, 3).unwrap();
+    let mut mlp = Mlp::new(dim, &[32, 16, 1], 3).unwrap();
     let x = random_matrix(batch, dim, 4);
     let labels = random_matrix(batch, 1, 5).map(|v| if v > 0.0 { 1.0 } else { 0.0 });
     let mut scratch = MlpInferenceScratch::default();
@@ -389,7 +397,7 @@ fn steady_state_hot_path_performs_zero_allocations() {
     // bounded: per scope its shared state and one boxed task per band —
     // two forward bands, two of `dX` and two of `dW` in the one backward
     // scope. Everything else is recycled as before.
-    let mut wide = Mlp::new(256, &[256, 1], Activation::Relu, 3).unwrap();
+    let mut wide = Mlp::new(256, &[256, 1], 3).unwrap();
     assert!(wide.splits_at(batch));
     let wide_x = random_matrix(batch, 256, 4);
     for _ in 0..2 {
@@ -425,7 +433,7 @@ fn steady_state_hot_path_performs_zero_allocations() {
     let (rows, width) = (67, 64);
     let dense = random_matrix(rows, width, 6);
     let embeddings: Vec<Matrix> = (0..10).map(|t| random_matrix(rows, width, 7 + t)).collect();
-    let op = FeatureInteraction::default();
+    let op = FeatureInteraction;
     let mut z = Matrix::default();
     let mut dz = Matrix::default();
     let mut ddense = Matrix::default();
