@@ -8,7 +8,7 @@ use std::hint::black_box;
 use tcast_bench::harness::BenchGroup;
 use tcast_core::{casted_gather_reduce, tensor_casting};
 use tcast_datasets::{Popularity, TableWorkload};
-use tcast_embedding::{gradient_coalesce, gradient_expand, gradient_expand_coalesce};
+use tcast_embedding::gradient_expand_coalesce;
 use tcast_tensor::Matrix;
 
 fn main() {
@@ -32,10 +32,6 @@ fn main() {
 
         group.bench(&format!("baseline_expand_coalesce/{batch}"), || {
             gradient_expand_coalesce(black_box(&grads), black_box(&index)).unwrap()
-        });
-        group.bench(&format!("baseline_two_kernels/{batch}"), || {
-            let e = gradient_expand(black_box(&grads), &index).unwrap();
-            gradient_coalesce(&e, &index).unwrap()
         });
         group.bench(&format!("casted_including_casting/{batch}"), || {
             let casted = tensor_casting(black_box(&index));

@@ -84,7 +84,7 @@ use tcast_datasets::{CtrBatch, Popularity, SyntheticCtr, TableWorkload};
 use tcast_embedding::{
     gather_reduce_into,
     optim::{RowOptimizer, UpdateRule},
-    scatter_apply, scatter_apply_coalesced, BlockScratch, CoalescedScratch, EmbeddingTable,
+    scatter_apply, scatter_apply_coalesced, BlockScratch, CoalescedGradients, EmbeddingTable,
     IndexArray, RadixScratch,
 };
 use tcast_pool::{Exec, Pool};
@@ -232,7 +232,7 @@ struct ColdBatch {
     casted: CastedIndexArray,
     /// The rows ascending, with one gradient row each: a coalesced
     /// gradient as the baseline backward hands it to the scatter.
-    coalesced: CoalescedScratch,
+    coalesced: CoalescedGradients,
 }
 
 impl ColdRows {
@@ -259,9 +259,8 @@ impl ColdRows {
         let samples: Vec<Vec<u32>> = rows.chunks(pooling).map(<[u32]>::to_vec).collect();
         let index = IndexArray::from_samples(&samples).unwrap();
         let casted = tensor_casting(&index);
-        let mut coalesced = CoalescedScratch::default();
-        coalesced.rows.extend_from_slice(casted.unique_rows());
-        coalesced.grads = grads.clone();
+        let coalesced = CoalescedGradients::new(casted.unique_rows().to_vec(), grads.clone())
+            .expect("cast rows are ascending and unique");
         ColdBatch {
             index,
             casted,
@@ -841,7 +840,7 @@ fn main() {
         // The casted backward gather-reduce (Algorithm 3) on the same
         // workload: gradient rows in, coalesced rows out.
         let grads = random_matrix(batch, dim, 11);
-        let mut scratch = CoalescedScratch::default();
+        let mut scratch = CoalescedGradients::default();
         // Gradient-row read per lookup + coalesced-row read/write.
         let bytes = ((lookups + 2 * casted.num_unique()) * dim * 4) as f64;
         let rows = tier_ns(&mut |d| {
@@ -872,11 +871,8 @@ fn main() {
     let mut scatter_ratio = None;
     for dim in [16usize, 32, 64, 37] {
         let grads = random_matrix(batch, dim, 13);
-        let mut scratch = CoalescedScratch::default();
-        casted_gather_reduce_into(&grads, &casted, &mut scratch, Exec::Serial).unwrap();
-        let coalesced =
-            tcast_embedding::CoalescedGradients::new(scratch.rows.clone(), scratch.grads.clone())
-                .unwrap();
+        let mut coalesced = CoalescedGradients::default();
+        casted_gather_reduce_into(&grads, &casted, &mut coalesced, Exec::Serial).unwrap();
         let unique = coalesced.len();
         let shape = format!("u{unique} d{dim}");
         let bytes = (unique * dim * 20) as f64;
@@ -1030,9 +1026,11 @@ fn main() {
     // not under the clock: one zero-gradient update of every row.
     let mut adagrad = RowOptimizer::new(ADAGRAD);
     {
-        let mut all = CoalescedScratch::default();
-        all.rows.extend(0..cold_table_rows as u32);
-        all.grads = Matrix::zeros(cold_table_rows, cold_dim);
+        let all = CoalescedGradients::new(
+            (0..cold_table_rows as u32).collect(),
+            Matrix::zeros(cold_table_rows, cold_dim),
+        )
+        .unwrap();
         scatter_apply_coalesced(&mut cold_table, &mut adagrad, &all, Exec::Serial).unwrap();
     }
     let mut sgd = RowOptimizer::new(UpdateRule::Sgd { lr: 0.01 });

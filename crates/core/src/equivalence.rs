@@ -1,7 +1,8 @@
 //! Functional-equivalence checking between the baseline and casted
 //! backward paths (the validation step of Section V).
 
-use crate::gather_reduce::casted_backward;
+use crate::casting::tensor_casting;
+use crate::gather_reduce::casted_gather_reduce;
 use tcast_embedding::{gradient_expand_coalesce, EmbeddingError, IndexArray};
 use tcast_tensor::Matrix;
 
@@ -31,7 +32,7 @@ use tcast_tensor::Matrix;
 /// ```
 pub fn verify_equivalence(grads: &Matrix, index: &IndexArray) -> Result<f32, EmbeddingError> {
     let baseline = gradient_expand_coalesce(grads, index)?;
-    let casted = casted_backward(grads, index)?;
+    let casted = casted_gather_reduce(grads, &tensor_casting(index))?;
     baseline.max_abs_diff(&casted)
 }
 

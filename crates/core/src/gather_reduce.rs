@@ -16,16 +16,13 @@
 //! gather-reduce primitive (Section IV-C).
 
 use crate::casted_index::CastedIndexArray;
-use crate::casting::tensor_casting;
-use tcast_embedding::{
-    accumulate_rows, CoalescedGradients, CoalescedScratch, EmbeddingError, IndexArray,
-};
+use tcast_embedding::{accumulate_rows, CoalescedGradients, EmbeddingError};
 use tcast_pool::Exec;
 use tcast_tensor::Matrix;
 
 /// The fused casted gather-reduce (Algorithm 3's `GatherReduce`): gathers
 /// row `gather_src[i]` of the `B x D` gradient table and reduces it into
-/// coalesced row `reduce_dst[i]`. Allocating form of
+/// coalesced row `reduce_dst[i]`. The allocating oracle of
 /// [`casted_gather_reduce_into`].
 ///
 /// Returns the same [`CoalescedGradients`] the baseline
@@ -39,9 +36,9 @@ pub fn casted_gather_reduce(
     grads: &Matrix,
     casted: &CastedIndexArray,
 ) -> Result<CoalescedGradients, EmbeddingError> {
-    let mut out = CoalescedScratch::default();
+    let mut out = CoalescedGradients::default();
     casted_gather_reduce_into(grads, casted, &mut out, Exec::Serial)?;
-    CoalescedGradients::new(out.rows, out.grads)
+    Ok(out)
 }
 
 /// [`casted_gather_reduce`] writing into reusable buffers, serially or on
@@ -61,7 +58,7 @@ pub fn casted_gather_reduce(
 pub fn casted_gather_reduce_into(
     grads: &Matrix,
     casted: &CastedIndexArray,
-    out: &mut CoalescedScratch,
+    out: &mut CoalescedGradients,
     exec: Exec<'_>,
 ) -> Result<(), EmbeddingError> {
     if grads.rows() != casted.num_gradient_rows() {
@@ -70,44 +67,22 @@ pub fn casted_gather_reduce_into(
             found: grads.rows(),
         });
     }
-    out.rows.clear();
-    out.rows.extend_from_slice(casted.unique_rows());
-    out.grads.zero_into(casted.num_unique(), grads.cols());
+    let coalesced = out.reset(casted.unique_rows(), grads.cols());
     accumulate_rows(
         grads.as_slice(),
         casted.gather_src(),
         casted.reduce_dst(),
-        &mut out.grads,
+        coalesced,
         exec,
     );
     Ok(())
 }
 
-/// Convenience composition (Algorithm 3 top-level,
-/// `T.CASTED_GRAD_GATHER_REDUCE`): run the casting stage then the fused
-/// kernel.
-///
-/// In the real runtime the casting stage runs ahead, beside other work
-/// (the DLRM trainer casts the next batch during its dense phases); this
-/// synchronous form exists for tests and for modeling the
-/// *exposed*-casting ablation.
-///
-/// # Errors
-///
-/// Returns [`EmbeddingError::LengthMismatch`] if `grads.rows()` differs
-/// from `index.num_outputs()`.
-pub fn casted_backward(
-    grads: &Matrix,
-    index: &IndexArray,
-) -> Result<CoalescedGradients, EmbeddingError> {
-    let casted = tensor_casting(index);
-    casted_gather_reduce(grads, &casted)
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
-    use tcast_embedding::gradient_expand_coalesce;
+    use crate::casting::tensor_casting;
+    use tcast_embedding::{gradient_expand_coalesce, IndexArray};
     use tcast_tensor::SplitMix64;
 
     fn fig_index() -> IndexArray {
@@ -117,7 +92,7 @@ mod tests {
     #[test]
     fn fig7_example() {
         let grads = Matrix::from_rows(&[&[1.0, 10.0], &[2.0, 20.0]]).unwrap();
-        let c = casted_backward(&grads, &fig_index()).unwrap();
+        let c = casted_gather_reduce(&grads, &tensor_casting(&fig_index())).unwrap();
         assert_eq!(c.rows(), &[0, 1, 2, 4]);
         assert_eq!(c.grads().row(0), &[2.0, 20.0]); // G[1] -> E[0]
         assert_eq!(c.grads().row(1), &[1.0, 10.0]); // G[0] -> E[1]
@@ -129,7 +104,7 @@ mod tests {
     fn equals_baseline_exactly_on_example() {
         let grads = Matrix::from_rows(&[&[0.25, -1.5], &[3.5, 0.125]]).unwrap();
         let baseline = gradient_expand_coalesce(&grads, &fig_index()).unwrap();
-        let casted = casted_backward(&grads, &fig_index()).unwrap();
+        let casted = casted_gather_reduce(&grads, &tensor_casting(&fig_index())).unwrap();
         assert_eq!(baseline.rows(), casted.rows());
         // Bitwise identical: same accumulation order.
         assert_eq!(baseline.grads().as_slice(), casted.grads().as_slice());
@@ -156,7 +131,7 @@ mod tests {
                 *v = rng.next_range(-2.0, 2.0);
             }
             let baseline = gradient_expand_coalesce(&grads, &index).unwrap();
-            let casted = casted_backward(&grads, &index).unwrap();
+            let casted = casted_gather_reduce(&grads, &tensor_casting(&index)).unwrap();
             assert_eq!(baseline.rows(), casted.rows(), "trial {trial}");
             assert_eq!(
                 baseline.grads().as_slice(),

@@ -55,6 +55,9 @@
 //! let coalesced = casted_gather_reduce(&grads, &casted)?;
 //! assert_eq!(coalesced.rows(), &[0, 1, 2, 4]);
 //! assert_eq!(coalesced.grads().row(2), &[3.0]); // G[0]+G[1] for E[2]
+//!
+//! // What the baseline expand-coalesce (Algorithm 1) returns.
+//! assert_eq!(coalesced, tcast_embedding::gradient_expand_coalesce(&grads, &index)?);
 //! # Ok(())
 //! # }
 //! ```
@@ -76,5 +79,5 @@ pub use casting::{tensor_casting, tensor_casting_into};
 pub use equivalence::verify_equivalence;
 pub use fault::{FaultPlan, FaultyWrite};
 pub use fused::blocked_casted_backward;
-pub use gather_reduce::{casted_backward, casted_gather_reduce, casted_gather_reduce_into};
+pub use gather_reduce::{casted_gather_reduce, casted_gather_reduce_into};
 pub use runtime::PipelineStats;

@@ -16,7 +16,7 @@ use tcast_datasets::CtrBatch;
 use tcast_embedding::{
     gather_reduce_into, gradient_coalesce_into, gradient_expand_into,
     optim::{RowOptimizer, UpdateRule},
-    scatter_apply_coalesced, BlockScratch, CoalescedScratch, EmbeddingError, EmbeddingTable,
+    scatter_apply_coalesced, BlockScratch, CoalescedGradients, EmbeddingError, EmbeddingTable,
     IndexArray, RadixScratch,
 };
 use tcast_pool::{Exec, Pool};
@@ -230,7 +230,10 @@ struct StepScratch {
     dpooled: Vec<Matrix>,
     /// Baseline mode's per-table coalesced gradients: what its scatter
     /// consumes.
-    coalesced: Vec<CoalescedScratch>,
+    coalesced: Vec<CoalescedGradients>,
+    /// Baseline mode's argsort buffers (Algorithm 1 Step A), shared by
+    /// every table.
+    radix: RadixScratch,
     /// Baseline mode's per-table `n x D` expand intermediates — still
     /// materialized every step (that cost is the paper's subject), but
     /// recycled instead of re-allocated.
@@ -895,6 +898,7 @@ impl Trainer {
             dense: dense_scratch,
             dpooled,
             coalesced,
+            radix,
             expanded,
             blocks,
             pooled_ahead,
@@ -903,7 +907,7 @@ impl Trainer {
         let (bottom, tables) = model.bottom_and_tables_mut();
         if casted.is_none() {
             expanded.resize_with(tables.len(), Matrix::default);
-            coalesced.resize_with(tables.len(), CoalescedScratch::default);
+            coalesced.resize_with(tables.len(), CoalescedGradients::default);
         }
         let update = |t: usize, table: &mut EmbeddingTable| match casted {
             None => {
@@ -915,7 +919,7 @@ impl Trainer {
                 let t0 = Instant::now();
                 let idx = &batch.indices[t];
                 gradient_expand_into(&dpooled[t], idx, &mut expanded[t])?;
-                gradient_coalesce_into(&expanded[t], idx, &mut coalesced[t], exec)?;
+                gradient_coalesce_into(&expanded[t], idx, &mut coalesced[t], radix, exec)?;
                 // Coalesced rows are unique, so under Execution::Pooled the
                 // scatter runs concurrently over disjoint table slices +
                 // optimizer state, bit-identical to the serial scatter.

@@ -1,11 +1,14 @@
 //! Gradient coalescing (Fig. 2b step 2): the paper's Algorithm 1,
 //! faithfully implemented as the two-step argsort + accumulate procedure
-//! used by today's ML frameworks.
+//! used by today's ML frameworks, and [`CoalescedGradients`], the one type
+//! for its output.
 //!
 //! Gradients whose lookups shared a `src` row must be *accumulated into a
 //! single value* before the optimizer update (Section II-B explains why:
 //! RMSprop/Adagrad-style optimizers consume one accumulated gradient `G_i`
-//! per parameter per iteration).
+//! per parameter per iteration). [`gradient_coalesce_into`] is the one
+//! implementation; [`gradient_expand_coalesce`] is the allocating Fig. 2b
+//! oracle the casted path is held to.
 
 use crate::error::EmbeddingError;
 use crate::expand::gradient_expand;
@@ -15,12 +18,16 @@ use tcast_pool::Exec;
 use tcast_tensor::simd::{prefetch, PREFETCH_WINDOW};
 use tcast_tensor::Matrix;
 
-/// The output of gradient coalescing: one gradient row per *unique* `src`
-/// id, paired with that id, sorted by id ascending.
+/// Ascending unique table rows and one accumulated gradient row each: the
+/// sparse `(indices, values)` gradient PyTorch/TensorFlow produce for
+/// `EmbeddingBag`-style layers.
 ///
-/// This is the sparse `(indices, values)` gradient PyTorch/TensorFlow
-/// produce for `EmbeddingBag`-style layers.
-#[derive(Debug, Clone, PartialEq)]
+/// Either backward path fills one for the scatter:
+/// [`gradient_coalesce_into`] (baseline) and `tcast-core`'s
+/// `casted_gather_reduce_into` (casted). Both reuse its buffers, so one
+/// held per table across training steps keeps the backward
+/// allocation-free in steady state.
+#[derive(Debug, Clone, Default, PartialEq)]
 pub struct CoalescedGradients {
     rows: Vec<u32>,
     grads: Matrix,
@@ -47,6 +54,16 @@ impl CoalescedGradients {
             ));
         }
         Ok(Self { rows, grads })
+    }
+
+    /// Resets to `rows` — strictly ascending, or a scatter rejects them —
+    /// with a zero gradient row of width `dim` each, and returns the
+    /// gradients to accumulate into. Every buffer keeps its capacity.
+    pub fn reset(&mut self, rows: &[u32], dim: usize) -> &mut Matrix {
+        self.rows.clear();
+        self.rows.extend_from_slice(rows);
+        self.grads.zero_into(rows.len(), dim);
+        &mut self.grads
     }
 
     /// The unique table-row ids, ascending.
@@ -88,57 +105,19 @@ impl CoalescedGradients {
 
 /// Algorithm 1 (gradient coalescing): given the *expanded* gradients (one
 /// row per lookup, in pair order) and the index array, sort the lookups by
-/// `src` and accumulate rows sharing a `src`.
+/// `src` and accumulate rows sharing a `src` into `out`, reusing every
+/// buffer whose capacity suffices, serially or on a pool ([`Exec`]).
 ///
-/// Step A is the `ArgSort(src)` of the paper (a stable sort-by-key of the
-/// lookups' positions); Step B is the sequential accumulation over the
-/// sorted order. Allocating form of [`gradient_coalesce_into`].
-///
-/// # Errors
-///
-/// Returns [`EmbeddingError::LengthMismatch`] if `expanded.rows()` differs
-/// from `index.len()`.
-pub fn gradient_coalesce(
-    expanded: &Matrix,
-    index: &IndexArray,
-) -> Result<CoalescedGradients, EmbeddingError> {
-    let mut scratch = CoalescedScratch::default();
-    gradient_coalesce_into(expanded, index, &mut scratch, Exec::Serial)?;
-    CoalescedGradients::new(scratch.rows, scratch.grads)
-}
-
-/// Reusable coalesced `(rows, grads)` output buffers — what either
-/// backward path hands to the scatter: [`gradient_coalesce_into`]
-/// (baseline) and `tcast-core`'s `casted_gather_reduce_into` (casted) both
-/// fill one. Holding one per table across training steps is what makes the
-/// backward allocation-free in steady state: every buffer retains its
-/// capacity.
-#[derive(Debug, Clone, Default)]
-pub struct CoalescedScratch {
-    /// Touched (unique, ascending) table rows — matches
-    /// [`CoalescedGradients::rows`].
-    pub rows: Vec<u32>,
-    /// One accumulated gradient row per entry of `rows` — matches
-    /// [`CoalescedGradients::grads`].
-    pub grads: Matrix,
-    /// Algorithm 1 Step A's argsort: the radix sort's buffers, which end
-    /// up holding the `(src, position)` pairs in sorted order. Unused by
-    /// the casted path, whose sort ran in the casting stage.
-    sort: RadixScratch,
-}
-
-/// [`gradient_coalesce`] into caller-owned scratch, reusing every buffer
-/// whose capacity suffices, serially or on a pool ([`Exec`]).
-///
-/// The argsort (Step A) runs on the calling thread as the stable radix
-/// sort of `(src, position)` pairs ([`radix_sort_pairs`]) — the same sort
-/// the casting stage runs, in linear time and through the scratch's
-/// recycled buffers. Step B then splits at unique-`src` run boundaries:
-/// each pool task owns a contiguous band of output rows and runs the
-/// serial accumulation over that band's runs, so pooled == serial bit for
-/// bit (serial is the one-band case of the same function).
-/// This is the tuned, parallel coalesce the paper's Section V methodology
-/// gives its baseline.
+/// Step A is the `ArgSort(src)` of the paper: the stable radix sort of
+/// `(src, position)` pairs ([`radix_sort_pairs`]) on the calling thread —
+/// the same sort the casting stage runs, in linear time and through
+/// `scratch`'s recycled buffers, which end up holding the sorted pairs.
+/// Step B, the sequential accumulation over the sorted order, then splits
+/// at unique-`src` run boundaries: each pool task owns a contiguous band of
+/// output rows and runs the serial accumulation over that band's runs, so
+/// pooled == serial bit for bit (serial is the one-band case of the same
+/// function). This is the tuned, parallel coalesce the paper's Section V
+/// methodology gives its baseline.
 ///
 /// # Errors
 ///
@@ -147,7 +126,8 @@ pub struct CoalescedScratch {
 pub fn gradient_coalesce_into(
     expanded: &Matrix,
     index: &IndexArray,
-    scratch: &mut CoalescedScratch,
+    out: &mut CoalescedGradients,
+    scratch: &mut RadixScratch,
     exec: Exec<'_>,
 ) -> Result<(), EmbeddingError> {
     if expanded.rows() != index.len() {
@@ -157,10 +137,10 @@ pub fn gradient_coalesce_into(
         });
     }
     let dim = expanded.cols();
-    let CoalescedScratch { rows, grads, sort } = scratch;
+    let CoalescedGradients { rows, grads } = out;
 
     // Step A: argsort the src array, as packed `(src, position)` keys.
-    let keys = radix_sort_pairs(index.src(), 0..index.len() as u32, sort);
+    let keys = radix_sort_pairs(index.src(), 0..index.len() as u32, scratch);
 
     // The unique rows are read off the sorted keys (unique_src_count()
     // would sort again into fresh buffers).
@@ -230,17 +210,21 @@ fn accumulate_runs(
 }
 
 /// Baseline two-step backward path: expand then coalesce, returning the
-/// coalesced gradients (what Fig. 2b computes before the scatter).
+/// coalesced gradients (what Fig. 2b computes before the scatter). The
+/// allocating oracle of the baseline backward.
 ///
 /// # Errors
 ///
-/// Propagates errors from [`gradient_expand`] and [`gradient_coalesce`].
+/// Propagates errors from [`gradient_expand`] and
+/// [`gradient_coalesce_into`].
 pub fn gradient_expand_coalesce(
     grads: &Matrix,
     index: &IndexArray,
 ) -> Result<CoalescedGradients, EmbeddingError> {
     let expanded = gradient_expand(grads, index)?;
-    gradient_coalesce(&expanded, index)
+    let (mut out, mut scratch) = (CoalescedGradients::default(), RadixScratch::default());
+    gradient_coalesce_into(&expanded, index, &mut out, &mut scratch, Exec::Serial)?;
+    Ok(out)
 }
 
 #[cfg(test)]
@@ -270,13 +254,14 @@ mod tests {
         let index = fig2_index();
         let grads = Matrix::from_rows(&[&[1.0, 0.5], &[2.0, -0.25]]).unwrap();
         let expanded = gradient_expand(&grads, &index).unwrap();
-        let fresh = gradient_coalesce(&expanded, &index).unwrap();
-        let mut scratch = CoalescedScratch::default();
-        // Two passes through the SAME scratch: the second starts dirty.
+        let fresh = gradient_expand_coalesce(&grads, &index).unwrap();
+        let mut out = CoalescedGradients::default();
+        let mut scratch = RadixScratch::default();
+        // Two passes through the SAME buffers: the second starts dirty.
         for _ in 0..2 {
-            gradient_coalesce_into(&expanded, &index, &mut scratch, Exec::Serial).unwrap();
-            assert_eq!(scratch.rows.as_slice(), fresh.rows());
-            assert_eq!(scratch.grads.as_slice(), fresh.grads().as_slice());
+            gradient_coalesce_into(&expanded, &index, &mut out, &mut scratch, Exec::Serial)
+                .unwrap();
+            assert_eq!(out, fresh);
         }
     }
 
@@ -294,17 +279,29 @@ mod tests {
             *v = (i as f32).sin() * 1e3; // magnitudes that expose reorder
         }
         let expanded = gradient_expand(&grads, &index).unwrap();
-        let fresh = gradient_coalesce(&expanded, &index).unwrap();
-        let mut scratch = CoalescedScratch::default();
-        gradient_coalesce_into(&expanded, &index, &mut scratch, Exec::Serial).unwrap();
-        assert_eq!(scratch.grads.as_slice(), fresh.grads().as_slice());
+        let sorted = gradient_expand_coalesce(&grads, &index).unwrap();
+        // Row r's gradient is the sum of lookups r, r + 2, r + 4, ... in
+        // that order.
+        for r in 0..2 {
+            let mut want = expanded.row(r).to_vec();
+            for i in (r + 2..n).step_by(2) {
+                for (w, &g) in want.iter_mut().zip(expanded.row(i)) {
+                    *w += g;
+                }
+            }
+            let bits = |v: &[f32]| v.iter().map(|x| x.to_bits()).collect::<Vec<_>>();
+            assert_eq!(bits(sorted.grads().row(r)), bits(&want), "row {r}");
+        }
     }
 
     #[test]
     fn coalesce_validates_row_count() {
         let index = fig2_index();
         let wrong = Matrix::zeros(4, 1);
-        assert!(gradient_coalesce(&wrong, &index).is_err());
+        let (mut out, mut scratch) = (CoalescedGradients::default(), RadixScratch::default());
+        assert!(
+            gradient_coalesce_into(&wrong, &index, &mut out, &mut scratch, Exec::Serial).is_err()
+        );
     }
 
     #[test]
@@ -343,7 +340,7 @@ mod tests {
         let index = fig2_index();
         let grads = Matrix::from_rows(&[&[1.5, -0.5], &[2.5, 0.25]]).unwrap();
         let expanded = gradient_expand(&grads, &index).unwrap();
-        let c = gradient_coalesce(&expanded, &index).unwrap();
+        let c = gradient_expand_coalesce(&grads, &index).unwrap();
         let before = expanded.sum_rows();
         let after = c.grads().sum_rows();
         for (b, a) in before.iter().zip(after.iter()) {

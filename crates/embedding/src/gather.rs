@@ -149,6 +149,12 @@ fn owned_row(band: &mut [f32], dim: usize, base: usize, d: u32) -> Option<&mut [
 /// [`accumulate_band`] on the AVX2 tier: the stream is walked a run of
 /// equal `dst` at a time, and a run's output row is loaded and stored once
 /// ([`crate::simd::x86::accumulate_run`]) instead of once per lookup.
+///
+/// # Safety
+///
+/// The CPU must support AVX2. `src` and `dst` must be equally long
+/// (checked in debug builds); every row either side is a bounds-checked
+/// `dim`-lane slice, so no load or store leaves its slice.
 #[cfg(target_arch = "x86_64")]
 #[target_feature(enable = "avx2")]
 fn accumulate_band_avx2(
@@ -159,6 +165,7 @@ fn accumulate_band_avx2(
     base: usize,
     band: &mut [f32],
 ) {
+    debug_assert_eq!(src.len(), dst.len());
     let mut i = 0;
     while i < dst.len() {
         let d = dst[i];

@@ -25,11 +25,16 @@
 //! ([`gradient_expand_into`] is a plain copy loop and always serial).
 //! Serial execution is the one-band case *of the same function*, so the
 //! results are bit-identical whatever the `Exec` — by construction, not by
-//! a second kernel that happens to agree. The allocating forms ([`gather_reduce`],
-//! [`gradient_coalesce`], [`gradient_expand`]) are thin wrappers for
-//! tests, examples and the `repro/` model crates; [`scatter_apply`] is the serial
-//! reference scatter. The `(src, dst)` accumulate loop itself lives once,
-//! behind [`accumulate_rows`], and also serves the casted backward.
+//! a second kernel that happens to agree. The same holds for optimizer
+//! state: every scatter reaches it through one pre-grown
+//! [`optim::RowOptimizerBand`], which a pooled scatter cuts into a piece a
+//! task. The allocating forms ([`gather_reduce`], [`gradient_expand`],
+//! [`gradient_expand_coalesce`]) are thin wrappers for tests, examples and
+//! the `repro/` model crates; [`scatter_apply`] is the serial reference
+//! scatter. One type, [`CoalescedGradients`], carries a coalesced gradient
+//! from either backward to the scatter. The `(src, dst)` accumulate loop
+//! itself lives once, behind [`accumulate_rows`], and also serves the
+//! casted backward.
 //!
 //! The *casted* backward path (Algorithms 2-3) lives in the `tcast-core`
 //! crate; this crate deliberately contains only what existing ML frameworks
@@ -40,7 +45,7 @@
 //!
 //! ```
 //! use tcast_embedding::{EmbeddingTable, IndexArray, gather_reduce,
-//!                       gradient_expand, gradient_coalesce, scatter_apply,
+//!                       gradient_expand_coalesce, scatter_apply,
 //!                       optim::{RowOptimizer, UpdateRule}};
 //! use tcast_tensor::Matrix;
 //!
@@ -51,8 +56,8 @@
 //! let pooled = gather_reduce(&table, &index)?;      // 2 x 8
 //!
 //! let upstream = Matrix::filled(2, 8, 0.1);          // dL/d(pooled)
-//! let expanded = gradient_expand(&upstream, &index)?; // 5 x 8
-//! let coalesced = gradient_coalesce(&expanded, &index)?; // 4 unique rows
+//! // Expand to one row per lookup (5 x 8), then coalesce: 4 unique rows.
+//! let coalesced = gradient_expand_coalesce(&upstream, &index)?;
 //! let mut sgd = RowOptimizer::new(UpdateRule::Sgd { lr: 0.01 });
 //! scatter_apply(&mut table, &coalesced, &mut sgd)?;
 //! # Ok(())
@@ -70,10 +75,7 @@ mod scatter;
 pub mod simd;
 mod table;
 
-pub use coalesce::{
-    gradient_coalesce, gradient_coalesce_into, gradient_expand_coalesce, CoalescedGradients,
-    CoalescedScratch,
-};
+pub use coalesce::{gradient_coalesce_into, gradient_expand_coalesce, CoalescedGradients};
 pub use error::EmbeddingError;
 pub use expand::{gradient_expand, gradient_expand_into};
 pub use gather::{accumulate_rows, gather_reduce, gather_reduce_into};

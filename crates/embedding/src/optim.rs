@@ -11,27 +11,31 @@
 //! * [`UpdateRule`] is the function: a `Copy` enum of the five rules with
 //!   their hyperparameters. It alone knows what differs between them — how
 //!   many state planes a rule keeps, whether it counts steps per row, its
-//!   name, its state traffic and which `simd::*_row` kernel it runs. The
-//!   kernel is chosen once a scatter task (`with_update`), not once a row.
-//! * [`RowOptimizer`] is the state: one [`RowState`] slab per plane plus
-//!   the per-row step counts, touching only rows that actually receive
+//!   name and which `simd::*_row` kernel it runs. The kernel is chosen once
+//!   a scatter task ([`RowOptimizerBand::with_update`]), not once a row.
+//! * [`RowOptimizer`] is the state: one dense slab per plane plus the
+//!   per-row step counts, touching only rows that actually receive
 //!   gradients — the sparse update pattern of embedding training. Growth,
 //!   splitting and the checkpoint format are written over planes and step
 //!   counts, never per rule.
 //!
-//! # Splittable state
+//! # One door to the state
 //!
 //! Coalescing has a second payoff the paper's Section IV-C datapath
 //! argument relies on: after coalescing, every table row appears **at most
 //! once** per scatter, so the update of disjoint row ranges is
 //! embarrassingly parallel — *if* the state store can hand out disjoint
 //! mutable views. A `HashMap<u32, Vec<f32>>` cannot (concurrent inserts
-//! rehash), so state lives in a dense, lazily-grown [`RowState`] slab:
-//! `width`-strided and contiguous, splittable at arbitrary row boundaries
-//! with `split_at_mut`. [`RowOptimizer::split_by_rows`] hands out the
-//! resulting [`RowOptimizerBand`]s, and [`crate::scatter_apply_coalesced`]
-//! runs one pool task on each. That row-disjointness is a property of the
-//! state store, not of any rule, which is why it is stated once.
+//! rehash), so each plane lives in a dense slab: `width`-strided and
+//! contiguous, splittable at arbitrary row boundaries. Every update reaches
+//! it through a [`RowOptimizerBand`]: [`RowOptimizer::band`] grows the
+//! slabs, on the calling thread, to exactly the rows a scatter touches —
+//! `[0, last + 1)` — and hands them out as one band, which a serial scatter
+//! runs whole and a pooled one cuts at its fence, one piece a task. So
+//! state never outgrows the highest row it served, a task never grows it,
+//! and every path grows it identically. That row-disjointness is a
+//! property of the state store, not of any rule, which is why it is stated
+//! once.
 
 use crate::simd;
 
@@ -150,86 +154,39 @@ impl RowState {
     }
 }
 
-/// The length a lazily-grown per-row array of `len` entries grows to when
-/// `row` lies beyond it: at least doubled, so growth is amortized O(1) and
-/// stops once the live rows are covered.
-fn grown_len(len: usize, row: u32) -> usize {
-    (row as usize + 1).max(len * 2)
+/// The first `n` entries of `slice`, cut off its front; all of it if it is
+/// shorter, so a band that is empty — a plane the rule does not keep, the
+/// step counts of a rule that counts none — splits into empty bands.
+fn cut_front<'a, T>(slice: &mut &'a mut [T], n: usize) -> &'a mut [T] {
+    let n = n.min(slice.len());
+    let (front, rest) = std::mem::take(slice).split_at_mut(n);
+    *slice = rest;
+    front
 }
 
-/// The state rows of one table row: `row_of` each plane, the unused slots
-/// empty.
-fn state_rows<'s, P>(
-    planes: &'s mut [P],
-    mut row_of: impl FnMut(&'s mut P) -> &'s mut [f32],
-) -> [&'s mut [f32]; 2] {
-    match planes {
-        [] => [&mut [], &mut []],
-        [a] => [row_of(a), &mut []],
-        [a, b] => [row_of(a), row_of(b)],
-        _ => unreachable!("a rule keeps at most two planes"),
-    }
-}
-
-/// Dense, lazily-grown per-row optimizer state: `width` `f32` slots per
-/// row in one contiguous slab, plus a touched bitmap for reporting.
-///
-/// Growth is geometric, so serial lazy growth (a new hottest row) is
-/// amortized O(1) and stops entirely once the live row set is covered —
-/// preserving the workspace's zero-allocation steady state. The slab
-/// splits into disjoint row bands (`split_at_mut`) for the parallel
-/// scatter.
+/// One plane of per-row optimizer state: `width` `f32` slots per row in
+/// one contiguous slab, plus a touched bitmap for reporting. It grows only
+/// in [`RowState::band`], to exactly the rows asked for.
 #[derive(Debug, Clone, Default)]
-pub struct RowState {
+struct RowState {
     width: usize,
     data: Vec<f32>,
     touched: Vec<bool>,
 }
 
-/// One row band of a [`RowState`].
-#[derive(Debug)]
+/// One row band of a [`RowState`]; a plane the rule does not keep is an
+/// empty band.
+#[derive(Debug, Default)]
 struct RowStateBand<'a> {
-    base: u32,
     width: usize,
     data: &'a mut [f32],
     touched: &'a mut [bool],
 }
 
 impl RowState {
-    fn set_width(&mut self, width: usize) {
-        if self.width == 0 {
-            self.width = width;
-        }
-        assert_eq!(self.width, width, "optimizer state width changed");
-    }
-
     /// Rows currently backed by the slab.
     fn rows(&self) -> usize {
         self.touched.len()
-    }
-
-    /// Grows to cover `rows` rows (never shrinks). Out of line: a scatter
-    /// gets here a handful of times in a run, from a loop that must stay
-    /// small.
-    #[cold]
-    #[inline(never)]
-    fn grow_to(&mut self, rows: usize) {
-        if rows > self.rows() {
-            self.data.resize(rows * self.width, 0.0);
-            self.touched.resize(rows, false);
-        }
-    }
-
-    /// Mutable state of `row` (zeros on first touch), marking it live.
-    /// Grows geometrically, so `row` is addressable without allocation on
-    /// subsequent touches.
-    fn row_mut(&mut self, row: u32) -> &mut [f32] {
-        if row as usize >= self.rows() {
-            self.grow_to(grown_len(self.rows(), row));
-        }
-        self.touched[row as usize] = true;
-        let w = self.width;
-        &mut self.data[row as usize * w..(row as usize + 1) * w]
     }
 
     /// Number of rows that ever received an update.
@@ -237,16 +194,21 @@ impl RowState {
         self.touched.iter().filter(|&&t| t).count()
     }
 
-    /// The slab from row `first` on as one band, the slab grown to `end`
-    /// rows — exactly: the scatter knows the last row it will touch.
-    fn tail(&mut self, first: usize, end: usize, width: usize) -> RowStateBand<'_> {
-        self.set_width(width);
-        self.grow_to(end);
+    /// Rows `[0, end)` as one band of `width`-wide rows, the slab grown to
+    /// cover them (never shrunk).
+    fn band(&mut self, end: usize, width: usize) -> RowStateBand<'_> {
+        if self.width == 0 {
+            self.width = width;
+        }
+        assert_eq!(self.width, width, "optimizer state width changed");
+        if end > self.rows() {
+            self.data.resize(end * width, 0.0);
+            self.touched.resize(end, false);
+        }
         RowStateBand {
-            base: first as u32,
             width,
-            data: &mut self.data[first * width..],
-            touched: &mut self.touched[first..],
+            data: &mut self.data[..end * width],
+            touched: &mut self.touched[..end],
         }
     }
 }
@@ -254,21 +216,15 @@ impl RowState {
 impl<'a> RowStateBand<'a> {
     /// Cuts the band's first `rows` rows off as a band of their own.
     fn split_off_front(&mut self, rows: usize) -> RowStateBand<'a> {
-        let within = "a fence inside the band";
-        let front = RowStateBand {
-            base: self.base,
+        RowStateBand {
             width: self.width,
-            data: self.data.split_off_mut(..rows * self.width).expect(within),
-            touched: self.touched.split_off_mut(..rows).expect(within),
-        };
-        self.base += rows as u32;
-        front
+            data: cut_front(&mut self.data, rows * self.width),
+            touched: cut_front(&mut self.touched, rows),
+        }
     }
 
-    /// Mutable state of `row` (which must lie in this band), marking it
-    /// live.
-    fn row_mut(&mut self, row: u32) -> &mut [f32] {
-        let local = (row - self.base) as usize;
+    /// Mutable state of the band's row `local`, marking it live.
+    fn row_mut(&mut self, local: usize) -> &mut [f32] {
         self.touched[local] = true;
         &mut self.data[local * self.width..(local + 1) * self.width]
     }
@@ -355,61 +311,6 @@ impl UpdateRule {
             UpdateRule::Adam { .. } => "adam",
         }
     }
-
-    /// Bytes of optimizer state read+written per updated element, used by
-    /// the analytic traffic model: each plane is one `f32` read and one
-    /// written.
-    pub fn state_bytes_per_element(self) -> usize {
-        8 * self.planes()
-    }
-
-    /// Runs `task` with this rule's one-row update over `state`. The rule
-    /// is matched here, once a task, and each arm's update holds only its
-    /// own kernel, so a row of the scatter loop costs one indirect call
-    /// into a function as small as a dedicated optimizer type's would be.
-    fn with_update<S: RowStates, R>(
-        self,
-        state: &mut S,
-        task: impl FnOnce(&mut RowUpdate<'_>) -> R,
-    ) -> R {
-        let kernel = simd::dispatch();
-        match self {
-            UpdateRule::Sgd { lr } => run(task, |_, param, grad| {
-                simd::sgd_row(kernel, lr, param, grad);
-            }),
-            UpdateRule::Momentum { lr, mu } => run(task, |row, param, grad| {
-                let [v, _] = state.planes_at(row, param.len());
-                simd::momentum_row(kernel, lr, mu, v, param, grad);
-            }),
-            UpdateRule::Adagrad { lr, eps } => run(task, |row, param, grad| {
-                let [a, _] = state.planes_at(row, param.len());
-                simd::adagrad_row(kernel, lr, eps, a, param, grad);
-            }),
-            UpdateRule::RmsProp { lr, gamma, eps } => run(task, |row, param, grad| {
-                let [a, _] = state.planes_at(row, param.len());
-                simd::rmsprop_row(kernel, lr, gamma, eps, a, param, grad);
-            }),
-            UpdateRule::Adam {
-                lr,
-                beta1,
-                beta2,
-                eps,
-            } => run(task, |row, param, grad| {
-                let t = state.step_at(row);
-                *t += 1;
-                let adam = simd::AdamRow {
-                    lr,
-                    beta1,
-                    beta2,
-                    eps,
-                    bc1: 1.0 - beta1.powi(*t as i32),
-                    bc2: 1.0 - beta2.powi(*t as i32),
-                };
-                let [m, v] = state.planes_at(row, param.len());
-                simd::adam_row(kernel, adam, m, v, param, grad);
-            }),
-        }
-    }
 }
 
 /// The update of one row by its coalesced gradient, as a scatter task
@@ -431,22 +332,13 @@ fn run<R>(
     })
 }
 
-/// Where a rule's update finds the state of one row: in an optimizer's
-/// own slabs, grown to the row on demand ([`RowOptimizer`]), or in one
-/// pre-grown band of them ([`RowOptimizerBand`]).
-trait RowStates {
-    /// The row's slice of each state plane, the unused slots empty.
-    fn planes_at(&mut self, row: u32, dim: usize) -> [&mut [f32]; 2];
-    /// The row's step count, for a rule that keeps one.
-    fn step_at(&mut self, row: u32) -> &mut u32;
-}
-
-/// An [`UpdateRule`] and the per-row state it has built up: one
-/// [`RowState`] slab per plane of the rule, plus per-row step counts when
-/// the rule keeps them.
+/// An [`UpdateRule`] and the per-row state it has built up: one dense
+/// slab per plane of the rule, plus per-row step counts when the rule
+/// keeps them.
 ///
-/// Rows are keyed by table row id; state grows lazily (geometrically) to
-/// the highest row updated.
+/// Rows are keyed by table row id. The state covers rows `[0, end)` for
+/// the largest `end` a [`RowOptimizer::band`] asked for: one past the
+/// highest row updated.
 #[derive(Debug, Clone)]
 pub struct RowOptimizer {
     rule: UpdateRule,
@@ -454,18 +346,21 @@ pub struct RowOptimizer {
     steps: Vec<u32>,
 }
 
-/// The state of one row band of a [`RowOptimizer`], produced by
-/// [`RowOptimizer::split_by_rows`] — one task of the pooled scatter.
+/// The state of a run of rows of a [`RowOptimizer`], pre-grown: the only
+/// way an update reaches optimizer state.
 ///
-/// A band updates rows exactly as its optimizer's
-/// [`RowOptimizer::with_update`] would (same operations, same order per
-/// row), which is what makes the band-parallel scatter bit-identical to
-/// the serial one.
+/// [`RowOptimizer::band`] hands out one over every row a scatter touches;
+/// the pooled scatter cuts it into one band a task. A row updates the same
+/// way — same operations, same order — whichever band holds it, which is
+/// what makes the band-parallel scatter bit-identical to the serial one.
 #[derive(Debug)]
 pub struct RowOptimizerBand<'a> {
     rule: UpdateRule,
-    base: u32,
-    planes: Vec<RowStateBand<'a>>,
+    /// The table row of the band's first row.
+    base: usize,
+    /// One band per plane the rule keeps, then empty ones.
+    planes: [RowStateBand<'a>; 2],
+    /// Empty for a rule that counts no steps.
     steps: &'a mut [u32],
 }
 
@@ -484,52 +379,25 @@ impl RowOptimizer {
         self.planes.first().map_or(0, RowState::tracked_rows)
     }
 
-    /// Splits the state at the row `fence` (ascending,
-    /// `fence.len() >= 2`): band `i` owns rows `[fence[i], fence[i+1])`,
-    /// and state outside the fence is not handed out. `dim` is the
-    /// embedding width of the rows about to be updated; state is pre-grown
-    /// to cover `fence.last()` rows here, on the calling thread, so band
-    /// updates never grow (and never allocate).
+    /// The state of rows `[0, end)` of `dim` elements each, as one band.
+    /// State is grown to cover them here, on the calling thread, so the
+    /// band's updates never grow it (and never allocate); it is never
+    /// grown past `end`.
     ///
     /// # Panics
     ///
-    /// Panics if the fence is not ascending, has fewer than two entries,
-    /// or `dim` conflicts with the width of already-live state.
-    pub fn split_by_rows(&mut self, fence: &[u32], dim: usize) -> Vec<RowOptimizerBand<'_>> {
-        assert!(fence.len() >= 2, "state fence needs >= 2 entries");
-        assert!(
-            fence.windows(2).all(|w| w[0] <= w[1]),
-            "state fence must be ascending"
-        );
-        let rule = self.rule;
-        let (first, end) = (fence[0] as usize, fence[fence.len() - 1] as usize);
-        if rule.counts_steps() && end > self.steps.len() {
+    /// Panics if `dim` conflicts with the width of already-live state.
+    pub fn band(&mut self, end: usize, dim: usize) -> RowOptimizerBand<'_> {
+        if self.rule.counts_steps() && end > self.steps.len() {
             self.steps.resize(end, 0);
         }
-        // Empty for a rule that counts no steps: every band then gets none.
-        let mut steps = self.steps.get_mut(first..).unwrap_or_default();
-        let mut tails: Vec<_> = self
-            .planes
-            .iter_mut()
-            .map(|plane| plane.tail(first, end, dim))
-            .collect();
-        fence
-            .windows(2)
-            .map(|pair| {
-                let rows = (pair[1] - pair[0]) as usize;
-                RowOptimizerBand {
-                    rule,
-                    base: pair[0],
-                    planes: tails
-                        .iter_mut()
-                        .map(|tail| tail.split_off_front(rows))
-                        .collect(),
-                    steps: steps
-                        .split_off_mut(..rows.min(steps.len()))
-                        .unwrap_or_default(),
-                }
-            })
-            .collect()
+        let mut planes = self.planes.iter_mut().map(|plane| plane.band(end, dim));
+        RowOptimizerBand {
+            rule: self.rule,
+            base: 0,
+            planes: std::array::from_fn(|_| planes.next().unwrap_or_default()),
+            steps: self.steps.get_mut(..end).unwrap_or_default(),
+        }
     }
 
     /// Appends the *mutable* per-row state (slabs, step counts — not the
@@ -567,60 +435,72 @@ impl RowOptimizer {
     }
 }
 
-impl RowOptimizer {
-    /// Runs `task` — one scatter task, or any run of updates — with this
-    /// optimizer's one-row update.
-    pub fn with_update<R>(&mut self, task: impl FnOnce(&mut RowUpdate<'_>) -> R) -> R {
-        self.rule.with_update(self, task)
-    }
-}
-
-impl RowStates for RowOptimizer {
-    fn planes_at(&mut self, row: u32, dim: usize) -> [&mut [f32]; 2] {
-        state_rows(&mut self.planes, |plane| {
-            plane.set_width(dim);
-            plane.row_mut(row)
-        })
-    }
-
-    fn step_at(&mut self, row: u32) -> &mut u32 {
-        if row as usize >= self.steps.len() {
-            grow_steps(&mut self.steps, row);
+impl<'a> RowOptimizerBand<'a> {
+    /// Cuts the band's rows below table row `end` off as a band of their
+    /// own; `self` keeps the rest.
+    pub(crate) fn split_off_front(&mut self, end: usize) -> RowOptimizerBand<'a> {
+        let (base, rows) = (self.base, end - self.base);
+        self.base = end;
+        RowOptimizerBand {
+            rule: self.rule,
+            base,
+            planes: std::array::from_fn(|p| self.planes[p].split_off_front(rows)),
+            steps: cut_front(&mut self.steps, rows),
         }
-        &mut self.steps[row as usize]
     }
-}
 
-/// Grows per-row step counts (geometrically) to hold `row`; out of line
-/// for the reason [`RowState::grow_to`] is.
-#[cold]
-#[inline(never)]
-fn grow_steps(steps: &mut Vec<u32>, row: u32) {
-    steps.resize(grown_len(steps.len(), row), 0);
-}
-
-impl RowOptimizerBand<'_> {
-    /// Runs `task` with this band's one-row update; every row it is
-    /// called with must lie in the band.
+    /// Runs `task` — one scatter task, or any run of updates — with this
+    /// band's one-row update; every row it is called with must lie in the
+    /// band. The rule is matched here, once a task, and each arm's update
+    /// holds only its own kernel, so a row of the scatter loop costs one
+    /// indirect call into a function as small as a dedicated optimizer
+    /// type's would be.
     pub fn with_update<R>(&mut self, task: impl FnOnce(&mut RowUpdate<'_>) -> R) -> R {
-        self.rule.with_update(self, task)
-    }
-}
-
-impl RowStates for RowOptimizerBand<'_> {
-    fn planes_at(&mut self, row: u32, _dim: usize) -> [&mut [f32]; 2] {
-        state_rows(&mut self.planes, |plane| plane.row_mut(row))
-    }
-
-    fn step_at(&mut self, row: u32) -> &mut u32 {
-        &mut self.steps[(row - self.base) as usize]
+        let kernel = simd::dispatch();
+        let base = self.base;
+        let [a, b] = &mut self.planes;
+        let steps = &mut *self.steps;
+        let local = move |row: u32| row as usize - base;
+        match self.rule {
+            UpdateRule::Sgd { lr } => run(task, |_, param, grad| {
+                simd::sgd_row(kernel, lr, param, grad);
+            }),
+            UpdateRule::Momentum { lr, mu } => run(task, |row, param, grad| {
+                simd::momentum_row(kernel, lr, mu, a.row_mut(local(row)), param, grad);
+            }),
+            UpdateRule::Adagrad { lr, eps } => run(task, |row, param, grad| {
+                simd::adagrad_row(kernel, lr, eps, a.row_mut(local(row)), param, grad);
+            }),
+            UpdateRule::RmsProp { lr, gamma, eps } => run(task, |row, param, grad| {
+                simd::rmsprop_row(kernel, lr, gamma, eps, a.row_mut(local(row)), param, grad);
+            }),
+            UpdateRule::Adam {
+                lr,
+                beta1,
+                beta2,
+                eps,
+            } => run(task, |row, param, grad| {
+                let row = local(row);
+                let t = &mut steps[row];
+                *t += 1;
+                let adam = simd::AdamRow {
+                    lr,
+                    beta1,
+                    beta2,
+                    eps,
+                    bc1: 1.0 - beta1.powi(*t as i32),
+                    bc2: 1.0 - beta2.powi(*t as i32),
+                };
+                simd::adam_row(kernel, adam, a.row_mut(row), b.row_mut(row), param, grad);
+            }),
+        }
     }
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::coalesce::CoalescedScratch;
+    use crate::coalesce::CoalescedGradients;
     use crate::scatter::scatter_apply_coalesced;
     use crate::table::EmbeddingTable;
     use tcast_pool::{Exec, Pool};
@@ -651,9 +531,11 @@ mod tests {
             .collect()
     }
 
-    /// One row's update by its coalesced gradient.
+    /// One row's update by its coalesced gradient, through a band that
+    /// ends just past it.
     fn update_row(opt: &mut RowOptimizer, row: u32, param: &mut [f32], grad: &[f32]) {
-        opt.with_update(|update| update(row, param, grad));
+        opt.band(row as usize + 1, param.len())
+            .with_update(|update| update(row, param, grad));
     }
 
     /// One update pass over `rows`, a row at a time.
@@ -749,21 +631,6 @@ mod tests {
         assert!((p[0] + 0.1 * 2.0 / 2.0f32.sqrt()).abs() < 1e-6);
     }
 
-    #[test]
-    fn stateful_optimizers_report_state_traffic() {
-        let traffic = RULES.map(|rule| (rule.name(), rule.state_bytes_per_element()));
-        assert_eq!(
-            traffic,
-            [
-                ("sgd", 0),
-                ("momentum", 8),
-                ("adagrad", 8),
-                ("rmsprop", 8),
-                ("adam", 16)
-            ]
-        );
-    }
-
     fn adam_with_tiny_eps() -> RowOptimizer {
         RowOptimizer::new(UpdateRule::Adam {
             lr: 0.01,
@@ -800,13 +667,20 @@ mod tests {
         assert_eq!(opt.tracked_rows(), 2);
     }
 
-    /// Band updates must be bit-identical to whole-optimizer updates.
+    fn state_bytes(opt: &RowOptimizer) -> Vec<u8> {
+        let mut blob = Vec::new();
+        opt.save_state(&mut blob);
+        blob
+    }
+
+    /// Updates through bands cut off one band must be bit-identical to
+    /// row-by-row updates, and leave the same state bytes.
     #[test]
     fn bands_match_serial_updates_exactly() {
         let rows: Vec<u32> = vec![0, 3, 4, 9, 17];
         let dim = 3;
-        // Fences that cut the row set unevenly.
-        let fence = [0u32, 4, 10, 32];
+        // Band ends that cut the row set unevenly, the last just past it.
+        let ends = [4usize, 10, 18];
         for rule in RULES {
             let mut serial = RowOptimizer::new(rule);
             let mut split = RowOptimizer::new(rule);
@@ -815,43 +689,17 @@ mod tests {
             // Two passes so stateful rules exercise non-zero state.
             for pass in 0..2 {
                 step(&mut serial, &rows, &mut params_a, pass);
-                let mut bands = split.split_by_rows(&fence, dim);
+                let mut whole = split.band(18, dim);
+                let mut bands = ends.map(|end| whole.split_off_front(end));
                 for (i, &r) in rows.iter().enumerate() {
-                    let band = fence[1..].iter().position(|&f| r < f).unwrap();
+                    let band = ends.iter().position(|&end| (r as usize) < end).unwrap();
                     let grad = grad(r, dim, pass);
                     bands[band].with_update(|update| update(r, &mut params_b[i], &grad));
                 }
             }
             assert_eq!(bits(&params_a), bits(&params_b), "{} diverged", rule.name());
             assert_eq!(serial.tracked_rows(), split.tracked_rows());
-        }
-    }
-
-    #[test]
-    fn every_rule_rejects_a_malformed_fence_with_the_fence_message() {
-        let malformed: [(&[u32], &str); 3] = [
-            (&[], "state fence needs >= 2 entries"),
-            (&[3], "state fence needs >= 2 entries"),
-            (&[4, 0], "state fence must be ascending"),
-        ];
-        for rule in RULES {
-            for (fence, expected) in malformed {
-                let mut opt = RowOptimizer::new(rule);
-                let panic = std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| {
-                    opt.split_by_rows(fence, 2);
-                }))
-                .expect_err("a malformed fence must panic");
-                let message = panic
-                    .downcast_ref::<&str>()
-                    .map(|m| m.to_string())
-                    .or_else(|| panic.downcast_ref::<String>().cloned())
-                    .unwrap_or_default();
-                assert!(
-                    message.contains(expected),
-                    "{} on fence {fence:?}: panicked with {message:?}",
-                    rule.name()
-                );
-            }
+            assert_eq!(state_bytes(&serial), state_bytes(&split), "{}", rule.name());
         }
     }
 
@@ -904,14 +752,15 @@ mod tests {
     }
 
     #[test]
-    fn row_state_growth_is_geometric_and_preserving() {
+    fn row_state_grows_exactly_and_preserves_rows() {
         let mut s = RowState::default();
-        s.set_width(2);
-        s.row_mut(0).copy_from_slice(&[1.0, 2.0]);
-        s.row_mut(100).copy_from_slice(&[3.0, 4.0]);
-        assert!(s.rows() >= 101);
-        assert_eq!(s.row_mut(0), &[1.0, 2.0]);
-        assert_eq!(s.row_mut(100), &[3.0, 4.0]);
+        s.band(1, 2).row_mut(0).copy_from_slice(&[1.0, 2.0]);
+        s.band(101, 2).row_mut(100).copy_from_slice(&[3.0, 4.0]);
+        assert_eq!(s.rows(), 101);
+        // A shorter band neither shrinks the slab nor moves a row.
+        assert_eq!(s.band(50, 2).row_mut(0), &[1.0, 2.0]);
+        assert_eq!(s.rows(), 101);
+        assert_eq!(s.band(101, 2).row_mut(100), &[3.0, 4.0]);
         assert_eq!(s.tracked_rows(), 2);
     }
 
@@ -936,10 +785,9 @@ mod tests {
         pass: usize,
     ) {
         let dim = table.dim();
-        let mut part = CoalescedScratch::default();
-        part.rows.extend_from_slice(rows);
         let grads = rows.iter().flat_map(|&r| grad(r, dim, pass)).collect();
-        part.grads = Matrix::from_vec(rows.len(), dim, grads).unwrap();
+        let grads = Matrix::from_vec(rows.len(), dim, grads).unwrap();
+        let part = CoalescedGradients::new(rows.to_vec(), grads).unwrap();
         scatter_apply_coalesced(table, opt, &part, exec).unwrap();
     }
 
@@ -982,9 +830,9 @@ mod tests {
 
     /// Save after scatters cut into N bands, restore and scatter in M
     /// (either may be the serial scatter), continue: the continued
-    /// trajectory must be bit-identical. The blob depends only on whether
-    /// the scatters were cut: an uncut one grows state as plain row-by-row
-    /// updates do, a cut one to just past the last touched row.
+    /// trajectory must be bit-identical, and every scatter — cut or not —
+    /// saves the bytes plain row-by-row updates do: state just past the
+    /// last touched row.
     #[test]
     fn state_is_portable_across_band_counts() {
         let rows_total = 23usize;
@@ -997,19 +845,18 @@ mod tests {
             let mut global_blob = Vec::new();
             for pass in 0..3 {
                 if pass == 2 {
-                    global.save_state(&mut global_blob);
+                    global_blob = state_bytes(&global);
                 }
                 step(&mut global, &rows, &mut params, pass);
             }
-            let mut cut_blobs = Vec::new();
             for at_n in execs(&pool) {
                 let mut opt_n = RowOptimizer::new(rule);
                 let mut table_n = initial_table(rows_total, 2);
                 for pass in 0..2 {
                     scatter_step(&mut opt_n, at_n, &rows, &mut table_n, pass);
                 }
-                let mut blob = Vec::new();
-                opt_n.save_state(&mut blob);
+                let blob = state_bytes(&opt_n);
+                assert_eq!(blob, global_blob, "{} under {at_n:?}", rule.name());
                 for at_m in execs(&pool) {
                     let mut opt_m = RowOptimizer::new(rule);
                     opt_m.load_state(&blob).expect("saved state loads");
@@ -1022,15 +869,33 @@ mod tests {
                         rule.name()
                     );
                 }
-                if at_n.threads() > 1 {
-                    cut_blobs.push(blob);
-                } else {
-                    assert_eq!(blob, global_blob, "{} under {at_n:?}", rule.name());
-                }
             }
-            assert!(
-                cut_blobs.windows(2).all(|w| w[0] == w[1]),
-                "{}: the state bytes depend on the band count",
+        }
+    }
+
+    /// Three one-row scatters (each the one-band case) and one scatter of
+    /// the same rows cut into three bands leave the same state bytes: every
+    /// path grows the slabs just past the last row it updates.
+    #[test]
+    fn one_row_scatters_and_a_banded_scatter_save_the_same_bytes() {
+        let rows = [3u32, 50, 96];
+        let pool = Pool::new(3);
+        let banded = Exec::Pooled {
+            pool: &pool,
+            threads: 3,
+        };
+        for rule in RULES {
+            let mut one_by_one = RowOptimizer::new(rule);
+            let mut table = initial_table(97, 2);
+            for &row in &rows {
+                scatter_step(&mut one_by_one, Exec::Serial, &[row], &mut table, 0);
+            }
+            let mut cut = RowOptimizer::new(rule);
+            scatter_step(&mut cut, banded, &rows, &mut initial_table(97, 2), 0);
+            assert_eq!(
+                state_bytes(&one_by_one),
+                state_bytes(&cut),
+                "{}",
                 rule.name()
             );
         }
@@ -1073,12 +938,13 @@ mod tests {
         let mut table = EmbeddingTable::seeded(rows, dim, 11);
         let mut rng = SplitMix64::new(0x0097_4d5f);
         for _ in 0..6 {
-            let mut part = CoalescedScratch::default();
-            part.rows
-                .extend((0..rows as u32).filter(|_| rng.next_below(3) == 0));
-            let n = part.rows.len();
+            let touched: Vec<u32> = (0..rows as u32)
+                .filter(|_| rng.next_below(3) == 0)
+                .collect();
+            let n = touched.len();
             let grads = (0..n * dim).map(|_| rng.next_range(-1.0, 1.0)).collect();
-            part.grads = Matrix::from_vec(n, dim, grads).unwrap();
+            let grads = Matrix::from_vec(n, dim, grads).unwrap();
+            let part = CoalescedGradients::new(touched, grads).unwrap();
             scatter_apply_coalesced(&mut table, &mut opt, &part, exec).unwrap();
         }
         let mut blob = Vec::new();
@@ -1087,21 +953,22 @@ mod tests {
     }
 
     /// The `OPTM` checkpoint payload of every rule, byte for byte, as the
-    /// commit before the optimizers became one type wrote it: after a
-    /// serial scatter sequence and a 3-band pooled one. Saving and loading
+    /// commit before the optimizers became one type wrote it after a 3-band
+    /// pooled scatter sequence — and, now that every scatter grows state
+    /// through one band, as a serial one writes it too. Saving and loading
     /// with one build cannot notice a format change; these constants can.
     #[test]
     fn optm_state_bytes_are_stable() {
-        const PINNED: [[u64; 2]; 5] = [
-            [0xcbf29ce484222325, 0xcbf29ce484222325],
-            [0x17cb6d34f6b38502, 0xa81b09b42e6d37b1],
-            [0xf0b83b94f31d2f46, 0x11646e9eadb28a65],
-            [0x1fbe7dd210508682, 0x8bae82fd71926445],
-            [0x2f889d2cc02fef25, 0x8ba202cf63b42c12],
+        const PINNED: [u64; 5] = [
+            0xcbf29ce484222325,
+            0xa81b09b42e6d37b1,
+            0x11646e9eadb28a65,
+            0x8bae82fd71926445,
+            0x8ba202cf63b42c12,
         ];
         let pool = Pool::new(3);
         for (rule, pinned) in RULES.into_iter().zip(PINNED) {
-            for (exec, pinned) in [Exec::Serial, Exec::pooled(&pool)].into_iter().zip(pinned) {
+            for exec in [Exec::Serial, Exec::pooled(&pool)] {
                 assert_eq!(
                     optm_checksum(rule, exec),
                     pinned,

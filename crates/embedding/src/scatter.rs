@@ -15,14 +15,19 @@
 //! validation, the same cut into tasks — equal-count bands of the touched
 //! rows — and the same per-row loop; they differ in where a task's gradient
 //! rows come from.
+//!
+//! All three reach optimizer state the one way there is: the optimizer's
+//! [`RowOptimizerBand`] over rows `[0, last + 1)`, grown before the first
+//! update. The reference and a serial scatter run it whole (the one-band
+//! case); a pooled scatter cuts it at its fence, one piece a task.
 
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::time::{Duration, Instant};
 
-use crate::coalesce::{CoalescedGradients, CoalescedScratch};
+use crate::coalesce::CoalescedGradients;
 use crate::error::EmbeddingError;
 use crate::gather::accumulate_band;
-use crate::optim::{RowOptimizer, RowUpdate};
+use crate::optim::{RowOptimizer, RowOptimizerBand, RowUpdate};
 use crate::table::EmbeddingTable;
 use tcast_pool::Exec;
 use tcast_tensor::simd::{prefetch, PREFETCH_WINDOW};
@@ -34,55 +39,39 @@ use tcast_tensor::Matrix;
 ///
 /// # Errors
 ///
-/// Returns [`EmbeddingError::SrcOutOfBounds`] if a row id exceeds the
-/// table, or [`EmbeddingError::DimMismatch`] if gradient width differs
-/// from the table dimension.
+/// As [`scatter_apply_coalesced`].
 pub fn scatter_apply(
     table: &mut EmbeddingTable,
     coalesced: &CoalescedGradients,
     optimizer: &mut RowOptimizer,
 ) -> Result<(), EmbeddingError> {
-    if coalesced.grads().cols() != table.dim() {
-        return Err(EmbeddingError::DimMismatch {
-            expected: table.dim(),
-            found: coalesced.grads().cols(),
-        });
-    }
-    if let Some(&bad) = coalesced
-        .rows()
-        .iter()
-        .find(|&&r| r as usize >= table.rows())
-    {
-        return Err(EmbeddingError::SrcOutOfBounds {
-            src: bad,
-            rows: table.rows(),
-        });
-    }
-    optimizer.with_update(|update| {
-        for (i, &row) in coalesced.rows().iter().enumerate() {
-            update(row, table.row_mut(row as usize), coalesced.grads().row(i));
+    let (rows, grads) = (coalesced.rows(), coalesced.grads());
+    let Some(mut state) = validate(table, optimizer, rows, grads.shape())? else {
+        return Ok(());
+    };
+    state.with_update(|update| {
+        for (i, &row) in rows.iter().enumerate() {
+            update(row, table.row_mut(row as usize), grads.row(i));
         }
     });
     Ok(())
 }
 
 /// The production scatter: applies one table's coalesced gradient — what
-/// the backward pass left in its [`CoalescedScratch`], keyed by table row —
-/// through the table's optimizer, serially or on a pool ([`Exec`]):
+/// the backward pass left in its [`CoalescedGradients`], keyed by table
+/// row — through the table's optimizer, serially or on a pool ([`Exec`]):
 /// **bit-identical** to [`scatter_apply`] for every `Exec`.
 ///
 /// Coalescing guarantees each table row appears exactly once (rows are
 /// strictly ascending — enforced here), so any cut of the rows at a fence
 /// of row ids touches **disjoint table rows and disjoint optimizer state**.
 /// A serial scatter is one task. A pooled one cuts the rows into
-/// `exec.threads()` equal-count bands, the last closed just past the last
-/// touched row, so optimizer state never grows beyond the touched prefix.
-/// Each task gets its `split_at_mut` slice of the table, its
-/// [`crate::optim::RowOptimizerBand`] of the state and its piece of `rows`,
-/// and runs the per-row loop the serial path runs — the scatter-side dual
-/// of the banded gather-reduce, and the row-disjointness RecNMP/MP-Rec
-/// exploit to spread sparse updates across parallel units. The serial path
-/// allocates nothing.
+/// `exec.threads()` equal-count bands. Each task gets its `split_at_mut`
+/// slice of the table, its piece of the optimizer's [`RowOptimizerBand`]
+/// and its piece of `rows`, and runs the per-row loop the serial path runs
+/// — the scatter-side dual of the banded gather-reduce, and the
+/// row-disjointness RecNMP/MP-Rec exploit to spread sparse updates across
+/// parallel units. The serial path allocates nothing.
 ///
 /// # Errors
 ///
@@ -94,12 +83,11 @@ pub fn scatter_apply(
 pub fn scatter_apply_coalesced(
     table: &mut EmbeddingTable,
     optimizer: &mut RowOptimizer,
-    part: &CoalescedScratch,
+    coalesced: &CoalescedGradients,
     exec: Exec<'_>,
 ) -> Result<(), EmbeddingError> {
-    let CoalescedScratch { rows, grads, .. } = part;
-    let grads = Grads::Coalesced(grads);
-    scatter_parts(table, optimizer, rows, grads, &mut [], exec)
+    let grads = Grads::Coalesced(coalesced.grads());
+    scatter_parts(table, optimizer, coalesced.rows(), grads, &mut [], exec)
 }
 
 /// One casted index array, as [`scatter_apply_casted`] reads it
@@ -249,22 +237,16 @@ impl HalfClock {
     }
 }
 
-/// The scatter behind both entry points: validates, then cuts the work
-/// into tasks over disjoint table rows and optimizer state and runs them
-/// under `exec`. `rows` is the ascending row ids to update and `grads`
-/// their gradients; `blocks` holds a buffer per task when the gradients
-/// are [`Grads::Casted`].
-fn scatter_parts(
-    table: &mut EmbeddingTable,
-    optimizer: &mut RowOptimizer,
+/// Checks a scatter of `rows` (ascending row ids) with gradients of
+/// `(rows, width)` `shape` into `table`; then, when there are rows, hands
+/// out the optimizer's band over `[0, last + 1)`. Nothing is written
+/// before every check has passed.
+fn validate<'o>(
+    table: &EmbeddingTable,
+    optimizer: &'o mut RowOptimizer,
     rows: &[u32],
-    grads: Grads<'_>,
-    blocks: &mut [Vec<f32>],
-    exec: Exec<'_>,
-) -> Result<(), EmbeddingError> {
-    let table_rows = table.rows();
-    let dim = table.dim();
-    let (grad_rows, grad_dim) = grads.shape(rows.len());
+    (grad_rows, grad_dim): (usize, usize),
+) -> Result<Option<RowOptimizerBand<'o>>, EmbeddingError> {
     if rows.len() != grad_rows {
         return Err(EmbeddingError::LengthMismatch {
             expected: rows.len(),
@@ -274,11 +256,11 @@ fn scatter_parts(
     // Ascending order makes the last row the maximum, so it alone
     // bounds-checks the whole array.
     let Some(&last) = rows.last() else {
-        return Ok(());
+        return Ok(None);
     };
-    if grad_dim != dim {
+    if grad_dim != table.dim() {
         return Err(EmbeddingError::DimMismatch {
-            expected: dim,
+            expected: table.dim(),
             found: grad_dim,
         });
     }
@@ -287,52 +269,62 @@ fn scatter_parts(
             "scatter requires coalesced rows (strictly ascending, unique)".into(),
         ));
     }
-    if last as usize >= table_rows {
+    if last as usize >= table.rows() {
         return Err(EmbeddingError::SrcOutOfBounds {
             src: last,
-            rows: table_rows,
+            rows: table.rows(),
         });
     }
-    let mut blocks = blocks.iter_mut();
-    let bands = exec.threads().min(rows.len());
-    let Some(pool) = exec.pool().filter(|_| bands > 1) else {
-        let slab = Slab {
-            params: table.as_mut_slice(),
-            first: 0,
-        };
-        optimizer.with_update(|update| run_task(update, slab, rows, 0, grads, blocks.next()));
+    Ok(Some(optimizer.band(last as usize + 1, table.dim())))
+}
+
+/// The scatter behind both production entry points: validates, then cuts
+/// the work into tasks over disjoint table rows and optimizer state and
+/// runs them under `exec`. `rows` is the ascending row ids to update and
+/// `grads` their gradients; `blocks` holds a buffer per task when the
+/// gradients are [`Grads::Casted`].
+fn scatter_parts(
+    table: &mut EmbeddingTable,
+    optimizer: &mut RowOptimizer,
+    rows: &[u32],
+    grads: Grads<'_>,
+    blocks: &mut [Vec<f32>],
+    exec: Exec<'_>,
+) -> Result<(), EmbeddingError> {
+    let Some(mut state) = validate(table, optimizer, rows, grads.shape(rows.len()))? else {
         return Ok(());
     };
-    // The fence of row ids the tasks are cut at: each equal-count band's
-    // first row. Closed just past the last touched row, so dense optimizer
-    // state is only grown to the touched prefix (a scatter touching low ids
-    // on a huge table must not allocate table-sized state).
+    let dim = table.dim();
+    let mut blocks = blocks.iter_mut();
+    let mut params = table.as_mut_slice();
+    let bands = exec.threads().min(rows.len());
+    let Some(pool) = exec.pool().filter(|_| bands > 1) else {
+        let slab = Slab { params, first: 0 };
+        state.with_update(|update| run_task(update, slab, rows, 0, grads, blocks.next()));
+        return Ok(());
+    };
     let per = rows.len().div_ceil(bands);
-    let mut fence = Vec::with_capacity(bands + 1);
-    fence.push(0u32);
-    fence.extend(rows.chunks(per).skip(1).map(|band| band[0]));
-    fence.push(last.saturating_add(1));
-    let mut table_rest = table.as_mut_slice();
-    let mut lo = 0usize; // into `rows`
-    let state_bands = optimizer.split_by_rows(&fence, dim);
+    // Each task owns the table and state rows from where the previous one
+    // stopped to its successor's first row; the last, to the band's end.
+    let mut first = 0usize;
     pool.scope(|scope| {
-        for (mut state, pair) in state_bands.into_iter().zip(fence.windows(2)) {
-            let (params, tail) =
-                std::mem::take(&mut table_rest).split_at_mut((pair[1] - pair[0]) as usize * dim);
-            table_rest = tail;
-            let first = lo;
-            lo += rows[lo..].partition_point(|&r| r < pair[1]);
-            let band_rows = &rows[first..lo];
-            if band_rows.is_empty() {
-                continue;
-            }
-            let slab = Slab {
-                params,
-                first: pair[0],
+        for (b, band_rows) in rows.chunks(per).enumerate() {
+            let end = match rows.get((b + 1) * per) {
+                Some(&next) => next as usize,
+                None => band_rows[band_rows.len() - 1] as usize + 1,
             };
+            let mut task_state = state.split_off_front(end);
+            let (task_params, rest) = std::mem::take(&mut params).split_at_mut((end - first) * dim);
+            params = rest;
+            let slab = Slab {
+                params: task_params,
+                first: first as u32,
+            };
+            first = end;
             let block = blocks.next();
             scope.spawn(move || {
-                state.with_update(|update| run_task(update, slab, band_rows, first, grads, block));
+                task_state
+                    .with_update(|update| run_task(update, slab, band_rows, b * per, grads, block));
             });
         }
     });
@@ -445,10 +437,13 @@ mod tests {
         CoalescedGradients::new(rows.to_vec(), grads).unwrap()
     }
 
-    fn part(rows: &[u32], grads: Matrix) -> CoalescedScratch {
-        let mut part = CoalescedScratch::default();
-        part.rows.extend_from_slice(rows);
-        part.grads = grads;
+    /// `rows` and `grads` as given: unchecked, unlike
+    /// `CoalescedGradients::new`, so the scatter's own checks are what
+    /// runs.
+    fn part(rows: &[u32], grads: Matrix) -> CoalescedGradients {
+        let mut part = CoalescedGradients::default();
+        let dim = grads.cols();
+        *part.reset(rows, dim) = grads;
         part
     }
 
@@ -459,7 +454,7 @@ mod tests {
     /// The production scatter through a fresh SGD (lr 1) optimizer.
     fn scatter(
         table: &mut EmbeddingTable,
-        part: &CoalescedScratch,
+        part: &CoalescedGradients,
         exec: Exec<'_>,
     ) -> Result<(), EmbeddingError> {
         scatter_apply_coalesced(table, &mut sgd(1.0), part, exec)
@@ -551,7 +546,7 @@ mod tests {
         let mut table = EmbeddingTable::seeded(10, 2, 3);
         let before = table.clone();
         scatter(&mut table, &part(&[], Matrix::zeros(0, 2)), exec).unwrap();
-        scatter(&mut table, &CoalescedScratch::default(), exec).unwrap();
+        scatter(&mut table, &CoalescedGradients::default(), exec).unwrap();
         assert_eq!(table.as_slice(), before.as_slice());
         let one = part(&[7], Matrix::from_rows(&[&[1.0, 1.0]]).unwrap());
         scatter(&mut table, &one, exec).unwrap();
@@ -594,59 +589,104 @@ mod tests {
         }
     }
 
-    /// Rows that all lie in a short prefix of a large table: the casted
-    /// scatter's state stops at the touched prefix, on every `Exec` (the
-    /// pooled fence closes just past the last row).
-    #[test]
-    fn state_stays_bounded_by_the_touched_prefix() {
-        struct Lookups(Vec<u32>);
-        impl CastedLookups for Lookups {
-            fn gather_src(&self) -> &[u32] {
-                &self.0
-            }
-            fn reduce_dst(&self) -> &[u32] {
-                &self.0
-            }
-            fn unique_rows(&self) -> &[u32] {
-                &self.0
+    /// `rows` as a casted lookup stream: one lookup a row, gathering
+    /// upstream row `k` into coalesced row `k`.
+    struct OneLookupEach {
+        rows: Vec<u32>,
+        ids: Vec<u32>,
+    }
+
+    impl CastedLookups for OneLookupEach {
+        fn gather_src(&self) -> &[u32] {
+            &self.ids
+        }
+        fn reduce_dst(&self) -> &[u32] {
+            &self.ids
+        }
+        fn unique_rows(&self) -> &[u32] {
+            &self.rows
+        }
+    }
+
+    const ADAGRAD: UpdateRule = UpdateRule::Adagrad { lr: 0.1, eps: 1e-8 };
+    const ADAM: UpdateRule = UpdateRule::Adam {
+        lr: 0.1,
+        beta1: 0.9,
+        beta2: 0.999,
+        eps: 1e-8,
+    };
+
+    /// Rows of state the optimizer keeps: the row count its first plane's
+    /// checkpoint records.
+    fn state_rows(opt: &RowOptimizer) -> u64 {
+        let mut blob = Vec::new();
+        opt.save_state(&mut blob);
+        u64::from_le_bytes(blob[8..16].try_into().unwrap())
+    }
+
+    /// One scatter of `rows`, each with gradient 0.5, through every entry
+    /// point: the reference, and the coalesced and casted scatters under
+    /// `exec`.
+    fn scatter_every_way(
+        table: &mut EmbeddingTable,
+        opt: &mut RowOptimizer,
+        rows: &[u32],
+        exec: Exec<'_>,
+        entry: usize,
+    ) {
+        let grads = Matrix::filled(rows.len(), table.dim(), 0.5);
+        match entry {
+            0 => scatter_apply(table, &coalesced(rows, grads), opt).unwrap(),
+            1 => scatter_apply_coalesced(table, opt, &coalesced(rows, grads), exec).unwrap(),
+            _ => {
+                let ids = (0..rows.len() as u32).collect();
+                let casted = OneLookupEach {
+                    rows: rows.to_vec(),
+                    ids,
+                };
+                let mut scratch = BlockScratch::default();
+                scatter_apply_casted(table, opt, &grads, &casted, 16, &mut scratch, exec).unwrap();
             }
         }
+    }
+
+    /// Two scatters far up a 400k-row table, the second past the first's
+    /// last row: the state ends one row past the highest row updated,
+    /// whichever entry point and `Exec` ran them — never doubled.
+    #[test]
+    fn state_ends_just_past_the_highest_row_updated() {
+        let pool = Pool::new(3);
+        for rule in [ADAGRAD, ADAM] {
+            for exec in [Exec::Serial, Exec::pooled(&pool)] {
+                for entry in 0..3 {
+                    let mut table = EmbeddingTable::zeros(400_000, 1);
+                    let mut opt = RowOptimizer::new(rule);
+                    for rows in [&[10, 399_500][..], &[399_800]] {
+                        scatter_every_way(&mut table, &mut opt, rows, exec, entry);
+                    }
+                    let what = format!("{} through entry {entry} under {exec:?}", rule.name());
+                    assert_eq!(state_rows(&opt), 399_801, "{what}");
+                    assert_eq!(opt.tracked_rows(), 3, "{what}");
+                }
+            }
+        }
+    }
+
+    /// Rows that all lie in a short prefix of a large table: the state
+    /// stops at the touched prefix, on every `Exec`.
+    #[test]
+    fn state_stays_bounded_by_the_touched_prefix() {
         let (rows, dim, touched) = (1usize << 20, 2usize, 40u32);
-        let casted = Lookups((0..touched).collect());
-        let upstream = Matrix::filled(touched as usize, dim, 0.5);
+        let prefix: Vec<u32> = (0..touched).collect();
         let pool = Pool::new(3);
         for exec in [Exec::Serial, Exec::pooled(&pool)] {
             let mut table = EmbeddingTable::zeros(rows, dim);
-            let mut opt = RowOptimizer::new(UpdateRule::Adam {
-                lr: 0.1,
-                beta1: 0.9,
-                beta2: 0.999,
-                eps: 1e-8,
-            });
-            let mut scratch = BlockScratch::default();
+            let mut opt = RowOptimizer::new(ADAM);
             for _ in 0..2 {
-                scatter_apply_casted(
-                    &mut table,
-                    &mut opt,
-                    &upstream,
-                    &casted,
-                    16,
-                    &mut scratch,
-                    exec,
-                )
-                .unwrap();
+                scatter_every_way(&mut table, &mut opt, &prefix, exec, 2);
             }
             assert_eq!(opt.tracked_rows(), touched as usize, "{exec:?}");
-            let mut state = Vec::new();
-            opt.save_state(&mut state);
-            // Two planes and the step counts, each at most doubled past
-            // the last touched row.
-            let per_row = 2 * (dim * 4 + 1) + 4;
-            assert!(
-                state.len() <= 2 * touched as usize * per_row + 64,
-                "{exec:?}: {} state bytes for {touched} touched rows",
-                state.len()
-            );
+            assert_eq!(state_rows(&opt), u64::from(touched), "{exec:?}");
         }
     }
 }

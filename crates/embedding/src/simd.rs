@@ -136,10 +136,17 @@ pub(crate) mod x86 {
     /// # Panics
     ///
     /// Panics if `run` is not a range of `src` or a row lies outside `rows`.
+    ///
+    /// # Safety
+    ///
+    /// The CPU must support AVX2. The slices need no promise: each row is a
+    /// bounds-checked `acc.len()`-lane slice of `rows`, and no load or
+    /// store passes `acc.len()`.
     #[target_feature(enable = "avx2")]
     #[inline]
     pub fn accumulate_run(acc: &mut [f32], rows: &[f32], src: &[u32], run: std::ops::Range<usize>) {
         let dim = acc.len();
+        debug_assert!(run.end <= src.len(), "the run lies inside src");
         // Widest pieces first: a 64-wide row is one pass over the run, a
         // narrower or ragged one at most three and the scalar tail.
         let mut j = 0;
@@ -169,6 +176,11 @@ pub(crate) mod x86 {
     }
 
     /// Lanes `j..j + 8 * N` of [`accumulate_run`], in `N` registers.
+    ///
+    /// # Safety
+    ///
+    /// The CPU must support AVX2. Loads and stores stay below
+    /// `j + 8 * N <= acc.len()` (asserted), the length of every row.
     #[target_feature(enable = "avx2")]
     #[inline]
     fn accumulate_lanes<const N: usize>(
@@ -187,6 +199,7 @@ pub(crate) mod x86 {
         }
         for k in run {
             let row = row_ahead(rows, dim, src, k, j == 0);
+            debug_assert_eq!(row.len(), acc.len());
             for (l, a) in lanes.iter_mut().enumerate() {
                 // SAFETY: `row` has `dim` lanes and j + 8 * N <= dim.
                 *a = _mm256_add_ps(*a, unsafe { _mm256_loadu_ps(row.as_ptr().add(j + 8 * l)) });
@@ -209,8 +222,13 @@ pub(crate) mod x86 {
         row(src[k])
     }
 
+    /// # Safety
+    ///
+    /// The CPU must support AVX2. `param` and `grad` must be equally long
+    /// (checked in debug builds); no load or store passes the shortest.
     #[target_feature(enable = "avx2")]
     pub fn sgd(lr: f32, param: &mut [f32], grad: &[f32]) {
+        debug_assert_eq!(param.len(), grad.len());
         let n = param.len().min(grad.len());
         let vlr = _mm256_set1_ps(lr);
         let mut j = 0;
@@ -229,8 +247,14 @@ pub(crate) mod x86 {
         super::sgd_scalar(lr, &mut param[j..n], &grad[j..n]);
     }
 
+    /// # Safety
+    ///
+    /// The CPU must support AVX2. `v`, `param` and `grad` must be equally long
+    /// (checked in debug builds); no load or store passes the shortest.
     #[target_feature(enable = "avx2")]
     pub fn momentum(lr: f32, mu: f32, v: &mut [f32], param: &mut [f32], grad: &[f32]) {
+        debug_assert_eq!(param.len(), grad.len());
+        debug_assert_eq!(v.len(), param.len());
         let n = param.len().min(grad.len()).min(v.len());
         let vlr = _mm256_set1_ps(lr);
         let vmu = _mm256_set1_ps(mu);
@@ -253,8 +277,14 @@ pub(crate) mod x86 {
         super::momentum_scalar(lr, mu, &mut v[j..n], &mut param[j..n], &grad[j..n]);
     }
 
+    /// # Safety
+    ///
+    /// The CPU must support AVX2. `a`, `param` and `grad` must be equally long
+    /// (checked in debug builds); no load or store passes the shortest.
     #[target_feature(enable = "avx2")]
     pub fn adagrad(lr: f32, eps: f32, a: &mut [f32], param: &mut [f32], grad: &[f32]) {
+        debug_assert_eq!(param.len(), grad.len());
+        debug_assert_eq!(a.len(), param.len());
         let n = param.len().min(grad.len()).min(a.len());
         let vlr = _mm256_set1_ps(lr);
         let veps = _mm256_set1_ps(eps);
@@ -276,8 +306,14 @@ pub(crate) mod x86 {
         super::adagrad_scalar(lr, eps, &mut a[j..n], &mut param[j..n], &grad[j..n]);
     }
 
+    /// # Safety
+    ///
+    /// The CPU must support AVX2. `a`, `param` and `grad` must be equally long
+    /// (checked in debug builds); no load or store passes the shortest.
     #[target_feature(enable = "avx2")]
     pub fn rmsprop(lr: f32, gamma: f32, eps: f32, a: &mut [f32], param: &mut [f32], grad: &[f32]) {
+        debug_assert_eq!(param.len(), grad.len());
+        debug_assert_eq!(a.len(), param.len());
         let n = param.len().min(grad.len()).min(a.len());
         let vlr = _mm256_set1_ps(lr);
         let vgamma = _mm256_set1_ps(gamma);
@@ -306,8 +342,15 @@ pub(crate) mod x86 {
         super::rmsprop_scalar(lr, gamma, eps, &mut a[j..n], &mut param[j..n], &grad[j..n]);
     }
 
+    /// # Safety
+    ///
+    /// The CPU must support AVX2. `m`, `v`, `param` and `grad` must be equally long
+    /// (checked in debug builds); no load or store passes the shortest.
     #[target_feature(enable = "avx2")]
     pub fn adam(h: AdamRow, m: &mut [f32], v: &mut [f32], param: &mut [f32], grad: &[f32]) {
+        debug_assert_eq!(param.len(), grad.len());
+        debug_assert_eq!(m.len(), param.len());
+        debug_assert_eq!(v.len(), param.len());
         let n = param.len().min(grad.len()).min(m.len()).min(v.len());
         let vb1 = _mm256_set1_ps(h.beta1);
         let vomb1 = _mm256_set1_ps(1.0 - h.beta1);

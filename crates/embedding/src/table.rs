@@ -122,11 +122,6 @@ impl EmbeddingTable {
         self.dim
     }
 
-    /// Table footprint in bytes (`rows * dim * 4`).
-    pub fn size_bytes(&self) -> usize {
-        self.data.len() * std::mem::size_of::<f32>()
-    }
-
     /// Immutable view of row `r`.
     ///
     /// # Panics
@@ -187,7 +182,7 @@ mod tests {
         let t = EmbeddingTable::zeros(4, 3);
         assert_eq!(t.rows(), 4);
         assert_eq!(t.dim(), 3);
-        assert_eq!(t.size_bytes(), 48);
+        assert_eq!(t.as_slice().len(), 12);
         assert!(t.as_slice().iter().all(|&v| v == 0.0));
     }
 

@@ -44,7 +44,8 @@
 //! let grads = Matrix::from_rows(&[&[1.0], &[2.0]]).unwrap();
 //! let baseline = gradient_expand_coalesce(&grads, &index).unwrap();
 //! let casted = casted_gather_reduce(&grads, &tensor_casting(&index)).unwrap();
-//! assert_eq!(baseline.grads().as_slice(), casted.grads().as_slice());
+//! // The same unique rows and the same gradients.
+//! assert_eq!(baseline, casted);
 //! ```
 
 pub use tcast_core as core;

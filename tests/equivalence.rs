@@ -13,8 +13,8 @@ use tensor_casting::embedding::{
     gather_reduce, gather_reduce_into, gradient_coalesce_into, gradient_expand,
     gradient_expand_coalesce,
     optim::{RowOptimizer, UpdateRule},
-    scatter_apply, scatter_apply_casted, BlockScratch, CoalescedScratch, EmbeddingTable,
-    IndexArray,
+    scatter_apply, scatter_apply_casted, BlockScratch, CoalescedGradients, EmbeddingTable,
+    IndexArray, RadixScratch,
 };
 use tensor_casting::tensor::{Exec, Matrix, Pool, SplitMix64};
 
@@ -106,8 +106,9 @@ fn check_serial_equals_pooled(index: &IndexArray, table_rows: usize, dim: usize,
     // One set of buffers for the whole sweep: every call after the first
     // starts from dirty scratch.
     let mut out = Matrix::default();
-    let mut coalesced = CoalescedScratch::default();
-    let mut casted_out = CoalescedScratch::default();
+    let mut coalesced = CoalescedGradients::default();
+    let mut radix = RadixScratch::default();
+    let mut casted_out = CoalescedGradients::default();
     let execs = [1usize, 2, 3, 8]
         .map(|threads| Exec::Pooled { pool, threads })
         .into_iter()
@@ -126,22 +127,22 @@ fn check_serial_equals_pooled(index: &IndexArray, table_rows: usize, dim: usize,
             "gather-reduce: {what}"
         );
 
-        gradient_coalesce_into(&expanded, index, &mut coalesced, exec).unwrap();
-        assert_eq!(coalesced.rows, baseline.rows(), "coalesce: {what}");
+        gradient_coalesce_into(&expanded, index, &mut coalesced, &mut radix, exec).unwrap();
+        assert_eq!(coalesced.rows(), baseline.rows(), "coalesce: {what}");
         assert_eq!(
-            bits(coalesced.grads.as_slice()),
+            bits(coalesced.grads().as_slice()),
             bits(baseline.grads().as_slice()),
             "coalesce: {what}"
         );
 
         casted_gather_reduce_into(&grads, &casted, &mut casted_out, exec).unwrap();
         assert_eq!(
-            casted_out.rows,
+            casted_out.rows(),
             baseline.rows(),
             "casted gather-reduce: {what}"
         );
         assert_eq!(
-            bits(casted_out.grads.as_slice()),
+            bits(casted_out.grads().as_slice()),
             bits(baseline.grads().as_slice()),
             "casted gather-reduce: {what}"
         );

@@ -1042,9 +1042,12 @@ fn successors_of_other_row_counts_adopt_and_train_bit_identically() {
 /// Eight `Trainer::step` losses and the FNV-1a checksum of the training
 /// checkpoint after them, as the commit before the dense stack became one
 /// path produced them (SGD) and as the commit before a shard became a
-/// fence did at one shard (Adagrad): `DlrmConfig::tiny()` at batch 24 and
-/// the wide hazard model (one layer on the split floor) at batch 16, both
-/// backward modes. Every other test here compares
+/// fence did at one shard (Adagrad losses): `DlrmConfig::tiny()` at batch
+/// 24 and the wide hazard model (one layer on the split floor) at batch
+/// 16, both backward modes, serially and on a two-thread pool. The
+/// Adagrad checksums are the ones the commit before every scatter grew
+/// its state through one band wrote on that pool (its serial scatter grew
+/// the slabs past the last row). Every other test here compares
 /// schedules within one build; these constants compare builds. The same
 /// under `TCAST_KERNEL=scalar|avx2`; `fma` is not a bit-identical tier and
 /// is skipped.
@@ -1077,12 +1080,12 @@ fn step_losses_and_checkpoint_bytes_match_the_pinned_build() {
         0x3f2cb8c0,
     ];
     const TINY_ADAGRAD: [Pinned; 2] = [
-        (TINY_ADAGRAD_LOSSES, 0x6bfd61b470cd6a9d),
-        (TINY_ADAGRAD_LOSSES, 0xcdd2664323ac1e76),
+        (TINY_ADAGRAD_LOSSES, 0xe51eb3a2f5c16de2),
+        (TINY_ADAGRAD_LOSSES, 0xae01ca634266f801),
     ];
     const WIDE_ADAGRAD: [Pinned; 2] = [
-        (WIDE_ADAGRAD_LOSSES, 0x3f7c3ad143c44ddc),
-        (WIDE_ADAGRAD_LOSSES, 0xf6984c5dcdea77bf),
+        (WIDE_ADAGRAD_LOSSES, 0xd56ab712e6465e8d),
+        (WIDE_ADAGRAD_LOSSES, 0xd79eb38eb2b9eec6),
     ];
     let adagrad = EmbeddingOptimizer::Adagrad { eps: 1e-8 };
     if tensor_casting::tensor::simd::dispatch() == tensor_casting::tensor::KernelDispatch::Fma {
@@ -1093,6 +1096,7 @@ fn step_losses_and_checkpoint_bytes_match_the_pinned_build() {
         .map(|_| Arc::new(tiny_stream.next_batch(24)))
         .collect();
     let wide = hazard_batches(78, 8, 16);
+    let pool = Arc::new(tensor_casting::tensor::Pool::new(2));
     for (config, batches, opt, pinned) in [
         (DlrmConfig::tiny(), &tiny, EmbeddingOptimizer::Sgd, TINY),
         (wide_config(), &wide, EmbeddingOptimizer::Sgd, WIDE),
@@ -1103,21 +1107,29 @@ fn step_losses_and_checkpoint_bytes_match_the_pinned_build() {
             .into_iter()
             .zip(pinned)
         {
-            let mut trainer = Trainer::with_optimizer(config.clone(), mode, opt, 13).unwrap();
-            let losses: Vec<u32> = batches
-                .iter()
-                .map(|b| trainer.step(b).unwrap().loss.to_bits())
-                .collect();
-            let mut bytes = Vec::new();
-            save_train_checkpoint(&mut bytes, &trainer, None, None).unwrap();
-            let checksum = bytes.iter().fold(0xcbf2_9ce4_8422_2325u64, |h, &b| {
-                (h ^ u64::from(b)).wrapping_mul(0x0000_0100_0000_01b3)
-            });
-            assert_eq!(
-                (&losses[..], checksum),
-                (&pinned.0[..], pinned.1),
-                "{mode:?} {opt:?}"
-            );
+            let schedules = [
+                ("serial", Execution::Serial),
+                ("pooled", Execution::Pooled(Arc::clone(&pool))),
+            ];
+            for (schedule, execution) in schedules {
+                let context = format!("{mode:?} {opt:?} {schedule}");
+                let mut trainer =
+                    Trainer::with_execution(config.clone(), mode, opt, execution, 13).unwrap();
+                let losses: Vec<u32> = batches
+                    .iter()
+                    .map(|b| trainer.step(b).unwrap().loss.to_bits())
+                    .collect();
+                let mut bytes = Vec::new();
+                save_train_checkpoint(&mut bytes, &trainer, None, None).unwrap();
+                let checksum = bytes.iter().fold(0xcbf2_9ce4_8422_2325u64, |h, &b| {
+                    (h ^ u64::from(b)).wrapping_mul(0x0000_0100_0000_01b3)
+                });
+                assert_eq!(
+                    (&losses[..], checksum),
+                    (&pinned.0[..], pinned.1),
+                    "{context}"
+                );
+            }
         }
     }
 }

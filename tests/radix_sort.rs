@@ -12,7 +12,7 @@ use proptest::prelude::*;
 use tensor_casting::core::{tensor_casting, tensor_casting_into, CastedIndexArray};
 use tensor_casting::datasets::{Popularity, TableWorkload};
 use tensor_casting::embedding::{
-    gradient_coalesce_into, CoalescedScratch, IndexArray, RadixScratch,
+    gradient_coalesce_into, CoalescedGradients, IndexArray, RadixScratch,
 };
 use tensor_casting::tensor::{Exec, Matrix, SplitMix64};
 
@@ -171,13 +171,15 @@ proptest! {
         let index = family(kind, n, seed);
         let expanded = expanded_for(&index, seed);
         let (rows, grads) = oracle_coalesce(&expanded, &index);
-        let mut scratch = CoalescedScratch::default();
+        let mut out = CoalescedGradients::default();
+        let mut scratch = RadixScratch::default();
         let larger = larger_array();
-        gradient_coalesce_into(&expanded_for(&larger, seed), &larger, &mut scratch, Exec::Serial)
+        let larger_expanded = expanded_for(&larger, seed);
+        gradient_coalesce_into(&larger_expanded, &larger, &mut out, &mut scratch, Exec::Serial)
             .unwrap();
-        gradient_coalesce_into(&expanded, &index, &mut scratch, Exec::Serial).unwrap();
-        prop_assert_eq!(&scratch.rows, &rows, "kind {}", kind);
+        gradient_coalesce_into(&expanded, &index, &mut out, &mut scratch, Exec::Serial).unwrap();
+        prop_assert_eq!(out.rows(), &rows[..], "kind {}", kind);
         let bits = |v: &[f32]| v.iter().map(|g| g.to_bits()).collect::<Vec<_>>();
-        prop_assert_eq!(bits(scratch.grads.as_slice()), bits(&grads), "kind {}", kind);
+        prop_assert_eq!(bits(out.grads().as_slice()), bits(&grads), "kind {}", kind);
     }
 }

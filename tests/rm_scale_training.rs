@@ -4,8 +4,8 @@
 //! paper's real-system prototype runs.
 
 use tensor_casting::core::{casted_gather_reduce, tensor_casting};
-use tensor_casting::datasets::{DatasetPreset, SyntheticCtr};
-use tensor_casting::dlrm::{BackwardMode, DlrmConfig, Trainer};
+use tensor_casting::datasets::{DatasetPreset, SyntheticCtr, SyntheticSource};
+use tensor_casting::dlrm::{BackwardMode, DlrmConfig, EmbeddingOptimizer, TrainLoop, Trainer};
 use tensor_casting::embedding::gradient_expand_coalesce;
 use tensor_casting::tensor::Matrix;
 
@@ -38,6 +38,33 @@ fn rm1_architecture_trains_in_both_modes() {
                 .unwrap(),
             0.0
         );
+    }
+}
+
+/// Adagrad through the pipelined training loop on RM1's shape, both
+/// backward modes: every table's optimizer state ends with no more rows
+/// than the table it serves.
+#[test]
+fn adagrad_state_never_outgrows_its_table() {
+    let config = DlrmConfig::rm1_scaled(4_000);
+    let adagrad = EmbeddingOptimizer::Adagrad { eps: 1e-8 };
+    for mode in [BackwardMode::Baseline, BackwardMode::Casted] {
+        let trainer = Trainer::with_optimizer(config.clone(), mode, adagrad, 3).unwrap();
+        let mut train = TrainLoop::new(trainer, 2);
+        let data = SyntheticCtr::new(config.table_workloads(), config.dense_features, 9);
+        train.run(&mut SyntheticSource::new(data, 64), 6).unwrap();
+        let trainer = train.into_trainer();
+        for (t, optimizer) in trainer.table_optimizers().iter().enumerate() {
+            let mut state = Vec::new();
+            optimizer.save_state(&mut state);
+            // The OPTM payload opens with the plane's width, then its rows.
+            let state_rows = u64::from_le_bytes(state[8..16].try_into().unwrap());
+            let table_rows = trainer.model().table(t).rows() as u64;
+            assert!(
+                state_rows <= table_rows,
+                "{mode:?} table {t}: {state_rows} state rows for {table_rows} table rows"
+            );
+        }
     }
 }
 

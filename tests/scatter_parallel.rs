@@ -21,7 +21,7 @@ use tensor_casting::core::{casted_gather_reduce_into, tensor_casting};
 use tensor_casting::embedding::{
     optim::{RowOptimizer, UpdateRule},
     scatter_apply, scatter_apply_casted, scatter_apply_coalesced, BlockScratch, CoalescedGradients,
-    CoalescedScratch, EmbeddingError, EmbeddingTable, IndexArray,
+    EmbeddingError, EmbeddingTable, IndexArray,
 };
 use tensor_casting::tensor::{Exec, Matrix, Pool, SplitMix64};
 
@@ -47,31 +47,17 @@ const RULES: [UpdateRule; 5] = [
     },
 ];
 
-fn part(rows: &[u32], grads: Matrix) -> CoalescedScratch {
-    let mut part = CoalescedScratch::default();
-    part.rows.extend_from_slice(rows);
-    part.grads = grads;
-    part
-}
-
 fn bits(values: &[f32]) -> Vec<u32> {
     values.iter().map(|v| v.to_bits()).collect()
 }
 
-/// Reads an optimizer's whole per-row state out through its only door:
-/// one unit-gradient update of every row of a zero table. The resulting
-/// parameters are a function of each row's accumulators (velocity,
-/// squared-gradient sums, Adam's moments and step count), so equal bits
-/// here mean equal state — however the slab behind it was grown or banded.
-fn probe_state(opt: &mut RowOptimizer, table_rows: usize, dim: usize) -> Vec<u32> {
-    let mut probe = EmbeddingTable::zeros(table_rows, dim);
-    let ones = vec![1.0f32; dim];
-    opt.with_update(|update| {
-        for row in 0..table_rows {
-            update(row as u32, probe.row_mut(row), &ones);
-        }
-    });
-    bits(probe.as_slice())
+/// An optimizer's whole per-row state, as its checkpoint holds it: every
+/// path grows the slabs just past the last row it updates, so equal
+/// trajectories mean equal bytes — however the scatter was banded.
+fn state_bytes(opt: &RowOptimizer) -> Vec<u8> {
+    let mut blob = Vec::new();
+    opt.save_state(&mut blob);
+    blob
 }
 
 /// Three scatters of `rows` (coalesced: unique, ascending) through every
@@ -81,13 +67,13 @@ fn probe_state(opt: &mut RowOptimizer, table_rows: usize, dim: usize) -> Vec<u32
 /// every table update after it.
 fn check_scatter(table_rows: usize, dim: usize, rows: &[u32], seed: u64) -> Result<(), String> {
     let mut rng = SplitMix64::new(seed);
-    let steps: Vec<Matrix> = (0..3)
+    let steps: Vec<CoalescedGradients> = (0..3)
         .map(|_| {
             let mut grads = Matrix::zeros(rows.len(), dim);
             for v in grads.as_mut_slice() {
                 *v = rng.next_range(-1.0, 1.0);
             }
-            grads
+            CoalescedGradients::new(rows.to_vec(), grads).unwrap()
         })
         .collect();
     let execs = [1usize, 2, 3, 8]
@@ -101,18 +87,16 @@ fn check_scatter(table_rows: usize, dim: usize, rows: &[u32], seed: u64) -> Resu
     for rule in RULES {
         let mut reference = EmbeddingTable::seeded(table_rows, dim, 1);
         let mut reference_opt = RowOptimizer::new(rule);
-        for grads in &steps {
-            let coalesced = CoalescedGradients::new(rows.to_vec(), grads.clone()).unwrap();
-            scatter_apply(&mut reference, &coalesced, &mut reference_opt).unwrap();
+        for step in &steps {
+            scatter_apply(&mut reference, step, &mut reference_opt).unwrap();
         }
-        let reference_state = probe_state(&mut reference_opt, table_rows, dim);
+        let reference_state = state_bytes(&reference_opt);
 
         for exec in execs.clone() {
             let mut table = EmbeddingTable::seeded(table_rows, dim, 1);
             let mut opt = RowOptimizer::new(rule);
-            for grads in &steps {
-                let part = part(rows, grads.clone());
-                scatter_apply_coalesced(&mut table, &mut opt, &part, exec).unwrap();
+            for step in &steps {
+                scatter_apply_coalesced(&mut table, &mut opt, step, exec).unwrap();
             }
             let what = format!(
                 "{} over {} rows of {table_rows}x{dim}, {exec:?}",
@@ -122,7 +106,7 @@ fn check_scatter(table_rows: usize, dim: usize, rows: &[u32], seed: u64) -> Resu
             if bits(table.as_slice()) != bits(reference.as_slice()) {
                 return Err(format!("table diverged: {what}"));
             }
-            if probe_state(&mut opt, table_rows, dim) != reference_state {
+            if state_bytes(&opt) != reference_state {
                 return Err(format!("optimizer state diverged: {what}"));
             }
         }
@@ -186,13 +170,13 @@ fn check_blocked_backward(
     for rule in RULES {
         let mut reference = EmbeddingTable::seeded(table_rows, dim, 1);
         let mut reference_opt = RowOptimizer::new(rule);
-        let mut coalesced = CoalescedScratch::default();
+        let mut coalesced = CoalescedGradients::default();
         for upstream in &steps {
             casted_gather_reduce_into(upstream, &casted, &mut coalesced, Exec::Serial).unwrap();
             scatter_apply_coalesced(&mut reference, &mut reference_opt, &coalesced, Exec::Serial)
                 .unwrap();
         }
-        let reference_state = probe_state(&mut reference_opt, table_rows, dim);
+        let reference_state = state_bytes(&reference_opt);
 
         for exec in execs.clone() {
             for block_rows in [1, 3, 64, table_rows.max(1)] {
@@ -218,7 +202,7 @@ fn check_blocked_backward(
                 if bits(table.as_slice()) != bits(reference.as_slice()) {
                     return Err(format!("table diverged: {what}"));
                 }
-                if probe_state(&mut opt, table_rows, dim) != reference_state {
+                if state_bytes(&opt) != reference_state {
                     return Err(format!("optimizer state diverged: {what}"));
                 }
             }
@@ -302,12 +286,14 @@ proptest! {
         swap in any::<bool>(),
         threads in 1usize..4,
     ) {
-        let rows = if swap { vec![row + 1, row] } else { vec![row, row] };
+        let rows = if swap { [row + 1, row] } else { [row, row] };
+        let mut uncoalesced = CoalescedGradients::default();
+        uncoalesced.reset(&rows, 2);
         let mut table = EmbeddingTable::zeros(64, 2);
         let err = scatter_apply_coalesced(
             &mut table,
             &mut RowOptimizer::new(RULES[0]),
-            &part(&rows, Matrix::zeros(2, 2)),
+            &uncoalesced,
             Exec::Pooled { pool: pool(), threads },
         )
         .unwrap_err();

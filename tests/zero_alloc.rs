@@ -2,7 +2,7 @@
 //! global allocator: after a warm-up step sizes every scratch buffer to
 //! its high-water mark, the embedding/MLP hot-path kernels perform **no
 //! heap allocation per step** on their serial `_into` paths. That now
-//! includes the *stateful* optimizer scatter (the dense `RowState` store
+//! includes the *stateful* optimizer scatter (the dense per-row state
 //! stops growing once warmed), the cast itself into recycled arrays, a
 //! casted training step's in-step cast, and a full serving cache's
 //! misses.
@@ -33,7 +33,7 @@ use tensor_casting::dlrm::{BackwardMode, DlrmConfig, TableConfig, Trainer};
 use tensor_casting::embedding::{
     gather_reduce_into, gradient_coalesce_into, gradient_expand_into,
     optim::{RowOptimizer, UpdateRule},
-    scatter_apply_coalesced, BlockScratch, CoalescedScratch, EmbeddingTable, IndexArray,
+    scatter_apply_coalesced, BlockScratch, CoalescedGradients, EmbeddingTable, IndexArray,
     RadixScratch,
 };
 use tensor_casting::tensor::{
@@ -183,7 +183,7 @@ fn steady_state_hot_path_performs_zero_allocations() {
 
     // The whole coalesced gradient of the same batch, for the scatters
     // below that take one as input.
-    let mut coalesced = CoalescedScratch::default();
+    let mut coalesced = CoalescedGradients::default();
     casted_gather_reduce_into(&upstream, &casted, &mut coalesced, Exec::Serial).unwrap();
 
     // ---- Baseline expand-coalesce through recycled scratch ------------
@@ -195,14 +195,15 @@ fn steady_state_hot_path_performs_zero_allocations() {
     let mut base_table = EmbeddingTable::seeded(500, dim, 9);
     let mut base_sgd = RowOptimizer::new(SGD);
     let mut expanded = Matrix::default();
-    let mut base_coalesced = CoalescedScratch::default();
+    let mut base_coalesced = CoalescedGradients::default();
+    let mut base_radix = RadixScratch::default();
 
-    let baseline_step = |expanded: &mut Matrix,
-                         coalesced: &mut CoalescedScratch,
-                         table: &mut EmbeddingTable,
-                         sgd: &mut RowOptimizer| {
+    let mut baseline_step = |expanded: &mut Matrix,
+                             coalesced: &mut CoalescedGradients,
+                             table: &mut EmbeddingTable,
+                             sgd: &mut RowOptimizer| {
         gradient_expand_into(&upstream, &index, expanded).unwrap();
-        gradient_coalesce_into(expanded, &index, coalesced, Exec::Serial).unwrap();
+        gradient_coalesce_into(expanded, &index, coalesced, &mut base_radix, Exec::Serial).unwrap();
         scatter_apply_coalesced(table, sgd, coalesced, Exec::Serial).unwrap();
     };
 
@@ -234,17 +235,18 @@ fn steady_state_hot_path_performs_zero_allocations() {
         "baseline expand/coalesce/scatter steady state must not allocate"
     );
 
-    // ---- Stateful-optimizer scatter (dense RowState) ------------------
-    // The splittable state store grows geometrically on serial lazy
-    // touches; once the warm-up covers the batch's hottest row, further
-    // scatters (including Adam's per-row step counts) allocate nothing.
+    // ---- Stateful-optimizer scatter (dense per-row state) -------------
+    // Every scatter grows the state store, up front, to just past its
+    // last row; once the warm-up has covered the batch's highest row,
+    // further scatters (including Adam's per-row step counts) allocate
+    // nothing.
     let mut ada_table = EmbeddingTable::seeded(500, dim, 11);
     let mut ada = RowOptimizer::new(ADAGRAD);
     let mut adam_table = EmbeddingTable::seeded(500, dim, 12);
     let mut adam = RowOptimizer::new(ADAM);
 
     let stateful_scatter =
-        |coalesced: &CoalescedScratch, table: &mut EmbeddingTable, opt: &mut RowOptimizer| {
+        |coalesced: &CoalescedGradients, table: &mut EmbeddingTable, opt: &mut RowOptimizer| {
             scatter_apply_coalesced(table, opt, coalesced, Exec::Serial).unwrap();
         };
 
