@@ -330,11 +330,13 @@ pub struct Trainer {
     ahead: Option<Ahead>,
     /// The one-worker pool a trainer under [`Execution::Serial`] shares
     /// its step with ([`Execution::Pooled`] uses its own pool for all of
-    /// this). In a completion with a successor its tasks come in this
-    /// order: the cast-ahead, beside the dense phases; its bands of those
-    /// phases' large GEMMs, which it splits with the training thread; the
-    /// bottom-MLP chain, beside the embedding backward; and the
-    /// gather-aheads, each once its table's scatter returned. Started by
+    /// this). In a completion with a successor it runs the cast-ahead,
+    /// beside the dense phases; its bands of those phases' large GEMMs,
+    /// which it splits with the training thread; and, beside the
+    /// embedding backward, the bottom-MLP chain and the gather-aheads,
+    /// each spawned once its table's scatter returned. The gathers do not
+    /// queue behind the chain: waiting inside the chain's GEMM scopes the
+    /// worker helps newest-first, so it runs them there. Started by
     /// the first step that needs it — a completion with a successor, or a
     /// batch at which [`Dlrm::dense_splits_at`] holds — so a small model
     /// trained step by step never has one.
@@ -717,9 +719,12 @@ impl Trainer {
     /// `next`'s forward gather of table `i` reads only its own indices and
     /// table `i` as this step's scatter leaves it, and tables are
     /// disjoint — so as each table's scatter returns, that table's gather
-    /// for `next` is queued on the lane behind the chain while this thread
+    /// for `next` is spawned into the same lane scope while this thread
     /// scatters the following table, reading exactly the bits the in-step
-    /// gather would read later. Completing `next` then adopts the gather
+    /// gather would read later. It does not wait for the chain: the lane's
+    /// worker, waiting inside one of the chain's GEMM scopes, helps
+    /// newest-first and runs the gather there, between the chain's GEMMs.
+    /// Completing `next` then adopts the gather
     /// ([`StepReport::gathered_ahead`]) and the bottom output if they are
     /// still current: same batch share, same step count, tables and MLPs
     /// untouched in between. A gather-ahead that fails (a bad id in

@@ -12,6 +12,7 @@
 //! another OS) keeps 4 KB pages.
 
 use crate::error::EmbeddingError;
+use std::mem::MaybeUninit;
 use tcast_tensor::SplitMix64;
 
 /// Bytes of an x86-64 / arm64 transparent huge page: slabs at most this
@@ -29,11 +30,21 @@ extern "C" {
 #[cfg(target_os = "linux")]
 const MADV_HUGEPAGE: i32 = 14;
 
-/// A table slab of `len` floats, each `fill()` in order. The allocation
-/// is advised onto huge pages (where that applies: over [`HUGE_PAGE`],
-/// on Linux) *before* the fill first touches it, so its pages fault in
-/// huge rather than waiting for the kernel to collapse them.
-fn slab(len: usize, mut fill: impl FnMut() -> f32) -> Vec<f32> {
+/// Floats in one band of a seeded fill at the least (16 MB): a slab under
+/// two of them fills on the calling thread alone. Starting a thread costs
+/// tens of microseconds; drawing 16 MB costs milliseconds.
+const BAND_FLOOR: usize = 4 << 20;
+
+/// Floats a band zeroes and then draws over at a time (16 KB): small
+/// enough that the draws overwrite the zeros in L1, so each byte of the
+/// slab is written to memory once.
+const FILL_CHUNK: usize = 4 << 10;
+
+/// An empty slab with room for `len` floats, advised onto huge pages
+/// (where that applies: over [`HUGE_PAGE`], on Linux) before anything
+/// writes it, so its pages fault in huge rather than waiting for the
+/// kernel to collapse them.
+fn advised(len: usize) -> Vec<f32> {
     let mut data = Vec::with_capacity(len);
     #[cfg(target_os = "linux")]
     if len * std::mem::size_of::<f32>() > HUGE_PAGE {
@@ -51,7 +62,52 @@ fn slab(len: usize, mut fill: impl FnMut() -> f32) -> Vec<f32> {
         // an older kernel) is harmless and its result is ignored.
         unsafe { madvise(lo as *mut std::ffi::c_void, hi - lo, MADV_HUGEPAGE) };
     }
-    data.extend((0..len).map(|_| fill()));
+    data
+}
+
+/// Bands a seeded slab of `len` floats fills in: one per available core,
+/// each at least [`BAND_FLOOR`] floats.
+fn band_count(len: usize) -> usize {
+    match len / BAND_FLOOR {
+        0 | 1 => 1,
+        most => std::thread::available_parallelism().map_or(1, |n| n.get().min(most)),
+    }
+}
+
+/// An [`advised`] slab of `len` floats holding `rng`'s `next_range(lo,
+/// hi)` stream, written in `bands` contiguous bands: the calling thread
+/// fills the last, a scoped thread each of the others, band `b` from
+/// draw `first_b` on ([`SplitMix64::fill_range`] needs no draw before
+/// it). A band's work allocates nothing, and each thread takes the
+/// first-touch page faults of its own band. `bands` is [`band_count`]
+/// except in tests.
+fn seeded_slab(len: usize, rng: &SplitMix64, lo: f32, hi: f32, bands: usize) -> Vec<f32> {
+    let mut data = advised(len);
+    let fill = |band: &mut [MaybeUninit<f32>], first: usize| {
+        for (i, chunk) in band.chunks_mut(FILL_CHUNK).enumerate() {
+            chunk.fill(MaybeUninit::new(0.0));
+            // SAFETY: every element of `chunk` was initialized just above,
+            // and `MaybeUninit<f32>` has `f32`'s layout.
+            let chunk = unsafe { &mut *(chunk as *mut [MaybeUninit<f32>] as *mut [f32]) };
+            rng.fill_range((first + i * FILL_CHUNK) as u64, chunk, lo, hi);
+        }
+    };
+    std::thread::scope(|scope| {
+        let (mut rest, mut first) = (&mut data.spare_capacity_mut()[..len], 0);
+        for b in 1..=bands {
+            let end = len * b / bands;
+            let (band, tail) = std::mem::take(&mut rest).split_at_mut(end - first);
+            if b == bands {
+                fill(band, first);
+            } else {
+                scope.spawn(move || fill(band, first));
+            }
+            (rest, first) = (tail, end);
+        }
+    });
+    // SAFETY: the scope joined every band, and the bands cover `0..len`
+    // of the capacity `advised` reserved, each element written.
+    unsafe { data.set_len(len) };
     data
 }
 
@@ -79,20 +135,23 @@ pub struct EmbeddingTable {
 impl EmbeddingTable {
     /// Creates a zero-initialized table.
     pub fn zeros(rows: usize, dim: usize) -> Self {
-        Self {
-            rows,
-            dim,
-            data: slab(rows * dim, || 0.0),
-        }
+        let mut data = advised(rows * dim);
+        data.resize(rows * dim, 0.0);
+        Self { rows, dim, data }
     }
 
     /// Creates a table with small uniform random entries in
     /// `[-1/sqrt(dim), 1/sqrt(dim)]` (DLRM's embedding init), seeded for
     /// reproducibility.
+    ///
+    /// Entry `i` of the row-major slab is draw `i` of
+    /// `SplitMix64::new(seed)`'s `next_range` stream. Every byte is
+    /// written before this returns; a slab of two 16 MB bands or more is
+    /// written by one thread per core.
     pub fn seeded(rows: usize, dim: usize, seed: u64) -> Self {
         let bound = 1.0 / (dim.max(1) as f32).sqrt();
-        let mut rng = SplitMix64::new(seed);
-        let data = slab(rows * dim, || rng.next_range(-bound, bound));
+        let len = rows * dim;
+        let data = seeded_slab(len, &SplitMix64::new(seed), -bound, bound, band_count(len));
         Self { rows, dim, data }
     }
 
@@ -215,6 +274,53 @@ mod tests {
             assert_eq!(zeros.as_slice().len(), rows * dim);
             assert!(zeros.as_slice().iter().all(|v| v.to_bits() == 0));
         }
+    }
+
+    /// The banded fill against the per-element `next_range` loop it
+    /// replaced, bit for bit: one to four bands (so bands of zero floats
+    /// too), lengths around the sixteen-draw block, [`FILL_CHUNK`] and
+    /// [`BAND_FLOOR`].
+    #[test]
+    fn banded_fill_is_the_next_range_stream() {
+        let (seed, bound) = (0x7AB1E, 0.125);
+        let floor = BAND_FLOOR;
+        let mut rng = SplitMix64::new(seed);
+        let drawn: Vec<u32> = (0..=floor + 1)
+            .map(|_| rng.next_range(-bound, bound).to_bits())
+            .collect();
+        for len in [0, 1, 7, 8, 9, 63, 64, 65, floor - 1, floor, floor + 1] {
+            for bands in 1..=4 {
+                let out = seeded_slab(len, &SplitMix64::new(seed), -bound, bound, bands);
+                assert_eq!(out.len(), len);
+                let same = out.iter().zip(&drawn).all(|(v, &d)| v.to_bits() == d);
+                assert!(same, "{len} floats in {bands} bands");
+            }
+        }
+    }
+
+    #[test]
+    fn only_slabs_of_two_floors_are_banded() {
+        for len in [0, 1, BAND_FLOOR, 2 * BAND_FLOOR - 1] {
+            assert_eq!(band_count(len), 1, "{len}");
+        }
+        let cores = std::thread::available_parallelism().map_or(1, |n| n.get());
+        assert_eq!(band_count(2 * BAND_FLOOR), cores.min(2));
+        assert_eq!(band_count(64 * BAND_FLOOR), cores.min(64));
+    }
+
+    /// FNV-1a over the bit patterns of `seeded(1000, 64, 1)`, recorded
+    /// from the per-element `next_range` loop `seeded` ran before it
+    /// filled in bands. Never re-pin it.
+    #[test]
+    fn seeded_table_is_pinned() {
+        let table = EmbeddingTable::seeded(1000, 64, 1);
+        let mut h = 0xcbf2_9ce4_8422_2325u64;
+        for v in table.as_slice() {
+            for b in v.to_bits().to_le_bytes() {
+                h = (h ^ u64::from(b)).wrapping_mul(0x0100_0000_01b3);
+            }
+        }
+        assert_eq!(h, 0x4e4d_dedc_f758_809e);
     }
 
     #[test]

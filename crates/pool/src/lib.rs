@@ -57,10 +57,13 @@
 //! is still queued when the outer scope joins. The scope that spans the
 //! step's embedding backward works the same way from the other side: its
 //! first task is the bottom MLP's backward, update and next-batch forward,
-//! whose GEMM scopes the lane's worker helps in while the training thread
-//! scatters, and the next batch's gathers queue behind it; the training
-//! thread reaches that work only at the join, once its last scatter
-//! returned.
+//! which the lane's worker runs while the training thread scatters. The
+//! next batch's gathers, spawned into that scope as each scatter returns,
+//! do not wait for that chain: they are the newest tasks whenever the
+//! worker waits inside one of the chain's GEMM scopes, so it runs them
+//! there, between the chain's GEMMs, and the chain's span stretches by
+//! the gathers it absorbs. The training thread reaches whatever is left
+//! only at the join, once its last scatter returned.
 //!
 //! # How workers wait
 //!

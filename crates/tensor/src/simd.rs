@@ -16,7 +16,12 @@
 //!   `vsqrtps` match their scalar counterparts per IEEE-754), so it is
 //!   **bit-identical** to [`KernelDispatch::Scalar`] — including on NaN,
 //!   `-0.0` and denormal inputs (Rust performs no FP contraction and x86
-//!   runs with FTZ/DAZ off by default).
+//!   runs with FTZ/DAZ off by default). A NaN's sign and payload are
+//!   outside that invariant: Rust does not fix which NaN an add returns
+//!   when both operands are NaN, and where `±Inf` inputs make a NaN that
+//!   meets an input NaN the `avx2` GEMM and the oracle can keep opposite
+//!   signs. Every output is NaN on both tiers or on neither, and every
+//!   non-NaN output is bit-identical.
 //! * The [`KernelDispatch::Fma`] tier contracts `a*b + c` with
 //!   `vfmaddps` (one rounding instead of two). It is *tolerance-gated*,
 //!   never auto-selected, and opt-in via `TCAST_KERNEL=fma`.

@@ -41,10 +41,48 @@ fn fill_special_one_in(rng: &mut SplitMix64, out: &mut [f32], one_in: u64) {
     }
 }
 
+/// [`fill_special_one_in`], then `+Inf` and `-Inf` each over one element
+/// in `4 * one_in`.
+fn fill_infinities_one_in(rng: &mut SplitMix64, out: &mut [f32], one_in: u64) {
+    fill_special_one_in(rng, out, one_in);
+    for v in out.iter_mut() {
+        match rng.next_below(4 * one_in) {
+            0 => *v = f32::INFINITY,
+            1 => *v = f32::NEG_INFINITY,
+            _ => {}
+        }
+    }
+}
+
+/// Which adversarial values a GEMM case draws.
+#[derive(Clone, Copy, PartialEq)]
+enum Specials {
+    /// NaN, `-0.0` and denormals: every output is bit-gated.
+    NanZeroDenormal,
+    /// The same and `+Inf` / `-Inf`: an infinity meeting its opposite or
+    /// a zero makes a NaN, and where it meets another NaN the tiers need
+    /// not agree on which one's sign survives.
+    Infinity,
+}
+
 /// A matrix of a product whose reduction runs over `k` terms.
 fn reduction_matrix(rows: usize, cols: usize, k: usize, rng: &mut SplitMix64) -> Matrix {
+    reduction_matrix_with(rows, cols, k, rng, Specials::NanZeroDenormal)
+}
+
+fn reduction_matrix_with(
+    rows: usize,
+    cols: usize,
+    k: usize,
+    rng: &mut SplitMix64,
+    specials: Specials,
+) -> Matrix {
     let mut m = Matrix::zeros(rows, cols);
-    fill_special_one_in(rng, m.as_mut_slice(), (k as u64).max(4));
+    let one_in = (k as u64).max(4);
+    match specials {
+        Specials::NanZeroDenormal => fill_special_one_in(rng, m.as_mut_slice(), one_in),
+        Specials::Infinity => fill_infinities_one_in(rng, m.as_mut_slice(), one_in),
+    }
     m
 }
 
@@ -59,6 +97,19 @@ fn first_bit_mismatch(a: &[f32], b: &[f32]) -> Option<(usize, f32, f32)> {
     a.iter()
         .zip(b.iter())
         .position(|(x, y)| x.to_bits() != y.to_bits())
+        .map(|i| (i, a[i], b[i]))
+}
+
+/// Index of the first element that is NaN on one side only, or not NaN
+/// and of different bits: NaN sign and payload are not compared.
+fn first_non_nan_mismatch(a: &[f32], b: &[f32]) -> Option<(usize, f32, f32)> {
+    a.iter()
+        .zip(b.iter())
+        .position(|(x, y)| match (x.is_nan(), y.is_nan()) {
+            (true, true) => false,
+            (false, false) => x.to_bits() != y.to_bits(),
+            _ => true,
+        })
         .map(|i| (i, a[i], b[i]))
 }
 
@@ -88,12 +139,26 @@ fn non_scalar_tiers() -> Vec<KernelDispatch> {
 /// All three GEMM entry points on one `m x k x n` shape: the AVX2 tier is
 /// bit-identical to scalar; FMA stays within contraction tolerance.
 fn check_gemm_tiers(m: usize, k: usize, n: usize, seed: u64) -> Result<(), String> {
+    check_gemm_tiers_with(m, k, n, seed, Specials::NanZeroDenormal)
+}
+
+/// [`check_gemm_tiers`] over `specials`. On [`Specials::Infinity`] the
+/// AVX2 tier must match scalar on every non-NaN output bit for bit and on
+/// which outputs are NaN; the FMA tier is skipped.
+fn check_gemm_tiers_with(
+    m: usize,
+    k: usize,
+    n: usize,
+    seed: u64,
+    specials: Specials,
+) -> Result<(), String> {
     let mut rng = SplitMix64::new(seed);
-    let a = reduction_matrix(m, k, k, &mut rng);
-    let b = reduction_matrix(k, n, k, &mut rng);
-    let at_lhs = reduction_matrix(k, m, k, &mut rng); // at_lhs^T * b_at: m x n
-    let b_at = reduction_matrix(k, n, k, &mut rng);
-    let bt_rhs = reduction_matrix(n, k, k, &mut rng); // a * bt_rhs^T: m x n
+    let mut draw = |rows, cols| reduction_matrix_with(rows, cols, k, &mut rng, specials);
+    let a = draw(m, k);
+    let b = draw(k, n);
+    let at_lhs = draw(k, m); // at_lhs^T * b_at: m x n
+    let b_at = draw(k, n);
+    let bt_rhs = draw(n, k); // a * bt_rhs^T: m x n
 
     let mut want = Matrix::zeros(m, n);
     let mut want_at = Matrix::zeros(m, n);
@@ -109,6 +174,9 @@ fn check_gemm_tiers(m: usize, k: usize, n: usize, seed: u64) -> Result<(), Strin
     // Stale contents: every product must overwrite, not accumulate.
     let mut got = Matrix::filled(m, n, f32::NAN);
     for tier in non_scalar_tiers() {
+        if tier == KernelDispatch::Fma && specials == Specials::Infinity {
+            continue;
+        }
         for (name, want, run) in [
             ("matmul", &want, 0usize),
             ("matmul_at", &want_at, 1),
@@ -121,6 +189,8 @@ fn check_gemm_tiers(m: usize, k: usize, n: usize, seed: u64) -> Result<(), Strin
             }
             let bad = if tier == KernelDispatch::Fma {
                 first_fma_mismatch(want.as_slice(), got.as_slice())
+            } else if specials == Specials::Infinity {
+                first_non_nan_mismatch(want.as_slice(), got.as_slice())
             } else {
                 first_bit_mismatch(want.as_slice(), got.as_slice())
             };
@@ -156,6 +226,27 @@ fn gemm_tiers_match_scalar_on_tile_boundaries() {
     }
     for (m, k, n) in [(64, 2560, 512), (64, 13, 2560), (16, 119, 256), (10, 64, 1)] {
         check_gemm_tiers(m, k, n, seed + m as u64).unwrap();
+    }
+}
+
+/// `+Inf` and `-Inf` among the NaN, `-0.0` and denormal inputs, over the
+/// tile-boundary shapes (fewer reduction lengths). Rust does not fix which
+/// NaN an add returns: where the NaN an infinity makes (`0xffc00000` on
+/// x86) meets an input NaN (`0x7fc00000`), the AVX2 tier and the oracle
+/// can keep different ones. Every other output is bit-equal.
+#[test]
+fn gemm_tiers_match_scalar_on_infinities() {
+    let ms = [1, 2, 3, 4, 5, 6, 7, 8, 9, 63, 64, 65];
+    let ns = [1, 7, 8, 15, 16, 17, 33, 100];
+    let ks = [1, 7, 8, 9, 255, 256, 257, 513];
+    let mut seed = 0x1AF;
+    for &m in &ms {
+        for &n in &ns {
+            for &k in &ks {
+                seed += 1;
+                check_gemm_tiers_with(m, k, n, seed, Specials::Infinity).unwrap();
+            }
+        }
     }
 }
 
