@@ -110,10 +110,22 @@ mod tests {
         )
     }
 
-    fn state(optimizer: &RowOptimizer) -> Vec<u8> {
-        let mut bytes = Vec::new();
-        optimizer.save_state(&mut bytes);
-        bytes
+    /// The optimizer's whole state, bit for bit: each plane's width, value
+    /// bits and touched flags, then the step counts.
+    type StateBits = (Vec<(usize, Vec<u32>, Vec<bool>)>, Option<Vec<u32>>);
+
+    fn state(optimizer: &RowOptimizer) -> StateBits {
+        let planes = optimizer.planes().map(|(width, values, touched)| {
+            (
+                width,
+                values.iter().map(|v| v.to_bits()).collect(),
+                touched.to_vec(),
+            )
+        });
+        (
+            planes.collect(),
+            optimizer.step_counts().map(<[u32]>::to_vec),
+        )
     }
 
     #[test]

@@ -640,7 +640,8 @@ impl Trainer {
     }
 
     /// The per-table optimizer instances — the checkpoint save path reads
-    /// each one's state blob through [`RowOptimizer::save_state`].
+    /// each one's state through its read-only view
+    /// ([`RowOptimizer::planes`], [`RowOptimizer::step_counts`]).
     pub fn table_optimizers(&self) -> &[RowOptimizer] {
         &self.table_optimizers
     }

@@ -16,8 +16,9 @@
 //! * [`RowOptimizer`] is the state: one dense slab per plane plus the
 //!   per-row step counts, touching only rows that actually receive
 //!   gradients — the sparse update pattern of embedding training. Growth,
-//!   splitting and the checkpoint format are written over planes and step
-//!   counts, never per rule.
+//!   splitting and the read-only view a checkpoint saves (and the checked
+//!   constructor it restores through) are written over planes and step
+//!   counts, never per rule; the byte format is the checkpoint's alone.
 //!
 //! # One door to the state
 //!
@@ -38,121 +39,6 @@
 //! once.
 
 use crate::simd;
-
-/// Little-endian cursor over checkpoint bytes; every read is
-/// bounds-checked so truncated state surfaces as an `Err`, never a panic.
-struct StateReader<'a> {
-    bytes: &'a [u8],
-    pos: usize,
-}
-
-impl<'a> StateReader<'a> {
-    fn new(bytes: &'a [u8]) -> Self {
-        Self { bytes, pos: 0 }
-    }
-
-    fn take(&mut self, n: usize) -> Result<&'a [u8], String> {
-        let end = self
-            .pos
-            .checked_add(n)
-            .filter(|&e| e <= self.bytes.len())
-            .ok_or_else(|| {
-                format!(
-                    "optimizer state truncated: need {n} bytes at offset {}, have {}",
-                    self.pos,
-                    self.bytes.len() - self.pos
-                )
-            })?;
-        let s = &self.bytes[self.pos..end];
-        self.pos = end;
-        Ok(s)
-    }
-
-    fn u64(&mut self) -> Result<u64, String> {
-        let b = self.take(8)?;
-        Ok(u64::from_le_bytes(b.try_into().expect("8 bytes")))
-    }
-
-    /// The serialized per-row step counts: a length, then that many `u32`s
-    /// (returned as their bytes).
-    fn step_counts(&mut self) -> Result<&'a [u8], String> {
-        let len = self.u64()? as usize;
-        self.take(
-            len.checked_mul(4)
-                .ok_or_else(|| "optimizer step-count length overflows".to_string())?,
-        )
-    }
-
-    fn finish(self) -> Result<(), String> {
-        if self.pos != self.bytes.len() {
-            return Err(format!(
-                "optimizer state has {} trailing bytes",
-                self.bytes.len() - self.pos
-            ));
-        }
-        Ok(())
-    }
-}
-
-fn put_u64(out: &mut Vec<u8>, v: u64) {
-    out.extend_from_slice(&v.to_le_bytes());
-}
-
-fn f32s(raw: &[u8]) -> impl Iterator<Item = f32> + '_ {
-    raw.chunks_exact(4)
-        .map(|c| f32::from_le_bytes(c.try_into().expect("4 bytes")))
-}
-
-fn u32s(raw: &[u8]) -> impl Iterator<Item = u32> + '_ {
-    raw.chunks_exact(4)
-        .map(|c| u32::from_le_bytes(c.try_into().expect("4 bytes")))
-}
-
-/// Appends `vals` as little-endian bytes: one reservation, then a stack
-/// buffer at a time, which the compiler fills with wide stores.
-fn put_le<const N: usize, T: Copy>(out: &mut Vec<u8>, vals: &[T], le: impl Fn(T) -> [u8; N]) {
-    const CHUNK: usize = 1024;
-    out.reserve(vals.len() * N);
-    let mut buf = [[0u8; N]; CHUNK];
-    for chunk in vals.chunks(CHUNK) {
-        for (bytes, &v) in buf.iter_mut().zip(chunk) {
-            *bytes = le(v);
-        }
-        out.extend_from_slice(buf[..chunk.len()].as_flattened());
-    }
-}
-
-impl RowState {
-    /// Appends `width`, row count, the full slab and the touched bitmap.
-    fn save_into(&self, out: &mut Vec<u8>) {
-        put_u64(out, self.width as u64);
-        put_u64(out, self.rows() as u64);
-        put_le(out, &self.data, f32::to_le_bytes);
-        out.extend(self.touched.iter().map(|&t| t as u8));
-    }
-
-    /// Reads back what [`RowState::save_into`] wrote, the touched flags
-    /// checked to be 0 or 1.
-    fn load_from(&mut self, r: &mut StateReader<'_>) -> Result<(), String> {
-        let width = r.u64()? as usize;
-        let rows = r.u64()? as usize;
-        let slab_bytes = rows
-            .checked_mul(width)
-            .and_then(|e| e.checked_mul(4))
-            .ok_or_else(|| "optimizer state slab size overflows".to_string())?;
-        let slab = r.take(slab_bytes)?;
-        let touched = r.take(rows)?;
-        if let Some(&bad) = touched.iter().find(|&&b| b > 1) {
-            return Err(format!("optimizer touched flag has invalid value {bad}"));
-        }
-        *self = RowState {
-            width,
-            data: f32s(slab).collect(),
-            touched: touched.iter().map(|&b| b == 1).collect(),
-        };
-        Ok(())
-    }
-}
 
 /// The first `n` entries of `slice`, cut off its front; all of it if it is
 /// shorter, so a band that is empty — a plane the rule does not keep, the
@@ -400,38 +286,86 @@ impl RowOptimizer {
         }
     }
 
-    /// Appends the *mutable* per-row state (slabs, step counts — not the
-    /// rule) to `out`, for checkpointing. The full slab is captured,
-    /// including allocated-but-untouched rows, so a restore reproduces the
-    /// exact allocation state and subsequent growth behaves identically
-    /// to the uninterrupted run. A stateless rule writes nothing.
-    pub fn save_state(&self, out: &mut Vec<u8>) {
-        for plane in &self.planes {
-            plane.save_into(out);
-        }
-        if self.rule.counts_steps() {
-            put_u64(out, self.steps.len() as u64);
-            put_le(out, &self.steps, u32::to_le_bytes);
-        }
+    /// The per-row state, read-only, one `(width, values, touched)` a
+    /// plane of the rule: `width` `f32`s a row (0 before the plane first
+    /// grew), the whole slab — untouched rows included, so state rebuilt
+    /// from it grows as this state would — and which rows were updated.
+    pub fn planes(&self) -> impl ExactSizeIterator<Item = (usize, &[f32], &[bool])> {
+        self.planes
+            .iter()
+            .map(|p| (p.width, p.data.as_slice(), p.touched.as_slice()))
     }
 
-    /// Restores state written by [`RowOptimizer::save_state`] into this
-    /// optimizer (which must run the same rule).
+    /// The per-row step counts, one a row of the planes; `None` for a rule
+    /// that counts no steps.
+    pub fn step_counts(&self) -> Option<&[u32]> {
+        self.rule.counts_steps().then_some(self.steps.as_slice())
+    }
+
+    /// An optimizer running `rule` over saved state — what
+    /// [`RowOptimizer::planes`] and [`RowOptimizer::step_counts`] show,
+    /// owned — for a table of `rows` rows of `dim` elements.
     ///
     /// # Errors
     ///
-    /// Returns a description of the first inconsistency if `bytes` is
-    /// truncated, malformed, or has trailing garbage; the optimizer's
-    /// state is unspecified after an error.
-    pub fn load_state(&mut self, bytes: &[u8]) -> Result<(), String> {
-        let mut r = StateReader::new(bytes);
-        for plane in &mut self.planes {
-            plane.load_from(&mut r)?;
+    /// Describes the first disagreement with the rule or the table: a
+    /// plane count other than `rule.planes()`; a plane not `dim` wide (one
+    /// that never grew may say 0) or not rows x width values; planes of
+    /// unequal rows, or more rows than the table; step counts on a rule
+    /// that keeps none, none on one that does, or not one a row.
+    pub fn from_state(
+        rule: UpdateRule,
+        rows: usize,
+        dim: usize,
+        planes: Vec<(usize, Vec<f32>, Vec<bool>)>,
+        steps: Option<Vec<u32>>,
+    ) -> Result<Self, String> {
+        let (name, keeps) = (rule.name(), rule.planes());
+        if planes.len() != keeps {
+            return Err(format!(
+                "{} state planes, {name} keeps {keeps}",
+                planes.len()
+            ));
         }
-        if self.rule.counts_steps() {
-            self.steps = u32s(r.step_counts()?).collect();
+        let state_rows = planes.first().map_or(0, |(_, _, touched)| touched.len());
+        for (p, (width, values, touched)) in planes.iter().enumerate() {
+            let width_ok = *width == dim || (*width == 0 && touched.is_empty());
+            if !width_ok || values.len() != touched.len() * width {
+                let (n, r) = (values.len(), touched.len());
+                return Err(format!("plane {p} holds {n} values for {r} rows of width {width}, the table {dim} wide"));
+            }
+            if touched.len() != state_rows {
+                return Err(format!(
+                    "plane {p} has {} rows, plane 0 {state_rows}",
+                    touched.len()
+                ));
+            }
         }
-        r.finish()
+        if state_rows > rows {
+            return Err(format!("{state_rows} state rows, the table {rows}"));
+        }
+        if steps.is_some() != rule.counts_steps() {
+            let no = if rule.counts_steps() { "" } else { "no " };
+            return Err(format!("{name} keeps {no}step counts"));
+        }
+        let steps = steps.unwrap_or_default();
+        if rule.counts_steps() && steps.len() != state_rows {
+            return Err(format!(
+                "{} step counts for {state_rows} state rows",
+                steps.len()
+            ));
+        }
+        let planes = planes.into_iter();
+        let planes = planes.map(|(width, data, touched)| RowState {
+            width,
+            data,
+            touched,
+        });
+        Ok(Self {
+            rule,
+            planes: planes.collect(),
+            steps,
+        })
     }
 }
 
@@ -504,7 +438,7 @@ mod tests {
     use crate::scatter::scatter_apply_coalesced;
     use crate::table::EmbeddingTable;
     use tcast_pool::{Exec, Pool};
-    use tcast_tensor::{Matrix, SplitMix64};
+    use tcast_tensor::Matrix;
 
     /// One of each rule.
     const RULES: [UpdateRule; 5] = [
@@ -667,14 +601,30 @@ mod tests {
         assert_eq!(opt.tracked_rows(), 2);
     }
 
-    fn state_bytes(opt: &RowOptimizer) -> Vec<u8> {
-        let mut blob = Vec::new();
-        opt.save_state(&mut blob);
-        blob
+    /// The whole state, bit for bit: each plane's width, value bits and
+    /// touched flags, then the step counts.
+    type StateBits = (Vec<(usize, Vec<u32>, Vec<bool>)>, Option<Vec<u32>>);
+
+    fn state_bits(opt: &RowOptimizer) -> StateBits {
+        let planes = opt.planes().map(|(width, values, touched)| {
+            let bits = values.iter().map(|v| v.to_bits()).collect();
+            (width, bits, touched.to_vec())
+        });
+        (planes.collect(), opt.step_counts().map(<[u32]>::to_vec))
+    }
+
+    /// A fresh optimizer over `opt`'s state, through the checked
+    /// constructor, for a table of `rows` x `dim`.
+    fn rebuilt(opt: &RowOptimizer, rows: usize, dim: usize) -> Result<RowOptimizer, String> {
+        let planes = opt
+            .planes()
+            .map(|(w, values, touched)| (w, values.to_vec(), touched.to_vec()));
+        let steps = opt.step_counts().map(<[u32]>::to_vec);
+        RowOptimizer::from_state(opt.rule, rows, dim, planes.collect(), steps)
     }
 
     /// Updates through bands cut off one band must be bit-identical to
-    /// row-by-row updates, and leave the same state bytes.
+    /// row-by-row updates, and leave the same state.
     #[test]
     fn bands_match_serial_updates_exactly() {
         let rows: Vec<u32> = vec![0, 3, 4, 9, 17];
@@ -699,7 +649,7 @@ mod tests {
             }
             assert_eq!(bits(&params_a), bits(&params_b), "{} diverged", rule.name());
             assert_eq!(serial.tracked_rows(), split.tracked_rows());
-            assert_eq!(state_bytes(&serial), state_bytes(&split), "{}", rule.name());
+            assert_eq!(state_bits(&serial), state_bits(&split), "{}", rule.name());
         }
     }
 
@@ -713,10 +663,7 @@ mod tests {
             let mut original = RowOptimizer::new(rule);
             let mut params_a = initial_params(&rows, 3);
             step(&mut original, &rows, &mut params_a, 0);
-            let mut saved = Vec::new();
-            original.save_state(&mut saved);
-            let mut restored = RowOptimizer::new(rule);
-            restored.load_state(&saved).expect("valid state loads");
+            let mut restored = rebuilt(&original, 18, 3).expect("valid state rebuilds");
             let mut params_b = params_a.clone();
             step(&mut original, &rows, &mut params_a, 1);
             step(&mut restored, &rows, &mut params_b, 1);
@@ -729,26 +676,64 @@ mod tests {
         }
     }
 
+    /// The constructor refuses state that disagrees with its rule or its
+    /// table, each case with its own message.
     #[test]
-    fn load_state_rejects_truncation_and_trailing_garbage() {
-        for rule in RULES {
-            let mut opt = RowOptimizer::new(rule);
-            let mut p = vec![0.0, 0.0];
-            update_row(&mut opt, 5, &mut p, &[1.0, 2.0]);
-            let mut saved = Vec::new();
-            opt.save_state(&mut saved);
-            // Every truncation point is a clean error, never a panic.
-            for cut in 0..saved.len() {
-                assert!(
-                    RowOptimizer::new(rule).load_state(&saved[..cut]).is_err(),
-                    "{}: truncation at byte {cut} accepted",
-                    rule.name()
-                );
-            }
-            saved.push(0);
-            let err = RowOptimizer::new(rule).load_state(&saved).unwrap_err();
-            assert!(err.contains("trailing"), "unexpected error: {err}");
+    fn from_state_rejects_state_that_disagrees_with_rule_or_table() {
+        let adam = RULES[4];
+        let plane = |width: usize, rows: usize| (width, vec![0.5; width * rows], vec![true; rows]);
+        let build = |planes, steps| RowOptimizer::from_state(adam, 10, 4, planes, steps);
+        let ok = build(vec![plane(4, 6), plane(4, 6)], Some(vec![1; 6]));
+        assert_eq!(ok.unwrap().tracked_rows(), 6);
+        // A plane that never grew may say width 0.
+        assert!(build(vec![plane(0, 0), plane(4, 0)], Some(vec![])).is_ok());
+        let cases = [
+            (
+                vec![plane(4, 6)],
+                Some(vec![1; 6]),
+                "1 state planes, adam keeps 2",
+            ),
+            (
+                vec![plane(8, 6), plane(8, 6)],
+                Some(vec![1; 6]),
+                "48 values for 6 rows of width 8",
+            ),
+            (
+                vec![plane(0, 6), plane(4, 6)],
+                Some(vec![1; 6]),
+                "0 values for 6 rows of width 0",
+            ),
+            (
+                vec![plane(4, 11), plane(4, 11)],
+                Some(vec![1; 11]),
+                "11 state rows, the table 10",
+            ),
+            (
+                vec![plane(4, 6), plane(4, 5)],
+                Some(vec![1; 6]),
+                "plane 1 has 5 rows",
+            ),
+            (
+                vec![plane(4, 6), plane(4, 6)],
+                Some(vec![1; 5]),
+                "5 step counts for 6",
+            ),
+            (
+                vec![plane(4, 6), plane(4, 6)],
+                None,
+                "adam keeps step counts",
+            ),
+        ];
+        for (planes, steps, want) in cases {
+            let err = build(planes, steps).unwrap_err();
+            assert!(err.contains(want), "{err:?} does not say {want:?}");
         }
+        let mut short = plane(4, 6);
+        short.1.pop();
+        let err = build(vec![short, plane(4, 6)], Some(vec![1; 6])).unwrap_err();
+        assert!(err.contains("23 values for 6 rows of width 4"), "{err}");
+        let err = RowOptimizer::from_state(RULES[2], 10, 4, vec![plane(4, 6)], Some(vec![1; 6]));
+        assert!(err.unwrap_err().contains("adagrad keeps no step counts"));
     }
 
     #[test]
@@ -831,7 +816,7 @@ mod tests {
     /// Save after scatters cut into N bands, restore and scatter in M
     /// (either may be the serial scatter), continue: the continued
     /// trajectory must be bit-identical, and every scatter — cut or not —
-    /// saves the bytes plain row-by-row updates do: state just past the
+    /// leaves the state plain row-by-row updates do: state just past the
     /// last touched row.
     #[test]
     fn state_is_portable_across_band_counts() {
@@ -842,10 +827,10 @@ mod tests {
             // Reference trajectory on plain row-by-row updates.
             let mut global = RowOptimizer::new(rule);
             let mut params = initial_params(&rows, 2);
-            let mut global_blob = Vec::new();
+            let mut global_state = state_bits(&global);
             for pass in 0..3 {
                 if pass == 2 {
-                    global_blob = state_bytes(&global);
+                    global_state = state_bits(&global);
                 }
                 step(&mut global, &rows, &mut params, pass);
             }
@@ -855,11 +840,14 @@ mod tests {
                 for pass in 0..2 {
                     scatter_step(&mut opt_n, at_n, &rows, &mut table_n, pass);
                 }
-                let blob = state_bytes(&opt_n);
-                assert_eq!(blob, global_blob, "{} under {at_n:?}", rule.name());
+                assert_eq!(
+                    state_bits(&opt_n),
+                    global_state,
+                    "{} under {at_n:?}",
+                    rule.name()
+                );
                 for at_m in execs(&pool) {
-                    let mut opt_m = RowOptimizer::new(rule);
-                    opt_m.load_state(&blob).expect("saved state loads");
+                    let mut opt_m = rebuilt(&opt_n, rows_total, 2).expect("saved state rebuilds");
                     let mut table_m = table_n.clone();
                     scatter_step(&mut opt_m, at_m, &rows, &mut table_m, 2);
                     assert_eq!(
@@ -874,7 +862,7 @@ mod tests {
     }
 
     /// Three one-row scatters (each the one-band case) and one scatter of
-    /// the same rows cut into three bands leave the same state bytes: every
+    /// the same rows cut into three bands leave the same state: every
     /// path grows the slabs just past the last row it updates.
     #[test]
     fn one_row_scatters_and_a_banded_scatter_save_the_same_bytes() {
@@ -892,90 +880,7 @@ mod tests {
             }
             let mut cut = RowOptimizer::new(rule);
             scatter_step(&mut cut, banded, &rows, &mut initial_table(97, 2), 0);
-            assert_eq!(
-                state_bytes(&one_by_one),
-                state_bytes(&cut),
-                "{}",
-                rule.name()
-            );
-        }
-    }
-
-    #[test]
-    fn banded_load_rejects_truncation_and_trailing_garbage() {
-        let pool = Pool::new(2);
-        for rule in RULES {
-            let mut banded = RowOptimizer::new(rule);
-            let mut table = initial_table(20, 2);
-            scatter_step(&mut banded, Exec::pooled(&pool), &[5, 13], &mut table, 0);
-            let mut saved = Vec::new();
-            banded.save_state(&mut saved);
-            for cut in 0..saved.len() {
-                assert!(
-                    RowOptimizer::new(rule).load_state(&saved[..cut]).is_err(),
-                    "{}: truncation at byte {cut} accepted",
-                    rule.name()
-                );
-            }
-            saved.push(0);
-            let err = RowOptimizer::new(rule).load_state(&saved).unwrap_err();
-            assert!(err.contains("trailing"), "unexpected error: {err}");
-        }
-    }
-
-    /// FNV-1a, as a checksum of a state blob.
-    fn fnv1a(bytes: &[u8]) -> u64 {
-        bytes.iter().fold(0xcbf2_9ce4_8422_2325, |h, &b| {
-            (h ^ u64::from(b)).wrapping_mul(0x0100_0000_01b3)
-        })
-    }
-
-    /// Six seeded scatters into a 97 x 5 table through a fresh optimizer,
-    /// then the checksum of the state it saves.
-    fn optm_checksum(rule: UpdateRule, exec: Exec<'_>) -> u64 {
-        let (rows, dim) = (97usize, 5usize);
-        let mut opt = RowOptimizer::new(rule);
-        let mut table = EmbeddingTable::seeded(rows, dim, 11);
-        let mut rng = SplitMix64::new(0x0097_4d5f);
-        for _ in 0..6 {
-            let touched: Vec<u32> = (0..rows as u32)
-                .filter(|_| rng.next_below(3) == 0)
-                .collect();
-            let n = touched.len();
-            let grads = (0..n * dim).map(|_| rng.next_range(-1.0, 1.0)).collect();
-            let grads = Matrix::from_vec(n, dim, grads).unwrap();
-            let part = CoalescedGradients::new(touched, grads).unwrap();
-            scatter_apply_coalesced(&mut table, &mut opt, &part, exec).unwrap();
-        }
-        let mut blob = Vec::new();
-        opt.save_state(&mut blob);
-        fnv1a(&blob)
-    }
-
-    /// The `OPTM` checkpoint payload of every rule, byte for byte, as the
-    /// commit before the optimizers became one type wrote it after a 3-band
-    /// pooled scatter sequence — and, now that every scatter grows state
-    /// through one band, as a serial one writes it too. Saving and loading
-    /// with one build cannot notice a format change; these constants can.
-    #[test]
-    fn optm_state_bytes_are_stable() {
-        const PINNED: [u64; 5] = [
-            0xcbf29ce484222325,
-            0xa81b09b42e6d37b1,
-            0x11646e9eadb28a65,
-            0x8bae82fd71926445,
-            0x8ba202cf63b42c12,
-        ];
-        let pool = Pool::new(3);
-        for (rule, pinned) in RULES.into_iter().zip(PINNED) {
-            for exec in [Exec::Serial, Exec::pooled(&pool)] {
-                assert_eq!(
-                    optm_checksum(rule, exec),
-                    pinned,
-                    "{} state bytes moved under {exec:?}",
-                    rule.name()
-                );
-            }
+            assert_eq!(state_bits(&one_by_one), state_bits(&cut), "{}", rule.name());
         }
     }
 }

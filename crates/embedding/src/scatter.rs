@@ -616,12 +616,11 @@ mod tests {
         eps: 1e-8,
     };
 
-    /// Rows of state the optimizer keeps: the row count its first plane's
-    /// checkpoint records.
+    /// Rows of state the optimizer keeps: its first plane's row count.
     fn state_rows(opt: &RowOptimizer) -> u64 {
-        let mut blob = Vec::new();
-        opt.save_state(&mut blob);
-        u64::from_le_bytes(blob[8..16].try_into().unwrap())
+        opt.planes()
+            .next()
+            .map_or(0, |(_, _, touched)| touched.len() as u64)
     }
 
     /// One scatter of `rows`, each with gradient 0.5, through every entry

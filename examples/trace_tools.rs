@@ -41,7 +41,7 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
         );
     }
 
-    // 3. Train briefly and checkpoint; restore into a fresh model.
+    // 3. Train briefly and checkpoint; restore into a fresh trainer.
     let config = DlrmConfig::tiny();
     let mut data = SyntheticCtr::new(config.table_workloads(), config.dense_features, 3);
     let mut trainer = Trainer::new(config.clone(), BackwardMode::Casted, 9)?;
@@ -49,18 +49,18 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
         trainer.step(&data.next_batch(64))?;
     }
     let mut ckpt = Vec::new();
-    checkpoint::save_checkpoint(&mut ckpt, trainer.model())?;
+    checkpoint::save_train_checkpoint(&mut ckpt, &trainer, None, None)?;
     println!(
         "\ncheckpoint: {} bytes for {} parameters",
         ckpt.len(),
         trainer.model().parameter_count()
     );
 
-    let mut restored = tensor_casting::dlrm::Dlrm::new(config, 777)?;
-    checkpoint::load_checkpoint(&mut ckpt.as_slice(), &mut restored)?;
+    let mut restored = Trainer::new(config, BackwardMode::Casted, 777)?;
+    checkpoint::read_train_checkpoint(&mut ckpt.as_slice())?.restore_into(&mut restored)?;
     let probe = data.next_batch(32);
     let a = trainer.model().predict(&probe.dense, &probe.indices)?;
-    let b = restored.predict(&probe.dense, &probe.indices)?;
+    let b = restored.model().predict(&probe.dense, &probe.indices)?;
     assert_eq!(a.as_slice(), b.as_slice());
     println!("restored model predicts identically ✓");
     Ok(())

@@ -22,13 +22,19 @@
 //! 4. **Cast-ahead panics** — a cast-ahead task dying on the trainer's
 //!    lane resurfaces on the training thread as a panic naming its
 //!    site, at the same occurrence on every run.
+//! 5. **Hostile checkpoints** — a valid checkpoint with a few payload
+//!    bytes or one header field mutated, and its section CRC recomputed,
+//!    either restores (and the next step runs) or is refused with a typed
+//!    error that leaves the receiving trainer byte-identical.
 
+use proptest::prelude::*;
+use std::ops::Range;
 use std::panic::{catch_unwind, AssertUnwindSafe};
-use std::sync::Arc;
+use std::sync::{Arc, OnceLock};
 use std::time::{Duration, Instant};
 use tensor_casting::core::FaultPlan;
 use tensor_casting::datasets::{
-    BatchSource, CtrBatch, PrefetchSource, SyntheticCtr, SyntheticSource,
+    BatchSource, CtrBatch, PrefetchSource, SourceState, SyntheticCtr, SyntheticSource,
 };
 use tensor_casting::dlrm::{
     checkpoint::{read_train_checkpoint, CheckpointError, CheckpointStore},
@@ -254,8 +260,13 @@ fn failed_restore_leaves_the_receiving_trainer_untouched() {
 }
 
 fn trained_adam() -> Trainer {
+    adam_trainer(3, 2)
+}
+
+/// A casted `tiny` Adam trainer, `steps` steps into stream `data_seed`.
+fn adam_trainer(data_seed: u64, steps: usize) -> Trainer {
     let cfg = DlrmConfig::tiny();
-    let mut data = SyntheticCtr::new(cfg.table_workloads(), cfg.dense_features, 3);
+    let mut data = SyntheticCtr::new(cfg.table_workloads(), cfg.dense_features, data_seed);
     let mut t = Trainer::with_optimizer(
         cfg,
         BackwardMode::Casted,
@@ -267,7 +278,7 @@ fn trained_adam() -> Trainer {
         7,
     )
     .unwrap();
-    for _ in 0..2 {
+    for _ in 0..steps {
         t.step(&data.next_batch(16)).unwrap();
     }
     t
@@ -449,4 +460,201 @@ fn resume_from_a_torn_file_is_a_typed_error() {
     .unwrap();
     let err = TrainLoop::resume(&path, fresh, &mut src).unwrap_err();
     assert!(matches!(err, CheckpointError::Format(_)), "got {err}");
+}
+
+// ------------------------------------------------ 5. hostile checkpoints
+
+/// Every bit a restore may write: the step count, the MLPs, the tables
+/// and the optimizer state.
+fn fingerprint(t: &Trainer) -> Vec<u32> {
+    let model = t.model();
+    let bits = |vals: &[f32]| vals.iter().map(|v| v.to_bits()).collect::<Vec<_>>();
+    let mut out = vec![t.steps() as u32, (t.steps() >> 32) as u32];
+    for layer in model.bottom().layers().iter().chain(model.top().layers()) {
+        out.extend(bits(layer.weight().as_slice()));
+        out.extend(bits(layer.bias()));
+    }
+    out.extend(table_bits(t).concat());
+    for opt in t.table_optimizers() {
+        for (width, values, touched) in opt.planes() {
+            out.push(width as u32);
+            out.extend(bits(values));
+            out.extend(touched.iter().map(|&t| u32::from(t)));
+        }
+        if let Some(steps) = opt.step_counts() {
+            out.push(steps.len() as u32);
+            out.extend_from_slice(steps);
+        }
+    }
+    out
+}
+
+/// CRC-32 (IEEE), a bit at a time.
+fn crc32(bytes: &[u8]) -> u32 {
+    !bytes.iter().fold(!0u32, |mut crc, &b| {
+        crc ^= u32::from(b);
+        for _ in 0..8 {
+            crc = if crc & 1 != 0 {
+                0xEDB8_8320 ^ (crc >> 1)
+            } else {
+                crc >> 1
+            };
+        }
+        crc
+    })
+}
+
+fn le(file: &[u8], at: usize, width: usize) -> u64 {
+    let mut bytes = [0u8; 8];
+    bytes[..width].copy_from_slice(&file[at..at + width]);
+    u64::from_le_bytes(bytes)
+}
+
+/// Each section's header offset and payload range, as far as the
+/// section lengths frame the file.
+fn sections(file: &[u8]) -> Vec<(usize, Range<usize>)> {
+    let mut out = Vec::new();
+    let mut pos = 8;
+    while pos + 16 <= file.len() {
+        let len = le(file, pos + 4, 8);
+        let Some(end) = (pos as u64 + 16)
+            .checked_add(len)
+            .filter(|&e| e <= file.len() as u64)
+        else {
+            break;
+        };
+        out.push((pos, pos + 16..end as usize));
+        pos = end as usize;
+    }
+    out
+}
+
+/// Rewrites the CRC of every section the lengths still frame.
+fn fix_crcs(file: &mut [u8]) {
+    for (at, payload) in sections(file) {
+        let crc = crc32(&file[payload]);
+        file[at + 12..at + 16].copy_from_slice(&crc.to_le_bytes());
+    }
+}
+
+/// The header fields of a saved Adam checkpoint, as (offset, width): the
+/// section lengths; in `MODL`, each MLP's depth, each layer's dims, the
+/// table count and each table's rows and dim; in `OPTM`, the name
+/// length, the state count, each state's length, each plane's width and
+/// rows, and each step-count length.
+fn header_fields(file: &[u8]) -> Vec<(usize, usize)> {
+    let mut fields = Vec::new();
+    let secs = sections(file);
+    for (at, _) in &secs {
+        fields.push((at + 4, 8));
+    }
+    let mut field = |pos: &mut usize, width: usize| {
+        fields.push((*pos, width));
+        *pos += width;
+        le(file, *pos - width, width) as usize
+    };
+    let mut pos = secs[0].1.start;
+    for _ in 0..2 {
+        for _ in 0..field(&mut pos, 4) {
+            let (i, o) = (field(&mut pos, 4), field(&mut pos, 4));
+            pos += 4 * (i * o + o);
+        }
+    }
+    for _ in 0..field(&mut pos, 4) {
+        let (rows, dim) = (field(&mut pos, 4), field(&mut pos, 4));
+        pos += 4 * rows * dim;
+    }
+    let mut pos = secs[1].1.start;
+    pos += field(&mut pos, 4);
+    for _ in 0..field(&mut pos, 4) {
+        field(&mut pos, 8);
+        for _ in 0..2 {
+            let (width, rows) = (field(&mut pos, 8), field(&mut pos, 8));
+            pos += 4 * rows * width + rows;
+        }
+        pos += 4 * field(&mut pos, 8);
+    }
+    fields
+}
+
+/// A valid Adam checkpoint with every section, from a trainer the fuzz
+/// targets never saw.
+fn fuzz_base() -> &'static [u8] {
+    static BASE: OnceLock<Vec<u8>> = OnceLock::new();
+    BASE.get_or_init(|| {
+        let mut buf = Vec::new();
+        let src = SourceState::Synthetic {
+            rng_state: 0x5eed,
+            batches: 3,
+        };
+        tensor_casting::dlrm::checkpoint::save_train_checkpoint(
+            &mut buf,
+            &adam_trainer(21, 3),
+            Some(&src),
+            Some(2),
+        )
+        .unwrap();
+        buf
+    })
+}
+
+proptest! {
+    #![proptest_config(ProptestConfig::with_cases(300))]
+
+    /// Structure-aware fuzz: 1-8 payload bytes of one section, or one
+    /// header field, mutated under a valid CRC. A restore either succeeds
+    /// and the next step runs, or fails typed with the trainer untouched.
+    #[test]
+    fn mutated_checkpoints_restore_or_fail_typed(
+        header in any::<bool>(),
+        pick in any::<u64>(),
+        at in any::<u64>(),
+        count in 1usize..9,
+        noise in any::<u64>(),
+        how in 0u32..6,
+    ) {
+        let mut file = fuzz_base().to_vec();
+        if header {
+            let fields = header_fields(&file);
+            let (at, width) = fields[pick as usize % fields.len()];
+            let ones = u64::MAX >> (64 - 8 * width);
+            let old = le(&file, at, width);
+            let new = match how {
+                0 => 0,
+                1 => old.wrapping_add(1),
+                2 => old.wrapping_sub(1),
+                3 => old.wrapping_mul(2),
+                4 => ones,
+                _ => noise,
+            } & ones;
+            file[at..at + width].copy_from_slice(&new.to_le_bytes()[..width]);
+        } else {
+            let secs = sections(&file);
+            let payload = secs[pick as usize % secs.len()].1.clone();
+            let n = count.min(payload.len());
+            let at = payload.start + at as usize % (payload.len() - n + 1);
+            file[at..at + n].copy_from_slice(&noise.to_le_bytes()[..n]);
+        }
+        fix_crcs(&mut file);
+
+        let mut target = adam_trainer(3, 2);
+        let before = fingerprint(&target);
+        let restored = read_train_checkpoint(&mut file.as_slice())
+            .and_then(|ckpt| ckpt.restore_into(&mut target));
+        match restored {
+            Ok(()) => {
+                // Whatever it restored, the next step runs (a non-finite
+                // loss is an answer, not a panic).
+                let _ = target.step(&source(13, 16).next_batch().unwrap());
+            }
+            Err(err) => {
+                prop_assert!(
+                    matches!(err, CheckpointError::Format(_) | CheckpointError::Shape(_)),
+                    "untyped failure: {err}"
+                );
+                prop_assert!(!err.to_string().contains("checksum"), "CRC not fixed: {err}");
+                prop_assert!(fingerprint(&target) == before, "{err}: the trainer was touched");
+            }
+        }
+    }
 }

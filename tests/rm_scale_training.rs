@@ -55,11 +55,9 @@ fn adagrad_state_never_outgrows_its_table() {
         train.run(&mut SyntheticSource::new(data, 64), 6).unwrap();
         let trainer = train.into_trainer();
         for (t, optimizer) in trainer.table_optimizers().iter().enumerate() {
-            let mut state = Vec::new();
-            optimizer.save_state(&mut state);
-            // The OPTM payload opens with the plane's width, then its rows.
-            let state_rows = u64::from_le_bytes(state[8..16].try_into().unwrap());
-            let table_rows = trainer.model().table(t).rows() as u64;
+            let (_, _, touched) = optimizer.planes().next().unwrap();
+            let state_rows = touched.len();
+            let table_rows = trainer.model().table(t).rows();
             assert!(
                 state_rows <= table_rows,
                 "{mode:?} table {t}: {state_rows} state rows for {table_rows} table rows"

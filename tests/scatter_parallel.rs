@@ -51,13 +51,22 @@ fn bits(values: &[f32]) -> Vec<u32> {
     values.iter().map(|v| v.to_bits()).collect()
 }
 
-/// An optimizer's whole per-row state, as its checkpoint holds it: every
-/// path grows the slabs just past the last row it updates, so equal
-/// trajectories mean equal bytes — however the scatter was banded.
-fn state_bytes(opt: &RowOptimizer) -> Vec<u8> {
-    let mut blob = Vec::new();
-    opt.save_state(&mut blob);
-    blob
+/// An optimizer's whole per-row state, bit for bit, as its checkpoint
+/// saves it: each plane's width, value bits and touched flags, then the
+/// step counts. Every path grows the slabs just past the last row it
+/// updates, so equal trajectories mean equal state — however the scatter
+/// was banded.
+type StateBits = (Vec<(usize, Vec<u32>, Vec<bool>)>, Option<Vec<u32>>);
+
+fn state_bits(opt: &RowOptimizer) -> StateBits {
+    let planes = opt.planes().map(|(width, values, touched)| {
+        (
+            width,
+            values.iter().map(|v| v.to_bits()).collect(),
+            touched.to_vec(),
+        )
+    });
+    (planes.collect(), opt.step_counts().map(<[u32]>::to_vec))
 }
 
 /// Three scatters of `rows` (coalesced: unique, ascending) through every
@@ -90,7 +99,7 @@ fn check_scatter(table_rows: usize, dim: usize, rows: &[u32], seed: u64) -> Resu
         for step in &steps {
             scatter_apply(&mut reference, step, &mut reference_opt).unwrap();
         }
-        let reference_state = state_bytes(&reference_opt);
+        let reference_state = state_bits(&reference_opt);
 
         for exec in execs.clone() {
             let mut table = EmbeddingTable::seeded(table_rows, dim, 1);
@@ -106,7 +115,7 @@ fn check_scatter(table_rows: usize, dim: usize, rows: &[u32], seed: u64) -> Resu
             if bits(table.as_slice()) != bits(reference.as_slice()) {
                 return Err(format!("table diverged: {what}"));
             }
-            if state_bytes(&opt) != reference_state {
+            if state_bits(&opt) != reference_state {
                 return Err(format!("optimizer state diverged: {what}"));
             }
         }
@@ -176,7 +185,7 @@ fn check_blocked_backward(
             scatter_apply_coalesced(&mut reference, &mut reference_opt, &coalesced, Exec::Serial)
                 .unwrap();
         }
-        let reference_state = state_bytes(&reference_opt);
+        let reference_state = state_bits(&reference_opt);
 
         for exec in execs.clone() {
             for block_rows in [1, 3, 64, table_rows.max(1)] {
@@ -202,7 +211,7 @@ fn check_blocked_backward(
                 if bits(table.as_slice()) != bits(reference.as_slice()) {
                     return Err(format!("table diverged: {what}"));
                 }
-                if state_bytes(&opt) != reference_state {
+                if state_bits(&opt) != reference_state {
                     return Err(format!("optimizer state diverged: {what}"));
                 }
             }

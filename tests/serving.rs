@@ -21,7 +21,7 @@ use proptest::prelude::*;
 use std::sync::Arc;
 use tensor_casting::datasets::{SyntheticCtr, SyntheticSource};
 use tensor_casting::dlrm::{
-    checkpoint::{load_checkpoint, save_checkpoint},
+    checkpoint::{read_train_checkpoint, save_train_checkpoint},
     BackwardMode, Dlrm, DlrmConfig, Execution, Trainer,
 };
 use tensor_casting::embedding::{EmbeddingError, IndexArray};
@@ -102,7 +102,7 @@ proptest! {
     }
 }
 
-/// Invariant 2: train, checkpoint, restore into a fresh model — the
+/// Invariant 2: train, checkpoint, restore into a fresh trainer — the
 /// serve engine's scores over the restored model are bit-identical to
 /// the original's.
 #[test]
@@ -115,16 +115,20 @@ fn checkpoint_restore_serves_bit_identical_scores() {
     }
 
     let mut buf = Vec::new();
-    save_checkpoint(&mut buf, trainer.model()).unwrap();
-    // A fresh model from a different seed: every parameter differs until
-    // the checkpoint overwrites it.
-    let mut restored = Dlrm::new(cfg, 999_999).unwrap();
-    load_checkpoint(&mut buf.as_slice(), &mut restored).unwrap();
+    save_train_checkpoint(&mut buf, &trainer, None, None).unwrap();
+    // A fresh trainer from a different seed: every parameter differs
+    // until the checkpoint overwrites it.
+    let mut fresh = Trainer::new(cfg, BackwardMode::Casted, 999_999).unwrap();
+    read_train_checkpoint(&mut buf.as_slice())
+        .unwrap()
+        .restore_into(&mut fresh)
+        .unwrap();
+    let restored = fresh.model();
 
     let mut wl = workload(77, 10, 6);
     let queries: Vec<Arc<Query>> = (0..20).map(|_| wl.draw()).collect();
     let mut engine_orig = ServeEngine::with_defaults(trainer.model());
-    let mut engine_restored = ServeEngine::with_defaults(&restored);
+    let mut engine_restored = ServeEngine::with_defaults(restored);
     for chunk in queries.chunks(7) {
         let a = engine_orig
             .score(trainer.model(), chunk)
@@ -132,7 +136,7 @@ fn checkpoint_restore_serves_bit_identical_scores() {
             .fused_logits()
             .as_slice()
             .to_vec();
-        let b = engine_restored.score(&restored, chunk).unwrap();
+        let b = engine_restored.score(restored, chunk).unwrap();
         assert_eq!(
             b.fused_logits().as_slice(),
             a.as_slice(),

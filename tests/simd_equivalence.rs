@@ -11,7 +11,7 @@
 use proptest::prelude::*;
 use tensor_casting::core::{casted_gather_reduce, tensor_casting};
 use tensor_casting::datasets::SyntheticCtr;
-use tensor_casting::dlrm::{checkpoint::save_checkpoint, BackwardMode, DlrmConfig, Trainer};
+use tensor_casting::dlrm::{checkpoint::save_train_checkpoint, BackwardMode, DlrmConfig, Trainer};
 use tensor_casting::embedding::{
     accumulate_rows, gather_reduce_into,
     optim::{RowOptimizer, UpdateRule},
@@ -515,7 +515,7 @@ fn forced_dispatch_is_trajectory_bit_identical() {
             .map(|_| trainer.step(&stream.next_batch(32)).unwrap().loss.to_bits())
             .collect();
         let mut bytes = Vec::new();
-        save_checkpoint(&mut bytes, trainer.model()).unwrap();
+        save_train_checkpoint(&mut bytes, &trainer, None, None).unwrap();
         simd::force(None);
         (losses, bytes)
     };
