@@ -623,6 +623,94 @@ mod tests {
         RowOptimizer::from_state(opt.rule, rows, dim, planes.collect(), steps)
     }
 
+    /// `opt`'s state, owned, as [`RowOptimizer::from_state`] takes it.
+    type OwnedState = (Vec<(usize, Vec<f32>, Vec<bool>)>, Option<Vec<u32>>);
+
+    /// The whole of `opt`'s state rebuilds bit for bit; every cut of one of
+    /// its slices (a plane's values or touched flags, the step counts), one
+    /// element past each, one plane more and step counts on a rule that
+    /// keeps none are refused — never accepted, never a panic.
+    fn assert_truncated_and_trailing_state_refused(opt: &RowOptimizer, rows: usize, dim: usize) {
+        let owned = || -> OwnedState {
+            let planes = opt.planes();
+            let planes = planes.map(|(w, values, touched)| (w, values.to_vec(), touched.to_vec()));
+            (planes.collect(), opt.step_counts().map(<[u32]>::to_vec))
+        };
+        let refused = |(planes, steps): OwnedState| {
+            RowOptimizer::from_state(opt.rule, rows, dim, planes, steps).is_err()
+        };
+        let name = opt.rule.name();
+        assert_eq!(
+            state_bits(&rebuilt(opt, rows, dim).unwrap()),
+            state_bits(opt)
+        );
+        for p in 0..opt.rule.planes() {
+            let (_, values, touched) = owned().0.swap_remove(p);
+            for cut in 0..values.len() {
+                let mut state = owned();
+                state.0[p].1.truncate(cut);
+                assert!(
+                    refused(state),
+                    "{name}: plane {p} values cut at {cut} accepted"
+                );
+            }
+            for cut in 0..touched.len() {
+                let mut state = owned();
+                state.0[p].2.truncate(cut);
+                assert!(
+                    refused(state),
+                    "{name}: plane {p} rows cut at {cut} accepted"
+                );
+            }
+            let mut state = owned();
+            state.0[p].1.push(0.0);
+            assert!(
+                refused(state),
+                "{name}: trailing value on plane {p} accepted"
+            );
+            let mut state = owned();
+            state.0[p].2.push(false);
+            assert!(refused(state), "{name}: trailing row on plane {p} accepted");
+        }
+        let mut state = owned();
+        match state.1.as_mut() {
+            Some(steps) => {
+                for cut in 0..steps.len() {
+                    let mut state = owned();
+                    state.1.as_mut().unwrap().truncate(cut);
+                    assert!(refused(state), "{name}: step counts cut at {cut} accepted");
+                }
+                steps.push(1);
+            }
+            None => state.1 = Some(Vec::new()),
+        }
+        assert!(refused(state), "{name}: trailing step counts accepted");
+        let mut state = owned();
+        state.0.push((0, Vec::new(), Vec::new()));
+        assert!(refused(state), "{name}: trailing plane accepted");
+    }
+
+    #[test]
+    fn load_state_rejects_truncation_and_trailing_garbage() {
+        for rule in RULES {
+            let mut opt = RowOptimizer::new(rule);
+            let mut p = vec![0.0, 0.0];
+            update_row(&mut opt, 5, &mut p, &[1.0, 2.0]);
+            assert_truncated_and_trailing_state_refused(&opt, 20, 2);
+        }
+    }
+
+    #[test]
+    fn banded_load_rejects_truncation_and_trailing_garbage() {
+        let pool = Pool::new(2);
+        for rule in RULES {
+            let mut banded = RowOptimizer::new(rule);
+            let mut table = initial_table(20, 2);
+            scatter_step(&mut banded, Exec::pooled(&pool), &[5, 13], &mut table, 0);
+            assert_truncated_and_trailing_state_refused(&banded, 20, 2);
+        }
+    }
+
     /// Updates through bands cut off one band must be bit-identical to
     /// row-by-row updates, and leave the same state.
     #[test]
