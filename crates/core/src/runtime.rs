@@ -10,8 +10,9 @@
 //!
 //! The host-side runtime needs no casting thread of its own: the DLRM
 //! trainer casts the next batch as a task beside work that runs anyway —
-//! its dense phases — on the lane it already owns, and casts in-step only
-//! a step with no successor. [`PipelineStats`] is how much casting ran and
+//! its dense phases — on the lane it already owns (a step with no
+//! successor casts its own batch there), and casts on the training thread
+//! only a step with no lane. [`PipelineStats`] is how much casting ran and
 //! how much of it the training thread waited for.
 
 use std::time::Duration;

@@ -579,7 +579,8 @@ impl TrainCheckpoint {
     /// # Errors
     ///
     /// Returns [`CheckpointError::Format`] if the checkpoint is
-    /// model-only or an optimizer state is malformed, and
+    /// model-only, an optimizer state is malformed or its `TRNR` step
+    /// count cannot advance, and
     /// [`CheckpointError::Shape`] on architecture/optimizer/learning
     /// rate mismatches, naming `OPTM` and the table for optimizer state
     /// that disagrees with its table.
@@ -612,6 +613,12 @@ impl TrainCheckpoint {
                 "checkpoint learning rate {}, trainer {}",
                 tr.lr,
                 trainer.learning_rate()
+            )));
+        }
+        if tr.steps == u64::MAX {
+            return Err(CheckpointError::Format(format!(
+                "TRNR: step count {}: no step can follow it",
+                tr.steps
             )));
         }
         // 2. Optimizer state into fresh optimizers, each checked against
@@ -1469,6 +1476,44 @@ mod tests {
     fn optm_step_counts_not_one_a_row_are_refused() {
         let state = [plane(16, 5, 1), plane(16, 5, 1), step_counts(4)].concat();
         optm_refused(adam(), state, "4 step counts for 5 state rows");
+    }
+
+    /// Adam advances a row's count and raises its decays to the new count
+    /// as an `i32`: a count with no next step is refused, not wrapped.
+    #[test]
+    fn optm_step_counts_the_update_cannot_advance_are_refused() {
+        for count in [u32::MAX, i32::MAX as u32] {
+            let mut counts = step_counts(5);
+            counts[8..12].copy_from_slice(&count.to_le_bytes());
+            let state = [plane(16, 5, 1), plane(16, 5, 1), counts].concat();
+            let want = format!("row 0 has taken {count} steps");
+            optm_refused(adam(), state, &want);
+        }
+    }
+
+    /// A `TRNR` step count of `u64::MAX` restored, the next step's count
+    /// would overflow: refused before anything is written.
+    #[test]
+    fn trnr_step_count_that_cannot_advance_is_refused() {
+        let buf = saved(&trained_trainer(3));
+        let (_, range) = sections(&buf)
+            .into_iter()
+            .find(|(tag, _)| *tag == TAG_TRAINER)
+            .unwrap();
+        let mut payload = buf[range].to_vec();
+        payload[..8].copy_from_slice(&u64::MAX.to_le_bytes());
+        let hostile = with_section(&buf, TAG_TRAINER, Some(&payload));
+        let err = refused(&hostile, &mut trained_trainer(2));
+        assert!(
+            matches!(&err, CheckpointError::Format(m) if m.starts_with("TRNR: ")),
+            "{err}"
+        );
+        payload[..8].copy_from_slice(&(u64::MAX - 1).to_le_bytes());
+        restore(
+            &with_section(&buf, TAG_TRAINER, Some(&payload)),
+            &mut trained_trainer(2),
+        )
+        .unwrap();
     }
 
     #[test]

@@ -1,33 +1,32 @@
 //! The cross-batch pipelined training driver: a lookahead queue of depth
 //! D over a streaming [`BatchSource`].
 //!
-//! [`Trainer::step`] knows no batch but its own, so it casts batch N's
-//! indices in-step, exposed on the critical path. The paper's runtime
-//! (Section IV-B) instead casts a mini-batch before it trains, hidden
-//! under work that runs anyway. [`TrainLoop`] is that runtime's host-side
-//! embodiment: it begins up to `depth` steps ahead of the one it is
-//! completing, and at depth >= 1 each completion is handed the step
-//! queued behind it, whose cast runs on the trainer's lane beside the
-//! completion's dense phases. Only the next batch is cast ahead; a deeper
-//! queue only holds batches.
+//! The paper's runtime (Section IV-B) casts a mini-batch before it
+//! trains, hidden under work that runs anyway. [`TrainLoop`] is that
+//! runtime's host-side embodiment: it queues up to `depth` batches behind
+//! the one it is training, and hands each step the batch queued right
+//! behind it. [`Trainer::complete_step`] has one order for every step;
+//! with a successor it also runs the successor's cast beside its own
+//! dense phases, and the successor's forward gathers and bottom-MLP
+//! forward beside its own embedding backward — table `i`'s gather as soon
+//! as its own scatter of table `i` has returned, the same bits the next
+//! step's in-step gather would read, a scatter phase earlier. Only the
+//! next batch is run ahead; a deeper queue only holds batches. At depth 0,
+//! and for the last step of a drain, a step has no successor and is
+//! exactly [`Trainer::step`]. [`StepReport::gathered_ahead`] says which
+//! steps adopted a gather.
 //!
-//! Correctness is structural, not probabilistic: [`Trainer::begin_step`]
+//! Correctness is structural, not probabilistic: queueing a batch
 //! touches no model state, casting is a pure function of the index
-//! arrays, and completions run strictly in submission order — so **any
-//! depth produces bit-identical weights and losses to the serial `step`
-//! loop** (property-tested in `tests/pipelined_training.rs` across both
-//! backward modes and all five optimizers).
+//! arrays, what a step runs ahead is adopted only while it is current, and
+//! steps complete strictly in submission order — so **any depth produces
+//! bit-identical weights and losses to the serial `step` loop**
+//! (property-tested in `tests/pipelined_training.rs` across both backward
+//! modes and all five optimizers).
 //!
 //! The depth is one number for the life of the loop: [`TrainLoop::new`]
 //! takes it, every checkpoint the loop commits records it (the `DCTL`
 //! section), and [`TrainLoop::resume`] continues at the recorded depth.
-//!
-//! Holding the next batch also lets the loop overlap its **forward
-//! gather**: [`Trainer::complete_step`] gathers the queued step's table
-//! `i` on the lane as soon as its own scatter of table `i` has returned
-//! — the same bits the next step's in-step gather would read, a scatter
-//! phase earlier. Nothing selects this: it happens whenever a successor is
-//! queued (depth >= 1), and [`StepReport::gathered_ahead`] says so.
 
 use std::collections::VecDeque;
 use std::path::{Path, PathBuf};
@@ -35,7 +34,7 @@ use std::sync::Arc;
 use std::time::{Duration, Instant};
 
 use crate::checkpoint::{read_train_checkpoint, CheckpointError, CheckpointStore};
-use crate::trainer::{InFlightStep, PhaseTimings, StepReport, Trainer};
+use crate::trainer::{PhaseTimings, StepReport, Trainer};
 use tcast_core::PipelineStats;
 use tcast_datasets::{BatchSource, CtrBatch};
 use tcast_embedding::EmbeddingError;
@@ -132,10 +131,10 @@ impl RunSummary {
 /// The cross-batch pipelined training driver.
 ///
 /// `depth` is the lookahead: how many *future* batches are queued while
-/// a step completes. Depth 0 is exactly the serial `step` loop (begin,
-/// then immediately complete, casting in-step); at depth >= 1 every
-/// completion casts and gathers one batch ahead, the one queued behind
-/// it. A deeper queue only holds more batches alive; nothing caps it.
+/// a step completes. Depth 0 is exactly the serial `step` loop (each
+/// batch trained as it is pushed, with no successor); at depth >= 1 every
+/// step casts and gathers one batch ahead, the one queued behind it. A
+/// deeper queue only holds more batches alive; nothing caps it.
 ///
 /// # Example
 ///
@@ -160,7 +159,7 @@ impl RunSummary {
 pub struct TrainLoop {
     trainer: Trainer,
     depth: usize,
-    queue: VecDeque<InFlightStep>,
+    queue: VecDeque<Arc<CtrBatch>>,
     checkpoint: Option<CheckpointCadence>,
 }
 
@@ -264,7 +263,7 @@ impl TrainLoop {
         self.depth
     }
 
-    /// Steps begun but not yet completed.
+    /// Batches queued but not yet trained.
     pub fn in_flight(&self) -> usize {
         self.queue.len()
     }
@@ -292,10 +291,11 @@ impl TrainLoop {
         &mut self.trainer
     }
 
-    /// Feeds one batch into the loop: begins its step and — once more
-    /// than `depth` steps are in flight — completes the oldest
-    /// one, returning its report together with its batch (so the caller
-    /// can recycle the buffers into a [`BatchSource`] free-list).
+    /// Feeds one batch into the loop: queues it and — once more than
+    /// `depth` batches are queued — trains the oldest one, with the one
+    /// behind it as its successor, returning its report together with its
+    /// batch (so the caller can recycle the buffers into a [`BatchSource`]
+    /// free-list).
     ///
     /// Completions come back in push order, `depth` pushes behind.
     ///
@@ -307,8 +307,7 @@ impl TrainLoop {
         &mut self,
         batch: Arc<CtrBatch>,
     ) -> Result<Option<(StepReport, Arc<CtrBatch>)>, EmbeddingError> {
-        let step = self.trainer.begin_step(batch);
-        self.queue.push_back(step);
+        self.queue.push_back(batch);
         if self.queue.len() > self.depth {
             return self.complete_front().map(Some);
         }
@@ -332,11 +331,10 @@ impl TrainLoop {
     }
 
     fn complete_front(&mut self) -> Result<(StepReport, Arc<CtrBatch>), EmbeddingError> {
-        let step = self.queue.pop_front().expect("queue non-empty");
-        let batch = Arc::clone(step.batch());
-        // The step queued behind this one (none at depth 0 or at the end of
-        // a drain) has its forward gather run behind this one's scatter.
-        let report = self.trainer.complete_step(step, self.queue.front())?;
+        let batch = self.queue.pop_front().expect("queue non-empty");
+        // The batch queued behind this one (none at depth 0 or at the end
+        // of a drain) is its successor.
+        let report = self.trainer.complete_step(&batch, self.queue.front())?;
         Ok((report, batch))
     }
 
@@ -427,7 +425,7 @@ impl TrainLoop {
     /// # Panics
     ///
     /// Panics if steps are still in flight — [`TrainLoop::finish`] them
-    /// first, so no begun batch is silently dropped untrained.
+    /// first, so no queued batch is silently dropped untrained.
     pub fn into_trainer(self) -> Trainer {
         assert!(
             self.queue.is_empty(),

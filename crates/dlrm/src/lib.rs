@@ -48,6 +48,6 @@ pub use driver::{DriverError, RunSummary, TrainLoop};
 pub use metrics::{evaluate_ctr, CtrMetrics};
 pub use model::{Dlrm, InferenceScratch};
 pub use trainer::{
-    BackwardMode, EmbeddingOptimizer, Execution, InFlightStep, PhaseTimings, StepReport, Trainer,
+    BackwardMode, EmbeddingOptimizer, Execution, PhaseTimings, StepReport, Trainer,
     CAST_AHEAD_FAULT_SITE, DENSE_GEMM_FAULT_SITE, GATHER_AHEAD_FAULT_SITE,
 };

@@ -12,11 +12,11 @@ use tcast_tensor::{
 ///
 /// The model owns weights and pending MLP gradients, never an activation:
 /// its one dense forward, [`Dlrm::dense_infer_into`], takes `&self` and
-/// writes into an [`InferenceScratch`] the caller owns, and
-/// [`Dlrm::dense_backward_into`] reads the activations back out of that
-/// scratch. The embedding *backward* (the subject of the paper) is
-/// orchestrated by the [`crate::Trainer`], which owns the choice between
-/// the baseline and casted paths.
+/// writes into an [`InferenceScratch`] the caller owns, and a training
+/// step's dense backward reads the activations back out of that scratch.
+/// The embedding *backward* (the subject of the paper) is orchestrated by
+/// the [`crate::Trainer`], which owns the choice between the baseline and
+/// casted paths.
 #[derive(Debug)]
 pub struct Dlrm {
     config: DlrmConfig,
@@ -32,9 +32,9 @@ pub struct Dlrm {
 ///
 /// [`Dlrm::dense_infer_into`] reads the pooled embeddings out of it and
 /// leaves every activation in it; a training step then hands the same
-/// scratch to [`Dlrm::dense_backward_into`], which borrows those
-/// activations and uses the gradient-side buffers (untouched, and never
-/// sized, by a caller that only scores). The model itself holds no
+/// scratch to its dense backward, which borrows those activations and
+/// uses the gradient-side buffers (untouched, and never sized, by a
+/// caller that only scores). The model itself holds no
 /// activation, so any number of serving engines and a trainer can share
 /// one `&Dlrm`, each through its own scratch; every buffer is recycled,
 /// so the steady-state dense forward and backward allocate nothing.
@@ -207,12 +207,6 @@ impl Dlrm {
         self.bottom.splits_at(batch) || self.top.splits_at(batch)
     }
 
-    /// Applies cached MLP gradients with SGD.
-    pub fn apply_dense_update(&mut self, lr: f32) {
-        self.bottom.apply_update(lr);
-        self.top.apply_update(lr);
-    }
-
     /// Inference: logits for a batch.
     ///
     /// # Errors
@@ -295,34 +289,20 @@ impl Dlrm {
             .forward_into(interaction_out, top_mlp, logits, exec)
     }
 
-    /// Dense backward: from `d(logits)` to the gradient of each pooled
-    /// embedding (`dpooled`, resized and reused — the tensors the
-    /// embedding backward consumes), leaving MLP gradients inside the
-    /// layers. `dense` and `scratch` are the ones this step's
+    /// The dense backward's head: from `d(logits)` through the top MLP and
+    /// the interaction to the gradient of each pooled embedding (`dpooled`,
+    /// resized and reused — all the embedding backward consumes) and of
+    /// the bottom output, left in `scratch` for a [`bottom_backward_into`]
+    /// that may run later and elsewhere; the top MLP's gradients are left
+    /// inside its layers. `scratch` is the one this step's
     /// [`Dlrm::dense_infer_into`] ran over: the bottom output, the pooled
-    /// embeddings, the interaction output and both MLPs' activations are
-    /// read back out of `scratch`.
+    /// embeddings, the interaction output and the top MLP's activations
+    /// are read back out of it.
     ///
     /// # Errors
     ///
-    /// Returns a [`ShapeError`] if `dense`, `scratch` and `dlogits` are
-    /// not those of one pass through this model.
-    pub fn dense_backward_into(
-        &mut self,
-        dense: &Matrix,
-        scratch: &mut InferenceScratch,
-        dlogits: &Matrix,
-        dpooled: &mut Vec<Matrix>,
-        exec: Exec<'_>,
-    ) -> Result<(), ShapeError> {
-        self.dense_head_backward_into(scratch, dlogits, dpooled, exec)?;
-        bottom_backward_into(&mut self.bottom, dense, scratch, exec)
-    }
-
-    /// The head of [`Dlrm::dense_backward_into`]: the top MLP and the
-    /// interaction, which leave `dpooled` (all the embedding backward
-    /// needs) and the bottom output's gradient in `scratch`, for a
-    /// [`bottom_backward_into`] that may run later and elsewhere.
+    /// Returns a [`ShapeError`] if `scratch` and `dlogits` are not those of
+    /// one pass through this model.
     pub(crate) fn dense_head_backward_into(
         &mut self,
         scratch: &mut InferenceScratch,
@@ -371,7 +351,8 @@ pub(crate) fn bottom_forward_into(
 /// The bottom MLP's backward from the gradient
 /// [`Dlrm::dense_head_backward_into`] left in `scratch`, over the
 /// activations of the forward of `dense` that `scratch` holds: the last
-/// stage of [`Dlrm::dense_backward_into`].
+/// stage of the dense backward, leaving the bottom MLP's gradients inside
+/// its layers.
 pub(crate) fn bottom_backward_into(
     bottom: &mut Mlp,
     dense: &Matrix,
@@ -436,8 +417,9 @@ mod tests {
         run_forward(&m, &b, &mut scratch);
         let dlogits = Matrix::filled(8, 1, 0.1);
         let mut dpooled = Vec::new();
-        m.dense_backward_into(&b.dense, &mut scratch, &dlogits, &mut dpooled, Exec::Serial)
+        m.dense_head_backward_into(&mut scratch, &dlogits, &mut dpooled, Exec::Serial)
             .unwrap();
+        bottom_backward_into(&mut m.bottom, &b.dense, &mut scratch, Exec::Serial).unwrap();
         assert_eq!(dpooled.len(), 2);
         assert_eq!(dpooled[0].shape(), (8, 16));
         // Gradients should not be all-zero.
@@ -445,7 +427,7 @@ mod tests {
         // A scratch whose last forward saw another batch is an error.
         run_forward(&m, &batch(4), &mut scratch);
         assert!(m
-            .dense_backward_into(&b.dense, &mut scratch, &dlogits, &mut dpooled, Exec::Serial)
+            .dense_head_backward_into(&mut scratch, &dlogits, &mut dpooled, Exec::Serial)
             .is_err());
     }
 

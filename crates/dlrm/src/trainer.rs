@@ -38,9 +38,9 @@ pub enum BackwardMode {
 pub struct PhaseTimings {
     /// Embedding gather-reduce (forward), as far as the step waited for
     /// it: the in-step gather, or ~0 when the step adopted a gather run
-    /// ahead for it; plus whatever this step's own completion spent,
-    /// after its last scatter returned, finishing the lane's work for the
-    /// *next* step — the bottom-MLP chain and the gather-ahead (see
+    /// ahead for it; plus the part of the step's join on the lane, after
+    /// its last scatter returned, that came after the bottom-MLP chain
+    /// ended — the gathers ahead for the successor (see
     /// [`Trainer::complete_step`]).
     pub fwd_gather: Duration,
     /// Bottom MLP + interaction + top MLP (forward) and the loss; without
@@ -48,8 +48,10 @@ pub struct PhaseTimings {
     /// completion ran ahead for it.
     pub fwd_dnn: Duration,
     /// Top MLP + interaction backward and the top MLP's update; plus the
-    /// bottom MLP's backward and update unless this step's completion has
-    /// a successor, whose lane runs those beside the embedding backward.
+    /// bottom-MLP chain (its backward, its update and the successor's
+    /// bottom forward): whole when it ran on the training thread, and when
+    /// it ran on the lane beside the embedding backward, the part of the
+    /// step's join after its last scatter up to the chain's end.
     pub bwd_dnn: Duration,
     /// Baseline: expand + coalesce. Casted: exposed wait for the casted
     /// arrays + the casted gather-reduce — the accumulate half of every
@@ -99,11 +101,12 @@ pub struct StepReport {
     pub timings: PhaseTimings,
     /// The casting time this step's training thread did not hide (a
     /// subset of `timings.bwd_embedding`): its wait, once its dense phases
-    /// ended, for the cast that ran beside them (the whole cast, if it
-    /// ran it then itself), or the whole in-step cast of a step with no
-    /// successor. Always zero in baseline mode; zero in casted mode means
+    /// ended, for the cast that ran beside them on the lane (the whole
+    /// cast, if it ran it then itself), or the whole cast of a step with
+    /// no lane. Always zero in baseline mode; zero in casted mode means
     /// this step's casting was fully hidden — the per-step Fig. 9b metric
-    /// the cross-batch driver collapses by looking ahead.
+    /// the cross-batch driver collapses by casting each batch a step
+    /// ahead.
     pub exposed_cast_wait: Duration,
     /// Tables whose forward gather this step adopted from the previous
     /// completion's gather-ahead instead of running it in-step: the table
@@ -179,16 +182,16 @@ pub enum Execution {
     /// training thread. The trainer still owns one background thread, a
     /// one-worker *lane* started when first needed. It takes half of every
     /// dense GEMM large enough to split (`dW` beside `dX`, forward row
-    /// bands), the training thread taking the other half. For a step
-    /// completed with a successor it runs, in this order: the successor's
-    /// cast (casted mode), its half of the dense phases' bands, the bottom
-    /// MLP's chain (this step's backward and update, the successor's
-    /// forward) beside the embedding backward, and the successor's
-    /// gathers.
+    /// bands), the training thread taking the other half. For a step with
+    /// a successor or a GEMM that splits it runs, in this order: the casts
+    /// the step and its successor still need (casted mode), its half of
+    /// the dense phases' bands, the bottom MLP's chain (this step's
+    /// backward and update, the successor's forward) beside the embedding
+    /// backward, and the successor's gathers.
     #[default]
     Serial,
-    /// Hot kernels split across the given persistent pool, which also
-    /// runs the gather-ahead tasks.
+    /// Hot kernels split across the given persistent pool, which is also
+    /// the lane of every step that has one (see [`Trainer::complete_step`]).
     Pooled(Arc<Pool>),
 }
 
@@ -250,28 +253,14 @@ struct Casts {
     /// This step's casted arrays, one per table.
     now: Vec<CastedIndexArray>,
     /// The successor's, cast beside this step's dense phases; the
-    /// successor adopts them by swapping them with `now`.
+    /// successor adopts them ([`Ahead::cast`]) by swapping them with `now`.
     ahead: Vec<CastedIndexArray>,
-    /// The batch `ahead` was cast from (the share keeps its address from
-    /// being reused). Every step that runs takes it, and every path that
-    /// drops a held gather drops it too.
-    ahead_of: Option<Arc<CtrBatch>>,
     /// The radix sort's buffers, shared by every cast.
     radix: RadixScratch,
     stats: PipelineStats,
 }
 
 impl Casts {
-    /// Takes the held casts; whether they were `batch`'s, now in `now`.
-    fn adopt(&mut self, batch: &CtrBatch) -> bool {
-        let held = self.ahead_of.take();
-        let adopted = held.is_some_and(|held| std::ptr::eq(Arc::as_ptr(&held), batch));
-        if adopted {
-            std::mem::swap(&mut self.now, &mut self.ahead);
-        }
-        adopted
-    }
-
     /// Counts one run of casting: `batches` batches in `time`, of which
     /// the training thread did not hide `exposed`.
     fn record(&mut self, batches: u64, time: Duration, exposed: Duration) {
@@ -286,24 +275,6 @@ fn cast_into(indices: &[IndexArray], out: &mut Vec<CastedIndexArray>, radix: &mu
     out.resize_with(indices.len(), CastedIndexArray::default);
     for (index, out) in indices.iter().zip(out) {
         tensor_casting_into(index, out, radix);
-    }
-}
-
-/// A training step begun but not yet completed: the handle returned by
-/// [`Trainer::begin_step`] and consumed by [`Trainer::complete_step`].
-///
-/// Holds the batch alive (an `Arc` share, no copy), so a driver can keep
-/// several of these queued; the completion of the step before this one
-/// casts it (casted mode) and gathers it ahead.
-#[derive(Debug)]
-pub struct InFlightStep {
-    batch: Arc<CtrBatch>,
-}
-
-impl InFlightStep {
-    /// The batch this step will train on.
-    pub fn batch(&self) -> &Arc<CtrBatch> {
-        &self.batch
     }
 }
 
@@ -330,16 +301,16 @@ pub struct Trainer {
     ahead: Option<Ahead>,
     /// The one-worker pool a trainer under [`Execution::Serial`] shares
     /// its step with ([`Execution::Pooled`] uses its own pool for all of
-    /// this). In a completion with a successor it runs the cast-ahead,
-    /// beside the dense phases; its bands of those phases' large GEMMs,
-    /// which it splits with the training thread; and, beside the
-    /// embedding backward, the bottom-MLP chain and the gather-aheads,
-    /// each spawned once its table's scatter returned. The gathers do not
-    /// queue behind the chain: waiting inside the chain's GEMM scopes the
-    /// worker helps newest-first, so it runs them there. Started by
-    /// the first step that needs it — a completion with a successor, or a
-    /// batch at which [`Dlrm::dense_splits_at`] holds — so a small model
-    /// trained step by step never has one.
+    /// this). Beside the dense phases it runs the step's casts and its
+    /// bands of those phases' large GEMMs, which it splits with the
+    /// training thread; beside the embedding backward, the bottom-MLP
+    /// chain and the gather-aheads, each spawned once its table's scatter
+    /// returned. The gathers do not queue behind the chain: waiting inside
+    /// the chain's GEMM scopes the worker helps newest-first, so it runs
+    /// them there. Started by the first step that needs it — a completion
+    /// with a successor, or a batch at which [`Dlrm::dense_splits_at`]
+    /// holds — so a small model trained step by step never has one and
+    /// runs the cast and the chain on the training thread.
     lane: Option<Pool>,
     fault: Option<FaultPlan>,
     /// Tests only: the table whose embedding backward fails.
@@ -350,13 +321,17 @@ pub struct Trainer {
     failing_chain: bool,
 }
 
-/// The work a completion ran ahead for its successor: keyed by that batch
-/// (the share keeps its address from being reused) and by the step count
-/// the tables and the bottom MLP stood at.
+/// The work a completion ran ahead for its successor, keyed by that batch
+/// (the share keeps its address from being reused). The one record of it:
+/// the successor's step adopts from it, and dropping it drops it all.
 #[derive(Debug)]
 struct Ahead {
     batch: Arc<CtrBatch>,
+    /// The step count the tables and the bottom MLP stood at when the
+    /// gather and the bottom output were run.
     at: u64,
+    /// `casts.ahead` holds the batch's casted arrays.
+    cast: bool,
     /// `scratch.pooled_ahead` holds the batch's forward gather.
     gathered: bool,
     /// `scratch.dense` holds the batch's bottom-MLP output and the
@@ -367,15 +342,16 @@ struct Ahead {
 /// The [`FaultPlan`] site every gather-ahead task passes once.
 pub const GATHER_AHEAD_FAULT_SITE: &str = "trainer.gather_ahead";
 
-/// The [`FaultPlan`] site every cast-ahead task passes once, before it
-/// casts.
+/// The [`FaultPlan`] site every cast passes once, before it casts: the
+/// lane's task beside a step's dense phases, or the cast a step with no
+/// lane runs itself.
 pub const CAST_AHEAD_FAULT_SITE: &str = "trainer.cast_ahead";
 
 /// The [`FaultPlan`] site a step passes once before its dense backward,
 /// when that backward will split a GEMM: an armed occurrence makes the
-/// first band task of the phase panic. Such a step runs its whole dense
-/// backward on the training thread, even one with a successor whose
-/// bottom MLP would otherwise go to the lane, so the panic leaves what a
+/// first band task of the phase panic. Such a step runs its bottom-MLP
+/// chain on the training thread right after the head's backward, where it
+/// would otherwise go to the lane, so the panic leaves what a
 /// dense-backward error does: no parameter changed, and the step does not
 /// count.
 pub const DENSE_GEMM_FAULT_SITE: &str = "trainer.dense_gemm";
@@ -425,15 +401,14 @@ fn dense_exec<'a>(exec: Exec<'a>, splits: bool, lane: Option<&'a Pool>) -> Exec<
     }
 }
 
-/// A step's dense phases: the forward and the loss, then the backward,
-/// which leaves the MLP gradients in the layers (the update is the
-/// caller's). With `bottom_held` the forward starts from the bottom output
-/// a completion ran ahead into `scratch.dense`. With `defer_bottom` the
-/// backward stops after the head (top MLP and interaction) and leaves the
-/// bottom MLP's to the caller — unless the step's dense-GEMM fault fires:
-/// the band it poisons must be this backward's own, before any update.
-/// Returns the loss, how long each phase took, and whether the bottom
-/// backward was left to the caller.
+/// A step's dense phases: the forward and the loss, then the head's
+/// backward (top MLP and interaction), which leaves `dpooled` and the
+/// bottom output's gradient in `scratch` and the head's gradients in its
+/// layers (the bottom MLP's backward and every update are the caller's).
+/// With `bottom_held` the forward starts from the bottom output a
+/// completion ran ahead into `scratch.dense`. Returns the loss, how long
+/// each phase took, and whether the step's dense-GEMM fault fired: the
+/// band it poisons must then be this step's own, before any update.
 fn dense_phases(
     model: &mut Dlrm,
     batch: &CtrBatch,
@@ -441,7 +416,6 @@ fn dense_phases(
     exec: Exec<'_>,
     fault: Option<&FaultPlan>,
     bottom_held: bool,
-    defer_bottom: bool,
 ) -> Result<(f32, Duration, Duration, bool), EmbeddingError> {
     let t0 = Instant::now();
     let (dense, logits) = (&mut scratch.dense, &mut scratch.logits);
@@ -454,43 +428,39 @@ fn dense_phases(
     bce_with_logits_backward_into(&scratch.logits, &batch.labels, &mut scratch.dlogits)?;
     let fwd_dnn = t0.elapsed();
     let t0 = Instant::now();
-    let mut defer_bottom = defer_bottom;
-    if let (true, Some(plan), Some(pool)) = (
-        model.dense_splits_at(batch.dense.rows()),
-        fault,
-        exec.pool(),
-    ) {
-        if plan.should_fail(DENSE_GEMM_FAULT_SITE) {
-            pool.poison_next_task();
-            defer_bottom = false;
+    let fired = match (fault, exec.pool()) {
+        (Some(plan), Some(pool)) if model.dense_splits_at(batch.dense.rows()) => {
+            let fired = plan.should_fail(DENSE_GEMM_FAULT_SITE);
+            if fired {
+                pool.poison_next_task();
+            }
+            fired
         }
-    }
+        _ => false,
+    };
     let (dense, dpooled) = (&mut scratch.dense, &mut scratch.dpooled);
-    if defer_bottom {
-        model.dense_head_backward_into(dense, &scratch.dlogits, dpooled, exec)?;
-    } else {
-        model.dense_backward_into(&batch.dense, dense, &scratch.dlogits, dpooled, exec)?;
-    }
-    Ok((loss, fwd_dnn, t0.elapsed(), defer_bottom))
+    model.dense_head_backward_into(dense, &scratch.dlogits, dpooled, exec)?;
+    Ok((loss, fwd_dnn, t0.elapsed(), fired))
 }
 
-/// The bottom MLP's share of a step with a successor, run on the lane
-/// beside the embedding backward: its backward (from the gradient the head
-/// left in `scratch`), its update, and `next`'s bottom forward over the
-/// updated weights into `scratch`, where `next`'s step finds it. Returns
-/// whether that forward succeeded (a successor whose dense features do not
-/// fit gets none: its own step reports the error).
+/// The bottom MLP's share of a step, run on the lane beside the embedding
+/// backward or on the training thread before it: its backward (from the
+/// gradient the head left in `scratch`), its update, and `next`'s bottom
+/// forward over the updated weights into `scratch`, where `next`'s step
+/// finds it. Returns whether that forward ran and succeeded (a successor
+/// whose dense features do not fit gets none: its own step reports the
+/// error).
 fn bottom_chain(
     bottom: &mut Mlp,
     batch: &CtrBatch,
-    next: &CtrBatch,
+    next: Option<&CtrBatch>,
     scratch: &mut InferenceScratch,
     lr: f32,
     exec: Exec<'_>,
 ) -> Result<bool, ShapeError> {
     bottom_backward_into(bottom, &batch.dense, scratch, exec)?;
     bottom.apply_update(lr);
-    Ok(bottom_forward_into(bottom, &next.dense, scratch, exec).is_ok())
+    Ok(next.is_some_and(|next| bottom_forward_into(bottom, &next.dense, scratch, exec).is_ok()))
 }
 
 impl Trainer {
@@ -618,9 +588,6 @@ impl Trainer {
     /// completions.
     pub(crate) fn drop_gather_ahead(&mut self) {
         self.ahead = None;
-        if let Some(casts) = self.casts.as_mut() {
-            casts.ahead_of = None;
-        }
     }
 
     /// Steps taken so far.
@@ -661,18 +628,9 @@ impl Trainer {
         self.drop_gather_ahead();
     }
 
-    /// Runs one training step and reports loss + phase timings.
-    ///
-    /// In casted mode a step with no successor casts its index arrays
-    /// in-step, right before its embedding backward, unless the completion
-    /// before it already cast them — so a warm step allocates nothing. Its
-    /// whole dense backward and update run on this thread, before the
-    /// embedding backward.
-    ///
-    /// This is exactly the depth-0 composition of
-    /// [`Trainer::begin_step`] + [`Trainer::complete_step`]. The
-    /// [`crate::TrainLoop`] driver hides the cast, the gather and the
-    /// bottom MLP by handing each completion its successor, and produces a
+    /// Runs one training step and reports loss + phase timings: exactly
+    /// [`Trainer::complete_step`] with no successor. The [`crate::TrainLoop`]
+    /// driver hands each step its successor instead, and produces a
     /// bit-identical trajectory.
     ///
     /// # Errors
@@ -680,42 +638,34 @@ impl Trainer {
     /// Returns an error on shape/index inconsistencies in the batch, or if
     /// it has no rows; a failed step does not count.
     pub fn step(&mut self, batch: &CtrBatch) -> Result<StepReport, EmbeddingError> {
-        self.run_step(batch, None)
+        self.complete_step(batch, None)
     }
 
-    /// Begins a training step: returns a handle holding the batch share.
-    /// No model state is read or written, which is what makes beginning
-    /// future steps ahead of completing the current one
-    /// trajectory-preserving.
+    /// Runs one training step on `batch` — forward, backward and the
+    /// optimizer scatter, blocking only on whatever casting latency was not
+    /// hidden ([`StepReport::exposed_cast_wait`]) — and runs ahead what
+    /// `next`, the batch to be trained right after it, will need: its
+    /// cast, its gathers and its bottom forward.
     ///
-    /// The returned step must be completed by **this** trainer, in the
-    /// order it was begun relative to other in-flight steps.
-    pub fn begin_step(&mut self, batch: Arc<CtrBatch>) -> InFlightStep {
-        InFlightStep { batch }
-    }
-
-    /// Completes a step begun with [`Trainer::begin_step`]: runs
-    /// forward, backward and the optimizer scatter, blocking only on
-    /// whatever casting latency was not hidden (reported per step in
-    /// [`StepReport::exposed_cast_wait`]).
-    ///
-    /// `next` is the step begun right after this one, if there is one.
     /// Casting depends only on index arrays, so in casted mode the first
     /// task of a lane scope that spans this step's dense phases casts
-    /// `next` — and this step too, unless the completion before it did.
-    /// `next` adopts those casted arrays, and its own step then does not
-    /// cast.
+    /// `batch` (unless the completion before it did) and `next`. `next`
+    /// adopts those casted arrays, and its own step then does not cast.
     ///
     /// The embedding backward needs only the gradient of the pooled
     /// embeddings, which the interaction backward leaves; the bottom MLP's
     /// backward, its update and `next`'s bottom forward (its dense
     /// features over the updated weights) read nothing the embedding
-    /// backward writes. So with a successor this thread runs the top MLP's
-    /// and the interaction's backward, updates the top MLP and goes on to
-    /// the embedding backward, while that bottom-MLP chain is the first
-    /// task of the lane scope that spans it. The chain's GEMMs split as
-    /// the dense phases' do; this thread takes its share of them once it
-    /// reaches the scope's join.
+    /// backward writes. So this thread runs the top MLP's and the
+    /// interaction's backward, updates the top MLP and goes on to the
+    /// embedding backward, while that bottom-MLP chain is the first task of
+    /// the lane scope that spans it. The chain's GEMMs split as the dense
+    /// phases' do; this thread takes its share of them once it reaches the
+    /// scope's join.
+    ///
+    /// A step has no lane when it splits no GEMM and has no successor: it
+    /// casts and runs the chain itself, before any update. So does a step
+    /// whose [`DENSE_GEMM_FAULT_SITE`] fires, for its chain.
     ///
     /// `next`'s forward gather of table `i` reads only its own indices and
     /// table `i` as this step's scatter leaves it, and tables are
@@ -725,7 +675,7 @@ impl Trainer {
     /// gather would read later. It does not wait for the chain: the lane's
     /// worker, waiting inside one of the chain's GEMM scopes, helps
     /// newest-first and runs the gather there, between the chain's GEMMs.
-    /// Completing `next` then adopts the gather
+    /// Completing `next` then adopts the cast, the gather
     /// ([`StepReport::gathered_ahead`]) and the bottom output if they are
     /// still current: same batch share, same step count, tables and MLPs
     /// untouched in between. A gather-ahead that fails (a bad id in
@@ -735,24 +685,17 @@ impl Trainer {
     ///
     /// # Errors
     ///
-    /// Returns an error on shape/index inconsistencies in the batch.
+    /// Returns an error on shape/index inconsistencies in the batch, or if
+    /// it has no rows; a failed step does not count, and of what it ran
+    /// ahead for `next` only the cast is held.
     ///
     /// # Panics
     ///
-    /// Resumes a panic of a lane task (the cast-ahead, a GEMM band, the
+    /// Resumes a panic of a lane task (the cast, a GEMM band, the
     /// bottom-MLP chain, a gather-ahead) on this thread; the step then
-    /// does not count, and nothing it ran ahead for `next` is held.
+    /// does not count, and of what it ran ahead for `next` only the cast
+    /// is held.
     pub fn complete_step(
-        &mut self,
-        step: InFlightStep,
-        next: Option<&InFlightStep>,
-    ) -> Result<StepReport, EmbeddingError> {
-        self.run_step(&step.batch, next.map(InFlightStep::batch))
-    }
-
-    /// The forward/backward/scatter body shared by [`Trainer::step`] and
-    /// [`Trainer::complete_step`].
-    fn run_step(
         &mut self,
         batch: &CtrBatch,
         next: Option<&Arc<CtrBatch>>,
@@ -785,25 +728,33 @@ impl Trainer {
         let exec = execution.as_exec();
         let fault = fault.as_ref();
         let splits = model.dense_splits_at(batch.dense.rows());
-        if exec.pool().is_none() && (splits || next.is_some()) {
-            lane.get_or_insert_with(|| Pool::new(1));
-        }
-        // Where this step's lane work runs: the caller's pool, or the lane.
-        let lane = exec.pool().or(lane.as_ref());
+        // A step has a lane when a GEMM of it splits or it has a successor:
+        // the caller's pool, or the trainer's own. Without one, its lane
+        // work runs on this thread.
+        let lane = (splits || next.is_some()).then(|| match exec.pool() {
+            Some(pool) => pool,
+            None => &*lane.get_or_insert_with(|| Pool::new(1)),
+        });
 
-        // FWD (Gather): adopt the gather the previous completion ran ahead
-        // for this very batch against the tables as they are now, or
-        // gather in-step; the bottom-MLP forward it ran ahead alike. Taken
-        // either way, so nothing held outlives the next table or MLP
-        // write; the held casts are taken alike.
-        let cast_held = casts.as_mut().is_some_and(|casts| casts.adopt(batch));
+        // Adopt what the previous completion ran ahead for this very batch:
+        // its cast, and — against the tables and MLPs as they are now — its
+        // gather and its bottom-MLP forward. Taken either way, so nothing
+        // held outlives the next table or MLP write.
         let held = ahead
             .take()
-            .filter(|held| std::ptr::eq(Arc::as_ptr(&held.batch), batch) && held.at == *steps);
-        let bottom_held = held.as_ref().is_some_and(|held| held.bottom);
+            .filter(|held| std::ptr::eq(Arc::as_ptr(&held.batch), batch));
+        let (cast_held, gather_held, bottom_held) = held.map_or((false, false, false), |held| {
+            let current = held.at == *steps;
+            (held.cast, held.gathered && current, held.bottom && current)
+        });
+        if let Some(casts) = casts.as_mut().filter(|_| cast_held) {
+            std::mem::swap(&mut casts.now, &mut casts.ahead);
+        }
+
+        // FWD (Gather): the adopted gather, or in-step.
         let t0 = Instant::now();
         let pooled = scratch.dense.pooled_mut();
-        let gathered_ahead = if held.is_some_and(|held| held.gathered) {
+        let gathered_ahead = if gather_held {
             std::mem::swap(pooled, &mut scratch.pooled_ahead);
             pooled.len()
         } else {
@@ -814,82 +765,97 @@ impl Trainer {
 
         // A successor with the wrong table count gets no gather-ahead and
         // no bottom forward ahead: its own step reports that.
-        let ahead_of = next.filter(|next| next.indices.len() == model.num_tables());
+        let ahead_of = next
+            .map(Arc::as_ref)
+            .filter(|next| next.indices.len() == model.num_tables());
 
-        // FWD (DNN) + loss, then BWD (DNN): with a successor to run ahead
-        // for, only the head's backward; the bottom MLP's waits for the
-        // lane. In casted mode with a successor the two phases run inside
-        // one lane scope whose first task casts the successor — and this
-        // batch, unless an earlier completion did — so the scope's join is
-        // the wait for the cast.
+        // FWD (DNN) + loss, then the head's BWD (DNN). In casted mode the
+        // casts this step and its successor still need run beside them, as
+        // the first task of a lane scope whose join is the wait for them;
+        // a step with no lane casts first.
         let dense = dense_exec(exec, splits, lane);
-        let defer_bottom = ahead_of.is_some();
-        let phases = |model: &mut Dlrm, scratch: &mut StepScratch| {
-            dense_phases(
-                model,
-                batch,
-                scratch,
-                dense,
-                fault,
-                bottom_held,
-                defer_bottom,
-            )
+        let run_dense = |model: &mut Dlrm, scratch: &mut StepScratch| {
+            dense_phases(model, batch, scratch, dense, fault, bottom_held)
         };
         let mut exposed_cast_wait = Duration::ZERO;
-        let (loss, fwd_dnn, mut bwd_dnn, bottom_deferred) = match (casts.as_mut(), next) {
-            (Some(casts), Some(next)) => {
+        let to_cast = casts.as_mut().filter(|_| !cast_held || next.is_some());
+        let phases = match to_cast {
+            None => run_dense(model, scratch),
+            Some(casts) => {
                 let Casts {
                     now,
                     ahead: cast_ahead,
                     radix,
                     ..
                 } = casts;
-                let mut cast = None;
-                let (phases, closed) = lane.expect("started for a successor").scope(|scope| {
-                    let cast = &mut cast;
-                    scope.spawn(move || {
-                        if let Some(plan) = fault {
-                            assert!(
-                                !plan.should_fail(CAST_AHEAD_FAULT_SITE),
-                                "injected fault at {CAST_AHEAD_FAULT_SITE}"
-                            );
-                        }
-                        let start = Instant::now();
-                        if !cast_held {
-                            cast_into(&batch.indices, now, radix);
-                        }
+                let mut cast = move || {
+                    if let Some(plan) = fault {
+                        assert!(
+                            !plan.should_fail(CAST_AHEAD_FAULT_SITE),
+                            "injected fault at {CAST_AHEAD_FAULT_SITE}"
+                        );
+                    }
+                    let start = Instant::now();
+                    if !cast_held {
+                        cast_into(&batch.indices, now, radix);
+                    }
+                    if let Some(next) = next {
                         cast_into(&next.indices, cast_ahead, radix);
-                        *cast = Some((start, Instant::now()));
-                    });
-                    (phases(model, scratch), Instant::now())
-                });
-                let (start, end) = cast.expect("the scope joined its cast");
-                casts.ahead_of = Some(Arc::clone(next));
-                // Not hidden: what the join waited. Helping newest-first in
-                // the dense phases' own scopes, this thread reaches the cast
-                // only here, and runs it whole if the lane never started it.
+                    }
+                    (start, Instant::now())
+                };
+                let (phases, start, end, closed) = match lane {
+                    Some(lane) => {
+                        let mut span = None;
+                        let (phases, closed) = lane.scope(|scope| {
+                            let span = &mut span;
+                            scope.spawn(move || *span = Some(cast()));
+                            (run_dense(model, scratch), Instant::now())
+                        });
+                        let (start, end) = span.expect("the scope joined its cast");
+                        (phases, start, end, closed)
+                    }
+                    None => {
+                        let (start, end) = cast();
+                        (run_dense(model, scratch), start, end, start)
+                    }
+                };
+                // Not hidden: what the join waited, or the whole cast this
+                // thread ran. Helping newest-first in the dense phases' own
+                // scopes, this thread reaches the lane's cast only at the
+                // join, and runs it whole if the lane never started it.
                 exposed_cast_wait = end.saturating_duration_since(closed);
-                casts.record(1 + u64::from(!cast_held), end - start, exposed_cast_wait);
-                phases?
+                let batches = u64::from(!cast_held) + u64::from(next.is_some());
+                casts.record(batches, end - start, exposed_cast_wait);
+                phases
             }
-            _ => phases(model, scratch)?,
         };
-        let t0 = Instant::now();
-        if bottom_deferred {
-            model.top_mut().apply_update(lr);
-        } else {
-            model.apply_dense_update(lr);
-        }
-        bwd_dnn += t0.elapsed();
+        // What this step runs ahead for its successor, recorded as it
+        // lands: the cast now (a function of the indices alone, so it is
+        // held even if this step fails), the gathers and the bottom output
+        // once the step succeeded.
+        *ahead = next.map(|next| Ahead {
+            batch: Arc::clone(next),
+            at: *steps,
+            cast: casts.is_some(),
+            gathered: false,
+            bottom: false,
+        });
+        let (loss, fwd_dnn, mut bwd_dnn, fired) = phases?;
 
-        // A step with no successor casts in-step, unless an earlier
-        // completion already cast this batch.
-        if let Some(casts) = casts.as_mut().filter(|_| next.is_none() && !cast_held) {
-            let start = Instant::now();
-            cast_into(&batch.indices, &mut casts.now, &mut casts.radix);
-            exposed_cast_wait = start.elapsed();
-            casts.record(1, exposed_cast_wait, exposed_cast_wait);
-        }
+        // The bottom-MLP chain runs on the lane beside the embedding
+        // backward — on this thread, before any update, on a step with no
+        // lane or whose dense-GEMM fault fired. Then the top MLP's update.
+        let chain_on_lane = lane.is_some() && !fired;
+        let t0 = Instant::now();
+        let bottom_here = if chain_on_lane {
+            false
+        } else {
+            let bottom = model.bottom_mut();
+            bottom_chain(bottom, batch, ahead_of, &mut scratch.dense, lr, dense)?
+        };
+        model.top_mut().apply_update(lr);
+        bwd_dnn += t0.elapsed();
         let casted = casts.as_ref().map(|casts| casts.now.as_slice());
 
         // BWD (embedding + scatter), table by table. Baseline: expand →
@@ -961,35 +927,31 @@ impl Trainer {
                 _ => update(t, table),
             }
         };
-        let held = match ahead_of {
-            None => {
-                update_tables(tables, update, |_, _| {})?;
-                None
-            }
-            Some(next) => {
-                // The lane's first task is the bottom MLP's backward, its
-                // update and `next`'s bottom forward: none of it reads what
-                // the embedding backward writes. Then gather-ahead: the
-                // moment table `t`'s update returns, its rows are final for
-                // this step, so `next`'s gather of it may run — on the
-                // lane, beside the update of table `t+1`.
-                let lane = lane.expect("started for a successor");
+        // On the lane: first the bottom-MLP chain, unless this thread ran
+        // it; then gather-ahead. The moment table `t`'s update returns, its
+        // rows are final for this step, so `next`'s gather of it may run —
+        // on the lane, beside the update of table `t+1`.
+        let failed = AtomicBool::new(false);
+        let mut chained = None;
+        let scattered = match lane {
+            None => update_tables(tables, update, |_, _| {}),
+            Some(lane) => {
                 pooled_ahead.resize_with(tables.len(), Matrix::default);
                 let mut outs = pooled_ahead.iter_mut();
-                let failed = AtomicBool::new(false);
                 let failed = &failed;
-                let mut chained = None;
-                let scattered = lane.scope(|scope| {
-                    if bottom_deferred {
+                lane.scope(|scope| {
+                    if chain_on_lane {
                         let chained = &mut chained;
                         scope.spawn(move || {
                             #[cfg(test)]
                             assert!(!failing_chain, "injected panic in the bottom-MLP chain");
-                            *chained =
-                                Some(bottom_chain(bottom, batch, next, dense_scratch, lr, dense));
+                            let chain =
+                                bottom_chain(bottom, batch, ahead_of, dense_scratch, lr, dense);
+                            *chained = Some(chain.map(|ahead| (ahead, Instant::now())));
                         });
                     }
                     update_tables(tables, update, |t, table| {
+                        let Some(next) = ahead_of else { return };
                         let (idx, out) = (&next.indices[t], outs.next().expect("one per table"));
                         scope.spawn(move || {
                             if let Some(plan) = fault {
@@ -1003,29 +965,34 @@ impl Trainer {
                             }
                         });
                     })
-                });
-                // The bottom backward's error first: a step with no
-                // successor meets it before any table update.
-                let bottom_ahead = chained.transpose()?.unwrap_or(false);
-                // The scope closed with every task done (this thread ran
-                // the ones the lane had not reached): what that took past
-                // the last scatter — the lane's chain and gathers — is
-                // time this step waited for.
-                fwd_gather += scattered?.elapsed();
-                // A gather that tripped over `next` is not held: `next`
-                // reports the error from its own step. (`Relaxed`: the
-                // scope's join ordered the tasks' stores before this load.)
-                let gathered = !failed.load(Ordering::Relaxed);
-                (gathered || bottom_ahead).then(|| (Arc::clone(next), gathered, bottom_ahead))
+                })
             }
         };
+        // The scope closed with every task done (this thread ran the ones
+        // the lane had not reached). What that took past the last scatter
+        // is time this step waited for: the chain up to its end
+        // (`bwd_dnn`), the gathers ahead after it (`fwd_gather`). The
+        // chain's error comes first, as when this thread runs it.
+        let closed = Instant::now();
+        let chained = chained.transpose()?;
+        let scattered = scattered?;
+        let (bottom_ahead, chain_end) = match chained {
+            Some((ahead, end)) => (ahead, end.max(scattered)),
+            None => (bottom_here, scattered),
+        };
+        bwd_dnn += chain_end - scattered;
+        fwd_gather += closed.saturating_duration_since(chain_end);
+        // A gather that tripped over `next` is not held: `next` reports
+        // the error from its own step. (`Relaxed`: the scope's join
+        // ordered the tasks' stores before this load.)
+        let gathered = ahead_of.is_some() && !failed.load(Ordering::Relaxed);
 
         *steps += 1;
-        *ahead = held.map(|(batch, gathered, bottom)| Ahead {
-            batch,
+        *ahead = ahead.take().map(|held| Ahead {
             at: *steps,
             gathered,
-            bottom,
+            bottom: bottom_ahead,
+            ..held
         });
         Ok(StepReport {
             loss,
@@ -1169,21 +1136,21 @@ mod tests {
             let run = |lookahead: bool| {
                 let mut t = Trainer::new(DlrmConfig::tiny(), mode, 1).unwrap();
                 let mut stream = data(2);
-                let first = t.begin_step(Arc::new(stream.next_batch(16)));
-                let second = t.begin_step(Arc::new(stream.next_batch(16)));
+                let first = stream.next_batch(16);
+                let second = Arc::new(stream.next_batch(16));
                 t.failing_backward = Some(1);
                 let err = t
-                    .complete_step(first, lookahead.then_some(&second))
+                    .complete_step(&first, lookahead.then_some(&second))
                     .unwrap_err();
                 assert!(matches!(err, EmbeddingError::InvalidIndex(_)), "{err}");
                 assert_eq!(t.lane.is_some(), lookahead, "{mode:?}");
                 assert!(
-                    t.ahead.is_none(),
+                    !holds_model_work(&t),
                     "{mode:?}: a failed step left a gather held"
                 );
                 assert_eq!(t.steps(), 0);
                 t.failing_backward = None;
-                let report = t.complete_step(second, None).unwrap();
+                let report = t.complete_step(&second, None).unwrap();
                 assert_eq!(report.gathered_ahead, 0, "{mode:?}");
                 (report.loss.to_bits(), t)
             };
@@ -1200,71 +1167,90 @@ mod tests {
         }
     }
 
+    /// Whether `t` holds a gather or a bottom output run ahead: what reads
+    /// the tables or the bottom MLP, unlike a cast.
+    fn holds_model_work(t: &Trainer) -> bool {
+        t.ahead
+            .as_ref()
+            .is_some_and(|held| held.gathered || held.bottom)
+    }
+
+    /// `tiny` with a bottom MLP whose middle layer reaches the split floor
+    /// at batch 16: a plain step there has a lane.
+    fn wide_config() -> DlrmConfig {
+        DlrmConfig {
+            bottom_mlp: vec![512, 512, 16],
+            ..DlrmConfig::tiny()
+        }
+    }
+
     #[test]
     fn a_panic_in_the_bottom_chain_resurfaces_and_leaves_nothing_held() {
-        // The chain runs beside the embedding backward, so its panic comes
-        // after the tables and the top MLP were written; the step still
-        // does not count, nothing it ran ahead is held, and the lane goes
-        // on to train the following steps as the plain loop would from the
-        // state the panic left.
+        // The chain runs on the lane beside the embedding backward — of a
+        // completion with a successor, and of a plain step on a model whose
+        // dense GEMMs split — so its panic comes after the tables and the
+        // top MLP were written; the step still does not count, nothing it
+        // ran ahead is held, and the trainer goes on to train the
+        // following steps as the plain loop would from the state the panic
+        // left.
         use crate::checkpoint::{read_train_checkpoint, save_train_checkpoint};
         use std::panic::{catch_unwind, AssertUnwindSafe};
-        for mode in [BackwardMode::Baseline, BackwardMode::Casted] {
-            let mut t = Trainer::new(DlrmConfig::tiny(), mode, 1).unwrap();
-            let mut stream = data(2);
-            let batches: Vec<Arc<CtrBatch>> =
-                (0..4).map(|_| Arc::new(stream.next_batch(16))).collect();
-            let first = t.begin_step(Arc::clone(&batches[0]));
-            let second = t.begin_step(Arc::clone(&batches[1]));
-            t.failing_chain = true;
-            let panic = catch_unwind(AssertUnwindSafe(|| t.complete_step(first, Some(&second))))
-                .expect_err("the chain's panic must reach the training thread");
-            t.failing_chain = false;
-            let message = panic
-                .downcast_ref::<&str>()
-                .copied()
-                .unwrap_or("<not a str>");
-            assert!(message.contains("bottom-MLP chain"), "{mode:?}: {message}");
-            assert_eq!(t.steps(), 0, "{mode:?}");
-            assert!(
-                t.ahead.is_none(),
-                "{mode:?}: a panicked step left work held"
-            );
-
-            // The plain loop from the state the panic left behind.
-            let mut bytes = Vec::new();
-            save_train_checkpoint(&mut bytes, &t, None, None).unwrap();
-            let mut plain = Trainer::new(DlrmConfig::tiny(), mode, 9).unwrap();
-            read_train_checkpoint(&mut bytes.as_slice())
-                .unwrap()
-                .restore_into(&mut plain)
-                .unwrap();
-            let want: Vec<u32> = batches[1..]
-                .iter()
-                .map(|b| plain.step(b).unwrap().loss.to_bits())
-                .collect();
-
-            let rest: Vec<InFlightStep> = batches[2..]
-                .iter()
-                .map(|b| t.begin_step(Arc::clone(b)))
-                .collect();
-            let mut got = Vec::new();
-            let mut queue = std::iter::once(second).chain(rest).peekable();
-            while let Some(step) = queue.next() {
-                let adopted = !got.is_empty();
-                let report = t.complete_step(step, queue.peek()).unwrap();
-                let tables = if adopted { t.model().num_tables() } else { 0 };
-                assert_eq!(report.gathered_ahead, tables, "{mode:?} step {}", got.len());
-                got.push(report.loss.to_bits());
-            }
-            assert_eq!(got, want, "{mode:?}");
-            assert_eq!(t.steps(), 3, "{mode:?}");
-            for i in 0..t.model().num_tables() {
-                assert_eq!(
-                    t.model().table(i).as_slice(),
-                    plain.model().table(i).as_slice(),
-                    "{mode:?} table {i}"
+        for (config, lookahead) in [(DlrmConfig::tiny(), true), (wide_config(), false)] {
+            for mode in [BackwardMode::Baseline, BackwardMode::Casted] {
+                let context = format!("{mode:?} lookahead {lookahead}");
+                let mut t = Trainer::new(config.clone(), mode, 1).unwrap();
+                assert_eq!(t.model().dense_splits_at(16), !lookahead, "{context}");
+                let mut stream =
+                    SyntheticCtr::new(config.table_workloads(), config.dense_features, 2);
+                let batches: Vec<Arc<CtrBatch>> =
+                    (0..4).map(|_| Arc::new(stream.next_batch(16))).collect();
+                t.failing_chain = true;
+                let next = lookahead.then_some(&batches[1]);
+                let panic = catch_unwind(AssertUnwindSafe(|| t.complete_step(&batches[0], next)))
+                    .expect_err("the chain's panic must reach the training thread");
+                t.failing_chain = false;
+                let message = panic
+                    .downcast_ref::<&str>()
+                    .copied()
+                    .unwrap_or("<not a str>");
+                assert!(message.contains("bottom-MLP chain"), "{context}: {message}");
+                assert_eq!(t.steps(), 0, "{context}");
+                assert!(
+                    !holds_model_work(&t),
+                    "{context}: a panicked step left work held"
                 );
+
+                // The plain loop from the state the panic left behind.
+                let mut bytes = Vec::new();
+                save_train_checkpoint(&mut bytes, &t, None, None).unwrap();
+                let mut plain = Trainer::new(config.clone(), mode, 9).unwrap();
+                read_train_checkpoint(&mut bytes.as_slice())
+                    .unwrap()
+                    .restore_into(&mut plain)
+                    .unwrap();
+                let want: Vec<u32> = batches[1..]
+                    .iter()
+                    .map(|b| plain.step(b).unwrap().loss.to_bits())
+                    .collect();
+
+                let mut got = Vec::new();
+                for (i, batch) in batches.iter().enumerate().skip(1) {
+                    let next = batches.get(i + 1).filter(|_| lookahead);
+                    let report = t.complete_step(batch, next).unwrap();
+                    let adopted = lookahead && i > 1;
+                    let tables = if adopted { t.model().num_tables() } else { 0 };
+                    assert_eq!(report.gathered_ahead, tables, "{context} step {i}");
+                    got.push(report.loss.to_bits());
+                }
+                assert_eq!(got, want, "{context}");
+                assert_eq!(t.steps(), 3, "{context}");
+                for i in 0..t.model().num_tables() {
+                    assert_eq!(
+                        t.model().table(i).as_slice(),
+                        plain.model().table(i).as_slice(),
+                        "{context} table {i}"
+                    );
+                }
             }
         }
     }
@@ -1275,7 +1261,7 @@ mod tests {
         // beside its gather. Dense features of the wrong width do not: the
         // gather is held alone, and that step reports the shape error.
         let mut stream = data(3);
-        let good = Arc::new(stream.next_batch(16));
+        let good = stream.next_batch(16);
         let other_rows = Arc::new(stream.next_batch(5));
         let mut wide_dense = stream.next_batch(16);
         wide_dense.dense = Matrix::zeros(16, DlrmConfig::tiny().dense_features + 1);
@@ -1283,14 +1269,12 @@ mod tests {
         for mode in [BackwardMode::Baseline, BackwardMode::Casted] {
             for (next, bottom) in [(&other_rows, true), (&wide_dense, false)] {
                 let mut t = Trainer::new(DlrmConfig::tiny(), mode, 1).unwrap();
-                let first = t.begin_step(Arc::clone(&good));
-                let second = t.begin_step(Arc::clone(next));
-                t.complete_step(first, Some(&second)).unwrap();
+                t.complete_step(&good, Some(next)).unwrap();
                 let held = t.ahead.as_ref().expect("the gather is held");
                 assert!(held.gathered, "{mode:?}");
                 assert_eq!(held.bottom, bottom, "{mode:?}");
                 let served = t.evaluate(next);
-                let got = t.complete_step(second, None);
+                let got = t.complete_step(next, None);
                 assert_eq!(got.is_ok(), bottom, "{mode:?}");
                 if let (Ok(got), Ok(served)) = (got, served) {
                     assert_eq!(got.loss.to_bits(), served.to_bits(), "{mode:?}");

@@ -312,7 +312,9 @@ impl RowOptimizer {
     /// plane count other than `rule.planes()`; a plane not `dim` wide (one
     /// that never grew may say 0) or not rows x width values; planes of
     /// unequal rows, or more rows than the table; step counts on a rule
-    /// that keeps none, none on one that does, or not one a row.
+    /// that keeps none, none on one that does, or not one a row; a step
+    /// count the update cannot advance (`i32::MAX` or more: the bias
+    /// correction raises the decays to the advanced count as an `i32`).
     pub fn from_state(
         rule: UpdateRule,
         rows: usize,
@@ -353,6 +355,13 @@ impl RowOptimizer {
             return Err(format!(
                 "{} step counts for {state_rows} state rows",
                 steps.len()
+            ));
+        }
+        if let Some(row) = steps.iter().position(|&t| t >= i32::MAX as u32) {
+            return Err(format!(
+                "row {row} has taken {} steps: its next update would pass {}",
+                steps[row],
+                i32::MAX
             ));
         }
         let planes = planes.into_iter();

@@ -48,17 +48,20 @@
 //! the tasks a waiter has just spawned are the ones its scope waits for,
 //! while older tasks belong to an enclosing scope and are left to the
 //! workers while they are still busy elsewhere. The DLRM trainer leans on
-//! this with its one-worker lane: the scope that spans a step's dense
-//! phases holds the next batch's cast as its first task, and each split
-//! GEMM inside those phases opens a scope of its own on the same lane.
-//! The training thread helping in a GEMM's scope runs that GEMM's bands,
-//! not the cast, so the cast stays the lane's — even while the lane's
-//! worker is slow to start — and reaches the training thread only if it
-//! is still queued when the outer scope joins. The scope that spans the
-//! step's embedding backward works the same way from the other side: its
-//! first task is the bottom MLP's backward, update and next-batch forward,
-//! which the lane's worker runs while the training thread scatters. The
-//! next batch's gathers, spawned into that scope as each scatter returns,
+//! this with its one-worker lane, the same two scopes for every step that
+//! has a lane. The scope that spans a step's dense phases holds the cast
+//! (of the step's batch unless a step before it cast it, and of the next
+//! batch if there is one) as its first task, and each split GEMM inside
+//! those phases opens a scope of its own on the same lane. The training
+//! thread helping in a GEMM's scope runs that GEMM's bands, not the cast,
+//! so the cast stays the lane's — even while the lane's worker is slow to
+//! start — and reaches the training thread only if it is still queued when
+//! the outer scope joins. The scope that spans the step's embedding
+//! backward works the same way from the other side: its first task is the
+//! bottom MLP's backward, update and, if there is a next batch, its
+//! forward, which the lane's worker runs while the training thread
+//! scatters. The next batch's gathers, spawned into that scope as each
+//! scatter returns,
 //! do not wait for that chain: they are the newest tasks whenever the
 //! worker waits inside one of the chain's GEMM scopes, so it runs them
 //! there, between the chain's GEMMs, and the chain's span stretches by

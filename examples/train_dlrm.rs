@@ -3,9 +3,11 @@
 //! and report the real wall-clock phase breakdown — this repository's
 //! version of the paper's "prototyped on a real CPU-GPU system"
 //! measurement. The casted run also reports the Fig. 9b overlap metrics
-//! (hidden fraction / exposed wait) of its step loop, which casts
-//! in-step, and a second experiment runs the cross-batch `TrainLoop`
-//! driver at lookahead depth 0 vs 2 to show the exposed-wait collapse.
+//! (hidden fraction / exposed wait) of its step loop, in which each step
+//! casts its own batch on the trainer's lane beside its dense phases, and
+//! a second experiment runs the cross-batch `TrainLoop` driver at
+//! lookahead depth 0 vs 2, where each step casts the batch queued behind
+//! it instead.
 //!
 //! ```sh
 //! cargo run --release --example train_dlrm
@@ -64,9 +66,10 @@ fn pct(d: Duration, total: Duration) -> f64 {
 }
 
 /// The Fig. 9b experiment: the same casted model trained through the
-/// cross-batch `TrainLoop` at lookahead depth 0 (every step casts
-/// in-step, fully exposed) vs depth 2 (each completion casts the batch
-/// queued behind it on the trainer's lane, beside its own dense phases).
+/// cross-batch `TrainLoop` at lookahead depth 0 (every step casts its own
+/// batch on the trainer's lane, beside its dense phases: RM1's GEMMs split
+/// at this batch, so every step has a lane) vs depth 2 (each step casts
+/// the batch queued behind it there, and gathers it ahead).
 fn lookahead_collapse() -> Result<(), Box<dyn std::error::Error>> {
     const LOOKAHEAD_BATCH: usize = 128;
     const LOOKAHEAD_STEPS: usize = 120;
@@ -183,8 +186,8 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
         );
         if mode == BackwardMode::Casted {
             println!(
-                "    casting: {:.1}% hidden, {:.2?} exposed (a step loop casts in-step; \
-                 the lookahead below hides it)",
+                "    casting: {:.1}% hidden, {:.2?} exposed (each step casts its own \
+                 batch beside its dense phases; the lookahead below casts a step ahead)",
                 100.0 * r.hidden_fraction,
                 r.exposed_wait,
             );

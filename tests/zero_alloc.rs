@@ -3,9 +3,9 @@
 //! its high-water mark, the embedding/MLP hot-path kernels perform **no
 //! heap allocation per step** on their serial `_into` paths. That now
 //! includes the *stateful* optimizer scatter (the dense per-row state
-//! stops growing once warmed), the cast itself into recycled arrays, a
-//! casted training step's in-step cast, and a full serving cache's
-//! misses.
+//! stops growing once warmed), the cast itself into recycled arrays, the
+//! cast a casted training step with no lane runs on the training thread,
+//! and a full serving cache's misses.
 //!
 //! The whole file is one test function on purpose — the allocation
 //! counter is process-global, and sibling tests running on other threads
