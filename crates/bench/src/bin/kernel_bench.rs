@@ -19,8 +19,8 @@
 //!
 //! `FAST=1` shrinks shapes and iteration counts for smoke runs. The
 //! `KERNEL <name> simd/scalar ratio` (`interaction`: forward plus
-//! backward), `KERNEL <name> cold`, `KERNEL linear_bwd lane/serial
-//! ratio`, `KERNEL gemm lanes`, `KERNEL cast`, `KERNEL cast_into` and
+//! backward), `KERNEL <name> cold`, `KERNEL linear_fwd lane/serial
+//! ratio`, `KERNEL linear_bwd lane/serial ratio`, `KERNEL gemm lanes`, `KERNEL cast`, `KERNEL cast_into` and
 //! `KERNEL zipf_sample ns/draw` lines are CI's grep anchors.
 //!
 //! A GEMM-family row's `peak_frac` is read against the multiply-add peak
@@ -696,7 +696,7 @@ fn main() {
     }
 
     // --- Dense layers as the trainer runs them: a whole layer's forward --
-    // (GEMM + bias + ReLU), its backward (`dW` beside `dX`) and a whole MLP
+    // (GEMM + bias + ReLU), its backward (`dW` and `dX`) and a whole MLP
     // step, serially and on the lane, for RM3's 2560x512 layer and bottom
     // stack at batch 64 and RM1's 256x128 layer and bottom stack at 512.
     println!(
@@ -713,11 +713,12 @@ fn main() {
         let (mut y, mut act, mut dx) = (Matrix::default(), Matrix::default(), Matrix::default());
         let shape = format!("{m}x{k}x{n}");
         let flops = 2.0 * (m * k * n) as f64;
-        emit.lane_rows("linear_fwd", &shape, n, flops, &lane, |exec| {
+        let ratio = emit.lane_rows("linear_fwd", &shape, n, flops, &lane, |exec| {
             layer
                 .forward_into(&x, &mut y, Some(&mut act), exec)
                 .unwrap();
         });
+        println!("KERNEL linear_fwd lane/serial ratio {ratio:.2} ({shape})");
         let ratio = emit.lane_rows("linear_bwd", &shape, n, 2.0 * flops, &lane, |exec| {
             layer.backward_into(&x, &dy, Some(&mut dx), exec).unwrap();
         });

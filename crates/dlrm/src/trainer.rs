@@ -181,8 +181,9 @@ pub enum Execution {
     /// No caller-supplied pool: the embedding kernels run unsplit on the
     /// training thread. The trainer still owns one background thread, a
     /// one-worker *lane* started when first needed. It takes half of every
-    /// dense GEMM large enough to split (`dW` beside `dX`, forward row
-    /// bands), the training thread taking the other half. For a step with
+    /// dense GEMM large enough to split (a band of the weight or of the
+    /// batch, whichever is larger), the training thread taking the other
+    /// half. For a step with
     /// a successor or a GEMM that splits it runs, in this order: the casts
     /// the step and its successor still need (casted mode), its half of
     /// the dense phases' bands, the bottom MLP's chain (this step's

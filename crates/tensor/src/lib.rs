@@ -49,6 +49,7 @@ mod mlp;
 mod ops;
 mod parallel;
 pub mod simd;
+mod strided;
 
 pub use error::ShapeError;
 pub use init::{xavier_uniform, SplitMix64};

@@ -18,11 +18,13 @@ use tcast_pool::Exec;
 /// therefore run the same forward.
 ///
 /// Under a multi-threaded [`Exec`] a layer whose products reach the
-/// multiply-add floor of the `parallel` module splits them into row bands
-/// (forward) and runs `dW` beside `dX` (backward); a smaller layer runs on
-/// the calling thread as if the `Exec` were serial. Either way every
-/// output element keeps its accumulation order: the bits do not depend on
-/// the `Exec`.
+/// multiply-add floor of the `parallel` module splits them into bands,
+/// each product cut across its larger operand: the weight's columns
+/// (forward) or rows (backward) when that dimension exceeds the batch,
+/// the batch otherwise, with `dW` beside `dX` in the backward. A smaller
+/// layer runs on the calling thread as if the `Exec` were serial. Either
+/// way every output element keeps its accumulation order: the bits do
+/// not depend on the `Exec`.
 ///
 /// This mirrors how the paper's GPU-side "DNN fwd/bwd" phases are structured:
 /// forward produces activations, backward produces `dW` (GEMM of transposed
@@ -136,8 +138,9 @@ impl Linear {
     /// nothing is kept, so any number of callers can run one layer, each
     /// through its own buffers, and a training step keeps `x` itself for
     /// [`Linear::backward_into`]. With a multi-threaded `exec` a product
-    /// at or above the floor is cut into row bands on its pool; the bits
-    /// are the same under every `exec`.
+    /// at or above the floor is cut into bands on its pool — of the
+    /// weight's columns when `out_dim` exceeds the batch, of the batch
+    /// otherwise; the bits are the same under every `exec`.
     ///
     /// # Errors
     ///
@@ -166,8 +169,10 @@ impl Linear {
     /// checked before a buffer is touched, so a rejected call costs the
     /// next one nothing. `dW` and `dx` run inline, or — under a
     /// multi-threaded `exec`, at or above the floor — as the bands of
-    /// **one** scope on its pool, `dW` beside `dx`; the bits are the same
-    /// under every `exec`, with or without `dx`.
+    /// **one** scope on its pool: when `in_dim` exceeds the batch, each
+    /// band a slice of the weight's rows that runs its `dx` columns and
+    /// then its `dW` rows, otherwise `dx`'s batch bands beside `dW`'s. The
+    /// bits are the same under every `exec`, with or without `dx`.
     ///
     /// # Errors
     ///

@@ -152,8 +152,8 @@ impl Mlp {
     /// `z > 0`, so no pre-activation is kept). A scratch no forward pass
     /// filled for this model at `dy`'s batch size is a [`ShapeError`],
     /// found before any gradient buffer is touched. With a multi-threaded
-    /// `exec` the layers at or above the floor run `dW` beside `dX` on its
-    /// pool; the bits are the same under every `exec`.
+    /// `exec` the layers at or above the floor run their `dW` and `dX`
+    /// bands on its pool; the bits are the same under every `exec`.
     ///
     /// # Errors
     ///

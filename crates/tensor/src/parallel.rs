@@ -1,28 +1,49 @@
 //! The GEMMs of a [`crate::Linear`] layer under an [`Exec`]: inline on the
-//! calling thread, or cut into row bands on the caller's persistent pool.
+//! calling thread, or cut into bands on the caller's persistent pool.
 //! The DLRM trainer's dense phases come through here — with a pool of
 //! many workers, or with the one-worker lane a serial trainer owns, where
 //! the calling thread is the second pair of hands (`Pool::scope` helps
 //! before it waits).
 //!
-//! **One floor decides.** A product of fewer than [`SPLIT_MIN_MACS`]
-//! multiply-adds runs inline whatever the `Exec` says: it never touches
-//! the pool, wakes no one and allocates nothing. Above the floor the
-//! forward `x W` is cut into `threads` row bands, and the two backward
-//! products `dW = x^T dy` and `dX = dy W^T` share **one** scope, each cut
-//! into `threads` bands, so the queue balances the slower `NT` kernel
-//! against the faster `TN` one instead of waiting for each in turn. A
-//! layer whose `dX` nothing consumes (a first layer) runs `dW` alone.
+//! **One floor decides whether.** A product of fewer than
+//! [`SPLIT_MIN_MACS`] multiply-adds runs inline whatever the `Exec` says:
+//! it never touches the pool, wakes no one and allocates nothing. Above
+//! the floor a product is cut into `threads` bands.
+//!
+//! **The traffic decides where.** Cut into `t` bands, an `m x k x n`
+//! product `A B` read by bands of `A`'s rows reads `m k / t + k n` floats
+//! a band, and by bands of `B`'s columns `m k + k n / t`: cutting `B` is
+//! the smaller stream exactly when `n > m`. A layer's weight `W` is
+//! `in_dim x out_dim` against a batch of `batch` rows, so:
+//!
+//! * the forward `y = x W` cuts `W`'s (and `y`'s) columns when `out_dim >
+//!   batch`, and the batch otherwise;
+//! * the backward cuts `W`'s rows when `in_dim > batch`: band `i` runs
+//!   `dX[:, i] = dy W[i, :]^T` (`NT`) and then `dW[i, :] = x[:, i]^T dy`
+//!   (`TN`) as **one** task, since it reads and writes only band `i` of
+//!   `W` and of its gradient — `threads` tasks in one scope. Otherwise
+//!   `dX` is cut into bands of the batch and `dW` into bands of its own
+//!   rows, `2 threads` tasks of one scope, so the queue balances the
+//!   slower `NT` kernel against the faster `TN` one. A layer whose `dX`
+//!   nothing consumes (a first layer) runs the `dW` bands alone.
+//!
+//! A cut across `W` falls on a multiple of the kernels' 16-column panel
+//! ([`simd::GEMM_NR`]), so only the last band has a ragged panel; a band
+//! of columns writes through a [`StridedMut`] view of the output, which
+//! holds its own columns of every row and nothing of its neighbours'.
 //!
 //! There is no pooled kernel: a band runs the serial register-tiled
-//! kernel of [`crate::simd`] on `m = band rows`, and no output's
-//! operation order depends on `m`, so inline == banded bit for bit — on
-//! every kernel tier, since the tier is resolved once and shared by all
-//! bands. The bands run on the long-lived `tcast-pool` workers: zero
-//! thread spawns per invocation.
+//! kernel of [`crate::simd`] on fewer rows or on fewer columns, and no
+//! output's operation order depends on how many rows its band holds or
+//! on which columns, so inline == banded bit for bit — on every kernel
+//! tier, since the tier is resolved once and shared by all bands. The
+//! bands run on the long-lived `tcast-pool` workers: zero thread spawns
+//! per invocation.
 
 use crate::matrix::Matrix;
 use crate::simd;
+use crate::strided::StridedMut;
+use std::ops::Range;
 use tcast_pool::{Exec, Pool, Scope};
 
 /// Multiply-adds (`m * k * n`) below which a GEMM is not worth splitting:
@@ -48,24 +69,37 @@ fn split<'p>(exec: Exec<'p>, m: usize, k: usize, n: usize) -> Option<(&'p Pool, 
     }
 }
 
+/// Whether a split product whose weight spans `dim` columns (the
+/// forward's `out_dim`) or rows (the backward's `in_dim`) is cut across
+/// the weight rather than across the `batch`: whether each band then
+/// streams less (see the module docs).
+fn cuts_weight(batch: usize, dim: usize) -> bool {
+    dim > batch
+}
+
+/// At most `bands` contiguous ranges covering `0..len` in order, each but
+/// the last a multiple of `unit` long.
+fn bands_of(len: usize, bands: usize, unit: usize) -> impl Iterator<Item = Range<usize>> {
+    let units = len.div_ceil(unit);
+    let per = (units.div_ceil(bands.clamp(1, units.max(1))) * unit).max(1);
+    (0..len).step_by(per).map(move |lo| lo..len.min(lo + per))
+}
+
 /// Cuts the `rows x cols` row-major `out` into at most `bands` contiguous
-/// row bands and spawns `kernel(first_row, band, band_rows)` for each.
+/// row bands and spawns `kernel(first_row, band)` for each.
 fn spawn_row_bands<'env>(
     scope: &Scope<'_, 'env>,
     bands: usize,
     out: &'env mut [f32],
     rows: usize,
     cols: usize,
-    kernel: &'env (impl Fn(usize, &mut [f32], usize) + Sync),
+    kernel: &'env (impl Fn(usize, StridedMut<'env>) + Sync),
 ) {
-    let bands = bands.clamp(1, rows.max(1));
-    let rows_per = rows.div_ceil(bands).max(1);
     let mut rest = out;
-    for lo in (0..rows).step_by(rows_per) {
-        let band_rows = rows_per.min(rows - lo);
-        let (band, tail) = rest.split_at_mut(band_rows * cols);
+    for band in bands_of(rows, bands, 1) {
+        let (head, tail) = std::mem::take(&mut rest).split_at_mut(band.len() * cols);
         rest = tail;
-        scope.spawn(move || kernel(lo, band, band_rows));
+        scope.spawn(move || kernel(band.start, StridedMut::new(head, band.len(), cols)));
     }
 }
 
@@ -84,23 +118,35 @@ fn matmul_on(on: Option<(&Pool, usize)>, lhs: &Matrix, rhs: &Matrix, out: &mut M
     out.reshape_for_overwrite(m, n);
     let tier = simd::dispatch();
     let (lhs, rhs) = (lhs.as_slice(), rhs.as_slice());
-    let nn = |lo: usize, band: &mut [f32], rows: usize| {
-        simd::gemm_nn(tier, &lhs[lo * k..(lo + rows) * k], rhs, band, rows, k, n);
+    // Rows `r0..` and columns `c0..` of `out` read rows `r0..` of `lhs`
+    // and columns `c0..` of `rhs` (of which a `rhs` with no rows has none).
+    let nn = |r0: usize, c0: usize, band: StridedMut<'_>| {
+        let rhs = &rhs[c0.min(rhs.len())..];
+        simd::gemm_strided(tier, &lhs[r0 * k..], k, 1, rhs, n, band, k);
     };
+    let nn_rows = |r0: usize, band: StridedMut<'_>| nn(r0, 0, band);
     match on {
-        Some((pool, threads)) if m > 1 => {
-            pool.scope(|scope| spawn_row_bands(scope, threads, out.as_mut_slice(), m, n, &nn));
-        }
-        _ => nn(0, out.as_mut_slice(), m),
+        Some((pool, threads)) if cuts_weight(m, n) => pool.scope(|scope| {
+            let mut rest = StridedMut::new(out.as_mut_slice(), m, n);
+            for cols in bands_of(n, threads, simd::GEMM_NR) {
+                let (band, tail) = rest.split_cols(cols.len());
+                rest = tail;
+                scope.spawn(move || nn(0, cols.start, band));
+            }
+        }),
+        Some((pool, threads)) if m > 1 => pool.scope(|scope| {
+            spawn_row_bands(scope, threads, out.as_mut_slice(), m, n, &nn_rows);
+        }),
+        _ => nn_rows(0, StridedMut::new(out.as_mut_slice(), m, n)),
     }
 }
 
 /// The backward products of a layer: `grad_w = x^T dy` (`TN`) and, unless
 /// `dx` is `None`, `dx = dy weight^T` (`NT`), each reshaped in place with
-/// every element overwritten. Above the floor all their bands — `threads`
-/// bands of `dx`'s rows, `threads` bands of `grad_w`'s — are tasks of one
-/// scope. The caller has validated `x.rows() == dy.rows()`, `x.cols() ==
-/// weight.rows()` and `dy.cols() == weight.cols()`.
+/// every element overwritten. Above the floor all their bands are tasks of
+/// one scope, cut as the module docs say. The caller has validated
+/// `x.rows() == dy.rows()`, `x.cols() == weight.rows()` and `dy.cols() ==
+/// weight.cols()`.
 pub(crate) fn backward_unchecked(
     exec: Exec<'_>,
     x: &Matrix,
@@ -131,28 +177,54 @@ fn backward_on(
     let (x, dy, w) = (x.as_slice(), dy.as_slice(), weight.as_slice());
     // grad_w[i][j] = sum_r x[r][i] * dy[r][j], `r` ascending: rows `lo..`
     // of it read columns `lo..` of `x` (of which an empty batch has none).
-    let tn = |lo: usize, band: &mut [f32], rows: usize| {
+    let tn = |lo: usize, band: StridedMut<'_>| {
         let x_band = &x[lo.min(x.len())..];
-        simd::gemm_tn(tier, x_band, in_dim, dy, band, batch, rows, out_dim);
+        simd::gemm_strided(tier, x_band, 1, in_dim, dy, out_dim, band, batch);
     };
-    let nt = |lo: usize, band: &mut [f32], rows: usize| {
-        let dy_band = &dy[lo * out_dim..(lo + rows) * out_dim];
-        simd::gemm_nt(tier, dy_band, w, band, rows, out_dim, in_dim);
+    // Rows `r0..` and columns `c0..` of `dx` read rows `r0..` of `dy` and
+    // rows `c0..` of `weight`.
+    let nt = |r0: usize, c0: usize, band: StridedMut<'_>| {
+        let dy_band = &dy[r0 * out_dim..][..band.rows() * out_dim];
+        let w_band = &w[c0 * out_dim..][..band.cols() * out_dim];
+        simd::gemm_nt_strided(tier, dy_band, w_band, band, out_dim);
     };
-    match on {
-        Some((pool, threads)) => pool.scope(|scope| {
-            if let Some(dx) = dx {
-                spawn_row_bands(scope, threads, dx.as_mut_slice(), batch, in_dim, &nt);
-            }
-            spawn_row_bands(scope, threads, grad_w.as_mut_slice(), in_dim, out_dim, &tn);
-        }),
-        None => {
-            tn(0, grad_w.as_mut_slice(), in_dim);
-            if let Some(dx) = dx {
-                nt(0, dx.as_mut_slice(), batch);
+    let nt_rows = |r0: usize, band: StridedMut<'_>| nt(r0, 0, band);
+    let Some((pool, threads)) = on else {
+        tn(0, StridedMut::new(grad_w.as_mut_slice(), in_dim, out_dim));
+        if let Some(dx) = dx {
+            nt_rows(0, StridedMut::new(dx.as_mut_slice(), batch, in_dim));
+        }
+        return;
+    };
+    pool.scope(|scope| {
+        // Under the weight cut, what is left of `dx`'s columns: each `dW`
+        // band takes the same band of them.
+        let mut dx_cols = None;
+        if let Some(dx) = dx {
+            if cuts_weight(batch, in_dim) {
+                dx_cols = Some(StridedMut::new(dx.as_mut_slice(), batch, in_dim));
+            } else {
+                spawn_row_bands(scope, threads, dx.as_mut_slice(), batch, in_dim, &nt_rows);
             }
         }
-    }
+        let mut grad_rest = grad_w.as_mut_slice();
+        for rows in bands_of(in_dim, threads, simd::GEMM_NR) {
+            let (grad_band, tail) =
+                std::mem::take(&mut grad_rest).split_at_mut(rows.len() * out_dim);
+            grad_rest = tail;
+            let dx_band = dx_cols.take().map(|dx| {
+                let (band, tail) = dx.split_cols(rows.len());
+                dx_cols = Some(tail);
+                band
+            });
+            scope.spawn(move || {
+                if let Some(dx_band) = dx_band {
+                    nt(0, rows.start, dx_band);
+                }
+                tn(rows.start, StridedMut::new(grad_band, rows.len(), out_dim));
+            });
+        }
+    });
 }
 
 #[cfg(test)]
@@ -187,10 +259,20 @@ mod tests {
         // says (these shapes sit far under it): ragged against every tile
         // size, fewer rows than bands, one row, no rows at all, and each
         // product's reduction crossing the 8-lane chunk and the K-block
-        // boundaries.
+        // boundaries. Both cuts of each product: `n > m` cuts the
+        // forward's columns, `k > m` the backward's weight rows (with `dx`
+        // and without), each at multiples of the 16-column panel, ragged
+        // around it and with more bands than panels or columns.
         let pool = Pool::new(3);
         let mut rng = SplitMix64::new(0xBA4D);
-        let mut shapes = vec![(3, 8, 5), (1, 13, 1), (2, 13, 40), (0, 4, 4)];
+        let mut shapes = vec![(3, 8, 5), (1, 13, 1), (2, 13, 40), (0, 4, 4), (0, 40, 33)];
+        shapes.extend([
+            (3, 40, 33),
+            (1, 13, 300),
+            (9, 257, 47),
+            (64, 300, 16),
+            (5, 1, 0),
+        ]);
         for r in [1, 7, 8, 9, 127, 128, 129, 257, 300] {
             shapes.extend([(37, r, 33), (37, 21, r), (r, 19, 23)]);
         }
@@ -223,12 +305,51 @@ mod tests {
     }
 
     #[test]
+    fn each_product_is_cut_across_its_larger_operand() {
+        // x W streams `m k / t + k n` floats a band cut over the batch and
+        // `m k + k n / t` cut over W's columns.
+        assert!(cuts_weight(64, 512)); // RM3's 2560x512 forward at batch 64
+        assert!(cuts_weight(64, 2560)); // .. and its backward
+        assert!(!cuts_weight(512, 512)); // RM1's widest layer at batch 512
+        assert!(!cuts_weight(64, 64));
+        // Weight bands fall on the 16-column panel, cover every column
+        // once, in order, and never outnumber the panels.
+        for (len, bands) in [
+            (512, 2),
+            (2560, 2),
+            (33, 3),
+            (300, 64),
+            (16, 8),
+            (5, 64),
+            (0, 2),
+        ] {
+            let cut: Vec<_> = bands_of(len, bands, simd::GEMM_NR).collect();
+            assert!(cut.len() <= bands.min(len.div_ceil(simd::GEMM_NR)));
+            assert!(cut
+                .iter()
+                .all(|b| b.start % simd::GEMM_NR == 0 && !b.is_empty()));
+            let ends: Vec<_> = cut.iter().map(|b| b.end).collect();
+            let starts: Vec<_> = cut.iter().skip(1).map(|b| b.start).collect();
+            assert_eq!(&ends[..ends.len().saturating_sub(1)], &starts[..]);
+            assert_eq!(cut.last().map_or(0, |b| b.end), len, "{len} / {bands}");
+        }
+        assert_eq!(
+            bands_of(2560, 2, 16).collect::<Vec<_>>(),
+            [0..1280, 1280..2560]
+        );
+        assert_eq!(
+            bands_of(33, 3, 16).collect::<Vec<_>>(),
+            [0..16, 16..32, 32..33]
+        );
+    }
+
+    #[test]
     fn a_panicking_band_resurfaces_after_its_siblings_finished() {
         let pool = Pool::new(2);
         let mut out = vec![0.0f32; 6 * 4];
-        let kernel = |lo: usize, band: &mut [f32], _rows: usize| {
+        let kernel = |lo: usize, mut band: StridedMut<'_>| {
             assert_ne!(lo, 2, "band at row 2");
-            band.fill(1.0);
+            (0..band.rows()).for_each(|r| band.row(r).fill(1.0));
         };
         let result = std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| {
             pool.scope(|scope| spawn_row_bands(scope, 3, &mut out, 6, 4, &kernel));

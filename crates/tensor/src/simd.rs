@@ -80,9 +80,16 @@
 //!   two outputs' partial sums in the halves of a `zmm` measured no faster
 //!   on the benchmark shapes.
 //!
-//! No output's operation sequence depends on `m`, so the pooled matmuls
-//! simply run the same kernel on each row band: serial == pooled holds by
-//! construction on every tier. The tile and block sizes are compile-time
+//! The kernels address `B` and `C` through row strides, `C` through a
+//! crate-private strided view, so they run on a band of `C`'s columns as
+//! readily as on a band of its rows. No output's operation sequence
+//! depends on `m`, nor on which columns its call covers: a column's
+//! operations never read another column's, and a panel a band leaves
+//! ragged runs the zero-padded tile, whose dead lanes are dropped. An
+//! `NT` output is its own [`dot`] whichever rows of `A` and `B` its call
+//! holds. So the pooled matmuls run the same kernel on each band, of rows
+//! or of columns, and serial == pooled holds by construction on every
+//! tier. The tile and block sizes are compile-time
 //! constants picked on the repo benchmark's shapes (`BENCH_kernel.json`
 //! carries the per-shape rates against this host's multiply-add peak);
 //! nothing about them is tunable at run time.
@@ -110,6 +117,7 @@
 //!   skipping a pair whose `g == 0.0` — the oracle's pair-major loop adds
 //!   them to that row in the same order and skips the same pairs.
 
+use crate::strided::StridedMut;
 use std::sync::atomic::{AtomicU8, Ordering};
 use std::sync::OnceLock;
 
@@ -122,7 +130,7 @@ use std::sync::OnceLock;
 /// of the thirty-two `zmm` registers.
 const GEMM_MR_YMM: usize = 4;
 const GEMM_MR_ZMM: usize = 8;
-const GEMM_NR: usize = 16;
+pub(crate) const GEMM_NR: usize = 16;
 /// Reduction steps a tile takes between loading and storing its `C`
 /// accumulators.
 const GEMM_KC: usize = 256;
@@ -398,7 +406,8 @@ fn dot_scalar(a: &[f32], b: &[f32]) -> f32 {
 
 /// The plain-loop `C = A B` oracle. `A[i][kk]` lives at
 /// `a[i * a_rs + kk * a_ks]`, so one body serves both the row-major
-/// (`NN`) and the transposed (`TN`) left operand.
+/// (`NN`) and the transposed (`TN`) left operand, and `B[kk][j]` at
+/// `b[kk * ldb + j]`, so `B` may be a band of a wider matrix's columns.
 ///
 /// Note there is deliberately *no* `aik == 0.0` skip: skipping defeats
 /// vectorization, and because every accumulator starts at `+0.0` and
@@ -412,26 +421,26 @@ fn gemm_scalar(
     a_rs: usize,
     a_ks: usize,
     b: &[f32],
-    c: &mut [f32],
-    m: usize,
+    ldb: usize,
+    mut c: StridedMut<'_>,
     k: usize,
-    n: usize,
 ) {
-    for i in 0..m {
-        let c_row = &mut c[i * n..(i + 1) * n];
+    let n = c.cols();
+    for i in 0..c.rows() {
+        let c_row = c.row(i);
         c_row.fill(0.0);
         for kk in 0..k {
-            axpy_scalar(c_row, &b[kk * n..(kk + 1) * n], a[i * a_rs + kk * a_ks]);
+            axpy_scalar(c_row, &b[kk * ldb..][..n], a[i * a_rs + kk * a_ks]);
         }
     }
 }
 
 /// The plain-loop `C = A B^T` oracle: one [`dot_scalar`] per output.
-fn gemm_nt_scalar(a: &[f32], b: &[f32], c: &mut [f32], m: usize, k: usize, n: usize) {
-    for i in 0..m {
+fn gemm_nt_scalar(a: &[f32], b: &[f32], mut c: StridedMut<'_>, k: usize) {
+    for i in 0..c.rows() {
         let a_row = &a[i * k..(i + 1) * k];
-        for j in 0..n {
-            c[i * n + j] = dot_scalar(a_row, &b[j * k..(j + 1) * k]);
+        for (j, out) in c.row(i).iter_mut().enumerate() {
+            *out = dot_scalar(a_row, &b[j * k..(j + 1) * k]);
         }
     }
 }
@@ -443,8 +452,8 @@ fn gemm_nt_scalar(a: &[f32], b: &[f32], c: &mut [f32], m: usize, k: usize, n: us
 #[cfg(target_arch = "x86_64")]
 mod x86 {
     use super::{
-        GEMM_KC, GEMM_MR_YMM, GEMM_MR_ZMM, GEMM_NR, GRAD_NV, NT_MR, NT_NR, PAIR_NP, PAIR_ROWS,
-        PAIR_TILE_KS,
+        StridedMut, GEMM_KC, GEMM_MR_YMM, GEMM_MR_ZMM, GEMM_NR, GRAD_NV, NT_MR, NT_NR, PAIR_NP,
+        PAIR_ROWS, PAIR_TILE_KS,
     };
     use std::arch::x86_64::*;
 
@@ -662,9 +671,11 @@ mod x86 {
                 ///
                 /// `R <= MR` and `0 < kc <= GEMM_KC`; `a` must hold
                 /// `A[r][kk]` at `r * a_rs + kk * a_ks` for every `r < R`
-                /// and `kk < kc`, `b` must hold `GEMM_NR` floats from
-                /// `kk * ldb` and `c` from `r * ldc`. The elements are
-                /// addressed without bounds checks; the spans are
+                /// and `kk < kc`, and `b` `GEMM_NR` floats from `kk *
+                /// ldb`. The `GEMM_NR` floats from `c + r * ldc` must be
+                /// valid for reads and writes, and written through nothing
+                /// else, for every `r < R`. The elements are addressed
+                /// without bounds checks; the `a` and `b` spans are
                 /// `debug_assert!`ed.
                 #[target_feature($(enable = $feat),+)]
                 #[inline]
@@ -675,7 +686,7 @@ mod x86 {
                     a_ks: usize,
                     b: &[f32],
                     ldb: usize,
-                    c: &mut [f32],
+                    c: *mut f32,
                     ldc: usize,
                     kc: usize,
                     first: bool,
@@ -683,8 +694,7 @@ mod x86 {
                     debug_assert!(0 < R && R <= MR && 0 < kc && kc <= GEMM_KC);
                     debug_assert!(a.len() > (R - 1) * a_rs + (kc - 1) * a_ks);
                     debug_assert!(b.len() >= (kc - 1) * ldb + GEMM_NR);
-                    debug_assert!(c.len() >= (R - 1) * ldc + GEMM_NR);
-                    let (a, b, c) = (a.as_ptr(), b.as_ptr(), c.as_mut_ptr());
+                    let (a, b) = (a.as_ptr(), b.as_ptr());
                     let mut acc = [[vop!($w zero); NV]; R];
                     if !first {
                         for r in 0..R {
@@ -728,31 +738,31 @@ mod x86 {
                 }
 
                 /// `C = A B` with `A[i][kk]` at `a[i * a_rs + kk * a_ks]`
-                /// (the scalar oracle's layout convention); every output
-                /// is overwritten.
+                /// and `B[kk][j]` at `b[kk * ldb + j]` (the scalar
+                /// oracle's layout convention), `C` being `c.rows() x
+                /// c.cols()`; every output is overwritten.
                 #[target_feature($(enable = $feat),+)]
-                #[allow(clippy::too_many_arguments)]
                 pub fn gemm(
                     a: &[f32],
                     a_rs: usize,
                     a_ks: usize,
                     b: &[f32],
-                    c: &mut [f32],
-                    m: usize,
+                    ldb: usize,
+                    mut c: StridedMut<'_>,
                     k: usize,
-                    n: usize,
                 ) {
-                    assert!(b.len() >= k * n && c.len() >= m * n);
+                    let (m, n) = (c.rows(), c.cols());
                     if m == 0 || n == 0 {
                         return;
                     }
                     if k == 0 {
-                        c[..m * n].fill(0.0);
+                        (0..m).for_each(|i| c.row(i).fill(0.0));
                         return;
                     }
                     assert!(a.len() > (m - 1) * a_rs + (k - 1) * a_ks);
+                    assert!(b.len() >= (k - 1) * ldb + n);
                     // One `kc x GEMM_NR` panel of `B`, copied contiguous so
-                    // that every row tile streams it from L1 whatever `n`
+                    // that every row tile streams it from L1 whatever `ldb`
                     // strides `B` by, and zero-padded past column `n` so
                     // that the last panel is a full-width one too: its
                     // tiles run on `edge`, a staging copy of their `C`
@@ -771,7 +781,7 @@ mod x86 {
                             if packed {
                                 let rows = panel.chunks_exact_mut(GEMM_NR);
                                 for (kk, dst) in rows.take(kc).enumerate() {
-                                    let src = &b[(k0 + kk) * n + j0..][..cols];
+                                    let src = &b[(k0 + kk) * ldb + j0..][..cols];
                                     if staged {
                                         dst[..cols].copy_from_slice(src);
                                         dst[cols..].fill(0.0);
@@ -784,7 +794,7 @@ mod x86 {
                                 let rows = MR.min(m - i0);
                                 if staged && !first {
                                     for r in 0..rows {
-                                        let c_row = &c[(i0 + r) * n + j0..][..cols];
+                                        let c_row = &c.row(i0 + r)[j0..][..cols];
                                         edge[r * GEMM_NR..][..cols].copy_from_slice(c_row);
                                     }
                                 }
@@ -792,12 +802,12 @@ mod x86 {
                                 let (bt, ldb) = if packed {
                                     (&panel[..], GEMM_NR)
                                 } else {
-                                    (&b[k0 * n + j0..], n)
+                                    (&b[k0 * ldb + j0..], ldb)
                                 };
                                 let (ct, ldc) = if staged {
-                                    (&mut edge[..], GEMM_NR)
+                                    (edge.as_mut_ptr(), GEMM_NR)
                                 } else {
-                                    (&mut c[i0 * n + j0..], n)
+                                    (c.at(i0, j0), c.ld())
                                 };
                                 // SAFETY: `rows <= MR`, `0 < kc <= GEMM_KC`.
                                 // Rows `i0..i0 + rows` (<= m) and reduction
@@ -807,8 +817,10 @@ mod x86 {
                                 // or rows `k0..k0 + kc`, columns `j0..j0 +
                                 // GEMM_NR` (<= n: not staged) of `b`; the
                                 // output is `edge` (MR >= rows rows of
-                                // GEMM_NR) or rows `i0..i0 + rows` of the
-                                // same columns of `c`.
+                                // GEMM_NR) or rows `i0..i0 + rows` (<= m)
+                                // of the same columns of `c`, elements of
+                                // the view `c`, which nothing else writes
+                                // while it is borrowed here.
                                 unsafe {
                                     match rows {
                                         $($tail => tile::<$tail>(
@@ -821,7 +833,7 @@ mod x86 {
                                 }
                                 if staged {
                                     for r in 0..rows {
-                                        let c_row = &mut c[(i0 + r) * n + j0..][..cols];
+                                        let c_row = &mut c.row(i0 + r)[j0..][..cols];
                                         c_row.copy_from_slice(&edge[r * GEMM_NR..][..cols]);
                                     }
                                 }
@@ -852,16 +864,17 @@ mod x86 {
                 /// # Safety
                 ///
                 /// `a` must hold `NT_MR` and `b` `NT_NR` rows of `k`
-                /// floats each, and `c` `NT_NR` floats from `r * ldc` for
-                /// every `r < NT_MR`. The elements are addressed without
-                /// bounds checks; the spans are `debug_assert!`ed.
+                /// floats each. The `NT_NR` floats from `c + r * ldc` must
+                /// be valid for writes, and written through nothing else,
+                /// for every `r < NT_MR`. The elements are addressed
+                /// without bounds checks; the `a` and `b` spans are
+                /// `debug_assert!`ed.
                 #[target_feature($(enable = $feat),+)]
                 #[inline]
                 #[allow(clippy::assign_op_pattern)] // `sum = $madd!(..)`: one form for both ops
-                unsafe fn tile_nt(a: &[f32], b: &[f32], k: usize, c: &mut [f32], ldc: usize) {
+                unsafe fn tile_nt(a: &[f32], b: &[f32], k: usize, c: *mut f32, ldc: usize) {
                     debug_assert!(a.len() >= NT_MR * k && b.len() >= NT_NR * k);
-                    debug_assert!(c.len() >= (NT_MR - 1) * ldc + NT_NR);
-                    let (a, b, c) = (a.as_ptr(), b.as_ptr(), c.as_mut_ptr());
+                    let (a, b) = (a.as_ptr(), b.as_ptr());
                     let mut acc = [[_mm256_setzero_ps(); NT_NR]; NT_MR];
                     let full = k - k % 8;
                     let mut kk = 0;
@@ -898,21 +911,26 @@ mod x86 {
                 }
 
                 /// `C = A B^T` for row-major `a` (`m x k`) and `b`
-                /// (`n x k`); every output is overwritten.
+                /// (`n x k`), `C` being `c.rows() x c.cols()` = `m x n`;
+                /// every output is overwritten.
                 #[target_feature($(enable = $feat),+)]
-                pub fn gemm_nt(a: &[f32], b: &[f32], c: &mut [f32], m: usize, k: usize, n: usize) {
-                    assert!(a.len() >= m * k && b.len() >= n * k && c.len() >= m * n);
+                pub fn gemm_nt(a: &[f32], b: &[f32], mut c: StridedMut<'_>, k: usize) {
+                    let (m, n) = (c.rows(), c.cols());
+                    assert!(a.len() >= m * k && b.len() >= n * k);
                     // Without one full 8-lane chunk there is nothing to tile.
                     let m_tiled = if k < 8 { 0 } else { m - m % NT_MR };
                     let n_tiled = n - n % NT_NR;
                     for j0 in (0..n_tiled).step_by(NT_NR) {
                         for i0 in (0..m_tiled).step_by(NT_MR) {
                             let (at, bt) = (&a[i0 * k..], &b[j0 * k..]);
-                            // SAFETY: rows `i0..i0 + NT_MR` (<= m) of `a`
-                            // and `c`, rows `j0..j0 + NT_NR` (<= n) of `b`
-                            // are inside the operands by the assert above,
-                            // and this tier's features are enabled here.
-                            unsafe { tile_nt(at, bt, k, &mut c[i0 * n + j0..], n) };
+                            // SAFETY: rows `i0..i0 + NT_MR` (<= m) of `a`,
+                            // rows `j0..j0 + NT_NR` (<= n) of `b` are
+                            // inside the operands by the assert above; the
+                            // outputs are elements `(i0.., j0..)` of the
+                            // view `c`, which nothing else writes while it
+                            // is borrowed here; and this tier's features
+                            // are enabled here.
+                            unsafe { tile_nt(at, bt, k, c.at(i0, j0), c.ld()) };
                         }
                     }
                     // Tails: the last `m % NT_MR` rows over all columns,
@@ -920,8 +938,9 @@ mod x86 {
                     for i in 0..m {
                         let a_row = &a[i * k..(i + 1) * k];
                         let j_from = if i < m_tiled { n_tiled } else { 0 };
+                        let c_row = c.row(i);
                         for j in j_from..n {
-                            c[i * n + j] = $dot(a_row, &b[j * k..(j + 1) * k]);
+                            c_row[j] = $dot(a_row, &b[j * k..(j + 1) * k]);
                         }
                     }
                 }
@@ -1275,53 +1294,55 @@ pub fn dot(d: KernelDispatch, a: &[f32], b: &[f32]) -> f32 {
     dot_scalar(a, b)
 }
 
-/// `C = A B` with `A[i][kk]` at `a[i * a_rs + kk * a_ks]`: the shared
-/// body of [`gemm_nn`] and [`gemm_tn`].
+/// `C = A B` with `A[i][kk]` at `a[i * a_rs + kk * a_ks]` and `B[kk][j]`
+/// at `b[kk * ldb + j]`, `C` being the `c.rows() x c.cols()` view: the
+/// shared body of [`gemm_nn`] and [`gemm_tn`], and the kernel of a split
+/// product's band. A band of `C`'s rows passes fewer rows of `A`; a band
+/// of its columns passes the same columns of `B` (`&b[lo..]`, `ldb` the
+/// whole row) and of `C`.
 #[allow(clippy::too_many_arguments)]
-fn gemm_strided(
+pub(crate) fn gemm_strided(
     d: KernelDispatch,
     a: &[f32],
     a_rs: usize,
     a_ks: usize,
     b: &[f32],
-    c: &mut [f32],
-    m: usize,
+    ldb: usize,
+    c: StridedMut<'_>,
     k: usize,
-    n: usize,
 ) {
+    let (m, n) = (c.rows(), c.cols());
     debug_assert!(m == 0 || k == 0 || a.len() > (m - 1) * a_rs + (k - 1) * a_ks);
-    debug_assert_eq!(b.len(), k * n);
-    debug_assert_eq!(c.len(), m * n);
+    debug_assert!(n == 0 || k == 0 || b.len() >= (k - 1) * ldb + n);
     #[cfg(target_arch = "x86_64")]
     {
         if d == KernelDispatch::Fma && fma_ok() {
             if zmm_ok() {
                 // SAFETY: AVX2+FMA and AVX-512F support verified above.
-                unsafe { x86::fma::zmm::gemm(a, a_rs, a_ks, b, c, m, k, n) };
+                unsafe { x86::fma::zmm::gemm(a, a_rs, a_ks, b, ldb, c, k) };
             } else {
                 // SAFETY: AVX2+FMA support verified above.
-                unsafe { x86::fma::ymm::gemm(a, a_rs, a_ks, b, c, m, k, n) };
+                unsafe { x86::fma::ymm::gemm(a, a_rs, a_ks, b, ldb, c, k) };
             }
             return;
         }
         if d != KernelDispatch::Scalar && avx2_ok() {
             if zmm_ok() {
                 // SAFETY: AVX2 and AVX-512F support verified above.
-                unsafe { x86::avx2::zmm::gemm(a, a_rs, a_ks, b, c, m, k, n) };
+                unsafe { x86::avx2::zmm::gemm(a, a_rs, a_ks, b, ldb, c, k) };
             } else {
                 // SAFETY: AVX2 support verified above.
-                unsafe { x86::avx2::ymm::gemm(a, a_rs, a_ks, b, c, m, k, n) };
+                unsafe { x86::avx2::ymm::gemm(a, a_rs, a_ks, b, ldb, c, k) };
             }
             return;
         }
     }
     let _ = d;
-    gemm_scalar(a, a_rs, a_ks, b, c, m, k, n);
+    gemm_scalar(a, a_rs, a_ks, b, ldb, c, k);
 }
 
 /// `C = A B` for row-major `a` (`m x k`), `b` (`k x n`) and `c`
-/// (`m x n`); every output is overwritten. Also the row-band kernel of
-/// the pooled matmul: a band is simply a smaller `m`.
+/// (`m x n`); every output is overwritten.
 pub fn gemm_nn(
     d: KernelDispatch,
     a: &[f32],
@@ -1331,15 +1352,15 @@ pub fn gemm_nn(
     k: usize,
     n: usize,
 ) {
-    gemm_strided(d, a, k, 1, b, c, m, k, n);
+    debug_assert_eq!(b.len(), k * n);
+    gemm_strided(d, a, k, 1, b, n, StridedMut::new(c, m, n), k);
 }
 
 /// `C = A^T B` where `A[kk][i]` lives at `a[kk * lda + i]`: the backprop
 /// weight gradient without materializing the transpose. `lda == m` is a
 /// whole `k x m` row-major `a`; a band of `m` output rows starting at row
 /// `lo` of a wider product passes `&a[lo..]` and the full row length as
-/// `lda` (the row-band kernel of the split backward). Every output is
-/// overwritten.
+/// `lda`. Every output is overwritten.
 #[allow(clippy::too_many_arguments)]
 pub fn gemm_tn(
     d: KernelDispatch,
@@ -1351,12 +1372,13 @@ pub fn gemm_tn(
     m: usize,
     n: usize,
 ) {
-    gemm_strided(d, a, 1, lda, b, c, m, k, n);
+    debug_assert_eq!(b.len(), k * n);
+    gemm_strided(d, a, 1, lda, b, n, StridedMut::new(c, m, n), k);
 }
 
 /// `C = A B^T` for row-major `a` (`m x k`) and `b` (`n x k`): the backprop
 /// input gradient. Every output is one [`dot`] (bit for bit) and is
-/// overwritten; also the row-band kernel of the pooled `matmul_bt`.
+/// overwritten.
 pub fn gemm_nt(
     d: KernelDispatch,
     a: &[f32],
@@ -1366,24 +1388,37 @@ pub fn gemm_nt(
     k: usize,
     n: usize,
 ) {
-    debug_assert_eq!(a.len(), m * k);
-    debug_assert_eq!(b.len(), n * k);
-    debug_assert_eq!(c.len(), m * n);
+    gemm_nt_strided(d, a, b, StridedMut::new(c, m, n), k);
+}
+
+/// [`gemm_nt`] into the `m x n` view `c` (`m = c.rows()`, `n =
+/// c.cols()`): the kernel of a split backward's band, which passes a band
+/// of `a`'s rows for a band of `C`'s rows, or a band of `b`'s rows for
+/// the same band of `C`'s columns.
+pub(crate) fn gemm_nt_strided(
+    d: KernelDispatch,
+    a: &[f32],
+    b: &[f32],
+    c: StridedMut<'_>,
+    k: usize,
+) {
+    debug_assert_eq!(a.len(), c.rows() * k);
+    debug_assert_eq!(b.len(), c.cols() * k);
     #[cfg(target_arch = "x86_64")]
     {
         if d == KernelDispatch::Fma && fma_ok() {
             // SAFETY: AVX2+FMA support verified on the line above.
-            unsafe { x86::fma::gemm_nt(a, b, c, m, k, n) };
+            unsafe { x86::fma::gemm_nt(a, b, c, k) };
             return;
         }
         if d != KernelDispatch::Scalar && avx2_ok() {
             // SAFETY: AVX2 support verified on the line above.
-            unsafe { x86::avx2::gemm_nt(a, b, c, m, k, n) };
+            unsafe { x86::avx2::gemm_nt(a, b, c, k) };
             return;
         }
     }
     let _ = d;
-    gemm_nt_scalar(a, b, c, m, k, n);
+    gemm_nt_scalar(a, b, c, k);
 }
 
 /// The `Dot` interaction forward's pair dot products, vectorized across
@@ -1580,10 +1615,9 @@ mod tests {
         a_rs: usize,
         a_ks: usize,
         b: &[f32],
-        c: &mut [f32],
-        m: usize,
+        ldb: usize,
+        c: StridedMut<'_>,
         k: usize,
-        n: usize,
     ) -> bool {
         if !d.supported() || (lanes == 16 && !zmm_ok()) {
             return false;
@@ -1592,14 +1626,28 @@ mod tests {
         // verified above.
         unsafe {
             match (d, lanes) {
-                (KernelDispatch::Avx2, 8) => x86::avx2::ymm::gemm(a, a_rs, a_ks, b, c, m, k, n),
-                (KernelDispatch::Avx2, 16) => x86::avx2::zmm::gemm(a, a_rs, a_ks, b, c, m, k, n),
-                (KernelDispatch::Fma, 8) => x86::fma::ymm::gemm(a, a_rs, a_ks, b, c, m, k, n),
-                (KernelDispatch::Fma, 16) => x86::fma::zmm::gemm(a, a_rs, a_ks, b, c, m, k, n),
+                (KernelDispatch::Avx2, 8) => x86::avx2::ymm::gemm(a, a_rs, a_ks, b, ldb, c, k),
+                (KernelDispatch::Avx2, 16) => x86::avx2::zmm::gemm(a, a_rs, a_ks, b, ldb, c, k),
+                (KernelDispatch::Fma, 8) => x86::fma::ymm::gemm(a, a_rs, a_ks, b, ldb, c, k),
+                (KernelDispatch::Fma, 16) => x86::fma::zmm::gemm(a, a_rs, a_ks, b, ldb, c, k),
                 _ => unreachable!("no {lanes}-lane {} kernel", d.name()),
             }
         }
         true
+    }
+
+    /// Whether `got` matches the scalar oracle's `want` on tier `d`: bit
+    /// for bit on `avx2` (and `scalar`), within contraction tolerance on
+    /// `fma`. The index of the first mismatch otherwise.
+    #[cfg(target_arch = "x86_64")]
+    fn mismatch(d: KernelDispatch, want: &[f32], got: &[f32]) -> Option<usize> {
+        let same = |x: f32, y: f32| match d {
+            KernelDispatch::Fma if x.is_nan() || y.is_nan() => x.is_nan() && y.is_nan(),
+            KernelDispatch::Fma if x.is_infinite() || y.is_infinite() => x == y,
+            KernelDispatch::Fma => (x - y).abs() <= 1e-3 + 1e-4 * x.abs().max(y.abs()),
+            _ => x.to_bits() == y.to_bits(),
+        };
+        want.iter().zip(got).position(|(&x, &y)| !same(x, y))
     }
 
     /// Runs `C = A B` (`A[i][kk]` at `a[i * a_rs + kk * a_ks]`) on both
@@ -1610,20 +1658,15 @@ mod tests {
     #[allow(clippy::too_many_arguments)]
     fn check_widths(a: &[f32], a_rs: usize, a_ks: usize, b: &[f32], m: usize, k: usize, n: usize) {
         let mut want = vec![0.0f32; m * n];
-        gemm_scalar(a, a_rs, a_ks, b, &mut want, m, k, n);
+        gemm_scalar(a, a_rs, a_ks, b, n, StridedMut::new(&mut want, m, n), k);
         for d in [KernelDispatch::Avx2, KernelDispatch::Fma] {
             for lanes in [8, 16] {
                 let mut got = vec![f32::NAN; m * n];
-                if !gemm_at_width(d, lanes, a, a_rs, a_ks, b, &mut got, m, k, n) {
+                let c = StridedMut::new(&mut got, m, n);
+                if !gemm_at_width(d, lanes, a, a_rs, a_ks, b, n, c, k) {
                     continue;
                 }
-                let same = |x: f32, y: f32| match d {
-                    KernelDispatch::Fma if x.is_nan() || y.is_nan() => x.is_nan() && y.is_nan(),
-                    KernelDispatch::Fma if x.is_infinite() || y.is_infinite() => x == y,
-                    KernelDispatch::Fma => (x - y).abs() <= 1e-3 + 1e-4 * x.abs().max(y.abs()),
-                    _ => x.to_bits() == y.to_bits(),
-                };
-                let bad = want.iter().zip(&got).position(|(&x, &y)| !same(x, y));
+                let bad = mismatch(d, &want, &got);
                 assert!(
                     bad.is_none(),
                     "{} {lanes}-lane vs scalar at {bad:?} (m={m} k={k} n={n} a_rs={a_rs} \
@@ -1674,6 +1717,75 @@ mod tests {
                         let a = adversarial(k * lda, one_in, nan, seed);
                         let b = adversarial(k * n, one_in, nan, seed ^ 0xb);
                         check_widths(&a[lo..], 1, lda, &b, m, k, n);
+                    }
+                }
+            }
+        }
+    }
+
+    /// Column bands as the split forward and backward cut them: the `NN`
+    /// kernel on columns `lo..lo + w` of `B` (row stride `n`) into the same
+    /// columns of `C`, and the `NT` kernel on rows `lo..lo + w` of `B` into
+    /// columns `lo..lo + w` of `C`, on every tier and width, each against
+    /// the same columns of the whole product the scalar oracle computes:
+    /// no output's operations depend on which columns its band holds.
+    #[cfg(target_arch = "x86_64")]
+    #[test]
+    fn column_bands_match_the_whole_product_on_every_tier() {
+        let mut seed = 0xc01;
+        for k in [1, 7, 9, 257] {
+            for (m, n) in [(1, 33), (5, 47), (9, 80), (17, 40)] {
+                seed += 1;
+                let one_in = (k as u64).max(4);
+                let a = adversarial(m * k, one_in, false, seed);
+                let b = adversarial(k * n, one_in, false, seed ^ 0xb);
+                let bt = adversarial(n * k, one_in, false, seed ^ 0xbb);
+                let (mut nn, mut nt) = (vec![0.0f32; m * n], vec![0.0f32; m * n]);
+                gemm_scalar(&a, k, 1, &b, n, StridedMut::new(&mut nn, m, n), k);
+                gemm_nt_scalar(&a, &bt, StridedMut::new(&mut nt, m, n), k);
+                for (lo, w) in [(0, 16), (16, n - 16), (3, 13), (n - 1, 1)] {
+                    let cols = |out: &[f32]| -> Vec<f32> {
+                        let rows = out.chunks(n);
+                        rows.flat_map(|row| &row[lo..lo + w]).copied().collect()
+                    };
+                    // Columns `lo..lo + w` of a NaN-filled output after
+                    // `kernel` ran on that band's view (`None` where the
+                    // host lacks the kernel), checking it wrote nothing
+                    // outside the band.
+                    let run = |kernel: &dyn Fn(StridedMut<'_>) -> bool| {
+                        let mut out = vec![f32::NAN; m * n];
+                        let view = StridedMut::new(&mut out, m, n).split_cols(lo).1;
+                        kernel(view.split_cols(w).0).then(|| {
+                            let rows = out.chunks(n);
+                            let mut outside = rows.flat_map(|r| r[..lo].iter().chain(&r[lo + w..]));
+                            assert!(outside.all(|v| v.is_nan()), "wrote outside {lo}+{w}");
+                            cols(&out)
+                        })
+                    };
+                    let (want_nn, want_nt) = (cols(&nn), cols(&nt));
+                    for d in KernelDispatch::available() {
+                        let mut got = vec![run(&|c| {
+                            gemm_strided(d, &a, k, 1, &b[lo..], n, c, k);
+                            true
+                        })];
+                        if d != KernelDispatch::Scalar {
+                            got.extend([8, 16].map(|lanes| {
+                                run(&|c| gemm_at_width(d, lanes, &a, k, 1, &b[lo..], n, c, k))
+                            }));
+                        }
+                        let got_nt = run(&|c| {
+                            gemm_nt_strided(d, &a, &bt[lo * k..(lo + w) * k], c, k);
+                            true
+                        });
+                        let checks = got.into_iter().map(|g| ("NN", &want_nn, g));
+                        for (what, want, got) in checks.chain([("NT", &want_nt, got_nt)]) {
+                            let bad = got.and_then(|got| mismatch(d, want, &got));
+                            assert!(
+                                bad.is_none(),
+                                "{what} {} m={m} k={k} n={n} cols {lo}+{w}: {bad:?}",
+                                d.name()
+                            );
+                        }
                     }
                 }
             }

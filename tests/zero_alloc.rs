@@ -396,9 +396,11 @@ fn steady_state_hot_path_performs_zero_allocations() {
 
     // A stack whose first layer sits exactly on the floor at this batch
     // does split on the lane, and what that costs the calling thread is
-    // bounded: per scope its shared state and one boxed task per band —
-    // two forward bands, two of `dX` and two of `dW` in the one backward
-    // scope. Everything else is recycled as before.
+    // bounded: per scope its shared state and one boxed task per band.
+    // The layer's weight outgrows the batch both ways (256 > 64), so both
+    // scopes cut the weight: two forward bands of its columns, and two
+    // backward bands of its rows, each running its `dX` columns and then
+    // its `dW` rows as one task. Everything else is recycled as before.
     let mut wide = Mlp::new(256, &[256, 1], 3).unwrap();
     assert!(wide.splits_at(batch));
     let wide_x = random_matrix(batch, 256, 4);
@@ -425,7 +427,7 @@ fn steady_state_hot_path_performs_zero_allocations() {
     }
     let split_allocs = allocations() - before;
     assert!(
-        split_allocs <= 4 * ((1 + 2) + (1 + 4)),
+        split_allocs <= 4 * ((1 + 2) + (1 + 2)),
         "4 split MLP steps allocated {split_allocs} times on the calling thread"
     );
 
