@@ -325,12 +325,11 @@ struct Ceiling {
 }
 
 /// GFLOP/s of independent multiply and add dependency chains held in
-/// `lanes`-wide registers (8: `ymm`, 16: `zmm`), in the 1:1 mix a GEMM
-/// tier issues: the arithmetic ceiling its kernels can approach on this
-/// host at that width. `Fma` contracts each pair into one op; the other
-/// tiers are measured with the separate multiply and add the bit-identical
-/// kernels issue. `None` where the host lacks the instructions.
-fn madd_peak(tier: KernelDispatch, lanes: usize) -> Option<Ceiling> {
+/// `lanes`-wide registers (8: `ymm`, 16: `zmm`), in the 1:1 mix of
+/// separate multiplies and adds the GEMM kernels issue: the arithmetic
+/// ceiling they can approach on this host at that width. `None` where the
+/// host lacks the instructions.
+fn madd_peak(lanes: usize) -> Option<Ceiling> {
     #[cfg(target_arch = "x86_64")]
     {
         use std::arch::x86_64::*;
@@ -338,8 +337,7 @@ fn madd_peak(tier: KernelDispatch, lanes: usize) -> Option<Ceiling> {
         const ROUNDS: usize = 400_000;
 
         // mul chains hold at 1.0 (x = 1.0), add chains count up to ROUNDS
-        // (exact in f32): no denormals, no infinities. The fused chains
-        // (x = 0.5, y = 1.0) converge to 2.0.
+        // (exact in f32): no denormals, no infinities.
         #[target_feature(enable = "avx2")]
         fn rounded() -> usize {
             let x = _mm256_set1_ps(std::hint::black_box(1.0));
@@ -353,19 +351,6 @@ fn madd_peak(tier: KernelDispatch, lanes: usize) -> Option<Ceiling> {
             }
             std::hint::black_box((mul, add));
             CHAINS * ROUNDS * 16 // one mul and one add on each of 8 lanes
-        }
-        #[target_feature(enable = "avx2", enable = "fma")]
-        fn fused() -> usize {
-            let x = _mm256_set1_ps(std::hint::black_box(0.5));
-            let y = _mm256_set1_ps(std::hint::black_box(1.0));
-            let mut acc = [_mm256_setzero_ps(); 2 * CHAINS];
-            for _ in 0..ROUNDS {
-                for a in acc.iter_mut() {
-                    *a = _mm256_fmadd_ps(*a, x, y);
-                }
-            }
-            std::hint::black_box(acc);
-            2 * CHAINS * ROUNDS * 16
         }
         #[target_feature(enable = "avx512f")]
         fn rounded_zmm() -> usize {
@@ -381,36 +366,18 @@ fn madd_peak(tier: KernelDispatch, lanes: usize) -> Option<Ceiling> {
             std::hint::black_box((mul, add));
             CHAINS * ROUNDS * 32 // one mul and one add on each of 16 lanes
         }
-        #[target_feature(enable = "avx512f")]
-        fn fused_zmm() -> usize {
-            let x = _mm512_set1_ps(std::hint::black_box(0.5));
-            let y = _mm512_set1_ps(std::hint::black_box(1.0));
-            let mut acc = [_mm512_setzero_ps(); 2 * CHAINS];
-            for _ in 0..ROUNDS {
-                for a in acc.iter_mut() {
-                    *a = _mm512_fmadd_ps(*a, x, y);
-                }
-            }
-            std::hint::black_box(acc);
-            2 * CHAINS * ROUNDS * 32
-        }
-
         let zmm = lanes == 16;
         if !KernelDispatch::Avx2.supported()
-            || !tier.supported()
             || (zmm && !std::arch::is_x86_feature_detected!("avx512f"))
         {
             return None;
         }
-        let run: fn() -> usize = match (tier == KernelDispatch::Fma, zmm) {
-            // SAFETY: `tier.supported()` verified AVX2 + FMA above.
-            (true, false) => || unsafe { fused() },
+        let run: fn() -> usize = if zmm {
+            // SAFETY: AVX-512F support verified above.
+            || unsafe { rounded_zmm() }
+        } else {
             // SAFETY: AVX2 support verified above.
-            (false, false) => || unsafe { rounded() },
-            // SAFETY: AVX-512F support verified above.
-            (true, true) => || unsafe { fused_zmm() },
-            // SAFETY: AVX-512F support verified above.
-            (false, true) => || unsafe { rounded_zmm() },
+            || unsafe { rounded() }
         };
         (0..5)
             .map(|_| {
@@ -426,7 +393,7 @@ fn madd_peak(tier: KernelDispatch, lanes: usize) -> Option<Ceiling> {
     }
     #[cfg(not(target_arch = "x86_64"))]
     {
-        let _ = (tier, lanes);
+        let _ = lanes;
         None
     }
 }
@@ -526,7 +493,7 @@ impl Emitter {
         run: impl FnMut(Exec<'_>),
     ) -> f64 {
         let tier = KernelDispatch::detect();
-        let peak = madd_peak(tier, gemm_lanes(tier, true)).map(|p| Ceiling {
+        let peak = madd_peak(gemm_lanes(tier, true)).map(|p| Ceiling {
             rate: 2.0 * p.rate,
             ..p
         });
@@ -564,7 +531,7 @@ impl Emitter {
         run: &mut dyn FnMut(KernelDispatch),
     ) -> Vec<(KernelDispatch, f64)> {
         tier_ns(&mut |d| {
-            let peak = madd_peak(d, gemm_lanes(d, nn_tn));
+            let peak = madd_peak(gemm_lanes(d, nn_tn));
             let ns = time_ns(self.iters, || run(d));
             self.row(kernel, d, shape, dim, ns, flops / ns, "GFLOP/s", peak);
             ns
@@ -609,20 +576,9 @@ fn main() {
         tcast_pool::default_parallelism(),
         args.json.display()
     );
-    for &d in &tiers {
-        let widths: &[usize] = if gemm_lanes(d, true) == 16 {
-            &[8, 16]
-        } else {
-            &[8]
-        };
-        for &lanes in widths {
-            if let Some(p) = madd_peak(d, lanes) {
-                println!(
-                    "multiply-add peak {:<6} {lanes:>2} lanes {:>8.2} GFLOP/s",
-                    d.name(),
-                    p.rate
-                );
-            }
+    for lanes in [8, 16] {
+        if let Some(p) = madd_peak(lanes) {
+            println!("multiply-add peak {lanes:>2} lanes {:>8.2} GFLOP/s", p.rate);
         }
     }
     println!(
@@ -740,9 +696,7 @@ fn main() {
 
     // --- Feature interaction (`Dot`) at RM1's shape: 11 features of 64 ---
     // (the bottom output and 10 pooled tables) at batch 512, forward and
-    // backward, through the process-wide dispatch pinned per tier. Every
-    // tier runs the same multiply-then-add sequence, so `fma` reads as
-    // `avx2`.
+    // backward, through the process-wide dispatch pinned per tier.
     let (rows, features, width) = (512, 11, 64);
     let dense = random_matrix(rows, width, 67);
     let embeddings: Vec<Matrix> = (0..features as u64 - 1)

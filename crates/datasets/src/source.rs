@@ -19,9 +19,8 @@
 //!   every design point" workflow of the paper's experiments.
 
 use crate::synthetic::{CtrBatch, SyntheticCtr};
-use crate::trace::{read_trace, TraceError};
+use crate::trace::TraceError;
 use std::collections::VecDeque;
-use std::io::Read;
 use std::sync::Arc;
 use tcast_embedding::IndexArray;
 use tcast_tensor::SplitMix64;
@@ -200,7 +199,8 @@ pub struct TraceReplaySource {
 
 impl TraceReplaySource {
     /// Builds a replay source from per-table traces (table `t`'s
-    /// sequence of mini-batch index arrays, as [`read_trace`] returns).
+    /// sequence of mini-batch index arrays, as
+    /// [`crate::trace::read_trace`] returns).
     ///
     /// # Errors
     ///
@@ -247,25 +247,6 @@ impl TraceReplaySource {
             cycle: false,
             free: VecDeque::new(),
         })
-    }
-
-    /// Reads one trace per table from `readers` (the [`read_trace`]
-    /// format) and builds a replay source over them.
-    ///
-    /// # Errors
-    ///
-    /// Propagates [`read_trace`] errors, plus the [`TraceReplaySource::new`]
-    /// shape validation.
-    pub fn from_readers<R: Read>(
-        readers: &mut [R],
-        dense_dim: usize,
-        seed: u64,
-    ) -> Result<Self, TraceError> {
-        let per_table = readers
-            .iter_mut()
-            .map(read_trace)
-            .collect::<Result<Vec<_>, _>>()?;
-        Self::new(per_table, dense_dim, seed)
     }
 
     /// Makes the source loop back to the first step after the last
@@ -362,7 +343,7 @@ impl std::fmt::Debug for TraceReplaySource {
 mod tests {
     use super::*;
     use crate::popularity::Popularity;
-    use crate::trace::write_trace;
+    use crate::trace::{read_trace, write_trace};
     use crate::workload::TableWorkload;
 
     fn ctr() -> SyntheticCtr {
@@ -480,8 +461,13 @@ mod tests {
             write_trace(&mut buf, t).unwrap();
             bufs.push(buf);
         }
-        let mut readers: Vec<&[u8]> = bufs.iter().map(Vec::as_slice).collect();
-        let mut source = TraceReplaySource::from_readers(&mut readers, 4, 1).unwrap();
+        let per_table = bufs
+            .iter()
+            .map(|buf| read_trace(&mut buf.as_slice()))
+            .collect::<Result<Vec<_>, _>>()
+            .unwrap();
+        assert_eq!(per_table, [t0.clone(), t1.clone()]);
+        let mut source = TraceReplaySource::new(per_table, 4, 1).unwrap();
         let batch = source.next_batch().unwrap();
         assert_eq!(batch.indices[0], t0[0]);
         assert_eq!(batch.indices[1], t1[0]);

@@ -14,11 +14,10 @@
 //!   matching their scalar counterparts per IEEE-754 — including for the
 //!   `sqrt`/`div` in Adagrad/RMSprop/Adam.
 //!
-//! [`KernelDispatch::Fma`] deliberately runs these row kernels on the
-//! non-contracted AVX2 path: FMA contraction is reserved for the GEMM /
-//! dot kernels in [`tcast_tensor::simd`], so the optimizer state (and
-//! with it every bit-identity invariant over training trajectories)
-//! never depends on the tier beyond scalar-vs-SIMD, which are equal.
+//! No kernel contracts a multiply-add into one fused op, here or in
+//! [`tcast_tensor::simd`], so the optimizer state (and with it every
+//! bit-identity invariant over training trajectories) never depends on the
+//! tier.
 //!
 //! Scalar bias-correction work (Adam's `powi(t)`) stays per-row scalar in
 //! `optim.rs`; only the lane-parallel part lives here.
@@ -394,7 +393,7 @@ fn avx2_ok() -> bool {
 }
 
 // ---------------------------------------------------------------------------
-// Dispatching row kernels. `Fma` runs the AVX2 path (see module docs).
+// Dispatching row kernels.
 // ---------------------------------------------------------------------------
 
 /// One SGD row update: `param -= lr * grad`.

@@ -265,7 +265,8 @@ impl From<EmbeddingError> for ConcurrentError {
 /// # Panics
 ///
 /// Panics if `workloads` is empty or the config's `batch` or
-/// `snapshot_every` is zero. An engine with `queries_per_engine: 0`
+/// `snapshot_every` is zero, and, as [`crate::serve`], if an engine's
+/// clock would pass `u64::MAX` ns. An engine with `queries_per_engine: 0`
 /// serves nothing and reports empty.
 pub fn serve_concurrent(
     driver: &mut TrainLoop,

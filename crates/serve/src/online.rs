@@ -181,6 +181,12 @@ impl OnlineReport {
 /// # Errors
 ///
 /// Returns an error if a query disagrees with the model's shape.
+///
+/// # Panics
+///
+/// Panics if the lane's clock would pass `u64::MAX` ns: a
+/// [`ArrivalProcess::ClosedLoop`] `think_ns`, or a
+/// [`ArrivalProcess::Poisson`] gap, too large to add to it.
 pub fn serve(
     engine: &mut ServeEngine,
     model: &tcast_dlrm::Dlrm,
@@ -203,6 +209,10 @@ pub fn serve(
 ///
 /// Returns an error if a query disagrees with the model's shape, a
 /// training batch is inconsistent, or the batch source ends.
+///
+/// # Panics
+///
+/// As [`serve`], if the lane's clock would pass `u64::MAX` ns.
 pub fn serve_online(
     engine: &mut ServeEngine,
     trainer: &mut Trainer,
@@ -345,6 +355,39 @@ mod tests {
         assert_eq!(report.queries, 30);
         // Closed loop with 8 clients can never queue more than 8.
         assert!(report.max_queue_depth <= 8);
+    }
+
+    /// A think time that carries the clock past `u64::MAX` panics at the
+    /// first completion: a wrapped clock would make the client's next
+    /// query due at once.
+    #[test]
+    #[should_panic(expected = "serve clock overflowed u64")]
+    fn a_closed_loop_think_time_past_the_clock_panics() {
+        let m = model();
+        let mut engine = ServeEngine::with_defaults(&m);
+        let cfg = ServeConfig {
+            arrivals: ArrivalProcess::ClosedLoop {
+                clients: 1,
+                think_ns: u64::MAX,
+            },
+            ..config(BatchPolicy::Fixed { batch: 1 }, 2)
+        };
+        let _ = serve(&mut engine, &m, &mut workload(7), &cfg);
+    }
+
+    /// A rate so low that its gaps saturate to `u64::MAX` ns puts the
+    /// first arrival at the end of the clock; the second cannot be issued
+    /// past it.
+    #[test]
+    #[should_panic(expected = "serve clock overflowed u64")]
+    fn a_poisson_gap_past_the_clock_panics() {
+        let m = model();
+        let mut engine = ServeEngine::with_defaults(&m);
+        let cfg = ServeConfig {
+            arrivals: ArrivalProcess::Poisson { mean_qps: 1e-30 },
+            ..config(BatchPolicy::Fixed { batch: 1 }, 2)
+        };
+        let _ = serve(&mut engine, &m, &mut workload(7), &cfg);
     }
 
     #[test]

@@ -16,7 +16,10 @@
 //! age is wall age. Latency, QPS and SLA accounting reflect real compute
 //! on this host while the arrival pattern stays reproducible. Under
 //! `Fixed` batching the clock never changes which queries fuse: batch
-//! composition depends only on the draw order.
+//! composition depends only on the draw order. Every advance is checked:
+//! a think time or arrival gap that would carry the `u64` clock past its
+//! end panics ([`advance`]) rather than wrapping round to make the next
+//! query due at once.
 
 use std::collections::VecDeque;
 use std::fs::File;
@@ -73,8 +76,8 @@ impl Traffic {
     fn issue(&mut self, after_ns: u64) {
         if self.issued < self.total {
             self.pending.push_back(match self.arrivals {
-                ArrivalProcess::ClosedLoop { think_ns, .. } => after_ns + think_ns,
-                process => after_ns + process.next_gap_ns(&mut self.rng),
+                ArrivalProcess::ClosedLoop { think_ns, .. } => advance(after_ns, think_ns),
+                process => advance(after_ns, process.next_gap_ns(&mut self.rng)),
             });
             self.issued += 1;
         }
@@ -162,7 +165,7 @@ impl<'a> TrainerSlot<'a> {
         let step = self.trainer.step(&batch)?;
         let train_ns = elapsed_ns(t0);
         self.batches.recycle(batch);
-        *now_ns += gen_ns + train_ns;
+        *now_ns = advance(advance(*now_ns, gen_ns), train_ns);
         self.online.gen_ns += gen_ns;
         self.online.train_ns += train_ns;
         self.online.losses.push(step.loss);
@@ -187,7 +190,7 @@ impl<'a> TrainerSlot<'a> {
         let mut file = File::open(&hr.path).map_err(CheckpointError::from)?;
         read_train_checkpoint(&mut file)?.restore_into(self.trainer)?;
         let spent = elapsed_ns(t0);
-        *now_ns += spent;
+        *now_ns = advance(*now_ns, spent);
         report.restores += 1;
         report.restore_ns += spent;
         self.published = Instant::now();
@@ -312,7 +315,7 @@ impl<'a> Lane<'a> {
                     None => break, // nothing queued and nothing due: all done
                 },
             };
-            now_ns = wake_ns.max(now_ns + 1);
+            now_ns = wake_ns.max(advance(now_ns, 1));
         }
         Ok(now_ns)
     }
@@ -361,7 +364,7 @@ impl<'a> Lane<'a> {
                 scores: scored.fused_logits().as_slice().to_vec(),
             });
         }
-        *now_ns += service_ns;
+        *now_ns = advance(*now_ns, service_ns);
         let r = &mut self.report;
         r.batches += 1;
         r.samples += samples;
@@ -413,6 +416,18 @@ pub(crate) fn scoring_only(e: ServeError) -> EmbeddingError {
     match e {
         ServeError::Score(e) => e,
         ServeError::Restore(e) => unreachable!("only a trainer lane restores: {e}"),
+    }
+}
+
+/// `now_ns + by_ns` on a lane's clock.
+///
+/// # Panics
+///
+/// Panics if the sum overflows `u64`.
+fn advance(now_ns: u64, by_ns: u64) -> u64 {
+    match now_ns.checked_add(by_ns) {
+        Some(t) => t,
+        None => panic!("serve clock overflowed u64: {now_ns} ns + {by_ns} ns"),
     }
 }
 

@@ -11,7 +11,7 @@
 //! * Every kernel vectorizes **across the `j`/`dim` lane axis** and keeps
 //!   the reduction axis (`k`, lookup order) in exactly the scalar order,
 //!   so each output element sees the same operations in the same order.
-//! * The non-FMA tier ([`KernelDispatch::Avx2`]) uses only individually
+//! * The SIMD tier ([`KernelDispatch::Avx2`]) uses only individually
 //!   correctly-rounded operations (`vmulps`/`vaddps`/`vsubps`/`vdivps`/
 //!   `vsqrtps` match their scalar counterparts per IEEE-754), so it is
 //!   **bit-identical** to [`KernelDispatch::Scalar`] — including on NaN,
@@ -22,12 +22,12 @@
 //!   meets an input NaN the `avx2` GEMM and the oracle can keep opposite
 //!   signs. Every output is NaN on both tiers or on neither, and every
 //!   non-NaN output is bit-identical.
-//! * The [`KernelDispatch::Fma`] tier contracts `a*b + c` with
-//!   `vfmaddps` (one rounding instead of two). It is *tolerance-gated*,
-//!   never auto-selected, and opt-in via `TCAST_KERNEL=fma`.
+//! * No kernel contracts `a*b + c` into one fused multiply-add: a fused
+//!   op rounds once where the oracle rounds twice, so every tier is
+//!   bit-identical to the oracle and none is merely close to it.
 //!
 //! The active tier is resolved once per process from the `TCAST_KERNEL`
-//! environment variable (`scalar` | `avx2` | `fma` | `auto`, default
+//! environment variable (`scalar` | `avx2` | `auto`, default
 //! `auto` = AVX2 where `is_x86_feature_detected!` reports it, scalar
 //! otherwise) and cached; tests and benches can override it in-process
 //! with [`force`] or per call through the explicit-dispatch entry points.
@@ -45,24 +45,23 @@
 //! The three products an MLP layer needs — `NN` ([`gemm_nn`], forward
 //! `C = A B`), `TN` ([`gemm_tn`], weight gradient `C = A^T B`) and `NT`
 //! ([`gemm_nt`], input gradient `C = A B^T`) — are plain loops on the
-//! scalar tier (the oracle) and register-tiled on the SIMD tiers, whose
-//! kernels are one macro body instantiated twice, differing only in the
-//! multiply-add op. Tiling changes *where* an output lives while it is
-//! being summed, never *what* is summed in which order:
+//! scalar tier (the oracle) and register-tiled on the `avx2` tier. Tiling
+//! changes *where* an output lives while it is being summed, never *what*
+//! is summed in which order:
 //!
 //! * `NN` and `TN` share one kernel (`A` is addressed through a row and a
 //!   `k` stride). A tile keeps up to 8 rows x 16 columns of `C` in
 //!   registers and, for `kk` ascending, adds `a[i][kk] * b[kk][j]` to
 //!   each — the oracle's `c[i][j] += a[i][kk] * b[kk][j]` sequence
-//!   starting from `+0.0`, vectorized across `j` only. `avx2` multiplies
-//!   then adds (two roundings, like the oracle); `fma` contracts.
+//!   starting from `+0.0`, vectorized across `j` only. It multiplies then
+//!   adds: two roundings, like the oracle.
 //! * The register width is the host's, not the tier's: where AVX-512F is
 //!   present the tile is 8 rows of one 16-lane `zmm` vector, otherwise 4
 //!   rows of two 8-lane `ymm` vectors. A 16-lane `vmulps` then `vaddps` is
 //!   sixteen of the same IEEE operations an 8-lane pair performs, so both
 //!   widths give every output the same bits and the tier is still
-//!   reported as `avx2` (or `fma`). The width is one parameter of the one
-//!   macro body, not a second kernel.
+//!   reported as `avx2`. The width is one parameter of the one macro
+//!   body, not a second kernel.
 //! * The reduction is blocked by `GEMM_KC` steps: between blocks the
 //!   accumulators are stored to `C` and loaded back, which changes when an
 //!   element is revisited, not the order of its additions (an `f32` store
@@ -99,9 +98,8 @@
 //! DLRM's pairwise dot products ([`crate::FeatureInteraction`]) have a
 //! strict-order scalar loop as their oracle: each pair's sum starts at
 //! `-0.0` (Rust's `f32` `Sum`) and adds `x_i[k] * x_j[k]` for `k`
-//! ascending. The SIMD tiers run two kernels on 8-lane `ymm` registers,
-//! multiplying then adding on both `avx2` and `fma` (no contraction), so
-//! every tier gives the oracle's bits:
+//! ascending. The `avx2` tier runs two kernels on 8-lane `ymm` registers,
+//! multiplying then adding, so it gives the oracle's bits:
 //!
 //! * the forward vectorizes **across the batch**. Each 8-row block of the
 //!   `m` feature rows is transposed into a stack tile, so lane `r` of a
@@ -151,25 +149,25 @@ const PAIR_NP: usize = 8;
 const GRAD_NV: usize = 8;
 
 /// Environment variable selecting the kernel tier (`scalar` | `avx2` |
-/// `fma` | `auto`).
+/// `auto`).
 pub const KERNEL_ENV: &str = "TCAST_KERNEL";
 
 /// Which kernel implementation the hot loops run.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
 pub enum KernelDispatch {
-    /// Portable scalar loops — the bit-exact oracle for `Avx2` and the
-    /// tolerance oracle for `Fma`.
+    /// Portable scalar loops — the bit-exact oracle for `Avx2`.
     Scalar,
-    /// AVX2 without FMA contraction: bit-identical to `Scalar`.
+    /// AVX2 (AVX-512 registers for the `NN` / `TN` GEMM where present),
+    /// multiply then add: bit-identical to `Scalar`.
     Avx2,
-    /// AVX2 + FMA contraction in GEMM/dot/axpy: faster, tolerance-gated,
-    /// never auto-selected.
+    /// Retired: nothing constructs it, a kernel handed it runs the `Avx2`
+    /// path, and it stays only because `benchmark/src/train.rs` names it.
     Fma,
 }
 
 impl KernelDispatch {
-    /// The best *bit-identical* tier this host supports (`Avx2` where
-    /// available, else `Scalar`). `Fma` is never auto-selected.
+    /// The best tier this host supports: `Avx2` where available, else
+    /// `Scalar`.
     pub fn detect() -> Self {
         #[cfg(target_arch = "x86_64")]
         if std::arch::is_x86_feature_detected!("avx2") {
@@ -184,7 +182,6 @@ impl KernelDispatch {
         match s.trim().to_ascii_lowercase().as_str() {
             "scalar" => Some(KernelDispatch::Scalar),
             "avx2" => Some(KernelDispatch::Avx2),
-            "fma" => Some(KernelDispatch::Fma),
             "auto" | "" => Some(KernelDispatch::detect()),
             _ => None,
         }
@@ -197,7 +194,7 @@ impl KernelDispatch {
         match self {
             KernelDispatch::Scalar => true,
             KernelDispatch::Avx2 => avx2_ok(),
-            KernelDispatch::Fma => fma_ok(),
+            KernelDispatch::Fma => false,
         }
     }
 
@@ -207,9 +204,6 @@ impl KernelDispatch {
         let mut tiers = vec![KernelDispatch::Scalar];
         if KernelDispatch::Avx2.supported() {
             tiers.push(KernelDispatch::Avx2);
-        }
-        if KernelDispatch::Fma.supported() {
-            tiers.push(KernelDispatch::Fma);
         }
         tiers
     }
@@ -230,12 +224,6 @@ fn avx2_ok() -> bool {
     std::arch::is_x86_feature_detected!("avx2")
 }
 
-#[cfg(target_arch = "x86_64")]
-#[inline(always)]
-fn fma_ok() -> bool {
-    avx2_ok() && std::arch::is_x86_feature_detected!("fma")
-}
-
 /// Whether the SIMD tiers' `NN` / `TN` GEMM runs on 16-lane `zmm`
 /// registers rather than 8-lane `ymm` ones. Not a tier: both widths
 /// perform the same operations on every output.
@@ -248,12 +236,6 @@ fn zmm_ok() -> bool {
 #[cfg(not(target_arch = "x86_64"))]
 #[inline(always)]
 fn avx2_ok() -> bool {
-    false
-}
-
-#[cfg(not(target_arch = "x86_64"))]
-#[inline(always)]
-fn fma_ok() -> bool {
     false
 }
 
@@ -271,7 +253,6 @@ pub fn dispatch() -> KernelDispatch {
     match FORCED.load(Ordering::Relaxed) {
         1 => KernelDispatch::Scalar,
         2 => KernelDispatch::Avx2,
-        3 => KernelDispatch::Fma,
         _ => *RESOLVED.get_or_init(resolve_from_env),
     }
 }
@@ -285,8 +266,7 @@ pub fn force(d: Option<KernelDispatch>) {
     let code = match d {
         None => 0,
         Some(KernelDispatch::Scalar) => 1,
-        Some(KernelDispatch::Avx2) => 2,
-        Some(KernelDispatch::Fma) => 3,
+        Some(KernelDispatch::Avx2 | KernelDispatch::Fma) => 2,
     };
     FORCED.store(code, Ordering::Relaxed);
 }
@@ -305,7 +285,7 @@ fn resolve_from_env() -> KernelDispatch {
             }
             None => {
                 eprintln!(
-                    "{KERNEL_ENV}={v:?} not recognized (expected scalar|avx2|fma|auto); \
+                    "{KERNEL_ENV}={v:?} not recognized (expected scalar|avx2|auto); \
                      falling back to {}",
                     KernelDispatch::detect().name()
                 );
@@ -446,7 +426,7 @@ fn gemm_nt_scalar(a: &[f32], b: &[f32], mut c: StridedMut<'_>, k: usize) {
 }
 
 // ---------------------------------------------------------------------------
-// AVX2 / FMA kernels.
+// AVX2 kernels.
 // ---------------------------------------------------------------------------
 
 #[cfg(target_arch = "x86_64")]
@@ -503,27 +483,6 @@ mod x86 {
         }
     }
 
-    #[target_feature(enable = "avx2", enable = "fma")]
-    #[inline]
-    pub fn axpy_fma(acc: &mut [f32], src: &[f32], alpha: f32) {
-        let n = acc.len().min(src.len());
-        let va = _mm256_set1_ps(alpha);
-        let mut j = 0;
-        while j + 8 <= n {
-            // SAFETY: j + 8 <= n bounds both 8-lane loads and the store.
-            unsafe {
-                let a = _mm256_loadu_ps(acc.as_ptr().add(j));
-                let s = _mm256_loadu_ps(src.as_ptr().add(j));
-                _mm256_storeu_ps(acc.as_mut_ptr().add(j), _mm256_fmadd_ps(va, s, a));
-            }
-            j += 8;
-        }
-        while j < n {
-            acc[j] = alpha.mul_add(src[j], acc[j]);
-            j += 1;
-        }
-    }
-
     /// The horizontal fold matched bit-for-bit by the scalar oracle.
     #[target_feature(enable = "avx2")]
     #[inline]
@@ -559,54 +518,15 @@ mod x86 {
         sum
     }
 
-    #[target_feature(enable = "avx2", enable = "fma")]
-    #[inline]
-    pub fn dot_fma(a: &[f32], b: &[f32]) -> f32 {
-        let n = a.len().min(b.len());
-        let mut vacc = _mm256_setzero_ps();
-        let mut j = 0;
-        while j + 8 <= n {
-            // SAFETY: j + 8 <= n bounds both 8-lane loads.
-            unsafe {
-                let av = _mm256_loadu_ps(a.as_ptr().add(j));
-                let bv = _mm256_loadu_ps(b.as_ptr().add(j));
-                vacc = _mm256_fmadd_ps(av, bv, vacc);
-            }
-            j += 8;
-        }
-        let mut sum = hreduce(vacc);
-        while j < n {
-            sum = a[j].mul_add(b[j], sum);
-            j += 1;
-        }
-        sum
-    }
-
     /// `acc + a * b` as two correctly-rounded operations — what the scalar
-    /// oracle's `c += a * b` does — on 8 lanes (`ymm`), 16 lanes (`zmm`)
-    /// or one float (`ss`), so the `avx2` tier stays bit-identical to it.
+    /// oracle's `c += a * b` does — on 8 lanes (`ymm`) or 16 lanes
+    /// (`zmm`), so the `avx2` tier stays bit-identical to it.
     macro_rules! madd_rounded {
         (ymm $acc:expr, $a:expr, $b:expr) => {
             _mm256_add_ps($acc, _mm256_mul_ps($a, $b))
         };
         (zmm $acc:expr, $a:expr, $b:expr) => {
             _mm512_add_ps($acc, _mm512_mul_ps($a, $b))
-        };
-        (ss $acc:expr, $a:expr, $b:expr) => {
-            $acc + $a * $b
-        };
-    }
-
-    /// `acc + a * b` contracted into one rounding (`fma` tier).
-    macro_rules! madd_fused {
-        (ymm $acc:expr, $a:expr, $b:expr) => {
-            _mm256_fmadd_ps($a, $b, $acc)
-        };
-        (zmm $acc:expr, $a:expr, $b:expr) => {
-            _mm512_fmadd_ps($a, $b, $acc)
-        };
-        (ss $acc:expr, $a:expr, $b:expr) => {
-            $a.mul_add($b, $acc)
         };
     }
 
@@ -640,16 +560,13 @@ mod x86 {
         };
     }
 
-    /// One tier's `NN` / `TN` kernel at one register width. The four
-    /// instantiations share this body verbatim: the tier picks the
-    /// multiply-add op `$madd`; the width `$w` (`ymm` | `zmm`, `$lanes`
-    /// floats) picks the data movement and the tile height `$mr`, with
-    /// `$tail` the row counts below it that a row tail can have.
+    /// The `NN` / `TN` kernel at one register width. The two
+    /// instantiations share this body verbatim: the width `$w` (`ymm` |
+    /// `zmm`, `$lanes` floats) picks the data movement and the tile height
+    /// `$mr`, with `$tail` the row counts below it that a row tail can
+    /// have.
     macro_rules! gemm_width {
-        (
-            $w:ident, $lanes:literal, $mr:expr, [$($tail:literal),*],
-            $madd:ident, $($feat:literal),+
-        ) => {
+        ($w:ident, $lanes:literal, $mr:expr, [$($tail:literal),*], $($feat:literal),+) => {
             pub mod $w {
                 use super::*;
 
@@ -724,7 +641,7 @@ mod x86 {
                             for r in 0..R {
                                 let av = vop!($w splat a_rows[r].add(kk * a_ks));
                                 for v in 0..NV {
-                                    acc[r][v] = $madd!($w acc[r][v], av, bv[v]);
+                                    acc[r][v] = madd_rounded!($w acc[r][v], av, bv[v]);
                                 }
                             }
                         }
@@ -845,117 +762,110 @@ mod x86 {
         };
     }
 
-    /// One tier's kernels: `NT` on 8-lane `ymm` registers and `NN` / `TN`
-    /// at both widths. The two instantiations share this body verbatim and
-    /// differ only in the multiply-add op `$madd` and in the `$dot` helper
-    /// (built on the same op) the `NT` tails fall back to.
-    macro_rules! gemm_tier {
-        ($tier:ident, $madd:ident, $dot:ident, $($feat:literal),+) => {
-            pub mod $tier {
-                use super::*;
+    /// The `NT` kernel on 8-lane `ymm` registers and the `NN` / `TN` kernel
+    /// at both widths.
+    pub mod avx2 {
+        use super::*;
 
-                /// `NT_MR x NT_NR` outputs of `C = A B^T` in flight: each
-                /// keeps its own 8-lane partial sums over the `k / 8` full
-                /// chunks, folds them with [`hreduce`] and finishes the `k % 8`
-                /// tail in scalar — the exact sequence of one `$dot` call.
-                /// `a`, `b` and `c` start at the block's first row of each
-                /// operand.
-                ///
-                /// # Safety
-                ///
-                /// `a` must hold `NT_MR` and `b` `NT_NR` rows of `k`
-                /// floats each. The `NT_NR` floats from `c + r * ldc` must
-                /// be valid for writes, and written through nothing else,
-                /// for every `r < NT_MR`. The elements are addressed
-                /// without bounds checks; the `a` and `b` spans are
-                /// `debug_assert!`ed.
-                #[target_feature($(enable = $feat),+)]
-                #[inline]
-                #[allow(clippy::assign_op_pattern)] // `sum = $madd!(..)`: one form for both ops
-                unsafe fn tile_nt(a: &[f32], b: &[f32], k: usize, c: *mut f32, ldc: usize) {
-                    debug_assert!(a.len() >= NT_MR * k && b.len() >= NT_NR * k);
-                    let (a, b) = (a.as_ptr(), b.as_ptr());
-                    let mut acc = [[_mm256_setzero_ps(); NT_NR]; NT_MR];
-                    let full = k - k % 8;
-                    let mut kk = 0;
-                    while kk < full {
-                        // SAFETY: `kk + 8 <= k` bounds every 8-lane load
-                        // inside its row (caller contract).
-                        unsafe {
-                            let mut av = [_mm256_setzero_ps(); NT_MR];
-                            for r in 0..NT_MR {
-                                av[r] = _mm256_loadu_ps(a.add(r * k + kk));
-                            }
-                            for j in 0..NT_NR {
-                                let bv = _mm256_loadu_ps(b.add(j * k + kk));
-                                for r in 0..NT_MR {
-                                    acc[r][j] = $madd!(ymm acc[r][j], av[r], bv);
-                                }
-                            }
-                        }
-                        kk += 8;
-                    }
+        /// `NT_MR x NT_NR` outputs of `C = A B^T` in flight: each
+        /// keeps its own 8-lane partial sums over the `k / 8` full
+        /// chunks, folds them with [`hreduce`] and finishes the `k % 8`
+        /// tail in scalar — the exact sequence of one [`dot`] call.
+        /// `a`, `b` and `c` start at the block's first row of each
+        /// operand.
+        ///
+        /// # Safety
+        ///
+        /// `a` must hold `NT_MR` and `b` `NT_NR` rows of `k`
+        /// floats each. The `NT_NR` floats from `c + r * ldc` must
+        /// be valid for writes, and written through nothing else,
+        /// for every `r < NT_MR`. The elements are addressed
+        /// without bounds checks; the `a` and `b` spans are
+        /// `debug_assert!`ed.
+        #[target_feature(enable = "avx2")]
+        #[inline]
+        unsafe fn tile_nt(a: &[f32], b: &[f32], k: usize, c: *mut f32, ldc: usize) {
+            debug_assert!(a.len() >= NT_MR * k && b.len() >= NT_NR * k);
+            let (a, b) = (a.as_ptr(), b.as_ptr());
+            let mut acc = [[_mm256_setzero_ps(); NT_NR]; NT_MR];
+            let full = k - k % 8;
+            let mut kk = 0;
+            while kk < full {
+                // SAFETY: `kk + 8 <= k` bounds every 8-lane load
+                // inside its row (caller contract).
+                unsafe {
+                    let mut av = [_mm256_setzero_ps(); NT_MR];
                     for r in 0..NT_MR {
-                        for j in 0..NT_NR {
-                            let mut sum = hreduce(acc[r][j]);
-                            for t in full..k {
-                                // SAFETY: `t < k` is inside both rows.
-                                let (x, y) = unsafe { (*a.add(r * k + t), *b.add(j * k + t)) };
-                                sum = $madd!(ss sum, x, y);
-                            }
-                            // SAFETY: `c + r * ldc + j` is writable (caller
-                            // contract).
-                            unsafe { *c.add(r * ldc + j) = sum };
+                        av[r] = _mm256_loadu_ps(a.add(r * k + kk));
+                    }
+                    for j in 0..NT_NR {
+                        let bv = _mm256_loadu_ps(b.add(j * k + kk));
+                        for r in 0..NT_MR {
+                            acc[r][j] = madd_rounded!(ymm acc[r][j], av[r], bv);
                         }
                     }
                 }
-
-                /// `C = A B^T` for row-major `a` (`m x k`) and `b`
-                /// (`n x k`), `C` being `c.rows() x c.cols()` = `m x n`;
-                /// every output is overwritten.
-                #[target_feature($(enable = $feat),+)]
-                pub fn gemm_nt(a: &[f32], b: &[f32], mut c: StridedMut<'_>, k: usize) {
-                    let (m, n) = (c.rows(), c.cols());
-                    assert!(a.len() >= m * k && b.len() >= n * k);
-                    // Without one full 8-lane chunk there is nothing to tile.
-                    let m_tiled = if k < 8 { 0 } else { m - m % NT_MR };
-                    let n_tiled = n - n % NT_NR;
-                    for j0 in (0..n_tiled).step_by(NT_NR) {
-                        for i0 in (0..m_tiled).step_by(NT_MR) {
-                            let (at, bt) = (&a[i0 * k..], &b[j0 * k..]);
-                            // SAFETY: rows `i0..i0 + NT_MR` (<= m) of `a`,
-                            // rows `j0..j0 + NT_NR` (<= n) of `b` are
-                            // inside the operands by the assert above; the
-                            // outputs are elements `(i0.., j0..)` of the
-                            // view `c`, which nothing else writes while it
-                            // is borrowed here; and this tier's features
-                            // are enabled here.
-                            unsafe { tile_nt(at, bt, k, c.at(i0, j0), c.ld()) };
-                        }
-                    }
-                    // Tails: the last `m % NT_MR` rows over all columns,
-                    // then the last `n % NT_NR` columns of the tiled rows.
-                    for i in 0..m {
-                        let a_row = &a[i * k..(i + 1) * k];
-                        let j_from = if i < m_tiled { n_tiled } else { 0 };
-                        let c_row = c.row(i);
-                        for j in j_from..n {
-                            c_row[j] = $dot(a_row, &b[j * k..(j + 1) * k]);
-                        }
-                    }
-                }
-
-                gemm_width!(ymm, 8, GEMM_MR_YMM, [1, 2, 3], $madd, $($feat),+);
-                gemm_width!(
-                    zmm, 16, GEMM_MR_ZMM, [1, 2, 3, 4, 5, 6, 7],
-                    $madd, $($feat,)+ "avx512f"
-                );
+                kk += 8;
             }
-        };
-    }
+            for r in 0..NT_MR {
+                for j in 0..NT_NR {
+                    let mut sum = hreduce(acc[r][j]);
+                    for t in full..k {
+                        // SAFETY: `t < k` is inside both rows.
+                        let (x, y) = unsafe { (*a.add(r * k + t), *b.add(j * k + t)) };
+                        sum += x * y;
+                    }
+                    // SAFETY: `c + r * ldc + j` is writable (caller
+                    // contract).
+                    unsafe { *c.add(r * ldc + j) = sum };
+                }
+            }
+        }
 
-    gemm_tier!(avx2, madd_rounded, dot, "avx2");
-    gemm_tier!(fma, madd_fused, dot_fma, "avx2", "fma");
+        /// `C = A B^T` for row-major `a` (`m x k`) and `b`
+        /// (`n x k`), `C` being `c.rows() x c.cols()` = `m x n`;
+        /// every output is overwritten.
+        #[target_feature(enable = "avx2")]
+        pub fn gemm_nt(a: &[f32], b: &[f32], mut c: StridedMut<'_>, k: usize) {
+            let (m, n) = (c.rows(), c.cols());
+            assert!(a.len() >= m * k && b.len() >= n * k);
+            // Without one full 8-lane chunk there is nothing to tile.
+            let m_tiled = if k < 8 { 0 } else { m - m % NT_MR };
+            let n_tiled = n - n % NT_NR;
+            for j0 in (0..n_tiled).step_by(NT_NR) {
+                for i0 in (0..m_tiled).step_by(NT_MR) {
+                    let (at, bt) = (&a[i0 * k..], &b[j0 * k..]);
+                    // SAFETY: rows `i0..i0 + NT_MR` (<= m) of `a`,
+                    // rows `j0..j0 + NT_NR` (<= n) of `b` are
+                    // inside the operands by the assert above; the
+                    // outputs are elements `(i0.., j0..)` of the
+                    // view `c`, which nothing else writes while it
+                    // is borrowed here; and AVX2 is enabled here.
+                    unsafe { tile_nt(at, bt, k, c.at(i0, j0), c.ld()) };
+                }
+            }
+            // Tails: the last `m % NT_MR` rows over all columns,
+            // then the last `n % NT_NR` columns of the tiled rows.
+            for i in 0..m {
+                let a_row = &a[i * k..(i + 1) * k];
+                let j_from = if i < m_tiled { n_tiled } else { 0 };
+                let c_row = c.row(i);
+                for j in j_from..n {
+                    c_row[j] = dot(a_row, &b[j * k..(j + 1) * k]);
+                }
+            }
+        }
+
+        gemm_width!(ymm, 8, GEMM_MR_YMM, [1, 2, 3], "avx2");
+        gemm_width!(
+            zmm,
+            16,
+            GEMM_MR_ZMM,
+            [1, 2, 3, 4, 5, 6, 7],
+            "avx2",
+            "avx512f"
+        );
+    }
 
     /// Where pair `(i, j)`, `i < j`, of `m` features sits in the `Dot`
     /// interaction's pair order (`(0, 1), (0, 2), .., (1, 2), ..`).
@@ -1238,7 +1148,7 @@ mod x86 {
 // ---------------------------------------------------------------------------
 
 /// `acc[j] += src[j]` — the gather-reduce accumulate. Bit-identical
-/// across all tiers (pure lane-wise adds; FMA cannot apply).
+/// across all tiers (pure lane-wise adds).
 #[inline]
 pub fn add_assign(d: KernelDispatch, acc: &mut [f32], src: &[f32]) {
     debug_assert_eq!(acc.len(), src.len());
@@ -1252,23 +1162,15 @@ pub fn add_assign(d: KernelDispatch, acc: &mut [f32], src: &[f32]) {
     add_assign_scalar(acc, src);
 }
 
-/// `acc[j] += alpha * src[j]`. `Avx2` is bit-identical to `Scalar`;
-/// `Fma` contracts the multiply-add (tolerance tier).
+/// `acc[j] += alpha * src[j]`. `Avx2` is bit-identical to `Scalar`.
 #[inline]
 pub fn axpy(d: KernelDispatch, acc: &mut [f32], src: &[f32], alpha: f32) {
     debug_assert_eq!(acc.len(), src.len());
     #[cfg(target_arch = "x86_64")]
-    {
-        if d == KernelDispatch::Fma && fma_ok() {
-            // SAFETY: AVX2+FMA support verified on the line above.
-            unsafe { x86::axpy_fma(acc, src, alpha) };
-            return;
-        }
-        if d != KernelDispatch::Scalar && avx2_ok() {
-            // SAFETY: AVX2 support verified on the line above.
-            unsafe { x86::axpy(acc, src, alpha) };
-            return;
-        }
+    if d != KernelDispatch::Scalar && avx2_ok() {
+        // SAFETY: AVX2 support verified on the line above.
+        unsafe { x86::axpy(acc, src, alpha) };
+        return;
     }
     let _ = d;
     axpy_scalar(acc, src, alpha);
@@ -1280,15 +1182,9 @@ pub fn axpy(d: KernelDispatch, acc: &mut [f32], src: &[f32], alpha: f32) {
 pub fn dot(d: KernelDispatch, a: &[f32], b: &[f32]) -> f32 {
     debug_assert_eq!(a.len(), b.len());
     #[cfg(target_arch = "x86_64")]
-    {
-        if d == KernelDispatch::Fma && fma_ok() {
-            // SAFETY: AVX2+FMA support verified on the line above.
-            return unsafe { x86::dot_fma(a, b) };
-        }
-        if d != KernelDispatch::Scalar && avx2_ok() {
-            // SAFETY: AVX2 support verified on the line above.
-            return unsafe { x86::dot(a, b) };
-        }
+    if d != KernelDispatch::Scalar && avx2_ok() {
+        // SAFETY: AVX2 support verified on the line above.
+        return unsafe { x86::dot(a, b) };
     }
     let _ = d;
     dot_scalar(a, b)
@@ -1315,27 +1211,15 @@ pub(crate) fn gemm_strided(
     debug_assert!(m == 0 || k == 0 || a.len() > (m - 1) * a_rs + (k - 1) * a_ks);
     debug_assert!(n == 0 || k == 0 || b.len() >= (k - 1) * ldb + n);
     #[cfg(target_arch = "x86_64")]
-    {
-        if d == KernelDispatch::Fma && fma_ok() {
-            if zmm_ok() {
-                // SAFETY: AVX2+FMA and AVX-512F support verified above.
-                unsafe { x86::fma::zmm::gemm(a, a_rs, a_ks, b, ldb, c, k) };
-            } else {
-                // SAFETY: AVX2+FMA support verified above.
-                unsafe { x86::fma::ymm::gemm(a, a_rs, a_ks, b, ldb, c, k) };
-            }
-            return;
+    if d != KernelDispatch::Scalar && avx2_ok() {
+        if zmm_ok() {
+            // SAFETY: AVX2 and AVX-512F support verified above.
+            unsafe { x86::avx2::zmm::gemm(a, a_rs, a_ks, b, ldb, c, k) };
+        } else {
+            // SAFETY: AVX2 support verified above.
+            unsafe { x86::avx2::ymm::gemm(a, a_rs, a_ks, b, ldb, c, k) };
         }
-        if d != KernelDispatch::Scalar && avx2_ok() {
-            if zmm_ok() {
-                // SAFETY: AVX2 and AVX-512F support verified above.
-                unsafe { x86::avx2::zmm::gemm(a, a_rs, a_ks, b, ldb, c, k) };
-            } else {
-                // SAFETY: AVX2 support verified above.
-                unsafe { x86::avx2::ymm::gemm(a, a_rs, a_ks, b, ldb, c, k) };
-            }
-            return;
-        }
+        return;
     }
     let _ = d;
     gemm_scalar(a, a_rs, a_ks, b, ldb, c, k);
@@ -1405,17 +1289,10 @@ pub(crate) fn gemm_nt_strided(
     debug_assert_eq!(a.len(), c.rows() * k);
     debug_assert_eq!(b.len(), c.cols() * k);
     #[cfg(target_arch = "x86_64")]
-    {
-        if d == KernelDispatch::Fma && fma_ok() {
-            // SAFETY: AVX2+FMA support verified on the line above.
-            unsafe { x86::fma::gemm_nt(a, b, c, k) };
-            return;
-        }
-        if d != KernelDispatch::Scalar && avx2_ok() {
-            // SAFETY: AVX2 support verified on the line above.
-            unsafe { x86::avx2::gemm_nt(a, b, c, k) };
-            return;
-        }
+    if d != KernelDispatch::Scalar && avx2_ok() {
+        // SAFETY: AVX2 support verified on the line above.
+        unsafe { x86::avx2::gemm_nt(a, b, c, k) };
+        return;
     }
     let _ = d;
     gemm_nt_scalar(a, b, c, k);
@@ -1487,7 +1364,7 @@ mod tests {
             Some(KernelDispatch::Scalar)
         );
         assert_eq!(KernelDispatch::parse("AVX2"), Some(KernelDispatch::Avx2));
-        assert_eq!(KernelDispatch::parse(" fma "), Some(KernelDispatch::Fma));
+        assert_eq!(KernelDispatch::parse(" fma "), None);
         assert_eq!(
             KernelDispatch::parse("auto"),
             Some(KernelDispatch::detect())
@@ -1502,8 +1379,14 @@ mod tests {
     }
 
     #[test]
-    fn detect_never_returns_fma() {
-        assert_ne!(KernelDispatch::detect(), KernelDispatch::Fma);
+    fn every_available_tier_is_scalar_or_avx2() {
+        for d in KernelDispatch::available() {
+            assert!(
+                matches!(d, KernelDispatch::Scalar | KernelDispatch::Avx2),
+                "{d:?}"
+            );
+        }
+        assert!(!KernelDispatch::Fma.supported());
     }
 
     #[test]
@@ -1550,18 +1433,6 @@ mod tests {
     }
 
     #[test]
-    fn fma_dot_within_tolerance() {
-        if !KernelDispatch::Fma.supported() {
-            return;
-        }
-        let a = seq(123, 0.41);
-        let b = seq(123, 0.29);
-        let ds = dot(KernelDispatch::Scalar, &a, &b) as f64;
-        let df = dot(KernelDispatch::Fma, &a, &b) as f64;
-        assert!((ds - df).abs() < 1e-4, "scalar {ds} vs fma {df}");
-    }
-
-    #[test]
     fn forcing_overrides_env_resolution() {
         let before = dispatch();
         force(Some(KernelDispatch::Scalar));
@@ -1602,14 +1473,13 @@ mod tests {
             .collect()
     }
 
-    /// The `NN` / `TN` kernel of tier `d` at one register width (`lanes`
-    /// 8 or 16), called directly rather than through the dispatcher, which
-    /// runs only the widest the host has. `false` where the host lacks the
-    /// tier or the width.
+    /// The `avx2` `NN` / `TN` kernel at one register width (`lanes` 8 or
+    /// 16), called directly rather than through the dispatcher, which runs
+    /// only the widest the host has. `false` where the host lacks AVX2 or
+    /// the width.
     #[cfg(target_arch = "x86_64")]
     #[allow(clippy::too_many_arguments)]
     fn gemm_at_width(
-        d: KernelDispatch,
         lanes: usize,
         a: &[f32],
         a_rs: usize,
@@ -1619,63 +1489,51 @@ mod tests {
         c: StridedMut<'_>,
         k: usize,
     ) -> bool {
-        if !d.supported() || (lanes == 16 && !zmm_ok()) {
+        if !avx2_ok() || (lanes == 16 && !zmm_ok()) {
             return false;
         }
-        // SAFETY: the tier's features (and AVX-512F for 16 lanes) were
-        // verified above.
+        // SAFETY: AVX2 (and AVX-512F for 16 lanes) verified above.
         unsafe {
-            match (d, lanes) {
-                (KernelDispatch::Avx2, 8) => x86::avx2::ymm::gemm(a, a_rs, a_ks, b, ldb, c, k),
-                (KernelDispatch::Avx2, 16) => x86::avx2::zmm::gemm(a, a_rs, a_ks, b, ldb, c, k),
-                (KernelDispatch::Fma, 8) => x86::fma::ymm::gemm(a, a_rs, a_ks, b, ldb, c, k),
-                (KernelDispatch::Fma, 16) => x86::fma::zmm::gemm(a, a_rs, a_ks, b, ldb, c, k),
-                _ => unreachable!("no {lanes}-lane {} kernel", d.name()),
+            match lanes {
+                8 => x86::avx2::ymm::gemm(a, a_rs, a_ks, b, ldb, c, k),
+                16 => x86::avx2::zmm::gemm(a, a_rs, a_ks, b, ldb, c, k),
+                _ => unreachable!("no {lanes}-lane kernel"),
             }
         }
         true
     }
 
-    /// Whether `got` matches the scalar oracle's `want` on tier `d`: bit
-    /// for bit on `avx2` (and `scalar`), within contraction tolerance on
-    /// `fma`. The index of the first mismatch otherwise.
+    /// The index of the first output of `got` whose bits differ from the
+    /// scalar oracle's `want`.
     #[cfg(target_arch = "x86_64")]
-    fn mismatch(d: KernelDispatch, want: &[f32], got: &[f32]) -> Option<usize> {
-        let same = |x: f32, y: f32| match d {
-            KernelDispatch::Fma if x.is_nan() || y.is_nan() => x.is_nan() && y.is_nan(),
-            KernelDispatch::Fma if x.is_infinite() || y.is_infinite() => x == y,
-            KernelDispatch::Fma => (x - y).abs() <= 1e-3 + 1e-4 * x.abs().max(y.abs()),
-            _ => x.to_bits() == y.to_bits(),
-        };
-        want.iter().zip(got).position(|(&x, &y)| !same(x, y))
+    fn mismatch(want: &[f32], got: &[f32]) -> Option<usize> {
+        want.iter()
+            .zip(got)
+            .position(|(x, y)| x.to_bits() != y.to_bits())
     }
 
-    /// Runs `C = A B` (`A[i][kk]` at `a[i * a_rs + kk * a_ks]`) on both
-    /// SIMD tiers at both widths, on a `C` pre-filled with NaN (every
-    /// output is overwritten), against the scalar oracle: bit for bit on
-    /// `avx2`, within contraction tolerance on `fma`.
+    /// Runs `C = A B` (`A[i][kk]` at `a[i * a_rs + kk * a_ks]`) on the
+    /// `avx2` tier at both widths, on a `C` pre-filled with NaN (every
+    /// output is overwritten), against the scalar oracle, bit for bit.
     #[cfg(target_arch = "x86_64")]
     #[allow(clippy::too_many_arguments)]
     fn check_widths(a: &[f32], a_rs: usize, a_ks: usize, b: &[f32], m: usize, k: usize, n: usize) {
         let mut want = vec![0.0f32; m * n];
         gemm_scalar(a, a_rs, a_ks, b, n, StridedMut::new(&mut want, m, n), k);
-        for d in [KernelDispatch::Avx2, KernelDispatch::Fma] {
-            for lanes in [8, 16] {
-                let mut got = vec![f32::NAN; m * n];
-                let c = StridedMut::new(&mut got, m, n);
-                if !gemm_at_width(d, lanes, a, a_rs, a_ks, b, n, c, k) {
-                    continue;
-                }
-                let bad = mismatch(d, &want, &got);
-                assert!(
-                    bad.is_none(),
-                    "{} {lanes}-lane vs scalar at {bad:?} (m={m} k={k} n={n} a_rs={a_rs} \
-                     a_ks={a_ks}): {:?} vs {:?}",
-                    d.name(),
-                    bad.map(|i| want[i].to_bits()),
-                    bad.map(|i| got[i].to_bits()),
-                );
+        for lanes in [8, 16] {
+            let mut got = vec![f32::NAN; m * n];
+            let c = StridedMut::new(&mut got, m, n);
+            if !gemm_at_width(lanes, a, a_rs, a_ks, b, n, c, k) {
+                continue;
             }
+            let bad = mismatch(&want, &got);
+            assert!(
+                bad.is_none(),
+                "{lanes}-lane vs scalar at {bad:?} (m={m} k={k} n={n} a_rs={a_rs} \
+                 a_ks={a_ks}): {:?} vs {:?}",
+                bad.map(|i| want[i].to_bits()),
+                bad.map(|i| got[i].to_bits()),
+            );
         }
     }
 
@@ -1770,7 +1628,7 @@ mod tests {
                         })];
                         if d != KernelDispatch::Scalar {
                             got.extend([8, 16].map(|lanes| {
-                                run(&|c| gemm_at_width(d, lanes, &a, k, 1, &b[lo..], n, c, k))
+                                run(&|c| gemm_at_width(lanes, &a, k, 1, &b[lo..], n, c, k))
                             }));
                         }
                         let got_nt = run(&|c| {
@@ -1779,7 +1637,7 @@ mod tests {
                         });
                         let checks = got.into_iter().map(|g| ("NN", &want_nn, g));
                         for (what, want, got) in checks.chain([("NT", &want_nt, got_nt)]) {
-                            let bad = got.and_then(|got| mismatch(d, want, &got));
+                            let bad = got.and_then(|got| mismatch(want, &got));
                             assert!(
                                 bad.is_none(),
                                 "{what} {} m={m} k={k} n={n} cols {lo}+{w}: {bad:?}",

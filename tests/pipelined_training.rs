@@ -1053,8 +1053,7 @@ fn successors_of_other_row_counts_adopt_and_train_bit_identically() {
 /// its state through one band wrote on that pool (its serial scatter grew
 /// the slabs past the last row). Every other test here compares
 /// schedules within one build; these constants compare builds. The same
-/// under `TCAST_KERNEL=scalar|avx2`; `fma` is not a bit-identical tier and
-/// is skipped.
+/// under every `TCAST_KERNEL` tier.
 #[test]
 fn step_losses_and_checkpoint_bytes_match_the_pinned_build() {
     use tensor_casting::dlrm::checkpoint::save_train_checkpoint;
@@ -1092,9 +1091,6 @@ fn step_losses_and_checkpoint_bytes_match_the_pinned_build() {
         (WIDE_ADAGRAD_LOSSES, 0xd79eb38eb2b9eec6),
     ];
     let adagrad = EmbeddingOptimizer::Adagrad { eps: 1e-8 };
-    if tensor_casting::tensor::simd::dispatch() == tensor_casting::tensor::KernelDispatch::Fma {
-        return; // the tolerance tier rounds differently by design
-    }
     let mut tiny_stream = stream(77);
     let tiny: Vec<Arc<CtrBatch>> = (0..8)
         .map(|_| Arc::new(tiny_stream.next_batch(24)))

@@ -1,6 +1,5 @@
 //! SIMD-tier equivalence suite: every kernel tier must be *bit-identical*
-//! to the scalar oracle (performance invariant 8), except the opt-in FMA
-//! tier, which contracts `a*b + c` and is therefore only tolerance-gated.
+//! to the scalar oracle (performance invariant 8).
 //!
 //! The proptests drive the explicit-dispatch entry points
 //! ([`Matrix::matmul_into_with`], `tensor::simd::{add_assign, axpy, dot}`,
@@ -113,22 +112,6 @@ fn first_non_nan_mismatch(a: &[f32], b: &[f32]) -> Option<(usize, f32, f32)> {
         .map(|i| (i, a[i], b[i]))
 }
 
-/// FMA-tier comparison: contraction changes rounding, not semantics, so
-/// NaNs must still align and finite values must agree to a loose bound.
-fn fma_close(a: f32, b: f32) -> bool {
-    if a.is_nan() || b.is_nan() {
-        return a.is_nan() && b.is_nan();
-    }
-    (a - b).abs() <= 1e-3 + 1e-4 * a.abs().max(b.abs())
-}
-
-fn first_fma_mismatch(a: &[f32], b: &[f32]) -> Option<(usize, f32, f32)> {
-    a.iter()
-        .zip(b.iter())
-        .position(|(x, y)| !fma_close(*x, *y))
-        .map(|i| (i, a[i], b[i]))
-}
-
 fn non_scalar_tiers() -> Vec<KernelDispatch> {
     KernelDispatch::available()
         .into_iter()
@@ -137,14 +120,14 @@ fn non_scalar_tiers() -> Vec<KernelDispatch> {
 }
 
 /// All three GEMM entry points on one `m x k x n` shape: the AVX2 tier is
-/// bit-identical to scalar; FMA stays within contraction tolerance.
+/// bit-identical to scalar.
 fn check_gemm_tiers(m: usize, k: usize, n: usize, seed: u64) -> Result<(), String> {
     check_gemm_tiers_with(m, k, n, seed, Specials::NanZeroDenormal)
 }
 
 /// [`check_gemm_tiers`] over `specials`. On [`Specials::Infinity`] the
 /// AVX2 tier must match scalar on every non-NaN output bit for bit and on
-/// which outputs are NaN; the FMA tier is skipped.
+/// which outputs are NaN.
 fn check_gemm_tiers_with(
     m: usize,
     k: usize,
@@ -174,9 +157,6 @@ fn check_gemm_tiers_with(
     // Stale contents: every product must overwrite, not accumulate.
     let mut got = Matrix::filled(m, n, f32::NAN);
     for tier in non_scalar_tiers() {
-        if tier == KernelDispatch::Fma && specials == Specials::Infinity {
-            continue;
-        }
         for (name, want, run) in [
             ("matmul", &want, 0usize),
             ("matmul_at", &want_at, 1),
@@ -187,9 +167,7 @@ fn check_gemm_tiers_with(
                 1 => at_lhs.matmul_at_into_with(&b_at, &mut got, tier).unwrap(),
                 _ => a.matmul_bt_into_with(&bt_rhs, &mut got, tier).unwrap(),
             }
-            let bad = if tier == KernelDispatch::Fma {
-                first_fma_mismatch(want.as_slice(), got.as_slice())
-            } else if specials == Specials::Infinity {
+            let bad = if specials == Specials::Infinity {
                 first_non_nan_mismatch(want.as_slice(), got.as_slice())
             } else {
                 first_bit_mismatch(want.as_slice(), got.as_slice())
@@ -314,7 +292,7 @@ proptest! {
     #![proptest_config(ProptestConfig::with_cases(24))]
 
     /// All three GEMM entry points across ragged shapes: the AVX2 tier is
-    /// bit-identical to scalar; FMA stays within contraction tolerance.
+    /// bit-identical to scalar.
     #[test]
     fn gemm_tiers_match_scalar(
         m in 1usize..67,
@@ -326,9 +304,8 @@ proptest! {
         prop_assert!(checked.is_ok(), "{}", checked.unwrap_err());
     }
 
-    /// The gather/axpy vector kernels: `add_assign` has no contracted
-    /// form, so it is bit-identical on *every* tier (FMA included);
-    /// `axpy` and `dot` are bit-gated on AVX2 and tolerance-gated on FMA.
+    /// The gather/axpy vector kernels: `add_assign`, `axpy` and `dot` are
+    /// bit-identical to scalar on every tier.
     #[test]
     fn vector_kernels_match_scalar(n in 1usize..67, seed in any::<u64>(), alpha in -2.0f32..2.0) {
         let mut rng = SplitMix64::new(seed);
@@ -350,24 +327,18 @@ proptest! {
             let mut axpy = acc0.clone();
             simd::axpy(tier, &mut axpy, &src, alpha);
             let dot = simd::dot(tier, &acc0, &src);
-            if tier == KernelDispatch::Fma {
-                let bad = first_fma_mismatch(&want_axpy, &axpy);
-                prop_assert!(bad.is_none(), "axpy fma diverged at {bad:?} (n={n})");
-                prop_assert!(fma_close(want_dot, dot), "dot fma {want_dot} vs {dot} (n={n})");
-            } else {
-                let bad = first_bit_mismatch(&want_axpy, &axpy);
-                prop_assert!(bad.is_none(), "axpy {} mismatch at {bad:?} (n={n})", tier.name());
-                prop_assert!(
-                    want_dot.to_bits() == dot.to_bits(),
-                    "dot {} {want_dot} vs {dot} (n={n})",
-                    tier.name()
-                );
-            }
+            let bad = first_bit_mismatch(&want_axpy, &axpy);
+            prop_assert!(bad.is_none(), "axpy {} mismatch at {bad:?} (n={n})", tier.name());
+            prop_assert!(
+                want_dot.to_bits() == dot.to_bits(),
+                "dot {} {want_dot} vs {dot} (n={n})",
+                tier.name()
+            );
         }
     }
 
-    /// Per-row optimizer updates run the non-contracted path on every
-    /// tier, so params *and* state are bit-identical across all of them.
+    /// Per-row optimizer updates: params *and* state are bit-identical
+    /// across every tier.
     #[test]
     fn optimizer_rows_match_scalar(n in 1usize..67, seed in any::<u64>()) {
         let mut rng = SplitMix64::new(seed);
@@ -468,8 +439,7 @@ fn check_band_kernels_across_tiers(pool: &Pool) {
 /// gather-reduce band kernels on their own, then the
 /// full gather → casted-reduce → scatter operator chain and a complete
 /// `Trainer` trajectory (per-step losses + final checkpoint bytes) must
-/// be bit-identical on every non-FMA tier; the FMA trajectory must stay
-/// finite and close.
+/// be bit-identical on every tier.
 #[test]
 fn forced_dispatch_is_trajectory_bit_identical() {
     check_band_kernels_across_tiers(&Pool::new(3));
@@ -526,7 +496,6 @@ fn forced_dispatch_is_trajectory_bit_identical() {
 
     for tier in non_scalar_tiers() {
         let (pooled, coalesced, ada, adam) = run_operators(tier);
-        // The operator chain never contracts, so even FMA is bit-gated.
         assert!(
             first_bit_mismatch(pooled_s.as_slice(), pooled.as_slice()).is_none(),
             "{}: gather_reduce diverged from scalar",
@@ -552,25 +521,17 @@ fn forced_dispatch_is_trajectory_bit_identical() {
         );
 
         let (losses, bytes) = run_trainer(tier);
-        if tier == KernelDispatch::Fma {
-            for (i, (&ws, &gs)) in losses_s.iter().zip(losses.iter()).enumerate() {
-                let (w, g) = (f32::from_bits(ws), f32::from_bits(gs));
-                assert!(g.is_finite(), "fma: loss {i} not finite");
-                assert!((w - g).abs() < 5e-2, "fma: step {i} loss {w} vs {g}");
-            }
-        } else {
-            assert_eq!(
-                losses_s,
-                losses,
-                "{}: loss trajectory diverged",
-                tier.name()
-            );
-            assert_eq!(
-                bytes_s,
-                bytes,
-                "{}: final model weights diverged",
-                tier.name()
-            );
-        }
+        assert_eq!(
+            losses_s,
+            losses,
+            "{}: loss trajectory diverged",
+            tier.name()
+        );
+        assert_eq!(
+            bytes_s,
+            bytes,
+            "{}: final model weights diverged",
+            tier.name()
+        );
     }
 }

@@ -713,7 +713,7 @@ fn steady_state_hot_path_performs_zero_allocations() {
 
     // ---- SIMD kernel tiers ---------------------------------------------
     // The runtime-dispatched kernels must be allocation-free on every
-    // tier the host supports: the AVX2/FMA paths are straight-line
+    // tier the host supports: the AVX2 paths are straight-line
     // intrinsic loops over caller-owned slices, and tier selection is an
     // atomic load (the env read behind the OnceLock happened at first
     // dispatch, during warm-up). Certified by forcing each tier through
