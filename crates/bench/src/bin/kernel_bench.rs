@@ -32,12 +32,12 @@
 //! The `linear_fwd` / `linear_bwd` / `mlp_step` rows time a whole dense
 //! layer (and a whole MLP training step) of the repo benchmark's two
 //! models under the two schedules a serial trainer gives them: `exec`
-//! `serial`, everything on the calling thread, and `lane`, the
-//! [`Exec::Pooled`] over a one-worker pool with two bands that
-//! `Trainer` hands its dense phases, the calling thread being the second
-//! pair of hands. Their `peak_frac` is taken against **twice** the
-//! one-core multiply-add peak — the ceiling of the two cores — for both
-//! schedules, so the two rows of a pair read on one scale.
+//! `serial`, everything on the calling thread, and `lane`,
+//! [`Exec::pooled`] over a one-worker pool, which `Trainer` hands its dense
+//! phases: two bands, the calling thread being the second pair of hands.
+//! Their `peak_frac` is taken against **twice** the one-core multiply-add
+//! peak — the ceiling of the two cores — for both schedules, so the two
+//! rows of a pair read on one scale.
 //!
 //! The `interaction_fwd` / `interaction_bwd` rows time DLRM's `Dot`
 //! feature interaction, forward and backward, at RM1's shape (11 feature
@@ -166,13 +166,7 @@ const EXEC_BLOCK: usize = 6;
 /// back to back and stays polling, as it does through a training step.
 /// The first call of every block is warm-up and not counted.
 fn time_serial_and_lane_ns(iters: usize, lane: &Pool, mut f: impl FnMut(Exec<'_>)) -> [f64; 2] {
-    let execs = [
-        Exec::Serial,
-        Exec::Pooled {
-            pool: lane,
-            threads: 2,
-        },
-    ];
+    let execs = [Exec::Serial, Exec::pooled(lane)];
     let mut ns = [Vec::new(), Vec::new()];
     while ns[1].len() < iters.max(1) {
         for (exec, ns) in execs.iter().zip(ns.iter_mut()) {

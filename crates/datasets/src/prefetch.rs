@@ -290,12 +290,12 @@ impl<S: BatchSource + Send + 'static> BatchSource for PrefetchSource<S> {
         self.consumed_state
     }
 
-    fn restore(&mut self, state: &SourceState) {
-        let _ = state;
-        panic!(
-            "restore the wrapped source before constructing the \
-             PrefetchSource (the producer thread owns it afterwards)"
-        );
+    fn restore(&mut self, state: &SourceState) -> Result<(), String> {
+        Err(format!(
+            "cannot restore {state:?}: restore the wrapped source before \
+             constructing the PrefetchSource (the producer thread owns it \
+             afterwards)"
+        ))
     }
 }
 
@@ -516,7 +516,7 @@ mod tests {
             // the delivered stream (checked on the last step).
             if step == 5 {
                 let mut resumed = SyntheticSource::new(ctr(17), 8);
-                resumed.restore(&state);
+                resumed.restore(&state).unwrap();
                 let want = inline.next_batch().unwrap();
                 let got = resumed.next_batch().unwrap();
                 assert_eq!(*got, *want, "resumed stream diverged");

@@ -59,13 +59,15 @@ pub trait BatchSource {
     /// Rewinds/advances to a position captured by [`BatchSource::state`]
     /// on an identically-constructed source.
     ///
-    /// # Panics
+    /// # Errors
     ///
-    /// Panics if this source does not support resume or `state` is the
-    /// wrong variant for it.
-    fn restore(&mut self, state: &SourceState) {
-        let _ = state;
-        panic!("this batch source does not support resume");
+    /// Returns a message naming the reason, and leaves the source as it
+    /// was, if this source does not support resume or cannot take `state`:
+    /// the wrong variant for it, or a position past its end.
+    fn restore(&mut self, state: &SourceState) -> Result<(), String> {
+        Err(format!(
+            "this batch source does not support resume (from {state:?})"
+        ))
     }
 }
 
@@ -171,12 +173,13 @@ impl BatchSource for SyntheticSource {
         })
     }
 
-    fn restore(&mut self, state: &SourceState) {
+    fn restore(&mut self, state: &SourceState) -> Result<(), String> {
         let SourceState::Synthetic { rng_state, batches } = *state else {
-            panic!("SyntheticSource cannot restore {state:?}");
+            return Err(format!("SyntheticSource cannot restore {state:?}"));
         };
         self.generator.set_rng_state(rng_state);
         self.emitted = batches;
+        Ok(())
     }
 }
 
@@ -315,17 +318,17 @@ impl BatchSource for TraceReplaySource {
         })
     }
 
-    fn restore(&mut self, state: &SourceState) {
+    fn restore(&mut self, state: &SourceState) -> Result<(), String> {
         let SourceState::TraceReplay { cursor, rng_state } = *state else {
-            panic!("TraceReplaySource cannot restore {state:?}");
+            return Err(format!("TraceReplaySource cannot restore {state:?}"));
         };
-        assert!(
-            cursor as usize <= self.steps.len(),
-            "restore cursor {cursor} beyond trace of {} steps",
-            self.steps.len()
-        );
-        self.cursor = cursor as usize;
+        let len = self.steps.len();
+        self.cursor = usize::try_from(cursor)
+            .ok()
+            .filter(|&cursor| cursor <= len)
+            .ok_or_else(|| format!("restore cursor {cursor} beyond trace of {len} steps"))?;
         self.rng = SplitMix64::new(rng_state);
+        Ok(())
     }
 }
 
@@ -501,7 +504,7 @@ mod tests {
             let state = interrupted.state().expect("synthetic sources resume");
             drop(interrupted); // the "crash"
             let mut resumed = SyntheticSource::new(ctr(), 16);
-            resumed.restore(&state);
+            resumed.restore(&state).unwrap();
             for step in 0..4 {
                 let expected = reference.next_batch().unwrap();
                 let got = resumed.next_batch().unwrap();
@@ -524,7 +527,7 @@ mod tests {
         }
         let state = reference.state().expect("trace replay resumes");
         let mut resumed = mk();
-        resumed.restore(&state);
+        resumed.restore(&state).unwrap();
         loop {
             match (reference.next_batch(), resumed.next_batch()) {
                 (Some(a), Some(b)) => assert_eq!(*a, *b),
@@ -539,13 +542,38 @@ mod tests {
     }
 
     #[test]
-    #[should_panic(expected = "cannot restore")]
     fn restore_rejects_the_wrong_state_variant() {
         let mut source = SyntheticSource::new(ctr(), 8);
-        source.restore(&SourceState::TraceReplay {
-            cursor: 0,
-            rng_state: 1,
-        });
+        let before = source.state();
+        let err = source
+            .restore(&SourceState::TraceReplay {
+                cursor: 0,
+                rng_state: 1,
+            })
+            .unwrap_err();
+        assert!(err.contains("cannot restore"), "{err}");
+        assert_eq!(source.state(), before, "a refused state moved the source");
+    }
+
+    #[test]
+    fn trace_replay_refuses_a_cursor_past_its_trace_and_keeps_its_place() {
+        let mk = || TraceReplaySource::new(vec![table_trace(2, 3, 4, 8)], 4, 5).unwrap();
+        let mut source = mk();
+        let err = source
+            .restore(&SourceState::TraceReplay {
+                cursor: 5,
+                rng_state: 9,
+            })
+            .unwrap_err();
+        assert!(err.contains("beyond trace of 4 steps"), "{err}");
+        assert_eq!(*source.next_batch().unwrap(), *mk().next_batch().unwrap());
+        // The end of the trace itself is a position: the stream is over.
+        let at_end = SourceState::TraceReplay {
+            cursor: 4,
+            rng_state: 9,
+        };
+        source.restore(&at_end).unwrap();
+        assert!(source.next_batch().is_none());
     }
 
     #[test]

@@ -1770,7 +1770,7 @@ mod tests {
                 eps: 1e-8,
             },
         ];
-        let pool = Pool::new(3);
+        let pool = Pool::new(2); // three bands: two workers and the caller
         for (rule, pinned) in rules.into_iter().zip(PINNED) {
             for exec in [Exec::Serial, Exec::pooled(&pool)] {
                 assert_eq!(

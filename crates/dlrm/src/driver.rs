@@ -234,13 +234,9 @@ impl TrainLoop {
     /// Returns [`CheckpointError`] on unreadable/corrupt checkpoints or
     /// trainer mismatches, and [`CheckpointError::Format`] when the
     /// checkpoint records no depth (one written without a `DCTL` section,
-    /// not by a [`TrainLoop`]) — in every case before `source` is
-    /// rewound.
-    ///
-    /// # Panics
-    ///
-    /// Panics if the checkpoint's source state does not match the kind
-    /// of `source` (see [`BatchSource::restore`]).
+    /// not by a [`TrainLoop`]) or a source state `source` cannot take (see
+    /// [`BatchSource::restore`]: another kind of source, a trace cursor
+    /// past its trace) — in every case without rewinding `source`.
     pub fn resume(
         path: impl AsRef<Path>,
         mut trainer: Trainer,
@@ -253,7 +249,7 @@ impl TrainLoop {
         })?;
         ckpt.restore_into(&mut trainer)?;
         if let Some(state) = ckpt.source_state() {
-            source.restore(&state);
+            source.restore(&state).map_err(CheckpointError::Format)?;
         }
         Ok(Self::new(trainer, depth))
     }

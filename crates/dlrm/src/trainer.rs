@@ -170,41 +170,25 @@ impl EmbeddingOptimizer {
     }
 }
 
-/// How the trainer's kernels execute.
+/// Who owns the trainer's lane: the one pool a step shares its work with.
 ///
-/// Serial and pooled execution are **bit-identical** (every pooled kernel
-/// preserves the serial per-output accumulation order), so this only
-/// selects a schedule — determinism tests can run serial while
-/// throughput runs pooled, and trajectories still match exactly.
+/// There is one step path. The embedding kernels always run unsplit on the
+/// training thread; the lane casts beside the dense phases, takes its
+/// bands of every dense GEMM large enough to split (a band of the weight
+/// or of the batch, whichever is larger; the training thread, helping in
+/// the scope, runs one band too), runs the bottom-MLP chain (this step's
+/// backward and update, the successor's forward) beside the embedding
+/// backward, and gathers the successor ahead. The two variants differ
+/// only in the lane's width, so trajectories are bit-identical either way.
 #[derive(Clone, Default)]
 pub enum Execution {
-    /// No caller-supplied pool: the embedding kernels run unsplit on the
-    /// training thread. The trainer still owns one background thread, a
-    /// one-worker *lane* started when first needed. It takes half of every
-    /// dense GEMM large enough to split (a band of the weight or of the
-    /// batch, whichever is larger), the training thread taking the other
-    /// half. For a step with
-    /// a successor or a GEMM that splits it runs, in this order: the casts
-    /// the step and its successor still need (casted mode), its half of
-    /// the dense phases' bands, the bottom MLP's chain (this step's
-    /// backward and update, the successor's forward) beside the embedding
-    /// backward, and the successor's gathers.
+    /// The trainer's own one-worker lane, started by the first step that
+    /// needs it (see [`Trainer::complete_step`]).
     #[default]
     Serial,
-    /// Hot kernels split across the given persistent pool, which is also
-    /// the lane of every step that has one (see [`Trainer::complete_step`]).
+    /// The given persistent pool, lent as the lane: every split GEMM is cut
+    /// into one band per worker plus one for the training thread.
     Pooled(Arc<Pool>),
-}
-
-impl Execution {
-    /// The borrowed [`Exec`] the kernels take: serial, or pooled over all
-    /// of the pool's workers.
-    pub fn as_exec(&self) -> Exec<'_> {
-        match self {
-            Execution::Serial => Exec::Serial,
-            Execution::Pooled(pool) => Exec::pooled(pool),
-        }
-    }
 }
 
 impl std::fmt::Debug for Execution {
@@ -293,26 +277,26 @@ pub struct Trainer {
     /// One optimizer per table: one slab of state keyed by table row.
     table_optimizers: Vec<RowOptimizer>,
     steps: u64,
-    execution: Execution,
     scratch: StepScratch,
     /// What the last completion ran ahead for the step queued behind it.
     /// Every step that runs takes it (a 0-row batch is refused first:
     /// nothing moved), and every other door to the table or MLP bits drops
     /// it.
     ahead: Option<Ahead>,
-    /// The one-worker pool a trainer under [`Execution::Serial`] shares
-    /// its step with ([`Execution::Pooled`] uses its own pool for all of
-    /// this). Beside the dense phases it runs the step's casts and its
-    /// bands of those phases' large GEMMs, which it splits with the
-    /// training thread; beside the embedding backward, the bottom-MLP
-    /// chain and the gather-aheads, each spawned once its table's scatter
-    /// returned. The gathers do not queue behind the chain: waiting inside
-    /// the chain's GEMM scopes the worker helps newest-first, so it runs
-    /// them there. Started by the first step that needs it — a completion
-    /// with a successor, or a batch at which [`Dlrm::dense_splits_at`]
-    /// holds — so a small model trained step by step never has one and
-    /// runs the cast and the chain on the training thread.
-    lane: Option<Pool>,
+    /// The pool the trainer shares its step with: the one
+    /// [`Execution::Pooled`] lent, or under [`Execution::Serial`] a
+    /// one-worker pool of its own. Beside the dense phases it runs the
+    /// step's casts and its bands of those phases' large GEMMs, which it
+    /// splits with the training thread; beside the embedding backward, the
+    /// bottom-MLP chain and the gather-aheads, each spawned once its
+    /// table's scatter returned. The gathers do not queue behind the chain:
+    /// waiting inside the chain's GEMM scopes a worker helps newest-first,
+    /// so it runs them there. A serial trainer's lane is started by the
+    /// first step that needs it — a completion with a successor, or a batch
+    /// at which [`Dlrm::dense_splits_at`] holds — so a small model trained
+    /// step by step never has one and runs the cast and the chain on the
+    /// training thread.
+    lane: Option<Arc<Pool>>,
     fault: Option<FaultPlan>,
     /// Tests only: the table whose embedding backward fails.
     #[cfg(test)]
@@ -388,20 +372,6 @@ fn update_tables<'env>(
     Ok(Instant::now())
 }
 
-/// The [`Exec`] the dense phases run under. With a caller's pool: that
-/// pool. Without one they are still a two-thread computation: when a GEMM
-/// of them `splits`, the lane takes half of every such GEMM and the
-/// training thread, helping in the scope, the other half.
-fn dense_exec<'a>(exec: Exec<'a>, splits: bool, lane: Option<&'a Pool>) -> Exec<'a> {
-    match (exec, lane) {
-        (Exec::Serial, Some(lane)) if splits => Exec::Pooled {
-            pool: lane,
-            threads: 2,
-        },
-        (exec, _) => exec,
-    }
-}
-
 /// A step's dense phases: the forward and the loss, then the head's
 /// backward (top MLP and interaction), which leaves `dpooled` and the
 /// bottom output's gradient in `scratch` and the head's gradients in its
@@ -474,8 +444,8 @@ impl Trainer {
         Self::with_optimizer(config, mode, EmbeddingOptimizer::Sgd, seed)
     }
 
-    /// Builds a trainer with an explicit embedding optimizer (serial
-    /// execution).
+    /// Builds a trainer with an explicit embedding optimizer, on a lane of
+    /// its own ([`Execution::Serial`]).
     ///
     /// # Errors
     ///
@@ -489,12 +459,11 @@ impl Trainer {
         Self::with_execution(config, mode, optimizer, Execution::Serial, seed)
     }
 
-    /// Builds a trainer with an explicit embedding optimizer and
-    /// execution mode. [`Execution::Pooled`] runs the hot kernels
-    /// (gather-reduce, MLP GEMMs, casted gather-reduce, and the
-    /// band-parallel optimizer scatter) on the given persistent pool;
-    /// [`Execution::Serial`] still splits its large MLP GEMMs with the
-    /// trainer's own lane. Trajectories are bit-identical either way.
+    /// Builds a trainer with an explicit embedding optimizer and lane
+    /// owner: [`Execution::Pooled`] lends the given persistent pool as the
+    /// lane, [`Execution::Serial`] leaves the trainer to start a one-worker
+    /// lane of its own. The step is the same either way, and so is its
+    /// trajectory, bit for bit.
     ///
     /// # Errors
     ///
@@ -518,10 +487,12 @@ impl Trainer {
             optimizer,
             table_optimizers,
             steps: 0,
-            execution,
             scratch: StepScratch::default(),
             ahead: None,
-            lane: None,
+            lane: match execution {
+                Execution::Serial => None,
+                Execution::Pooled(pool) => Some(pool),
+            },
             fault: None,
             #[cfg(test)]
             failing_backward: None,
@@ -717,7 +688,6 @@ impl Trainer {
             lr,
             table_optimizers,
             steps,
-            execution,
             scratch,
             ahead,
             casts,
@@ -726,16 +696,14 @@ impl Trainer {
             ..
         } = self;
         let lr = *lr;
-        let exec = execution.as_exec();
         let fault = fault.as_ref();
         let splits = model.dense_splits_at(batch.dense.rows());
-        // A step has a lane when a GEMM of it splits or it has a successor:
-        // the caller's pool, or the trainer's own. Without one, its lane
-        // work runs on this thread.
-        let lane = (splits || next.is_some()).then(|| match exec.pool() {
-            Some(pool) => pool,
-            None => &*lane.get_or_insert_with(|| Pool::new(1)),
-        });
+        // A step has a lane when a GEMM of it splits or it has a successor;
+        // its dense phases and bottom-MLP chain then split their GEMMs with
+        // it. Without one, its lane work runs on this thread.
+        let lane = (splits || next.is_some())
+            .then(|| &**lane.get_or_insert_with(|| Arc::new(Pool::new(1))));
+        let dense = lane.map_or(Exec::Serial, Exec::pooled);
 
         // Adopt what the previous completion ran ahead for this very batch:
         // its cast, and — against the tables and MLPs as they are now — its
@@ -759,7 +727,7 @@ impl Trainer {
             std::mem::swap(pooled, &mut scratch.pooled_ahead);
             pooled.len()
         } else {
-            model.embedding_forward_into(&batch.indices, pooled, exec)?;
+            model.embedding_forward_into(&batch.indices, pooled, Exec::Serial)?;
             0
         };
         let mut fwd_gather = t0.elapsed();
@@ -774,7 +742,6 @@ impl Trainer {
         // casts this step and its successor still need run beside them, as
         // the first task of a lane scope whose join is the wait for them;
         // a step with no lane casts first.
-        let dense = dense_exec(exec, splits, lane);
         let run_dense = |model: &mut Dlrm, scratch: &mut StepScratch| {
             dense_phases(model, batch, scratch, dense, fault, bottom_held)
         };
@@ -892,12 +859,10 @@ impl Trainer {
                 let t0 = Instant::now();
                 let idx = &batch.indices[t];
                 gradient_expand_into(&dpooled[t], idx, &mut expanded[t])?;
-                gradient_coalesce_into(&expanded[t], idx, &mut coalesced[t], radix, exec)?;
-                // Coalesced rows are unique, so under Execution::Pooled the
-                // scatter runs concurrently over disjoint table slices +
-                // optimizer state, bit-identical to the serial scatter.
+                let (optimizer, grads) = (&mut table_optimizers[t], &mut coalesced[t]);
+                gradient_coalesce_into(&expanded[t], idx, grads, radix, Exec::Serial)?;
                 let t1 = Instant::now();
-                scatter_apply_coalesced(table, &mut table_optimizers[t], &coalesced[t], exec)?;
+                scatter_apply_coalesced(table, optimizer, grads, Exec::Serial)?;
                 bwd_embedding += t1 - t0;
                 bwd_scatter += t1.elapsed();
                 Ok(())
@@ -909,7 +874,7 @@ impl Trainer {
                     &dpooled[t],
                     &casted[t],
                     blocks,
-                    exec,
+                    Exec::Serial,
                 )?;
                 bwd_embedding += halves.gather_reduce;
                 bwd_scatter += halves.scatter;
@@ -1287,23 +1252,25 @@ mod tests {
 
     #[test]
     fn dense_phases_take_the_lane_only_when_it_pays_and_the_core_is_free() {
-        // Nothing to split: serial, lane or not.
-        let lane = Pool::new(1);
-        for lane in [None, Some(&lane)] {
-            assert!(matches!(
-                dense_exec(Exec::Serial, false, lane),
-                Exec::Serial
-            ));
-        }
-        // A caller's pool is passed through as it is.
-        let pool = Pool::new(3);
-        let pooled = dense_exec(Exec::pooled(&pool), true, Some(&pool));
-        assert_eq!(pooled.threads(), 3);
-        // A split takes the lane.
+        // A split starts a serial trainer's lane, whose `Exec` cuts two
+        // bands: one for its worker, one for the training thread.
+        let mut t = Trainer::new(wide_config(), BackwardMode::Casted, 1).unwrap();
+        assert!(t.model().dense_splits_at(16));
+        t.step(&data(2).next_batch(16)).unwrap();
+        let lane = t.lane.as_deref().expect("a split starts the lane");
         assert!(matches!(
-            dense_exec(Exec::Serial, true, Some(&lane)),
+            Exec::pooled(lane),
             Exec::Pooled { threads: 2, .. }
         ));
+        // A lent pool is the lane from the start, one band a worker and
+        // one for the training thread.
+        let pool = Arc::new(Pool::new(3));
+        let execution = Execution::Pooled(Arc::clone(&pool));
+        let opt = EmbeddingOptimizer::Sgd;
+        let t = Trainer::with_execution(wide_config(), BackwardMode::Casted, opt, execution, 1);
+        let lane = t.unwrap().lane.expect("the lent pool is the lane");
+        assert!(Arc::ptr_eq(&lane, &pool));
+        assert_eq!(Exec::pooled(&lane).threads(), 4);
         // A small model trained step by step never starts a lane.
         let mut t = Trainer::new(DlrmConfig::tiny(), BackwardMode::Casted, 1).unwrap();
         assert!(!t.model().dense_splits_at(16));

@@ -9,6 +9,9 @@
 //! on a latch. Kernels never reach for a pool themselves: the caller owns
 //! one and passes it down inside an [`Exec`], the value that says where a
 //! kernel runs (serial, or split over so many tasks of this pool).
+//! [`Exec::pooled`] counts the scope's caller, who always helps: a pool of
+//! `n` workers runs `n + 1` tasks at once, so the DLRM trainer's one-worker
+//! lane splits a GEMM into two bands.
 //!
 //! # Scoped execution
 //!
@@ -455,11 +458,13 @@ pub enum Exec<'p> {
 }
 
 impl<'p> Exec<'p> {
-    /// Pooled execution using all of the pool's workers.
+    /// Pooled execution using all of the pool's workers and the calling
+    /// thread, which helps in every scope it opens: `pool.threads() + 1`
+    /// tasks.
     pub fn pooled(pool: &'p Pool) -> Self {
         Exec::Pooled {
             pool,
-            threads: pool.threads(),
+            threads: pool.threads() + 1,
         }
     }
 
@@ -687,7 +692,7 @@ mod tests {
         assert!(Exec::Serial.pool().is_none());
         let pool = Pool::new(3);
         let exec = Exec::pooled(&pool);
-        assert_eq!(exec.threads(), 3);
+        assert_eq!(exec.threads(), 4);
         assert!(exec.pool().is_some());
     }
 

@@ -37,7 +37,7 @@ use crate::request::Query;
 use tcast_core::{casted_embedding_forward_into, CastingCache};
 use tcast_dlrm::{Dlrm, Execution, InferenceScratch};
 use tcast_embedding::EmbeddingError;
-use tcast_tensor::Matrix;
+use tcast_tensor::{Exec, Matrix};
 
 /// Default per-table casting-cache capacity (entries, i.e. distinct hot
 /// queries memoized per table).
@@ -110,7 +110,9 @@ impl ScoredBatch<'_> {
 
 impl ServeEngine {
     /// An engine for `model`'s shape, with per-table casting caches of
-    /// `cache_capacity` entries.
+    /// `cache_capacity` entries. Under [`Execution::Pooled`] the dense
+    /// stack's large GEMMs split over the lent pool and the calling thread;
+    /// the embedding pooling always runs on the calling thread.
     ///
     /// # Panics
     ///
@@ -229,7 +231,6 @@ impl ServeEngine {
             ));
         }
 
-        let exec = self.execution.as_exec();
         let dim = model.config().embedding_dim;
 
         // Pass 2: fuse dense features.
@@ -256,6 +257,10 @@ impl ServeEngine {
         }
 
         // Pass 4: the fused dense stack.
+        let exec = match &self.execution {
+            Execution::Serial => Exec::Serial,
+            Execution::Pooled(pool) => Exec::pooled(pool),
+        };
         model
             .dense_infer_into(&self.dense, &mut self.scratch, &mut self.logits, exec)
             .map_err(EmbeddingError::from)?;

@@ -13,7 +13,9 @@
 //! and nothing drifts.
 
 use proptest::prelude::*;
-use tensor_casting::datasets::{BatchSource, PrefetchSource, SyntheticCtr, SyntheticSource};
+use tensor_casting::datasets::{
+    BatchSource, PrefetchSource, SyntheticCtr, SyntheticSource, TraceReplaySource,
+};
 use tensor_casting::dlrm::{
     checkpoint::{read_train_checkpoint, save_train_checkpoint, CheckpointError, CheckpointStore},
     BackwardMode, DlrmConfig, EmbeddingOptimizer, TrainLoop, Trainer,
@@ -132,7 +134,7 @@ fn assert_exact_resume(
         let ckpt_data = read_train_checkpoint(&mut std::fs::File::open(&ckpt).unwrap()).unwrap();
         let mut inner = source(data_seed, batch);
         let state = ckpt_data.source_state().expect("source state saved");
-        inner.restore(&state);
+        inner.restore(&state).unwrap();
         let mut t = trainer(mode, opt, model_seed);
         ckpt_data.restore_into(&mut t).unwrap();
         assert_eq!(ckpt_data.depth(), Some(depth), "{context}: depth not saved");
@@ -322,6 +324,39 @@ fn resume_refuses_a_checkpoint_without_a_depth() {
         "got {err}"
     );
     assert_eq!(src.state(), before, "the source was rewound");
+}
+
+/// A checkpoint saved 20 steps into a trace is a valid file, but a
+/// 10-step trace has no position 20: `resume` refuses it with a `Format`
+/// error instead of panicking, and the short trace still starts at its
+/// first batch.
+#[test]
+fn resume_refuses_a_trace_cursor_past_the_trace() {
+    let dir = TempDir::new("short-trace");
+    let trace = |steps: usize| {
+        let cfg = DlrmConfig::tiny();
+        let per_table = (cfg.table_workloads().iter().enumerate())
+            .map(|(t, workload)| {
+                let mut lookups = workload.generator(t as u64);
+                (0..steps).map(|_| lookups.next_batch(16)).collect()
+            })
+            .collect();
+        TraceReplaySource::new(per_table, cfg.dense_features, 3).unwrap()
+    };
+    let mk = || trainer(BackwardMode::Casted, EmbeddingOptimizer::Sgd, 43);
+    let store = CheckpointStore::new(&dir.0, 1).unwrap();
+    let mut first = TrainLoop::new(mk(), 2).checkpoint_every(20, store);
+    first.run(&mut trace(100), 20).unwrap();
+    let path = first.last_checkpoint().expect("a checkpoint at step 20");
+
+    let mut short = trace(10);
+    let err = TrainLoop::resume(path, mk(), &mut short).unwrap_err();
+    assert!(
+        matches!(&err, CheckpointError::Format(m) if m.contains("beyond trace of 10 steps")),
+        "got {err}"
+    );
+    let got = short.next_batch().expect("the short trace was not moved");
+    assert_eq!(*got, *trace(10).next_batch().unwrap());
 }
 
 /// Retention prunes old checkpoints but the newest survivors all

@@ -846,8 +846,9 @@ fn wide_config() -> DlrmConfig {
 
 /// The per-step loss bits and the checkpoint bytes three schedules leave
 /// behind — `Trainer::step` (dense phases split with the lane), a depth-2
-/// `TrainLoop` (the lane also gathers ahead) and a three-worker pool (three
-/// bands a GEMM) — are the same, in both backward modes.
+/// `TrainLoop` (the lane also gathers ahead) and a lent three-worker pool
+/// (four bands a GEMM, the training thread's included) — are the same, in
+/// both backward modes.
 #[test]
 fn split_dense_phases_train_bit_identically_through_every_schedule() {
     use tensor_casting::dlrm::checkpoint::save_train_checkpoint;

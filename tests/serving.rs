@@ -15,7 +15,10 @@
 //!    oracle over concatenated observations (proptest).
 //! 5. **The engine is a trust boundary** — a query with a non-finite
 //!    dense feature or no candidates is a typed error naming the query,
-//!    never a plausible score.
+//!    never a plausible score; a row past its table is a typed error on
+//!    the cast and on the cached cast alike.
+//! 6. **An empty bag pools to a zero row** — in training (baseline ==
+//!    casted) and in serving (engine == `Dlrm::predict`).
 
 use proptest::prelude::*;
 use std::sync::Arc;
@@ -29,7 +32,7 @@ use tensor_casting::serve::{
     serve_online, AdaptiveBatcher, ArrivalProcess, BatchPolicy, CandidateCount, FreshnessLedger,
     OnlineConfig, Query, QueryModel, ServeConfig, ServeEngine,
 };
-use tensor_casting::tensor::Matrix;
+use tensor_casting::tensor::{Exec, Matrix};
 
 fn workload(seed: u64, catalog: usize, max_candidates: usize) -> QueryModel {
     let cfg = DlrmConfig::tiny();
@@ -377,4 +380,98 @@ fn a_zero_candidate_query_is_a_typed_error() {
     });
     assert_rejects(&[Arc::clone(&empty)], 77, "no candidates");
     assert_rejects(&[good, empty], 77, "no candidates");
+}
+
+fn bits(values: &[f32]) -> Vec<u32> {
+    values.iter().map(|v| v.to_bits()).collect()
+}
+
+/// Invariant 5: a row past its table is refused when the query is cast
+/// (a cache miss) and again when its memoized cast is replayed (a hit),
+/// and the engine then scores a good batch as a fresh one does.
+#[test]
+fn a_row_past_its_table_is_refused_on_the_miss_and_on_the_hit() {
+    let model = Dlrm::new(DlrmConfig::tiny(), 1).unwrap();
+    let mut wl = workload(3, 8, 3);
+    let good: Vec<_> = (0..4).map(|_| wl.draw()).collect();
+    let rows = model.table(1).rows();
+    let mut indices = good[0].indices.to_vec();
+    let past_the_table = vec![vec![rows as u32]; good[0].candidates()];
+    indices[1] = IndexArray::from_samples(&past_the_table).unwrap();
+    let bad = Arc::new(Query {
+        id: 4243,
+        dense: good[0].dense.clone(),
+        indices: indices.into(),
+    });
+    let mut engine = ServeEngine::with_defaults(&model);
+    for call in ["miss", "hit"] {
+        match engine.score(&model, std::iter::once(&bad)) {
+            Err(EmbeddingError::SrcOutOfBounds { src, rows: r }) => {
+                assert_eq!((src as usize, r), (rows, rows), "{call}");
+            }
+            Err(e) => panic!("{call}: expected SrcOutOfBounds, got {e}"),
+            Ok(_) => panic!("{call}: a row past its table was scored"),
+        }
+    }
+    assert!(engine.cache_hit_rate() > 0.0, "the second call missed");
+    let mut fresh = ServeEngine::with_defaults(&model);
+    let want = bits(
+        fresh
+            .score(&model, &good)
+            .unwrap()
+            .fused_logits()
+            .as_slice(),
+    );
+    let got = engine.score(&model, &good).unwrap();
+    assert_eq!(bits(got.fused_logits().as_slice()), want);
+}
+
+/// Invariant 6: a sample with no lookups in a table (only
+/// `IndexArray::from_pairs` builds one) pools to a zero row, as
+/// `IndexArray`'s doc says. The baseline and the casted trainer train on
+/// it bit for bit alike, and a served query with the same bag scores as
+/// `Dlrm::predict` does (one lookup in every other bag, so the casted
+/// and the index pooling order coincide).
+#[test]
+fn an_empty_bag_pools_to_a_zero_row_in_training_and_serving() {
+    let mut cfg = DlrmConfig::tiny();
+    for table in &mut cfg.tables {
+        table.pooling = 1;
+    }
+    let mut batch = SyntheticCtr::new(cfg.table_workloads(), cfg.dense_features, 61).next_batch(8);
+    // The last sample keeps no lookup in table 1.
+    let last = 7;
+    let (src, dst) = batch.indices[1].iter().filter(|&(_, d)| d != last).unzip();
+    let mut indices = batch.indices.to_vec();
+    indices[1] = IndexArray::from_pairs(src, dst, 8).unwrap();
+    batch.indices = indices.into();
+
+    let mut baseline = Trainer::new(cfg.clone(), BackwardMode::Baseline, 5).unwrap();
+    let mut casted = Trainer::new(cfg.clone(), BackwardMode::Casted, 5).unwrap();
+    let mut pooled = Vec::new();
+    let model = casted.model();
+    model
+        .embedding_forward_into(&batch.indices, &mut pooled, Exec::Serial)
+        .unwrap();
+    assert!(pooled[1].row(last as usize).iter().all(|&v| v == 0.0));
+    for step in 0..3 {
+        let (a, b) = (baseline.step(&batch), casted.step(&batch));
+        let (a, b) = (a.unwrap().loss.to_bits(), b.unwrap().loss.to_bits());
+        assert_eq!(a, b, "loss diverged at step {step}");
+    }
+    for t in 0..cfg.tables.len() {
+        let (a, b) = (baseline.model().table(t), casted.model().table(t));
+        assert_eq!(bits(a.as_slice()), bits(b.as_slice()), "table {t}");
+    }
+
+    let model = casted.model();
+    let query = Arc::new(Query {
+        id: 1,
+        dense: batch.dense.clone(),
+        indices: Arc::clone(&batch.indices),
+    });
+    let mut engine = ServeEngine::new(model, 64, Execution::Serial);
+    let scored = engine.score(model, std::iter::once(&query)).unwrap();
+    let want = model.predict(&batch.dense, &batch.indices).unwrap();
+    assert_eq!(bits(scored.scores(0)), bits(want.as_slice()));
 }

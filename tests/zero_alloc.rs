@@ -5,6 +5,7 @@
 //! includes the *stateful* optimizer scatter (the dense per-row state
 //! stops growing once warmed), the cast itself into recycled arrays, the
 //! cast a casted training step with no lane runs on the training thread,
+//! a trainer lent a pool (it allocates exactly as a serial one does),
 //! and a full serving cache's misses.
 //!
 //! The whole file is one test function on purpose — the allocation
@@ -29,7 +30,9 @@ use tensor_casting::core::{
     blocked_casted_backward, casted_gather_reduce_into, tensor_casting, tensor_casting_into,
     CastedIndexArray,
 };
-use tensor_casting::dlrm::{BackwardMode, DlrmConfig, TableConfig, Trainer};
+use tensor_casting::dlrm::{
+    BackwardMode, DlrmConfig, EmbeddingOptimizer, Execution, TableConfig, Trainer,
+};
 use tensor_casting::embedding::{
     gather_reduce_into, gradient_coalesce_into, gradient_expand_into,
     optim::{RowOptimizer, UpdateRule},
@@ -315,6 +318,51 @@ fn steady_state_hot_path_performs_zero_allocations() {
         );
     }
 
+    // ---- A lent pool runs the serial trainer's step ---------------------
+    // `Execution` only says who owns the lane: a trainer lent a two-worker
+    // pool runs the step a serial trainer runs, so its steady-state steps
+    // allocate on the training thread exactly as often — none for a plain
+    // step, the lane scopes' state and boxed tasks for a completion with a
+    // successor (every product of `tiny` is under the split floor) — and
+    // train the same bits.
+    let lent = Arc::new(Pool::new(2));
+    let ping_pong = [good.clone(), good.clone()].map(Arc::new);
+    for mode in [BackwardMode::Baseline, BackwardMode::Casted] {
+        let run = |execution: Execution| {
+            let opt = EmbeddingOptimizer::Sgd;
+            let mut t = Trainer::with_execution(cfg.clone(), mode, opt, execution, 5).unwrap();
+            let mut losses = Vec::with_capacity(2 * 3 * 8);
+            let mut counts = Vec::new();
+            for lookahead in [false, true] {
+                for round in 0..3 {
+                    let before = allocations();
+                    for i in 0..8 {
+                        let next = lookahead.then(|| &ping_pong[(i + 1) % 2]);
+                        let report = t.complete_step(&ping_pong[i % 2], next).unwrap();
+                        losses.push(report.loss.to_bits());
+                    }
+                    // The first round of each kind warms its buffers.
+                    if round > 0 {
+                        counts.push(allocations() - before);
+                    }
+                }
+            }
+            (counts, losses)
+        };
+        let (serial_counts, serial_losses) = run(Execution::Serial);
+        let (lent_counts, lent_losses) = run(Execution::Pooled(Arc::clone(&lent)));
+        assert_eq!(
+            &serial_counts[..2],
+            [0, 0],
+            "{mode:?}: plain steps allocated"
+        );
+        assert_eq!(
+            lent_counts, serial_counts,
+            "{mode:?}: a lent pool's steps allocated unlike the serial trainer's"
+        );
+        assert_eq!(lent_losses, serial_losses, "{mode:?}");
+    }
+
     // ---- MLP forward + loss + backward + update -----------------------
     let mut mlp = Mlp::new(dim, &[32, 16, 1], 3).unwrap();
     let x = random_matrix(batch, dim, 4);
@@ -344,10 +392,7 @@ fn steady_state_hot_path_performs_zero_allocations() {
     // is under the split floor, so the lane is never touched and the step
     // allocates as little as the serial one.
     let lane = Pool::new(1);
-    let lane_exec = Exec::Pooled {
-        pool: &lane,
-        threads: 2,
-    };
+    let lane_exec = Exec::pooled(&lane);
     for exec in [Exec::Serial, lane_exec] {
         mlp_step(&mut mlp, &x, exec, &mut logits, &mut dlogits, &mut dx);
         mlp_step(&mut mlp, &x, exec, &mut logits, &mut dlogits, &mut dx);
