@@ -20,14 +20,15 @@
 //! `FAST=1` shrinks shapes and iteration counts for smoke runs. The
 //! `KERNEL <name> simd/scalar ratio` (`interaction`: forward plus
 //! backward), `KERNEL <name> cold`, `KERNEL linear_fwd lane/serial
-//! ratio`, `KERNEL linear_bwd lane/serial ratio`, `KERNEL gemm lanes`, `KERNEL cast`, `KERNEL cast_into` and
+//! ratio`, `KERNEL linear_bwd lane/serial ratio`, `KERNEL gemm lanes`,
+//! `KERNEL gemm_bt lanes`, `KERNEL cast`, `KERNEL cast_into` and
 //! `KERNEL zipf_sample ns/draw` lines are CI's grep anchors.
 //!
 //! A GEMM-family row's `peak_frac` is read against the multiply-add peak
 //! measured at the register width its kernels run at, named by its `lanes`
-//! field: 16 (`zmm`) for the `NN` / `TN` kernels where the host has
-//! AVX-512F, 8 (`ymm`) otherwise and for `NT` (`gemm_bt`). `KERNEL gemm
-//! lanes <n>` prints the `NN` / `TN` width of the auto-detected tier.
+//! field: 16 (`zmm`) where the host has AVX-512F, 8 (`ymm`) otherwise.
+//! `KERNEL gemm lanes <n>` prints the `NN` / `TN` width of the
+//! auto-detected tier, `KERNEL gemm_bt lanes <n>` the `NT` one.
 //!
 //! The `linear_fwd` / `linear_bwd` / `mlp_step` rows time a whole dense
 //! layer (and a whole MLP training step) of the repo benchmark's two
@@ -295,17 +296,16 @@ fn random_row_read_gbps(
 
 /// Register width, in `f32` lanes, that tier `tier`'s GEMM kernels run at
 /// on this host, and so the width of the ceiling a GEMM-family row is read
-/// against. `simd`'s dispatch runs the `NN` / `TN` tiles (`nn_tn`: `gemm`,
-/// `gemm_at`, and the `linear_*` / `mlp_step` rows, which are mostly those)
-/// on 16-lane `zmm` registers where the host has AVX-512F, and the `NT`
-/// blocks (`gemm_bt`) on 8-lane `ymm` registers always. Scalar rows keep
-/// the 8-lane ceiling.
-fn gemm_lanes(tier: KernelDispatch, nn_tn: bool) -> usize {
+/// against. `simd`'s dispatch runs all three products (`gemm`, `gemm_at`,
+/// `gemm_bt`, and the `linear_*` / `mlp_step` rows, which are those) on
+/// 16-lane `zmm` registers where the host has AVX-512F, on 8-lane `ymm`
+/// ones otherwise. Scalar rows keep the 8-lane ceiling.
+fn gemm_lanes(tier: KernelDispatch) -> usize {
     #[cfg(target_arch = "x86_64")]
-    if nn_tn && tier != KernelDispatch::Scalar && std::arch::is_x86_feature_detected!("avx512f") {
+    if tier != KernelDispatch::Scalar && std::arch::is_x86_feature_detected!("avx512f") {
         return 16;
     }
-    let _ = (tier, nn_tn);
+    let _ = tier;
     8
 }
 
@@ -487,7 +487,7 @@ impl Emitter {
         run: impl FnMut(Exec<'_>),
     ) -> f64 {
         let tier = KernelDispatch::detect();
-        let peak = madd_peak(gemm_lanes(tier, true)).map(|p| Ceiling {
+        let peak = madd_peak(gemm_lanes(tier)).map(|p| Ceiling {
             rate: 2.0 * p.rate,
             ..p
         });
@@ -510,8 +510,7 @@ impl Emitter {
     }
 
     /// Times one GEMM product (`flops` per call) on every tier and emits
-    /// its rows; `nn_tn` says whether the product runs the `NN` / `TN`
-    /// kernel (else `NT`), which sets its width ([`gemm_lanes`]). The
+    /// its rows, against the ceiling at its width ([`gemm_lanes`]). The
     /// multiply-add peak is measured right before each timing: this host's
     /// clock sits on plateaus 1.2-1.5x apart that last seconds, so a peak
     /// taken once at start-up would misstate `peak_frac` for most rows.
@@ -521,11 +520,10 @@ impl Emitter {
         shape: &str,
         dim: usize,
         flops: f64,
-        nn_tn: bool,
         run: &mut dyn FnMut(KernelDispatch),
     ) -> Vec<(KernelDispatch, f64)> {
         tier_ns(&mut |d| {
-            let peak = madd_peak(gemm_lanes(d, nn_tn));
+            let peak = madd_peak(gemm_lanes(d));
             let ns = time_ns(self.iters, || run(d));
             self.row(kernel, d, shape, dim, ns, flops / ns, "GFLOP/s", peak);
             ns
@@ -575,10 +573,9 @@ fn main() {
             println!("multiply-add peak {lanes:>2} lanes {:>8.2} GFLOP/s", p.rate);
         }
     }
-    println!(
-        "KERNEL gemm lanes {}",
-        gemm_lanes(KernelDispatch::detect(), true)
-    );
+    let lanes = gemm_lanes(KernelDispatch::detect());
+    println!("KERNEL gemm lanes {lanes}");
+    println!("KERNEL gemm_bt lanes {lanes}");
     let emit = Emitter {
         json: args.json.clone(),
         iters: args.iters,
@@ -607,7 +604,7 @@ fn main() {
         let mut c = Matrix::zeros(m, n);
         let shape = format!("{m}x{k}x{n}");
         let flops = 2.0 * (m * k * n) as f64;
-        let rows = emit.gemm_rows("gemm", &shape, n, flops, true, &mut |d| {
+        let rows = emit.gemm_rows("gemm", &shape, n, flops, &mut |d| {
             a.matmul_into_with(&b, &mut c, d).unwrap();
         });
         // Gate on the biggest regular layer, not the ragged tail shape.
@@ -629,18 +626,22 @@ fn main() {
         let mut c = Matrix::zeros(m, n);
         let shape = format!("{r}x{m}^T*{r}x{n}");
         let flops = 2.0 * (r * m * n) as f64;
-        emit.gemm_rows("gemm_at", &shape, n, flops, true, &mut |d| {
+        emit.gemm_rows("gemm_at", &shape, n, flops, &mut |d| {
             a.matmul_at_into_with(&b, &mut c, d).unwrap();
         });
     }
-    for &(m, n, k) in &at_shapes {
+    // ... and RM3's 2560x512 backward as the weight cut bands it: one
+    // band's `dX` columns, 64x512 against 1280 rows of `W`.
+    let mut bt_shapes = at_shapes.clone();
+    bt_shapes.push((64, 1280, 512));
+    for &(m, n, k) in &bt_shapes {
         // a: m x k, b: n x k -> a b^T: m x n.
         let a = random_matrix(m, k, 5);
         let b = random_matrix(n, k, 6);
         let mut c = Matrix::zeros(m, n);
         let shape = format!("{m}x{k}*{n}x{k}^T");
         let flops = 2.0 * (m * k * n) as f64;
-        emit.gemm_rows("gemm_bt", &shape, n, flops, false, &mut |d| {
+        emit.gemm_rows("gemm_bt", &shape, n, flops, &mut |d| {
             a.matmul_bt_into_with(&b, &mut c, d).unwrap();
         });
     }
@@ -670,7 +671,9 @@ fn main() {
         });
         println!("KERNEL linear_fwd lane/serial ratio {ratio:.2} ({shape})");
         let ratio = emit.lane_rows("linear_bwd", &shape, n, 2.0 * flops, &lane, |exec| {
-            layer.backward_into(&x, &dy, Some(&mut dx), exec).unwrap();
+            layer
+                .backward_into(&x, &dy, Some(&mut dx), None, exec)
+                .unwrap();
         });
         println!("KERNEL linear_bwd lane/serial ratio {ratio:.2} ({shape})");
 
@@ -682,9 +685,8 @@ fn main() {
         let mut scratch = MlpInferenceScratch::default();
         emit.lane_rows("mlp_step", &shape, widths[2], flops, &lane, |exec| {
             mlp.forward_into(&x, &mut scratch, &mut y, exec).unwrap();
-            mlp.backward_into(&x, &mut scratch, &dy, Some(&mut dx), exec)
+            mlp.backward_into(&x, &mut scratch, &dy, Some(&mut dx), Some(1e-6), exec)
                 .unwrap();
-            mlp.apply_update(1e-6);
         });
     }
 

@@ -209,6 +209,12 @@ impl Dlrm {
 
     /// Inference: logits for a batch.
     ///
+    /// Pools each bag in lookup order (the plain gather-reduce), where
+    /// `tcast_serve`'s `ServeEngine::score` pools it in ascending-row order
+    /// (the casted forward): a served score is bit for bit this function
+    /// over the same query with each bag's lookups stably sorted by row,
+    /// and may differ in the last bit from it over the bags as given.
+    ///
     /// # Errors
     ///
     /// Returns an error on shape mismatches.
@@ -320,7 +326,7 @@ impl Dlrm {
             ..
         } = scratch;
         self.top
-            .backward_into(interaction_out, top_mlp, dlogits, Some(dz), exec)?;
+            .backward_into(interaction_out, top_mlp, dlogits, Some(dz), None, exec)?;
         FeatureInteraction.backward_into(bottom_out, pooled, dz, ddense, dpooled)
     }
 
@@ -352,14 +358,16 @@ pub(crate) fn bottom_forward_into(
 /// [`Dlrm::dense_head_backward_into`] left in `scratch`, over the
 /// activations of the forward of `dense` that `scratch` holds: the last
 /// stage of the dense backward, leaving the bottom MLP's gradients inside
-/// its layers.
+/// its layers or, with `lr`, applying them (see [`Mlp::backward_into`]).
 pub(crate) fn bottom_backward_into(
     bottom: &mut Mlp,
     dense: &Matrix,
     scratch: &mut InferenceScratch,
+    lr: Option<f32>,
     exec: Exec<'_>,
 ) -> Result<(), ShapeError> {
-    bottom.backward_into(dense, &mut scratch.bottom_mlp, &scratch.ddense, None, exec)
+    let (mlp_scratch, ddense) = (&mut scratch.bottom_mlp, &scratch.ddense);
+    bottom.backward_into(dense, mlp_scratch, ddense, None, lr, exec)
 }
 
 #[cfg(test)]
@@ -419,7 +427,7 @@ mod tests {
         let mut dpooled = Vec::new();
         m.dense_head_backward_into(&mut scratch, &dlogits, &mut dpooled, Exec::Serial)
             .unwrap();
-        bottom_backward_into(&mut m.bottom, &b.dense, &mut scratch, Exec::Serial).unwrap();
+        bottom_backward_into(&mut m.bottom, &b.dense, &mut scratch, None, Exec::Serial).unwrap();
         assert_eq!(dpooled.len(), 2);
         assert_eq!(dpooled[0].shape(), (8, 16));
         // Gradients should not be all-zero.

@@ -418,19 +418,24 @@ fn dense_phases(
 /// backward or on the training thread before it: its backward (from the
 /// gradient the head left in `scratch`), its update, and `next`'s bottom
 /// forward over the updated weights into `scratch`, where `next`'s step
-/// finds it. Returns whether that forward ran and succeeded (a successor
-/// whose dense features do not fit gets none: its own step reports the
-/// error).
+/// finds it. On the lane the update runs inside the backward, each band of
+/// a layer's weight updated once its backward has read it; on the training
+/// thread, where a step whose [`DENSE_GEMM_FAULT_SITE`] fired runs the
+/// chain, it waits for the whole backward, so a panicking band leaves
+/// every parameter as it was. Returns whether that forward ran and
+/// succeeded (a successor whose dense features do not fit gets none: its
+/// own step reports the error).
 fn bottom_chain(
     bottom: &mut Mlp,
     batch: &CtrBatch,
     next: Option<&CtrBatch>,
     scratch: &mut InferenceScratch,
     lr: f32,
+    on_lane: bool,
     exec: Exec<'_>,
 ) -> Result<bool, ShapeError> {
-    bottom_backward_into(bottom, &batch.dense, scratch, exec)?;
-    bottom.apply_update(lr);
+    bottom_backward_into(bottom, &batch.dense, scratch, on_lane.then_some(lr), exec)?;
+    bottom.apply_update(lr); // nothing left to apply after an in-band update
     Ok(next.is_some_and(|next| bottom_forward_into(bottom, &next.dense, scratch, exec).is_ok()))
 }
 
@@ -820,7 +825,15 @@ impl Trainer {
             false
         } else {
             let bottom = model.bottom_mut();
-            bottom_chain(bottom, batch, ahead_of, &mut scratch.dense, lr, dense)?
+            bottom_chain(
+                bottom,
+                batch,
+                ahead_of,
+                &mut scratch.dense,
+                lr,
+                false,
+                dense,
+            )?
         };
         model.top_mut().apply_update(lr);
         bwd_dnn += t0.elapsed();
@@ -911,8 +924,15 @@ impl Trainer {
                         scope.spawn(move || {
                             #[cfg(test)]
                             assert!(!failing_chain, "injected panic in the bottom-MLP chain");
-                            let chain =
-                                bottom_chain(bottom, batch, ahead_of, dense_scratch, lr, dense);
+                            let chain = bottom_chain(
+                                bottom,
+                                batch,
+                                ahead_of,
+                                dense_scratch,
+                                lr,
+                                true,
+                                dense,
+                            );
                             *chained = Some(chain.map(|ahead| (ahead, Instant::now())));
                         });
                     }

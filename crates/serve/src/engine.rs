@@ -168,6 +168,11 @@ impl ServeEngine {
     /// on the next call. The query stream is iterated once per fusion
     /// pass (hence `Clone`), so the steady-state call allocates nothing.
     ///
+    /// Each bag pools in ascending-row order (the casted forward, on a
+    /// cache hit or not), where [`Dlrm::predict`] pools in lookup order:
+    /// a query's scores are bit for bit `predict` over its bags with their
+    /// lookups stably sorted by row.
+    ///
     /// # Errors
     ///
     /// Returns an error when a query disagrees with the model's shape

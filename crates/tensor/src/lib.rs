@@ -31,10 +31,15 @@
 //! mlp.forward_into(&x, &mut scratch, &mut y, Exec::Serial)?;
 //! assert_eq!((y.rows(), y.cols()), (4, 1));
 //!
-//! // One SGD step: the backward borrows `x` and the scratch back.
+//! // One SGD step: the backward borrows `x` and the scratch back, then
+//! // the update applies the gradients it left in the layers.
 //! let (dy, mut dx) = (Matrix::filled(4, 1, 0.25), Matrix::default());
-//! mlp.backward_into(&x, &mut scratch, &dy, Some(&mut dx), Exec::Serial)?;
+//! mlp.backward_into(&x, &mut scratch, &dy, Some(&mut dx), None, Exec::Serial)?;
 //! mlp.apply_update(0.05);
+//!
+//! // Or the update inside the backward, at rate 0.05: the same bits.
+//! mlp.forward_into(&x, &mut scratch, &mut y, Exec::Serial)?;
+//! mlp.backward_into(&x, &mut scratch, &dy, Some(&mut dx), Some(0.05), Exec::Serial)?;
 //! # Ok(())
 //! # }
 //! ```

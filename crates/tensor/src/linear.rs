@@ -165,14 +165,18 @@ impl Linear {
     /// `db = sum_rows(dy)` in the layer and, unless `dx` is `None` (a
     /// first layer, whose input gradient nothing consumes), writes
     /// `dx = dy W^T` into a reused buffer; the gradient buffers are the
-    /// ones the last [`Linear::apply_update`] retired. Every shape is
-    /// checked before a buffer is touched, so a rejected call costs the
-    /// next one nothing. `dW` and `dx` run inline, or — under a
-    /// multi-threaded `exec`, at or above the floor — as the bands of
-    /// **one** scope on its pool: when `in_dim` exceeds the batch, each
-    /// band a slice of the weight's rows that runs its `dx` columns and
-    /// then its `dW` rows, otherwise `dx`'s batch bands beside `dW`'s. The
-    /// bits are the same under every `exec`, with or without `dx`.
+    /// ones the last [`Linear::apply_update`] retired. With `lr` it also
+    /// applies that update at rate `lr` and keeps no gradient: the bits are
+    /// those of this backward without `lr` and then
+    /// [`Linear::apply_update`]. Every shape is checked before a buffer is
+    /// touched, so a rejected call costs the next one nothing. `dW` and
+    /// `dx` run inline, or — under a multi-threaded `exec`, at or above
+    /// the floor — as the bands of **one** scope on its pool: when
+    /// `in_dim` exceeds the batch, each band a slice of the weight's rows
+    /// that runs its `dx` columns, then its `dW` rows and, with `lr`, the
+    /// update of its own rows; otherwise `dx`'s batch bands beside `dW`'s,
+    /// and the update after them. The bits are the same under every
+    /// `exec`, with or without `dx`.
     ///
     /// # Errors
     ///
@@ -183,6 +187,7 @@ impl Linear {
         x: &Matrix,
         dy: &Matrix,
         dx: Option<&mut Matrix>,
+        lr: Option<f32>,
         exec: Exec<'_>,
     ) -> Result<(), ShapeError> {
         if x.cols() != self.in_dim() {
@@ -201,9 +206,23 @@ impl Linear {
         let mut grad_w = self.spare_grad_weight.take().unwrap_or_default();
         let mut grad_b = self.spare_grad_bias.take().unwrap_or_default();
         dy.sum_rows_into(&mut grad_b);
-        parallel::backward_unchecked(exec, x, dy, &self.weight, &mut grad_w, dx);
-        self.grad_weight = Some(grad_w);
-        self.grad_bias = Some(grad_b);
+        parallel::backward_unchecked(exec, x, dy, &mut self.weight, &mut grad_w, dx, lr);
+        match lr {
+            Some(lr) => {
+                self.update_bias(&grad_b, lr);
+                self.spare_grad_weight = Some(grad_w);
+                self.spare_grad_bias = Some(grad_b);
+                // What an earlier backward left pending never reached its
+                // update and is stale, as a backward without `lr` would
+                // overwrite it.
+                self.grad_weight = None;
+                self.grad_bias = None;
+            }
+            None => {
+                self.grad_weight = Some(grad_w);
+                self.grad_bias = Some(grad_b);
+            }
+        }
         Ok(())
     }
 
@@ -221,10 +240,15 @@ impl Linear {
             self.spare_grad_weight = Some(gw); // recycle for the next step
         }
         if let Some(gb) = self.grad_bias.take() {
-            for (b, g) in self.bias.iter_mut().zip(gb.iter()) {
-                *b -= lr * g;
-            }
+            self.update_bias(&gb, lr);
             self.spare_grad_bias = Some(gb);
+        }
+    }
+
+    /// `b -= lr * db`.
+    fn update_bias(&mut self, grad_b: &[f32], lr: f32) {
+        for (b, g) in self.bias.iter_mut().zip(grad_b) {
+            *b -= lr * g;
         }
     }
 
@@ -307,7 +331,7 @@ mod tests {
         let dy = Matrix::filled(4, 3, 1.0);
         let mut dx = Matrix::default();
         layer
-            .backward_into(&x, &dy, Some(&mut dx), Exec::Serial)
+            .backward_into(&x, &dy, Some(&mut dx), None, Exec::Serial)
             .unwrap();
         let buffers = |l: &Linear| {
             (
@@ -323,12 +347,12 @@ mod tests {
             (&Matrix::zeros(4, 6), Matrix::zeros(4, 3)), // input against the weight
         ] {
             assert!(layer
-                .backward_into(bad_x, &bad_dy, Some(&mut dx), Exec::Serial)
+                .backward_into(bad_x, &bad_dy, Some(&mut dx), None, Exec::Serial)
                 .is_err());
             assert!(layer.grad_weight().is_none());
         }
         layer
-            .backward_into(&x, &dy, Some(&mut dx), Exec::Serial)
+            .backward_into(&x, &dy, Some(&mut dx), None, Exec::Serial)
             .unwrap();
         assert_eq!(buffers(&layer), first);
     }
@@ -343,7 +367,7 @@ mod tests {
         let dy = Matrix::filled(y.rows(), y.cols(), 1.0);
         let mut dx = Matrix::default();
         layer
-            .backward_into(&x, &dy, Some(&mut dx), Exec::Serial)
+            .backward_into(&x, &dy, Some(&mut dx), None, Exec::Serial)
             .unwrap();
         let gw = layer.grad_weight().unwrap().clone();
         let gb = layer.grad_bias().unwrap().to_vec();
@@ -395,7 +419,7 @@ mod tests {
         let dy = Matrix::filled(4, 1, 1.0);
         let mut dx = Matrix::default();
         layer
-            .backward_into(&x, &dy, Some(&mut dx), Exec::Serial)
+            .backward_into(&x, &dy, Some(&mut dx), None, Exec::Serial)
             .unwrap();
         layer.apply_update(0.1);
         let after = layer.weight();
@@ -406,6 +430,29 @@ mod tests {
         // Gradients consumed.
         assert!(layer.grad_weight().is_none());
         assert!(layer.grad_bias().is_none());
+    }
+
+    #[test]
+    fn an_update_inside_the_backward_drops_a_stale_pending_gradient() {
+        // A backward whose update never ran (its step failed after it),
+        // then one with `lr`: the second's update alone, bit for bit, and
+        // nothing left for a following `apply_update`.
+        let x = Matrix::from_rows(&[&[0.5, -1.0, 2.0], &[1.5, 0.25, -0.5]]).unwrap();
+        let (stale, dy) = (Matrix::filled(2, 2, 3.0), Matrix::filled(2, 2, -0.5));
+        let mut dx = Matrix::default();
+        let mut want = Linear::new(3, 2, 11);
+        let mut got = want.clone();
+        want.backward_into(&x, &dy, Some(&mut dx), None, Exec::Serial)
+            .unwrap();
+        want.apply_update(0.1);
+        got.backward_into(&x, &stale, Some(&mut dx), None, Exec::Serial)
+            .unwrap();
+        got.backward_into(&x, &dy, Some(&mut dx), Some(0.1), Exec::Serial)
+            .unwrap();
+        assert!(got.grad_weight().is_none() && got.grad_bias().is_none());
+        got.apply_update(0.1);
+        assert_eq!(got.weight(), want.weight());
+        assert_eq!(got.bias(), want.bias());
     }
 
     #[test]

@@ -151,9 +151,13 @@ impl Mlp {
     /// gradient by that same activation (`relu(z) > 0` exactly where
     /// `z > 0`, so no pre-activation is kept). A scratch no forward pass
     /// filled for this model at `dy`'s batch size is a [`ShapeError`],
-    /// found before any gradient buffer is touched. With a multi-threaded
-    /// `exec` the layers at or above the floor run their `dW` and `dX`
-    /// bands on its pool; the bits are the same under every `exec`.
+    /// found before any gradient buffer is touched. With `lr` each layer
+    /// also applies its SGD update once its backward is done (see
+    /// [`Linear::backward_into`]), which nothing below it reads: the bits
+    /// of this backward without `lr` and then [`Mlp::apply_update`]. With
+    /// a multi-threaded `exec` the layers at or above the floor run their
+    /// `dW` and `dX` bands on its pool; the bits are the same under every
+    /// `exec`.
     ///
     /// # Errors
     ///
@@ -165,6 +169,7 @@ impl Mlp {
         scratch: &mut MlpInferenceScratch,
         dy: &Matrix,
         mut dx: Option<&mut Matrix>,
+        lr: Option<f32>,
         exec: Exec<'_>,
     ) -> Result<(), ShapeError> {
         let n = self.layers.len();
@@ -194,7 +199,7 @@ impl Mlp {
             } else {
                 Some(&mut *next)
             };
-            self.layers[i].backward_into(input, grad, into, exec)?;
+            self.layers[i].backward_into(input, grad, into, lr, exec)?;
             if i > 0 {
                 relu_backward_in_place(next, &act[i - 1])?;
                 std::mem::swap(&mut cur, &mut next);
@@ -307,20 +312,27 @@ mod tests {
     }
 
     /// Everything one training step leaves behind, as bits; `dx` empty
-    /// unless `with_dx`.
+    /// unless `with_dx`. The update runs inside the backward when
+    /// `in_band`, after it otherwise.
     fn step_bits(
         mlp: &mut Mlp,
         x: &Matrix,
         dy: &Matrix,
         exec: Exec<'_>,
         with_dx: bool,
+        in_band: bool,
     ) -> Vec<Vec<u32>> {
         let mut scratch = MlpInferenceScratch::default();
         let (mut y, mut dx) = (Matrix::default(), Matrix::default());
         mlp.forward_into(x, &mut scratch, &mut y, exec).unwrap();
         let into = if with_dx { Some(&mut dx) } else { None };
-        mlp.backward_into(x, &mut scratch, dy, into, exec).unwrap();
-        mlp.apply_update(0.05);
+        let lr = 0.05;
+        mlp.backward_into(x, &mut scratch, dy, into, in_band.then_some(lr), exec)
+            .unwrap();
+        if in_band {
+            assert!(mlp.layers().iter().all(|l| l.grad_weight().is_none()));
+        }
+        mlp.apply_update(lr);
         let mut out = vec![bits(y.as_slice()), bits(dx.as_slice())];
         for layer in mlp.layers() {
             out.push(bits(layer.weight().as_slice()));
@@ -332,20 +344,25 @@ mod tests {
     #[test]
     fn a_step_leaves_the_same_bits_under_every_exec() {
         // serial == lane (one worker, the caller the second pair of hands)
-        // == pooled, with and without `dx`, through forward, backward and
-        // update, for stacks with layers on both sides of the split floor:
-        // a `k = 13` first layer above it feeding an `n = 1` logit layer
+        // == pooled, with and without `dx`, with the update after the
+        // backward or inside it, through forward, backward and update,
+        // for stacks with layers on both sides of the split floor: a
+        // `k = 13` first layer above it feeding an `n = 1` logit layer
         // below it at an odd batch; a square layer that reaches the floor
         // at one row, at batches of one and two (fewer rows than the pool
-        // has bands); and an all-small stack. The step composed from
-        // unfused primitives, which masks ReLU by the pre-activation,
-        // agrees too.
+        // has bands); a 512x256 layer the backward cuts across the weight
+        // at a batch of 33 (two 16-row blocks of the `zmm` `NT` kernel and
+        // a ragged one); a 64x512 first layer it cuts across the batch; and
+        // an all-small stack. The step composed from unfused
+        // primitives, which masks ReLU by the pre-activation, agrees too.
         let lane = Pool::new(1);
         let pool = Pool::new(3);
-        let cases: [(usize, &[usize], usize); 4] = [
+        let cases: [(usize, &[usize], usize); 6] = [
             (13, &[2048, 1], 161),
             (8, &[2048, 2048, 1], 1),
             (8, &[2048, 2048, 1], 2),
+            (13, &[512, 256, 1], 33),
+            (64, &[512, 1], 160),
             (13, &[32, 16, 1], 37),
         ];
         for (input, widths, batch) in cases {
@@ -361,7 +378,7 @@ mod tests {
             };
             let (x, dy) = (random(batch, input), random(batch, 1));
 
-            let serial = step_bits(&mut fresh.clone(), &x, &dy, Exec::Serial, true);
+            let serial = step_bits(&mut fresh.clone(), &x, &dy, Exec::Serial, true, false);
             let execs = [
                 Exec::Serial,
                 Exec::Pooled {
@@ -371,14 +388,16 @@ mod tests {
                 Exec::pooled(&pool),
             ];
             for exec in execs {
-                let split = step_bits(&mut fresh.clone(), &x, &dy, exec, true);
+                let split = step_bits(&mut fresh.clone(), &x, &dy, exec, true, false);
                 assert!(split == serial, "{widths:?} x {batch} under {exec:?}");
                 // Without `dx` the first layer runs `dW` alone: the same
                 // weight bits.
-                let mut no_dx = step_bits(&mut fresh.clone(), &x, &dy, exec, false);
+                let mut no_dx = step_bits(&mut fresh.clone(), &x, &dy, exec, false, false);
                 assert!(no_dx[1].is_empty(), "{widths:?} x {batch}: dx written");
                 no_dx[1].clone_from(&serial[1]);
                 assert!(no_dx == serial, "{widths:?} x {batch} without dx, {exec:?}");
+                let in_band = step_bits(&mut fresh.clone(), &x, &dy, exec, true, true);
+                assert!(in_band == serial, "{widths:?} x {batch} in band, {exec:?}");
             }
             let reference = reference_step(&fresh, &x, &dy, 0.05);
             assert!(reference == serial, "{widths:?} x {batch} vs the reference");
@@ -398,7 +417,7 @@ mod tests {
         let mut scratch = MlpInferenceScratch::default();
         mlp.forward_into(&x, &mut scratch, &mut y, Exec::Serial)
             .unwrap();
-        mlp.backward_into(&x, &mut scratch, &dy, Some(&mut dx), Exec::Serial)
+        mlp.backward_into(&x, &mut scratch, &dy, Some(&mut dx), None, Exec::Serial)
             .unwrap();
         let buffers = |mlp: &Mlp| -> Vec<*const f32> {
             let grads = mlp.layers().iter();
@@ -424,12 +443,12 @@ mod tests {
         ] {
             let scratch = &mut scratches[which];
             assert!(mlp
-                .backward_into(bad_x, scratch, bad_dy, Some(&mut dx), Exec::Serial)
+                .backward_into(bad_x, scratch, bad_dy, Some(&mut dx), None, Exec::Serial)
                 .is_err());
             assert!(mlp.layers().iter().all(|l| l.grad_weight().is_none()));
         }
         let scratch = &mut scratches[2];
-        mlp.backward_into(&x, scratch, &dy, Some(&mut dx), Exec::Serial)
+        mlp.backward_into(&x, scratch, &dy, Some(&mut dx), None, Exec::Serial)
             .unwrap();
         assert_eq!(buffers(&mlp), first);
     }
@@ -443,7 +462,7 @@ mod tests {
         mlp.forward_into(&x, &mut scratch, &mut y, Exec::Serial)
             .unwrap();
         let dy = Matrix::filled(y.rows(), y.cols(), 1.0);
-        mlp.backward_into(&x, &mut scratch, &dy, Some(&mut dx), Exec::Serial)
+        mlp.backward_into(&x, &mut scratch, &dy, Some(&mut dx), None, Exec::Serial)
             .unwrap();
 
         let eps = 1e-2f32;
@@ -487,7 +506,7 @@ mod tests {
                 loss += err * err / n;
                 dy[(b, 0)] = 2.0 * err / n;
             }
-            mlp.backward_into(&x, &mut scratch, &dy, Some(&mut dx), Exec::Serial)
+            mlp.backward_into(&x, &mut scratch, &dy, Some(&mut dx), None, Exec::Serial)
                 .unwrap();
             mlp.apply_update(0.05);
             if first_loss.is_none() {

@@ -19,13 +19,16 @@
 //! * the forward `y = x W` cuts `W`'s (and `y`'s) columns when `out_dim >
 //!   batch`, and the batch otherwise;
 //! * the backward cuts `W`'s rows when `in_dim > batch`: band `i` runs
-//!   `dX[:, i] = dy W[i, :]^T` (`NT`) and then `dW[i, :] = x[:, i]^T dy`
-//!   (`TN`) as **one** task, since it reads and writes only band `i` of
-//!   `W` and of its gradient — `threads` tasks in one scope. Otherwise
+//!   `dX[:, i] = dy W[i, :]^T` (`NT`), then `dW[i, :] = x[:, i]^T dy`
+//!   (`TN`) and, where the caller asks for the update (nothing reads the
+//!   old weights after their backward), `W[i, :] += (-lr) dW[i, :]` as
+//!   **one** task, since it reads and writes only band `i` of `W` and of
+//!   its gradient — `threads` tasks in one scope. Otherwise
 //!   `dX` is cut into bands of the batch and `dW` into bands of its own
 //!   rows, `2 threads` tasks of one scope, so the queue balances the
-//!   slower `NT` kernel against the faster `TN` one. A layer whose `dX`
-//!   nothing consumes (a first layer) runs the `dW` bands alone.
+//!   slower `NT` kernel against the faster `TN` one, and the update
+//!   follows the join. A layer whose `dX` nothing consumes (a first layer)
+//!   runs the `dW` bands alone.
 //!
 //! A cut across `W` falls on a multiple of the kernels' 16-column panel
 //! ([`simd::GEMM_NR`]), so only the last band has a ragged panel; a band
@@ -143,20 +146,33 @@ fn matmul_on(on: Option<(&Pool, usize)>, lhs: &Matrix, rhs: &Matrix, out: &mut M
 
 /// The backward products of a layer: `grad_w = x^T dy` (`TN`) and, unless
 /// `dx` is `None`, `dx = dy weight^T` (`NT`), each reshaped in place with
-/// every element overwritten. Above the floor all their bands are tasks of
-/// one scope, cut as the module docs say. The caller has validated
-/// `x.rows() == dy.rows()`, `x.cols() == weight.rows()` and `dy.cols() ==
+/// every element overwritten; then, with `lr`, the SGD update `weight +=
+/// (-lr) grad_w`. Above the floor all their bands are tasks of one scope,
+/// cut as the module docs say, and under the weight cut each band updates
+/// its own rows of `weight` once its `NT` has read them; otherwise the
+/// update follows the products. The caller has validated `x.rows() ==
+/// dy.rows()`, `x.cols() == weight.rows()` and `dy.cols() ==
 /// weight.cols()`.
 pub(crate) fn backward_unchecked(
     exec: Exec<'_>,
     x: &Matrix,
     dy: &Matrix,
-    weight: &Matrix,
+    weight: &mut Matrix,
     grad_w: &mut Matrix,
     dx: Option<&mut Matrix>,
+    lr: Option<f32>,
 ) {
     let on = split(exec, x.rows(), x.cols(), dy.cols());
-    backward_on(on, x, dy, weight, grad_w, dx);
+    backward_on(on, x, dy, weight, grad_w, dx, lr);
+}
+
+/// `w += (-lr) g`, element by element: [`Matrix::add_scaled`]'s operation
+/// at `alpha = -lr`, so an update cut into bands leaves its bits.
+fn sgd(w: &mut [f32], g: &[f32], lr: f32) {
+    let alpha = -lr;
+    for (w, &g) in w.iter_mut().zip(g) {
+        *w += alpha * g;
+    }
 }
 
 /// [`backward_unchecked`] once the floor has spoken.
@@ -164,9 +180,10 @@ fn backward_on(
     on: Option<(&Pool, usize)>,
     x: &Matrix,
     dy: &Matrix,
-    weight: &Matrix,
+    weight: &mut Matrix,
     grad_w: &mut Matrix,
     mut dx: Option<&mut Matrix>,
+    lr: Option<f32>,
 ) {
     let (batch, in_dim, out_dim) = (x.rows(), x.cols(), dy.cols());
     grad_w.reshape_for_overwrite(in_dim, out_dim);
@@ -174,57 +191,80 @@ fn backward_on(
         dx.reshape_for_overwrite(batch, in_dim);
     }
     let tier = simd::dispatch();
-    let (x, dy, w) = (x.as_slice(), dy.as_slice(), weight.as_slice());
+    let (x, dy, w) = (x.as_slice(), dy.as_slice(), weight.as_mut_slice());
     // grad_w[i][j] = sum_r x[r][i] * dy[r][j], `r` ascending: rows `lo..`
     // of it read columns `lo..` of `x` (of which an empty batch has none).
     let tn = |lo: usize, band: StridedMut<'_>| {
         let x_band = &x[lo.min(x.len())..];
         simd::gemm_strided(tier, x_band, 1, in_dim, dy, out_dim, band, batch);
     };
-    // Rows `r0..` and columns `c0..` of `dx` read rows `r0..` of `dy` and
-    // rows `c0..` of `weight`.
-    let nt = |r0: usize, c0: usize, band: StridedMut<'_>| {
+    // Rows `r0..` of `dx` read rows `r0..` of `dy`; its columns, the rows
+    // of the weight in `w_rows`.
+    let nt = |r0: usize, w_rows: &[f32], band: StridedMut<'_>| {
         let dy_band = &dy[r0 * out_dim..][..band.rows() * out_dim];
-        let w_band = &w[c0 * out_dim..][..band.cols() * out_dim];
+        let w_band = &w_rows[..band.cols() * out_dim];
         simd::gemm_nt_strided(tier, dy_band, w_band, band, out_dim);
     };
-    let nt_rows = |r0: usize, band: StridedMut<'_>| nt(r0, 0, band);
-    let Some((pool, threads)) = on else {
-        tn(0, StridedMut::new(grad_w.as_mut_slice(), in_dim, out_dim));
-        if let Some(dx) = dx {
-            nt_rows(0, StridedMut::new(dx.as_mut_slice(), batch, in_dim));
-        }
-        return;
-    };
-    pool.scope(|scope| {
-        // Under the weight cut, what is left of `dx`'s columns: each `dW`
-        // band takes the same band of them.
-        let mut dx_cols = None;
-        if let Some(dx) = dx {
-            if cuts_weight(batch, in_dim) {
-                dx_cols = Some(StridedMut::new(dx.as_mut_slice(), batch, in_dim));
-            } else {
-                spawn_row_bands(scope, threads, dx.as_mut_slice(), batch, in_dim, &nt_rows);
+    match on {
+        Some((pool, threads)) if cuts_weight(batch, in_dim) => pool.scope(|scope| {
+            // Band `i` holds rows `i` of the weight and of its gradient and
+            // columns `i` of `dx`, and nothing of its neighbours'.
+            let mut dx_rest = dx.map(|dx| StridedMut::new(dx.as_mut_slice(), batch, in_dim));
+            let (mut grad_rest, mut w_rest) = (grad_w.as_mut_slice(), w);
+            for rows in bands_of(in_dim, threads, simd::GEMM_NR) {
+                let len = rows.len() * out_dim;
+                let (grad_band, tail) = std::mem::take(&mut grad_rest).split_at_mut(len);
+                grad_rest = tail;
+                let (w_band, tail) = std::mem::take(&mut w_rest).split_at_mut(len);
+                w_rest = tail;
+                let dx_band = dx_rest.take().map(|dx| {
+                    let (band, tail) = dx.split_cols(rows.len());
+                    dx_rest = Some(tail);
+                    band
+                });
+                scope.spawn(move || {
+                    if let Some(dx_band) = dx_band {
+                        nt(0, w_band, dx_band);
+                    }
+                    tn(rows.start, StridedMut::new(grad_band, rows.len(), out_dim));
+                    if let Some(lr) = lr {
+                        sgd(w_band, grad_band, lr);
+                    }
+                });
+            }
+        }),
+        Some((pool, threads)) => {
+            let w_all = &*w;
+            let nt_rows = |r0: usize, band: StridedMut<'_>| nt(r0, w_all, band);
+            pool.scope(|scope| {
+                // `dx`'s batch bands beside `grad_w`'s row bands.
+                if let Some(dx) = dx {
+                    spawn_row_bands(scope, threads, dx.as_mut_slice(), batch, in_dim, &nt_rows);
+                }
+                let mut grad_rest = grad_w.as_mut_slice();
+                for rows in bands_of(in_dim, threads, simd::GEMM_NR) {
+                    let (grad_band, tail) =
+                        std::mem::take(&mut grad_rest).split_at_mut(rows.len() * out_dim);
+                    grad_rest = tail;
+                    scope.spawn(move || {
+                        tn(rows.start, StridedMut::new(grad_band, rows.len(), out_dim));
+                    });
+                }
+            });
+            if let Some(lr) = lr {
+                sgd(w, grad_w.as_slice(), lr);
             }
         }
-        let mut grad_rest = grad_w.as_mut_slice();
-        for rows in bands_of(in_dim, threads, simd::GEMM_NR) {
-            let (grad_band, tail) =
-                std::mem::take(&mut grad_rest).split_at_mut(rows.len() * out_dim);
-            grad_rest = tail;
-            let dx_band = dx_cols.take().map(|dx| {
-                let (band, tail) = dx.split_cols(rows.len());
-                dx_cols = Some(tail);
-                band
-            });
-            scope.spawn(move || {
-                if let Some(dx_band) = dx_band {
-                    nt(0, rows.start, dx_band);
-                }
-                tn(rows.start, StridedMut::new(grad_band, rows.len(), out_dim));
-            });
+        None => {
+            tn(0, StridedMut::new(grad_w.as_mut_slice(), in_dim, out_dim));
+            if let Some(dx) = dx {
+                nt(0, w, StridedMut::new(dx.as_mut_slice(), batch, in_dim));
+            }
+            if let Some(lr) = lr {
+                sgd(w, grad_w.as_slice(), lr);
+            }
         }
-    });
+    }
 }
 
 #[cfg(test)]
@@ -276,9 +316,15 @@ mod tests {
         for r in [1, 7, 8, 9, 127, 128, 129, 257, 300] {
             shapes.extend([(37, r, 33), (37, 21, r), (r, 19, 23)]);
         }
+        // Batches that are no multiple of the `zmm` `NT` kernel's 16-row
+        // block, the weight cut (`k > m`) and the batch cut (`k <= m`),
+        // the `NT` reduction (`n`) past one 8-step chunk.
+        for m in [15, 17, 33, 47] {
+            shapes.extend([(m, 160, 24), (m, 2 * m + 1, 9), (m, m, 17), (m, 8, 40)]);
+        }
         for (m, k, n) in shapes {
             let x = special_matrix(m, k, k.max(m), &mut rng);
-            let w = special_matrix(k, n, k.max(n), &mut rng);
+            let mut w = special_matrix(k, n, k.max(n), &mut rng);
             let dy = special_matrix(m, n, n.max(m), &mut rng);
             let y = x.matmul(&w).unwrap();
             let grad_w = x.matmul_at(&dy).unwrap();
@@ -289,17 +335,33 @@ mod tests {
                 matmul_on(on, &x, &w, &mut out);
                 assert_eq!(out.shape(), (m, n));
                 assert_eq!(bits(&y), bits(&out), "NN {m}x{k}x{n} / {bands}");
-                backward_on(on, &x, &dy, &w, &mut out_w, Some(&mut out));
+                backward_on(on, &x, &dy, &mut w, &mut out_w, Some(&mut out), None);
                 assert_eq!((out_w.shape(), out.shape()), ((k, n), (m, k)));
                 assert_eq!(bits(&grad_w), bits(&out_w), "TN {m}x{k}x{n} / {bands}");
                 assert_eq!(bits(&dx), bits(&out), "NT {m}x{k}x{n} / {bands}");
                 // Without `dx` only the `TN` bands run, on the same bits.
-                backward_on(on, &x, &dy, &w, &mut out_w, None);
+                backward_on(on, &x, &dy, &mut w, &mut out_w, None, None);
                 assert_eq!(
                     bits(&grad_w),
                     bits(&out_w),
                     "TN alone {m}x{k}x{n} / {bands}"
                 );
+                // With the update, `dx` still reads the old weights and the
+                // new ones are `add_scaled`'s, band by band or after.
+                let mut updated = w.clone();
+                backward_on(
+                    on,
+                    &x,
+                    &dy,
+                    &mut updated,
+                    &mut out_w,
+                    Some(&mut out),
+                    Some(0.25),
+                );
+                assert_eq!(bits(&dx), bits(&out), "NT, updating, {m}x{k}x{n} / {bands}");
+                let mut want = w.clone();
+                want.add_scaled(&grad_w, -0.25).unwrap();
+                assert_eq!(bits(&want), bits(&updated), "SGD {m}x{k}x{n} / {bands}");
             }
         }
     }

@@ -1,6 +1,6 @@
 //! Runtime-dispatched SIMD kernels: x86-64 AVX2 (`std::arch`), with the
-//! `NN` / `TN` GEMM on AVX-512 registers where the host has them, and a
-//! portable scalar fallback.
+//! GEMMs on AVX-512 registers where the host has them, and a portable
+//! scalar fallback.
 //!
 //! ROADMAP's "as fast as the hardware allows" requires explicit SIMD, but
 //! the repository's entire correctness story rests on bit-identity
@@ -72,12 +72,18 @@
 //!   tile (on a staging copy of `C` whose dead lanes are dropped). Row
 //!   tails (`m % 8`, or `m % 4` on `ymm`) run the same tile body with
 //!   fewer rows. Copies move bits; neither touches the arithmetic.
-//! * `NT` keeps each output's own 8-lane partial sums, the fold above and
-//!   the scalar `k % 8` tail — one [`dot`], exactly — and merely holds a
-//!   2 x 4 block of outputs in flight; the `m % 2` / `n % 4` tails call
-//!   [`dot`] itself. It stays on `ymm` registers on every host: carrying
-//!   two outputs' partial sums in the halves of a `zmm` measured no faster
-//!   on the benchmark shapes.
+//! * `NT` keeps each output's own eight partial sums (reduction step
+//!   `kk % 8`, each a multiply then an add from `+0.0`), the fold above
+//!   and the scalar `k % 8` tail — one [`dot`], exactly. On `zmm` the
+//!   kernel vectorizes **across the batch**: 16 rows of `A` (the batch
+//!   gradient `dy`) are packed once a call into a bounded stack buffer,
+//!   lane `r` holding row `r`, and a tile keeps the eight partial-sum
+//!   vectors of 3 outputs' columns while `B`'s rows (the weight, larger
+//!   than L2) are read in place as broadcasts; the partials fold in
+//!   [`dot`]'s order vertically, across lanes. On `ymm` it holds a 2 x 4
+//!   block of [`dot`]s in flight (the `m % 2` / `n % 4` tails call [`dot`]
+//!   itself): the batch-vectorized body, which sixteen registers allow one
+//!   column a tile, measured 0.75x of it there.
 //!
 //! The kernels address `B` and `C` through row strides, `C` through a
 //! crate-private strided view, so they run on a band of `C`'s columns as
@@ -86,9 +92,10 @@
 //! operations never read another column's, and a panel a band leaves
 //! ragged runs the zero-padded tile, whose dead lanes are dropped. An
 //! `NT` output is its own [`dot`] whichever rows of `A` and `B` its call
-//! holds. So the pooled matmuls run the same kernel on each band, of rows
-//! or of columns, and serial == pooled holds by construction on every
-//! tier. The tile and block sizes are compile-time
+//! holds (a row in a ragged 16-row block shares its vector with zeros that
+//! are never stored). So the pooled matmuls run the same kernel on each
+//! band, of rows or of columns, and serial == pooled holds by construction
+//! on every tier. The tile and block sizes are compile-time
 //! constants picked on the repo benchmark's shapes (`BENCH_kernel.json`
 //! carries the per-shape rates against this host's multiply-add peak);
 //! nothing about them is tunable at run time.
@@ -132,10 +139,23 @@ pub(crate) const GEMM_NR: usize = 16;
 /// Reduction steps a tile takes between loading and storing its `C`
 /// accumulators.
 const GEMM_KC: usize = 256;
-/// Outputs of `C = A B^T` kept in flight: `NT_MR` rows of `A` against
-/// `NT_NR` rows of `B`, eight independent 8-lane dot accumulators.
+/// Outputs of `C = A B^T` the `ymm` `NT` kernel keeps in flight: `NT_MR`
+/// rows of `A` against `NT_NR` rows of `B`, eight independent 8-lane dot
+/// accumulators.
 const NT_MR: usize = 2;
 const NT_NR: usize = 4;
+/// Columns of `C = A B^T` a `zmm` `NT` tile holds, eight partial-sum
+/// accumulators each: 24 of the thirty-two registers, beside one vector of
+/// packed `A` and three broadcasts of `B` (two columns measured 0.8-0.9x
+/// of three).
+const NT_NJ: usize = 3;
+/// Floats of the stack buffer a `zmm` `NT` call packs `A`'s rows into (128
+/// KB, on the stack of the thread running the band: a pool worker's is
+/// the default 2 MB): RM3's whole 64 x 512 batch gradient.
+const NT_PACK: usize = 32 * 1024;
+/// Floats of `B` (256 KB, well inside L2) whose rows every packed block of
+/// `A` meets before the next rows of `B` are read.
+const NT_B_RANGE: usize = 64 * 1024;
 /// Batch rows of one `Dot` interaction forward tile, one per `ymm` lane. (An
 /// 8-row `ymm` tile measured faster than a 16-row `zmm` one.)
 const PAIR_ROWS: usize = 8;
@@ -157,8 +177,8 @@ pub const KERNEL_ENV: &str = "TCAST_KERNEL";
 pub enum KernelDispatch {
     /// Portable scalar loops — the bit-exact oracle for `Avx2`.
     Scalar,
-    /// AVX2 (AVX-512 registers for the `NN` / `TN` GEMM where present),
-    /// multiply then add: bit-identical to `Scalar`.
+    /// AVX2 (AVX-512 registers for the GEMMs where present), multiply
+    /// then add: bit-identical to `Scalar`.
     Avx2,
     /// Retired: nothing constructs it, a kernel handed it runs the `Avx2`
     /// path, and it stays only because `benchmark/src/train.rs` names it.
@@ -224,9 +244,9 @@ fn avx2_ok() -> bool {
     std::arch::is_x86_feature_detected!("avx2")
 }
 
-/// Whether the SIMD tiers' `NN` / `TN` GEMM runs on 16-lane `zmm`
-/// registers rather than 8-lane `ymm` ones. Not a tier: both widths
-/// perform the same operations on every output.
+/// Whether the SIMD tiers' GEMMs run on 16-lane `zmm` registers rather
+/// than 8-lane `ymm` ones. Not a tier: both widths perform the same
+/// operations on every output.
 #[cfg(target_arch = "x86_64")]
 #[inline(always)]
 fn zmm_ok() -> bool {
@@ -432,8 +452,8 @@ fn gemm_nt_scalar(a: &[f32], b: &[f32], mut c: StridedMut<'_>, k: usize) {
 #[cfg(target_arch = "x86_64")]
 mod x86 {
     use super::{
-        StridedMut, GEMM_KC, GEMM_MR_YMM, GEMM_MR_ZMM, GEMM_NR, GRAD_NV, NT_MR, NT_NR, PAIR_NP,
-        PAIR_ROWS, PAIR_TILE_KS,
+        StridedMut, GEMM_KC, GEMM_MR_YMM, GEMM_MR_ZMM, GEMM_NR, GRAD_NV, NT_B_RANGE, NT_MR, NT_NJ,
+        NT_NR, NT_PACK, PAIR_NP, PAIR_ROWS, PAIR_TILE_KS,
     };
     use std::arch::x86_64::*;
 
@@ -530,6 +550,17 @@ mod x86 {
         };
     }
 
+    /// `a + b`, one correctly-rounded add a lane, on 8 lanes (`ymm`) or 16
+    /// lanes (`zmm`): the scalar oracle's `a + b` on each.
+    macro_rules! add_rounded {
+        (ymm $a:expr, $b:expr) => {
+            _mm256_add_ps($a, $b)
+        };
+        (zmm $a:expr, $b:expr) => {
+            _mm512_add_ps($a, $b)
+        };
+    }
+
     /// The data movement of one register width (`ymm` | `zmm`): `zero`,
     /// `load`, `store` and `splat` (the float at a pointer, in every lane).
     /// None of it rounds.
@@ -560,13 +591,20 @@ mod x86 {
         };
     }
 
-    /// The `NN` / `TN` kernel at one register width. The two
-    /// instantiations share this body verbatim: the width `$w` (`ymm` |
-    /// `zmm`, `$lanes` floats) picks the data movement and the tile height
-    /// `$mr`, with `$tail` the row counts below it that a row tail can
-    /// have.
+    /// The `NN` / `TN` kernel at one register width, in a module `$w` that
+    /// also holds the `$extra` items given. The two instantiations share
+    /// this body verbatim: the width `$w` (`ymm` | `zmm`, `$lanes` floats)
+    /// picks the data movement and the tile height `$mr`, with `$tail` the
+    /// row counts below it that a row tail can have.
     macro_rules! gemm_width {
-        ($w:ident, $lanes:literal, $mr:expr, [$($tail:literal),*], $($feat:literal),+) => {
+        (
+            $w:ident,
+            $lanes:literal,
+            $mr:expr,
+            [$($tail:literal),*],
+            $($feat:literal),+
+            $(; $($extra:item)*)?
+        ) => {
             pub mod $w {
                 use super::*;
 
@@ -758,12 +796,200 @@ mod x86 {
                         }
                     }
                 }
+
+                $($($extra)*)?
             }
         };
     }
 
-    /// The `NT` kernel on 8-lane `ymm` registers and the `NN` / `TN` kernel
-    /// at both widths.
+    /// The `NT` kernel at one register width `$w`, in a module that
+    /// [`gemm_width`] filled at that width (it reads `LANES`): `$nj`
+    /// columns a tile, with `$tail` the column counts below it that a
+    /// column tail can have.
+    macro_rules! nt_width {
+        ($w:ident, $nj:expr, [$($tail:literal),*], $($feat:literal),+) => {
+            /// Columns of `C = A B^T` (rows of `B`) an `NT` tile
+            /// holds: eight partial sums each, `8 NJ` accumulators.
+            const NJ: usize = $nj;
+
+            /// `LANES` rows by `J` columns of `C = A B^T`, vectorized
+            /// across the rows: lane `r` of every vector is row `r` of
+            /// the block. Each output keeps [`dot`]'s eight partial
+            /// sums (reduction step `kk % 8`), started at `+0.0`, each
+            /// taking a multiply then an add for `kk` ascending; folds
+            /// them in [`hreduce`]'s order, `((P0 + P4) + (P2 + P6)) +
+            /// ((P1 + P5) + (P3 + P7))`, and adds the `k % 8` tail in
+            /// scalar order: one [`dot`] per output, bit for bit. `pa`
+            /// is the block of `A` packed `k x LANES` (step `kk` of
+            /// row `r` at `kk * LANES + r`), `b` the tile's first row
+            /// of `B`, read in place. Rows `r < rows` of the block are
+            /// stored, to `c + r * ldc + j`.
+            ///
+            /// # Safety
+            ///
+            /// `0 < J <= NJ` and `rows <= LANES`; `pa` must hold `k *
+            /// LANES` and `b` `J * k` floats. The `J` floats from `c +
+            /// r * ldc` must be valid for writes, and written through
+            /// nothing else, for every `r < rows`. The elements are
+            /// addressed without bounds checks; the `pa` and `b` spans
+            /// are `debug_assert!`ed.
+            #[target_feature($(enable = $feat),+)]
+            #[inline]
+            unsafe fn tile_nt<const J: usize>(
+                pa: &[f32],
+                b: &[f32],
+                k: usize,
+                c: *mut f32,
+                ldc: usize,
+                rows: usize,
+            ) {
+                debug_assert!(0 < J && J <= NJ && rows <= LANES);
+                debug_assert!(pa.len() >= k * LANES && b.len() >= J * k);
+                let pa = pa.as_ptr();
+                let b_rows: [*const f32; J] =
+                    std::array::from_fn(|j| b.as_ptr().wrapping_add(j * k));
+                let mut acc = [[vop!($w zero); 8]; J];
+                let full = k - k % 8;
+                for k0 in (0..full).step_by(8) {
+                    for l in 0..8 {
+                        // SAFETY: `k0 + l < k` is inside the packed
+                        // block and inside every `B` row (caller
+                        // contract).
+                        unsafe {
+                            let av = vop!($w load pa.add((k0 + l) * LANES));
+                            for j in 0..J {
+                                let bv = vop!($w splat b_rows[j].add(k0 + l));
+                                acc[j][l] = madd_rounded!($w acc[j][l], av, bv);
+                            }
+                        }
+                    }
+                }
+                let mut out = [[0.0f32; LANES]; J];
+                for (j, p) in acc.iter().enumerate() {
+                    let lo = add_rounded!($w add_rounded!($w p[0], p[4]), add_rounded!($w p[2], p[6]));
+                    let hi = add_rounded!($w add_rounded!($w p[1], p[5]), add_rounded!($w p[3], p[7]));
+                    let mut sum = add_rounded!($w lo, hi);
+                    for kk in full..k {
+                        // SAFETY: as above, `kk < k`.
+                        unsafe {
+                            let av = vop!($w load pa.add(kk * LANES));
+                            sum = madd_rounded!($w sum, av, vop!($w splat b_rows[j].add(kk)));
+                        }
+                    }
+                    // SAFETY: `out[j]` holds LANES floats.
+                    unsafe { vop!($w store out[j].as_mut_ptr(), sum) };
+                }
+                for r in 0..rows {
+                    for (j, col) in out.iter().enumerate() {
+                        // SAFETY: `c + r * ldc + j` is writable
+                        // (caller contract).
+                        unsafe { *c.add(r * ldc + j) = col[r] };
+                    }
+                }
+            }
+
+            /// `C = A B^T` for row-major `a` (`m x k`) and `b` (`n x
+            /// k`), `C` being `c.rows() x c.cols()` = `m x n`; every
+            /// output is overwritten. `A`'s rows are packed once, in
+            /// blocks of `LANES`, into a stack buffer of `NT_PACK`
+            /// floats (as many blocks at a time as it holds); `B` is
+            /// read in place, in ranges of `NT_B_RANGE` floats, and
+            /// each packed block (`k x LANES`, L1-resident) meets every
+            /// tile of a range (L2-resident) before the next block.
+            /// Where one block of `k` steps outgrows the buffer, each
+            /// output is one [`dot`] call.
+            #[target_feature($(enable = $feat),+)]
+            pub fn gemm_nt(a: &[f32], b: &[f32], mut c: StridedMut<'_>, k: usize) {
+                let (m, n) = (c.rows(), c.cols());
+                assert!(a.len() >= m * k && b.len() >= n * k);
+                if m == 0 || n == 0 {
+                    return;
+                }
+                let chunk = NT_PACK / (k.max(1) * LANES) * LANES;
+                if k == 0 || chunk == 0 {
+                    for i in 0..m {
+                        let a_row = &a[i * k..][..k];
+                        for (j, out) in c.row(i).iter_mut().enumerate() {
+                            *out = dot(a_row, &b[j * k..][..k]);
+                        }
+                    }
+                    return;
+                }
+                let mut pack = [const { std::mem::MaybeUninit::<f32>::uninit() }; NT_PACK];
+                for r0 in (0..m).step_by(chunk) {
+                    let rows = chunk.min(m - r0);
+                    let blocks = rows.div_ceil(LANES);
+                    // Block `q`'s step `kk` of row `r` at `(q * k +
+                    // kk) * LANES + r`; lanes past `rows` hold `0.0`
+                    // and are never stored. A copy: it moves bits,
+                    // rounds nothing.
+                    let packs = pack.chunks_exact_mut(k * LANES);
+                    for (q, block) in packs.take(blocks).enumerate() {
+                        let live = LANES.min(rows - q * LANES);
+                        let src = &a[(r0 + q * LANES) * k..][..live * k];
+                        // Whole 8 x 8 squares in registers, the rest
+                        // (the `k % 8` tail, a ragged last block) one
+                        // float at a time.
+                        let (whole_rows, whole_k) = (live - live % 8, k - k % 8);
+                        for l0 in (0..whole_rows).step_by(8) {
+                            for k0 in (0..whole_k).step_by(8) {
+                                let to = &mut block[k0 * LANES + l0..][..7 * LANES + 8];
+                                // SAFETY: `to` holds the 8 floats
+                                // from every `c * LANES`, `c < 8`.
+                                unsafe {
+                                    transpose8(&src[l0 * k + k0..], k, to.as_mut_ptr().cast(), LANES)
+                                };
+                            }
+                        }
+                        for (kk, step) in block.chunks_exact_mut(LANES).enumerate() {
+                            let from = if kk < whole_k { whole_rows } else { 0 };
+                            for (lane, v) in step.iter_mut().enumerate().skip(from) {
+                                v.write(if lane < live { src[lane * k + kk] } else { 0.0 });
+                            }
+                        }
+                    }
+                    // SAFETY: the loop above wrote every one of the
+                    // `blocks * k * LANES` floats this views.
+                    let packed: &[f32] = unsafe {
+                        std::slice::from_raw_parts(pack.as_ptr().cast(), blocks * k * LANES)
+                    };
+                    let range = (NT_B_RANGE / k / NJ).max(1) * NJ;
+                    for j1 in (0..n).step_by(range) {
+                        for (q, pa) in packed.chunks_exact(k * LANES).enumerate() {
+                            let live = LANES.min(rows - q * LANES);
+                            for j0 in (j1..n.min(j1 + range)).step_by(NJ) {
+                                let cols = NJ.min(n - j0);
+                                let bt = &b[j0 * k..][..cols * k];
+                                let ct = c.at(r0 + q * LANES, j0);
+                                // SAFETY: `cols <= NJ`, `live <= LANES`;
+                                // `pa` is one packed block of `k` steps,
+                                // `bt` rows `j0..j0 + cols` (<= n) of
+                                // `b`; the outputs are rows `r0 + q *
+                                // LANES..` (`live` of them, <= m) and
+                                // columns `j0..j0 + cols` of the view
+                                // `c`, which nothing else writes while
+                                // it is borrowed here.
+                                unsafe {
+                                    match cols {
+                                        $($tail => tile_nt::<$tail>(
+                                            pa, bt, k, ct, c.ld(), live,
+                                        ),)*
+                                        _ => tile_nt::<NJ>(pa, bt, k, ct, c.ld(), live),
+                                    }
+                                }
+                            }
+                        }
+                    }
+                }
+            }
+        };
+    }
+
+    /// The `NT` kernel on 8-lane `ymm` registers (the batch-vectorized one
+    /// of [`nt_width`], whose eight partial sums a column leave sixteen
+    /// registers room for a one-column tile that loads a vector and a
+    /// broadcast for every multiply-add, ran at 0.75x of it), and the `NN`
+    /// / `TN` kernel and the batch-vectorized `NT` one at 16 lanes.
     pub mod avx2 {
         use super::*;
 
@@ -863,7 +1089,8 @@ mod x86 {
             GEMM_MR_ZMM,
             [1, 2, 3, 4, 5, 6, 7],
             "avx2",
-            "avx512f"
+            "avx512f";
+            nt_width!(zmm, NT_NJ, [1, 2], "avx2", "avx512f");
         );
     }
 
@@ -936,12 +1163,17 @@ mod x86 {
     }
 
     /// Copies the 8 x 8 block of `src` whose row `r` is `src[r * lds..][..8]`
-    /// into `dst[..64]` transposed: column `c` of the block becomes the
-    /// 8 floats from `dst[c * 8]`. Shuffles only: bits move, none change.
+    /// to `dst` transposed: column `c` of the block becomes the 8 floats
+    /// from `dst + c * ldd`. Shuffles only: bits move, none change.
+    ///
+    /// # Safety
+    ///
+    /// The 8 floats from `dst + c * ldd` must be valid for writes, and
+    /// written through nothing else, for every `c < 8`.
     #[target_feature(enable = "avx2")]
     #[inline]
-    fn transpose8(src: &[f32], lds: usize, dst: &mut [f32]) {
-        assert!(src.len() >= 7 * lds + 8 && dst.len() >= 64);
+    unsafe fn transpose8(src: &[f32], lds: usize, dst: *mut f32, ldd: usize) {
+        assert!(src.len() >= 7 * lds + 8);
         // SAFETY: rows `r < 8` of 8 floats from `r * lds` are inside `src`
         // (asserted above).
         let r: [__m256; 8] =
@@ -970,10 +1202,11 @@ mod x86 {
         for c in 0..4 {
             let lo = _mm256_permute2f128_ps::<0x20>(q[c], q[c + 4]);
             let hi = _mm256_permute2f128_ps::<0x31>(q[c], q[c + 4]);
-            // SAFETY: `dst` holds 64 floats (asserted above).
+            // SAFETY: the 8 floats from `dst + c * ldd` and `dst + (c + 4) *
+            // ldd` are writable (caller contract).
             unsafe {
-                _mm256_storeu_ps(dst.as_mut_ptr().add(c * 8), lo);
-                _mm256_storeu_ps(dst.as_mut_ptr().add((c + 4) * 8), hi);
+                _mm256_storeu_ps(dst.add(c * ldd), lo);
+                _mm256_storeu_ps(dst.add((c + 4) * ldd), hi);
             }
         }
     }
@@ -1010,7 +1243,10 @@ mod x86 {
                     let x = &input(f)[b0 * dim + k0..];
                     let dst = &mut tile[f * kc * PAIR_ROWS..][..kc * PAIR_ROWS];
                     for c in (0..whole).step_by(8) {
-                        transpose8(&x[c..], dim, &mut dst[c * PAIR_ROWS..]);
+                        let to = &mut dst[c * PAIR_ROWS..][..8 * PAIR_ROWS];
+                        // SAFETY: `to` holds the 8 rows of PAIR_ROWS = 8
+                        // floats written.
+                        unsafe { transpose8(&x[c..], dim, to.as_mut_ptr(), PAIR_ROWS) };
                     }
                     for r in 0..PAIR_ROWS {
                         for kk in whole..kc {
@@ -1290,12 +1526,53 @@ pub(crate) fn gemm_nt_strided(
     debug_assert_eq!(b.len(), c.cols() * k);
     #[cfg(target_arch = "x86_64")]
     if d != KernelDispatch::Scalar && avx2_ok() {
-        // SAFETY: AVX2 support verified on the line above.
-        unsafe { x86::avx2::gemm_nt(a, b, c, k) };
+        let lanes = if zmm_ok() { 16 } else { 8 };
+        gemm_nt_lanes(lanes, a, b, c, k);
         return;
     }
     let _ = d;
     gemm_nt_scalar(a, b, c, k);
+}
+
+/// The `avx2` tier's `NT` kernel at one register width, `lanes` 8 (`ymm`)
+/// or 16 (`zmm`), into the `m x n` view `c`; `false`, writing nothing,
+/// where the host lacks AVX2 or that width.
+fn gemm_nt_lanes(lanes: usize, a: &[f32], b: &[f32], c: StridedMut<'_>, k: usize) -> bool {
+    #[cfg(target_arch = "x86_64")]
+    if avx2_ok() {
+        match lanes {
+            // SAFETY: AVX2 support verified above.
+            8 => unsafe { x86::avx2::gemm_nt(a, b, c, k) },
+            // SAFETY: AVX2 verified above, AVX-512F by the guard.
+            16 if zmm_ok() => unsafe { x86::avx2::zmm::gemm_nt(a, b, c, k) },
+            _ => return false,
+        }
+        return true;
+    }
+    let _ = (lanes, a, b, c, k);
+    false
+}
+
+/// [`gemm_nt`] on the `avx2` tier at one register width, `lanes` 8
+/// (`ymm`) or 16 (`zmm`), for tests and benches that compare the widths
+/// on one host (the dispatcher runs the widest the host has). Returns
+/// `false`, writing nothing, where the host lacks AVX2 or that width.
+///
+/// # Panics
+///
+/// Panics if `lanes` is neither 8 nor 16.
+pub fn gemm_nt_width(
+    lanes: usize,
+    a: &[f32],
+    b: &[f32],
+    c: &mut [f32],
+    m: usize,
+    k: usize,
+    n: usize,
+) -> bool {
+    assert!(lanes == 8 || lanes == 16, "no {lanes}-lane NT kernel");
+    assert!(a.len() >= m * k && b.len() >= n * k);
+    gemm_nt_lanes(lanes, a, b, StridedMut::new(c, m, n), k)
 }
 
 /// The `Dot` interaction forward's pair dot products, vectorized across
@@ -1575,6 +1852,33 @@ mod tests {
                         let a = adversarial(k * lda, one_in, nan, seed);
                         let b = adversarial(k * n, one_in, nan, seed ^ 0xb);
                         check_widths(&a[lo..], 1, lda, &b, m, k, n);
+                    }
+                }
+            }
+        }
+    }
+
+    /// The `NT` kernel's two edges the integration suite's shapes
+    /// (`tests/simd_equivalence.rs`, both widths) do not reach: no
+    /// reduction at all, and a `k` whose 16-row block outgrows the pack,
+    /// where each output is one `dot` call. Bit for bit the scalar oracle,
+    /// into a NaN-filled `C`.
+    #[cfg(target_arch = "x86_64")]
+    #[test]
+    fn gemm_nt_widths_match_scalar_without_a_reduction_and_past_the_pack() {
+        let mut seed = 0x47;
+        for k in [0, NT_PACK / 16 + 1] {
+            for (m, n) in [(1, 1), (17, 4)] {
+                seed += 1;
+                let a = adversarial(m * k, k as u64 + 4, true, seed);
+                let b = adversarial(n * k, k as u64 + 4, true, seed ^ 0xb);
+                let mut want = vec![0.0f32; m * n];
+                gemm_nt_scalar(&a, &b, StridedMut::new(&mut want, m, n), k);
+                for lanes in [8, 16] {
+                    let mut got = vec![f32::NAN; m * n];
+                    if gemm_nt_width(lanes, &a, &b, &mut got, m, k, n) {
+                        let bad = mismatch(&want, &got);
+                        assert!(bad.is_none(), "{lanes}-lane NT m={m} k={k} n={n}: {bad:?}");
                     }
                 }
             }

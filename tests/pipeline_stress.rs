@@ -43,7 +43,7 @@ fn parallel_matmul_stress() {
         let (mut y, mut dx) = (Matrix::default(), Matrix::default());
         layer.forward_into(&x, &mut y, None, Exec::Serial).unwrap();
         layer
-            .backward_into(&x, &dy, Some(&mut dx), Exec::Serial)
+            .backward_into(&x, &dy, Some(&mut dx), None, Exec::Serial)
             .unwrap();
         let dw = layer.grad_weight().unwrap().clone();
         for threads in [2, 3, 8] {
@@ -54,7 +54,7 @@ fn parallel_matmul_stress() {
             let (mut y_pooled, mut dx_pooled) = (Matrix::default(), Matrix::default());
             layer.forward_into(&x, &mut y_pooled, None, exec).unwrap();
             layer
-                .backward_into(&x, &dy, Some(&mut dx_pooled), exec)
+                .backward_into(&x, &dy, Some(&mut dx_pooled), None, exec)
                 .unwrap();
             let context = format!("{m}x{k}x{n} / {threads}");
             assert_eq!(y.as_slice(), y_pooled.as_slice(), "{context}");

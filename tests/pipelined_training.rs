@@ -16,8 +16,8 @@ use tensor_casting::datasets::{
     BatchSource, CtrBatch, PrefetchSource, SyntheticCtr, SyntheticSource, TraceReplaySource,
 };
 use tensor_casting::dlrm::{
-    BackwardMode, DlrmConfig, EmbeddingOptimizer, Execution, StepReport, TableConfig, TrainLoop,
-    Trainer, CAST_AHEAD_FAULT_SITE, DENSE_GEMM_FAULT_SITE, GATHER_AHEAD_FAULT_SITE,
+    BackwardMode, DlrmConfig, DriverError, EmbeddingOptimizer, Execution, StepReport, TableConfig,
+    TrainLoop, Trainer, CAST_AHEAD_FAULT_SITE, DENSE_GEMM_FAULT_SITE, GATHER_AHEAD_FAULT_SITE,
 };
 use tensor_casting::embedding::{EmbeddingError, IndexArray};
 use tensor_casting::tensor::Matrix;
@@ -180,18 +180,63 @@ fn prefetched_losses(
     (summary.losses, driver.into_trainer())
 }
 
-fn trace_source(data_seed: u64, steps: usize, batch: usize) -> TraceReplaySource {
+/// Every table's recorded lookups over `steps` batches of `DlrmConfig::tiny`.
+fn trace_tables(data_seed: u64, steps: usize, batch: usize) -> Vec<Vec<IndexArray>> {
     let cfg = DlrmConfig::tiny();
-    let per_table: Vec<Vec<tensor_casting::embedding::IndexArray>> = cfg
-        .table_workloads()
+    cfg.table_workloads()
         .iter()
         .enumerate()
         .map(|(i, w)| {
             let mut g = w.generator(data_seed + i as u64);
             (0..steps).map(|_| g.next_batch(batch)).collect()
         })
-        .collect();
-    TraceReplaySource::new(per_table, cfg.dense_features, data_seed).unwrap()
+        .collect()
+}
+
+fn trace_source(data_seed: u64, steps: usize, batch: usize) -> TraceReplaySource {
+    let per_table = trace_tables(data_seed, steps, batch);
+    TraceReplaySource::new(per_table, DlrmConfig::tiny().dense_features, data_seed).unwrap()
+}
+
+/// A replayed trace comes from outside the program, and nothing checks its
+/// rows against the tables before training. One that names a row past its
+/// table must reach the gather as a typed error: through a `TrainLoop` at
+/// depth 1, whose steps gather their successor's rows ahead, in both
+/// modes, the run stops with `SrcOutOfBounds` at the step whose batch holds
+/// the row (the step before it gathered that batch ahead), without a
+/// panic and without counting it, and the steps before it left the
+/// tables the clean trace leaves.
+#[test]
+fn a_replayed_row_past_its_table_is_a_typed_error() {
+    let (steps, batch, bad_step) = (4, 16, 2);
+    let rows = DlrmConfig::tiny().tables[1].rows;
+    for mode in [BackwardMode::Baseline, BackwardMode::Casted] {
+        let mk = || Trainer::new(DlrmConfig::tiny(), mode, 33).unwrap();
+        let mut clean = TrainLoop::new(mk(), 1);
+        clean
+            .run(&mut trace_source(91, steps, batch), bad_step)
+            .unwrap();
+
+        let mut per_table = trace_tables(91, steps, batch);
+        let hostile = &mut per_table[1][bad_step];
+        let mut src = hostile.src().to_vec();
+        let at = src.len() / 2;
+        src[at] = rows as u32;
+        *hostile =
+            IndexArray::from_pairs(src, hostile.dst().to_vec(), hostile.num_outputs()).unwrap();
+        let dense = DlrmConfig::tiny().dense_features;
+        let mut source = TraceReplaySource::new(per_table, dense, 91).unwrap();
+        let mut driver = TrainLoop::new(mk(), 1);
+        match driver.run(&mut source, steps) {
+            Err(DriverError::Train(EmbeddingError::SrcOutOfBounds { src, rows: r })) => {
+                assert_eq!((src as usize, r), (rows, rows), "{mode:?}");
+            }
+            Err(other) => panic!("{mode:?}: expected SrcOutOfBounds, got {other}"),
+            Ok(summary) => panic!("{mode:?}: trained {} steps", summary.steps),
+        }
+        assert_eq!(driver.trainer().steps(), bad_step as u64, "{mode:?}");
+        assert_tables_identical(clean.trainer(), driver.trainer(), &format!("{mode:?}"));
+    }
 }
 
 proptest! {

@@ -432,6 +432,56 @@ fn a_row_past_its_table_is_refused_on_the_miss_and_on_the_hit() {
 /// it bit for bit alike, and a served query with the same bag scores as
 /// `Dlrm::predict` does (one lookup in every other bag, so the casted
 /// and the index pooling order coincide).
+/// `ServeEngine::score` pools every bag in ascending-row order (the cast
+/// sorts a batch's lookups by row), `Dlrm::predict` in lookup order, so
+/// on bags of more than one lookup the two differ in the last bit. The
+/// exact relation: a served score is bit for bit `predict` on the same
+/// query with each bag's lookups sorted by row (a stable sort, so equal
+/// rows keep their order), on the cast path and on the cached cast.
+#[test]
+fn served_scores_are_predict_over_row_sorted_bags() {
+    let cfg = DlrmConfig::tiny(); // pooling 3 and 2
+    let mut trainer = Trainer::new(cfg.clone(), BackwardMode::Casted, 9).unwrap();
+    let mut gen = SyntheticCtr::new(cfg.table_workloads(), cfg.dense_features, 67);
+    for _ in 0..3 {
+        trainer.step(&gen.next_batch(32)).unwrap();
+    }
+    let batch = gen.next_batch(32);
+    let sorted: Vec<IndexArray> = batch
+        .indices
+        .iter()
+        .map(|index| {
+            let mut pairs: Vec<(u32, u32)> = index.iter().collect();
+            pairs.sort_by_key(|&(src, dst)| (dst, src));
+            let (src, dst) = pairs.into_iter().unzip();
+            IndexArray::from_pairs(src, dst, index.num_outputs()).unwrap()
+        })
+        .collect();
+    assert!(
+        sorted
+            .iter()
+            .zip(batch.indices.iter())
+            .any(|(s, i)| s.src() != i.src()),
+        "some bag must hold its lookups out of row order"
+    );
+    let model = trainer.model();
+    let want = model.predict(&batch.dense, &sorted).unwrap();
+    let query = Arc::new(Query {
+        id: 1,
+        dense: batch.dense.clone(),
+        indices: Arc::clone(&batch.indices),
+    });
+    let mut engine = ServeEngine::new(model, 64, Execution::Serial);
+    for pass in ["cast", "cached cast"] {
+        let scored = engine.score(model, std::iter::once(&query)).unwrap();
+        assert_eq!(bits(scored.scores(0)), bits(want.as_slice()), "{pass}");
+    }
+    assert!(
+        engine.cache_hit_rate() > 0.0,
+        "the second pass missed the cache"
+    );
+}
+
 #[test]
 fn an_empty_bag_pools_to_a_zero_row_in_training_and_serving() {
     let mut cfg = DlrmConfig::tiny();

@@ -183,11 +183,12 @@ fn check_gemm_tiers_with(
     Ok(())
 }
 
-/// The shapes that straddle every tail of the register-tiled kernels: row
-/// tails of the 4-row `NN`/`TN` tile and the 2-row `NT` tile, column tails
-/// of the 16-wide panel and the 4-wide `NT` tile (down to the `out_dim =
-/// 1` logit layer), the 8-lane dot chunk, and the 256-step K block — plus
-/// the repo benchmark's own layer shapes.
+/// The shapes that straddle every tail of the register-tiled kernels at
+/// the host's width: row tails of the `NN`/`TN` tile and of the `NT` tile
+/// (2 rows on `ymm`, a 16-row block on `zmm`), column tails of the 16-wide
+/// panel and of the `NT` tile (4 columns, or 3) down to the `out_dim = 1`
+/// logit layer, the 8-lane dot chunk, and the 256-step K block — plus the
+/// repo benchmark's own layer shapes.
 #[test]
 fn gemm_tiers_match_scalar_on_tile_boundaries() {
     let ms = [1, 2, 3, 4, 5, 6, 7, 8, 9, 63, 64, 65];
@@ -204,6 +205,46 @@ fn gemm_tiers_match_scalar_on_tile_boundaries() {
     }
     for (m, k, n) in [(64, 2560, 512), (64, 13, 2560), (16, 119, 256), (10, 64, 1)] {
         check_gemm_tiers(m, k, n, seed + m as u64).unwrap();
+    }
+}
+
+/// `a * b^T` (`NT`, the input gradient) on the `avx2` tier at each
+/// register width the host has, 8 and 16 lanes, into a stale output: bit
+/// for bit the scalar oracle's one `dot` per output.
+fn check_nt_widths(m: usize, k: usize, n: usize, seed: u64) -> Result<(), String> {
+    let mut rng = SplitMix64::new(seed);
+    let a = reduction_matrix(m, k, k, &mut rng);
+    let b = reduction_matrix(n, k, k, &mut rng);
+    let mut want = Matrix::zeros(m, n);
+    a.matmul_bt_into_with(&b, &mut want, KernelDispatch::Scalar)
+        .unwrap();
+    for lanes in [8, 16] {
+        let mut got = vec![f32::NAN; m * n];
+        if !simd::gemm_nt_width(lanes, a.as_slice(), b.as_slice(), &mut got, m, k, n) {
+            continue;
+        }
+        if let Some(bad) = first_bit_mismatch(want.as_slice(), &got) {
+            return Err(format!(
+                "{lanes}-lane NT vs scalar diverged at {bad:?} (m={m} k={k} n={n})"
+            ));
+        }
+    }
+    Ok(())
+}
+
+/// `NT` at both widths on batches around the `zmm` kernel's 16-row block,
+/// reductions on both sides of the 8-step chunk and of RM3's 512, and
+/// column counts around the 3-column tile.
+#[test]
+fn nt_widths_match_scalar_on_block_edges() {
+    let mut seed = 0x47;
+    for m in [1, 15, 16, 17, 33, 64] {
+        for k in (1..=9).chain(15..=17).chain([512, 513]) {
+            for n in [1, 2, 3, 4, 7, 40] {
+                seed += 1;
+                check_nt_widths(m, k, n, seed).unwrap();
+            }
+        }
     }
 }
 
@@ -260,7 +301,7 @@ fn pooled_gemm_matches_serial_on_uneven_bands() {
                 .forward_into(&x, &mut y_serial, None, Exec::Serial)
                 .unwrap();
             layer
-                .backward_into(&x, &dy, Some(&mut dx_serial), Exec::Serial)
+                .backward_into(&x, &dy, Some(&mut dx_serial), None, Exec::Serial)
                 .unwrap();
             let dw_serial = layer.grad_weight().unwrap().clone();
             for threads in [2, 3, 8] {
@@ -270,7 +311,9 @@ fn pooled_gemm_matches_serial_on_uneven_bands() {
                 };
                 let (mut y, mut dx) = (Matrix::default(), Matrix::default());
                 layer.forward_into(&x, &mut y, None, exec).unwrap();
-                layer.backward_into(&x, &dy, Some(&mut dx), exec).unwrap();
+                layer
+                    .backward_into(&x, &dy, Some(&mut dx), None, exec)
+                    .unwrap();
                 let dw = layer.grad_weight().unwrap();
                 for (kind, serial, split) in [
                     ("NN", &y_serial, &y),
@@ -301,6 +344,18 @@ proptest! {
         seed in any::<u64>(),
     ) {
         let checked = check_gemm_tiers(m, k, n, seed);
+        prop_assert!(checked.is_ok(), "{}", checked.unwrap_err());
+    }
+
+    /// `NT` at both widths across ragged shapes.
+    #[test]
+    fn nt_widths_match_scalar(
+        m in 1usize..70,
+        k in 1usize..70,
+        n in 1usize..20,
+        seed in any::<u64>(),
+    ) {
+        let checked = check_nt_widths(m, k, n, seed);
         prop_assert!(checked.is_ok(), "{}", checked.unwrap_err());
     }
 

@@ -372,17 +372,20 @@ fn steady_state_hot_path_performs_zero_allocations() {
     let mut dlogits = Matrix::default();
     let mut dx = Matrix::default();
 
+    // Step `i` updates inside the backward when odd, after it when even.
     let mut mlp_step = |mlp: &mut Mlp,
                         x: &Matrix,
                         exec: Exec<'_>,
                         logits: &mut Matrix,
                         dlogits: &mut Matrix,
-                        dx: &mut Matrix| {
+                        dx: &mut Matrix,
+                        i: usize| {
         mlp.forward_into(x, &mut scratch, logits, exec).unwrap();
         let loss = bce_with_logits(logits, &labels).unwrap();
         assert!(loss.is_finite());
         bce_with_logits_backward_into(logits, &labels, dlogits).unwrap();
-        mlp.backward_into(x, &mut scratch, dlogits, Some(dx), exec)
+        let in_band = (i % 2 == 1).then_some(0.05);
+        mlp.backward_into(x, &mut scratch, dlogits, Some(dx), in_band, exec)
             .unwrap();
         mlp.apply_update(0.05);
     };
@@ -394,12 +397,12 @@ fn steady_state_hot_path_performs_zero_allocations() {
     let lane = Pool::new(1);
     let lane_exec = Exec::pooled(&lane);
     for exec in [Exec::Serial, lane_exec] {
-        mlp_step(&mut mlp, &x, exec, &mut logits, &mut dlogits, &mut dx);
-        mlp_step(&mut mlp, &x, exec, &mut logits, &mut dlogits, &mut dx);
+        mlp_step(&mut mlp, &x, exec, &mut logits, &mut dlogits, &mut dx, 0);
+        mlp_step(&mut mlp, &x, exec, &mut logits, &mut dlogits, &mut dx, 1);
 
         let before = allocations();
-        for _ in 0..10 {
-            mlp_step(&mut mlp, &x, exec, &mut logits, &mut dlogits, &mut dx);
+        for i in 0..10 {
+            mlp_step(&mut mlp, &x, exec, &mut logits, &mut dlogits, &mut dx, i);
         }
         assert_eq!(
             allocations() - before,
@@ -414,7 +417,14 @@ fn steady_state_hot_path_performs_zero_allocations() {
     let before = allocations();
     let mut never_filled = MlpInferenceScratch::default();
     assert!(mlp
-        .backward_into(&x, &mut never_filled, &dlogits, Some(&mut dx), Exec::Serial)
+        .backward_into(
+            &x,
+            &mut never_filled,
+            &dlogits,
+            Some(&mut dx),
+            None,
+            Exec::Serial
+        )
         .is_err());
     assert!(mlp
         .backward_into(
@@ -422,6 +432,7 @@ fn steady_state_hot_path_performs_zero_allocations() {
             &mut never_filled,
             &Matrix::default(),
             Some(&mut dx),
+            Some(0.05),
             Exec::Serial
         )
         .is_err());
@@ -432,6 +443,7 @@ fn steady_state_hot_path_performs_zero_allocations() {
         &mut logits,
         &mut dlogits,
         &mut dx,
+        0,
     );
     assert_eq!(
         allocations() - before,
@@ -445,11 +457,12 @@ fn steady_state_hot_path_performs_zero_allocations() {
     // The layer's weight outgrows the batch both ways (256 > 64), so both
     // scopes cut the weight: two forward bands of its columns, and two
     // backward bands of its rows, each running its `dX` columns and then
-    // its `dW` rows as one task. Everything else is recycled as before.
+    // its `dW` rows (and, on odd steps, the update of those rows) as one
+    // task. Everything else is recycled as before.
     let mut wide = Mlp::new(256, &[256, 1], 3).unwrap();
     assert!(wide.splits_at(batch));
     let wide_x = random_matrix(batch, 256, 4);
-    for _ in 0..2 {
+    for i in 0..2 {
         mlp_step(
             &mut wide,
             &wide_x,
@@ -457,10 +470,11 @@ fn steady_state_hot_path_performs_zero_allocations() {
             &mut logits,
             &mut dlogits,
             &mut dx,
+            i,
         );
     }
     let before = allocations();
-    for _ in 0..4 {
+    for i in 0..4 {
         mlp_step(
             &mut wide,
             &wide_x,
@@ -468,6 +482,7 @@ fn steady_state_hot_path_performs_zero_allocations() {
             &mut logits,
             &mut dlogits,
             &mut dx,
+            i,
         );
     }
     let split_allocs = allocations() - before;
