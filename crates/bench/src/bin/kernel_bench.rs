@@ -797,7 +797,7 @@ fn main() {
         let rows = tier_ns(&mut |d| {
             simd::force(Some(d));
             let ns = time_ns(args.iters, || {
-                casted_gather_reduce_into(&grads, &casted, &mut scratch, Exec::Serial).unwrap();
+                casted_gather_reduce_into(&grads, &casted, &mut scratch).unwrap();
             });
             simd::force(None);
             ns
@@ -823,7 +823,7 @@ fn main() {
     for dim in [16usize, 32, 64, 37] {
         let grads = random_matrix(batch, dim, 13);
         let mut coalesced = CoalescedGradients::default();
-        casted_gather_reduce_into(&grads, &casted, &mut coalesced, Exec::Serial).unwrap();
+        casted_gather_reduce_into(&grads, &casted, &mut coalesced).unwrap();
         let unique = coalesced.len();
         let shape = format!("u{unique} d{dim}");
         let bytes = (unique * dim * 20) as f64;
@@ -982,7 +982,7 @@ fn main() {
             Matrix::zeros(cold_table_rows, cold_dim),
         )
         .unwrap();
-        scatter_apply_coalesced(&mut cold_table, &mut adagrad, &all, Exec::Serial).unwrap();
+        scatter_apply_coalesced(&mut cold_table, &mut adagrad, &all).unwrap();
     }
     let mut sgd = RowOptimizer::new(UpdateRule::Sgd { lr: 0.01 });
     let mut blocks = BlockScratch::default();
@@ -1029,10 +1029,10 @@ fn main() {
         gather_reduce_into(table, &b.index, &mut out, Exec::Serial).unwrap();
     });
     cold_kernel("scatter_sgd", 2.0 * row_bytes, &mut |table, b| {
-        scatter_apply_coalesced(table, &mut sgd, &b.coalesced, Exec::Serial).unwrap();
+        scatter_apply_coalesced(table, &mut sgd, &b.coalesced).unwrap();
     });
     cold_kernel("scatter_adagrad", 4.0 * row_bytes, &mut |table, b| {
-        scatter_apply_coalesced(table, &mut adagrad, &b.coalesced, Exec::Serial).unwrap();
+        scatter_apply_coalesced(table, &mut adagrad, &b.coalesced).unwrap();
     });
     // Gather-reduce out of the (cache-resident) upstream gradients and
     // SGD scatter, a block of coalesced rows at a time.
@@ -1041,8 +1041,7 @@ fn main() {
         2.0 * row_bytes,
         &mut |table, b| {
             let (opt, blocks) = (&mut sgd, &mut blocks);
-            blocked_casted_backward(table, opt, &upstream, &b.casted, blocks, Exec::Serial)
-                .unwrap();
+            blocked_casted_backward(table, opt, &upstream, &b.casted, blocks).unwrap();
         },
     );
 

@@ -17,7 +17,6 @@ use tcast_embedding::{
     optim::RowOptimizer, scatter_apply_casted, BlockScratch, CastedBackwardTimings, EmbeddingError,
     EmbeddingTable,
 };
-use tcast_pool::Exec;
 use tcast_tensor::Matrix;
 
 /// Coalesced-gradient bytes one block holds. The block is written by the
@@ -33,9 +32,9 @@ const BLOCK_BYTES: usize = 256 * 1024;
 /// optimizer update to those embedding-table rows.
 ///
 /// `casted` is the table's casted index array as the trainer casts it
-/// ahead of the backward. Serially or on a pool, the table and the optimizer state
-/// end **bit-identical** to [`crate::casted_gather_reduce_into`] followed
-/// by `tcast_embedding::scatter_apply_coalesced` — the same two loops run,
+/// ahead of the backward. The table and the optimizer state end
+/// **bit-identical** to [`crate::casted_gather_reduce_into`] followed by
+/// `tcast_embedding::scatter_apply_coalesced` — the same two loops run,
 /// only the coalesced gradient between them is a block, not the whole
 /// array.
 ///
@@ -55,7 +54,6 @@ pub fn blocked_casted_backward(
     upstream: &Matrix,
     casted: &CastedIndexArray,
     scratch: &mut BlockScratch,
-    exec: Exec<'_>,
 ) -> Result<CastedBackwardTimings, EmbeddingError> {
     if casted.num_gradient_rows() != upstream.rows() {
         return Err(EmbeddingError::LengthMismatch {
@@ -65,9 +63,7 @@ pub fn blocked_casted_backward(
     }
     let row_bytes = std::mem::size_of::<f32>() * table.dim();
     let block_rows = (BLOCK_BYTES / row_bytes.max(1)).max(1);
-    scatter_apply_casted(
-        table, optimizer, upstream, casted, block_rows, scratch, exec,
-    )
+    scatter_apply_casted(table, optimizer, upstream, casted, block_rows, scratch)
 }
 
 #[cfg(test)]
@@ -106,7 +102,6 @@ mod tests {
             grads,
             casted,
             &mut BlockScratch::default(),
-            Exec::Serial,
         )
     }
 
@@ -222,12 +217,11 @@ mod tests {
     /// The blocked loop interleaves accumulating and writing, so a fault
     /// found half-way would leave a half-updated table: every fault must
     /// be found before the first write. Each bad input sits at the *end*
-    /// of the array, in the last band, behind rows that would already have
+    /// of the array, in the last block, behind rows that would already have
     /// been applied; the table and the (stateful) optimizer must come back
-    /// bit for bit, on every `Exec`.
+    /// bit for bit.
     #[test]
     fn a_rejected_backward_leaves_table_and_optimizer_state_untouched() {
-        let pool = tcast_pool::Pool::new(3);
         let (table, index, grads) = workload(4);
         let good = tensor_casting(&index);
         // A unique row past the table.
@@ -281,31 +275,21 @@ mod tests {
             }),
         ];
 
-        for exec in [Exec::Serial, Exec::pooled(&pool)] {
-            let mut trained = table.clone();
-            let mut opt = RowOptimizer::new(ADAGRAD);
-            let mut scratch = BlockScratch::default();
-            // One good step first: there is optimizer state to corrupt.
-            blocked_casted_backward(&mut trained, &mut opt, &grads, &good, &mut scratch, exec)
-                .unwrap();
-            let table_before: Vec<u32> = trained.as_slice().iter().map(|v| v.to_bits()).collect();
-            let state_before = state(&opt);
-            for (what, casted, upstream, expected) in &cases {
-                let err = blocked_casted_backward(
-                    &mut trained,
-                    &mut opt,
-                    upstream,
-                    casted,
-                    &mut scratch,
-                    exec,
-                )
-                .expect_err(what);
-                assert!(expected(&err), "{what} under {exec:?}: {err:?}");
-                let table_after: Vec<u32> =
-                    trained.as_slice().iter().map(|v| v.to_bits()).collect();
-                assert_eq!(table_after, table_before, "{what} under {exec:?}: table");
-                assert_eq!(state(&opt), state_before, "{what} under {exec:?}: state");
-            }
+        let mut trained = table.clone();
+        let mut opt = RowOptimizer::new(ADAGRAD);
+        let mut scratch = BlockScratch::default();
+        // One good step first: there is optimizer state to corrupt.
+        blocked_casted_backward(&mut trained, &mut opt, &grads, &good, &mut scratch).unwrap();
+        let table_before: Vec<u32> = trained.as_slice().iter().map(|v| v.to_bits()).collect();
+        let state_before = state(&opt);
+        for (what, casted, upstream, expected) in &cases {
+            let err =
+                blocked_casted_backward(&mut trained, &mut opt, upstream, casted, &mut scratch)
+                    .expect_err(what);
+            assert!(expected(&err), "{what}: {err:?}");
+            let table_after: Vec<u32> = trained.as_slice().iter().map(|v| v.to_bits()).collect();
+            assert_eq!(table_after, table_before, "{what}: table");
+            assert_eq!(state(&opt), state_before, "{what}: state");
         }
     }
 }

@@ -17,7 +17,6 @@
 
 use crate::casted_index::CastedIndexArray;
 use tcast_embedding::{accumulate_rows, CoalescedGradients, EmbeddingError};
-use tcast_pool::Exec;
 use tcast_tensor::Matrix;
 
 /// The fused casted gather-reduce (Algorithm 3's `GatherReduce`): gathers
@@ -37,19 +36,15 @@ pub fn casted_gather_reduce(
     casted: &CastedIndexArray,
 ) -> Result<CoalescedGradients, EmbeddingError> {
     let mut out = CoalescedGradients::default();
-    casted_gather_reduce_into(grads, casted, &mut out, Exec::Serial)?;
+    casted_gather_reduce_into(grads, casted, &mut out)?;
     Ok(out)
 }
 
-/// [`casted_gather_reduce`] writing into reusable buffers, serially or on
-/// a pool ([`Exec`]).
+/// [`casted_gather_reduce`] writing into reusable buffers.
 ///
 /// This *is* the forward primitive: [`accumulate_rows`] — the kernel
 /// behind `gather_reduce_into` — run over the gradient table instead of
-/// the embedding table (Section IV-C's "same datapath"). Pooled execution
-/// bands the coalesced rows, the same structure the NMP cores exploit per
-/// rank; per output row the accumulation order is the serial one, so
-/// results are bit-identical for any `Exec`.
+/// the embedding table (Section IV-C's "same datapath").
 ///
 /// # Errors
 ///
@@ -59,7 +54,6 @@ pub fn casted_gather_reduce_into(
     grads: &Matrix,
     casted: &CastedIndexArray,
     out: &mut CoalescedGradients,
-    exec: Exec<'_>,
 ) -> Result<(), EmbeddingError> {
     if grads.rows() != casted.num_gradient_rows() {
         return Err(EmbeddingError::LengthMismatch {
@@ -73,7 +67,6 @@ pub fn casted_gather_reduce_into(
         casted.gather_src(),
         casted.reduce_dst(),
         coalesced,
-        exec,
     );
     Ok(())
 }

@@ -169,7 +169,7 @@ impl Dlrm {
 
     /// Embedding forward: the fused gather-reduce of every table, written
     /// into per-table reused buffers (`pooled` is resized to the table
-    /// count), serially or on a pool.
+    /// count), on the calling thread.
     ///
     /// # Errors
     ///
@@ -179,7 +179,6 @@ impl Dlrm {
         &self,
         indices: &[IndexArray],
         pooled: &mut Vec<Matrix>,
-        exec: Exec<'_>,
     ) -> Result<(), EmbeddingError> {
         if indices.len() != self.tables.len() {
             return Err(EmbeddingError::LengthMismatch {
@@ -194,7 +193,7 @@ impl Dlrm {
             .zip(indices.iter())
             .zip(pooled.iter_mut())
         {
-            gather_reduce_into(table, idx, out, exec)?;
+            gather_reduce_into(table, idx, out, Exec::Serial)?;
         }
         Ok(())
     }
@@ -231,9 +230,9 @@ impl Dlrm {
 
     /// [`Dlrm::predict`] through caller-owned scratch: the
     /// zero-allocation `&self` serving form. Embedding pooling runs the
-    /// plain per-table gather-reduce; the dense stack runs
-    /// [`Dlrm::dense_infer_into`]. Bit-identical to [`Dlrm::predict`] in
-    /// both [`Exec`] modes.
+    /// plain per-table gather-reduce on the calling thread; the dense stack
+    /// runs [`Dlrm::dense_infer_into`] under `exec`. Bit-identical to
+    /// [`Dlrm::predict`] whatever the [`Exec`].
     ///
     /// # Errors
     ///
@@ -246,7 +245,7 @@ impl Dlrm {
         logits: &mut Matrix,
         exec: Exec<'_>,
     ) -> Result<(), EmbeddingError> {
-        self.embedding_forward_into(indices, &mut scratch.pooled, exec)?;
+        self.embedding_forward_into(indices, &mut scratch.pooled)?;
         self.dense_infer_into(dense, scratch, logits, exec)
             .map_err(EmbeddingError::from)
     }
@@ -392,7 +391,7 @@ mod tests {
         scratch: &mut InferenceScratch,
     ) -> Matrix {
         let mut logits = Matrix::default();
-        m.embedding_forward_into(&b.indices, scratch.pooled_mut(), Exec::Serial)
+        m.embedding_forward_into(&b.indices, scratch.pooled_mut())
             .unwrap();
         m.dense_infer_into(&b.dense, scratch, &mut logits, Exec::Serial)
             .unwrap();
@@ -445,7 +444,7 @@ mod tests {
         let b = batch(4);
         let mut pooled = Vec::new();
         assert!(m
-            .embedding_forward_into(&b.indices[..1], &mut pooled, Exec::Serial)
+            .embedding_forward_into(&b.indices[..1], &mut pooled)
             .is_err());
     }
 

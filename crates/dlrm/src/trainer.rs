@@ -732,7 +732,7 @@ impl Trainer {
             std::mem::swap(pooled, &mut scratch.pooled_ahead);
             pooled.len()
         } else {
-            model.embedding_forward_into(&batch.indices, pooled, Exec::Serial)?;
+            model.embedding_forward_into(&batch.indices, pooled)?;
             0
         };
         let mut fwd_gather = t0.elapsed();
@@ -873,9 +873,9 @@ impl Trainer {
                 let idx = &batch.indices[t];
                 gradient_expand_into(&dpooled[t], idx, &mut expanded[t])?;
                 let (optimizer, grads) = (&mut table_optimizers[t], &mut coalesced[t]);
-                gradient_coalesce_into(&expanded[t], idx, grads, radix, Exec::Serial)?;
+                gradient_coalesce_into(&expanded[t], idx, grads, radix)?;
                 let t1 = Instant::now();
-                scatter_apply_coalesced(table, optimizer, grads, Exec::Serial)?;
+                scatter_apply_coalesced(table, optimizer, grads)?;
                 bwd_embedding += t1 - t0;
                 bwd_scatter += t1.elapsed();
                 Ok(())
@@ -887,7 +887,6 @@ impl Trainer {
                     &dpooled[t],
                     &casted[t],
                     blocks,
-                    Exec::Serial,
                 )?;
                 bwd_embedding += halves.gather_reduce;
                 bwd_scatter += halves.scatter;
@@ -1345,9 +1344,9 @@ mod tests {
 
     #[test]
     fn every_optimizer_matches_across_modes_and_schedules() {
-        // Momentum and Adam join the enum in this PR; all five must keep
-        // baseline == casted AND serial == pooled (the pooled scatter
-        // splits stateful optimizer state — a divergence would show here).
+        // Momentum and Adam, the two rules with the most state: both must
+        // keep baseline == casted AND serial == pooled (a lent pool only
+        // widens the lane the dense phases split over).
         let pool = Arc::new(tcast_pool::Pool::new(4));
         let optimizers = [
             EmbeddingOptimizer::Momentum { mu: 0.9 },

@@ -14,7 +14,6 @@ use crate::error::EmbeddingError;
 use crate::expand::gradient_expand;
 use crate::index::IndexArray;
 use crate::radix::{radix_sort_pairs, RadixScratch};
-use tcast_pool::Exec;
 use tcast_tensor::simd::{prefetch, PREFETCH_WINDOW};
 use tcast_tensor::Matrix;
 
@@ -106,18 +105,13 @@ impl CoalescedGradients {
 /// Algorithm 1 (gradient coalescing): given the *expanded* gradients (one
 /// row per lookup, in pair order) and the index array, sort the lookups by
 /// `src` and accumulate rows sharing a `src` into `out`, reusing every
-/// buffer whose capacity suffices, serially or on a pool ([`Exec`]).
+/// buffer whose capacity suffices.
 ///
 /// Step A is the `ArgSort(src)` of the paper: the stable radix sort of
-/// `(src, position)` pairs ([`radix_sort_pairs`]) on the calling thread —
-/// the same sort the casting stage runs, in linear time and through
-/// `scratch`'s recycled buffers, which end up holding the sorted pairs.
-/// Step B, the sequential accumulation over the sorted order, then splits
-/// at unique-`src` run boundaries: each pool task owns a contiguous band of
-/// output rows and runs the serial accumulation over that band's runs, so
-/// pooled == serial bit for bit (serial is the one-band case of the same
-/// function). This is the tuned, parallel coalesce the paper's Section V
-/// methodology gives its baseline.
+/// `(src, position)` pairs ([`radix_sort_pairs`]) — the same sort the
+/// casting stage runs, in linear time and through `scratch`'s recycled
+/// buffers, which end up holding the sorted pairs. Step B is the
+/// sequential accumulation over the sorted order.
 ///
 /// # Errors
 ///
@@ -128,7 +122,6 @@ pub fn gradient_coalesce_into(
     index: &IndexArray,
     out: &mut CoalescedGradients,
     scratch: &mut RadixScratch,
-    exec: Exec<'_>,
 ) -> Result<(), EmbeddingError> {
     if expanded.rows() != index.len() {
         return Err(EmbeddingError::LengthMismatch {
@@ -151,45 +144,12 @@ pub fn gradient_coalesce_into(
             rows.push(src);
         }
     }
-    let unique = rows.len();
-    grads.zero_into(unique, dim);
+    grads.zero_into(rows.len(), dim);
 
-    // Step B: accumulate coalescable gradients, one band of output rows
-    // per task.
+    // Step B: one output row per distinct `src`: the first gradient of a
+    // run is copied, the rest accumulate in pair order.
     let kernel = tcast_tensor::simd::dispatch();
-    let bands = exec.threads().min(unique);
-    match exec.pool() {
-        Some(pool) if bands > 1 && dim > 0 => {
-            let rows = &*rows;
-            let per = unique.div_ceil(bands);
-            // Where output row `u`'s run starts in the sorted keys.
-            let run_start = |u: usize| match rows.get(u) {
-                Some(&src) => keys.partition_point(|&key| (key >> 32) < src as u64),
-                None => keys.len(),
-            };
-            pool.scope(|scope| {
-                for (b, band) in grads.as_mut_slice().chunks_mut(per * dim).enumerate() {
-                    let runs = &keys[run_start(b * per)..run_start((b + 1) * per)];
-                    scope.spawn(move || accumulate_runs(kernel, expanded, runs, dim, band));
-                }
-            });
-        }
-        _ => accumulate_runs(kernel, expanded, keys, dim, grads.as_mut_slice()),
-    }
-    Ok(())
-}
-
-/// Algorithm 1 Step B over `keys` — sorted packed `(src, position)` keys
-/// beginning at a run boundary — into `band`, one output row per distinct
-/// `src`: the first gradient of a run is copied, the rest accumulate in
-/// pair order.
-fn accumulate_runs(
-    kernel: tcast_tensor::KernelDispatch,
-    expanded: &Matrix,
-    keys: &[u64],
-    dim: usize,
-    band: &mut [f32],
-) {
+    let sums = grads.as_mut_slice();
     let mut out_i = usize::MAX; // "i <- -1" in the paper's pseudocode
     let mut prev: Option<u32> = None;
     for (i, &key) in keys.iter().enumerate() {
@@ -200,13 +160,14 @@ fn accumulate_runs(
         }
         if prev != Some(curr) {
             out_i = out_i.wrapping_add(1);
-            band[out_i * dim..(out_i + 1) * dim].copy_from_slice(expanded.row(pos));
+            sums[out_i * dim..(out_i + 1) * dim].copy_from_slice(expanded.row(pos));
         } else {
-            let acc = &mut band[out_i * dim..(out_i + 1) * dim];
+            let acc = &mut sums[out_i * dim..(out_i + 1) * dim];
             tcast_tensor::simd::add_assign(kernel, acc, expanded.row(pos));
         }
         prev = Some(curr);
     }
+    Ok(())
 }
 
 /// Baseline two-step backward path: expand then coalesce, returning the
@@ -223,7 +184,7 @@ pub fn gradient_expand_coalesce(
 ) -> Result<CoalescedGradients, EmbeddingError> {
     let expanded = gradient_expand(grads, index)?;
     let (mut out, mut scratch) = (CoalescedGradients::default(), RadixScratch::default());
-    gradient_coalesce_into(&expanded, index, &mut out, &mut scratch, Exec::Serial)?;
+    gradient_coalesce_into(&expanded, index, &mut out, &mut scratch)?;
     Ok(out)
 }
 
@@ -259,8 +220,7 @@ mod tests {
         let mut scratch = RadixScratch::default();
         // Two passes through the SAME buffers: the second starts dirty.
         for _ in 0..2 {
-            gradient_coalesce_into(&expanded, &index, &mut out, &mut scratch, Exec::Serial)
-                .unwrap();
+            gradient_coalesce_into(&expanded, &index, &mut out, &mut scratch).unwrap();
             assert_eq!(out, fresh);
         }
     }
@@ -299,9 +259,7 @@ mod tests {
         let index = fig2_index();
         let wrong = Matrix::zeros(4, 1);
         let (mut out, mut scratch) = (CoalescedGradients::default(), RadixScratch::default());
-        assert!(
-            gradient_coalesce_into(&wrong, &index, &mut out, &mut scratch, Exec::Serial).is_err()
-        );
+        assert!(gradient_coalesce_into(&wrong, &index, &mut out, &mut scratch).is_err());
     }
 
     #[test]

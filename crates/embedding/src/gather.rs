@@ -42,9 +42,12 @@ pub fn gather_reduce(table: &EmbeddingTable, index: &IndexArray) -> Result<Matri
 }
 
 /// [`gather_reduce`] writing into `out` (reshaped in place, reusing its
-/// allocation), serially or band-partitioned on a pool ([`Exec`]).
-/// Bit-identical to the serial kernel either way: each output row
-/// accumulates its lookups in index order.
+/// allocation), on the calling thread: each output row accumulates its
+/// lookups in index order.
+///
+/// `_exec` is ignored: it stays only so that callers written against the
+/// pooled gather this once had keep building. No embedding kernel runs on
+/// a pool.
 ///
 /// # Errors
 ///
@@ -54,11 +57,11 @@ pub fn gather_reduce_into(
     table: &EmbeddingTable,
     index: &IndexArray,
     out: &mut Matrix,
-    exec: Exec<'_>,
+    _exec: Exec<'_>,
 ) -> Result<(), EmbeddingError> {
     index.validate_against_rows(table.rows())?;
     out.zero_into(index.num_outputs(), table.dim());
-    accumulate_rows(table.as_slice(), index.src(), index.dst(), out, exec);
+    accumulate_rows(table.as_slice(), index.src(), index.dst(), out);
     Ok(())
 }
 
@@ -69,13 +72,6 @@ pub fn gather_reduce_into(
 /// backward runs it over the gradient table (`tcast-core`'s
 /// `casted_gather_reduce_into`) — one kernel, which is the paper's point.
 ///
-/// Under a pooled [`Exec`] the output rows split into contiguous bands,
-/// one task each; every band runs the serial kernel over the whole lookup
-/// stream and keeps the pairs whose `dst` it owns, so no two tasks write
-/// the same output row and each output row still accumulates in lookup
-/// order. Serial is the one-band case of the same function, which makes
-/// pooled == serial bit for bit by construction.
-///
 /// `out` must already be shaped and hold the values to accumulate onto
 /// (zeros for a plain gather-reduce).
 ///
@@ -84,69 +80,52 @@ pub fn gather_reduce_into(
 /// Panics if `src` and `dst` differ in length or a `src` row lies outside
 /// `rows`. Every `dst` must be an output row of `out` (both index-array
 /// types guarantee it; checked in debug builds).
-pub fn accumulate_rows(rows: &[f32], src: &[u32], dst: &[u32], out: &mut Matrix, exec: Exec<'_>) {
+pub fn accumulate_rows(rows: &[f32], src: &[u32], dst: &[u32], out: &mut Matrix) {
     assert_eq!(src.len(), dst.len(), "one dst per src");
-    let (outputs, dim) = (out.rows(), out.cols());
-    debug_assert!(dst.iter().all(|&d| (d as usize) < outputs));
-    let kernel = tcast_tensor::simd::dispatch();
-    let bands = exec.threads().min(outputs);
-    match exec.pool() {
-        Some(pool) if bands > 1 && dim > 0 => {
-            let per = outputs.div_ceil(bands);
-            pool.scope(|scope| {
-                for (b, band) in out.as_mut_slice().chunks_mut(per * dim).enumerate() {
-                    scope
-                        .spawn(move || accumulate_band(kernel, rows, dim, src, dst, b * per, band));
-                }
-            });
-        }
-        _ => accumulate_band(kernel, rows, dim, src, dst, 0, out.as_mut_slice()),
-    }
+    debug_assert!(dst.iter().all(|&d| (d as usize) < out.rows()));
+    let (kernel, dim) = (tcast_tensor::simd::dispatch(), out.cols());
+    accumulate_block(kernel, rows, dim, src, dst, 0, out.as_mut_slice());
 }
 
-/// The one accumulate loop: `band[dst[i] - base] += rows[src[i]]` for the
-/// lookups whose `dst` falls inside `band` (output rows `base..`), with
-/// the rows [`PREFETCH_WINDOW`] lookups ahead prefetched under the current
-/// add. The tier is chosen here, once per band; the scalar loop is the
-/// oracle and the AVX2 one adds the same rows to each lane in the same
-/// order.
-pub(crate) fn accumulate_band(
+/// The one accumulate loop: `block[dst[i] - base] += rows[src[i]]` for
+/// every lookup — `block` holds output rows `base..` and every `dst` falls
+/// inside it — with the rows [`PREFETCH_WINDOW`] lookups ahead prefetched
+/// under the current add. The tier is chosen here, once a call; the
+/// scalar loop is the oracle and the AVX2 one adds the same rows to each
+/// lane in the same order.
+pub(crate) fn accumulate_block(
     kernel: KernelDispatch,
     rows: &[f32],
     dim: usize,
     src: &[u32],
     dst: &[u32],
     base: usize,
-    band: &mut [f32],
+    block: &mut [f32],
 ) {
     #[cfg(target_arch = "x86_64")]
     if kernel != KernelDispatch::Scalar && KernelDispatch::Avx2.supported() {
         // SAFETY: AVX2 support verified on the line above.
-        unsafe { accumulate_band_avx2(rows, dim, src, dst, base, band) };
+        unsafe { accumulate_block_avx2(rows, dim, src, dst, base, block) };
         return;
     }
     let _ = kernel;
     let row = |r: u32| &rows[r as usize * dim..(r as usize + 1) * dim];
     for (i, (&s, &d)) in src.iter().zip(dst.iter()).enumerate() {
-        let Some(acc) = owned_row(band, dim, base, d) else {
-            continue;
-        };
         if let Some(&ahead) = src.get(i + PREFETCH_WINDOW) {
             prefetch(row(ahead));
         }
-        add_assign(KernelDispatch::Scalar, acc, row(s));
+        add_assign(KernelDispatch::Scalar, out_row(block, dim, base, d), row(s));
     }
 }
 
-/// Output row `d` of a band that starts at output row `base`, or `None`
-/// for a row another band owns (the pairs to skip).
+/// Output row `d` of a block that starts at output row `base`.
 #[inline(always)]
-fn owned_row(band: &mut [f32], dim: usize, base: usize, d: u32) -> Option<&mut [f32]> {
-    let local = (d as usize).checked_sub(base)?;
-    band.get_mut(local * dim..(local + 1) * dim)
+fn out_row(block: &mut [f32], dim: usize, base: usize, d: u32) -> &mut [f32] {
+    let local = d as usize - base;
+    &mut block[local * dim..(local + 1) * dim]
 }
 
-/// [`accumulate_band`] on the AVX2 tier: the stream is walked a run of
+/// [`accumulate_block`] on the AVX2 tier: the stream is walked a run of
 /// equal `dst` at a time, and a run's output row is loaded and stored once
 /// ([`crate::simd::x86::accumulate_run`]) instead of once per lookup.
 ///
@@ -157,13 +136,13 @@ fn owned_row(band: &mut [f32], dim: usize, base: usize, d: u32) -> Option<&mut [
 /// `dim`-lane slice, so no load or store leaves its slice.
 #[cfg(target_arch = "x86_64")]
 #[target_feature(enable = "avx2")]
-fn accumulate_band_avx2(
+fn accumulate_block_avx2(
     rows: &[f32],
     dim: usize,
     src: &[u32],
     dst: &[u32],
     base: usize,
-    band: &mut [f32],
+    block: &mut [f32],
 ) {
     debug_assert_eq!(src.len(), dst.len());
     let mut i = 0;
@@ -171,9 +150,7 @@ fn accumulate_band_avx2(
         let d = dst[i];
         let run = i..i + dst[i..].iter().take_while(|&&next| next == d).count();
         i = run.end;
-        if let Some(acc) = owned_row(band, dim, base, d) {
-            crate::simd::x86::accumulate_run(acc, rows, src, run);
-        }
+        crate::simd::x86::accumulate_run(out_row(block, dim, base, d), rows, src, run);
     }
 }
 

@@ -19,16 +19,14 @@
 //! # One implementation per primitive
 //!
 //! Each primitive has exactly one implementation, its `_into` form, which
-//! writes into caller-owned buffers and takes a `tcast_pool::Exec`
-//! saying where to run: [`gather_reduce_into`],
-//! [`gradient_coalesce_into`], [`scatter_apply_coalesced`]
-//! ([`gradient_expand_into`] is a plain copy loop and always serial).
-//! Serial execution is the one-band case *of the same function*, so the
-//! results are bit-identical whatever the `Exec` — by construction, not by
-//! a second kernel that happens to agree. The same holds for optimizer
-//! state: every scatter reaches it through one pre-grown
-//! [`optim::RowOptimizerBand`], which a pooled scatter cuts into a piece a
-//! task. The allocating forms ([`gather_reduce`], [`gradient_expand`],
+//! writes into caller-owned buffers and runs on the calling thread:
+//! [`gather_reduce_into`], [`gradient_expand_into`],
+//! [`gradient_coalesce_into`], [`scatter_apply_coalesced`]. The embedding
+//! half is bound by memory traffic, not by how its work is cut, so no
+//! primitive here splits over a pool (`gather_reduce_into` still takes a
+//! `tcast_pool::Exec`, and ignores it). Every scatter reaches optimizer
+//! state through [`optim::RowOptimizer::with_update`], which grows it up
+//! front. The allocating forms ([`gather_reduce`], [`gradient_expand`],
 //! [`gradient_expand_coalesce`]) are thin wrappers for tests, examples and
 //! the `repro/` model crates; [`scatter_apply`] is the serial reference
 //! scatter. One type, [`CoalescedGradients`], carries a coalesced gradient

@@ -12,43 +12,25 @@
 //!   their hyperparameters. It alone knows what differs between them — how
 //!   many state planes a rule keeps, whether it counts steps per row, its
 //!   name and which `simd::*_row` kernel it runs. The kernel is chosen once
-//!   a scatter task ([`RowOptimizerBand::with_update`]), not once a row.
+//!   a scatter ([`RowOptimizer::with_update`]), not once a row.
 //! * [`RowOptimizer`] is the state: one dense slab per plane plus the
 //!   per-row step counts, touching only rows that actually receive
-//!   gradients — the sparse update pattern of embedding training. Growth,
-//!   splitting and the read-only view a checkpoint saves (and the checked
+//!   gradients — the sparse update pattern of embedding training. Growth
+//!   and the read-only view a checkpoint saves (and the checked
 //!   constructor it restores through) are written over planes and step
 //!   counts, never per rule; the byte format is the checkpoint's alone.
 //!
 //! # One door to the state
 //!
-//! Coalescing has a second payoff the paper's Section IV-C datapath
-//! argument relies on: after coalescing, every table row appears **at most
-//! once** per scatter, so the update of disjoint row ranges is
-//! embarrassingly parallel — *if* the state store can hand out disjoint
-//! mutable views. A `HashMap<u32, Vec<f32>>` cannot (concurrent inserts
-//! rehash), so each plane lives in a dense slab: `width`-strided and
-//! contiguous, splittable at arbitrary row boundaries. Every update reaches
-//! it through a [`RowOptimizerBand`]: [`RowOptimizer::band`] grows the
-//! slabs, on the calling thread, to exactly the rows a scatter touches —
-//! `[0, last + 1)` — and hands them out as one band, which a serial scatter
-//! runs whole and a pooled one cuts at its fence, one piece a task. So
-//! state never outgrows the highest row it served, a task never grows it,
-//! and every path grows it identically. That row-disjointness is a
-//! property of the state store, not of any rule, which is why it is stated
-//! once.
+//! Each plane lives in a dense slab, `width`-strided and keyed by table
+//! row, not in a `HashMap<u32, Vec<f32>>`: a row's state is an offset, not
+//! a lookup. Every update reaches it through [`RowOptimizer::with_update`],
+//! which grows the slabs to exactly the rows a scatter touches —
+//! `[0, last + 1)` — before the scatter's first update. So state never
+//! outgrows the highest row it served, an update never grows it, and every
+//! scatter grows it identically.
 
 use crate::simd;
-
-/// The first `n` entries of `slice`, cut off its front; all of it if it is
-/// shorter, so a band that is empty — a plane the rule does not keep, the
-/// step counts of a rule that counts none — splits into empty bands.
-fn cut_front<'a, T>(slice: &mut &'a mut [T], n: usize) -> &'a mut [T] {
-    let n = n.min(slice.len());
-    let (front, rest) = std::mem::take(slice).split_at_mut(n);
-    *slice = rest;
-    front
-}
 
 /// One plane of per-row optimizer state: `width` `f32` slots per row in
 /// one contiguous slab, plus a touched bitmap for reporting. It grows only
@@ -99,27 +81,18 @@ impl RowState {
     }
 }
 
-impl<'a> RowStateBand<'a> {
-    /// Cuts the band's first `rows` rows off as a band of their own.
-    fn split_off_front(&mut self, rows: usize) -> RowStateBand<'a> {
-        RowStateBand {
-            width: self.width,
-            data: cut_front(&mut self.data, rows * self.width),
-            touched: cut_front(&mut self.touched, rows),
-        }
-    }
-
-    /// Mutable state of the band's row `local`, marking it live.
-    fn row_mut(&mut self, local: usize) -> &mut [f32] {
-        self.touched[local] = true;
-        &mut self.data[local * self.width..(local + 1) * self.width]
+impl RowStateBand<'_> {
+    /// Mutable state of table row `row`, marking it live.
+    fn row_mut(&mut self, row: usize) -> &mut [f32] {
+        self.touched[row] = true;
+        &mut self.data[row * self.width..(row + 1) * self.width]
     }
 }
 
 /// The per-row update function: which optimizer, with its hyperparameters.
 ///
 /// A rule is a value, not a type: a [`RowOptimizer`] carries one next to
-/// its state, and every band of a table runs the same one.
+/// its state.
 #[derive(Debug, Clone, Copy, PartialEq)]
 pub enum UpdateRule {
     /// Plain stochastic gradient descent: `W <- W - lr * G`.
@@ -199,8 +172,8 @@ impl UpdateRule {
     }
 }
 
-/// The update of one row by its coalesced gradient, as a scatter task
-/// holds it: `(row, param, grad)`.
+/// The update of one row by its coalesced gradient, as a scatter holds
+/// it: `(row, param, grad)`.
 ///
 /// # Panics
 ///
@@ -223,31 +196,13 @@ fn run<R>(
 /// keeps them.
 ///
 /// Rows are keyed by table row id. The state covers rows `[0, end)` for
-/// the largest `end` a [`RowOptimizer::band`] asked for: one past the
-/// highest row updated.
+/// the largest `end` a [`RowOptimizer::with_update`] asked for: one past
+/// the highest row updated.
 #[derive(Debug, Clone)]
 pub struct RowOptimizer {
     rule: UpdateRule,
     planes: Vec<RowState>,
     steps: Vec<u32>,
-}
-
-/// The state of a run of rows of a [`RowOptimizer`], pre-grown: the only
-/// way an update reaches optimizer state.
-///
-/// [`RowOptimizer::band`] hands out one over every row a scatter touches;
-/// the pooled scatter cuts it into one band a task. A row updates the same
-/// way — same operations, same order — whichever band holds it, which is
-/// what makes the band-parallel scatter bit-identical to the serial one.
-#[derive(Debug)]
-pub struct RowOptimizerBand<'a> {
-    rule: UpdateRule,
-    /// The table row of the band's first row.
-    base: usize,
-    /// One band per plane the rule keeps, then empty ones.
-    planes: [RowStateBand<'a>; 2],
-    /// Empty for a rule that counts no steps.
-    steps: &'a mut [u32],
 }
 
 impl RowOptimizer {
@@ -265,24 +220,66 @@ impl RowOptimizer {
         self.planes.first().map_or(0, RowState::tracked_rows)
     }
 
-    /// The state of rows `[0, end)` of `dim` elements each, as one band.
-    /// State is grown to cover them here, on the calling thread, so the
-    /// band's updates never grow it (and never allocate); it is never
-    /// grown past `end`.
+    /// Runs `task` — one scatter, or any run of updates — with the
+    /// one-row update of rows `[0, end)` of `dim` elements each; every row
+    /// it is called with must lie below `end`. The only way an update
+    /// reaches optimizer state.
+    ///
+    /// State is grown to cover the rows first, so the updates never grow
+    /// it (and never allocate); it is never grown past `end`. The rule is
+    /// matched here, once a scatter, and each arm's update holds only its
+    /// own kernel, so a row of the scatter loop costs one indirect call
+    /// into a function as small as a dedicated optimizer type's would be.
     ///
     /// # Panics
     ///
     /// Panics if `dim` conflicts with the width of already-live state.
-    pub fn band(&mut self, end: usize, dim: usize) -> RowOptimizerBand<'_> {
+    pub fn with_update<R>(
+        &mut self,
+        end: usize,
+        dim: usize,
+        task: impl FnOnce(&mut RowUpdate<'_>) -> R,
+    ) -> R {
         if self.rule.counts_steps() && end > self.steps.len() {
             self.steps.resize(end, 0);
         }
         let mut planes = self.planes.iter_mut().map(|plane| plane.band(end, dim));
-        RowOptimizerBand {
-            rule: self.rule,
-            base: 0,
-            planes: std::array::from_fn(|_| planes.next().unwrap_or_default()),
-            steps: self.steps.get_mut(..end).unwrap_or_default(),
+        // One band per plane the rule keeps, then empty ones.
+        let [mut a, mut b]: [RowStateBand<'_>; 2] =
+            std::array::from_fn(|_| planes.next().unwrap_or_default());
+        let kernel = simd::dispatch();
+        match self.rule {
+            UpdateRule::Sgd { lr } => run(task, |_, param, grad| {
+                simd::sgd_row(kernel, lr, param, grad);
+            }),
+            UpdateRule::Momentum { lr, mu } => run(task, |row, param, grad| {
+                simd::momentum_row(kernel, lr, mu, a.row_mut(row as usize), param, grad);
+            }),
+            UpdateRule::Adagrad { lr, eps } => run(task, |row, param, grad| {
+                simd::adagrad_row(kernel, lr, eps, a.row_mut(row as usize), param, grad);
+            }),
+            UpdateRule::RmsProp { lr, gamma, eps } => run(task, |row, param, grad| {
+                simd::rmsprop_row(kernel, lr, gamma, eps, a.row_mut(row as usize), param, grad);
+            }),
+            UpdateRule::Adam {
+                lr,
+                beta1,
+                beta2,
+                eps,
+            } => run(task, |row, param, grad| {
+                let row = row as usize;
+                let t = &mut self.steps[row];
+                *t += 1;
+                let adam = simd::AdamRow {
+                    lr,
+                    beta1,
+                    beta2,
+                    eps,
+                    bc1: 1.0 - beta1.powi(*t as i32),
+                    bc2: 1.0 - beta2.powi(*t as i32),
+                };
+                simd::adam_row(kernel, adam, a.row_mut(row), b.row_mut(row), param, grad);
+            }),
         }
     }
 
@@ -378,75 +375,12 @@ impl RowOptimizer {
     }
 }
 
-impl<'a> RowOptimizerBand<'a> {
-    /// Cuts the band's rows below table row `end` off as a band of their
-    /// own; `self` keeps the rest.
-    pub(crate) fn split_off_front(&mut self, end: usize) -> RowOptimizerBand<'a> {
-        let (base, rows) = (self.base, end - self.base);
-        self.base = end;
-        RowOptimizerBand {
-            rule: self.rule,
-            base,
-            planes: std::array::from_fn(|p| self.planes[p].split_off_front(rows)),
-            steps: cut_front(&mut self.steps, rows),
-        }
-    }
-
-    /// Runs `task` — one scatter task, or any run of updates — with this
-    /// band's one-row update; every row it is called with must lie in the
-    /// band. The rule is matched here, once a task, and each arm's update
-    /// holds only its own kernel, so a row of the scatter loop costs one
-    /// indirect call into a function as small as a dedicated optimizer
-    /// type's would be.
-    pub fn with_update<R>(&mut self, task: impl FnOnce(&mut RowUpdate<'_>) -> R) -> R {
-        let kernel = simd::dispatch();
-        let base = self.base;
-        let [a, b] = &mut self.planes;
-        let steps = &mut *self.steps;
-        let local = move |row: u32| row as usize - base;
-        match self.rule {
-            UpdateRule::Sgd { lr } => run(task, |_, param, grad| {
-                simd::sgd_row(kernel, lr, param, grad);
-            }),
-            UpdateRule::Momentum { lr, mu } => run(task, |row, param, grad| {
-                simd::momentum_row(kernel, lr, mu, a.row_mut(local(row)), param, grad);
-            }),
-            UpdateRule::Adagrad { lr, eps } => run(task, |row, param, grad| {
-                simd::adagrad_row(kernel, lr, eps, a.row_mut(local(row)), param, grad);
-            }),
-            UpdateRule::RmsProp { lr, gamma, eps } => run(task, |row, param, grad| {
-                simd::rmsprop_row(kernel, lr, gamma, eps, a.row_mut(local(row)), param, grad);
-            }),
-            UpdateRule::Adam {
-                lr,
-                beta1,
-                beta2,
-                eps,
-            } => run(task, |row, param, grad| {
-                let row = local(row);
-                let t = &mut steps[row];
-                *t += 1;
-                let adam = simd::AdamRow {
-                    lr,
-                    beta1,
-                    beta2,
-                    eps,
-                    bc1: 1.0 - beta1.powi(*t as i32),
-                    bc2: 1.0 - beta2.powi(*t as i32),
-                };
-                simd::adam_row(kernel, adam, a.row_mut(row), b.row_mut(row), param, grad);
-            }),
-        }
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
     use crate::coalesce::CoalescedGradients;
     use crate::scatter::scatter_apply_coalesced;
     use crate::table::EmbeddingTable;
-    use tcast_pool::{Exec, Pool};
     use tcast_tensor::Matrix;
 
     /// One of each rule.
@@ -474,11 +408,12 @@ mod tests {
             .collect()
     }
 
-    /// One row's update by its coalesced gradient, through a band that
+    /// One row's update by its coalesced gradient, through state that
     /// ends just past it.
     fn update_row(opt: &mut RowOptimizer, row: u32, param: &mut [f32], grad: &[f32]) {
-        opt.band(row as usize + 1, param.len())
-            .with_update(|update| update(row, param, grad));
+        opt.with_update(row as usize + 1, param.len(), |update| {
+            update(row, param, grad)
+        });
     }
 
     /// One update pass over `rows`, a row at a time.
@@ -699,6 +634,8 @@ mod tests {
         assert!(refused(state), "{name}: trailing plane accepted");
     }
 
+    /// The state one row's update leaves, and the state a production
+    /// scatter of two rows leaves, each cut and padded every way.
     #[test]
     fn load_state_rejects_truncation_and_trailing_garbage() {
         for rule in RULES {
@@ -706,47 +643,9 @@ mod tests {
             let mut p = vec![0.0, 0.0];
             update_row(&mut opt, 5, &mut p, &[1.0, 2.0]);
             assert_truncated_and_trailing_state_refused(&opt, 20, 2);
-        }
-    }
-
-    #[test]
-    fn banded_load_rejects_truncation_and_trailing_garbage() {
-        let pool = Pool::new(2);
-        for rule in RULES {
-            let mut banded = RowOptimizer::new(rule);
-            let mut table = initial_table(20, 2);
-            scatter_step(&mut banded, Exec::pooled(&pool), &[5, 13], &mut table, 0);
-            assert_truncated_and_trailing_state_refused(&banded, 20, 2);
-        }
-    }
-
-    /// Updates through bands cut off one band must be bit-identical to
-    /// row-by-row updates, and leave the same state.
-    #[test]
-    fn bands_match_serial_updates_exactly() {
-        let rows: Vec<u32> = vec![0, 3, 4, 9, 17];
-        let dim = 3;
-        // Band ends that cut the row set unevenly, the last just past it.
-        let ends = [4usize, 10, 18];
-        for rule in RULES {
-            let mut serial = RowOptimizer::new(rule);
-            let mut split = RowOptimizer::new(rule);
-            let mut params_a = initial_params(&rows, dim);
-            let mut params_b = params_a.clone();
-            // Two passes so stateful rules exercise non-zero state.
-            for pass in 0..2 {
-                step(&mut serial, &rows, &mut params_a, pass);
-                let mut whole = split.band(18, dim);
-                let mut bands = ends.map(|end| whole.split_off_front(end));
-                for (i, &r) in rows.iter().enumerate() {
-                    let band = ends.iter().position(|&end| (r as usize) < end).unwrap();
-                    let grad = grad(r, dim, pass);
-                    bands[band].with_update(|update| update(r, &mut params_b[i], &grad));
-                }
-            }
-            assert_eq!(bits(&params_a), bits(&params_b), "{} diverged", rule.name());
-            assert_eq!(serial.tracked_rows(), split.tracked_rows());
-            assert_eq!(state_bits(&serial), state_bits(&split), "{}", rule.name());
+            let mut scattered = RowOptimizer::new(rule);
+            scatter_step(&mut scattered, &[5, 13], &mut initial_table(20, 2), 0);
+            assert_truncated_and_trailing_state_refused(&scattered, 20, 2);
         }
     }
 
@@ -852,25 +751,13 @@ mod tests {
         EmbeddingTable::from_vec(rows, dim, data).unwrap()
     }
 
-    /// The serial scatter and pooled ones cut into 1, 2, 3 and 7 bands.
-    fn execs(pool: &Pool) -> impl Iterator<Item = Exec<'_>> + Clone {
-        let pooled = [1usize, 2, 3, 7].map(|threads| Exec::Pooled { pool, threads });
-        [Exec::Serial].into_iter().chain(pooled)
-    }
-
     /// `step`'s update pass over `rows`, through the production scatter.
-    fn scatter_step(
-        opt: &mut RowOptimizer,
-        exec: Exec<'_>,
-        rows: &[u32],
-        table: &mut EmbeddingTable,
-        pass: usize,
-    ) {
+    fn scatter_step(opt: &mut RowOptimizer, rows: &[u32], table: &mut EmbeddingTable, pass: usize) {
         let dim = table.dim();
         let grads = rows.iter().flat_map(|&r| grad(r, dim, pass)).collect();
         let grads = Matrix::from_vec(rows.len(), dim, grads).unwrap();
         let part = CoalescedGradients::new(rows.to_vec(), grads).unwrap();
-        scatter_apply_coalesced(table, opt, &part, exec).unwrap();
+        scatter_apply_coalesced(table, opt, &part).unwrap();
     }
 
     fn touched_bits(table: &EmbeddingTable, rows: &[u32]) -> Vec<u32> {
@@ -880,104 +767,25 @@ mod tests {
             .collect()
     }
 
-    /// The one optimizer, split into the bands of the production scatter,
-    /// must match plain row-by-row updates bit-for-bit, for every rule and
-    /// band count.
+    /// Three passes of the production scatter must match plain row-by-row
+    /// updates bit for bit, for every rule: the table rows, and the state,
+    /// which every scatter grows just past the last row it updates, as the
+    /// one-row updates do.
     #[test]
-    fn banded_optimizer_matches_global_updates() {
+    fn scatter_matches_row_by_row_updates() {
         let rows: Vec<u32> = vec![0, 3, 11, 12, 17, 22, 23, 33];
-        let pool = Pool::new(3);
         for rule in RULES {
-            let mut global = RowOptimizer::new(rule);
+            let mut row_by_row = RowOptimizer::new(rule);
             let mut params = initial_params(&rows, 3);
+            let mut scattered = RowOptimizer::new(rule);
+            let mut table = initial_table(34, 3);
             for pass in 0..3 {
-                step(&mut global, &rows, &mut params, pass);
+                step(&mut row_by_row, &rows, &mut params, pass);
+                scatter_step(&mut scattered, &rows, &mut table, pass);
+                let what = format!("{} after pass {pass}", rule.name());
+                assert_eq!(bits(&params), touched_bits(&table, &rows), "{what}");
+                assert_eq!(state_bits(&row_by_row), state_bits(&scattered), "{what}");
             }
-            for exec in execs(&pool) {
-                let mut banded = RowOptimizer::new(rule);
-                let mut table = initial_table(34, 3);
-                for pass in 0..3 {
-                    scatter_step(&mut banded, exec, &rows, &mut table, pass);
-                }
-                assert_eq!(
-                    bits(&params),
-                    touched_bits(&table, &rows),
-                    "{} diverged under {exec:?}",
-                    rule.name()
-                );
-                assert_eq!(banded.tracked_rows(), global.tracked_rows());
-            }
-        }
-    }
-
-    /// Save after scatters cut into N bands, restore and scatter in M
-    /// (either may be the serial scatter), continue: the continued
-    /// trajectory must be bit-identical, and every scatter — cut or not —
-    /// leaves the state plain row-by-row updates do: state just past the
-    /// last touched row.
-    #[test]
-    fn state_is_portable_across_band_counts() {
-        let rows_total = 23usize;
-        let rows: Vec<u32> = vec![0, 6, 7, 11, 12, 21, 22];
-        let pool = Pool::new(3);
-        for rule in RULES {
-            // Reference trajectory on plain row-by-row updates.
-            let mut global = RowOptimizer::new(rule);
-            let mut params = initial_params(&rows, 2);
-            let mut global_state = state_bits(&global);
-            for pass in 0..3 {
-                if pass == 2 {
-                    global_state = state_bits(&global);
-                }
-                step(&mut global, &rows, &mut params, pass);
-            }
-            for at_n in execs(&pool) {
-                let mut opt_n = RowOptimizer::new(rule);
-                let mut table_n = initial_table(rows_total, 2);
-                for pass in 0..2 {
-                    scatter_step(&mut opt_n, at_n, &rows, &mut table_n, pass);
-                }
-                assert_eq!(
-                    state_bits(&opt_n),
-                    global_state,
-                    "{} under {at_n:?}",
-                    rule.name()
-                );
-                for at_m in execs(&pool) {
-                    let mut opt_m = rebuilt(&opt_n, rows_total, 2).expect("saved state rebuilds");
-                    let mut table_m = table_n.clone();
-                    scatter_step(&mut opt_m, at_m, &rows, &mut table_m, 2);
-                    assert_eq!(
-                        bits(&params),
-                        touched_bits(&table_m, &rows),
-                        "{}: {at_n:?} -> {at_m:?} restore diverged",
-                        rule.name()
-                    );
-                }
-            }
-        }
-    }
-
-    /// Three one-row scatters (each the one-band case) and one scatter of
-    /// the same rows cut into three bands leave the same state: every
-    /// path grows the slabs just past the last row it updates.
-    #[test]
-    fn one_row_scatters_and_a_banded_scatter_save_the_same_bytes() {
-        let rows = [3u32, 50, 96];
-        let pool = Pool::new(3);
-        let banded = Exec::Pooled {
-            pool: &pool,
-            threads: 3,
-        };
-        for rule in RULES {
-            let mut one_by_one = RowOptimizer::new(rule);
-            let mut table = initial_table(97, 2);
-            for &row in &rows {
-                scatter_step(&mut one_by_one, Exec::Serial, &[row], &mut table, 0);
-            }
-            let mut cut = RowOptimizer::new(rule);
-            scatter_step(&mut cut, banded, &rows, &mut initial_table(97, 2), 0);
-            assert_eq!(state_bits(&one_by_one), state_bits(&cut), "{}", rule.name());
         }
     }
 }

@@ -5,37 +5,33 @@
 //! both run over "the same datapath, just in the opposite directions",
 //! which is what lets one NMP core design serve the whole training loop.
 //!
-//! Three entry points: [`scatter_apply`], the serial reference every other
+//! Three entry points: [`scatter_apply`], the reference every other
 //! scatter in the workspace (these, the NMP pool's) is tested against, and
-//! the two the trainer runs — any [`Exec`], bit-identical to the reference:
+//! the two the trainer runs, each bit-identical to the reference:
 //! [`scatter_apply_coalesced`] applies a materialized coalesced gradient
 //! (the baseline backward's), and [`scatter_apply_casted`] produces the
 //! coalesced gradient from the casted lookup stream a block of rows at a
 //! time as it applies it (the casted backward's). Both are the same
-//! validation, the same cut into tasks — equal-count bands of the touched
-//! rows — and the same per-row loop; they differ in where a task's gradient
-//! rows come from.
+//! validation and the same per-row loop on the calling thread; they differ
+//! in where the gradient rows come from.
 //!
-//! All three reach optimizer state the one way there is: the optimizer's
-//! [`RowOptimizerBand`] over rows `[0, last + 1)`, grown before the first
-//! update. The reference and a serial scatter run it whole (the one-band
-//! case); a pooled scatter cuts it at its fence, one piece a task.
+//! All three reach optimizer state the one way there is:
+//! [`RowOptimizer::with_update`] over rows `[0, last + 1)`, grown before
+//! the first update.
 
-use std::sync::atomic::{AtomicU64, Ordering};
 use std::time::{Duration, Instant};
 
 use crate::coalesce::CoalescedGradients;
 use crate::error::EmbeddingError;
-use crate::gather::accumulate_band;
-use crate::optim::{RowOptimizer, RowOptimizerBand, RowUpdate};
+use crate::gather::accumulate_block;
+use crate::optim::{RowOptimizer, RowUpdate};
 use crate::table::EmbeddingTable;
-use tcast_pool::Exec;
 use tcast_tensor::simd::{prefetch, PREFETCH_WINDOW};
 use tcast_tensor::Matrix;
 
 /// Applies coalesced gradients to the table: for every `(row, grad)` pair,
-/// `table[row] <- optimizer(table[row], grad)`, serially, one row at a
-/// time. The reference scatter (see the module docs).
+/// `table[row] <- optimizer(table[row], grad)`, one row at a time. The
+/// reference scatter (see the module docs).
 ///
 /// # Errors
 ///
@@ -46,10 +42,10 @@ pub fn scatter_apply(
     optimizer: &mut RowOptimizer,
 ) -> Result<(), EmbeddingError> {
     let (rows, grads) = (coalesced.rows(), coalesced.grads());
-    let Some(mut state) = validate(table, optimizer, rows, grads.shape())? else {
+    let Some(end) = validate(table, rows, grads.shape())? else {
         return Ok(());
     };
-    state.with_update(|update| {
+    optimizer.with_update(end, table.dim(), |update| {
         for (i, &row) in rows.iter().enumerate() {
             update(row, table.row_mut(row as usize), grads.row(i));
         }
@@ -59,19 +55,9 @@ pub fn scatter_apply(
 
 /// The production scatter: applies one table's coalesced gradient — what
 /// the backward pass left in its [`CoalescedGradients`], keyed by table
-/// row — through the table's optimizer, serially or on a pool ([`Exec`]):
-/// **bit-identical** to [`scatter_apply`] for every `Exec`.
-///
-/// Coalescing guarantees each table row appears exactly once (rows are
-/// strictly ascending — enforced here), so any cut of the rows at a fence
-/// of row ids touches **disjoint table rows and disjoint optimizer state**.
-/// A serial scatter is one task. A pooled one cuts the rows into
-/// `exec.threads()` equal-count bands. Each task gets its `split_at_mut`
-/// slice of the table, its piece of the optimizer's [`RowOptimizerBand`]
-/// and its piece of `rows`, and runs the per-row loop the serial path runs
-/// — the scatter-side dual of the banded gather-reduce, and the
-/// row-disjointness RecNMP/MP-Rec exploit to spread sparse updates across
-/// parallel units. The serial path allocates nothing.
+/// row — through the table's optimizer, **bit-identical** to
+/// [`scatter_apply`], with the table rows a few updates ahead prefetched.
+/// Allocates nothing.
 ///
 /// # Errors
 ///
@@ -84,10 +70,17 @@ pub fn scatter_apply_coalesced(
     table: &mut EmbeddingTable,
     optimizer: &mut RowOptimizer,
     coalesced: &CoalescedGradients,
-    exec: Exec<'_>,
 ) -> Result<(), EmbeddingError> {
-    let grads = Grads::Coalesced(coalesced.grads());
-    scatter_parts(table, optimizer, coalesced.rows(), grads, &mut [], exec)
+    let (rows, grads) = (coalesced.rows(), coalesced.grads());
+    let Some(end) = validate(table, rows, grads.shape())? else {
+        return Ok(());
+    };
+    let dim = table.dim();
+    let params = table.as_mut_slice();
+    optimizer.with_update(end, dim, |update| {
+        update_rows(update, params, rows, grads.as_slice(), dim);
+    });
+    Ok(())
 }
 
 /// One casted index array, as [`scatter_apply_casted`] reads it
@@ -105,12 +98,11 @@ pub trait CastedLookups {
     fn unique_rows(&self) -> &[u32];
 }
 
-/// Reusable block buffers of [`scatter_apply_casted`], one per concurrent
-/// task; each keeps its capacity, so the warm serial path allocates
-/// nothing.
+/// The reusable block buffer of [`scatter_apply_casted`]; it keeps its
+/// capacity, so the warm path allocates nothing.
 #[derive(Debug, Default)]
 pub struct BlockScratch {
-    blocks: Vec<Vec<f32>>,
+    block: Vec<f32>,
 }
 
 /// How one [`scatter_apply_casted`] call's wall-clock time divides between
@@ -126,11 +118,9 @@ pub struct CastedBackwardTimings {
 /// The casted backward and its scatter as one row-blocked pass: what
 /// `casted_gather_reduce_into` followed by [`scatter_apply_coalesced`]
 /// computes — **bit for bit**, table and optimizer state, for every
-/// `block_rows` and `Exec` — without ever holding the whole coalesced
-/// gradient.
+/// `block_rows` — without ever holding the whole coalesced gradient.
 ///
-/// Each task of the scatter (the same tasks [`scatter_apply_coalesced`]
-/// cuts) walks its unique rows `block_rows` at a time. The lookups that
+/// The unique rows are walked `block_rows` at a time. The lookups that
 /// reduce into a block are one contiguous piece of the stream
 /// (`reduce_dst` is non-decreasing), so the block's gradient is
 /// accumulated by the gather-reduce loop into a `block_rows x dim` buffer
@@ -160,93 +150,64 @@ pub fn scatter_apply_casted(
     casted: &impl CastedLookups,
     block_rows: usize,
     scratch: &mut BlockScratch,
-    exec: Exec<'_>,
 ) -> Result<CastedBackwardTimings, EmbeddingError> {
     assert!(block_rows > 0, "a block holds at least one row");
     let started = Instant::now();
-    let clock = HalfClock::default();
-    let (src, dst) = (casted.gather_src(), casted.reduce_dst());
+    let (src, dst, rows) = (
+        casted.gather_src(),
+        casted.reduce_dst(),
+        casted.unique_rows(),
+    );
     assert_eq!(src.len(), dst.len(), "one reduce_dst per gather_src");
-    let grads = Grads::Casted {
-        upstream,
-        src,
-        dst,
-        block_rows,
-        clock: &clock,
+    let dim = upstream.cols();
+    let (mut accumulate, mut apply) = (Duration::ZERO, Duration::ZERO);
+    if let Some(end) = validate(table, rows, (rows.len(), dim))? {
+        let (params, block) = (table.as_mut_slice(), &mut scratch.block);
+        let kernel = tcast_tensor::simd::dispatch();
+        optimizer.with_update(end, dim, |update| {
+            // `dst` is non-decreasing: the lookups of coalesced rows
+            // `first..first + n` are one contiguous piece of the stream.
+            let mut from = 0;
+            for (b, block_ids) in rows.chunks(block_rows).enumerate() {
+                let first = b * block_rows;
+                let to =
+                    from + dst[from..].partition_point(|&d| (d as usize) < first + block_ids.len());
+                let t0 = Instant::now();
+                block.clear();
+                block.resize(block_ids.len() * dim, 0.0);
+                let (src, dst) = (&src[from..to], &dst[from..to]);
+                accumulate_block(kernel, upstream.as_slice(), dim, src, dst, first, block);
+                let t1 = Instant::now();
+                update_rows(update, params, block_ids, block, dim);
+                accumulate += t1 - t0;
+                apply += t1.elapsed();
+                from = to;
+            }
+        });
+    }
+    // The call's wall time, divided in the ratio of the two halves' sums.
+    let wall = started.elapsed();
+    let (accumulate, apply) = (accumulate.as_nanos() as f64, apply.as_nanos() as f64);
+    let gather_reduce = if accumulate > 0.0 {
+        wall.mul_f64(accumulate / (accumulate + apply))
+    } else {
+        Duration::ZERO
     };
-    // No scatter runs more tasks than this. Only ever grown, so a warm
-    // scratch allocates nothing.
-    let tasks = exec.threads();
-    if scratch.blocks.len() < tasks {
-        scratch.blocks.resize_with(tasks, Vec::new);
-    }
-    let rows = casted.unique_rows();
-    scatter_parts(table, optimizer, rows, grads, &mut scratch.blocks, exec)?;
-    Ok(clock.split(started.elapsed()))
-}
-
-/// Where a scatter reads its gradients from.
-#[derive(Clone, Copy)]
-enum Grads<'a> {
-    /// Materialized: one coalesced row per entry of `rows`.
-    Coalesced(&'a Matrix),
-    /// The casted lookup stream that sums `upstream` rows into them,
-    /// accumulated `block_rows` coalesced rows at a time.
-    Casted {
-        upstream: &'a Matrix,
-        src: &'a [u32],
-        dst: &'a [u32],
-        block_rows: usize,
-        clock: &'a HalfClock,
-    },
-}
-
-impl Grads<'_> {
-    /// `(gradient rows, gradient width)` of a scatter of `rows` rows.
-    fn shape(&self, rows: usize) -> (usize, usize) {
-        match self {
-            Grads::Coalesced(grads) => grads.shape(),
-            Grads::Casted { upstream, .. } => (rows, upstream.cols()),
-        }
-    }
-}
-
-/// Time the tasks of one blocked backward spent in each half, summed over
-/// tasks (a statistic: relaxed adds, read after the tasks have joined).
-#[derive(Default)]
-struct HalfClock {
-    accumulate_ns: AtomicU64,
-    update_ns: AtomicU64,
-}
-
-impl HalfClock {
-    /// Divides `wall` in the ratio of the two sums: exact when one task
-    /// ran, and still wall-clock time when several ran side by side.
-    fn split(&self, wall: Duration) -> CastedBackwardTimings {
-        let accumulate = self.accumulate_ns.load(Ordering::Relaxed) as f64;
-        let update = self.update_ns.load(Ordering::Relaxed) as f64;
-        let gather_reduce = if accumulate > 0.0 {
-            wall.mul_f64(accumulate / (accumulate + update))
-        } else {
-            Duration::ZERO
-        };
-        CastedBackwardTimings {
-            gather_reduce,
-            scatter: wall - gather_reduce,
-        }
-    }
+    Ok(CastedBackwardTimings {
+        gather_reduce,
+        scatter: wall - gather_reduce,
+    })
 }
 
 /// Checks a scatter of `rows` (ascending row ids) with gradients of
-/// `(rows, width)` `shape` into `table`; then, when there are rows, hands
-/// out the optimizer's band over `[0, last + 1)`. Nothing is written
+/// `(rows, width)` `shape` into `table`; then, when there are rows,
+/// returns the end of the rows it touches, `last + 1`. Nothing is written
 /// before every check has passed.
-fn validate<'o>(
+fn validate(
     table: &EmbeddingTable,
-    optimizer: &'o mut RowOptimizer,
     rows: &[u32],
     (grad_rows, grad_dim): (usize, usize),
-) -> Result<Option<RowOptimizerBand<'o>>, EmbeddingError> {
+) -> Result<Option<usize>, EmbeddingError> {
     if rows.len() != grad_rows {
         return Err(EmbeddingError::LengthMismatch {
             expected: rows.len(),
@@ -275,151 +236,28 @@ fn validate<'o>(
             rows: table.rows(),
         });
     }
-    Ok(Some(optimizer.band(last as usize + 1, table.dim())))
-}
-
-/// The scatter behind both production entry points: validates, then cuts
-/// the work into tasks over disjoint table rows and optimizer state and
-/// runs them under `exec`. `rows` is the ascending row ids to update and
-/// `grads` their gradients; `blocks` holds a buffer per task when the
-/// gradients are [`Grads::Casted`].
-fn scatter_parts(
-    table: &mut EmbeddingTable,
-    optimizer: &mut RowOptimizer,
-    rows: &[u32],
-    grads: Grads<'_>,
-    blocks: &mut [Vec<f32>],
-    exec: Exec<'_>,
-) -> Result<(), EmbeddingError> {
-    let Some(mut state) = validate(table, optimizer, rows, grads.shape(rows.len()))? else {
-        return Ok(());
-    };
-    let dim = table.dim();
-    let mut blocks = blocks.iter_mut();
-    let mut params = table.as_mut_slice();
-    let bands = exec.threads().min(rows.len());
-    let Some(pool) = exec.pool().filter(|_| bands > 1) else {
-        let slab = Slab { params, first: 0 };
-        state.with_update(|update| run_task(update, slab, rows, 0, grads, blocks.next()));
-        return Ok(());
-    };
-    let per = rows.len().div_ceil(bands);
-    // Each task owns the table and state rows from where the previous one
-    // stopped to its successor's first row; the last, to the band's end.
-    let mut first = 0usize;
-    pool.scope(|scope| {
-        for (b, band_rows) in rows.chunks(per).enumerate() {
-            let end = match rows.get((b + 1) * per) {
-                Some(&next) => next as usize,
-                None => band_rows[band_rows.len() - 1] as usize + 1,
-            };
-            let mut task_state = state.split_off_front(end);
-            let (task_params, rest) = std::mem::take(&mut params).split_at_mut((end - first) * dim);
-            params = rest;
-            let slab = Slab {
-                params: task_params,
-                first: first as u32,
-            };
-            first = end;
-            let block = blocks.next();
-            scope.spawn(move || {
-                task_state
-                    .with_update(|update| run_task(update, slab, band_rows, b * per, grads, block));
-            });
-        }
-    });
-    Ok(())
-}
-
-/// The table rows one scatter task owns: `params` holds the rows from id
-/// `first` on.
-struct Slab<'t> {
-    params: &'t mut [f32],
-    first: u32,
-}
-
-/// One scatter task: updates `rows` — the scatter's row ids from index `lo`
-/// on — in `slab` through `update`. Materialized gradients are applied in one
-/// go; a casted stream is cut into blocks of coalesced rows, each
-/// accumulated into `block` by the gather-reduce loop and applied from it
-/// while it is still in cache.
-fn run_task(
-    update: &mut RowUpdate<'_>,
-    mut slab: Slab<'_>,
-    rows: &[u32],
-    lo: usize,
-    grads: Grads<'_>,
-    block: Option<&mut Vec<f32>>,
-) {
-    match grads {
-        Grads::Coalesced(grads) => {
-            let dim = grads.cols();
-            update_rows(update, &mut slab, rows, &grads.as_slice()[lo * dim..], dim);
-        }
-        Grads::Casted {
-            upstream,
-            src,
-            dst,
-            block_rows,
-            clock,
-        } => {
-            let block = block.expect("a casted scatter brings a block buffer per task");
-            let dim = upstream.cols();
-            let kernel = tcast_tensor::simd::dispatch();
-            let (mut accumulate, mut apply) = (Duration::ZERO, Duration::ZERO);
-            // `dst` is non-decreasing: the lookups of coalesced rows
-            // `first..first + n` are one contiguous piece of the stream.
-            let mut from = dst.partition_point(|&d| (d as usize) < lo);
-            for (b, block_ids) in rows.chunks(block_rows).enumerate() {
-                let first = lo + b * block_rows;
-                let to =
-                    from + dst[from..].partition_point(|&d| (d as usize) < first + block_ids.len());
-                let t0 = Instant::now();
-                block.clear();
-                block.resize(block_ids.len() * dim, 0.0);
-                accumulate_band(
-                    kernel,
-                    upstream.as_slice(),
-                    dim,
-                    &src[from..to],
-                    &dst[from..to],
-                    first,
-                    block,
-                );
-                let t1 = Instant::now();
-                update_rows(update, &mut slab, block_ids, block, dim);
-                accumulate += t1 - t0;
-                apply += t1.elapsed();
-                from = to;
-            }
-            let ns = |d: Duration| d.as_nanos() as u64;
-            clock
-                .accumulate_ns
-                .fetch_add(ns(accumulate), Ordering::Relaxed);
-            clock.update_ns.fetch_add(ns(apply), Ordering::Relaxed);
-        }
-    }
+    Ok(Some(last as usize + 1))
 }
 
 /// The one scatter loop: for each `k`, applies row `k` of `grads` (rows
-/// of width `dim`) to table row `rows[k]` of `slab` through `update`, with
-/// the table rows [`PREFETCH_WINDOW`] updates ahead prefetched under the
-/// current one.
+/// of width `dim`) to table row `rows[k]` of `params` through `update`,
+/// with the table rows [`PREFETCH_WINDOW`] updates ahead prefetched under
+/// the current one.
 fn update_rows(
     update: &mut RowUpdate<'_>,
-    slab: &mut Slab<'_>,
+    params: &mut [f32],
     rows: &[u32],
     grads: &[f32],
     dim: usize,
 ) {
-    let at = |row: u32| (row - slab.first) as usize * dim;
+    let at = |row: u32| row as usize * dim;
     for (k, &row) in rows.iter().enumerate() {
         if let Some(&ahead) = rows.get(k + PREFETCH_WINDOW) {
-            prefetch(&slab.params[at(ahead)..at(ahead) + dim]);
+            prefetch(&params[at(ahead)..at(ahead) + dim]);
         }
         update(
             row,
-            &mut slab.params[at(row)..at(row) + dim],
+            &mut params[at(row)..at(row) + dim],
             &grads[k * dim..(k + 1) * dim],
         );
     }
@@ -431,7 +269,6 @@ mod tests {
     use crate::coalesce::gradient_expand_coalesce;
     use crate::index::IndexArray;
     use crate::optim::{RowOptimizer, UpdateRule};
-    use tcast_pool::Pool;
 
     fn coalesced(rows: &[u32], grads: Matrix) -> CoalescedGradients {
         CoalescedGradients::new(rows.to_vec(), grads).unwrap()
@@ -455,9 +292,8 @@ mod tests {
     fn scatter(
         table: &mut EmbeddingTable,
         part: &CoalescedGradients,
-        exec: Exec<'_>,
     ) -> Result<(), EmbeddingError> {
-        scatter_apply_coalesced(table, &mut sgd(1.0), part, exec)
+        scatter_apply_coalesced(table, &mut sgd(1.0), part)
     }
 
     #[test]
@@ -536,57 +372,48 @@ mod tests {
     }
 
     // Bit-identity of `scatter_apply_coalesced` against `scatter_apply`,
-    // for every optimizer x Exec, lives in `tests/scatter_parallel.rs`;
-    // these cover what it rejects.
+    // for every optimizer, lives in `tests/scatter_parallel.rs`; these
+    // cover what it rejects.
 
     #[test]
     fn empty_and_single_row_scatters() {
-        let pool = Pool::new(2);
-        let exec = Exec::pooled(&pool);
         let mut table = EmbeddingTable::seeded(10, 2, 3);
         let before = table.clone();
-        scatter(&mut table, &part(&[], Matrix::zeros(0, 2)), exec).unwrap();
-        scatter(&mut table, &CoalescedGradients::default(), exec).unwrap();
+        scatter(&mut table, &part(&[], Matrix::zeros(0, 2))).unwrap();
+        scatter(&mut table, &CoalescedGradients::default()).unwrap();
         assert_eq!(table.as_slice(), before.as_slice());
         let one = part(&[7], Matrix::from_rows(&[&[1.0, 1.0]]).unwrap());
-        scatter(&mut table, &one, exec).unwrap();
+        scatter(&mut table, &one).unwrap();
         assert_eq!(table.row(7)[0], before.row(7)[0] - 1.0);
     }
 
     #[test]
     fn rejects_uncoalesced_rows() {
-        let pool = Pool::new(2);
         let mut table = EmbeddingTable::zeros(10, 1);
         for rows in [[3u32, 3], [5, 2]] {
-            for exec in [Exec::Serial, Exec::pooled(&pool)] {
-                let part = part(&rows, Matrix::zeros(2, 1));
-                let err = scatter(&mut table, &part, exec).unwrap_err();
-                assert!(matches!(err, EmbeddingError::InvalidIndex(_)), "{err:?}");
-            }
+            let part = part(&rows, Matrix::zeros(2, 1));
+            let err = scatter(&mut table, &part).unwrap_err();
+            assert!(matches!(err, EmbeddingError::InvalidIndex(_)), "{err:?}");
         }
     }
 
     #[test]
     fn validates_bounds_and_shapes() {
-        let pool = Pool::new(2);
         let mut table = EmbeddingTable::zeros(4, 2);
-        for exec in [Exec::Serial, Exec::pooled(&pool)] {
-            let mut scatter = |rows: &[u32], grads: Matrix| {
-                scatter(&mut table, &part(rows, grads), exec).unwrap_err()
-            };
-            // Row id beyond the table.
-            let err = scatter(&[4], Matrix::zeros(1, 2));
-            assert!(matches!(
-                err,
-                EmbeddingError::SrcOutOfBounds { src: 4, rows: 4 }
-            ));
-            // Gradient width mismatch.
-            let err = scatter(&[0], Matrix::zeros(1, 3));
-            assert!(matches!(err, EmbeddingError::DimMismatch { .. }));
-            // Row count mismatch.
-            let err = scatter(&[0], Matrix::zeros(2, 2));
-            assert!(matches!(err, EmbeddingError::LengthMismatch { .. }));
-        }
+        let mut scatter =
+            |rows: &[u32], grads: Matrix| scatter(&mut table, &part(rows, grads)).unwrap_err();
+        // Row id beyond the table.
+        let err = scatter(&[4], Matrix::zeros(1, 2));
+        assert!(matches!(
+            err,
+            EmbeddingError::SrcOutOfBounds { src: 4, rows: 4 }
+        ));
+        // Gradient width mismatch.
+        let err = scatter(&[0], Matrix::zeros(1, 3));
+        assert!(matches!(err, EmbeddingError::DimMismatch { .. }));
+        // Row count mismatch.
+        let err = scatter(&[0], Matrix::zeros(2, 2));
+        assert!(matches!(err, EmbeddingError::LengthMismatch { .. }));
     }
 
     /// `rows` as a casted lookup stream: one lookup a row, gathering
@@ -623,20 +450,18 @@ mod tests {
             .map_or(0, |(_, _, touched)| touched.len() as u64)
     }
 
-    /// One scatter of `rows`, each with gradient 0.5, through every entry
-    /// point: the reference, and the coalesced and casted scatters under
-    /// `exec`.
+    /// One scatter of `rows`, each with gradient 0.5, through one entry
+    /// point: the reference, or the coalesced or the casted scatter.
     fn scatter_every_way(
         table: &mut EmbeddingTable,
         opt: &mut RowOptimizer,
         rows: &[u32],
-        exec: Exec<'_>,
         entry: usize,
     ) {
         let grads = Matrix::filled(rows.len(), table.dim(), 0.5);
         match entry {
             0 => scatter_apply(table, &coalesced(rows, grads), opt).unwrap(),
-            1 => scatter_apply_coalesced(table, opt, &coalesced(rows, grads), exec).unwrap(),
+            1 => scatter_apply_coalesced(table, opt, &coalesced(rows, grads)).unwrap(),
             _ => {
                 let ids = (0..rows.len() as u32).collect();
                 let casted = OneLookupEach {
@@ -644,48 +469,42 @@ mod tests {
                     ids,
                 };
                 let mut scratch = BlockScratch::default();
-                scatter_apply_casted(table, opt, &grads, &casted, 16, &mut scratch, exec).unwrap();
+                scatter_apply_casted(table, opt, &grads, &casted, 16, &mut scratch).unwrap();
             }
         }
     }
 
     /// Two scatters far up a 400k-row table, the second past the first's
     /// last row: the state ends one row past the highest row updated,
-    /// whichever entry point and `Exec` ran them — never doubled.
+    /// whichever entry point ran them — never doubled.
     #[test]
     fn state_ends_just_past_the_highest_row_updated() {
-        let pool = Pool::new(3);
         for rule in [ADAGRAD, ADAM] {
-            for exec in [Exec::Serial, Exec::pooled(&pool)] {
-                for entry in 0..3 {
-                    let mut table = EmbeddingTable::zeros(400_000, 1);
-                    let mut opt = RowOptimizer::new(rule);
-                    for rows in [&[10, 399_500][..], &[399_800]] {
-                        scatter_every_way(&mut table, &mut opt, rows, exec, entry);
-                    }
-                    let what = format!("{} through entry {entry} under {exec:?}", rule.name());
-                    assert_eq!(state_rows(&opt), 399_801, "{what}");
-                    assert_eq!(opt.tracked_rows(), 3, "{what}");
+            for entry in 0..3 {
+                let mut table = EmbeddingTable::zeros(400_000, 1);
+                let mut opt = RowOptimizer::new(rule);
+                for rows in [&[10, 399_500][..], &[399_800]] {
+                    scatter_every_way(&mut table, &mut opt, rows, entry);
                 }
+                let what = format!("{} through entry {entry}", rule.name());
+                assert_eq!(state_rows(&opt), 399_801, "{what}");
+                assert_eq!(opt.tracked_rows(), 3, "{what}");
             }
         }
     }
 
     /// Rows that all lie in a short prefix of a large table: the state
-    /// stops at the touched prefix, on every `Exec`.
+    /// stops at the touched prefix.
     #[test]
     fn state_stays_bounded_by_the_touched_prefix() {
         let (rows, dim, touched) = (1usize << 20, 2usize, 40u32);
         let prefix: Vec<u32> = (0..touched).collect();
-        let pool = Pool::new(3);
-        for exec in [Exec::Serial, Exec::pooled(&pool)] {
-            let mut table = EmbeddingTable::zeros(rows, dim);
-            let mut opt = RowOptimizer::new(ADAM);
-            for _ in 0..2 {
-                scatter_every_way(&mut table, &mut opt, &prefix, exec, 2);
-            }
-            assert_eq!(opt.tracked_rows(), touched as usize, "{exec:?}");
-            assert_eq!(state_rows(&opt), u64::from(touched), "{exec:?}");
+        let mut table = EmbeddingTable::zeros(rows, dim);
+        let mut opt = RowOptimizer::new(ADAM);
+        for _ in 0..2 {
+            scatter_every_way(&mut table, &mut opt, &prefix, 2);
         }
+        assert_eq!(opt.tracked_rows(), touched as usize);
+        assert_eq!(state_rows(&opt), u64::from(touched));
     }
 }

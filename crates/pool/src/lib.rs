@@ -440,7 +440,9 @@ pub fn default_parallelism() -> usize {
 /// How a kernel should execute: serially on the calling thread, or
 /// split into `threads` tasks on a [`Pool`].
 ///
-/// Every pooled kernel in this workspace is *bit-identical* to its serial
+/// The kernels that take one are the dense GEMMs (every embedding kernel
+/// runs on its caller's thread; `gather_reduce_into` takes an `Exec` only
+/// to ignore it). Each pooled GEMM is *bit-identical* to its serial
 /// counterpart (same per-output accumulation order), so `Exec` only
 /// selects a schedule, never a result.
 #[derive(Clone, Copy, Debug, Default)]

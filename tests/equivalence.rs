@@ -1,8 +1,9 @@
 //! Cross-crate functional-equivalence suite: the paper's central
 //! correctness claim, checked across every layer of the stack — host
-//! kernels, the pooled paths, and full DLRM training.
+//! kernels, their allocating oracles, and full DLRM training.
 
 use proptest::prelude::*;
+use std::panic::{catch_unwind, AssertUnwindSafe};
 use std::sync::OnceLock;
 use tensor_casting::core::{
     blocked_casted_backward, casted_gather_reduce, casted_gather_reduce_into, tensor_casting,
@@ -59,15 +60,34 @@ fn bits(values: &[f32]) -> Vec<u32> {
     values.iter().map(|v| v.to_bits()).collect()
 }
 
-/// The invariant behind `Exec`: every sparse primitive that takes one —
-/// forward gather-reduce, the baseline coalesce (Algorithm 1), the casted
-/// gather-reduce (Algorithm 3) — returns the **same bits** serially and
-/// on a pool, for any band count, into fresh or dirty buffers. Also pins
-/// the three backward paths to each other on the same input: baseline ==
-/// casted == fused-into-the-table, the last one for every block size.
+/// No embedding kernel touches a pool. `gather_reduce_into`, the one that
+/// still takes an `Exec`, runs a pooled one on the calling thread: it
+/// neither takes the poisoned task armed on the pool nor changes a bit,
+/// and the next scope on the pool still panics on it.
+#[test]
+fn no_embedding_kernel_touches_a_pool() {
+    let pool = Pool::new(2);
+    let table = EmbeddingTable::seeded(50, 8, 3);
+    let index = IndexArray::from_samples(&[vec![1, 4, 9], vec![4], vec![0, 49]]).unwrap();
+    let serial = gather_reduce(&table, &index).unwrap();
+    pool.poison_next_task();
+    let mut out = Matrix::default();
+    gather_reduce_into(&table, &index, &mut out, Exec::pooled(&pool)).unwrap();
+    assert_eq!(bits(out.as_slice()), bits(serial.as_slice()));
+    let next_scope = catch_unwind(AssertUnwindSafe(|| pool.scope(|s| s.spawn(|| {}))));
+    assert!(next_scope.is_err(), "the gather took the poisoned task");
+}
+
+/// Every sparse primitive's `_into` form returns the **same bits** as its
+/// allocating oracle — forward gather-reduce, the baseline coalesce
+/// (Algorithm 1), the casted gather-reduce (Algorithm 3) — into fresh and
+/// then dirty buffers; `gather_reduce_into`, the one that still takes an
+/// `Exec`, does so serially and under a pooled one. Also pins the three
+/// backward paths to each other on the same input: baseline == casted ==
+/// fused-into-the-table, the last one for every block size.
 fn check_serial_equals_pooled(index: &IndexArray, table_rows: usize, dim: usize, seed: u64) {
     static POOL: OnceLock<Pool> = OnceLock::new();
-    let pool = POOL.get_or_init(|| Pool::new(4));
+    let pool = POOL.get_or_init(|| Pool::new(1));
     let what = format!(
         "{} lookups -> {} outputs, {table_rows} rows x {dim}, seed {seed}",
         index.len(),
@@ -103,17 +123,13 @@ fn check_serial_equals_pooled(index: &IndexArray, table_rows: usize, dim: usize,
     let sgd = || RowOptimizer::new(UpdateRule::Sgd { lr: 0.1 });
     let mut blocks = BlockScratch::default();
 
-    // One set of buffers for the whole sweep: every call after the first
-    // starts from dirty scratch.
+    // One set of buffers for both passes: every call of the second starts
+    // from dirty scratch.
     let mut out = Matrix::default();
     let mut coalesced = CoalescedGradients::default();
     let mut radix = RadixScratch::default();
     let mut casted_out = CoalescedGradients::default();
-    let execs = [1usize, 2, 3, 8]
-        .map(|threads| Exec::Pooled { pool, threads })
-        .into_iter()
-        .chain([Exec::Serial]);
-    for exec in execs {
+    for exec in [Exec::Serial, Exec::pooled(pool)] {
         let what = format!("{what}, {exec:?}");
         gather_reduce_into(&table, index, &mut out, exec).unwrap();
         assert_eq!(
@@ -127,7 +143,7 @@ fn check_serial_equals_pooled(index: &IndexArray, table_rows: usize, dim: usize,
             "gather-reduce: {what}"
         );
 
-        gradient_coalesce_into(&expanded, index, &mut coalesced, &mut radix, exec).unwrap();
+        gradient_coalesce_into(&expanded, index, &mut coalesced, &mut radix).unwrap();
         assert_eq!(coalesced.rows(), baseline.rows(), "coalesce: {what}");
         assert_eq!(
             bits(coalesced.grads().as_slice()),
@@ -135,7 +151,7 @@ fn check_serial_equals_pooled(index: &IndexArray, table_rows: usize, dim: usize,
             "coalesce: {what}"
         );
 
-        casted_gather_reduce_into(&grads, &casted, &mut casted_out, exec).unwrap();
+        casted_gather_reduce_into(&grads, &casted, &mut casted_out).unwrap();
         assert_eq!(
             casted_out.rows(),
             baseline.rows(),
@@ -150,8 +166,7 @@ fn check_serial_equals_pooled(index: &IndexArray, table_rows: usize, dim: usize,
         // The fused backward never holds more than a block of that
         // gradient: a row, a few, or (past every unique row) all of it.
         let mut fused = table.clone();
-        blocked_casted_backward(&mut fused, &mut sgd(), &grads, &casted, &mut blocks, exec)
-            .unwrap();
+        blocked_casted_backward(&mut fused, &mut sgd(), &grads, &casted, &mut blocks).unwrap();
         assert_eq!(
             bits(fused.as_slice()),
             bits(plain.as_slice()),
@@ -166,7 +181,6 @@ fn check_serial_equals_pooled(index: &IndexArray, table_rows: usize, dim: usize,
                 &casted,
                 block_rows,
                 &mut blocks,
-                exec,
             )
             .unwrap();
             assert_eq!(
@@ -183,8 +197,8 @@ fn serial_equals_pooled_on_edge_workloads() {
     let pairs =
         |src: Vec<u32>, dst: Vec<u32>, outputs| IndexArray::from_pairs(src, dst, outputs).unwrap();
     let workloads = [
-        // Every lookup hits one of 3 rows (long unique runs, more bands
-        // than coalesced rows), with `dst` out of order.
+        // Every lookup hits one of 3 rows (long unique runs), with `dst`
+        // out of order.
         pairs(
             (0..300).map(|i| i % 3).collect(),
             (0..300).map(|i| i % 10).collect(),
@@ -199,7 +213,7 @@ fn serial_equals_pooled_on_edge_workloads() {
         // No lookups at all, with and without output slots.
         pairs(vec![], vec![], 0),
         pairs(vec![], vec![], 5),
-        // A single output row, and fewer outputs than any band count > 2.
+        // A single output row, and two.
         IndexArray::from_samples(&[(0..40).map(|i| (i * 7) % 50).collect()]).unwrap(),
         IndexArray::from_samples(&[vec![3, 3, 9], vec![9, 1, 3]]).unwrap(),
         // A slot no lookup reduces into stays zero.

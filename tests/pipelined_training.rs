@@ -904,8 +904,8 @@ fn split_dense_phases_train_bit_identically_through_every_schedule() {
         bytes
     };
     for mode in [BackwardMode::Baseline, BackwardMode::Casted] {
-        // SGD: a stateful optimizer's checkpoint also records how its
-        // slabs grew, which a banded scatter is free to do differently.
+        // SGD: the schedules differ only in the dense phases; every
+        // embedding kernel runs on the training thread under each one.
         let mk = |execution| {
             let optimizer = EmbeddingOptimizer::Sgd;
             Trainer::with_execution(wide_config(), mode, optimizer, execution, 7).unwrap()

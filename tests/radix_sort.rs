@@ -14,7 +14,7 @@ use tensor_casting::datasets::{Popularity, TableWorkload};
 use tensor_casting::embedding::{
     gradient_coalesce_into, CoalescedGradients, IndexArray, RadixScratch,
 };
-use tensor_casting::tensor::{Exec, Matrix, SplitMix64};
+use tensor_casting::tensor::{Matrix, SplitMix64};
 
 /// The comparison sort both paths ran before: `(src, position)` packed
 /// into a `u64` makes every key distinct, so an unstable sort of them is
@@ -175,9 +175,9 @@ proptest! {
         let mut scratch = RadixScratch::default();
         let larger = larger_array();
         let larger_expanded = expanded_for(&larger, seed);
-        gradient_coalesce_into(&larger_expanded, &larger, &mut out, &mut scratch, Exec::Serial)
+        gradient_coalesce_into(&larger_expanded, &larger, &mut out, &mut scratch)
             .unwrap();
-        gradient_coalesce_into(&expanded, &index, &mut out, &mut scratch, Exec::Serial).unwrap();
+        gradient_coalesce_into(&expanded, &index, &mut out, &mut scratch).unwrap();
         prop_assert_eq!(out.rows(), &rows[..], "kind {}", kind);
         let bits = |v: &[f32]| v.iter().map(|g| g.to_bits()).collect::<Vec<_>>();
         prop_assert_eq!(bits(out.grads().as_slice()), bits(&grads), "kind {}", kind);

@@ -1,14 +1,8 @@
 //! Property suite for the production scatter, `scatter_apply_coalesced`:
-//! for any coalesced workload, every optimizer and every `Exec` (serial,
-//! or pooled at any band count), tables **and optimizer state** must be
-//! bit-identical to the serial reference `scatter_apply` through the same
-//! kind of optimizer.
-//!
-//! This is the scatter-side mirror of the casted-backward equivalence
-//! property: coalesced rows are unique, so any split of the `(rows,
-//! grads)` arrays into contiguous row bands gives each task a disjoint
-//! table slice and disjoint optimizer state, and the per-row update math
-//! is exactly the serial optimizer's.
+//! for any coalesced workload and every optimizer, tables **and optimizer
+//! state** must be bit-identical to the reference `scatter_apply` through
+//! the same kind of optimizer — the scatter-side mirror of the
+//! casted-backward equivalence property.
 //!
 //! The second half holds the scatter the casted trainer runs,
 //! `scatter_apply_casted` (the row-blocked casted backward), to the two
@@ -16,19 +10,13 @@
 //! `scatter_apply_coalesced` — over the same matrix plus the block size.
 
 use proptest::prelude::*;
-use std::sync::OnceLock;
 use tensor_casting::core::{casted_gather_reduce_into, tensor_casting};
 use tensor_casting::embedding::{
     optim::{RowOptimizer, UpdateRule},
     scatter_apply, scatter_apply_casted, scatter_apply_coalesced, BlockScratch, CoalescedGradients,
-    EmbeddingError, EmbeddingTable, IndexArray,
+    EmbeddingTable, IndexArray,
 };
-use tensor_casting::tensor::{Exec, Matrix, Pool, SplitMix64};
-
-fn pool() -> &'static Pool {
-    static POOL: OnceLock<Pool> = OnceLock::new();
-    POOL.get_or_init(|| Pool::new(4))
-}
+use tensor_casting::tensor::{Matrix, SplitMix64};
 
 const RULES: [UpdateRule; 5] = [
     UpdateRule::Sgd { lr: 0.1 },
@@ -54,8 +42,7 @@ fn bits(values: &[f32]) -> Vec<u32> {
 /// An optimizer's whole per-row state, bit for bit, as its checkpoint
 /// saves it: each plane's width, value bits and touched flags, then the
 /// step counts. Every path grows the slabs just past the last row it
-/// updates, so equal trajectories mean equal state — however the scatter
-/// was banded.
+/// updates, so equal trajectories mean equal state.
 type StateBits = (Vec<(usize, Vec<u32>, Vec<bool>)>, Option<Vec<u32>>);
 
 fn state_bits(opt: &RowOptimizer) -> StateBits {
@@ -70,10 +57,9 @@ fn state_bits(opt: &RowOptimizer) -> StateBits {
 }
 
 /// Three scatters of `rows` (coalesced: unique, ascending) through every
-/// optimizer, reference vs. the production entry under every `Exec`:
-/// serial, and pooled at 1, 2, 3 and 8 bands. Several scatters through the SAME
-/// optimizer instances, so a state divergence in step k also corrupts
-/// every table update after it.
+/// optimizer, reference vs. the production entry. Several scatters
+/// through the SAME optimizer instances, so a state divergence in step k
+/// also corrupts every table update after it.
 fn check_scatter(table_rows: usize, dim: usize, rows: &[u32], seed: u64) -> Result<(), String> {
     let mut rng = SplitMix64::new(seed);
     let steps: Vec<CoalescedGradients> = (0..3)
@@ -85,54 +71,40 @@ fn check_scatter(table_rows: usize, dim: usize, rows: &[u32], seed: u64) -> Resu
             CoalescedGradients::new(rows.to_vec(), grads).unwrap()
         })
         .collect();
-    let execs = [1usize, 2, 3, 8]
-        .map(|threads| Exec::Pooled {
-            pool: pool(),
-            threads,
-        })
-        .into_iter()
-        .chain([Exec::Serial]);
-
     for rule in RULES {
         let mut reference = EmbeddingTable::seeded(table_rows, dim, 1);
         let mut reference_opt = RowOptimizer::new(rule);
+        let mut table = reference.clone();
+        let mut opt = RowOptimizer::new(rule);
         for step in &steps {
             scatter_apply(&mut reference, step, &mut reference_opt).unwrap();
+            scatter_apply_coalesced(&mut table, &mut opt, step).unwrap();
         }
-        let reference_state = state_bits(&reference_opt);
-
-        for exec in execs.clone() {
-            let mut table = EmbeddingTable::seeded(table_rows, dim, 1);
-            let mut opt = RowOptimizer::new(rule);
-            for step in &steps {
-                scatter_apply_coalesced(&mut table, &mut opt, step, exec).unwrap();
-            }
-            let what = format!(
-                "{} over {} rows of {table_rows}x{dim}, {exec:?}",
-                rule.name(),
-                rows.len(),
-            );
-            if bits(table.as_slice()) != bits(reference.as_slice()) {
-                return Err(format!("table diverged: {what}"));
-            }
-            if state_bits(&opt) != reference_state {
-                return Err(format!("optimizer state diverged: {what}"));
-            }
+        let what = format!(
+            "{} over {} rows of {table_rows}x{dim}",
+            rule.name(),
+            rows.len(),
+        );
+        if bits(table.as_slice()) != bits(reference.as_slice()) {
+            return Err(format!("table diverged: {what}"));
+        }
+        if state_bits(&opt) != state_bits(&reference_opt) {
+            return Err(format!("optimizer state diverged: {what}"));
         }
     }
     Ok(())
 }
 
 #[test]
-fn parallel_scatter_is_bit_identical_on_edge_workloads() {
+fn production_scatter_is_bit_identical_on_edge_workloads() {
     let table_rows = 97;
     let all: Vec<u32> = (0..table_rows as u32).collect();
     let workloads: [&[u32]; 6] = [
         &[],               // nothing to apply
-        &[41],             // a single row: fewer rows than any band count
-        &[3, 50, 96],      // 3 hot rows, one per band of 3, last row of the table
+        &[41],             // a single row
+        &[3, 50, 96],      // 3 hot rows, the last the table's last row
         &[0, 1, 2],        // the first rows only: state grows to a short prefix
-        &[32, 33, 65, 66], // 4 rows: uneven bands at 3 and 8 threads
+        &[32, 33, 65, 66], // two pairs of neighbours
         all.as_slice(),    // every row of the table
     ];
     for (i, rows) in workloads.iter().enumerate() {
@@ -143,12 +115,11 @@ fn parallel_scatter_is_bit_identical_on_edge_workloads() {
 }
 
 /// Two blocked casted backwards of `index` through every optimizer,
-/// against the two operators run one after the other (serially, through
-/// whole coalesced arrays), under block sizes {1, 3, 64, every row} x
-/// `Exec::{Serial, Pooled 2, Pooled 3, Pooled 7}`. The
-/// second step runs on the first one's optimizer state, and one block
-/// scratch serves a whole sweep, so every call after the first starts
-/// from dirty buffers.
+/// against the two operators run one after the other (through whole
+/// coalesced arrays), under block sizes {1, 3, 64, every row}. The second
+/// step runs on the first one's optimizer state, and one block scratch
+/// serves a whole sweep, so every call after the first starts from dirty
+/// buffers.
 fn check_blocked_backward(
     table_rows: usize,
     dim: usize,
@@ -165,14 +136,6 @@ fn check_blocked_backward(
             upstream
         })
         .collect();
-    let execs = [2usize, 3, 7]
-        .map(|threads| Exec::Pooled {
-            pool: pool(),
-            threads,
-        })
-        .into_iter()
-        .chain([Exec::Serial]);
-
     // What the trainer casts ahead: the table's one casted array.
     let casted = tensor_casting(index);
     let mut blocks = BlockScratch::default();
@@ -181,39 +144,35 @@ fn check_blocked_backward(
         let mut reference_opt = RowOptimizer::new(rule);
         let mut coalesced = CoalescedGradients::default();
         for upstream in &steps {
-            casted_gather_reduce_into(upstream, &casted, &mut coalesced, Exec::Serial).unwrap();
-            scatter_apply_coalesced(&mut reference, &mut reference_opt, &coalesced, Exec::Serial)
-                .unwrap();
+            casted_gather_reduce_into(upstream, &casted, &mut coalesced).unwrap();
+            scatter_apply_coalesced(&mut reference, &mut reference_opt, &coalesced).unwrap();
         }
         let reference_state = state_bits(&reference_opt);
 
-        for exec in execs.clone() {
-            for block_rows in [1, 3, 64, table_rows.max(1)] {
-                let mut table = EmbeddingTable::seeded(table_rows, dim, 1);
-                let mut opt = RowOptimizer::new(rule);
-                for upstream in &steps {
-                    scatter_apply_casted(
-                        &mut table,
-                        &mut opt,
-                        upstream,
-                        &casted,
-                        block_rows,
-                        &mut blocks,
-                        exec,
-                    )
-                    .unwrap();
-                }
-                let what = format!(
-                    "{} over {} lookups into {table_rows}x{dim}, blocks of {block_rows}, {exec:?}",
-                    rule.name(),
-                    index.len(),
-                );
-                if bits(table.as_slice()) != bits(reference.as_slice()) {
-                    return Err(format!("table diverged: {what}"));
-                }
-                if state_bits(&opt) != reference_state {
-                    return Err(format!("optimizer state diverged: {what}"));
-                }
+        for block_rows in [1, 3, 64, table_rows.max(1)] {
+            let mut table = EmbeddingTable::seeded(table_rows, dim, 1);
+            let mut opt = RowOptimizer::new(rule);
+            for upstream in &steps {
+                scatter_apply_casted(
+                    &mut table,
+                    &mut opt,
+                    upstream,
+                    &casted,
+                    block_rows,
+                    &mut blocks,
+                )
+                .unwrap();
+            }
+            let what = format!(
+                "{} over {} lookups into {table_rows}x{dim}, blocks of {block_rows}",
+                rule.name(),
+                index.len(),
+            );
+            if bits(table.as_slice()) != bits(reference.as_slice()) {
+                return Err(format!("table diverged: {what}"));
+            }
+            if state_bits(&opt) != reference_state {
+                return Err(format!("optimizer state diverged: {what}"));
             }
         }
     }
@@ -229,12 +188,12 @@ fn blocked_casted_backward_is_bit_identical_on_edge_workloads() {
         // No lookups: nothing to update, with and without upstream rows.
         pairs(vec![], vec![], 0),
         pairs(vec![], vec![], 4),
-        // One lookup: a single row in one band, nothing in the others.
+        // One lookup: a single row in a single block.
         pairs(vec![41], vec![0], 1),
         // One hot row looked up by every sample: a single unique row whose
         // run is the whole stream.
         pairs(vec![96; 80], (0..80).collect(), 80),
-        // Four rows in two samples: uneven bands at 3 and 7 threads.
+        // Four rows in two samples: a ragged last block of 3.
         IndexArray::from_samples(&[vec![32, 33, 65, 66], vec![33, 65]]).unwrap(),
         // Every row of the table, twice over, in descending order: more
         // unique rows than any block size but the last.
@@ -254,8 +213,8 @@ fn blocked_casted_backward_is_bit_identical_on_edge_workloads() {
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(16))]
 
-    /// Random lookup streams: up to 24 samples of 1-6 lookups, so bands
-    /// range from single-row to a few blocks.
+    /// Random lookup streams: up to 24 samples of 1-6 lookups, so a
+    /// backward ranges from a single row to a few blocks.
     #[test]
     fn blocked_casted_backward_is_bit_identical_to_the_two_operators(
         case in (1u32..200).prop_flat_map(|rows| (
@@ -274,7 +233,7 @@ proptest! {
     /// Random coalesced workloads, including the empty and single-row
     /// ones (raw_rows may collapse to 0 or 1 unique rows after dedup).
     #[test]
-    fn parallel_scatter_is_bit_identical_to_serial(
+    fn production_scatter_is_bit_identical_to_the_reference(
         table_rows in 1u32..300,
         dim in 1usize..10,
         raw_rows in proptest::collection::vec(any::<u32>(), 0..48),
@@ -285,27 +244,5 @@ proptest! {
         rows.dedup();
         let checked = check_scatter(table_rows as usize, dim, &rows, seed);
         prop_assert!(checked.is_ok(), "{}", checked.unwrap_err());
-    }
-
-    /// Uncoalesced inputs (duplicates or disorder) are rejected, never
-    /// silently mis-banded.
-    #[test]
-    fn parallel_scatter_rejects_uncoalesced_rows(
-        row in 0u32..50,
-        swap in any::<bool>(),
-        threads in 1usize..4,
-    ) {
-        let rows = if swap { [row + 1, row] } else { [row, row] };
-        let mut uncoalesced = CoalescedGradients::default();
-        uncoalesced.reset(&rows, 2);
-        let mut table = EmbeddingTable::zeros(64, 2);
-        let err = scatter_apply_coalesced(
-            &mut table,
-            &mut RowOptimizer::new(RULES[0]),
-            &uncoalesced,
-            Exec::Pooled { pool: pool(), threads },
-        )
-        .unwrap_err();
-        prop_assert!(matches!(err, EmbeddingError::InvalidIndex(_)));
     }
 }

@@ -32,7 +32,7 @@ use tensor_casting::serve::{
     serve_online, AdaptiveBatcher, ArrivalProcess, BatchPolicy, CandidateCount, FreshnessLedger,
     OnlineConfig, Query, QueryModel, ServeConfig, ServeEngine,
 };
-use tensor_casting::tensor::{Exec, Matrix};
+use tensor_casting::tensor::Matrix;
 
 fn workload(seed: u64, catalog: usize, max_candidates: usize) -> QueryModel {
     let cfg = DlrmConfig::tiny();
@@ -501,7 +501,7 @@ fn an_empty_bag_pools_to_a_zero_row_in_training_and_serving() {
     let mut pooled = Vec::new();
     let model = casted.model();
     model
-        .embedding_forward_into(&batch.indices, &mut pooled, Exec::Serial)
+        .embedding_forward_into(&batch.indices, &mut pooled)
         .unwrap();
     assert!(pooled[1].row(last as usize).iter().all(|&v| v == 0.0));
     for step in 0..3 {

@@ -442,16 +442,16 @@ proptest! {
     }
 }
 
-/// The gather-reduce band kernels, tier against tier: the scalar loop adds
-/// a row per lookup, the AVX2 one keeps an output row in registers across a
-/// run of equal `dst` and stores it once — same rows, same order, per lane.
-/// Swept over every ragged width up to 67 and a few past one 64-lane pass,
-/// streams built of runs of 1, 3 and 80 lookups whose `dst` jump about (so
-/// rows are revisited), pre-loaded non-zero outputs, NaN / `-0.0` /
-/// denormal rows, and pooled bands whose `base` is past row 0 and which
-/// skip the pairs they do not own. `accumulate_rows` reads the process-wide
-/// tier, so this runs inside the one test that owns `simd::force`.
-fn check_band_kernels_across_tiers(pool: &Pool) {
+/// The gather-reduce accumulate kernels, tier against tier: the scalar
+/// loop adds a row per lookup, the AVX2 one keeps an output row in
+/// registers across a run of equal `dst` and stores it once — same rows,
+/// same order, per lane. Swept over every ragged width up to 67 and a few
+/// past one 64-lane pass, streams built of runs of 1, 3 and 80 lookups
+/// whose `dst` jump about (so rows are revisited), pre-loaded non-zero
+/// outputs and NaN / `-0.0` / denormal rows. `accumulate_rows` reads the
+/// process-wide tier, so this runs inside the one test that owns
+/// `simd::force`.
+fn check_accumulate_kernels_across_tiers() {
     let mut rng = SplitMix64::new(0xBA4D);
     let (table_rows, outputs) = (40usize, 11usize);
     for dim in (1..=67).chain([72, 128, 131]) {
@@ -469,35 +469,33 @@ fn check_band_kernels_across_tiers(pool: &Pool) {
         let mut preload = Matrix::zeros(outputs, dim);
         fill_special_one_in(&mut rng, preload.as_mut_slice(), 16);
 
-        for exec in [Exec::Serial, Exec::Pooled { pool, threads: 3 }] {
-            let run = |tier: KernelDispatch| {
-                simd::force(Some(tier));
-                let mut out = preload.clone();
-                accumulate_rows(&rows, &src, &dst, &mut out, exec);
-                simd::force(None);
-                out
-            };
-            let want = run(KernelDispatch::Scalar);
-            for tier in non_scalar_tiers() {
-                let bad = first_bit_mismatch(want.as_slice(), run(tier).as_slice());
-                assert!(
-                    bad.is_none(),
-                    "{} band kernel, dim {dim}, {exec:?}: mismatch at {bad:?}",
-                    tier.name()
-                );
-            }
+        let run = |tier: KernelDispatch| {
+            simd::force(Some(tier));
+            let mut out = preload.clone();
+            accumulate_rows(&rows, &src, &dst, &mut out);
+            simd::force(None);
+            out
+        };
+        let want = run(KernelDispatch::Scalar);
+        for tier in non_scalar_tiers() {
+            let bad = first_bit_mismatch(want.as_slice(), run(tier).as_slice());
+            assert!(
+                bad.is_none(),
+                "{} accumulate kernel, dim {dim}: mismatch at {bad:?}",
+                tier.name()
+            );
         }
     }
 }
 
 /// The one test that owns the process-wide [`simd::force`] override: the
-/// gather-reduce band kernels on their own, then the
+/// gather-reduce accumulate kernels on their own, then the
 /// full gather → casted-reduce → scatter operator chain and a complete
 /// `Trainer` trajectory (per-step losses + final checkpoint bytes) must
 /// be bit-identical on every tier.
 #[test]
 fn forced_dispatch_is_trajectory_bit_identical() {
-    check_band_kernels_across_tiers(&Pool::new(3));
+    check_accumulate_kernels_across_tiers();
 
     let mut rng = SplitMix64::new(97);
     let table = EmbeddingTable::seeded(300, 37, 5); // ragged dim: tails run

@@ -144,7 +144,7 @@ fn steady_state_hot_path_performs_zero_allocations() {
                           table: &mut EmbeddingTable,
                           sgd: &mut RowOptimizer| {
         gather_reduce_into(table, &index, pooled, Exec::Serial).unwrap();
-        blocked_casted_backward(table, sgd, &upstream, &casted, blocks, Exec::Serial).unwrap();
+        blocked_casted_backward(table, sgd, &upstream, &casted, blocks).unwrap();
     };
 
     // Warm-up: size every buffer to its high-water mark.
@@ -187,7 +187,7 @@ fn steady_state_hot_path_performs_zero_allocations() {
     // The whole coalesced gradient of the same batch, for the scatters
     // below that take one as input.
     let mut coalesced = CoalescedGradients::default();
-    casted_gather_reduce_into(&upstream, &casted, &mut coalesced, Exec::Serial).unwrap();
+    casted_gather_reduce_into(&upstream, &casted, &mut coalesced).unwrap();
 
     // ---- Baseline expand-coalesce through recycled scratch ------------
     // The baseline backward still materializes its n x D expand and runs
@@ -206,8 +206,8 @@ fn steady_state_hot_path_performs_zero_allocations() {
                              table: &mut EmbeddingTable,
                              sgd: &mut RowOptimizer| {
         gradient_expand_into(&upstream, &index, expanded).unwrap();
-        gradient_coalesce_into(expanded, &index, coalesced, &mut base_radix, Exec::Serial).unwrap();
-        scatter_apply_coalesced(table, sgd, coalesced, Exec::Serial).unwrap();
+        gradient_coalesce_into(expanded, &index, coalesced, &mut base_radix).unwrap();
+        scatter_apply_coalesced(table, sgd, coalesced).unwrap();
     };
 
     baseline_step(
@@ -250,7 +250,7 @@ fn steady_state_hot_path_performs_zero_allocations() {
 
     let stateful_scatter =
         |coalesced: &CoalescedGradients, table: &mut EmbeddingTable, opt: &mut RowOptimizer| {
-            scatter_apply_coalesced(table, opt, coalesced, Exec::Serial).unwrap();
+            scatter_apply_coalesced(table, opt, coalesced).unwrap();
         };
 
     stateful_scatter(&coalesced, &mut ada_table, &mut ada);
