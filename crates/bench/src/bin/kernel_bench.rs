@@ -20,7 +20,8 @@
 //! `FAST=1` shrinks shapes and iteration counts for smoke runs. The
 //! `KERNEL <name> simd/scalar ratio` (`interaction`: forward plus
 //! backward), `KERNEL <name> cold`, `KERNEL linear_fwd lane/serial
-//! ratio`, `KERNEL linear_bwd lane/serial ratio`, `KERNEL gemm lanes`,
+//! ratio`, `KERNEL linear_bwd lane/serial ratio`, `KERNEL linear_bwd
+//! late-caller lane/serial ratio`, `KERNEL gemm lanes`,
 //! `KERNEL gemm_bt lanes`, `KERNEL cast`, `KERNEL cast_into` and
 //! `KERNEL zipf_sample ns/draw` lines are CI's grep anchors.
 //!
@@ -35,10 +36,16 @@
 //! models under the two schedules a serial trainer gives them: `exec`
 //! `serial`, everything on the calling thread, and `lane`,
 //! [`Exec::pooled`] over a one-worker pool, which `Trainer` hands its dense
-//! phases: two bands, the calling thread being the second pair of hands.
+//! phases: two tasks, the calling thread being the second pair of hands.
 //! Their `peak_frac` is taken against **twice** the one-core multiply-add
 //! peak — the ceiling of the two cores — for both schedules, so the two
-//! rows of a pair read on one scale.
+//! rows of a pair read on one scale. The `linear_bwd` and `mlp_step` rows
+//! whose shape ends in `late-caller` run the same work as a task on the
+//! lane's worker while the calling thread busy-waits 1 ms before it joins,
+//! as the training thread reaches the bottom MLP's GEMMs only after its
+//! embedding backward: under `lane` the worker claims blocks of a
+//! weight-cut product from the start and the caller claims what is left
+//! once it arrives (`KERNEL linear_bwd late-caller lane/serial ratio`).
 //!
 //! The `interaction_fwd` / `interaction_bwd` rows time DLRM's `Dot`
 //! feature interaction, forward and backward, at RM1's shape (11 feature
@@ -196,12 +203,7 @@ fn time_serial_and_lane_ns(iters: usize, lane: &Pool, mut f: impl FnMut(Exec<'_>
 /// the single-threaded sections before the dense-layer rows put this
 /// process back at the start.
 fn warm_both_cores(lane: &Pool, wall: Duration) {
-    let spin = || {
-        let t0 = Instant::now();
-        while t0.elapsed() < Duration::from_millis(2) {
-            std::hint::spin_loop();
-        }
-    };
+    let spin = || spin_for(Duration::from_millis(2));
     let t0 = Instant::now();
     while t0.elapsed() < wall {
         lane.scope(|s| {
@@ -209,6 +211,33 @@ fn warm_both_cores(lane: &Pool, wall: Duration) {
             spin();
         });
     }
+}
+
+/// Busy-waits for `wall` on the calling thread.
+fn spin_for(wall: Duration) {
+    let t0 = Instant::now();
+    while t0.elapsed() < wall {
+        std::hint::spin_loop();
+    }
+}
+
+/// How long the calling thread of a late-caller row stays away before it
+/// joins the lane: about what `train_dense`'s training thread spends in
+/// the embedding backward and the gathers ahead while the lane's worker
+/// runs the bottom MLP's wide layer.
+const LATE_CALLER: Duration = Duration::from_millis(1);
+
+/// Runs `work` as a task on `lane`'s worker while the calling thread first
+/// busy-waits for [`LATE_CALLER`] and only then joins the scope (helping,
+/// as `Pool::scope` does): a GEMM the worker opens on the lane waits for
+/// its second pair of hands as the bottom MLP's does on the training
+/// thread beside the embedding backward. Under `Exec::Serial` the worker
+/// runs the whole of `work` alone.
+fn late_caller(lane: &Pool, work: impl FnOnce() + Send) {
+    lane.scope(|s| {
+        s.spawn(work);
+        spin_for(LATE_CALLER);
+    });
 }
 
 /// The rows of a table in one shuffled order, handed out a batch at a
@@ -676,6 +705,15 @@ fn main() {
                 .unwrap();
         });
         println!("KERNEL linear_bwd lane/serial ratio {ratio:.2} ({shape})");
+        let late_shape = format!("{shape} late-caller");
+        let ratio = emit.lane_rows("linear_bwd", &late_shape, n, 2.0 * flops, &lane, |exec| {
+            late_caller(&lane, || {
+                layer
+                    .backward_into(&x, &dy, Some(&mut dx), None, exec)
+                    .unwrap();
+            });
+        });
+        println!("KERNEL linear_bwd late-caller lane/serial ratio {ratio:.2} ({shape})");
 
         let mut mlp = Mlp::new(13, &widths, 53).unwrap();
         let (x, dy) = (random_matrix(m, 13, 59), random_matrix(m, widths[2], 61));
@@ -683,10 +721,15 @@ fn main() {
         // forward, `dW` and `dX` of every layer
         let flops = 3.0 * mlp.forward_flops(m) as f64;
         let mut scratch = MlpInferenceScratch::default();
-        emit.lane_rows("mlp_step", &shape, widths[2], flops, &lane, |exec| {
+        let mut step = |exec: Exec<'_>| {
             mlp.forward_into(&x, &mut scratch, &mut y, exec).unwrap();
             mlp.backward_into(&x, &mut scratch, &dy, Some(&mut dx), Some(1e-6), exec)
                 .unwrap();
+        };
+        emit.lane_rows("mlp_step", &shape, widths[2], flops, &lane, &mut step);
+        let late_shape = format!("{shape} late-caller");
+        emit.lane_rows("mlp_step", &late_shape, widths[2], flops, &lane, |exec| {
+            late_caller(&lane, || step(exec));
         });
     }
 

@@ -174,9 +174,10 @@ impl EmbeddingOptimizer {
 ///
 /// There is one step path. The embedding kernels always run unsplit on the
 /// training thread; the lane casts beside the dense phases, takes its
-/// bands of every dense GEMM large enough to split (a band of the weight
-/// or of the batch, whichever is larger; the training thread, helping in
-/// the scope, runs one band too), runs the bottom-MLP chain (this step's
+/// share of every dense GEMM large enough to split (blocks of the weight
+/// it claims while the training thread, helping in the scope, claims the
+/// rest, where the weight outgrows the batch; one band of the batch
+/// otherwise), runs the bottom-MLP chain (this step's
 /// backward and update, the successor's forward) beside the embedding
 /// backward, and gathers the successor ahead. The two variants differ
 /// only in the lane's width, so trajectories are bit-identical either way.
@@ -186,8 +187,8 @@ pub enum Execution {
     /// needs it (see [`Trainer::complete_step`]).
     #[default]
     Serial,
-    /// The given persistent pool, lent as the lane: every split GEMM is cut
-    /// into one band per worker plus one for the training thread.
+    /// The given persistent pool, lent as the lane: every split GEMM runs
+    /// one task per worker plus one for the training thread.
     Pooled(Arc<Pool>),
 }
 
@@ -286,7 +287,7 @@ pub struct Trainer {
     /// The pool the trainer shares its step with: the one
     /// [`Execution::Pooled`] lent, or under [`Execution::Serial`] a
     /// one-worker pool of its own. Beside the dense phases it runs the
-    /// step's casts and its bands of those phases' large GEMMs, which it
+    /// step's casts and its share of those phases' large GEMMs, which it
     /// splits with the training thread; beside the embedding backward, the
     /// bottom-MLP chain and the gather-aheads, each spawned once its
     /// table's scatter returned. The gathers do not queue behind the chain:
@@ -334,7 +335,7 @@ pub const CAST_AHEAD_FAULT_SITE: &str = "trainer.cast_ahead";
 
 /// The [`FaultPlan`] site a step passes once before its dense backward,
 /// when that backward will split a GEMM: an armed occurrence makes the
-/// first band task of the phase panic. Such a step runs its bottom-MLP
+/// first GEMM task of the phase panic. Such a step runs its bottom-MLP
 /// chain on the training thread right after the head's backward, where it
 /// would otherwise go to the lane, so the panic leaves what a
 /// dense-backward error does: no parameter changed, and the step does not
@@ -379,7 +380,7 @@ fn update_tables<'env>(
 /// With `bottom_held` the forward starts from the bottom output a
 /// completion ran ahead into `scratch.dense`. Returns the loss, how long
 /// each phase took, and whether the step's dense-GEMM fault fired: the
-/// band it poisons must then be this step's own, before any update.
+/// task it poisons must then be this step's own, before any update.
 fn dense_phases(
     model: &mut Dlrm,
     batch: &CtrBatch,
@@ -418,11 +419,11 @@ fn dense_phases(
 /// backward or on the training thread before it: its backward (from the
 /// gradient the head left in `scratch`), its update, and `next`'s bottom
 /// forward over the updated weights into `scratch`, where `next`'s step
-/// finds it. On the lane the update runs inside the backward, each band of
-/// a layer's weight updated once its backward has read it; on the training
-/// thread, where a step whose [`DENSE_GEMM_FAULT_SITE`] fired runs the
-/// chain, it waits for the whole backward, so a panicking band leaves
-/// every parameter as it was. Returns whether that forward ran and
+/// finds it. On the lane the update runs inside the backward, each block
+/// of a layer's weight updated once its backward has read it; on the
+/// training thread, where a step whose [`DENSE_GEMM_FAULT_SITE`] fired runs
+/// the chain, it waits for the whole backward, so a panicking GEMM task
+/// leaves every parameter as it was. Returns whether that forward ran and
 /// succeeded (a successor whose dense features do not fit gets none: its
 /// own step reports the error).
 fn bottom_chain(
@@ -511,7 +512,7 @@ impl Trainer {
     /// gather-ahead task hits [`GATHER_AHEAD_FAULT_SITE`] once before
     /// gathering, every step whose dense backward splits a GEMM hits
     /// [`DENSE_GEMM_FAULT_SITE`] once before it, and an armed occurrence
-    /// panics the task (the first band of that backward) — the handle for
+    /// panics the task (the first GEMM task of that backward) — the handle for
     /// proving that a crash on the lane resurfaces on the training thread
     /// (`tests/pipelined_training.rs`).
     pub fn set_fault_plan(&mut self, plan: FaultPlan) {
@@ -668,7 +669,7 @@ impl Trainer {
     ///
     /// # Panics
     ///
-    /// Resumes a panic of a lane task (the cast, a GEMM band, the
+    /// Resumes a panic of a lane task (the cast, a GEMM task, the
     /// bottom-MLP chain, a gather-ahead) on this thread; the step then
     /// does not count, and of what it ran ahead for `next` only the cast
     /// is held.
@@ -1271,8 +1272,9 @@ mod tests {
 
     #[test]
     fn dense_phases_take_the_lane_only_when_it_pays_and_the_core_is_free() {
-        // A split starts a serial trainer's lane, whose `Exec` cuts two
-        // bands: one for its worker, one for the training thread.
+        // A split starts a serial trainer's lane, whose `Exec` runs two
+        // tasks a split GEMM: one for its worker, one for the training
+        // thread.
         let mut t = Trainer::new(wide_config(), BackwardMode::Casted, 1).unwrap();
         assert!(t.model().dense_splits_at(16));
         t.step(&data(2).next_batch(16)).unwrap();
@@ -1281,7 +1283,7 @@ mod tests {
             Exec::pooled(lane),
             Exec::Pooled { threads: 2, .. }
         ));
-        // A lent pool is the lane from the start, one band a worker and
+        // A lent pool is the lane from the start, one task a worker and
         // one for the training thread.
         let pool = Arc::new(Pool::new(3));
         let execution = Execution::Pooled(Arc::clone(&pool));

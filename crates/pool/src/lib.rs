@@ -11,7 +11,7 @@
 //! kernel runs (serial, or split over so many tasks of this pool).
 //! [`Exec::pooled`] counts the scope's caller, who always helps: a pool of
 //! `n` workers runs `n + 1` tasks at once, so the DLRM trainer's one-worker
-//! lane splits a GEMM into two bands.
+//! lane splits a GEMM over two tasks.
 //!
 //! # Scoped execution
 //!
@@ -56,11 +56,17 @@
 //! (of the step's batch unless a step before it cast it, and of the next
 //! batch if there is one) as its first task, and each split GEMM inside
 //! those phases opens a scope of its own on the same lane. The training
-//! thread helping in a GEMM's scope runs that GEMM's bands, not the cast,
+//! thread helping in a GEMM's scope runs that GEMM's tasks, not the cast,
 //! so the cast stays the lane's — even while the lane's worker is slow to
 //! start — and reaches the training thread only if it is still queued when
-//! the outer scope joins. The scope that spans the step's embedding
-//! backward works the same way from the other side: its first task is the
+//! the outer scope joins. A GEMM cut across its weight hands that weight
+//! out in blocks that each of its tasks claims until none is left, so
+//! whichever thread reaches the GEMM first does not wait for the other:
+//! a worker still casting leaves the training thread every block, and a
+//! GEMM the worker runs while the training thread is elsewhere is the
+//! worker's until the training thread joins and claims what is left.
+//! The scope that spans the step's embedding backward works the same way
+//! from the other side: its first task is the
 //! bottom MLP's backward, update and, if there is a next batch, its
 //! forward, which the lane's worker runs while the training thread
 //! scatters. The next batch's gathers, spawned into that scope as each
@@ -86,6 +92,14 @@
 //! the steps of a training loop) find their helper hot; a pool left alone
 //! goes quiet when the window closes.
 //!
+//! A thread waiting in a scope with nothing left to run polls the same
+//! way before it parks, for the queued count and for its scope's last
+//! task. The trainer's training thread waits so at the join of its
+//! embedding-backward scope while the lane's worker runs the bottom MLP:
+//! each split GEMM the worker opens there is a task it can claim blocks
+//! of at once, not after a wake-up, and a scope whose last task ends
+//! inside the window returns without one.
+//!
 //! The polling loop is `spin_loop` with a `yield_now` every few dozen
 //! probes. The yield is what keeps polling polite: a runnable thread that
 //! shares the poller's vCPU (the caller of a scope woken there by the
@@ -107,9 +121,10 @@ use std::time::{Duration, Instant};
 type Task = Box<dyn FnOnce() + Send + 'static>;
 
 /// How long a worker that has just run a task keeps polling for the next
-/// one before it parks on the condvar (see the module docs): long enough
-/// to span the serial stretch between two kernels of one training step,
-/// short enough that an idle pool costs nothing.
+/// one, and a scope's waiting thread for a task or its scope's end, before
+/// it parks on the condvar (see the module docs): long enough to span the
+/// serial stretch between two kernels of one training step, short enough
+/// that an idle pool costs nothing.
 const WORKER_POLL: Duration = Duration::from_millis(3);
 
 /// Probes of the queued count between two `yield_now` calls (and two
@@ -163,13 +178,12 @@ impl Shared {
         Some(task)
     }
 
-    /// Polls until a task is queued or the pool shuts down (`true`), or
+    /// Polls until a task is queued or `done()` holds (`true`), or
     /// `deadline` passes (`false`).
-    fn poll(&self, deadline: Instant) -> bool {
+    fn poll(&self, deadline: Instant, done: impl Fn() -> bool) -> bool {
         loop {
             for _ in 0..PROBES_PER_YIELD {
-                if self.queued.load(Ordering::Acquire) > 0 || self.shutdown.load(Ordering::Acquire)
-                {
+                if self.queued.load(Ordering::Acquire) > 0 || done() {
                     return true;
                 }
                 std::hint::spin_loop();
@@ -316,7 +330,8 @@ fn worker_loop(shared: &Shared) {
     // polls instead of parking.
     let mut hot_until: Option<Instant> = None;
     loop {
-        let polled = hot_until.is_some_and(|deadline| shared.poll(deadline));
+        let shut_down = || shared.shutdown.load(Ordering::Acquire);
+        let polled = hot_until.is_some_and(|deadline| shared.poll(deadline, shut_down));
         if !polled {
             hot_until = None;
         }
@@ -403,21 +418,31 @@ impl<'pool, 'env> Scope<'pool, 'env> {
     }
 
     /// Blocks until all tasks spawned on this scope completed, running
-    /// queued tasks (from any scope, newest first) while waiting.
+    /// queued tasks (from any scope, newest first) while waiting. With
+    /// nothing to run it polls for `WORKER_POLL`, as a worker does, before
+    /// it parks (see the module docs).
     fn wait_help(&self) {
         let shared = &self.pool.shared;
+        let done = || self.state.pending.load(Ordering::SeqCst) == 0;
         let mut queue = shared.lock();
+        let mut polled = false;
         loop {
-            if self.state.pending.load(Ordering::SeqCst) == 0 {
+            if done() {
                 return;
             }
             if let Some(task) = shared.pop(&mut queue, true) {
                 drop(queue);
                 task();
                 queue = shared.lock();
-                continue;
+                polled = false;
+            } else if !polled {
+                drop(queue);
+                shared.poll(Instant::now() + WORKER_POLL, done);
+                polled = true;
+                queue = shared.lock();
+            } else {
+                queue = shared.activity.wait(queue).expect("pool queue poisoned");
             }
-            queue = shared.activity.wait(queue).expect("pool queue poisoned");
         }
     }
 }

@@ -18,10 +18,11 @@ use tcast_pool::Exec;
 /// therefore run the same forward.
 ///
 /// Under a multi-threaded [`Exec`] a layer whose products reach the
-/// multiply-add floor of the `parallel` module splits them into bands,
+/// multiply-add floor of the `parallel` module splits them over its pool,
 /// each product cut across its larger operand: the weight's columns
 /// (forward) or rows (backward) when that dimension exceeds the batch,
-/// the batch otherwise, with `dW` beside `dX` in the backward. A smaller
+/// claimed block by block by whichever thread is free, and the batch
+/// otherwise, one band a thread with `dW` beside `dX` in the backward. A smaller
 /// layer runs on the calling thread as if the `Exec` were serial. Either
 /// way every output element keeps its accumulation order: the bits do
 /// not depend on the `Exec`.
@@ -138,8 +139,9 @@ impl Linear {
     /// nothing is kept, so any number of callers can run one layer, each
     /// through its own buffers, and a training step keeps `x` itself for
     /// [`Linear::backward_into`]. With a multi-threaded `exec` a product
-    /// at or above the floor is cut into bands on its pool — of the
-    /// weight's columns when `out_dim` exceeds the batch, of the batch
+    /// at or above the floor is split over its pool — into blocks of the
+    /// weight's columns that its tasks claim until none is left when
+    /// `out_dim` exceeds the batch, into one band of the batch a task
     /// otherwise; the bits are the same under every `exec`.
     ///
     /// # Errors
@@ -171,12 +173,12 @@ impl Linear {
     /// [`Linear::apply_update`]. Every shape is checked before a buffer is
     /// touched, so a rejected call costs the next one nothing. `dW` and
     /// `dx` run inline, or — under a multi-threaded `exec`, at or above
-    /// the floor — as the bands of **one** scope on its pool: when
-    /// `in_dim` exceeds the batch, each band a slice of the weight's rows
-    /// that runs its `dx` columns, then its `dW` rows and, with `lr`, the
-    /// update of its own rows; otherwise `dx`'s batch bands beside `dW`'s,
-    /// and the update after them. The bits are the same under every
-    /// `exec`, with or without `dx`.
+    /// the floor — as the tasks of **one** scope on its pool: when
+    /// `in_dim` exceeds the batch, each task claims blocks of the weight's
+    /// rows until none is left, and runs each block's `dx` columns, then
+    /// its `dW` rows and, with `lr`, the update of its own rows; otherwise
+    /// `dx`'s batch bands beside `dW`'s, and the update after them. The
+    /// bits are the same under every `exec`, with or without `dx`.
     ///
     /// # Errors
     ///

@@ -155,9 +155,10 @@ impl Mlp {
     /// also applies its SGD update once its backward is done (see
     /// [`Linear::backward_into`]), which nothing below it reads: the bits
     /// of this backward without `lr` and then [`Mlp::apply_update`]. With
-    /// a multi-threaded `exec` the layers at or above the floor run their
-    /// `dW` and `dX` bands on its pool; the bits are the same under every
-    /// `exec`.
+    /// a multi-threaded `exec` the layers at or above the floor split
+    /// their `dW` and `dX` over its pool, in claimed blocks of the weight
+    /// or in bands of the batch (see [`Linear::backward_into`]); the bits
+    /// are the same under every `exec`.
     ///
     /// # Errors
     ///

@@ -1,14 +1,14 @@
 //! The GEMMs of a [`crate::Linear`] layer under an [`Exec`]: inline on the
-//! calling thread, or cut into bands on the caller's persistent pool.
-//! The DLRM trainer's dense phases come through here — with a pool of
-//! many workers, or with the one-worker lane a serial trainer owns, where
-//! the calling thread is the second pair of hands (`Pool::scope` helps
-//! before it waits).
+//! calling thread, or split over the caller's persistent pool. The DLRM
+//! trainer's dense phases come through here — with a pool of many
+//! workers, or with the one-worker lane a serial trainer owns, where the
+//! calling thread is the second pair of hands (`Pool::scope` helps before
+//! it waits).
 //!
 //! **One floor decides whether.** A product of fewer than
 //! [`SPLIT_MIN_MACS`] multiply-adds runs inline whatever the `Exec` says:
 //! it never touches the pool, wakes no one and allocates nothing. Above
-//! the floor a product is cut into `threads` bands.
+//! the floor a product is split over `threads` tasks of one scope.
 //!
 //! **The traffic decides where.** Cut into `t` bands, an `m x k x n`
 //! product `A B` read by bands of `A`'s rows reads `m k / t + k n` floats
@@ -18,35 +18,47 @@
 //!
 //! * the forward `y = x W` cuts `W`'s (and `y`'s) columns when `out_dim >
 //!   batch`, and the batch otherwise;
-//! * the backward cuts `W`'s rows when `in_dim > batch`: band `i` runs
+//! * the backward cuts `W`'s rows when `in_dim > batch`: block `i` runs
 //!   `dX[:, i] = dy W[i, :]^T` (`NT`), then `dW[i, :] = x[:, i]^T dy`
 //!   (`TN`) and, where the caller asks for the update (nothing reads the
-//!   old weights after their backward), `W[i, :] += (-lr) dW[i, :]` as
-//!   **one** task, since it reads and writes only band `i` of `W` and of
-//!   its gradient — `threads` tasks in one scope. Otherwise
-//!   `dX` is cut into bands of the batch and `dW` into bands of its own
-//!   rows, `2 threads` tasks of one scope, so the queue balances the
-//!   slower `NT` kernel against the faster `TN` one, and the update
-//!   follows the join. A layer whose `dX` nothing consumes (a first layer)
-//!   runs the `dW` bands alone.
+//!   old weights after their backward), `W[i, :] += (-lr) dW[i, :]`, all
+//!   on one thread while its rows of `W` and of its gradient sit in L2,
+//!   since it reads and writes only block `i` of them. Otherwise `dX` is
+//!   cut into bands of the batch and `dW` into bands of its own rows, `2
+//!   threads` tasks of one scope, so the queue balances the slower `NT`
+//!   kernel against the faster `TN` one, and the update follows the join.
+//!   A layer whose `dX` nothing consumes (a first layer) runs the `dW`
+//!   bands alone.
 //!
-//! A cut across `W` falls on a multiple of the kernels' 16-column panel
-//! ([`simd::GEMM_NR`]), so only the last band has a ragged panel; a band
-//! of columns writes through a [`StridedMut`] view of the output, which
-//! holds its own columns of every row and nothing of its neighbours'.
+//! **Whoever is there claims the weight.** A cut across `W` is not one
+//! fixed band a thread: it is handed out in blocks of [`FWD_BLOCK_COLS`]
+//! columns (forward) or [`BWD_BLOCK_ROWS`] rows (backward) from a cursor
+//! on the caller's stack, and each of the `threads` tasks claims the next
+//! block until none is left. A participant that arrives late — the
+//! trainer's lane worker still casting, or the training thread still in
+//! its embedding backward while the lane runs the bottom MLP — claims
+//! fewer blocks instead of leaving the other waiting on a whole band; one
+//! that arrives after the last claim returns at once. The blocks fall on
+//! multiples of the kernels' 16-column panel ([`simd::GEMM_NR`]), so only
+//! the last has a ragged panel; a block of columns writes through a
+//! [`StridedMut`] view of the output, which holds its own columns of every
+//! row and nothing of its neighbours'. A backward participant packs `dy`
+//! for the `NT` kernel once, at its first block, not once a block. The
+//! batch cuts keep one fixed band a task.
 //!
-//! There is no pooled kernel: a band runs the serial register-tiled
-//! kernel of [`crate::simd`] on fewer rows or on fewer columns, and no
-//! output's operation order depends on how many rows its band holds or
-//! on which columns, so inline == banded bit for bit — on every kernel
-//! tier, since the tier is resolved once and shared by all bands. The
-//! bands run on the long-lived `tcast-pool` workers: zero thread spawns
-//! per invocation.
+//! There is no pooled kernel: a block or a band runs the serial
+//! register-tiled kernel of [`crate::simd`] on fewer rows or on fewer
+//! columns, and no output's operation order depends on how many rows its
+//! block holds, on which columns, or on which thread claimed it, so inline
+//! == split bit for bit — on every kernel tier, since the tier is resolved
+//! once and shared by every participant. The tasks run on the long-lived
+//! `tcast-pool` workers: zero thread spawns per invocation.
 
 use crate::matrix::Matrix;
 use crate::simd;
 use crate::strided::StridedMut;
 use std::ops::Range;
+use std::sync::{Mutex, PoisonError};
 use tcast_pool::{Exec, Pool, Scope};
 
 /// Multiply-adds (`m * k * n`) below which a GEMM is not worth splitting:
@@ -54,6 +66,17 @@ use tcast_pool::{Exec, Pool, Scope};
 /// when the worker is already polling, which is what a product of this
 /// size takes on one core in a few hundred.
 const SPLIT_MIN_MACS: usize = 4 << 20;
+
+/// Columns of `W` (and of `y`) a forward cut across the weight hands out
+/// at a time: four 16-column panels, eight blocks of RM3's 512-column
+/// layer.
+const FWD_BLOCK_COLS: usize = 4 * simd::GEMM_NR;
+
+/// Rows of `W` (and of `dW`, and columns of `dX`) a backward cut across
+/// the weight hands out at a time: at RM3's 512 columns, 512 KB of `W` and
+/// 512 KB of `dW`, which stay in L2 from the block's `NT` through its
+/// update; ten blocks of the 2560-row layer.
+const BWD_BLOCK_ROWS: usize = 16 * simd::GEMM_NR;
 
 /// Whether an `m x k x n` product is at or above the floor, i.e. whether
 /// [`matmul_unchecked`] and [`backward_unchecked`] would use the pool of a
@@ -63,7 +86,7 @@ pub(crate) fn splits(m: usize, k: usize, n: usize) -> bool {
     m.saturating_mul(k).saturating_mul(n) >= SPLIT_MIN_MACS
 }
 
-/// The pool and band count an `m x k x n` product splits over under
+/// The pool and task count an `m x k x n` product splits over under
 /// `exec`, or `None` when it runs inline.
 fn split<'p>(exec: Exec<'p>, m: usize, k: usize, n: usize) -> Option<(&'p Pool, usize)> {
     match exec {
@@ -74,7 +97,7 @@ fn split<'p>(exec: Exec<'p>, m: usize, k: usize, n: usize) -> Option<(&'p Pool, 
 
 /// Whether a split product whose weight spans `dim` columns (the
 /// forward's `out_dim`) or rows (the backward's `in_dim`) is cut across
-/// the weight rather than across the `batch`: whether each band then
+/// the weight rather than across the `batch`: whether each thread then
 /// streams less (see the module docs).
 fn cuts_weight(batch: usize, dim: usize) -> bool {
     dim > batch
@@ -106,6 +129,68 @@ fn spawn_row_bands<'env>(
     }
 }
 
+/// The not yet claimed rest of an output cut across the weight: `len`
+/// units (columns or rows of `W`) from `at`, of which each claim splits
+/// the next `block` (fewer at the end) off the front. Lives on the
+/// caller's stack for the one scope its participants run in.
+struct Claims<T> {
+    rest: Mutex<(usize, usize, Option<T>)>,
+    block: usize,
+    blocks: usize,
+    split: fn(T, usize) -> (T, T),
+}
+
+impl<T> Claims<T> {
+    /// All `len` units of `output`, handed out `block` at a time, `split`
+    /// cutting the first `n` units off what is left.
+    fn new(output: T, len: usize, block: usize, split: fn(T, usize) -> (T, T)) -> Self {
+        Self {
+            rest: Mutex::new((0, len, Some(output))),
+            block,
+            blocks: len.div_ceil(block),
+            split,
+        }
+    }
+
+    /// The tasks worth spawning for `threads` participants: no more than
+    /// there are blocks.
+    fn participants(&self, threads: usize) -> usize {
+        threads.min(self.blocks)
+    }
+
+    /// The next block and the units it holds, or `None` once every block
+    /// is claimed.
+    fn next(&self) -> Option<(Range<usize>, T)> {
+        // Nothing panics while the lock is held, but a poisoned lock still
+        // guards a consistent rest.
+        let mut rest = self.rest.lock().unwrap_or_else(PoisonError::into_inner);
+        let (at, left, output) = &mut *rest;
+        let n = self.block.min(*left);
+        if n == 0 {
+            return None;
+        }
+        let (block, tail) = (self.split)(output.take()?, n);
+        *output = Some(tail);
+        let units = *at..*at + n;
+        (*at, *left) = (units.end, *left - n);
+        Some((units, block))
+    }
+
+    /// Runs `participant` as the tasks of one scope on `pool`, one per
+    /// thread up to one per block; each claims blocks until none is left.
+    fn run_on(&self, pool: &Pool, threads: usize, participant: &(impl Fn(&Self) + Sync))
+    where
+        T: Send,
+    {
+        let participants = self.participants(threads);
+        pool.scope(|scope| {
+            for _ in 0..participants {
+                scope.spawn(move || participant(self));
+            }
+        });
+    }
+}
+
 /// The forward product `lhs * rhs` into `out` (reshaped in place, every
 /// element overwritten); the caller has validated `lhs.cols() ==
 /// rhs.rows()`.
@@ -115,7 +200,7 @@ pub(crate) fn matmul_unchecked(exec: Exec<'_>, lhs: &Matrix, rhs: &Matrix, out: 
 }
 
 /// [`matmul_unchecked`] once the floor has spoken: `on` is the pool and
-/// the band count, or `None` for inline.
+/// the task count, or `None` for inline.
 fn matmul_on(on: Option<(&Pool, usize)>, lhs: &Matrix, rhs: &Matrix, out: &mut Matrix) {
     let (m, k, n) = (lhs.rows(), lhs.cols(), rhs.cols());
     out.reshape_for_overwrite(m, n);
@@ -129,14 +214,15 @@ fn matmul_on(on: Option<(&Pool, usize)>, lhs: &Matrix, rhs: &Matrix, out: &mut M
     };
     let nn_rows = |r0: usize, band: StridedMut<'_>| nn(r0, 0, band);
     match on {
-        Some((pool, threads)) if cuts_weight(m, n) => pool.scope(|scope| {
-            let mut rest = StridedMut::new(out.as_mut_slice(), m, n);
-            for cols in bands_of(n, threads, simd::GEMM_NR) {
-                let (band, tail) = rest.split_cols(cols.len());
-                rest = tail;
-                scope.spawn(move || nn(0, cols.start, band));
-            }
-        }),
+        Some((pool, threads)) if cuts_weight(m, n) => {
+            let out = StridedMut::new(out.as_mut_slice(), m, n);
+            let claims = Claims::new(out, n, FWD_BLOCK_COLS, StridedMut::split_cols);
+            claims.run_on(pool, threads, &|claims| {
+                while let Some((cols, block)) = claims.next() {
+                    nn(0, cols.start, block);
+                }
+            });
+        }
         Some((pool, threads)) if m > 1 => pool.scope(|scope| {
             spawn_row_bands(scope, threads, out.as_mut_slice(), m, n, &nn_rows);
         }),
@@ -147,10 +233,10 @@ fn matmul_on(on: Option<(&Pool, usize)>, lhs: &Matrix, rhs: &Matrix, out: &mut M
 /// The backward products of a layer: `grad_w = x^T dy` (`TN`) and, unless
 /// `dx` is `None`, `dx = dy weight^T` (`NT`), each reshaped in place with
 /// every element overwritten; then, with `lr`, the SGD update `weight +=
-/// (-lr) grad_w`. Above the floor all their bands are tasks of one scope,
-/// cut as the module docs say, and under the weight cut each band updates
-/// its own rows of `weight` once its `NT` has read them; otherwise the
-/// update follows the products. The caller has validated `x.rows() ==
+/// (-lr) grad_w`. Above the floor they are split over one scope, as the
+/// module docs say: under the weight cut each claimed block updates its
+/// own rows of `weight` once its `NT` has read them; otherwise the update
+/// follows the products. The caller has validated `x.rows() ==
 /// dy.rows()`, `x.cols() == weight.rows()` and `dy.cols() ==
 /// weight.cols()`.
 pub(crate) fn backward_unchecked(
@@ -167,11 +253,43 @@ pub(crate) fn backward_unchecked(
 }
 
 /// `w += (-lr) g`, element by element: [`Matrix::add_scaled`]'s operation
-/// at `alpha = -lr`, so an update cut into bands leaves its bits.
+/// at `alpha = -lr`, so an update cut into blocks leaves its bits.
 fn sgd(w: &mut [f32], g: &[f32], lr: f32) {
     let alpha = -lr;
     for (w, &g) in w.iter_mut().zip(g) {
         *w += alpha * g;
+    }
+}
+
+/// Rows of a layer's weight and of its gradient (`cols` floats each) and,
+/// where the caller wants `dx`, the same columns of it: what one block of
+/// a backward cut across the weight reads and writes, and nothing of its
+/// neighbours'.
+struct WeightRows<'a> {
+    w: &'a mut [f32],
+    grad: &'a mut [f32],
+    dx: Option<StridedMut<'a>>,
+    cols: usize,
+}
+
+impl WeightRows<'_> {
+    /// Cuts the rows into `..at` and `at..`.
+    fn split_rows(self, at: usize) -> (Self, Self) {
+        let cols = self.cols;
+        let (w, w_rest) = self.w.split_at_mut(at * cols);
+        let (grad, grad_rest) = self.grad.split_at_mut(at * cols);
+        let (dx, dx_rest) = match self.dx.map(|dx| dx.split_cols(at)) {
+            Some((dx, rest)) => (Some(dx), Some(rest)),
+            None => (None, None),
+        };
+        let head = WeightRows { w, grad, dx, cols };
+        let rest = WeightRows {
+            w: w_rest,
+            grad: grad_rest,
+            dx: dx_rest,
+            cols,
+        };
+        (head, rest)
     }
 }
 
@@ -206,33 +324,40 @@ fn backward_on(
         simd::gemm_nt_strided(tier, dy_band, w_band, band, out_dim);
     };
     match on {
-        Some((pool, threads)) if cuts_weight(batch, in_dim) => pool.scope(|scope| {
-            // Band `i` holds rows `i` of the weight and of its gradient and
-            // columns `i` of `dx`, and nothing of its neighbours'.
-            let mut dx_rest = dx.map(|dx| StridedMut::new(dx.as_mut_slice(), batch, in_dim));
-            let (mut grad_rest, mut w_rest) = (grad_w.as_mut_slice(), w);
-            for rows in bands_of(in_dim, threads, simd::GEMM_NR) {
-                let len = rows.len() * out_dim;
-                let (grad_band, tail) = std::mem::take(&mut grad_rest).split_at_mut(len);
-                grad_rest = tail;
-                let (w_band, tail) = std::mem::take(&mut w_rest).split_at_mut(len);
-                w_rest = tail;
-                let dx_band = dx_rest.take().map(|dx| {
-                    let (band, tail) = dx.split_cols(rows.len());
-                    dx_rest = Some(tail);
-                    band
-                });
-                scope.spawn(move || {
-                    if let Some(dx_band) = dx_band {
-                        nt(0, w_band, dx_band);
+        Some((pool, threads)) if cuts_weight(batch, in_dim) => {
+            let has_dx = dx.is_some();
+            let rows = WeightRows {
+                w,
+                grad: grad_w.as_mut_slice(),
+                dx: dx.map(|dx| StridedMut::new(dx.as_mut_slice(), batch, in_dim)),
+                cols: out_dim,
+            };
+            let claims = Claims::new(rows, in_dim, BWD_BLOCK_ROWS, WeightRows::split_rows);
+            claims.run_on(pool, threads, &|claims| {
+                // Nothing is packed for a participant that claims nothing.
+                let Some(first) = claims.next() else { return };
+                let mut blocks = std::iter::once(first).chain(std::iter::from_fn(|| claims.next()));
+                // Each block: its `dx` columns (through `nt_of`, over the
+                // participant's one packing of `dy`), its `dW` rows, and
+                // the update of its rows of `W`.
+                let mut run = |nt_of: &mut dyn FnMut(&[f32], StridedMut<'_>)| {
+                    for (rows, WeightRows { w, grad, dx, .. }) in &mut blocks {
+                        if let Some(dx) = dx {
+                            nt_of(w, dx);
+                        }
+                        tn(rows.start, StridedMut::new(grad, rows.len(), out_dim));
+                        if let Some(lr) = lr {
+                            sgd(w, grad, lr);
+                        }
                     }
-                    tn(rows.start, StridedMut::new(grad_band, rows.len(), out_dim));
-                    if let Some(lr) = lr {
-                        sgd(w_band, grad_band, lr);
-                    }
-                });
-            }
-        }),
+                };
+                if has_dx {
+                    simd::with_nt_lhs(tier, dy, out_dim, run);
+                } else {
+                    run(&mut |_: &[f32], _: StridedMut<'_>| {});
+                }
+            });
+        }
         Some((pool, threads)) => {
             let w_all = &*w;
             let nt_rows = |r0: usize, band: StridedMut<'_>| nt(r0, w_all, band);
@@ -295,14 +420,15 @@ mod tests {
     #[test]
     fn pooled_products_are_bit_identical_to_serial() {
         // Same accumulation order per output element => exact equality,
-        // not tolerance equality. The bands are cut whatever the floor
-        // says (these shapes sit far under it): ragged against every tile
-        // size, fewer rows than bands, one row, no rows at all, and each
-        // product's reduction crossing the 8-lane chunk and the K-block
-        // boundaries. Both cuts of each product: `n > m` cuts the
+        // not tolerance equality. The products are split whatever the
+        // floor says (these shapes sit far under it): ragged against every
+        // tile size, fewer rows than bands, one row, no rows at all, and
+        // each product's reduction crossing the 8-lane chunk and the
+        // K-block boundaries. Both cuts of each product: `n > m` cuts the
         // forward's columns, `k > m` the backward's weight rows (with `dx`
-        // and without), each at multiples of the 16-column panel, ragged
-        // around it and with more bands than panels or columns.
+        // and without, with the update and without), each claimed in
+        // blocks on multiples of the 16-column panel, ragged around it and
+        // with more participants than blocks.
         let pool = Pool::new(3);
         let mut rng = SplitMix64::new(0xBA4D);
         let mut shapes = vec![(3, 8, 5), (1, 13, 1), (2, 13, 40), (0, 4, 4), (0, 40, 33)];
@@ -322,6 +448,13 @@ mod tests {
         for m in [15, 17, 33, 47] {
             shapes.extend([(m, 160, 24), (m, 2 * m + 1, 9), (m, m, 17), (m, 8, 40)]);
         }
+        // Several claimed blocks of each weight cut, the last ragged, and
+        // an `in_dim` and `n` that are no multiple of the panel: four
+        // backward blocks of 777 rows (the last 9) and two forward blocks
+        // of 70 columns (the last 6); five backward blocks of 1030 rows
+        // beside a batch-cut forward (`n < m`); three forward blocks of
+        // 131 columns and two backward blocks of 513 rows.
+        shapes.extend([(9, 777, 70), (3, 1030, 2), (5, 513, 131), (17, 300, 200)]);
         for (m, k, n) in shapes {
             let x = special_matrix(m, k, k.max(m), &mut rng);
             let mut w = special_matrix(k, n, k.max(n), &mut rng);
@@ -403,6 +536,132 @@ mod tests {
             bands_of(33, 3, 16).collect::<Vec<_>>(),
             [0..16, 16..32, 32..33]
         );
+        // A cut across the weight is claimed in blocks on the panel, which
+        // cover every row or column once, in order, the last ragged; no
+        // more participants are spawned than there are blocks.
+        assert_eq!(FWD_BLOCK_COLS % simd::GEMM_NR, 0);
+        assert_eq!(BWD_BLOCK_ROWS % simd::GEMM_NR, 0);
+        let claimed = |len: usize, block: usize| {
+            let claims = Claims::new((), len, block, |(), _| ((), ()));
+            let blocks = std::iter::from_fn(|| claims.next().map(|(units, ())| units));
+            blocks.collect::<Vec<_>>()
+        };
+        assert_eq!(claimed(2560, BWD_BLOCK_ROWS).len(), 10); // RM3's backward
+        assert_eq!(claimed(512, FWD_BLOCK_COLS).len(), 8); // .. and its forward
+        assert_eq!(
+            claimed(777, BWD_BLOCK_ROWS),
+            [0..256, 256..512, 512..768, 768..777]
+        );
+        assert_eq!(claimed(70, FWD_BLOCK_COLS), [0..64, 64..70]);
+        let claims = Claims::new((), 777, BWD_BLOCK_ROWS, |(), _| ((), ()));
+        assert_eq!((claims.participants(2), claims.participants(64)), (2, 4));
+    }
+
+    /// `x`, `w` and `dy` of an `m x k x n` layer, and what `Exec::Serial`
+    /// makes of them: `y = x w`, `dW = x^T dy`, `dX = dy w^T` and `w`
+    /// after an SGD step at `lr`.
+    fn layer_and_serial_bits(
+        m: usize,
+        k: usize,
+        n: usize,
+        lr: f32,
+        seed: u64,
+    ) -> ([Matrix; 3], [Vec<u32>; 4]) {
+        let mut rng = SplitMix64::new(seed);
+        let x = special_matrix(m, k, k.max(m), &mut rng);
+        let w = special_matrix(k, n, k.max(n), &mut rng);
+        let dy = special_matrix(m, n, n.max(m), &mut rng);
+        let (mut y, mut grad_w, mut dx, mut updated) = (
+            Matrix::default(),
+            Matrix::default(),
+            Matrix::default(),
+            w.clone(),
+        );
+        matmul_on(None, &x, &w, &mut y);
+        backward_on(
+            None,
+            &x,
+            &dy,
+            &mut updated,
+            &mut grad_w,
+            Some(&mut dx),
+            Some(lr),
+        );
+        let serial = [bits(&y), bits(&grad_w), bits(&dx), bits(&updated)];
+        ([x, w, dy], serial)
+    }
+
+    #[test]
+    fn one_thread_claiming_every_block_computes_the_serial_bits() {
+        // The pool's only worker is parked in an outer task until the
+        // inner calls return, so the caller runs both participants of each
+        // scope: the first claims every block, the second finds none left.
+        // Eight forward blocks and ten backward blocks, as on RM3's wide
+        // layer, the last of each ragged.
+        use std::sync::atomic::{AtomicBool, Ordering};
+        let (m, k, n) = (5, 2500, 500);
+        let ([x, w, dy], serial) = layer_and_serial_bits(m, k, n, 0.5, 0xC1A1);
+        let pool = Pool::new(1);
+        let (parked, release) = (AtomicBool::new(false), AtomicBool::new(false));
+        let (mut y, mut grad_w, mut dx, mut updated) = (
+            Matrix::default(),
+            Matrix::default(),
+            Matrix::default(),
+            w.clone(),
+        );
+        let mut grad_alone = Matrix::default();
+        pool.scope(|outer| {
+            outer.spawn(|| {
+                parked.store(true, Ordering::Release);
+                while !release.load(Ordering::Acquire) {
+                    std::thread::yield_now();
+                }
+            });
+            while !parked.load(Ordering::Acquire) {
+                std::thread::yield_now();
+            }
+            let on = Some((&pool, 2));
+            matmul_on(on, &x, &w, &mut y);
+            let (dy, lr) = (&dy, Some(0.5));
+            backward_on(on, &x, dy, &mut updated, &mut grad_w, Some(&mut dx), lr);
+            backward_on(on, &x, dy, &mut w.clone(), &mut grad_alone, None, None);
+            release.store(true, Ordering::Release);
+        });
+        assert_eq!(bits(&y), serial[0], "NN");
+        assert_eq!(bits(&grad_w), serial[1], "TN");
+        assert_eq!(bits(&grad_alone), serial[1], "TN without dx");
+        assert_eq!(bits(&dx), serial[2], "NT");
+        assert_eq!(bits(&updated), serial[3], "SGD");
+    }
+
+    #[test]
+    fn a_poisoned_participant_leaves_every_block_to_the_other() {
+        // The first participant of each scope panics before it claims
+        // anything; the other computes every block (and, with `lr`,
+        // updates every row), and only then does the scope resume the
+        // panic on its caller.
+        use std::panic::{catch_unwind, AssertUnwindSafe};
+        let (m, k, n) = (7, 1100, 300);
+        let ([x, w, dy], serial) = layer_and_serial_bits(m, k, n, 0.25, 0xFA17);
+        let pool = Pool::new(1);
+        let on = Some((&pool, 2));
+        let poisoned = |run: &mut dyn FnMut()| {
+            pool.poison_next_task();
+            let panic = catch_unwind(AssertUnwindSafe(run)).expect_err("the panic resurfaces");
+            let message = panic.downcast_ref::<&str>().copied().unwrap_or_default();
+            assert!(message.contains("poisoned pool task"), "{message}");
+        };
+        let mut y = Matrix::default();
+        poisoned(&mut || matmul_on(on, &x, &w, &mut y));
+        assert_eq!(bits(&y), serial[0], "NN");
+        let (mut grad_w, mut dx, mut updated) = (Matrix::default(), Matrix::default(), w.clone());
+        poisoned(&mut || {
+            let dx = Some(&mut dx);
+            backward_on(on, &x, &dy, &mut updated, &mut grad_w, dx, Some(0.25));
+        });
+        assert_eq!(bits(&grad_w), serial[1], "TN");
+        assert_eq!(bits(&dx), serial[2], "NT");
+        assert_eq!(bits(&updated), serial[3], "SGD");
     }
 
     #[test]

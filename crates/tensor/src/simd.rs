@@ -76,7 +76,8 @@
 //!   `kk % 8`, each a multiply then an add from `+0.0`), the fold above
 //!   and the scalar `k % 8` tail — one [`dot`], exactly. On `zmm` the
 //!   kernel vectorizes **across the batch**: 16 rows of `A` (the batch
-//!   gradient `dy`) are packed once a call into a bounded stack buffer,
+//!   gradient `dy`) are packed once a call (once a thread, for all the
+//!   blocks a weight-cut backward hands it) into a bounded stack buffer,
 //!   lane `r` holding row `r`, and a tile keeps the eight partial-sum
 //!   vectors of 3 outputs' columns while `B`'s rows (the weight, larger
 //!   than L2) are read in place as broadcasts; the partials fold in
@@ -150,7 +151,7 @@ const NT_NR: usize = 4;
 /// of three).
 const NT_NJ: usize = 3;
 /// Floats of the stack buffer a `zmm` `NT` call packs `A`'s rows into (128
-/// KB, on the stack of the thread running the band: a pool worker's is
+/// KB, on the stack of the thread running the product: a pool worker's is
 /// the default 2 MB): RM3's whole 64 x 512 batch gradient.
 const NT_PACK: usize = 32 * 1024;
 /// Floats of `B` (256 KB, well inside L2) whose rows every packed block of
@@ -890,12 +891,10 @@ mod x86 {
 
             /// `C = A B^T` for row-major `a` (`m x k`) and `b` (`n x
             /// k`), `C` being `c.rows() x c.cols()` = `m x n`; every
-            /// output is overwritten. `A`'s rows are packed once, in
-            /// blocks of `LANES`, into a stack buffer of `NT_PACK`
-            /// floats (as many blocks at a time as it holds); `B` is
-            /// read in place, in ranges of `NT_B_RANGE` floats, and
-            /// each packed block (`k x LANES`, L1-resident) meets every
-            /// tile of a range (L2-resident) before the next block.
+            /// output is overwritten. `A`'s rows are packed once
+            /// ([`pack_nt`]) into a stack buffer of `NT_PACK` floats, as
+            /// many blocks of `LANES` rows at a time as it holds, and
+            /// [`gemm_nt_packed`] runs the tiles over each packing.
             /// Where one block of `k` steps outgrows the buffer, each
             /// output is one [`dot`] call.
             #[target_feature($(enable = $feat),+)]
@@ -905,8 +904,8 @@ mod x86 {
                 if m == 0 || n == 0 {
                     return;
                 }
-                let chunk = NT_PACK / (k.max(1) * LANES) * LANES;
-                if k == 0 || chunk == 0 {
+                let chunk = nt_pack_rows(k);
+                if chunk == 0 {
                     for i in 0..m {
                         let a_row = &a[i * k..][..k];
                         for (j, out) in c.row(i).iter_mut().enumerate() {
@@ -918,64 +917,119 @@ mod x86 {
                 let mut pack = [const { std::mem::MaybeUninit::<f32>::uninit() }; NT_PACK];
                 for r0 in (0..m).step_by(chunk) {
                     let rows = chunk.min(m - r0);
-                    let blocks = rows.div_ceil(LANES);
-                    // Block `q`'s step `kk` of row `r` at `(q * k +
-                    // kk) * LANES + r`; lanes past `rows` hold `0.0`
-                    // and are never stored. A copy: it moves bits,
-                    // rounds nothing.
-                    let packs = pack.chunks_exact_mut(k * LANES);
-                    for (q, block) in packs.take(blocks).enumerate() {
-                        let live = LANES.min(rows - q * LANES);
-                        let src = &a[(r0 + q * LANES) * k..][..live * k];
-                        // Whole 8 x 8 squares in registers, the rest
-                        // (the `k % 8` tail, a ragged last block) one
-                        // float at a time.
-                        let (whole_rows, whole_k) = (live - live % 8, k - k % 8);
-                        for l0 in (0..whole_rows).step_by(8) {
-                            for k0 in (0..whole_k).step_by(8) {
-                                let to = &mut block[k0 * LANES + l0..][..7 * LANES + 8];
-                                // SAFETY: `to` holds the 8 floats
-                                // from every `c * LANES`, `c < 8`.
-                                unsafe {
-                                    transpose8(&src[l0 * k + k0..], k, to.as_mut_ptr().cast(), LANES)
-                                };
-                            }
-                        }
-                        for (kk, step) in block.chunks_exact_mut(LANES).enumerate() {
-                            let from = if kk < whole_k { whole_rows } else { 0 };
-                            for (lane, v) in step.iter_mut().enumerate().skip(from) {
-                                v.write(if lane < live { src[lane * k + kk] } else { 0.0 });
-                            }
+                    let packed = pack_nt(&a[r0 * k..][..rows * k], k, &mut pack);
+                    gemm_nt_packed(packed, rows, b, &mut c, r0, k);
+                }
+            }
+
+            /// Rows of `A` (`k` floats each) that one packing of
+            /// [`pack_nt`] holds, a multiple of `LANES`: 0 where one
+            /// block of `k` steps outgrows `NT_PACK`, or `k == 0`.
+            pub(crate) fn nt_pack_rows(k: usize) -> usize {
+                if k == 0 {
+                    0
+                } else {
+                    NT_PACK / (k * LANES) * LANES
+                }
+            }
+
+            /// Packs the rows of `a` (`k` floats each, at most
+            /// [`nt_pack_rows`] of them) into `pack`, in blocks of
+            /// `LANES` rows: block `q`'s step `kk` of row `r` at `(q *
+            /// k + kk) * LANES + r`; lanes past the last row hold `0.0`
+            /// and are never stored. Returns the packed floats. A copy:
+            /// it moves bits, rounds nothing.
+            ///
+            /// # Panics
+            ///
+            /// Panics if `k == 0`, if `a` is no whole number of rows or
+            /// if they outgrow `pack`.
+            #[target_feature($(enable = $feat),+)]
+            pub(crate) fn pack_nt<'p>(
+                a: &[f32],
+                k: usize,
+                pack: &'p mut [std::mem::MaybeUninit<f32>; NT_PACK],
+            ) -> &'p [f32] {
+                assert!(k > 0 && a.len() % k == 0, "{} floats of rows of {k}", a.len());
+                let rows = a.len() / k;
+                let blocks = rows.div_ceil(LANES);
+                let packs = pack.chunks_exact_mut(k * LANES);
+                assert!(blocks <= packs.len(), "{rows} rows of {k} outgrow the pack");
+                for (q, block) in packs.take(blocks).enumerate() {
+                    let live = LANES.min(rows - q * LANES);
+                    let src = &a[q * LANES * k..][..live * k];
+                    // Whole 8 x 8 squares in registers, the rest (the `k
+                    // % 8` tail, a ragged last block) one float at a time.
+                    let (whole_rows, whole_k) = (live - live % 8, k - k % 8);
+                    for l0 in (0..whole_rows).step_by(8) {
+                        for k0 in (0..whole_k).step_by(8) {
+                            let to = &mut block[k0 * LANES + l0..][..7 * LANES + 8];
+                            // SAFETY: `to` holds the 8 floats from every
+                            // `c * LANES`, `c < 8`.
+                            unsafe {
+                                transpose8(&src[l0 * k + k0..], k, to.as_mut_ptr().cast(), LANES)
+                            };
                         }
                     }
-                    // SAFETY: the loop above wrote every one of the
-                    // `blocks * k * LANES` floats this views.
-                    let packed: &[f32] = unsafe {
-                        std::slice::from_raw_parts(pack.as_ptr().cast(), blocks * k * LANES)
-                    };
-                    let range = (NT_B_RANGE / k / NJ).max(1) * NJ;
-                    for j1 in (0..n).step_by(range) {
-                        for (q, pa) in packed.chunks_exact(k * LANES).enumerate() {
-                            let live = LANES.min(rows - q * LANES);
-                            for j0 in (j1..n.min(j1 + range)).step_by(NJ) {
-                                let cols = NJ.min(n - j0);
-                                let bt = &b[j0 * k..][..cols * k];
-                                let ct = c.at(r0 + q * LANES, j0);
-                                // SAFETY: `cols <= NJ`, `live <= LANES`;
-                                // `pa` is one packed block of `k` steps,
-                                // `bt` rows `j0..j0 + cols` (<= n) of
-                                // `b`; the outputs are rows `r0 + q *
-                                // LANES..` (`live` of them, <= m) and
-                                // columns `j0..j0 + cols` of the view
-                                // `c`, which nothing else writes while
-                                // it is borrowed here.
-                                unsafe {
-                                    match cols {
-                                        $($tail => tile_nt::<$tail>(
-                                            pa, bt, k, ct, c.ld(), live,
-                                        ),)*
-                                        _ => tile_nt::<NJ>(pa, bt, k, ct, c.ld(), live),
-                                    }
+                    for (kk, step) in block.chunks_exact_mut(LANES).enumerate() {
+                        let from = if kk < whole_k { whole_rows } else { 0 };
+                        for (lane, v) in step.iter_mut().enumerate().skip(from) {
+                            v.write(if lane < live { src[lane * k + kk] } else { 0.0 });
+                        }
+                    }
+                }
+                // SAFETY: the loop above wrote every one of the `blocks *
+                // k * LANES` floats this views, inside `pack` (asserted).
+                unsafe { std::slice::from_raw_parts(pack.as_ptr().cast(), blocks * k * LANES) }
+            }
+
+            /// Rows `r0..r0 + rows` of `C = A B^T` into the view `c`,
+            /// over those rows of `A` as [`pack_nt`] packed them
+            /// (`packed`) and the `c.cols()` rows of `b` (`k` floats
+            /// each). `B` is read in place, in ranges of `NT_B_RANGE`
+            /// floats, and each packed block (`k x LANES`, L1-resident)
+            /// meets every tile of a range (L2-resident) before the next
+            /// block.
+            ///
+            /// # Panics
+            ///
+            /// Panics if `k == 0`, if `packed` does not hold `rows` rows,
+            /// if `r0 + rows > c.rows()` or if `b` holds fewer than
+            /// `c.cols()` rows.
+            #[target_feature($(enable = $feat),+)]
+            pub(crate) fn gemm_nt_packed(
+                packed: &[f32],
+                rows: usize,
+                b: &[f32],
+                c: &mut StridedMut<'_>,
+                r0: usize,
+                k: usize,
+            ) {
+                let n = c.cols();
+                assert!(k > 0 && packed.len() == rows.div_ceil(LANES) * k * LANES);
+                assert!(r0 + rows <= c.rows() && b.len() >= n * k);
+                let range = (NT_B_RANGE / k / NJ).max(1) * NJ;
+                for j1 in (0..n).step_by(range) {
+                    for (q, pa) in packed.chunks_exact(k * LANES).enumerate() {
+                        let live = LANES.min(rows - q * LANES);
+                        for j0 in (j1..n.min(j1 + range)).step_by(NJ) {
+                            let cols = NJ.min(n - j0);
+                            let bt = &b[j0 * k..][..cols * k];
+                            let ct = c.at(r0 + q * LANES, j0);
+                            // SAFETY: `cols <= NJ`, `live <= LANES`; `pa`
+                            // is one packed block of `k` steps, `bt` rows
+                            // `j0..j0 + cols` (<= n) of `b`; the outputs
+                            // are rows `r0 + q * LANES..` (`live` of
+                            // them, `<= r0 + rows <= c.rows()`) and
+                            // columns `j0..j0 + cols` of the view `c`,
+                            // which nothing else writes while it is
+                            // borrowed here.
+                            unsafe {
+                                match cols {
+                                    $($tail => tile_nt::<$tail>(
+                                        pa, bt, k, ct, c.ld(), live,
+                                    ),)*
+                                    _ => tile_nt::<NJ>(pa, bt, k, ct, c.ld(), live),
                                 }
                             }
                         }
@@ -1512,9 +1566,9 @@ pub fn gemm_nt(
 }
 
 /// [`gemm_nt`] into the `m x n` view `c` (`m = c.rows()`, `n =
-/// c.cols()`): the kernel of a split backward's band, which passes a band
-/// of `a`'s rows for a band of `C`'s rows, or a band of `b`'s rows for
-/// the same band of `C`'s columns.
+/// c.cols()`): the kernel of a split backward's batch band, which passes a
+/// band of `a`'s rows for a band of `C`'s rows. A block of `b`'s rows for
+/// the same block of `C`'s columns goes through [`with_nt_lhs`].
 pub(crate) fn gemm_nt_strided(
     d: KernelDispatch,
     a: &[f32],
@@ -1532,6 +1586,36 @@ pub(crate) fn gemm_nt_strided(
     }
     let _ = d;
     gemm_nt_scalar(a, b, c, k);
+}
+
+/// `C = A B^T` for one row-major `a` (`m x k`) against several `b`s: runs
+/// `f` with a kernel `nt(b, c)` that writes `c = A b^T` (`c.rows() == m`)
+/// with [`gemm_nt_strided`]'s bits. Where that runs the `zmm` kernel and
+/// all of `A` fits its pack, `A` is packed once here instead of once a
+/// call: the blocks a backward cut across the weight hands one thread
+/// each multiply the same `dy` by their own rows of `W`.
+pub(crate) fn with_nt_lhs<R>(
+    d: KernelDispatch,
+    a: &[f32],
+    k: usize,
+    f: impl FnOnce(&mut dyn FnMut(&[f32], StridedMut<'_>)) -> R,
+) -> R {
+    #[cfg(target_arch = "x86_64")]
+    if d != KernelDispatch::Scalar && avx2_ok() && zmm_ok() {
+        use x86::avx2::zmm;
+        let m = a.len().checked_div(k).unwrap_or(0);
+        if m > 0 && m <= zmm::nt_pack_rows(k) {
+            let mut pack = [const { std::mem::MaybeUninit::uninit() }; NT_PACK];
+            // SAFETY: AVX2 and AVX-512F support verified above.
+            let packed = unsafe { zmm::pack_nt(a, k, &mut pack) };
+            return f(&mut |b, mut c| {
+                assert_eq!(c.rows(), m, "rows of the packed A");
+                // SAFETY: as above.
+                unsafe { zmm::gemm_nt_packed(packed, m, b, &mut c, 0, k) };
+            });
+        }
+    }
+    f(&mut |b, c| gemm_nt_strided(d, a, b, c, k))
 }
 
 /// The `avx2` tier's `NT` kernel at one register width, `lanes` 8 (`ymm`)

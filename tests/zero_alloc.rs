@@ -453,12 +453,13 @@ fn steady_state_hot_path_performs_zero_allocations() {
 
     // A stack whose first layer sits exactly on the floor at this batch
     // does split on the lane, and what that costs the calling thread is
-    // bounded: per scope its shared state and one boxed task per band.
-    // The layer's weight outgrows the batch both ways (256 > 64), so both
-    // scopes cut the weight: two forward bands of its columns, and two
-    // backward bands of its rows, each running its `dX` columns and then
-    // its `dW` rows (and, on odd steps, the update of those rows) as one
-    // task. Everything else is recycled as before.
+    // bounded: per scope its shared state and one boxed task per thread,
+    // never one per claimed block (the cursor lives on the stack). The
+    // layer's weight outgrows the batch both ways (256 > 64), so both
+    // scopes cut the weight: two tasks claim the forward's four blocks of
+    // columns, and one task its backward's one block of rows, running its
+    // `dX` columns and then its `dW` rows (and, on odd steps, the update
+    // of those rows). Everything else is recycled as before.
     let mut wide = Mlp::new(256, &[256, 1], 3).unwrap();
     assert!(wide.splits_at(batch));
     let wide_x = random_matrix(batch, 256, 4);
