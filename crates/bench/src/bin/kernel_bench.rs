@@ -46,6 +46,10 @@
 //! embedding backward: under `lane` the worker claims blocks of a
 //! weight-cut product from the start and the caller claims what is left
 //! once it arrives (`KERNEL linear_bwd late-caller lane/serial ratio`).
+//! The two schedules run in 8 alternating pairs of blocks; a printed
+//! lane/serial ratio is the median of the pairs' ratios, followed by their
+//! quartiles, so a pair that straddles two host clock plateaus cannot
+//! set it alone.
 //!
 //! The `interaction_fwd` / `interaction_bwd` rows time DLRM's `Dot`
 //! feature interaction, forward and backward, at RM1's shape (11 feature
@@ -164,33 +168,70 @@ fn time_ns_fresh<B>(iters: usize, mut next: impl FnMut() -> B, mut f: impl FnMut
     ns[ns.len() / 2]
 }
 
-/// Timed calls in one block of [`time_serial_and_lane_ns`].
-const EXEC_BLOCK: usize = 6;
+/// Alternating serial / lane block pairs behind every lane row.
+const LANE_PAIRS: usize = 8;
 
-/// Median ns of `f(Exec::Serial)` and of `f(lane)` over `iters` timed calls
-/// each, taken in alternating blocks of [`EXEC_BLOCK`] calls: this host's
-/// clock sits on plateaus that outlast a loop, so two whole loops would
-/// compare two plateaus, while inside a lane block the worker is used
-/// back to back and stays polling, as it does through a training step.
-/// The first call of every block is warm-up and not counted.
-fn time_serial_and_lane_ns(iters: usize, lane: &Pool, mut f: impl FnMut(Exec<'_>)) -> [f64; 2] {
-    let execs = [Exec::Serial, Exec::pooled(lane)];
-    let mut ns = [Vec::new(), Vec::new()];
-    while ns[1].len() < iters.max(1) {
-        for (exec, ns) in execs.iter().zip(ns.iter_mut()) {
-            for call in 0..=EXEC_BLOCK {
-                let t0 = Instant::now();
-                f(*exec);
-                if call > 0 {
-                    ns.push(t0.elapsed().as_secs_f64() * 1e9);
-                }
-            }
-        }
+/// A lane row's timing: the median ns of each schedule over all its timed
+/// calls, and the first quartile, median and third quartile of the pairs'
+/// serial / lane ratios.
+struct LaneTiming {
+    serial_ns: f64,
+    lane_ns: f64,
+    ratio: [f64; 3],
+}
+
+impl std::fmt::Display for LaneTiming {
+    /// The ratio line's figures: `median (quartiles q1-q3 over n pairs)`.
+    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
+        let [q1, median, q3] = self.ratio;
+        write!(
+            f,
+            "{median:.2} (quartiles {q1:.2}-{q3:.2} over {LANE_PAIRS} pairs)"
+        )
     }
-    ns.map(|mut ns| {
-        ns.sort_by(f64::total_cmp);
-        ns[ns.len() / 2]
-    })
+}
+
+/// The first quartile, median and third quartile of `v` (sorted in place).
+fn quartiles(v: &mut [f64]) -> [f64; 3] {
+    v.sort_by(f64::total_cmp);
+    [v[v.len() / 4], v[v.len() / 2], v[v.len() * 3 / 4]]
+}
+
+/// Times `f(Exec::Serial)` and `f(lane)` in [`LANE_PAIRS`] pairs of
+/// alternating blocks, `iters` timed calls a schedule at least, and
+/// compares each pair's block medians: this host's clock sits on plateaus
+/// that outlast a loop, so one block a schedule can compare two plateaus,
+/// while the quartiles of many pairs show how far a ratio can be trusted.
+/// Inside a lane block the worker is used back to back and stays polling,
+/// as it does through a training step. The first call of every block is
+/// warm-up and not counted.
+fn time_serial_and_lane_ns(iters: usize, lane: &Pool, mut f: impl FnMut(Exec<'_>)) -> LaneTiming {
+    let block = iters.div_ceil(LANE_PAIRS).max(1);
+    let execs = [Exec::Serial, Exec::pooled(lane)];
+    let mut all = [Vec::new(), Vec::new()];
+    let mut ratios = Vec::with_capacity(LANE_PAIRS);
+    for _ in 0..LANE_PAIRS {
+        let mut medians = [0.0; 2];
+        for ((exec, all), median) in execs.iter().zip(all.iter_mut()).zip(medians.iter_mut()) {
+            let mut ns: Vec<f64> = (0..=block)
+                .map(|_| {
+                    let t0 = Instant::now();
+                    f(*exec);
+                    t0.elapsed().as_secs_f64() * 1e9
+                })
+                .skip(1)
+                .collect();
+            all.extend_from_slice(&ns);
+            *median = quartiles(&mut ns)[1];
+        }
+        ratios.push(medians[0] / medians[1].max(1.0));
+    }
+    let [serial_ns, lane_ns] = all.map(|mut ns| quartiles(&mut ns)[1]);
+    LaneTiming {
+        serial_ns,
+        lane_ns,
+        ratio: quartiles(&mut ratios),
+    }
 }
 
 /// Keeps the calling thread and the lane's worker both busy for `wall`, in
@@ -504,8 +545,8 @@ impl Emitter {
 
     /// Times one dense-layer operation (`flops` per call) serially and on
     /// the lane, on the auto-detected tier, and emits the two rows against
-    /// the two-core multiply-add peak at the `NN` / `TN` width. Returns
-    /// serial ns over lane ns.
+    /// the two-core multiply-add peak at the `NN` / `TN` width. Returns the
+    /// timing, whose ratio is serial ns over lane ns.
     fn lane_rows(
         &self,
         kernel: &str,
@@ -514,14 +555,14 @@ impl Emitter {
         flops: f64,
         lane: &Pool,
         run: impl FnMut(Exec<'_>),
-    ) -> f64 {
+    ) -> LaneTiming {
         let tier = KernelDispatch::detect();
         let peak = madd_peak(gemm_lanes(tier)).map(|p| Ceiling {
             rate: 2.0 * p.rate,
             ..p
         });
-        let [serial, on_lane] = time_serial_and_lane_ns(self.iters, lane, run);
-        for (exec, ns) in [("serial", serial), ("lane", on_lane)] {
+        let timing = time_serial_and_lane_ns(self.iters, lane, run);
+        for (exec, ns) in [("serial", timing.serial_ns), ("lane", timing.lane_ns)] {
             let rate = flops / ns;
             self.exec_row(
                 kernel,
@@ -535,7 +576,7 @@ impl Emitter {
                 peak,
             );
         }
-        serial / on_lane.max(1.0)
+        timing
     }
 
     /// Times one GEMM product (`flops` per call) on every tier and emits
@@ -698,13 +739,13 @@ fn main() {
                 .forward_into(&x, &mut y, Some(&mut act), exec)
                 .unwrap();
         });
-        println!("KERNEL linear_fwd lane/serial ratio {ratio:.2} ({shape})");
+        println!("KERNEL linear_fwd lane/serial ratio {ratio} ({shape})");
         let ratio = emit.lane_rows("linear_bwd", &shape, n, 2.0 * flops, &lane, |exec| {
             layer
                 .backward_into(&x, &dy, Some(&mut dx), None, exec)
                 .unwrap();
         });
-        println!("KERNEL linear_bwd lane/serial ratio {ratio:.2} ({shape})");
+        println!("KERNEL linear_bwd lane/serial ratio {ratio} ({shape})");
         let late_shape = format!("{shape} late-caller");
         let ratio = emit.lane_rows("linear_bwd", &late_shape, n, 2.0 * flops, &lane, |exec| {
             late_caller(&lane, || {
@@ -713,7 +754,7 @@ fn main() {
                     .unwrap();
             });
         });
-        println!("KERNEL linear_bwd late-caller lane/serial ratio {ratio:.2} ({shape})");
+        println!("KERNEL linear_bwd late-caller lane/serial ratio {ratio} ({shape})");
 
         let mut mlp = Mlp::new(13, &widths, 53).unwrap();
         let (x, dy) = (random_matrix(m, 13, 59), random_matrix(m, widths[2], 61));

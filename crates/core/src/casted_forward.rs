@@ -13,18 +13,16 @@
 //! Fig. 5) this reads `U << n` table rows where the plain
 //! [`gather_reduce`] reads `n`.
 //!
-//! This is the serving subsystem's hot path: inference queries repeat
-//! (the same popular query's candidate set arrives thousands of times),
-//! so the casting transform itself is memoized in a
-//! [`crate::CastingCache`] and the per-query forward cost drops to the
-//! deduplicated accumulate.
+//! No production path runs it: it reads fewer rows, but it has to cast
+//! first, and even on a memoized cast it measured slower than the plain
+//! lookup-order gather that training and serving both run. It stays
+//! because the repo benchmark times it as a layer.
 //!
 //! Numerically, each output row accumulates its lookups in
 //! ascending-`src` (tie: original pair) order — a *fixed, deterministic*
-//! order that is independent of how queries are batched together, which
-//! is what makes fused-batch serving bit-identical to per-query serving
-//! (see `tcast-serve`). It differs from [`gather_reduce`]'s pair-order
-//! accumulation only by float reassociation.
+//! order that is independent of how index arrays are batched together.
+//! It differs from [`gather_reduce`]'s pair-order accumulation only by
+//! float reassociation.
 //!
 //! [`gather_reduce`]: tcast_embedding::gather_reduce
 
@@ -40,8 +38,7 @@ use tcast_tensor::Matrix;
 /// `out` must already have at least `row_offset +
 /// casted.num_gradient_rows()` rows of width `table.dim()`; the touched
 /// rows are *accumulated into*, not zeroed (callers zero the batch region
-/// once, then demux many queries into disjoint row windows — the serve
-/// engine's fused batch).
+/// once, then pool many index arrays into disjoint row windows).
 ///
 /// # Errors
 ///

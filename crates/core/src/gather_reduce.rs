@@ -67,6 +67,7 @@ pub fn casted_gather_reduce_into(
         casted.gather_src(),
         casted.reduce_dst(),
         coalesced,
+        0,
     );
     Ok(())
 }

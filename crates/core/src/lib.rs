@@ -62,7 +62,6 @@
 //! # }
 //! ```
 
-mod cache;
 mod casted_forward;
 mod casted_index;
 mod casting;
@@ -72,7 +71,6 @@ mod fused;
 mod gather_reduce;
 mod runtime;
 
-pub use cache::CastingCache;
 pub use casted_forward::casted_embedding_forward_into;
 pub use casted_index::CastedIndexArray;
 pub use casting::{tensor_casting, tensor_casting_into};

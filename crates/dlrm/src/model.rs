@@ -208,11 +208,9 @@ impl Dlrm {
 
     /// Inference: logits for a batch.
     ///
-    /// Pools each bag in lookup order (the plain gather-reduce), where
-    /// `tcast_serve`'s `ServeEngine::score` pools it in ascending-row order
-    /// (the casted forward): a served score is bit for bit this function
-    /// over the same query with each bag's lookups stably sorted by row,
-    /// and may differ in the last bit from it over the bags as given.
+    /// Pools each bag in lookup order (the plain gather-reduce), as
+    /// `tcast_serve`'s `ServeEngine::score` does: a served score is bit for
+    /// bit this function over the same query.
     ///
     /// # Errors
     ///

@@ -61,30 +61,31 @@ pub fn gather_reduce_into(
 ) -> Result<(), EmbeddingError> {
     index.validate_against_rows(table.rows())?;
     out.zero_into(index.num_outputs(), table.dim());
-    accumulate_rows(table.as_slice(), index.src(), index.dst(), out);
+    accumulate_rows(table.as_slice(), index.src(), index.dst(), out, 0);
     Ok(())
 }
 
 /// The tensor gather-reduce datapath over any row-major source:
-/// `out[dst[i]] += rows[src[i]]` for every lookup `i`, in lookup order,
-/// where `rows` holds vectors of width `out.cols()`. Forward propagation
-/// runs it over an embedding table ([`gather_reduce_into`]); the casted
-/// backward runs it over the gradient table (`tcast-core`'s
+/// `out[first_row + dst[i]] += rows[src[i]]` for every lookup `i`, in
+/// lookup order, where `rows` holds vectors of width `out.cols()`. Forward
+/// propagation runs it over an embedding table ([`gather_reduce_into`]);
+/// the casted backward runs it over the gradient table (`tcast-core`'s
 /// `casted_gather_reduce_into`) — one kernel, which is the paper's point.
+/// Both pass `first_row` 0; the serve engine pools each query of a fused
+/// batch into the query's own window of rows.
 ///
 /// `out` must already be shaped and hold the values to accumulate onto
 /// (zeros for a plain gather-reduce).
 ///
 /// # Panics
 ///
-/// Panics if `src` and `dst` differ in length or a `src` row lies outside
-/// `rows`. Every `dst` must be an output row of `out` (both index-array
-/// types guarantee it; checked in debug builds).
-pub fn accumulate_rows(rows: &[f32], src: &[u32], dst: &[u32], out: &mut Matrix) {
+/// Panics if `src` and `dst` differ in length, a `src` row lies outside
+/// `rows`, or `first_row + dst[i]` lies outside `out`.
+pub fn accumulate_rows(rows: &[f32], src: &[u32], dst: &[u32], out: &mut Matrix, first_row: usize) {
     assert_eq!(src.len(), dst.len(), "one dst per src");
-    debug_assert!(dst.iter().all(|&d| (d as usize) < out.rows()));
     let (kernel, dim) = (tcast_tensor::simd::dispatch(), out.cols());
-    accumulate_block(kernel, rows, dim, src, dst, 0, out.as_mut_slice());
+    let window = &mut out.as_mut_slice()[first_row * dim..];
+    accumulate_block(kernel, rows, dim, src, dst, 0, window);
 }
 
 /// The one accumulate loop: `block[dst[i] - base] += rows[src[i]]` for

@@ -7,47 +7,34 @@
 //!   dense matrix, per-table pooled embeddings, MLP scratch, logits, the
 //!   demux offsets — lives in engine-owned buffers recycled across
 //!   batches (`zero_into`-style). After the first batch sizes them,
-//!   scoring allocates nothing — cache misses included once every cache
-//!   is full: a miss then casts into the evicted entry's buffers. Only
-//!   the misses that fill a cache allocate, one memoized array each.
-//! * **Fusion is bit-transparent.** A query's scores are bit-identical
-//!   whether it is scored alone or fused with any other queries: the
-//!   embedding pooling accumulates per output row in the casted
-//!   (ascending-`src`) order, which does not depend on batch
-//!   composition, and every dense kernel is row-independent. Serving
-//!   batches is therefore purely a scheduling decision, never a
-//!   numerical one — property-tested in `tests/serving.rs`.
+//!   scoring allocates nothing, whether or not the engine has seen the
+//!   queries before: it keeps no per-query state.
+//! * **Serving is the training forward.** Each query's bags pool through
+//!   the training forward's own gather-reduce loop
+//!   ([`accumulate_rows`], lookup order), straight into that query's rows
+//!   of the fused batch, and every dense kernel is row-independent. So a
+//!   query's scores are bit for bit [`Dlrm::predict`] on it, whether it
+//!   is scored alone or fused with any other queries: a bag's order does
+//!   not depend on the batch around it. Serving batches is therefore
+//!   purely a scheduling decision, never a numerical one —
+//!   property-tested in `tests/serving.rs`.
 //! * **The model is shared, frozen, `&`.** Scoring reads the [`Dlrm`]
 //!   through `&self` only, so the online loop can interleave trainer
 //!   update steps with serving without the engine holding any model
 //!   state hostage — and the update trajectory is bit-identical to
 //!   offline training by construction.
-//!
-//! The hot-query fast path: per-table [`CastingCache`]s memoize the
-//! casting transform of repeated index arrays (hot queries), so a
-//! repeated query pays only the deduplicated
-//! [`casted_embedding_forward_into`] accumulate — each *unique*
-//! embedding row fetched once per query — instead of the
-//! sort-transform plus the full per-lookup gather.
 
 use std::sync::Arc;
 
 use crate::queue::QueuedQuery;
 use crate::request::Query;
-use tcast_core::{casted_embedding_forward_into, CastingCache};
 use tcast_dlrm::{Dlrm, Execution, InferenceScratch};
-use tcast_embedding::EmbeddingError;
+use tcast_embedding::{accumulate_rows, EmbeddingError};
 use tcast_tensor::{Exec, Matrix};
-
-/// Default per-table casting-cache capacity (entries, i.e. distinct hot
-/// queries memoized per table).
-pub const DEFAULT_CACHE_CAPACITY: usize = 1024;
 
 /// The zero-alloc batched scoring engine.
 pub struct ServeEngine {
     execution: Execution,
-    /// One casting cache per embedding table.
-    caches: Vec<CastingCache>,
     scratch: InferenceScratch,
     /// Fused dense features, `total_samples x dense_features`.
     dense: Matrix,
@@ -65,7 +52,6 @@ impl std::fmt::Debug for ServeEngine {
     fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
         f.debug_struct("ServeEngine")
             .field("execution", &self.execution)
-            .field("tables", &self.caches.len())
             .field("queries_scored", &self.queries_scored)
             .field("batches_scored", &self.batches_scored)
             .finish()
@@ -109,20 +95,19 @@ impl ScoredBatch<'_> {
 }
 
 impl ServeEngine {
-    /// An engine for `model`'s shape, with per-table casting caches of
-    /// `cache_capacity` entries. Under [`Execution::Pooled`] the dense
-    /// stack's large GEMMs split over the lent pool and the calling thread;
-    /// the embedding pooling always runs on the calling thread.
+    /// An engine that scores fused batches. Under [`Execution::Pooled`]
+    /// the dense stack's large GEMMs split over the lent pool and the
+    /// calling thread; the embedding pooling always runs on the calling
+    /// thread.
     ///
-    /// # Panics
-    ///
-    /// Panics if `cache_capacity == 0`.
+    /// Neither `model` nor `cache_capacity` is read: the engine sizes its
+    /// buffers on the first batch it scores and keeps no casting cache.
+    /// Both stay only because callers written against the cached engine
+    /// (the repo benchmark among them) pass them.
     pub fn new(model: &Dlrm, cache_capacity: usize, execution: Execution) -> Self {
+        let _ = (model, cache_capacity);
         Self {
             execution,
-            caches: (0..model.num_tables())
-                .map(|_| CastingCache::new(cache_capacity))
-                .collect(),
             scratch: InferenceScratch::default(),
             dense: Matrix::default(),
             logits: Matrix::default(),
@@ -132,9 +117,9 @@ impl ServeEngine {
         }
     }
 
-    /// An engine with the [`DEFAULT_CACHE_CAPACITY`].
+    /// A serial engine.
     pub fn with_defaults(model: &Dlrm) -> Self {
-        Self::new(model, DEFAULT_CACHE_CAPACITY, Execution::Serial)
+        Self::new(model, 0, Execution::Serial)
     }
 
     /// Queries scored so far.
@@ -147,20 +132,16 @@ impl ServeEngine {
         self.batches_scored
     }
 
-    /// Aggregate hit rate of the per-table casting caches.
+    /// Retired: always 0, as the engine keeps no casting cache. It stays
+    /// only because the repo benchmark reads it.
     pub fn cache_hit_rate(&self) -> f64 {
-        let (hits, total) = self.caches.iter().fold((0u64, 0u64), |(h, t), c| {
-            (h + c.hits(), t + c.hits() + c.misses())
-        });
-        if total == 0 {
-            return 0.0;
-        }
-        hits as f64 / total as f64
+        0.0
     }
 
-    /// Aggregate evictions across the per-table casting caches.
+    /// Retired: always 0, as the engine keeps no casting cache. It stays
+    /// only because the repo benchmark reads it.
     pub fn cache_evictions(&self) -> u64 {
-        self.caches.iter().map(CastingCache::evictions).sum()
+        0
     }
 
     /// Scores a fused batch of queries against `model`, in order.
@@ -168,10 +149,8 @@ impl ServeEngine {
     /// on the next call. The query stream is iterated once per fusion
     /// pass (hence `Clone`), so the steady-state call allocates nothing.
     ///
-    /// Each bag pools in ascending-row order (the casted forward, on a
-    /// cache hit or not), where [`Dlrm::predict`] pools in lookup order:
-    /// a query's scores are bit for bit `predict` over its bags with their
-    /// lookups stably sorted by row.
+    /// Each bag pools in lookup order, as [`Dlrm::predict`] pools it: a
+    /// query's scores are bit for bit `predict` over the same query.
     ///
     /// # Errors
     ///
@@ -247,17 +226,25 @@ impl ServeEngine {
             }
         }
 
-        // Pass 3: pooled embeddings, per query per table, through the
-        // casting-cache fast path. Accumulation order per output row is
-        // the casted order — independent of batch composition, which is
-        // what makes fusion bit-transparent.
+        // Pass 3: pooled embeddings, per table per query, through the
+        // training forward's loop into the query's rows of the fused
+        // batch. Each bag pools in lookup order, whatever the batch
+        // around it, which is what makes fusion bit-transparent.
         let pooled = self.scratch.pooled_mut();
         pooled.resize_with(model.num_tables(), Matrix::default);
-        for (t, (cache, out)) in self.caches.iter_mut().zip(pooled.iter_mut()).enumerate() {
+        for (t, out) in pooled.iter_mut().enumerate() {
+            let table = model.table(t);
             out.zero_into(total, dim);
             for (qi, q) in queries.clone().into_iter().enumerate() {
-                let casted = cache.get_or_cast(&q.indices[t]);
-                casted_embedding_forward_into(model.table(t), casted, out, self.offsets[qi])?;
+                let index = &q.indices[t];
+                index.validate_against_rows(table.rows())?;
+                accumulate_rows(
+                    table.as_slice(),
+                    index.src(),
+                    index.dst(),
+                    out,
+                    self.offsets[qi],
+                );
             }
         }
 
@@ -340,48 +327,6 @@ mod tests {
     }
 
     #[test]
-    fn repeated_queries_hit_the_casting_cache() {
-        let m = model();
-        let mut wl = workload(7);
-        let mut engine = ServeEngine::with_defaults(&m);
-        let q = wl.draw();
-        let first = engine.score(&m, std::iter::once(&q)).unwrap();
-        let first_scores = first.scores(0).to_vec();
-        assert_eq!(engine.cache_hit_rate(), 0.0);
-        let again = engine.score(&m, std::iter::once(&q)).unwrap();
-        assert_eq!(again.scores(0), first_scores.as_slice());
-        // Second scoring: every per-table cast was a hit.
-        assert!(engine.cache_hit_rate() >= 0.5 - 1e-12);
-        assert_eq!(engine.queries_scored(), 2);
-        assert_eq!(engine.batches_scored(), 2);
-    }
-
-    #[test]
-    fn cache_state_never_changes_scores() {
-        // The fast path must be a pure memo: a cold engine and a warm
-        // engine produce bit-identical scores.
-        let m = model();
-        let mut wl = workload(9);
-        let queries: Vec<_> = (0..12).map(|_| wl.draw()).collect();
-        let mut warm = ServeEngine::new(&m, 2, Execution::Serial); // tiny cache: constant churn
-        let mut cold_scores = Vec::new();
-        for q in &queries {
-            let mut cold = ServeEngine::with_defaults(&m);
-            cold_scores.push(
-                cold.score(&m, std::iter::once(q))
-                    .unwrap()
-                    .scores(0)
-                    .to_vec(),
-            );
-        }
-        for (q, expect) in queries.iter().zip(cold_scores.iter()) {
-            let sb = warm.score(&m, std::iter::once(q)).unwrap();
-            assert_eq!(sb.scores(0), expect.as_slice());
-        }
-        assert!(warm.cache_evictions() > 0, "tiny cache must have churned");
-    }
-
-    #[test]
     fn rejects_mismatched_queries() {
         let m = model();
         let mut wl = workload(1);
@@ -405,7 +350,7 @@ mod tests {
         let queries: Vec<_> = (0..5).map(|_| wl.draw()).collect();
         let mut serial = ServeEngine::with_defaults(&m);
         let pool = Arc::new(tcast_pool::Pool::new(4));
-        let mut pooled = ServeEngine::new(&m, DEFAULT_CACHE_CAPACITY, Execution::Pooled(pool));
+        let mut pooled = ServeEngine::new(&m, 0, Execution::Pooled(pool));
         let a = serial.score(&m, queries.iter()).unwrap();
         let a_logits = a.fused_logits().as_slice().to_vec();
         let b = pooled.score(&m, queries.iter()).unwrap();

@@ -19,10 +19,9 @@
 //!   fixed-size, deadline/max-wait, and DeepRecSys-style adaptive batch
 //!   sizing that hill-climbs toward the SLA;
 //! * [`engine`] — the zero-alloc batched scoring engine over a frozen
-//!   [`Dlrm`]: fused dense stack, per-query demux, and a hot-query fast
-//!   path that memoizes casting transforms in per-table LRU
-//!   [`CastingCache`]s and pools embeddings through the deduplicated
-//!   casted forward;
+//!   [`Dlrm`]: each query's bags pooled by the training forward's
+//!   gather-reduce into its rows of the fused batch, the fused dense
+//!   stack, and per-query demux;
 //! * [`stats`] — latency histograms (p50/p95/p99), QPS, queue depth and
 //!   SLA-violation accounting;
 //! * one private **serve loop** under two entry-point modules: a lane
@@ -47,10 +46,10 @@
 //! # The serving invariant
 //!
 //! A fused batch of queries scores **bit-identically** to scoring each
-//! query alone: embedding pooling accumulates per output row in casted
-//! (ascending-`src`) order — independent of batch composition — and
-//! every dense kernel is row-independent. Batching is a pure scheduling
-//! decision. Likewise, online-mode update steps are bit-identical to the
+//! query alone, and to [`Dlrm::predict`] on it: embedding pooling
+//! accumulates each bag in lookup order, the training forward's order —
+//! independent of batch composition — and every dense kernel is
+//! row-independent. Batching is a pure scheduling decision. Likewise, online-mode update steps are bit-identical to the
 //! offline [`Trainer`] fed the same batches: serving reads the model
 //! through `&` only. Both are property-tested in `tests/serving.rs`.
 //!
@@ -94,8 +93,8 @@
 //! ```
 //!
 //! [`Dlrm`]: tcast_dlrm::Dlrm
+//! [`Dlrm::predict`]: tcast_dlrm::Dlrm::predict
 //! [`Trainer`]: tcast_dlrm::Trainer
-//! [`CastingCache`]: tcast_core::CastingCache
 
 pub mod concurrent;
 pub mod engine;
@@ -109,7 +108,7 @@ pub use concurrent::{
     serve_concurrent, ConcurrentConfig, ConcurrentError, ConcurrentReport, HotSwap, RollbackDrill,
     ServedBatchRecord, TrainReport,
 };
-pub use engine::{ScoredBatch, ServeEngine, DEFAULT_CACHE_CAPACITY};
+pub use engine::{ScoredBatch, ServeEngine};
 pub use online::{
     serve, serve_online, HotRestore, OnlineConfig, OnlineReport, ServeConfig, ServeError,
 };

@@ -427,25 +427,6 @@ mod tests {
     }
 
     #[test]
-    fn hot_catalog_hits_the_cache() {
-        let m = model();
-        let mut engine = ServeEngine::with_defaults(&m);
-        let report = serve(
-            &mut engine,
-            &m,
-            &mut workload(11), // catalog of 12 distinct queries
-            &config(BatchPolicy::Fixed { batch: 4 }, 100),
-        )
-        .unwrap();
-        // 100 draws from a 12-entry catalog: most casts are repeats.
-        assert!(
-            report.cache_hit_rate > 0.5,
-            "hit rate {}",
-            report.cache_hit_rate
-        );
-    }
-
-    #[test]
     fn online_mode_trains_while_serving() {
         let cfg = DlrmConfig::tiny();
         let mut trainer = Trainer::new(cfg.clone(), BackwardMode::Casted, 17).unwrap();

@@ -14,8 +14,8 @@
 //! * **Queries repeat.** A popular query (trending item page, home feed
 //!   of a hot segment) arrives thousands of times; the model draws
 //!   queries from a finite seeded *catalog* through a configurable
-//!   popularity skew, so repeated index arrays are the common case the
-//!   engine's [`CastingCache`] fast path exploits.
+//!   popularity skew, so repeated index arrays are the common case and
+//!   a hot query's embedding rows stay in the host's caches.
 //! * **Arrivals are bursty or feedback-coupled.** [`ArrivalProcess`]
 //!   models both open-loop Poisson traffic (DeepRecSys' arrival model)
 //!   and closed-loop clients that issue their next query only after the
@@ -24,8 +24,6 @@
 //! Sparse features are drawn from the existing `tcast-datasets`
 //! popularity models ([`TableWorkload`]), so the same Zipf skew that
 //! shapes training gradients shapes inference lookups.
-//!
-//! [`CastingCache`]: tcast_core::CastingCache
 
 use std::sync::Arc;
 
@@ -41,9 +39,8 @@ pub struct Query {
     /// Continuous features, `candidates x dense_features`.
     pub dense: Matrix,
     /// Per-table sparse lookups, each with `candidates` outputs. Shared
-    /// behind an `Arc`: a repeated query re-sends the *same* arrays, so
-    /// the engine's content-addressed cache hits without re-hashing a
-    /// copy.
+    /// behind an `Arc`: a repeated query re-sends the *same* arrays
+    /// instead of a copy.
     pub indices: Arc<[IndexArray]>,
 }
 
@@ -180,10 +177,7 @@ impl QueryModel {
     /// on ids `0..k` moves to `rotation..rotation+k` — the "yesterday's
     /// trending items went cold" event. The catalog itself is untouched
     /// (ids, tensors and `Arc` identities are stable); only the draw
-    /// distribution moves, so a serving engine's [`CastingCache`] — warm
-    /// on the old head — must evict its way to the new one.
-    ///
-    /// [`CastingCache`]: tcast_core::CastingCache
+    /// distribution moves, so the rows the old head kept warm go cold.
     pub fn shift_popularity(&mut self, rotation: usize) {
         self.rank_offset = (self.rank_offset + rotation) % self.catalog.len();
     }

@@ -405,7 +405,6 @@ impl<'a> Lane<'a> {
         let r = &mut self.report;
         r.span_ns = span_ns;
         r.max_queue_depth = self.queue.max_depth();
-        r.cache_hit_rate = self.engine.cache_hit_rate();
         r.shed = self.queue.shed_count();
         (self.report, self.freshness)
     }

@@ -182,7 +182,9 @@ pub struct ServeReport {
     pub sla_violations: u64,
     /// Deepest the admission queue got.
     pub max_queue_depth: usize,
-    /// Casting-cache hit rate across the engine's per-table caches.
+    /// Retired: 0 from every entry point, as the engine keeps no casting
+    /// cache. It stays so that code reading it keeps building;
+    /// [`ServeReport::merge`] still weights it by scored queries.
     pub cache_hit_rate: f64,
     /// Queries shed at admission because their deadline had already
     /// become provably unmeetable (0 unless shedding is enabled). Shed

@@ -6,9 +6,9 @@
 //!
 //! Trains a scaled-down RM1 for a few steps, then drives the
 //! `tcast-serve` loop over a seeded hot-query workload and prints each
-//! policy's throughput/tail-latency trade-off, the casting-cache hit
-//! rate, the model-staleness ledger, and — in concurrent mode — the
-//! snapshot version timeline plus the freshness SLA (p99 model age).
+//! policy's throughput/tail-latency trade-off, the model-staleness
+//! ledger, and — in concurrent mode — the snapshot version timeline plus
+//! the freshness SLA (p99 model age).
 //!
 //! ```sh
 //! cargo run --release --example serve_dlrm
@@ -46,14 +46,13 @@ fn workload(seed: u64) -> QueryModel {
 fn print_report(label: &str, r: &ServeReport) {
     println!(
         "  {label:<22} {:>8.0} qps  p50 {:>6.2} ms  p95 {:>6.2} ms  p99 {:>6.2} ms  \
-         sla-viol {:>5.1}%  mean batch {:>4.1}  cache hit {:>4.0}%",
+         sla-viol {:>5.1}%  mean batch {:>4.1}",
         r.qps(),
         r.latency.p50_ns() as f64 / 1e6,
         r.latency.p95_ns() as f64 / 1e6,
         r.latency.p99_ns() as f64 / 1e6,
         100.0 * r.sla_violation_rate(),
         r.mean_batch(),
-        100.0 * r.cache_hit_rate,
     );
 }
 

@@ -43,7 +43,7 @@ use tcast_dlrm::{Dlrm, DlrmConfig, Execution};
 use tcast_embedding::EmbeddingError;
 use tcast_serve::{
     AdaptiveBatcher, AdmissionQueue, BatchPolicy, CandidateCount, Decision, FreshnessLedger,
-    QueryModel, QueuedQuery, ServeEngine, ServeReport, DEFAULT_CACHE_CAPACITY,
+    QueryModel, QueuedQuery, ServeEngine, ServeReport,
 };
 use tcast_snapshot::{ModelSnapshot, SnapshotStore};
 use tcast_tensor::SplitMix64;
@@ -339,8 +339,7 @@ impl PublishCadence {
 /// A mid-run popularity-distribution shift (see
 /// [`QueryModel::shift_popularity`]): at `at_ns` on the simulated
 /// clock, the hot head of the tenant's catalog rotates by `rotation` —
-/// the cache-churn event that forces the engine's warm `CastingCache`
-/// to evict its way to the new head.
+/// yesterday's trending queries go cold and others take their place.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct PopularityShift {
     /// When the shift lands, on the simulated clock.
@@ -402,21 +401,10 @@ impl Tenant {
 }
 
 /// Fleet-wide knobs.
-#[derive(Debug, Clone)]
+#[derive(Debug, Clone, Default)]
 pub struct FleetConfig {
     /// The simulated-clock cost of a fused batch.
     pub cost: PoolCostModel,
-    /// Per-table casting-cache capacity of every tenant engine.
-    pub cache_capacity: usize,
-}
-
-impl Default for FleetConfig {
-    fn default() -> Self {
-        Self {
-            cost: PoolCostModel::default(),
-            cache_capacity: DEFAULT_CACHE_CAPACITY,
-        }
-    }
 }
 
 /// One tenant's slice of the fleet outcome.
@@ -426,9 +414,9 @@ pub struct TenantReport {
     pub name: String,
     /// Its weighted-fair weight.
     pub weight: u64,
-    /// The standard serving report (latency, violations, shed, cache
-    /// hit rate), with `span_ns` set to the fleet-wide clock span so
-    /// per-tenant QPS values are comparable.
+    /// The standard serving report (latency, violations, shed), with
+    /// `span_ns` set to the fleet-wide clock span so per-tenant QPS values
+    /// are comparable.
     pub serve: ServeReport,
     /// Freshness against the tenant's own store; model age is on the
     /// simulated clock.
@@ -439,9 +427,6 @@ pub struct TenantReport {
     pub pool_share: f64,
     /// Cadence republishes performed on the tenant's store.
     pub publishes: u64,
-    /// Casting-cache evictions in the tenant's engine (popularity
-    /// shifts show up here).
-    pub cache_evictions: u64,
 }
 
 /// The fleet outcome: per-tenant reports plus the merged rollups.
@@ -491,14 +476,14 @@ struct Lane<'a> {
 }
 
 impl<'a> Lane<'a> {
-    fn new(tenant: &'a mut Tenant, cache_capacity: usize) -> Self {
+    fn new(tenant: &'a mut Tenant) -> Self {
         let Tenant {
             spec,
             store,
             workload,
         } = tenant;
         let held = store.latest();
-        let engine = ServeEngine::new(held.model(), cache_capacity, Execution::Serial);
+        let engine = ServeEngine::new(held.model(), 0, Execution::Serial);
         let mut lane = Self {
             spec,
             store,
@@ -641,10 +626,7 @@ pub fn run_fleet(
     );
     let weights: Vec<u64> = tenants.iter().map(|t| t.spec.weight).collect();
     let mut sched = WfqScheduler::new(&weights);
-    let mut lanes: Vec<Lane> = tenants
-        .iter_mut()
-        .map(|t| Lane::new(t, config.cache_capacity))
-        .collect();
+    let mut lanes: Vec<Lane> = tenants.iter_mut().map(Lane::new).collect();
 
     let mut now_ns = 0u64;
     let mut fire: Vec<(usize, usize)> = Vec::new();
@@ -699,7 +681,6 @@ pub fn run_fleet(
             let r = &mut lane.report;
             r.span_ns = span_ns;
             r.max_queue_depth = lane.queue.max_depth();
-            r.cache_hit_rate = lane.engine.cache_hit_rate();
             r.shed = lane.queue.shed_count();
             fleet.merge(r);
             freshness.merge(&lane.freshness);
@@ -712,7 +693,6 @@ pub fn run_fleet(
                 pool_ns,
                 pool_share: pool_ns as f64 / total_pool_ns,
                 publishes: lane.publishes,
-                cache_evictions: lane.engine.cache_evictions(),
             }
         })
         .collect();
@@ -789,14 +769,8 @@ pub fn run() {
         batch_overhead_ns: 50_000,
         ns_per_sample: 25_000,
     };
-    let fleet = run_fleet(
-        &mut tenants,
-        &FleetConfig {
-            cost,
-            ..FleetConfig::default()
-        },
-    )
-    .expect("tenant queries match their models");
+    let fleet =
+        run_fleet(&mut tenants, &FleetConfig { cost }).expect("tenant queries match their models");
     println!("fleet mode (2 tenants, weighted-fair pool sharing, per-tenant SLAs):");
     for t in &fleet.tenants {
         println!(

@@ -14,8 +14,8 @@
 
 use tcast_dlrm::{Dlrm, DlrmConfig};
 use tcast_repro::fleet::{
-    run_fleet, FleetConfig, FleetReport, PoolCostModel, PopularityShift, PublishCadence, RateCurve,
-    Tenant, TenantSpec,
+    run_fleet, FleetConfig, FleetReport, PoolCostModel, PublishCadence, RateCurve, Tenant,
+    TenantSpec,
 };
 use tcast_serve::{
     serve, AdaptiveBatcher, ArrivalProcess, BatchPolicy, CandidateCount, QueryModel, ServeConfig,
@@ -86,7 +86,6 @@ fn fleet_config() -> FleetConfig {
             batch_overhead_ns: 50_000,
             ns_per_sample: 25_000,
         },
-        ..FleetConfig::default()
     }
 }
 
@@ -134,9 +133,9 @@ fn fnv(words: impl IntoIterator<Item = u64>) -> u64 {
     h
 }
 
-/// `span_ns`, then per tenant `pool_ns`, batches, shed, violations, p99,
-/// the FNV of `freshness.versions` and cache evictions.
-fn pinned_digest(r: &FleetReport) -> (u64, Vec<[u64; 7]>) {
+/// `span_ns`, then per tenant `pool_ns`, batches, shed, violations, p99
+/// and the FNV of `freshness.versions`.
+fn pinned_digest(r: &FleetReport) -> (u64, Vec<[u64; 6]>) {
     let tenants = r
         .tenants
         .iter()
@@ -148,7 +147,6 @@ fn pinned_digest(r: &FleetReport) -> (u64, Vec<[u64; 7]>) {
                 t.serve.sla_violations,
                 t.serve.latency.p99_ns(),
                 fnv(t.freshness.versions.iter().copied()),
-                t.cache_evictions,
             ]
         })
         .collect();
@@ -171,8 +169,8 @@ fn fleet_replays_the_digest_pinned_before_the_one_loop() {
         (
             46_075_232,
             vec![
-                [8_700_000, 54, 0, 0, 1_098_617, QUIET_VERSIONS, 0],
-                [12_150_000, 71, 228, 76, 4_442_321, 0x5c8c_d430_a025_f624, 0],
+                [8_700_000, 54, 0, 0, 1_098_617, QUIET_VERSIONS],
+                [12_150_000, 71, 228, 76, 4_442_321, 0x5c8c_d430_a025_f624],
             ]
         )
     );
@@ -182,7 +180,7 @@ fn fleet_replays_the_digest_pinned_before_the_one_loop() {
         pinned_digest(&solo),
         (
             46_075_232,
-            vec![[8_700_000, 54, 0, 0, 850_000, QUIET_VERSIONS, 0]]
+            vec![[8_700_000, 54, 0, 0, 850_000, QUIET_VERSIONS]]
         )
     );
 }
@@ -231,10 +229,6 @@ fn serve_is_a_fleet_of_one() {
     assert_eq!(tenant.queries, served.queries);
     assert_eq!(tenant.batches, served.batches);
     assert_eq!(tenant.samples, served.samples);
-    assert_eq!(
-        tenant.cache_hit_rate.to_bits(),
-        served.cache_hit_rate.to_bits()
-    );
 }
 
 #[test]
@@ -316,54 +310,5 @@ fn flash_crowd_cannot_wreck_a_quiet_tenants_tail() {
         "quiet shed rate {:.3} vs solo {:.3}",
         duo_quiet.serve.shed_rate(),
         solo_quiet.serve.shed_rate()
-    );
-}
-
-#[test]
-fn popularity_shift_churns_the_casting_cache() {
-    // A tenant with a cache sized to the hot head: after the popularity
-    // rotation, the warm head goes cold and the engine must evict its
-    // way to the new one — visible as evictions and a hit-rate dent.
-    let spec = |shift: Option<PopularityShift>| TenantSpec {
-        name: "shifty".to_string(),
-        weight: 1,
-        queries: 600,
-        arrivals: RateCurve::Constant { qps: 20_000.0 },
-        policy: BatchPolicy::Fixed { batch: 4 },
-        sla_ns: 50_000_000,
-        shed_unmeetable: false,
-        seed: 99,
-        publish: None,
-        popularity_shift: shift,
-    };
-    let run = |shift: Option<PopularityShift>| {
-        let model = Dlrm::new(DlrmConfig::tiny(), 77).unwrap();
-        let workload = workload(7, 64);
-        let mut tenants = vec![Tenant::new(spec(shift), &model, workload)];
-        let config = FleetConfig {
-            // Cache far smaller than the catalog: only the hot head fits.
-            cache_capacity: 8,
-            ..fleet_config()
-        };
-        run_fleet(&mut tenants, &config).unwrap()
-    };
-    let steady = run(None);
-    let shifted = run(Some(PopularityShift {
-        at_ns: 10_000_000,
-        rotation: 32,
-    }));
-    let steady_t = &steady.tenants[0];
-    let shifted_t = &shifted.tenants[0];
-    assert!(
-        shifted_t.cache_evictions > steady_t.cache_evictions,
-        "the shift must evict: steady {} vs shifted {}",
-        steady_t.cache_evictions,
-        shifted_t.cache_evictions
-    );
-    assert!(
-        shifted_t.serve.cache_hit_rate < steady_t.serve.cache_hit_rate,
-        "the shift must dent the hit rate: steady {:.3} vs shifted {:.3}",
-        steady_t.serve.cache_hit_rate,
-        shifted_t.serve.cache_hit_rate
     );
 }

@@ -21,8 +21,9 @@
 //!   kernels with switchable baseline/casted backward.
 //! * [`serve`] (`tcast-serve`) — SLA-aware batched inference serving:
 //!   query workload models, admission-queue batching policies, the
-//!   zero-alloc fused scoring engine with a casting-cache hot path, the
-//!   online-training mode, and true concurrent train-and-serve.
+//!   zero-alloc fused scoring engine that pools through the training
+//!   forward, the online-training mode, and true concurrent
+//!   train-and-serve.
 //! * [`snapshot`] (`tcast-snapshot`) — epoch-versioned model snapshot
 //!   publication: the trainer publishes immutable, recycled-buffer
 //!   snapshots every K steps; serve engines resolve consistent versions

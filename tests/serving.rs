@@ -2,8 +2,9 @@
 //!
 //! 1. **Fusion is bit-transparent** — a fused batch of queries scores
 //!    bit-identically to scoring each query alone, across batch sizes
-//!    and both `Execution` modes (the serving analogue of the paper's
-//!    functional-equivalence validation).
+//!    and both `Execution` modes, and to `Dlrm::predict` on each query
+//!    (the serving analogue of the paper's functional-equivalence
+//!    validation).
 //! 2. **Checkpoint -> serve round-trips** — a model restored from a
 //!    checkpoint serves bit-identical scores to the original.
 //! 3. **Online training is offline training** — interleaving serving
@@ -16,7 +17,7 @@
 //! 5. **The engine is a trust boundary** — a query with a non-finite
 //!    dense feature or no candidates is a typed error naming the query,
 //!    never a plausible score; a row past its table is a typed error on
-//!    the cast and on the cached cast alike.
+//!    the first call and on a repeated one.
 //! 6. **An empty bag pools to a zero row** — in training (baseline ==
 //!    casted) and in serving (engine == `Dlrm::predict`).
 
@@ -77,7 +78,7 @@ proptest! {
             (0..num_queries).map(|i| fused.scores(i).to_vec()).collect();
 
         for (i, q) in queries.iter().enumerate() {
-            // A cold, separate engine: no shared cache state, batch of 1.
+            // A separate engine, batch of 1.
             let mut solo_engine = ServeEngine::new(&model, 64, execution.clone());
             let solo = solo_engine.score(&model, std::iter::once(q)).unwrap();
             prop_assert_eq!(
@@ -102,6 +103,50 @@ proptest! {
         let a = serial.score(&model, &queries).unwrap().fused_logits().as_slice().to_vec();
         let b = pooled.score(&model, &queries).unwrap();
         prop_assert_eq!(b.fused_logits().as_slice(), a.as_slice());
+    }
+
+    /// Invariant 1 against the model: catalogs of multi-lookup bags, cut
+    /// into fused batches at random points and scored by one engine, score
+    /// every query bit for bit as it scores alone and as `Dlrm::predict`
+    /// scores it. Ragged embedding widths run the SIMD tail.
+    #[test]
+    fn fused_in_any_grouping_is_alone_is_predict(
+        seed in 1u64..1000,
+        dim in 1usize..40,
+        pooling in (1usize..7, 1usize..7),
+        max_group in 1usize..9,
+    ) {
+        let mut cfg = DlrmConfig::tiny();
+        cfg.embedding_dim = dim;
+        cfg.bottom_mlp = vec![32, dim];
+        cfg.tables[0].pooling = pooling.0;
+        cfg.tables[1].pooling = pooling.1;
+        let model = Dlrm::new(cfg.clone(), seed).unwrap();
+        let mut wl = QueryModel::new(
+            &cfg.table_workloads(),
+            cfg.dense_features,
+            12,
+            CandidateCount::Uniform { min: 1, max: 6 },
+            1.0,
+            seed,
+        );
+        let queries: Vec<Arc<Query>> = (0..24).map(|_| wl.draw()).collect();
+        let mut rng = tensor_casting::tensor::SplitMix64::new(seed);
+        let mut fused_engine = ServeEngine::with_defaults(&model);
+        let mut alone_engine = ServeEngine::with_defaults(&model);
+        let mut rest = queries.as_slice();
+        while !rest.is_empty() {
+            let n = (1 + rng.next_below(max_group as u64) as usize).min(rest.len());
+            let (group, tail) = rest.split_at(n);
+            rest = tail;
+            let fused = fused_engine.score(&model, group).unwrap();
+            for (i, q) in group.iter().enumerate() {
+                let want = bits(model.predict(&q.dense, &q.indices).unwrap().as_slice());
+                prop_assert_eq!(bits(fused.scores(i)), want.clone(), "query {} fused", q.id);
+                let alone = alone_engine.score(&model, std::iter::once(q)).unwrap();
+                prop_assert_eq!(bits(alone.scores(0)), want, "query {} alone", q.id);
+            }
+        }
     }
 }
 
@@ -386,9 +431,9 @@ fn bits(values: &[f32]) -> Vec<u32> {
     values.iter().map(|v| v.to_bits()).collect()
 }
 
-/// Invariant 5: a row past its table is refused when the query is cast
-/// (a cache miss) and again when its memoized cast is replayed (a hit),
-/// and the engine then scores a good batch as a fresh one does.
+/// Invariant 5: a row past its table is refused on the first call and
+/// again on a repeated one (the engine keeps nothing from the first), and
+/// the engine then scores a good batch as a fresh one does.
 #[test]
 fn a_row_past_its_table_is_refused_on_the_miss_and_on_the_hit() {
     let model = Dlrm::new(DlrmConfig::tiny(), 1).unwrap();
@@ -404,7 +449,7 @@ fn a_row_past_its_table_is_refused_on_the_miss_and_on_the_hit() {
         indices: indices.into(),
     });
     let mut engine = ServeEngine::with_defaults(&model);
-    for call in ["miss", "hit"] {
+    for call in ["first", "repeated"] {
         match engine.score(&model, std::iter::once(&bad)) {
             Err(EmbeddingError::SrcOutOfBounds { src, rows: r }) => {
                 assert_eq!((src as usize, r), (rows, rows), "{call}");
@@ -413,7 +458,6 @@ fn a_row_past_its_table_is_refused_on_the_miss_and_on_the_hit() {
             Ok(_) => panic!("{call}: a row past its table was scored"),
         }
     }
-    assert!(engine.cache_hit_rate() > 0.0, "the second call missed");
     let mut fresh = ServeEngine::with_defaults(&model);
     let want = bits(
         fresh
@@ -426,28 +470,32 @@ fn a_row_past_its_table_is_refused_on_the_miss_and_on_the_hit() {
     assert_eq!(bits(got.fused_logits().as_slice()), want);
 }
 
-/// Invariant 6: a sample with no lookups in a table (only
-/// `IndexArray::from_pairs` builds one) pools to a zero row, as
-/// `IndexArray`'s doc says. The baseline and the casted trainer train on
-/// it bit for bit alike, and a served query with the same bag scores as
-/// `Dlrm::predict` does (one lookup in every other bag, so the casted
-/// and the index pooling order coincide).
-/// `ServeEngine::score` pools every bag in ascending-row order (the cast
-/// sorts a batch's lookups by row), `Dlrm::predict` in lookup order, so
-/// on bags of more than one lookup the two differ in the last bit. The
-/// exact relation: a served score is bit for bit `predict` on the same
-/// query with each bag's lookups sorted by row (a stable sort, so equal
-/// rows keep their order), on the cast path and on the cached cast.
+/// Invariant 1 on a trained model: a served score is bit for bit
+/// `Dlrm::predict` on the bags as given (pooling 3 and 2), fused with
+/// other queries and alone. The bags hold lookups out of row order, and
+/// `predict` over row-sorted bags differs in the last bit, so a pooling
+/// order other than lookup order would fail here.
 #[test]
-fn served_scores_are_predict_over_row_sorted_bags() {
+fn served_scores_are_predict_on_the_bags_as_given() {
     let cfg = DlrmConfig::tiny(); // pooling 3 and 2
     let mut trainer = Trainer::new(cfg.clone(), BackwardMode::Casted, 9).unwrap();
     let mut gen = SyntheticCtr::new(cfg.table_workloads(), cfg.dense_features, 67);
     for _ in 0..3 {
         trainer.step(&gen.next_batch(32)).unwrap();
     }
-    let batch = gen.next_batch(32);
-    let sorted: Vec<IndexArray> = batch
+    let model = trainer.model();
+    let queries: Vec<Arc<Query>> = (0..3)
+        .map(|id| {
+            let batch = gen.next_batch(16 + 8 * id as usize);
+            Arc::new(Query {
+                id,
+                dense: batch.dense.clone(),
+                indices: Arc::clone(&batch.indices),
+            })
+        })
+        .collect();
+    let q = &queries[0];
+    let sorted: Vec<IndexArray> = q
         .indices
         .iter()
         .map(|index| {
@@ -457,37 +505,33 @@ fn served_scores_are_predict_over_row_sorted_bags() {
             IndexArray::from_pairs(src, dst, index.num_outputs()).unwrap()
         })
         .collect();
-    assert!(
-        sorted
-            .iter()
-            .zip(batch.indices.iter())
-            .any(|(s, i)| s.src() != i.src()),
-        "some bag must hold its lookups out of row order"
+    assert_ne!(
+        bits(model.predict(&q.dense, &sorted).unwrap().as_slice()),
+        bits(model.predict(&q.dense, &q.indices).unwrap().as_slice()),
+        "row order and lookup order must pool to different bits"
     );
-    let model = trainer.model();
-    let want = model.predict(&batch.dense, &sorted).unwrap();
-    let query = Arc::new(Query {
-        id: 1,
-        dense: batch.dense.clone(),
-        indices: Arc::clone(&batch.indices),
-    });
+
     let mut engine = ServeEngine::new(model, 64, Execution::Serial);
-    for pass in ["cast", "cached cast"] {
-        let scored = engine.score(model, std::iter::once(&query)).unwrap();
-        assert_eq!(bits(scored.scores(0)), bits(want.as_slice()), "{pass}");
+    let fused: Vec<Vec<u32>> = {
+        let scored = engine.score(model, &queries).unwrap();
+        (0..queries.len()).map(|i| bits(scored.scores(i))).collect()
+    };
+    for (q, fused) in queries.iter().zip(&fused) {
+        let want = bits(model.predict(&q.dense, &q.indices).unwrap().as_slice());
+        assert_eq!(fused, &want, "query {} fused", q.id);
+        let alone = engine.score(model, std::iter::once(q)).unwrap();
+        assert_eq!(bits(alone.scores(0)), want, "query {} alone", q.id);
     }
-    assert!(
-        engine.cache_hit_rate() > 0.0,
-        "the second pass missed the cache"
-    );
 }
 
+/// Invariant 6: a sample with no lookups in a table (only
+/// `IndexArray::from_pairs` builds one) pools to a zero row, as
+/// `IndexArray`'s doc says. The baseline and the casted trainer train on
+/// it bit for bit alike, and a served query with the same bags scores as
+/// `Dlrm::predict` does.
 #[test]
 fn an_empty_bag_pools_to_a_zero_row_in_training_and_serving() {
-    let mut cfg = DlrmConfig::tiny();
-    for table in &mut cfg.tables {
-        table.pooling = 1;
-    }
+    let cfg = DlrmConfig::tiny(); // pooling 3 and 2
     let mut batch = SyntheticCtr::new(cfg.table_workloads(), cfg.dense_features, 61).next_batch(8);
     // The last sample keeps no lookup in table 1.
     let last = 7;

@@ -448,12 +448,13 @@ proptest! {
 /// same order, per lane. Swept over every ragged width up to 67 and a few
 /// past one 64-lane pass, streams built of runs of 1, 3 and 80 lookups
 /// whose `dst` jump about (so rows are revisited), pre-loaded non-zero
-/// outputs and NaN / `-0.0` / denormal rows. `accumulate_rows` reads the
+/// outputs and NaN / `-0.0` / denormal rows, pooled into a window that
+/// starts two rows into the output. `accumulate_rows` reads the
 /// process-wide tier, so this runs inside the one test that owns
 /// `simd::force`.
 fn check_accumulate_kernels_across_tiers() {
     let mut rng = SplitMix64::new(0xBA4D);
-    let (table_rows, outputs) = (40usize, 11usize);
+    let (table_rows, outputs, first_row) = (40usize, 11usize, 2usize);
     for dim in (1..=67).chain([72, 128, 131]) {
         let mut rows = vec![0.0f32; table_rows * dim];
         fill_special_one_in(&mut rng, &mut rows, 16);
@@ -466,13 +467,13 @@ fn check_accumulate_kernels_across_tiers() {
                 dst.push(d);
             }
         }
-        let mut preload = Matrix::zeros(outputs, dim);
+        let mut preload = Matrix::zeros(first_row + outputs, dim);
         fill_special_one_in(&mut rng, preload.as_mut_slice(), 16);
 
         let run = |tier: KernelDispatch| {
             simd::force(Some(tier));
             let mut out = preload.clone();
-            accumulate_rows(&rows, &src, &dst, &mut out);
+            accumulate_rows(&rows, &src, &dst, &mut out, first_row);
             simd::force(None);
             out
         };

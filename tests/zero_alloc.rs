@@ -525,14 +525,12 @@ fn steady_state_hot_path_performs_zero_allocations() {
         "feature-interaction steady state must not allocate"
     );
 
-    // ---- Serve engine: warm-cache fused scoring -----------------------
-    // Once the catalog's casting transforms are memoized and the fused
-    // buffers are sized, scoring a batch of hot queries allocates
-    // nothing: offsets/dense/pooled/logits recycle, cache hits return
-    // borrowed casted arrays, and the dense stack runs through the
-    // caller-owned inference scratch. (The misses that fill a cache
-    // allocate their memoized arrays, once each; the cold section below
-    // covers misses on a full cache.)
+    // ---- Serve engine: fused scoring ----------------------------------
+    // Once the fused buffers are sized, scoring a batch allocates nothing:
+    // offsets/dense/pooled/logits recycle, each bag pools through the
+    // training forward's loop straight into the query's rows of the
+    // recycled pooled matrix, and the dense stack runs through the
+    // caller-owned inference scratch.
     let serve_cfg = tensor_casting::dlrm::DlrmConfig::tiny();
     let serve_model = tensor_casting::dlrm::Dlrm::new(serve_cfg.clone(), 31).unwrap();
     let mut serve_workload = tensor_casting::serve::QueryModel::new(
@@ -546,8 +544,7 @@ fn steady_state_hot_path_performs_zero_allocations() {
     let serve_queries: Vec<_> = (0..8).map(|_| serve_workload.draw()).collect();
     let mut engine = tensor_casting::serve::ServeEngine::with_defaults(&serve_model);
 
-    // Warm-up: miss-cast every catalog entry, size the fused buffers.
-    engine.score(&serve_model, &serve_queries).unwrap();
+    // Warm-up: size the fused buffers.
     engine.score(&serve_model, &serve_queries).unwrap();
 
     let before = allocations();
@@ -558,66 +555,51 @@ fn steady_state_hot_path_performs_zero_allocations() {
     assert_eq!(
         allocations() - before,
         0,
-        "warm-cache fused serving steady state must not allocate"
+        "fused serving steady state must not allocate"
     );
 
-    // ---- Serve engine: cold steady state, every query a miss -----------
-    // A cache smaller than the catalog, visited round-robin: LRU evicts
-    // each entry just before its query comes back, so every lookup
-    // misses on a full cache. A miss copies the query's index array into
-    // the victim's buffers and casts into its casted array in place, so
-    // once every entry has held an array this large and the cache's hash
-    // map has cycled through its tombstones, cold scoring allocates
-    // nothing either.
-    let mut cold_workload = tensor_casting::serve::QueryModel::new(
+    // ---- Serve engine: queries it has never seen ----------------------
+    // The engine keeps nothing per query, so new queries cost what repeats
+    // cost: after the first batch sizes the buffers, 32 batches of catalog
+    // entries the engine has never scored allocate nothing.
+    let new_workload = tensor_casting::serve::QueryModel::new(
         &serve_cfg.table_workloads(),
         serve_cfg.dense_features,
-        24,
+        33 * 8,
         tensor_casting::serve::CandidateCount::Fixed(3),
         0.0,
         47,
     );
-    let mut cold_queries: Vec<_> = (0..1000).map(|_| cold_workload.draw()).collect();
-    cold_queries.sort_by_key(|q| q.id);
-    cold_queries.dedup_by_key(|q| q.id);
-    assert_eq!(cold_queries.len(), 24, "the whole catalog, once each");
-    let mut cold_engine = tensor_casting::serve::ServeEngine::new(
-        &serve_model,
-        20,
-        tensor_casting::dlrm::Execution::Serial,
-    );
-    for _ in 0..64 {
-        cold_engine.score(&serve_model, &cold_queries).unwrap();
-    }
-    let evictions_before = cold_engine.cache_evictions();
+    let new_batches: Vec<Vec<_>> = (0..33)
+        .map(|b| {
+            (0..8)
+                .map(|i| Arc::clone(new_workload.query(b * 8 + i)))
+                .collect()
+        })
+        .collect();
+    let mut new_engine = tensor_casting::serve::ServeEngine::with_defaults(&serve_model);
+    new_engine.score(&serve_model, &new_batches[0]).unwrap();
     let before = allocations();
-    for _ in 0..32 {
-        let scored = cold_engine.score(&serve_model, &cold_queries).unwrap();
-        assert_eq!(scored.num_queries(), 24);
+    for batch in &new_batches[1..] {
+        let scored = new_engine.score(&serve_model, batch).unwrap();
+        assert_eq!(scored.num_queries(), 8);
     }
     assert_eq!(
         allocations() - before,
         0,
-        "cold serving on a full cache must not allocate"
-    );
-    assert_eq!(cold_engine.cache_hit_rate(), 0.0, "every lookup must miss");
-    assert_eq!(
-        cold_engine.cache_evictions() - evictions_before,
-        32 * 24 * serve_model.num_tables() as u64,
-        "every miss must recycle a victim"
+        "scoring queries the engine has never seen must not allocate"
     );
 
     // ---- One model, trained and served ---------------------------------
     // The `&self` dense forward shares nothing with the step but weights:
     // the step's activations live in the trainer's scratch, the engine's
     // in its own. So the trainer's own model, scored through an engine
-    // between two of its steps, reads what `predict` reads, bit for bit
-    // (one lookup a sample, so casted and index pooling order coincide).
+    // between two of its steps, reads what `predict` reads, bit for bit.
     let shared_cfg = DlrmConfig {
         tables: vec![
             TableConfig {
                 rows: 50,
-                pooling: 1,
+                pooling: 3,
                 zipf_exponent: 0.0,
             };
             2
