@@ -21,9 +21,16 @@
 //! `KERNEL <name> simd/scalar ratio` (`interaction`: forward plus
 //! backward), `KERNEL <name> cold`, `KERNEL linear_fwd lane/serial
 //! ratio`, `KERNEL linear_bwd lane/serial ratio`, `KERNEL linear_bwd
-//! late-caller lane/serial ratio`, `KERNEL gemm lanes`,
+//! late-caller lane/serial ratio`, `KERNEL linear_fwd blocked/serial
+//! ratio`, `KERNEL linear_bwd blocked/serial ratio`, `KERNEL gemm lanes`,
 //! `KERNEL gemm_bt lanes`, `KERNEL cast`, `KERNEL cast_into` and
 //! `KERNEL zipf_sample ns/draw` lines are CI's grep anchors.
+//!
+//! Every row a ratio line compares is timed in 8 rounds of alternating
+//! blocks, a block of each tier (or schedule) in turn; a row reports its
+//! median over all its calls, and a ratio line the median of the rounds'
+//! ratios, followed by their quartiles, so a round that straddles two
+//! host clock plateaus cannot set it alone.
 //!
 //! A GEMM-family row's `peak_frac` is read against the multiply-add peak
 //! measured at the register width its kernels run at, named by its `lanes`
@@ -46,10 +53,14 @@
 //! embedding backward: under `lane` the worker claims blocks of a
 //! weight-cut product from the start and the caller claims what is left
 //! once it arrives (`KERNEL linear_bwd late-caller lane/serial ratio`).
-//! The two schedules run in 8 alternating pairs of blocks; a printed
-//! lane/serial ratio is the median of the pairs' ratios, followed by their
-//! quartiles, so a pair that straddles two host clock plateaus cannot
-//! set it alone.
+//! The rows of RM3's layer whose shape ends in `one-thread` run its
+//! forward and backward on the calling thread alone under both schedules:
+//! `serial`, unsplit, and `blocked`, through the lane's cut across the
+//! weight (64-column blocks forward, 256-row blocks backward) while the
+//! lane's worker spins in a task of its own, so that the caller claims
+//! every block. Their `peak_frac` is taken against the one-core peak, and
+//! `KERNEL linear_fwd blocked/serial ratio` says whether the cut alone,
+//! with no second core, is faster than the unsplit product.
 //!
 //! The `interaction_fwd` / `interaction_bwd` rows time DLRM's `Dot`
 //! feature interaction, forward and backward, at RM1's shape (11 feature
@@ -85,6 +96,7 @@
 //! unpredictably to gate on).
 
 use std::path::PathBuf;
+use std::sync::atomic::{AtomicBool, Ordering};
 use std::time::{Duration, Instant};
 
 use tcast_bench::{banner, fast_mode, json};
@@ -168,25 +180,27 @@ fn time_ns_fresh<B>(iters: usize, mut next: impl FnMut() -> B, mut f: impl FnMut
     ns[ns.len() / 2]
 }
 
-/// Alternating serial / lane block pairs behind every lane row.
-const LANE_PAIRS: usize = 8;
+/// Alternating block rounds behind every ratio line.
+const PAIRS: usize = 8;
 
-/// A lane row's timing: the median ns of each schedule over all its timed
-/// calls, and the first quartile, median and third quartile of the pairs'
-/// serial / lane ratios.
-struct LaneTiming {
-    serial_ns: f64,
-    lane_ns: f64,
-    ratio: [f64; 3],
+/// The ns `f` takes.
+fn timed(f: impl FnOnce()) -> f64 {
+    let t0 = Instant::now();
+    f();
+    t0.elapsed().as_secs_f64() * 1e9
 }
 
-impl std::fmt::Display for LaneTiming {
+/// The first quartile, median and third quartile of a ratio over
+/// [`PAIRS`] rounds.
+struct Ratio([f64; 3]);
+
+impl std::fmt::Display for Ratio {
     /// The ratio line's figures: `median (quartiles q1-q3 over n pairs)`.
     fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
-        let [q1, median, q3] = self.ratio;
+        let [q1, median, q3] = self.0;
         write!(
             f,
-            "{median:.2} (quartiles {q1:.2}-{q3:.2} over {LANE_PAIRS} pairs)"
+            "{median:.2} (quartiles {q1:.2}-{q3:.2} over {PAIRS} pairs)"
         )
     }
 }
@@ -197,41 +211,70 @@ fn quartiles(v: &mut [f64]) -> [f64; 3] {
     [v[v.len() / 4], v[v.len() / 2], v[v.len() * 3 / 4]]
 }
 
-/// Times `f(Exec::Serial)` and `f(lane)` in [`LANE_PAIRS`] pairs of
-/// alternating blocks, `iters` timed calls a schedule at least, and
-/// compares each pair's block medians: this host's clock sits on plateaus
-/// that outlast a loop, so one block a schedule can compare two plateaus,
-/// while the quartiles of many pairs show how far a ratio can be trusted.
-/// Inside a lane block the worker is used back to back and stays polling,
-/// as it does through a training step. The first call of every block is
-/// warm-up and not counted.
-fn time_serial_and_lane_ns(iters: usize, lane: &Pool, mut f: impl FnMut(Exec<'_>)) -> LaneTiming {
-    let block = iters.div_ceil(LANE_PAIRS).max(1);
-    let execs = [Exec::Serial, Exec::pooled(lane)];
-    let mut all = [Vec::new(), Vec::new()];
-    let mut ratios = Vec::with_capacity(LANE_PAIRS);
-    for _ in 0..LANE_PAIRS {
-        let mut medians = [0.0; 2];
-        for ((exec, all), median) in execs.iter().zip(all.iter_mut()).zip(medians.iter_mut()) {
-            let mut ns: Vec<f64> = (0..=block)
-                .map(|_| {
-                    let t0 = Instant::now();
-                    f(*exec);
-                    t0.elapsed().as_secs_f64() * 1e9
-                })
-                .skip(1)
-                .collect();
-            all.extend_from_slice(&ns);
-            *median = quartiles(&mut ns)[1];
+/// [`time_rounds`]' result for several schedules of one kernel.
+struct Rounds {
+    /// Each schedule's median ns over all its timed calls.
+    median_ns: Vec<f64>,
+    /// Each round's block medians, one a schedule.
+    blocks: Vec<Vec<f64>>,
+}
+
+impl Rounds {
+    /// `ratio` of each round's block medians: its median and quartiles.
+    fn ratio(&self, ratio: impl Fn(&[f64]) -> f64) -> Ratio {
+        let mut ratios: Vec<f64> = self.blocks.iter().map(|b| ratio(b)).collect();
+        Ratio(quartiles(&mut ratios))
+    }
+
+    /// Schedule by schedule and round by round, the time of both kernels.
+    fn plus(&self, other: &Rounds) -> Rounds {
+        let add = |a: &[f64], b: &[f64]| a.iter().zip(b).map(|(a, b)| a + b).collect();
+        Rounds {
+            median_ns: add(&self.median_ns, &other.median_ns),
+            blocks: (self.blocks.iter().zip(&other.blocks))
+                .map(|(a, b)| add(a, b))
+                .collect(),
         }
-        ratios.push(medians[0] / medians[1].max(1.0));
     }
-    let [serial_ns, lane_ns] = all.map(|mut ns| quartiles(&mut ns)[1]);
-    LaneTiming {
-        serial_ns,
-        lane_ns,
-        ratio: quartiles(&mut ratios),
+}
+
+/// Times every schedule of `schedules` in [`PAIRS`] rounds, each a block
+/// of every schedule in turn, `iters` timed calls a schedule at least.
+/// `call(s)` runs schedule `s` once and returns the ns it took, so it can
+/// build a fresh input outside its clock. This host's clock sits on
+/// plateaus that outlast a loop, so one block a schedule can compare two
+/// plateaus, while the quartiles of many rounds' ratios show how far a
+/// ratio can be trusted. The first call of every block is warm-up and not
+/// counted.
+fn time_rounds<S: Copy>(iters: usize, schedules: &[S], mut call: impl FnMut(S) -> f64) -> Rounds {
+    let block = iters.div_ceil(PAIRS).max(1);
+    let mut all = vec![Vec::new(); schedules.len()];
+    let mut blocks = Vec::with_capacity(PAIRS);
+    for _ in 0..PAIRS {
+        let mut medians = Vec::with_capacity(schedules.len());
+        for (&schedule, all) in schedules.iter().zip(all.iter_mut()) {
+            let mut ns: Vec<f64> = (0..=block).map(|_| call(schedule)).skip(1).collect();
+            all.extend_from_slice(&ns);
+            medians.push(quartiles(&mut ns)[1]);
+        }
+        blocks.push(medians);
     }
+    Rounds {
+        median_ns: all
+            .into_iter()
+            .map(|mut ns| quartiles(&mut ns)[1])
+            .collect(),
+        blocks,
+    }
+}
+
+/// Times `f(Exec::Serial)` and `f(lane)` in [`time_rounds`]' alternating
+/// blocks. Inside a lane block the worker is used back to back and stays
+/// polling, as it does through a training step.
+fn time_serial_and_lane_ns(iters: usize, lane: &Pool, mut f: impl FnMut(Exec<'_>)) -> Rounds {
+    time_rounds(iters, &[Exec::Serial, Exec::pooled(lane)], |exec| {
+        timed(|| f(exec))
+    })
 }
 
 /// Keeps the calling thread and the lane's worker both busy for `wall`, in
@@ -279,6 +322,34 @@ fn late_caller(lane: &Pool, work: impl FnOnce() + Send) {
         s.spawn(work);
         spin_for(LATE_CALLER);
     });
+}
+
+/// Runs `f` while `lane`'s worker spins in a task of its own: a product
+/// that `f` splits over `lane` finds no second pair of hands, so the
+/// calling thread claims every block of it, and the other participant,
+/// which it runs itself when the product's scope joins, finds none left.
+fn with_lane_occupied<R>(lane: &Pool, f: impl FnOnce() -> R) -> R {
+    /// Lets the spinning task go however `f` ends, so the scope can join.
+    struct Release<'a>(&'a AtomicBool);
+    impl Drop for Release<'_> {
+        fn drop(&mut self) {
+            self.0.store(true, Ordering::Release);
+        }
+    }
+    let (spinning, release) = (AtomicBool::new(false), AtomicBool::new(false));
+    lane.scope(|s| {
+        s.spawn(|| {
+            spinning.store(true, Ordering::Release);
+            while !release.load(Ordering::Acquire) {
+                std::hint::spin_loop();
+            }
+        });
+        let _release = Release(&release);
+        while !spinning.load(Ordering::Acquire) {
+            std::thread::yield_now();
+        }
+        f()
+    })
 }
 
 /// The rows of a table in one shuffled order, handed out a batch at a
@@ -543,26 +614,28 @@ impl Emitter {
         }
     }
 
-    /// Times one dense-layer operation (`flops` per call) serially and on
-    /// the lane, on the auto-detected tier, and emits the two rows against
-    /// the two-core multiply-add peak at the `NN` / `TN` width. Returns the
-    /// timing, whose ratio is serial ns over lane ns.
-    fn lane_rows(
+    /// Emits the two rows of one dense-layer operation (`flops` per call)
+    /// timed by [`time_serial_and_lane_ns`], serial and `second` (the
+    /// schedule it ran through `Exec::pooled`), on the auto-detected tier,
+    /// against the multiply-add peak of `cores` cores at the `NN` / `TN`
+    /// width. Returns the serial/second ratio.
+    #[allow(clippy::too_many_arguments)]
+    fn paired_rows(
         &self,
         kernel: &str,
         shape: &str,
         dim: usize,
         flops: f64,
-        lane: &Pool,
-        run: impl FnMut(Exec<'_>),
-    ) -> LaneTiming {
+        second: &str,
+        cores: f64,
+        timing: &Rounds,
+    ) -> Ratio {
         let tier = KernelDispatch::detect();
         let peak = madd_peak(gemm_lanes(tier)).map(|p| Ceiling {
-            rate: 2.0 * p.rate,
+            rate: cores * p.rate,
             ..p
         });
-        let timing = time_serial_and_lane_ns(self.iters, lane, run);
-        for (exec, ns) in [("serial", timing.serial_ns), ("lane", timing.lane_ns)] {
+        for (exec, &ns) in ["serial", second].into_iter().zip(&timing.median_ns) {
             let rate = flops / ns;
             self.exec_row(
                 kernel,
@@ -576,14 +649,30 @@ impl Emitter {
                 peak,
             );
         }
-        timing
+        timing.ratio(|b| b[0] / b[1].max(1.0))
     }
 
-    /// Times one GEMM product (`flops` per call) on every tier and emits
-    /// its rows, against the ceiling at its width ([`gemm_lanes`]). The
-    /// multiply-add peak is measured right before each timing: this host's
-    /// clock sits on plateaus 1.2-1.5x apart that last seconds, so a peak
-    /// taken once at start-up would misstate `peak_frac` for most rows.
+    /// Times one dense-layer operation serially and on the lane and emits
+    /// its two rows against the two-core peak ([`Emitter::paired_rows`]).
+    fn lane_rows(
+        &self,
+        kernel: &str,
+        shape: &str,
+        dim: usize,
+        flops: f64,
+        lane: &Pool,
+        run: impl FnMut(Exec<'_>),
+    ) -> Ratio {
+        let timing = time_serial_and_lane_ns(self.iters, lane, run);
+        self.paired_rows(kernel, shape, dim, flops, "lane", 2.0, &timing)
+    }
+
+    /// Times one GEMM product (`flops` per call) on every tier in
+    /// alternating blocks ([`tier_ns`]) and emits its rows, against the
+    /// ceiling at its width ([`gemm_lanes`]). The multiply-add peak is
+    /// measured right before the timing: this host's clock sits on
+    /// plateaus 1.2-1.5x apart that last seconds, so a peak taken once at
+    /// start-up would misstate `peak_frac` for most rows.
     fn gemm_rows(
         &self,
         kernel: &str,
@@ -591,36 +680,71 @@ impl Emitter {
         dim: usize,
         flops: f64,
         run: &mut dyn FnMut(KernelDispatch),
-    ) -> Vec<(KernelDispatch, f64)> {
-        tier_ns(&mut |d| {
-            let peak = madd_peak(gemm_lanes(d));
-            let ns = time_ns(self.iters, || run(d));
+    ) -> Tiers {
+        let peaks: Vec<_> = KernelDispatch::available()
+            .into_iter()
+            .map(|d| madd_peak(gemm_lanes(d)))
+            .collect();
+        let tiers = tier_ns(self.iters, &mut |d| timed(|| run(d)));
+        for ((d, ns), peak) in tiers.rows().zip(peaks) {
             self.row(kernel, d, shape, dim, ns, flops / ns, "GFLOP/s", peak);
-            ns
-        })
+        }
+        tiers
     }
 }
 
-/// ns-per-iter for each available tier, keyed by tier, for ratio lines.
-fn tier_ns(f: &mut dyn FnMut(KernelDispatch) -> f64) -> Vec<(KernelDispatch, f64)> {
-    KernelDispatch::available()
-        .into_iter()
-        .map(|d| (d, f(d)))
-        .collect()
+/// Every available tier's timing of one kernel, from [`tier_ns`].
+struct Tiers {
+    tiers: Vec<KernelDispatch>,
+    rounds: Rounds,
 }
 
-fn lookup(rows: &[(KernelDispatch, f64)], want: KernelDispatch) -> Option<f64> {
-    rows.iter().find(|(d, _)| *d == want).map(|&(_, v)| v)
+impl Tiers {
+    /// Each tier with its median ns a call.
+    fn rows(&self) -> impl Iterator<Item = (KernelDispatch, f64)> + '_ {
+        self.tiers
+            .iter()
+            .copied()
+            .zip(self.rounds.median_ns.iter().copied())
+    }
+
+    /// Tier `want`'s median ns a call, if the host has it.
+    fn ns(&self, want: KernelDispatch) -> Option<f64> {
+        self.rows().find(|&(d, _)| d == want).map(|(_, ns)| ns)
+    }
+
+    /// The time of two kernels, tier by tier and round by round.
+    fn plus(&self, other: &Tiers) -> Tiers {
+        Tiers {
+            tiers: self.tiers.clone(),
+            rounds: self.rounds.plus(&other.rounds),
+        }
+    }
 }
 
-/// Prints the CI grep anchor and returns the AVX2-vs-scalar speedup (None
-/// when the host has no AVX2 tier).
-fn ratio_line(name: &str, rows: &[(KernelDispatch, f64)]) -> Option<f64> {
-    let scalar = lookup(rows, KernelDispatch::Scalar)?;
-    let simd = lookup(rows, KernelDispatch::Avx2)?;
-    let ratio = scalar / simd.max(1.0);
-    println!("KERNEL {name} simd/scalar ratio {ratio:.2}");
-    Some(ratio)
+/// Times `f` on every available tier in [`time_rounds`]' alternating
+/// blocks, the tier forced process-wide ([`simd::force`]) around each
+/// call; `f(d)` runs one call on tier `d` and returns the ns it took.
+fn tier_ns(iters: usize, f: &mut dyn FnMut(KernelDispatch) -> f64) -> Tiers {
+    let tiers = KernelDispatch::available();
+    let rounds = time_rounds(iters, &tiers, |d| {
+        simd::force(Some(d));
+        let ns = f(d);
+        simd::force(None);
+        ns
+    });
+    Tiers { tiers, rounds }
+}
+
+/// Prints the CI grep anchor — the median of the rounds' scalar / AVX2
+/// ratios, with their quartiles — and returns that median (None when the
+/// host has no AVX2 tier).
+fn ratio_line(name: &str, tiers: &Tiers) -> Option<f64> {
+    let at = |want| tiers.tiers.iter().position(|&d| d == want);
+    let (scalar, simd) = (at(KernelDispatch::Scalar)?, at(KernelDispatch::Avx2)?);
+    let ratio = tiers.rounds.ratio(|b| b[scalar] / b[simd].max(1.0));
+    println!("KERNEL {name} simd/scalar ratio {ratio}");
+    Some(ratio.0[1])
 }
 
 fn main() {
@@ -755,6 +879,40 @@ fn main() {
             });
         });
         println!("KERNEL linear_bwd late-caller lane/serial ratio {ratio} ({shape})");
+        if n > m {
+            // The same layer on one thread through the cut a split gives
+            // it (RM3's layer is cut across its weight both ways, RM1's at
+            // 512 by batch bands): the worker spins in a task of its own,
+            // so the calling thread claims every block of the weight.
+            let one_thread = format!("{shape} one-thread");
+            let timing = with_lane_occupied(&lane, || {
+                time_serial_and_lane_ns(args.iters, &lane, |exec| {
+                    layer
+                        .forward_into(&x, &mut y, Some(&mut act), exec)
+                        .unwrap();
+                })
+            });
+            let ratio =
+                emit.paired_rows("linear_fwd", &one_thread, n, flops, "blocked", 1.0, &timing);
+            println!("KERNEL linear_fwd blocked/serial ratio {ratio} ({shape})");
+            let timing = with_lane_occupied(&lane, || {
+                time_serial_and_lane_ns(args.iters, &lane, |exec| {
+                    layer
+                        .backward_into(&x, &dy, Some(&mut dx), None, exec)
+                        .unwrap();
+                })
+            });
+            let ratio = emit.paired_rows(
+                "linear_bwd",
+                &one_thread,
+                n,
+                2.0 * flops,
+                "blocked",
+                1.0,
+                &timing,
+            );
+            println!("KERNEL linear_bwd blocked/serial ratio {ratio} ({shape})");
+        }
 
         let mut mlp = Mlp::new(13, &widths, 53).unwrap();
         let (x, dy) = (random_matrix(m, 13, 59), random_matrix(m, widths[2], 61));
@@ -790,34 +948,31 @@ fn main() {
     // One multiply-add a pair and element forward, two backward.
     let pair_flops = 2.0 * (rows * features * (features - 1) / 2 * width) as f64;
     println!("\nfeature interaction (dot), {} iters:", args.iters);
-    let mut timed = Vec::new();
+    let mut both: Option<Tiers> = None;
     for (kernel, flops) in [
         ("interaction_fwd", pair_flops),
         ("interaction_bwd", 2.0 * pair_flops),
     ] {
-        let tiers = tier_ns(&mut |d| {
-            simd::force(Some(d));
-            let ns = time_ns(args.iters, || {
+        let tiers = tier_ns(args.iters, &mut |_| {
+            timed(|| {
                 if kernel == "interaction_fwd" {
                     op.forward_into(&dense, &embeddings, &mut z).unwrap();
                 } else {
                     op.backward_into(&dense, &embeddings, &dz, &mut ddense, &mut dpooled)
                         .unwrap();
                 }
-            });
-            simd::force(None);
-            ns
+            })
         });
-        for &(d, ns) in &tiers {
+        for (d, ns) in tiers.rows() {
             emit.row(kernel, d, &shape, width, ns, flops / ns, "GFLOP/s", None);
         }
-        timed.push(tiers);
+        // Forward plus backward.
+        both = Some(match both {
+            Some(fwd) => fwd.plus(&tiers),
+            None => tiers,
+        });
     }
-    // Forward plus backward.
-    let both: Vec<_> = (timed[0].iter().zip(&timed[1]))
-        .map(|(&(d, fwd), &(_, bwd))| (d, fwd + bwd))
-        .collect();
-    ratio_line("interaction", &both);
+    ratio_line("interaction", &both.expect("two kernels timed"));
 
     // --- Gather/scatter family: the embedding data plane. These go ------
     // through the process-wide dispatch, pinned per tier with
@@ -848,15 +1003,10 @@ fn main() {
         let shape = format!("b{batch} p{pooling} d{dim}");
         // Table-row read + output-row read/write per lookup.
         let bytes = (3 * lookups * dim * 4) as f64;
-        let rows = tier_ns(&mut |d| {
-            simd::force(Some(d));
-            let ns = time_ns(args.iters, || {
-                gather_reduce_into(&table, &index, &mut out, Exec::Serial).unwrap();
-            });
-            simd::force(None);
-            ns
+        let rows = tier_ns(args.iters, &mut |_| {
+            timed(|| gather_reduce_into(&table, &index, &mut out, Exec::Serial).unwrap())
         });
-        for &(d, ns) in &rows {
+        for (d, ns) in rows.rows() {
             emit.row(
                 "gather_reduce",
                 d,
@@ -878,15 +1028,10 @@ fn main() {
         let mut scratch = CoalescedGradients::default();
         // Gradient-row read per lookup + coalesced-row read/write.
         let bytes = ((lookups + 2 * casted.num_unique()) * dim * 4) as f64;
-        let rows = tier_ns(&mut |d| {
-            simd::force(Some(d));
-            let ns = time_ns(args.iters, || {
-                casted_gather_reduce_into(&grads, &casted, &mut scratch).unwrap();
-            });
-            simd::force(None);
-            ns
+        let rows = tier_ns(args.iters, &mut |_| {
+            timed(|| casted_gather_reduce_into(&grads, &casted, &mut scratch).unwrap())
         });
-        for &(d, ns) in &rows {
+        for (d, ns) in rows.rows() {
             emit.row(
                 "casted_gather_reduce",
                 d,
@@ -911,17 +1056,12 @@ fn main() {
         let unique = coalesced.len();
         let shape = format!("u{unique} d{dim}");
         let bytes = (unique * dim * 20) as f64;
-        let rows = tier_ns(&mut |d| {
-            let mut table = EmbeddingTable::seeded(table_rows, dim, 17);
-            let mut opt = RowOptimizer::new(ADAGRAD);
-            simd::force(Some(d));
-            let ns = time_ns(args.iters, || {
-                scatter_apply(&mut table, &coalesced, &mut opt).unwrap();
-            });
-            simd::force(None);
-            ns
+        let mut table = EmbeddingTable::seeded(table_rows, dim, 17);
+        let mut opt = RowOptimizer::new(ADAGRAD);
+        let rows = tier_ns(args.iters, &mut |_| {
+            timed(|| scatter_apply(&mut table, &coalesced, &mut opt).unwrap())
         });
-        for &(d, ns) in &rows {
+        for (d, ns) in rows.rows() {
             emit.row(
                 "scatter_adagrad",
                 d,
@@ -1075,17 +1215,11 @@ fn main() {
     let mut cold_kernel =
         |name: &str, bytes: f64, kernel: &mut dyn FnMut(&mut EmbeddingTable, &ColdBatch)| {
             let peak = random_row_read_gbps(&cold_table, &mut cold, lookups, args.iters);
-            let rows = tier_ns(&mut |d| {
-                simd::force(Some(d));
-                let ns = time_ns_fresh(
-                    args.iters,
-                    || cold.batch(batch, pooling, &coalesced_grads),
-                    |b| kernel(&mut cold_table, b),
-                );
-                simd::force(None);
-                ns
+            let rows = tier_ns(args.iters, &mut |_| {
+                let b = cold.batch(batch, pooling, &coalesced_grads);
+                timed(|| kernel(&mut cold_table, &b))
             });
-            for &(d, ns) in &rows {
+            for (d, ns) in rows.rows() {
                 let kernel = format!("{name}_cold");
                 emit.row(
                     &kernel,
@@ -1101,7 +1235,7 @@ fn main() {
                     }),
                 );
             }
-            if let Some(ns) = lookup(&rows, KernelDispatch::detect()) {
+            if let Some(ns) = rows.ns(KernelDispatch::detect()) {
                 println!(
                     "KERNEL {name} cold {:.2} GB/s, {:.2} of the random-row read's {peak:.2} GB/s",
                     bytes / ns,

@@ -170,7 +170,11 @@ impl EmbeddingOptimizer {
     }
 }
 
-/// Who owns the trainer's lane: the one pool a step shares its work with.
+/// Who owns the lane: the one pool a training step, or a served batch,
+/// shares its work with. It means the same for a [`Trainer`] and for
+/// `tcast-serve`'s engine: `Serial` is a one-worker lane of their own,
+/// started by the first step or batch that needs it, and `Pooled` lends
+/// the given pool. Neither changes a result, only who computes it.
 ///
 /// There is one step path. The embedding kernels always run unsplit on the
 /// training thread; the lane casts beside the dense phases, takes its
@@ -183,12 +187,14 @@ impl EmbeddingOptimizer {
 /// only in the lane's width, so trajectories are bit-identical either way.
 #[derive(Clone, Default)]
 pub enum Execution {
-    /// The trainer's own one-worker lane, started by the first step that
-    /// needs it (see [`Trainer::complete_step`]).
+    /// A one-worker lane of the trainer's (or engine's) own, started by
+    /// the first step that needs it (see [`Trainer::complete_step`]) or
+    /// the first served batch at the engine's split floor.
     #[default]
     Serial,
     /// The given persistent pool, lent as the lane: every split GEMM runs
-    /// one task per worker plus one for the training thread.
+    /// one task per worker plus one for the calling thread, and a split
+    /// served batch pools that many groups of tables.
     Pooled(Arc<Pool>),
 }
 

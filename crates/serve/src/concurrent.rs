@@ -12,8 +12,9 @@
 //!   `snapshot_every` steps — a slab copy into a recycled buffer, no
 //!   stop-the-world;
 //! * N **serve engines** run on the same [`Pool`] with *no shared
-//!   mutable model state*, each scoring serially as
-//!   [`ServeEngine::with_defaults`] does: each is one snapshot lane of
+//!   mutable model state*, each a [`ServeEngine::with_defaults`], which
+//!   splits a batch of 1,024 lookups or more over a one-worker lane of
+//!   its own: each is one snapshot lane of
 //!   the one serve loop (`batch` closed-loop clients at zero think time),
 //!   resolving one consistent snapshot per fused batch and refreshing
 //!   only when its held version falls more than `staleness_bound`
@@ -255,6 +256,14 @@ impl From<EmbeddingError> for ConcurrentError {
 /// tasks run under one `Pool::scope`, whose help-first waiting makes a
 /// single-worker pool valid (tasks serialize; every invariant still
 /// holds — only the overlap disappears).
+///
+/// Each engine is a [`ServeEngine::with_defaults`]: its first batch at
+/// the engine's split floor (1,024 lookups) starts a one-worker lane of
+/// its own, which it keeps until the engine returns. So N engines add up
+/// to N threads to the calling thread, `pool`'s workers and whatever the
+/// trainer owns (its own lane under `Execution::Serial`, a prefetch
+/// producer). Scores do not depend on it: a split batch scores the
+/// serial bits.
 ///
 /// # Errors
 ///

@@ -1,14 +1,16 @@
 //! The batched inference engine: fuse many queries into one model batch,
 //! score it, and demux per-query results.
 //!
-//! The engine is built around three invariants:
+//! The engine is built around four invariants:
 //!
 //! * **Zero steady-state allocation.** Every intermediate — the fused
 //!   dense matrix, per-table pooled embeddings, MLP scratch, logits, the
 //!   demux offsets — lives in engine-owned buffers recycled across
 //!   batches (`zero_into`-style). After the first batch sizes them,
-//!   scoring allocates nothing, whether or not the engine has seen the
-//!   queries before: it keeps no per-query state.
+//!   scoring a batch under the split floor allocates nothing, whether or
+//!   not the engine has seen the queries before: it keeps no per-query
+//!   state. A split batch allocates only its pool scope: the scope's
+//!   state and one boxed task a group the lane takes.
 //! * **Serving is the training forward.** Each query's bags pool through
 //!   the training forward's own gather-reduce loop
 //!   ([`accumulate_rows`], lookup order), straight into that query's rows
@@ -18,6 +20,15 @@
 //!   not depend on the batch around it. Serving batches is therefore
 //!   purely a scheduling decision, never a numerical one —
 //!   property-tested in `tests/serving.rs`.
+//! * **Splitting is scheduling.** A batch of at least 1,024 lookups
+//!   (the engine's split floor) runs on two pairs of hands or more:
+//!   the calling thread and the engine's lane (its own one-worker pool
+//!   under [`Execution::Serial`], the lent pool under
+//!   [`Execution::Pooled`]). The tables are cut into contiguous groups,
+//!   one a participant, each pooled whole by one thread in lookup order,
+//!   and the dense stack's large GEMMs split as a training step's do,
+//!   every output in its serial order. So a split batch scores the serial
+//!   bits. A smaller batch runs on the calling thread and touches no pool.
 //! * **The model is shared, frozen, `&`.** Scoring reads the [`Dlrm`]
 //!   through `&self` only, so the online loop can interleave trainer
 //!   update steps with serving without the engine holding any model
@@ -30,11 +41,30 @@ use crate::queue::QueuedQuery;
 use crate::request::Query;
 use tcast_dlrm::{Dlrm, Execution, InferenceScratch};
 use tcast_embedding::{accumulate_rows, EmbeddingError};
+use tcast_pool::Pool;
 use tcast_tensor::{Exec, Matrix};
+
+/// The smallest fused batch, in lookups summed over every query and
+/// table, that [`ServeEngine::score`] splits over its lane. Below it the
+/// batch runs on the calling thread and touches no pool, as a GEMM under
+/// the tensor crate's split floor does. Both serve workloads of the repo
+/// benchmark (RM1 at 10 candidates: 8,000 lookups a query) split every
+/// batch, one query included.
+///
+/// Sized on RM1-shaped batches (10k-row tables, pooling 8-80) on a
+/// 2-vCPU AVX-512 Xeon, split against inline in 8 alternating block
+/// pairs: with batches 0-1 ms apart, so that the lane's worker is still
+/// polling, a split batch of ~1,000 lookups ran 1.1-1.2x faster, of 400
+/// about even and of 80-200 0.9x; with batches 5 ms apart the worker has
+/// parked, and no size gained (0.95-1.0x at 1,000-32,000 lookups).
+const SPLIT_MIN_LOOKUPS: usize = 1024;
 
 /// The zero-alloc batched scoring engine.
 pub struct ServeEngine {
-    execution: Execution,
+    /// The pool a split batch shares its work with: the lent one, or the
+    /// engine's own one-worker lane, started by the first batch that
+    /// splits.
+    lane: Option<Arc<Pool>>,
     scratch: InferenceScratch,
     /// Fused dense features, `total_samples x dense_features`.
     dense: Matrix,
@@ -51,7 +81,10 @@ pub struct ServeEngine {
 impl std::fmt::Debug for ServeEngine {
     fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
         f.debug_struct("ServeEngine")
-            .field("execution", &self.execution)
+            .field(
+                "lane_threads",
+                &self.lane.as_ref().map(|lane| lane.threads()),
+            )
             .field("queries_scored", &self.queries_scored)
             .field("batches_scored", &self.batches_scored)
             .finish()
@@ -95,10 +128,14 @@ impl ScoredBatch<'_> {
 }
 
 impl ServeEngine {
-    /// An engine that scores fused batches. Under [`Execution::Pooled`]
-    /// the dense stack's large GEMMs split over the lent pool and the
-    /// calling thread; the embedding pooling always runs on the calling
-    /// thread.
+    /// An engine that scores fused batches. `execution` says who owns the
+    /// lane a batch of at least 1,024 lookups is split
+    /// over, as it does for a [`tcast_dlrm::Trainer`]:
+    /// [`Execution::Serial`] leaves the engine to start a one-worker lane
+    /// of its own at the first such batch, [`Execution::Pooled`] lends the
+    /// given pool. Either way the calling thread pools one group of tables
+    /// and the lane's workers the others, and the dense stack's large
+    /// GEMMs split over the lane; the scores are the serial bits.
     ///
     /// Neither `model` nor `cache_capacity` is read: the engine sizes its
     /// buffers on the first batch it scores and keeps no casting cache.
@@ -107,7 +144,10 @@ impl ServeEngine {
     pub fn new(model: &Dlrm, cache_capacity: usize, execution: Execution) -> Self {
         let _ = (model, cache_capacity);
         Self {
-            execution,
+            lane: match execution {
+                Execution::Serial => None,
+                Execution::Pooled(pool) => Some(pool),
+            },
             scratch: InferenceScratch::default(),
             dense: Matrix::default(),
             logits: Matrix::default(),
@@ -117,7 +157,9 @@ impl ServeEngine {
         }
     }
 
-    /// A serial engine.
+    /// An engine on a lane of its own ([`Execution::Serial`]): a batch
+    /// under 1,024 lookups runs on the calling thread alone, and
+    /// the first one above it starts the one-worker lane.
     pub fn with_defaults(model: &Dlrm) -> Self {
         Self::new(model, 0, Execution::Serial)
     }
@@ -147,28 +189,39 @@ impl ServeEngine {
     /// Scores a fused batch of queries against `model`, in order.
     /// Returns the demuxable view; the underlying buffers are recycled
     /// on the next call. The query stream is iterated once per fusion
-    /// pass (hence `Clone`), so the steady-state call allocates nothing.
+    /// pass and once per table group (hence `Clone`, and `Sync`: a group
+    /// may run on the lane's worker), so the steady-state call below
+    /// 1,024 lookups allocates nothing.
     ///
     /// Each bag pools in lookup order, as [`Dlrm::predict`] pools it: a
-    /// query's scores are bit for bit `predict` over the same query.
+    /// query's scores are bit for bit `predict` over the same query,
+    /// whichever thread pooled its table.
     ///
     /// # Errors
     ///
     /// Returns an error when a query disagrees with the model's shape
     /// (table count, dense width, index range), has no candidates or a
-    /// non-finite dense feature, or the batch is empty.
+    /// non-finite dense feature, or the batch is empty. Every query is
+    /// checked before anything is pooled, so an error scores nothing.
+    ///
+    /// # Panics
+    ///
+    /// Resumes the panic of a lane task, after every task of the batch
+    /// has finished; the engine's next batch is scored afresh.
     pub fn score<'q, I>(
         &mut self,
         model: &Dlrm,
         queries: I,
     ) -> Result<ScoredBatch<'_>, EmbeddingError>
     where
-        I: IntoIterator<Item = &'q Arc<Query>> + Clone,
+        I: IntoIterator<Item = &'q Arc<Query>> + Clone + Sync,
     {
-        // Pass 1: validate and lay out the fused batch.
+        // Pass 1: validate and lay out the fused batch. After it, pooling
+        // cannot fail, so no task of the split pass below has an error to
+        // report.
         self.offsets.clear();
         self.offsets.push(0);
-        let mut total = 0usize;
+        let (mut total, mut lookups) = (0usize, 0usize);
         for q in queries.clone() {
             if q.indices.len() != model.num_tables() {
                 return Err(EmbeddingError::LengthMismatch {
@@ -197,13 +250,15 @@ impl ServeEngine {
                     q.id
                 )));
             }
-            for idx in q.indices.iter() {
+            for (t, idx) in q.indices.iter().enumerate() {
                 if idx.num_outputs() != q.candidates() {
                     return Err(EmbeddingError::LengthMismatch {
                         expected: q.candidates(),
                         found: idx.num_outputs(),
                     });
                 }
+                idx.validate_against_rows(model.table(t).rows())?;
+                lookups += idx.len();
             }
             total += q.candidates();
             self.offsets.push(total);
@@ -229,30 +284,47 @@ impl ServeEngine {
         // Pass 3: pooled embeddings, per table per query, through the
         // training forward's loop into the query's rows of the fused
         // batch. Each bag pools in lookup order, whatever the batch
-        // around it, which is what makes fusion bit-transparent.
+        // around it, which is what makes fusion bit-transparent. Above
+        // the floor the tables are cut into one contiguous group a
+        // participant of the lane's scope, the calling thread taking the
+        // first: a table is one task's, so its bags pool as they would
+        // inline.
+        let lane = (lookups >= SPLIT_MIN_LOOKUPS)
+            .then(|| &**self.lane.get_or_insert_with(|| Arc::new(Pool::new(1))));
+        let exec = lane.map_or(Exec::Serial, Exec::pooled);
         let pooled = self.scratch.pooled_mut();
         pooled.resize_with(model.num_tables(), Matrix::default);
-        for (t, out) in pooled.iter_mut().enumerate() {
-            let table = model.table(t);
-            out.zero_into(total, dim);
-            for (qi, q) in queries.clone().into_iter().enumerate() {
-                let index = &q.indices[t];
-                index.validate_against_rows(table.rows())?;
-                accumulate_rows(
-                    table.as_slice(),
-                    index.src(),
-                    index.dst(),
-                    out,
-                    self.offsets[qi],
-                );
+        let offsets = &self.offsets;
+        let pool_tables = |first: usize, group: &mut [Matrix]| {
+            for (t, out) in (first..).zip(group) {
+                let table = model.table(t);
+                out.zero_into(total, dim);
+                for (q, &lo) in queries.clone().into_iter().zip(offsets) {
+                    let index = &q.indices[t];
+                    accumulate_rows(table.as_slice(), index.src(), index.dst(), out, lo);
+                }
             }
+        };
+        let (tables, groups) = (pooled.len(), exec.threads().min(pooled.len()));
+        match lane {
+            Some(lane) if groups > 1 => lane.scope(|scope| {
+                let (mine, mut rest) = pooled.split_at_mut(tables / groups);
+                let mut first = mine.len();
+                for g in 1..groups {
+                    let len = (g + 1) * tables / groups - first;
+                    let (group, tail) = std::mem::take(&mut rest).split_at_mut(len);
+                    rest = tail;
+                    let pool_tables = &pool_tables;
+                    scope.spawn(move || pool_tables(first, group));
+                    first += len;
+                }
+                pool_tables(0, mine);
+            }),
+            _ => pool_tables(0, pooled),
         }
 
-        // Pass 4: the fused dense stack.
-        let exec = match &self.execution {
-            Execution::Serial => Exec::Serial,
-            Execution::Pooled(pool) => Exec::pooled(pool),
-        };
+        // Pass 4: the fused dense stack, its large GEMMs split over the
+        // lane by the same floor as a training step's.
         model
             .dense_infer_into(&self.dense, &mut self.scratch, &mut self.logits, exec)
             .map_err(EmbeddingError::from)?;
@@ -341,6 +413,38 @@ mod tests {
         assert!(engine.score(&m, std::iter::once(&bad)).is_err());
         // Empty batch.
         assert!(engine.score(&m, std::iter::empty()).is_err());
+    }
+
+    #[test]
+    fn only_a_batch_at_the_floor_starts_the_lane() {
+        // Two tables of pooling 40 at four candidates: 320 lookups a
+        // query, so three queries stay under the floor and four reach it.
+        let mut cfg = DlrmConfig::tiny();
+        for table in &mut cfg.tables {
+            table.pooling = 40;
+        }
+        let m = Dlrm::new(cfg.clone(), 11).unwrap();
+        let wl = QueryModel::new(
+            &cfg.table_workloads(),
+            cfg.dense_features,
+            8,
+            CandidateCount::Fixed(4),
+            1.0,
+            5,
+        );
+        let queries: Vec<_> = (0..8).map(|i| Arc::clone(wl.query(i))).collect();
+        let under = SPLIT_MIN_LOOKUPS.div_ceil(320) - 1;
+        let mut engine = ServeEngine::with_defaults(&m);
+        for n in [under, under + 1, queries.len(), under] {
+            let scored = engine.score(&m, &queries[..n]).unwrap();
+            for (i, q) in queries[..n].iter().enumerate() {
+                let want = m.predict(&q.dense, &q.indices).unwrap();
+                assert_eq!(scored.scores(i), want.as_slice(), "{n} queries");
+            }
+            let started = n > under || engine.batches_scored() > 1;
+            let lane = engine.lane.as_ref().map(|lane| lane.threads());
+            assert_eq!(lane, started.then_some(1), "{n} queries");
+        }
     }
 
     #[test]

@@ -21,7 +21,11 @@
 //! * [`engine`] — the zero-alloc batched scoring engine over a frozen
 //!   [`Dlrm`]: each query's bags pooled by the training forward's
 //!   gather-reduce into its rows of the fused batch, the fused dense
-//!   stack, and per-query demux;
+//!   stack, and per-query demux. A batch of 1,024 lookups or more runs
+//!   on the calling thread and the engine's lane (its own one-worker
+//!   pool, or one lent through [`Execution`]), one group of tables a
+//!   thread and the large GEMMs split; a smaller one runs on the calling
+//!   thread alone;
 //! * [`stats`] — latency histograms (p50/p95/p99), QPS, queue depth and
 //!   SLA-violation accounting;
 //! * one private **serve loop** under two entry-point modules: a lane
@@ -49,9 +53,12 @@
 //! query alone, and to [`Dlrm::predict`] on it: embedding pooling
 //! accumulates each bag in lookup order, the training forward's order —
 //! independent of batch composition — and every dense kernel is
-//! row-independent. Batching is a pure scheduling decision. Likewise, online-mode update steps are bit-identical to the
-//! offline [`Trainer`] fed the same batches: serving reads the model
-//! through `&` only. Both are property-tested in `tests/serving.rs`.
+//! row-independent. Batching is a pure scheduling decision, and so is
+//! splitting a batch over the lane: each table is pooled whole by one
+//! thread, and a split GEMM computes every output in its serial order.
+//! Likewise, online-mode update steps are bit-identical to the offline
+//! [`Trainer`] fed the same batches: serving reads the model through `&`
+//! only. Both are property-tested in `tests/serving.rs`.
 //!
 //! # Example
 //!
@@ -95,6 +102,7 @@
 //! [`Dlrm`]: tcast_dlrm::Dlrm
 //! [`Dlrm::predict`]: tcast_dlrm::Dlrm::predict
 //! [`Trainer`]: tcast_dlrm::Trainer
+//! [`Execution`]: tcast_dlrm::Execution
 
 pub mod concurrent;
 pub mod engine;

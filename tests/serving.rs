@@ -1,10 +1,11 @@
 //! The serving subsystem's cross-crate invariants:
 //!
 //! 1. **Fusion is bit-transparent** — a fused batch of queries scores
-//!    bit-identically to scoring each query alone, across batch sizes
-//!    and both `Execution` modes, and to `Dlrm::predict` on each query
-//!    (the serving analogue of the paper's functional-equivalence
-//!    validation).
+//!    bit-identically to scoring each query alone, across batch sizes,
+//!    both `Execution` modes and both sides of the engine's split floor
+//!    (a batch pooled on the calling thread alone, or in table groups
+//!    over the engine's lane), and to `Dlrm::predict` on each query (the
+//!    serving analogue of the paper's functional-equivalence validation).
 //! 2. **Checkpoint -> serve round-trips** — a model restored from a
 //!    checkpoint serves bit-identical scores to the original.
 //! 3. **Online training is offline training** — interleaving serving
@@ -17,7 +18,9 @@
 //! 5. **The engine is a trust boundary** — a query with a non-finite
 //!    dense feature or no candidates is a typed error naming the query,
 //!    never a plausible score; a row past its table is a typed error on
-//!    the first call and on a repeated one.
+//!    the first call and on a repeated one, and in a split batch before
+//!    anything is pooled. A lane task's panic leaves the engine scoring
+//!    its next batch as `Dlrm::predict` does.
 //! 6. **An empty bag pools to a zero row** — in training (baseline ==
 //!    casted) and in serving (engine == `Dlrm::predict`).
 
@@ -26,7 +29,7 @@ use std::sync::Arc;
 use tensor_casting::datasets::{SyntheticCtr, SyntheticSource};
 use tensor_casting::dlrm::{
     checkpoint::{read_train_checkpoint, save_train_checkpoint},
-    BackwardMode, Dlrm, DlrmConfig, Execution, Trainer,
+    BackwardMode, Dlrm, DlrmConfig, Execution, TableConfig, Trainer,
 };
 use tensor_casting::embedding::{EmbeddingError, IndexArray};
 use tensor_casting::serve::{
@@ -105,22 +108,23 @@ proptest! {
         prop_assert_eq!(b.fused_logits().as_slice(), a.as_slice());
     }
 
-    /// Invariant 1 against the model: catalogs of multi-lookup bags, cut
-    /// into fused batches at random points and scored by one engine, score
-    /// every query bit for bit as it scores alone and as `Dlrm::predict`
-    /// scores it. Ragged embedding widths run the SIMD tail.
+    /// Invariant 1 against the model: catalogs of multi-lookup bags over
+    /// four to six tables, cut into fused batches at random points and
+    /// scored by one engine, score every query bit for bit as it scores
+    /// alone and as `Dlrm::predict` scores it. Both engines run on a lane
+    /// of their own (`Serial`) and on a lent three-worker pool, which cuts
+    /// four groups of tables: poolings up to 79 put batches on both sides
+    /// of the engine's split floor (1,024 lookups), so some pool on the
+    /// calling thread alone and some on the lane. Ragged embedding widths
+    /// run the SIMD tail.
     #[test]
     fn fused_in_any_grouping_is_alone_is_predict(
         seed in 1u64..1000,
         dim in 1usize..40,
-        pooling in (1usize..7, 1usize..7),
+        poolings in collection::vec(1usize..80, 4..7),
         max_group in 1usize..9,
     ) {
-        let mut cfg = DlrmConfig::tiny();
-        cfg.embedding_dim = dim;
-        cfg.bottom_mlp = vec![32, dim];
-        cfg.tables[0].pooling = pooling.0;
-        cfg.tables[1].pooling = pooling.1;
+        let cfg = config_with_poolings(dim, &poolings);
         let model = Dlrm::new(cfg.clone(), seed).unwrap();
         let mut wl = QueryModel::new(
             &cfg.table_workloads(),
@@ -131,23 +135,73 @@ proptest! {
             seed,
         );
         let queries: Vec<Arc<Query>> = (0..24).map(|_| wl.draw()).collect();
-        let mut rng = tensor_casting::tensor::SplitMix64::new(seed);
-        let mut fused_engine = ServeEngine::with_defaults(&model);
-        let mut alone_engine = ServeEngine::with_defaults(&model);
-        let mut rest = queries.as_slice();
-        while !rest.is_empty() {
-            let n = (1 + rng.next_below(max_group as u64) as usize).min(rest.len());
-            let (group, tail) = rest.split_at(n);
-            rest = tail;
-            let fused = fused_engine.score(&model, group).unwrap();
-            for (i, q) in group.iter().enumerate() {
-                let want = bits(model.predict(&q.dense, &q.indices).unwrap().as_slice());
-                prop_assert_eq!(bits(fused.scores(i)), want.clone(), "query {} fused", q.id);
-                let alone = alone_engine.score(&model, std::iter::once(q)).unwrap();
-                prop_assert_eq!(bits(alone.scores(0)), want, "query {} alone", q.id);
+        let lent = Arc::new(tensor_casting::tensor::Pool::new(3));
+        for execution in [Execution::Serial, Execution::Pooled(lent)] {
+            let mut rng = tensor_casting::tensor::SplitMix64::new(seed);
+            let mut fused_engine = ServeEngine::new(&model, 0, execution.clone());
+            let mut alone_engine = ServeEngine::new(&model, 0, execution.clone());
+            let mut rest = queries.as_slice();
+            while !rest.is_empty() {
+                let n = (1 + rng.next_below(max_group as u64) as usize).min(rest.len());
+                let (group, tail) = rest.split_at(n);
+                rest = tail;
+                let fused = fused_engine.score(&model, group).unwrap();
+                for (i, q) in group.iter().enumerate() {
+                    let want = bits(model.predict(&q.dense, &q.indices).unwrap().as_slice());
+                    prop_assert_eq!(
+                        bits(fused.scores(i)),
+                        want.clone(),
+                        "query {} fused, {:?}",
+                        q.id,
+                        execution
+                    );
+                    let alone = alone_engine.score(&model, std::iter::once(q)).unwrap();
+                    prop_assert_eq!(
+                        bits(alone.scores(0)),
+                        want,
+                        "query {} alone, {:?}",
+                        q.id,
+                        execution
+                    );
+                }
             }
         }
     }
+}
+
+/// `tiny`'s dense stack over one table a pooling (40-139 rows, Zipf and
+/// uniform in turn), at embedding width `dim`.
+fn config_with_poolings(dim: usize, poolings: &[usize]) -> DlrmConfig {
+    let mut cfg = DlrmConfig::tiny();
+    cfg.embedding_dim = dim;
+    cfg.bottom_mlp = vec![32, dim];
+    cfg.tables = poolings
+        .iter()
+        .enumerate()
+        .map(|(t, &pooling)| TableConfig {
+            rows: 40 + 33 * t % 100,
+            pooling,
+            zipf_exponent: if t % 2 == 0 { 1.0 } else { 0.0 },
+        })
+        .collect();
+    cfg
+}
+
+/// Eight queries of six candidates over four tables of pooling 40: 7,680
+/// lookups, a batch far above the engine's split floor.
+fn split_batch(seed: u64) -> (Dlrm, Vec<Arc<Query>>) {
+    let cfg = config_with_poolings(16, &[40; 4]);
+    let model = Dlrm::new(cfg.clone(), seed).unwrap();
+    let mut wl = QueryModel::new(
+        &cfg.table_workloads(),
+        cfg.dense_features,
+        8,
+        CandidateCount::Fixed(6),
+        0.0,
+        seed,
+    );
+    let queries = (0..8).map(|_| wl.draw()).collect();
+    (model, queries)
 }
 
 /// Invariant 2: train, checkpoint, restore into a fresh trainer — the
@@ -468,6 +522,82 @@ fn a_row_past_its_table_is_refused_on_the_miss_and_on_the_hit() {
     );
     let got = engine.score(&model, &good).unwrap();
     assert_eq!(bits(got.fused_logits().as_slice()), want);
+}
+
+/// Invariant 5 on a split batch: a row past its table, in the last table
+/// group of the last query, is refused before anything is pooled, on a
+/// lane of the engine's own and on a lent pool; the engine then scores a
+/// good batch as a fresh one does.
+#[test]
+fn a_row_past_its_table_in_a_split_batch_is_refused() {
+    let (model, good) = split_batch(5);
+    let t = model.num_tables() - 1;
+    let rows = model.table(t).rows();
+    let last = &good[good.len() - 1];
+    let mut indices = last.indices.to_vec();
+    let mut samples = vec![vec![0u32; 40]; last.candidates()];
+    samples[last.candidates() - 1][39] = rows as u32;
+    indices[t] = IndexArray::from_samples(&samples).unwrap();
+    let mut bad = good.clone();
+    bad[good.len() - 1] = Arc::new(Query {
+        id: 4244,
+        dense: last.dense.clone(),
+        indices: indices.into(),
+    });
+    let want = bits(
+        ServeEngine::with_defaults(&model)
+            .score(&model, &good)
+            .unwrap()
+            .fused_logits()
+            .as_slice(),
+    );
+    let lent = Arc::new(tensor_casting::tensor::Pool::new(3));
+    for execution in [Execution::Serial, Execution::Pooled(lent)] {
+        let mut engine = ServeEngine::new(&model, 0, execution.clone());
+        match engine.score(&model, &bad) {
+            Err(EmbeddingError::SrcOutOfBounds { src, rows: r }) => {
+                assert_eq!((src as usize, r), (rows, rows), "{execution:?}");
+            }
+            Err(e) => panic!("{execution:?}: expected SrcOutOfBounds, got {e}"),
+            Ok(_) => panic!("{execution:?}: a row past its table was scored"),
+        }
+        assert_eq!(
+            engine.batches_scored(),
+            0,
+            "{execution:?}: nothing is scored"
+        );
+        let got = engine.score(&model, &good).unwrap();
+        assert_eq!(bits(got.fused_logits().as_slice()), want, "{execution:?}");
+    }
+}
+
+/// A lane task that panics (an injected fault in the first table group
+/// spawned on a lent pool) panics out of `score` once every task of the
+/// batch has finished, and the engine's next batch scores each query bit
+/// for bit as `Dlrm::predict` does.
+#[test]
+fn a_poisoned_lane_task_panics_out_of_score_and_the_next_batch_is_predict() {
+    use std::panic::{catch_unwind, AssertUnwindSafe};
+    let (model, queries) = split_batch(9);
+    let pool = Arc::new(tensor_casting::tensor::Pool::new(1));
+    let mut engine = ServeEngine::new(&model, 0, Execution::Pooled(Arc::clone(&pool)));
+    pool.poison_next_task();
+    let panic = catch_unwind(AssertUnwindSafe(|| {
+        engine.score(&model, &queries).map(|_| ())
+    }))
+    .expect_err("a poisoned lane task must panic out of score");
+    let message = panic
+        .downcast_ref::<&str>()
+        .map(|s| s.to_string())
+        .or_else(|| panic.downcast_ref::<String>().cloned())
+        .unwrap_or_default();
+    assert!(message.contains("poisoned pool task"), "{message}");
+    assert_eq!(engine.batches_scored(), 0);
+    let scored = engine.score(&model, &queries).unwrap();
+    for (i, q) in queries.iter().enumerate() {
+        let want = bits(model.predict(&q.dense, &q.indices).unwrap().as_slice());
+        assert_eq!(bits(scored.scores(i)), want, "query {}", q.id);
+    }
 }
 
 /// Invariant 1 on a trained model: a served score is bit for bit

@@ -6,7 +6,8 @@
 //! stops growing once warmed), the cast itself into recycled arrays, the
 //! cast a casted training step with no lane runs on the training thread,
 //! a trainer lent a pool (it allocates exactly as a serial one does),
-//! and a full serving cache's misses.
+//! and a served batch under the engine's split floor, of queries it has
+//! seen or not; a batch above the floor is bounded at one pool scope.
 //!
 //! The whole file is one test function on purpose — the allocation
 //! counter is process-global, and sibling tests running on other threads
@@ -588,6 +589,52 @@ fn steady_state_hot_path_performs_zero_allocations() {
         allocations() - before,
         0,
         "scoring queries the engine has never seen must not allocate"
+    );
+
+    // ---- Serve engine: a batch that splits -----------------------------
+    // A batch of at least the engine's split floor (1,024 lookups) pools
+    // its tables in two groups, one on the engine's own lane. The one
+    // thing that allocates on the calling thread is that pool scope: its
+    // state and one boxed task for the group the lane's worker takes. The
+    // dense stack here is too small for any GEMM to split, so it opens no
+    // other scope.
+    let split_cfg = DlrmConfig {
+        tables: vec![
+            TableConfig {
+                rows: 500,
+                pooling: 80,
+                zipf_exponent: 1.0,
+            };
+            10
+        ],
+        ..DlrmConfig::tiny()
+    };
+    let split_model = tensor_casting::dlrm::Dlrm::new(split_cfg.clone(), 37).unwrap();
+    let split_workload = tensor_casting::serve::QueryModel::new(
+        &split_cfg.table_workloads(),
+        split_cfg.dense_features,
+        4,
+        tensor_casting::serve::CandidateCount::Fixed(3),
+        1.0,
+        53,
+    );
+    // 4 queries x 3 candidates x 10 tables x 80 lookups: 9,600 lookups.
+    let split_queries: Vec<_> = (0..4)
+        .map(|i| Arc::clone(split_workload.query(i)))
+        .collect();
+    let mut split_engine = tensor_casting::serve::ServeEngine::with_defaults(&split_model);
+    split_engine.score(&split_model, &split_queries).unwrap();
+    let split_batches = 10;
+    let before = allocations();
+    for _ in 0..split_batches {
+        let scored = split_engine.score(&split_model, &split_queries).unwrap();
+        assert_eq!(scored.num_queries(), 4);
+    }
+    let split_allocs = allocations() - before;
+    assert!(
+        split_allocs <= 2 * split_batches,
+        "a split batch allocates one pool scope on the calling thread (state + one task), \
+         {split_allocs} over {split_batches} batches"
     );
 
     // ---- One model, trained and served ---------------------------------
