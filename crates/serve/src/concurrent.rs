@@ -12,9 +12,8 @@
 //!   `snapshot_every` steps — a slab copy into a recycled buffer, no
 //!   stop-the-world;
 //! * N **serve engines** run on the same [`Pool`] with *no shared
-//!   mutable model state*, each a [`ServeEngine::with_defaults`], which
-//!   splits a batch of 1,024 lookups or more over a one-worker lane of
-//!   its own: each is one snapshot lane of
+//!   mutable model state*, each scoring its batches inline on the pool
+//!   thread that runs it: each is one snapshot lane of
 //!   the one serve loop (`batch` closed-loop clients at zero think time),
 //!   resolving one consistent snapshot per fused batch and refreshing
 //!   only when its held version falls more than `staleness_bound`
@@ -257,13 +256,16 @@ impl From<EmbeddingError> for ConcurrentError {
 /// single-worker pool valid (tasks serialize; every invariant still
 /// holds — only the overlap disappears).
 ///
-/// Each engine is a [`ServeEngine::with_defaults`]: its first batch at
-/// the engine's split floor (1,024 lookups) starts a one-worker lane of
-/// its own, which it keeps until the engine returns. So N engines add up
-/// to N threads to the calling thread, `pool`'s workers and whatever the
-/// trainer owns (its own lane under `Execution::Serial`, a prefetch
-/// producer). Scores do not depend on it: a split batch scores the
-/// serial bits.
+/// Each engine scores every batch on the pool thread that runs it: it
+/// starts no lane of its own and spawns nothing into `pool`, so N
+/// engines add no thread to the calling thread, `pool`'s workers and
+/// whatever the trainer owns (its own lane under `Execution::Serial`, a
+/// prefetch producer). Here the trainer and the engines already hold
+/// those threads. On a 2-vCPU host at RM1 shape, with two engines
+/// serving batches of 8 queries beside the trainer, the median fleet
+/// queries/s of 12-16 interleaved runs fell by 13-14% when each engine
+/// split its batches over a lane of its own, and by 10-16% when it split
+/// them over `pool` (single runs vary by about 20%).
 ///
 /// # Errors
 ///
@@ -314,7 +316,7 @@ pub fn serve_concurrent(
         for (i, (workload, slot)) in workloads.iter_mut().zip(&mut engines).enumerate() {
             let serving = &serving;
             scope.spawn(move || {
-                let mut engine = ServeEngine::with_defaults(store.latest().model());
+                let mut engine = ServeEngine::inline(store.latest().model());
                 let mut recorded = Vec::new();
                 let record = config.record_batches.then_some((i, &mut recorded));
                 let snapshots = SnapshotSlot::new(store, config.staleness_bound, record);

@@ -6,11 +6,12 @@
 //! * **Zero steady-state allocation.** Every intermediate — the fused
 //!   dense matrix, per-table pooled embeddings, MLP scratch, logits, the
 //!   demux offsets — lives in engine-owned buffers recycled across
-//!   batches (`zero_into`-style). After the first batch sizes them,
-//!   scoring a batch under the split floor allocates nothing, whether or
-//!   not the engine has seen the queries before: it keeps no per-query
-//!   state. A split batch allocates only its pool scope: the scope's
-//!   state and one boxed task a group the lane takes.
+//!   batches (`zero_into`-style). After the first batch sizes them, a
+//!   batch that opens no pool scope allocates nothing, whether or not the
+//!   engine has seen the queries before: it keeps no per-query state.
+//!   That is every batch under the split floor on an engine without a
+//!   lane. A batch that splits allocates only its pool scopes: the
+//!   scope's state and one boxed task a group the lane takes.
 //! * **Serving is the training forward.** Each query's bags pool through
 //!   the training forward's own gather-reduce loop
 //!   ([`accumulate_rows`], lookup order), straight into that query's rows
@@ -28,7 +29,9 @@
 //!   one a participant, each pooled whole by one thread in lookup order,
 //!   and the dense stack's large GEMMs split as a training step's do,
 //!   every output in its serial order. So a split batch scores the serial
-//!   bits. A smaller batch runs on the calling thread and touches no pool.
+//!   bits. A smaller batch pools its tables on the calling thread; its
+//!   GEMMs still split over the lane, if the engine has one, when they
+//!   pass the tensor crate's own split floor.
 //! * **The model is shared, frozen, `&`.** Scoring reads the [`Dlrm`]
 //!   through `&self` only, so the online loop can interleave trainer
 //!   update steps with serving without the engine holding any model
@@ -45,18 +48,22 @@ use tcast_pool::Pool;
 use tcast_tensor::{Exec, Matrix};
 
 /// The smallest fused batch, in lookups summed over every query and
-/// table, that [`ServeEngine::score`] splits over its lane. Below it the
-/// batch runs on the calling thread and touches no pool, as a GEMM under
-/// the tensor crate's split floor does. Both serve workloads of the repo
-/// benchmark (RM1 at 10 candidates: 8,000 lookups a query) split every
-/// batch, one query included.
+/// table, whose tables [`ServeEngine::score`] pools over the lane; the
+/// first such batch also starts an [`Execution::Serial`] engine's own
+/// lane. Below it the tables pool on the calling thread, so a small batch
+/// of an engine without a lane opens no pool scope and allocates nothing
+/// (`tests/zero_alloc.rs` holds it to that). That is what the floor is
+/// for; the repo benchmark cannot size it, as both its serve workloads
+/// (RM1 at 10 candidates: 8,000 lookups a query) split every batch.
 ///
-/// Sized on RM1-shaped batches (10k-row tables, pooling 8-80) on a
-/// 2-vCPU AVX-512 Xeon, split against inline in 8 alternating block
-/// pairs: with batches 0-1 ms apart, so that the lane's worker is still
-/// polling, a split batch of ~1,000 lookups ran 1.1-1.2x faster, of 400
-/// about even and of 80-200 0.9x; with batches 5 ms apart the worker has
-/// parked, and no size gained (0.95-1.0x at 1,000-32,000 lookups).
+/// The value is read off the timing probe `split_floor_probe` below: one
+/// RM1-shaped query at a time, with the lane's worker still polling, on a
+/// 2-vCPU AVX-512 Xeon. Over three runs of the probe (each ratio the
+/// median of 8 rounds), split/inline time read 1.0-1.15 at 80-800 lookups
+/// (once 0.87, at 800), 0.94-1.08 at 1,000, 0.8-0.92 at 1,600-2,000 and
+/// 0.68-0.86 at 4,000-8,000: splitting starts to pay between 1,000 and
+/// 1,600 lookups. The probe does not time a parked worker (batches over
+/// 3 ms apart); no measurement backs the floor there.
 const SPLIT_MIN_LOOKUPS: usize = 1024;
 
 /// The zero-alloc batched scoring engine.
@@ -65,6 +72,9 @@ pub struct ServeEngine {
     /// engine's own one-worker lane, started by the first batch that
     /// splits.
     lane: Option<Arc<Pool>>,
+    /// The smallest batch, in lookups, that pools its tables over the
+    /// lane: [`SPLIT_MIN_LOOKUPS`], or `usize::MAX` for an inline engine.
+    split_min_lookups: usize,
     scratch: InferenceScratch,
     /// Fused dense features, `total_samples x dense_features`.
     dense: Matrix,
@@ -129,13 +139,14 @@ impl ScoredBatch<'_> {
 
 impl ServeEngine {
     /// An engine that scores fused batches. `execution` says who owns the
-    /// lane a batch of at least 1,024 lookups is split
-    /// over, as it does for a [`tcast_dlrm::Trainer`]:
+    /// lane, as it does for a [`tcast_dlrm::Trainer`]:
     /// [`Execution::Serial`] leaves the engine to start a one-worker lane
-    /// of its own at the first such batch, [`Execution::Pooled`] lends the
-    /// given pool. Either way the calling thread pools one group of tables
-    /// and the lane's workers the others, and the dense stack's large
-    /// GEMMs split over the lane; the scores are the serial bits.
+    /// of its own at the first batch of at least 1,024 lookups,
+    /// [`Execution::Pooled`] lends the given pool. Such a batch pools one
+    /// group of tables on the calling thread and the others on the lane's
+    /// workers. Once the engine has a lane, every batch's dense stack
+    /// splits its GEMMs over it above the tensor crate's floor. The scores
+    /// are the serial bits either way.
     ///
     /// Neither `model` nor `cache_capacity` is read: the engine sizes its
     /// buffers on the first batch it scores and keeps no casting cache.
@@ -148,6 +159,7 @@ impl ServeEngine {
                 Execution::Serial => None,
                 Execution::Pooled(pool) => Some(pool),
             },
+            split_min_lookups: SPLIT_MIN_LOOKUPS,
             scratch: InferenceScratch::default(),
             dense: Matrix::default(),
             logits: Matrix::default(),
@@ -157,11 +169,21 @@ impl ServeEngine {
         }
     }
 
-    /// An engine on a lane of its own ([`Execution::Serial`]): a batch
-    /// under 1,024 lookups runs on the calling thread alone, and
-    /// the first one above it starts the one-worker lane.
+    /// An engine on a lane of its own ([`Execution::Serial`]): until the
+    /// first batch of at least 1,024 lookups starts the one-worker lane,
+    /// every batch runs on the calling thread alone.
     pub fn with_defaults(model: &Dlrm) -> Self {
         Self::new(model, 0, Execution::Serial)
+    }
+
+    /// An engine that scores every batch on the calling thread and never
+    /// starts a lane: [`crate::serve_concurrent`]'s engines, whose threads
+    /// already share the host's cores with the trainer and each other.
+    pub(crate) fn inline(model: &Dlrm) -> Self {
+        Self {
+            split_min_lookups: usize::MAX,
+            ..Self::with_defaults(model)
+        }
     }
 
     /// Queries scored so far.
@@ -190,8 +212,8 @@ impl ServeEngine {
     /// Returns the demuxable view; the underlying buffers are recycled
     /// on the next call. The query stream is iterated once per fusion
     /// pass and once per table group (hence `Clone`, and `Sync`: a group
-    /// may run on the lane's worker), so the steady-state call below
-    /// 1,024 lookups allocates nothing.
+    /// may run on the lane's worker), so the steady-state call that
+    /// opens no pool scope allocates nothing.
     ///
     /// Each bag pools in lookup order, as [`Dlrm::predict`] pools it: a
     /// query's scores are bit for bit `predict` over the same query,
@@ -284,14 +306,16 @@ impl ServeEngine {
         // Pass 3: pooled embeddings, per table per query, through the
         // training forward's loop into the query's rows of the fused
         // batch. Each bag pools in lookup order, whatever the batch
-        // around it, which is what makes fusion bit-transparent. Above
-        // the floor the tables are cut into one contiguous group a
+        // around it, which is what makes fusion bit-transparent. At the
+        // floor the tables are cut into one contiguous group a
         // participant of the lane's scope, the calling thread taking the
         // first: a table is one task's, so its bags pool as they would
         // inline.
-        let lane = (lookups >= SPLIT_MIN_LOOKUPS)
-            .then(|| &**self.lane.get_or_insert_with(|| Arc::new(Pool::new(1))));
-        let exec = lane.map_or(Exec::Serial, Exec::pooled);
+        let split = lookups >= self.split_min_lookups;
+        if split {
+            self.lane.get_or_insert_with(|| Arc::new(Pool::new(1)));
+        }
+        let exec = self.lane.as_deref().map_or(Exec::Serial, Exec::pooled);
         let pooled = self.scratch.pooled_mut();
         pooled.resize_with(model.num_tables(), Matrix::default);
         let offsets = &self.offsets;
@@ -305,8 +329,9 @@ impl ServeEngine {
                 }
             }
         };
-        let (tables, groups) = (pooled.len(), exec.threads().min(pooled.len()));
-        match lane {
+        let tables = pooled.len();
+        let groups = if split { exec.threads().min(tables) } else { 1 };
+        match exec.pool() {
             Some(lane) if groups > 1 => lane.scope(|scope| {
                 let (mine, mut rest) = pooled.split_at_mut(tables / groups);
                 let mut first = mine.len();
@@ -323,8 +348,9 @@ impl ServeEngine {
             _ => pool_tables(0, pooled),
         }
 
-        // Pass 4: the fused dense stack, its large GEMMs split over the
-        // lane by the same floor as a training step's.
+        // Pass 4: the fused dense stack. Whenever the engine has a lane,
+        // its large GEMMs split over it by the same floor as a training
+        // step's, whatever the batch's lookup count.
         model
             .dense_infer_into(&self.dense, &mut self.scratch, &mut self.logits, exec)
             .map_err(EmbeddingError::from)?;
@@ -444,6 +470,132 @@ mod tests {
             let started = n > under || engine.batches_scored() > 1;
             let lane = engine.lane.as_ref().map(|lane| lane.threads());
             assert_eq!(lane, started.then_some(1), "{n} queries");
+        }
+        // An inline engine starts none, whatever the batch.
+        let mut inline = ServeEngine::inline(&m);
+        let scored = inline.score(&m, &queries).unwrap();
+        for (i, q) in queries.iter().enumerate() {
+            let want = m.predict(&q.dense, &q.indices).unwrap();
+            assert_eq!(scored.scores(i), want.as_slice());
+        }
+        assert!(inline.lane.is_none());
+    }
+
+    #[test]
+    fn a_lent_pool_splits_the_dense_stack_under_the_floor() {
+        // One query of 16 candidates over two tables of pooling 3 and 2:
+        // 80 lookups, far under the floor, so the tables pool inline. The
+        // bottom MLP's 16x512x512 product reaches the GEMMs' own floor,
+        // so it splits over the lent pool: poisoning the pool's next task
+        // panics the batch.
+        let cfg = DlrmConfig {
+            bottom_mlp: vec![512, 512, 16],
+            ..DlrmConfig::tiny()
+        };
+        let m = Dlrm::new(cfg.clone(), 11).unwrap();
+        let wl = QueryModel::new(
+            &cfg.table_workloads(),
+            cfg.dense_features,
+            2,
+            CandidateCount::Fixed(16),
+            1.0,
+            5,
+        );
+        let q = Arc::clone(wl.query(0));
+        let lookups: usize = q.indices.iter().map(|idx| idx.len()).sum();
+        assert!(lookups < SPLIT_MIN_LOOKUPS);
+        let want = m.predict(&q.dense, &q.indices).unwrap();
+        let lent = Arc::new(Pool::new(1));
+        let mut engine = ServeEngine::new(&m, 0, Execution::Pooled(Arc::clone(&lent)));
+        let scored = engine.score(&m, std::iter::once(&q)).unwrap();
+        assert_eq!(scored.scores(0), want.as_slice());
+        lent.poison_next_task();
+        let panicked = std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| {
+            let _ = engine.score(&m, std::iter::once(&q));
+        }));
+        assert!(panicked.is_err(), "the dense stack did not split");
+        let scored = engine.score(&m, std::iter::once(&q)).unwrap();
+        assert_eq!(scored.scores(0), want.as_slice());
+    }
+
+    /// The timing probe behind [`SPLIT_MIN_LOOKUPS`]: on RM1-shaped
+    /// batches of one query, the split schedule (floor 0, own lane)
+    /// against the inline one, back to back so that the lane's worker
+    /// stays polling, in 8 rounds of alternating blocks. Prints each
+    /// batch's split/inline time ratio, its median and quartiles over the
+    /// rounds (under 1: the split batch is faster). Run it with
+    /// `cargo test --release -p tcast-serve split_floor_probe -- --ignored --nocapture`.
+    #[test]
+    #[ignore = "timing probe; run in release with --nocapture"]
+    fn split_floor_probe() {
+        use std::time::Instant;
+        const ROUNDS: usize = 8;
+        const CALLS: usize = 100;
+        let quartiles = |v: &mut [f64]| {
+            v.sort_by(f64::total_cmp);
+            [v[v.len() / 4], v[v.len() / 2], v[v.len() * 3 / 4]]
+        };
+        for pooling in [8, 20, 80] {
+            let mut cfg = DlrmConfig::rm1_scaled(10_000);
+            for table in &mut cfg.tables {
+                table.pooling = pooling;
+            }
+            let m = Dlrm::new(cfg.clone(), 1).unwrap();
+            for candidates in [1, 2, 5, 10] {
+                let wl = QueryModel::new(
+                    &cfg.table_workloads(),
+                    cfg.dense_features,
+                    64,
+                    CandidateCount::Fixed(candidates),
+                    1.1,
+                    3,
+                );
+                let queries: Vec<_> = (0..64).map(|i| Arc::clone(wl.query(i))).collect();
+                let lookups = cfg.tables.len() * pooling * candidates;
+                let mut split = ServeEngine::with_defaults(&m);
+                split.split_min_lookups = 0;
+                let mut inline = ServeEngine::inline(&m);
+                // Start the lane and spread its worker and this thread
+                // over both cores before anything is timed.
+                split.score(&m, &queries[..1]).unwrap();
+                let lane = Arc::clone(split.lane.as_ref().unwrap());
+                let spin = |ms| {
+                    let t0 = Instant::now();
+                    while t0.elapsed().as_millis() < ms {
+                        std::hint::spin_loop();
+                    }
+                };
+                for _ in 0..100 {
+                    lane.scope(|s| {
+                        s.spawn(|| spin(2));
+                        spin(2);
+                    });
+                }
+                let mut ratios = Vec::new();
+                for _ in 0..ROUNDS {
+                    let mut medians = [0.0; 2];
+                    for (engine, median) in [&mut split, &mut inline].into_iter().zip(&mut medians)
+                    {
+                        let mut ns: Vec<f64> = (0..=CALLS)
+                            .map(|i| {
+                                let q = std::iter::once(&queries[i % queries.len()]);
+                                let t0 = Instant::now();
+                                std::hint::black_box(engine.score(&m, q).unwrap().num_samples());
+                                t0.elapsed().as_nanos() as f64
+                            })
+                            .skip(1)
+                            .collect();
+                        *median = quartiles(&mut ns)[1];
+                    }
+                    ratios.push(medians[0] / medians[1]);
+                }
+                let [q1, median, q3] = quartiles(&mut ratios);
+                println!(
+                    "PROBE serve split/inline ratio {lookups} lookups (pooling {pooling}, \
+                     {candidates} candidates): {median:.2} (quartiles {q1:.2}-{q3:.2} over \
+                     {ROUNDS} rounds)"
+                );
+            }
         }
     }
 

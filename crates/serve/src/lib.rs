@@ -24,8 +24,8 @@
 //!   stack, and per-query demux. A batch of 1,024 lookups or more runs
 //!   on the calling thread and the engine's lane (its own one-worker
 //!   pool, or one lent through [`Execution`]), one group of tables a
-//!   thread and the large GEMMs split; a smaller one runs on the calling
-//!   thread alone;
+//!   thread and the large GEMMs split; a smaller one pools its tables on
+//!   the calling thread;
 //! * [`stats`] — latency histograms (p50/p95/p99), QPS, queue depth and
 //!   SLA-violation accounting;
 //! * one private **serve loop** under two entry-point modules: a lane
