@@ -17,7 +17,9 @@
 //! kernel_bench [--iters N] [--json PATH]
 //! ```
 //!
-//! `FAST=1` shrinks shapes and iteration counts for smoke runs. The
+//! `FAST=1` shrinks shapes and iteration counts for smoke runs, to
+//! `3 * 8` calls a row: three timed calls in each block of a ratio line's
+//! 8 rounds, so that even a smoke run's ratio is a median of medians. The
 //! `KERNEL <name> simd/scalar ratio` (`interaction`: forward plus
 //! backward), `KERNEL <name> cold`, `KERNEL linear_fwd lane/serial
 //! ratio`, `KERNEL linear_bwd lane/serial ratio`, `KERNEL linear_bwd
@@ -129,7 +131,7 @@ struct Args {
 fn parse_args() -> Args {
     let fast = fast_mode();
     let mut args = Args {
-        iters: if fast { 3 } else { 30 },
+        iters: if fast { 3 * PAIRS } else { 30 },
         json: json::sink_from_env().unwrap_or_else(|| PathBuf::from("BENCH_kernel.json")),
     };
     let mut it = std::env::args().skip(1);

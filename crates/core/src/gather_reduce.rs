@@ -68,6 +68,7 @@ pub fn casted_gather_reduce_into(
         casted.reduce_dst(),
         coalesced,
         0,
+        0,
     );
     Ok(())
 }

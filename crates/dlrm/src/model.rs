@@ -56,8 +56,9 @@ impl InferenceScratch {
     /// The per-table pooled-embedding buffers [`Dlrm::dense_infer_into`]
     /// consumes. [`Dlrm::predict_into`] fills them via the plain
     /// gather-reduce, as a training step does; a serving engine writes
-    /// them directly (each query's bags pooled into its rows, one table
-    /// group a thread) before calling [`Dlrm::dense_infer_into`].
+    /// them directly (each query's bags pooled into its rows, one scratch
+    /// a band of the batch's rows) before calling
+    /// [`Dlrm::dense_infer_into`].
     pub fn pooled_mut(&mut self) -> &mut Vec<Matrix> {
         &mut self.pooled
     }

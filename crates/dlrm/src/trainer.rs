@@ -194,7 +194,7 @@ pub enum Execution {
     Serial,
     /// The given persistent pool, lent as the lane: every split GEMM runs
     /// one task per worker plus one for the calling thread, and a split
-    /// served batch pools that many groups of tables.
+    /// served batch is cut into that many bands of sample rows.
     Pooled(Arc<Pool>),
 }
 

@@ -61,18 +61,20 @@ pub fn gather_reduce_into(
 ) -> Result<(), EmbeddingError> {
     index.validate_against_rows(table.rows())?;
     out.zero_into(index.num_outputs(), table.dim());
-    accumulate_rows(table.as_slice(), index.src(), index.dst(), out, 0);
+    accumulate_rows(table.as_slice(), index.src(), index.dst(), out, 0, 0);
     Ok(())
 }
 
 /// The tensor gather-reduce datapath over any row-major source:
-/// `out[first_row + dst[i]] += rows[src[i]]` for every lookup `i`, in
-/// lookup order, where `rows` holds vectors of width `out.cols()`. Forward
-/// propagation runs it over an embedding table ([`gather_reduce_into`]);
-/// the casted backward runs it over the gradient table (`tcast-core`'s
-/// `casted_gather_reduce_into`) — one kernel, which is the paper's point.
-/// Both pass `first_row` 0; the serve engine pools each query of a fused
-/// batch into the query's own window of rows.
+/// `out[first_row + dst[i] - first_dst] += rows[src[i]]` for every lookup
+/// `i`, in lookup order, where `rows` holds vectors of width `out.cols()`.
+/// Forward propagation runs it over an embedding table
+/// ([`gather_reduce_into`]); the casted backward runs it over the gradient
+/// table (`tcast-core`'s `casted_gather_reduce_into`) — one kernel, which
+/// is the paper's point. Both pass `first_row` and `first_dst` 0; the
+/// serve engine pools each query of a fused batch into the query's own
+/// window of a band's rows, and a query cut between two bands as two
+/// runs of lookups, the second starting at output `first_dst`.
 ///
 /// `out` must already be shaped and hold the values to accumulate onto
 /// (zeros for a plain gather-reduce).
@@ -80,12 +82,20 @@ pub fn gather_reduce_into(
 /// # Panics
 ///
 /// Panics if `src` and `dst` differ in length, a `src` row lies outside
-/// `rows`, or `first_row + dst[i]` lies outside `out`.
-pub fn accumulate_rows(rows: &[f32], src: &[u32], dst: &[u32], out: &mut Matrix, first_row: usize) {
+/// `rows`, a `dst` lies under `first_dst`, or `first_row + dst[i] -
+/// first_dst` lies outside `out`.
+pub fn accumulate_rows(
+    rows: &[f32],
+    src: &[u32],
+    dst: &[u32],
+    out: &mut Matrix,
+    first_row: usize,
+    first_dst: usize,
+) {
     assert_eq!(src.len(), dst.len(), "one dst per src");
     let (kernel, dim) = (tcast_tensor::simd::dispatch(), out.cols());
     let window = &mut out.as_mut_slice()[first_row * dim..];
-    accumulate_block(kernel, rows, dim, src, dst, 0, window);
+    accumulate_block(kernel, rows, dim, src, dst, first_dst, window);
 }
 
 /// The one accumulate loop: `block[dst[i] - base] += rows[src[i]]` for

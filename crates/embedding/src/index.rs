@@ -135,13 +135,17 @@ impl IndexArray {
             .count()
     }
 
-    /// Validates every `src` against a table row count.
+    /// Validates every `src` against a table row count: a branch-free
+    /// `max` over the ids, which vectorizes; only once it shows a bad row
+    /// does a second pass look for the first one.
     ///
     /// # Errors
     ///
     /// Returns [`EmbeddingError::SrcOutOfBounds`] on the first offending id.
     pub fn validate_against_rows(&self, rows: usize) -> Result<(), EmbeddingError> {
-        if let Some(&bad) = self.src.iter().find(|&&s| s as usize >= rows) {
+        if self.max_src().is_some_and(|max| max as usize >= rows) {
+            let bad = self.src.iter().find(|&&s| s as usize >= rows);
+            let &bad = bad.expect("the max is out of range");
             return Err(EmbeddingError::SrcOutOfBounds { src: bad, rows });
         }
         Ok(())
@@ -276,6 +280,23 @@ mod tests {
             idx.validate_against_rows(9),
             Err(EmbeddingError::SrcOutOfBounds { src: 9, rows: 9 })
         ));
+    }
+
+    #[test]
+    fn validate_against_rows_names_the_first_bad_row() {
+        // The max finds that a row is bad; the error names the first one.
+        let idx = IndexArray::from_samples(&[vec![3, 12], vec![11]]).unwrap();
+        assert!(matches!(
+            idx.validate_against_rows(10),
+            Err(EmbeddingError::SrcOutOfBounds { src: 12, rows: 10 })
+        ));
+        let idx = IndexArray::from_samples(&[vec![15, 20]]).unwrap();
+        assert!(matches!(
+            idx.validate_against_rows(10),
+            Err(EmbeddingError::SrcOutOfBounds { src: 15, rows: 10 })
+        ));
+        let empty = IndexArray::from_pairs(vec![], vec![], 0).unwrap();
+        assert!(empty.validate_against_rows(0).is_ok());
     }
 
     #[test]

@@ -3,41 +3,49 @@
 //!
 //! The engine is built around four invariants:
 //!
-//! * **Zero steady-state allocation.** Every intermediate — the fused
-//!   dense matrix, per-table pooled embeddings, MLP scratch, logits, the
-//!   demux offsets — lives in engine-owned buffers recycled across
-//!   batches (`zero_into`-style). After the first batch sizes them, a
-//!   batch that opens no pool scope allocates nothing, whether or not the
-//!   engine has seen the queries before: it keeps no per-query state.
-//!   That is every batch under the split floor on an engine without a
-//!   lane. A batch that splits allocates only its pool scopes: the
-//!   scope's state and one boxed task a group the lane takes.
+//! * **Zero steady-state allocation.** Every intermediate — each band's
+//!   dense features, per-table pooled embeddings, MLP scratch and logits,
+//!   the fused logits, the demux offsets — lives in engine-owned buffers
+//!   recycled across batches (`zero_into`-style). After the first batch
+//!   sizes them, a batch that opens no pool scope allocates nothing,
+//!   whether or not the engine has seen the queries before: it keeps no
+//!   per-query state. That is every batch under the split floor on an
+//!   engine without a lane. A batch that splits opens one pool scope and
+//!   allocates only that: the scope's state and one boxed task a band the
+//!   lane takes.
 //! * **Serving is the training forward.** Each query's bags pool through
 //!   the training forward's own gather-reduce loop
 //!   ([`accumulate_rows`], lookup order), straight into that query's rows
-//!   of the fused batch, and every dense kernel is row-independent. So a
+//!   of the batch, and every dense kernel is row-independent. So a
 //!   query's scores are bit for bit [`Dlrm::predict`] on it, whether it
 //!   is scored alone or fused with any other queries: a bag's order does
 //!   not depend on the batch around it. Serving batches is therefore
 //!   purely a scheduling decision, never a numerical one —
 //!   property-tested in `tests/serving.rs`.
 //! * **Splitting is scheduling.** A batch of at least 1,024 lookups
-//!   (the engine's split floor) runs on two pairs of hands or more:
-//!   the calling thread and the engine's lane (its own one-worker pool
-//!   under [`Execution::Serial`], the lent pool under
-//!   [`Execution::Pooled`]). The tables are cut into contiguous groups,
-//!   one a participant, each pooled whole by one thread in lookup order,
-//!   and the dense stack's large GEMMs split as a training step's do,
-//!   every output in its serial order. So a split batch scores the serial
-//!   bits. A smaller batch pools its tables on the calling thread; its
-//!   GEMMs still split over the lane, if the engine has one, when they
-//!   pass the tensor crate's own split floor.
+//!   (the engine's split floor), or one whose dense stack the tensor
+//!   crate would split on an engine that has a lane, runs on two pairs of
+//!   hands or more: the calling thread and the engine's lane (its own
+//!   one-worker pool under [`Execution::Serial`], the lent pool under
+//!   [`Execution::Pooled`]). The batch's sample rows are cut into
+//!   contiguous bands, one a participant, and each participant scores its
+//!   band as an inline engine scores a batch: it fuses the band's dense
+//!   features, checks and pools its rows of every table, each bag whole
+//!   and in lookup order, and runs the whole dense stack over them on its
+//!   own thread. A cut falls between two queries, or inside one whose
+//!   index arrays all list their lookups in sample order (as
+//!   [`IndexArray::from_samples`] and [`QueryModel`] build them), else at
+//!   that query's end. So a split batch scores the serial bits.
 //! * **The model is shared, frozen, `&`.** Scoring reads the [`Dlrm`]
 //!   through `&self` only, so the online loop can interleave trainer
 //!   update steps with serving without the engine holding any model
 //!   state hostage — and the update trajectory is bit-identical to
 //!   offline training by construction.
+//!
+//! [`IndexArray::from_samples`]: tcast_embedding::IndexArray::from_samples
+//! [`QueryModel`]: crate::QueryModel
 
+use std::ops::Range;
 use std::sync::Arc;
 
 use crate::queue::QueuedQuery;
@@ -48,36 +56,54 @@ use tcast_pool::Pool;
 use tcast_tensor::{Exec, Matrix};
 
 /// The smallest fused batch, in lookups summed over every query and
-/// table, whose tables [`ServeEngine::score`] pools over the lane; the
+/// table, that [`ServeEngine::score`] cuts into bands over the lane; the
 /// first such batch also starts an [`Execution::Serial`] engine's own
-/// lane. Below it the tables pool on the calling thread, so a small batch
-/// of an engine without a lane opens no pool scope and allocates nothing
-/// (`tests/zero_alloc.rs` holds it to that). That is what the floor is
-/// for; the repo benchmark cannot size it, as both its serve workloads
-/// (RM1 at 10 candidates: 8,000 lookups a query) split every batch.
+/// lane. Below it a batch is scored on the calling thread (unless the
+/// engine has a lane and its dense stack reaches the tensor crate's split
+/// floor), so a small batch of an engine without a lane opens no pool
+/// scope and allocates nothing (`tests/zero_alloc.rs` holds it to that).
+/// That is what the floor is for; the repo benchmark cannot size it, as
+/// both its serve workloads (RM1 at 10 candidates: 8,000 lookups a query)
+/// split every batch.
 ///
 /// The value is read off the timing probe `split_floor_probe` below: one
-/// RM1-shaped query at a time, with the lane's worker still polling, on a
-/// 2-vCPU AVX-512 Xeon. Over three runs of the probe (each ratio the
-/// median of 8 rounds), split/inline time read 1.0-1.15 at 80-800 lookups
-/// (once 0.87, at 800), 0.94-1.08 at 1,000, 0.8-0.92 at 1,600-2,000 and
-/// 0.68-0.86 at 4,000-8,000: splitting starts to pay between 1,000 and
-/// 1,600 lookups. The probe does not time a parked worker (batches over
-/// 3 ms apart); no measurement backs the floor there.
+/// RM1-shaped query at a time on a 2-vCPU AVX-512 Xeon, each ratio the
+/// median of 8 rounds. With the lane's worker still polling (calls back
+/// to back), three runs against the table groups this engine split by
+/// before read split/inline time 1.0-1.15 at 80-800 lookups (once 0.87,
+/// at 800), 0.94-1.08 at 1,000, 0.8-0.92 at 1,600-2,000 and 0.68-0.86 at
+/// 4,000-8,000: splitting starts to pay between 1,000 and 1,600 lookups.
+/// Two runs of the bands read 0.65-1.12 at 400-800 lookups (1.04-1.41 at
+/// 160, two one-row bands), 0.68-0.84 at 1,000, 0.64-1.08 at 1,600-2,000
+/// and 0.75-0.91 at 4,000-8,000.
+///
+/// With the worker parked — calls 5 ms apart, past the pool's 3 ms poll,
+/// as when an open-loop rate leaves the engine idle between batches — a
+/// split batch is slower than an inline one: the same two runs read
+/// 1.13-1.38 at every size from 1,000 to 8,000 lookups (0.90-1.07 at
+/// 400-800, 1.39-1.41 at 160 and 400 over two candidates). Waking the
+/// worker costs about as much as the band it takes. The floor does not
+/// look at how long the engine has been idle. The serve loop meets a
+/// parked worker only after something else took the wall clock, such as
+/// an online update step longer than the poll: its arrivals are
+/// simulated, so otherwise it scores batch after batch.
 const SPLIT_MIN_LOOKUPS: usize = 1024;
 
 /// The zero-alloc batched scoring engine.
 pub struct ServeEngine {
-    /// The pool a split batch shares its work with: the lent one, or the
+    /// The pool a split batch shares its bands with: the lent one, or the
     /// engine's own one-worker lane, started by the first batch that
     /// splits.
     lane: Option<Arc<Pool>>,
-    /// The smallest batch, in lookups, that pools its tables over the
-    /// lane: [`SPLIT_MIN_LOOKUPS`], or `usize::MAX` for an inline engine.
+    /// The smallest batch, in lookups, that splits over the lane:
+    /// [`SPLIT_MIN_LOOKUPS`], or `usize::MAX` for an inline engine.
     split_min_lookups: usize,
-    scratch: InferenceScratch,
-    /// Fused dense features, `total_samples x dense_features`.
-    dense: Matrix,
+    /// One scratch a band; band 0 is the calling thread's, and the only
+    /// one a batch that does not split uses.
+    bands: Vec<Band>,
+    /// The bands' bounds in sample rows of the fused batch: band `b` is
+    /// rows `cuts[b]..cuts[b + 1]`.
+    cuts: Vec<usize>,
     /// Fused logits, `total_samples x 1`.
     logits: Matrix,
     /// Per-query sample offsets into the fused batch; one extra trailing
@@ -86,6 +112,19 @@ pub struct ServeEngine {
     offsets: Vec<usize>,
     queries_scored: u64,
     batches_scored: u64,
+}
+
+/// What one participant scores a band of sample rows with: the buffers an
+/// inline engine scores a whole batch with.
+#[derive(Default)]
+struct Band {
+    scratch: InferenceScratch,
+    /// The band's dense features, `band rows x dense_features`.
+    dense: Matrix,
+    /// The band's logits, `band rows x 1`.
+    logits: Matrix,
+    /// What stopped the band, if anything did: a row past its table.
+    error: Option<EmbeddingError>,
 }
 
 impl std::fmt::Debug for ServeEngine {
@@ -142,11 +181,12 @@ impl ServeEngine {
     /// lane, as it does for a [`tcast_dlrm::Trainer`]:
     /// [`Execution::Serial`] leaves the engine to start a one-worker lane
     /// of its own at the first batch of at least 1,024 lookups,
-    /// [`Execution::Pooled`] lends the given pool. Such a batch pools one
-    /// group of tables on the calling thread and the others on the lane's
-    /// workers. Once the engine has a lane, every batch's dense stack
-    /// splits its GEMMs over it above the tensor crate's floor. The scores
-    /// are the serial bits either way.
+    /// [`Execution::Pooled`] lends the given pool. Such a batch, and once
+    /// the engine has a lane every batch whose dense stack reaches the
+    /// tensor crate's split floor, is cut into bands of sample rows: the
+    /// calling thread scores the first and the lane's workers the others,
+    /// each band pooled and run through the whole dense stack by one
+    /// thread. The scores are the serial bits either way.
     ///
     /// Neither `model` nor `cache_capacity` is read: the engine sizes its
     /// buffers on the first batch it scores and keeps no casting cache.
@@ -160,8 +200,8 @@ impl ServeEngine {
                 Execution::Pooled(pool) => Some(pool),
             },
             split_min_lookups: SPLIT_MIN_LOOKUPS,
-            scratch: InferenceScratch::default(),
-            dense: Matrix::default(),
+            bands: Vec::new(),
+            cuts: Vec::new(),
             logits: Matrix::default(),
             offsets: Vec::new(),
             queries_scored: 0,
@@ -210,21 +250,26 @@ impl ServeEngine {
 
     /// Scores a fused batch of queries against `model`, in order.
     /// Returns the demuxable view; the underlying buffers are recycled
-    /// on the next call. The query stream is iterated once per fusion
-    /// pass and once per table group (hence `Clone`, and `Sync`: a group
-    /// may run on the lane's worker), so the steady-state call that
-    /// opens no pool scope allocates nothing.
+    /// on the next call. The query stream is iterated by the checking pass
+    /// and by every band (hence `Clone`, and `Sync`: a band may run on the
+    /// lane's worker), so the steady-state call that opens no pool scope
+    /// allocates nothing.
     ///
     /// Each bag pools in lookup order, as [`Dlrm::predict`] pools it: a
     /// query's scores are bit for bit `predict` over the same query,
-    /// whichever thread pooled its table.
+    /// whichever thread scored its rows.
     ///
     /// # Errors
     ///
     /// Returns an error when a query disagrees with the model's shape
     /// (table count, dense width, index range), has no candidates or a
-    /// non-finite dense feature, or the batch is empty. Every query is
-    /// checked before anything is pooled, so an error scores nothing.
+    /// non-finite dense feature, or the batch is empty; an error scores
+    /// nothing. Every check that reads no index array runs over the whole
+    /// batch first, and each band checks each bag's rows just before it
+    /// pools them. So a query's row past its table is reported only when
+    /// no query of the batch, even a later one, fails a first-pass check;
+    /// among several rows past their tables, the error names the first
+    /// of the lowest (query, table).
     ///
     /// # Panics
     ///
@@ -238,9 +283,8 @@ impl ServeEngine {
     where
         I: IntoIterator<Item = &'q Arc<Query>> + Clone + Sync,
     {
-        // Pass 1: validate and lay out the fused batch. After it, pooling
-        // cannot fail, so no task of the split pass below has an error to
-        // report.
+        // Pass 1: check everything that reads no index array, and lay out
+        // the fused batch.
         self.offsets.clear();
         self.offsets.push(0);
         let (mut total, mut lookups) = (0usize, 0usize);
@@ -272,14 +316,13 @@ impl ServeEngine {
                     q.id
                 )));
             }
-            for (t, idx) in q.indices.iter().enumerate() {
+            for idx in q.indices.iter() {
                 if idx.num_outputs() != q.candidates() {
                     return Err(EmbeddingError::LengthMismatch {
                         expected: q.candidates(),
                         found: idx.num_outputs(),
                     });
                 }
-                idx.validate_against_rows(model.table(t).rows())?;
                 lookups += idx.len();
             }
             total += q.candidates();
@@ -292,68 +335,65 @@ impl ServeEngine {
             ));
         }
 
-        let dim = model.config().embedding_dim;
-
-        // Pass 2: fuse dense features.
-        self.dense.zero_into(total, model.config().dense_features);
-        for (qi, q) in queries.clone().into_iter().enumerate() {
-            let lo = self.offsets[qi];
-            for r in 0..q.candidates() {
-                self.dense.row_mut(lo + r).copy_from_slice(q.dense.row(r));
-            }
-        }
-
-        // Pass 3: pooled embeddings, per table per query, through the
-        // training forward's loop into the query's rows of the fused
-        // batch. Each bag pools in lookup order, whatever the batch
-        // around it, which is what makes fusion bit-transparent. At the
-        // floor the tables are cut into one contiguous group a
-        // participant of the lane's scope, the calling thread taking the
-        // first: a table is one task's, so its bags pool as they would
-        // inline.
-        let split = lookups >= self.split_min_lookups;
+        // Pass 2: cut the batch into bands of sample rows, one a
+        // participant of the lane's scope.
+        let split = lookups >= self.split_min_lookups
+            || (self.lane.is_some() && model.dense_splits_at(total));
         if split {
             self.lane.get_or_insert_with(|| Arc::new(Pool::new(1)));
         }
-        let exec = self.lane.as_deref().map_or(Exec::Serial, Exec::pooled);
-        let pooled = self.scratch.pooled_mut();
-        pooled.resize_with(model.num_tables(), Matrix::default);
-        let offsets = &self.offsets;
-        let pool_tables = |first: usize, group: &mut [Matrix]| {
-            for (t, out) in (first..).zip(group) {
-                let table = model.table(t);
-                out.zero_into(total, dim);
-                for (q, &lo) in queries.clone().into_iter().zip(offsets) {
-                    let index = &q.indices[t];
-                    accumulate_rows(table.as_slice(), index.src(), index.dst(), out, lo);
-                }
-            }
+        let participants = match &self.lane {
+            Some(lane) if split => Exec::pooled(lane).threads().min(total),
+            _ => 1,
         };
-        let tables = pooled.len();
-        let groups = if split { exec.threads().min(tables) } else { 1 };
-        match exec.pool() {
-            Some(lane) if groups > 1 => lane.scope(|scope| {
-                let (mine, mut rest) = pooled.split_at_mut(tables / groups);
-                let mut first = mine.len();
-                for g in 1..groups {
-                    let len = (g + 1) * tables / groups - first;
-                    let (group, tail) = std::mem::take(&mut rest).split_at_mut(len);
-                    rest = tail;
-                    let pool_tables = &pool_tables;
-                    scope.spawn(move || pool_tables(first, group));
-                    first += len;
-                }
-                pool_tables(0, mine);
-            }),
-            _ => pool_tables(0, pooled),
+        cut_bands(queries.clone(), &self.offsets, participants, &mut self.cuts);
+        let num_bands = self.cuts.len() - 1;
+        if self.bands.len() < num_bands {
+            self.bands.resize_with(num_bands, Band::default);
         }
 
-        // Pass 4: the fused dense stack. Whenever the engine has a lane,
-        // its large GEMMs split over it by the same floor as a training
-        // step's, whatever the batch's lookup count.
-        model
-            .dense_infer_into(&self.dense, &mut self.scratch, &mut self.logits, exec)
-            .map_err(EmbeddingError::from)?;
+        // Pass 3: every band scored as an inline engine scores a batch,
+        // its logits copied into its rows of the fused logits. The calling
+        // thread takes band 0.
+        self.logits.zero_into(total, 1);
+        let offsets = &self.offsets;
+        let run = |band: &mut Band, rows: Range<usize>, logits: &mut [f32]| {
+            band.error = score_band(model, queries.clone(), offsets, rows, band, logits).err();
+        };
+        let mut logits = self.logits.as_mut_slice();
+        let mut bands = self
+            .bands
+            .iter_mut()
+            .zip(self.cuts.windows(2))
+            .map(|(band, cut)| {
+                let (mine, rest) = std::mem::take(&mut logits).split_at_mut(cut[1] - cut[0]);
+                logits = rest;
+                (band, cut[0]..cut[1], mine)
+            });
+        match self.lane.as_deref() {
+            Some(lane) if num_bands > 1 => lane.scope(|scope| {
+                let (first, first_rows, first_logits) = bands.next().expect("a band");
+                let run = &run;
+                for (band, rows, logits) in bands {
+                    scope.spawn(move || run(band, rows, logits));
+                }
+                run(first, first_rows, first_logits);
+            }),
+            _ => bands.for_each(|(band, rows, logits)| run(band, rows, logits)),
+        }
+        if let Some(error) = self.bands[..num_bands]
+            .iter_mut()
+            .find_map(|b| b.error.take())
+        {
+            // A band stops at the first bad row it meets, so the error to
+            // report is found again, in (query, table) order.
+            for q in queries {
+                for (t, idx) in q.indices.iter().enumerate() {
+                    idx.validate_against_rows(model.table(t).rows())?;
+                }
+            }
+            return Err(error);
+        }
 
         self.queries_scored += num_queries as u64;
         self.batches_scored += 1;
@@ -375,6 +415,126 @@ impl ServeEngine {
     ) -> Result<ScoredBatch<'_>, EmbeddingError> {
         self.score(model, queued.iter().map(|q| &q.query))
     }
+}
+
+/// Cuts a batch laid out by `offsets` into at most `participants` bands
+/// of sample rows, as even as the cut rule lets them be, and writes their
+/// bounds to `cuts` (`0`, every cut, the total). A cut falls between two
+/// queries, or inside a query only when each of its index arrays lists
+/// its lookups in sample order (non-decreasing `dst`), so that a band can
+/// take its rows' lookups as one run of each array; otherwise it moves to
+/// that query's end. Only a query a cut falls inside is checked.
+fn cut_bands<'q, I>(queries: I, offsets: &[usize], participants: usize, cuts: &mut Vec<usize>)
+where
+    I: IntoIterator<Item = &'q Arc<Query>>,
+{
+    let total = *offsets.last().expect("offsets non-empty");
+    cuts.clear();
+    cuts.push(0);
+    let mut band = 1;
+    for (q, rows) in queries.into_iter().zip(offsets.windows(2)) {
+        let mut in_order = None;
+        while band < participants && band * total / participants < rows[1] {
+            let target = band * total / participants;
+            band += 1;
+            let cut = if target == rows[0]
+                || *in_order.get_or_insert_with(|| q.indices.iter().all(|i| i.dst().is_sorted()))
+            {
+                target
+            } else {
+                rows[1]
+            };
+            if cut > *cuts.last().expect("cuts non-empty") && cut < total {
+                cuts.push(cut);
+            }
+        }
+    }
+    cuts.push(total);
+}
+
+/// Scores sample rows `rows` of a batch laid out by `offsets` into
+/// `band`, as an inline engine scores a whole batch, and copies the
+/// band's logits into `logits`: fuses the rows' dense features, checks
+/// and pools each query's bags of every table in lookup order, and runs
+/// the dense stack on the calling thread.
+///
+/// # Errors
+///
+/// Returns [`EmbeddingError::SrcOutOfBounds`], naming the bag's largest
+/// row, at the first bag met with a row past its table, before anything
+/// of it is pooled.
+fn score_band<'q, I>(
+    model: &Dlrm,
+    queries: I,
+    offsets: &[usize],
+    rows: Range<usize>,
+    band: &mut Band,
+    logits: &mut [f32],
+) -> Result<(), EmbeddingError>
+where
+    I: IntoIterator<Item = &'q Arc<Query>> + Clone,
+{
+    // The band's queries, each with its window of the band: the query's
+    // first row in the band, and the range of its own rows the band holds.
+    let first = offsets.partition_point(|&o| o <= rows.start) - 1;
+    let band_queries = || {
+        queries
+            .clone()
+            .into_iter()
+            .zip(offsets.windows(2))
+            .skip(first)
+            .take_while(|(_, q_rows)| q_rows[0] < rows.end)
+            .map(|(q, q_rows)| {
+                let mine = rows.start.max(q_rows[0])..rows.end.min(q_rows[1]);
+                (
+                    q,
+                    mine.start - rows.start,
+                    mine.start - q_rows[0]..mine.end - q_rows[0],
+                )
+            })
+    };
+    let config = model.config();
+    band.dense.zero_into(rows.len(), config.dense_features);
+    for (q, at, mine) in band_queries() {
+        for (r, sample) in mine.enumerate() {
+            band.dense
+                .row_mut(at + r)
+                .copy_from_slice(q.dense.row(sample));
+        }
+    }
+    let pooled = band.scratch.pooled_mut();
+    pooled.resize_with(model.num_tables(), Matrix::default);
+    for (t, out) in pooled.iter_mut().enumerate() {
+        let table = model.table(t);
+        out.zero_into(rows.len(), config.embedding_dim);
+        for (q, at, mine) in band_queries() {
+            let index = &q.indices[t];
+            let (mut src, mut dst) = (index.src(), index.dst());
+            if mine.len() < q.candidates() {
+                // A query cut between two bands lists its lookups in sample
+                // order: the band's are one run of them.
+                let lookups = dst.partition_point(|&d| (d as usize) < mine.start)
+                    ..dst.partition_point(|&d| (d as usize) < mine.end);
+                (src, dst) = (&src[lookups.clone()], &dst[lookups]);
+            }
+            let max = src.iter().copied().max();
+            if let Some(bad) = max.filter(|&max| max as usize >= table.rows()) {
+                let rows = table.rows();
+                return Err(EmbeddingError::SrcOutOfBounds { src: bad, rows });
+            }
+            accumulate_rows(table.as_slice(), src, dst, out, at, mine.start);
+        }
+    }
+    model
+        .dense_infer_into(
+            &band.dense,
+            &mut band.scratch,
+            &mut band.logits,
+            Exec::Serial,
+        )
+        .map_err(EmbeddingError::from)?;
+    logits.copy_from_slice(band.logits.as_slice());
+    Ok(())
 }
 
 #[cfg(test)]
@@ -484,10 +644,10 @@ mod tests {
     #[test]
     fn a_lent_pool_splits_the_dense_stack_under_the_floor() {
         // One query of 16 candidates over two tables of pooling 3 and 2:
-        // 80 lookups, far under the floor, so the tables pool inline. The
-        // bottom MLP's 16x512x512 product reaches the GEMMs' own floor,
-        // so it splits over the lent pool: poisoning the pool's next task
-        // panics the batch.
+        // 80 lookups, far under the floor. The bottom MLP's 16x512x512
+        // product reaches the GEMMs' own floor, so the batch splits into
+        // two bands over the lent pool, cut inside the query: poisoning
+        // the pool's next task panics the batch.
         let cfg = DlrmConfig {
             bottom_mlp: vec![512, 512, 16],
             ..DlrmConfig::tiny()
@@ -520,81 +680,93 @@ mod tests {
 
     /// The timing probe behind [`SPLIT_MIN_LOOKUPS`]: on RM1-shaped
     /// batches of one query, the split schedule (floor 0, own lane)
-    /// against the inline one, back to back so that the lane's worker
-    /// stays polling, in 8 rounds of alternating blocks. Prints each
-    /// batch's split/inline time ratio, its median and quartiles over the
-    /// rounds (under 1: the split batch is faster). Run it with
+    /// against the inline one, in 8 rounds of alternating blocks. Calls
+    /// run back to back, so that the lane's worker stays polling, and then
+    /// 5 ms apart, past the pool's 3 ms poll, so that it has parked
+    /// (`parked`). Prints each batch's split/inline time ratio, its median
+    /// and quartiles over the rounds (under 1: the split batch is faster).
+    /// Run it with
     /// `cargo test --release -p tcast-serve split_floor_probe -- --ignored --nocapture`.
     #[test]
     #[ignore = "timing probe; run in release with --nocapture"]
     fn split_floor_probe() {
-        use std::time::Instant;
+        use std::time::{Duration, Instant};
         const ROUNDS: usize = 8;
-        const CALLS: usize = 100;
         let quartiles = |v: &mut [f64]| {
             v.sort_by(f64::total_cmp);
             [v[v.len() / 4], v[v.len() / 2], v[v.len() * 3 / 4]]
         };
-        for pooling in [8, 20, 80] {
-            let mut cfg = DlrmConfig::rm1_scaled(10_000);
-            for table in &mut cfg.tables {
-                table.pooling = pooling;
-            }
-            let m = Dlrm::new(cfg.clone(), 1).unwrap();
-            for candidates in [1, 2, 5, 10] {
-                let wl = QueryModel::new(
-                    &cfg.table_workloads(),
-                    cfg.dense_features,
-                    64,
-                    CandidateCount::Fixed(candidates),
-                    1.1,
-                    3,
-                );
-                let queries: Vec<_> = (0..64).map(|i| Arc::clone(wl.query(i))).collect();
-                let lookups = cfg.tables.len() * pooling * candidates;
-                let mut split = ServeEngine::with_defaults(&m);
-                split.split_min_lookups = 0;
-                let mut inline = ServeEngine::inline(&m);
-                // Start the lane and spread its worker and this thread
-                // over both cores before anything is timed.
-                split.score(&m, &queries[..1]).unwrap();
-                let lane = Arc::clone(split.lane.as_ref().unwrap());
-                let spin = |ms| {
-                    let t0 = Instant::now();
-                    while t0.elapsed().as_millis() < ms {
-                        std::hint::spin_loop();
-                    }
-                };
-                for _ in 0..100 {
-                    lane.scope(|s| {
-                        s.spawn(|| spin(2));
-                        spin(2);
-                    });
+        for (gap, calls, label) in [
+            (None, 100, ""),
+            (Some(Duration::from_millis(5)), 12, " parked"),
+        ] {
+            for pooling in [8, 20, 80] {
+                let mut cfg = DlrmConfig::rm1_scaled(10_000);
+                for table in &mut cfg.tables {
+                    table.pooling = pooling;
                 }
-                let mut ratios = Vec::new();
-                for _ in 0..ROUNDS {
-                    let mut medians = [0.0; 2];
-                    for (engine, median) in [&mut split, &mut inline].into_iter().zip(&mut medians)
-                    {
-                        let mut ns: Vec<f64> = (0..=CALLS)
-                            .map(|i| {
-                                let q = std::iter::once(&queries[i % queries.len()]);
-                                let t0 = Instant::now();
-                                std::hint::black_box(engine.score(&m, q).unwrap().num_samples());
-                                t0.elapsed().as_nanos() as f64
-                            })
-                            .skip(1)
-                            .collect();
-                        *median = quartiles(&mut ns)[1];
+                let m = Dlrm::new(cfg.clone(), 1).unwrap();
+                for candidates in [1, 2, 5, 10] {
+                    let wl = QueryModel::new(
+                        &cfg.table_workloads(),
+                        cfg.dense_features,
+                        64,
+                        CandidateCount::Fixed(candidates),
+                        1.1,
+                        3,
+                    );
+                    let queries: Vec<_> = (0..64).map(|i| Arc::clone(wl.query(i))).collect();
+                    let lookups = cfg.tables.len() * pooling * candidates;
+                    let mut split = ServeEngine::with_defaults(&m);
+                    split.split_min_lookups = 0;
+                    let mut inline = ServeEngine::inline(&m);
+                    // Start the lane and spread its worker and this thread
+                    // over both cores before anything is timed.
+                    split.score(&m, &queries[..1]).unwrap();
+                    let lane = Arc::clone(split.lane.as_ref().unwrap());
+                    let spin = |ms| {
+                        let t0 = Instant::now();
+                        while t0.elapsed().as_millis() < ms {
+                            std::hint::spin_loop();
+                        }
+                    };
+                    for _ in 0..100 {
+                        lane.scope(|s| {
+                            s.spawn(|| spin(2));
+                            spin(2);
+                        });
                     }
-                    ratios.push(medians[0] / medians[1]);
+                    let mut ratios = Vec::new();
+                    for _ in 0..ROUNDS {
+                        let mut medians = [0.0; 2];
+                        for (engine, median) in
+                            [&mut split, &mut inline].into_iter().zip(&mut medians)
+                        {
+                            let mut ns: Vec<f64> = (0..=calls)
+                                .map(|i| {
+                                    let q = std::iter::once(&queries[i % queries.len()]);
+                                    if let Some(gap) = gap {
+                                        std::thread::sleep(gap);
+                                    }
+                                    let t0 = Instant::now();
+                                    std::hint::black_box(
+                                        engine.score(&m, q).unwrap().num_samples(),
+                                    );
+                                    t0.elapsed().as_nanos() as f64
+                                })
+                                .skip(1)
+                                .collect();
+                            *median = quartiles(&mut ns)[1];
+                        }
+                        ratios.push(medians[0] / medians[1]);
+                    }
+                    let [q1, median, q3] = quartiles(&mut ratios);
+                    println!(
+                        "PROBE serve split/inline ratio {lookups} lookups (pooling {pooling}, \
+                         {candidates} candidates): {median:.2} (quartiles {q1:.2}-{q3:.2} over \
+                         {ROUNDS} rounds){label}"
+                    );
                 }
-                let [q1, median, q3] = quartiles(&mut ratios);
-                println!(
-                    "PROBE serve split/inline ratio {lookups} lookups (pooling {pooling}, \
-                     {candidates} candidates): {median:.2} (quartiles {q1:.2}-{q3:.2} over \
-                     {ROUNDS} rounds)"
-                );
             }
         }
     }

@@ -20,12 +20,12 @@
 //!   sizing that hill-climbs toward the SLA;
 //! * [`engine`] — the zero-alloc batched scoring engine over a frozen
 //!   [`Dlrm`]: each query's bags pooled by the training forward's
-//!   gather-reduce into its rows of the fused batch, the fused dense
-//!   stack, and per-query demux. A batch of 1,024 lookups or more runs
-//!   on the calling thread and the engine's lane (its own one-worker
-//!   pool, or one lent through [`Execution`]), one group of tables a
-//!   thread and the large GEMMs split; a smaller one pools its tables on
-//!   the calling thread;
+//!   gather-reduce into its rows of the fused batch, the dense stack,
+//!   and per-query demux. A batch of 1,024 lookups or more runs on the
+//!   calling thread and the engine's lane (its own one-worker pool, or
+//!   one lent through [`Execution`]), cut into one band of sample rows a
+//!   thread, each pooled and run through the whole dense stack by that
+//!   thread; a smaller one is scored on the calling thread;
 //! * [`stats`] — latency histograms (p50/p95/p99), QPS, queue depth and
 //!   SLA-violation accounting;
 //! * one private **serve loop** under two entry-point modules: a lane
@@ -54,8 +54,9 @@
 //! accumulates each bag in lookup order, the training forward's order —
 //! independent of batch composition — and every dense kernel is
 //! row-independent. Batching is a pure scheduling decision, and so is
-//! splitting a batch over the lane: each table is pooled whole by one
-//! thread, and a split GEMM computes every output in its serial order.
+//! splitting a batch over the lane into bands of sample rows: each bag is
+//! pooled whole by one thread, in lookup order, and each band's dense
+//! stack computes its rows as the whole batch's would.
 //! Likewise, online-mode update steps are bit-identical to the offline
 //! [`Trainer`] fed the same batches: serving reads the model through `&`
 //! only. Both are property-tested in `tests/serving.rs`.

@@ -3,9 +3,10 @@
 //! 1. **Fusion is bit-transparent** — a fused batch of queries scores
 //!    bit-identically to scoring each query alone, across batch sizes,
 //!    both `Execution` modes and both sides of the engine's split floor
-//!    (a batch pooled on the calling thread alone, or in table groups
-//!    over the engine's lane), and to `Dlrm::predict` on each query (the
-//!    serving analogue of the paper's functional-equivalence validation).
+//!    (a batch scored on the calling thread alone, or cut into bands of
+//!    sample rows over the engine's lane, between queries or inside one),
+//!    and to `Dlrm::predict` on each query (the serving analogue of the
+//!    paper's functional-equivalence validation).
 //! 2. **Checkpoint -> serve round-trips** — a model restored from a
 //!    checkpoint serves bit-identical scores to the original.
 //! 3. **Online training is offline training** — interleaving serving
@@ -18,9 +19,10 @@
 //! 5. **The engine is a trust boundary** — a query with a non-finite
 //!    dense feature or no candidates is a typed error naming the query,
 //!    never a plausible score; a row past its table is a typed error on
-//!    the first call and on a repeated one, and in a split batch before
-//!    anything is pooled. A lane task's panic leaves the engine scoring
-//!    its next batch as `Dlrm::predict` does.
+//!    the first call and on a repeated one, and in a split batch, where
+//!    the error names the lowest (query, table) whichever band met it and
+//!    nothing is scored. A lane task's panic leaves the engine scoring its
+//!    next batch as `Dlrm::predict` does.
 //! 6. **An empty bag pools to a zero row** — in training (baseline ==
 //!    casted) and in serving (engine == `Dlrm::predict`).
 
@@ -113,10 +115,10 @@ proptest! {
     /// scored by one engine, score every query bit for bit as it scores
     /// alone and as `Dlrm::predict` scores it. Both engines run on a lane
     /// of their own (`Serial`) and on a lent three-worker pool, which cuts
-    /// four groups of tables: poolings up to 79 put batches on both sides
-    /// of the engine's split floor (1,024 lookups), so some pool on the
-    /// calling thread alone and some on the lane. Ragged embedding widths
-    /// run the SIMD tail.
+    /// four bands of sample rows: poolings up to 79 put batches on both
+    /// sides of the engine's split floor (1,024 lookups), so some are
+    /// scored on the calling thread alone and some in bands on the lane.
+    /// Ragged embedding widths run the SIMD tail.
     #[test]
     fn fused_in_any_grouping_is_alone_is_predict(
         seed in 1u64..1000,
@@ -147,6 +149,94 @@ proptest! {
                 rest = tail;
                 let fused = fused_engine.score(&model, group).unwrap();
                 for (i, q) in group.iter().enumerate() {
+                    let want = bits(model.predict(&q.dense, &q.indices).unwrap().as_slice());
+                    prop_assert_eq!(
+                        bits(fused.scores(i)),
+                        want.clone(),
+                        "query {} fused, {:?}",
+                        q.id,
+                        execution
+                    );
+                    let alone = alone_engine.score(&model, std::iter::once(q)).unwrap();
+                    prop_assert_eq!(
+                        bits(alone.scores(0)),
+                        want,
+                        "query {} alone, {:?}",
+                        q.id,
+                        execution
+                    );
+                }
+            }
+        }
+    }
+}
+
+/// The query with every index array's lookups in reverse order: its
+/// `dst` runs from the last sample down, which is not sample order, so no
+/// band cut may fall inside it.
+fn reversed(q: &Query, id: u64) -> Arc<Query> {
+    let indices: Vec<IndexArray> = q
+        .indices
+        .iter()
+        .map(|index| {
+            let (src, dst) = index
+                .src()
+                .iter()
+                .rev()
+                .zip(index.dst().iter().rev())
+                .unzip();
+            IndexArray::from_pairs(src, dst, index.num_outputs()).unwrap()
+        })
+        .collect();
+    Arc::new(Query {
+        id,
+        dense: q.dense.clone(),
+        indices: indices.into(),
+    })
+}
+
+proptest! {
+    #![proptest_config(ProptestConfig::with_cases(8))]
+
+    /// Invariant 1 where a band cut falls inside a query: every query
+    /// here has 8-16 candidates over four tables of pooling 40-79, so
+    /// scored alone it reaches the split floor and is cut into two bands
+    /// (`Serial`) or four (a lent three-worker pool) mid-query. A batch of
+    /// three whose middle query lists its lookups out of sample order
+    /// moves the cut that falls inside it to its end. Each query scores
+    /// bit for bit as `Dlrm::predict` scores it, fused and alone.
+    #[test]
+    fn a_cut_inside_a_query_is_alone_is_predict(
+        seed in 1u64..1000,
+        dim in 1usize..40,
+        poolings in collection::vec(40usize..80, 4..5),
+    ) {
+        let cfg = config_with_poolings(dim, &poolings);
+        let model = Dlrm::new(cfg.clone(), seed).unwrap();
+        let mut wl = QueryModel::new(
+            &cfg.table_workloads(),
+            cfg.dense_features,
+            6,
+            CandidateCount::Uniform { min: 8, max: 16 },
+            1.0,
+            seed,
+        );
+        let queries: Vec<Arc<Query>> = (0..6).map(|_| wl.draw()).collect();
+        let unordered = reversed(&queries[1], 1_000 + queries[1].id);
+        let batches = [
+            vec![Arc::clone(&queries[0])],
+            vec![Arc::clone(&queries[1])],
+            vec![Arc::clone(&unordered)],
+            vec![Arc::clone(&queries[2]), unordered, Arc::clone(&queries[3])],
+            queries[4..].to_vec(),
+        ];
+        let lent = Arc::new(tensor_casting::tensor::Pool::new(3));
+        for execution in [Execution::Serial, Execution::Pooled(lent)] {
+            let mut fused_engine = ServeEngine::new(&model, 0, execution.clone());
+            let mut alone_engine = ServeEngine::new(&model, 0, execution.clone());
+            for batch in &batches {
+                let fused = fused_engine.score(&model, batch).unwrap();
+                for (i, q) in batch.iter().enumerate() {
                     let want = bits(model.predict(&q.dense, &q.indices).unwrap().as_slice());
                     prop_assert_eq!(
                         bits(fused.scores(i)),
@@ -525,9 +615,9 @@ fn a_row_past_its_table_is_refused_on_the_miss_and_on_the_hit() {
 }
 
 /// Invariant 5 on a split batch: a row past its table, in the last table
-/// group of the last query, is refused before anything is pooled, on a
-/// lane of the engine's own and on a lent pool; the engine then scores a
-/// good batch as a fresh one does.
+/// of the last query (the last band's), is refused and nothing is scored,
+/// on a lane of the engine's own and on a lent pool; the engine then
+/// scores a good batch as a fresh one does.
 #[test]
 fn a_row_past_its_table_in_a_split_batch_is_refused() {
     let (model, good) = split_batch(5);
@@ -571,10 +661,69 @@ fn a_row_past_its_table_in_a_split_batch_is_refused() {
     }
 }
 
-/// A lane task that panics (an injected fault in the first table group
-/// spawned on a lent pool) panics out of `score` once every task of the
-/// batch has finished, and the engine's next batch scores each query bit
-/// for bit as `Dlrm::predict` does.
+/// Invariant 5 across bands: rows past their tables in different bands
+/// of a split batch — table 0 of query 5, and in another band table 3 of
+/// query 2 (which holds two) and table 0 of query 3 — make `score` name
+/// the first bad row of the lowest (query, table), query 2's table 3,
+/// although its band pools table 0 of query 3 first and the other band
+/// may finish first; nothing is scored, and the engine's next good batch
+/// is a fresh engine's, bit for bit.
+#[test]
+fn rows_past_their_tables_in_two_bands_name_the_lowest_query_and_table() {
+    let (model, good) = split_batch(7);
+    let bad_row = |q: usize, t: usize, lookups: &[(usize, usize, u32)]| {
+        let query = &good[q];
+        let mut samples = vec![vec![0u32; 40]; query.candidates()];
+        for &(sample, lookup, excess) in lookups {
+            samples[sample][lookup] = model.table(t).rows() as u32 + excess;
+        }
+        let mut indices = query.indices.to_vec();
+        indices[t] = IndexArray::from_samples(&samples).unwrap();
+        Arc::new(Query {
+            id: query.id,
+            dense: query.dense.clone(),
+            indices: indices.into(),
+        })
+    };
+    let mut bad = good.clone();
+    bad[5] = bad_row(5, 0, &[(0, 0, 0)]);
+    bad[2] = bad_row(2, 3, &[(1, 5, 3), (4, 0, 9)]);
+    bad[3] = bad_row(3, 0, &[(2, 2, 1)]);
+    let rows = model.table(3).rows();
+    let want = bits(
+        ServeEngine::with_defaults(&model)
+            .score(&model, &good)
+            .unwrap()
+            .fused_logits()
+            .as_slice(),
+    );
+    // 48 rows: two bands of four queries on the engine's own lane, four
+    // of two on the lent pool; queries 2 and 3 share a band, query 5
+    // falls in another.
+    let lent = Arc::new(tensor_casting::tensor::Pool::new(3));
+    for execution in [Execution::Serial, Execution::Pooled(lent)] {
+        let mut engine = ServeEngine::new(&model, 0, execution.clone());
+        match engine.score(&model, &bad) {
+            Err(EmbeddingError::SrcOutOfBounds { src, rows: r }) => {
+                assert_eq!((src as usize, r), (rows + 3, rows), "{execution:?}");
+            }
+            Err(e) => panic!("{execution:?}: expected SrcOutOfBounds, got {e}"),
+            Ok(_) => panic!("{execution:?}: a row past its table was scored"),
+        }
+        assert_eq!(
+            engine.batches_scored(),
+            0,
+            "{execution:?}: nothing is scored"
+        );
+        let got = engine.score(&model, &good).unwrap();
+        assert_eq!(bits(got.fused_logits().as_slice()), want, "{execution:?}");
+    }
+}
+
+/// A lane task that panics (an injected fault in the first band spawned
+/// on a lent pool) panics out of `score` once every task of the batch has
+/// finished, and the engine's next batch scores each query bit for bit as
+/// `Dlrm::predict` does.
 #[test]
 fn a_poisoned_lane_task_panics_out_of_score_and_the_next_batch_is_predict() {
     use std::panic::{catch_unwind, AssertUnwindSafe};

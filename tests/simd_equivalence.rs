@@ -449,18 +449,19 @@ proptest! {
 /// past one 64-lane pass, streams built of runs of 1, 3 and 80 lookups
 /// whose `dst` jump about (so rows are revisited), pre-loaded non-zero
 /// outputs and NaN / `-0.0` / denormal rows, pooled into a window that
-/// starts two rows into the output. `accumulate_rows` reads the
+/// starts two rows into the output from a `dst` base of 3 (as the serve
+/// engine pools a query cut between two bands). `accumulate_rows` reads the
 /// process-wide tier, so this runs inside the one test that owns
 /// `simd::force`.
 fn check_accumulate_kernels_across_tiers() {
     let mut rng = SplitMix64::new(0xBA4D);
-    let (table_rows, outputs, first_row) = (40usize, 11usize, 2usize);
+    let (table_rows, outputs, first_row, first_dst) = (40usize, 11usize, 2usize, 3usize);
     for dim in (1..=67).chain([72, 128, 131]) {
         let mut rows = vec![0.0f32; table_rows * dim];
         fill_special_one_in(&mut rng, &mut rows, 16);
         let (mut src, mut dst) = (Vec::new(), Vec::new());
         for _ in 0..12 {
-            let d = rng.next_below(outputs as u64) as u32;
+            let d = (first_dst + rng.next_below(outputs as u64) as usize) as u32;
             let run = [1, 3, 80][rng.next_below(3) as usize];
             for _ in 0..run {
                 src.push(rng.next_below(table_rows as u64) as u32);
@@ -473,7 +474,7 @@ fn check_accumulate_kernels_across_tiers() {
         let run = |tier: KernelDispatch| {
             simd::force(Some(tier));
             let mut out = preload.clone();
-            accumulate_rows(&rows, &src, &dst, &mut out, first_row);
+            accumulate_rows(&rows, &src, &dst, &mut out, first_row, first_dst);
             simd::force(None);
             out
         };

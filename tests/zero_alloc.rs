@@ -7,7 +7,8 @@
 //! cast a casted training step with no lane runs on the training thread,
 //! a trainer lent a pool (it allocates exactly as a serial one does),
 //! and a served batch under the engine's split floor, of queries it has
-//! seen or not; a batch above the floor is bounded at one pool scope.
+//! seen or not; a batch that splits is bounded at one pool scope, however
+//! large its dense stack.
 //!
 //! The whole file is one test function on purpose — the allocation
 //! counter is process-global, and sibling tests running on other threads
@@ -592,12 +593,11 @@ fn steady_state_hot_path_performs_zero_allocations() {
     );
 
     // ---- Serve engine: a batch that splits -----------------------------
-    // A batch of at least the engine's split floor (1,024 lookups) pools
-    // its tables in two groups, one on the engine's own lane. The one
-    // thing that allocates on the calling thread is that pool scope: its
-    // state and one boxed task for the group the lane's worker takes. The
-    // dense stack here is too small for any GEMM to split, so it opens no
-    // other scope.
+    // A batch of at least the engine's split floor (1,024 lookups) is cut
+    // into two bands of sample rows, one scored on the engine's own lane.
+    // The one thing that allocates on the calling thread is that pool
+    // scope: its state and one boxed task for the band the lane's worker
+    // takes.
     let split_cfg = DlrmConfig {
         tables: vec![
             TableConfig {
@@ -635,6 +635,39 @@ fn steady_state_hot_path_performs_zero_allocations() {
         split_allocs <= 2 * split_batches,
         "a split batch allocates one pool scope on the calling thread (state + one task), \
          {split_allocs} over {split_batches} batches"
+    );
+
+    // A band runs the whole dense stack on its own thread, so a batch
+    // whose GEMMs reach the tensor crate's split floor opens no scope of
+    // its own for them: 16 rows through a 512x512 bottom layer (a
+    // 4M-multiply-add product) still allocate one scope's 2 a batch.
+    let wide_cfg = DlrmConfig {
+        bottom_mlp: vec![512, 512, 16],
+        ..split_cfg.clone()
+    };
+    let wide_model = tensor_casting::dlrm::Dlrm::new(wide_cfg.clone(), 41).unwrap();
+    assert!(wide_model.dense_splits_at(16));
+    let wide_workload = tensor_casting::serve::QueryModel::new(
+        &wide_cfg.table_workloads(),
+        wide_cfg.dense_features,
+        4,
+        tensor_casting::serve::CandidateCount::Fixed(4),
+        1.0,
+        59,
+    );
+    let wide_queries: Vec<_> = (0..4).map(|i| Arc::clone(wide_workload.query(i))).collect();
+    let mut wide_engine = tensor_casting::serve::ServeEngine::with_defaults(&wide_model);
+    wide_engine.score(&wide_model, &wide_queries).unwrap();
+    let before = allocations();
+    for _ in 0..split_batches {
+        let scored = wide_engine.score(&wide_model, &wide_queries).unwrap();
+        assert_eq!(scored.num_samples(), 16);
+    }
+    let wide_allocs = allocations() - before;
+    assert!(
+        wide_allocs <= 2 * split_batches,
+        "a split batch whose GEMMs reach the split floor still opens one pool scope, \
+         {wide_allocs} over {split_batches} batches"
     );
 
     // ---- One model, trained and served ---------------------------------
