@@ -43,10 +43,6 @@
 //!     model age), with hot-swap and rollback drills that never pause
 //!     serving.
 //!
-//! A multi-tenant fleet — weighted-fair scheduling of many tenants on a
-//! modeled clock — is a model, not part of the serving path: it lives in
-//! `repro/` and drives this crate through its public API.
-//!
 //! # The serving invariant
 //!
 //! A fused batch of queries scores **bit-identically** to scoring each

@@ -535,7 +535,6 @@ mod tests {
             40,
             "every query is either scored or shed, never both"
         );
-        assert!(report.shed_rate() > 0.0);
     }
 
     #[test]

@@ -92,7 +92,7 @@ impl AdaptiveBatcher {
     /// headroom, multiplicative decrease on violation. A batch landing
     /// *exactly* at the SLA is a violation — the serve plane's deadline
     /// convention is everywhere exclusive (meet iff `latency < sla_ns`;
-    /// see [`AdmissionQueue::shed_expired_into`]).
+    /// see [`ServeConfig::shed_unmeetable`](crate::ServeConfig::shed_unmeetable)).
     pub fn observe(&mut self, batch_latency_ns: u64) {
         if batch_latency_ns >= self.sla_ns {
             self.target /= 2;
@@ -168,8 +168,8 @@ impl AdmissionQueue {
         self.max_depth
     }
 
-    /// Queries shed so far (see [`AdmissionQueue::shed_expired_into`]).
-    pub fn shed_count(&self) -> u64 {
+    /// Queries shed so far (see [`Self::shed_expired_into`]).
+    pub(crate) fn shed_count(&self) -> u64 {
         self.shed
     }
 
@@ -188,7 +188,12 @@ impl AdmissionQueue {
     ///
     /// Admission order is FIFO and arrival times are non-decreasing, so
     /// the expired queries form a prefix of the queue.
-    pub fn shed_expired_into(&mut self, now_ns: u64, sla_ns: u64, out: &mut Vec<QueuedQuery>) {
+    pub(crate) fn shed_expired_into(
+        &mut self,
+        now_ns: u64,
+        sla_ns: u64,
+        out: &mut Vec<QueuedQuery>,
+    ) {
         out.clear();
         while let Some(front) = self.queue.front() {
             if now_ns.saturating_sub(front.arrival_ns) < sla_ns {

@@ -95,9 +95,6 @@ pub struct QueryModel {
     catalog: Vec<Arc<Query>>,
     popularity: tcast_datasets::CdfSampler,
     rng: SplitMix64,
-    /// Rotation applied between popularity rank and catalog id — see
-    /// [`QueryModel::shift_popularity`].
-    rank_offset: usize,
 }
 
 impl QueryModel {
@@ -150,7 +147,6 @@ impl QueryModel {
             catalog,
             popularity,
             rng,
-            rank_offset: 0,
         }
     }
 
@@ -167,19 +163,7 @@ impl QueryModel {
     /// Draws the next query (a refcount bump on a catalog entry).
     pub fn draw(&mut self) -> Arc<Query> {
         let rank = self.popularity.sample(&mut self.rng) as usize;
-        let id = (rank + self.rank_offset) % self.catalog.len();
-        Arc::clone(&self.catalog[id])
-    }
-
-    /// Rotates which catalog entries are popular: popularity rank `r`
-    /// maps to catalog id `(r + offset) mod catalog_size`, and each call
-    /// advances the offset by `rotation`. A Zipf head that concentrated
-    /// on ids `0..k` moves to `rotation..rotation+k` — the "yesterday's
-    /// trending items went cold" event. The catalog itself is untouched
-    /// (ids, tensors and `Arc` identities are stable); only the draw
-    /// distribution moves, so the rows the old head kept warm go cold.
-    pub fn shift_popularity(&mut self, rotation: usize) {
-        self.rank_offset = (self.rank_offset + rotation) % self.catalog.len();
+        Arc::clone(&self.catalog[rank])
     }
 }
 
@@ -320,46 +304,6 @@ mod tests {
     #[should_panic(expected = "catalog must hold")]
     fn empty_catalog_rejected() {
         QueryModel::new(&tables(), 4, 0, CandidateCount::Fixed(1), 0.0, 1);
-    }
-
-    #[test]
-    fn popularity_shift_moves_the_hot_head_without_touching_the_catalog() {
-        let mut model = QueryModel::new(&tables(), 4, 100, CandidateCount::Fixed(2), 1.2, 3);
-        let before: Vec<Arc<Query>> = (0..100).map(|i| Arc::clone(model.query(i))).collect();
-        let mut head_old = 0usize;
-        for _ in 0..400 {
-            if model.draw().id < 10 {
-                head_old += 1;
-            }
-        }
-        assert!(head_old > 120, "pre-shift head draws = {head_old}");
-        model.shift_popularity(50);
-        let (mut head_old2, mut head_new) = (0usize, 0usize);
-        for _ in 0..400 {
-            let id = model.draw().id;
-            if id < 10 {
-                head_old2 += 1;
-            }
-            if (50..60).contains(&id) {
-                head_new += 1;
-            }
-        }
-        assert!(
-            head_new > 120,
-            "post-shift head must move to 50..60, got {head_new}"
-        );
-        assert!(
-            head_old2 < head_new / 2,
-            "old head must go cold: old {head_old2} vs new {head_new}"
-        );
-        // The catalog itself is untouched — same Arcs, same tensors.
-        for (i, q) in before.iter().enumerate() {
-            assert!(Arc::ptr_eq(q, model.query(i)));
-        }
-        // Shifts compose modulo the catalog size.
-        model.shift_popularity(50);
-        let back = (0..400).filter(|_| model.draw().id < 10).count();
-        assert!(back > 120, "two 50-shifts over 100 wrap home, got {back}");
     }
 
     #[test]

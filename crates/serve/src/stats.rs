@@ -148,8 +148,8 @@ impl LatencyHistogram {
     /// Folds `other` into `self`. Because buckets are positional, the
     /// merged histogram is exactly the histogram that would have been
     /// produced by recording both value streams into one instance — so
-    /// fleet-level percentiles from merged per-engine histograms equal
-    /// the single-histogram answer (unit-tested below).
+    /// `serve_concurrent`'s percentiles over its merged per-engine
+    /// histograms equal the single-histogram answer (unit-tested below).
     pub fn merge(&mut self, other: &LatencyHistogram) {
         for (dst, src) in self.buckets.iter_mut().zip(other.buckets.iter()) {
             *dst += src;
@@ -224,26 +224,16 @@ impl ServeReport {
         self.sla_violations as f64 / self.queries as f64
     }
 
-    /// Fraction of queries shed instead of scored.
-    pub fn shed_rate(&self) -> f64 {
-        if self.queries == 0 {
-            return 0.0;
-        }
-        self.shed as f64 / self.queries as f64
-    }
-
-    /// Folds `other` into `self`, producing the fleet-level report for
-    /// engines that ran concurrently: counters add, histograms merge
-    /// (bucket-exact — see [`LatencyHistogram::merge`]), `span_ns` and
-    /// `max_queue_depth` take the max (concurrent engines share the
-    /// clock), and `cache_hit_rate` is re-weighted by scored queries.
-    /// `sla_ns` keeps `self`'s value unless `self` is still the empty
-    /// accumulator (`sla_ns == 0`), in which case it adopts `other`'s —
-    /// folding tenant reports into a `Default` rollup must not silently
-    /// zero the SLA. (Violations were counted per-source against each
-    /// source's own SLA, so they stay exact even when tenants' SLAs
-    /// differ; a heterogeneous rollup's `sla_ns` is only the first
-    /// tenant's and is not used for re-counting.)
+    /// Folds `other` into `self`: `serve_concurrent` folds each engine's
+    /// report into a `Default` one for the whole run. Counters add,
+    /// histograms merge (bucket-exact — see [`LatencyHistogram::merge`]),
+    /// `span_ns` and `max_queue_depth` take the max (concurrent engines
+    /// share the clock), and `cache_hit_rate` is re-weighted by scored
+    /// queries. `sla_ns` keeps `self`'s value unless `self` is still the
+    /// empty accumulator (`sla_ns == 0`), in which case it adopts
+    /// `other`'s, so the first fold into a `Default` report does not
+    /// leave its SLA at 0. Violations were already counted by each
+    /// engine against its own SLA, so the fold only adds them.
     pub fn merge(&mut self, other: &ServeReport) {
         if self.sla_ns == 0 {
             self.sla_ns = other.sla_ns;
@@ -299,9 +289,10 @@ impl FreshnessLedger {
         self.model_age.record(model_age_ns);
     }
 
-    /// Folds `other` into `self` (fleet aggregation). Batch order across
-    /// engines is interleaving-dependent, so the per-batch vectors
-    /// concatenate; the age histogram merges bucket-exactly.
+    /// Folds `other` into `self`, as `serve_concurrent` folds each
+    /// engine's ledger into the run's. Batch order across engines is
+    /// interleaving-dependent, so the per-batch vectors concatenate; the
+    /// age histogram merges bucket-exactly.
     pub fn merge(&mut self, other: &FreshnessLedger) {
         self.versions.extend_from_slice(&other.versions);
         self.staleness_versions
@@ -493,7 +484,8 @@ mod tests {
         b.service.record(400);
         a.merge(&b);
         // Every counter the report has grown since PR 4 must survive the
-        // fold — a missed field silently corrupts fleet rollups.
+        // fold — a missed field silently corrupts `serve_concurrent`'s
+        // whole-run report.
         assert_eq!(a.queries, 140);
         assert_eq!(a.batches, 30);
         assert_eq!(a.samples, 1120);
@@ -514,27 +506,27 @@ mod tests {
 
     #[test]
     fn report_merge_into_default_rollup_adopts_the_sla() {
-        // The fleet rollup pattern: fold tenant reports into a Default
-        // accumulator. The first fold must pick up the SLA instead of
-        // pinning it at 0.
-        let t0 = ServeReport {
+        // `serve_concurrent`'s pattern: fold each engine's report into a
+        // Default accumulator. The first fold must pick up the SLA
+        // instead of pinning it at 0; later folds keep it.
+        let e0 = ServeReport {
             queries: 10,
             sla_ns: 20_000_000,
             sla_violations: 1,
             ..Default::default()
         };
-        let t1 = ServeReport {
+        let e1 = ServeReport {
             queries: 5,
             sla_ns: 40_000_000,
             sla_violations: 2,
             ..Default::default()
         };
-        let mut fleet = ServeReport::default();
-        fleet.merge(&t0);
-        fleet.merge(&t1);
-        assert_eq!(fleet.sla_ns, 20_000_000, "first tenant's SLA adopted");
-        assert_eq!(fleet.queries, 15);
-        assert_eq!(fleet.sla_violations, 3, "violations stay per-source exact");
+        let mut run = ServeReport::default();
+        run.merge(&e0);
+        run.merge(&e1);
+        assert_eq!(run.sla_ns, 20_000_000, "the first engine's SLA adopted");
+        assert_eq!(run.queries, 15);
+        assert_eq!(run.sla_violations, 3, "each engine's violations add");
     }
 
     #[test]
@@ -562,15 +554,12 @@ mod tests {
             batches: 25,
             span_ns: 1_000_000_000,
             sla_violations: 3,
-            shed: 8,
             ..Default::default()
         };
         r.sla_ns = 1_000_000;
         assert!((r.qps() - 100.0).abs() < 1e-9);
         assert!((r.mean_batch() - 4.0).abs() < 1e-9);
         assert!((r.sla_violation_rate() - 0.03).abs() < 1e-9);
-        assert!((r.shed_rate() - 0.08).abs() < 1e-9);
         assert_eq!(ServeReport::default().qps(), 0.0);
-        assert_eq!(ServeReport::default().shed_rate(), 0.0);
     }
 }

@@ -246,19 +246,6 @@ impl SnapshotStore {
         version
     }
 
-    /// Re-publishes the current head's exact bytes as a new (monotonic)
-    /// version and returns it. This is the heartbeat publish of a
-    /// trainer whose weights have not changed — or of a model standing in
-    /// for one: readers observe a fresh version and a reset
-    /// model age, and every recycling/pinning invariant of a real
-    /// publish holds (the head is pinned by `current` itself during the
-    /// copy, so its buffer is never recycled mid-read).
-    pub fn republish_head(&self) -> u64 {
-        let mut inner = self.inner.lock().expect("snapshot store poisoned");
-        let head = Arc::clone(&inner.current);
-        self.publish_locked(&mut inner, &head.model, head.steps)
-    }
-
     /// Versions currently available to roll back to, oldest first.
     pub fn retained_versions(&self) -> Vec<u64> {
         self.inner
@@ -385,21 +372,6 @@ mod tests {
             v1_bits,
             "a held snapshot must never change under the reader"
         );
-    }
-
-    #[test]
-    fn republish_head_is_a_bit_exact_new_version() {
-        let m2 = model(22);
-        let store = SnapshotStore::new(&model(1), 0, 2);
-        store.publish(&m2, 9);
-        let v = store.republish_head();
-        assert_eq!(v, 3, "republish is a new monotonic version");
-        let snap = store.latest();
-        assert_eq!(snap.version(), 3);
-        assert_eq!(snap.steps(), 9, "steps carry over from the head");
-        assert_eq!(weight_bits(snap.model()), weight_bits(&m2));
-        // The previous head landed in the retained ring as usual.
-        assert_eq!(store.retained_versions(), vec![1, 2]);
     }
 
     #[test]

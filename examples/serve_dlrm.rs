@@ -13,9 +13,6 @@
 //! ```sh
 //! cargo run --release --example serve_dlrm
 //! ```
-//!
-//! The multi-tenant fleet model is a `repro` report:
-//! `cargo run --release -p tcast-repro -- fleet`.
 
 use tensor_casting::datasets::{PrefetchSource, SyntheticCtr, SyntheticSource};
 use tensor_casting::dlrm::{

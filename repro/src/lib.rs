@@ -1,7 +1,6 @@
 //! `tcast-repro`'s library: the paper's hardware model (`dram`, `nmp`,
-//! `system`) and the multi-tenant serving fleet model (`fleet`). It drives
-//! the live crates through their public API, and nothing live depends on
-//! it. The `repro` binary prints its reports.
+//! `system`). It drives the live crates through their public API, and
+//! nothing live depends on it. The `repro` binary prints its reports.
 //!
 //! The `nmp` and `system` leaf modules live in their directories but are
 //! declared here, at the crate root, where they sat when `nmp` and `system`
@@ -9,7 +8,6 @@
 //! Use them through `nmp::` and `system::`, which re-export them.
 
 pub mod dram;
-pub mod fleet;
 pub mod nmp;
 pub mod system;
 

@@ -1,6 +1,5 @@
 //! `repro`: regenerates the paper's tables and figures from its hardware
-//! model (`tcast_repro::{dram, nmp, system}`), plus the multi-tenant fleet
-//! model's report (`tcast_repro::fleet`), one subcommand per report;
+//! model (`tcast_repro::{dram, nmp, system}`), one subcommand per report;
 //! `repro all` runs every report in order, in this process. `FAST=1`
 //! shrinks the sampled sweeps for a smoke pass.
 //!
@@ -26,7 +25,7 @@ mod table1;
 mod table2;
 
 /// Every report, by subcommand name, in the order `repro all` runs them.
-const REPORTS: [(&str, fn()); 17] = [
+const REPORTS: [(&str, fn()); 16] = [
     ("table1", table1::run),
     ("table2", table2::run),
     ("fig04", fig04::run),
@@ -43,7 +42,6 @@ const REPORTS: [(&str, fn()); 17] = [
     ("calibration", calibration::run),
     ("sweep_link", sweep_link::run),
     ("pool_scaling", pool_scaling::run),
-    ("fleet", tcast_repro::fleet::run),
 ];
 
 fn main() {
