@@ -25,8 +25,9 @@
 //! ratio`, `KERNEL linear_bwd lane/serial ratio`, `KERNEL linear_bwd
 //! late-caller lane/serial ratio`, `KERNEL linear_fwd blocked/serial
 //! ratio`, `KERNEL linear_bwd blocked/serial ratio`, `KERNEL gemm lanes`,
-//! `KERNEL gemm_bt lanes`, `KERNEL cast`, `KERNEL cast_into` and
-//! `KERNEL zipf_sample ns/draw` lines are CI's grep anchors.
+//! `KERNEL gemm_bt lanes`, `KERNEL casted/baseline backward ratio`,
+//! `KERNEL cast`, `KERNEL cast_into` and `KERNEL zipf_sample ns/draw`
+//! lines are CI's grep anchors.
 //!
 //! Every row a ratio line compares is timed in 8 rounds of alternating
 //! blocks, a block of each tier (or schedule) in turn; a row reports its
@@ -78,6 +79,14 @@
 //! `peak_frac`, its DRAM traffic rate against a bare random-row read
 //! measured on the same table right before it.
 //!
+//! The warm rows also carry the paper's comparison of the embedding
+//! backward: `gradient_expand_coalesce` (Algorithm 1, the baseline) and
+//! `cast_casted_gather_reduce` (Algorithms 2 + 3, the cast on the critical
+//! path) beside `casted_gather_reduce` (the cast already done, as the
+//! trainer's cast-ahead delivers it). `KERNEL casted/baseline backward
+//! ratio` is the baseline's time over the cast plus casted gather-reduce's
+//! at `d64` on the auto-detected tier.
+//!
 //! The `cast` rows time the casting stage itself (Algorithm 2,
 //! `tensor_casting`) in ns a lookup, on Zipf batches over a small and a
 //! large id space; the cast is a sort and a scan, so it has no tiers. The
@@ -108,7 +117,7 @@ use tcast_core::{
 };
 use tcast_datasets::{CtrBatch, Popularity, SyntheticCtr, TableWorkload};
 use tcast_embedding::{
-    gather_reduce_into,
+    gather_reduce_into, gradient_coalesce_into, gradient_expand_into,
     optim::{RowOptimizer, UpdateRule},
     scatter_apply, scatter_apply_coalesced, BlockScratch, CoalescedGradients, EmbeddingTable,
     IndexArray, RadixScratch,
@@ -579,7 +588,7 @@ impl Emitter {
             format!("  {:>5.1}% of peak", 100.0 * rate / p.rate)
         });
         println!(
-            "  {kernel:<22} {:<6} {shape:<20} {ns:>12.0} ns  {rate:>8.2} {unit}{of_peak}",
+            "  {kernel:<25} {:<6} {shape:<20} {ns:>12.0} ns  {rate:>8.2} {unit}{of_peak}",
             exec.unwrap_or(dispatch.name()),
         );
         let mut row = json::JsonRow::new();
@@ -1044,6 +1053,48 @@ fn main() {
                 "GB/s",
                 None,
             );
+        }
+
+        // The paper's comparison on the same workload: the baseline
+        // backward (Algorithm 1: expand, then coalesce) against the cast
+        // plus the casted gather-reduce (Algorithms 2 + 3), both through
+        // recycled buffers as the trainer runs them, every tier and both
+        // kernels in alternating blocks. Rated on the casted row's bytes,
+        // so the three rows' GB/s compare as their times do.
+        let (mut expanded, mut recast) = (Matrix::default(), CastedIndexArray::default());
+        let mut radix = RadixScratch::default();
+        let kernels = ["gradient_expand_coalesce", "cast_casted_gather_reduce"];
+        let schedules: Vec<_> = tiers
+            .iter()
+            .flat_map(|&d| kernels.map(|k| (d, k)))
+            .collect();
+        let rounds = time_rounds(args.iters, &schedules, |(d, kernel)| {
+            simd::force(Some(d));
+            let ns = timed(|| {
+                if kernel == kernels[0] {
+                    gradient_expand_into(&grads, &index, &mut expanded).unwrap();
+                    gradient_coalesce_into(&expanded, &index, &mut scratch, &mut radix).unwrap();
+                } else {
+                    tensor_casting_into(&index, &mut recast, &mut radix);
+                    casted_gather_reduce_into(&grads, &recast, &mut scratch).unwrap();
+                }
+            });
+            simd::force(None);
+            ns
+        });
+        for (&(d, kernel), &ns) in schedules.iter().zip(&rounds.median_ns) {
+            emit.row(kernel, d, &shape, dim, ns, bytes / ns, "GB/s", None);
+        }
+        if dim == 64 {
+            let tier = KernelDispatch::detect();
+            let at = |kernel| schedules.iter().position(|&s| s == (tier, kernel));
+            if let (Some(base), Some(cast)) = (at(kernels[0]), at(kernels[1])) {
+                let ratio = rounds.ratio(|b| b[base] / b[cast].max(1.0));
+                println!(
+                    "KERNEL casted/baseline backward ratio {ratio} ({shape}, {}, cast included)",
+                    tier.name()
+                );
+            }
         }
     }
 

@@ -1,12 +1,8 @@
 //! Minimal JSON-lines emission for machine-readable benchmark tracking.
 //!
-//! The microbenchmarks append rows to a `BENCH_*.json` file so the
-//! performance trajectory of the repository is recorded as data, not
-//! prose. Two entry points:
-//!
-//! * any [`crate::harness::BenchGroup`] appends its rows to the sink
-//!   named by `TCAST_BENCH_JSON`, when that is exported;
-//! * `kernel_bench` writes `BENCH_kernel.json` directly.
+//! `kernel_bench` appends its rows to `BENCH_kernel.json` (or to the sink
+//! its `--json` flag or `TCAST_BENCH_JSON` names), so the performance
+//! trajectory of the repository is recorded as data, not prose.
 //!
 //! No serde: rows are built with [`JsonRow`], a tiny escaping writer.
 

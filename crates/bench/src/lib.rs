@@ -1,11 +1,9 @@
-//! Shared code of the kernel microbenchmarks: the `kernel_bench` binary
-//! and the `expand_vs_casted` bench, their timing [`harness`] and the
-//! [`json`] row writer.
+//! Shared code of the `kernel_bench` binary: its banner, `FAST` mode and
+//! the [`json`] row writer.
 //!
 //! The paper's tables and figures are regenerated from its hardware
 //! model by the `repro` binary under `repro/`.
 
-pub mod harness;
 pub mod json;
 
 /// Prints a section banner.

@@ -223,16 +223,17 @@ struct StepScratch {
     logits: Matrix,
     dlogits: Matrix,
     dpooled: Vec<Matrix>,
-    /// Baseline mode's per-table coalesced gradients: what its scatter
-    /// consumes.
-    coalesced: Vec<CoalescedGradients>,
+    /// Baseline mode's coalesced gradient: what its scatter consumes,
+    /// refilled table by table.
+    coalesced: CoalescedGradients,
     /// Baseline mode's argsort buffers (Algorithm 1 Step A), shared by
     /// every table.
     radix: RadixScratch,
-    /// Baseline mode's per-table `n x D` expand intermediates — still
-    /// materialized every step (that cost is the paper's subject), but
-    /// recycled instead of re-allocated.
-    expanded: Vec<Matrix>,
+    /// Baseline mode's `n x D` expand intermediate — still materialized
+    /// for every table every step (that cost is the paper's subject), but
+    /// one buffer, recycled table by table instead of re-allocated: the
+    /// tables are updated one after another.
+    expanded: Matrix,
     /// Casted mode's coalesced-gradient blocks: all that is ever
     /// materialized of the coalesced gradient, shared by every table.
     blocks: BlockScratch,
@@ -865,10 +866,6 @@ impl Trainer {
             ..
         } = scratch;
         let (bottom, tables) = model.bottom_and_tables_mut();
-        if casted.is_none() {
-            expanded.resize_with(tables.len(), Matrix::default);
-            coalesced.resize_with(tables.len(), CoalescedGradients::default);
-        }
         let update = |t: usize, table: &mut EmbeddingTable| match casted {
             None => {
                 // The baseline deliberately pays Algorithm 1's full cost —
@@ -878,11 +875,10 @@ impl Trainer {
                 // does not re-allocate its intermediates.
                 let t0 = Instant::now();
                 let idx = &batch.indices[t];
-                gradient_expand_into(&dpooled[t], idx, &mut expanded[t])?;
-                let (optimizer, grads) = (&mut table_optimizers[t], &mut coalesced[t]);
-                gradient_coalesce_into(&expanded[t], idx, grads, radix)?;
+                gradient_expand_into(&dpooled[t], idx, expanded)?;
+                gradient_coalesce_into(expanded, idx, coalesced, radix)?;
                 let t1 = Instant::now();
-                scatter_apply_coalesced(table, optimizer, grads)?;
+                scatter_apply_coalesced(table, &mut table_optimizers[t], coalesced)?;
                 bwd_embedding += t1 - t0;
                 bwd_scatter += t1.elapsed();
                 Ok(())

@@ -26,6 +26,12 @@
 //! of the gather-reduce's inner loop (`gather.rs` holds the loop and its
 //! scalar oracle), under the same rule — lanes are independent and each
 //! adds the same rows in the same order, only in registers.
+//!
+//! Every kernel here is safe code: it cuts its rows into
+//! `as_chunks::<8>()` windows and reads and writes each through
+//! `tcast_tensor::simd::{ymm_load, ymm_store}`, the one checked load and
+//! store pair. The only `unsafe` left is each dispatcher's call into an
+//! AVX2 kernel, after the CPU check.
 
 pub use tcast_tensor::simd::{dispatch, force, KernelDispatch};
 
@@ -119,7 +125,9 @@ fn adam_scalar(h: AdamRow, m: &mut [f32], v: &mut [f32], param: &mut [f32], grad
 pub(crate) mod x86 {
     use super::AdamRow;
     use std::arch::x86_64::*;
-    use tcast_tensor::simd::{add_assign, prefetch, KernelDispatch, PREFETCH_WINDOW};
+    use tcast_tensor::simd::{
+        add_assign, prefetch, ymm_load, ymm_store, KernelDispatch, PREFETCH_WINDOW,
+    };
 
     /// One run of the gather-reduce: `acc += rows[src[k]]` for `k` in
     /// `run`, in order, where every lookup of the run reduces into the
@@ -139,8 +147,8 @@ pub(crate) mod x86 {
     /// # Safety
     ///
     /// The CPU must support AVX2. The slices need no promise: each row is a
-    /// bounds-checked `acc.len()`-lane slice of `rows`, and no load or
-    /// store passes `acc.len()`.
+    /// bounds-checked `acc.len()`-lane slice of `rows`, read and written
+    /// through checked 8-float windows.
     #[target_feature(enable = "avx2")]
     #[inline]
     pub fn accumulate_run(acc: &mut [f32], rows: &[f32], src: &[u32], run: std::ops::Range<usize>) {
@@ -176,10 +184,9 @@ pub(crate) mod x86 {
 
     /// Lanes `j..j + 8 * N` of [`accumulate_run`], in `N` registers.
     ///
-    /// # Safety
+    /// # Panics
     ///
-    /// The CPU must support AVX2. Loads and stores stay below
-    /// `j + 8 * N <= acc.len()` (asserted), the length of every row.
+    /// Panics if `j + 8 * N` passes `acc.len()`, the length of every row.
     #[target_feature(enable = "avx2")]
     #[inline]
     fn accumulate_lanes<const N: usize>(
@@ -190,23 +197,19 @@ pub(crate) mod x86 {
         j: usize,
     ) {
         let dim = acc.len();
-        assert!(j + 8 * N <= dim);
+        let out = acc[j..j + 8 * N].as_chunks_mut::<8>().0;
         let mut lanes = [_mm256_setzero_ps(); N];
-        for (l, a) in lanes.iter_mut().enumerate() {
-            // SAFETY: j + 8 * N <= acc.len() (asserted) bounds every load.
-            *a = unsafe { _mm256_loadu_ps(acc.as_ptr().add(j + 8 * l)) };
+        for (l, a) in lanes.iter_mut().zip(out.iter()) {
+            *l = ymm_load(a);
         }
         for k in run {
             let row = row_ahead(rows, dim, src, k, j == 0);
-            debug_assert_eq!(row.len(), acc.len());
-            for (l, a) in lanes.iter_mut().enumerate() {
-                // SAFETY: `row` has `dim` lanes and j + 8 * N <= dim.
-                *a = _mm256_add_ps(*a, unsafe { _mm256_loadu_ps(row.as_ptr().add(j + 8 * l)) });
+            for (l, r) in lanes.iter_mut().zip(row[j..j + 8 * N].as_chunks::<8>().0) {
+                *l = _mm256_add_ps(*l, ymm_load(r));
             }
         }
-        for (l, a) in lanes.iter().enumerate() {
-            // SAFETY: j + 8 * N <= acc.len() (asserted) bounds every store.
-            unsafe { _mm256_storeu_ps(acc.as_mut_ptr().add(j + 8 * l), *a) };
+        for (a, &l) in out.iter_mut().zip(&lanes) {
+            ymm_store(a, l);
         }
     }
 
@@ -224,32 +227,28 @@ pub(crate) mod x86 {
     /// # Safety
     ///
     /// The CPU must support AVX2. `param` and `grad` must be equally long
-    /// (checked in debug builds); no load or store passes the shortest.
+    /// (checked in debug builds); the update runs over the shortest.
     #[target_feature(enable = "avx2")]
     pub fn sgd(lr: f32, param: &mut [f32], grad: &[f32]) {
         debug_assert_eq!(param.len(), grad.len());
         let n = param.len().min(grad.len());
         let vlr = _mm256_set1_ps(lr);
-        let mut j = 0;
-        while j + 8 <= n {
-            // SAFETY: j + 8 <= n bounds the 8-lane loads and store.
-            unsafe {
-                let p = _mm256_loadu_ps(param.as_ptr().add(j));
-                let g = _mm256_loadu_ps(grad.as_ptr().add(j));
-                _mm256_storeu_ps(
-                    param.as_mut_ptr().add(j),
-                    _mm256_sub_ps(p, _mm256_mul_ps(vlr, g)),
-                );
-            }
-            j += 8;
+        let (ps, gs) = (
+            param[..n].as_chunks_mut::<8>().0,
+            grad[..n].as_chunks::<8>().0,
+        );
+        for (p, g) in ps.iter_mut().zip(gs) {
+            let g = ymm_load(g);
+            ymm_store(p, _mm256_sub_ps(ymm_load(p), _mm256_mul_ps(vlr, g)));
         }
+        let j = n - n % 8;
         super::sgd_scalar(lr, &mut param[j..n], &grad[j..n]);
     }
 
     /// # Safety
     ///
     /// The CPU must support AVX2. `v`, `param` and `grad` must be equally long
-    /// (checked in debug builds); no load or store passes the shortest.
+    /// (checked in debug builds); the update runs over the shortest.
     #[target_feature(enable = "avx2")]
     pub fn momentum(lr: f32, mu: f32, v: &mut [f32], param: &mut [f32], grad: &[f32]) {
         debug_assert_eq!(param.len(), grad.len());
@@ -257,29 +256,24 @@ pub(crate) mod x86 {
         let n = param.len().min(grad.len()).min(v.len());
         let vlr = _mm256_set1_ps(lr);
         let vmu = _mm256_set1_ps(mu);
-        let mut j = 0;
-        while j + 8 <= n {
-            // SAFETY: j + 8 <= n bounds the 8-lane loads and stores.
-            unsafe {
-                let vv = _mm256_loadu_ps(v.as_ptr().add(j));
-                let g = _mm256_loadu_ps(grad.as_ptr().add(j));
-                let p = _mm256_loadu_ps(param.as_ptr().add(j));
-                let vnew = _mm256_add_ps(_mm256_mul_ps(vmu, vv), g);
-                _mm256_storeu_ps(v.as_mut_ptr().add(j), vnew);
-                _mm256_storeu_ps(
-                    param.as_mut_ptr().add(j),
-                    _mm256_sub_ps(p, _mm256_mul_ps(vlr, vnew)),
-                );
-            }
-            j += 8;
+        let vs = v[..n].as_chunks_mut::<8>().0;
+        let (ps, gs) = (
+            param[..n].as_chunks_mut::<8>().0,
+            grad[..n].as_chunks::<8>().0,
+        );
+        for ((vv, p), g) in vs.iter_mut().zip(ps.iter_mut()).zip(gs) {
+            let vnew = _mm256_add_ps(_mm256_mul_ps(vmu, ymm_load(vv)), ymm_load(g));
+            ymm_store(vv, vnew);
+            ymm_store(p, _mm256_sub_ps(ymm_load(p), _mm256_mul_ps(vlr, vnew)));
         }
+        let j = n - n % 8;
         super::momentum_scalar(lr, mu, &mut v[j..n], &mut param[j..n], &grad[j..n]);
     }
 
     /// # Safety
     ///
     /// The CPU must support AVX2. `a`, `param` and `grad` must be equally long
-    /// (checked in debug builds); no load or store passes the shortest.
+    /// (checked in debug builds); the update runs over the shortest.
     #[target_feature(enable = "avx2")]
     pub fn adagrad(lr: f32, eps: f32, a: &mut [f32], param: &mut [f32], grad: &[f32]) {
         debug_assert_eq!(param.len(), grad.len());
@@ -287,28 +281,27 @@ pub(crate) mod x86 {
         let n = param.len().min(grad.len()).min(a.len());
         let vlr = _mm256_set1_ps(lr);
         let veps = _mm256_set1_ps(eps);
-        let mut j = 0;
-        while j + 8 <= n {
-            // SAFETY: j + 8 <= n bounds the 8-lane loads and stores.
-            unsafe {
-                let av = _mm256_loadu_ps(a.as_ptr().add(j));
-                let g = _mm256_loadu_ps(grad.as_ptr().add(j));
-                let p = _mm256_loadu_ps(param.as_ptr().add(j));
-                let anew = _mm256_add_ps(av, _mm256_mul_ps(g, g));
-                _mm256_storeu_ps(a.as_mut_ptr().add(j), anew);
-                let denom = _mm256_sqrt_ps(_mm256_add_ps(veps, anew));
-                let step = _mm256_div_ps(_mm256_mul_ps(vlr, g), denom);
-                _mm256_storeu_ps(param.as_mut_ptr().add(j), _mm256_sub_ps(p, step));
-            }
-            j += 8;
+        let accs = a[..n].as_chunks_mut::<8>().0;
+        let (ps, gs) = (
+            param[..n].as_chunks_mut::<8>().0,
+            grad[..n].as_chunks::<8>().0,
+        );
+        for ((av, p), g) in accs.iter_mut().zip(ps.iter_mut()).zip(gs) {
+            let g = ymm_load(g);
+            let anew = _mm256_add_ps(ymm_load(av), _mm256_mul_ps(g, g));
+            ymm_store(av, anew);
+            let denom = _mm256_sqrt_ps(_mm256_add_ps(veps, anew));
+            let step = _mm256_div_ps(_mm256_mul_ps(vlr, g), denom);
+            ymm_store(p, _mm256_sub_ps(ymm_load(p), step));
         }
+        let j = n - n % 8;
         super::adagrad_scalar(lr, eps, &mut a[j..n], &mut param[j..n], &grad[j..n]);
     }
 
     /// # Safety
     ///
     /// The CPU must support AVX2. `a`, `param` and `grad` must be equally long
-    /// (checked in debug builds); no load or store passes the shortest.
+    /// (checked in debug builds); the update runs over the shortest.
     #[target_feature(enable = "avx2")]
     pub fn rmsprop(lr: f32, gamma: f32, eps: f32, a: &mut [f32], param: &mut [f32], grad: &[f32]) {
         debug_assert_eq!(param.len(), grad.len());
@@ -318,33 +311,32 @@ pub(crate) mod x86 {
         let vgamma = _mm256_set1_ps(gamma);
         let vomg = _mm256_set1_ps(1.0 - gamma);
         let veps = _mm256_set1_ps(eps);
-        let mut j = 0;
-        while j + 8 <= n {
-            // SAFETY: j + 8 <= n bounds the 8-lane loads and stores.
-            unsafe {
-                let av = _mm256_loadu_ps(a.as_ptr().add(j));
-                let g = _mm256_loadu_ps(grad.as_ptr().add(j));
-                let p = _mm256_loadu_ps(param.as_ptr().add(j));
-                // gamma*a + ((1-gamma)*g)*g, matching the scalar
-                // left-to-right product order.
-                let anew = _mm256_add_ps(
-                    _mm256_mul_ps(vgamma, av),
-                    _mm256_mul_ps(_mm256_mul_ps(vomg, g), g),
-                );
-                _mm256_storeu_ps(a.as_mut_ptr().add(j), anew);
-                let denom = _mm256_sqrt_ps(_mm256_add_ps(veps, anew));
-                let step = _mm256_div_ps(_mm256_mul_ps(vlr, g), denom);
-                _mm256_storeu_ps(param.as_mut_ptr().add(j), _mm256_sub_ps(p, step));
-            }
-            j += 8;
+        let accs = a[..n].as_chunks_mut::<8>().0;
+        let (ps, gs) = (
+            param[..n].as_chunks_mut::<8>().0,
+            grad[..n].as_chunks::<8>().0,
+        );
+        for ((av, p), g) in accs.iter_mut().zip(ps.iter_mut()).zip(gs) {
+            let g = ymm_load(g);
+            // gamma*a + ((1-gamma)*g)*g, matching the scalar
+            // left-to-right product order.
+            let anew = _mm256_add_ps(
+                _mm256_mul_ps(vgamma, ymm_load(av)),
+                _mm256_mul_ps(_mm256_mul_ps(vomg, g), g),
+            );
+            ymm_store(av, anew);
+            let denom = _mm256_sqrt_ps(_mm256_add_ps(veps, anew));
+            let step = _mm256_div_ps(_mm256_mul_ps(vlr, g), denom);
+            ymm_store(p, _mm256_sub_ps(ymm_load(p), step));
         }
+        let j = n - n % 8;
         super::rmsprop_scalar(lr, gamma, eps, &mut a[j..n], &mut param[j..n], &grad[j..n]);
     }
 
     /// # Safety
     ///
     /// The CPU must support AVX2. `m`, `v`, `param` and `grad` must be equally long
-    /// (checked in debug builds); no load or store passes the shortest.
+    /// (checked in debug builds); the update runs over the shortest.
     #[target_feature(enable = "avx2")]
     pub fn adam(h: AdamRow, m: &mut [f32], v: &mut [f32], param: &mut [f32], grad: &[f32]) {
         debug_assert_eq!(param.len(), grad.len());
@@ -359,29 +351,27 @@ pub(crate) mod x86 {
         let veps = _mm256_set1_ps(h.eps);
         let vbc1 = _mm256_set1_ps(h.bc1);
         let vbc2 = _mm256_set1_ps(h.bc2);
-        let mut j = 0;
-        while j + 8 <= n {
-            // SAFETY: j + 8 <= n bounds the 8-lane loads and stores.
-            unsafe {
-                let mv = _mm256_loadu_ps(m.as_ptr().add(j));
-                let vv = _mm256_loadu_ps(v.as_ptr().add(j));
-                let g = _mm256_loadu_ps(grad.as_ptr().add(j));
-                let p = _mm256_loadu_ps(param.as_ptr().add(j));
-                let mnew = _mm256_add_ps(_mm256_mul_ps(vb1, mv), _mm256_mul_ps(vomb1, g));
-                let vnew = _mm256_add_ps(
-                    _mm256_mul_ps(vb2, vv),
-                    _mm256_mul_ps(_mm256_mul_ps(vomb2, g), g),
-                );
-                _mm256_storeu_ps(m.as_mut_ptr().add(j), mnew);
-                _mm256_storeu_ps(v.as_mut_ptr().add(j), vnew);
-                let mhat = _mm256_div_ps(mnew, vbc1);
-                let vhat = _mm256_div_ps(vnew, vbc2);
-                let denom = _mm256_add_ps(_mm256_sqrt_ps(vhat), veps);
-                let step = _mm256_div_ps(_mm256_mul_ps(vlr, mhat), denom);
-                _mm256_storeu_ps(param.as_mut_ptr().add(j), _mm256_sub_ps(p, step));
-            }
-            j += 8;
+        let (ms, vs) = (m[..n].as_chunks_mut::<8>().0, v[..n].as_chunks_mut::<8>().0);
+        let (ps, gs) = (
+            param[..n].as_chunks_mut::<8>().0,
+            grad[..n].as_chunks::<8>().0,
+        );
+        for (((mv, vv), p), g) in ms.iter_mut().zip(vs.iter_mut()).zip(ps.iter_mut()).zip(gs) {
+            let g = ymm_load(g);
+            let mnew = _mm256_add_ps(_mm256_mul_ps(vb1, ymm_load(mv)), _mm256_mul_ps(vomb1, g));
+            let vnew = _mm256_add_ps(
+                _mm256_mul_ps(vb2, ymm_load(vv)),
+                _mm256_mul_ps(_mm256_mul_ps(vomb2, g), g),
+            );
+            ymm_store(mv, mnew);
+            ymm_store(vv, vnew);
+            let mhat = _mm256_div_ps(mnew, vbc1);
+            let vhat = _mm256_div_ps(vnew, vbc2);
+            let denom = _mm256_add_ps(_mm256_sqrt_ps(vhat), veps);
+            let step = _mm256_div_ps(_mm256_mul_ps(vlr, mhat), denom);
+            ymm_store(p, _mm256_sub_ps(ymm_load(p), step));
         }
+        let j = n - n % 8;
         super::adam_scalar(h, &mut m[j..n], &mut v[j..n], &mut param[j..n], &grad[j..n]);
     }
 }

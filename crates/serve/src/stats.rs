@@ -182,10 +182,6 @@ pub struct ServeReport {
     pub sla_violations: u64,
     /// Deepest the admission queue got.
     pub max_queue_depth: usize,
-    /// Retired: 0 from every entry point, as the engine keeps no casting
-    /// cache. It stays so that code reading it keeps building;
-    /// [`ServeReport::merge`] still weights it by scored queries.
-    pub cache_hit_rate: f64,
     /// Queries shed at admission because their deadline had already
     /// become provably unmeetable (0 unless shedding is enabled). Shed
     /// queries count in `queries` but record no latency sample and no
@@ -228,25 +224,15 @@ impl ServeReport {
     /// report into a `Default` one for the whole run. Counters add,
     /// histograms merge (bucket-exact — see [`LatencyHistogram::merge`]),
     /// `span_ns` and `max_queue_depth` take the max (concurrent engines
-    /// share the clock), and `cache_hit_rate` is re-weighted by scored
-    /// queries. `sla_ns` keeps `self`'s value unless `self` is still the
-    /// empty accumulator (`sla_ns == 0`), in which case it adopts
-    /// `other`'s, so the first fold into a `Default` report does not
-    /// leave its SLA at 0. Violations were already counted by each
+    /// share the clock). `sla_ns` keeps `self`'s value unless `self` is
+    /// still the empty accumulator (`sla_ns == 0`), in which case it
+    /// adopts `other`'s, so the first fold into a `Default` report does
+    /// not leave its SLA at 0. Violations were already counted by each
     /// engine against its own SLA, so the fold only adds them.
     pub fn merge(&mut self, other: &ServeReport) {
         if self.sla_ns == 0 {
             self.sla_ns = other.sla_ns;
         }
-        let self_scored = self.queries - self.shed;
-        let other_scored = other.queries - other.shed;
-        let scored = self_scored + other_scored;
-        self.cache_hit_rate = if scored == 0 {
-            0.0
-        } else {
-            (self.cache_hit_rate * self_scored as f64 + other.cache_hit_rate * other_scored as f64)
-                / scored as f64
-        };
         self.queries += other.queries;
         self.batches += other.batches;
         self.samples += other.samples;
@@ -451,7 +437,7 @@ mod tests {
     }
 
     #[test]
-    fn report_merge_aggregates_counters_and_reweights_cache_hits() {
+    fn report_merge_aggregates_counters() {
         let mut a = ServeReport {
             queries: 100,
             batches: 20,
@@ -460,8 +446,7 @@ mod tests {
             sla_ns: 1_000_000,
             sla_violations: 2,
             max_queue_depth: 7,
-            cache_hit_rate: 0.5,
-            shed: 20, // 80 scored
+            shed: 20,
             ..Default::default()
         };
         a.latency.record(100);
@@ -474,8 +459,7 @@ mod tests {
             sla_ns: 1_000_000,
             sla_violations: 1,
             max_queue_depth: 3,
-            cache_hit_rate: 0.8,
-            shed: 0, // 40 scored
+            shed: 0,
             restores: 1,
             restore_ns: 77,
             ..Default::default()
@@ -500,8 +484,6 @@ mod tests {
         assert_eq!(a.latency.max_ns(), 900);
         assert_eq!(a.service.count(), 2);
         assert_eq!(a.service.max_ns(), 400);
-        // (0.5 * 80 + 0.8 * 40) / 120 = 0.6
-        assert!((a.cache_hit_rate - 0.6).abs() < 1e-9);
     }
 
     #[test]

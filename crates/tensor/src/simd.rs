@@ -122,6 +122,22 @@
 //!   `g * x_q` is added for every partner `q != f` in ascending order,
 //!   skipping a pair whose `g == 0.0` — the oracle's pair-major loop adds
 //!   them to that row in the same order and skips the same pairs.
+//!
+//! # Checked loads, and the sites that stay raw
+//!
+//! The streaming kernels are safe code: [`add_assign`], [`dot`], the
+//! `Dot` interaction's pair tile and gradient columns, and
+//! `tcast-embedding`'s gather-reduce accumulate and optimizer rows. Each
+//! cuts its slices into `as_chunks::<8>()` windows and moves every window
+//! through [`ymm_load`] / [`ymm_store`], the one `unsafe` load and store,
+//! so an index past a slice's end panics where the window is cut and is
+//! never read. The operations and their order are those of the
+//! raw-pointer loops they replaced. The register-tiled GEMM and `NT`
+//! tiles, `pack_nt`, `transpose8` and [`prefetch`] keep raw pointers:
+//! their address arithmetic is tuned (the `zmm` tile read 7-14% slower
+//! when the compiler rebuilt its addresses). Their spans are
+//! `debug_assert!`ed at each tile's entry, and a tile's output window
+//! where the strided view hands out its address.
 
 use crate::strided::StridedMut;
 use std::sync::atomic::{AtomicU8, Ordering};
@@ -372,13 +388,6 @@ fn add_assign_scalar(acc: &mut [f32], src: &[f32]) {
     }
 }
 
-#[inline(always)]
-fn axpy_scalar(acc: &mut [f32], src: &[f32], alpha: f32) {
-    for (a, &v) in acc.iter_mut().zip(src.iter()) {
-        *a += alpha * v;
-    }
-}
-
 /// Scalar dot with eight partial accumulators folded in the exact AVX2
 /// horizontal-reduce order, so [`dot`] is bit-identical across tiers.
 #[inline(always)]
@@ -431,7 +440,10 @@ fn gemm_scalar(
         let c_row = c.row(i);
         c_row.fill(0.0);
         for kk in 0..k {
-            axpy_scalar(c_row, &b[kk * ldb..][..n], a[i * a_rs + kk * a_ks]);
+            let aik = a[i * a_rs + kk * a_ks];
+            for (c, &bv) in c_row.iter_mut().zip(&b[kk * ldb..][..n]) {
+                *c += aik * bv;
+            }
         }
     }
 }
@@ -450,11 +462,43 @@ fn gemm_nt_scalar(a: &[f32], b: &[f32], mut c: StridedMut<'_>, k: usize) {
 // AVX2 kernels.
 // ---------------------------------------------------------------------------
 
+/// The 8 floats of `v` in one `ymm` register: the checked load every
+/// streaming AVX2 kernel of this crate and of `tcast-embedding` reads
+/// through. `v` is a window of `as_chunks::<8>()`, so the bounds are
+/// checked where the window is cut, and this is the one `unsafe` load.
+///
+/// # Safety
+///
+/// The CPU must support AVX2. A caller compiled with AVX2 enabled (an
+/// AVX2 kernel) calls it as safe code.
+#[cfg(target_arch = "x86_64")]
+#[target_feature(enable = "avx2")]
+#[inline]
+pub fn ymm_load(v: &[f32; 8]) -> std::arch::x86_64::__m256 {
+    // SAFETY: `v` is 8 readable floats; `loadu` needs no alignment.
+    unsafe { std::arch::x86_64::_mm256_loadu_ps(v.as_ptr()) }
+}
+
+/// Stores the 8 lanes of `x` to `v`: the checked store twin of
+/// [`ymm_load`].
+///
+/// # Safety
+///
+/// As for [`ymm_load`].
+#[cfg(target_arch = "x86_64")]
+#[target_feature(enable = "avx2")]
+#[inline]
+pub fn ymm_store(v: &mut [f32; 8], x: std::arch::x86_64::__m256) {
+    // SAFETY: `v` is 8 floats borrowed for writing; `storeu` needs no
+    // alignment.
+    unsafe { std::arch::x86_64::_mm256_storeu_ps(v.as_mut_ptr(), x) }
+}
+
 #[cfg(target_arch = "x86_64")]
 mod x86 {
     use super::{
-        StridedMut, GEMM_KC, GEMM_MR_YMM, GEMM_MR_ZMM, GEMM_NR, GRAD_NV, NT_B_RANGE, NT_MR, NT_NJ,
-        NT_NR, NT_PACK, PAIR_NP, PAIR_ROWS, PAIR_TILE_KS,
+        ymm_load, ymm_store, StridedMut, GEMM_KC, GEMM_MR_YMM, GEMM_MR_ZMM, GEMM_NR, GRAD_NV,
+        NT_B_RANGE, NT_MR, NT_NJ, NT_NR, NT_PACK, PAIR_NP, PAIR_ROWS, PAIR_TILE_KS,
     };
     use std::arch::x86_64::*;
 
@@ -462,45 +506,13 @@ mod x86 {
     #[inline]
     pub fn add_assign(acc: &mut [f32], src: &[f32]) {
         let n = acc.len().min(src.len());
-        let mut j = 0;
-        while j + 8 <= n {
-            // SAFETY: j + 8 <= n bounds both 8-lane loads and the store.
-            unsafe {
-                let a = _mm256_loadu_ps(acc.as_ptr().add(j));
-                let s = _mm256_loadu_ps(src.as_ptr().add(j));
-                _mm256_storeu_ps(acc.as_mut_ptr().add(j), _mm256_add_ps(a, s));
-            }
-            j += 8;
+        let (acc, acc_tail) = acc[..n].as_chunks_mut::<8>();
+        let (src, src_tail) = src[..n].as_chunks::<8>();
+        for (a, s) in acc.iter_mut().zip(src) {
+            ymm_store(a, _mm256_add_ps(ymm_load(a), ymm_load(s)));
         }
-        while j < n {
-            acc[j] += src[j];
-            j += 1;
-        }
-    }
-
-    #[target_feature(enable = "avx2")]
-    #[inline]
-    pub fn axpy(acc: &mut [f32], src: &[f32], alpha: f32) {
-        let n = acc.len().min(src.len());
-        let va = _mm256_set1_ps(alpha);
-        let mut j = 0;
-        while j + 8 <= n {
-            // SAFETY: j + 8 <= n bounds both 8-lane loads and the store.
-            unsafe {
-                let a = _mm256_loadu_ps(acc.as_ptr().add(j));
-                let s = _mm256_loadu_ps(src.as_ptr().add(j));
-                // mul then add (no contraction): matches the scalar
-                // `acc += alpha * src` bit for bit per lane.
-                _mm256_storeu_ps(
-                    acc.as_mut_ptr().add(j),
-                    _mm256_add_ps(a, _mm256_mul_ps(va, s)),
-                );
-            }
-            j += 8;
-        }
-        while j < n {
-            acc[j] += alpha * src[j];
-            j += 1;
+        for (a, &s) in acc_tail.iter_mut().zip(src_tail) {
+            *a += s;
         }
     }
 
@@ -520,21 +532,15 @@ mod x86 {
     #[inline]
     pub fn dot(a: &[f32], b: &[f32]) -> f32 {
         let n = a.len().min(b.len());
+        let (a, a_tail) = a[..n].as_chunks::<8>();
+        let (b, b_tail) = b[..n].as_chunks::<8>();
         let mut vacc = _mm256_setzero_ps();
-        let mut j = 0;
-        while j + 8 <= n {
-            // SAFETY: j + 8 <= n bounds both 8-lane loads.
-            unsafe {
-                let av = _mm256_loadu_ps(a.as_ptr().add(j));
-                let bv = _mm256_loadu_ps(b.as_ptr().add(j));
-                vacc = _mm256_add_ps(vacc, _mm256_mul_ps(av, bv));
-            }
-            j += 8;
+        for (x, y) in a.iter().zip(b) {
+            vacc = _mm256_add_ps(vacc, _mm256_mul_ps(ymm_load(x), ymm_load(y)));
         }
         let mut sum = hreduce(vacc);
-        while j < n {
-            sum += a[j] * b[j];
-            j += 1;
+        for (x, y) in a_tail.iter().zip(b_tail) {
+            sum += x * y;
         }
         sum
     }
@@ -763,7 +769,7 @@ mod x86 {
                                 let (ct, ldc) = if staged {
                                     (edge.as_mut_ptr(), GEMM_NR)
                                 } else {
-                                    (c.at(i0, j0), c.ld())
+                                    (c.at(i0, j0, rows, GEMM_NR), c.ld())
                                 };
                                 // SAFETY: `rows <= MR`, `0 < kc <= GEMM_KC`.
                                 // Rows `i0..i0 + rows` (<= m) and reduction
@@ -1015,7 +1021,7 @@ mod x86 {
                         for j0 in (j1..n.min(j1 + range)).step_by(NJ) {
                             let cols = NJ.min(n - j0);
                             let bt = &b[j0 * k..][..cols * k];
-                            let ct = c.at(r0 + q * LANES, j0);
+                            let ct = c.at(r0 + q * LANES, j0, live, cols);
                             // SAFETY: `cols <= NJ`, `live <= LANES`; `pa`
                             // is one packed block of `k` steps, `bt` rows
                             // `j0..j0 + cols` (<= n) of `b`; the outputs
@@ -1121,7 +1127,7 @@ mod x86 {
                     // outputs are elements `(i0.., j0..)` of the
                     // view `c`, which nothing else writes while it
                     // is borrowed here; and AVX2 is enabled here.
-                    unsafe { tile_nt(at, bt, k, c.at(i0, j0), c.ld()) };
+                    unsafe { tile_nt(at, bt, k, c.at(i0, j0, NT_MR, NT_NR), c.ld()) };
                 }
             }
             // Tails: the last `m % NT_MR` rows over all columns,
@@ -1157,7 +1163,8 @@ mod x86 {
 
     /// `NP` pair dot products of one `PAIR_ROWS`-row block over `kc`
     /// reduction steps, one 8-lane accumulator a pair, lane `r` being row
-    /// `r` of the block. Pair `q` multiplies tile rows `ij[q].0 + kk` and
+    /// `r` of the block; `tile` is the block's `m * kc` tile rows, feature
+    /// by feature. Pair `q` multiplies tile rows `ij[q].0 + kk` and
     /// `ij[q].1 + kk` (its two features' `k` = `k0 + kk`) in that order;
     /// each accumulator starts from `-0.0` (`first`) or from the partial
     /// sum stored at `out[r * ldo + q]`, adds the products for `kk`
@@ -1165,22 +1172,13 @@ mod x86 {
     #[target_feature(enable = "avx2")]
     #[inline]
     fn pair_tile<const NP: usize>(
-        tile: &[f32],
-        ij: &[(usize, usize); PAIR_NP],
+        tile: &[[f32; PAIR_ROWS]],
         kc: usize,
+        ij: &[(usize, usize); PAIR_NP],
         out: &mut [f32],
         ldo: usize,
         first: bool,
     ) {
-        // Each pair's two features: `kc` tile rows of PAIR_ROWS floats.
-        let span = kc * PAIR_ROWS;
-        let rows: [(&[f32], &[f32]); NP] = std::array::from_fn(|q| {
-            let (a, c) = ij[q];
-            (
-                &tile[a * PAIR_ROWS..][..span],
-                &tile[c * PAIR_ROWS..][..span],
-            )
-        });
         let mut stage = [[-0.0f32; PAIR_ROWS]; NP];
         if !first {
             for (q, lanes) in stage.iter_mut().enumerate() {
@@ -1189,27 +1187,23 @@ mod x86 {
                 }
             }
         }
-        // SAFETY: `stage[q]` holds PAIR_ROWS = 8 floats.
-        let mut acc: [__m256; NP] =
-            std::array::from_fn(|q| unsafe { _mm256_loadu_ps(stage[q].as_ptr()) });
-        for kk in 0..kc {
-            for (q, &(x, y)) in rows.iter().enumerate() {
-                debug_assert!((kk + 1) * PAIR_ROWS <= x.len().min(y.len()));
-                // SAFETY: `kk < kc`, and `x` and `y` hold `kc` rows of
-                // PAIR_ROWS floats each.
-                let (x, y) = unsafe {
-                    let at = kk * PAIR_ROWS;
-                    (
-                        _mm256_loadu_ps(x.as_ptr().add(at)),
-                        _mm256_loadu_ps(y.as_ptr().add(at)),
-                    )
-                };
-                acc[q] = madd_rounded!(ymm acc[q], x, y);
+        let mut acc = [_mm256_setzero_ps(); NP];
+        for (a, lanes) in acc.iter_mut().zip(&stage) {
+            *a = ymm_load(lanes);
+        }
+        // Window `kk` of the tile starts at its row `kk`, so the rows `ij`
+        // of a window are step `kk` of every pair. Checked once here, so
+        // that the loads below need no check.
+        let span = tile.len() + 1 - kc;
+        let ij = &ij[..NP];
+        assert!(ij.iter().all(|&(i, j)| i < span && j < span));
+        for w in tile.windows(span) {
+            for (a, &(i, j)) in acc.iter_mut().zip(ij) {
+                *a = madd_rounded!(ymm * a, ymm_load(&w[i]), ymm_load(&w[j]));
             }
         }
-        for (q, lanes) in stage.iter_mut().enumerate() {
-            // SAFETY: `lanes` holds 8 floats.
-            unsafe { _mm256_storeu_ps(lanes.as_mut_ptr(), acc[q]) };
+        for (q, (lanes, &a)) in stage.iter_mut().zip(&acc).enumerate() {
+            ymm_store(lanes, a);
             for (r, &v) in lanes.iter().enumerate() {
                 out[r * ldo + q] = v;
             }
@@ -1308,6 +1302,7 @@ mod x86 {
                         }
                     }
                 }
+                let rows = &tile.as_chunks().0[..m * kc];
                 let (mut i, mut j) = (0, 1);
                 for p0 in (0..pairs).step_by(PAIR_NP) {
                     let np = PAIR_NP.min(pairs - p0);
@@ -1322,14 +1317,14 @@ mod x86 {
                     let o = &mut out[b0 * ldo + dim + p0..];
                     let first = k0 == 0;
                     match np {
-                        1 => pair_tile::<1>(&tile, &ij, kc, o, ldo, first),
-                        2 => pair_tile::<2>(&tile, &ij, kc, o, ldo, first),
-                        3 => pair_tile::<3>(&tile, &ij, kc, o, ldo, first),
-                        4 => pair_tile::<4>(&tile, &ij, kc, o, ldo, first),
-                        5 => pair_tile::<5>(&tile, &ij, kc, o, ldo, first),
-                        6 => pair_tile::<6>(&tile, &ij, kc, o, ldo, first),
-                        7 => pair_tile::<7>(&tile, &ij, kc, o, ldo, first),
-                        _ => pair_tile::<PAIR_NP>(&tile, &ij, kc, o, ldo, first),
+                        1 => pair_tile::<1>(rows, kc, &ij, o, ldo, first),
+                        2 => pair_tile::<2>(rows, kc, &ij, o, ldo, first),
+                        3 => pair_tile::<3>(rows, kc, &ij, o, ldo, first),
+                        4 => pair_tile::<4>(rows, kc, &ij, o, ldo, first),
+                        5 => pair_tile::<5>(rows, kc, &ij, o, ldo, first),
+                        6 => pair_tile::<6>(rows, kc, &ij, o, ldo, first),
+                        7 => pair_tile::<7>(rows, kc, &ij, o, ldo, first),
+                        _ => pair_tile::<PAIR_NP>(rows, kc, &ij, o, ldo, first),
                     }
                 }
             }
@@ -1353,10 +1348,8 @@ mod x86 {
     ) {
         let mut acc = [_mm256_setzero_ps(); V];
         if let Some(start) = start {
-            let start = &start[c0..][..V * 8];
-            for v in 0..V {
-                // SAFETY: `start` holds V * 8 floats.
-                acc[v] = unsafe { _mm256_loadu_ps(start.as_ptr().add(v * 8)) };
+            for (a, s) in acc.iter_mut().zip(start[c0..][..V * 8].as_chunks().0) {
+                *a = ymm_load(s);
             }
         }
         for q in (0..m).filter(|&q| q != f) {
@@ -1365,18 +1358,12 @@ mod x86 {
                 continue;
             }
             let gv = _mm256_set1_ps(g);
-            let x = &row(q)[c0..][..V * 8];
-            for v in 0..V {
-                debug_assert!((v + 1) * 8 <= x.len());
-                // SAFETY: `x` holds V * 8 floats.
-                let xv = unsafe { _mm256_loadu_ps(x.as_ptr().add(v * 8)) };
-                acc[v] = madd_rounded!(ymm acc[v], gv, xv);
+            for (a, x) in acc.iter_mut().zip(row(q)[c0..][..V * 8].as_chunks().0) {
+                *a = madd_rounded!(ymm * a, gv, ymm_load(x));
             }
         }
-        let grad = &mut grad[..V * 8];
-        for v in 0..V {
-            // SAFETY: `grad` holds V * 8 floats.
-            unsafe { _mm256_storeu_ps(grad.as_mut_ptr().add(v * 8), acc[v]) };
+        for (out, &a) in grad[..V * 8].as_chunks_mut().0.iter_mut().zip(&acc) {
+            ymm_store(out, a);
         }
     }
 
@@ -1450,20 +1437,6 @@ pub fn add_assign(d: KernelDispatch, acc: &mut [f32], src: &[f32]) {
     }
     let _ = d;
     add_assign_scalar(acc, src);
-}
-
-/// `acc[j] += alpha * src[j]`. `Avx2` is bit-identical to `Scalar`.
-#[inline]
-pub fn axpy(d: KernelDispatch, acc: &mut [f32], src: &[f32], alpha: f32) {
-    debug_assert_eq!(acc.len(), src.len());
-    #[cfg(target_arch = "x86_64")]
-    if d != KernelDispatch::Scalar && avx2_ok() {
-        // SAFETY: AVX2 support verified on the line above.
-        unsafe { x86::axpy(acc, src, alpha) };
-        return;
-    }
-    let _ = d;
-    axpy_scalar(acc, src, alpha);
 }
 
 /// Dot product with the 8-accumulator AVX2 fold on every tier (see the
@@ -1771,22 +1744,13 @@ mod tests {
     }
 
     #[test]
-    fn avx2_axpy_and_dot_bit_identical() {
+    fn avx2_dot_bit_identical() {
         if !KernelDispatch::Avx2.supported() {
             return;
         }
         for n in [1, 7, 8, 9, 31, 64, 66] {
             let src = seq(n, 0.73);
             let base = seq(n, 0.11);
-            let mut scalar = base.clone();
-            let mut simd = base.clone();
-            axpy(KernelDispatch::Scalar, &mut scalar, &src, -0.625);
-            axpy(KernelDispatch::Avx2, &mut simd, &src, -0.625);
-            assert_eq!(
-                scalar.iter().map(|v| v.to_bits()).collect::<Vec<_>>(),
-                simd.iter().map(|v| v.to_bits()).collect::<Vec<_>>(),
-                "axpy n={n}"
-            );
             let ds = dot(KernelDispatch::Scalar, &base, &src);
             let dv = dot(KernelDispatch::Avx2, &base, &src);
             assert_eq!(ds.to_bits(), dv.to_bits(), "dot n={n}");

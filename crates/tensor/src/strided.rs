@@ -93,10 +93,18 @@ impl<'a> StridedMut<'a> {
         unsafe { std::slice::from_raw_parts_mut(self.ptr.wrapping_add(r * self.ld), self.cols) }
     }
 
-    /// The address of element `(r, c)`, for a kernel that writes a tile of
-    /// rows `ld` apart through raw pointers. Only elements of this view
-    /// may be written through it, and only while `self` stays borrowed.
-    pub(crate) fn at(&mut self, r: usize, c: usize) -> *mut f32 {
+    /// The address of element `(r, c)`, the first of a `rows x cols` tile
+    /// that a kernel writes through raw pointers, rows `ld` apart. Only
+    /// elements of this view may be written through it, and only while
+    /// `self` stays borrowed. Debug builds check that the tile fits the
+    /// view.
+    pub(crate) fn at(&mut self, r: usize, c: usize, rows: usize, cols: usize) -> *mut f32 {
+        debug_assert!(
+            r + rows <= self.rows && c + cols <= self.cols,
+            "a {rows} x {cols} tile at ({r}, {c}) of a {} x {} view",
+            self.rows,
+            self.cols
+        );
         self.ptr.wrapping_add(r * self.ld + c)
     }
 }
@@ -131,5 +139,15 @@ mod tests {
         let (mut a, mut b) = StridedMut::new(&mut one, 2, 2).split_cols(0);
         assert_eq!(a.row(1), &[] as &[f32]);
         assert_eq!(b.row(1), &[1.0, 1.0]);
+    }
+
+    #[test]
+    #[cfg(debug_assertions)]
+    #[should_panic(expected = "a 3 x 3 tile at (1, 0) of a 3 x 3 view")]
+    fn a_tile_past_the_view_is_caught_in_debug_builds() {
+        let mut data = [0.0f32; 12];
+        let (_, mut right) = StridedMut::new(&mut data, 3, 4).split_cols(1);
+        right.at(0, 0, 3, 3);
+        right.at(1, 0, 3, 3);
     }
 }
