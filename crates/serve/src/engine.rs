@@ -1,11 +1,12 @@
 //! The batched inference engine: fuse many queries into one model batch,
 //! score it, and demux per-query results.
 //!
-//! The engine is built around four invariants:
+//! The engine is built around five invariants:
 //!
 //! * **Zero steady-state allocation.** Every intermediate — each band's
 //!   dense features, per-table pooled embeddings, MLP scratch and logits,
-//!   the fused logits, the demux offsets — lives in engine-owned buffers
+//!   the fused logits, the demux offsets, each query's distinct query and
+//!   the distinct rows' offsets and logits — lives in engine-owned buffers
 //!   recycled across batches (`zero_into`-style). After the first batch
 //!   sizes them, a batch that opens no pool scope allocates nothing,
 //!   whether or not the engine has seen the queries before: it keeps no
@@ -22,6 +23,18 @@
 //!   not depend on the batch around it. Serving batches is therefore
 //!   purely a scheduling decision, never a numerical one —
 //!   property-tested in `tests/serving.rs`.
+//! * **A repeated query is scored once.** A batch that holds the same
+//!   query twice scores it at its first occurrence, and every later
+//!   occurrence takes a copy of those rows. That is exact, not an
+//!   approximation: by the invariant above a query's rows do not depend
+//!   on the batch around them, so scoring it again would write the same
+//!   bits. Identity is the `Arc` (the same allocation, as
+//!   [`Arc::ptr_eq`] sees it), never [`Query::id`]: the id is a label,
+//!   and two allocations under one id may carry different bags or
+//!   features. A catalog draw, a queue entry and the serve loop's batch
+//!   all clone the catalog's `Arc`, so a popular query repeats by
+//!   pointer. The engine matches pointers within one batch only and
+//!   keeps nothing across batches.
 //! * **Splitting is scheduling.** A batch of at least 1,024 lookups
 //!   (the engine's split floor), or one whose dense stack the tensor
 //!   crate would split on an engine that has a lane, runs on two pairs of
@@ -104,12 +117,23 @@ pub struct ServeEngine {
     /// The bands' bounds in sample rows of the fused batch: band `b` is
     /// rows `cuts[b]..cuts[b + 1]`.
     cuts: Vec<usize>,
-    /// Fused logits, `total_samples x 1`.
+    /// Fused logits in admission order, `total_samples x 1`.
     logits: Matrix,
     /// Per-query sample offsets into the fused batch; one extra trailing
     /// entry holds the total, so query `i`'s scores are rows
     /// `offsets[i]..offsets[i+1]`.
     offsets: Vec<usize>,
+    /// Each query's distinct query: query `i` takes the rows of distinct
+    /// query `slots[i]`. Slots are numbered in order of first occurrence.
+    slots: Vec<usize>,
+    /// [`ServeEngine::offsets`] over the distinct queries only: the rows
+    /// the bands score.
+    distinct_offsets: Vec<usize>,
+    /// The distinct queries' logits, `distinct rows x 1`.
+    distinct_logits: Matrix,
+    /// Sample rows pooled and run through the dense stack so far: a
+    /// query repeated within a batch counts once.
+    rows_scored: u64,
     queries_scored: u64,
     batches_scored: u64,
 }
@@ -135,6 +159,7 @@ impl std::fmt::Debug for ServeEngine {
                 &self.lane.as_ref().map(|lane| lane.threads()),
             )
             .field("queries_scored", &self.queries_scored)
+            .field("rows_scored", &self.rows_scored)
             .field("batches_scored", &self.batches_scored)
             .finish()
     }
@@ -204,6 +229,10 @@ impl ServeEngine {
             cuts: Vec::new(),
             logits: Matrix::default(),
             offsets: Vec::new(),
+            slots: Vec::new(),
+            distinct_offsets: Vec::new(),
+            distinct_logits: Matrix::default(),
+            rows_scored: 0,
             queries_scored: 0,
             batches_scored: 0,
         }
@@ -259,17 +288,25 @@ impl ServeEngine {
     /// query's scores are bit for bit `predict` over the same query,
     /// whichever thread scored its rows.
     ///
+    /// A query that is the same `Arc` as an earlier query of the batch
+    /// ([`Arc::ptr_eq`]) is scored once: the split decision, the bands and
+    /// the checks run over the batch's distinct queries, and each later
+    /// occurrence takes a copy of its first occurrence's rows. The view is
+    /// in admission order all the same, every occurrence with its own
+    /// rows. Equal [`Query::id`]s are not the same query.
+    ///
     /// # Errors
     ///
     /// Returns an error when a query disagrees with the model's shape
     /// (table count, dense width, index range), has no candidates or a
     /// non-finite dense feature, or the batch is empty; an error scores
     /// nothing. Every check that reads no index array runs over the whole
-    /// batch first, and each band checks each bag's rows just before it
-    /// pools them. So a query's row past its table is reported only when
-    /// no query of the batch, even a later one, fails a first-pass check;
-    /// among several rows past their tables, the error names the first
-    /// of the lowest (query, table).
+    /// batch first (a repeat is the query it repeats, so it passes what
+    /// its first occurrence passed), and each band checks each bag's rows
+    /// just before it pools them. So a query's row past its table is
+    /// reported only when no query of the batch, even a later one, fails
+    /// a first-pass check; among several rows past their tables, the
+    /// error names the first of the lowest (query, table).
     ///
     /// # Panics
     ///
@@ -283,12 +320,24 @@ impl ServeEngine {
     where
         I: IntoIterator<Item = &'q Arc<Query>> + Clone + Sync,
     {
-        // Pass 1: check everything that reads no index array, and lay out
-        // the fused batch.
+        // Pass 1: match each query to an earlier one that is the same
+        // `Arc`, check every distinct query for everything that reads no
+        // index array, and lay out the fused batch and its distinct rows.
+        // A repeat passes every check its first occurrence passed.
         self.offsets.clear();
         self.offsets.push(0);
-        let (mut total, mut lookups) = (0usize, 0usize);
+        self.slots.clear();
+        self.distinct_offsets.clear();
+        self.distinct_offsets.push(0);
+        let (mut total, mut distinct_total, mut lookups) = (0usize, 0usize, 0usize);
         for q in queries.clone() {
+            total += q.candidates();
+            self.offsets.push(total);
+            let seen = distinct(queries.clone(), &self.slots).position(|d| Arc::ptr_eq(d, q));
+            if let Some(slot) = seen {
+                self.slots.push(slot);
+                continue;
+            }
             if q.indices.len() != model.num_tables() {
                 return Err(EmbeddingError::LengthMismatch {
                     expected: model.num_tables(),
@@ -325,8 +374,9 @@ impl ServeEngine {
                 }
                 lookups += idx.len();
             }
-            total += q.candidates();
-            self.offsets.push(total);
+            self.slots.push(self.distinct_offsets.len() - 1);
+            distinct_total += q.candidates();
+            self.distinct_offsets.push(distinct_total);
         }
         let num_queries = self.offsets.len() - 1;
         if num_queries == 0 {
@@ -335,32 +385,39 @@ impl ServeEngine {
             ));
         }
 
-        // Pass 2: cut the batch into bands of sample rows, one a
-        // participant of the lane's scope.
+        // Pass 2: cut the distinct rows into bands, one a participant of
+        // the lane's scope.
         let split = lookups >= self.split_min_lookups
-            || (self.lane.is_some() && model.dense_splits_at(total));
+            || (self.lane.is_some() && model.dense_splits_at(distinct_total));
         if split {
             self.lane.get_or_insert_with(|| Arc::new(Pool::new(1)));
         }
         let participants = match &self.lane {
-            Some(lane) if split => Exec::pooled(lane).threads().min(total),
+            Some(lane) if split => Exec::pooled(lane).threads().min(distinct_total),
             _ => 1,
         };
-        cut_bands(queries.clone(), &self.offsets, participants, &mut self.cuts);
+        let slots = &self.slots;
+        cut_bands(
+            distinct(queries.clone(), slots),
+            &self.distinct_offsets,
+            participants,
+            &mut self.cuts,
+        );
         let num_bands = self.cuts.len() - 1;
         if self.bands.len() < num_bands {
             self.bands.resize_with(num_bands, Band::default);
         }
 
         // Pass 3: every band scored as an inline engine scores a batch,
-        // its logits copied into its rows of the fused logits. The calling
-        // thread takes band 0.
-        self.logits.zero_into(total, 1);
-        let offsets = &self.offsets;
+        // its logits copied into its rows of the distinct logits. The
+        // calling thread takes band 0.
+        self.distinct_logits.zero_into(distinct_total, 1);
+        let offsets = &self.distinct_offsets;
         let run = |band: &mut Band, rows: Range<usize>, logits: &mut [f32]| {
-            band.error = score_band(model, queries.clone(), offsets, rows, band, logits).err();
+            let queries = || distinct(queries.clone(), slots);
+            band.error = score_band(model, queries, offsets, rows, band, logits).err();
         };
-        let mut logits = self.logits.as_mut_slice();
+        let mut logits = self.distinct_logits.as_mut_slice();
         let mut bands = self
             .bands
             .iter_mut()
@@ -386,8 +443,9 @@ impl ServeEngine {
             .find_map(|b| b.error.take())
         {
             // A band stops at the first bad row it meets, so the error to
-            // report is found again, in (query, table) order.
-            for q in queries {
+            // report is found again, in (query, table) order. A repeat
+            // comes after its first occurrence, which fails first.
+            for q in distinct(queries, slots) {
                 for (t, idx) in q.indices.iter().enumerate() {
                     idx.validate_against_rows(model.table(t).rows())?;
                 }
@@ -395,6 +453,17 @@ impl ServeEngine {
             return Err(error);
         }
 
+        // Demux: every query copies its distinct query's rows into its own
+        // rows of the fused logits, in admission order.
+        self.logits.zero_into(total, 1);
+        let fused = self.logits.as_mut_slice();
+        let scored = self.distinct_logits.as_slice();
+        for (rows, &slot) in self.offsets.windows(2).zip(&self.slots) {
+            let from = self.distinct_offsets[slot]..self.distinct_offsets[slot + 1];
+            fused[rows[0]..rows[1]].copy_from_slice(&scored[from]);
+        }
+
+        self.rows_scored += distinct_total as u64;
         self.queries_scored += num_queries as u64;
         self.batches_scored += 1;
         Ok(ScoredBatch {
@@ -415,6 +484,28 @@ impl ServeEngine {
     ) -> Result<ScoredBatch<'_>, EmbeddingError> {
         self.score(model, queued.iter().map(|q| &q.query))
     }
+}
+
+/// The distinct queries of a batch, in order of first occurrence, where
+/// `slots` maps each query (a prefix of the batch, when it is shorter) to
+/// its distinct query. Slots are numbered in order of first occurrence,
+/// so a query occurs first exactly when its slot is the next new one.
+fn distinct<'q, 's, I>(
+    queries: I,
+    slots: &'s [usize],
+) -> impl Iterator<Item = &'q Arc<Query>> + use<'q, 's, I>
+where
+    I: IntoIterator<Item = &'q Arc<Query>>,
+{
+    let mut next = 0;
+    queries
+        .into_iter()
+        .zip(slots)
+        .filter_map(move |(q, &slot)| {
+            let first = slot == next;
+            next += usize::from(first);
+            first.then_some(q)
+        })
 }
 
 /// Cuts a batch laid out by `offsets` into at most `participants` bands
@@ -452,35 +543,34 @@ where
     cuts.push(total);
 }
 
-/// Scores sample rows `rows` of a batch laid out by `offsets` into
-/// `band`, as an inline engine scores a whole batch, and copies the
-/// band's logits into `logits`: fuses the rows' dense features, checks
-/// and pools each query's bags of every table in lookup order, and runs
-/// the dense stack on the calling thread.
+/// Scores sample rows `rows` of the batch `queries()` laid out by
+/// `offsets` into `band`, as an inline engine scores a whole batch, and
+/// copies the band's logits into `logits`: fuses the rows' dense
+/// features, checks and pools each query's bags of every table in lookup
+/// order, and runs the dense stack on the calling thread.
 ///
 /// # Errors
 ///
 /// Returns [`EmbeddingError::SrcOutOfBounds`], naming the bag's largest
 /// row, at the first bag met with a row past its table, before anything
 /// of it is pooled.
-fn score_band<'q, I>(
+fn score_band<'q, F, I>(
     model: &Dlrm,
-    queries: I,
+    queries: F,
     offsets: &[usize],
     rows: Range<usize>,
     band: &mut Band,
     logits: &mut [f32],
 ) -> Result<(), EmbeddingError>
 where
-    I: IntoIterator<Item = &'q Arc<Query>> + Clone,
+    F: Fn() -> I,
+    I: Iterator<Item = &'q Arc<Query>>,
 {
     // The band's queries, each with its window of the band: the query's
     // first row in the band, and the range of its own rows the band holds.
     let first = offsets.partition_point(|&o| o <= rows.start) - 1;
     let band_queries = || {
-        queries
-            .clone()
-            .into_iter()
+        queries()
             .zip(offsets.windows(2))
             .skip(first)
             .take_while(|(_, q_rows)| q_rows[0] < rows.end)
@@ -620,6 +710,16 @@ mod tests {
         );
         let queries: Vec<_> = (0..8).map(|i| Arc::clone(wl.query(i))).collect();
         let under = SPLIT_MIN_LOOKUPS.div_ceil(320) - 1;
+        // One query repeated eight times: 2,560 lookups in the batch, but
+        // the engine scores 320 of them, so it starts no lane.
+        let repeated = vec![Arc::clone(&queries[0]); 8];
+        let mut engine = ServeEngine::with_defaults(&m);
+        let scored = engine.score(&m, &repeated).unwrap();
+        let want = m.predict(&queries[0].dense, &queries[0].indices).unwrap();
+        for i in 0..repeated.len() {
+            assert_eq!(scored.scores(i), want.as_slice(), "occurrence {i}");
+        }
+        assert!(engine.lane.is_none(), "a repeated query started the lane");
         let mut engine = ServeEngine::with_defaults(&m);
         for n in [under, under + 1, queries.len(), under] {
             let scored = engine.score(&m, &queries[..n]).unwrap();
@@ -639,6 +739,37 @@ mod tests {
             assert_eq!(scored.scores(i), want.as_slice());
         }
         assert!(inline.lane.is_none());
+    }
+
+    #[test]
+    fn a_repeated_query_is_scored_once() {
+        let m = model();
+        let wl = workload(7);
+        let (a, b) = (Arc::clone(wl.query(0)), Arc::clone(wl.query(1)));
+        let want_a = m.predict(&a.dense, &a.indices).unwrap();
+        let want_b = m.predict(&b.dense, &b.indices).unwrap();
+        let mut engine = ServeEngine::with_defaults(&m);
+        let thrice = [Arc::clone(&a), Arc::clone(&a), Arc::clone(&a)];
+        let scored = engine.score(&m, &thrice).unwrap();
+        assert_eq!(scored.num_samples(), 3 * a.candidates());
+        for i in 0..3 {
+            assert_eq!(scored.scores(i), want_a.as_slice(), "occurrence {i}");
+        }
+        assert_eq!(engine.rows_scored, a.candidates() as u64);
+        assert_eq!(engine.queries_scored(), 3);
+        // Interleaved with another query: each distinct query's rows once,
+        // every position in admission order.
+        let mixed = [&a, &b, &a, &b, &b].map(Arc::clone);
+        let scored = engine.score(&m, &mixed).unwrap();
+        for (i, q) in mixed.iter().enumerate() {
+            let want = if Arc::ptr_eq(q, &a) { &want_a } else { &want_b };
+            assert_eq!(scored.scores(i), want.as_slice(), "position {i}");
+        }
+        assert_eq!(
+            engine.rows_scored,
+            (2 * a.candidates() + b.candidates()) as u64
+        );
+        assert_eq!(engine.queries_scored(), 8);
     }
 
     #[test]

@@ -25,7 +25,8 @@
 //!   calling thread and the engine's lane (its own one-worker pool, or
 //!   one lent through [`Execution`]), cut into one band of sample rows a
 //!   thread, each pooled and run through the whole dense stack by that
-//!   thread; a smaller one is scored on the calling thread;
+//!   thread; a smaller one is scored on the calling thread. A query
+//!   repeated within a batch (the same `Arc`) is scored once;
 //! * [`stats`] — latency histograms (p50/p95/p99), QPS, queue depth and
 //!   SLA-violation accounting;
 //! * one private **serve loop** under two entry-point modules: a lane
@@ -52,7 +53,8 @@
 //! row-independent. Batching is a pure scheduling decision, and so is
 //! splitting a batch over the lane into bands of sample rows: each bag is
 //! pooled whole by one thread, in lookup order, and each band's dense
-//! stack computes its rows as the whole batch's would.
+//! stack computes its rows as the whole batch's would. So is scoring a
+//! repeated query once: its rows would be the same bits again.
 //! Likewise, online-mode update steps are bit-identical to the offline
 //! [`Trainer`] fed the same batches: serving reads the model through `&`
 //! only. Both are property-tested in `tests/serving.rs`.

@@ -34,7 +34,11 @@ use tcast_tensor::{Matrix, SplitMix64};
 /// One inference request: score `candidates()` items for one user.
 #[derive(Debug, Clone, PartialEq)]
 pub struct Query {
-    /// Catalog identity (hot queries share an id across arrivals).
+    /// Catalog identity (hot queries share an id across arrivals). A
+    /// label for reports and errors only: the serve engine scores a query
+    /// repeated within a batch once by matching the `Arc` it arrives in
+    /// ([`Arc::ptr_eq`]), never by `id`, so two queries built under one
+    /// id are two queries.
     pub id: u64,
     /// Continuous features, `candidates x dense_features`.
     pub dense: Matrix,

@@ -6,7 +6,9 @@
 //!    (a batch scored on the calling thread alone, or cut into bands of
 //!    sample rows over the engine's lane, between queries or inside one),
 //!    and to `Dlrm::predict` on each query (the serving analogue of the
-//!    paper's functional-equivalence validation).
+//!    paper's functional-equivalence validation). A query repeated in a
+//!    batch (the same `Arc`) is scored once and every occurrence reads
+//!    `predict`'s bits; two `Arc`s under one id are two queries.
 //! 2. **Checkpoint -> serve round-trips** — a model restored from a
 //!    checkpoint serves bit-identical scores to the original.
 //! 3. **Online training is offline training** — interleaving serving
@@ -21,8 +23,9 @@
 //!    never a plausible score; a row past its table is a typed error on
 //!    the first call and on a repeated one, and in a split batch, where
 //!    the error names the lowest (query, table) whichever band met it and
-//!    nothing is scored. A lane task's panic leaves the engine scoring its
-//!    next batch as `Dlrm::predict` does.
+//!    nothing is scored, however often a bad query repeats. A lane task's
+//!    panic leaves the engine scoring its next batch as `Dlrm::predict`
+//!    does.
 //! 6. **An empty bag pools to a zero row** — in training (baseline ==
 //!    casted) and in serving (engine == `Dlrm::predict`).
 
@@ -118,7 +121,9 @@ proptest! {
     /// four bands of sample rows: poolings up to 79 put batches on both
     /// sides of the engine's split floor (1,024 lookups), so some are
     /// scored on the calling thread alone and some in bands on the lane.
-    /// Ragged embedding widths run the SIMD tail.
+    /// Ragged embedding widths run the SIMD tail. The stream opens with
+    /// one query twice and the first group holds both, so some group
+    /// repeats an `Arc` in every case; the skewed draws repeat others.
     #[test]
     fn fused_in_any_grouping_is_alone_is_predict(
         seed in 1u64..1000,
@@ -136,17 +141,27 @@ proptest! {
             1.0,
             seed,
         );
-        let queries: Vec<Arc<Query>> = (0..24).map(|_| wl.draw()).collect();
+        let mut queries: Vec<Arc<Query>> = (0..24).map(|_| wl.draw()).collect();
+        queries[1] = Arc::clone(&queries[0]);
         let lent = Arc::new(tensor_casting::tensor::Pool::new(3));
         for execution in [Execution::Serial, Execution::Pooled(lent)] {
             let mut rng = tensor_casting::tensor::SplitMix64::new(seed);
             let mut fused_engine = ServeEngine::new(&model, 0, execution.clone());
             let mut alone_engine = ServeEngine::new(&model, 0, execution.clone());
             let mut rest = queries.as_slice();
+            let mut repeating_groups = 0;
             while !rest.is_empty() {
-                let n = (1 + rng.next_below(max_group as u64) as usize).min(rest.len());
-                let (group, tail) = rest.split_at(n);
+                let mut n = 1 + rng.next_below(max_group as u64) as usize;
+                if rest.len() == queries.len() {
+                    n = n.max(2);
+                }
+                let (group, tail) = rest.split_at(n.min(rest.len()));
                 rest = tail;
+                let repeats = group
+                    .iter()
+                    .enumerate()
+                    .any(|(i, q)| group[..i].iter().any(|p| Arc::ptr_eq(p, q)));
+                repeating_groups += usize::from(repeats);
                 let fused = fused_engine.score(&model, group).unwrap();
                 for (i, q) in group.iter().enumerate() {
                     let want = bits(model.predict(&q.dense, &q.indices).unwrap().as_slice());
@@ -167,6 +182,7 @@ proptest! {
                     );
                 }
             }
+            prop_assert!(repeating_groups > 0, "no group repeated a query");
         }
     }
 }
@@ -292,6 +308,96 @@ fn split_batch(seed: u64) -> (Dlrm, Vec<Arc<Query>>) {
     );
     let queries = (0..8).map(|_| wl.draw()).collect();
     (model, queries)
+}
+
+/// Invariant 1 for repeats: the batch `[a, b, a, a, c, b]`, under the
+/// split floor (`tiny`, pooling 3 and 2) and over it (three distinct
+/// queries of 960 lookups: 2,880), on a lane of the engine's own and on a lent
+/// three-worker pool, scores every position as `Dlrm::predict` scores its
+/// query, and lays the fused logits out in admission order.
+#[test]
+fn a_repeated_query_scores_predict_at_every_position() {
+    let catalog = workload(21, 8, 5);
+    let under: Vec<_> = (0..3).map(|i| Arc::clone(catalog.query(i))).collect();
+    let (split_model, split_queries) = split_batch(21);
+    for (model, queries, over_the_floor) in [
+        (Dlrm::new(DlrmConfig::tiny(), 21).unwrap(), under, false),
+        (split_model, split_queries, true),
+    ] {
+        let mut distinct: Vec<&Arc<Query>> = Vec::new();
+        for q in &queries {
+            if !distinct.iter().any(|d| Arc::ptr_eq(d, q)) {
+                distinct.push(q);
+            }
+        }
+        let [a, b, c] = [0, 1, 2].map(|i| distinct[i]);
+        let batch = [a, b, a, a, c, b].map(Arc::clone);
+        let lookups: usize = [a, b, c]
+            .iter()
+            .flat_map(|q| q.indices.iter().map(|idx| idx.len()))
+            .sum();
+        assert_eq!(lookups >= 1_024, over_the_floor, "{lookups} lookups");
+        let lent = Arc::new(tensor_casting::tensor::Pool::new(3));
+        for execution in [Execution::Serial, Execution::Pooled(lent)] {
+            let mut engine = ServeEngine::new(&model, 0, execution.clone());
+            let scored = engine.score(&model, &batch).unwrap();
+            let mut fused = Vec::new();
+            for (i, q) in batch.iter().enumerate() {
+                let want = bits(model.predict(&q.dense, &q.indices).unwrap().as_slice());
+                assert_eq!(
+                    bits(scored.scores(i)),
+                    want,
+                    "position {i}, {lookups} lookups, {execution:?}"
+                );
+                fused.extend(want);
+            }
+            assert_eq!(bits(scored.fused_logits().as_slice()), fused);
+            assert_eq!(scored.num_samples(), fused.len());
+            assert_eq!(engine.queries_scored(), batch.len() as u64);
+        }
+    }
+}
+
+/// Two `Arc`s with one id but different bags are two queries: a batch of
+/// both scores each as `Dlrm::predict` scores it, so the engine's
+/// identity is the pointer, never `Query::id`.
+#[test]
+fn two_queries_under_one_id_are_both_scored() {
+    let model = Dlrm::new(DlrmConfig::tiny(), 3).unwrap();
+    let mut wl = workload(23, 8, 4);
+    let a = wl.draw();
+    let other = wl.draw();
+    let mut samples: Vec<Vec<u32>> = vec![Vec::new(); a.candidates()];
+    for (src, dst) in other.indices[0].iter() {
+        samples[dst as usize % a.candidates()].push(src);
+    }
+    for (s, sample) in samples.iter_mut().enumerate() {
+        sample.push(s as u32);
+    }
+    let mut indices = a.indices.to_vec();
+    indices[0] = IndexArray::from_samples(&samples).unwrap();
+    let twin = Arc::new(Query {
+        id: a.id,
+        dense: a.dense.clone(),
+        indices: indices.into(),
+    });
+    let want_a = bits(model.predict(&a.dense, &a.indices).unwrap().as_slice());
+    let want_twin = bits(
+        model
+            .predict(&twin.dense, &twin.indices)
+            .unwrap()
+            .as_slice(),
+    );
+    assert_ne!(want_a, want_twin, "the twin's bags must score differently");
+    let mut engine = ServeEngine::with_defaults(&model);
+    let batch = [&a, &twin, &a, &twin].map(Arc::clone);
+    let scored = engine.score(&model, &batch).unwrap();
+    for (i, want) in [&want_a, &want_twin, &want_a, &want_twin]
+        .iter()
+        .enumerate()
+    {
+        assert_eq!(&bits(scored.scores(i)), *want, "position {i}");
+    }
 }
 
 /// Invariant 2: train, checkpoint, restore into a fresh trainer — the
@@ -547,6 +653,11 @@ fn a_non_finite_dense_feature_is_a_typed_error() {
             indices: Arc::clone(&good.indices),
         });
         assert_rejects(&[Arc::clone(&bad)], 4242, "non-finite dense feature");
+        assert_rejects(
+            &[Arc::clone(&good), Arc::clone(&bad), Arc::clone(&bad)],
+            4242,
+            "non-finite dense feature",
+        );
         assert_rejects(&[Arc::clone(&good), bad], 4242, "non-finite dense feature");
     }
 }
@@ -568,6 +679,11 @@ fn a_zero_candidate_query_is_a_typed_error() {
             .into(),
     });
     assert_rejects(&[Arc::clone(&empty)], 77, "no candidates");
+    assert_rejects(
+        &[Arc::clone(&good), Arc::clone(&empty), Arc::clone(&empty)],
+        77,
+        "no candidates",
+    );
     assert_rejects(&[good, empty], 77, "no candidates");
 }
 
@@ -666,8 +782,9 @@ fn a_row_past_its_table_in_a_split_batch_is_refused() {
 /// query 2 (which holds two) and table 0 of query 3 — make `score` name
 /// the first bad row of the lowest (query, table), query 2's table 3,
 /// although its band pools table 0 of query 3 first and the other band
-/// may finish first; nothing is scored, and the engine's next good batch
-/// is a fresh engine's, bit for bit.
+/// may finish first; the same holds when the bad queries repeat. Nothing
+/// is scored, and the engine's next good batch is a fresh engine's, bit
+/// for bit.
 #[test]
 fn rows_past_their_tables_in_two_bands_name_the_lowest_query_and_table() {
     let (model, good) = split_batch(7);
@@ -689,6 +806,10 @@ fn rows_past_their_tables_in_two_bands_name_the_lowest_query_and_table() {
     bad[5] = bad_row(5, 0, &[(0, 0, 0)]);
     bad[2] = bad_row(2, 3, &[(1, 5, 3), (4, 0, 9)]);
     bad[3] = bad_row(3, 0, &[(2, 2, 1)]);
+    // The same bad queries, each but query 5 repeated, query 2 first
+    // among them: a repeat is scored once, and the error is still query
+    // 2's table 3.
+    let repeated = [0, 2, 3, 2, 3, 5, 1, 2].map(|q| Arc::clone(&bad[q]));
     let rows = model.table(3).rows();
     let want = bits(
         ServeEngine::with_defaults(&model)
@@ -703,12 +824,14 @@ fn rows_past_their_tables_in_two_bands_name_the_lowest_query_and_table() {
     let lent = Arc::new(tensor_casting::tensor::Pool::new(3));
     for execution in [Execution::Serial, Execution::Pooled(lent)] {
         let mut engine = ServeEngine::new(&model, 0, execution.clone());
-        match engine.score(&model, &bad) {
-            Err(EmbeddingError::SrcOutOfBounds { src, rows: r }) => {
-                assert_eq!((src as usize, r), (rows + 3, rows), "{execution:?}");
+        for batch in [&bad[..], &repeated[..]] {
+            match engine.score(&model, batch) {
+                Err(EmbeddingError::SrcOutOfBounds { src, rows: r }) => {
+                    assert_eq!((src as usize, r), (rows + 3, rows), "{execution:?}");
+                }
+                Err(e) => panic!("{execution:?}: expected SrcOutOfBounds, got {e}"),
+                Ok(_) => panic!("{execution:?}: a row past its table was scored"),
             }
-            Err(e) => panic!("{execution:?}: expected SrcOutOfBounds, got {e}"),
-            Ok(_) => panic!("{execution:?}: a row past its table was scored"),
         }
         assert_eq!(
             engine.batches_scored(),

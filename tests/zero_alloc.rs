@@ -7,8 +7,8 @@
 //! cast a casted training step with no lane runs on the training thread,
 //! a trainer lent a pool (it allocates exactly as a serial one does),
 //! and a served batch under the engine's split floor, of queries it has
-//! seen or not; a batch that splits is bounded at one pool scope, however
-//! large its dense stack.
+//! seen or not, repeated within the batch or not; a batch that splits is
+//! bounded at one pool scope, however large its dense stack.
 //!
 //! The whole file is one test function on purpose — the allocation
 //! counter is process-global, and sibling tests running on other threads
@@ -592,6 +592,29 @@ fn steady_state_hot_path_performs_zero_allocations() {
         "scoring queries the engine has never seen must not allocate"
     );
 
+    // ---- Serve engine: queries repeated within a batch -----------------
+    // A repeat is matched by pointer and takes its first occurrence's rows
+    // through the engine's recycled slot map, distinct offsets and
+    // distinct logits: batches of changing repeat patterns, none longer
+    // or wider than the warm-up, allocate nothing.
+    let [a, b, c] = [0, 1, 2].map(|i| serve_workload.query(i));
+    let repeat_batches = [[a, b, a, a, c, b], [a, a, a, a, a, a], [c, b, a, c, b, a]]
+        .map(|batch| batch.map(Arc::clone));
+    let mut repeat_engine = tensor_casting::serve::ServeEngine::with_defaults(&serve_model);
+    for batch in &repeat_batches {
+        repeat_engine.score(&serve_model, batch).unwrap();
+    }
+    let before = allocations();
+    for batch in repeat_batches.iter().cycle().take(12) {
+        let scored = repeat_engine.score(&serve_model, batch).unwrap();
+        assert_eq!(scored.num_queries(), 6);
+    }
+    assert_eq!(
+        allocations() - before,
+        0,
+        "batches of repeated queries under the split floor must not allocate"
+    );
+
     // ---- Serve engine: a batch that splits -----------------------------
     // A batch of at least the engine's split floor (1,024 lookups) is cut
     // into two bands of sample rows, one scored on the engine's own lane.
@@ -634,6 +657,23 @@ fn steady_state_hot_path_performs_zero_allocations() {
     assert!(
         split_allocs <= 2 * split_batches,
         "a split batch allocates one pool scope on the calling thread (state + one task), \
+         {split_allocs} over {split_batches} batches"
+    );
+
+    // The same with repeats: three distinct queries (7,200 lookups) in a
+    // batch of six still split, and still allocate one scope's 2.
+    let [a, b, c] = [0, 1, 2].map(|i| &split_queries[i]);
+    let split_repeats = [a, b, a, a, c, b].map(Arc::clone);
+    split_engine.score(&split_model, &split_repeats).unwrap();
+    let before = allocations();
+    for _ in 0..split_batches {
+        let scored = split_engine.score(&split_model, &split_repeats).unwrap();
+        assert_eq!(scored.num_queries(), 6);
+    }
+    let split_allocs = allocations() - before;
+    assert!(
+        split_allocs <= 2 * split_batches,
+        "a split batch of repeated queries allocates one pool scope on the calling thread, \
          {split_allocs} over {split_batches} batches"
     );
 
