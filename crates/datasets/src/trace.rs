@@ -115,8 +115,7 @@ pub fn write_trace(w: &mut impl Write, batches: &[IndexArray]) -> Result<(), Tra
 /// invariants, or [`TraceError::Io`] on read failure.
 pub fn read_trace(r: &mut impl Read) -> Result<Vec<IndexArray>, TraceError> {
     let mut magic = [0u8; 4];
-    r.read_exact(&mut magic)
-        .map_err(|_| TraceError::Format("file shorter than header".to_string()))?;
+    read_exact(r, &mut magic, "file shorter than header")?;
     if &magic != MAGIC {
         return Err(TraceError::Format(format!(
             "bad magic {magic:?}, expected {MAGIC:?}"
@@ -148,9 +147,17 @@ pub fn read_trace(r: &mut impl Read) -> Result<Vec<IndexArray>, TraceError> {
 
 fn read_u32(r: &mut impl Read) -> Result<u32, TraceError> {
     let mut buf = [0u8; 4];
-    r.read_exact(&mut buf)
-        .map_err(|_| TraceError::Format("truncated trace".to_string()))?;
+    read_exact(r, &mut buf, "truncated trace")?;
     Ok(u32::from_le_bytes(buf))
+}
+
+/// `read_exact` where only an early end of input is a [`TraceError::Format`]
+/// (named by `short`); any other read failure stays [`TraceError::Io`].
+fn read_exact(r: &mut impl Read, buf: &mut [u8], short: &str) -> Result<(), TraceError> {
+    r.read_exact(buf).map_err(|e| match e.kind() {
+        io::ErrorKind::UnexpectedEof => TraceError::Format(short.to_string()),
+        _ => TraceError::Io(e),
+    })
 }
 
 /// Generates `iterations` mini-batches from a workload and serializes
@@ -249,6 +256,37 @@ mod tests {
                 read_trace(&mut buf.as_slice()),
                 Err(TraceError::Format(m)) if m.contains("truncated")
             ));
+        }
+    }
+
+    #[test]
+    fn a_read_failure_is_io_not_truncation() {
+        /// Serves `ok` bytes of `data`, then fails every read.
+        struct Failing<'a> {
+            data: &'a [u8],
+            ok: usize,
+        }
+        impl Read for Failing<'_> {
+            fn read(&mut self, buf: &mut [u8]) -> io::Result<usize> {
+                if self.ok == 0 {
+                    return Err(io::Error::other("device gone"));
+                }
+                let n = buf.len().min(self.ok).min(self.data.len());
+                buf[..n].copy_from_slice(&self.data[..n]);
+                self.data = &self.data[n..];
+                self.ok -= n;
+                Ok(n)
+            }
+        }
+        let mut buf = Vec::new();
+        write_trace(&mut buf, &sample_batches()).unwrap();
+        // At the magic, in the header, and partway through a batch's lookups.
+        for ok in [0, 6, buf.len() - 6] {
+            let mut r = Failing { data: &buf, ok };
+            assert!(
+                matches!(read_trace(&mut r), Err(TraceError::Io(ref e)) if e.to_string() == "device gone"),
+                "failing after {ok} bytes"
+            );
         }
     }
 

@@ -947,10 +947,11 @@ pub fn read_train_checkpoint(r: &mut impl Read) -> Result<TrainCheckpoint, Check
 ///
 /// For fault-injection testing, [`CheckpointStore::set_fault_plan`]
 /// wires a [`FaultPlan`] into the write path at sites
-/// `"checkpoint.open"`, `"checkpoint.write"`, `"checkpoint.fsync"` and
-/// `"checkpoint.rename"`; an injected fault surfaces as
-/// [`CheckpointError::Io`] and the temp file is cleaned up, leaving
-/// previously committed checkpoints intact.
+/// `"checkpoint.open"`, `"checkpoint.write"`, `"checkpoint.fsync"`,
+/// `"checkpoint.rename"` and (on Unix) `"checkpoint.dirsync"`; an injected
+/// fault surfaces as [`CheckpointError::Io`] and the temp file is cleaned
+/// up, leaving previously committed checkpoints intact. A `dirsync` fault
+/// strikes after the rename, so the new file stays listed beside them.
 #[derive(Debug)]
 pub struct CheckpointStore {
     dir: PathBuf,
@@ -1010,7 +1011,9 @@ impl CheckpointStore {
     ///
     /// Returns [`CheckpointError::Io`] on any I/O failure; the
     /// temporary file is removed and previously committed checkpoints
-    /// are untouched.
+    /// are untouched. When only the directory sync after the rename
+    /// fails, the renamed file stays (it may not survive a crash) and
+    /// nothing is pruned.
     pub fn save(
         &self,
         trainer: &Trainer,
@@ -1050,9 +1053,14 @@ impl CheckpointStore {
         drop(file);
         self.injected("checkpoint.rename")?;
         std::fs::rename(tmp, path)?;
-        // Persist the rename itself: fsync the directory entry.
-        if let Ok(dir) = std::fs::File::open(&self.dir) {
-            let _ = dir.sync_all();
+        // Persist the rename itself: fsync the directory entry. Until it
+        // succeeds the commit may not survive a crash, so its failure is
+        // the save's, and `save` then prunes nothing. (Only Unix can open
+        // a directory as a file to sync it.)
+        #[cfg(unix)]
+        {
+            self.injected("checkpoint.dirsync")?;
+            std::fs::File::open(&self.dir)?.sync_all()?;
         }
         Ok(())
     }

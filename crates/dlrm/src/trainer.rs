@@ -1,6 +1,45 @@
 //! The instrumented training loop: baseline vs. Tensor-Casting backward,
 //! with per-phase wall-clock timings (the repository's Fig. 4/12
 //! real-system measurement harness).
+//!
+//! # What runs where
+//!
+//! A step with a lane — one with a successor, or one whose dense GEMMs
+//! reach the split floor — shares its work with the lane's worker (see
+//! [`Execution`]). A casted step with a successor opens two lane scopes:
+//!
+//! ```text
+//! trainer | head fwd (t) | head bwd (t), top update | bwd T0 | bwd T1 | ... | bwd Tn | join | head fwd (t+1)
+//! lane    | cast (t+1)   | GEMM blocks              | bottom bwd + update (t), bottom fwd (t+1), gather (t+1, T0..Tn)
+//! ```
+//!
+//! The first spans the dense phases. Its first task casts the successor,
+//! and each GEMM inside it that splits hands out blocks of its weight to
+//! whichever thread is free, so a lane still casting leaves the training
+//! thread every block. The second spans the embedding backward. Its first
+//! task is the bottom-MLP chain, and table `i`'s gather for the successor
+//! joins it as soon as table `i`'s scatter returns. Where the embedding
+//! backward is long beside the bottom MLP (RM1's shape), the chain and the
+//! gathers finish under it. Where it is short (RM3's), the chain outlasts
+//! the scatters, and the training thread claims blocks of the chain's
+//! GEMMs at the join; that wait is charged to `bwd_dnn` up to the chain's
+//! end and to `fwd_gather` after it ([`PhaseTimings`]). A step with no lane
+//! casts and runs the chain on the training thread.
+//! [`Trainer::complete_step`] argues why no overlap changes a bit.
+//!
+//! # What a step allocates
+//!
+//! Once the first step has sized the step scratch and both sets of casts,
+//! the embedding and MLP kernels allocate nothing. What is left is the
+//! lane: a pool scope allocates its shared state and one boxed task a
+//! spawn ([`tcast_pool::Pool::scope`]). A step with a lane opens one scope
+//! over its dense phases (the cast, one task, in casted mode) and one over
+//! its embedding backward (the chain and one gather a table): at most
+//! `tables + 4` small allocations on the training thread. A dense layer
+//! above the split floor opens one scope for its forward and one for its
+//! backward, one task a thread and never one a claimed block: at most
+//! `2 + 3 x threads` small allocations a step (`2 + 2 x threads` when its
+//! `in_dim` outgrows the batch). `tests/zero_alloc.rs` holds the bound.
 
 use std::sync::atomic::{AtomicBool, Ordering};
 use std::sync::Arc;

@@ -9,7 +9,10 @@
 //! pages most of them also miss the TLB and pay a page walk; a 2 MB page
 //! covers 512 times the rows. The advice changes how pages are backed,
 //! never what they hold, and a host that does not grant it (THP `never`,
-//! another OS) keeps 4 KB pages.
+//! another OS) keeps 4 KB pages. A model's tables are all built by
+//! [`EmbeddingTable::seeded`], so a checkpoint restore, which decodes into
+//! the live tables, and a snapshot, which copies into a buffer model built
+//! the same way, write advised slabs too.
 
 use crate::error::EmbeddingError;
 use std::mem::MaybeUninit;

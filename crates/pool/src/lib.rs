@@ -264,6 +264,9 @@ impl Pool {
     /// scopes may nest (a task may open another scope on the same pool)
     /// without deadlocking regardless of worker count.
     ///
+    /// A scope allocates its shared state, and each spawn boxes its task:
+    /// the only heap allocations a pooled kernel makes.
+    ///
     /// # Panics
     ///
     /// If a task panics, the panic is captured and resumed on the calling

@@ -13,7 +13,10 @@
 //!   stop-the-world;
 //! * N **serve engines** run on the same [`Pool`] with *no shared
 //!   mutable model state*, each scoring its batches inline on the pool
-//!   thread that runs it: each is one snapshot lane of
+//!   thread that runs it and adding no thread: with the trainer beside
+//!   them the engines already hold the cores, and splitting their
+//!   batches, over lanes of their own or over the pool, measured slower
+//!   (`CHANGES.md` records by how much). Each is one snapshot lane of
 //!   the one serve loop (`batch` closed-loop clients at zero think time),
 //!   resolving one consistent snapshot per fused batch and refreshing
 //!   only when its held version falls more than `staleness_bound`

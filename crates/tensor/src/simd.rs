@@ -769,7 +769,7 @@ mod x86 {
                                 let (ct, ldc) = if staged {
                                     (edge.as_mut_ptr(), GEMM_NR)
                                 } else {
-                                    (c.at(i0, j0, rows, GEMM_NR), c.ld())
+                                    c.at(i0, j0, rows, GEMM_NR)
                                 };
                                 // SAFETY: `rows <= MR`, `0 < kc <= GEMM_KC`.
                                 // Rows `i0..i0 + rows` (<= m) and reduction
@@ -1021,7 +1021,7 @@ mod x86 {
                         for j0 in (j1..n.min(j1 + range)).step_by(NJ) {
                             let cols = NJ.min(n - j0);
                             let bt = &b[j0 * k..][..cols * k];
-                            let ct = c.at(r0 + q * LANES, j0, live, cols);
+                            let (ct, ldc) = c.at(r0 + q * LANES, j0, live, cols);
                             // SAFETY: `cols <= NJ`, `live <= LANES`; `pa`
                             // is one packed block of `k` steps, `bt` rows
                             // `j0..j0 + cols` (<= n) of `b`; the outputs
@@ -1033,9 +1033,9 @@ mod x86 {
                             unsafe {
                                 match cols {
                                     $($tail => tile_nt::<$tail>(
-                                        pa, bt, k, ct, c.ld(), live,
+                                        pa, bt, k, ct, ldc, live,
                                     ),)*
-                                    _ => tile_nt::<NJ>(pa, bt, k, ct, c.ld(), live),
+                                    _ => tile_nt::<NJ>(pa, bt, k, ct, ldc, live),
                                 }
                             }
                         }
@@ -1121,13 +1121,14 @@ mod x86 {
             for j0 in (0..n_tiled).step_by(NT_NR) {
                 for i0 in (0..m_tiled).step_by(NT_MR) {
                     let (at, bt) = (&a[i0 * k..], &b[j0 * k..]);
+                    let (ct, ldc) = c.at(i0, j0, NT_MR, NT_NR);
                     // SAFETY: rows `i0..i0 + NT_MR` (<= m) of `a`,
                     // rows `j0..j0 + NT_NR` (<= n) of `b` are
                     // inside the operands by the assert above; the
                     // outputs are elements `(i0.., j0..)` of the
                     // view `c`, which nothing else writes while it
                     // is borrowed here; and AVX2 is enabled here.
-                    unsafe { tile_nt(at, bt, k, c.at(i0, j0, NT_MR, NT_NR), c.ld()) };
+                    unsafe { tile_nt(at, bt, k, ct, ldc) };
                 }
             }
             // Tails: the last `m % NT_MR` rows over all columns,

@@ -56,11 +56,6 @@ impl<'a> StridedMut<'a> {
         self.cols
     }
 
-    /// Floats from the start of one row to the start of the next.
-    pub(crate) fn ld(&self) -> usize {
-        self.ld
-    }
-
     /// Cuts the view into columns `..at` and columns `at..`.
     ///
     /// # Panics
@@ -94,18 +89,19 @@ impl<'a> StridedMut<'a> {
     }
 
     /// The address of element `(r, c)`, the first of a `rows x cols` tile
-    /// that a kernel writes through raw pointers, rows `ld` apart. Only
-    /// elements of this view may be written through it, and only while
-    /// `self` stays borrowed. Debug builds check that the tile fits the
-    /// view.
-    pub(crate) fn at(&mut self, r: usize, c: usize, rows: usize, cols: usize) -> *mut f32 {
+    /// that a kernel writes through raw pointers, with the view's row
+    /// stride `ld`: the tile's rows are exactly `ld` floats apart, and no
+    /// other stride comes with the corner. Only elements of this view may
+    /// be written through it, and only while `self` stays borrowed. Debug
+    /// builds check that the tile fits the view.
+    pub(crate) fn at(&mut self, r: usize, c: usize, rows: usize, cols: usize) -> (*mut f32, usize) {
         debug_assert!(
             r + rows <= self.rows && c + cols <= self.cols,
             "a {rows} x {cols} tile at ({r}, {c}) of a {} x {} view",
             self.rows,
             self.cols
         );
-        self.ptr.wrapping_add(r * self.ld + c)
+        (self.ptr.wrapping_add(r * self.ld + c), self.ld)
     }
 }
 
@@ -119,7 +115,8 @@ mod tests {
         let (mut left, rest) = StridedMut::new(&mut data, 3, 7).split_cols(2);
         let (mut mid, mut right) = rest.split_cols(4);
         assert_eq!((left.cols(), mid.cols(), right.cols()), (2, 4, 1));
-        assert!([left.ld(), mid.ld(), right.ld()].iter().all(|&ld| ld == 7));
+        let ld = |v: &mut StridedMut<'_>| v.at(0, 0, 0, 0).1;
+        assert!([ld(&mut left), ld(&mut mid), ld(&mut right)] == [7; 3]);
         assert_eq!(mid.row(1), &[9.0, 10.0, 11.0, 12.0]);
         for r in 0..3 {
             left.row(r).fill(-1.0);

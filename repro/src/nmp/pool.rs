@@ -6,7 +6,7 @@
 //! Every member channel then executes the *same* `(src, dst)` stream over
 //! its own slice — gathers, scatters and casted gather-reduces all stay
 //! entirely rank-local, which is how "the effective memory throughput
-//! available across the NMP cores [is] amplified as a function of the
+//! available across the NMP cores \[is\] amplified as a function of the
 //! number of ranks". Different tables round-robin across channel groups,
 //! activating the whole pool when a model has many tables.
 

@@ -9,7 +9,8 @@
 //! 1. **Checkpoint I/O** — every write-path site (`open`, `write`,
 //!    `fsync`, `rename`) fails as [`CheckpointError::Io`], leaves no
 //!    torn or temporary file, keeps previously committed checkpoints
-//!    intact, and the next save succeeds.
+//!    intact, and the next save succeeds; a failed directory sync after
+//!    the rename (`dirsync`) is an error too, and prunes nothing.
 //! 2. **Torn writes** — a checkpoint truncated at *every* byte
 //!    boundary parses to a clean [`CheckpointError::Format`] (or, at
 //!    the handful of exact section boundaries, to a valid strict
@@ -155,6 +156,38 @@ fn every_checkpoint_write_site_fails_typed_and_leaves_the_store_clean() {
             "{site}: retry produced a bad checkpoint"
         );
     }
+}
+
+/// The directory sync comes after the rename, so its failure cannot leave
+/// only the pre-fault file as the sweep above expects: the new file is
+/// there but may not be durable, and the save must prune nothing.
+#[cfg(unix)]
+#[test]
+fn a_failed_directory_sync_is_an_error_and_prunes_nothing() {
+    let dir = TempDir::new("dirsync");
+    let mut trainer = trained_trainer(1);
+    let mut store = CheckpointStore::new(&dir.0, 2).unwrap();
+    let mut older = Vec::new();
+    for _ in 0..2 {
+        older.push(store.save(&trainer, None, None).unwrap());
+        trainer.step(&source(9, 16).next_batch().unwrap()).unwrap();
+    }
+
+    let plan = FaultPlan::new();
+    plan.arm("checkpoint.dirsync", 0);
+    store.set_fault_plan(plan.clone());
+    let err = store.save(&trainer, None, None).unwrap_err();
+    assert!(matches!(err, CheckpointError::Io(_)), "got {err}");
+    assert!(err.to_string().contains("checkpoint.dirsync"), "got {err}");
+    assert_eq!(plan.fired(), vec![("checkpoint.dirsync".to_string(), 0)]);
+
+    // Retention is 2, yet both older checkpoints are still listed beside
+    // the renamed one, and the renamed one loads.
+    let listed = store.list().unwrap();
+    assert_eq!(listed.len(), 3, "{listed:?}");
+    assert_eq!(listed[..2], older[..]);
+    let loaded = read_train_checkpoint(&mut std::fs::File::open(&listed[2]).unwrap()).unwrap();
+    assert_eq!(loaded.steps(), Some(3));
 }
 
 /// A checkpoint fault inside [`TrainLoop::run`] surfaces as the
